@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench verify
+.PHONY: build test bench-harness vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench verify
 
 build:
 	$(GO) build ./...
@@ -24,8 +24,17 @@ lint:
 	$(GO) build -o bin/nvolint ./cmd/nvolint
 	./bin/nvolint -v -budget $(LINT_BUDGET) -pr $(NVOLINT_PR) ./...
 	$(GO) vet -vettool=bin/nvolint ./...
+	cd benchmark && ../bin/nvolint ./...
 
-test:
+# The benchmark harness is a module of its own (benchmark/go.mod), so the
+# root ./... patterns never reach it; bench-harness vets it and runs its
+# smoke of every workload, so a refactor of internal/ cannot break the
+# harness unseen.
+bench-harness:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+test: bench-harness
 	$(GO) test ./...
 
 # The end-to-end chaos campaign: eight clusters under seeded fault
@@ -106,11 +115,12 @@ racecheck:
 	$(MAKE) survey
 
 # Full verification gate: vet, build, the nvolint invariants (with the
-# latency budget and stale-suppression report), the race-enabled suite,
+# latency budget and stale-suppression report), the benchmark harness's
+# own vet and smoke, the race-enabled suite,
 # the race campaigns (chaos, tenants, soak at gate scale, survey — `make
 # soak` runs the full fleet), journal-replay idempotence, the hot-path
 # allocation gate, and the codec fuzz smoke.
-verify: vet build lint
+verify: vet build lint bench-harness
 	$(GO) test -race ./...
 	$(MAKE) racecheck
 	$(MAKE) recovery

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gridftp"
 	"repro/internal/httpclient"
+	"repro/internal/journal"
 	"repro/internal/mds"
 	"repro/internal/myproxy"
 	"repro/internal/pegasus"
@@ -256,13 +257,18 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		Fabric:       cfg.Fabric,
 		Workers:      cfg.Workers,
 
-		JournalDir:       cfg.JournalDir,
-		CrashAfterEvents: cfg.CrashAfterEvents,
+		JournalDir: cfg.JournalDir,
 
 		ClusterSize:   cfg.ClusterSize,
 		SchedOverhead: cfg.SchedOverhead,
 		TransferSlots: cfg.TransferSlots,
 		WaveSize:      cfg.WaveSize,
+	}
+	if k := cfg.CrashAfterEvents; k > 0 {
+		// A fresh crash sink per workflow leg, disarmed by Compute.Reopen.
+		wsCfg.WrapJournal = func(_, _ string, sink journal.Sink) journal.Sink {
+			return &journal.CrashSink{Sink: sink, After: k}
+		}
 	}
 	if cfg.LocalityPlanning {
 		wsCfg.Selection = pegasus.SelectLocality

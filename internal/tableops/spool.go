@@ -36,29 +36,22 @@ type Spool struct {
 	rows    int
 	closed  bool
 
-	// Optional request arena for row copies. Spilled rows return to free
-	// and are recycled by later Adds, so the arena footprint stays bounded
-	// by memRows rows no matter how many rows pass through.
+	// Request arena the row copies are drawn from. Spilled rows return to
+	// free and are recycled by later Adds, so the arena footprint stays
+	// bounded by memRows rows no matter how many rows pass through.
 	arena *arena.Arena
 	free  [][]string
 }
 
-// NewSpool returns a spool sorting on the keyCol-th cell of every row.
-// memRows <= 0 selects DefaultSpoolMemRows.
-func NewSpool(keyCol, memRows int) *Spool {
+// NewSpoolIn returns a spool sorting on the keyCol-th cell of every row,
+// with row copies drawn from the request arena a. memRows <= 0 selects
+// DefaultSpoolMemRows. The arena must outlive the spool (Put it after
+// Close/Merge).
+func NewSpoolIn(a *arena.Arena, keyCol, memRows int) *Spool {
 	if memRows <= 0 {
 		memRows = DefaultSpoolMemRows
 	}
-	return &Spool{keyCol: keyCol, memRows: memRows}
-}
-
-// NewSpoolIn is NewSpool with row copies drawn from a request arena
-// instead of the heap — the hot-path variant the webservice concatenation
-// uses. The arena must outlive the spool (Put it after Close/Merge).
-func NewSpoolIn(a *arena.Arena, keyCol, memRows int) *Spool {
-	s := NewSpool(keyCol, memRows)
-	s.arena = a
-	return s
+	return &Spool{keyCol: keyCol, memRows: memRows, arena: a}
 }
 
 // Len returns the number of rows added so far.
@@ -81,15 +74,11 @@ func (s *Spool) Add(cells ...string) error {
 	return nil
 }
 
-// copyRow takes ownership of one row's cells: a heap copy normally, an
-// arena-backed (and spill-recycled) copy for spools built with NewSpoolIn.
+// copyRow takes ownership of one row's cells as an arena-backed (and
+// spill-recycled) copy.
 //
 //nvo:hotpath
 func (s *Spool) copyRow(cells []string) []string {
-	if s.arena == nil {
-		//nvolint:ignore hotalloc until=PR12 heap fallback for spools built without an arena; retire it once every production Spool carries one
-		return append([]string(nil), cells...)
-	}
 	if n := len(s.free); n > 0 && len(s.free[n-1]) == len(cells) {
 		row := s.free[n-1]
 		s.free = s.free[:n-1]
@@ -127,11 +116,9 @@ func (s *Spool) spill() error {
 		return err
 	}
 	s.runs = append(s.runs, f)
-	if s.arena != nil {
-		// The spilled rows now live in the run file; recycle their arena
-		// slots so the next batch reuses them instead of growing the arena.
-		s.free = append(s.free, s.mem...)
-	}
+	// The spilled rows now live in the run file; recycle their arena slots
+	// so the next batch reuses them instead of growing the arena.
+	s.free = append(s.free, s.mem...)
 	s.mem = s.mem[:0]
 	return nil
 }

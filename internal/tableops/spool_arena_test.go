@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/arena"
 )
 
-// TestSpoolInMatchesHeapSpool replays identical row streams through a heap
-// spool and an arena spool (with spills forced on both) and requires
-// identical merge output — the arena is an allocation strategy, never an
-// observable behavior change.
+// TestSpoolInMatchesHeapSpool replays a row stream with many duplicate keys
+// through an arena spool (spills forced) and requires the merge output to
+// equal a heap-side sort.SliceStable of the same rows — the arena and its
+// spill-time slot recycling are an allocation strategy, never an observable
+// change to ordering or tie stability.
 func TestSpoolInMatchesHeapSpool(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var rows [][]string
@@ -24,24 +26,20 @@ func TestSpoolInMatchesHeapSpool(t *testing.T) {
 		})
 	}
 
-	heap := NewSpool(0, 16)
 	a := arena.Get()
 	defer arena.Put(a)
 	ar := NewSpoolIn(a, 0, 16)
 	defer ar.Close()
-	defer heap.Close()
 	for _, r := range rows {
-		if err := heap.Add(r...); err != nil {
-			t.Fatal(err)
-		}
 		if err := ar.Add(r...); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := collectMerge(t, ar)
-	want := collectMerge(t, heap)
+	want := append([][]string(nil), rows...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i][0] < want[j][0] })
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("arena spool merge diverged from heap spool")
+		t.Fatalf("arena spool merge diverged from the stable heap sort")
 	}
 }
 

@@ -10,7 +10,18 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/arena"
 )
+
+// newTestSpool builds a spool over an arena that is returned to the pool
+// when the test ends.
+func newTestSpool(t *testing.T, keyCol, memRows int) *Spool {
+	t.Helper()
+	a := arena.Get()
+	t.Cleanup(func() { arena.Put(a) })
+	return NewSpoolIn(a, keyCol, memRows)
+}
 
 // collectMerge replays a spool into a slice.
 func collectMerge(t *testing.T, sp *Spool) [][]string {
@@ -27,7 +38,7 @@ func collectMerge(t *testing.T, sp *Spool) [][]string {
 
 // TestSpoolSortsWithoutSpill covers the all-in-memory path.
 func TestSpoolSortsWithoutSpill(t *testing.T) {
-	sp := NewSpool(0, 100)
+	sp := newTestSpool(t, 0, 100)
 	defer sp.Close()
 	for _, id := range []string{"c", "a", "b"} {
 		if err := sp.Add(id, "v-"+id); err != nil {
@@ -45,7 +56,7 @@ func TestSpoolSortsWithoutSpill(t *testing.T) {
 // against an in-memory stable sort.
 func TestSpoolSpillsAndMerges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	sp := NewSpool(1, 7) // key is the second cell; spill every 7 rows
+	sp := newTestSpool(t, 1, 7) // key is the second cell; spill every 7 rows
 	defer sp.Close()
 	type row struct {
 		cells []string
@@ -84,7 +95,7 @@ func TestSpoolCleansUpRunFiles(t *testing.T) {
 		return len(matches)
 	}
 	before := countRuns()
-	sp := NewSpool(0, 2)
+	sp := newTestSpool(t, 0, 2)
 	for i := 0; i < 20; i++ {
 		if err := sp.Add(fmt.Sprintf("%02d", i)); err != nil {
 			t.Fatal(err)
@@ -101,7 +112,7 @@ func TestSpoolCleansUpRunFiles(t *testing.T) {
 // TestSpoolErrorsAndMisuse covers callback errors, narrow rows and
 // use-after-close.
 func TestSpoolErrorsAndMisuse(t *testing.T) {
-	sp := NewSpool(2, 4)
+	sp := newTestSpool(t, 2, 4)
 	defer sp.Close()
 	if err := sp.Add("only", "two"); err == nil {
 		t.Error("row narrower than the key column must fail")
@@ -128,7 +139,7 @@ func TestSpoolErrorsAndMisuse(t *testing.T) {
 // run-file codec.
 func TestSpoolPreservesCellContent(t *testing.T) {
 	values := []string{"", "plain", "with space", "tab\tand\nnewline", strings.Repeat("x", 10_000), "unié 末"}
-	sp := NewSpool(0, 2) // force spills
+	sp := newTestSpool(t, 0, 2) // force spills
 	defer sp.Close()
 	for i, v := range values {
 		if err := sp.Add(fmt.Sprintf("%02d", i), v); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/tableops"
 	"repro/internal/votable"
 )
@@ -36,7 +37,9 @@ func TestStreamedConcatByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sp := tableops.NewSpool(0, 16) // tiny batches: ~19 spilled runs
+	a := arena.Get()
+	defer arena.Put(a)
+	sp := tableops.NewSpoolIn(a, 0, 16) // tiny batches: ~19 spilled runs
 	defer sp.Close()
 	for _, r := range results {
 		if err := sp.Add(resultCells(r)...); err != nil {

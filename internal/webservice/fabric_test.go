@@ -219,11 +219,11 @@ func TestDeterministicSheddingUnderOverload(t *testing.T) {
 	// carol hits the fleet-wide bound (503).
 	wantStatuses := []int{202, 429, 429, 202, 429, 503}
 
-	runBurst := func(crashAfter int, dir string) ([]int, []string, *multiHarness) {
+	runBurst := func(killAfter int, dir string) ([]int, []string, *multiHarness) {
 		h := newMultiHarness(t, n, func(c *Config) {
 			c.Fabric = stressFabric(t)
 			c.JournalDir = dir
-			c.CrashAfterEvents = crashAfter
+			c.WrapJournal = crashAfter(killAfter)
 		})
 		h.svc.Fabric().Hold()
 		srv := httptest.NewServer(h.svc.Handler())
@@ -316,7 +316,7 @@ func TestFabricKillResumeNoJournalBleed(t *testing.T) {
 	dir := t.TempDir()
 	h := newMultiHarness(t, n, func(c *Config) {
 		c.JournalDir = dir
-		c.CrashAfterEvents = 8
+		c.WrapJournal = crashAfter(8)
 	})
 	tenants := []string{"alice", "bob", "carol"}
 

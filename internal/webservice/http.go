@@ -67,6 +67,21 @@ func (s *Service) Stats() ServiceStats {
 	return out
 }
 
+// writeShed answers an admission the fabric shed. Overload shedding is
+// deterministic and typed: the response tells the client whether its own
+// quota (429) or the fleet (503) refused it, and when to come back. It
+// reports false, writing nothing, for any other error.
+func writeShed(w http.ResponseWriter, err error) bool {
+	shed, ok := fabric.AsShed(err)
+	if !ok {
+		return false
+	}
+	secs := max(1, int((shed.RetryAfter+time.Second-1)/time.Second))
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	http.Error(w, err.Error(), shed.HTTPStatus)
+	return true
+}
+
 // Handler exposes the compute service over HTTP, following the asynchronous
 // protocol of §4.3: the submission response carries the status URL; the
 // client polls it until a "job completed" message appears together with the
@@ -126,19 +141,9 @@ func (s *Service) Handler() http.Handler {
 			Priority: priority,
 		})
 		if err != nil {
-			// Overload shedding is deterministic and typed: tell the client
-			// whether its own quota (429) or the fleet (503) refused it, and
-			// when to come back.
-			if shed, ok := fabric.AsShed(err); ok {
-				secs := int((shed.RetryAfter + time.Second - 1) / time.Second)
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				http.Error(w, err.Error(), shed.HTTPStatus)
-				return
+			if !writeShed(w, err) {
+				http.Error(w, err.Error(), http.StatusBadRequest)
 			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
@@ -180,20 +185,13 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		if err := s.Requeue(req.URL.Query().Get("id")); err != nil {
-			if shed, ok := fabric.AsShed(err); ok {
-				secs := int((shed.RetryAfter + time.Second - 1) / time.Second)
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				http.Error(w, err.Error(), shed.HTTPStatus)
-				return
-			}
-			if errors.Is(err, ErrNotFound) {
+			switch {
+			case writeShed(w, err):
+			case errors.Is(err, ErrNotFound):
 				http.Error(w, err.Error(), http.StatusNotFound)
-				return
+			default:
+				http.Error(w, err.Error(), http.StatusConflict)
 			}
-			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)

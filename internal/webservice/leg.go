@@ -1,0 +1,549 @@
+package webservice
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
+
+	"repro/internal/chimera"
+	"repro/internal/dag"
+	"repro/internal/dagman"
+	"repro/internal/fabric"
+	"repro/internal/journal"
+	"repro/internal/pegasus"
+	"repro/internal/vdl"
+	"repro/internal/votable"
+)
+
+// A workflow leg is one execution of a request under one fabric lease: the
+// first run of a fresh request, or the resumption of a journaled one (after
+// a crash, a cancel, an operator requeue or a fabric preemption). Every leg
+// runs the same body — runLeg: open the scoped journal, build the DAGMan
+// options once, execute the plan source's graphs, write the rescue file on
+// failure, journal the end marker — and differs only in its plan source:
+// where the concrete graphs come from.
+//
+//	             fresh request                       resumed request
+//	monolithic   stage all, Chimera, pegasus.Map,    ReadDAGFile(.dag)
+//	             persist .vdl + .dag
+//	wave         WavePlanner, persist .vdl + .waves  WavePlanner from .waves
+//
+// A monolithic source yields its one graph; a wave source stages, plans and
+// yields one bounded wave at a time. Both are the closure type
+// dagman.ExecuteWaves takes, so the resubmission path is the first-run path.
+
+// leg is the per-execution context the body and the plan sources share.
+type leg struct {
+	s               *Service
+	tenant, cluster string
+	stats           *RunStats
+	labels          *runLabels
+	onProgress      func(done, total int)
+	// done/total are the progress counters: a one-graph source knows its
+	// total up front, a wave source grows it as waves are planned (the
+	// concrete node count of a wave is unknown until its plan exists).
+	done, total int
+}
+
+func (l *leg) progress() {
+	if l.onProgress != nil {
+		l.onProgress(l.done, l.total)
+	}
+}
+
+func (l *leg) path(ext string) string {
+	return filepath.Join(l.s.cfg.JournalDir, wfBase(l.tenant, l.cluster)+ext)
+}
+
+// planned folds one Pegasus plan into the leg's accounting. The plan's
+// replica snapshot seeds the read-through cache, so runner-side lookups
+// (retry rotation, recovery) cost no extra RLS round trips.
+func (l *leg) planned(plan *pegasus.Plan) {
+	l.s.replicas.Prime(plan.Replicas)
+	ps := plan.Stats()
+	l.stats.ComputeJobs += ps.ComputeJobs
+	l.stats.PrunedJobs += ps.PrunedJobs
+	l.stats.TransferNodes += ps.TransferNodes
+	l.stats.RegisterNodes += ps.RegisterNodes
+	l.stats.RLSRoundTrips += plan.RLSRoundTrips
+	l.stats.PlannedBytesMoved += plan.EstBytesMoved
+}
+
+// planSource is what one leg executes.
+type planSource struct {
+	// cat is the request's virtual data catalog: the runner reconstructs
+	// measurement configs from its derivations and the integrity layer
+	// re-derives damaged files from its provenance.
+	cat *vdl.Catalog
+	// begin is the KindBegin detail of a fresh leg.
+	begin string
+	// next yields the leg's concrete graphs in order, nil when exhausted.
+	next func(w int) (*dag.Graph, error)
+}
+
+// oneGraph is the monolithic plan source: the whole request as one graph.
+func (l *leg) oneGraph(g *dag.Graph) func(int) (*dag.Graph, error) {
+	l.total = g.Len()
+	return func(w int) (*dag.Graph, error) {
+		if w > 0 {
+			return nil, nil
+		}
+		return g, nil
+	}
+}
+
+// waves is the survey-scale plan source: instead of staging every image and
+// planning one monolithic concrete DAG, the request is cut into waves. Each
+// wave stages only its own images, plans through the ordinary Pegasus
+// pipeline, executes to completion, and is discarded before the next wave
+// is planned — peak image-staging and planner/scheduler memory are bounded
+// by the wave. The final wave runs the concatenating job at a deterministic
+// collector site the leaf waves delivered their results to. On a resumed
+// leg RLS reduction prunes whole jobs whose outputs were already
+// registered, so each replanned wave shrinks to its unfinished remainder.
+func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef) func(int) (*dag.Graph, error) {
+	s, stats := l.s, l.stats
+	// evict reclaims a completed leaf wave's staged cutouts: once a wave's
+	// derived outputs are registered in the RLS its input images are dead
+	// weight, so the store's peak footprint stays bounded by one wave
+	// instead of accumulating the whole survey. Inputs whose output is not
+	// registered (a rescue re-run may need them) are kept.
+	evict := func(w int) {
+		if w < 0 || w >= planner.LeafWaves() {
+			return
+		}
+		lo, hi := planner.WaveBounds(w)
+		for _, r := range refs[lo:hi] {
+			if s.cfg.RLS.Exists(r.id+".txt") && s.evictImage(r.id+".fit") {
+				stats.ImagesEvicted++
+			}
+		}
+	}
+	return func(w int) (*dag.Graph, error) {
+		// Waves release sequentially: wave w-1 has completed (and
+		// registered its outputs) by the time wave w is staged — no Run
+		// bodies execute while the wave label is rebuilt here.
+		l.labels.setWave(strconv.Itoa(w))
+		evict(w - 1)
+		if w >= planner.Waves() {
+			return nil, nil
+		}
+		if w < planner.LeafWaves() {
+			lo, hi := planner.WaveBounds(w)
+			if err := s.cacheImageRefs(refs[lo:hi], stats); err != nil {
+				return nil, err
+			}
+			stats.PeakStagedImages = max(stats.PeakStagedImages, s.countStagedImages())
+		}
+		plan, err := planner.Plan(w)
+		if err != nil {
+			return nil, err
+		}
+		l.planned(plan)
+		stats.Waves++
+		stats.MaxWaveNodes = max(stats.MaxWaveNodes, plan.Concrete.Len())
+		l.total += plan.Concrete.Len()
+		l.progress()
+		return plan.Concrete, nil
+	}
+}
+
+// freshSource plans a new request and, when journaling, persists the plan
+// and the VDL it came from so a resumed leg reloads the exact plan without
+// replanning — site selection is seeded, and replanning against a healthier
+// RLS would prune differently. The VDL is rendered to text and re-parsed
+// whole in both modes (the analog of the XSLT stylesheet producing a
+// derivation file), which keeps the .vdl artifact identical across modes.
+func (l *leg) freshSource(tab *votable.Table) (*planSource, error) {
+	s := l.s
+	vdlText, err := buildVDL(tab, l.cluster)
+	if err != nil {
+		return nil, err
+	}
+	cat, err := vdl.Parse(vdlText)
+	if err != nil {
+		return nil, fmt.Errorf("webservice: generated VDL invalid: %w", err)
+	}
+	src := &planSource{cat: cat}
+	// The per-request seed derives from the cluster name (not a shared
+	// stream), so concurrent requests stay individually deterministic.
+	seed := s.requestSeed(l.cluster)
+	refs := imageRefsFromTable(tab)
+	var persistPlan func() error
+	if s.cfg.WaveSize > 0 {
+		// The manifest replaces the .dag artifact, which would be unbounded
+		// at survey scale.
+		planner, err := pegasus.NewWavePlanner(waveSourceFor(refs, l.cluster), s.planConfig(), s.cfg.WaveSize, seed)
+		if err != nil {
+			return nil, err
+		}
+		src.begin = fmt.Sprintf("cluster=%s seed=%d waves=%d jobs=%d", l.cluster, seed, planner.Waves(), len(refs))
+		src.next = l.waves(planner, refs)
+		persistPlan = func() error { return writeWaveManifest(l.path(".waves"), s.cfg.WaveSize, refs) }
+	} else {
+		if err := s.cacheImageRefs(refs, l.stats); err != nil {
+			return nil, err
+		}
+		wf, err := chimera.Compose(cat, chimera.Request{LFNs: []string{outputLFN(l.cluster)}})
+		if err != nil {
+			return nil, err
+		}
+		pcfg := s.planConfig()
+		pcfg.Rand = rand.New(rand.NewSource(seed))
+		plan, err := pegasus.Map(wf, pcfg)
+		if err != nil {
+			return nil, err
+		}
+		l.planned(plan)
+		src.begin = fmt.Sprintf("cluster=%s seed=%d nodes=%d", l.cluster, seed, plan.Concrete.Len())
+		src.next = l.oneGraph(plan.Concrete)
+		persistPlan = func() error { return dagman.WriteDAGFile(l.path(".dag"), plan.Concrete, nil) }
+	}
+	if s.cfg.JournalDir != "" {
+		if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(l.path(".vdl"), []byte(vdlText), 0o644); err != nil {
+			return nil, err
+		}
+		if err := persistPlan(); err != nil {
+			return nil, err
+		}
+	}
+	return src, nil
+}
+
+// savedSource reloads the plan a fresh leg persisted. A wave manifest marks
+// a survey-scale run (the .dag artifact is never written in that mode): it
+// restores the exact wave decomposition, and restages missing images,
+// without the original input table.
+func (l *leg) savedSource() (*planSource, error) {
+	s := l.s
+	src := &planSource{}
+	waveSize, refs, err := readWaveManifest(l.path(".waves"))
+	switch {
+	case err == nil:
+		planner, perr := pegasus.NewWavePlanner(waveSourceFor(refs, l.cluster), s.planConfig(), waveSize, s.requestSeed(l.cluster))
+		if perr != nil {
+			return nil, perr
+		}
+		src.next = l.waves(planner, refs)
+	case errors.Is(err, fs.ErrNotExist):
+		g, _, derr := dagman.ReadDAGFile(l.path(".dag"))
+		if derr != nil {
+			return nil, fmt.Errorf("webservice: resume %s: %w", l.cluster, derr)
+		}
+		src.next = l.oneGraph(g)
+	default:
+		return nil, fmt.Errorf("webservice: resume %s: %w", l.cluster, err)
+	}
+	vdlText, err := os.ReadFile(l.path(".vdl"))
+	if err != nil {
+		return nil, fmt.Errorf("webservice: resume %s: %w", l.cluster, err)
+	}
+	if src.cat, err = vdl.Parse(string(vdlText)); err != nil {
+		return nil, fmt.Errorf("webservice: resume %s: saved VDL invalid: %w", l.cluster, err)
+	}
+	return src, nil
+}
+
+// runLeg executes one workflow leg under a granted fabric lease: the full
+// §4.3 pipeline when tab is set, the resumption of the journaled run when
+// it is nil (entry points validate a fresh request's table before it gets
+// here). A resumed leg reloads the persisted plan (never replans), restores
+// every node the journal's intact prefix records as completed, and runs
+// only the unfinished remainder, so its output VOTable is byte-identical to
+// the uninterrupted run's. However the leg exits, the lease is released and
+// the model-time makespan charged to the tenant's fair-share account —
+// except when preempted: the caller answers the revocation with
+// lease.Preempted, which requeues the workflow.
+func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.Table, cluster string,
+	opt RequestOptions, onProgress func(done, total int)) (_ string, _ RunStats, retErr error) {
+	var stats RunStats
+	defer func() {
+		if !errors.Is(retErr, ErrPreempted) {
+			lease.Done(stats.Makespan, retErr != nil)
+		}
+	}()
+	// Only a journaled workflow can checkpoint-stop, so only those opt
+	// into scheduler revocation.
+	lease.SetPreemptible(s.cfg.JournalDir != "")
+	tenant, outLFN := opt.tenant(), outputLFN(cluster)
+	l := &leg{s: s, tenant: tenant, cluster: cluster, stats: &stats,
+		labels: newRunLabels(tenant, cluster), onProgress: onProgress}
+
+	fresh := tab != nil
+	var src *planSource
+	var err error
+	if !fresh {
+		if src, err = l.savedSource(); err == nil {
+			// buildVDL wrote one galMorph derivation per galaxy plus the
+			// collector.
+			stats.Galaxies = len(src.cat.Derivations()) - 1
+		}
+	} else {
+		if s.cfg.Proxy != nil {
+			proxy, err := s.cfg.Proxy()
+			if err != nil {
+				return "", stats, fmt.Errorf("webservice: credential retrieval: %w", err)
+			}
+			if !proxy.Valid(s.cfg.Now()) {
+				return "", stats, errors.New("webservice: Grid proxy expired; delegate a fresh credential")
+			}
+		}
+		stats.Galaxies = tab.NumRows()
+		// Output already materialized? Serve it straight from the RLS
+		// (Figure 6 step 2).
+		if s.cfg.RLS.Exists(outLFN) {
+			stats.ReusedOutput = true
+			return outLFN, stats, nil
+		}
+		src, err = l.freshSource(tab)
+	}
+	if err != nil {
+		return "", stats, err
+	}
+
+	// The write-ahead journal DAGMan records every transition in. A resumed
+	// leg's intact prefix is the authoritative history (a torn final line is
+	// the crash signature and is discarded by CRC check).
+	var jw *journal.Writer
+	var recs []journal.Record
+	if s.cfg.JournalDir != "" {
+		path, scope := l.path(".journal"), wfScope(tenant, cluster)
+		if fresh {
+			jw, err = journal.CreateScoped(path, scope)
+		} else {
+			jw, recs, err = journal.OpenAppendScoped(path, scope)
+			if err != nil {
+				err = fmt.Errorf("webservice: resume %s: %w", cluster, err)
+			}
+		}
+		if err != nil {
+			return "", stats, err
+		}
+		// A failed close means the final records may not have reached the
+		// disk — the journal is the crash-recovery contract, so that is a
+		// run failure, not a cleanup detail.
+		defer func() {
+			if errors.Is(retErr, ErrPreempted) {
+				// Best-effort checkpoint marker: DAGMan already journaled
+				// the abort, so replay is correct without it.
+				_ = jw.Append(journal.Record{Kind: journal.KindPreempted,
+					Detail: "lease revoked; checkpoint-stopped at event boundary"})
+			}
+			if cerr := jw.Close(); cerr != nil && retErr == nil {
+				retErr = fmt.Errorf("webservice: closing journal: %w", cerr)
+			}
+		}()
+		if fresh {
+			// The begin marker goes straight to the writer so a wrapping
+			// sink's event budget counts DAGMan events only.
+			if err := jw.Append(journal.Record{Kind: journal.KindBegin, Detail: src.begin}); err != nil {
+				return "", stats, err
+			}
+		} else if _, ended := journal.Ended(recs); ended && s.cfg.RLS.Exists(outLFN) {
+			stats.ReusedOutput = true
+			return outLFN, stats, nil
+		}
+	}
+
+	// A dead context aborts the workflow (cancellation); a revoked lease
+	// checkpoint-stops it at the next journal event boundary (preemption).
+	opts := dagman.Options{
+		MaxRetries:    s.cfg.MaxRetries,
+		ClusterSize:   s.cfg.ClusterSize,
+		MaxInFlightFn: lease.JobAllowance,
+		Completed:     journal.CompletedNodes(recs),
+		Check: func() error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if lease.IsRevoked() {
+				return ErrPreempted
+			}
+			return nil
+		},
+		Monitor: func(e dagman.Event) {
+			switch e.Kind {
+			case dagman.EventRetried:
+				stats.Retries++
+			case dagman.EventCompleted, dagman.EventRestored:
+				l.done++
+				l.progress()
+			}
+		},
+	}
+	if s.cfg.RetryPolicy != nil {
+		opts.RetryPolicy = s.cfg.RetryPolicy.DAGManPolicy()
+	}
+	if jw != nil {
+		opts.Journal = jw
+		if s.cfg.WrapJournal != nil {
+			opts.Journal = s.cfg.WrapJournal(tenant, cluster, opts.Journal)
+		}
+	}
+
+	// DAGMan executes on the Condor pools, resubmitting the rescue DAG when
+	// configured. runMu serializes what the Run side effects share — the
+	// per-request stats and the failure-injection rng — because with
+	// Workers > 1 those bodies execute concurrently on the worker pool.
+	var runMu sync.Mutex
+	runner := s.runner(src.cat, rand.New(rand.NewSource(s.requestSeed(cluster)+1)), &stats, &runMu, l.labels)
+	l.progress()
+	ws, err := dagman.ExecuteWaves(src.next, runner, s.simFactory(lease, tenant, cluster), opts, s.cfg.RescueRounds)
+	if ws != nil {
+		stats.Makespan = ws.Makespan
+		stats.RestoredNodes = ws.Restored
+		stats.ScheduleEvents = ws.ScheduleEvents
+		stats.ClusteredTasks = ws.ClusteredTasks
+		stats.ClusteredNodes = ws.ClusteredNodes
+	}
+	var we *dagman.WaveError
+	if errors.As(err, &we) {
+		if jw != nil {
+			// Serialize the rescue DAG — the classic on-disk artifact naming
+			// exactly the nodes a resubmission must run.
+			if rerr := dagman.WriteRescueFile(l.path(".rescue.dag"), we.Graph, we.Report); rerr != nil {
+				return "", stats, rerr
+			}
+		}
+		return "", stats, fmt.Errorf("webservice: workflow failed: %d failed, %d unrun",
+			we.Report.Failed, we.Report.Unrun)
+	}
+	if err != nil {
+		return "", stats, err
+	}
+	if !s.cfg.RLS.Exists(outLFN) {
+		return "", stats, fmt.Errorf("webservice: workflow completed but %q not registered", outLFN)
+	}
+	if err := jw.Append(journal.Record{Kind: journal.KindEnd, Detail: "output=" + outLFN}); err != nil {
+		return "", stats, err
+	}
+	return outLFN, stats, nil
+}
+
+// planConfig is the Pegasus configuration every plan of this service uses —
+// the whole-request Map and each wave draw from the same substrate wiring
+// (Rand is set per call site).
+func (s *Service) planConfig() pegasus.Config {
+	return pegasus.Config{
+		RLS:             s.cfg.RLS,
+		TC:              s.cfg.TC,
+		OutputSite:      s.cfg.CacheSite,
+		RegisterOutputs: true,
+		Selection:       s.cfg.Selection,
+		Net:             s.cfg.GridFTP.Network(),
+		SizeOf:          func(lfn string) int64 { return s.cfg.GridFTP.Store(s.cfg.CacheSite).Size(lfn) },
+	}
+}
+
+// wfScope names one workflow for journal-record stamping: the scope every
+// record of the run carries and a resume must present.
+func wfScope(tenant, cluster string) string { return tenant + "/" + cluster }
+
+// wfBase is the basename of one workflow's recovery artifacts under
+// JournalDir (.journal, .vdl, .dag or .waves, .rescue.dag). The default
+// tenant keeps the historic bare-cluster names, so journals written before
+// multi-tenancy resume unchanged; other tenants get namespaced files so
+// two tenants computing the same cluster name cannot collide on disk.
+func wfBase(tenant, cluster string) string {
+	if tenant == DefaultTenant {
+		return cluster
+	}
+	safe := strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '-', r == '.', r == '_':
+			return r
+		}
+		return '_'
+	}, tenant)
+	return safe + "__" + cluster
+}
+
+// waveSourceFor mirrors buildVDL's derivation structure — one galMorph job
+// per galaxy plus the concatVOT collector — as a lazy pegasus.WaveSource, so
+// the survey-scale path never materializes a per-galaxy job list beyond the
+// (id, acref) staging refs it already holds.
+func waveSourceFor(refs []imageRef, cluster string) pegasus.WaveSource {
+	inputs := make([]string, len(refs))
+	for i, r := range refs {
+		inputs[i] = r.id + ".txt"
+	}
+	return pegasus.WaveSource{
+		Jobs: len(refs),
+		Job: func(i int) pegasus.WaveJob {
+			id := refs[i].id
+			return pegasus.WaveJob{
+				ID:             "m-" + id,
+				Transformation: "galMorph",
+				Inputs:         []string{id + ".fit"},
+				Outputs:        []string{id + ".txt"},
+			}
+		},
+		Collector: pegasus.WaveJob{
+			ID:             "collect-" + cluster,
+			Transformation: "concatVOT",
+			Inputs:         inputs,
+			Outputs:        []string{outputLFN(cluster)},
+		},
+	}
+}
+
+// writeWaveManifest persists the wave decomposition of one request: the wave
+// size and the ordered (id, acref) galaxy list — everything a resume needs to
+// rebuild the exact wave sequence.
+func writeWaveManifest(path string, waveSize int, refs []imageRef) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "wave_size %d\n", waveSize)
+	for _, r := range refs {
+		if strings.ContainsAny(r.id, "\t\n") || strings.ContainsAny(r.acref, "\t\n") {
+			return fmt.Errorf("webservice: galaxy %q/%q not manifest-safe", r.id, r.acref)
+		}
+		fmt.Fprintf(&b, "%s\t%s\n", r.id, r.acref)
+	}
+	return os.WriteFile(path, []byte(b.String()), 0o644)
+}
+
+// readWaveManifest reloads a wave manifest.
+func readWaveManifest(path string) (int, []imageRef, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer f.Close() //nvolint:ignore errclose read-only manifest; decode errors surface via the scanner
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	if !sc.Scan() {
+		return 0, nil, fmt.Errorf("webservice: wave manifest %s: empty", path)
+	}
+	sizeStr, ok := strings.CutPrefix(sc.Text(), "wave_size ")
+	if !ok {
+		return 0, nil, fmt.Errorf("webservice: wave manifest %s: bad header %q", path, sc.Text())
+	}
+	waveSize, err := strconv.Atoi(sizeStr)
+	if err != nil || waveSize <= 0 {
+		return 0, nil, fmt.Errorf("webservice: wave manifest %s: bad wave size %q", path, sizeStr)
+	}
+	var refs []imageRef
+	for sc.Scan() {
+		id, acref, found := strings.Cut(sc.Text(), "\t")
+		if !found || id == "" {
+			return 0, nil, fmt.Errorf("webservice: wave manifest %s: bad line %q", path, sc.Text())
+		}
+		refs = append(refs, imageRef{id: id, acref: acref})
+	}
+	if err := sc.Err(); err != nil {
+		return 0, nil, err
+	}
+	return waveSize, refs, nil
+}

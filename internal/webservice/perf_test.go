@@ -256,7 +256,7 @@ func TestClusteredKillAndResumeByteIdentity(t *testing.T) {
 		h := newHarness(t, nGalaxies, func(c *Config) {
 			throughputConfig(c)
 			c.JournalDir = dir
-			c.CrashAfterEvents = k
+			c.WrapJournal = crashAfter(k)
 		})
 		if _, _, err := h.svc.Compute(h.inputTable(t), "COMA"); !errors.Is(err, journal.ErrCrash) {
 			t.Fatalf("kill point %d: crash did not fire: %v", k, err)

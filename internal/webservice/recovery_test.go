@@ -105,7 +105,7 @@ func TestKillAndResumeByteIdentity(t *testing.T) {
 		dir := t.TempDir()
 		h := newHarness(t, nGalaxies, func(c *Config) {
 			c.JournalDir = dir
-			c.CrashAfterEvents = k
+			c.WrapJournal = crashAfter(k)
 		})
 		tab := h.inputTable(t)
 		_, _, err := h.svc.Compute(tab, "COMA")
@@ -175,7 +175,7 @@ func TestKillAndResumeAtWorkerWidth(t *testing.T) {
 		dir := t.TempDir()
 		h := newHarness(t, nGalaxies, func(c *Config) {
 			c.JournalDir = dir
-			c.CrashAfterEvents = k
+			c.WrapJournal = crashAfter(k)
 			c.Workers = 4
 		})
 		tab := h.inputTable(t)
@@ -186,8 +186,12 @@ func TestKillAndResumeAtWorkerWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := svc2.Resume("COMA"); err != nil {
+		_, stats, err := svc2.Resume("COMA")
+		if err != nil {
 			t.Fatalf("kill point %d: resume: %v", k, err)
+		}
+		if stats.Galaxies != nGalaxies {
+			t.Errorf("kill point %d: resumed leg reports %d galaxies, want %d", k, stats.Galaxies, nGalaxies)
 		}
 		if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {
 			t.Fatalf("kill point %d: output differs at worker width 4", k)
@@ -476,7 +480,7 @@ func TestResumeWithWallClockExpiredProxy(t *testing.T) {
 	dir := t.TempDir()
 	h := newHarness(t, nGalaxies, func(c *Config) {
 		c.JournalDir = dir
-		c.CrashAfterEvents = k
+		c.WrapJournal = crashAfter(k)
 		c.Now = clock
 		c.Proxy = func() (myproxy.Proxy, error) {
 			p, err := repo.Retrieve("nvoportal", "pw", 30*time.Minute)

@@ -24,41 +24,27 @@
 package webservice
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"math/rand"
 	"net/http"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/chimera"
 	"repro/internal/condor"
-	"repro/internal/dagman"
 	"repro/internal/fabric"
 	"repro/internal/faults"
-	"repro/internal/fits"
 	"repro/internal/gridftp"
 	"repro/internal/httpclient"
 	"repro/internal/journal"
-	"repro/internal/morphology"
 	"repro/internal/myproxy"
 	"repro/internal/pegasus"
 	"repro/internal/resilience"
 	"repro/internal/rls"
 	"repro/internal/tcat"
 	"repro/internal/vdcache"
-	"repro/internal/vdl"
 	"repro/internal/votable"
-	"repro/internal/workpool"
 )
 
 // State is a request's lifecycle state.
@@ -129,15 +115,6 @@ type RunStats struct {
 	// slot mid-run (each one checkpoint-stopped, requeued and resumed).
 	Preemptions int
 }
-
-// Wide-area SIA cost model (2003-era numbers): each HTTP request pays a
-// round-trip latency; payload bytes flow at the archive's outbound rate.
-// This is the per-galaxy overhead the paper calls "the major bottleneck in
-// the application's operation" (§4.2).
-const (
-	siaRequestLatency = 300 * time.Millisecond
-	siaBandwidthBps   = 1e6 // 1 MB/s
-)
 
 // Status is what the polling URL returns. JobsDone/JobsTotal stream the
 // workflow's progress (DAGMan monitoring, Figure 2 step 15) so the portal
@@ -239,15 +216,13 @@ type Config struct {
 	// state transition are persisted under this directory, and Resume can
 	// reopen a killed run and finish only the unfinished nodes.
 	JournalDir string
-	// CrashAfterEvents, when > 0, simulates kill -9 after that many journal
-	// appends (the record at the crash point is never written) — the
-	// deterministic kill switch of the kill-and-resume campaign.
-	CrashAfterEvents int
-	// WrapJournal, when set, wraps each workflow leg's journal sink (applied
-	// after the crash switch when both are configured). Campaign tests
-	// interpose event-counting triggers here — e.g. admitting a
-	// higher-priority workflow after exactly k appends, so a preemption
-	// lands at a chosen journal-event boundary deterministically.
+	// WrapJournal, when set, wraps each workflow leg's journal sink — the one
+	// test hook on that seam. Kill-and-resume campaigns interpose a
+	// journal.CrashSink here (simulating kill -9 after k appends; the record
+	// at the crash point is never written); preemption campaigns interpose
+	// event-counting triggers — e.g. admitting a higher-priority workflow
+	// after exactly k appends, so a preemption lands at a chosen
+	// journal-event boundary deterministically. Reopen disarms it.
 	WrapJournal func(tenant, cluster string, sink journal.Sink) journal.Sink
 	// Selection overrides Pegasus's site-selection policy. The zero value is
 	// pegasus.SelectRandom (the paper's behaviour); pegasus.SelectLocality
@@ -279,9 +254,6 @@ type Config struct {
 	// /debug/pprof/ on the service handler.
 	EnablePprof bool
 }
-
-// batchFetchSize bounds ids per batch request (URL-length safety).
-const batchFetchSize = 64
 
 // Service is the compute service. Create with New.
 type Service struct {
@@ -333,16 +305,12 @@ func (s *Service) injectorFor(tenant, cluster string) *faults.Injector {
 func (s *Service) simFactory(lease *fabric.Lease, tenant, cluster string) func() (*condor.Simulator, error) {
 	inj := s.injectorFor(tenant, cluster)
 	return func() (*condor.Simulator, error) {
-		sim, err := lease.NewSimulator(fabric.SimOptions{
+		return lease.NewSimulator(fabric.SimOptions{
 			Workers:        s.workers(),
 			SubmitOverhead: s.cfg.SchedOverhead,
 			TransferSlots:  s.cfg.TransferSlots,
 			Injector:       inj,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return sim, nil
 	}
 }
 
@@ -454,7 +422,6 @@ func (s *Service) SubmitFor(tab *votable.Table, cluster string, opt RequestOptio
 	if err != nil {
 		return "", err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("req-%06d", s.nextID)
@@ -465,37 +432,42 @@ func (s *Service) SubmitFor(tab *votable.Table, cluster string, opt RequestOptio
 		st.Message = "accepted"
 	}
 	s.requests[id] = st
-	s.cancels[id] = cancel
+	s.launch(st, ticket, tab, "running")
 	s.mu.Unlock()
+	return id, nil
+}
 
-	go func() {
-		lease, werr := ticket.Wait(ctx)
-		if werr != nil {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			delete(s.cancels, id)
-			cancel()
-			st.State = StateFailed
-			st.Message = "canceled while queued: " + werr.Error()
-			return
-		}
+// launch drives an admitted request to its terminal state in the
+// background, mirroring grants, preemption cycles, progress and the final
+// outcome onto its polled status. tab == nil resumes the request from its
+// journal; granted is the status message of a request that leaves the
+// queue. The caller holds s.mu.
+func (s *Service) launch(st *Status, ticket *fabric.Ticket, tab *votable.Table, granted string) {
+	ctx, cancel := context.WithCancel(context.Background())
+	id, cluster := st.ID, st.Cluster
+	opt := RequestOptions{Tenant: st.Tenant, Priority: st.Priority}
+	s.cancels[id] = cancel
+	onProgress := func(done, total int) {
 		s.mu.Lock()
-		if st.State == StateQueued {
-			st.State = StateRunning
-			st.Message = "running"
-		}
+		st.JobsDone = done
+		st.JobsTotal = total
 		s.mu.Unlock()
-		onProgress := func(done, total int) {
-			s.mu.Lock()
-			st.JobsDone = done
-			st.JobsTotal = total
-			s.mu.Unlock()
+	}
+	onState := func(state State) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		switch {
+		case state == StatePreempted:
+			st.Message = "preempted: checkpoint-stopped, requeued for fair-share scheduling"
+		case st.State == StateQueued:
+			st.Message = granted
+		case st.State == StatePreempted:
+			st.Message = "resumed after preemption"
 		}
-		out, stats, err := s.preemptible(ctx, lease, cluster, opt, onProgress,
-			s.publishState(st),
-			func(l *fabric.Lease) (string, RunStats, error) {
-				return s.computeGranted(ctx, l, tab, cluster, opt, onProgress)
-			})
+		st.State = state
+	}
+	go func() {
+		out, stats, err := s.await(ctx, ticket, tab, cluster, opt, onProgress, onState)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		delete(s.cancels, id)
@@ -510,32 +482,54 @@ func (s *Service) SubmitFor(tab *votable.Table, cluster string, opt RequestOptio
 		st.Message = "job completed"
 		st.ResultLFN = out
 	}()
-	return id, nil
 }
 
-// publishState mirrors a preemption cycle's state flips onto a request's
-// polled status.
-func (s *Service) publishState(st *Status) func(State) {
-	return func(state State) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		st.State = state
-		switch state {
-		case StatePreempted:
-			st.Message = "preempted: checkpoint-stopped, requeued for fair-share scheduling"
-		case StateRunning:
-			st.Message = "resumed after preemption"
+// await blocks until the fabric grants the ticket, then runs the workflow
+// under the fabric's preemption protocol: when the scheduler revokes the
+// lease mid-run the leg checkpoint-stops at the next journal event boundary
+// (ErrPreempted); the loop answers with lease.Preempted — releasing the
+// slot, charging the partial model time, and re-entering the queue at the
+// original priority class — waits for a fresh grant, and resumes from the
+// scoped journal. It repeats until the workflow finishes, fails for a real
+// reason, or is canceled while waiting (which dequeues it before it runs).
+// tab == nil makes the first leg a resume too. onState (optional) observes
+// every grant (StateRunning) and revocation (StatePreempted).
+func (s *Service) await(ctx context.Context, ticket *fabric.Ticket, tab *votable.Table, cluster string,
+	opt RequestOptions, onProgress func(done, total int), onState func(State)) (string, RunStats, error) {
+	if onState == nil {
+		onState = func(State) {}
+	}
+	var stats RunStats
+	waiting := "queued"
+	for preemptions := 0; ; preemptions++ {
+		lease, err := ticket.Wait(ctx)
+		if err != nil {
+			stats.Preemptions = preemptions
+			return "", stats, fmt.Errorf("webservice: canceled while %s: %w", waiting, err)
 		}
+		onState(StateRunning)
+		var out string
+		out, stats, err = s.runLeg(ctx, lease, tab, cluster, opt, onProgress)
+		stats.Preemptions = preemptions
+		if !errors.Is(err, ErrPreempted) {
+			return out, stats, err
+		}
+		if ticket = lease.Preempted(stats.Makespan); ticket == nil {
+			return out, stats, err // lease already released: surface the leg's error
+		}
+		onState(StatePreempted)
+		tab, waiting = nil, "requeued after preemption"
 	}
 }
 
 // Reopen builds a fresh service on the same Grid substrate (RLS, catalogs,
-// GridFTP stores, journal directory) with the crash switch disarmed — the
-// restarted process of a kill-and-resume drill. Request state and the
-// virtual-data memo start empty, exactly as after a real process death.
+// GridFTP stores, journal directory) with the journal-sink test hook (the
+// crash switch of a kill-and-resume drill) disarmed — the restarted
+// process. Request state and the virtual-data memo start empty, exactly as
+// after a real process death.
 func (s *Service) Reopen() (*Service, error) {
 	cfg := s.cfg
-	cfg.CrashAfterEvents = 0
+	cfg.WrapJournal = nil
 	return New(cfg)
 }
 
@@ -567,76 +561,26 @@ func (s *Service) Requeue(id string) error {
 		return errors.New("webservice: requeue requires JournalDir")
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st, ok := s.requests[id]
 	if !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	if st.State != StateFailed {
-		s.mu.Unlock()
 		return fmt.Errorf("webservice: request %q is %s; only failed requests requeue", id, st.State)
 	}
-	opt := RequestOptions{Tenant: st.Tenant, Priority: st.Priority}
-	s.mu.Unlock()
-
-	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
+	ticket, err := s.cfg.Fabric.Admit(st.Tenant, st.Priority)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.mu.Lock()
+	const resuming = "requeued: resuming from journal"
 	st.State = StateQueued
 	st.Message = "requeued for fair-share scheduling"
 	if ticket.Granted() {
 		st.State = StateRunning
-		st.Message = "requeued: resuming from journal"
+		st.Message = resuming
 	}
-	s.cancels[id] = cancel
-	cluster := st.Cluster
-	s.mu.Unlock()
-
-	go func() {
-		lease, werr := ticket.Wait(ctx)
-		if werr != nil {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			delete(s.cancels, id)
-			cancel()
-			st.State = StateFailed
-			st.Message = "canceled while requeued: " + werr.Error()
-			return
-		}
-		s.mu.Lock()
-		if st.State == StateQueued {
-			st.State = StateRunning
-			st.Message = "requeued: resuming from journal"
-		}
-		s.mu.Unlock()
-		onProgress := func(done, total int) {
-			s.mu.Lock()
-			st.JobsDone = done
-			st.JobsTotal = total
-			s.mu.Unlock()
-		}
-		out, stats, err := s.preemptible(ctx, lease, cluster, opt, onProgress,
-			s.publishState(st),
-			func(l *fabric.Lease) (string, RunStats, error) {
-				return s.resumeGranted(ctx, l, cluster, opt, onProgress)
-			})
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		delete(s.cancels, id)
-		cancel()
-		st.Stats = stats
-		if err != nil {
-			st.State = StateFailed
-			st.Message = err.Error()
-			return
-		}
-		st.State = StateCompleted
-		st.Message = "job completed"
-		st.ResultLFN = out
-	}()
+	s.launch(st, ticket, nil, resuming)
 	return nil
 }
 
@@ -703,46 +647,6 @@ func (s *Service) ComputeWithProgress(tab *votable.Table, cluster string,
 	return s.ComputeWithContext(context.Background(), tab, cluster, onProgress)
 }
 
-// wfScope names one workflow for journal-record stamping: the scope every
-// record of the run carries and a resume must present.
-func wfScope(tenant, cluster string) string { return tenant + "/" + cluster }
-
-// wfBase is the on-disk artifact basename of one workflow. The default
-// tenant keeps the historic bare-cluster names, so journals written before
-// multi-tenancy resume unchanged; other tenants get namespaced files so
-// two tenants computing the same cluster name cannot collide on disk.
-func wfBase(tenant, cluster string) string {
-	if tenant == DefaultTenant {
-		return cluster
-	}
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '.', r == '_':
-			return r
-		}
-		return '_'
-	}, tenant)
-	return safe + "__" + cluster
-}
-
-// Per-workflow recovery artifacts under JournalDir.
-func (s *Service) journalPath(tenant, cluster string) string {
-	return filepath.Join(s.cfg.JournalDir, wfBase(tenant, cluster)+".journal")
-}
-func (s *Service) dagPath(tenant, cluster string) string {
-	return filepath.Join(s.cfg.JournalDir, wfBase(tenant, cluster)+".dag")
-}
-func (s *Service) vdlPath(tenant, cluster string) string {
-	return filepath.Join(s.cfg.JournalDir, wfBase(tenant, cluster)+".vdl")
-}
-func (s *Service) rescuePath(tenant, cluster string) string {
-	return filepath.Join(s.cfg.JournalDir, wfBase(tenant, cluster)+".rescue.dag")
-}
-func (s *Service) wavesPath(tenant, cluster string) string {
-	return filepath.Join(s.cfg.JournalDir, wfBase(tenant, cluster)+".waves")
-}
-
 // ComputeWithContext is ComputeWithProgress under a cancellation context:
 // when ctx is canceled the workflow aborts at the next scheduler step,
 // journaling a clean "aborted" record so a later Resume picks up exactly
@@ -759,286 +663,14 @@ func (s *Service) ComputeWithContext(ctx context.Context, tab *votable.Table, cl
 // dequeues the workflow before it runs.
 func (s *Service) ComputeFor(ctx context.Context, tab *votable.Table, cluster string,
 	opt RequestOptions, onProgress func(done, total int)) (string, RunStats, error) {
-	var stats RunStats
 	if err := validateInput(tab); err != nil {
-		return "", stats, err
+		return "", RunStats{}, err
 	}
 	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
 	if err != nil {
-		return "", stats, err
+		return "", RunStats{}, err
 	}
-	lease, err := ticket.Wait(ctx)
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: canceled while queued: %w", err)
-	}
-	return s.preemptible(ctx, lease, cluster, opt, onProgress, nil,
-		func(l *fabric.Lease) (string, RunStats, error) {
-			return s.computeGranted(ctx, l, tab, cluster, opt, onProgress)
-		})
-}
-
-// preemptible runs one workflow leg (first) under the fabric's preemption
-// protocol: when the scheduler revokes the lease mid-run the leg
-// checkpoint-stops at the next journal event boundary (ErrPreempted); the
-// loop answers with lease.Preempted — releasing the slot, charging the
-// partial model time, and re-entering the queue at the original priority
-// class — waits for a fresh grant, and resumes from the scoped journal.
-// It repeats until the workflow finishes, fails for a real reason, or is
-// canceled while requeued. onState (optional) observes the
-// preempted/running flips of each cycle.
-func (s *Service) preemptible(ctx context.Context, lease *fabric.Lease, cluster string,
-	opt RequestOptions, onProgress func(done, total int), onState func(State),
-	first func(*fabric.Lease) (string, RunStats, error)) (string, RunStats, error) {
-	out, stats, err := first(lease)
-	preemptions := 0
-	for errors.Is(err, ErrPreempted) {
-		ticket := lease.Preempted(stats.Makespan)
-		if ticket == nil {
-			break // lease already released: surface the leg's error
-		}
-		preemptions++
-		if onState != nil {
-			onState(StatePreempted)
-		}
-		var werr error
-		lease, werr = ticket.Wait(ctx)
-		if werr != nil {
-			stats.Preemptions = preemptions
-			return "", stats, fmt.Errorf("webservice: canceled while requeued after preemption: %w", werr)
-		}
-		if onState != nil {
-			onState(StateRunning)
-		}
-		out, stats, err = s.resumeGranted(ctx, lease, cluster, opt, onProgress)
-	}
-	stats.Preemptions = preemptions
-	return out, stats, err
-}
-
-// abortCheck is the DAGMan abort poll of every fabric-backed leg: a dead
-// context aborts the workflow (cancellation), a revoked lease
-// checkpoint-stops it at the next journal event boundary (preemption).
-func abortCheck(ctx context.Context, lease *fabric.Lease) func() error {
-	return func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if lease.IsRevoked() {
-			return ErrPreempted
-		}
-		return nil
-	}
-}
-
-// computeGranted runs the full §4.3 pipeline under a granted fabric lease.
-// However it exits, the lease is released and the workflow's model-time
-// makespan is charged to the tenant's fair-share account.
-func (s *Service) computeGranted(ctx context.Context, lease *fabric.Lease, tab *votable.Table,
-	cluster string, opt RequestOptions, onProgress func(done, total int)) (_ string, _ RunStats, retErr error) {
-	var stats RunStats
-	// A preempted leg does not release the lease here: the caller answers
-	// the revocation with lease.Preempted, which requeues the workflow.
-	defer func() {
-		if !errors.Is(retErr, ErrPreempted) {
-			lease.Done(stats.Makespan, retErr != nil)
-		}
-	}()
-	// Only a journaled workflow can checkpoint-stop, so only those opt
-	// into scheduler revocation.
-	if s.cfg.JournalDir != "" {
-		lease.SetPreemptible(true)
-	}
-	tenant := opt.tenant()
-	if s.cfg.Proxy != nil {
-		proxy, err := s.cfg.Proxy()
-		if err != nil {
-			return "", stats, fmt.Errorf("webservice: credential retrieval: %w", err)
-		}
-		if !proxy.Valid(s.cfg.Now()) {
-			return "", stats, errors.New("webservice: Grid proxy expired; delegate a fresh credential")
-		}
-	}
-	stats.Galaxies = tab.NumRows()
-	outLFN := outputLFN(cluster)
-
-	// Step 2: output already materialized? Serve it straight from the RLS.
-	if s.cfg.RLS.Exists(outLFN) {
-		stats.ReusedOutput = true
-		return outLFN, stats, nil
-	}
-
-	// Survey-scale mode: stage, plan and execute in bounded waves.
-	if s.cfg.WaveSize > 0 {
-		out, err := s.computeWaves(ctx, lease, tab, cluster, tenant, &stats, onProgress)
-		return out, stats, err
-	}
-
-	// Step 3: stage galaxy images into the local cache.
-	if err := s.cacheImages(tab, &stats); err != nil {
-		return "", stats, err
-	}
-
-	// Step 4: VOTable -> VDL (rendered to text and re-parsed, the analog of
-	// the XSLT stylesheet producing a derivation file).
-	vdlText, err := buildVDL(tab, cluster)
-	if err != nil {
-		return "", stats, err
-	}
-	cat, err := vdl.Parse(vdlText)
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: generated VDL invalid: %w", err)
-	}
-
-	// Step 5: Chimera composes the abstract workflow for the output table.
-	wf, err := chimera.Compose(cat, chimera.Request{LFNs: []string{outLFN}})
-	if err != nil {
-		return "", stats, err
-	}
-
-	// Step 6: Pegasus plans... The per-request seed derives from the
-	// cluster name (not a shared stream), so concurrent requests stay
-	// individually deterministic.
-	seed := s.requestSeed(cluster)
-	pcfg := s.planConfig()
-	pcfg.Rand = rand.New(rand.NewSource(seed))
-	plan, err := pegasus.Map(wf, pcfg)
-	if err != nil {
-		return "", stats, err
-	}
-	// The plan's replica snapshot seeds the read-through cache, so runner-side
-	// lookups (retry rotation, recovery) cost no extra RLS round trips.
-	s.replicas.Prime(plan.Replicas)
-	pstats := plan.Stats()
-	stats.ComputeJobs = pstats.ComputeJobs
-	stats.PrunedJobs = pstats.PrunedJobs
-	stats.TransferNodes = pstats.TransferNodes
-	stats.RegisterNodes = pstats.RegisterNodes
-	stats.RLSRoundTrips = plan.RLSRoundTrips
-	stats.PlannedBytesMoved = plan.EstBytesMoved
-
-	// ... and DAGMan executes on the Condor pools, resubmitting the rescue
-	// DAG when configured. runMu serializes what the Run side effects share
-	// — the per-request stats and the failure-injection rng — because with
-	// Workers > 1 those bodies execute concurrently on the worker pool.
-	var runMu sync.Mutex
-	runner := s.runner(cat, rand.New(rand.NewSource(seed+1)), &stats, &runMu,
-		newRunLabels(tenant, cluster))
-	opts := dagman.Options{
-		MaxRetries:    s.cfg.MaxRetries,
-		ClusterSize:   s.cfg.ClusterSize,
-		MaxInFlightFn: lease.JobAllowance,
-		Check:         abortCheck(ctx, lease),
-	}
-	if s.cfg.RetryPolicy != nil {
-		opts.RetryPolicy = s.cfg.RetryPolicy.DAGManPolicy()
-	}
-
-	// Crash safety: persist the concrete plan and the VDL it came from (so
-	// Resume reloads the exact graph without replanning — site selection is
-	// seeded, and replanning against a healthier RLS would prune differently),
-	// then open the write-ahead journal DAGMan records every transition in.
-	var jw *journal.Writer
-	if s.cfg.JournalDir != "" {
-		if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
-			return "", stats, err
-		}
-		if err := os.WriteFile(s.vdlPath(tenant, cluster), []byte(vdlText), 0o644); err != nil {
-			return "", stats, err
-		}
-		if err := dagman.WriteDAGFile(s.dagPath(tenant, cluster), plan.Concrete, nil); err != nil {
-			return "", stats, err
-		}
-		jw, err = journal.CreateScoped(s.journalPath(tenant, cluster), wfScope(tenant, cluster))
-		if err != nil {
-			return "", stats, err
-		}
-		// A failed close means the final records may not have reached the
-		// disk — the journal is the crash-recovery contract, so that is a
-		// run failure, not a cleanup detail.
-		defer func() {
-			if errors.Is(retErr, ErrPreempted) {
-				// Best-effort checkpoint marker: DAGMan already journaled
-				// the abort, so replay is correct without it.
-				_ = jw.Append(journal.Record{Kind: journal.KindPreempted,
-					Detail: "lease revoked; checkpoint-stopped at event boundary"})
-			}
-			if cerr := jw.Close(); cerr != nil && retErr == nil {
-				retErr = fmt.Errorf("webservice: closing journal: %w", cerr)
-			}
-		}()
-		// The begin marker goes straight to the writer so a configured crash
-		// budget counts DAGMan events only.
-		if err := jw.Append(journal.Record{
-			Kind:   journal.KindBegin,
-			Detail: fmt.Sprintf("cluster=%s seed=%d nodes=%d", cluster, seed, plan.Concrete.Len()),
-		}); err != nil {
-			return "", stats, err
-		}
-		opts.Journal = journal.Sink(jw)
-		if s.cfg.CrashAfterEvents > 0 {
-			opts.Journal = &journal.CrashSink{Sink: jw, After: s.cfg.CrashAfterEvents}
-		}
-		if s.cfg.WrapJournal != nil {
-			opts.Journal = s.cfg.WrapJournal(tenant, cluster, opts.Journal)
-		}
-	}
-	total := plan.Concrete.Len()
-	done := 0
-	if onProgress != nil {
-		onProgress(0, total)
-	}
-	opts.Monitor = func(e dagman.Event) {
-		switch e.Kind {
-		case dagman.EventRetried:
-			stats.Retries++
-		case dagman.EventCompleted:
-			done++
-			if onProgress != nil {
-				onProgress(done, total)
-			}
-		}
-	}
-	rep, err := dagman.ExecuteWithRescue(plan.Concrete, runner,
-		s.simFactory(lease, tenant, cluster), opts, s.cfg.RescueRounds)
-	if err != nil {
-		return "", stats, err
-	}
-	stats.Makespan = rep.Makespan
-	stats.ScheduleEvents = rep.ScheduleEvents
-	stats.ClusteredTasks = rep.ClusteredTasks
-	stats.ClusteredNodes = rep.ClusteredNodes
-	if !rep.Succeeded() {
-		if jw != nil {
-			// Serialize the rescue DAG — the classic on-disk artifact naming
-			// exactly the nodes a resubmission must run.
-			if rerr := dagman.WriteRescueFile(s.rescuePath(tenant, cluster), plan.Concrete, rep); rerr != nil {
-				return "", stats, rerr
-			}
-		}
-		return "", stats, fmt.Errorf("webservice: workflow failed: %d failed, %d unrun", rep.Failed, rep.Unrun)
-	}
-	if !s.cfg.RLS.Exists(outLFN) {
-		return "", stats, fmt.Errorf("webservice: workflow completed but %q not registered", outLFN)
-	}
-	if err := jw.Append(journal.Record{Kind: journal.KindEnd, Detail: "output=" + outLFN}); err != nil {
-		return "", stats, err
-	}
-	return outLFN, stats, nil
-}
-
-// planConfig is the Pegasus configuration every plan of this service uses —
-// the classic whole-request Map and each wave of the survey-scale path draw
-// from the same substrate wiring (Rand is set per call site).
-func (s *Service) planConfig() pegasus.Config {
-	return pegasus.Config{
-		RLS:             s.cfg.RLS,
-		TC:              s.cfg.TC,
-		OutputSite:      s.cfg.CacheSite,
-		RegisterOutputs: true,
-		Selection:       s.cfg.Selection,
-		Net:             s.cfg.GridFTP.Network(),
-		SizeOf:          func(lfn string) int64 { return s.cfg.GridFTP.Store(s.cfg.CacheSite).Size(lfn) },
-	}
+	return s.await(ctx, ticket, tab, cluster, opt, onProgress, nil)
 }
 
 // Resume reopens a journaled run that died mid-flight — a killed web service,
@@ -1064,562 +696,12 @@ func (s *Service) ResumeWithContext(ctx context.Context, cluster string,
 // fails with journal.ErrScope instead of bleeding state across workflows.
 func (s *Service) ResumeFor(ctx context.Context, cluster string, opt RequestOptions,
 	onProgress func(done, total int)) (string, RunStats, error) {
-	var stats RunStats
 	if s.cfg.JournalDir == "" {
-		return "", stats, errors.New("webservice: resume requires JournalDir")
+		return "", RunStats{}, errors.New("webservice: resume requires JournalDir")
 	}
 	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
 	if err != nil {
-		return "", stats, err
+		return "", RunStats{}, err
 	}
-	lease, err := ticket.Wait(ctx)
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: canceled while queued: %w", err)
-	}
-	return s.preemptible(ctx, lease, cluster, opt, onProgress, nil,
-		func(l *fabric.Lease) (string, RunStats, error) {
-			return s.resumeGranted(ctx, l, cluster, opt, onProgress)
-		})
-}
-
-func (s *Service) resumeGranted(ctx context.Context, lease *fabric.Lease, cluster string,
-	opt RequestOptions, onProgress func(done, total int)) (_ string, _ RunStats, retErr error) {
-	var stats RunStats
-	defer func() {
-		if !errors.Is(retErr, ErrPreempted) {
-			lease.Done(stats.Makespan, retErr != nil)
-		}
-	}()
-	lease.SetPreemptible(true) // a resumable run is by definition journaled
-	tenant := opt.tenant()
-	outLFN := outputLFN(cluster)
-
-	// A wave manifest marks a survey-scale run: resume it wave by wave (the
-	// classic .dag artifact is never written in that mode — a monolithic
-	// concrete graph is exactly what waves exist to avoid).
-	if _, err := os.Stat(s.wavesPath(tenant, cluster)); err == nil {
-		out, err := s.resumeWaves(ctx, lease, cluster, tenant, &stats, onProgress)
-		return out, stats, err
-	}
-
-	// Reload the exact planned graph and the catalog behind its derivations.
-	g, _, err := dagman.ReadDAGFile(s.dagPath(tenant, cluster))
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: resume %s: %w", cluster, err)
-	}
-	vdlText, err := os.ReadFile(s.vdlPath(tenant, cluster))
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: resume %s: %w", cluster, err)
-	}
-	cat, err := vdl.Parse(string(vdlText))
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: resume %s: saved VDL invalid: %w", cluster, err)
-	}
-
-	// Reopen the journal: its intact prefix is the authoritative history (a
-	// torn final line is the crash signature and is discarded by CRC check).
-	jw, recs, err := journal.OpenAppendScoped(s.journalPath(tenant, cluster), wfScope(tenant, cluster))
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: resume %s: %w", cluster, err)
-	}
-	defer func() {
-		if errors.Is(retErr, ErrPreempted) {
-			_ = jw.Append(journal.Record{Kind: journal.KindPreempted,
-				Detail: "lease revoked; checkpoint-stopped at event boundary"})
-		}
-		if cerr := jw.Close(); cerr != nil && retErr == nil {
-			retErr = fmt.Errorf("webservice: closing journal: %w", cerr)
-		}
-	}()
-	if _, ended := journal.Ended(recs); ended && s.cfg.RLS.Exists(outLFN) {
-		stats.ReusedOutput = true
-		return outLFN, stats, nil
-	}
-	done := journal.CompletedNodes(recs)
-
-	seed := s.requestSeed(cluster)
-	var runMu sync.Mutex
-	runner := s.runner(cat, rand.New(rand.NewSource(seed+1)), &stats, &runMu,
-		newRunLabels(tenant, cluster))
-	opts := dagman.Options{
-		MaxRetries:    s.cfg.MaxRetries,
-		ClusterSize:   s.cfg.ClusterSize,
-		MaxInFlightFn: lease.JobAllowance,
-		Completed:     done,
-		Check:         abortCheck(ctx, lease),
-		Journal:       journal.Sink(jw),
-	}
-	if s.cfg.CrashAfterEvents > 0 {
-		opts.Journal = &journal.CrashSink{Sink: jw, After: s.cfg.CrashAfterEvents}
-	}
-	if s.cfg.WrapJournal != nil {
-		opts.Journal = s.cfg.WrapJournal(tenant, cluster, opts.Journal)
-	}
-	if s.cfg.RetryPolicy != nil {
-		opts.RetryPolicy = s.cfg.RetryPolicy.DAGManPolicy()
-	}
-	total := g.Len()
-	progress := 0
-	if onProgress != nil {
-		onProgress(0, total)
-	}
-	opts.Monitor = func(e dagman.Event) {
-		switch e.Kind {
-		case dagman.EventRetried:
-			stats.Retries++
-		case dagman.EventCompleted, dagman.EventRestored:
-			progress++
-			if onProgress != nil {
-				onProgress(progress, total)
-			}
-		}
-	}
-	rep, err := dagman.ExecuteWithRescue(g, runner,
-		s.simFactory(lease, tenant, cluster), opts, s.cfg.RescueRounds)
-	if err != nil {
-		return "", stats, err
-	}
-	stats.Makespan = rep.Makespan
-	stats.RestoredNodes = rep.Restored
-	stats.ScheduleEvents = rep.ScheduleEvents
-	stats.ClusteredTasks = rep.ClusteredTasks
-	stats.ClusteredNodes = rep.ClusteredNodes
-	if !rep.Succeeded() {
-		if rerr := dagman.WriteRescueFile(s.rescuePath(tenant, cluster), g, rep); rerr != nil {
-			return "", stats, rerr
-		}
-		return "", stats, fmt.Errorf("webservice: resumed workflow failed: %d failed, %d unrun", rep.Failed, rep.Unrun)
-	}
-	if !s.cfg.RLS.Exists(outLFN) {
-		return "", stats, fmt.Errorf("webservice: workflow completed but %q not registered", outLFN)
-	}
-	if err := jw.Append(journal.Record{Kind: journal.KindEnd, Detail: "output=" + outLFN}); err != nil {
-		return "", stats, err
-	}
-	return outLFN, stats, nil
-}
-
-// ResultTable fetches a completed result table from the cache store.
-func (s *Service) ResultTable(lfn string) (*votable.Table, error) {
-	data, err := s.cfg.GridFTP.Store(s.cfg.CacheSite).Get(lfn)
-	if err != nil {
-		return nil, err
-	}
-	return votable.ReadTable(bytes.NewReader(data))
-}
-
-// cacheImages downloads every galaxy image not yet present in the cache and
-// registers it in the RLS, one SIA request per galaxy (the paper's
-// bottleneck) or via the batched cutout interface when configured. With
-// Workers > 1 the HTTP fetches fan out to the worker pool; responses are
-// ingested — accounted, split, stored, registered — strictly in request
-// order, so stats and replica registrations stay deterministic.
-func (s *Service) cacheImages(tab *votable.Table, stats *RunStats) error {
-	return s.cacheImageRefs(imageRefsFromTable(tab), stats)
-}
-
-// imageRef names one galaxy image to stage: its ID and the access URL.
-type imageRef struct{ id, acref string }
-
-// imageRefsFromTable extracts the (id, acref) staging list of a request.
-func imageRefsFromTable(tab *votable.Table) []imageRef {
-	refs := make([]imageRef, tab.NumRows())
-	for i := range refs {
-		refs[i] = imageRef{id: tab.Cell(i, "id"), acref: tab.Cell(i, "acref")}
-	}
-	return refs
-}
-
-// cacheImageRefs stages one slice of the request's images — the whole table
-// on the classic path, one wave's window on the survey-scale path.
-func (s *Service) cacheImageRefs(refs []imageRef, stats *RunStats) error {
-	var todo []imageRef
-	for _, m := range refs {
-		if s.cfg.RLS.Exists(m.id + ".fit") {
-			stats.ImagesCached++
-			continue
-		}
-		todo = append(todo, m)
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-
-	if s.cfg.BatchFetch {
-		// Group by cutout-service base; acrefs look like
-		// "<base>/cutout?id=<galaxy>".
-		groups := map[string][]string{}
-		var singles []imageRef
-		for _, m := range todo {
-			base, id, ok := strings.Cut(m.acref, "/cutout?id=")
-			if !ok || id != m.id {
-				singles = append(singles, m)
-				continue
-			}
-			groups[base] = append(groups[base], m.id)
-		}
-		// Flatten into a deterministic job list (sorted bases), fan the
-		// fetches out, ingest in job order.
-		bases := make([]string, 0, len(groups))
-		for base := range groups {
-			bases = append(bases, base)
-		}
-		sort.Strings(bases)
-		type batchJob struct {
-			base string
-			ids  []string
-		}
-		var jobs []batchJob
-		for _, base := range bases {
-			ids := groups[base]
-			for lo := 0; lo < len(ids); lo += batchFetchSize {
-				hi := lo + batchFetchSize
-				if hi > len(ids) {
-					hi = len(ids)
-				}
-				jobs = append(jobs, batchJob{base: base, ids: ids[lo:hi]})
-			}
-		}
-		datas := make([][]byte, len(jobs))
-		errs := make([]error, len(jobs))
-		workpool.Run(s.workers(), len(jobs), func(i int) {
-			u := jobs[i].base + "/cutoutbatch?ids=" + strings.Join(jobs[i].ids, ",")
-			datas[i], errs[i] = s.fetchURL(u)
-		})
-		for i, job := range jobs {
-			if errs[i] != nil {
-				return errs[i]
-			}
-			if err := s.ingestBatch(job.base, job.ids, datas[i], stats); err != nil {
-				return err
-			}
-		}
-		todo = singles
-	}
-
-	datas := make([][]byte, len(todo))
-	errs := make([]error, len(todo))
-	workpool.Run(s.workers(), len(todo), func(i int) {
-		datas[i], errs[i] = s.fetchURL(todo[i].acref)
-	})
-	for i, m := range todo {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		chargeSIA(stats, len(datas[i]))
-		if err := s.storeImage(m.id+".fit", datas[i]); err != nil {
-			return err
-		}
-		stats.ImagesFetched++
-	}
-	return nil
-}
-
-// chargeSIA accounts one image-service request in the wide-area cost model.
-func chargeSIA(stats *RunStats, nbytes int) {
-	stats.SIARequests++
-	stats.SIABytes += int64(nbytes)
-	stats.SIAModelTime += siaRequestLatency +
-		time.Duration(float64(nbytes)/siaBandwidthBps*float64(time.Second))
-}
-
-// ingestBatch accounts, splits and stores one fetched /cutoutbatch response.
-func (s *Service) ingestBatch(base string, ids []string, data []byte, stats *RunStats) error {
-	chargeSIA(stats, len(data))
-	segments, err := fits.SplitStream(data)
-	if err != nil {
-		return fmt.Errorf("webservice: batch %s: %w", base, err)
-	}
-	if len(segments) != len(ids) {
-		return fmt.Errorf("webservice: batch %s returned %d images for %d ids",
-			base, len(segments), len(ids))
-	}
-	for i, seg := range segments {
-		if err := s.storeImage(ids[i]+".fit", seg); err != nil {
-			return err
-		}
-		stats.ImagesFetched++
-	}
-	return nil
-}
-
-func (s *Service) fetchURL(u string) ([]byte, error) {
-	resp, err := s.cfg.HTTPClient.Get(u)
-	if err != nil {
-		return nil, fmt.Errorf("webservice: fetch %s: %w", u, err)
-	}
-	data, err := io.ReadAll(resp.Body)
-	// The body has been fully consumed; a close error cannot invalidate data
-	// already read.
-	_ = resp.Body.Close()
-	if err != nil {
-		return nil, fmt.Errorf("webservice: fetch %s: %w", u, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("webservice: fetch %s: status %d", u, resp.StatusCode)
-	}
-	return data, nil
-}
-
-func (s *Service) storeImage(lfn string, data []byte) error {
-	if err := s.cfg.GridFTP.Store(s.cfg.CacheSite).Put(lfn, data); err != nil {
-		return err
-	}
-	if err := s.registerReplica(lfn, rls.PFN{
-		Site: s.cfg.CacheSite,
-		URL:  gridftp.URL(s.cfg.CacheSite, lfn),
-	}); err != nil {
-		return err
-	}
-	if m := s.cfg.MirrorSite; m != "" && m != s.cfg.CacheSite {
-		if err := s.cfg.GridFTP.Store(m).Put(lfn, data); err != nil {
-			return err
-		}
-		if err := s.registerReplica(lfn, rls.PFN{
-			Site: m,
-			URL:  gridftp.URL(m, lfn),
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// evictImage removes one staged cutout from the cache (and mirror) store
-// and withdraws its RLS registrations — the survey-scale reclamation path
-// for images whose derived outputs are already registered. Copies a
-// previous process staged and this one never saw are simply absent;
-// eviction reports whether any replica was actually removed here.
-func (s *Service) evictImage(lfn string) bool {
-	evicted := false
-	sites := []string{s.cfg.CacheSite}
-	if m := s.cfg.MirrorSite; m != "" && m != s.cfg.CacheSite {
-		sites = append(sites, m)
-	}
-	for _, site := range sites {
-		if err := s.cfg.GridFTP.Store(site).Delete(lfn); err == nil {
-			evicted = true
-		}
-		// Withdrawing a replica that was never registered is a no-op.
-		_ = s.cfg.RLS.Unregister(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)})
-	}
-	s.replicas.Invalidate(lfn)
-	return evicted
-}
-
-// countStagedImages counts the cutout images currently held by the cache
-// store — the footprint wave eviction bounds.
-func (s *Service) countStagedImages() int {
-	n := 0
-	for _, name := range s.cfg.GridFTP.Store(s.cfg.CacheSite).List() {
-		if strings.HasSuffix(name, ".fit") {
-			n++
-		}
-	}
-	return n
-}
-
-// buildVDL renders the derivation file for one request: the galMorph and
-// concatVOT transformations, one galMorph derivation per galaxy with the
-// paper's parameter set, and a concatenating derivation producing the output
-// VOTable.
-func buildVDL(tab *votable.Table, cluster string) (string, error) {
-	var b strings.Builder
-	b.WriteString("TR galMorph( in redshift, in pixScale, in zeroPoint, in Ho, in om, in flat, in image, out galMorph ) { compute CAS parameters }\n")
-
-	n := tab.NumRows()
-	b.WriteString("TR concatVOT( ")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "in p%d, ", i)
-	}
-	b.WriteString("out table ) { concatenate per-galaxy results }\n")
-
-	for i := 0; i < n; i++ {
-		id := tab.Cell(i, "id")
-		z := tab.Cell(i, "z")
-		if strings.TrimSpace(z) == "" {
-			z = "0"
-		}
-		fmt.Fprintf(&b,
-			"DV m-%s->galMorph( redshift=%q, image=@{in:%q}, pixScale=\"2.831933107035062E-4\", zeroPoint=\"27.8\", Ho=\"100\", om=\"0.3\", flat=\"1\", galMorph=@{out:%q} );\n",
-			id, z, id+".fit", id+".txt")
-	}
-
-	fmt.Fprintf(&b, "DV collect-%s->concatVOT( ", cluster)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "p%d=@{in:%q}, ", i, tab.Cell(i, "id")+".txt")
-	}
-	fmt.Fprintf(&b, "table=@{out:%q} );\n", outputLFN(cluster))
-	return b.String(), nil
-}
-
-// --- per-galaxy result encoding ---------------------------------------------
-
-// GalMorphResult is the payload of one <galaxy>.txt file.
-type GalMorphResult struct {
-	ID                string
-	SurfaceBrightness float64
-	Concentration     float64
-	Asymmetry         float64
-	Valid             bool
-	Reason            string
-}
-
-// encodeResult renders a result file ("key value" lines).
-func encodeResult(r GalMorphResult) []byte {
-	return appendResult(nil, r)
-}
-
-// appendResult appends the result-file rendering to dst and returns the
-// extended slice — the allocation-free form of encodeResult the hot path
-// feeds an arena buffer. strconv.AppendFloat with 'g'/-1 and AppendBool
-// produce exactly fmt's %g and %t, so the bytes are identical to the
-// historical fmt.Fprintf encoding (pinned by TestAppendResultMatchesFmt).
-//
-//nvo:hotpath
-func appendResult(dst []byte, r GalMorphResult) []byte {
-	dst = append(dst, "id "...)
-	dst = append(dst, r.ID...)
-	dst = append(dst, "\nsurface_brightness "...)
-	dst = strconv.AppendFloat(dst, r.SurfaceBrightness, 'g', -1, 64)
-	dst = append(dst, "\nconcentration "...)
-	dst = strconv.AppendFloat(dst, r.Concentration, 'g', -1, 64)
-	dst = append(dst, "\nasymmetry "...)
-	dst = strconv.AppendFloat(dst, r.Asymmetry, 'g', -1, 64)
-	dst = append(dst, "\nvalid "...)
-	dst = strconv.AppendBool(dst, r.Valid)
-	dst = append(dst, '\n')
-	if r.Reason != "" {
-		dst = append(dst, "reason "...)
-		for i := 0; i < len(r.Reason); i++ {
-			c := r.Reason[i]
-			if c == '\n' {
-				c = ' '
-			}
-			dst = append(dst, c)
-		}
-		dst = append(dst, '\n')
-	}
-	return dst
-}
-
-// decodeResult parses a result file.
-func decodeResult(data []byte) (GalMorphResult, error) {
-	var r GalMorphResult
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		key, val, found := strings.Cut(line, " ")
-		if !found {
-			return r, fmt.Errorf("webservice: bad result line %q", line)
-		}
-		switch key {
-		case "id":
-			r.ID = val
-		case "surface_brightness":
-			fmt.Sscanf(val, "%g", &r.SurfaceBrightness)
-		case "concentration":
-			fmt.Sscanf(val, "%g", &r.Concentration)
-		case "asymmetry":
-			fmt.Sscanf(val, "%g", &r.Asymmetry)
-		case "valid":
-			r.Valid = val == "true"
-		case "reason":
-			r.Reason = val
-		}
-	}
-	if r.ID == "" {
-		return r, errors.New("webservice: result file missing id")
-	}
-	return r, nil
-}
-
-// ResultFields is the column set of the computed VOTable.
-var ResultFields = []votable.Field{
-	{Name: "id", Datatype: votable.TypeChar, UCD: "meta.id;meta.main"},
-	{Name: "surface_brightness", Datatype: votable.TypeDouble, Unit: "mag/arcsec2"},
-	{Name: "concentration", Datatype: votable.TypeDouble},
-	{Name: "asymmetry", Datatype: votable.TypeDouble},
-	{Name: "valid", Datatype: votable.TypeBoolean},
-}
-
-// resultsMeta is the metadata of the output table: both the in-memory
-// resultsToVOTable path and the streaming concat path build from it, so the
-// two cannot drift apart.
-func resultsMeta(cluster string, n int) votable.TableMeta {
-	return votable.TableMeta{
-		Name:        cluster + "_morphology",
-		Description: "galaxy morphology parameters computed by the NVO compute service",
-		Params: []votable.Param{
-			{Name: "cluster", Datatype: votable.TypeChar, Value: cluster},
-			{Name: "n_galaxies", Datatype: votable.TypeInt, Value: fmt.Sprint(n)},
-		},
-		Fields: ResultFields,
-	}
-}
-
-// resultCells renders one result as its output-table row.
-func resultCells(r GalMorphResult) []string {
-	row := make([]string, len(ResultFields))
-	resultCellsInto(row, r)
-	return row
-}
-
-// resultCellsInto fills a caller-owned row (len(ResultFields) cells) with
-// one result's output-table rendering, so the concat hot path reuses a
-// single buffer instead of allocating a row per galaxy.
-//
-//nvo:hotpath
-func resultCellsInto(row []string, r GalMorphResult) {
-	valid := "F"
-	if r.Valid {
-		valid = "T"
-	}
-	row[0] = r.ID
-	row[1] = votable.FormatFloat(r.SurfaceBrightness)
-	row[2] = votable.FormatFloat(r.Concentration)
-	row[3] = votable.FormatFloat(r.Asymmetry)
-	row[4] = valid
-}
-
-// resultsToVOTable assembles the output table, sorted by galaxy ID.
-func resultsToVOTable(cluster string, results []GalMorphResult) *votable.Table {
-	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
-	meta := resultsMeta(cluster, len(results))
-	t := votable.NewTable(meta.Name, meta.Fields...)
-	t.Description = meta.Description
-	for _, p := range meta.Params {
-		t.SetParam(p)
-	}
-	for _, r := range results {
-		_ = t.AppendRow(resultCells(r)...)
-	}
-	return t
-}
-
-// morphConfigFromDV reconstructs the measurement configuration from a
-// derivation's scalar bindings.
-func morphConfigFromDV(dv *vdl.Derivation) morphology.Config {
-	cfg := morphology.DefaultConfig(0)
-	if b, ok := dv.Bindings["redshift"]; ok && !b.IsFile {
-		fmt.Sscanf(b.Value, "%g", &cfg.Redshift)
-	}
-	if b, ok := dv.Bindings["pixScale"]; ok && !b.IsFile {
-		fmt.Sscanf(strings.ReplaceAll(b.Value, "E", "e"), "%g", &cfg.PixScaleDeg)
-	}
-	if b, ok := dv.Bindings["zeroPoint"]; ok && !b.IsFile {
-		fmt.Sscanf(b.Value, "%g", &cfg.ZeroPoint)
-	}
-	if b, ok := dv.Bindings["Ho"]; ok && !b.IsFile {
-		fmt.Sscanf(b.Value, "%g", &cfg.Cosmology.H0)
-	}
-	if b, ok := dv.Bindings["om"]; ok && !b.IsFile {
-		fmt.Sscanf(b.Value, "%g", &cfg.Cosmology.OmegaM)
-	}
-	if b, ok := dv.Bindings["flat"]; ok && !b.IsFile {
-		cfg.Cosmology.Flat = b.Value != "0"
-	}
-	return cfg
+	return s.await(ctx, ticket, nil, cluster, opt, onProgress, nil)
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/condor"
 	"repro/internal/faults"
 	"repro/internal/gridftp"
+	"repro/internal/journal"
 	"repro/internal/myproxy"
 	"repro/internal/resilience"
 	"repro/internal/rls"
@@ -68,6 +69,16 @@ func newHarness(t testing.TB, nGalaxies int, cfgMut func(*Config)) *harness {
 		t.Fatal(err)
 	}
 	return &harness{archive: arch, archSrv: srv, svc: svc, r: r, ftp: ftp, cluster: cl}
+}
+
+// crashAfter is the kill switch of the kill-and-resume campaigns as a
+// Config.WrapJournal hook: every workflow leg gets a fresh sink that
+// simulates kill -9 after k journal appends (k <= 0 never crashes).
+// Service.Reopen disarms it.
+func crashAfter(k int) func(tenant, cluster string, sink journal.Sink) journal.Sink {
+	return func(_, _ string, sink journal.Sink) journal.Sink {
+		return &journal.CrashSink{Sink: sink, After: k}
+	}
 }
 
 // inputTable builds the catalog VOTable the portal would send: id, ra, dec,

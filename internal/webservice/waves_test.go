@@ -123,7 +123,7 @@ func TestWaveKillAndResumeByteIdentity(t *testing.T) {
 		h := newHarness(t, nGalaxies, func(c *Config) {
 			c.JournalDir = dir
 			c.WaveSize = waveSize
-			c.CrashAfterEvents = k
+			c.WrapJournal = crashAfter(k)
 		})
 		tab := h.inputTable(t)
 		_, _, err := h.svc.Compute(tab, "COMA")
@@ -207,7 +207,7 @@ func TestWaveResumeHonorsManifestWaveSize(t *testing.T) {
 	h := newHarness(t, nGalaxies, func(c *Config) {
 		c.JournalDir = dir
 		c.WaveSize = 2
-		c.CrashAfterEvents = k
+		c.WrapJournal = crashAfter(k)
 	})
 	if _, _, err := h.svc.Compute(h.inputTable(t), "COMA"); !errors.Is(err, journal.ErrCrash) {
 		t.Fatal("crash did not fire")
