@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-harness vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench verify
+.PHONY: build test bench-harness vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench loc verify
 
 build:
 	$(GO) build ./...
@@ -60,11 +60,16 @@ recovery:
 	$(GO) test -race -run 'TestKillAndResume|TestResume|TestJournalBrackets|TestTransferCorruption|TestCorruptIntermediate|TestCancel' -v ./internal/webservice/
 	$(GO) run ./cmd/nvo-resume -cluster COMA -scale 0.1
 
-# Fuzz smoke over the RLS text codec (seeds always run under plain `go test`;
-# this also spends a short budget on new inputs).
+# Fuzz smoke over every parser that reads bytes from disk or the network:
+# the RLS text codec, the one FITS reader (Decode accepts exactly what
+# ParseView accepts, same error text, same pixel bits) and the streaming
+# VOTable codec. Seeds always run under plain `go test`; this also spends
+# FUZZTIME per target on new inputs.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzReadReplicas -fuzztime $(FUZZTIME) ./internal/rls/
+	$(GO) test -fuzz FuzzView -fuzztime $(FUZZTIME) ./internal/fits/
+	$(GO) test -fuzz FuzzStreamingParity -fuzztime $(FUZZTIME) ./internal/votable/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants byte-identical to their solo runs, shared-
@@ -93,14 +98,31 @@ soak:
 	SOAK_WORKFLOWS=$(SOAK_WORKFLOWS) $(GO) test -race -run 'TestSoak' -v .
 	$(GO) test -race -run 'TestPreempt' -v ./internal/webservice/
 
-# The hot-path allocation gate, race-enabled: the zero-copy + arena measure
-# pipeline must stay within its per-galaxy allocation budget and at least
-# 2x below the legacy Decode+Measure pipeline, and the two must agree
-# bit-for-bit (the equivalence pins in morphology/fits/tableops). Fails
-# fast on any AllocsPerRun regression.
+# The hot-path allocation gate, race-enabled: ParseView + MeasureRaw over
+# staged bytes must stay within the per-galaxy allocation budget and at least
+# 2x below materialising the image first (Decode + Measure). Both entries run
+# the one FITS reader and the one measurement prologue; the pins hold them to
+# fixed oracles (FITS definition, frozen heap prologue, frozen fmt encoding).
+# Fails fast on any AllocsPerRun regression.
 hotbench:
 	$(GO) test -race -run 'TestHotPathAllocBudget' -v .
 	$(GO) test -race -run 'TestMeasureRaw|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/
+
+# Non-test Go lines per package: raw lines and code lines (blank and
+# comment-only lines excluded). benchmark/ is a module of its own and is
+# not counted. The per-package LoC rows in CHANGES.md come from here.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | sort | xargs awk ' \
+	  FNR == 1 { inblock = 0 } \
+	  { d = FILENAME; sub(/\/[^\/]*$$/, "", d); raw[d]++; \
+	    line = $$0; gsub(/^[ \t]+|[ \t]+$$/, "", line); \
+	    if (inblock) { if (line ~ /\*\//) inblock = 0; next } \
+	    if (line == "" || line ~ /^\/\//) next; \
+	    if (line ~ /^\/\*/) { if (line !~ /\*\//) inblock = 1; next } \
+	    code[d]++ } \
+	  END { for (d in raw) { printf "%-36s %6d %6d\n", d, raw[d], code[d]; tr += raw[d]; tc += code[d] } \
+	        printf "%-36s %6d %6d\n", "~total", tr, tc }' | sort | sed 's/^~total/total /' | \
+	  awk 'BEGIN { printf "%-36s %6s %6s\n", "package", "raw", "code" } { print }'
 
 # Every concurrency-bearing campaign under the race detector in one
 # invocation: the chaos byte-identity campaign, the multi-tenant fabric
@@ -119,7 +141,7 @@ racecheck:
 # own vet and smoke, the race-enabled suite,
 # the race campaigns (chaos, tenants, soak at gate scale, survey — `make
 # soak` runs the full fleet), journal-replay idempotence, the hot-path
-# allocation gate, and the codec fuzz smoke.
+# allocation gate, and the parser fuzz smoke.
 verify: vet build lint bench-harness
 	$(GO) test -race ./...
 	$(MAKE) racecheck

@@ -11,8 +11,6 @@
 package fits
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -248,34 +246,13 @@ func (im *Image) WCS() (wcs.TanProjection, bool) {
 // still maps pixels to the correct sky positions — this is the operation the
 // NVO "image cutout service" performs for each galaxy.
 func (im *Image) Cutout(x0, y0, w, h int) (*Image, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("fits: cutout size %dx%d must be positive", w, h)
+	x0, y0, w, h, err := clipRect(x0, y0, w, h, im.Nx, im.Ny)
+	if err != nil {
+		return nil, err
 	}
-	// Remember the requested origin: the error must name the rectangle the
-	// caller asked for, not the clipped coordinates (which degenerate to
-	// (0,0) for any fully off-image request and made the message opaque).
-	rx0, ry0 := x0, y0
-	x1 := x0 + w
-	y1 := y0 + h
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 > im.Nx {
-		x1 = im.Nx
-	}
-	if y1 > im.Ny {
-		y1 = im.Ny
-	}
-	if x0 >= x1 || y0 >= y1 {
-		return nil, fmt.Errorf("fits: cutout (%d,%d)+%dx%d outside %dx%d image", rx0, ry0, w, h, im.Nx, im.Ny)
-	}
-
-	out := NewImage(x1-x0, y1-y0, im.Bitpix)
-	for y := y0; y < y1; y++ {
-		copy(out.Data[(y-y0)*out.Nx:(y-y0+1)*out.Nx], im.Data[y*im.Nx+x0:y*im.Nx+x1])
+	out := NewImage(w, h, im.Bitpix)
+	for y := 0; y < h; y++ {
+		copy(out.Data[y*w:(y+1)*w], im.Data[(y0+y)*im.Nx+x0:])
 	}
 	// Copy non-structural cards and shift the WCS reference pixel.
 	for _, c := range im.Header.Cards() {
@@ -494,288 +471,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// SplitStream cuts a concatenation of FITS files into the raw byte segments
-// of its constituents, using the format's self-delimiting 2880-byte record
-// structure. Each returned segment decodes independently. Batched image
-// services deliver many cutouts as one such stream. Segments are delimited
-// by walking headers only — the geometry keywords give each data array's
-// extent — so splitting never decodes a pixel.
-func SplitStream(data []byte) ([][]byte, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty stream", ErrShortData)
-	}
-	var out [][]byte
-	offset := 0
-	for offset < len(data) {
-		n, err := segmentLen(data[offset:])
-		if err != nil {
-			return nil, fmt.Errorf("fits: stream segment %d: %w", len(out), err)
-		}
-		out = append(out, data[offset:offset+n])
-		offset += n
-	}
-	return out, nil
-}
-
-// segmentLen measures the first FITS file in rest, running exactly the
-// validation Decode would so malformed streams fail with the same errors.
-// A truncated trailing padding record is tolerated, like Decode's lenient
-// padding read.
-func segmentLen(rest []byte) (int, error) {
-	r := bytes.NewReader(rest)
-	h, err := readHeader(r)
-	if err != nil {
-		return 0, err
-	}
-	if !h.Bool("SIMPLE", false) {
-		return 0, ErrNotFITS
-	}
-	naxis := h.Int("NAXIS", 0)
-	if naxis != 2 {
-		return 0, fmt.Errorf("%w: NAXIS=%d (only 2-D images supported)", ErrUnsupported, naxis)
-	}
-	nx := int(h.Int("NAXIS1", 0))
-	ny := int(h.Int("NAXIS2", 0))
-	bitpix := int(h.Int("BITPIX", 0))
-	if nx <= 0 || ny <= 0 {
-		return 0, fmt.Errorf("%w: NAXIS1=%d NAXIS2=%d", ErrBadHeader, nx, ny)
-	}
-	switch bitpix {
-	case 8, 16, 32, -32, -64:
-	default:
-		return 0, fmt.Errorf("%w: BITPIX %d", ErrUnsupported, bitpix)
-	}
-	headerLen := len(rest) - r.Len()
-	dataLen := nx * ny * (abs(bitpix) / 8)
-	padded := ((dataLen + BlockSize - 1) / BlockSize) * BlockSize
-	if avail := len(rest) - headerLen; avail < dataLen {
-		cause := io.ErrUnexpectedEOF
-		if avail == 0 {
-			cause = io.EOF
-		}
-		return 0, fmt.Errorf("%w: %v", ErrShortData, cause)
-	}
-	end := headerLen + padded
-	if end > len(rest) {
-		end = len(rest)
-	}
-	return end, nil
-}
-
-// DecodeStream decodes a concatenation of FITS files from r, calling fn
-// with each image in stream order — the incremental counterpart of
-// SplitStream+Decode that never buffers the stream. fn errors abort the
-// scan and are returned verbatim.
-func DecodeStream(r io.Reader, fn func(index int, im *Image) error) error {
-	br := bufio.NewReaderSize(r, BlockSize)
-	if _, err := br.Peek(1); err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("%w: empty stream", ErrShortData)
-		}
-		return err
-	}
-	for i := 0; ; i++ {
-		im, err := Decode(br)
-		if err != nil {
-			return fmt.Errorf("fits: stream segment %d: %w", i, err)
-		}
-		if err := fn(i, im); err != nil {
-			return err
-		}
-		if _, err := br.Peek(1); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// DecodeHeader reads only the header of a FITS file — the cheap metadata
-// path archive services use to answer queries without decoding pixels.
-func DecodeHeader(r io.Reader) (*Header, error) {
-	h, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if !h.Bool("SIMPLE", false) {
-		return nil, ErrNotFITS
-	}
-	return h, nil
-}
-
-// Decode reads a single-HDU FITS image.
-func Decode(r io.Reader) (*Image, error) {
-	h, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if !h.Bool("SIMPLE", false) {
-		return nil, ErrNotFITS
-	}
-	naxis := h.Int("NAXIS", 0)
-	if naxis != 2 {
-		return nil, fmt.Errorf("%w: NAXIS=%d (only 2-D images supported)", ErrUnsupported, naxis)
-	}
-	nx := int(h.Int("NAXIS1", 0))
-	ny := int(h.Int("NAXIS2", 0))
-	bitpix := int(h.Int("BITPIX", 0))
-	if nx <= 0 || ny <= 0 {
-		return nil, fmt.Errorf("%w: NAXIS1=%d NAXIS2=%d", ErrBadHeader, nx, ny)
-	}
-	switch bitpix {
-	case 8, 16, 32, -32, -64:
-	default:
-		return nil, fmt.Errorf("%w: BITPIX %d", ErrUnsupported, bitpix)
-	}
-
-	bytesPerPix := abs(bitpix) / 8
-	n := nx * ny
-	dataLen := n * bytesPerPix
-	padded := ((dataLen + BlockSize - 1) / BlockSize) * BlockSize
-
-	bscale := h.Float("BSCALE", 1)
-	bzero := h.Float("BZERO", 0)
-
-	// Read the data array one 2880-byte logical record at a time — every
-	// legal pixel width divides BlockSize, so no pixel straddles a record —
-	// instead of materializing the whole (padded) array before decoding.
-	im := &Image{Header: h, Nx: nx, Ny: ny, Bitpix: bitpix, Data: make([]float64, n)}
-	blockBuf := getBlock()
-	defer putBlock(blockBuf)
-	block := *blockBuf
-	i := 0
-	for read := 0; read < dataLen; {
-		chunk := dataLen - read
-		if chunk > BlockSize {
-			chunk = BlockSize
-		}
-		if _, err := io.ReadFull(r, block[:chunk]); err != nil {
-			if err == io.EOF && read > 0 {
-				// The whole-array read reported any mid-array truncation as
-				// an unexpected EOF; keep that contract across record reads.
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("%w: %v", ErrShortData, err)
-		}
-		for off := 0; off < chunk; off += bytesPerPix {
-			var stored float64
-			switch bitpix {
-			case 8:
-				stored = float64(block[off])
-			case 16:
-				stored = float64(int16(binary.BigEndian.Uint16(block[off:])))
-			case 32:
-				stored = float64(int32(binary.BigEndian.Uint32(block[off:])))
-			case -32:
-				stored = float64(math.Float32frombits(binary.BigEndian.Uint32(block[off:])))
-			case -64:
-				stored = math.Float64frombits(binary.BigEndian.Uint64(block[off:]))
-			}
-			im.Data[i] = bzero + bscale*stored
-			i++
-		}
-		read += chunk
-	}
-	// Trailing padding may be absent in lenient writers; ignore errors here.
-	if pad := padded - dataLen; pad > 0 {
-		_, _ = io.ReadFull(r, block[:pad])
-	}
-	return im, nil
-}
-
-// readHeader consumes 2880-byte records until an END card appears.
-func readHeader(r io.Reader) (*Header, error) {
-	h := NewHeader()
-	blockBuf := getBlock()
-	defer putBlock(blockBuf)
-	block := *blockBuf
-	for blockNum := 0; ; blockNum++ {
-		if _, err := io.ReadFull(r, block); err != nil {
-			return nil, fmt.Errorf("%w: header block %d: %v", ErrBadHeader, blockNum, err)
-		}
-		for i := 0; i < cardsPerBlock; i++ {
-			card := block[i*CardSize : (i+1)*CardSize]
-			kw := strings.TrimRight(string(card[:8]), " ")
-			if kw == "END" {
-				return h, nil
-			}
-			if blockNum == 0 && i == 0 && kw != "SIMPLE" {
-				return nil, ErrNotFITS
-			}
-			if kw == "" {
-				continue
-			}
-			c, err := parseCard(kw, card)
-			if err != nil {
-				return nil, err
-			}
-			h.Set(c.Keyword, c.Value, c.Comment)
-		}
-	}
-}
-
-// parseCard interprets the value-indicator syntax of one card.
-func parseCard(kw string, card []byte) (Card, error) {
-	if kw == "COMMENT" || kw == "HISTORY" {
-		return Card{Keyword: kw, Comment: strings.TrimRight(string(card[8:]), " ")}, nil
-	}
-	if len(card) < 10 || card[8] != '=' {
-		// Valueless card; keep the text as a comment.
-		return Card{Keyword: kw, Comment: strings.TrimSpace(string(card[8:]))}, nil
-	}
-	body := string(card[10:])
-	trimmed := strings.TrimLeft(body, " ")
-	if strings.HasPrefix(trimmed, "'") {
-		// String value: find closing quote, honoring '' escapes.
-		rest := trimmed[1:]
-		var sb strings.Builder
-		for i := 0; i < len(rest); i++ {
-			if rest[i] == '\'' {
-				if i+1 < len(rest) && rest[i+1] == '\'' {
-					sb.WriteByte('\'')
-					i++
-					continue
-				}
-				comment := extractComment(rest[i+1:])
-				return Card{Keyword: kw, Value: strings.TrimRight(sb.String(), " "), Comment: comment}, nil
-			}
-			sb.WriteByte(rest[i])
-		}
-		return Card{}, fmt.Errorf("%w: unterminated string in card %q", ErrBadHeader, kw)
-	}
-
-	// Non-string: value runs to '/' or end.
-	valPart := body
-	comment := ""
-	if slash := strings.Index(body, "/"); slash >= 0 {
-		valPart = body[:slash]
-		comment = strings.TrimSpace(body[slash+1:])
-	}
-	valStr := strings.TrimSpace(valPart)
-	switch {
-	case valStr == "":
-		return Card{Keyword: kw, Comment: comment}, nil
-	case valStr == "T":
-		return Card{Keyword: kw, Value: true, Comment: comment}, nil
-	case valStr == "F":
-		return Card{Keyword: kw, Value: false, Comment: comment}, nil
-	}
-	if i, err := strconv.ParseInt(valStr, 10, 64); err == nil {
-		return Card{Keyword: kw, Value: i, Comment: comment}, nil
-	}
-	// FITS permits 'D' exponents in double-precision values.
-	if f, err := strconv.ParseFloat(strings.ReplaceAll(valStr, "D", "E"), 64); err == nil {
-		return Card{Keyword: kw, Value: f, Comment: comment}, nil
-	}
-	return Card{}, fmt.Errorf("%w: unparsable value %q in card %q", ErrBadHeader, valStr, kw)
-}
-
-func extractComment(after string) string {
-	if slash := strings.Index(after, "/"); slash >= 0 {
-		return strings.TrimSpace(after[slash+1:])
-	}
-	return ""
 }

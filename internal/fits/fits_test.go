@@ -329,12 +329,16 @@ func TestParseCardDExponent(t *testing.T) {
 	for i := len("REDSHIFT=            2.788D-2 / z"); i < CardSize; i++ {
 		card[i] = ' '
 	}
-	c, err := parseCard("REDSHIFT", card)
+	var c Card
+	sv, err := parseCard([]byte("REDSHIFT"), card, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := c.Value.(float64); !ok || math.Abs(v-0.02788) > 1e-12 {
 		t.Errorf("D-exponent parsed as %v", c.Value)
+	}
+	if sv.toFloat(0) != c.Value || c.Keyword != "REDSHIFT" || c.Comment != "z" {
+		t.Errorf("scan value %+v / card %+v disagree", sv, c)
 	}
 }
 
@@ -375,38 +379,6 @@ func BenchmarkCutout(b *testing.B) {
 		if _, err := im.Cutout(400, 400, 64, 64); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestDecodeHeaderOnly(t *testing.T) {
-	im := NewImage(32, 16, -32)
-	im.Header.Set("OBJECT", "COMA-000001", "")
-	var buf bytes.Buffer
-	if err := im.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h, err := DecodeHeader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Int("NAXIS1", 0) != 32 || h.Int("NAXIS2", 0) != 16 {
-		t.Errorf("geometry = %dx%d", h.Int("NAXIS1", 0), h.Int("NAXIS2", 0))
-	}
-	if h.Str("OBJECT", "") != "COMA-000001" {
-		t.Errorf("OBJECT = %q", h.Str("OBJECT", ""))
-	}
-	if _, err := DecodeHeader(strings.NewReader(strings.Repeat("x", BlockSize))); err == nil {
-		t.Error("garbage must not decode")
-	}
-	// A non-SIMPLE file with valid card syntax is rejected.
-	var b2 bytes.Buffer
-	h2 := NewHeader()
-	h2.Set("SIMPLE", false, "")
-	if err := writeHeader(&b2, h2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeHeader(&b2); err == nil {
-		t.Error("SIMPLE=F must be rejected")
 	}
 }
 

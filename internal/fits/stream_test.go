@@ -10,28 +10,9 @@ import (
 	"testing"
 )
 
-// legacySplitStream is the original decode-based splitter, frozen as the
-// oracle for the header-walk implementation: both must cut identical
-// segments and fail with identical errors.
-func legacySplitStream(data []byte) ([][]byte, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty stream", ErrShortData)
-	}
-	var out [][]byte
-	r := bytes.NewReader(data)
-	for r.Len() > 0 {
-		start := len(data) - r.Len()
-		if _, err := Decode(r); err != nil {
-			return nil, fmt.Errorf("fits: stream segment %d: %w", len(out), err)
-		}
-		end := len(data) - r.Len()
-		out = append(out, data[start:end])
-	}
-	return out, nil
-}
-
-// randomStream encodes a few random images back to back.
-func randomStream(t *testing.T, rng *rand.Rand, n int) []byte {
+// randomStream encodes a few random images back to back and returns the
+// stream with the offset at which each image ends.
+func randomStream(t *testing.T, rng *rand.Rand, n int) (stream []byte, ends []int) {
 	t.Helper()
 	var buf bytes.Buffer
 	bitpixes := []int{8, 16, 32, -32, -64}
@@ -44,49 +25,62 @@ func randomStream(t *testing.T, rng *rand.Rand, n int) []byte {
 		if err := im.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
+		ends = append(ends, buf.Len())
 	}
-	return buf.Bytes()
+	return buf.Bytes(), ends
 }
 
-// TestSplitStreamMatchesLegacy checks segment-for-segment equality with the
-// decode-based splitter on well-formed streams and error-for-error equality
-// on malformed ones (truncations at every block boundary plus garbage).
+// TestSplitStreamMatchesLegacy pins the header-walk splitter to what the
+// encoder wrote: a well-formed stream splits at exactly the offsets where
+// each Encode call ended, and a stream truncated at any record boundary
+// either splits into the images that survive whole or fails naming the torn
+// segment with the literal truncation text (every test header is one
+// record, so a torn segment has lost all or part of its data array).
 func TestSplitStreamMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
-		stream := randomStream(t, rng, 1+rng.Intn(4))
-		want, wantErr := legacySplitStream(stream)
-		got, gotErr := SplitStream(stream)
-		if wantErr != nil || gotErr != nil {
-			t.Fatalf("trial %d: unexpected errors %v / %v", trial, wantErr, gotErr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: segments diverge", trial)
-		}
-
-		// Every truncation point must fail (or split) identically.
-		for cut := 0; cut < len(stream); cut += BlockSize {
-			want, wantErr := legacySplitStream(stream[:cut])
-			got, gotErr := SplitStream(stream[:cut])
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("trial %d cut %d: legacy err %v, header-walk err %v", trial, cut, wantErr, gotErr)
+		stream, ends := randomStream(t, rng, 1+rng.Intn(4))
+		for cut := BlockSize; cut <= len(stream); cut += BlockSize {
+			var want [][]byte
+			wantErr, start := "", 0
+			for i, end := range ends {
+				if start == cut {
+					break
+				}
+				if end > cut {
+					cause := "unexpected EOF"
+					if cut-start == BlockSize {
+						cause = "EOF" // header only: the array is wholly absent
+					}
+					wantErr = fmt.Sprintf("fits: stream segment %d: fits: truncated data array: %s", i, cause)
+					break
+				}
+				want = append(want, stream[start:end])
+				start = end
 			}
-			if wantErr != nil {
-				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("trial %d cut %d: error text %q vs %q", trial, cut, gotErr, wantErr)
+			got, err := SplitStream(stream[:cut])
+			if wantErr != "" {
+				if got != nil || err == nil || err.Error() != wantErr || !errors.Is(err, ErrShortData) {
+					t.Fatalf("trial %d cut %d: (%d segments, %v), want error %q", trial, cut, len(got), err, wantErr)
 				}
 				continue
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d cut %d: segments diverge", trial, cut)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d cut %d: %d segments (%v), want %d", trial, cut, len(got), err, len(want))
 			}
 		}
 	}
-	for _, bad := range [][]byte{nil, []byte("garbage"), bytes.Repeat([]byte{'x'}, BlockSize)} {
-		want, wantErr := legacySplitStream(bad)
-		got, gotErr := SplitStream(bad)
-		if want != nil || got != nil || wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-			t.Errorf("malformed %q: legacy (%v, %v) vs header-walk (%v, %v)", bad[:min(8, len(bad))], want, wantErr, got, gotErr)
+	for _, bad := range []struct {
+		data []byte
+		want string
+	}{
+		{nil, "fits: truncated data array: empty stream"},
+		{[]byte("garbage"), "fits: stream segment 0: fits: malformed header: header block 0: unexpected EOF"},
+		{bytes.Repeat([]byte{'x'}, BlockSize), "fits: stream segment 0: fits: not a FITS file (missing SIMPLE card)"},
+	} {
+		got, err := SplitStream(bad.data)
+		if got != nil || err == nil || err.Error() != bad.want {
+			t.Errorf("malformed %q: (%v, %v), want error %q", bad.data[:min(8, len(bad.data))], got, err, bad.want)
 		}
 	}
 }
@@ -109,63 +103,6 @@ func TestSplitStreamNeverDecodesPixels(t *testing.T) {
 	segs, err := SplitStream(stream)
 	if err != nil || len(segs) != 1 || len(segs[0]) != len(stream) {
 		t.Fatalf("split over trashed pixels: %d segments, %v", len(segs), err)
-	}
-}
-
-// TestDecodeStreamMatchesSplit checks the incremental decoder against
-// SplitStream+Decode: same images, same order, same errors, callback errors
-// verbatim.
-func TestDecodeStreamMatchesSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	stream := randomStream(t, rng, 4)
-
-	segs, err := SplitStream(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []*Image
-	for _, seg := range segs {
-		im, err := Decode(bytes.NewReader(seg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, im)
-	}
-
-	var got []*Image
-	err = DecodeStream(bytes.NewReader(stream), func(i int, im *Image) error {
-		if i != len(got) {
-			t.Fatalf("index %d out of order", i)
-		}
-		got = append(got, im)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed images diverge from split+decode")
-	}
-
-	// Empty stream: same sentinel as SplitStream.
-	if err := DecodeStream(bytes.NewReader(nil), nil); !errors.Is(err, ErrShortData) {
-		t.Errorf("empty stream error = %v", err)
-	}
-	// Callback errors pass through verbatim.
-	sentinel := errors.New("stop")
-	err = DecodeStream(bytes.NewReader(stream), func(int, *Image) error { return sentinel })
-	if err != sentinel {
-		t.Errorf("callback error = %v, want sentinel verbatim", err)
-	}
-	// A stream cut inside a data array fails with the segment-indexed error.
-	big := NewImage(100, 100, -64)
-	var bigBuf bytes.Buffer
-	if err := big.Encode(&bigBuf); err != nil {
-		t.Fatal(err)
-	}
-	err = DecodeStream(bytes.NewReader(bigBuf.Bytes()[:BlockSize*2]), func(int, *Image) error { return nil })
-	if err == nil || !errors.Is(err, ErrShortData) {
-		t.Errorf("truncated stream error = %v", err)
 	}
 }
 

@@ -2,8 +2,12 @@ package morphology
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/arena"
@@ -20,9 +24,33 @@ func rawBytes(t testing.TB, im *fits.Image) []byte {
 	return buf.Bytes()
 }
 
+// heapMeasure is the original measurement prologue, frozen as the oracle
+// for the arena one Measure and MeasureRaw now share: plain heap buffers, a
+// subtracted copy instead of in-place subtraction, a private scratch.
+func heapMeasure(im *fits.Image, cfg Config) (Params, error) {
+	if im.Nx < minImageDim || im.Ny < minImageDim {
+		err := fmt.Errorf("%w: %dx%d (min %d)", ErrTooSmall, im.Nx, im.Ny, minImageDim)
+		return invalid(err), err
+	}
+	for _, v := range im.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			err := errors.New("morphology: non-finite pixel values")
+			return invalid(err), err
+		}
+	}
+	bg, sigma := estimateBackground(im.Data, im.Nx, im.Ny, make([]float64, borderSamples(im.Nx, im.Ny)))
+	sub := make([]float64, len(im.Data))
+	for i, v := range im.Data {
+		sub[i] = v - bg
+	}
+	return measureSub(sub, im.Nx, im.Ny, bg, sigma, cfg, new(scratch))
+}
+
 // TestMeasureRawMatchesMeasure is the hot-path equivalence pin: for a sweep
-// of synthetic galaxies and encodings, MeasureRaw over the raw bytes must
-// reproduce Decode+Measure exactly — same Params bits, same error text.
+// of synthetic galaxies and encodings, Measure over the decoded image and
+// MeasureRaw over the raw bytes must both reproduce the frozen heap
+// prologue exactly — same Params bits, same error text — and Measure must
+// leave the caller's pixels physical.
 func TestMeasureRawMatchesMeasure(t *testing.T) {
 	images := []*fits.Image{
 		renderSersic(64, 64, 32, 32, 50000, 5, 4, 0.8, 0.5, 100, 2, 1),
@@ -30,7 +58,7 @@ func TestMeasureRawMatchesMeasure(t *testing.T) {
 		renderAsymmetric(64, 64, 3),
 		fits.NewImage(32, 32, -64), // flat zero image: measurement fails gracefully
 	}
-	// Integer-encoded variant: quantization changes pixels, but both paths
+	// Integer-encoded variant: quantization changes pixels, but every path
 	// must see the same quantized values.
 	quant := renderSersic(40, 40, 20, 20, 30000, 4, 2, 0.9, 1.0, 100, 2, 4)
 	quant.Bitpix = 16
@@ -43,26 +71,29 @@ func TestMeasureRawMatchesMeasure(t *testing.T) {
 	valid := 0
 	for i, im := range images {
 		raw := rawBytes(t, im)
-		dec, derr := fits.Decode(bytes.NewReader(raw))
-		var want Params
-		var werr error
-		if derr == nil {
-			want, werr = Measure(dec, cfg())
-		} else {
-			werr = derr
+		dec, err := fits.Decode(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("image %d: Decode: %v", i, err)
 		}
+		pixels := append([]float64(nil), dec.Data...)
+		want, werr := heapMeasure(dec, cfg())
 		if want.Valid {
 			valid++
 		}
-		got, gerr := MeasureRaw(a, raw, cfg())
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("image %d: error mismatch: legacy %v, raw %v", i, werr, gerr)
+		for entry, measure := range map[string]func() (Params, error){
+			"Measure":    func() (Params, error) { return Measure(dec, cfg()) },
+			"MeasureRaw": func() (Params, error) { return MeasureRaw(a, raw, cfg()) },
+		} {
+			got, gerr := measure()
+			if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+				t.Fatalf("image %d: %s error diverged:\noracle: %v\ngot:    %v", i, entry, werr, gerr)
+			}
+			if got != want {
+				t.Fatalf("image %d: %s params diverged:\noracle: %+v\ngot:    %+v", i, entry, want, got)
+			}
 		}
-		if werr != nil && werr.Error() != gerr.Error() {
-			t.Fatalf("image %d: error text diverged:\nlegacy: %s\nraw:    %s", i, werr, gerr)
-		}
-		if got != want {
-			t.Fatalf("image %d: params diverged:\nlegacy: %+v\nraw:    %+v", i, want, got)
+		if !slices.Equal(dec.Data, pixels) {
+			t.Fatalf("image %d: Measure modified the caller's pixels", i)
 		}
 		a.Reset()
 	}
@@ -71,34 +102,55 @@ func TestMeasureRawMatchesMeasure(t *testing.T) {
 	}
 }
 
-// TestMeasureRawErrorPaths pins the precheck errors to Measure's.
+// TestMeasureRawErrorPaths pins the precheck errors of both entry points
+// to their literal text.
 func TestMeasureRawErrorPaths(t *testing.T) {
 	a := arena.Get()
 	defer arena.Put(a)
-
-	// Garbage bytes: same error as Decode.
-	_, derr := fits.Decode(bytes.NewReader([]byte("not a fits file at all")))
-	_, gerr := MeasureRaw(a, []byte("not a fits file at all"), cfg())
-	if derr == nil || gerr == nil || derr.Error() != gerr.Error() {
-		t.Fatalf("garbage: legacy %v, raw %v", derr, gerr)
+	check := func(name string, err error, want string) {
+		t.Helper()
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: %v, want %q", name, err, want)
+		}
 	}
+
+	// Garbage bytes: the FITS reader's error, verbatim.
+	_, err := MeasureRaw(a, []byte("not a fits file at all"), cfg())
+	check("garbage", err, "fits: malformed header: header block 0: unexpected EOF")
 
 	// Too-small image.
 	small := fits.NewImage(4, 4, -64)
-	_, werr := Measure(small, cfg())
-	_, gerr = MeasureRaw(a, rawBytes(t, small), cfg())
-	if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
-		t.Fatalf("too small: legacy %v, raw %v", werr, gerr)
-	}
+	_, err = Measure(small, cfg())
+	check("too small (Measure)", err, "morphology: image too small: 4x4 (min 8)")
+	_, err = MeasureRaw(a, rawBytes(t, small), cfg())
+	check("too small (MeasureRaw)", err, "morphology: image too small: 4x4 (min 8)")
 
 	// Non-finite pixels.
 	bad := renderSersic(32, 32, 16, 16, 500, 4, 1, 1, 0, 100, 2, 9)
 	bad.Data[17] = math.NaN()
-	_, werr = Measure(bad, cfg())
-	_, gerr = MeasureRaw(a, rawBytes(t, bad), cfg())
-	if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
-		t.Fatalf("NaN pixel: legacy %v, raw %v", werr, gerr)
+	_, err = Measure(bad, cfg())
+	check("NaN pixel (Measure)", err, "morphology: non-finite pixel values")
+	_, err = MeasureRaw(a, rawBytes(t, bad), cfg())
+	check("NaN pixel (MeasureRaw)", err, "morphology: non-finite pixel values")
+
+	// Hostile geometry: axis lengths whose product overflows int must be
+	// refused by the reader before MeasureRaw sizes a pixel buffer from them.
+	for _, n := range []int64{1 << 31, 1 << 32} {
+		hostile := rawBytes(t, fits.NewImage(8, 8, -64))
+		patchAxis(hostile, "NAXIS1", n)
+		patchAxis(hostile, "NAXIS2", n)
+		p, err := MeasureRaw(a, hostile, cfg())
+		if !errors.Is(err, fits.ErrBadHeader) || !strings.Contains(err.Error(), "NAXIS1") || p.Valid {
+			t.Fatalf("hostile %d-squared geometry: params %+v, err %v", n, p, err)
+		}
 	}
+}
+
+// patchAxis rewrites one axis-length card of an encoded image in place.
+func patchAxis(raw []byte, kw string, n int64) {
+	card := fmt.Sprintf("%-8s= %20d", kw, n)
+	i := bytes.Index(raw[:fits.BlockSize], []byte(fmt.Sprintf("%-8s=", kw)))
+	copy(raw[i:i+len(card)], card)
 }
 
 // TestMeasureRawDeterministicAcrossArenas: results must not depend on arena
@@ -128,18 +180,5 @@ func TestMeasureRawDeterministicAcrossArenas(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("params depend on arena history:\nfresh: %+v\ndirty: %+v", want, got)
-	}
-}
-
-// TestEstimateBackgroundInMatchesHeap pins the arena variant to the
-// scratch-pool one.
-func TestEstimateBackgroundInMatchesHeap(t *testing.T) {
-	im := renderSersic(48, 48, 24, 24, 900, 4, 2, 1, 0, 77, 3, 5)
-	bg1, s1 := EstimateBackground(im)
-	a := arena.Get()
-	defer arena.Put(a)
-	bg2, s2 := EstimateBackgroundIn(a, im)
-	if bg1 != bg2 || s1 != s2 {
-		t.Fatalf("background diverged: heap (%v, %v), arena (%v, %v)", bg1, s1, bg2, s2)
 	}
 }

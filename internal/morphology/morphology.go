@@ -30,30 +30,16 @@ import (
 	"repro/internal/fits"
 )
 
-// scratch holds the reusable per-measurement buffers. Measure runs inside
-// parallel leaf jobs when the compute service is configured with workers, so
-// the buffers live in a sync.Pool rather than package-level slices; each
-// in-flight measurement owns one scratch exclusively.
-//
-// The request arena (MeasureRaw) extends rather than replaces this pool:
-// float buffers whose size is known up front come from the arena, while the
-// growth-curve pixel buffer — a typed slice with its own grow policy —
-// stays here.
+// scratch holds the growth-curve pixel buffer — a typed slice with its own
+// grow policy, which is why it is not an arena slab like every float buffer
+// a measurement uses. Measurements run inside parallel leaf jobs, so the
+// buffers live in a sync.Pool; each in-flight measurement owns one scratch
+// exclusively.
 type scratch struct {
-	sub  []float64 // background-subtracted working copy
-	px   []gcPixel // growth-curve pixels
-	vals []float64 // background border samples
+	px []gcPixel
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// growFloats returns s resized to n, reallocating only when capacity lacks.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
 
 // pixels returns the growth-curve buffer, empty, with capacity for n
 // samples. The grow-on-demand make lives here — outside the annotated hot
@@ -125,75 +111,68 @@ const detectionSNR = 5
 
 // Measure computes the morphology parameters of the galaxy in im. It never
 // panics on bad pixel data; unrecoverable inputs produce a Params with
-// Valid=false and a non-nil error describing the failure.
+// Valid=false and a non-nil error describing the failure. im.Data belongs to
+// the caller and stays physical: the measurement works on an arena copy.
 func Measure(im *fits.Image, cfg Config) (Params, error) {
 	if im == nil || len(im.Data) == 0 {
 		return invalid(ErrEmptyImage), ErrEmptyImage
 	}
-	if im.Nx < minImageDim || im.Ny < minImageDim {
-		err := fmt.Errorf("%w: %dx%d (min %d)", ErrTooSmall, im.Nx, im.Ny, minImageDim)
+	if err := checkSize(im.Nx, im.Ny); err != nil {
 		return invalid(err), err
 	}
-	for _, v := range im.Data {
+	a := arena.Get()
+	defer arena.Put(a)
+	data := a.Floats(len(im.Data))
+	copy(data, im.Data)
+	return measure(a, data, im.Nx, im.Ny, cfg)
+}
+
+// MeasureRaw measures the galaxy in an encoded FITS image without first
+// materializing a decoded Image: the pixels stream from a zero-copy
+// fits.View into an arena-backed buffer. Results and errors are those of
+// fits.Decode followed by Measure, while the per-galaxy heap traffic drops
+// to the handful of strings the header scan needs.
+//
+//nvo:hotpath
+func MeasureRaw(a *arena.Arena, raw []byte, cfg Config) (Params, error) {
+	v, err := fits.ParseView(raw)
+	if err == nil {
+		err = checkSize(v.Nx, v.Ny)
+	}
+	if err != nil {
+		return invalid(err), err
+	}
+	return measure(a, v.ReadInto(a.Floats(v.NPix())), v.Nx, v.Ny, cfg)
+}
+
+// checkSize rejects cutouts too small to measure, before any pixel buffer
+// is sized.
+func checkSize(nx, ny int) error {
+	if nx < minImageDim || ny < minImageDim {
+		return fmt.Errorf("%w: %dx%d (min %d)", ErrTooSmall, nx, ny, minImageDim)
+	}
+	return nil
+}
+
+// measure is the one measurement prologue: finite check, sky background,
+// subtraction, then the measurement core. data is an arena slab private to
+// this measurement, so the background is subtracted in place.
+//
+//nvo:hotpath
+func measure(a *arena.Arena, data []float64, nx, ny int, cfg Config) (Params, error) {
+	for _, v := range data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			err := errors.New("morphology: non-finite pixel values")
 			return invalid(err), err
 		}
 	}
-
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-
-	sc.vals = growFloats(sc.vals, borderSamples(im.Nx, im.Ny))
-	bg, sigma := estimateBackground(im.Data, im.Nx, im.Ny, sc.vals)
-
-	// Background-subtracted working copy — im.Data belongs to the caller
-	// and must stay physical.
-	sub := growFloats(sc.sub, len(im.Data))
-	sc.sub = sub
-	for i, v := range im.Data {
-		sub[i] = v - bg
-	}
-	return measureSub(sub, im.Nx, im.Ny, bg, sigma, cfg, sc)
-}
-
-// MeasureRaw measures the galaxy in an encoded FITS image without first
-// materializing a decoded Image: the pixels stream from a zero-copy
-// fits.View into an arena-backed buffer that is background-subtracted in
-// place. Results and errors are identical to fits.Decode followed by
-// Measure — the view produces bit-identical pixel values and the same
-// error text on every stream Decode accepts — while the per-galaxy heap
-// traffic drops to the handful of strings the header scan needs.
-//
-//nvo:hotpath
-func MeasureRaw(a *arena.Arena, raw []byte, cfg Config) (Params, error) {
-	v, err := fits.ParseView(raw)
-	if err != nil {
-		return invalid(err), err
-	}
-	if v.Nx < minImageDim || v.Ny < minImageDim {
-		err := fmt.Errorf("%w: %dx%d (min %d)", ErrTooSmall, v.Nx, v.Ny, minImageDim)
-		return invalid(err), err
-	}
-	data := v.ReadInto(a.Floats(v.NPix()))
-	for _, val := range data {
-		if math.IsNaN(val) || math.IsInf(val, 0) {
-			err := errors.New("morphology: non-finite pixel values")
-			return invalid(err), err
-		}
-	}
-
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-
-	bg, sigma := estimateBackground(data, v.Nx, v.Ny, a.Floats(borderSamples(v.Nx, v.Ny)))
-	// The decoded buffer is private to this measurement: subtract in place
-	// instead of copying. data[i] -= bg is the same IEEE operation as
-	// Measure's sub[i] = v - bg, so the working pixels are bit-identical.
+	bg, sigma := estimateBackground(data, nx, ny, a.Floats(borderSamples(nx, ny)))
 	for i := range data {
 		data[i] -= bg
 	}
-	return measureSub(data, v.Nx, v.Ny, bg, sigma, cfg, sc)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return measureSub(data, nx, ny, bg, sigma, cfg, sc)
 }
 
 // measureSub is the shared measurement core: sub holds background-
@@ -281,16 +260,8 @@ func invalid(err error) Params {
 // the border is sky). Exposed for tests and for the image simulator's
 // calibration checks.
 func EstimateBackground(im *fits.Image) (level, sigma float64) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	sc.vals = growFloats(sc.vals, borderSamples(im.Nx, im.Ny))
-	return estimateBackground(im.Data, im.Nx, im.Ny, sc.vals)
-}
-
-// EstimateBackgroundIn is EstimateBackground drawing its border buffer
-// from a request arena instead of the scratch pool — the variant for
-// callers that already hold an arena on the hot path.
-func EstimateBackgroundIn(a *arena.Arena, im *fits.Image) (level, sigma float64) {
+	a := arena.Get()
+	defer arena.Put(a)
 	return estimateBackground(im.Data, im.Nx, im.Ny, a.Floats(borderSamples(im.Nx, im.Ny)))
 }
 

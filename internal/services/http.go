@@ -443,32 +443,6 @@ func getVOTable(hc *http.Client, u string) (*votable.Table, error) {
 	return votable.ReadTable(resp.Body)
 }
 
-// FetchFITSBatch downloads a concatenated FITS stream (a /cutoutbatch
-// response) and decodes every image in it.
-func FetchFITSBatch(hc *http.Client, u string) ([]*fits.Image, error) {
-	resp, err := hc.Get(u)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("services: GET %s: status %d: %s", u, resp.StatusCode, body)
-	}
-	// Decode straight off the wire: each image is parsed from its
-	// 2880-byte records as they arrive, so a survey-sized batch never
-	// buffers the whole response body.
-	var out []*fits.Image
-	err = fits.DecodeStream(resp.Body, func(_ int, im *fits.Image) error {
-		out = append(out, im)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("services: batch from %s: %w", u, err)
-	}
-	return out, nil
-}
-
 // FetchFITS downloads and decodes a FITS image (an SIA acref dereference).
 func FetchFITS(hc *http.Client, u string) (*fits.Image, error) {
 	resp, err := hc.Get(u)

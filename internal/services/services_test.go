@@ -2,6 +2,7 @@ package services
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -350,23 +351,39 @@ func TestCutoutBatchHTTP(t *testing.T) {
 	c, _ := a.Cluster("COMA")
 	ids := c.Galaxies[0].ID + "," + c.Galaxies[1].ID
 
-	imgs, err := FetchFITSBatch(srv.Client(), srv.URL+"/cutoutbatch?ids="+ids)
+	// Fetch and split the way the compute service's batch ingest does.
+	resp, err := srv.Client().Get(srv.URL + "/cutoutbatch?ids=" + ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(imgs) != 2 {
-		t.Fatalf("images = %d", len(imgs))
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch fetch: status %d, %v", resp.StatusCode, err)
 	}
-	if imgs[0].Header.Str("OBJECT", "") != c.Galaxies[0].ID {
-		t.Errorf("first image OBJECT = %q", imgs[0].Header.Str("OBJECT", ""))
+	segs, err := fits.SplitStream(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 2 {
+		t.Fatalf("images = %d", len(segs))
+	}
+	first, err := fits.Decode(bytes.NewReader(segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Header.Str("OBJECT", "") != c.Galaxies[0].ID {
+		t.Errorf("first image OBJECT = %q", first.Header.Str("OBJECT", ""))
 	}
 	// Errors.
-	resp, _ := http.Get(srv.URL + "/cutoutbatch")
+	resp, _ = http.Get(srv.URL + "/cutoutbatch")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing ids = %d", resp.StatusCode)
 	}
-	if _, err := FetchFITSBatch(srv.Client(), srv.URL+"/cutoutbatch?ids=GHOST-1"); err == nil {
+	resp, _ = http.Get(srv.URL + "/cutoutbatch?ids=GHOST-1")
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
 		t.Error("unknown id must fail")
 	}
 }

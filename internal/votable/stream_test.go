@@ -18,6 +18,42 @@ import (
 	"testing"
 )
 
+// The struct-marshal wire types of the pre-streaming codec; only the
+// frozen oracle below still marshals through them.
+
+// xmlVOTable mirrors the VOTable 1.0/1.1 document structure.
+type xmlVOTable struct {
+	XMLName     xml.Name      `xml:"VOTABLE"`
+	Version     string        `xml:"version,attr,omitempty"`
+	Description string        `xml:"DESCRIPTION,omitempty"`
+	Resources   []xmlResource `xml:"RESOURCE"`
+}
+
+type xmlResource struct {
+	Name   string     `xml:"name,attr,omitempty"`
+	Tables []xmlTable `xml:"TABLE"`
+}
+
+type xmlTable struct {
+	Name        string     `xml:"name,attr,omitempty"`
+	Description string     `xml:"DESCRIPTION,omitempty"`
+	Params      []xmlParam `xml:"PARAM"`
+	Fields      []xmlField `xml:"FIELD"`
+	Data        *xmlData   `xml:"DATA"`
+}
+
+type xmlData struct {
+	TableData xmlTableData `xml:"TABLEDATA"`
+}
+
+type xmlTableData struct {
+	Rows []xmlTR `xml:"TR"`
+}
+
+type xmlTR struct {
+	Cells []string `xml:"TD"`
+}
+
 // legacyWrite is the struct-marshal Write as it existed before the
 // streaming encoder, kept verbatim as the byte-identity oracle.
 func legacyWrite(w io.Writer, doc *Document) error {

@@ -12,7 +12,6 @@
 package votable
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -394,27 +393,8 @@ func MergeColumns(dst, src *Table, keyDst, keySrc string, cols ...string) error 
 
 // --- XML wire format -------------------------------------------------------
 
-// xmlVOTable mirrors the VOTable 1.0/1.1 document structure.
-type xmlVOTable struct {
-	XMLName     xml.Name      `xml:"VOTABLE"`
-	Version     string        `xml:"version,attr,omitempty"`
-	Description string        `xml:"DESCRIPTION,omitempty"`
-	Resources   []xmlResource `xml:"RESOURCE"`
-}
-
-type xmlResource struct {
-	Name   string     `xml:"name,attr,omitempty"`
-	Tables []xmlTable `xml:"TABLE"`
-}
-
-type xmlTable struct {
-	Name        string     `xml:"name,attr,omitempty"`
-	Description string     `xml:"DESCRIPTION,omitempty"`
-	Params      []xmlParam `xml:"PARAM"`
-	Fields      []xmlField `xml:"FIELD"`
-	Data        *xmlData   `xml:"DATA"`
-}
-
+// xmlParam and xmlField are the element shapes the stream decoder unmarshals
+// PARAM and FIELD start tags into.
 type xmlParam struct {
 	Name     string `xml:"name,attr"`
 	Datatype string `xml:"datatype,attr"`
@@ -430,18 +410,6 @@ type xmlField struct {
 	Unit        string `xml:"unit,attr,omitempty"`
 	UCD         string `xml:"ucd,attr,omitempty"`
 	Description string `xml:"DESCRIPTION,omitempty"`
-}
-
-type xmlData struct {
-	TableData xmlTableData `xml:"TABLEDATA"`
-}
-
-type xmlTableData struct {
-	Rows []xmlTR `xml:"TR"`
-}
-
-type xmlTR struct {
-	Cells []string `xml:"TD"`
 }
 
 // Write serializes the document as VOTable XML. It streams through Encoder,

@@ -1,10 +1,8 @@
 package webservice
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/arena"
@@ -13,7 +11,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/rls"
 	"repro/internal/vdl"
-	"repro/internal/votable"
 )
 
 // errNoRecovery marks a corrupted replica with neither a healthy alternate
@@ -39,10 +36,22 @@ func (s *Service) quarantineReplica(lfn, site, url string, stats *RunStats, mu *
 
 // recoverContent produces intact bytes for lfn after its replica at
 // excludeSite failed verification: first from any other registered replica
-// that verifies (quarantining the ones that do not), then by re-deriving the
-// file from its Chimera provenance. This is the "quarantine and re-derive
-// instead of failing the run" path of the integrity design.
+// that verifies, then by re-deriving the file from its Chimera provenance.
+// This is the "quarantine and re-derive instead of failing the run" path of
+// the integrity design.
 func (s *Service) recoverContent(cat *vdl.Catalog, lfn, excludeSite string, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
+	if data, ok := s.healthyReplica(lfn, excludeSite, stats, mu); ok {
+		mu.Lock()
+		stats.Failovers++
+		mu.Unlock()
+		return data, nil
+	}
+	return s.rederive(cat, lfn, stats, mu)
+}
+
+// healthyReplica reads lfn from the first registered replica outside
+// excludeSite that verifies, quarantining the ones that do not.
+func (s *Service) healthyReplica(lfn, excludeSite string, stats *RunStats, mu *sync.Mutex) ([]byte, bool) {
 	for _, p := range s.replicas.Lookup(lfn) { // sorted: deterministic order
 		if p.Site == excludeSite {
 			continue
@@ -58,16 +67,11 @@ func (s *Service) recoverContent(cat *vdl.Catalog, lfn, excludeSite string, stat
 			}
 			continue
 		}
-		data, err := st.Get(path)
-		if err != nil {
-			continue
+		if data, err := st.Get(path); err == nil {
+			return data, true
 		}
-		mu.Lock()
-		stats.Failovers++
-		mu.Unlock()
-		return data, nil
 	}
-	return s.rederive(cat, lfn, stats, mu)
+	return nil, false
 }
 
 // rederive re-executes the derivation that produced lfn, using the request's
@@ -107,28 +111,15 @@ func (s *Service) rederive(cat *vdl.Catalog, lfn string, stats *RunStats, mu *sy
 // inputBytes fetches one input LFN for a re-derivation, itself going through
 // replica verification and (recursively) re-derivation.
 func (s *Service) inputBytes(cat *vdl.Catalog, lfn string, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
-	for _, p := range s.replicas.Lookup(lfn) {
-		site, path, err := gridftp.ParseURL(p.URL)
-		if err != nil {
-			continue
-		}
-		st := s.cfg.GridFTP.Store(site)
-		if verr := st.Verify(path); verr != nil {
-			if resilience.Classify(verr) == resilience.ClassAlternateReplica {
-				s.quarantineReplica(lfn, p.Site, p.URL, stats, mu)
-			}
-			continue
-		}
-		if data, err := st.Get(path); err == nil {
-			return data, nil
-		}
+	if data, ok := s.healthyReplica(lfn, "", stats, mu); ok {
+		return data, nil
 	}
 	return s.rederive(cat, lfn, stats, mu)
 }
 
-// rederiveGalMorph re-runs one galaxy's measurement from its image. The
-// measurement is deterministic, so the result file is byte-identical to the
-// one the workflow originally produced.
+// rederiveGalMorph re-runs one galaxy's measurement from its image through
+// the live job's body. The measurement is deterministic, so the result file
+// is byte-identical to the one the workflow originally produced.
 func (s *Service) rederiveGalMorph(cat *vdl.Catalog, dv *vdl.Derivation, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
 	inputs := dv.InputLFNs()
 	outputs := dv.OutputLFNs()
@@ -139,69 +130,31 @@ func (s *Service) rederiveGalMorph(cat *vdl.Catalog, dv *vdl.Derivation, stats *
 	if err != nil {
 		return nil, err
 	}
-	res := measureGalaxy(strings.TrimSuffix(inputs[0], ".fit"), raw, morphConfigFromDV(dv), s.cfg.StrictFaults)
-	if res == nil {
-		return nil, fmt.Errorf("webservice: rederive %s: measurement failed under strict faults", dv.Name)
+	ar := arena.Get()
+	defer arena.Put(ar)
+	p, merr := morphology.MeasureRaw(ar, raw, morphConfigFromDV(dv))
+	content, err := s.galMorph(nil, inputs[0], p, merr)
+	if err != nil {
+		return nil, fmt.Errorf("webservice: rederive %s: %w", dv.Name, err)
 	}
-	if !res.Valid {
+	if merr != nil {
 		mu.Lock()
 		stats.InvalidRows++
 		mu.Unlock()
 	}
-	return encodeResult(*res), nil
+	return content, nil
 }
 
-// rederiveConcat re-assembles the output VOTable from the per-galaxy results.
+// rederiveConcat re-assembles the output VOTable from the per-galaxy results
+// through the live job's body.
 func (s *Service) rederiveConcat(cat *vdl.Catalog, dv *vdl.Derivation, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
 	outputs := dv.OutputLFNs()
 	if len(outputs) != 1 {
 		return nil, fmt.Errorf("webservice: rederive %s: want 1 output", dv.Name)
 	}
-	cluster := strings.TrimSuffix(outputs[0], ".vot")
-	inputs := dv.InputLFNs()
-	results := make([]GalMorphResult, 0, len(inputs))
-	for _, lfn := range inputs {
-		data, err := s.inputBytes(cat, lfn, stats, mu)
-		if err != nil {
-			return nil, err
-		}
-		r, err := decodeResult(data)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-	}
-	tab := resultsToVOTable(cluster, results)
-	var buf bytes.Buffer
-	if err := votable.WriteTable(&buf, tab); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// measureGalaxy runs the deterministic morphology measurement on raw image
-// bytes, returning the result row. Under strict faults a failed measurement
-// returns nil (the caller must fail); otherwise failures become
-// validity-flagged rows, exactly as in the live galMorph job.
-func measureGalaxy(galaxyID string, raw []byte, mcfg morphology.Config, strict bool) *GalMorphResult {
-	res := GalMorphResult{ID: galaxyID}
-	ar := arena.Get()
-	p, err := morphology.MeasureRaw(ar, raw, mcfg)
-	arena.Put(ar)
-	if err == nil && p.Valid {
-		res.Valid = true
-		res.SurfaceBrightness = p.SurfaceBrightness
-		res.Concentration = p.Concentration
-		res.Asymmetry = p.Asymmetry
-	}
-	if err != nil {
-		if strict {
-			return nil
-		}
-		res.Valid = false
-		res.Reason = err.Error()
-	}
-	return &res
+	return concatVOT(outputs[0], dv.InputLFNs(), func(lfn string) ([]byte, error) {
+		return s.inputBytes(cat, lfn, stats, mu)
+	})
 }
 
 // verifiedGet reads lfn from store for a consuming leaf job, verifying

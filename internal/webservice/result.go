@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -59,16 +58,11 @@ type GalMorphResult struct {
 	Reason            string
 }
 
-// encodeResult renders a result file ("key value" lines).
-func encodeResult(r GalMorphResult) []byte {
-	return appendResult(nil, r)
-}
-
-// appendResult appends the result-file rendering to dst and returns the
-// extended slice — the allocation-free form of encodeResult the hot path
-// feeds an arena buffer. strconv.AppendFloat with 'g'/-1 and AppendBool
-// produce exactly fmt's %g and %t, so the bytes are identical to the
-// historical fmt.Fprintf encoding (pinned by TestAppendResultMatchesFmt).
+// appendResult appends the rendering of a result file ("key value" lines)
+// to dst and returns the extended slice; the hot path feeds it an arena
+// buffer. strconv.AppendFloat with 'g'/-1 and AppendBool produce exactly
+// fmt's %g and %t, so the bytes are identical to the historical fmt.Fprintf
+// encoding (pinned by TestAppendResultMatchesFmt).
 //
 //nvo:hotpath
 func appendResult(dst []byte, r GalMorphResult) []byte {
@@ -97,7 +91,9 @@ func appendResult(dst []byte, r GalMorphResult) []byte {
 	return dst
 }
 
-// decodeResult parses a result file.
+// decodeResult parses a result file. A number or flag that does not parse
+// is an error naming its key: a damaged file must never be published as a
+// valid all-zero measurement.
 func decodeResult(data []byte) (GalMorphResult, error) {
 	var r GalMorphResult
 	for _, line := range strings.Split(string(data), "\n") {
@@ -109,25 +105,40 @@ func decodeResult(data []byte) (GalMorphResult, error) {
 		if !found {
 			return r, fmt.Errorf("webservice: bad result line %q", line)
 		}
+		var err error
 		switch key {
 		case "id":
 			r.ID = val
 		case "surface_brightness":
-			fmt.Sscanf(val, "%g", &r.SurfaceBrightness)
+			r.SurfaceBrightness, err = strconv.ParseFloat(val, 64)
 		case "concentration":
-			fmt.Sscanf(val, "%g", &r.Concentration)
+			r.Concentration, err = strconv.ParseFloat(val, 64)
 		case "asymmetry":
-			fmt.Sscanf(val, "%g", &r.Asymmetry)
+			r.Asymmetry, err = strconv.ParseFloat(val, 64)
 		case "valid":
-			r.Valid = val == "true"
+			r.Valid, err = parseResultBool(val)
 		case "reason":
 			r.Reason = val
+		}
+		if err != nil {
+			return r, fmt.Errorf("webservice: result %s %q: %w", key, val, err)
 		}
 	}
 	if r.ID == "" {
 		return r, errors.New("webservice: result file missing id")
 	}
 	return r, nil
+}
+
+// parseResultBool accepts exactly the two spellings appendResult writes.
+func parseResultBool(val string) (bool, error) {
+	switch val {
+	case "true":
+		return true, nil
+	case "false":
+		return false, nil
+	}
+	return false, errors.New("want true or false")
 }
 
 // ResultFields is the column set of the computed VOTable.
@@ -139,9 +150,7 @@ var ResultFields = []votable.Field{
 	{Name: "valid", Datatype: votable.TypeBoolean},
 }
 
-// resultsMeta is the metadata of the output table: both the in-memory
-// resultsToVOTable path and the streaming concat path build from it, so the
-// two cannot drift apart.
+// resultsMeta is the metadata of the output table.
 func resultsMeta(cluster string, n int) votable.TableMeta {
 	return votable.TableMeta{
 		Name:        cluster + "_morphology",
@@ -152,13 +161,6 @@ func resultsMeta(cluster string, n int) votable.TableMeta {
 		},
 		Fields: ResultFields,
 	}
-}
-
-// resultCells renders one result as its output-table row.
-func resultCells(r GalMorphResult) []string {
-	row := make([]string, len(ResultFields))
-	resultCellsInto(row, r)
-	return row
 }
 
 // resultCellsInto fills a caller-owned row (len(ResultFields) cells) with
@@ -176,21 +178,6 @@ func resultCellsInto(row []string, r GalMorphResult) {
 	row[2] = votable.FormatFloat(r.Concentration)
 	row[3] = votable.FormatFloat(r.Asymmetry)
 	row[4] = valid
-}
-
-// resultsToVOTable assembles the output table, sorted by galaxy ID.
-func resultsToVOTable(cluster string, results []GalMorphResult) *votable.Table {
-	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
-	meta := resultsMeta(cluster, len(results))
-	t := votable.NewTable(meta.Name, meta.Fields...)
-	t.Description = meta.Description
-	for _, p := range meta.Params {
-		t.SetParam(p)
-	}
-	for _, r := range results {
-		_ = t.AppendRow(resultCells(r)...)
-	}
-	return t
 }
 
 // morphConfigFromDV reconstructs the measurement configuration from a

@@ -253,9 +253,8 @@ type memoEntry struct {
 }
 
 // streamResultsTable drains a spool of result rows (keyed on the galaxy ID
-// cell) into w as the cluster's output VOTable document — byte-identical to
-// WriteTable over resultsToVOTable, without ever holding the rows in one
-// table.
+// cell) into w as the cluster's output VOTable document, without ever
+// holding the rows in one table.
 func streamResultsTable(w io.Writer, cluster string, sp *tableops.Spool) error {
 	enc := votable.NewEncoder(w)
 	meta := resultsMeta(cluster, sp.Len())
@@ -333,7 +332,6 @@ func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, rng *rand.Rand, st
 			if err != nil {
 				return err
 			}
-			galaxyID := strings.TrimSuffix(inputs[0], ".fit")
 			mcfg := morphConfigFromDV(dv)
 
 			// One request-lifetime arena backs both the measurement scratch
@@ -346,111 +344,128 @@ func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, rng *rand.Rand, st
 
 			var p morphology.Params
 			key := vdcache.Key(raw, []byte(morphFingerprint(mcfg)))
-			if entry, hit := s.memo.Get(key); hit {
+			entry, hit := s.memo.Get(key)
+			if hit {
 				p = entry.params
-				err = nil
 				if entry.errStr != "" {
 					err = errors.New(entry.errStr)
 				}
-				mu.Lock()
-				stats.MemoHits++
-				mu.Unlock()
 			} else {
 				p, err = morphology.MeasureRaw(ar, raw, mcfg)
-				entry := memoEntry{params: p}
+				entry = memoEntry{params: p}
 				if err != nil {
 					entry.errStr = err.Error()
 				}
 				s.memo.Put(key, entry)
-				mu.Lock()
+			}
+			content, ferr := s.galMorph(ar.Bytes(192)[:0], inputs[0], p, err)
+			mu.Lock()
+			if hit {
+				stats.MemoHits++
+			} else {
 				stats.MemoMisses++
-				mu.Unlock()
 			}
-
-			res := GalMorphResult{ID: galaxyID}
-			if err == nil && p.Valid {
-				res.Valid = true
-				res.SurfaceBrightness = p.SurfaceBrightness
-				res.Concentration = p.Concentration
-				res.Asymmetry = p.Asymmetry
-			}
-			if err != nil {
-				// The paper's fault-tolerance design (§4.3.1 item 4): flag
-				// the galaxy invalid instead of failing the workflow —
-				// unless the strict-faults ablation asks for the rejected
-				// alternative (in which case the memo is disabled and err
-				// is always the live measurement error).
-				if s.cfg.StrictFaults {
-					return err
-				}
-				res.Valid = false
-				res.Reason = err.Error()
-				mu.Lock()
+			if err != nil && ferr == nil {
 				stats.InvalidRows++
-				mu.Unlock()
+			}
+			mu.Unlock()
+			if ferr != nil {
+				return ferr
 			}
 			// Store.Put copies its argument, so handing it arena-backed
-			// bytes is safe; appendResult renders byte-identically to the
-			// historical fmt-based encoder.
-			return store.Put(outputs[0], appendResult(ar.Bytes(192)[:0], res))
+			// bytes is safe.
+			return store.Put(outputs[0], content)
 		},
 	}
 }
 
+// galMorph is the body of TR galMorph past the measurement itself: it maps
+// one galaxy's Params (or measurement error) to the bytes of its result
+// file, appended to dst. The live job and provenance re-derivation both
+// end here, so a re-derived file cannot differ from the one first stored.
+// A failed measurement flags the galaxy invalid instead of failing the
+// workflow — the paper's fault-tolerance design (§4.3.1 item 4) — unless
+// the strict-faults ablation asks for the rejected alternative, in which
+// case the measurement error is returned.
+func (s *Service) galMorph(dst []byte, imageLFN string, p morphology.Params, err error) ([]byte, error) {
+	res := GalMorphResult{ID: strings.TrimSuffix(imageLFN, ".fit")}
+	switch {
+	case err != nil && s.cfg.StrictFaults:
+		return nil, err
+	case err != nil:
+		res.Reason = err.Error()
+	case p.Valid:
+		res.Valid = true
+		res.SurfaceBrightness = p.SurfaceBrightness
+		res.Concentration = p.Concentration
+		res.Asymmetry = p.Asymmetry
+	}
+	return appendResult(dst, res), nil
+}
+
 // concatSpec assembles the per-galaxy results into the output VOTable. Every
 // input is integrity-verified before it is trusted; a corrupted result file
-// is quarantined and re-derived from its galaxy image via provenance. The
-// rows are sorted through a spill-to-disk spool and streamed into the
-// encoder, so sorting memory stays bounded no matter how many galaxies the
-// cluster holds; the bytes written are identical to the historical
-// resultsToVOTable+WriteTable path.
+// is quarantined and re-derived from its galaxy image via provenance.
 func (s *Service) concatSpec(n *dag.Node, cat *vdl.Catalog, stats *RunStats, mu *sync.Mutex) dagman.Spec {
 	site := n.Attr(pegasus.AttrSite)
 	inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
 	outputs := chimera.SplitLFNs(n.Attr(chimera.AttrOutputs))
-	cluster := strings.TrimSuffix(n.Attr(chimera.AttrDerivation), ".vot")
-	cluster = strings.TrimPrefix(cluster, "collect-")
 
 	return dagman.Spec{
 		Cost: concatBaseCost + time.Duration(len(inputs))*concatPerRow,
-		Run: func() (retErr error) {
+		Run: func() error {
 			if len(outputs) != 1 {
 				return fmt.Errorf("webservice: concat expects 1 output, got %v", outputs)
 			}
 			store := s.cfg.GridFTP.Store(site)
-			// The arena must outlive the spool's rows: Put is deferred first
-			// so it runs after the spool Close below (deferred calls run in
-			// LIFO order).
-			ar := arena.Get()
-			defer arena.Put(ar)
-			sp := tableops.NewSpoolIn(ar, 0, 0) // key on the galaxy ID cell
-			defer func() {
-				if cerr := sp.Close(); cerr != nil && retErr == nil {
-					retErr = cerr
-				}
-			}()
-			// One reused cell buffer feeds every Add; the spool copies rows
-			// into arena-backed storage, recycling spilled rows' slots.
-			row := ar.Strings(len(ResultFields))
-			for _, lfn := range inputs {
-				data, err := s.verifiedGet(cat, store, lfn, stats, mu)
-				if err != nil {
-					return err
-				}
-				r, err := decodeResult(data)
-				if err != nil {
-					return err
-				}
-				resultCellsInto(row, r)
-				if err := sp.Add(row...); err != nil {
-					return err
-				}
-			}
-			var buf bytes.Buffer
-			if err := streamResultsTable(&buf, cluster, sp); err != nil {
+			content, err := concatVOT(outputs[0], inputs, func(lfn string) ([]byte, error) {
+				return s.verifiedGet(cat, store, lfn, stats, mu)
+			})
+			if err != nil {
 				return err
 			}
-			return store.Put(outputs[0], buf.Bytes())
+			return store.Put(outputs[0], content)
 		},
 	}
+}
+
+// concatVOT is the body of TR concatVOT: it fetches every per-galaxy result
+// file and renders the output table named by outputLFN. The live job and
+// provenance re-derivation differ only in the fetch they hand it. The rows
+// are sorted through a spill-to-disk spool and streamed into the encoder,
+// so sorting memory stays bounded no matter how many galaxies the cluster
+// holds.
+func concatVOT(outputLFN string, inputs []string, fetch func(lfn string) ([]byte, error)) (content []byte, retErr error) {
+	// The arena must outlive the spool's rows: Put is deferred first so it
+	// runs after the spool Close below (deferred calls run in LIFO order).
+	ar := arena.Get()
+	defer arena.Put(ar)
+	sp := tableops.NewSpoolIn(ar, 0, 0) // key on the galaxy ID cell
+	defer func() {
+		if cerr := sp.Close(); cerr != nil && retErr == nil {
+			retErr = cerr
+		}
+	}()
+	// One reused cell buffer feeds every Add; the spool copies rows into
+	// arena-backed storage, recycling spilled rows' slots.
+	row := ar.Strings(len(ResultFields))
+	for _, lfn := range inputs {
+		data, err := fetch(lfn)
+		if err != nil {
+			return nil, err
+		}
+		r, err := decodeResult(data)
+		if err != nil {
+			return nil, err
+		}
+		resultCellsInto(row, r)
+		if err := sp.Add(row...); err != nil {
+			return nil, err
+		}
+	}
+	var buf bytes.Buffer
+	if err := streamResultsTable(&buf, strings.TrimSuffix(outputLFN, ".vot"), sp); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -438,7 +439,7 @@ func TestResultCodec(t *testing.T) {
 		ID: "COMA-000001", SurfaceBrightness: 21.5, Concentration: 3.2,
 		Asymmetry: 0.12, Valid: true,
 	}
-	got, err := decodeResult(encodeResult(r))
+	got, err := decodeResult(appendResult(nil, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,18 +447,39 @@ func TestResultCodec(t *testing.T) {
 		t.Errorf("round trip: %+v != %+v", got, r)
 	}
 	bad := GalMorphResult{ID: "X", Valid: false, Reason: "no signal\nmultiline"}
-	got, err = decodeResult(encodeResult(bad))
+	got, err = decodeResult(appendResult(nil, bad))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Valid || got.Reason == "" {
 		t.Errorf("invalid round trip: %+v", got)
 	}
+	// Non-finite values are legitimate measurements and must round-trip.
+	odd := GalMorphResult{ID: "Y", SurfaceBrightness: math.Inf(1), Concentration: math.NaN(), Asymmetry: math.Inf(-1), Valid: true}
+	got, err = decodeResult(appendResult(nil, odd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(got.SurfaceBrightness, 1) || !math.IsNaN(got.Concentration) || !math.IsInf(got.Asymmetry, -1) || !got.Valid {
+		t.Errorf("non-finite round trip: %+v", got)
+	}
 	if _, err := decodeResult([]byte("garbage-without-space")); err == nil {
 		t.Error("garbage must fail")
 	}
 	if _, err := decodeResult([]byte("valid true\n")); err == nil {
 		t.Error("missing id must fail")
+	}
+	// A number or flag that does not parse is an error naming its key, never
+	// a silent zero published as a valid measurement.
+	for key, file := range map[string]string{
+		"surface_brightness": "id X\nsurface_brightness 2l.5\nconcentration 3\nasymmetry 0.1\nvalid true\n",
+		"concentration":      "id X\nsurface_brightness 21.5\nconcentration abc\nasymmetry 0.1\nvalid true\n",
+		"asymmetry":          "id X\nsurface_brightness 21.5\nconcentration 3\nasymmetry \nvalid true\n",
+		"valid":              "id X\nsurface_brightness 21.5\nconcentration 3\nasymmetry 0.1\nvalid True\n",
+	} {
+		if _, err := decodeResult([]byte(file)); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("malformed %s: err = %v, want an error naming the key", key, err)
+		}
 	}
 }
 
