@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-harness vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench loc verify
+.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench loc verify
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,13 @@ lint:
 bench-harness:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# The end-to-end benchmark (BENCHMARK.json): every workload in turn through
+# the portal -> Pegasus -> DAGMan -> measure pipeline, with the byte-identity
+# of their outputs checked. Report-only: the table is each PR's trajectory
+# row, not a gate, so verify does not depend on it.
+bench-e2e:
+	bash benchmark/run.sh -all
 
 test: bench-harness
 	$(GO) test ./...

@@ -78,8 +78,54 @@ type Stats struct {
 
 type poolState struct {
 	Pool
-	busy   int // compute slots in use
-	txBusy int // transfer-lane slots in use
+	busy   int     // compute slots in use
+	txBusy int     // transfer-lane slots in use
+	wait   [2]fifo // tasks pinned here, indexed by laneIndex
+}
+
+// queued is one waiting task, stamped with its global submission sequence.
+type queued struct {
+	seq  int
+	task Task
+}
+
+// fifo is the wait queue of one matchmaking constraint class: every task in
+// it has the same pinned site (or none) and the same lane, so match() gives
+// all of them the same answer and only the head can be the next one placed.
+type fifo struct {
+	items []queued
+	head  int
+}
+
+func (f *fifo) empty() bool { return f.head == len(f.items) }
+
+func (f *fifo) push(q queued) { f.items = append(f.items, q) }
+
+// front returns the oldest waiting entry; the fifo must not be empty.
+func (f *fifo) front() *queued { return &f.items[f.head] }
+
+// pop removes and returns the head's task. The consumed prefix is compacted
+// away once it is at least half the slice, so a queue that never drains
+// stays proportional to what is waiting, at amortized O(1) per task.
+func (f *fifo) pop() Task {
+	t := f.items[f.head].task
+	f.items[f.head] = queued{} // drop the Run closure
+	f.head++
+	if f.head*2 >= len(f.items) {
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items = f.items[:n]
+		f.head = 0
+	}
+	return t
+}
+
+// laneIndex is a task's lane half of its constraint class.
+func laneIndex(t Task) int {
+	if t.Lane == LaneTransfer {
+		return 1
+	}
+	return 0
 }
 
 // lane reports which capacity a task consumes at this pool: the transfer
@@ -137,10 +183,17 @@ const OpExec = "condor.exec"
 // the side effects of running tasks execute on a bounded worker pool — see
 // SetWorkers for the determinism contract.
 type Simulator struct {
-	pools    map[string]*poolState
-	ordered  []string // pool names, sorted, for deterministic matchmaking
-	now      time.Duration
-	queue    []Task
+	pools   map[string]*poolState
+	ordered []string // pool names, sorted, for deterministic matchmaking
+	now     time.Duration
+	// The wait queue is one FIFO per matchmaking constraint: each pool's
+	// wait[lane] for tasks pinned there, anyWait[lane] for unpinned ones.
+	// classes lists them all; queued counts the tasks they hold. probes
+	// counts match() calls for the complexity gate in the tests.
+	anyWait  [2]fifo
+	classes  []*fifo
+	queued   int
+	probes   int
 	running  eventQueue
 	inFlight map[string]bool
 	seq      int
@@ -187,6 +240,11 @@ func NewSimulator(pools ...Pool) (*Simulator, error) {
 		s.ordered = append(s.ordered, p.Name)
 	}
 	sort.Strings(s.ordered)
+	s.classes = []*fifo{&s.anyWait[0], &s.anyWait[1]}
+	for _, name := range s.ordered {
+		p := s.pools[name]
+		s.classes = append(s.classes, &p.wait[0], &p.wait[1])
+	}
 	return s, nil
 }
 
@@ -258,13 +316,13 @@ func (s *Simulator) BusySlots(site string) int {
 }
 
 // QueueLen returns the number of tasks waiting for a slot.
-func (s *Simulator) QueueLen() int { return len(s.queue) }
+func (s *Simulator) QueueLen() int { return s.queued }
 
 // RunningLen returns the number of tasks currently executing.
 func (s *Simulator) RunningLen() int { return len(s.running) }
 
 // Idle reports whether nothing is queued or running.
-func (s *Simulator) Idle() bool { return len(s.queue) == 0 && len(s.running) == 0 }
+func (s *Simulator) Idle() bool { return s.queued == 0 && len(s.running) == 0 }
 
 // Stats returns the cumulative counters.
 func (s *Simulator) Stats() Stats {
@@ -294,52 +352,75 @@ func (s *Simulator) Submit(t Task) error {
 	}
 	s.inFlight[t.ID] = true
 	s.stats.Submitted++
-	s.queue = append(s.queue, t)
+	class := &s.anyWait[laneIndex(t)]
+	if t.Site != "" {
+		class = &s.pools[t.Site].wait[laneIndex(t)]
+	}
+	// Submitted only grows, so it doubles as the global submission sequence.
+	class.push(queued{seq: s.stats.Submitted, task: t})
+	s.queued++
 	s.dispatch()
 	return nil
 }
 
-// dispatch starts every queued task that can get a slot, preserving FIFO
-// order per matchmaking constraint.
+// dispatch starts every queued task that can get a slot, in submission
+// order: it repeatedly places the oldest class head that match() can place
+// and stops when no head is placeable. That is the order a scan of one
+// global FIFO places them in: match() answers alike for every task of a
+// class and placing a task only shrinks free capacity, so within a class
+// only the head can be placeable, and no head older than the one just
+// placed can become placeable afterwards.
 func (s *Simulator) dispatch() {
-	remaining := s.queue[:0]
-	for _, t := range s.queue {
-		site := s.match(t)
-		if site == "" {
-			remaining = append(remaining, t)
-			continue
-		}
-		p := s.pools[site]
-		if p.isTransferLane(t) {
-			p.txBusy++
-		} else {
-			p.busy++
-		}
-		start := s.now
-		if s.submitOverhead > 0 {
-			// The submission path is a serial resource: this job starts
-			// only after every earlier submission has cleared it.
-			if s.submitGate > start {
-				start = s.submitGate
+	for {
+		var next *fifo
+		site := ""
+		for _, c := range s.classes {
+			if c.empty() || (next != nil && next.front().seq < c.front().seq) {
+				continue
 			}
-			start += s.submitOverhead
-			s.submitGate = start
+			if at := s.match(c.front().task); at != "" {
+				next, site = c, at
+			}
 		}
-		dur := time.Duration(float64(t.Cost) / p.Speed)
-		s.seq++
-		e := event{
-			at:    start + dur,
-			seq:   s.seq,
-			task:  t,
-			site:  site,
-			start: start,
+		if next == nil {
+			return
 		}
-		if s.pool != nil {
-			e.async = s.launch(t, site)
-		}
-		heap.Push(&s.running, e)
+		s.queued--
+		s.place(next.pop(), site)
 	}
-	s.queue = remaining
+}
+
+// place starts t on a free slot of site at the current model time.
+func (s *Simulator) place(t Task, site string) {
+	p := s.pools[site]
+	if p.isTransferLane(t) {
+		p.txBusy++
+	} else {
+		p.busy++
+	}
+	start := s.now
+	if s.submitOverhead > 0 {
+		// The submission path is a serial resource: this job starts
+		// only after every earlier submission has cleared it.
+		if s.submitGate > start {
+			start = s.submitGate
+		}
+		start += s.submitOverhead
+		s.submitGate = start
+	}
+	dur := time.Duration(float64(t.Cost) / p.Speed)
+	s.seq++
+	e := event{
+		at:    start + dur,
+		seq:   s.seq,
+		task:  t,
+		site:  site,
+		start: start,
+	}
+	if s.pool != nil {
+		e.async = s.launch(t, site)
+	}
+	heap.Push(&s.running, e)
 }
 
 // launch starts a placed task's side effects on the worker pool (parallel
@@ -360,6 +441,7 @@ func (s *Simulator) launch(t Task, site string) *workpool.Future {
 // pool with the most free slots (ties by name). Returns "" if none is free.
 // Transfer-lane tasks consume a pool's TransferSlots where configured.
 func (s *Simulator) match(t Task) string {
+	s.probes++
 	if t.Site != "" {
 		if p := s.pools[t.Site]; p.freeFor(t) > 0 {
 			return t.Site
@@ -430,10 +512,12 @@ func (s *Simulator) Step() (completions []Completion, ok bool) {
 }
 
 // Abort discards all queued work and waits for the side effects of
-// already-launched tasks to finish, leaving the simulator quiet. It models
-// the workflow manager dying: nothing new is dispatched, but side effects
-// already handed to worker nodes run to completion unobserved (their
-// completions are never reported, so nothing downstream acts on them).
+// already-launched tasks to finish, leaving the simulator quiet: no task
+// queued, running or in flight, every slot free, so the same ids can be
+// submitted again. It models the workflow manager dying: nothing new is
+// dispatched, but side effects already handed to worker nodes run to
+// completion unobserved (their completions are never reported, so nothing
+// downstream acts on them).
 func (s *Simulator) Abort() {
 	for _, e := range s.running {
 		if e.async != nil {
@@ -441,7 +525,14 @@ func (s *Simulator) Abort() {
 		}
 	}
 	s.running = nil
-	s.queue = nil
+	for _, c := range s.classes {
+		*c = fifo{}
+	}
+	s.queued = 0
+	clear(s.inFlight)
+	for _, p := range s.pools {
+		p.busy, p.txBusy = 0, 0
+	}
 }
 
 // Drain runs Step until the simulator is quiet and returns all completions.

@@ -69,6 +69,10 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
+// InDegree returns the number of nodes id depends on, without building the
+// list Parents returns.
+func (g *Graph) InDegree(id string) int { return len(g.parents[id]) }
+
 // AddNode inserts a node; the ID must be unique.
 func (g *Graph) AddNode(n *Node) error {
 	if n == nil || n.ID == "" {
@@ -208,33 +212,26 @@ func (g *Graph) Leaves() []string {
 }
 
 // TopoSort returns the nodes in a deterministic topological order (Kahn's
-// algorithm with lexicographic tie-breaking).
+// algorithm, always emitting the lexicographically smallest ready node).
 func (g *Graph) TopoSort() ([]string, error) {
 	indeg := make(map[string]int, len(g.nodes))
+	ready := make(minHeap, 0, len(g.nodes))
 	for id := range g.nodes {
 		indeg[id] = len(g.parents[id])
-	}
-	var ready []string
-	for id, d := range indeg {
-		if d == 0 {
-			ready = append(ready, id)
+		if indeg[id] == 0 {
+			ready.push(id)
 		}
 	}
-	sort.Strings(ready)
-	var order []string
+	order := make([]string, 0, len(g.nodes))
 	for len(ready) > 0 {
-		cur := ready[0]
-		ready = ready[1:]
+		cur := ready.pop()
 		order = append(order, cur)
-		var unlocked []string
 		for c := range g.children[cur] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				unlocked = append(unlocked, c)
+				ready.push(c)
 			}
 		}
-		sort.Strings(unlocked)
-		ready = mergeSorted(ready, unlocked)
 	}
 	if len(order) != len(g.nodes) {
 		return nil, ErrCycle
@@ -242,21 +239,46 @@ func (g *Graph) TopoSort() ([]string, error) {
 	return order, nil
 }
 
-func mergeSorted(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+// minHeap is a binary min-heap of node ids. Ids are unique, so the pop
+// order depends only on the set pushed, not on the (map-iteration) order
+// they were pushed in. container/heap would box every id into an interface.
+type minHeap []string
+
+func (h *minHeap) push(id string) {
+	s := append(*h, id)
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if s[up] <= s[i] {
+			break
 		}
+		s[up], s[i] = s[i], s[up]
+		i = up
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	*h = s
+}
+
+func (h *minHeap) pop() string {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && s[l] < s[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < n && s[r] < s[least] {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
 }
 
 // Levels assigns each node its depth (longest path from any root) and

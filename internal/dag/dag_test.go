@@ -3,6 +3,8 @@ package dag
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -280,27 +282,174 @@ func TestAcyclicInvariantProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkTopoSort(b *testing.B) {
+// fan builds the 1 -> width -> 1 graph: the shape of a staged request, where
+// every galaxy job becomes ready at once.
+func fan(tb testing.TB, width int) *Graph {
+	tb.Helper()
 	g := New()
+	must := func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	must(g.AddNode(&Node{ID: "src"}))
+	must(g.AddNode(&Node{ID: "sink"}))
+	for i := 0; i < width; i++ {
+		id := fmt.Sprintf("mid%05d", i)
+		must(g.AddNode(&Node{ID: id}))
+		must(g.AddEdge("src", id))
+		must(g.AddEdge(id, "sink"))
+	}
+	return g
+}
+
+// randomDAG builds n nodes with each forward edge present with probability p.
+func randomDAG(rng *rand.Rand, n int, p float64) *Graph {
+	g := New()
+	for i := 0; i < n; i++ {
+		_ = g.AddNode(&Node{ID: fmt.Sprintf("n%d", rng.Intn(1000)*1000+i)})
+	}
+	ids := g.Nodes()
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
+			if rng.Float64() < p {
+				_ = g.AddEdge(ids[i], ids[j])
+			}
+		}
+	}
+	return g
+}
+
+// mergeTopoSort is the TopoSort this package shipped before the ready heap:
+// Kahn's algorithm over a sorted ready list, re-merged (and re-allocated)
+// once per emitted node. Kept as the oracle for the order.
+func mergeTopoSort(g *Graph) ([]string, error) {
+	indeg := make(map[string]int, len(g.nodes))
+	for id := range g.nodes {
+		indeg[id] = len(g.parents[id])
+	}
+	var ready []string
+	for id, d := range indeg {
+		if d == 0 {
+			ready = append(ready, id)
+		}
+	}
+	sort.Strings(ready)
+	var order []string
+	for len(ready) > 0 {
+		cur := ready[0]
+		ready = ready[1:]
+		order = append(order, cur)
+		var unlocked []string
+		for c := range g.children[cur] {
+			indeg[c]--
+			if indeg[c] == 0 {
+				unlocked = append(unlocked, c)
+			}
+		}
+		sort.Strings(unlocked)
+		ready = mergeSorted(ready, unlocked)
+	}
+	if len(order) != len(g.nodes) {
+		return nil, ErrCycle
+	}
+	return order, nil
+}
+
+func mergeSorted(a, b []string) []string {
+	out := make([]string, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] <= b[j] {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	return out
+}
+
+// TestTopoSortMatchesMergeOracle: the heap-ordered TopoSort emits exactly the
+// order the merged sorted ready list did, on random DAGs of every density and
+// on the wide fan.
+func TestTopoSortMatchesMergeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	graphs := []*Graph{New(), fan(t, 1), fan(t, 2000)}
+	for trial := 0; trial < 200; trial++ {
+		graphs = append(graphs, randomDAG(rng, 1+rng.Intn(60), rng.Float64()*rng.Float64()))
+	}
+	for i, g := range graphs {
+		want, err := mergeTopoSort(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := g.TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("graph %d (%d nodes, %d edges): order differs from the merge oracle\n got %v\nwant %v",
+				i, g.Len(), g.NumEdges(), got, want)
+		}
+	}
+}
+
+// TestTopoSortAllocsIndependentOfWidth: sorting a 1 -> 4000 -> 1 fan costs a
+// constant number of allocations (the in-degree map, the heap, the order),
+// not one ready list per node.
+func TestTopoSortAllocsIndependentOfWidth(t *testing.T) {
+	g := fan(t, 4000)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := g.TopoSort(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("TopoSort of a 4000-wide fan made %.0f allocations, want a constant (<= 64)", allocs)
+	}
+}
+
+func TestInDegree(t *testing.T) {
+	g := fan(t, 3)
+	for id, want := range map[string]int{"src": 0, "mid00001": 1, "sink": 3, "absent": 0} {
+		if got := g.InDegree(id); got != want {
+			t.Errorf("InDegree(%s) = %d, want %d", id, got, want)
+		}
+	}
+}
+
+func BenchmarkTopoSort(b *testing.B) {
+	sparse := New()
 	const n = 1000
 	for i := 0; i < n; i++ {
-		_ = g.AddNode(&Node{ID: fmt.Sprintf("n%04d", i)})
+		_ = sparse.AddNode(&Node{ID: fmt.Sprintf("n%04d", i)})
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < n; i++ {
 		for k := 0; k < 3; k++ {
 			j := i + 1 + rng.Intn(n)
 			if j < n {
-				_ = g.AddEdge(fmt.Sprintf("n%04d", i), fmt.Sprintf("n%04d", j))
+				_ = sparse.AddEdge(fmt.Sprintf("n%04d", i), fmt.Sprintf("n%04d", j))
 			}
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.TopoSort(); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		g    *Graph
+	}{{"sparse1000", sparse}, {"fan4000", fan(b, 4000)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.g.TopoSort(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -262,7 +262,7 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 	start := sim.Now()
 	pendingParents := map[string]int{}
 	for _, id := range g.Nodes() {
-		pendingParents[id] = len(g.Parents(id))
+		pendingParents[id] = g.InDegree(id)
 		report.Results[id] = &Result{Node: id, State: StatePending}
 	}
 
