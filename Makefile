@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench loc verify
+.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench loc knobs verify
 
 build:
 	$(GO) build ./...
@@ -130,6 +130,19 @@ loc:
 	  END { for (d in raw) { printf "%-36s %6d %6d\n", d, raw[d], code[d]; tr += raw[d]; tc += code[d] } \
 	        printf "%-36s %6d %6d\n", "~total", tr, tc }' | sort | sed 's/^~total/total /' | \
 	  awk 'BEGIN { printf "%-36s %6s %6s\n", "package", "raw", "code" } { print }'
+
+# Exported fields per configuration struct: the knob counts that
+# TestKnobBudget (internal/core) pins. CHANGES.md's "Config field (n)" notes
+# come from here.
+KNOBS = internal/webservice/service.go:Config internal/core/testbed.go:Config \
+	internal/dagman/dagman.go:Options internal/portal/portal.go:Config \
+	internal/pegasus/pegasus.go:Config internal/fabric/fabric.go:Config \
+	internal/fabric/fabric.go:SimOptions
+knobs:
+	@for k in $(KNOBS); do awk -v want="$${k#*:}" ' \
+	  $$0 ~ "^type " want " struct \\{" { on = 1; next } \
+	  on && /^}/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); printf "%-36s %3d\n", d "." want, n; exit } \
+	  on && /^\t[A-Z]/ { n++; for (i = 1; i < NF && $$i ~ /,$$/; i++) n++ }' "$${k%%:*}"; done
 
 # Every concurrency-bearing campaign under the race detector in one
 # invocation: the chaos byte-identity campaign, the multi-tenant fabric

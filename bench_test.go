@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/dagman"
+	"repro/internal/faults"
 	"repro/internal/gridftp"
 	"repro/internal/mds"
 	"repro/internal/morphology"
@@ -458,14 +459,18 @@ func newBenchTestbed(b *testing.B, galaxies int, failureRate float64) *core.Test
 
 func newBenchTestbedWorkers(b *testing.B, galaxies int, failureRate float64, workers int) *core.Testbed {
 	b.Helper()
+	var inj *faults.Injector
+	if failureRate > 0 {
+		inj = faults.New(5, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, Probability: failureRate})
+	}
 	tb, err := core.NewTestbed(core.Config{
 		ClusterSpecs: []skysim.Spec{{
 			Name: "BENCH", Center: wcs.New(150, 2), Redshift: 0.04,
 			NumGalaxies: galaxies, Seed: 77,
 		}},
-		Seed:        5,
-		FailureRate: failureRate,
-		Workers:     workers,
+		Seed:    5,
+		Faults:  inj,
+		Workers: workers,
 	})
 	if err != nil {
 		b.Fatal(err)

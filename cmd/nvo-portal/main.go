@@ -15,7 +15,9 @@ import (
 	"net/http"
 	"os"
 
+	"repro/internal/condor"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/skysim"
 )
 
@@ -24,7 +26,7 @@ func main() {
 	nClusters := flag.Int("clusters", 2, "number of synthetic clusters (max 8)")
 	galaxies := flag.Int("galaxies", 0, "override galaxies per cluster (0 = paper counts)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	failureRate := flag.Float64("failure-rate", 0, "injected transient job failure rate")
+	failureRate := flag.Float64("failure-rate", 0, "injected transient failure rate of every Condor task (a condor.exec fault rule)")
 	discover := flag.Bool("discover", false, "portal discovers services from the resource registry")
 	batch := flag.Bool("batch", false, "compute service uses the batched cutout interface")
 	pageSize := flag.Int("page-size", 0, "paged archive queries: rows per page (0 = unpaged)")
@@ -46,10 +48,19 @@ func main() {
 		}
 	}
 
+	// One seeded injector per workflow leg, so concurrent requests do not
+	// perturb each other's fault schedules.
+	var faultsFor func(tenant, cluster string) *faults.Injector
+	if *failureRate > 0 {
+		faultsFor = func(_, _ string) *faults.Injector {
+			return faults.New(*seed, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, Probability: *failureRate})
+		}
+	}
+
 	tb, err := core.NewTestbed(core.Config{
 		ClusterSpecs:         specs,
 		Seed:                 *seed,
-		FailureRate:          *failureRate,
+		FaultsFor:            faultsFor,
 		CacheImageSearch:     true,
 		UseRegistryDiscovery: *discover,
 		BatchFetch:           *batch,

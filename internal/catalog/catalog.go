@@ -157,17 +157,8 @@ func (c *Catalog) coneHits(center wcs.SkyCoord, radiusDeg float64) []hit {
 // ConeSearch returns all records within radiusDeg of center, sorted by
 // increasing angular separation (ties broken by ID for determinism).
 func (c *Catalog) ConeSearch(center wcs.SkyCoord, radiusDeg float64) []Record {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	hits := c.coneHits(center, radiusDeg)
-	if len(hits) == 0 {
-		return nil
-	}
-	out := make([]Record, len(hits))
-	for i, h := range hits {
-		out[i] = c.recs[h.idx]
-	}
-	return out
+	recs, _ := c.ConeSearchPage(center, radiusDeg, 0, -1)
+	return recs
 }
 
 // ConeSearchVisit streams the cone-search hits in the same deterministic

@@ -148,6 +148,10 @@ type event struct {
 	task  Task
 	site  string
 	start time.Duration
+	// fault is the injector's verdict on this execution, drawn when the task
+	// was placed; a non-nil fault fails the task at its completion instant
+	// without running its side effects.
+	fault error
 	// async carries the task's in-flight side effects in parallel mode: the
 	// Run closure is launched on the worker pool the moment the model starts
 	// the task, and Step waits on this handle when the clock reaches the
@@ -174,7 +178,7 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// OpExec is the fault-point name checked when a task completes; rules
+// OpExec is the fault-point name checked when a task is placed; rules
 // select executions by pool (Site) and task id (Key).
 const OpExec = "condor.exec"
 
@@ -268,7 +272,7 @@ func (s *Simulator) SetInjector(in *faults.Injector) { s.inj = in }
 // to the serial schedule; only wall-clock time and the interleaving of side
 // effects change, so Run closures must be safe to run concurrently with each
 // other. Fault-injection checks happen at placement time, in deterministic
-// dispatch order.
+// dispatch order, at every width.
 //
 // Call SetWorkers before submitting tasks; changing it mid-run leaves
 // already-placed tasks on their original execution mode.
@@ -416,20 +420,23 @@ func (s *Simulator) place(t Task, site string) {
 		task:  t,
 		site:  site,
 		start: start,
+		// The fault draw happens here at every width, so an injector's
+		// probability rules see tasks in placement order whether side
+		// effects run inline or on the worker pool.
+		fault: s.inj.Check(faults.Op{Name: OpExec, Site: site, Key: t.ID}),
 	}
 	if s.pool != nil {
-		e.async = s.launch(t, site)
+		e.async = s.launch(t, e.fault)
 	}
 	heap.Push(&s.running, e)
 }
 
 // launch starts a placed task's side effects on the worker pool (parallel
-// mode). The fault check happens here, in deterministic placement order; an
-// injected fault skips the Run body entirely — the job landed on a flaky
-// node — and surfaces at the completion instant.
-func (s *Simulator) launch(t Task, site string) *workpool.Future {
-	if err := s.inj.Check(faults.Op{Name: OpExec, Site: site, Key: t.ID}); err != nil {
-		return workpool.Resolved(err)
+// mode). An injected fault skips the Run body entirely — the job landed on
+// a flaky node — and surfaces at the completion instant.
+func (s *Simulator) launch(t Task, fault error) *workpool.Future {
+	if fault != nil {
+		return workpool.Resolved(fault)
 	}
 	if t.Run == nil {
 		return workpool.Resolved(nil)
@@ -484,14 +491,11 @@ func (s *Simulator) Step() (completions []Completion, ok bool) {
 
 		var err error
 		if e.async != nil {
-			// Parallel mode: the side effects (and the fault check) ran when
-			// the task was placed; join the result at its completion instant.
+			// Parallel mode: the side effects ran when the task was placed;
+			// join the result at its completion instant.
 			err = e.async.Wait()
-		} else {
-			err = s.inj.Check(faults.Op{Name: OpExec, Site: e.site, Key: e.task.ID})
-			if err == nil && e.task.Run != nil {
-				err = e.task.Run()
-			}
+		} else if err = e.fault; err == nil && e.task.Run != nil {
+			err = e.task.Run()
 		}
 		if err != nil {
 			s.stats.Failed++

@@ -80,9 +80,10 @@ func (o *scanOracle) dispatch() {
 			task:  t,
 			site:  site,
 			start: start,
+			fault: s.inj.Check(faults.Op{Name: OpExec, Site: site, Key: t.ID}),
 		}
 		if s.pool != nil {
-			e.async = s.launch(t, site)
+			e.async = s.launch(t, e.fault)
 		}
 		heap.Push(&s.running, e)
 	}
@@ -208,12 +209,17 @@ func (c dispatchCase) play(t *testing.T, oracle bool) []string {
 // overhead on and off, zero-cost tasks, interleaved Submit/Step, a fault
 // injector, serial and parallel side effects — the per-class dispatcher
 // produces the completion sequence, stats and placement-order fault draws of
-// the full queue scan.
+// the full queue scan, and the same ones at the other worker width.
 func TestDispatchMatchesScanOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 300; trial++ {
 		c := randomDispatchCase(rng)
 		got, want := c.play(t, false), c.play(t, true)
+		other := c
+		other.workers = 5 - c.workers // 1 <-> 4
+		if atOther := other.play(t, false); !reflect.DeepEqual(got, atOther) {
+			t.Fatalf("trial %d: workers=%d and workers=%d disagree", trial, c.workers, other.workers)
+		}
 		if !reflect.DeepEqual(got, want) {
 			for i := range want {
 				if i >= len(got) || got[i] != want[i] {

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/condor"
+	"repro/internal/faults"
 	"repro/internal/fits"
 	"repro/internal/portal"
 	"repro/internal/registry"
@@ -228,7 +230,9 @@ func TestSpearman(t *testing.T) {
 }
 
 func TestFaultInjectionThroughTestbed(t *testing.T) {
-	tb := smallTestbed(t, 10, func(c *Config) { c.FailureRate = 0.15 })
+	tb := smallTestbed(t, 10, func(c *Config) {
+		c.Faults = faults.New(5, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, Probability: 0.15})
+	})
 	res, err := tb.Portal.Analyze("COMA")
 	if err != nil {
 		t.Fatal(err)

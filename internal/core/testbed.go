@@ -47,8 +47,6 @@ type Config struct {
 	Pools []condor.Pool
 	// Seed drives all randomness.
 	Seed int64
-	// FailureRate injects transient job failures in the compute service.
-	FailureRate float64
 	// StrictFaults selects the rejected fault-tolerance design (A4).
 	StrictFaults bool
 	// CacheImageSearch enables the portal's image-search cache.
@@ -67,9 +65,6 @@ type Config struct {
 	// issues at once). 0 or 1 runs serially; the simulated clock, schedule,
 	// and science output are identical either way.
 	Workers int
-	// MaxParallelQueries bounds the portal's concurrent archive calls.
-	// 0 takes the portal default; 1 forces serial queries.
-	MaxParallelQueries int
 	// Faults, when set, is installed on every fault point of the testbed:
 	// GridFTP transfers, both archives' HTTP endpoints, RLS lookups and
 	// registrations, and Condor job execution inside the compute service.
@@ -78,7 +73,8 @@ type Config struct {
 	// FaultsFor, when set, supplies the compute service a per-workflow
 	// Condor fault injector (tenant, cluster) so concurrent workflows keep
 	// independent, deterministic fault schedules. Unlike Faults it is NOT
-	// installed on the shared substrate (GridFTP/RLS/archives).
+	// installed on the shared substrate (GridFTP/RLS/archives). When nil,
+	// every workflow's Condor jobs draw from Faults.
 	FaultsFor func(tenant, cluster string) *faults.Injector
 	// Fabric, when set, is the shared multi-tenant execution fabric the
 	// compute service admits and schedules workflows on; nil gives the
@@ -86,9 +82,8 @@ type Config struct {
 	Fabric *fabric.Fabric
 	// Resilience enables the retry/backoff/circuit-breaker stack: the
 	// portal retries archive calls and degrades gracefully, the compute
-	// service retries DAG nodes under a budgeted policy and fails transfers
-	// over to other RLS replicas. The shared breaker registry is exposed as
-	// Testbed.Breakers.
+	// service fails transfers over to other RLS replicas. The shared breaker
+	// registry is exposed as Testbed.Breakers.
 	Resilience bool
 	// MirrorSite, when non-empty, makes the compute service replicate every
 	// cached image to this second GridFTP site (and register both PFNs in
@@ -173,15 +168,6 @@ func DefaultPools() []condor.Pool {
 	}
 }
 
-// ComputeSites returns the pool names jobs can run on.
-func ComputeSites(pools []condor.Pool) []string {
-	out := make([]string, len(pools))
-	for i, p := range pools {
-		out[i] = p.Name
-	}
-	return out
-}
-
 // NewTestbed generates the sky and wires every service together.
 func NewTestbed(cfg Config) (*Testbed, error) {
 	if len(cfg.ClusterSpecs) == 0 {
@@ -247,13 +233,12 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		CacheSite:    "isi",
 		HTTPClient:   tb.Client,
 		Seed:         cfg.Seed,
-		FailureRate:  cfg.FailureRate,
 		StrictFaults: cfg.StrictFaults,
 		MaxRetries:   5,
 		BatchFetch:   cfg.BatchFetch,
 		MirrorSite:   cfg.MirrorSite,
-		Faults:       cfg.Faults,
 		FaultsFor:    cfg.FaultsFor,
+		Breakers:     tb.Breakers,
 		Fabric:       cfg.Fabric,
 		Workers:      cfg.Workers,
 
@@ -270,12 +255,11 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 			return &journal.CrashSink{Sink: sink, After: k}
 		}
 	}
+	if cfg.FaultsFor == nil && cfg.Faults != nil {
+		wsCfg.FaultsFor = func(_, _ string) *faults.Injector { return cfg.Faults }
+	}
 	if cfg.LocalityPlanning {
 		wsCfg.Selection = pegasus.SelectLocality
-	}
-	if cfg.Resilience {
-		wsCfg.Breakers = tb.Breakers
-		wsCfg.RetryPolicy = &resilience.Policy{MaxAttempts: 6, Seed: cfg.Seed}
 	}
 	if cfg.RequireProxy {
 		if err := tb.MyProxy.Delegate(MyProxyUser, MyProxyPass,
@@ -334,27 +318,14 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	router[HostRegistry] = registry.Handler(tb.Registry)
 	router[HostTableOps] = tableops.Handler()
 
-	var p *portal.Portal
+	var pCfg portal.Config
 	if cfg.UseRegistryDiscovery {
 		regClient := &registry.Client{Base: "http://" + HostRegistry, HTTP: tb.Client}
-		pCfg, err := portal.DiscoverConfig(regClient, entries, tb.Client)
-		if err != nil {
-			return nil, err
-		}
-		pCfg.CacheImageSearch = cfg.CacheImageSearch
-		pCfg.MaxParallelQueries = cfg.MaxParallelQueries
-		pCfg.PageSize = cfg.PageSize
-		pCfg.Priority = cfg.Priority
-		if cfg.Resilience {
-			pCfg.Retry = resilience.Policy{MaxAttempts: 4, Seed: cfg.Seed}
-			pCfg.Breakers = tb.Breakers
-		}
-		p, err = portal.New(pCfg)
-		if err != nil {
+		if pCfg, err = portal.DiscoverConfig(regClient, entries, tb.Client); err != nil {
 			return nil, err
 		}
 	} else {
-		pCfg := portal.Config{
+		pCfg = portal.Config{
 			Clusters: entries,
 			ConeServices: []string{
 				"http://" + HostNED + "/cone",
@@ -364,25 +335,21 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 				"http://" + HostMAST + "/sia",
 				"http://" + HostHEASARC + "/sia",
 			},
-			CutoutService:      "http://" + HostMAST + "/siacut",
-			ComputeService:     "http://" + HostCompute,
-			HTTPClient:         tb.Client,
-			CacheImageSearch:   cfg.CacheImageSearch,
-			MaxParallelQueries: cfg.MaxParallelQueries,
-			PageSize:           cfg.PageSize,
-			Priority:           cfg.Priority,
-		}
-		if cfg.Resilience {
-			pCfg.Retry = resilience.Policy{MaxAttempts: 4, Seed: cfg.Seed}
-			pCfg.Breakers = tb.Breakers
-		}
-		var err error
-		p, err = portal.New(pCfg)
-		if err != nil {
-			return nil, err
+			CutoutService:  "http://" + HostMAST + "/siacut",
+			ComputeService: "http://" + HostCompute,
+			HTTPClient:     tb.Client,
 		}
 	}
-	tb.Portal = p
+	pCfg.CacheImageSearch = cfg.CacheImageSearch
+	pCfg.PageSize = cfg.PageSize
+	pCfg.Priority = cfg.Priority
+	if cfg.Resilience {
+		pCfg.Retry = resilience.Policy{MaxAttempts: 4, Seed: cfg.Seed}
+		pCfg.Breakers = tb.Breakers
+	}
+	if tb.Portal, err = portal.New(pCfg); err != nil {
+		return nil, err
+	}
 
 	return tb, nil
 }

@@ -125,21 +125,13 @@ type Options struct {
 	// stream a portal's progress display consumes.
 	Monitor func(Event)
 	// MaxInFlight caps the number of simultaneously submitted nodes, like
-	// DAGMan's -maxjobs throttle (0 = unlimited). Ready nodes beyond the
-	// cap wait in submission order.
-	MaxInFlight int
-	// MaxInFlightFn, when set, replaces the static MaxInFlight with a cap
-	// consulted at every submit and drain decision (0 = unlimited at that
-	// instant). The fabric wires a lease's JobAllowance here so idle job
-	// headroom lent by quota-blocked tenants widens the throttle while it
-	// lasts and is reclaimed at the next poll.
-	MaxInFlightFn func() int
-	// RetryPolicy, when set, replaces the fixed MaxRetries rule: after a
-	// failed attempt it decides whether the node runs again. attempt is the
-	// 1-based attempt that just failed. Use resilience.Policy.DAGManPolicy
-	// for budgeted backoff-aware decisions; nil keeps DAGMan's classic
-	// count-based behaviour.
-	RetryPolicy func(node string, attempt int, err error) bool
+	// DAGMan's -maxjobs throttle; ready nodes beyond the cap wait in
+	// submission order. It is consulted at every submit and drain decision
+	// (nil, or a return <= 0, = unlimited at that instant). The fabric wires
+	// a lease's JobAllowance here so idle job headroom lent by quota-blocked
+	// tenants widens the throttle while it lasts and is reclaimed at the
+	// next poll.
+	MaxInFlight func() int
 	// Journal, when set, receives a write-ahead record at every node state
 	// transition, BEFORE the executor acts on the transition. A failed
 	// append aborts the run (ErrAborted): a transition that cannot be made
@@ -430,13 +422,12 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 		return nil
 	}
 
-	// maxInFlight resolves the throttle for this instant: the dynamic
-	// function when present, the static option otherwise.
+	// maxInFlight resolves the throttle for this instant.
 	maxInFlight := func() int {
-		if opt.MaxInFlightFn != nil {
-			return opt.MaxInFlightFn()
+		if opt.MaxInFlight == nil {
+			return 0
 		}
-		return opt.MaxInFlight
+		return opt.MaxInFlight()
 	}
 
 	// submit releases a node immediately or queues it under the throttle.
@@ -503,11 +494,7 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 		inFlight--
 
 		if nodeErr != nil {
-			retry := res.Attempts <= opt.MaxRetries
-			if opt.RetryPolicy != nil {
-				retry = opt.RetryPolicy(id, res.Attempts, nodeErr)
-			}
-			if retry {
+			if res.Attempts <= opt.MaxRetries {
 				if err := journalRec(journal.Record{Kind: journal.KindRetried,
 					Node: id, Site: site, Attempt: res.Attempts,
 					At: endAt, Err: nodeErr.Error()}); err != nil {

@@ -323,7 +323,7 @@ func TestMaxInFlightThrottle(t *testing.T) {
 	maxSeen := 0
 	inFlight := 0
 	rep, err := Execute(g, unitRunner(nil), sim, Options{
-		MaxInFlight: 3,
+		MaxInFlight: func() int { return 3 },
 		Monitor: func(e Event) {
 			switch e.Kind {
 			case EventSubmitted:
@@ -359,48 +359,12 @@ func TestMaxInFlightWithRetries(t *testing.T) {
 			return nil
 		}}, nil
 	}
-	rep, err := Execute(g, runner, newSim(t), Options{MaxRetries: 2, MaxInFlight: 1})
+	rep, err := Execute(g, runner, newSim(t), Options{MaxRetries: 2, MaxInFlight: func() int { return 1 }})
 	if err != nil || !rep.Succeeded() {
 		t.Fatalf("rep=%+v err=%v", rep, err)
 	}
 	if rep.Makespan != 6*time.Second { // 4 jobs + 2 retries, serialized
 		t.Errorf("makespan = %v, want 6s", rep.Makespan)
-	}
-}
-
-func TestRetryPolicyOverridesMaxRetries(t *testing.T) {
-	g := chainGraph(t, 1)
-	boom := errors.New("boom")
-	failing := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error { return boom }}, nil
-	}
-	// The policy stops after 3 attempts even though MaxRetries allows 6 runs.
-	rep, err := Execute(g, failing, newSim(t), Options{
-		MaxRetries:  5,
-		RetryPolicy: func(node string, attempt int, err error) bool { return attempt < 3 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := rep.Results["n1"]; res.State != StateFailed || res.Attempts != 3 {
-		t.Fatalf("policy-limited node: %+v", res)
-	}
-	// A non-retryable error stops at attempt 1 regardless of MaxRetries.
-	fatal := errors.New("fatal")
-	fatalRunner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error { return fatal }}, nil
-	}
-	rep, err = Execute(g, fatalRunner, newSim(t), Options{
-		MaxRetries: 5,
-		RetryPolicy: func(node string, attempt int, err error) bool {
-			return !errors.Is(err, fatal)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := rep.Results["n1"]; res.State != StateFailed || res.Attempts != 1 {
-		t.Fatalf("fatal error must not retry: %+v", res)
 	}
 }
 

@@ -237,7 +237,7 @@ func (p *Portal) FindImagesReport(cluster string) ([]services.SIARecord, []Degra
 		base := p.cfg.SIAServices[i]
 		errs[i] = p.callService(base, "sia", func() error {
 			var e error
-			results[i], e = services.SIAQueryPaged(p.cfg.HTTPClient, base, entry.Center, 2*entry.SearchRadiusDeg, p.cfg.PageSize)
+			results[i], e = services.SIAQuery(p.cfg.HTTPClient, base, entry.Center, 2*entry.SearchRadiusDeg, p.cfg.PageSize)
 			return e
 		})
 	})
@@ -293,14 +293,14 @@ func (p *Portal) BuildCatalogReport(cluster string) (*votable.Table, []Degradati
 			svc := p.cfg.ConeServices[i]
 			errs[i] = p.callService(svc, "cone", func() error {
 				var e error
-				tables[i], e = services.ConeSearchPaged(p.cfg.HTTPClient, svc, entry.Center, entry.SearchRadiusDeg, p.cfg.PageSize)
+				tables[i], e = services.ConeSearch(p.cfg.HTTPClient, svc, entry.Center, entry.SearchRadiusDeg, p.cfg.PageSize)
 				return e
 			})
 			return
 		}
 		errs[nCone] = p.callService(p.cfg.CutoutService, "sia", func() error {
 			var e error
-			cuts, e = services.SIAQueryPaged(p.cfg.HTTPClient, p.cfg.CutoutService, entry.Center, 2*entry.SearchRadiusDeg, p.cfg.PageSize)
+			cuts, e = services.SIAQuery(p.cfg.HTTPClient, p.cfg.CutoutService, entry.Center, 2*entry.SearchRadiusDeg, p.cfg.PageSize)
 			return e
 		})
 	})

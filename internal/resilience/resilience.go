@@ -206,13 +206,3 @@ func Retry(p Policy, op func() error) Result {
 		}
 	}
 }
-
-// DAGManPolicy adapts the policy to dagman.Options.RetryPolicy's shape: a
-// node that failed its attempt-th try is resubmitted while attempts remain
-// and the error classifies as retryable.
-func (p Policy) DAGManPolicy() func(node string, attempt int, err error) bool {
-	p = p.withDefaults()
-	return func(node string, attempt int, err error) bool {
-		return attempt < p.MaxAttempts && p.retryable(err)
-	}
-}

@@ -98,21 +98,6 @@ func TestRetrySleepHook(t *testing.T) {
 	}
 }
 
-func TestDAGManPolicy(t *testing.T) {
-	fatal := errors.New("fatal")
-	p := Policy{MaxAttempts: 3, Retryable: func(err error) bool { return !errors.Is(err, fatal) }}
-	dec := p.DAGManPolicy()
-	if !dec("n", 1, errors.New("t")) || !dec("n", 2, errors.New("t")) {
-		t.Error("attempts below the budget must retry")
-	}
-	if dec("n", 3, errors.New("t")) {
-		t.Error("budget exhausted must not retry")
-	}
-	if dec("n", 1, fatal) {
-		t.Error("non-retryable error must not retry")
-	}
-}
-
 func TestBreakerLifecycle(t *testing.T) {
 	b := NewBreaker(BreakerConfig{FailureThreshold: 3, CooldownRejects: 2})
 	if b.State() != Closed || !b.Allow() {

@@ -51,71 +51,12 @@ func writeBody(w http.ResponseWriter, ctype string, data []byte, corrupt bool) {
 func (a *Archive) Handler() http.Handler {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("/cone", func(w http.ResponseWriter, req *http.Request) {
-		pos, err := parseRADecSR(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		page, err := parsePage(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		corrupt, proceed := a.faultGate(w, faults.Op{Name: OpCone, Site: a.name})
-		if !proceed {
-			return
-		}
-		if page.active {
-			writeVOTable(w, a.ConeSearchPage(pos.center, pos.radius, page.offset, page.maxrec), corrupt)
-			return
-		}
-		writeVOTable(w, a.ConeSearch(pos.center, pos.radius), corrupt)
-	})
-
-	mux.HandleFunc("/sia", func(w http.ResponseWriter, req *http.Request) {
-		pos, size, err := parsePosSize(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		page, err := parsePage(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		corrupt, proceed := a.faultGate(w, faults.Op{Name: OpSIA, Site: a.name, Key: "sia"})
-		if !proceed {
-			return
-		}
-		t := a.SIAQueryFields(pos, size)
-		if page.active {
-			t = pageOf(t, page.offset, page.maxrec)
-		}
-		writeVOTable(w, t, corrupt)
-	})
-
-	mux.HandleFunc("/siacut", func(w http.ResponseWriter, req *http.Request) {
-		pos, size, err := parsePosSize(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		page, err := parsePage(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		corrupt, proceed := a.faultGate(w, faults.Op{Name: OpSIA, Site: a.name, Key: "siacut"})
-		if !proceed {
-			return
-		}
-		if page.active {
-			writeVOTable(w, a.SIAQueryCutoutsPage(pos, size, page.offset, page.maxrec), corrupt)
-			return
-		}
-		writeVOTable(w, a.SIAQueryCutouts(pos, size), corrupt)
-	})
+	mux.HandleFunc("/cone", a.tableQuery(faults.Op{Name: OpCone, Site: a.name}, parseRADecSR, a.ConeSearchPage))
+	mux.HandleFunc("/sia", a.tableQuery(faults.Op{Name: OpSIA, Site: a.name, Key: "sia"}, parsePosSize,
+		func(pos wcs.SkyCoord, size float64, offset, maxrec int) *votable.Table {
+			return pageOf(a.SIAQueryFields(pos, size), offset, maxrec)
+		}))
+	mux.HandleFunc("/siacut", a.tableQuery(faults.Op{Name: OpSIA, Site: a.name, Key: "siacut"}, parsePosSize, a.SIAQueryCutoutsPage))
 
 	mux.HandleFunc("/cutout", func(w http.ResponseWriter, req *http.Request) {
 		id := req.URL.Query().Get("id")
@@ -175,23 +116,42 @@ func (a *Archive) Handler() http.Handler {
 	return mux
 }
 
-type coneParams struct {
-	center wcs.SkyCoord
-	radius float64
+// tableQuery is the one body of the positional VOTable endpoints: parse the
+// position and extent, then the MAXREC/OFFSET window, consult the fault gate
+// (only well-formed requests draw), and write that window of the table.
+func (a *Archive) tableQuery(op faults.Op, parse func(*http.Request) (wcs.SkyCoord, float64, error),
+	window func(pos wcs.SkyCoord, extent float64, offset, maxrec int) *votable.Table) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		pos, extent, err := parse(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		offset, maxrec, err := parsePage(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		corrupt, proceed := a.faultGate(w, op)
+		if !proceed {
+			return
+		}
+		writeVOTable(w, window(pos, extent, offset, maxrec), corrupt)
+	}
 }
 
-func parseRADecSR(req *http.Request) (coneParams, error) {
+func parseRADecSR(req *http.Request) (wcs.SkyCoord, float64, error) {
 	q := req.URL.Query()
 	ra, err1 := strconv.ParseFloat(q.Get("RA"), 64)
 	dec, err2 := strconv.ParseFloat(q.Get("DEC"), 64)
 	sr, err3 := strconv.ParseFloat(q.Get("SR"), 64)
 	if err1 != nil || err2 != nil || err3 != nil {
-		return coneParams{}, fmt.Errorf("%w: need numeric RA, DEC, SR", ErrBadQuery)
+		return wcs.SkyCoord{}, 0, fmt.Errorf("%w: need numeric RA, DEC, SR", ErrBadQuery)
 	}
 	if sr < 0 || dec < -90 || dec > 90 {
-		return coneParams{}, fmt.Errorf("%w: out-of-range RA/DEC/SR", ErrBadQuery)
+		return wcs.SkyCoord{}, 0, fmt.Errorf("%w: out-of-range RA/DEC/SR", ErrBadQuery)
 	}
-	return coneParams{center: wcs.New(ra, dec), radius: sr}, nil
+	return wcs.New(ra, dec), sr, nil
 }
 
 func parsePosSize(req *http.Request) (wcs.SkyCoord, float64, error) {
@@ -212,35 +172,24 @@ func parsePosSize(req *http.Request) (wcs.SkyCoord, float64, error) {
 	return wcs.New(ra, dec), size, nil
 }
 
-// pageParams carries the optional MAXREC/OFFSET paging window of a request.
-// active is false when neither parameter is present, in which case the
-// handler answers the classic unpaged table so existing clients keep seeing
-// byte-identical responses.
-type pageParams struct {
-	offset int
-	maxrec int // -1: unbounded (OFFSET without MAXREC)
-	active bool
-}
-
-func parsePage(req *http.Request) (pageParams, error) {
+// parsePage reads the optional MAXREC/OFFSET paging window of a request.
+// With neither parameter present the window is (0, -1): the whole table, so
+// clients that never page keep seeing byte-identical responses. maxrec -1
+// means unbounded (no MAXREC).
+func parsePage(req *http.Request) (offset, maxrec int, err error) {
 	q := req.URL.Query()
-	mr, off := q.Get("MAXREC"), q.Get("OFFSET")
-	if mr == "" && off == "" {
-		return pageParams{}, nil
-	}
-	p := pageParams{maxrec: -1, active: true}
-	var err error
-	if mr != "" {
-		if p.maxrec, err = strconv.Atoi(mr); err != nil || p.maxrec < 0 {
-			return pageParams{}, fmt.Errorf("%w: MAXREC must be a non-negative integer", ErrBadQuery)
+	maxrec = -1
+	if mr := q.Get("MAXREC"); mr != "" {
+		if maxrec, err = strconv.Atoi(mr); err != nil || maxrec < 0 {
+			return 0, 0, fmt.Errorf("%w: MAXREC must be a non-negative integer", ErrBadQuery)
 		}
 	}
-	if off != "" {
-		if p.offset, err = strconv.Atoi(off); err != nil || p.offset < 0 {
-			return pageParams{}, fmt.Errorf("%w: OFFSET must be a non-negative integer", ErrBadQuery)
+	if off := q.Get("OFFSET"); off != "" {
+		if offset, err = strconv.Atoi(off); err != nil || offset < 0 {
+			return 0, 0, fmt.Errorf("%w: OFFSET must be a non-negative integer", ErrBadQuery)
 		}
 	}
-	return p, nil
+	return offset, maxrec, nil
 }
 
 // pageOf returns a shallow copy of t restricted to the [offset,
@@ -271,29 +220,32 @@ func writeVOTable(w http.ResponseWriter, t *votable.Table, corrupt bool) {
 
 // --- protocol clients -------------------------------------------------------
 
-// ConeSearch performs a Cone Search request against base (e.g.
-// "http://ned.example/cone") and parses the VOTable response.
-func ConeSearch(hc *http.Client, base string, pos wcs.SkyCoord, sr float64) (*votable.Table, error) {
-	u := fmt.Sprintf("%s?RA=%s&DEC=%s&SR=%s", base,
+// ConeSearch performs a Cone Search against base (e.g.
+// "http://ned.example/cone") and returns the VOTable of hits. pageSize > 0
+// fetches it in pages of that many rows (MAXREC/OFFSET): the server slices
+// one globally sorted hit list, so the merged table is byte-identical to the
+// single response while each HTTP response — and the server-side table
+// build — stays bounded by pageSize. pageSize <= 0 is one request without
+// the paging parameters.
+func ConeSearch(hc *http.Client, base string, pos wcs.SkyCoord, sr float64, pageSize int) (*votable.Table, error) {
+	query := fmt.Sprintf("RA=%s&DEC=%s&SR=%s",
 		url.QueryEscape(votable.FormatFloat(pos.RA)),
 		url.QueryEscape(votable.FormatFloat(pos.Dec)),
 		url.QueryEscape(votable.FormatFloat(sr)))
-	return getVOTable(hc, u)
+	return getPaged(hc, base+"?"+query, pageSize)
 }
 
-// ConeSearchPaged performs a Cone Search in pages of pageSize rows
-// (MAXREC/OFFSET) and returns the merged table. The server slices one
-// globally sorted hit list, so the merged table is byte-identical to an
-// unpaged ConeSearch while each HTTP response — and the server-side table
-// build — stays bounded by pageSize. pageSize <= 0 falls back to the
-// unpaged protocol.
-func ConeSearchPaged(hc *http.Client, base string, pos wcs.SkyCoord, sr float64, pageSize int) (*votable.Table, error) {
-	if pageSize <= 0 {
-		return ConeSearch(hc, base, pos, sr)
-	}
+// getPaged fetches the VOTable at u in pages of pageSize rows, stopping
+// after the first page that comes up short, and returns the pages merged
+// into one table. pageSize <= 0 fetches u as it stands, in one request.
+func getPaged(hc *http.Client, u string, pageSize int) (*votable.Table, error) {
 	var merged *votable.Table
 	for offset := 0; ; offset += pageSize {
-		page, err := getVOTable(hc, conePageURL(base, pos, sr, offset, pageSize))
+		pageURL := u
+		if pageSize > 0 {
+			pageURL = fmt.Sprintf("%s&MAXREC=%d&OFFSET=%d", u, pageSize, offset)
+		}
+		page, err := getVOTable(hc, pageURL)
 		if err != nil {
 			return nil, err
 		}
@@ -302,63 +254,10 @@ func ConeSearchPaged(hc *http.Client, base string, pos wcs.SkyCoord, sr float64,
 		} else {
 			merged.Rows = append(merged.Rows, page.Rows...)
 		}
-		if page.NumRows() < pageSize {
+		if pageSize <= 0 || page.NumRows() < pageSize {
 			return merged, nil
 		}
 	}
-}
-
-// ConeSearchRows streams a paged Cone Search row by row: fn sees the table
-// metadata plus each row's cells, in the same global order ConeSearch
-// returns, without the client ever holding a page table in memory. cells is
-// only valid for the duration of the call. pageSize <= 0 streams one
-// unpaged response.
-func ConeSearchRows(hc *http.Client, base string, pos wcs.SkyCoord, sr float64, pageSize int, fn func(meta *votable.TableMeta, cells []string) error) error {
-	if pageSize <= 0 {
-		u := fmt.Sprintf("%s?RA=%s&DEC=%s&SR=%s", base,
-			url.QueryEscape(votable.FormatFloat(pos.RA)),
-			url.QueryEscape(votable.FormatFloat(pos.Dec)),
-			url.QueryEscape(votable.FormatFloat(sr)))
-		_, err := getVOTableRows(hc, u, fn)
-		return err
-	}
-	for offset := 0; ; offset += pageSize {
-		n, err := getVOTableRows(hc, conePageURL(base, pos, sr, offset, pageSize), fn)
-		if err != nil {
-			return err
-		}
-		if n < pageSize {
-			return nil
-		}
-	}
-}
-
-func conePageURL(base string, pos wcs.SkyCoord, sr float64, offset, maxrec int) string {
-	return fmt.Sprintf("%s?RA=%s&DEC=%s&SR=%s&MAXREC=%d&OFFSET=%d", base,
-		url.QueryEscape(votable.FormatFloat(pos.RA)),
-		url.QueryEscape(votable.FormatFloat(pos.Dec)),
-		url.QueryEscape(votable.FormatFloat(sr)),
-		maxrec, offset)
-}
-
-// getVOTableRows fetches u and decodes the response incrementally through
-// votable.DecodeRows, returning the number of rows seen.
-func getVOTableRows(hc *http.Client, u string, fn func(meta *votable.TableMeta, cells []string) error) (int, error) {
-	resp, err := hc.Get(u)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return 0, fmt.Errorf("services: GET %s: status %d: %s", u, resp.StatusCode, body)
-	}
-	n := 0
-	err = votable.DecodeRows(resp.Body, nil, func(meta *votable.TableMeta, cells []string) error {
-		n++
-		return fn(meta, cells)
-	})
-	return n, err
 }
 
 // SIARecord is one parsed row of an SIA response.
@@ -372,53 +271,29 @@ type SIARecord struct {
 }
 
 // SIAQuery performs an SIA request against base (".../sia" or ".../siacut")
-// and parses the image references.
-func SIAQuery(hc *http.Client, base string, pos wcs.SkyCoord, sizeDeg float64) ([]SIARecord, error) {
-	u := fmt.Sprintf("%s?POS=%s,%s&SIZE=%s", base,
+// and parses the image references. pageSize pages the request exactly as in
+// ConeSearch; the record list is the same either way.
+func SIAQuery(hc *http.Client, base string, pos wcs.SkyCoord, sizeDeg float64, pageSize int) ([]SIARecord, error) {
+	query := fmt.Sprintf("POS=%s,%s&SIZE=%s",
 		url.QueryEscape(votable.FormatFloat(pos.RA)),
 		url.QueryEscape(votable.FormatFloat(pos.Dec)),
 		url.QueryEscape(votable.FormatFloat(sizeDeg)))
-	t, err := getVOTable(hc, u)
+	t, err := getPaged(hc, base+"?"+query, pageSize)
 	if err != nil {
 		return nil, err
 	}
-	return siaRecords(nil, t), nil
+	return siaRecords(t), nil
 }
 
-// SIAQueryPaged performs an SIA request in pages of pageSize rows
-// (MAXREC/OFFSET) and returns the merged record list, identical to an
-// unpaged SIAQuery while each response stays bounded by pageSize.
-// pageSize <= 0 falls back to the unpaged protocol.
-func SIAQueryPaged(hc *http.Client, base string, pos wcs.SkyCoord, sizeDeg float64, pageSize int) ([]SIARecord, error) {
-	if pageSize <= 0 {
-		return SIAQuery(hc, base, pos, sizeDeg)
-	}
+// siaRecords parses t's rows as SIA records.
+func siaRecords(t *votable.Table) []SIARecord {
 	var out []SIARecord
-	for offset := 0; ; offset += pageSize {
-		u := fmt.Sprintf("%s?POS=%s,%s&SIZE=%s&MAXREC=%d&OFFSET=%d", base,
-			url.QueryEscape(votable.FormatFloat(pos.RA)),
-			url.QueryEscape(votable.FormatFloat(pos.Dec)),
-			url.QueryEscape(votable.FormatFloat(sizeDeg)),
-			pageSize, offset)
-		t, err := getVOTable(hc, u)
-		if err != nil {
-			return nil, err
-		}
-		out = siaRecords(out, t)
-		if t.NumRows() < pageSize {
-			return out, nil
-		}
-	}
-}
-
-// siaRecords appends t's rows to dst as parsed SIA records.
-func siaRecords(dst []SIARecord, t *votable.Table) []SIARecord {
 	for i := 0; i < t.NumRows(); i++ {
 		ra, _ := t.Float(i, "ra")
 		dec, _ := t.Float(i, "dec")
 		n1, _ := t.Int(i, "naxis1")
 		n2, _ := t.Int(i, "naxis2")
-		dst = append(dst, SIARecord{
+		out = append(out, SIARecord{
 			Title:  t.Cell(i, "title"),
 			Pos:    wcs.New(ra, dec),
 			Naxis1: int(n1),
@@ -427,7 +302,7 @@ func siaRecords(dst []SIARecord, t *votable.Table) []SIARecord {
 			AcRef:  t.Cell(i, "acref"),
 		})
 	}
-	return dst
+	return out
 }
 
 func getVOTable(hc *http.Client, u string) (*votable.Table, error) {

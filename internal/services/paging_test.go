@@ -32,7 +32,7 @@ func TestConeSearchPagedByteIdentical(t *testing.T) {
 	hc := srv.Client()
 	pos := wcs.New(195, 28)
 
-	want, err := ConeSearch(hc, srv.URL+"/cone", pos, 1)
+	want, err := ConeSearch(hc, srv.URL+"/cone", pos, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestConeSearchPagedByteIdentical(t *testing.T) {
 	wantBytes := tableBytes(t, want)
 
 	for _, pageSize := range []int{1, 3, 7, want.NumRows(), want.NumRows() + 50} {
-		got, err := ConeSearchPaged(hc, srv.URL+"/cone", pos, 1, pageSize)
+		got, err := ConeSearch(hc, srv.URL+"/cone", pos, 1, pageSize)
 		if err != nil {
 			t.Fatalf("page size %d: %v", pageSize, err)
 		}
@@ -50,8 +50,8 @@ func TestConeSearchPagedByteIdentical(t *testing.T) {
 			t.Fatalf("page size %d: merged table diverges from unpaged response", pageSize)
 		}
 	}
-	// pageSize <= 0 falls back to the classic protocol.
-	got, err := ConeSearchPaged(hc, srv.URL+"/cone", pos, 1, 0)
+	// pageSize <= 0 is the classic protocol.
+	got, err := ConeSearch(hc, srv.URL+"/cone", pos, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,39 +89,6 @@ func TestConeSearchPageBounded(t *testing.T) {
 	}
 }
 
-// TestConeSearchRowsStreams checks the row-callback paged client against
-// the in-memory table: same metadata, same rows, same order.
-func TestConeSearchRowsStreams(t *testing.T) {
-	a := testArchive(t)
-	srv := httptest.NewServer(a.Handler())
-	defer srv.Close()
-	hc := srv.Client()
-	pos := wcs.New(195, 28)
-
-	want, err := ConeSearch(hc, srv.URL+"/cone", pos, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pageSize := range []int{0, 1, 7, want.NumRows() + 5} {
-		var rows [][]string
-		var fields []votable.Field
-		err := ConeSearchRows(hc, srv.URL+"/cone", pos, 1, pageSize, func(meta *votable.TableMeta, cells []string) error {
-			fields = meta.Fields
-			rows = append(rows, append([]string(nil), cells...))
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("page size %d: %v", pageSize, err)
-		}
-		if !reflect.DeepEqual(rows, want.Rows) {
-			t.Fatalf("page size %d: streamed rows diverge from table", pageSize)
-		}
-		if !reflect.DeepEqual(fields, want.Fields) {
-			t.Fatalf("page size %d: streamed metadata diverges", pageSize)
-		}
-	}
-}
-
 // TestSIAQueryPagedMatchesUnpaged covers both SIA endpoints: the cutout
 // service (one row per galaxy — the big one) and the field-image listing.
 func TestSIAQueryPagedMatchesUnpaged(t *testing.T) {
@@ -135,7 +102,7 @@ func TestSIAQueryPagedMatchesUnpaged(t *testing.T) {
 		path string
 		size float64
 	}{{"/siacut", 1}, {"/sia", 0.5}} {
-		want, err := SIAQuery(hc, srv.URL+ep.path, pos, ep.size)
+		want, err := SIAQuery(hc, srv.URL+ep.path, pos, ep.size, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +110,7 @@ func TestSIAQueryPagedMatchesUnpaged(t *testing.T) {
 			t.Fatalf("%s: empty fixture", ep.path)
 		}
 		for _, pageSize := range []int{1, 3, len(want), len(want) + 5} {
-			got, err := SIAQueryPaged(hc, srv.URL+ep.path, pos, ep.size, pageSize)
+			got, err := SIAQuery(hc, srv.URL+ep.path, pos, ep.size, pageSize)
 			if err != nil {
 				t.Fatalf("%s page size %d: %v", ep.path, pageSize, err)
 			}

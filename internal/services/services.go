@@ -128,8 +128,7 @@ func (a *Archive) Catalog() *catalog.Catalog { return a.merged }
 // ConeSearch returns the VOTable of sources within sr degrees of pos —
 // the Cone Search protocol's data operation.
 func (a *Archive) ConeSearch(pos wcs.SkyCoord, sr float64) *votable.Table {
-	recs := a.merged.ConeSearch(pos, sr)
-	return a.merged.ToVOTable(recs)
+	return a.ConeSearchPage(pos, sr, 0, -1)
 }
 
 // ConeSearchPage is ConeSearch restricted to the [offset, offset+maxrec)

@@ -153,7 +153,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	hc := srv.Client()
 
 	// Cone search.
-	tab, err := ConeSearch(hc, srv.URL+"/cone", wcs.New(195, 28), 1)
+	tab, err := ConeSearch(hc, srv.URL+"/cone", wcs.New(195, 28), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// SIA for large-scale images, then dereference one.
-	recs, err := SIAQuery(hc, srv.URL+"/sia", wcs.New(195, 28), 0.5)
+	recs, err := SIAQuery(hc, srv.URL+"/sia", wcs.New(195, 28), 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Cutout SIA, then dereference a cutout.
-	cuts, err := SIAQuery(hc, srv.URL+"/siacut", wcs.New(195, 28), 1)
+	cuts, err := SIAQuery(hc, srv.URL+"/siacut", wcs.New(195, 28), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func BenchmarkConeSearchHTTP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ConeSearch(hc, srv.URL+"/cone", pos, 1); err != nil {
+		if _, err := ConeSearch(hc, srv.URL+"/cone", pos, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -402,7 +402,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 	hc := srv.Client()
 
 	// The down archive answers 503 and the client surfaces it.
-	if _, err := ConeSearch(hc, srv.URL+"/cone", wcs.New(195, 28), 1); err == nil {
+	if _, err := ConeSearch(hc, srv.URL+"/cone", wcs.New(195, 28), 1, 0); err == nil {
 		t.Fatal("cone search against a down archive must fail")
 	}
 	// A corrupted cutout arrives as a 200 with a damaged FITS payload the
@@ -411,7 +411,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 		t.Fatal("corrupted cutout must fail to decode")
 	}
 	// Both windows have passed: retries succeed.
-	tab, err := ConeSearch(hc, srv.URL+"/cone", wcs.New(195, 28), 1)
+	tab, err := ConeSearch(hc, srv.URL+"/cone", wcs.New(195, 28), 1, 0)
 	if err != nil || tab.NumRows() == 0 {
 		t.Fatalf("recovered cone search = %v rows, %v", tab, err)
 	}
@@ -422,14 +422,14 @@ func TestHandlerFaultInjection(t *testing.T) {
 	a.SetInjector(faults.New(1,
 		faults.Rule{Name: OpSIA, Site: "mast", Kind: faults.KindTimeout, Until: 1},
 	))
-	if _, err := SIAQuery(hc, srv.URL+"/siacut", wcs.New(195, 28), 0.5); err == nil {
+	if _, err := SIAQuery(hc, srv.URL+"/siacut", wcs.New(195, 28), 0.5, 0); err == nil {
 		t.Fatal("SIA against a timed-out archive must fail")
 	}
-	if _, err := ConeSearch(hc, srv.URL+"/cone", wcs.New(195, 28), 1); err != nil {
+	if _, err := ConeSearch(hc, srv.URL+"/cone", wcs.New(195, 28), 1, 0); err != nil {
 		t.Fatalf("cone must be unaffected by SIA rules: %v", err)
 	}
 	a.SetInjector(nil)
-	if _, err := SIAQuery(hc, srv.URL+"/siacut", wcs.New(195, 28), 0.5); err != nil {
+	if _, err := SIAQuery(hc, srv.URL+"/siacut", wcs.New(195, 28), 0.5, 0); err != nil {
 		t.Fatalf("nil injector must restore service: %v", err)
 	}
 }

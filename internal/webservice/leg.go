@@ -359,10 +359,10 @@ func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.
 	// A dead context aborts the workflow (cancellation); a revoked lease
 	// checkpoint-stops it at the next journal event boundary (preemption).
 	opts := dagman.Options{
-		MaxRetries:    s.cfg.MaxRetries,
-		ClusterSize:   s.cfg.ClusterSize,
-		MaxInFlightFn: lease.JobAllowance,
-		Completed:     journal.CompletedNodes(recs),
+		MaxRetries:  s.cfg.MaxRetries,
+		ClusterSize: s.cfg.ClusterSize,
+		MaxInFlight: lease.JobAllowance,
+		Completed:   journal.CompletedNodes(recs),
 		Check: func() error {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -382,9 +382,6 @@ func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.
 			}
 		},
 	}
-	if s.cfg.RetryPolicy != nil {
-		opts.RetryPolicy = s.cfg.RetryPolicy.DAGManPolicy()
-	}
 	if jw != nil {
 		opts.Journal = jw
 		if s.cfg.WrapJournal != nil {
@@ -394,10 +391,10 @@ func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.
 
 	// DAGMan executes on the Condor pools, resubmitting the rescue DAG when
 	// configured. runMu serializes what the Run side effects share — the
-	// per-request stats and the failure-injection rng — because with
-	// Workers > 1 those bodies execute concurrently on the worker pool.
+	// per-request stats — because with Workers > 1 those bodies execute
+	// concurrently on the worker pool.
 	var runMu sync.Mutex
-	runner := s.runner(src.cat, rand.New(rand.NewSource(s.requestSeed(cluster)+1)), &stats, &runMu, l.labels)
+	runner := s.runner(src.cat, &stats, &runMu, l.labels)
 	l.progress()
 	ws, err := dagman.ExecuteWaves(src.next, runner, s.simFactory(lease, tenant, cluster), opts, s.cfg.RescueRounds)
 	if ws != nil {

@@ -3,7 +3,6 @@ package webservice
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,7 +145,7 @@ func TestRederiveStrictFaultsErrorsLikeLiveJob(t *testing.T) {
 		if n.Attr(chimera.AttrTransformation) != "galMorph" || n.Attr(chimera.AttrInputs) != bad+".fit" {
 			continue
 		}
-		spec, err := h.svc.runner(cat, rand.New(rand.NewSource(1)), &stats, &mu, nil)(n, 1)
+		spec, err := h.svc.runner(cat, &stats, &mu, nil)(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -43,9 +42,6 @@ const (
 	concatPerRow     = 5 * time.Millisecond
 	registerCost     = 100 * time.Millisecond
 )
-
-// errInjected marks fault-injection failures (transient; DAGMan retries).
-var errInjected = errors.New("webservice: injected transient failure")
 
 // runLabels attaches runtime/pprof labels (tenant, cluster, wave) to every
 // node Run body, so CPU and goroutine profiles taken against a busy fabric
@@ -90,11 +86,11 @@ func (l *runLabels) wrap(run func() error) func() error {
 // runner builds the dagman Runner that gives concrete-workflow nodes their
 // behaviour: transfers move bytes through GridFTP, registrations publish
 // replicas, galMorph jobs measure morphology, and the concat job assembles
-// the output VOTable. mu serializes access to stats and rng from inside Run
+// the output VOTable. mu serializes access to stats from inside Run
 // closures, which execute concurrently on the worker pool when the service
 // is configured with Workers > 1. labels tags every Run body with the
 // request's profiler labels; nil skips the wrapping.
-func (s *Service) runner(cat *vdl.Catalog, rng *rand.Rand, stats *RunStats, mu *sync.Mutex, labels *runLabels) dagman.Runner {
+func (s *Service) runner(cat *vdl.Catalog, stats *RunStats, mu *sync.Mutex, labels *runLabels) dagman.Runner {
 	return func(n *dag.Node, attempt int) (dagman.Spec, error) {
 		var spec dagman.Spec
 		switch n.Type {
@@ -105,7 +101,7 @@ func (s *Service) runner(cat *vdl.Catalog, rng *rand.Rand, stats *RunStats, mu *
 		case pegasus.NodeCompute:
 			switch n.Attr(chimera.AttrTransformation) {
 			case "galMorph":
-				spec = s.galMorphSpec(n, cat, rng, stats, mu)
+				spec = s.galMorphSpec(n, cat, stats, mu)
 			case "concatVOT":
 				spec = s.concatSpec(n, cat, stats, mu)
 			default:
@@ -294,7 +290,7 @@ func morphFingerprint(cfg morphology.Config) string {
 // decode and measurement entirely. The output file is still written and
 // registered through the normal register nodes, publishing the cached
 // product through the RLS as a replica of the derivation's output LFN.
-func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, rng *rand.Rand, stats *RunStats, mu *sync.Mutex) dagman.Spec {
+func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, stats *RunStats, mu *sync.Mutex) dagman.Spec {
 	site := n.Attr(pegasus.AttrSite)
 	inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
 	outputs := chimera.SplitLFNs(n.Attr(chimera.AttrOutputs))
@@ -313,12 +309,6 @@ func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, rng *rand.Rand, st
 		// clustering exists for; batch them per mapped site.
 		ClusterKey: "galmorph@" + site,
 		Run: func() error {
-			mu.Lock()
-			injected := s.cfg.FailureRate > 0 && rng.Float64() < s.cfg.FailureRate
-			mu.Unlock()
-			if injected {
-				return errInjected
-			}
 			if len(inputs) != 1 || len(outputs) != 1 {
 				return fmt.Errorf("webservice: galMorph expects 1 input and 1 output, got %v -> %v", inputs, outputs)
 			}

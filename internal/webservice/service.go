@@ -153,10 +153,8 @@ type Config struct {
 	CacheSite string
 	// HTTPClient fetches galaxy images from their acref URLs.
 	HTTPClient *http.Client
-	// Seed drives site selection and fault injection deterministically.
+	// Seed drives site selection deterministically.
 	Seed int64
-	// FailureRate injects transient per-job failures (ablation A4).
-	FailureRate float64
 	// MaxRetries is DAGMan's retry budget per job.
 	MaxRetries int
 	// RescueRounds resubmits the rescue DAG up to this many times after a
@@ -189,21 +187,18 @@ type Config struct {
 	// transfer nodes skip replicas at sites whose circuit is open and record
 	// every outcome. Nil disables circuit breaking at zero cost.
 	Breakers *resilience.Registry
-	// RetryPolicy, when set, replaces DAGMan's fixed MaxRetries count with
-	// the policy's budget- and error-aware decision.
-	RetryPolicy *resilience.Policy
 	// MirrorSite, when non-empty, replicates every cached image to a second
 	// site and registers both PFNs in the RLS, giving transfer nodes a
 	// replica to fail over to when the primary cache site is down.
 	MirrorSite string
-	// Faults, when set, is installed on every Condor simulator the service
-	// creates, making job execution a fault point (op "condor.exec").
-	Faults *faults.Injector
-	// FaultsFor, when set, supplies a per-workflow fault injector (nil
-	// return falls back to Faults). A shared Injector draws probability
-	// rules from one rng, so concurrent workflows would perturb each
-	// other's fault schedules; per-workflow injectors keep every tenant's
-	// chaos deterministic however workflows interleave on the fabric.
+	// FaultsFor, when set, supplies the fault injector installed on every
+	// Condor simulator one workflow runs on, making job execution a fault
+	// point (op "condor.exec"); a nil return runs that workflow fault-free.
+	// The hook is per workflow because an Injector draws probability rules
+	// from one rng: returning a distinct injector per (tenant, cluster)
+	// keeps every tenant's chaos deterministic however workflows
+	// interleave on the fabric, where one shared injector would let
+	// concurrent workflows perturb each other's fault schedules.
 	FaultsFor func(tenant, cluster string) *faults.Injector
 	// Workers bounds the side-effect concurrency of one request: the Condor
 	// simulator's leaf-job Run bodies and the image-staging fetches fan out
@@ -239,8 +234,8 @@ type Config struct {
 	// concatenating job pinned to a deterministic collector site the waves
 	// deliver their results to. Peak planner/scheduler memory is bounded by
 	// the wave, not the request, and the output VOTable is byte-identical to
-	// the classic path (fault injection off — the failure rng is draw-order
-	// sensitive). 0 keeps the legacy whole-request plan.
+	// the classic path (the schedule is not the classic one: wave plans draw
+	// sites per wave). 0 keeps the legacy whole-request plan.
 	WaveSize int
 	// SchedOverhead models the serialized per-task submission cost of the
 	// 2003 Condor-G/GRAM stack on every simulator the service creates
@@ -285,17 +280,6 @@ func (s *Service) workers() int {
 	return s.cfg.Workers
 }
 
-// injectorFor resolves one workflow's fault injector: the per-workflow
-// hook when configured, else the shared service-wide injector.
-func (s *Service) injectorFor(tenant, cluster string) *faults.Injector {
-	if s.cfg.FaultsFor != nil {
-		if inj := s.cfg.FaultsFor(tenant, cluster); inj != nil {
-			return inj
-		}
-	}
-	return s.cfg.Faults
-}
-
 // simFactory builds one workflow's simulator factory: every scheduler is
 // stamped by the fabric from the shared pool set, under the service's
 // execution model (fault injection, side-effect fan-out, dedicated
@@ -303,7 +287,10 @@ func (s *Service) injectorFor(tenant, cluster string) *faults.Injector {
 // factory again, reusing the same lease — a rescue is still the same
 // workflow occupying the same fabric slot.
 func (s *Service) simFactory(lease *fabric.Lease, tenant, cluster string) func() (*condor.Simulator, error) {
-	inj := s.injectorFor(tenant, cluster)
+	var inj *faults.Injector
+	if s.cfg.FaultsFor != nil {
+		inj = s.cfg.FaultsFor(tenant, cluster)
+	}
 	return func() (*condor.Simulator, error) {
 		return lease.NewSimulator(fabric.SimOptions{
 			Workers:        s.workers(),

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +80,15 @@ func newHarness(t testing.TB, nGalaxies int, cfgMut func(*Config)) *harness {
 func crashAfter(k int) func(tenant, cluster string, sink journal.Sink) journal.Sink {
 	return func(_, _ string, sink journal.Sink) journal.Sink {
 		return &journal.CrashSink{Sink: sink, After: k}
+	}
+}
+
+// execFaults is the dead-worker-node ablation as a Config.FaultsFor hook:
+// every workflow leg gets a fresh seeded injector that fails each Condor
+// task with probability p (transient; DAGMan retries).
+func execFaults(p float64) func(tenant, cluster string) *faults.Injector {
+	return func(_, _ string) *faults.Injector {
+		return faults.New(5, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, Probability: p})
 	}
 }
 
@@ -280,7 +290,7 @@ func TestStrictFaultsAblation(t *testing.T) {
 }
 
 func TestInjectedTransientFailuresRetried(t *testing.T) {
-	h := newHarness(t, 12, func(c *Config) { c.FailureRate = 0.2; c.MaxRetries = 20 })
+	h := newHarness(t, 12, func(c *Config) { c.FaultsFor = execFaults(0.2); c.MaxRetries = 20 })
 	tab := h.inputTable(t)
 	lfn, _, err := h.svc.Compute(tab, "COMA")
 	if err != nil {
@@ -627,7 +637,7 @@ func TestRescueRoundsRecoverWorkflow(t *testing.T) {
 	// With a moderate failure rate and a tiny per-round retry budget, the
 	// first round can fail permanently; rescue rounds recover it.
 	h := newHarness(t, 15, func(c *Config) {
-		c.FailureRate = 0.35
+		c.FaultsFor = execFaults(0.35)
 		c.MaxRetries = 1
 		c.RescueRounds = 6
 	})
@@ -767,17 +777,53 @@ func TestReplicaFailoverUnderSiteDownCache(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyDrivesDAGManRetries(t *testing.T) {
-	h := newHarness(t, 8, func(cfg *Config) {
-		cfg.FailureRate = 0.3
-		cfg.MaxRetries = 0 // the policy, not the count, must drive retries
-		cfg.RetryPolicy = &resilience.Policy{MaxAttempts: 6}
-	})
-	_, stats, err := h.svc.Compute(h.inputTable(t), "COMA")
-	if err != nil {
-		t.Fatalf("compute with retry policy: %v", err)
+// TestInjectedFailuresWidthIndependent: Config.Workers promises the same
+// model clock, schedule and output bytes at any width. That must hold under
+// probability faults too — the injector draws on the scheduler goroutine, in
+// placement order, never inside concurrently running Run bodies.
+func TestInjectedFailuresWidthIndependent(t *testing.T) {
+	type outcome struct {
+		makespan time.Duration
+		retries  int
+		history  []faults.Fault
+		output   []byte
 	}
-	if stats.Retries == 0 {
-		t.Error("expected injected transients to be retried under the policy")
+	var first *outcome
+	for _, workers := range []int{1, 4, 1, 4} {
+		var inj *faults.Injector
+		h := newHarness(t, 60, func(c *Config) {
+			c.Workers = workers
+			c.MaxRetries = 20
+			c.FaultsFor = func(_, _ string) *faults.Injector {
+				inj = faults.New(5, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, Probability: 0.15})
+				return inj
+			}
+		})
+		lfn, stats, err := h.svc.Compute(h.inputTable(t), "COMA")
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		out, err := h.ftp.Store("isi").Get(lfn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &outcome{stats.Makespan, stats.Retries, inj.History(), out}
+		if got.retries == 0 {
+			t.Fatal("the rule injected nothing; the comparison tests nothing")
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		if got.makespan != first.makespan || got.retries != first.retries {
+			t.Errorf("workers=%d: makespan %v retries %d, first run (workers=1) had %v and %d",
+				workers, got.makespan, got.retries, first.makespan, first.retries)
+		}
+		if !reflect.DeepEqual(got.history, first.history) {
+			t.Errorf("workers=%d: injector history differs from the first run's", workers)
+		}
+		if !bytes.Equal(got.output, first.output) {
+			t.Errorf("workers=%d: output VOTable differs from the first run's", workers)
+		}
 	}
 }
