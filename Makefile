@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench loc knobs verify
+.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak hotbench loc knobs verify
 
 build:
 	$(GO) build ./...
@@ -49,17 +49,13 @@ test: bench-harness
 chaos:
 	$(GO) test -race -run 'TestChaos' -v .
 
-# Every benchmark, including the parallel-execution and warm-cache suites;
-# BENCH=<regex> narrows the run (e.g. make bench BENCH=ParallelLeafJobs).
-# The checked-in BENCH_pr*.json snapshots are never rewritten here — only by
-# the opt-in emitters behind EMIT_BENCH (make emit-bench).
+# Every Go micro-benchmark of the root package, including the
+# parallel-execution and warm-cache suites; BENCH=<regex> narrows the run
+# (e.g. make bench BENCH=ParallelLeafJobs). The end-to-end numbers every PR
+# reports come from make bench-e2e, not from here.
 BENCH ?= .
 bench:
 	$(GO) test -run XXX -bench '$(BENCH)' -benchmem .
-
-# Regenerate the checked-in BENCH_pr*.json snapshots.
-emit-bench:
-	EMIT_BENCH=1 $(GO) test -run 'TestEmitBench' -v .
 
 # Journal-replay idempotence: the kill-and-resume sweep and corruption
 # recovery, race-enabled, plus the cmd-level sweep through the full testbed.

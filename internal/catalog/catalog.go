@@ -13,7 +13,6 @@ package catalog
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -315,25 +314,4 @@ func trimZeros(s string) string {
 		return "0"
 	}
 	return s[:i]
-}
-
-// Nearest returns the record closest to pos within maxSepDeg, if any.
-func (c *Catalog) Nearest(pos wcs.SkyCoord, maxSepDeg float64) (Record, bool) {
-	hits := c.ConeSearch(pos, maxSepDeg)
-	if len(hits) == 0 {
-		return Record{}, false
-	}
-	return hits[0], true
-}
-
-// Density returns the local projected source density (sources per square
-// degree) within radiusDeg of pos. The paper's science model uses local
-// galaxy density as one axis of the Dressler relation.
-func (c *Catalog) Density(pos wcs.SkyCoord, radiusDeg float64) float64 {
-	if radiusDeg <= 0 {
-		return 0
-	}
-	n := len(c.ConeSearch(pos, radiusDeg))
-	area := math.Pi * radiusDeg * radiusDeg
-	return float64(n) / area
 }

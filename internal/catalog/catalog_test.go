@@ -114,33 +114,6 @@ func TestConeSearchNegativeRadius(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	c := New("n")
-	_ = c.Add(Record{ID: "a", Pos: wcs.New(100, 20)})
-	_ = c.Add(Record{ID: "b", Pos: wcs.New(100, 21)})
-	got, ok := c.Nearest(wcs.New(100, 20.1), 5)
-	if !ok || got.ID != "a" {
-		t.Errorf("Nearest = %v, %v", got.ID, ok)
-	}
-	if _, ok := c.Nearest(wcs.New(0, -80), 1); ok {
-		t.Error("nothing should be near the south pole")
-	}
-}
-
-func TestDensity(t *testing.T) {
-	c := New("d")
-	for i := 0; i < 100; i++ {
-		_ = c.Add(Record{ID: fmt.Sprint(i), Pos: wcs.New(180+float64(i%10)*0.01, float64(i/10)*0.01)})
-	}
-	d := c.Density(wcs.New(180.045, 0.045), 0.2)
-	if d <= 0 {
-		t.Errorf("density = %v, want > 0", d)
-	}
-	if c.Density(wcs.New(180, 0), 0) != 0 {
-		t.Error("zero radius density must be 0")
-	}
-}
-
 func TestVOTableRoundTrip(t *testing.T) {
 	c := seeded(50, 3)
 	tab := c.ToVOTable(c.All())

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/dag"
 	"repro/internal/vdl"
@@ -96,12 +97,7 @@ func Compose(cat *vdl.Catalog, req Request) (*Workflow, error) {
 		dv, _ := cat.Derivation(dvName)
 
 		if _, exists := g.Node(dvName); !exists {
-			n := &dag.Node{ID: dvName, Type: NodeType}
-			n.SetAttr(AttrTransformation, dv.TR)
-			n.SetAttr(AttrDerivation, dvName)
-			n.SetAttr(AttrInputs, joinLFNs(dv.InputLFNs()))
-			n.SetAttr(AttrOutputs, joinLFNs(dv.OutputLFNs()))
-			if err := g.AddNode(n); err != nil {
+			if err := g.AddNode(JobNode(dvName, dv.TR, dv.InputLFNs(), dv.OutputLFNs())); err != nil {
 				return "", err
 			}
 			// Mark every output of this DV as visited to avoid re-walking.
@@ -136,39 +132,20 @@ func Compose(cat *vdl.Catalog, req Request) (*Workflow, error) {
 	return wf, nil
 }
 
-// ComposeAll materializes the outputs of every derivation in the catalog —
-// the "run the whole request" mode the galaxy-morphology web service uses,
-// where the derivation file contains exactly the jobs wanted.
-func ComposeAll(cat *vdl.Catalog) (*Workflow, error) {
-	var lfns []string
-	seen := map[string]bool{}
-	for _, dvName := range cat.Derivations() {
-		dv, _ := cat.Derivation(dvName)
-		for _, out := range dv.OutputLFNs() {
-			if !seen[out] {
-				seen[out] = true
-				lfns = append(lfns, out)
-			}
-		}
-	}
-	if len(lfns) == 0 {
-		return nil, errors.New("chimera: catalog has no derivations")
-	}
-	return Compose(cat, Request{LFNs: lfns})
+// JobNode builds the abstract job node of one derivation. The id doubles as
+// the derivation name. Every composer of abstract workflows — Compose here,
+// the wave planner in internal/pegasus — adds its jobs through this, so the
+// attribute set Pegasus and the runners read is spelled once.
+func JobNode(id, transformation string, inputs, outputs []string) *dag.Node {
+	n := &dag.Node{ID: id, Type: NodeType}
+	n.SetAttr(AttrTransformation, transformation)
+	n.SetAttr(AttrDerivation, id)
+	n.SetAttr(AttrInputs, strings.Join(inputs, ","))
+	n.SetAttr(AttrOutputs, strings.Join(outputs, ","))
+	return n
 }
 
-func joinLFNs(lfns []string) string {
-	out := ""
-	for i, l := range lfns {
-		if i > 0 {
-			out += ","
-		}
-		out += l
-	}
-	return out
-}
-
-// SplitLFNs reverses joinLFNs for node-attribute consumers.
+// SplitLFNs reverses JobNode's comma join for node-attribute consumers.
 func SplitLFNs(s string) []string {
 	if s == "" {
 		return nil

@@ -200,21 +200,6 @@ func TestComposeGalaxyMorphologyShape(t *testing.T) {
 	}
 }
 
-func TestComposeAll(t *testing.T) {
-	cat := galMorphCatalog(t, 5)
-	wf, err := ComposeAll(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wf.Graph.Len() != 6 {
-		t.Errorf("nodes = %d", wf.Graph.Len())
-	}
-	empty := vdl.NewCatalog()
-	if _, err := ComposeAll(empty); err == nil {
-		t.Error("empty catalog must fail")
-	}
-}
-
 func TestSplitLFNs(t *testing.T) {
 	cases := map[string][]string{
 		"":       nil,

@@ -52,25 +52,18 @@ type CampaignReport struct {
 }
 
 // RunCampaign analyzes every cluster the portal knows, one after another as
-// the paper did, and aggregates the campaign statistics.
+// the paper did, and aggregates the campaign statistics. It stops at the
+// first cluster that fails.
 func RunCampaign(tb *Testbed) (*CampaignReport, error) {
-	report := &CampaignReport{}
-	for _, p := range tb.Compute.Pools() {
-		report.Pools = append(report.Pools, p)
-	}
-	for _, entry := range tb.Portal.Clusters() {
-		run, err := RunCluster(tb, entry.Name)
-		if err != nil {
-			return nil, fmt.Errorf("core: cluster %s: %w", entry.Name, err)
+	entries := tb.Portal.Clusters()
+	runs := make([]*ClusterRun, len(entries))
+	errs := make([]error, len(entries))
+	for i, entry := range entries {
+		if runs[i], errs[i] = RunCluster(tb, entry.Name); errs[i] != nil {
+			break
 		}
-		report.Clusters = append(report.Clusters, *run)
-		report.TotalGalaxies += run.Galaxies
-		report.TotalJobs += run.ComputeJobs
-		report.TotalImages += run.ImagesFetched + run.ImagesCached
-		report.TotalBytes += run.BytesStaged
-		report.TotalTransfers += run.FilesStaged
 	}
-	return report, nil
+	return aggregate(tb, entries, runs, errs)
 }
 
 // RunCampaignParallel is RunCampaign with the clusters analyzed
@@ -99,9 +92,13 @@ func RunCampaignParallel(tb *Testbed, workers int) (*CampaignReport, error) {
 		}(i, entry.Name)
 	}
 	wg.Wait()
+	return aggregate(tb, entries, runs, errs)
+}
 
-	report := &CampaignReport{}
-	report.Pools = append(report.Pools, tb.Compute.Pools()...)
+// aggregate folds the per-cluster runs, in portal order, into the campaign
+// report; the first failed cluster fails the campaign.
+func aggregate(tb *Testbed, entries []portal.ClusterEntry, runs []*ClusterRun, errs []error) (*CampaignReport, error) {
+	report := &CampaignReport{Pools: tb.Compute.Pools()}
 	for i, run := range runs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("core: cluster %s: %w", entries[i].Name, errs[i])

@@ -242,6 +242,27 @@ func TestFaultInjectionThroughTestbed(t *testing.T) {
 	}
 }
 
+// TestLocalityPlanningThroughTestbed: with the cache site in the compute
+// fabric, the LocalityPlanning switch must reach Pegasus — jobs run where
+// their cutouts already live and the request stages fewer bytes than under
+// the paper's random placement.
+func TestLocalityPlanningThroughTestbed(t *testing.T) {
+	staged := func(locality bool) int64 {
+		tb := smallTestbed(t, 16, func(c *Config) {
+			c.Pools = append(DefaultPools(), condor.Pool{Name: "isi", Slots: 8})
+			c.LocalityPlanning = locality
+		})
+		run, err := RunCluster(tb, "COMA")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run.BytesStaged
+	}
+	if random, local := staged(false), staged(true); local >= random {
+		t.Errorf("locality staged %d bytes, random %d — no reduction", local, random)
+	}
+}
+
 func BenchmarkFigure5Analyze(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -179,6 +179,16 @@ func (p *Plan) Stats() Stats {
 
 // Map plans an abstract workflow onto the Grid, producing a concrete plan.
 func Map(wf *chimera.Workflow, cfg Config) (*Plan, error) {
+	return mapPinned(wf, cfg, nil)
+}
+
+// mapPinned is the planner body behind Map. pin pre-assigns sites (job id ->
+// site): a pinned job skips site selection and runs where the caller says,
+// provided the Transformation Catalog has its executable there. The one
+// caller that pins is the wave planner's collector wave, whose site is a
+// function of the request rather than a policy choice — which is why the pin
+// is a parameter here and not a Config field.
+func mapPinned(wf *chimera.Workflow, cfg Config, pin map[string]string) (*Plan, error) {
 	if wf == nil || wf.Graph == nil || wf.Graph.Len() == 0 {
 		return nil, errors.New("pegasus: empty workflow")
 	}
@@ -231,7 +241,7 @@ func Map(wf *chimera.Workflow, cfg Config) (*Plan, error) {
 	}
 
 	// --- 3 & 4. Site selection and concrete workflow construction.
-	if err := concretize(p, wf, cfg, rng, snap); err != nil {
+	if err := concretize(p, wf, cfg, rng, snap, pin); err != nil {
 		return nil, err
 	}
 	p.RLSRoundTrips = cfg.RLS.RoundTrips() - before
@@ -314,11 +324,52 @@ func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN) (g *dag
 	return g, prunedIDs, sortedKeys(reusedSet)
 }
 
+// jobAttrs are the abstract job attributes a compute node carries over.
+var jobAttrs = []string{chimera.AttrTransformation, chimera.AttrDerivation, chimera.AttrInputs, chimera.AttrOutputs}
+
 // concretize performs site selection and inserts transfer and registration
-// nodes around the reduced workflow's compute jobs.
-func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap map[string][]rls.PFN) error {
+// nodes around the reduced workflow's compute jobs. Its three emitters are the
+// only code that creates concrete-workflow nodes.
+func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap map[string][]rls.PFN, pin map[string]string) error {
 	cw := dag.New()
 	reduced := p.Reduced
+
+	compute := func(job *dag.Node, site, exe string) error {
+		cn := &dag.Node{ID: job.ID, Type: NodeCompute}
+		cn.SetAttr(AttrSite, site)
+		cn.SetAttr(AttrExecutable, exe)
+		for _, k := range jobAttrs {
+			cn.SetAttr(k, job.Attr(k))
+		}
+		return cw.AddNode(cn)
+	}
+	// transfer moves lfn from srcURL to dstSite, after the job that makes the
+	// file when this workflow does ("" when the source is an existing replica).
+	transfer := func(id, lfn, srcURL, dstSite, after string) error {
+		tn := &dag.Node{ID: id, Type: NodeTransfer}
+		tn.SetAttr(AttrLFN, lfn)
+		tn.SetAttr(AttrSrcURL, srcURL)
+		tn.SetAttr(AttrDstURL, gridftp.URL(dstSite, lfn))
+		if err := cw.AddNode(tn); err != nil {
+			return err
+		}
+		p.EstBytesMoved += cfg.sizeOf(lfn)
+		if after == "" {
+			return nil
+		}
+		return cw.AddEdge(after, id)
+	}
+	// register publishes lfn's replica at site once the node after has run.
+	register := func(lfn, site, after string) error {
+		rn := &dag.Node{ID: "reg_" + sanitize(lfn), Type: NodeRegister}
+		rn.SetAttr(AttrLFN, lfn)
+		rn.SetAttr(AttrSite, site)
+		rn.SetAttr(AttrPFN, gridftp.URL(site, lfn))
+		if err := cw.AddNode(rn); err != nil {
+			return err
+		}
+		return cw.AddEdge(after, rn.ID)
+	}
 
 	// producerOf maps LFN -> producing job id within the reduced workflow.
 	producerOf := map[string]string{}
@@ -343,47 +394,41 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 	for _, id := range jobs {
 		n, _ := reduced.Node(id)
 		tr := n.Attr(chimera.AttrTransformation)
-		entries, err := cfg.TC.Lookup(tr)
-		if err != nil {
-			return fmt.Errorf("%w: %q (%v)", ErrNoSite, tr, err)
-		}
-		var site string
-		switch cfg.Selection {
-		case SelectRoundRobin:
-			site = entries[rrIndex%len(entries)].Site
-			rrIndex++
-		case SelectLeastLoaded:
-			sites := make([]string, len(entries))
-			for i, e := range entries {
-				sites[i] = e.Site
-			}
-			site, err = cfg.MDS.LeastLoaded(sites...)
+		site := pin[id]
+		if site == "" {
+			entries, err := cfg.TC.Lookup(tr)
 			if err != nil {
 				return fmt.Errorf("%w: %q (%v)", ErrNoSite, tr, err)
 			}
-			// Planner-side load accounting so successive picks spread out.
-			_ = cfg.MDS.AddLoad(site, 1)
-		case SelectLocality:
-			inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
-			site = pickByLocality(cfg, entries, inputs, snap, producerOf, p.SiteOf, assigned)
-			assigned[site]++
-		default: // SelectRandom — the paper's behaviour
-			site = entries[rng.Intn(len(entries))].Site
+			switch cfg.Selection {
+			case SelectRoundRobin:
+				site = entries[rrIndex%len(entries)].Site
+				rrIndex++
+			case SelectLeastLoaded:
+				sites := make([]string, len(entries))
+				for i, e := range entries {
+					sites[i] = e.Site
+				}
+				site, err = cfg.MDS.LeastLoaded(sites...)
+				if err != nil {
+					return fmt.Errorf("%w: %q (%v)", ErrNoSite, tr, err)
+				}
+				// Planner-side load accounting so successive picks spread out.
+				_ = cfg.MDS.AddLoad(site, 1)
+			case SelectLocality:
+				inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
+				site = pickByLocality(cfg, entries, inputs, snap, producerOf, p.SiteOf, assigned)
+				assigned[site]++
+			default: // SelectRandom — the paper's behaviour
+				site = entries[rng.Intn(len(entries))].Site
+			}
 		}
 		exe, err := cfg.TC.LookupSite(tr, site)
 		if err != nil {
 			return fmt.Errorf("%w: %q at %q", ErrNoSite, tr, site)
 		}
 		p.SiteOf[id] = site
-
-		cn := &dag.Node{ID: id, Type: NodeCompute}
-		cn.SetAttr(AttrSite, site)
-		cn.SetAttr(AttrExecutable, exe.Path)
-		cn.SetAttr(chimera.AttrTransformation, tr)
-		cn.SetAttr(chimera.AttrDerivation, n.Attr(chimera.AttrDerivation))
-		cn.SetAttr(chimera.AttrInputs, n.Attr(chimera.AttrInputs))
-		cn.SetAttr(chimera.AttrOutputs, n.Attr(chimera.AttrOutputs))
-		if err := cw.AddNode(cn); err != nil {
+		if err := compute(n, site, exe.Path); err != nil {
 			return err
 		}
 	}
@@ -397,65 +442,41 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 		}
 	}
 
-	// Transfer nodes for inputs.
+	// Transfer nodes for inputs: one per (file, destination site), shared by
+	// every job there that consumes the file.
 	for _, id := range jobs {
 		n, _ := reduced.Node(id)
 		site := p.SiteOf[id]
 		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrInputs)) {
-			if prod, ok := producerOf[lfn]; ok {
+			var txID, srcURL string
+			prod := producerOf[lfn]
+			if prod != "" {
 				// Inter-stage: producer runs in this workflow.
 				srcSite := p.SiteOf[prod]
 				if srcSite == site {
 					continue // same site: no staging needed
 				}
-				txID := fmt.Sprintf("tx_%s_%s_to_%s", sanitize(lfn), srcSite, site)
-				if _, exists := cw.Node(txID); !exists {
-					tn := &dag.Node{ID: txID, Type: NodeTransfer}
-					tn.SetAttr(AttrLFN, lfn)
-					tn.SetAttr(AttrSrcURL, gridftp.URL(srcSite, lfn))
-					tn.SetAttr(AttrDstURL, gridftp.URL(site, lfn))
-					if err := cw.AddNode(tn); err != nil {
-						return err
-					}
-					if err := cw.AddEdge(prod, txID); err != nil {
-						return err
-					}
-					p.EstBytesMoved += cfg.sizeOf(lfn)
+				txID = fmt.Sprintf("tx_%s_%s_to_%s", sanitize(lfn), srcSite, site)
+				srcURL = gridftp.URL(srcSite, lfn)
+			} else {
+				// Stage-in from an existing replica, read from the plan's
+				// snapshot. The source replica is picked at random, as in the
+				// paper — except under SelectLocality, which takes the cheapest
+				// link deterministically.
+				replicas := snap[lfn]
+				if len(replicas) == 0 {
+					return fmt.Errorf("%w: %q", ErrInfeasible, lfn)
 				}
-				if err := cw.AddEdge(txID, id); err != nil {
-					return err
+				if replicaAt(replicas, site) {
+					continue // replica already local: genuinely nothing to move
 				}
-				continue
+				txID = fmt.Sprintf("stagein_%s_to_%s", sanitize(lfn), site)
+				srcURL = pickSource(cfg, rng, replicas, site, lfn).URL
 			}
-			// Stage-in from an existing replica, read from the plan's
-			// snapshot. The source replica is picked at random, as in the
-			// paper — except under SelectLocality, which takes the cheapest
-			// link deterministically.
-			replicas := snap[lfn]
-			if len(replicas) == 0 {
-				return fmt.Errorf("%w: %q", ErrInfeasible, lfn)
-			}
-			atSite := false
-			for _, r := range replicas {
-				if r.Site == site {
-					atSite = true
-					break
-				}
-			}
-			if atSite {
-				continue // replica already local: genuinely nothing to move
-			}
-			src := pickSource(cfg, rng, replicas, site, lfn)
-			txID := fmt.Sprintf("stagein_%s_to_%s", sanitize(lfn), site)
 			if _, exists := cw.Node(txID); !exists {
-				tn := &dag.Node{ID: txID, Type: NodeTransfer}
-				tn.SetAttr(AttrLFN, lfn)
-				tn.SetAttr(AttrSrcURL, src.URL)
-				tn.SetAttr(AttrDstURL, gridftp.URL(site, lfn))
-				if err := cw.AddNode(tn); err != nil {
+				if err := transfer(txID, lfn, srcURL, site, prod); err != nil {
 					return err
 				}
-				p.EstBytesMoved += cfg.sizeOf(lfn)
 			}
 			if err := cw.AddEdge(txID, id); err != nil {
 				return err
@@ -472,34 +493,16 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 		n, _ := reduced.Node(id)
 		site := p.SiteOf[id]
 		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrOutputs)) {
-			finalSite := site
-			lastNode := id
+			finalSite, lastNode := site, id
 			if requested[lfn] && cfg.OutputSite != "" && cfg.OutputSite != site {
-				txID := fmt.Sprintf("stageout_%s_to_%s", sanitize(lfn), cfg.OutputSite)
-				tn := &dag.Node{ID: txID, Type: NodeTransfer}
-				tn.SetAttr(AttrLFN, lfn)
-				tn.SetAttr(AttrSrcURL, gridftp.URL(site, lfn))
-				tn.SetAttr(AttrDstURL, gridftp.URL(cfg.OutputSite, lfn))
-				if err := cw.AddNode(tn); err != nil {
-					return err
-				}
-				if err := cw.AddEdge(id, txID); err != nil {
-					return err
-				}
-				p.EstBytesMoved += cfg.sizeOf(lfn)
 				finalSite = cfg.OutputSite
-				lastNode = txID
+				lastNode = fmt.Sprintf("stageout_%s_to_%s", sanitize(lfn), finalSite)
+				if err := transfer(lastNode, lfn, gridftp.URL(site, lfn), finalSite, id); err != nil {
+					return err
+				}
 			}
 			if cfg.RegisterOutputs {
-				regID := "reg_" + sanitize(lfn)
-				rn := &dag.Node{ID: regID, Type: NodeRegister}
-				rn.SetAttr(AttrLFN, lfn)
-				rn.SetAttr(AttrSite, finalSite)
-				rn.SetAttr(AttrPFN, gridftp.URL(finalSite, lfn))
-				if err := cw.AddNode(rn); err != nil {
-					return err
-				}
-				if err := cw.AddEdge(lastNode, regID); err != nil {
+				if err := register(lfn, finalSite, lastNode); err != nil {
 					return err
 				}
 			}
@@ -509,43 +512,19 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 	// Requested files fully satisfied from the RLS still need delivery to U.
 	if cfg.OutputSite != "" {
 		for _, lfn := range wf.RequestedLFNs {
-			if _, producedHere := producerOf[lfn]; producedHere {
-				continue
-			}
 			replicas := snap[lfn]
-			if len(replicas) == 0 {
-				continue // reduction guarantees this does not happen
-			}
-			already := false
-			for _, r := range replicas {
-				if r.Site == cfg.OutputSite {
-					already = true
-					break
-				}
-			}
-			if already {
+			// No replicas cannot happen for a file nobody here produces:
+			// reduction and feasibility guarantee it.
+			if producerOf[lfn] != "" || len(replicas) == 0 || replicaAt(replicas, cfg.OutputSite) {
 				continue
 			}
 			src := pickSource(cfg, rng, replicas, cfg.OutputSite, lfn)
 			txID := fmt.Sprintf("stageout_%s_to_%s", sanitize(lfn), cfg.OutputSite)
-			tn := &dag.Node{ID: txID, Type: NodeTransfer}
-			tn.SetAttr(AttrLFN, lfn)
-			tn.SetAttr(AttrSrcURL, src.URL)
-			tn.SetAttr(AttrDstURL, gridftp.URL(cfg.OutputSite, lfn))
-			if err := cw.AddNode(tn); err != nil {
+			if err := transfer(txID, lfn, src.URL, cfg.OutputSite, ""); err != nil {
 				return err
 			}
-			p.EstBytesMoved += cfg.sizeOf(lfn)
 			if cfg.RegisterOutputs {
-				regID := "reg_" + sanitize(lfn)
-				rn := &dag.Node{ID: regID, Type: NodeRegister}
-				rn.SetAttr(AttrLFN, lfn)
-				rn.SetAttr(AttrSite, cfg.OutputSite)
-				rn.SetAttr(AttrPFN, gridftp.URL(cfg.OutputSite, lfn))
-				if err := cw.AddNode(rn); err != nil {
-					return err
-				}
-				if err := cw.AddEdge(txID, regID); err != nil {
+				if err := register(lfn, cfg.OutputSite, txID); err != nil {
 					return err
 				}
 			}
@@ -554,6 +533,16 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 
 	p.Concrete = cw
 	return nil
+}
+
+// replicaAt reports whether one of the replicas is stored at site.
+func replicaAt(replicas []rls.PFN, site string) bool {
+	for _, r := range replicas {
+		if r.Site == site {
+			return true
+		}
+	}
+	return false
 }
 
 // pickByLocality scores each candidate site by the simulated cost of moving

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"repro/internal/chimera"
 	"repro/internal/dag"
-	"repro/internal/gridftp"
 )
 
 // WaveJob describes one abstract job a WaveSource yields. The ID doubles as
@@ -39,9 +37,9 @@ type WaveSource struct {
 
 // WavePlanner plans one request as a sequence of bounded concrete workflows
 // ("waves") instead of a single monolithic DAG: each leaf wave covers at most
-// waveSize jobs and is planned with the ordinary Map — RLS reduction, site
-// selection, transfer and registration nodes — while the collector wave is a
-// hand-built single-job plan pinned to a deterministic collector site.
+// waveSize jobs, the collector wave is the one fan-in job pinned to a
+// deterministic collector site, and both are planned by the ordinary Map body
+// — RLS reduction, site selection, transfer and registration nodes.
 //
 // Leaf waves deliver and register their outputs at the collector site, so by
 // the time the collector wave is planned every input is a local replica and
@@ -116,48 +114,52 @@ func (p *WavePlanner) WaveBounds(wave int) (lo, hi int) {
 	return lo, hi
 }
 
-// Plan produces the concrete plan of one wave. Leaf waves run through the
-// ordinary Map pipeline; when a collector exists they are planned with the
-// collector site as their output site (with registration forced on), so leaf
+// Plan produces the concrete plan of one wave; every wave goes through the
+// planner body behind Map. Each wave draws its randomness from its own
+// (seed, wave) stream, so a wave's plan never depends on how many waves ran
+// before it — the property that lets a resume replan any single wave in
+// isolation. When a collector exists, leaf waves are planned with the
+// collector site as their output site (registration forced on), so leaf
 // outputs land where the collector consumes them. The final wave is the
-// hand-built collector plan.
+// collector as a one-job workflow, never reduced and pinned to the collector
+// site: left to site selection it could be mapped away from its inputs and
+// plan one stage-in per leaf job, unbounded in the request size.
 func (p *WavePlanner) Plan(wave int) (*Plan, error) {
-	leaf := p.LeafWaves()
-	switch {
-	case wave < 0 || wave >= p.Waves():
+	if wave < 0 || wave >= p.Waves() {
 		return nil, fmt.Errorf("pegasus: wave %d out of range [0, %d)", wave, p.Waves())
-	case wave < leaf:
-		return p.leafPlan(wave)
-	default:
-		return p.collectorPlan()
 	}
+	cfg := p.cfg
+	cfg.Rand = rand.New(rand.NewSource(p.seed + int64(wave)))
+	if wave == p.LeafWaves() {
+		cfg.NoReduce = true
+		return mapJobs([]WaveJob{p.src.Collector}, cfg, map[string]string{p.src.Collector.ID: p.collectorSite})
+	}
+	lo, hi := p.WaveBounds(wave)
+	jobs := make([]WaveJob, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		jobs = append(jobs, p.src.Job(i))
+	}
+	if p.src.Collector.ID != "" {
+		cfg.OutputSite = p.collectorSite
+		cfg.RegisterOutputs = true
+	}
+	return mapJobs(jobs, cfg, nil)
 }
 
-// leafPlan assembles one wave's abstract sub-workflow and maps it. Each wave
-// draws its site-selection randomness from its own (seed, wave) stream, so a
-// wave's plan never depends on how many waves ran before it — the property
-// that lets a resume replan any single wave in isolation.
-func (p *WavePlanner) leafPlan(wave int) (*Plan, error) {
-	lo, hi := p.WaveBounds(wave)
+// mapJobs assembles one wave's abstract sub-workflow, every output requested,
+// and maps it.
+func mapJobs(jobs []WaveJob, cfg Config, pin map[string]string) (*Plan, error) {
 	g := dag.New()
 	producerOf := map[string]string{}
 	var requested []string
-	jobs := make([]WaveJob, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		j := p.src.Job(i)
-		n := &dag.Node{ID: j.ID, Type: chimera.NodeType}
-		n.SetAttr(chimera.AttrTransformation, j.Transformation)
-		n.SetAttr(chimera.AttrDerivation, j.ID)
-		n.SetAttr(chimera.AttrInputs, strings.Join(j.Inputs, ","))
-		n.SetAttr(chimera.AttrOutputs, strings.Join(j.Outputs, ","))
-		if err := g.AddNode(n); err != nil {
+	for _, j := range jobs {
+		if err := g.AddNode(chimera.JobNode(j.ID, j.Transformation, j.Inputs, j.Outputs)); err != nil {
 			return nil, err
 		}
 		for _, out := range j.Outputs {
 			producerOf[out] = j.ID
 			requested = append(requested, out)
 		}
-		jobs = append(jobs, j)
 	}
 	// Intra-wave dependencies (leaf jobs are typically independent, but the
 	// source is free to yield small producer/consumer chains).
@@ -170,125 +172,5 @@ func (p *WavePlanner) leafPlan(wave int) (*Plan, error) {
 			}
 		}
 	}
-	wf := &chimera.Workflow{Graph: g, RequestedLFNs: requested}
-	cfg := p.cfg
-	cfg.Rand = rand.New(rand.NewSource(p.seed + int64(wave)))
-	if p.src.Collector.ID != "" {
-		cfg.OutputSite = p.collectorSite
-		cfg.RegisterOutputs = true
-	}
-	return Map(wf, cfg)
-}
-
-// collectorPlan hand-builds the fan-in wave: one compute node at the
-// collector site, stage-ins only for inputs without a local replica (none,
-// when the leaf waves delivered there), and the classic output delivery and
-// registration tail. Map cannot be used here — its site selection could map
-// the collector away from its inputs and plan one stage-in per leaf job,
-// unbounded in the request size.
-func (p *WavePlanner) collectorPlan() (*Plan, error) {
-	job := p.src.Collector
-	cfg := p.cfg
-	site := p.collectorSite
-	exe, err := cfg.TC.LookupSite(job.Transformation, site)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %q at %q", ErrNoSite, job.Transformation, site)
-	}
-
-	abstract := dag.New()
-	an := &dag.Node{ID: job.ID, Type: chimera.NodeType}
-	an.SetAttr(chimera.AttrTransformation, job.Transformation)
-	an.SetAttr(chimera.AttrDerivation, job.ID)
-	an.SetAttr(chimera.AttrInputs, strings.Join(job.Inputs, ","))
-	an.SetAttr(chimera.AttrOutputs, strings.Join(job.Outputs, ","))
-	if err := abstract.AddNode(an); err != nil {
-		return nil, err
-	}
-
-	plan := &Plan{Abstract: abstract, Reduced: abstract, SiteOf: map[string]string{job.ID: site}}
-	before := cfg.RLS.RoundTrips()
-	snap := cfg.RLS.BulkLookup(job.Inputs)
-	plan.Replicas = snap
-
-	cw := dag.New()
-	cn := &dag.Node{ID: job.ID, Type: NodeCompute}
-	cn.SetAttr(AttrSite, site)
-	cn.SetAttr(AttrExecutable, exe.Path)
-	cn.SetAttr(chimera.AttrTransformation, job.Transformation)
-	cn.SetAttr(chimera.AttrDerivation, job.ID)
-	cn.SetAttr(chimera.AttrInputs, strings.Join(job.Inputs, ","))
-	cn.SetAttr(chimera.AttrOutputs, strings.Join(job.Outputs, ","))
-	if err := cw.AddNode(cn); err != nil {
-		return nil, err
-	}
-
-	for _, lfn := range job.Inputs {
-		replicas := snap[lfn]
-		if len(replicas) == 0 {
-			return nil, fmt.Errorf("%w: %q", ErrInfeasible, lfn)
-		}
-		local := false
-		for _, r := range replicas {
-			if r.Site == site {
-				local = true
-				break
-			}
-		}
-		if local {
-			continue
-		}
-		src := replicas[0] // sorted: deterministic source choice
-		txID := fmt.Sprintf("stagein_%s_to_%s", sanitize(lfn), site)
-		if _, exists := cw.Node(txID); !exists {
-			tn := &dag.Node{ID: txID, Type: NodeTransfer}
-			tn.SetAttr(AttrLFN, lfn)
-			tn.SetAttr(AttrSrcURL, src.URL)
-			tn.SetAttr(AttrDstURL, gridftp.URL(site, lfn))
-			if err := cw.AddNode(tn); err != nil {
-				return nil, err
-			}
-			plan.EstBytesMoved += cfg.sizeOf(lfn)
-		}
-		if err := cw.AddEdge(txID, job.ID); err != nil {
-			return nil, err
-		}
-	}
-
-	for _, lfn := range job.Outputs {
-		finalSite := site
-		lastNode := job.ID
-		if cfg.OutputSite != "" && cfg.OutputSite != site {
-			txID := fmt.Sprintf("stageout_%s_to_%s", sanitize(lfn), cfg.OutputSite)
-			tn := &dag.Node{ID: txID, Type: NodeTransfer}
-			tn.SetAttr(AttrLFN, lfn)
-			tn.SetAttr(AttrSrcURL, gridftp.URL(site, lfn))
-			tn.SetAttr(AttrDstURL, gridftp.URL(cfg.OutputSite, lfn))
-			if err := cw.AddNode(tn); err != nil {
-				return nil, err
-			}
-			if err := cw.AddEdge(job.ID, txID); err != nil {
-				return nil, err
-			}
-			plan.EstBytesMoved += cfg.sizeOf(lfn)
-			finalSite = cfg.OutputSite
-			lastNode = txID
-		}
-		if cfg.RegisterOutputs {
-			regID := "reg_" + sanitize(lfn)
-			rn := &dag.Node{ID: regID, Type: NodeRegister}
-			rn.SetAttr(AttrLFN, lfn)
-			rn.SetAttr(AttrSite, finalSite)
-			rn.SetAttr(AttrPFN, gridftp.URL(finalSite, lfn))
-			if err := cw.AddNode(rn); err != nil {
-				return nil, err
-			}
-			if err := cw.AddEdge(lastNode, regID); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	plan.Concrete = cw
-	plan.RLSRoundTrips = cfg.RLS.RoundTrips() - before
-	return plan, nil
+	return mapPinned(&chimera.Workflow{Graph: g, RequestedLFNs: requested}, cfg, pin)
 }

@@ -3,8 +3,14 @@ package pegasus
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/condor"
+	"repro/internal/dag"
+	"repro/internal/dagman"
 	"repro/internal/gridftp"
 	"repro/internal/rls"
 	"repro/internal/tcat"
@@ -222,66 +228,253 @@ func TestWaveResumeReduction(t *testing.T) {
 	}
 }
 
-// TestCollectorPlanShape checks the hand-built fan-in wave: zero stage-ins
-// when every input has a collector-site replica, a stage-in only for the one
-// input that lives elsewhere, the output-delivery tail when the output site
-// differs, and infeasibility on a missing input.
+// waveRun plans and executes an n-job survey wave by wave, register nodes
+// feeding the RLS so per-wave reduction and the collector's feasibility work
+// as in the real pipeline. It returns the scheduler's peak live graph and the
+// peak growth of the GC'd live heap, sampled at every wave boundary.
+func waveRun(t *testing.T, n, waveSize int) (maxWaveNodes int, heapBytes uint64) {
+	t.Helper()
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	r, tc := surveyServices(t, n)
+	base := liveHeap()
+	peak := base
+	p, err := NewWavePlanner(surveySource(n), Config{RLS: r, TC: tc, OutputSite: "B", RegisterOutputs: true}, waveSize, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(w int) (*dag.Graph, error) {
+		if w >= p.Waves() {
+			return nil, nil
+		}
+		plan, err := p.Plan(w)
+		if err != nil {
+			return nil, err
+		}
+		if h := liveHeap(); h > peak {
+			peak = h
+		}
+		return plan.Concrete, nil
+	}
+	runner := func(n *dag.Node, _ int) (dagman.Spec, error) {
+		return dagman.Spec{Cost: time.Second, Run: func() error {
+			if n.Type != NodeRegister {
+				return nil
+			}
+			return r.Register(n.Attr(AttrLFN), rls.PFN{Site: n.Attr(AttrSite), URL: n.Attr(AttrPFN)})
+		}}, nil
+	}
+	newSim := func() (*condor.Simulator, error) {
+		return condor.NewSimulator(condor.Pool{Name: "grid", Slots: 32})
+	}
+	ws, err := dagman.ExecuteWaves(next, runner, newSim, dagman.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Exists("final") {
+		t.Fatal("wave run did not register the collector output")
+	}
+	return ws.MaxWaveNodes, peak - base // peak starts at base
+}
+
+// TestWaveLiveSetConstantInSurveySize is the survey-scale claim of wave
+// execution: once a survey spans several waves the scheduler's live graph is
+// set by the wave size alone, heap per job falls as the survey grows, and the
+// graph a single monolithic plan must hold is at least 10x the wave live set.
+func TestWaveLiveSetConstantInSurveySize(t *testing.T) {
+	const waveSize = 50
+	sizes := []int{waveSize, 20 * waveSize, 80 * waveSize}
+	nodes := make([]int, len(sizes))
+	perJob := make([]float64, len(sizes))
+	for i, n := range sizes {
+		var heap uint64
+		nodes[i], heap = waveRun(t, n, waveSize)
+		perJob[i] = float64(heap) / float64(n)
+		if nodes[i] > 4*waveSize {
+			t.Errorf("%d jobs: live graph of %d nodes exceeds the wave bound %d", n, nodes[i], 4*waveSize)
+		}
+	}
+	if nodes[1] != nodes[2] {
+		t.Errorf("max wave nodes varies with survey size: %v", nodes)
+	}
+	if perJob[2] >= perJob[0] {
+		t.Errorf("heap per job not sub-linear: %.0f B at %d jobs vs %.0f B at %d", perJob[0], sizes[0], perJob[2], sizes[2])
+	}
+
+	r, tc := surveyServices(t, sizes[1])
+	mono, err := NewWavePlanner(surveySource(sizes[1]), Config{RLS: r, TC: tc, OutputSite: "B", RegisterOutputs: true}, sizes[1], 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := mono.Plan(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Concrete.Len() < 10*nodes[1] {
+		t.Errorf("monolithic plan (%d nodes) not >= 10x the wave live set (%d)", plan.Concrete.Len(), nodes[1])
+	}
+}
+
+// TestCollectorPlanShape pins the fan-in wave's concrete graph as .dag text.
+// The first three graphs were captured from the hand-built collector planner
+// this wave used to have, so they prove the one-job workflow mapped through
+// concretize is the same plan; the fourth is the one shape allowed to differ
+// (the stage-in source is pickSource's draw from the (seed + wave) stream — C
+// here — where the hand-built planner took the sorted-first replica, A). Every case is planned twice by fresh planners with the same seed:
+// a resume replans the collector wave and must get the same graph.
 func TestCollectorPlanShape(t *testing.T) {
 	const n = 6
+	cases := []struct {
+		name       string
+		outputSite string
+		selection  SiteSelection
+		// out4At lists the sites holding out4; every other leaf output has its
+		// one replica at the collector site B.
+		out4At []string
+		want   string
+	}{
+		{name: "all inputs local", outputSite: "B", out4At: []string{"B"}, want: `DAGFILE v1
+NODE "collect" "compute"
+ATTR "collect" "derivation" "collect"
+ATTR "collect" "executable" "/bin/concat"
+ATTR "collect" "inputs" "out0,out1,out2,out3,out4,out5"
+ATTR "collect" "outputs" "final"
+ATTR "collect" "site" "B"
+ATTR "collect" "transformation" "concat"
+NODE "reg_final" "register"
+ATTR "reg_final" "lfn" "final"
+ATTR "reg_final" "pfn" "gridftp://B/final"
+ATTR "reg_final" "site" "B"
+EDGE "collect" "reg_final"
+`},
+		{name: "output site differs", outputSite: "home", out4At: []string{"B"}, want: `DAGFILE v1
+NODE "collect" "compute"
+ATTR "collect" "derivation" "collect"
+ATTR "collect" "executable" "/bin/concat"
+ATTR "collect" "inputs" "out0,out1,out2,out3,out4,out5"
+ATTR "collect" "outputs" "final"
+ATTR "collect" "site" "B"
+ATTR "collect" "transformation" "concat"
+NODE "reg_final" "register"
+ATTR "reg_final" "lfn" "final"
+ATTR "reg_final" "pfn" "gridftp://home/final"
+ATTR "reg_final" "site" "home"
+NODE "stageout_final_to_home" "transfer"
+ATTR "stageout_final_to_home" "dst" "gridftp://home/final"
+ATTR "stageout_final_to_home" "lfn" "final"
+ATTR "stageout_final_to_home" "src" "gridftp://B/final"
+EDGE "collect" "stageout_final_to_home"
+EDGE "stageout_final_to_home" "reg_final"
+`},
+		{name: "locality one remote input", outputSite: "home", selection: SelectLocality,
+			out4At: []string{"A"}, want: `DAGFILE v1
+NODE "collect" "compute"
+ATTR "collect" "derivation" "collect"
+ATTR "collect" "executable" "/bin/concat"
+ATTR "collect" "inputs" "out0,out1,out2,out3,out4,out5"
+ATTR "collect" "outputs" "final"
+ATTR "collect" "site" "B"
+ATTR "collect" "transformation" "concat"
+NODE "reg_final" "register"
+ATTR "reg_final" "lfn" "final"
+ATTR "reg_final" "pfn" "gridftp://home/final"
+ATTR "reg_final" "site" "home"
+NODE "stagein_out4_to_B" "transfer"
+ATTR "stagein_out4_to_B" "dst" "gridftp://B/out4"
+ATTR "stagein_out4_to_B" "lfn" "out4"
+ATTR "stagein_out4_to_B" "src" "gridftp://A/out4"
+NODE "stageout_final_to_home" "transfer"
+ATTR "stageout_final_to_home" "dst" "gridftp://home/final"
+ATTR "stageout_final_to_home" "lfn" "final"
+ATTR "stageout_final_to_home" "src" "gridftp://B/final"
+EDGE "collect" "stageout_final_to_home"
+EDGE "stagein_out4_to_B" "collect"
+EDGE "stageout_final_to_home" "reg_final"
+`},
+		{name: "random two remote replicas", outputSite: "home", out4At: []string{"A", "C"}, want: `DAGFILE v1
+NODE "collect" "compute"
+ATTR "collect" "derivation" "collect"
+ATTR "collect" "executable" "/bin/concat"
+ATTR "collect" "inputs" "out0,out1,out2,out3,out4,out5"
+ATTR "collect" "outputs" "final"
+ATTR "collect" "site" "B"
+ATTR "collect" "transformation" "concat"
+NODE "reg_final" "register"
+ATTR "reg_final" "lfn" "final"
+ATTR "reg_final" "pfn" "gridftp://home/final"
+ATTR "reg_final" "site" "home"
+NODE "stagein_out4_to_B" "transfer"
+ATTR "stagein_out4_to_B" "dst" "gridftp://B/out4"
+ATTR "stagein_out4_to_B" "lfn" "out4"
+ATTR "stagein_out4_to_B" "src" "gridftp://C/out4"
+NODE "stageout_final_to_home" "transfer"
+ATTR "stageout_final_to_home" "dst" "gridftp://home/final"
+ATTR "stageout_final_to_home" "lfn" "final"
+ATTR "stageout_final_to_home" "src" "gridftp://B/final"
+EDGE "collect" "stageout_final_to_home"
+EDGE "stagein_out4_to_B" "collect"
+EDGE "stageout_final_to_home" "reg_final"
+`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plan := func() string {
+				r, tc := surveyServices(t, n)
+				cfg := Config{RLS: r, TC: tc, OutputSite: c.outputSite, RegisterOutputs: true, Selection: c.selection}
+				p, err := NewWavePlanner(surveySource(n), cfg, 3, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.CollectorSite() != "B" {
+					t.Fatalf("collector site = %q, want B", p.CollectorSite())
+				}
+				for i := 0; i < n; i++ {
+					lfn := fmt.Sprintf("out%d", i)
+					at := []string{"B"}
+					if i == 4 {
+						at = c.out4At
+					}
+					for _, site := range at {
+						if err := r.Register(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				got, err := p.Plan(p.Waves() - 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				if err := dagman.WriteDAG(&b, got.Concrete, nil); err != nil {
+					t.Fatal(err)
+				}
+				return b.String()
+			}
+			got := plan()
+			if got != c.want {
+				t.Errorf("collector wave .dag:\n%s\nwant:\n%s", got, c.want)
+			}
+			if again := plan(); again != got {
+				t.Errorf("same seed, different collector plan:\n%s\nvs\n%s", again, got)
+			}
+		})
+	}
+
+	// No leaf output registered yet: infeasible, naming every missing input.
 	r, tc := surveyServices(t, n)
-	cfg := Config{RLS: r, TC: tc, OutputSite: "home", RegisterOutputs: true}
-	p, err := NewWavePlanner(surveySource(n), cfg, 3, 9)
+	p, err := NewWavePlanner(surveySource(n), Config{RLS: r, TC: tc, OutputSite: "home"}, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	site := p.CollectorSite()
-
-	// Missing inputs: infeasible.
-	if _, err := p.Plan(p.Waves() - 1); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("collector with unregistered inputs = %v, want ErrInfeasible", err)
+	_, err = p.Plan(p.Waves() - 1)
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("collector with unregistered inputs = %v, want ErrInfeasible", err)
 	}
-
-	// All inputs local to the collector site except out4, which only has a
-	// replica at A.
-	for i := 0; i < n; i++ {
-		lfn := fmt.Sprintf("out%d", i)
-		at := site
-		if i == 4 {
-			at = "A"
-		}
-		if err := r.Register(lfn, rls.PFN{Site: at, URL: gridftp.URL(at, lfn)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plan, err := p.Plan(p.Waves() - 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var transfers, registers, computes int
-	for _, id := range plan.Concrete.Nodes() {
-		node, _ := plan.Concrete.Node(id)
-		switch node.Type {
-		case NodeTransfer:
-			transfers++
-		case NodeRegister:
-			registers++
-			if node.Attr(AttrLFN) != "final" || node.Attr(AttrSite) != "home" {
-				t.Errorf("register node %s = %v", id, node.Attrs)
-			}
-		case NodeCompute:
-			computes++
-			if node.Attr(AttrSite) != site {
-				t.Errorf("collector at %q, want %q", node.Attr(AttrSite), site)
-			}
-		}
-	}
-	// One stage-in (out4) plus one stage-out (final to home).
-	if computes != 1 || transfers != 2 || registers != 1 {
-		t.Fatalf("collector plan: %d compute, %d transfer, %d register; want 1/2/1",
-			computes, transfers, registers)
-	}
-	if plan.Concrete.Len() != 4 {
-		t.Errorf("collector plan size = %d, want 4 — bounded regardless of %d leaves",
-			plan.Concrete.Len(), n)
+	if want := "[out0 out1 out2 out3 out4 out5]"; !strings.Contains(err.Error(), want) {
+		t.Errorf("infeasible error %q does not list every missing input %s", err, want)
 	}
 }

@@ -63,12 +63,3 @@ func DiscoverConfig(reg *registry.Client, clusters []ClusterEntry, hc *http.Clie
 	}
 	return cfg, nil
 }
-
-// NewFromRegistry discovers services and builds the portal in one step.
-func NewFromRegistry(reg *registry.Client, clusters []ClusterEntry, hc *http.Client) (*Portal, error) {
-	cfg, err := DiscoverConfig(reg, clusters, hc)
-	if err != nil {
-		return nil, err
-	}
-	return New(cfg)
-}

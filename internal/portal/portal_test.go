@@ -393,9 +393,8 @@ func TestDiscoverConfigAndNewFromRegistry(t *testing.T) {
 	if cfg.CutoutService != "http://a/siacut" || cfg.ComputeService != "http://c" {
 		t.Errorf("cutout/compute = %q / %q", cfg.CutoutService, cfg.ComputeService)
 	}
-	p, err := NewFromRegistry(client, clusters, srv.Client())
-	if err != nil || p == nil {
-		t.Fatalf("NewFromRegistry: %v", err)
+	if p, err := New(cfg); err != nil || p == nil {
+		t.Fatalf("New with the discovered config: %v", err)
 	}
 
 	// Remove the compute service: discovery must fail.

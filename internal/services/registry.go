@@ -1,7 +1,5 @@
 package services
 
-import "repro/internal/votable"
-
 // Interface names used in the registry.
 const (
 	InterfaceSIA  = "SIA"
@@ -47,26 +45,4 @@ func Table1() []RegistryEntry {
 			Interfaces: []string{InterfaceSIA, InterfaceCone},
 		},
 	}
-}
-
-// RegistryVOTable renders registry entries as a VOTable, the way an NVO
-// registry service (called out as missing infrastructure in §5) would
-// publish them.
-func RegistryVOTable(entries []RegistryEntry) *votable.Table {
-	t := votable.NewTable("registry",
-		votable.Field{Name: "data_center", Datatype: votable.TypeChar},
-		votable.Field{Name: "collection", Datatype: votable.TypeChar},
-		votable.Field{Name: "interfaces", Datatype: votable.TypeChar},
-	)
-	for _, e := range entries {
-		ifaces := ""
-		for i, s := range e.Interfaces {
-			if i > 0 {
-				ifaces += ", "
-			}
-			ifaces += s
-		}
-		_ = t.AppendRow(e.DataCenter, e.Collection, ifaces)
-	}
-	return t
 }

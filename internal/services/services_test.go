@@ -255,14 +255,6 @@ func TestTable1Registry(t *testing.T) {
 	if got := byCollection["Digitized Sky Survey (DSS)"]; len(got) != 2 {
 		t.Errorf("DSS interfaces = %v", got)
 	}
-
-	tab := RegistryVOTable(entries)
-	if tab.NumRows() != 5 {
-		t.Fatalf("registry table rows = %d", tab.NumRows())
-	}
-	if !strings.Contains(tab.Cell(4, "interfaces"), InterfaceCone) {
-		t.Errorf("MAST row = %v", tab.Rows[4])
-	}
 }
 
 func BenchmarkConeSearchHTTP(b *testing.B) {

@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -347,6 +348,74 @@ func TestEncoderStreamsWithoutTableInMemory(t *testing.T) {
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Fatalf("row-by-row encode diverged from WriteTable:\n--- want ---\n%s\n--- got ---\n%s",
 			want.String(), got.String())
+	}
+}
+
+// streamPeakHeapMB pushes rows through the streaming encoder into a pipe and
+// back through the row-callback decoder, never holding the document or a
+// Table, and returns the peak growth of the GC'd live heap in MB.
+func streamPeakHeapMB(t *testing.T, rows int) float64 {
+	t.Helper()
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := liveHeap()
+	pr, pw := io.Pipe()
+	go func() {
+		enc := NewEncoder(pw)
+		err := enc.BeginDocument("survey")
+		if err == nil {
+			err = enc.BeginResource("r")
+		}
+		if err == nil {
+			err = enc.BeginTable(TableMeta{Name: "catalog", Fields: []Field{
+				{Name: "id", Datatype: TypeChar}, {Name: "ra", Datatype: TypeDouble},
+				{Name: "dec", Datatype: TypeDouble}, {Name: "z", Datatype: TypeDouble},
+			}})
+		}
+		cells := []string{"", "195.1250", "28.2500", "0.0231"}
+		for i := 0; i < rows && err == nil; i++ {
+			cells[0] = fmt.Sprintf("g%06d", i)
+			err = enc.Row(cells)
+		}
+		if err == nil {
+			err = enc.EndTable()
+		}
+		if err == nil {
+			err = enc.EndResource()
+		}
+		if err == nil {
+			err = enc.End()
+		}
+		pw.CloseWithError(err)
+	}()
+	got, peak := 0, base
+	err := DecodeDocument(pr, &Handler{Row: func([]string) error {
+		if got++; got%(rows/8) == 0 {
+			if h := liveHeap(); h > peak {
+				peak = h
+			}
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != rows {
+		t.Fatalf("streamed %d rows, want %d", got, rows)
+	}
+	return float64(peak-base) / (1 << 20) // peak starts at base
+}
+
+// TestStreamingCodecHeapFlat is the survey-scale claim of the streaming
+// codec: peak live heap stays flat while the row count grows 50x.
+func TestStreamingCodecHeapFlat(t *testing.T) {
+	small, large := streamPeakHeapMB(t, 1000), streamPeakHeapMB(t, 50000)
+	if large > 4*small+4 {
+		t.Errorf("codec peak heap not flat: %.2f MB at 1k rows vs %.2f MB at 50k rows", small, large)
 	}
 }
 

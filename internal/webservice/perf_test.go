@@ -69,8 +69,9 @@ func TestThroughputOutputByteIdentical(t *testing.T) {
 }
 
 // TestClusteringReducesScheduleEventsAndMakespan: under the serialized
-// Condor-G submission model, batching 16 jobs per task must cut both the
-// number of scheduler events and the model-clock makespan.
+// Condor-G submission model, every step of the batching sweep (1, 4, 16 jobs
+// per task) must cut both the number of scheduler events and the model-clock
+// makespan.
 func TestClusteringReducesScheduleEventsAndMakespan(t *testing.T) {
 	const n = 32
 	run := func(clusterSize int) RunStats {
@@ -84,18 +85,21 @@ func TestClusteringReducesScheduleEventsAndMakespan(t *testing.T) {
 		}
 		return stats
 	}
-	serial := run(1)
-	clustered := run(16)
-	if clustered.ScheduleEvents >= serial.ScheduleEvents {
-		t.Errorf("clustered run used %d schedule events, serial %d — no reduction",
-			clustered.ScheduleEvents, serial.ScheduleEvents)
+	prev := run(1)
+	if prev.ClusteredTasks != 0 {
+		t.Errorf("serial run reported %d clustered tasks", prev.ClusteredTasks)
 	}
-	if clustered.Makespan >= serial.Makespan {
-		t.Errorf("clustered makespan %v >= serial %v — overhead not amortized",
-			clustered.Makespan, serial.Makespan)
-	}
-	if serial.ClusteredTasks != 0 {
-		t.Errorf("serial run reported %d clustered tasks", serial.ClusteredTasks)
+	for _, size := range []int{4, 16} {
+		cur := run(size)
+		if cur.ScheduleEvents >= prev.ScheduleEvents {
+			t.Errorf("cluster size %d used %d schedule events, the step before %d — no reduction",
+				size, cur.ScheduleEvents, prev.ScheduleEvents)
+		}
+		if cur.Makespan >= prev.Makespan {
+			t.Errorf("cluster size %d makespan %v >= %v the step before — overhead not amortized",
+				size, cur.Makespan, prev.Makespan)
+		}
+		prev = cur
 	}
 }
 

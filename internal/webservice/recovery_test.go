@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/condor"
 	"repro/internal/dagman"
 	"repro/internal/faults"
 	"repro/internal/gridftp"
@@ -278,6 +279,54 @@ func TestTransferCorruptionFailsOverToMirror(t *testing.T) {
 			if err := h.ftp.Store(site).Verify(path); err != nil {
 				t.Errorf("replica %s at %s still damaged after heal: %v", lfn, site, err)
 			}
+		}
+	}
+}
+
+// TestFailoverCountAcrossSchedulerAndWorkers drives both writers of
+// RunStats.Failovers in one request at Workers 4. Every stage-in's first
+// attempt dies on its worker node, so each retry rotates to the file's other
+// replica — counted by pickTransferSource on the scheduler goroutine, one
+// retry after another in a single scheduling round. The retries that rotate
+// onto the primary copy find it damaged at rest and recover from the mirror —
+// counted by recoverContent inside worker-pool Run bodies that the same round
+// launched. The two must count under one lock. The final count is exact; the
+// lost update itself is what -race reports, and only when no incidental lock
+// (GridFTP's, the replica cache's) happens to order the two increments —
+// about nine requests in ten before the fix — hence three fresh requests.
+func TestFailoverCountAcrossSchedulerAndWorkers(t *testing.T) {
+	const n = 40
+	for round := 0; round < 3; round++ {
+		h := newHarness(t, n, func(c *Config) {
+			c.MirrorSite = "mirror"
+			c.Workers = 4
+			c.FaultsFor = func(_, _ string) *faults.Injector {
+				// The plan's roots are its n stage-ins, so they are the
+				// first n tasks placed.
+				return faults.New(5, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, Until: n})
+			}
+		})
+		tab := h.inputTable(t)
+		refs := imageRefsFromTable(tab)
+		if err := h.svc.cacheImageRefs(refs, &RunStats{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range refs {
+			if !h.ftp.Store("isi").Corrupt(m.id + ".fit") {
+				t.Fatalf("could not corrupt the primary copy of %s", m.id)
+			}
+		}
+		_, stats, err := h.svc.Compute(tab, "COMA")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Retries != n || stats.Quarantined == 0 || stats.Quarantined != stats.ChecksumFailures {
+			t.Fatalf("stats = %+v, want %d retries and every damaged primary that was read quarantined", stats, n)
+		}
+		// One failover per rotated retry, one more per quarantined primary.
+		if want := stats.Retries + stats.Quarantined; stats.Failovers != want {
+			t.Errorf("failovers = %d, want %d (%d rotated retries + %d recoveries)",
+				stats.Failovers, want, stats.Retries, stats.Quarantined)
 		}
 	}
 }

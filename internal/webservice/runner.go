@@ -120,7 +120,7 @@ func (s *Service) runner(cat *vdl.Catalog, stats *RunStats, mu *sync.Mutex, labe
 
 func (s *Service) transferSpec(n *dag.Node, cat *vdl.Catalog, attempt int, stats *RunStats, mu *sync.Mutex) dagman.Spec {
 	lfn := n.Attr(pegasus.AttrLFN)
-	src := s.pickTransferSource(lfn, n.Attr(pegasus.AttrSrcURL), attempt, stats)
+	src := s.pickTransferSource(lfn, n.Attr(pegasus.AttrSrcURL), attempt, stats, mu)
 	dst := n.Attr(pegasus.AttrDstURL)
 	srcSite, _, _ := gridftp.ParseURL(src)
 	return dagman.Spec{
@@ -195,8 +195,10 @@ func (s *Service) healSource(srcSite, srcURL, lfn string, content []byte) error 
 // registered replicas, and any candidate whose (site, transfer) circuit is
 // open is skipped — the failover path Pegasus's replica selection enables.
 // When every circuit is open the planned source is used anyway: failing
-// concretely beats refusing to try.
-func (s *Service) pickTransferSource(lfn, planned string, attempt int, stats *RunStats) string {
+// concretely beats refusing to try. It runs on the scheduler goroutine while
+// other nodes' Run bodies count their own failovers from the worker pool, so
+// the counter is taken under the same mu.
+func (s *Service) pickTransferSource(lfn, planned string, attempt int, stats *RunStats, mu *sync.Mutex) string {
 	if attempt <= 1 && s.cfg.Breakers == nil {
 		return planned
 	}
@@ -217,7 +219,9 @@ func (s *Service) pickTransferSource(lfn, planned string, attempt int, stats *Ru
 			continue
 		}
 		if u != planned {
+			mu.Lock()
 			stats.Failovers++
+			mu.Unlock()
 		}
 		return u
 	}

@@ -2,12 +2,7 @@ package repro
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -180,88 +175,4 @@ func TestWarmMemoRequestSkipsRecompute(t *testing.T) {
 			}
 		}
 	}
-}
-
-// benchPR2 is the record TestEmitBenchPR2 writes to BENCH_pr2.json.
-type benchPR2 struct {
-	Note       string             `json:"note"`
-	NumCPU     int                `json:"num_cpu"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Campaign   map[string]float64 `json:"campaign_wall_seconds_by_workers"`
-	ColdWarm   map[string]float64 `json:"request_wall_seconds"`
-	MemoHits   int                `json:"warm_request_memo_hits"`
-}
-
-// TestEmitBenchPR2 measures the eight-cluster campaign at several worker
-// counts and a cold-vs-memoized repeat request, and records the wall-clock
-// numbers in BENCH_pr2.json for EXPERIMENTS.md. Opt-in via EMIT_BENCH=1 so
-// routine `go test ./...` and `make bench` runs never churn the checked-in
-// numbers.
-func TestEmitBenchPR2(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") == "" {
-		t.Skip("benchmark emission is opt-in: set EMIT_BENCH=1 to rewrite BENCH_pr2.json")
-	}
-	if testing.Short() {
-		t.Skip("benchmark emission skipped in -short mode")
-	}
-	out := benchPR2{
-		Note: "wall-clock seconds; side-effect concurrency only — the model clock " +
-			"is identical at every worker count. Speedups require real cores; " +
-			"single-CPU containers serialize the workers.",
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Campaign:   map[string]float64{},
-		ColdWarm:   map[string]float64{},
-	}
-
-	for _, w := range []int{1, 2, 4, 8} {
-		tb := parallelTestbed(t, 8, w, nil)
-		start := time.Now()
-		if _, err := core.RunCampaign(tb); err != nil {
-			t.Fatal(err)
-		}
-		out.Campaign[fmt.Sprintf("workers=%d", w)] = time.Since(start).Seconds()
-	}
-
-	tb := parallelTestbed(t, 1, 4, nil)
-	name := tb.Portal.Clusters()[0].Name
-	cat, err := tb.Portal.BuildCatalog(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, _, err := tb.Compute.Compute(cat, name); err != nil {
-		t.Fatal(err)
-	}
-	out.ColdWarm["cold"] = time.Since(start).Seconds()
-	// Reclaim the derived result files so the repeat request re-runs every
-	// galMorph node and the timing isolates the memo, not RLS-level pruning.
-	for i := 0; i < cat.NumRows(); i++ {
-		lfn := cat.Cell(i, "id") + ".txt"
-		for _, pfn := range tb.RLS.Lookup(lfn) {
-			_ = tb.RLS.Unregister(lfn, pfn)
-			if site, path, err := gridftp.ParseURL(pfn.URL); err == nil {
-				_ = tb.FTP.Store(site).Delete(path)
-			}
-		}
-	}
-	start = time.Now()
-	_, warmStats, err := tb.Compute.Compute(cat, name+"-WARM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.ColdWarm["warm_memoized"] = time.Since(start).Seconds()
-	out.MemoHits = warmStats.MemoHits
-	if warmStats.MemoHits == 0 || warmStats.MemoMisses != 0 {
-		t.Fatalf("warm request did not exercise the memo: %+v", warmStats)
-	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_pr2.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_pr2.json: %s", data)
 }

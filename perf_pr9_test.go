@@ -1,22 +1,16 @@
-// PR 9 hot-path instrumentation: allocations per galaxy on the
+// Hot-path instrumentation: allocations per galaxy on the
 // decode→measure→encode path (legacy heap pipeline vs the zero-copy view +
-// request-arena pipeline) and end-to-end galaxies/sec through the compute
-// service at worker widths 1/4/16, recorded to BENCH_pr9.json. The alloc
-// counts are exact (testing.AllocsPerRun); throughput is wall-clock and
-// machine-dependent, recorded for shape rather than absolute comparison.
+// request-arena pipeline). The alloc counts are exact
+// (testing.AllocsPerRun).
 package repro
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
-	"repro/internal/core"
 	"repro/internal/fits"
 	"repro/internal/morphology"
 	"repro/internal/skysim"
@@ -90,12 +84,12 @@ func pr9AllocStats(runs int, fn func()) (float64, float64) {
 
 // pr9MeasurePath compares the two pipelines on one galaxy.
 type pr9MeasurePath struct {
-	LegacyAllocsPerGalaxy float64 `json:"legacy_allocs_per_galaxy"`
-	RawAllocsPerGalaxy    float64 `json:"raw_allocs_per_galaxy"`
-	AllocReductionFactor  float64 `json:"alloc_reduction_factor"`
-	LegacyBytesPerGalaxy  float64 `json:"legacy_bytes_per_galaxy"`
-	RawBytesPerGalaxy     float64 `json:"raw_bytes_per_galaxy"`
-	ByteReductionFactor   float64 `json:"byte_reduction_factor"`
+	LegacyAllocsPerGalaxy float64
+	RawAllocsPerGalaxy    float64
+	AllocReductionFactor  float64
+	LegacyBytesPerGalaxy  float64
+	RawBytesPerGalaxy     float64
+	ByteReductionFactor   float64
 }
 
 func measurePathStats(t testing.TB) pr9MeasurePath {
@@ -162,84 +156,4 @@ func BenchmarkMeasureRawArena(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rawMeasure(b, raw, mcfg)
 	}
-}
-
-// pr9Throughput is one end-to-end compute run at a worker width.
-type pr9Throughput struct {
-	Workers        int     `json:"workers"`
-	Galaxies       int     `json:"galaxies"`
-	WallMS         float64 `json:"wall_ms"`
-	GalaxiesPerSec float64 `json:"galaxies_per_sec"`
-}
-
-// throughputRun times one cold compute request (portal → measured VOTable)
-// at the given worker width. Each run builds a fresh testbed, so no memo or
-// replica state carries over between widths.
-func throughputRun(t testing.TB, galaxies, workers int) pr9Throughput {
-	tb, err := core.NewTestbed(core.Config{
-		ClusterSpecs: []skysim.Spec{{
-			Name: "PERF", Center: wcs.New(150, 2), Redshift: 0.04,
-			NumGalaxies: galaxies, Seed: 77,
-		}},
-		Seed: 5, Workers: workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := tb.Portal.BuildCatalog("PERF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, _, err := tb.Compute.Compute(cat, "PERF"); err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start)
-	return pr9Throughput{
-		Workers:        workers,
-		Galaxies:       galaxies,
-		WallMS:         float64(wall.Microseconds()) / 1000,
-		GalaxiesPerSec: float64(galaxies) / wall.Seconds(),
-	}
-}
-
-type benchPR9 struct {
-	Note        string          `json:"note"`
-	MeasurePath pr9MeasurePath  `json:"measure_path"`
-	Throughput  []pr9Throughput `json:"throughput"`
-}
-
-// TestEmitBenchPR9 records the hot-path numbers to BENCH_pr9.json. Opt-in
-// via EMIT_BENCH=1 like the earlier emitters; the >=2x alloc-reduction
-// claim is asserted here as well as in the always-on budget gate.
-func TestEmitBenchPR9(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") == "" {
-		t.Skip("benchmark emission is opt-in: set EMIT_BENCH=1 to rewrite BENCH_pr9.json")
-	}
-	if testing.Short() {
-		t.Skip("benchmark emission skipped in -short mode")
-	}
-	out := benchPR9{
-		Note: "hot-path cost per galaxy: legacy Decode+Measure+fmt-encode vs " +
-			"zero-copy view + request arena (exact alloc counts via AllocsPerRun), " +
-			"and end-to-end galaxies/sec through the compute service at worker " +
-			"widths 1/4/16 (wall-clock, cold testbed per width; outputs across " +
-			"widths are byte-identical, asserted by the parallel campaign).",
-		MeasurePath: measurePathStats(t),
-	}
-	if out.MeasurePath.AllocReductionFactor < 2 {
-		t.Fatalf("alloc reduction %.2fx < 2x", out.MeasurePath.AllocReductionFactor)
-	}
-	const galaxies = 96
-	for _, w := range []int{1, 4, 16} {
-		out.Throughput = append(out.Throughput, throughputRun(t, galaxies, w))
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_pr9.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_pr9.json: %s", data)
 }

@@ -10,7 +10,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -65,12 +64,11 @@ func soakTenant(i int) (string, int) {
 	}
 }
 
-// soakSample is one workflow's admission measurement: wall-clock queue wait
-// and grant distance (how many other grants happened between this
-// workflow's admission and its own grant — a clock-free congestion metric).
+// soakSample is one workflow's admission measurement: its grant distance
+// (how many other grants happened between this workflow's admission and its
+// own grant — a clock-free congestion metric).
 type soakSample struct {
 	priority int
-	wait     time.Duration
 	dist     int64
 }
 
@@ -82,14 +80,14 @@ type soakSample struct {
 // thirds in, an interactive tenant's weight is boosted — the rebalancing
 // path under load. Client concurrency is bounded so arrivals stay
 // open-loop rather than one giant thundering herd.
-func runSoakFleet(t *testing.T, n int, preemption bool) (fabric.FleetSnapshot, []soakSample) {
+func runSoakFleet(t *testing.T, n int) (fabric.FleetSnapshot, []soakSample) {
 	t.Helper()
 	f, err := fabric.New(fabric.Config{
 		Pools: []condor.Pool{
 			{Name: "usc", Slots: 8}, {Name: "wisc", Slots: 16}, {Name: "fnal", Slots: 8},
 		},
 		MaxRunningWorkflows: 8,
-		Preemption:          preemption,
+		Preemption:          true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +105,6 @@ func runSoakFleet(t *testing.T, n int, preemption bool) (fabric.FleetSnapshot, [
 			defer func() { <-inflight }()
 
 			tenant, prio := soakTenant(i)
-			start := time.Now()
 			g0 := atomic.LoadInt64(&grants)
 			tkt, err := f.Admit(tenant, prio)
 			if err != nil {
@@ -120,7 +117,7 @@ func runSoakFleet(t *testing.T, n int, preemption bool) (fabric.FleetSnapshot, [
 				return
 			}
 			g1 := atomic.AddInt64(&grants, 1)
-			samples[i] = soakSample{priority: prio, wait: time.Since(start), dist: g1 - g0 - 1}
+			samples[i] = soakSample{priority: prio, dist: g1 - g0 - 1}
 			lease.SetPreemptible(true)
 
 			steps := 3 + i%5
@@ -176,21 +173,6 @@ func distPercentile(samples []soakSample, priority int, p float64) int64 {
 	return ds[idx]
 }
 
-// waitPercentile is distPercentile for the wall-clock queue wait.
-func waitPercentile(samples []soakSample, priority int, p float64) time.Duration {
-	var ws []time.Duration
-	for _, s := range samples {
-		if s.priority == priority {
-			ws = append(ws, s.wait)
-		}
-	}
-	if len(ws) == 0 {
-		return 0
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	return ws[int(p*float64(len(ws)-1))]
-}
-
 // TestSoakFabricCampaign floods the fabric with SOAK_WORKFLOWS synthetic
 // checkpointable workflows under preemption and mid-run rebalancing and
 // checks the soak invariants: every workflow completes exactly once,
@@ -202,7 +184,7 @@ func TestSoakFabricCampaign(t *testing.T) {
 		t.Skip("soak campaign skipped in -short mode")
 	}
 	n := soakCount(t, 600)
-	snap, samples := runSoakFleet(t, n, true)
+	snap, samples := runSoakFleet(t, n)
 
 	// Nothing lost, nothing stuck, nothing shed, nothing failed.
 	if snap.Completed != n || snap.Failed != 0 || snap.Shed != 0 {
@@ -453,85 +435,4 @@ func TestSoakServiceCampaign(t *testing.T) {
 	}
 	t.Logf("end-to-end soak: %d tenants x %d rounds, %d preemptions, %d requeues, outputs byte-identical",
 		n, rounds, fleet.Preempted, fleet.Requeued)
-}
-
-// pr8Class is one priority class's queue-wait distribution in one mode.
-type pr8Class struct {
-	Priority  int     `json:"priority"`
-	Name      string  `json:"name"`
-	Workflows int     `json:"workflows"`
-	WaitP50Ms float64 `json:"queue_wait_p50_ms"`
-	WaitP99Ms float64 `json:"queue_wait_p99_ms"`
-	DistP99   int64   `json:"grant_distance_p99"`
-}
-
-// pr8Mode is the fleet under one scheduler mode.
-type pr8Mode struct {
-	Preemption bool       `json:"preemption"`
-	Preempted  int        `json:"preempted"`
-	Requeued   int        `json:"requeued"`
-	Classes    []pr8Class `json:"classes"`
-}
-
-type benchPR8 struct {
-	Note       string    `json:"note"`
-	Workflows  int       `json:"workflows"`
-	FleetSlots int       `json:"fleet_workflow_slots"`
-	Modes      []pr8Mode `json:"modes"`
-}
-
-// TestEmitBenchPR8 records the preemption campaign's queue-wait
-// distributions per priority class, with and without preemption, to
-// BENCH_pr8.json. Opt-in via EMIT_BENCH=1.
-func TestEmitBenchPR8(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") == "" {
-		t.Skip("benchmark emission is opt-in: set EMIT_BENCH=1 to rewrite BENCH_pr8.json")
-	}
-	if testing.Short() {
-		t.Skip("benchmark emission skipped in -short mode")
-	}
-	n := soakCount(t, 600)
-	out := benchPR8{
-		Note: "soak fleet queue-wait per priority class, with and without " +
-			"preemption. grant_distance is the clock-free congestion metric " +
-			"(grants between admission and own grant); wall-clock waits are " +
-			"measured on the host and vary with load.",
-		Workflows:  n,
-		FleetSlots: 8,
-	}
-	classes := []struct {
-		prio int
-		name string
-	}{
-		{soakBatch, "batch"}, {soakInteractive, "interactive"}, {soakUrgent, "urgent"},
-	}
-	for _, preemption := range []bool{false, true} {
-		snap, samples := runSoakFleet(t, n, preemption)
-		mode := pr8Mode{Preemption: preemption, Preempted: snap.Preempted, Requeued: snap.Requeued}
-		for _, c := range classes {
-			count := 0
-			for _, s := range samples {
-				if s.priority == c.prio {
-					count++
-				}
-			}
-			mode.Classes = append(mode.Classes, pr8Class{
-				Priority:  c.prio,
-				Name:      c.name,
-				Workflows: count,
-				WaitP50Ms: float64(waitPercentile(samples, c.prio, 0.50)) / float64(time.Millisecond),
-				WaitP99Ms: float64(waitPercentile(samples, c.prio, 0.99)) / float64(time.Millisecond),
-				DistP99:   distPercentile(samples, c.prio, 0.99),
-			})
-		}
-		out.Modes = append(out.Modes, mode)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_pr8.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_pr8.json: %s", data)
 }
