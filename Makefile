@@ -106,9 +106,11 @@ soak:
 # 2x below materialising the image first (Decode + Measure). Both entries run
 # the one FITS reader and the one measurement prologue; the pins hold them to
 # fixed oracles (FITS definition, frozen heap prologue, frozen fmt encoding).
-# Fails fast on any AllocsPerRun regression.
+# The budget test lives next to the galMorph body it gates
+# (internal/webservice/hotpath_test.go). Fails fast on any AllocsPerRun
+# regression.
 hotbench:
-	$(GO) test -race -run 'TestHotPathAllocBudget' -v .
+	$(GO) test -race -run 'TestHotPathAllocBudget' -v ./internal/webservice/
 	$(GO) test -race -run 'TestMeasureRaw|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/
 
 # Non-test Go lines per package: raw lines and code lines (blank and

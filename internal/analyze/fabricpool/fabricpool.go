@@ -10,45 +10,14 @@
 package fabricpool
 
 import (
-	"go/ast"
-
-	"repro/internal/analyze"
+	"repro/internal/analyze/forbid"
 )
 
 // Analyzer is the fabricpool check.
-var Analyzer = &analyze.Analyzer{
-	Name: "fabricpool",
-	Doc: "forbid condor.NewSimulator outside internal/fabric; all execution capacity is minted by fabric " +
+var Analyzer = forbid.New("fabricpool",
+	"forbid condor.NewSimulator outside internal/fabric; all execution capacity is minted by fabric "+
 		"leases so admission control, tenant quotas and fair-share accounting govern every workflow",
-	Run: run,
-}
-
-func init() {
-	Analyzer.Flags.String("allow", "repro/internal/fabric",
-		"comma-separated import paths allowed to construct Condor simulators")
-}
-
-func run(pass *analyze.Pass) error {
-	for _, path := range analyze.CommaList(pass.Analyzer.Flags.Lookup("allow").Value.String()) {
-		if pass.Pkg != nil && pass.Pkg.Path() == path {
-			return nil
-		}
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil || pass.IsTestFile(n.Pos()) {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, ok := analyze.PkgFunc(pass.TypesInfo, call, "repro/internal/condor"); ok && name == "NewSimulator" {
-				pass.Reportf(call.Pos(),
-					"condor.NewSimulator outside the fabric mints execution capacity no quota governs; take a fabric lease and call lease.NewSimulator")
-			}
-			return true
-		})
-	}
-	return nil
-}
+	"repro/internal/fabric", "comma-separated import paths allowed to construct Condor simulators",
+	forbid.Rule{Kind: forbid.Call, Pkg: "repro/internal/condor", Names: []string{"NewSimulator"},
+		Msg: "condor.%s outside the fabric mints execution capacity no quota governs; take a fabric lease and call lease.NewSimulator"},
+)

@@ -11,75 +11,27 @@
 package noclock
 
 import (
-	"go/ast"
-	"go/types"
-
-	"repro/internal/analyze"
+	"repro/internal/analyze/forbid"
 )
 
-// banned lists the time-package functions that read or depend on the
-// process wall clock. Constructors like time.Date or time.Unix are
-// pure and stay legal.
-var banned = map[string]string{
-	"Now":       "reads the wall clock",
-	"Since":     "reads the wall clock",
-	"Until":     "reads the wall clock",
-	"Sleep":     "blocks on the wall clock",
-	"After":     "fires on the wall clock",
-	"Tick":      "fires on the wall clock",
-	"NewTimer":  "fires on the wall clock",
-	"NewTicker": "fires on the wall clock",
-}
+// remedy closes every noclock diagnostic.
+const remedy = "; simulated and resumable paths must use the model clock or an injected now func() time.Time"
 
-// Analyzer is the noclock check.
-var Analyzer = &analyze.Analyzer{
-	Name: "noclock",
-	Doc: "forbid wall-clock reads (time.Now, time.Since, time.Sleep, ...) in library and simulation code; " +
-		"the model clock and injected now-functions are the only legal time sources, so kill/resume replays " +
+// Analyzer is the noclock check. It bans the time-package functions that
+// read or depend on the process wall clock, called or merely referenced:
+// the injection-boundary defaults that legitimately hold a reference carry
+// //nvolint:ignore reasons. Constructors like time.Date or time.Unix are
+// pure and stay legal, and so do methods (t.After, t.Sub, ...): they
+// compute on an already-obtained instant.
+var Analyzer = forbid.New("noclock",
+	"forbid wall-clock reads (time.Now, time.Since, time.Sleep, ...) in library and simulation code; "+
+		"the model clock and injected now-functions are the only legal time sources, so kill/resume replays "+
 		"and worker-width sweeps stay byte-identical",
-	Run: run,
-}
-
-func init() {
-	Analyzer.Flags.String("allow", "",
-		"comma-separated import paths exempt from the wall-clock ban")
-}
-
-func run(pass *analyze.Pass) error {
-	for _, path := range analyze.CommaList(pass.Analyzer.Flags.Lookup("allow").Value.String()) {
-		if pass.Pkg != nil && pass.Pkg.Path() == path {
-			return nil
-		}
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			// Both calls (time.Now()) and bare references (cfg.Now =
-			// time.Now) are findings: a stored reference is a wall-clock
-			// read at one remove, and the injection-boundary defaults
-			// that legitimately hold one carry //nvolint:ignore reasons.
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-				return true
-			}
-			// Methods (t.After, t.Sub, ...) are pure computations on an
-			// already-obtained instant; only the package-level functions
-			// touch the wall clock.
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				return true
-			}
-			why, ok := banned[fn.Name()]
-			if !ok || pass.IsTestFile(sel.Pos()) {
-				return true
-			}
-			pass.Reportf(sel.Pos(),
-				"time.%s %s; simulated and resumable paths must use the model clock or an injected now func() time.Time",
-				fn.Name(), why)
-			return true
-		})
-	}
-	return nil
-}
+	"", "comma-separated import paths exempt from the wall-clock ban",
+	forbid.Rule{Kind: forbid.Ref, Pkg: "time", Names: []string{"Now", "Since", "Until"},
+		Msg: "time.%s reads the wall clock" + remedy},
+	forbid.Rule{Kind: forbid.Ref, Pkg: "time", Names: []string{"Sleep"},
+		Msg: "time.%s blocks on the wall clock" + remedy},
+	forbid.Rule{Kind: forbid.Ref, Pkg: "time", Names: []string{"After", "Tick", "NewTimer", "NewTicker"},
+		Msg: "time.%s fires on the wall clock" + remedy},
+)

@@ -10,50 +10,18 @@
 package seededrand
 
 import (
-	"go/ast"
-
-	"repro/internal/analyze"
+	"repro/internal/analyze/forbid"
 )
 
-// constructors are the math/rand package-level functions that build
-// seeded sources rather than drawing from the global one.
-var constructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-}
-
-// Analyzer is the seededrand check.
-var Analyzer = &analyze.Analyzer{
-	Name: "seededrand",
-	Doc: "forbid the global math/rand source (top-level rand.Intn, rand.Float64, rand.Shuffle, ..., and all " +
-		"of math/rand/v2) in non-test code; randomness must flow from rand.New(rand.NewSource(seed)) with the " +
+// Analyzer is the seededrand check. New, NewSource and NewZipf build seeded
+// sources rather than drawing from the global one.
+var Analyzer = forbid.New("seededrand",
+	"forbid the global math/rand source (top-level rand.Intn, rand.Float64, rand.Shuffle, ..., and all "+
+		"of math/rand/v2) in non-test code; randomness must flow from rand.New(rand.NewSource(seed)) with the "+
 		"seed threaded from the request or campaign, or replays cannot reproduce the original bytes",
-	Run: run,
-}
-
-func run(pass *analyze.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if pass.IsTestFile(call.Pos()) {
-				return true
-			}
-			if name, ok := analyze.PkgFunc(pass.TypesInfo, call, "math/rand"); ok && !constructors[name] {
-				pass.Reportf(call.Pos(),
-					"rand.%s draws from the process-global math/rand source; thread the run seed through rand.New(rand.NewSource(seed)) instead",
-					name)
-			}
-			if name, ok := analyze.PkgFunc(pass.TypesInfo, call, "math/rand/v2"); ok {
-				pass.Reportf(call.Pos(),
-					"math/rand/v2 %s uses a global source that cannot be seeded; use math/rand with an explicit rand.NewSource(seed)",
-					name)
-			}
-			return true
-		})
-	}
-	return nil
-}
+	"", "",
+	forbid.Rule{Kind: forbid.Call, Pkg: "math/rand", Except: []string{"New", "NewSource", "NewZipf"},
+		Msg: "rand.%s draws from the process-global math/rand source; thread the run seed through rand.New(rand.NewSource(seed)) instead"},
+	forbid.Rule{Kind: forbid.Call, Pkg: "math/rand/v2",
+		Msg: "math/rand/v2 %s uses a global source that cannot be seeded; use math/rand with an explicit rand.NewSource(seed)"},
+)

@@ -11,73 +11,20 @@
 package sharedclient
 
 import (
-	"go/ast"
-	"go/types"
-
-	"repro/internal/analyze"
+	"repro/internal/analyze/forbid"
 )
 
-// defaultClientFuncs are the net/http package-level helpers that route
-// through http.DefaultClient.
-var defaultClientFuncs = map[string]bool{
-	"Get": true, "Head": true, "Post": true, "PostForm": true,
-}
-
-// Analyzer is the sharedclient check.
-var Analyzer = &analyze.Analyzer{
-	Name: "sharedclient",
-	Doc: "forbid &http.Client{} composite literals, http.DefaultClient, and the http.Get/Post/Head/PostForm " +
-		"helpers outside internal/httpclient; all HTTP flows through the shared pooled client so keep-alive " +
+// Analyzer is the sharedclient check. Get, Head, Post and PostForm are the
+// net/http package-level helpers that route through http.DefaultClient.
+var Analyzer = forbid.New("sharedclient",
+	"forbid &http.Client{} composite literals, http.DefaultClient, and the http.Get/Post/Head/PostForm "+
+		"helpers outside internal/httpclient; all HTTP flows through the shared pooled client so keep-alive "+
 		"reuse stays a provable property",
-	Run: run,
-}
-
-func init() {
-	Analyzer.Flags.String("allow", "repro/internal/httpclient",
-		"comma-separated import paths allowed to construct HTTP clients")
-}
-
-func run(pass *analyze.Pass) error {
-	for _, path := range analyze.CommaList(pass.Analyzer.Flags.Lookup("allow").Value.String()) {
-		if pass.Pkg != nil && pass.Pkg.Path() == path {
-			return nil
-		}
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil || pass.IsTestFile(n.Pos()) {
-				return false
-			}
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if tv, ok := pass.TypesInfo.Types[n]; ok && isHTTPClient(tv.Type) {
-					pass.Reportf(n.Pos(),
-						"ad-hoc http.Client literal bypasses the pooled shared client; use httpclient.Shared() or httpclient.New(transport)")
-				}
-			case *ast.SelectorExpr:
-				if name, ok := analyze.PkgVar(pass.TypesInfo, n, "net/http"); ok && name == "DefaultClient" {
-					pass.Reportf(n.Pos(),
-						"http.DefaultClient has no pooled-transport tuning and dodges the testbed router; use httpclient.Shared()")
-				}
-			case *ast.CallExpr:
-				if name, ok := analyze.PkgFunc(pass.TypesInfo, n, "net/http"); ok && defaultClientFuncs[name] {
-					pass.Reportf(n.Pos(),
-						"http.%s uses http.DefaultClient under the hood; call the method on httpclient.Shared() or an injected client",
-						name)
-				}
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// isHTTPClient reports whether t is net/http.Client.
-func isHTTPClient(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Client" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
-}
+	"repro/internal/httpclient", "comma-separated import paths allowed to construct HTTP clients",
+	forbid.Rule{Kind: forbid.Lit, Pkg: "net/http", Names: []string{"Client"},
+		Msg: "ad-hoc http.%s literal bypasses the pooled shared client; use httpclient.Shared() or httpclient.New(transport)"},
+	forbid.Rule{Kind: forbid.Var, Pkg: "net/http", Names: []string{"DefaultClient"},
+		Msg: "http.%s has no pooled-transport tuning and dodges the testbed router; use httpclient.Shared()"},
+	forbid.Rule{Kind: forbid.Call, Pkg: "net/http", Names: []string{"Get", "Head", "Post", "PostForm"},
+		Msg: "http.%s uses http.DefaultClient under the hood; call the method on httpclient.Shared() or an injected client"},
+)

@@ -41,11 +41,10 @@ type Graph struct {
 
 // Errors returned by graph operations.
 var (
-	ErrNoSuchNode   = errors.New("dag: no such node")
-	ErrDupNode      = errors.New("dag: duplicate node")
-	ErrCycle        = errors.New("dag: cycle detected")
-	ErrSelfEdge     = errors.New("dag: self edge")
-	ErrMissingNodes = errors.New("dag: edge references missing node")
+	ErrNoSuchNode = errors.New("dag: no such node")
+	ErrDupNode    = errors.New("dag: duplicate node")
+	ErrCycle      = errors.New("dag: cycle detected")
+	ErrSelfEdge   = errors.New("dag: self edge")
 )
 
 // New returns an empty graph.

@@ -120,11 +120,6 @@ func AsShed(err error) (*ShedError, bool) {
 	return nil, false
 }
 
-// Errors returned by the fabric.
-var (
-	ErrClosed = errors.New("fabric: closed")
-)
-
 // tenantState is one tenant's live accounting.
 type tenantState struct {
 	name    string
@@ -492,9 +487,6 @@ type Lease struct {
 
 // Tenant returns the tenant the lease is accounted to.
 func (l *Lease) Tenant() string { return l.ts.name }
-
-// Priority returns the scheduling class the lease was granted at.
-func (l *Lease) Priority() int { return l.priority }
 
 // MaxRunningJobs returns the tenant's per-workflow concurrent-job quota
 // (0 = unlimited) — wire it into DAGMan's MaxInFlight throttle.

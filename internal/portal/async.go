@@ -37,7 +37,10 @@ type JobSnapshot struct {
 
 type jobRecord struct {
 	snap JobSnapshot
-	done chan struct{} // closed when the background analysis goroutine exits
+	// done is closed when the background analysis goroutine exits: the
+	// completion signal a portal teardown joins on (goleak requires one of
+	// every goroutine).
+	done chan struct{}
 }
 
 // StartAnalysis launches the Figure 5 flow in the background and returns a
@@ -85,20 +88,6 @@ func (p *Portal) StartAnalysisAt(cluster string, priority int) (string, error) {
 		rec.snap.Result = res
 	}()
 	return id, nil
-}
-
-// AwaitJob blocks until the job's background goroutine has exited and
-// returns the final snapshot. It is the join for StartAnalysis: a caller
-// tearing down a portal waits here instead of polling JobStatus.
-func (p *Portal) AwaitJob(id string) (JobSnapshot, error) {
-	p.mu.Lock()
-	rec, ok := p.jobs[id]
-	p.mu.Unlock()
-	if !ok {
-		return JobSnapshot{}, fmt.Errorf("portal: unknown job %q", id)
-	}
-	<-rec.done
-	return p.JobStatus(id)
 }
 
 // JobStatus returns a snapshot of an asynchronous analysis.

@@ -109,12 +109,11 @@ func (d *Derivation) lfns(dir Direction) []string {
 
 // Errors reported by the catalog and parser.
 var (
-	ErrDuplicate   = errors.New("vdl: duplicate definition")
-	ErrUnknownTR   = errors.New("vdl: derivation references unknown transformation")
-	ErrBadBinding  = errors.New("vdl: binding does not match transformation signature")
-	ErrParse       = errors.New("vdl: parse error")
-	ErrUnboundArg  = errors.New("vdl: unbound transformation argument")
-	ErrUnknownName = errors.New("vdl: no such definition")
+	ErrDuplicate  = errors.New("vdl: duplicate definition")
+	ErrUnknownTR  = errors.New("vdl: derivation references unknown transformation")
+	ErrBadBinding = errors.New("vdl: binding does not match transformation signature")
+	ErrParse      = errors.New("vdl: parse error")
+	ErrUnboundArg = errors.New("vdl: unbound transformation argument")
 )
 
 // Catalog is a Virtual Data Catalog: the store of transformations and

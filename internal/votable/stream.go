@@ -448,7 +448,10 @@ func lastAttr(se xml.StartElement, name string) string {
 	return v
 }
 
-func decodeVOTable(dec *xml.Decoder, h *Handler) error {
+// children is the one child-element loop every level of the document runs:
+// it hands each start element up to the enclosing end tag to each, which
+// consumes the element whole — decodes it, descends into it or skips it.
+func children(dec *xml.Decoder, each func(se xml.StartElement) error) error {
 	for {
 		tok, err := dec.Token()
 		if err != nil {
@@ -456,205 +459,143 @@ func decodeVOTable(dec *xml.Decoder, h *Handler) error {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			switch t.Name.Local {
-			case "DESCRIPTION":
-				var s string
-				if err := dec.DecodeElement(&s, &t); err != nil {
-					return err
-				}
-				if h.Description != nil {
-					if err := call(h.Description(s)); err != nil {
-						return err
-					}
-				}
-			case "RESOURCE":
-				if h.StartResource != nil {
-					if err := call(h.StartResource(lastAttr(t, "name"))); err != nil {
-						return err
-					}
-				}
-				if err := decodeResource(dec, h); err != nil {
-					return err
-				}
-				if h.EndResource != nil {
-					if err := call(h.EndResource()); err != nil {
-						return err
-					}
-				}
-			default:
-				if err := dec.Skip(); err != nil {
-					return err
-				}
+			if err := each(t); err != nil {
+				return err
 			}
 		case xml.EndElement:
 			return nil
 		}
 	}
+}
+
+func decodeVOTable(dec *xml.Decoder, h *Handler) error {
+	return children(dec, func(se xml.StartElement) error {
+		switch se.Name.Local {
+		case "DESCRIPTION":
+			var s string
+			if err := dec.DecodeElement(&s, &se); err != nil {
+				return err
+			}
+			if h.Description != nil {
+				return call(h.Description(s))
+			}
+		case "RESOURCE":
+			if h.StartResource != nil {
+				if err := call(h.StartResource(lastAttr(se, "name"))); err != nil {
+					return err
+				}
+			}
+			if err := decodeResource(dec, h); err != nil {
+				return err
+			}
+			if h.EndResource != nil {
+				return call(h.EndResource())
+			}
+		default:
+			return dec.Skip()
+		}
+		return nil
+	})
 }
 
 func decodeResource(dec *xml.Decoder, h *Handler) error {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
+	return children(dec, func(se xml.StartElement) error {
+		if se.Name.Local != "TABLE" {
+			return dec.Skip()
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Local != "TABLE" {
-				if err := dec.Skip(); err != nil {
-					return err
-				}
-				continue
-			}
-			if h.StartTable != nil {
-				if err := call(h.StartTable(lastAttr(t, "name"))); err != nil {
-					return err
-				}
-			}
-			if err := decodeTable(dec, h); err != nil {
+		if h.StartTable != nil {
+			if err := call(h.StartTable(lastAttr(se, "name"))); err != nil {
 				return err
 			}
-			if h.EndTable != nil {
-				if err := call(h.EndTable()); err != nil {
-					return err
-				}
-			}
-		case xml.EndElement:
-			return nil
 		}
-	}
+		if err := decodeTable(dec, h); err != nil {
+			return err
+		}
+		if h.EndTable != nil {
+			return call(h.EndTable())
+		}
+		return nil
+	})
 }
 
 func decodeTable(dec *xml.Decoder, h *Handler) error {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			switch t.Name.Local {
-			case "DESCRIPTION":
-				var s string
-				if err := dec.DecodeElement(&s, &t); err != nil {
-					return err
-				}
-				if h.TableDescription != nil {
-					if err := call(h.TableDescription(s)); err != nil {
-						return err
-					}
-				}
-			case "PARAM":
-				var xp xmlParam
-				if err := dec.DecodeElement(&xp, &t); err != nil {
-					return err
-				}
-				if h.Param != nil {
-					if err := call(h.Param(Param(xp))); err != nil {
-						return err
-					}
-				}
-			case "FIELD":
-				var xf xmlField
-				if err := dec.DecodeElement(&xf, &t); err != nil {
-					return err
-				}
-				if h.Field != nil {
-					if err := call(h.Field(Field(xf))); err != nil {
-						return err
-					}
-				}
-			case "DATA":
-				if err := decodeData(dec, h); err != nil {
-					return err
-				}
-			default:
-				if err := dec.Skip(); err != nil {
-					return err
-				}
+	return children(dec, func(se xml.StartElement) error {
+		switch se.Name.Local {
+		case "DESCRIPTION":
+			var s string
+			if err := dec.DecodeElement(&s, &se); err != nil {
+				return err
 			}
-		case xml.EndElement:
-			return nil
+			if h.TableDescription != nil {
+				return call(h.TableDescription(s))
+			}
+		case "PARAM":
+			var xp xmlParam
+			if err := dec.DecodeElement(&xp, &se); err != nil {
+				return err
+			}
+			if h.Param != nil {
+				return call(h.Param(Param(xp)))
+			}
+		case "FIELD":
+			var xf xmlField
+			if err := dec.DecodeElement(&xf, &se); err != nil {
+				return err
+			}
+			if h.Field != nil {
+				return call(h.Field(Field(xf)))
+			}
+		case "DATA":
+			return decodeData(dec, h)
+		default:
+			return dec.Skip()
 		}
-	}
+		return nil
+	})
 }
 
 func decodeData(dec *xml.Decoder, h *Handler) error {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
+	return children(dec, func(se xml.StartElement) error {
+		if se.Name.Local != "TABLEDATA" {
+			return dec.Skip()
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Local != "TABLEDATA" {
-				if err := dec.Skip(); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := decodeTableData(dec, h); err != nil {
-				return err
-			}
-		case xml.EndElement:
-			return nil
-		}
-	}
+		return decodeTableData(dec, h)
+	})
 }
 
 func decodeTableData(dec *xml.Decoder, h *Handler) error {
-	for {
-		tok, err := dec.Token()
+	return children(dec, func(se xml.StartElement) error {
+		if se.Name.Local != "TR" {
+			return dec.Skip()
+		}
+		cells, err := decodeTR(dec)
 		if err != nil {
 			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Local != "TR" {
-				if err := dec.Skip(); err != nil {
-					return err
-				}
-				continue
-			}
-			cells, err := decodeTR(dec)
-			if err != nil {
-				return err
-			}
-			if h.Row != nil {
-				if err := call(h.Row(cells)); err != nil {
-					return err
-				}
-			}
-		case xml.EndElement:
-			return nil
+		if h.Row != nil {
+			return call(h.Row(cells))
 		}
-	}
+		return nil
+	})
 }
 
 func decodeTR(dec *xml.Decoder) ([]string, error) {
 	var cells []string
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, err
+	err := children(dec, func(se xml.StartElement) error {
+		if se.Name.Local != "TD" {
+			return dec.Skip()
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Local != "TD" {
-				if err := dec.Skip(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			var s string
-			if err := dec.DecodeElement(&s, &t); err != nil {
-				return nil, err
-			}
-			cells = append(cells, s)
-		case xml.EndElement:
-			return cells, nil
+		var s string
+		if err := dec.DecodeElement(&s, &se); err != nil {
+			return err
 		}
+		cells = append(cells, s)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return cells, nil
 }
 
 // --- normalized row streaming ---------------------------------------------

@@ -24,7 +24,6 @@ import (
 const (
 	TypeBoolean = "boolean"
 	TypeInt     = "int"
-	TypeLong    = "long"
 	TypeFloat   = "float"
 	TypeDouble  = "double"
 	TypeChar    = "char"
@@ -522,13 +521,4 @@ func (d *Document) FirstTable() (*Table, error) {
 // precision.
 func FormatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// AppendFloat appends FormatFloat(v) to dst without the intermediate
-// string — the allocation-free form hot-path row encoders use. The bytes
-// are identical to FormatFloat's (and to fmt's %g).
-//
-//nvo:hotpath
-func AppendFloat(dst []byte, v float64) []byte {
-	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }

@@ -421,7 +421,7 @@ func TestFabricKillResumeNoJournalBleed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := svc2.Resume(h.clusters[0].Name); !errors.Is(err, journal.ErrScope) {
+	if _, _, err := resume(svc2, h.clusters[0].Name); !errors.Is(err, journal.ErrScope) {
 		t.Fatalf("resume under foreign identity = %v, want journal.ErrScope", err)
 	}
 }

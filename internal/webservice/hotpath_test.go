@@ -4,9 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/arena"
+	"repro/internal/fits"
+	"repro/internal/morphology"
+	"repro/internal/skysim"
+	"repro/internal/wcs"
 )
 
 // fmtEncodeResult is the frozen PR-1 rendering of a result file. The live
@@ -71,5 +78,124 @@ func TestResultCellsIntoMatchesResultCells(t *testing.T) {
 		if !slices.Equal(row, c.want) {
 			t.Errorf("case %d: row %q, want %q", i, row, c.want)
 		}
+	}
+}
+
+// Hot-path instrumentation: allocations per galaxy on the
+// decode→measure→encode path (legacy heap pipeline vs the zero-copy view +
+// request-arena pipeline the galMorph Run body executes). The alloc counts
+// are exact (testing.AllocsPerRun).
+
+// hotPathGalaxy renders one realistic survey galaxy to raw FITS bytes — the
+// exact payload a galMorph job receives from its stage-in.
+func hotPathGalaxy(t testing.TB) ([]byte, morphology.Config) {
+	t.Helper()
+	cl := skysim.Generate(skysim.Spec{
+		Name: "PERF", Center: wcs.New(150, 2), Redshift: 0.04,
+		NumGalaxies: 8, Seed: 77,
+	})
+	im := skysim.RenderGalaxy(cl.Galaxies[0], 64, 7)
+	var buf bytes.Buffer
+	if err := im.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), morphology.DefaultConfig(cl.Redshift)
+}
+
+// legacyMeasure is the pre-PR-9 per-galaxy pipeline, kept as the reference
+// the gate compares against: full Decode into a heap Image, Measure,
+// fmt-based result encoding.
+func legacyMeasure(t testing.TB, raw []byte, mcfg morphology.Config) int {
+	im, err := fits.Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := morphology.Measure(im, mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Valid {
+		t.Fatalf("perf galaxy measured invalid: %s", p.Err)
+	}
+	return len(fmt.Sprintf("id g0\nsurface_brightness %g\nconcentration %g\nasymmetry %g\nvalid %t\n",
+		p.SurfaceBrightness, p.Concentration, p.Asymmetry, p.Valid))
+}
+
+// rawMeasure is the pipeline as the galMorph Run body executes it: pooled
+// arena, zero-copy view, and the galMorph body rendering the result file
+// into arena-backed bytes.
+func rawMeasure(t testing.TB, raw []byte, mcfg morphology.Config) int {
+	ar := arena.Get()
+	defer arena.Put(ar)
+	p, err := morphology.MeasureRaw(ar, raw, mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Valid {
+		t.Fatalf("perf galaxy measured invalid: %s", p.Err)
+	}
+	content, err := (&Service{}).galMorph(ar.Bytes(192)[:0], "g0.fit", p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(content)
+}
+
+// allocStats runs fn repeatedly and reports (allocs/run, bytes/run).
+func allocStats(runs int, fn func()) (float64, float64) {
+	fn() // warm pools and slabs outside the measured window
+	allocs := testing.AllocsPerRun(runs, fn)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestHotPathAllocBudget is the regression gate `make hotbench` runs under
+// -race: the arena pipeline must stay within an absolute per-galaxy
+// allocation budget AND at least 2x below the legacy pipeline. The absolute
+// budget is deliberately generous (the real figure is far lower) so race-
+// mode and GC-timing noise cannot flake it, while still catching any
+// reintroduced per-pixel or per-card allocation immediately.
+func TestHotPathAllocBudget(t *testing.T) {
+	raw, mcfg := hotPathGalaxy(t)
+	legacyAllocs, legacyBytes := allocStats(200, func() { legacyMeasure(t, raw, mcfg) })
+	rawAllocs, rawBytes := allocStats(200, func() { rawMeasure(t, raw, mcfg) })
+	t.Logf("allocs/galaxy: legacy %.1f, raw %.1f; bytes/galaxy: legacy %.0f, raw %.0f",
+		legacyAllocs, rawAllocs, legacyBytes, rawBytes)
+	const absBudget = 48
+	if rawAllocs > absBudget {
+		t.Errorf("raw measure path allocates %.1f times per galaxy; budget is %d", rawAllocs, absBudget)
+	}
+	if legacyAllocs < 2*rawAllocs {
+		t.Errorf("alloc reduction < 2x (legacy %.1f, raw %.1f)", legacyAllocs, rawAllocs)
+	}
+	// The race detector's shadow bookkeeping inflates every allocation's
+	// measured size (the count stays exact), so the byte-level claim is
+	// only asserted in uninstrumented builds.
+	if !raceEnabled && legacyBytes < 2*rawBytes {
+		t.Errorf("allocated-bytes reduction < 2x (legacy %.0f, raw %.0f)", legacyBytes, rawBytes)
+	}
+}
+
+func BenchmarkMeasureLegacy(b *testing.B) {
+	raw, mcfg := hotPathGalaxy(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		legacyMeasure(b, raw, mcfg)
+	}
+}
+
+func BenchmarkMeasureRawArena(b *testing.B) {
+	raw, mcfg := hotPathGalaxy(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rawMeasure(b, raw, mcfg)
 	}
 }

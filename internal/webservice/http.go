@@ -67,6 +67,12 @@ func (s *Service) Stats() ServiceStats {
 	return out
 }
 
+// maxRequestBody caps a /galmorph upload. The largest table the tests submit
+// is the 1,000-galaxy survey catalog (survey_test.go): 524,786 bytes as a
+// VOTable, about 525 a galaxy. 8 MiB is sixteen of those; a larger upload is
+// answered 413 before anything is admitted.
+const maxRequestBody = 8 << 20
+
 // writeShed answers an admission the fabric shed. Overload shedding is
 // deterministic and typed: the response tells the client whether its own
 // quota (429) or the fleet (503) refused it, and when to come back. It
@@ -90,6 +96,7 @@ func writeShed(w http.ResponseWriter, err error) bool {
 //	POST /galmorph?cluster=NAME[&tenant=T&priority=N]  -> text: status URL path
 //	                              body: VOTable
 //	       202 Accepted: admitted (running or queued under fair share)
+//	       413: body larger than maxRequestBody
 //	       429 + Retry-After: tenant over its workflow-queue quota
 //	       503 + Retry-After: fabric queue full or shutting down
 //	GET  /status?id=req-000001                        -> JSON Status
@@ -130,8 +137,13 @@ func (s *Service) Handler() http.Handler {
 			http.Error(w, "missing cluster", http.StatusBadRequest)
 			return
 		}
-		tab, err := votable.ReadTable(req.Body)
+		tab, err := votable.ReadTable(http.MaxBytesReader(w, req.Body, maxRequestBody))
 		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				http.Error(w, fmt.Sprintf("VOTable exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, "bad VOTable: "+err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -3,7 +3,6 @@ package webservice
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/arena"
 	"repro/internal/gridftp"
@@ -21,17 +20,15 @@ var errNoRecovery = errors.New("webservice: no healthy replica and no provenance
 // An unregistered replica (already quarantined by a concurrent node, or never
 // published) is not an error — the goal is merely that nobody is offered it
 // again.
-func (s *Service) quarantineReplica(lfn, site, url string, stats *RunStats, mu *sync.Mutex) {
-	err := s.cfg.RLS.Quarantine(lfn, rls.PFN{Site: site, URL: url})
+func (l *leg) quarantineReplica(lfn, site, url string) {
+	err := l.s.cfg.RLS.Quarantine(lfn, rls.PFN{Site: site, URL: url})
 	// Drop the cached replica set BEFORE anyone can re-read it: a stale
 	// cache entry must never offer the quarantined copy again.
-	s.replicas.Invalidate(lfn)
-	mu.Lock()
-	stats.ChecksumFailures++
+	l.s.replicas.Invalidate(lfn)
+	l.account(RunStats{ChecksumFailures: 1})
 	if err == nil {
-		stats.Quarantined++
+		l.account(RunStats{Quarantined: 1})
 	}
-	mu.Unlock()
 }
 
 // recoverContent produces intact bytes for lfn after its replica at
@@ -39,20 +36,18 @@ func (s *Service) quarantineReplica(lfn, site, url string, stats *RunStats, mu *
 // that verifies, then by re-deriving the file from its Chimera provenance.
 // This is the "quarantine and re-derive instead of failing the run" path of
 // the integrity design.
-func (s *Service) recoverContent(cat *vdl.Catalog, lfn, excludeSite string, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
-	if data, ok := s.healthyReplica(lfn, excludeSite, stats, mu); ok {
-		mu.Lock()
-		stats.Failovers++
-		mu.Unlock()
+func (l *leg) recoverContent(lfn, excludeSite string) ([]byte, error) {
+	if data, ok := l.healthyReplica(lfn, excludeSite); ok {
+		l.account(RunStats{Failovers: 1})
 		return data, nil
 	}
-	return s.rederive(cat, lfn, stats, mu)
+	return l.rederive(lfn)
 }
 
 // healthyReplica reads lfn from the first registered replica outside
 // excludeSite that verifies, quarantining the ones that do not.
-func (s *Service) healthyReplica(lfn, excludeSite string, stats *RunStats, mu *sync.Mutex) ([]byte, bool) {
-	for _, p := range s.replicas.Lookup(lfn) { // sorted: deterministic order
+func (l *leg) healthyReplica(lfn, excludeSite string) ([]byte, bool) {
+	for _, p := range l.s.replicas.Lookup(lfn) { // sorted: deterministic order
 		if p.Site == excludeSite {
 			continue
 		}
@@ -60,10 +55,10 @@ func (s *Service) healthyReplica(lfn, excludeSite string, stats *RunStats, mu *s
 		if err != nil {
 			continue
 		}
-		st := s.cfg.GridFTP.Store(site)
+		st := l.s.cfg.GridFTP.Store(site)
 		if verr := st.Verify(path); verr != nil {
 			if resilience.Classify(verr) == resilience.ClassAlternateReplica {
-				s.quarantineReplica(lfn, p.Site, p.URL, stats, mu)
+				l.quarantineReplica(lfn, p.Site, p.URL)
 			}
 			continue
 		}
@@ -80,12 +75,12 @@ func (s *Service) healthyReplica(lfn, excludeSite string, stats *RunStats, mu *s
 // those — but every derived product (per-galaxy measurements, the output
 // VOTable) is reproducible: the transformations are deterministic, so the
 // re-derived bytes equal the lost ones exactly.
-func (s *Service) rederive(cat *vdl.Catalog, lfn string, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
-	producers := cat.Producers(lfn)
+func (l *leg) rederive(lfn string) ([]byte, error) {
+	producers := l.cat.Producers(lfn)
 	if len(producers) == 0 {
 		return nil, fmt.Errorf("%w: %s", errNoRecovery, lfn)
 	}
-	dv, ok := cat.Derivation(producers[0])
+	dv, ok := l.cat.Derivation(producers[0])
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", errNoRecovery, lfn)
 	}
@@ -93,77 +88,88 @@ func (s *Service) rederive(cat *vdl.Catalog, lfn string, stats *RunStats, mu *sy
 	var err error
 	switch dv.TR {
 	case "galMorph":
-		content, err = s.rederiveGalMorph(cat, dv, stats, mu)
+		content, err = l.rederiveGalMorph(dv)
 	case "concatVOT":
-		content, err = s.rederiveConcat(cat, dv, stats, mu)
+		content, err = l.rederiveConcat(dv)
 	default:
 		return nil, fmt.Errorf("%w: %s (unknown transformation %q)", errNoRecovery, lfn, dv.TR)
 	}
 	if err != nil {
 		return nil, err
 	}
-	mu.Lock()
-	stats.Rederived++
-	mu.Unlock()
+	l.account(RunStats{Rederived: 1})
 	return content, nil
 }
 
 // inputBytes fetches one input LFN for a re-derivation, itself going through
 // replica verification and (recursively) re-derivation.
-func (s *Service) inputBytes(cat *vdl.Catalog, lfn string, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
-	if data, ok := s.healthyReplica(lfn, "", stats, mu); ok {
+func (l *leg) inputBytes(lfn string) ([]byte, error) {
+	if data, ok := l.healthyReplica(lfn, ""); ok {
 		return data, nil
 	}
-	return s.rederive(cat, lfn, stats, mu)
+	return l.rederive(lfn)
 }
 
 // rederiveGalMorph re-runs one galaxy's measurement from its image through
 // the live job's body. The measurement is deterministic, so the result file
 // is byte-identical to the one the workflow originally produced.
-func (s *Service) rederiveGalMorph(cat *vdl.Catalog, dv *vdl.Derivation, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
+func (l *leg) rederiveGalMorph(dv *vdl.Derivation) ([]byte, error) {
 	inputs := dv.InputLFNs()
 	outputs := dv.OutputLFNs()
 	if len(inputs) != 1 || len(outputs) != 1 {
 		return nil, fmt.Errorf("webservice: rederive %s: want 1 input and 1 output", dv.Name)
 	}
-	raw, err := s.inputBytes(cat, inputs[0], stats, mu)
+	raw, err := l.inputBytes(inputs[0])
 	if err != nil {
 		return nil, err
 	}
 	ar := arena.Get()
 	defer arena.Put(ar)
 	p, merr := morphology.MeasureRaw(ar, raw, morphConfigFromDV(dv))
-	content, err := s.galMorph(nil, inputs[0], p, merr)
+	content, err := l.s.galMorph(nil, inputs[0], p, merr)
 	if err != nil {
 		return nil, fmt.Errorf("webservice: rederive %s: %w", dv.Name, err)
 	}
 	if merr != nil {
-		mu.Lock()
-		stats.InvalidRows++
-		mu.Unlock()
+		l.account(RunStats{InvalidRows: 1})
 	}
 	return content, nil
 }
 
 // rederiveConcat re-assembles the output VOTable from the per-galaxy results
 // through the live job's body.
-func (s *Service) rederiveConcat(cat *vdl.Catalog, dv *vdl.Derivation, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
+func (l *leg) rederiveConcat(dv *vdl.Derivation) ([]byte, error) {
 	outputs := dv.OutputLFNs()
 	if len(outputs) != 1 {
 		return nil, fmt.Errorf("webservice: rederive %s: want 1 output", dv.Name)
 	}
-	return concatVOT(outputs[0], dv.InputLFNs(), func(lfn string) ([]byte, error) {
-		return s.inputBytes(cat, lfn, stats, mu)
-	})
+	return concatVOT(outputs[0], dv.InputLFNs(), l.inputBytes)
+}
+
+// repair answers a checksum failure (cause) on the replica of lfn at site:
+// the replica is quarantined, intact content is recovered and written back
+// over the damaged copy, which is re-registered, so the catalog converges
+// back to full replication. With nothing to recover from, cause is returned.
+func (l *leg) repair(lfn, site, url string, cause error) ([]byte, error) {
+	l.quarantineReplica(lfn, site, url)
+	content, err := l.recoverContent(lfn, site)
+	if err != nil {
+		return nil, cause
+	}
+	_, path, err := gridftp.ParseURL(url)
+	if err != nil {
+		return content, nil // unparseable planned URL: nothing to heal
+	}
+	if err := l.s.cfg.GridFTP.Store(site).Put(path, content); err != nil {
+		return nil, err
+	}
+	return content, l.s.registerReplica(lfn, rls.PFN{Site: site, URL: url})
 }
 
 // verifiedGet reads lfn from store for a consuming leaf job, verifying
-// integrity first — Condor's pre-consumption check. A checksum failure
-// quarantines the local replica, recovers the content (alternate replica or
-// provenance re-derivation), heals the local copy, and re-registers it, so
-// the job proceeds with intact bytes and the catalog converges back to
-// health.
-func (s *Service) verifiedGet(cat *vdl.Catalog, store *gridftp.Store, lfn string, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
+// integrity first — Condor's pre-consumption check. A checksum failure is
+// repaired in place, so the job proceeds with intact bytes.
+func (l *leg) verifiedGet(store *gridftp.Store, lfn string) ([]byte, error) {
 	verr := store.Verify(lfn)
 	if verr == nil {
 		return store.Get(lfn)
@@ -171,17 +177,5 @@ func (s *Service) verifiedGet(cat *vdl.Catalog, store *gridftp.Store, lfn string
 	if resilience.Classify(verr) != resilience.ClassAlternateReplica {
 		return nil, verr
 	}
-	site := store.Site()
-	s.quarantineReplica(lfn, site, gridftp.URL(site, lfn), stats, mu)
-	content, rerr := s.recoverContent(cat, lfn, site, stats, mu)
-	if rerr != nil {
-		return nil, verr
-	}
-	if err := store.Put(lfn, content); err != nil {
-		return nil, err
-	}
-	if err := s.registerReplica(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)}); err != nil {
-		return nil, err
-	}
-	return content, nil
+	return l.repair(lfn, store.Site(), gridftp.URL(store.Site(), lfn), verr)
 }

@@ -9,14 +9,18 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chimera"
+	"repro/internal/condor"
 	"repro/internal/dag"
 	"repro/internal/dagman"
 	"repro/internal/fabric"
+	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/pegasus"
 	"repro/internal/vdl"
@@ -40,17 +44,108 @@ import (
 // yields one bounded wave at a time. Both are the closure type
 // dagman.ExecuteWaves takes, so the resubmission path is the first-run path.
 
-// leg is the per-execution context the body and the plan sources share.
+// leg is the per-execution context: the receiver of everything one leg does
+// — its body and plan sources here, node behaviour in runner.go, recovery in
+// integrity.go, image staging in staging.go. It owns the request's virtual
+// data catalog, the leg's accounting and the profiler labels.
 type leg struct {
 	s               *Service
 	tenant, cluster string
-	stats           *RunStats
-	labels          *runLabels
-	onProgress      func(done, total int)
+	// cat is the request's virtual data catalog, set by the plan source: the
+	// runner reconstructs measurement configs from its derivations and the
+	// integrity layer re-derives damaged files from its provenance.
+	cat *vdl.Catalog
+	// mu guards stats, which only account writes and only snapshot reads.
+	mu    sync.Mutex
+	stats RunStats
+	// labels is the pprof label set (tenant, cluster, wave) every node Run
+	// body executes under, so profiles taken against a busy fabric attribute
+	// samples to the request that caused them. It is rebuilt only when the
+	// wave changes, keeping the per-job overhead to one atomic load.
+	labels     atomic.Value // pprof.LabelSet
+	onProgress func(done, total int)
 	// done/total are the progress counters: a one-graph source knows its
 	// total up front, a wave source grows it as waves are planned (the
 	// concrete node count of a wave is unknown until its plan exists).
 	done, total int
+}
+
+// newLeg builds the context of one leg of a request the fabric has preempted
+// preemptions times so far. Monolithic plans keep the wave label at "-".
+func (s *Service) newLeg(tenant, cluster string, preemptions int, onProgress func(done, total int)) *leg {
+	l := &leg{s: s, tenant: tenant, cluster: cluster, onProgress: onProgress,
+		stats: RunStats{Preemptions: preemptions}}
+	l.setWave("-")
+	return l
+}
+
+// account is the one door to the leg's RunStats. Whatever a leg counts — on
+// the scheduler goroutine (plan folding, retries, failover rotation, wave
+// bookkeeping) or inside Run bodies on the worker pool — arrives here as a
+// delta and is folded in under the lock: counters add, the two high-water
+// marks take the maximum, ReusedOutput latches. A RunStats is therefore the
+// fold of its leg's deltas in any order, which is what keeps it identical at
+// every worker width.
+func (l *leg) account(d RunStats) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.stats.Galaxies += d.Galaxies
+	l.stats.ComputeJobs += d.ComputeJobs
+	l.stats.PrunedJobs += d.PrunedJobs
+	l.stats.TransferNodes += d.TransferNodes
+	l.stats.RegisterNodes += d.RegisterNodes
+	l.stats.ImagesFetched += d.ImagesFetched
+	l.stats.ImagesCached += d.ImagesCached
+	l.stats.SIARequests += d.SIARequests
+	l.stats.SIABytes += d.SIABytes
+	l.stats.SIAModelTime += d.SIAModelTime
+	l.stats.FilesStaged += d.FilesStaged
+	l.stats.BytesStaged += d.BytesStaged
+	l.stats.InvalidRows += d.InvalidRows
+	l.stats.Retries += d.Retries
+	l.stats.Failovers += d.Failovers
+	l.stats.MemoHits += d.MemoHits
+	l.stats.MemoMisses += d.MemoMisses
+	l.stats.Makespan += d.Makespan
+	l.stats.ReusedOutput = l.stats.ReusedOutput || d.ReusedOutput
+	l.stats.ChecksumFailures += d.ChecksumFailures
+	l.stats.Quarantined += d.Quarantined
+	l.stats.Rederived += d.Rederived
+	l.stats.RestoredNodes += d.RestoredNodes
+	l.stats.RLSRoundTrips += d.RLSRoundTrips
+	l.stats.PlannedBytesMoved += d.PlannedBytesMoved
+	l.stats.ScheduleEvents += d.ScheduleEvents
+	l.stats.ClusteredTasks += d.ClusteredTasks
+	l.stats.ClusteredNodes += d.ClusteredNodes
+	l.stats.Waves += d.Waves
+	l.stats.MaxWaveNodes = max(l.stats.MaxWaveNodes, d.MaxWaveNodes)
+	l.stats.ImagesEvicted += d.ImagesEvicted
+	l.stats.PeakStagedImages = max(l.stats.PeakStagedImages, d.PeakStagedImages)
+	l.stats.Preemptions += d.Preemptions
+}
+
+// snapshot returns the leg's accounting so far.
+func (l *leg) snapshot() RunStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats
+}
+
+// setWave rebuilds the label set for a new wave. The wave driver calls it
+// between waves, when no Run bodies execute.
+func (l *leg) setWave(wave string) {
+	l.labels.Store(pprof.Labels("tenant", l.tenant, "cluster", l.cluster, "wave", wave))
+}
+
+// labelled returns run executed under the current label set.
+func (l *leg) labelled(run func() error) func() error {
+	return func() error {
+		var err error
+		pprof.Do(context.Background(), l.labels.Load().(pprof.LabelSet), func(context.Context) {
+			err = run()
+		})
+		return err
+	}
 }
 
 func (l *leg) progress() {
@@ -69,20 +164,18 @@ func (l *leg) path(ext string) string {
 func (l *leg) planned(plan *pegasus.Plan) {
 	l.s.replicas.Prime(plan.Replicas)
 	ps := plan.Stats()
-	l.stats.ComputeJobs += ps.ComputeJobs
-	l.stats.PrunedJobs += ps.PrunedJobs
-	l.stats.TransferNodes += ps.TransferNodes
-	l.stats.RegisterNodes += ps.RegisterNodes
-	l.stats.RLSRoundTrips += plan.RLSRoundTrips
-	l.stats.PlannedBytesMoved += plan.EstBytesMoved
+	l.account(RunStats{
+		ComputeJobs:       ps.ComputeJobs,
+		PrunedJobs:        ps.PrunedJobs,
+		TransferNodes:     ps.TransferNodes,
+		RegisterNodes:     ps.RegisterNodes,
+		RLSRoundTrips:     plan.RLSRoundTrips,
+		PlannedBytesMoved: plan.EstBytesMoved,
+	})
 }
 
 // planSource is what one leg executes.
 type planSource struct {
-	// cat is the request's virtual data catalog: the runner reconstructs
-	// measurement configs from its derivations and the integrity layer
-	// re-derives damaged files from its provenance.
-	cat *vdl.Catalog
 	// begin is the KindBegin detail of a fresh leg.
 	begin string
 	// next yields the leg's concrete graphs in order, nil when exhausted.
@@ -110,7 +203,7 @@ func (l *leg) oneGraph(g *dag.Graph) func(int) (*dag.Graph, error) {
 // leg RLS reduction prunes whole jobs whose outputs were already
 // registered, so each replanned wave shrinks to its unfinished remainder.
 func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef) func(int) (*dag.Graph, error) {
-	s, stats := l.s, l.stats
+	s := l.s
 	// evict reclaims a completed leaf wave's staged cutouts: once a wave's
 	// derived outputs are registered in the RLS its input images are dead
 	// weight, so the store's peak footprint stays bounded by one wave
@@ -123,7 +216,7 @@ func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef) func(int) (*d
 		lo, hi := planner.WaveBounds(w)
 		for _, r := range refs[lo:hi] {
 			if s.cfg.RLS.Exists(r.id+".txt") && s.evictImage(r.id+".fit") {
-				stats.ImagesEvicted++
+				l.account(RunStats{ImagesEvicted: 1})
 			}
 		}
 	}
@@ -131,25 +224,24 @@ func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef) func(int) (*d
 		// Waves release sequentially: wave w-1 has completed (and
 		// registered its outputs) by the time wave w is staged — no Run
 		// bodies execute while the wave label is rebuilt here.
-		l.labels.setWave(strconv.Itoa(w))
+		l.setWave(strconv.Itoa(w))
 		evict(w - 1)
 		if w >= planner.Waves() {
 			return nil, nil
 		}
 		if w < planner.LeafWaves() {
 			lo, hi := planner.WaveBounds(w)
-			if err := s.cacheImageRefs(refs[lo:hi], stats); err != nil {
+			if err := l.cacheImageRefs(refs[lo:hi]); err != nil {
 				return nil, err
 			}
-			stats.PeakStagedImages = max(stats.PeakStagedImages, s.countStagedImages())
+			l.account(RunStats{PeakStagedImages: s.countStagedImages()})
 		}
 		plan, err := planner.Plan(w)
 		if err != nil {
 			return nil, err
 		}
 		l.planned(plan)
-		stats.Waves++
-		stats.MaxWaveNodes = max(stats.MaxWaveNodes, plan.Concrete.Len())
+		l.account(RunStats{Waves: 1, MaxWaveNodes: plan.Concrete.Len()})
 		l.total += plan.Concrete.Len()
 		l.progress()
 		return plan.Concrete, nil
@@ -172,7 +264,8 @@ func (l *leg) freshSource(tab *votable.Table) (*planSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("webservice: generated VDL invalid: %w", err)
 	}
-	src := &planSource{cat: cat}
+	l.cat = cat
+	src := &planSource{}
 	// The per-request seed derives from the cluster name (not a shared
 	// stream), so concurrent requests stay individually deterministic.
 	seed := s.requestSeed(l.cluster)
@@ -189,7 +282,7 @@ func (l *leg) freshSource(tab *votable.Table) (*planSource, error) {
 		src.next = l.waves(planner, refs)
 		persistPlan = func() error { return writeWaveManifest(l.path(".waves"), s.cfg.WaveSize, refs) }
 	} else {
-		if err := s.cacheImageRefs(refs, l.stats); err != nil {
+		if err := l.cacheImageRefs(refs); err != nil {
 			return nil, err
 		}
 		wf, err := chimera.Compose(cat, chimera.Request{LFNs: []string{outputLFN(l.cluster)}})
@@ -249,7 +342,7 @@ func (l *leg) savedSource() (*planSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("webservice: resume %s: %w", l.cluster, err)
 	}
-	if src.cat, err = vdl.Parse(string(vdlText)); err != nil {
+	if l.cat, err = vdl.Parse(string(vdlText)); err != nil {
 		return nil, fmt.Errorf("webservice: resume %s: saved VDL invalid: %w", l.cluster, err)
 	}
 	return src, nil
@@ -265,20 +358,17 @@ func (l *leg) savedSource() (*planSource, error) {
 // the model-time makespan charged to the tenant's fair-share account —
 // except when preempted: the caller answers the revocation with
 // lease.Preempted, which requeues the workflow.
-func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.Table, cluster string,
-	opt RequestOptions, onProgress func(done, total int)) (_ string, _ RunStats, retErr error) {
-	var stats RunStats
+func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.Table) (_ string, retErr error) {
+	s, tenant, cluster := l.s, l.tenant, l.cluster
 	defer func() {
 		if !errors.Is(retErr, ErrPreempted) {
-			lease.Done(stats.Makespan, retErr != nil)
+			lease.Done(l.snapshot().Makespan, retErr != nil)
 		}
 	}()
 	// Only a journaled workflow can checkpoint-stop, so only those opt
 	// into scheduler revocation.
 	lease.SetPreemptible(s.cfg.JournalDir != "")
-	tenant, outLFN := opt.tenant(), outputLFN(cluster)
-	l := &leg{s: s, tenant: tenant, cluster: cluster, stats: &stats,
-		labels: newRunLabels(tenant, cluster), onProgress: onProgress}
+	outLFN := outputLFN(cluster)
 
 	fresh := tab != nil
 	var src *planSource
@@ -287,29 +377,29 @@ func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.
 		if src, err = l.savedSource(); err == nil {
 			// buildVDL wrote one galMorph derivation per galaxy plus the
 			// collector.
-			stats.Galaxies = len(src.cat.Derivations()) - 1
+			l.account(RunStats{Galaxies: len(l.cat.Derivations()) - 1})
 		}
 	} else {
 		if s.cfg.Proxy != nil {
 			proxy, err := s.cfg.Proxy()
 			if err != nil {
-				return "", stats, fmt.Errorf("webservice: credential retrieval: %w", err)
+				return "", fmt.Errorf("webservice: credential retrieval: %w", err)
 			}
 			if !proxy.Valid(s.cfg.Now()) {
-				return "", stats, errors.New("webservice: Grid proxy expired; delegate a fresh credential")
+				return "", errors.New("webservice: Grid proxy expired; delegate a fresh credential")
 			}
 		}
-		stats.Galaxies = tab.NumRows()
+		l.account(RunStats{Galaxies: tab.NumRows()})
 		// Output already materialized? Serve it straight from the RLS
 		// (Figure 6 step 2).
 		if s.cfg.RLS.Exists(outLFN) {
-			stats.ReusedOutput = true
-			return outLFN, stats, nil
+			l.account(RunStats{ReusedOutput: true})
+			return outLFN, nil
 		}
 		src, err = l.freshSource(tab)
 	}
 	if err != nil {
-		return "", stats, err
+		return "", err
 	}
 
 	// The write-ahead journal DAGMan records every transition in. A resumed
@@ -328,7 +418,7 @@ func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.
 			}
 		}
 		if err != nil {
-			return "", stats, err
+			return "", err
 		}
 		// A failed close means the final records may not have reached the
 		// disk — the journal is the crash-recovery contract, so that is a
@@ -348,11 +438,11 @@ func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.
 			// The begin marker goes straight to the writer so a wrapping
 			// sink's event budget counts DAGMan events only.
 			if err := jw.Append(journal.Record{Kind: journal.KindBegin, Detail: src.begin}); err != nil {
-				return "", stats, err
+				return "", err
 			}
 		} else if _, ended := journal.Ended(recs); ended && s.cfg.RLS.Exists(outLFN) {
-			stats.ReusedOutput = true
-			return outLFN, stats, nil
+			l.account(RunStats{ReusedOutput: true})
+			return outLFN, nil
 		}
 	}
 
@@ -375,7 +465,7 @@ func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.
 		Monitor: func(e dagman.Event) {
 			switch e.Kind {
 			case dagman.EventRetried:
-				stats.Retries++
+				l.account(RunStats{Retries: 1})
 			case dagman.EventCompleted, dagman.EventRestored:
 				l.done++
 				l.progress()
@@ -390,19 +480,17 @@ func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.
 	}
 
 	// DAGMan executes on the Condor pools, resubmitting the rescue DAG when
-	// configured. runMu serializes what the Run side effects share — the
-	// per-request stats — because with Workers > 1 those bodies execute
-	// concurrently on the worker pool.
-	var runMu sync.Mutex
-	runner := s.runner(src.cat, &stats, &runMu, l.labels)
+	// configured.
 	l.progress()
-	ws, err := dagman.ExecuteWaves(src.next, runner, s.simFactory(lease, tenant, cluster), opts, s.cfg.RescueRounds)
+	ws, err := dagman.ExecuteWaves(src.next, l.runner(), l.simFactory(lease), opts, s.cfg.RescueRounds)
 	if ws != nil {
-		stats.Makespan = ws.Makespan
-		stats.RestoredNodes = ws.Restored
-		stats.ScheduleEvents = ws.ScheduleEvents
-		stats.ClusteredTasks = ws.ClusteredTasks
-		stats.ClusteredNodes = ws.ClusteredNodes
+		l.account(RunStats{
+			Makespan:       ws.Makespan,
+			RestoredNodes:  ws.Restored,
+			ScheduleEvents: ws.ScheduleEvents,
+			ClusteredTasks: ws.ClusteredTasks,
+			ClusteredNodes: ws.ClusteredNodes,
+		})
 	}
 	var we *dagman.WaveError
 	if errors.As(err, &we) {
@@ -410,22 +498,44 @@ func (s *Service) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.
 			// Serialize the rescue DAG — the classic on-disk artifact naming
 			// exactly the nodes a resubmission must run.
 			if rerr := dagman.WriteRescueFile(l.path(".rescue.dag"), we.Graph, we.Report); rerr != nil {
-				return "", stats, rerr
+				return "", rerr
 			}
 		}
-		return "", stats, fmt.Errorf("webservice: workflow failed: %d failed, %d unrun",
+		return "", fmt.Errorf("webservice: workflow failed: %d failed, %d unrun",
 			we.Report.Failed, we.Report.Unrun)
 	}
 	if err != nil {
-		return "", stats, err
+		return "", err
 	}
 	if !s.cfg.RLS.Exists(outLFN) {
-		return "", stats, fmt.Errorf("webservice: workflow completed but %q not registered", outLFN)
+		return "", fmt.Errorf("webservice: workflow completed but %q not registered", outLFN)
 	}
 	if err := jw.Append(journal.Record{Kind: journal.KindEnd, Detail: "output=" + outLFN}); err != nil {
-		return "", stats, err
+		return "", err
 	}
-	return outLFN, stats, nil
+	return outLFN, nil
+}
+
+// simFactory builds the leg's simulator factory: every scheduler is
+// stamped by the fabric from the shared pool set, under the service's
+// execution model (fault injection, side-effect fan-out, dedicated
+// transfer lanes, serialized submission overhead). Rescue rounds call the
+// factory again, reusing the same lease — a rescue is still the same
+// workflow occupying the same fabric slot.
+func (l *leg) simFactory(lease *fabric.Lease) func() (*condor.Simulator, error) {
+	s := l.s
+	var inj *faults.Injector
+	if s.cfg.FaultsFor != nil {
+		inj = s.cfg.FaultsFor(l.tenant, l.cluster)
+	}
+	return func() (*condor.Simulator, error) {
+		return lease.NewSimulator(fabric.SimOptions{
+			Workers:        s.workers(),
+			SubmitOverhead: s.cfg.SchedOverhead,
+			TransferSlots:  s.cfg.TransferSlots,
+			Injector:       inj,
+		})
+	}
 }
 
 // planConfig is the Pegasus configuration every plan of this service uses —

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -49,7 +50,7 @@ func TestRequeueResumesCrashedSubmit(t *testing.T) {
 				c.WaveSize = waveSize
 				c.WrapJournal = crashFirstLeg(9)
 			})
-			id, err := h.svc.Submit(h.inputTable(t), "COMA")
+			id, err := submit(h.svc, h.inputTable(t), "COMA")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +107,7 @@ func TestRequeueRefusalsAndHTTPMapping(t *testing.T) {
 		t.Errorf("POST /requeue unknown id = %d, want 404", code)
 	}
 
-	id, err := h.svc.Submit(h.inputTable(t), "COMA")
+	id, err := submit(h.svc, h.inputTable(t), "COMA")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +195,41 @@ func TestProgressContract(t *testing.T) {
 	}
 	if first == nil || *first != (call{0, 0}) {
 		t.Errorf("first wave progress call = %+v, want (0, 0)", first)
+	}
+}
+
+// TestAccountFoldsEveryField guards the one accounting door against a
+// RunStats field added without its line in account: a delta with every field
+// set must survive the fold, twice over for the additive ones.
+func TestAccountFoldsEveryField(t *testing.T) {
+	var d RunStats
+	v := reflect.ValueOf(&d).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			f.SetInt(int64(i + 1))
+		}
+	}
+	l := &leg{}
+	l.account(d)
+	if got := l.snapshot(); got != d {
+		t.Fatalf("account dropped a field:\ngot  %+v\nwant %+v", got, d)
+	}
+	l.account(d)
+	got := reflect.ValueOf(l.snapshot())
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		want := 2 * int64(i+1)
+		switch name {
+		case "ReusedOutput":
+			continue
+		case "MaxWaveNodes", "PeakStagedImages": // high-water marks
+			want = int64(i + 1)
+		}
+		if got.Field(i).Int() != want {
+			t.Errorf("%s after two deltas of %d = %d, want %d", name, i+1, got.Field(i).Int(), want)
+		}
 	}
 }

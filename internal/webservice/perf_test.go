@@ -269,7 +269,7 @@ func TestClusteredKillAndResumeByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := svc2.Resume("COMA"); err != nil {
+		if _, _, err := resume(svc2, "COMA"); err != nil {
 			t.Fatalf("kill point %d: resume: %v", k, err)
 		}
 		if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {

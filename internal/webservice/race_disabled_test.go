@@ -1,6 +1,6 @@
 //go:build !race
 
-package repro
+package webservice
 
 // raceEnabled reports whether the race detector is compiled in.
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package repro
+package webservice
 
 // raceEnabled reports whether the race detector is compiled in; the alloc
 // gates relax their byte-level assertions under race instrumentation, whose

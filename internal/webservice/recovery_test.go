@@ -17,6 +17,7 @@ import (
 	"repro/internal/gridftp"
 	"repro/internal/journal"
 	"repro/internal/myproxy"
+	"repro/internal/rls"
 	"repro/internal/votable"
 )
 
@@ -130,7 +131,7 @@ func TestKillAndResumeByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill point %d: reopen: %v", k, err)
 		}
-		out, stats, err := svc2.Resume("COMA")
+		out, stats, err := resume(svc2, "COMA")
 		if err != nil {
 			t.Fatalf("kill point %d: resume: %v", k, err)
 		}
@@ -187,7 +188,7 @@ func TestKillAndResumeAtWorkerWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := svc2.Resume("COMA")
+		_, stats, err := resume(svc2, "COMA")
 		if err != nil {
 			t.Fatalf("kill point %d: resume: %v", k, err)
 		}
@@ -209,7 +210,7 @@ func TestResumeOfFinishedRunShortCircuits(t *testing.T) {
 	// Resume is idempotent: the journal's end marker plus the registered
 	// output short-circuit re-execution entirely.
 	for i := 0; i < 2; i++ {
-		out, stats, err := svc2.Resume("COMA")
+		out, stats, err := resume(svc2, "COMA")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,11 +225,11 @@ func TestResumeOfFinishedRunShortCircuits(t *testing.T) {
 
 func TestResumeErrors(t *testing.T) {
 	h := newHarness(t, 3, nil)
-	if _, _, err := h.svc.Resume("COMA"); err == nil {
+	if _, _, err := resume(h.svc, "COMA"); err == nil {
 		t.Error("resume without JournalDir must fail")
 	}
 	h2 := newHarness(t, 3, func(c *Config) { c.JournalDir = t.TempDir() })
-	if _, _, err := h2.svc.Resume("NEVER-RAN"); err == nil {
+	if _, _, err := resume(h2.svc, "NEVER-RAN"); err == nil {
 		t.Error("resume of an unknown cluster must fail")
 	}
 }
@@ -308,7 +309,7 @@ func TestFailoverCountAcrossSchedulerAndWorkers(t *testing.T) {
 		})
 		tab := h.inputTable(t)
 		refs := imageRefsFromTable(tab)
-		if err := h.svc.cacheImageRefs(refs, &RunStats{}); err != nil {
+		if err := h.svc.newLeg(DefaultTenant, "COMA", 0, nil).cacheImageRefs(refs); err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range refs {
@@ -552,7 +553,7 @@ func TestResumeWithWallClockExpiredProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := svc2.Resume("COMA")
+	out, _, err := resume(svc2, "COMA")
 	if err != nil {
 		t.Fatalf("resume with wall-clock-expired proxy: %v", err)
 	}
@@ -561,5 +562,98 @@ func TestResumeWithWallClockExpiredProxy(t *testing.T) {
 	}
 	if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {
 		t.Fatal("resumed output differs from the uninterrupted run")
+	}
+}
+
+// TestRunStatsIdenticalAcrossWorkerWidths runs one fixed-seed request under
+// an integrity-fault schedule at Workers 1 and 4 and requires the whole
+// RunStats struct to come out equal. The first leg's stage-ins all die once
+// (retries, and the rotation to the mirror counted on the scheduler
+// goroutine); the second leg finds three result files damaged on every
+// replica (with the primary copy of their images damaged too) and three more
+// damaged where the plan reads them but intact at the mirror, so its Run
+// bodies count checksum failures, quarantines, failovers and provenance
+// re-derivations from the worker pool while the scheduler goroutine counts
+// that leg's own retries. Every count goes
+// through leg.account, so the width can reorder the deltas but not change
+// their fold.
+func TestRunStatsIdenticalAcrossWorkerWidths(t *testing.T) {
+	const n = 12
+	run := func(workers int) (first, second RunStats) {
+		h := newHarness(t, n, func(c *Config) {
+			c.MirrorSite = "mirror"
+			c.Workers = workers
+			c.FaultsFor = func(_, _ string) *faults.Injector {
+				return faults.New(5, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, Until: 4})
+			}
+		})
+		tab := h.inputTable(t)
+		_, first, err := h.svc.Compute(tab, "COMA")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			id := tab.Cell(i, "id")
+			for _, p := range h.r.Lookup(id + ".txt") {
+				site, path, err := gridftp.ParseURL(p.URL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !h.ftp.Store(site).Corrupt(path) {
+					t.Fatalf("could not corrupt %s at %s", path, site)
+				}
+			}
+			if !h.ftp.Store("isi").Corrupt(id + ".fit") {
+				t.Fatalf("could not corrupt the primary copy of %s.fit", id)
+			}
+		}
+		// Three more results keep a healthy copy at the mirror, so losing
+		// the original is a failover, not a re-derivation.
+		for i := 3; i < 6; i++ {
+			lfn := tab.Cell(i, "id") + ".txt"
+			orig := h.r.Lookup(lfn)
+			site, path, err := gridftp.ParseURL(orig[0].URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := h.ftp.Store(site).Get(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.ftp.Store("mirror").Put(lfn, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.r.Register(lfn, rls.PFN{Site: "mirror", URL: gridftp.URL("mirror", lfn)}); err != nil {
+				t.Fatal(err)
+			}
+			if !h.ftp.Store(site).Corrupt(path) {
+				t.Fatalf("could not corrupt %s at %s", path, site)
+			}
+		}
+		for _, p := range h.r.Lookup("COMA.vot") {
+			if err := h.r.Unregister("COMA.vot", p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, second, err = h.svc.Compute(tab, "COMA")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return first, second
+	}
+	first1, second1 := run(1)
+	first4, second4 := run(4)
+	if first1 != first4 {
+		t.Errorf("first leg's RunStats differ by worker width:\n1: %+v\n4: %+v", first1, first4)
+	}
+	if second1 != second4 {
+		t.Errorf("second leg's RunStats differ by worker width:\n1: %+v\n4: %+v", second1, second4)
+	}
+	if first1.Retries == 0 || first1.Failovers == 0 {
+		t.Errorf("first leg exercised no scheduler-side counter: %+v", first1)
+	}
+	s := second1
+	if s.Retries == 0 || s.ChecksumFailures == 0 || s.Quarantined == 0 || s.Failovers == 0 || s.Rederived == 0 {
+		t.Errorf("second leg must retry, quarantine, fail over and re-derive in one run: %+v", s)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/chimera"
@@ -81,8 +80,8 @@ func TestRederiveEqualsLiveJob(t *testing.T) {
 				h.stageGarbageImage(t, bad)
 			}
 
-			var stats RunStats
-			var mu sync.Mutex
+			l := h.svc.newLeg(DefaultTenant, "COMA", 0, nil)
+			l.cat = cat
 			for _, lfn := range []string{good + ".txt", bad + ".txt", "COMA.vot"} {
 				pfns := h.r.Lookup(lfn)
 				if len(pfns) == 0 {
@@ -96,7 +95,7 @@ func TestRederiveEqualsLiveJob(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := h.svc.rederive(cat, lfn, &stats, &mu)
+				got, err := l.rederive(lfn)
 				if err != nil {
 					t.Fatalf("rederive %s: %v", lfn, err)
 				}
@@ -109,7 +108,7 @@ func TestRederiveEqualsLiveJob(t *testing.T) {
 					}
 				}
 			}
-			if stats.Rederived != 3 || stats.InvalidRows != 1 {
+			if stats := l.snapshot(); stats.Rederived != 3 || stats.InvalidRows != 1 {
 				t.Errorf("stats after three re-derivations, one invalid: %+v", stats)
 			}
 		})
@@ -129,9 +128,8 @@ func TestRederiveStrictFaultsErrorsLikeLiveJob(t *testing.T) {
 	if _, _, err := h.svc.Compute(tab, "COMA"); err == nil {
 		t.Fatal("strict-faults run must fail on the corrupt image")
 	}
-	cat := savedCatalog(t, dir)
-	var stats RunStats
-	var mu sync.Mutex
+	l := h.svc.newLeg(DefaultTenant, "COMA", 0, nil)
+	l.cat = savedCatalog(t, dir)
 
 	// The live body: the planned galMorph node of the bad galaxy, run again.
 	g, _, err := dagman.ReadDAGFile(filepath.Join(dir, "COMA.dag"))
@@ -145,7 +143,7 @@ func TestRederiveStrictFaultsErrorsLikeLiveJob(t *testing.T) {
 		if n.Attr(chimera.AttrTransformation) != "galMorph" || n.Attr(chimera.AttrInputs) != bad+".fit" {
 			continue
 		}
-		spec, err := h.svc.runner(cat, &stats, &mu, nil)(n, 1)
+		spec, err := l.runner()(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,14 +152,14 @@ func TestRederiveStrictFaultsErrorsLikeLiveJob(t *testing.T) {
 	if !ran {
 		t.Fatalf("no galMorph node for %s in the saved plan", bad)
 	}
-	_, againErr := h.svc.rederive(cat, bad+".txt", &stats, &mu)
+	_, againErr := l.rederive(bad + ".txt")
 
 	for name, err := range map[string]error{"live job": liveErr, "re-derivation": againErr} {
 		if !errors.Is(err, fits.ErrBadHeader) || !strings.Contains(err.Error(), "header block 0") {
 			t.Errorf("%s error = %v, want the measurement's fits.ErrBadHeader", name, err)
 		}
 	}
-	if stats.InvalidRows != 0 || stats.Rederived != 0 {
+	if stats := l.snapshot(); stats.InvalidRows != 0 || stats.Rederived != 0 {
 		t.Errorf("a strict failure is not an invalid row or a re-derivation: %+v", stats)
 	}
 	if len(h.r.Lookup(bad+".txt")) != 0 {

@@ -2,14 +2,10 @@ package webservice
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"runtime/pprof"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arena"
@@ -24,7 +20,6 @@ import (
 	"repro/internal/rls"
 	"repro/internal/tableops"
 	"repro/internal/vdcache"
-	"repro/internal/vdl"
 	"repro/internal/votable"
 )
 
@@ -43,67 +38,25 @@ const (
 	registerCost     = 100 * time.Millisecond
 )
 
-// runLabels attaches runtime/pprof labels (tenant, cluster, wave) to every
-// node Run body, so CPU and goroutine profiles taken against a busy fabric
-// attribute samples to the request that caused them. The label set is cached
-// and rebuilt only when the wave changes (setWave is called serially between
-// waves by the wave driver), keeping the per-job overhead to one atomic load.
-type runLabels struct {
-	tenant  string
-	cluster string
-	set     atomic.Value // pprof.LabelSet
-}
-
-// newRunLabels builds the label state for one request. Monolithic (non-wave)
-// plans keep the wave label at "-".
-func newRunLabels(tenant, cluster string) *runLabels {
-	l := &runLabels{tenant: tenant, cluster: cluster}
-	l.setWave("-")
-	return l
-}
-
-// setWave rebuilds the cached label set for a new wave. Callers must not
-// invoke it concurrently with itself (the wave driver calls it between
-// waves, when no Run bodies execute).
-func (l *runLabels) setWave(wave string) {
-	l.set.Store(pprof.Labels("tenant", l.tenant, "cluster", l.cluster, "wave", wave))
-}
-
-// wrap returns run executed under the current label set.
-func (l *runLabels) wrap(run func() error) func() error {
-	if run == nil {
-		return nil
-	}
-	return func() error {
-		var err error
-		pprof.Do(context.Background(), l.set.Load().(pprof.LabelSet), func(context.Context) {
-			err = run()
-		})
-		return err
-	}
-}
-
 // runner builds the dagman Runner that gives concrete-workflow nodes their
 // behaviour: transfers move bytes through GridFTP, registrations publish
 // replicas, galMorph jobs measure morphology, and the concat job assembles
-// the output VOTable. mu serializes access to stats from inside Run
-// closures, which execute concurrently on the worker pool when the service
-// is configured with Workers > 1. labels tags every Run body with the
-// request's profiler labels; nil skips the wrapping.
-func (s *Service) runner(cat *vdl.Catalog, stats *RunStats, mu *sync.Mutex, labels *runLabels) dagman.Runner {
+// the output VOTable. Every Run body executes under the leg's profiler
+// labels.
+func (l *leg) runner() dagman.Runner {
 	return func(n *dag.Node, attempt int) (dagman.Spec, error) {
 		var spec dagman.Spec
 		switch n.Type {
 		case pegasus.NodeTransfer:
-			spec = s.transferSpec(n, cat, attempt, stats, mu)
+			spec = l.transferSpec(n, attempt)
 		case pegasus.NodeRegister:
-			spec = s.registerSpec(n)
+			spec = l.s.registerSpec(n)
 		case pegasus.NodeCompute:
 			switch n.Attr(chimera.AttrTransformation) {
 			case "galMorph":
-				spec = s.galMorphSpec(n, cat, stats, mu)
+				spec = l.galMorphSpec(n)
 			case "concatVOT":
-				spec = s.concatSpec(n, cat, stats, mu)
+				spec = l.concatSpec(n)
 			default:
 				return dagman.Spec{}, fmt.Errorf("webservice: unknown transformation %q",
 					n.Attr(chimera.AttrTransformation))
@@ -111,16 +64,15 @@ func (s *Service) runner(cat *vdl.Catalog, stats *RunStats, mu *sync.Mutex, labe
 		default:
 			return dagman.Spec{}, fmt.Errorf("webservice: unknown node type %q", n.Type)
 		}
-		if labels != nil {
-			spec.Run = labels.wrap(spec.Run)
-		}
+		spec.Run = l.labelled(spec.Run)
 		return spec, nil
 	}
 }
 
-func (s *Service) transferSpec(n *dag.Node, cat *vdl.Catalog, attempt int, stats *RunStats, mu *sync.Mutex) dagman.Spec {
+func (l *leg) transferSpec(n *dag.Node, attempt int) dagman.Spec {
+	s := l.s
 	lfn := n.Attr(pegasus.AttrLFN)
-	src := s.pickTransferSource(lfn, n.Attr(pegasus.AttrSrcURL), attempt, stats, mu)
+	src := l.pickTransferSource(lfn, n.Attr(pegasus.AttrSrcURL), attempt)
 	dst := n.Attr(pegasus.AttrDstURL)
 	srcSite, _, _ := gridftp.ParseURL(src)
 	return dagman.Spec{
@@ -131,63 +83,35 @@ func (s *Service) transferSpec(n *dag.Node, cat *vdl.Catalog, attempt int, stats
 		Lane:       condor.LaneTransfer,
 		ClusterKey: "transfer@" + srcSite,
 		Run: func() error {
-			// Per-request accounting happens here rather than by diffing
-			// the global GridFTP counters, so concurrent requests do not
-			// pollute each other's numbers. Run bodies execute concurrently
-			// when the service runs with Workers > 1, hence the mutex around
-			// the shared per-request counters.
 			res, err := s.cfg.GridFTP.Transfer(src, dst)
 			s.cfg.Breakers.Record(srcSite, breakerOpTransfer, err)
+			staged := res.Bytes
 			if err != nil {
-				if resilience.Classify(err) == resilience.ClassAlternateReplica {
-					// The source replica is damaged at rest: retrying this
-					// URL can never succeed. Quarantine it and deliver the
-					// content another way — alternate replica or provenance
-					// re-derivation — healing the source so the catalog
-					// converges.
-					s.quarantineReplica(lfn, srcSite, src, stats, mu)
-					content, rerr := s.recoverContent(cat, lfn, srcSite, stats, mu)
-					if rerr != nil {
-						return err
-					}
-					dstSite, dstPath, perr := gridftp.ParseURL(dst)
-					if perr != nil {
-						return perr
-					}
-					if err := s.cfg.GridFTP.Store(dstSite).Put(dstPath, content); err != nil {
-						return err
-					}
-					if err := s.healSource(srcSite, src, lfn, content); err != nil {
-						return err
-					}
-					mu.Lock()
-					stats.FilesStaged++
-					stats.BytesStaged += int64(len(content))
-					mu.Unlock()
-					return nil
+				if resilience.Classify(err) != resilience.ClassAlternateReplica {
+					return err
 				}
-				return err
+				// The source replica is damaged at rest: retrying this URL
+				// can never succeed. Deliver repaired content instead.
+				content, rerr := l.repair(lfn, srcSite, src, err)
+				if rerr != nil {
+					return rerr
+				}
+				dstSite, dstPath, perr := gridftp.ParseURL(dst)
+				if perr != nil {
+					return perr
+				}
+				if err := s.cfg.GridFTP.Store(dstSite).Put(dstPath, content); err != nil {
+					return err
+				}
+				staged = int64(len(content))
 			}
-			mu.Lock()
-			stats.FilesStaged++
-			stats.BytesStaged += res.Bytes
-			mu.Unlock()
+			// Per-request accounting happens here rather than by diffing
+			// the global GridFTP counters, so concurrent requests do not
+			// pollute each other's numbers.
+			l.account(RunStats{FilesStaged: 1, BytesStaged: staged})
 			return nil
 		},
 	}
-}
-
-// healSource overwrites a quarantined source replica with recovered content
-// and re-registers it, restoring the catalog to full replication.
-func (s *Service) healSource(srcSite, srcURL, lfn string, content []byte) error {
-	_, srcPath, err := gridftp.ParseURL(srcURL)
-	if err != nil {
-		return nil // unparseable planned URL: nothing to heal
-	}
-	if err := s.cfg.GridFTP.Store(srcSite).Put(srcPath, content); err != nil {
-		return err
-	}
-	return s.registerReplica(lfn, rls.PFN{Site: srcSite, URL: srcURL})
 }
 
 // pickTransferSource chooses the physical source for one transfer attempt.
@@ -196,9 +120,9 @@ func (s *Service) healSource(srcSite, srcURL, lfn string, content []byte) error 
 // open is skipped — the failover path Pegasus's replica selection enables.
 // When every circuit is open the planned source is used anyway: failing
 // concretely beats refusing to try. It runs on the scheduler goroutine while
-// other nodes' Run bodies count their own failovers from the worker pool, so
-// the counter is taken under the same mu.
-func (s *Service) pickTransferSource(lfn, planned string, attempt int, stats *RunStats, mu *sync.Mutex) string {
+// other nodes' Run bodies count their own failovers from the worker pool.
+func (l *leg) pickTransferSource(lfn, planned string, attempt int) string {
+	s := l.s
 	if attempt <= 1 && s.cfg.Breakers == nil {
 		return planned
 	}
@@ -219,9 +143,7 @@ func (s *Service) pickTransferSource(lfn, planned string, attempt int, stats *Ru
 			continue
 		}
 		if u != planned {
-			mu.Lock()
-			stats.Failovers++
-			mu.Unlock()
+			l.account(RunStats{Failovers: 1})
 		}
 		return u
 	}
@@ -294,7 +216,8 @@ func morphFingerprint(cfg morphology.Config) string {
 // decode and measurement entirely. The output file is still written and
 // registered through the normal register nodes, publishing the cached
 // product through the RLS as a replica of the derivation's output LFN.
-func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, stats *RunStats, mu *sync.Mutex) dagman.Spec {
+func (l *leg) galMorphSpec(n *dag.Node) dagman.Spec {
+	s := l.s
 	site := n.Attr(pegasus.AttrSite)
 	inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
 	outputs := chimera.SplitLFNs(n.Attr(chimera.AttrOutputs))
@@ -316,13 +239,13 @@ func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, stats *RunStats, m
 			if len(inputs) != 1 || len(outputs) != 1 {
 				return fmt.Errorf("webservice: galMorph expects 1 input and 1 output, got %v -> %v", inputs, outputs)
 			}
-			dv, ok := cat.Derivation(dvName)
+			dv, ok := l.cat.Derivation(dvName)
 			if !ok {
 				return fmt.Errorf("webservice: derivation %q vanished", dvName)
 			}
 			store := s.cfg.GridFTP.Store(site)
 			// Pre-consumption integrity gate: never measure damaged pixels.
-			raw, err := s.verifiedGet(cat, store, inputs[0], stats, mu)
+			raw, err := l.verifiedGet(store, inputs[0])
 			if err != nil {
 				return err
 			}
@@ -353,16 +276,14 @@ func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, stats *RunStats, m
 				s.memo.Put(key, entry)
 			}
 			content, ferr := s.galMorph(ar.Bytes(192)[:0], inputs[0], p, err)
-			mu.Lock()
 			if hit {
-				stats.MemoHits++
+				l.account(RunStats{MemoHits: 1})
 			} else {
-				stats.MemoMisses++
+				l.account(RunStats{MemoMisses: 1})
 			}
 			if err != nil && ferr == nil {
-				stats.InvalidRows++
+				l.account(RunStats{InvalidRows: 1})
 			}
-			mu.Unlock()
 			if ferr != nil {
 				return ferr
 			}
@@ -400,7 +321,7 @@ func (s *Service) galMorph(dst []byte, imageLFN string, p morphology.Params, err
 // concatSpec assembles the per-galaxy results into the output VOTable. Every
 // input is integrity-verified before it is trusted; a corrupted result file
 // is quarantined and re-derived from its galaxy image via provenance.
-func (s *Service) concatSpec(n *dag.Node, cat *vdl.Catalog, stats *RunStats, mu *sync.Mutex) dagman.Spec {
+func (l *leg) concatSpec(n *dag.Node) dagman.Spec {
 	site := n.Attr(pegasus.AttrSite)
 	inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
 	outputs := chimera.SplitLFNs(n.Attr(chimera.AttrOutputs))
@@ -411,9 +332,9 @@ func (s *Service) concatSpec(n *dag.Node, cat *vdl.Catalog, stats *RunStats, mu 
 			if len(outputs) != 1 {
 				return fmt.Errorf("webservice: concat expects 1 output, got %v", outputs)
 			}
-			store := s.cfg.GridFTP.Store(site)
+			store := l.s.cfg.GridFTP.Store(site)
 			content, err := concatVOT(outputs[0], inputs, func(lfn string) ([]byte, error) {
-				return s.verifiedGet(cat, store, lfn, stats, mu)
+				return l.verifiedGet(store, lfn)
 			})
 			if err != nil {
 				return err

@@ -47,24 +47,6 @@ import (
 	"repro/internal/votable"
 )
 
-// State is a request's lifecycle state.
-type State string
-
-// Request states published on the status URL.
-const (
-	// StateQueued means the request was admitted but is waiting for the
-	// fabric's fair-share scheduler to grant it a workflow slot.
-	StateQueued State = "queued"
-	// StatePreempted means the fabric revoked the workflow's slot for a
-	// higher-priority class: the run checkpoint-stopped at a journal event
-	// boundary and is back in the queue, resuming from its journal when a
-	// slot is granted again.
-	StatePreempted State = "preempted"
-	StateRunning   State = "running"
-	StateCompleted State = "completed"
-	StateFailed    State = "failed"
-)
-
 // RunStats aggregates what one request cost — the quantities §5 of the paper
 // reports for its campaign.
 type RunStats struct {
@@ -280,27 +262,6 @@ func (s *Service) workers() int {
 	return s.cfg.Workers
 }
 
-// simFactory builds one workflow's simulator factory: every scheduler is
-// stamped by the fabric from the shared pool set, under the service's
-// execution model (fault injection, side-effect fan-out, dedicated
-// transfer lanes, serialized submission overhead). Rescue rounds call the
-// factory again, reusing the same lease — a rescue is still the same
-// workflow occupying the same fabric slot.
-func (s *Service) simFactory(lease *fabric.Lease, tenant, cluster string) func() (*condor.Simulator, error) {
-	var inj *faults.Injector
-	if s.cfg.FaultsFor != nil {
-		inj = s.cfg.FaultsFor(tenant, cluster)
-	}
-	return func() (*condor.Simulator, error) {
-		return lease.NewSimulator(fabric.SimOptions{
-			Workers:        s.workers(),
-			SubmitOverhead: s.cfg.SchedOverhead,
-			TransferSlots:  s.cfg.TransferSlots,
-			Injector:       inj,
-		})
-	}
-}
-
 // registerReplica publishes one replica and invalidates the read-through
 // cache so the next lookup sees the fresh catalog state.
 func (s *Service) registerReplica(lfn string, pfn rls.PFN) error {
@@ -387,49 +348,57 @@ func (o RequestOptions) tenant() string {
 	return o.Tenant
 }
 
-// Submit registers a new request and starts the computation in the
-// background, returning the request ID the status URL embeds. The request
-// can be stopped mid-flight with Cancel, which aborts the workflow at the
-// next scheduler step and journals a clean abort record.
-func (s *Service) Submit(tab *votable.Table, cluster string) (string, error) {
-	return s.SubmitFor(tab, cluster, RequestOptions{})
+// admit is the one admission prologue behind every entry point. A fresh
+// request (resumeOp "") must carry a valid input table; a resumption
+// (resumeOp names the operation, tab is nil) needs a journal to resume from.
+// Then the fabric decides: a ticket to wait on, or a fabric.ShedError.
+func (s *Service) admit(tab *votable.Table, resumeOp string, opt RequestOptions) (*fabric.Ticket, error) {
+	if resumeOp != "" {
+		if s.cfg.JournalDir == "" {
+			return nil, fmt.Errorf("webservice: %s requires JournalDir", resumeOp)
+		}
+	} else if tab == nil || tab.ColumnIndex("id") < 0 || tab.ColumnIndex("acref") < 0 {
+		return nil, ErrBadTable
+	} else if tab.NumRows() == 0 {
+		return nil, ErrNoGalaxies
+	}
+	return s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
 }
 
-// SubmitFor is Submit on behalf of a tenant. The fabric's admission
-// decision happens here, synchronously: a granted or queued request
-// returns an ID to poll; an over-quota request is shed with a
-// fabric.ShedError (mapped to 429/503 + Retry-After by the HTTP layer)
-// and never occupies service state. Canceling a queued request dequeues
-// it before it ever runs.
+// SubmitFor registers a new request on behalf of a tenant and starts the
+// computation in the background, returning the request ID the status URL
+// embeds. The fabric's admission decision happens here, synchronously: a
+// granted or queued request returns an ID to poll; an over-quota request is
+// shed with a fabric.ShedError (mapped to 429/503 + Retry-After by the HTTP
+// layer) and never occupies service state. The request can be stopped
+// mid-flight with Cancel, which aborts the workflow at the next scheduler
+// step and journals a clean abort record; canceling a queued request
+// dequeues it before it ever runs.
 func (s *Service) SubmitFor(tab *votable.Table, cluster string, opt RequestOptions) (string, error) {
-	if err := validateInput(tab); err != nil {
-		return "", err
-	}
-	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
+	ticket, err := s.admit(tab, "", opt)
 	if err != nil {
 		return "", err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.nextID++
 	id := fmt.Sprintf("req-%06d", s.nextID)
-	st := &Status{ID: id, Cluster: cluster, Tenant: opt.tenant(), Priority: opt.Priority,
-		State: StateQueued, Message: "queued for fair-share scheduling"}
+	st := &Status{ID: id, Cluster: cluster, Tenant: opt.tenant(), Priority: opt.Priority}
 	if ticket.Granted() {
-		st.State = StateRunning
-		st.Message = "accepted"
+		st.apply(evGranted, "")
+	} else {
+		st.apply(evQueued, "")
 	}
 	s.requests[id] = st
-	s.launch(st, ticket, tab, "running")
-	s.mu.Unlock()
+	s.launch(st, ticket, tab)
 	return id, nil
 }
 
 // launch drives an admitted request to its terminal state in the
 // background, mirroring grants, preemption cycles, progress and the final
 // outcome onto its polled status. tab == nil resumes the request from its
-// journal; granted is the status message of a request that leaves the
-// queue. The caller holds s.mu.
-func (s *Service) launch(st *Status, ticket *fabric.Ticket, tab *votable.Table, granted string) {
+// journal. The caller holds s.mu.
+func (s *Service) launch(st *Status, ticket *fabric.Ticket, tab *votable.Table) {
 	ctx, cancel := context.WithCancel(context.Background())
 	id, cluster := st.ID, st.Cluster
 	opt := RequestOptions{Tenant: st.Tenant, Priority: st.Priority}
@@ -440,33 +409,23 @@ func (s *Service) launch(st *Status, ticket *fabric.Ticket, tab *votable.Table, 
 		st.JobsTotal = total
 		s.mu.Unlock()
 	}
-	onState := func(state State) {
+	onEvent := func(ev event) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		switch {
-		case state == StatePreempted:
-			st.Message = "preempted: checkpoint-stopped, requeued for fair-share scheduling"
-		case st.State == StateQueued:
-			st.Message = granted
-		case st.State == StatePreempted:
-			st.Message = "resumed after preemption"
-		}
-		st.State = state
+		st.apply(ev, "")
 	}
 	go func() {
-		out, stats, err := s.await(ctx, ticket, tab, cluster, opt, onProgress, onState)
+		out, stats, err := s.await(ctx, ticket, tab, cluster, opt, onProgress, onEvent)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		delete(s.cancels, id)
 		cancel()
 		st.Stats = stats
 		if err != nil {
-			st.State = StateFailed
-			st.Message = err.Error()
+			st.apply(evFailed, err.Error())
 			return
 		}
-		st.State = StateCompleted
-		st.Message = "job completed"
+		st.apply(evCompleted, "")
 		st.ResultLFN = out
 	}()
 }
@@ -479,32 +438,37 @@ func (s *Service) launch(st *Status, ticket *fabric.Ticket, tab *votable.Table, 
 // original priority class — waits for a fresh grant, and resumes from the
 // scoped journal. It repeats until the workflow finishes, fails for a real
 // reason, or is canceled while waiting (which dequeues it before it runs).
-// tab == nil makes the first leg a resume too. onState (optional) observes
-// every grant (StateRunning) and revocation (StatePreempted).
+// tab == nil makes the first leg a resume too. onEvent (optional) observes
+// every grant (evGranted to a fresh leg, evResumed to a resuming one) and
+// revocation (evPreempted). The RunStats returned are the last leg's.
 func (s *Service) await(ctx context.Context, ticket *fabric.Ticket, tab *votable.Table, cluster string,
-	opt RequestOptions, onProgress func(done, total int), onState func(State)) (string, RunStats, error) {
-	if onState == nil {
-		onState = func(State) {}
+	opt RequestOptions, onProgress func(done, total int), onEvent func(event)) (string, RunStats, error) {
+	if onEvent == nil {
+		onEvent = func(event) {}
 	}
 	var stats RunStats
 	waiting := "queued"
 	for preemptions := 0; ; preemptions++ {
 		lease, err := ticket.Wait(ctx)
 		if err != nil {
-			stats.Preemptions = preemptions
 			return "", stats, fmt.Errorf("webservice: canceled while %s: %w", waiting, err)
 		}
-		onState(StateRunning)
-		var out string
-		out, stats, err = s.runLeg(ctx, lease, tab, cluster, opt, onProgress)
-		stats.Preemptions = preemptions
+		if tab != nil {
+			onEvent(evGranted)
+		} else {
+			onEvent(evResumed)
+		}
+		l := s.newLeg(opt.tenant(), cluster, preemptions, onProgress)
+		out, err := l.runLeg(ctx, lease, tab)
 		if !errors.Is(err, ErrPreempted) {
-			return out, stats, err
+			return out, l.snapshot(), err
 		}
-		if ticket = lease.Preempted(stats.Makespan); ticket == nil {
-			return out, stats, err // lease already released: surface the leg's error
+		if ticket = lease.Preempted(l.snapshot().Makespan); ticket == nil {
+			return out, l.snapshot(), err // lease already released: surface the leg's error
 		}
-		onState(StatePreempted)
+		onEvent(evPreempted)
+		l.account(RunStats{Preemptions: 1})
+		stats = l.snapshot()
 		tab, waiting = nil, "requeued after preemption"
 	}
 }
@@ -544,9 +508,6 @@ func (s *Service) Cancel(id string) error {
 // for everything else. Admission is not bypassed: an over-quota requeue
 // sheds like any fresh submission.
 func (s *Service) Requeue(id string) error {
-	if s.cfg.JournalDir == "" {
-		return errors.New("webservice: requeue requires JournalDir")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.requests[id]
@@ -556,18 +517,15 @@ func (s *Service) Requeue(id string) error {
 	if st.State != StateFailed {
 		return fmt.Errorf("webservice: request %q is %s; only failed requests requeue", id, st.State)
 	}
-	ticket, err := s.cfg.Fabric.Admit(st.Tenant, st.Priority)
+	ticket, err := s.admit(nil, "requeue", RequestOptions{Tenant: st.Tenant, Priority: st.Priority})
 	if err != nil {
 		return err
 	}
-	const resuming = "requeued: resuming from journal"
-	st.State = StateQueued
-	st.Message = "requeued for fair-share scheduling"
+	st.apply(evRequeued, "")
 	if ticket.Granted() {
-		st.State = StateRunning
-		st.Message = resuming
+		st.apply(evResumed, "")
 	}
-	s.launch(st, ticket, nil, resuming)
+	s.launch(st, ticket, nil)
 	return nil
 }
 
@@ -600,16 +558,6 @@ func (s *Service) Status(id string) (Status, error) {
 	return *st, nil
 }
 
-func validateInput(tab *votable.Table) error {
-	if tab == nil || tab.ColumnIndex("id") < 0 || tab.ColumnIndex("acref") < 0 {
-		return ErrBadTable
-	}
-	if tab.NumRows() == 0 {
-		return ErrNoGalaxies
-	}
-	return nil
-}
-
 // outputLFN names the result table after the cluster, as §4.3 describes.
 func outputLFN(cluster string) string { return cluster + ".vot" }
 
@@ -622,7 +570,7 @@ func (s *Service) requestSeed(cluster string) int64 {
 }
 
 // Compute runs the full §4.3 pipeline synchronously and returns the output
-// LFN. The portal normally reaches it through Submit/Status polling.
+// LFN. The portal normally reaches it through SubmitFor/Status polling.
 func (s *Service) Compute(tab *votable.Table, cluster string) (string, RunStats, error) {
 	return s.ComputeWithProgress(tab, cluster, nil)
 }
@@ -636,7 +584,7 @@ func (s *Service) ComputeWithProgress(tab *votable.Table, cluster string,
 
 // ComputeWithContext is ComputeWithProgress under a cancellation context:
 // when ctx is canceled the workflow aborts at the next scheduler step,
-// journaling a clean "aborted" record so a later Resume picks up exactly
+// journaling a clean "aborted" record so a later ResumeFor picks up exactly
 // where the run stopped.
 func (s *Service) ComputeWithContext(ctx context.Context, tab *votable.Table, cluster string,
 	onProgress func(done, total int)) (string, RunStats, error) {
@@ -650,43 +598,27 @@ func (s *Service) ComputeWithContext(ctx context.Context, tab *votable.Table, cl
 // dequeues the workflow before it runs.
 func (s *Service) ComputeFor(ctx context.Context, tab *votable.Table, cluster string,
 	opt RequestOptions, onProgress func(done, total int)) (string, RunStats, error) {
-	if err := validateInput(tab); err != nil {
-		return "", RunStats{}, err
-	}
-	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
+	ticket, err := s.admit(tab, "", opt)
 	if err != nil {
 		return "", RunStats{}, err
 	}
 	return s.await(ctx, ticket, tab, cluster, opt, onProgress, nil)
 }
 
-// Resume reopens a journaled run that died mid-flight — a killed web service,
-// a machine crash — and finishes it: the persisted concrete DAG is reloaded
-// (never replanned), the journal's intact prefix restores every completed
-// node, and only the unfinished remainder executes. The output VOTable is
-// byte-identical to what the uninterrupted run would have produced.
-func (s *Service) Resume(cluster string) (string, RunStats, error) {
-	return s.ResumeWithContext(context.Background(), cluster, nil)
-}
-
-// ResumeWithContext is Resume under a cancellation context and an optional
-// progress callback (restored nodes count as already done).
-func (s *Service) ResumeWithContext(ctx context.Context, cluster string,
-	onProgress func(done, total int)) (string, RunStats, error) {
-	return s.ResumeFor(ctx, cluster, RequestOptions{}, onProgress)
-}
-
-// ResumeFor is ResumeWithContext on behalf of a tenant. A resumed
-// workflow consumes fabric capacity like a fresh one, so it passes
-// admission and fair-share scheduling first; its journal must carry the
-// resuming workflow's scope — resuming one tenant's journal as another
-// fails with journal.ErrScope instead of bleeding state across workflows.
+// ResumeFor reopens, on behalf of a tenant, a journaled run that died
+// mid-flight — a killed web service, a machine crash — and finishes it: the
+// persisted concrete DAG is reloaded (never replanned), the journal's intact
+// prefix restores every completed node (they count as already done on the
+// optional progress callback), and only the unfinished remainder executes.
+// The output VOTable is byte-identical to what the uninterrupted run would
+// have produced. A resumed workflow consumes fabric capacity like a fresh
+// one, so it passes admission and fair-share scheduling first; its journal
+// must carry the resuming workflow's scope — resuming one tenant's journal
+// as another fails with journal.ErrScope instead of bleeding state across
+// workflows.
 func (s *Service) ResumeFor(ctx context.Context, cluster string, opt RequestOptions,
 	onProgress func(done, total int)) (string, RunStats, error) {
-	if s.cfg.JournalDir == "" {
-		return "", RunStats{}, errors.New("webservice: resume requires JournalDir")
-	}
-	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
+	ticket, err := s.admit(nil, "resume", opt)
 	if err != nil {
 		return "", RunStats{}, err
 	}

@@ -2,6 +2,7 @@ package webservice
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -90,6 +91,16 @@ func execFaults(p float64) func(tenant, cluster string) *faults.Injector {
 	return func(_, _ string) *faults.Injector {
 		return faults.New(5, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, Probability: p})
 	}
+}
+
+// submit and resume are SubmitFor and ResumeFor as the default tenant, without
+// cancellation or a progress callback.
+func submit(svc *Service, tab *votable.Table, cluster string) (string, error) {
+	return svc.SubmitFor(tab, cluster, RequestOptions{})
+}
+
+func resume(svc *Service, cluster string) (string, RunStats, error) {
+	return svc.ResumeFor(context.Background(), cluster, RequestOptions{}, nil)
 }
 
 // inputTable builds the catalog VOTable the portal would send: id, ra, dec,
@@ -309,7 +320,7 @@ func TestAsyncSubmitAndPoll(t *testing.T) {
 	h := newHarness(t, 8, nil)
 	tab := h.inputTable(t)
 
-	id, err := h.svc.Submit(tab, "COMA")
+	id, err := submit(h.svc, tab, "COMA")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +415,48 @@ func TestHTTPProtocol(t *testing.T) {
 	}
 	if res.NumRows() != 6 {
 		t.Errorf("result rows = %d", res.NumRows())
+	}
+}
+
+// TestGalmorphBodyCap: an upload over maxRequestBody — well-formed, so only
+// its size can refuse it — answers 413 and admits nothing: the fabric
+// snapshot and /stats read the same before and after.
+func TestGalmorphBodyCap(t *testing.T) {
+	h := newHarness(t, 3, nil)
+	srv := httptest.NewServer(h.svc.Handler())
+	defer srv.Close()
+	stats := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readAll(t, resp)
+	}
+
+	tab := h.inputTable(t)
+	if err := tab.SetCell(0, "acref", strings.Repeat("x", maxRequestBody)); err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := votable.WriteTable(&body, tab); err != nil {
+		t.Fatal(err)
+	}
+	fleetBefore, statsBefore := h.svc.Fleet(), stats()
+
+	resp, err := http.Post(srv.URL+"/galmorph?cluster=COMA", "text/xml", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := readAll(t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap POST /galmorph = %d (%s), want 413", resp.StatusCode, msg)
+	}
+	if fleet := h.svc.Fleet(); !reflect.DeepEqual(fleet, fleetBefore) {
+		t.Errorf("over-cap POST changed the fabric snapshot:\nbefore %+v\nafter  %+v", fleetBefore, fleet)
+	}
+	if got := stats(); got != statsBefore {
+		t.Errorf("over-cap POST changed /stats:\nbefore %s\nafter  %s", statsBefore, got)
 	}
 }
 
@@ -565,7 +618,7 @@ func BenchmarkWebServiceColdRequest(b *testing.B) {
 func TestProgressReporting(t *testing.T) {
 	h := newHarness(t, 10, nil)
 	tab := h.inputTable(t)
-	id, err := h.svc.Submit(tab, "COMA")
+	id, err := submit(h.svc, tab, "COMA")
 	if err != nil {
 		t.Fatal(err)
 	}

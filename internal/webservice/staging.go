@@ -46,15 +46,15 @@ func imageRefsFromTable(tab *votable.Table) []imageRef {
 // configured. With Workers > 1 the HTTP fetches fan out to the worker pool;
 // responses are ingested — accounted, split, stored, registered — strictly
 // in request order, so stats and replica registrations stay deterministic.
-func (s *Service) cacheImageRefs(refs []imageRef, stats *RunStats) error {
+func (l *leg) cacheImageRefs(refs []imageRef) error {
+	s := l.s
 	var todo []imageRef
 	for _, m := range refs {
-		if s.cfg.RLS.Exists(m.id + ".fit") {
-			stats.ImagesCached++
-			continue
+		if !s.cfg.RLS.Exists(m.id + ".fit") {
+			todo = append(todo, m)
 		}
-		todo = append(todo, m)
 	}
+	l.account(RunStats{ImagesCached: len(refs) - len(todo)})
 	if len(todo) == 0 {
 		return nil
 	}
@@ -104,7 +104,7 @@ func (s *Service) cacheImageRefs(refs []imageRef, stats *RunStats) error {
 			if errs[i] != nil {
 				return errs[i]
 			}
-			if err := s.ingestBatch(job.base, job.ids, datas[i], stats); err != nil {
+			if err := l.ingestBatch(job.base, job.ids, datas[i]); err != nil {
 				return err
 			}
 		}
@@ -120,26 +120,28 @@ func (s *Service) cacheImageRefs(refs []imageRef, stats *RunStats) error {
 		if errs[i] != nil {
 			return errs[i]
 		}
-		chargeSIA(stats, len(datas[i]))
+		l.chargeSIA(len(datas[i]))
 		if err := s.storeImage(m.id+".fit", datas[i]); err != nil {
 			return err
 		}
-		stats.ImagesFetched++
+		l.account(RunStats{ImagesFetched: 1})
 	}
 	return nil
 }
 
 // chargeSIA accounts one image-service request in the wide-area cost model.
-func chargeSIA(stats *RunStats, nbytes int) {
-	stats.SIARequests++
-	stats.SIABytes += int64(nbytes)
-	stats.SIAModelTime += siaRequestLatency +
-		time.Duration(float64(nbytes)/siaBandwidthBps*float64(time.Second))
+func (l *leg) chargeSIA(nbytes int) {
+	l.account(RunStats{
+		SIARequests: 1,
+		SIABytes:    int64(nbytes),
+		SIAModelTime: siaRequestLatency +
+			time.Duration(float64(nbytes)/siaBandwidthBps*float64(time.Second)),
+	})
 }
 
 // ingestBatch accounts, splits and stores one fetched /cutoutbatch response.
-func (s *Service) ingestBatch(base string, ids []string, data []byte, stats *RunStats) error {
-	chargeSIA(stats, len(data))
+func (l *leg) ingestBatch(base string, ids []string, data []byte) error {
+	l.chargeSIA(len(data))
 	segments, err := fits.SplitStream(data)
 	if err != nil {
 		return fmt.Errorf("webservice: batch %s: %w", base, err)
@@ -149,10 +151,10 @@ func (s *Service) ingestBatch(base string, ids []string, data []byte, stats *Run
 			base, len(segments), len(ids))
 	}
 	for i, seg := range segments {
-		if err := s.storeImage(ids[i]+".fit", seg); err != nil {
+		if err := l.s.storeImage(ids[i]+".fit", seg); err != nil {
 			return err
 		}
-		stats.ImagesFetched++
+		l.account(RunStats{ImagesFetched: 1})
 	}
 	return nil
 }
@@ -175,24 +177,21 @@ func (s *Service) fetchURL(u string) ([]byte, error) {
 	return data, nil
 }
 
-func (s *Service) storeImage(lfn string, data []byte) error {
-	if err := s.cfg.GridFTP.Store(s.cfg.CacheSite).Put(lfn, data); err != nil {
-		return err
-	}
-	if err := s.registerReplica(lfn, rls.PFN{
-		Site: s.cfg.CacheSite,
-		URL:  gridftp.URL(s.cfg.CacheSite, lfn),
-	}); err != nil {
-		return err
-	}
+// imageSites lists where staged images live: the cache site, and the mirror
+// when one is configured.
+func (s *Service) imageSites() []string {
 	if m := s.cfg.MirrorSite; m != "" && m != s.cfg.CacheSite {
-		if err := s.cfg.GridFTP.Store(m).Put(lfn, data); err != nil {
+		return []string{s.cfg.CacheSite, m}
+	}
+	return []string{s.cfg.CacheSite}
+}
+
+func (s *Service) storeImage(lfn string, data []byte) error {
+	for _, site := range s.imageSites() {
+		if err := s.cfg.GridFTP.Store(site).Put(lfn, data); err != nil {
 			return err
 		}
-		if err := s.registerReplica(lfn, rls.PFN{
-			Site: m,
-			URL:  gridftp.URL(m, lfn),
-		}); err != nil {
+		if err := s.registerReplica(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)}); err != nil {
 			return err
 		}
 	}
@@ -206,11 +205,7 @@ func (s *Service) storeImage(lfn string, data []byte) error {
 // eviction reports whether any replica was actually removed here.
 func (s *Service) evictImage(lfn string) bool {
 	evicted := false
-	sites := []string{s.cfg.CacheSite}
-	if m := s.cfg.MirrorSite; m != "" && m != s.cfg.CacheSite {
-		sites = append(sites, m)
-	}
-	for _, site := range sites {
+	for _, site := range s.imageSites() {
 		if err := s.cfg.GridFTP.Store(site).Delete(lfn); err == nil {
 			evicted = true
 		}

@@ -145,7 +145,7 @@ func TestWaveKillAndResumeByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill point %d: reopen: %v", k, err)
 		}
-		out, _, err := svc2.Resume("COMA")
+		out, _, err := resume(svc2, "COMA")
 		if err != nil {
 			t.Fatalf("kill point %d: resume: %v", k, err)
 		}
@@ -182,7 +182,7 @@ func TestWaveResumeOfFinishedRunShortCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := svc2.Resume("COMA")
+	out, stats, err := resume(svc2, "COMA")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestWaveResumeHonorsManifestWaveSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc2.Resume("COMA"); err != nil {
+	if _, _, err := resume(svc2, "COMA"); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {
