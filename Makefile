@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak hotbench loc knobs verify
+.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak dataplane hotbench loc knobs verify
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,15 @@ soak:
 	SOAK_WORKFLOWS=$(SOAK_WORKFLOWS) $(GO) test -race -run 'TestSoak' -v .
 	$(GO) test -race -run 'TestPreempt' -v ./internal/webservice/
 
+# The shared-blob data plane, race-enabled: readers, transfers, Corrupt and
+# Put on one path at once (a stored file's bytes are never written, so none
+# of them may race), copy-on-write damage private to one replica, and a
+# staged request whose stage-in replicas share the cache replica's bytes
+# while every store still verifies.
+dataplane:
+	$(GO) test -race -run 'TestCorrupt|TestConcurrentTransfers' -v ./internal/gridftp/
+	$(GO) test -race -run 'TestStagedReplicasShareBytes|TestVerifiedGetRepairedDigest' -v ./internal/webservice/
+
 # The hot-path allocation gate, race-enabled: ParseView + MeasureRaw over
 # staged bytes must stay within the per-galaxy allocation budget and at least
 # 2x below materialising the image first (Decode + Measure). Both entries run
@@ -144,7 +153,8 @@ knobs:
 
 # Every concurrency-bearing campaign under the race detector in one
 # invocation: the chaos byte-identity campaign, the multi-tenant fabric
-# campaign, the preemption soak (gate scale), and the survey-wave smoke.
+# campaign, the preemption soak (gate scale), the survey-wave smoke, and the
+# shared-blob data plane.
 # This is the dynamic closure of the static concurrency analyzers
 # (lockpath/goleak/selectrevoke): nvolint proves lock/goroutine hygiene
 # shapes, racecheck proves the running interleavings.
@@ -153,6 +163,7 @@ racecheck:
 	$(MAKE) tenants
 	$(MAKE) soak SOAK_WORKFLOWS=600
 	$(MAKE) survey
+	$(MAKE) dataplane
 
 # Full verification gate: vet, build, the nvolint invariants (with the
 # latency budget and stale-suppression report), the benchmark harness's

@@ -37,7 +37,10 @@ func (r hostRouter) RoundTrip(req *http.Request) (*http.Response, error) {
 		ProtoMinor: 1,
 		Header:     rw.header,
 		Body:       io.NopCloser(bytes.NewReader(rw.buf.Bytes())),
-		Request:    req,
+		// A real server declares the length of a fully buffered reply;
+		// clients size their read from it.
+		ContentLength: int64(rw.buf.Len()),
+		Request:       req,
 	}, nil
 }
 

@@ -89,91 +89,139 @@ func ParseURL(u string) (site, path string, err error) {
 	return site, path, nil
 }
 
+// blob is one stored file: its bytes and the checksum recorded when the file
+// was created. A blob's bytes are immutable from the moment it enters a store
+// — readers and other sites' stores share them — so nothing may write through
+// data; at-rest damage is modelled by installing a damaged copy (Corrupt).
+type blob struct {
+	data []byte
+	sum  string
+}
+
 // Store is one site's file system. It is safe for concurrent use. Alongside
 // each file it keeps the checksum recorded when the file was created — the
 // integrity baseline transfers and consumers verify against.
 type Store struct {
 	site string
 	mu   sync.RWMutex
-	m    map[string][]byte
-	sums map[string]string
+	m    map[string]blob
 }
 
 // NewStore returns an empty store for a site.
 func NewStore(site string) *Store {
-	return &Store{site: site, m: map[string][]byte{}, sums: map[string]string{}}
+	return &Store{site: site, m: map[string]blob{}}
 }
 
 // Site returns the owning site name.
 func (s *Store) Site() string { return s.site }
 
-// Put stores content at path, replacing any previous file, and records the
-// content checksum as the file's integrity baseline.
+// Put stores a copy of content at path, replacing any previous file, and
+// records the content checksum as the file's integrity baseline. The caller
+// keeps ownership of content (arena-backed result rows are recycled right
+// after the call); Adopt is the variant that takes the buffer over.
 func (s *Store) Put(path string, content []byte) error {
+	return s.Adopt(path, append([]byte(nil), content...))
+}
+
+// Adopt stores content at path WITHOUT copying it: the caller hands the
+// buffer over and must neither write to it nor recycle it afterwards. It is
+// the ingest edge for bytes nobody else holds yet — a freshly read HTTP body.
+func (s *Store) Adopt(path string, content []byte) error {
 	if len(content) == 0 {
 		return ErrEmptyUpload
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cp := make([]byte, len(content))
-	copy(cp, content)
-	s.m[path] = cp
-	s.sums[path] = Checksum(cp)
+	s.install(path, blob{data: content, sum: Checksum(content)})
 	return nil
+}
+
+// install publishes b at path, replacing any previous file.
+func (s *Store) install(path string, b blob) {
+	s.mu.Lock()
+	s.m[path] = b
+	s.mu.Unlock()
+}
+
+// lookup returns the blob at path.
+//
+//nvo:hotpath
+func (s *Store) lookup(path string) (blob, error) {
+	s.mu.RLock()
+	b, ok := s.m[path]
+	s.mu.RUnlock()
+	if !ok {
+		return blob{}, s.noSuchFile(path)
+	}
+	return b, nil
+}
+
+func (s *Store) noSuchFile(path string) error {
+	return fmt.Errorf("%w: %s at %s", ErrNoSuchFile, path, s.site)
 }
 
 // Sum returns the checksum recorded when the file was created (not a fresh
 // hash of the bytes — after at-rest damage the two differ, which is the
 // point).
 func (s *Store) Sum(path string) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sum, ok := s.sums[path]
-	return sum, ok
+	b, err := s.lookup(path)
+	return b.sum, err == nil
+}
+
+// Open is the verified read: it hashes the file's bytes, compares the digest
+// with the checksum of record and returns the shared read-only bytes with
+// that digest. A mismatch returns a *ChecksumError (errors.Is ErrChecksum).
+// The blob is taken once, so no Corrupt or Put can slip between the check
+// and the read.
+//
+//nvo:hotpath
+func (s *Store) Open(path string) ([]byte, string, error) {
+	b, err := s.lookup(path)
+	if err != nil {
+		return nil, "", err
+	}
+	if got := Checksum(b.data); got != b.sum {
+		return nil, "", s.mismatch(path, b.sum, got)
+	}
+	return b.data, b.sum, nil
+}
+
+func (s *Store) mismatch(path, want, got string) error {
+	return &ChecksumError{Site: s.site, Path: path, Want: want, Got: got}
 }
 
 // Verify recomputes the file's checksum and compares it to the record. A
 // mismatch returns a *ChecksumError (errors.Is ErrChecksum).
 func (s *Store) Verify(path string) error {
-	s.mu.RLock()
-	data, ok := s.m[path]
-	want := s.sums[path]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s at %s", ErrNoSuchFile, path, s.site)
-	}
-	if got := Checksum(data); got != want {
-		return &ChecksumError{Site: s.site, Path: path, Want: want, Got: got}
-	}
-	return nil
+	_, _, err := s.Open(path)
+	return err
 }
 
-// Corrupt damages the file's bytes at rest while leaving the recorded
-// checksum untouched — the persistent bit-rot a KindCorruption fault models.
-// Retrying a read of a corrupted replica keeps failing verification until the
-// replica is quarantined and replaced.
+// Corrupt damages the file at rest while leaving the recorded checksum
+// untouched — the persistent bit-rot a KindCorruption fault models. Retrying
+// a read of a corrupted replica keeps failing verification until the replica
+// is quarantined and replaced. The damage is copy-on-write: the replica gets
+// a private damaged copy, so readers holding the old bytes and other sites
+// sharing them are unaffected.
 func (s *Store) Corrupt(path string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, ok := s.m[path]
+	b, ok := s.m[path]
 	if !ok {
 		return false
 	}
-	data[len(data)/2] ^= 0xFF
+	b.data = append([]byte(nil), b.data...)
+	b.data[len(b.data)/2] ^= 0xFF
+	s.m[path] = b
 	return true
 }
 
-// Get returns a copy of the file's content.
+// Get returns the file's content: the store's own bytes, shared and
+// read-only, NOT verified (Open is the verified read). A caller that needs to
+// modify them copies first.
+//
+//nvo:hotpath
 func (s *Store) Get(path string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.m[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s at %s", ErrNoSuchFile, path, s.site)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
+	b, err := s.lookup(path)
+	return b.data, err
 }
 
 // Exists reports whether path is stored.
@@ -188,7 +236,7 @@ func (s *Store) Exists(path string) bool {
 func (s *Store) Size(path string) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int64(len(s.m[path]))
+	return int64(len(s.m[path].data))
 }
 
 // Delete removes a file.
@@ -196,10 +244,9 @@ func (s *Store) Delete(path string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.m[path]; !ok {
-		return fmt.Errorf("%w: %s at %s", ErrNoSuchFile, path, s.site)
+		return s.noSuchFile(path)
 	}
 	delete(s.m, path)
-	delete(s.sums, path)
 	return nil
 }
 
@@ -227,8 +274,8 @@ func (s *Store) TotalBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var n int64
-	for _, d := range s.m {
-		n += int64(len(d))
+	for _, b := range s.m {
+		n += int64(len(b.data))
 	}
 	return n
 }
@@ -347,19 +394,25 @@ type Result struct {
 	Duration       time.Duration // model time, not wall time
 }
 
-// Transfer copies srcURL to dstURL, returning the modelled duration. The
-// copy itself happens immediately (wall-clock); Duration is for the
-// discrete-event executor's clock.
+// Transfer delivers srcURL's file to dstURL, returning the modelled
+// duration. The delivery itself happens immediately (wall-clock) and moves no
+// bytes: the destination store receives the source's immutable blob, so both
+// replicas share one backing array. Duration is for the discrete-event
+// executor's clock.
 //
 // Every transfer verifies the source replica against its checksum of record
-// before a single byte reaches the destination, so corruption never
-// propagates. With a fault injector installed, each transfer is a fault
-// point keyed by the source site and path: transient/timeout/site-down
+// before the destination sees it, so corruption never propagates; the blob
+// is taken from the source store once, so the bytes verified are the bytes
+// delivered, and the verified checksum becomes the destination's record
+// without a second hash. With a fault injector installed, each transfer is a
+// fault point keyed by the source site and path: transient/timeout/site-down
 // faults fail the transfer outright, while a corruption fault damages the
 // source replica AT REST (the recorded checksum goes stale) — verification
 // then fails this and every later transfer from that replica with a
 // *ChecksumError until the replica is quarantined and re-derived or an
 // alternate replica is used.
+//
+//nvo:hotpath
 func (s *Service) Transfer(srcURL, dstURL string) (Result, error) {
 	srcSite, srcPath, err := ParseURL(srcURL)
 	if err != nil {
@@ -377,22 +430,17 @@ func (s *Service) Transfer(srcURL, dstURL string) (Result, error) {
 			// Model bit-rot: the injector fires once, the damage persists.
 			src.Corrupt(srcPath)
 		} else {
-			return Result{}, fmt.Errorf("gridftp: transfer %s -> %s: %w", srcURL, dstURL, err)
+			return Result{}, transferError(srcURL, dstURL, err)
 		}
 	}
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %q", ErrNoSuchSite, srcSite)
 	}
-	if err := src.Verify(srcPath); err != nil {
-		return Result{}, fmt.Errorf("gridftp: transfer %s -> %s: %w", srcURL, dstURL, err)
-	}
-	data, err := src.Get(srcPath)
+	data, sum, err := src.Open(srcPath)
 	if err != nil {
-		return Result{}, err
+		return Result{}, transferError(srcURL, dstURL, err)
 	}
-	if err := s.Store(dstSite).Put(dstPath, data); err != nil {
-		return Result{}, err
-	}
+	s.Store(dstSite).install(dstPath, blob{data: data, sum: sum})
 	res := Result{
 		SrcURL:   srcURL,
 		DstURL:   dstURL,
@@ -404,6 +452,10 @@ func (s *Service) Transfer(srcURL, dstURL string) (Result, error) {
 	s.stats.Bytes += res.Bytes
 	s.mu.Unlock()
 	return res, nil
+}
+
+func transferError(srcURL, dstURL string, err error) error {
+	return fmt.Errorf("gridftp: transfer %s -> %s: %w", srcURL, dstURL, err)
 }
 
 // Verify checks the replica at url against its checksum of record — the

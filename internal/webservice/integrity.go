@@ -55,15 +55,12 @@ func (l *leg) healthyReplica(lfn, excludeSite string) ([]byte, bool) {
 		if err != nil {
 			continue
 		}
-		st := l.s.cfg.GridFTP.Store(site)
-		if verr := st.Verify(path); verr != nil {
-			if resilience.Classify(verr) == resilience.ClassAlternateReplica {
-				l.quarantineReplica(lfn, p.Site, p.URL)
-			}
-			continue
-		}
-		if data, err := st.Get(path); err == nil {
+		data, _, verr := l.s.cfg.GridFTP.Store(site).Open(path)
+		if verr == nil {
 			return data, true
+		}
+		if resilience.Classify(verr) == resilience.ClassAlternateReplica {
+			l.quarantineReplica(lfn, p.Site, p.URL)
 		}
 	}
 	return nil, false
@@ -167,15 +164,23 @@ func (l *leg) repair(lfn, site, url string, cause error) ([]byte, error) {
 }
 
 // verifiedGet reads lfn from store for a consuming leaf job, verifying
-// integrity first — Condor's pre-consumption check. A checksum failure is
-// repaired in place, so the job proceeds with intact bytes.
-func (l *leg) verifiedGet(store *gridftp.Store, lfn string) ([]byte, error) {
-	verr := store.Verify(lfn)
+// integrity first — Condor's pre-consumption check — in the one pass
+// Store.Open makes: it returns the store's shared read-only bytes and the
+// digest that pass just proved they hash to. A checksum failure is repaired
+// in place, so the job proceeds with intact bytes (and their fresh digest).
+//
+//nvo:hotpath
+func (l *leg) verifiedGet(store *gridftp.Store, lfn string) ([]byte, string, error) {
+	data, digest, verr := store.Open(lfn)
 	if verr == nil {
-		return store.Get(lfn)
+		return data, digest, nil
 	}
 	if resilience.Classify(verr) != resilience.ClassAlternateReplica {
-		return nil, verr
+		return nil, "", verr
 	}
-	return l.repair(lfn, store.Site(), gridftp.URL(store.Site(), lfn), verr)
+	data, err := l.repair(lfn, store.Site(), gridftp.URL(store.Site(), lfn), verr)
+	if err != nil {
+		return nil, "", err
+	}
+	return data, gridftp.Checksum(data), nil
 }

@@ -211,7 +211,7 @@ func morphFingerprint(cfg morphology.Config) string {
 
 // galMorphSpec runs one galaxy's morphology measurement at its mapped site.
 // Measurements are memoized in the service's virtual-data cache under
-// (image content hash, measurement parameters): Measure is deterministic, so
+// (verified image digest, measurement parameters): Measure is deterministic, so
 // a warm hit reproduces the cold result byte-for-byte while skipping the
 // decode and measurement entirely. The output file is still written and
 // registered through the normal register nodes, publishing the cached
@@ -245,7 +245,7 @@ func (l *leg) galMorphSpec(n *dag.Node) dagman.Spec {
 			}
 			store := s.cfg.GridFTP.Store(site)
 			// Pre-consumption integrity gate: never measure damaged pixels.
-			raw, err := l.verifiedGet(store, inputs[0])
+			raw, digest, err := l.verifiedGet(store, inputs[0])
 			if err != nil {
 				return err
 			}
@@ -260,7 +260,9 @@ func (l *leg) galMorphSpec(n *dag.Node) dagman.Spec {
 			defer arena.Put(ar)
 
 			var p morphology.Params
-			key := vdcache.Key(raw, []byte(morphFingerprint(mcfg)))
+			// The digest verifiedGet just proved raw hashes to stands in for
+			// the content: the image is not hashed again for its key.
+			key := vdcache.Key([]byte(digest), []byte(morphFingerprint(mcfg)))
 			entry, hit := s.memo.Get(key)
 			if hit {
 				p = entry.params
@@ -334,7 +336,8 @@ func (l *leg) concatSpec(n *dag.Node) dagman.Spec {
 			}
 			store := l.s.cfg.GridFTP.Store(site)
 			content, err := concatVOT(outputs[0], inputs, func(lfn string) ([]byte, error) {
-				return l.verifiedGet(store, lfn)
+				data, _, err := l.verifiedGet(store, lfn)
+				return data, err
 			})
 			if err != nil {
 				return err

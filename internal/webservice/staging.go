@@ -159,12 +159,25 @@ func (l *leg) ingestBatch(base string, ids []string, data []byte) error {
 	return nil
 }
 
+// maxPresizedBody caps the buffer fetchURL sizes from a Content-Length header
+// it has not yet seen a byte of; a larger (or lying) response grows on demand.
+const maxPresizedBody = 64 << 20
+
+// fetchURL GETs u and returns the body in a buffer nobody else holds, so the
+// caller may hand it to a store by ownership. A response that declares its
+// length is read into one exactly-sized buffer.
 func (s *Service) fetchURL(u string) ([]byte, error) {
 	resp, err := s.cfg.HTTPClient.Get(u)
 	if err != nil {
 		return nil, fmt.Errorf("webservice: fetch %s: %w", u, err)
 	}
-	data, err := io.ReadAll(resp.Body)
+	var data []byte
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(resp.Body)
+	}
 	// The body has been fully consumed; a close error cannot invalidate data
 	// already read.
 	_ = resp.Body.Close()
@@ -186,9 +199,12 @@ func (s *Service) imageSites() []string {
 	return []string{s.cfg.CacheSite}
 }
 
+// storeImage publishes one fetched cutout at every image site. It takes
+// ownership of data (a fetchURL buffer, or a segment of one): the cache and
+// the mirror adopt the same bytes instead of copying them.
 func (s *Service) storeImage(lfn string, data []byte) error {
 	for _, site := range s.imageSites() {
-		if err := s.cfg.GridFTP.Store(site).Put(lfn, data); err != nil {
+		if err := s.cfg.GridFTP.Store(site).Adopt(lfn, data); err != nil {
 			return err
 		}
 		if err := s.registerReplica(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)}); err != nil {
@@ -198,17 +214,24 @@ func (s *Service) storeImage(lfn string, data []byte) error {
 	return nil
 }
 
-// evictImage removes one staged cutout from the cache (and mirror) store
-// and withdraws its RLS registrations — the survey-scale reclamation path
-// for images whose derived outputs are already registered. Copies a
-// previous process staged and this one never saw are simply absent;
-// eviction reports whether any replica was actually removed here.
+// evictImage removes one staged cutout from every store that holds it — the
+// cache (and mirror) copy and the stage-in copies the transfers left at the
+// execution sites, which share the cached blob's bytes and would keep them
+// alive — and withdraws its RLS registrations (only the image sites' copies
+// are ever registered): the survey-scale reclamation path for images whose
+// derived outputs are already registered. Copies a previous process staged
+// and this one never saw are simply absent; eviction reports whether any
+// replica was actually removed here.
 func (s *Service) evictImage(lfn string) bool {
 	evicted := false
-	for _, site := range s.imageSites() {
-		if err := s.cfg.GridFTP.Store(site).Delete(lfn); err == nil {
+	for _, site := range s.cfg.GridFTP.Sites() {
+		// Most sites never held this image; ask before deleting so a miss
+		// does not cost a formatted error.
+		if st := s.cfg.GridFTP.Store(site); st.Exists(lfn) && st.Delete(lfn) == nil {
 			evicted = true
 		}
+	}
+	for _, site := range s.imageSites() {
 		// Withdrawing a replica that was never registered is a no-op.
 		_ = s.cfg.RLS.Unregister(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)})
 	}

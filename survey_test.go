@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -22,8 +23,8 @@ func surveySpec(n int) []skysim.Spec {
 }
 
 // surveyRun computes the SURVEY cluster end to end and returns the raw
-// output VOTable bytes plus the run stats.
-func surveyRun(t *testing.T, cfg core.Config) ([]byte, webservice.RunStats) {
+// output VOTable bytes plus the run stats and the testbed it ran on.
+func surveyRun(t *testing.T, cfg core.Config) ([]byte, webservice.RunStats, *core.Testbed) {
 	t.Helper()
 	tb, err := core.NewTestbed(cfg)
 	if err != nil {
@@ -41,7 +42,7 @@ func surveyRun(t *testing.T, cfg core.Config) ([]byte, webservice.RunStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, stats
+	return data, stats, tb
 }
 
 func TestSurveyWaveByteIdentity1k(t *testing.T) {
@@ -50,10 +51,10 @@ func TestSurveyWaveByteIdentity1k(t *testing.T) {
 	}
 	const galaxies, waveSize = 1000, 100
 
-	want, classic := surveyRun(t, core.Config{
+	want, classic, _ := surveyRun(t, core.Config{
 		ClusterSpecs: surveySpec(galaxies), Seed: 5, Workers: 4,
 	})
-	got, waved := surveyRun(t, core.Config{
+	got, waved, tb := surveyRun(t, core.Config{
 		ClusterSpecs: surveySpec(galaxies), Seed: 5, Workers: 4,
 		WaveSize: waveSize, PageSize: 200,
 	})
@@ -87,6 +88,17 @@ func TestSurveyWaveByteIdentity1k(t *testing.T) {
 	}
 	if classic.ImagesEvicted != 0 {
 		t.Errorf("monolithic run evicted %d images, want 0", classic.ImagesEvicted)
+	}
+	// Eviction reaches every store, not just the cache: the stage-in copies
+	// at the execution sites share the cached blob's bytes, so leaving them
+	// behind would keep every cutout of the survey alive.
+	for _, site := range tb.FTP.Sites() {
+		for _, name := range tb.FTP.Store(site).List() {
+			id, isImage := strings.CutSuffix(name, ".fit")
+			if isImage && tb.RLS.Exists(id+".txt") {
+				t.Errorf("store %s still holds %s although %s.txt is registered", site, name, id)
+			}
+		}
 	}
 	t.Logf("1k survey: waves=%d maxWaveNodes=%d peakStaged=%d evicted=%d (classic plan holds all %d jobs at once)",
 		waved.Waves, waved.MaxWaveNodes, waved.PeakStagedImages, waved.ImagesEvicted, classic.ComputeJobs)
