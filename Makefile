@@ -63,16 +63,19 @@ recovery:
 	$(GO) test -race -run 'TestKillAndResume|TestResume|TestJournalBrackets|TestTransferCorruption|TestCorruptIntermediate|TestCancel' -v ./internal/webservice/
 	$(GO) run ./cmd/nvo-resume -cluster COMA -scale 0.1
 
-# Fuzz smoke over every parser that reads bytes from disk or the network:
+# Fuzz smoke over every parser that reads bytes from disk or the network —
 # the RLS text codec, the one FITS reader (Decode accepts exactly what
 # ParseView accepts, same error text, same pixel bits) and the streaming
-# VOTable codec. Seeds always run under plain `go test`; this also spends
-# FUZZTIME per target on new inputs.
+# VOTable codec — and over the measurement kernel's radial bucket pass (any
+# cutout shape and centre: no panic, and the order of the reference sort).
+# Seeds always run under plain `go test`; this also spends FUZZTIME per
+# target on new inputs.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzReadReplicas -fuzztime $(FUZZTIME) ./internal/rls/
 	$(GO) test -fuzz FuzzView -fuzztime $(FUZZTIME) ./internal/fits/
 	$(GO) test -fuzz FuzzStreamingParity -fuzztime $(FUZZTIME) ./internal/votable/
+	$(GO) test -fuzz FuzzRadialOrder -fuzztime $(FUZZTIME) ./internal/morphology/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants byte-identical to their solo runs, shared-
@@ -117,10 +120,14 @@ dataplane:
 # fixed oracles (FITS definition, frozen heap prologue, frozen fmt encoding).
 # The budget test lives next to the galMorph body it gates
 # (internal/webservice/hotpath_test.go). Fails fast on any AllocsPerRun
-# regression.
+# regression. The last line is a smoke, not a gate: the kernel's time per
+# galaxy (measurement alone, and view + measure + encode as galMorph runs
+# it) at one fixed iteration count, uninstrumented, printed beside the
+# allocation figures.
 hotbench:
 	$(GO) test -race -run 'TestHotPathAllocBudget' -v ./internal/webservice/
 	$(GO) test -race -run 'TestMeasureRaw|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/
+	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 
 # Non-test Go lines per package: raw lines and code lines (blank and
 # comment-only lines excluded). benchmark/ is a module of its own and is

@@ -23,20 +23,22 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/arena"
 	"repro/internal/fits"
 )
 
-// scratch holds the growth-curve pixel buffer — a typed slice with its own
-// grow policy, which is why it is not an arena slab like every float buffer
-// a measurement uses. Measurements run inside parallel leaf jobs, so the
-// buffers live in a sync.Pool; each in-flight measurement owns one scratch
-// exclusively.
+// scratch holds the growth-curve buffers — typed slices with their own
+// grow policy, which is why they are not arena slabs like every float
+// buffer a measurement uses: px takes the samples in raster order, ordered
+// and counts are the scatter target and bucket table of radialOrder.
+// Measurements run inside parallel leaf jobs, so the buffers live in a
+// sync.Pool; each in-flight measurement owns one scratch exclusively.
 type scratch struct {
-	px []gcPixel
+	px      []gcPixel
+	ordered []gcPixel
+	counts  []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -49,6 +51,21 @@ func (sc *scratch) pixels(n int) []gcPixel {
 		sc.px = make([]gcPixel, 0, n)
 	}
 	return sc.px[:0]
+}
+
+// orderBuffers returns radialOrder's scatter target (n samples) and its
+// bucket table (n zeroed counts). Both grow to the capacity of px, which
+// holds the samples being ordered, so a worker regrows them once per image
+// size rather than once per larger aperture.
+func (sc *scratch) orderBuffers(n int) ([]gcPixel, []int32) {
+	if cap(sc.ordered) < n {
+		c := max(n, cap(sc.px))
+		sc.ordered = make([]gcPixel, c)
+		sc.counts = make([]int32, c)
+	}
+	counts := sc.counts[:n]
+	clear(counts)
+	return sc.ordered[:n], counts
 }
 
 // Config carries the per-galaxy inputs of the galMorph transformation.
@@ -194,9 +211,9 @@ func measureSub(sub []float64, nx, ny int, bg, sigma float64, cfg Config, sc *sc
 	// Detection criterion: the aperture flux must be significant, or the
 	// "galaxy" is just sky noise and the job should be flagged invalid
 	// rather than emitting garbage numbers (§4.3.1 item 4).
+	nPix := float64(pixelsWithin(nx, ny, cx, cy, rap))
 	if sigma > 0 {
-		nAp := float64(pixelsWithin(nx, ny, cx, cy, rap))
-		if snr := total / (sigma * math.Sqrt(nAp)); snr < detectionSNR {
+		if snr := total / (sigma * math.Sqrt(nPix)); snr < detectionSNR {
 			return invalid(ErrNoSignal), ErrNoSignal
 		}
 	}
@@ -231,7 +248,6 @@ func measureSub(sub []float64, nx, ny int, bg, sigma float64, cfg Config, sc *sc
 	if pixArcsec <= 0 {
 		pixArcsec = 1
 	}
-	nPix := float64(pixelsWithin(nx, ny, cx, cy, rap))
 	areaArcsec2 := nPix * pixArcsec * pixArcsec
 	p.SurfaceBrightness = cfg.ZeroPoint - 2.5*math.Log10(total/areaArcsec2)
 
@@ -384,10 +400,7 @@ func weightedCenter(sub []float64, nx, ny int, threshold, _ float64) (float64, f
 			}
 		}
 	}
-	if sw <= 0 {
-		return 0, 0, false
-	}
-	return sx / sw, sy / sw, true
+	return fluxCenter(sw, sx, sy)
 }
 
 //nvo:hotpath
@@ -409,26 +422,39 @@ func weightedCenterAround(sub []float64, nx, ny int, threshold, cx, cy, r float6
 			}
 		}
 	}
+	return fluxCenter(sw, sx, sy)
+}
+
+// fluxCenter turns flux-weighted sums into a centre. A finite image whose
+// sums overflow (sw = +Inf gives NaN) has no usable centre: every bound and
+// bucket downstream is computed from it, so it is rejected here rather than
+// by whatever a NaN happens to convert to.
+//
+//nvo:hotpath
+func fluxCenter(sw, sx, sy float64) (cx, cy float64, ok bool) {
 	if sw <= 0 {
 		return 0, 0, false
 	}
-	return sx / sw, sy / sw, true
+	cx, cy = sx/sw, sy/sw
+	if math.IsNaN(cx) || math.IsInf(cx, 0) || math.IsNaN(cy) || math.IsInf(cy, 0) {
+		return 0, 0, false
+	}
+	return cx, cy, true
 }
 
-// gcPixel is one growth-curve sample: squared radius, value, and the flat
-// pixel index as a deterministic sort tie-break.
+// gcPixel is one growth-curve sample: squared radius and value. The flat
+// pixel index, the tie-break of the order, is the sample's position in the
+// raster-ordered buffer and is not stored.
 type gcPixel struct {
-	r2  float64
-	v   float64
-	idx int32
+	r2 float64
+	v  float64
 }
 
-// growthCurve sorts pixels by radius about (cx, cy) and finds the radii
+// growthCurve orders pixels by radius about (cx, cy) and finds the radii
 // enclosing 20% and 80% of the total flux, the total flux, and the analysis
-// aperture (1.5·r80, clipped to the image). Pixels sort on squared radius —
+// aperture (1.5·r80, clipped to the image). Pixels order on squared radius —
 // monotone in radius, no per-pixel Hypot — with the flat index as tie-break,
-// so equal-radius pixels accumulate in a fixed raster order regardless of
-// the sorting algorithm.
+// so equal-radius pixels accumulate in a fixed raster order.
 //
 //nvo:hotpath
 func growthCurve(sub []float64, nx, ny int, cx, cy float64, sc *scratch) (r20, r80, total, rap float64) {
@@ -446,19 +472,11 @@ func growthCurve(sub []float64, nx, ny int, cx, cy float64, sc *scratch) (r20, r
 			if r2 > maxR2 {
 				continue
 			}
-			pixels = append(pixels, gcPixel{r2: r2, v: sub[row+x], idx: int32(row + x)})
+			pixels = append(pixels, gcPixel{r2: r2, v: sub[row+x]})
 		}
 	}
 	sc.px = pixels
-	slices.SortFunc(pixels, func(a, b gcPixel) int {
-		switch {
-		case a.r2 < b.r2:
-			return -1
-		case a.r2 > b.r2:
-			return 1
-		}
-		return int(a.idx) - int(b.idx)
-	})
+	pixels = radialOrder(pixels, maxR2, sc)
 
 	// Signed sum: sky noise cancels instead of biasing the total upward,
 	// which is what lets the SNR detection test reject blank cutouts.
@@ -491,6 +509,85 @@ func growthCurve(sub []float64, nx, ny int, cx, cy float64, sc *scratch) (r20, r
 		rap = 3
 	}
 	return r20, r80, total, rap
+}
+
+// radialOrder returns the samples of pixels in ascending (r2, idx) order —
+// the total order a comparison sort on that key would give — in time linear
+// in len(pixels). pixels must arrive in ascending idx (raster) order with
+// every r2 in [0, maxR2]; the result lives in sc until its next use.
+//
+// The key is geometric: the number of pixels within radius r of any centre
+// grows as r², so r2 is uniformly distributed over [0, maxR2] and n equal
+// buckets hold about one sample each, whatever the pixel values are. A
+// stable counting scatter on the bucket (monotone in r2) followed by a
+// stable insertion pass on r2 therefore yields the exact order: samples in
+// different buckets are already ordered, and samples of equal r2 share a
+// bucket and are never exchanged, so they stay in raster order.
+//
+//nvo:hotpath
+func radialOrder(pixels []gcPixel, maxR2 float64, sc *scratch) []gcPixel {
+	scattered := bucketScatter(pixels, maxR2, sc)
+	insertionByR2(scattered)
+	return scattered
+}
+
+// bucketScatter copies pixels, stably, into len(pixels) equal-width buckets
+// of r2 over [0, maxR2].
+//
+//nvo:hotpath
+func bucketScatter(pixels []gcPixel, maxR2 float64, sc *scratch) []gcPixel {
+	n := len(pixels)
+	out, counts := sc.orderBuffers(n)
+	scale := float64(n) / maxR2
+	for i := range pixels {
+		counts[radialBucket(pixels[i].r2, scale, n)]++
+	}
+	var start int32
+	for k, c := range counts {
+		counts[k] = start // where bucket k begins in out
+		start += c
+	}
+	for i := range pixels {
+		k := radialBucket(pixels[i].r2, scale, n)
+		out[counts[k]] = pixels[i]
+		counts[k]++
+	}
+	return out
+}
+
+// radialBucket maps a squared radius to its bucket in [0, n): monotone in
+// r2, and clamped whatever the key — r2 == maxR2 lands one past the end, and
+// the integer value of a non-finite product is implementation-defined.
+//
+//nvo:hotpath
+func radialBucket(r2, scale float64, n int) int {
+	k := int(r2 * scale)
+	if k >= n {
+		k = n - 1
+	}
+	if k < 0 {
+		k = 0
+	}
+	return k
+}
+
+// insertionByR2 is a stable insertion sort on r2 alone; on bucketScatter's
+// output every move stays inside one bucket.
+//
+//nvo:hotpath
+func insertionByR2(pixels []gcPixel) {
+	for i := 1; i < len(pixels); i++ {
+		if pixels[i-1].r2 <= pixels[i].r2 {
+			continue
+		}
+		p := pixels[i]
+		j := i
+		for j > 0 && pixels[j-1].r2 > p.r2 {
+			pixels[j] = pixels[j-1]
+			j--
+		}
+		pixels[j] = p
+	}
 }
 
 // boundingBox clips the axis-aligned box enclosing the circle (cx, cy, r)

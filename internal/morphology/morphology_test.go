@@ -1,10 +1,12 @@
 package morphology
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/fits"
 )
 
@@ -247,22 +249,82 @@ func TestMeasureFailsGracefully(t *testing.T) {
 
 func TestMeasureNeverPanicsOnRandomImages(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for i := 0; i < 50; i++ {
+	var images []*fits.Image
+	random := func(maxExp int) {
 		nx := 8 + rng.Intn(64)
 		ny := 8 + rng.Intn(64)
 		im := fits.NewImage(nx, ny, -64)
 		for j := range im.Data {
-			im.Data[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(6)))
+			im.Data[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(maxExp)))
 		}
-		p, _ := Measure(im, cfg()) // error is acceptable; panic is not
+		images = append(images, im)
+	}
+	for i := 0; i < 50; i++ {
+		random(6)
+	}
+	// Extreme magnitudes: finite pixels whose sums overflow.
+	for i := 0; i < 20; i++ {
+		random(308)
+	}
+	// All-equal images: no border variance, nothing above background.
+	for _, c := range []float64{0, 1, -1, 5e-324, 1.7e308, -1.7e308, math.MaxFloat64} {
+		im := fits.NewImage(8+rng.Intn(64), 8+rng.Intn(64), -64)
+		for j := range im.Data {
+			im.Data[j] = c
+		}
+		images = append(images, im)
+	}
+	images = append(images, overflowBlock())
+
+	a := arena.Get()
+	defer arena.Put(a)
+	for i, im := range images {
+		p, err := Measure(im, cfg()) // error is acceptable; panic is not
+		a.Reset()
+		praw, errRaw := MeasureRaw(a, rawBytes(t, im), cfg())
+		if p != praw || (err == nil) != (errRaw == nil) {
+			t.Fatalf("image %d: Measure %+v (%v), MeasureRaw %+v (%v)", i, p, err, praw, errRaw)
+		}
 		if p.Valid {
 			if math.IsNaN(p.Asymmetry) || math.IsNaN(p.Concentration) || math.IsNaN(p.SurfaceBrightness) {
-				t.Fatalf("valid result with NaN fields: %+v", p)
+				t.Fatalf("image %d: valid result with NaN fields: %+v", i, p)
 			}
 			if p.Asymmetry < 0 {
-				t.Fatalf("negative asymmetry: %v", p.Asymmetry)
+				t.Fatalf("image %d: negative asymmetry: %v", i, p.Asymmetry)
 			}
 		}
+	}
+}
+
+// overflowBlock is a finite image whose flux-weighted sums are not: an 8x8
+// block of 1.7e308 on a zero 64x64 sky.
+func overflowBlock() *fits.Image {
+	im := fits.NewImage(64, 64, -64)
+	for y := 28; y < 36; y++ {
+		for x := 28; x < 36; x++ {
+			im.SetAt(x, y, 1.7e308)
+		}
+	}
+	return im
+}
+
+// TestOverflowingCentroidIsNoSignal: when the centroid sums overflow there
+// is no centre, and the measurement says so — it must not hand a NaN centre
+// to the aperture bounds and bucket indices computed from it.
+func TestOverflowingCentroidIsNoSignal(t *testing.T) {
+	im := overflowBlock()
+	if cx, cy, ok := centroid(im.Data, im.Nx, im.Ny, 0); ok {
+		t.Errorf("centroid of overflowing sums = (%v, %v, ok)", cx, cy)
+	}
+	if _, _, ok := weightedCenterAround(im.Data, im.Nx, im.Ny, 0, 31.5, 31.5, 20); ok {
+		t.Error("windowed centre of overflowing sums reported ok")
+	}
+	a := arena.Get()
+	defer arena.Put(a)
+	_, err := Measure(im, cfg())
+	_, errRaw := MeasureRaw(a, rawBytes(t, im), cfg())
+	if !errors.Is(err, ErrNoSignal) || !errors.Is(errRaw, ErrNoSignal) {
+		t.Errorf("Measure: %v, MeasureRaw: %v, want ErrNoSignal from both", err, errRaw)
 	}
 }
 

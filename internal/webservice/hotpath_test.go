@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,6 +15,8 @@ import (
 	"repro/internal/fits"
 	"repro/internal/morphology"
 	"repro/internal/skysim"
+	"repro/internal/vdl"
+	"repro/internal/votable"
 	"repro/internal/wcs"
 )
 
@@ -78,6 +82,104 @@ func TestResultCellsIntoMatchesResultCells(t *testing.T) {
 		if !slices.Equal(row, c.want) {
 			t.Errorf("case %d: row %q, want %q", i, row, c.want)
 		}
+	}
+}
+
+// sscanfConfig is morphConfigFromDV as it stood on fmt.Sscanf, frozen as
+// the oracle for the strconv one: memo keys are fingerprints of the parsed
+// Config, so a value parsing to a different bit would orphan every memo
+// entry written before.
+func sscanfConfig(dv *vdl.Derivation) morphology.Config {
+	cfg := morphology.DefaultConfig(0)
+	if b, ok := dv.Bindings["redshift"]; ok && !b.IsFile {
+		fmt.Sscanf(b.Value, "%g", &cfg.Redshift)
+	}
+	if b, ok := dv.Bindings["pixScale"]; ok && !b.IsFile {
+		fmt.Sscanf(strings.ReplaceAll(b.Value, "E", "e"), "%g", &cfg.PixScaleDeg)
+	}
+	if b, ok := dv.Bindings["zeroPoint"]; ok && !b.IsFile {
+		fmt.Sscanf(b.Value, "%g", &cfg.ZeroPoint)
+	}
+	if b, ok := dv.Bindings["Ho"]; ok && !b.IsFile {
+		fmt.Sscanf(b.Value, "%g", &cfg.Cosmology.H0)
+	}
+	if b, ok := dv.Bindings["om"]; ok && !b.IsFile {
+		fmt.Sscanf(b.Value, "%g", &cfg.Cosmology.OmegaM)
+	}
+	if b, ok := dv.Bindings["flat"]; ok && !b.IsFile {
+		cfg.Cosmology.Flat = b.Value != "0"
+	}
+	return cfg
+}
+
+// TestMorphConfigMatchesSscanf: every value buildVDL can render — its own
+// literals, and a catalog redshift in any float rendering (shortest
+// round-trip, fixed, e/E exponents, padded, signed, non-finite, out of
+// range, empty, not a number) — parses to the bit-identical Config and the
+// identical fingerprint under both parsers, through buildVDL and vdl.Parse.
+func TestMorphConfigMatchesSscanf(t *testing.T) {
+	zs := []string{"0.02", "0", "", " ", "0.0279", "2.831933107035062E-4", "2.831933107035062e-4",
+		"1e-320", "4.9e-324", "1.7976931348623157e308", "1e999", "-1e999", "-0.0", "+0.5", ".5", "5.",
+		" 0.04", "0.04 ", "\t0.04", "NaN", "nan", "Inf", "-inf", "+Infinity", "abc", "z=1", "--1", "0x1p-2",
+		"0.1", "0.30000000000000004", "123456789012345678901234567890"}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 300; i++ {
+		f := math.Float64frombits(rng.Uint64())
+		if i%3 == 0 {
+			f = rng.Float64() * 2 // the range catalog redshifts live in
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		for _, format := range []byte{'g', 'e', 'E', 'f'} {
+			if format == 'f' && math.Abs(f) > 1e20 {
+				continue
+			}
+			zs = append(zs, strconv.FormatFloat(f, format, -1, 64))
+		}
+	}
+
+	tab := votable.NewTable("in",
+		votable.Field{Name: "id", Datatype: votable.TypeChar},
+		votable.Field{Name: "acref", Datatype: votable.TypeChar},
+		votable.Field{Name: "z", Datatype: votable.TypeDouble},
+	)
+	for i, z := range zs {
+		if err := tab.AppendRow(fmt.Sprintf("G%d", i), "http://x/", z); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text, err := buildVDL(tab, "TEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := vdl.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, z := range zs {
+		dv, ok := cat.Derivation(fmt.Sprintf("m-G%d", i))
+		if !ok {
+			t.Fatalf("derivation %d missing", i)
+		}
+		got, want := morphConfigFromDV(dv), sscanfConfig(dv)
+		if math.Float64bits(got.Redshift) != math.Float64bits(want.Redshift) ||
+			math.Float64bits(got.PixScaleDeg) != math.Float64bits(want.PixScaleDeg) ||
+			math.Float64bits(got.ZeroPoint) != math.Float64bits(want.ZeroPoint) ||
+			got.Cosmology != want.Cosmology || morphFingerprint(got) != morphFingerprint(want) {
+			t.Errorf("z=%q: config %+v (%s), Sscanf oracle %+v (%s)",
+				z, got, morphFingerprint(got), want, morphFingerprint(want))
+		}
+	}
+
+	// Where the two part, on purpose: Sscanf read the numeric prefix of a
+	// value with a trailing suffix; such a value is now "not a number" like
+	// any other and leaves the default.
+	dv := &vdl.Derivation{Bindings: map[string]vdl.Binding{
+		"redshift": vdl.ScalarBinding("0.02abc"), "Ho": vdl.ScalarBinding("70 km/s/Mpc"),
+	}}
+	if got := morphConfigFromDV(dv); got != morphology.DefaultConfig(0) {
+		t.Errorf("values with a suffix must leave the defaults: %+v", got)
 	}
 }
 

@@ -181,28 +181,29 @@ func resultCellsInto(row []string, r GalMorphResult) {
 }
 
 // morphConfigFromDV reconstructs the measurement configuration from a
-// derivation's scalar bindings.
+// derivation's scalar bindings. It runs once per galaxy per request, ahead
+// of the memo lookup.
 func morphConfigFromDV(dv *vdl.Derivation) morphology.Config {
 	cfg := morphology.DefaultConfig(0)
-	if b, ok := dv.Bindings["redshift"]; ok && !b.IsFile {
-		fmt.Sscanf(b.Value, "%g", &cfg.Redshift)
-	}
-	if b, ok := dv.Bindings["pixScale"]; ok && !b.IsFile {
-		fmt.Sscanf(strings.ReplaceAll(b.Value, "E", "e"), "%g", &cfg.PixScaleDeg)
-	}
-	if b, ok := dv.Bindings["zeroPoint"]; ok && !b.IsFile {
-		fmt.Sscanf(b.Value, "%g", &cfg.ZeroPoint)
-	}
-	if b, ok := dv.Bindings["Ho"]; ok && !b.IsFile {
-		fmt.Sscanf(b.Value, "%g", &cfg.Cosmology.H0)
-	}
-	if b, ok := dv.Bindings["om"]; ok && !b.IsFile {
-		fmt.Sscanf(b.Value, "%g", &cfg.Cosmology.OmegaM)
-	}
+	bindFloat(dv, "redshift", &cfg.Redshift)
+	bindFloat(dv, "pixScale", &cfg.PixScaleDeg)
+	bindFloat(dv, "zeroPoint", &cfg.ZeroPoint)
+	bindFloat(dv, "Ho", &cfg.Cosmology.H0)
+	bindFloat(dv, "om", &cfg.Cosmology.OmegaM)
 	if b, ok := dv.Bindings["flat"]; ok && !b.IsFile {
 		cfg.Cosmology.Flat = b.Value != "0"
 	}
 	return cfg
+}
+
+// bindFloat stores a scalar binding's value in dst. A binding that is
+// absent, a file, or not a number leaves the default in place.
+func bindFloat(dv *vdl.Derivation, name string, dst *float64) {
+	if b, ok := dv.Bindings[name]; ok && !b.IsFile {
+		if f, err := strconv.ParseFloat(strings.TrimSpace(b.Value), 64); err == nil {
+			*dst = f
+		}
+	}
 }
 
 // ResultTable fetches a completed result table from the cache store.
