@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak dataplane hotbench loc knobs verify
+.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak dataplane graphreaders hotbench loc knobs verify
 
 build:
 	$(GO) build ./...
@@ -65,9 +65,12 @@ recovery:
 
 # Fuzz smoke over every parser that reads bytes from disk or the network —
 # the RLS text codec, the one FITS reader (Decode accepts exactly what
-# ParseView accepts, same error text, same pixel bits) and the streaming
-# VOTable codec — and over the measurement kernel's radial bucket pass (any
-# cutout shape and centre: no panic, and the order of the reference sort).
+# ParseView accepts, same error text, same pixel bits), the streaming
+# VOTable codec and the VDL parser (no panic, and what it accepts it writes
+# and reads back unchanged) — over the request's two forms (the catalog built
+# from a table and the parse of its rendered .vdl agree, or the table is
+# refused), and over the measurement kernel's radial bucket pass (any cutout
+# shape and centre: no panic, and the order of the reference sort).
 # Seeds always run under plain `go test`; this also spends FUZZTIME per
 # target on new inputs.
 FUZZTIME ?= 10s
@@ -75,6 +78,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReadReplicas -fuzztime $(FUZZTIME) ./internal/rls/
 	$(GO) test -fuzz FuzzView -fuzztime $(FUZZTIME) ./internal/fits/
 	$(GO) test -fuzz FuzzStreamingParity -fuzztime $(FUZZTIME) ./internal/votable/
+	$(GO) test -fuzz FuzzVDLParse -fuzztime $(FUZZTIME) ./internal/vdl/
+	$(GO) test -fuzz FuzzCatalogMatchesVDLText -fuzztime $(FUZZTIME) ./internal/webservice/
 	$(GO) test -fuzz FuzzRadialOrder -fuzztime $(FUZZTIME) ./internal/morphology/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
@@ -113,21 +118,30 @@ dataplane:
 	$(GO) test -race -run 'TestCorrupt|TestConcurrentTransfers' -v ./internal/gridftp/
 	$(GO) test -race -run 'TestStagedReplicasShareBytes|TestVerifiedGetRepairedDigest' -v ./internal/webservice/
 
+# The workflow graph under concurrent readers, race-enabled: dag.Graph builds
+# its sorted id order lazily on the first read, and a finished graph is read
+# by DAGMan's scheduler and by status readers at once.
+graphreaders:
+	$(GO) test -race -count=10 -run 'TestGraphConcurrentReaders' ./internal/dag/
+
 # The hot-path allocation gate, race-enabled: ParseView + MeasureRaw over
 # staged bytes must stay within the per-galaxy allocation budget and at least
 # 2x below materialising the image first (Decode + Measure). Both entries run
 # the one FITS reader and the one measurement prologue; the pins hold them to
 # fixed oracles (FITS definition, frozen heap prologue, frozen fmt encoding).
 # The budget test lives next to the galMorph body it gates
-# (internal/webservice/hotpath_test.go). Fails fast on any AllocsPerRun
-# regression. The last line is a smoke, not a gate: the kernel's time per
-# galaxy (measurement alone, and view + measure + encode as galMorph runs
-# it) at one fixed iteration count, uninstrumented, printed beside the
-# allocation figures.
+# (internal/webservice/hotpath_test.go). Planning has the same gate beside it
+# (TestPlanAllocBudget, plan_test.go: table -> concrete plan of a staged
+# 1,000-galaxy request, allocations per galaxy). Fails fast on any
+# AllocsPerRun regression. The last two lines are a smoke, not a gate: the
+# kernel's time per galaxy (measurement alone, and view + measure + encode as
+# galMorph runs it) and planning's time per request, each at one fixed
+# iteration count, uninstrumented, printed beside the allocation figures.
 hotbench:
-	$(GO) test -race -run 'TestHotPathAllocBudget' -v ./internal/webservice/
+	$(GO) test -race -run 'TestHotPathAllocBudget|TestPlanAllocBudget' -v ./internal/webservice/
 	$(GO) test -race -run 'TestMeasureRaw|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
+	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/
 
 # Non-test Go lines per package: raw lines and code lines (blank and
 # comment-only lines excluded). benchmark/ is a module of its own and is
@@ -160,8 +174,8 @@ knobs:
 
 # Every concurrency-bearing campaign under the race detector in one
 # invocation: the chaos byte-identity campaign, the multi-tenant fabric
-# campaign, the preemption soak (gate scale), the survey-wave smoke, and the
-# shared-blob data plane.
+# campaign, the preemption soak (gate scale), the survey-wave smoke, the
+# shared-blob data plane, and the workflow graph's concurrent readers.
 # This is the dynamic closure of the static concurrency analyzers
 # (lockpath/goleak/selectrevoke): nvolint proves lock/goroutine hygiene
 # shapes, racecheck proves the running interleavings.
@@ -171,6 +185,7 @@ racecheck:
 	$(MAKE) soak SOAK_WORKFLOWS=600
 	$(MAKE) survey
 	$(MAKE) dataplane
+	$(MAKE) graphreaders
 
 # Full verification gate: vet, build, the nvolint invariants (with the
 # latency budget and stale-suppression report), the benchmark harness's

@@ -154,38 +154,6 @@ func BenchmarkFigure4Plan(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanReduction measures the Pegasus reduction-and-concretization
-// pass at the paper's largest cluster size with half the per-galaxy products
-// already cached, and reports the catalog cost: one bulk RLS round trip per
-// plan, however many LFNs the workflow references.
-func BenchmarkPlanReduction(b *testing.B) {
-	const n = 561
-	cat := galaxyVDL(b, n)
-	wf, err := chimera.Compose(cat, chimera.Request{LFNs: []string{"out.vot"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, tc := planningServices(b, n, n/2)
-	var roundTrips, jobs float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := pegasus.Map(wf, pegasus.Config{
-			RLS: r, TC: tc, Rand: rand.New(rand.NewSource(int64(i))),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.RLSRoundTrips != 1 {
-			b.Fatalf("plan cost %d RLS round trips, want 1", p.RLSRoundTrips)
-		}
-		roundTrips += float64(p.RLSRoundTrips)
-		jobs += float64(p.Stats().ComputeJobs)
-	}
-	b.ReportMetric(roundTrips/float64(b.N), "rls_round_trips")
-	b.ReportMetric(jobs/float64(b.N), "jobs_after_reduction")
-}
-
 // --- E3: Figure 2 — end-to-end plan+execute pipeline ------------------------
 
 // BenchmarkFigure2PlanAndExecute runs compose -> plan -> DAGMan/Condor

@@ -56,7 +56,15 @@ type Workflow struct {
 	RawInputs []string
 	// Intermediate are files both produced and consumed inside the workflow.
 	Intermediate []string
+
+	// files keeps, per job, the slices AddJob joined into the node's
+	// AttrInputs/AttrOutputs, so the planner reads a job's files without
+	// splitting a comma-joined string back (the collector's lists one entry
+	// per galaxy) at every use.
+	files map[string]jobFiles
 }
+
+type jobFiles struct{ inputs, outputs []string }
 
 // Compose builds the abstract workflow that materializes every requested
 // LFN, walking the catalog backward from the requested files through their
@@ -97,15 +105,16 @@ func Compose(cat *vdl.Catalog, req Request) (*Workflow, error) {
 		dv, _ := cat.Derivation(dvName)
 
 		if _, exists := g.Node(dvName); !exists {
-			if err := g.AddNode(JobNode(dvName, dv.TR, dv.InputLFNs(), dv.OutputLFNs())); err != nil {
+			inputs, outputs := dv.InputLFNs(), dv.OutputLFNs()
+			if err := wf.AddJob(dvName, dv.TR, inputs, outputs); err != nil {
 				return "", err
 			}
 			// Mark every output of this DV as visited to avoid re-walking.
-			for _, out := range dv.OutputLFNs() {
+			for _, out := range outputs {
 				visited[out] = dvName
 			}
 			// Recurse into the DV's inputs.
-			for _, in := range dv.InputLFNs() {
+			for _, in := range inputs {
 				parent, err := visit(in, false)
 				if err != nil {
 					return "", err
@@ -132,25 +141,62 @@ func Compose(cat *vdl.Catalog, req Request) (*Workflow, error) {
 	return wf, nil
 }
 
-// JobNode builds the abstract job node of one derivation. The id doubles as
-// the derivation name. Every composer of abstract workflows — Compose here,
-// the wave planner in internal/pegasus — adds its jobs through this, so the
-// attribute set Pegasus and the runners read is spelled once.
-func JobNode(id, transformation string, inputs, outputs []string) *dag.Node {
-	n := &dag.Node{ID: id, Type: NodeType}
-	n.SetAttr(AttrTransformation, transformation)
-	n.SetAttr(AttrDerivation, id)
-	n.SetAttr(AttrInputs, strings.Join(inputs, ","))
-	n.SetAttr(AttrOutputs, strings.Join(outputs, ","))
-	return n
+// AddJob adds the abstract job node of one derivation; the id doubles as the
+// derivation name. Every composer of abstract workflows — Compose here, the
+// wave planner in internal/pegasus — adds its jobs through this, so the
+// attribute set Pegasus and the runners read is spelled once. The workflow
+// keeps the two slices; the caller must not change them afterwards.
+func (wf *Workflow) AddJob(id, transformation string, inputs, outputs []string) error {
+	n := &dag.Node{ID: id, Type: NodeType, Attrs: map[string]string{
+		AttrTransformation: transformation,
+		AttrDerivation:     id,
+		AttrInputs:         strings.Join(inputs, ","),
+		AttrOutputs:        strings.Join(outputs, ","),
+	}}
+	if err := wf.Graph.AddNode(n); err != nil {
+		return err
+	}
+	if wf.files == nil {
+		wf.files = map[string]jobFiles{}
+	}
+	wf.files[id] = jobFiles{inputs: inputs, outputs: outputs}
+	return nil
 }
 
-// SplitLFNs reverses JobNode's comma join for node-attribute consumers.
+// Inputs returns the input logical files of job id, in AttrInputs order. The
+// slice is shared; treat it as read-only.
+func (wf *Workflow) Inputs(id string) []string {
+	if f, ok := wf.files[id]; ok {
+		return f.inputs
+	}
+	return wf.attrLFNs(id, AttrInputs)
+}
+
+// Outputs returns the output logical files of job id, in AttrOutputs order.
+// The slice is shared; treat it as read-only.
+func (wf *Workflow) Outputs(id string) []string {
+	if f, ok := wf.files[id]; ok {
+		return f.outputs
+	}
+	return wf.attrLFNs(id, AttrOutputs)
+}
+
+// attrLFNs reads a file list from the node's attribute: the job was put into
+// Graph directly, not through AddJob.
+func (wf *Workflow) attrLFNs(id, key string) []string {
+	n, ok := wf.Graph.Node(id)
+	if !ok {
+		return nil
+	}
+	return SplitLFNs(n.Attr(key))
+}
+
+// SplitLFNs reverses AddJob's comma join for node-attribute consumers.
 func SplitLFNs(s string) []string {
 	if s == "" {
 		return nil
 	}
-	var out []string
+	out := make([]string, 0, strings.Count(s, ",")+1)
 	start := 0
 	for i := 0; i <= len(s); i++ {
 		if i == len(s) || s[i] == ',' {

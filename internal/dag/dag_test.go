@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -133,8 +132,9 @@ func TestTopoSortDeterministicAndValid(t *testing.T) {
 func TestTopoSortCycleViaInternalState(t *testing.T) {
 	// Force a cycle bypassing AddEdge's check to prove TopoSort detects it.
 	g := chain(t, "a", "b")
-	g.children["b"]["a"] = true
-	g.parents["a"]["b"] = true
+	a, b := g.index["a"], g.index["b"]
+	g.verts[b].children.slots = append(g.verts[b].children.slots, a)
+	g.verts[a].parents.slots = append(g.verts[a].parents.slots, b)
 	if _, err := g.TopoSort(); err == nil {
 		t.Error("TopoSort must detect cycles")
 	}
@@ -323,35 +323,37 @@ func randomDAG(rng *rand.Rand, n int, p float64) *Graph {
 
 // mergeTopoSort is the TopoSort this package shipped before the ready heap:
 // Kahn's algorithm over a sorted ready list, re-merged (and re-allocated)
-// once per emitted node. Kept as the oracle for the order.
-func mergeTopoSort(g *Graph) ([]string, error) {
-	indeg := make(map[string]int, len(g.nodes))
-	for id := range g.nodes {
-		indeg[id] = len(g.parents[id])
-	}
+// once per emitted node. Kept as the oracle for the order; it reads the graph
+// through the exported API only, so it judges Graph and refGraph alike.
+func mergeTopoSort(g interface {
+	Nodes() []string
+	InDegree(id string) int
+	Children(id string) []string
+}) ([]string, error) {
+	nodes := g.Nodes()
+	indeg := make(map[string]int, len(nodes))
 	var ready []string
-	for id, d := range indeg {
-		if d == 0 {
+	for _, id := range nodes {
+		indeg[id] = g.InDegree(id)
+		if indeg[id] == 0 {
 			ready = append(ready, id)
 		}
 	}
-	sort.Strings(ready)
 	var order []string
 	for len(ready) > 0 {
 		cur := ready[0]
 		ready = ready[1:]
 		order = append(order, cur)
 		var unlocked []string
-		for c := range g.children[cur] {
+		for _, c := range g.Children(cur) {
 			indeg[c]--
 			if indeg[c] == 0 {
 				unlocked = append(unlocked, c)
 			}
 		}
-		sort.Strings(unlocked)
 		ready = mergeSorted(ready, unlocked)
 	}
-	if len(order) != len(g.nodes) {
+	if len(order) != len(nodes) {
 		return nil, ErrCycle
 	}
 	return order, nil

@@ -252,10 +252,14 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 	}
 
 	start := sim.Now()
-	pendingParents := map[string]int{}
-	for _, id := range g.Nodes() {
+	nodes := g.Nodes()
+	pendingParents := make(map[string]int, len(nodes))
+	report.Results = make(map[string]*Result, len(nodes))
+	results := make([]Result, len(nodes)) // one allocation for every node's Result
+	for i, id := range nodes {
 		pendingParents[id] = g.InDegree(id)
-		report.Results[id] = &Result{Node: id, State: StatePending}
+		results[i] = Result{Node: id, State: StatePending}
+		report.Results[id] = &results[i]
 	}
 
 	// journalRec makes a state transition durable before it is acted on.
@@ -290,7 +294,7 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 
 	// Restore journaled completions: the crashed run's finished nodes count
 	// as done without re-executing, and their children unlock.
-	for _, id := range g.Nodes() {
+	for _, id := range nodes {
 		if !opt.Completed[id] {
 			continue
 		}
@@ -460,7 +464,7 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 	if err := checkAbort(); err != nil {
 		return nil, err
 	}
-	for _, id := range g.Nodes() {
+	for _, id := range nodes {
 		res := report.Results[id]
 		if res.State != StatePending || pendingParents[id] > 0 {
 			continue

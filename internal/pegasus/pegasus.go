@@ -131,7 +131,9 @@ func (c Config) rng() *rand.Rand {
 type Plan struct {
 	// Abstract is the workflow as received (not mutated).
 	Abstract *dag.Graph
-	// Reduced is the abstract workflow after RLS-based pruning.
+	// Reduced is the abstract workflow after RLS-based pruning. It shares
+	// its nodes with Abstract, and is Abstract when nothing was pruned: read
+	// both, change neither.
 	Reduced *dag.Graph
 	// Concrete is the executable workflow with transfer/register nodes.
 	Concrete *dag.Graph
@@ -218,19 +220,19 @@ func mapPinned(wf *chimera.Workflow, cfg Config, pin map[string]string) (*Plan, 
 	p.ReusedLFNs = reused
 
 	// --- 2. Feasibility: every input consumed from outside the reduced
-	// workflow must have a replica.
-	produced := map[string]bool{}
-	for _, id := range reduced.Nodes() {
-		n, _ := reduced.Node(id)
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrOutputs)) {
-			produced[lfn] = true
+	// workflow must have a replica. producerOf maps each file the reduced
+	// workflow makes to the job making it.
+	jobs := reduced.Nodes()
+	producerOf := make(map[string]string, len(jobs))
+	for _, id := range jobs {
+		for _, lfn := range wf.Outputs(id) {
+			producerOf[lfn] = id
 		}
 	}
 	var missing []string
-	for _, id := range reduced.Nodes() {
-		n, _ := reduced.Node(id)
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrInputs)) {
-			if !produced[lfn] && len(snap[lfn]) == 0 {
+	for _, id := range jobs {
+		for _, lfn := range wf.Inputs(id) {
+			if producerOf[lfn] == "" && len(snap[lfn]) == 0 {
 				missing = append(missing, lfn)
 			}
 		}
@@ -241,7 +243,7 @@ func mapPinned(wf *chimera.Workflow, cfg Config, pin map[string]string) (*Plan, 
 	}
 
 	// --- 3 & 4. Site selection and concrete workflow construction.
-	if err := concretize(p, wf, cfg, rng, snap, pin); err != nil {
+	if err := concretize(p, wf, cfg, rng, snap, pin, jobs, producerOf); err != nil {
 		return nil, err
 	}
 	p.RLSRoundTrips = cfg.RLS.RoundTrips() - before
@@ -257,11 +259,10 @@ func workflowLFNs(wf *chimera.Workflow) []string {
 		seen[lfn] = true
 	}
 	for _, id := range wf.Graph.Nodes() {
-		n, _ := wf.Graph.Node(id)
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrInputs)) {
+		for _, lfn := range wf.Inputs(id) {
 			seen[lfn] = true
 		}
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrOutputs)) {
+		for _, lfn := range wf.Outputs(id) {
 			seen[lfn] = true
 		}
 	}
@@ -271,17 +272,18 @@ func workflowLFNs(wf *chimera.Workflow) []string {
 // reduce prunes jobs whose required outputs already exist in the RLS. A job
 // survives only if one of its outputs is required and absent: requirements
 // start at the requested LFNs and propagate to the inputs of surviving jobs
-// (walked in reverse topological order).
+// (walked in reverse topological order). The reduced graph is assembled from
+// the survivors and shares their nodes with the abstract one; when every job
+// survives it is the abstract graph. Nothing downstream writes to either.
 func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN) (g *dag.Graph, pruned, reused []string) {
-	g = wf.Graph.Clone()
 	if cfg.NoReduce {
-		return g, nil, nil
+		return wf.Graph, nil, nil
 	}
-	order, err := g.TopoSort()
+	order, err := wf.Graph.TopoSort()
 	if err != nil {
 		// Chimera guarantees acyclicity; a cycle here is a programming
 		// error upstream, and returning the unreduced graph is safe.
-		return g, nil, nil
+		return wf.Graph, nil, nil
 	}
 
 	required := map[string]bool{}
@@ -294,22 +296,21 @@ func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN) (g *dag
 		}
 	}
 
-	var prunedIDs []string
+	drop := map[string]bool{}
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
-		n, _ := g.Node(id)
 		needed := false
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrOutputs)) {
+		for _, lfn := range wf.Outputs(id) {
 			if required[lfn] {
 				needed = true
 				break
 			}
 		}
 		if !needed {
-			prunedIDs = append(prunedIDs, id)
+			drop[id] = true
 			continue
 		}
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrInputs)) {
+		for _, lfn := range wf.Inputs(id) {
 			if len(snap[lfn]) > 0 {
 				reusedSet[lfn] = true
 			} else {
@@ -317,11 +318,34 @@ func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN) (g *dag
 			}
 		}
 	}
-	for _, id := range prunedIDs {
-		_ = g.RemoveNode(id)
+	return subgraph(wf.Graph, drop), sortedKeys(drop), sortedKeys(reusedSet)
+}
+
+// subgraph returns the graph of src's nodes outside drop with the edges among
+// them: src itself when nothing is dropped, else a new graph sharing the nodes.
+func subgraph(src *dag.Graph, drop map[string]bool) *dag.Graph {
+	if len(drop) == 0 {
+		return src
 	}
-	sort.Strings(prunedIDs)
-	return g, prunedIDs, sortedKeys(reusedSet)
+	g := dag.New()
+	ids := src.Nodes()
+	for _, id := range ids {
+		if !drop[id] {
+			n, _ := src.Node(id)
+			_ = g.AddNode(n) // ids are unique in src
+		}
+	}
+	for _, id := range ids {
+		if drop[id] {
+			continue
+		}
+		for _, child := range src.Children(id) {
+			if !drop[child] {
+				_ = g.AddEdge(id, child) // both ends were added; src is acyclic
+			}
+		}
+	}
+	return g
 }
 
 // jobAttrs are the abstract job attributes a compute node carries over.
@@ -330,7 +354,8 @@ var jobAttrs = []string{chimera.AttrTransformation, chimera.AttrDerivation, chim
 // concretize performs site selection and inserts transfer and registration
 // nodes around the reduced workflow's compute jobs. Its three emitters are the
 // only code that creates concrete-workflow nodes.
-func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap map[string][]rls.PFN, pin map[string]string) error {
+func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap map[string][]rls.PFN,
+	pin map[string]string, jobs []string, producerOf map[string]string) error {
 	cw := dag.New()
 	reduced := p.Reduced
 
@@ -371,19 +396,9 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 		return cw.AddEdge(after, rn.ID)
 	}
 
-	// producerOf maps LFN -> producing job id within the reduced workflow.
-	producerOf := map[string]string{}
-	for _, id := range reduced.Nodes() {
-		n, _ := reduced.Node(id)
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrOutputs)) {
-			producerOf[lfn] = id
-		}
-	}
-
-	// Site selection, in deterministic job order. SelectLocality assigns in
-	// topological order instead, so a consumer can see where its producers
-	// landed and follow the bytes.
-	jobs := reduced.Nodes()
+	// Site selection, in deterministic job order (jobs arrives sorted by id).
+	// SelectLocality assigns in topological order instead, so a consumer can
+	// see where its producers landed and follow the bytes.
 	if cfg.Selection == SelectLocality {
 		if order, err := reduced.TopoSort(); err == nil {
 			jobs = order
@@ -391,12 +406,24 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 	}
 	rrIndex := 0
 	assigned := map[string]int{} // jobs per site, for locality tie-breaks
+	// candidates asks the TC once per transformation, not once per job.
+	asked := map[string][]tcat.Entry{}
+	candidates := func(tr string) ([]tcat.Entry, error) {
+		if entries, ok := asked[tr]; ok {
+			return entries, nil
+		}
+		entries, err := cfg.TC.Lookup(tr)
+		if err == nil {
+			asked[tr] = entries
+		}
+		return entries, err
+	}
 	for _, id := range jobs {
 		n, _ := reduced.Node(id)
 		tr := n.Attr(chimera.AttrTransformation)
 		site := pin[id]
 		if site == "" {
-			entries, err := cfg.TC.Lookup(tr)
+			entries, err := candidates(tr)
 			if err != nil {
 				return fmt.Errorf("%w: %q (%v)", ErrNoSite, tr, err)
 			}
@@ -416,8 +443,7 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 				// Planner-side load accounting so successive picks spread out.
 				_ = cfg.MDS.AddLoad(site, 1)
 			case SelectLocality:
-				inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
-				site = pickByLocality(cfg, entries, inputs, snap, producerOf, p.SiteOf, assigned)
+				site = pickByLocality(cfg, entries, wf.Inputs(id), snap, producerOf, p.SiteOf, assigned)
 				assigned[site]++
 			default: // SelectRandom — the paper's behaviour
 				site = entries[rng.Intn(len(entries))].Site
@@ -445,9 +471,8 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 	// Transfer nodes for inputs: one per (file, destination site), shared by
 	// every job there that consumes the file.
 	for _, id := range jobs {
-		n, _ := reduced.Node(id)
 		site := p.SiteOf[id]
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrInputs)) {
+		for _, lfn := range wf.Inputs(id) {
 			var txID, srcURL string
 			prod := producerOf[lfn]
 			if prod != "" {
@@ -456,7 +481,7 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 				if srcSite == site {
 					continue // same site: no staging needed
 				}
-				txID = fmt.Sprintf("tx_%s_%s_to_%s", sanitize(lfn), srcSite, site)
+				txID = "tx_" + sanitize(lfn) + "_" + srcSite + "_to_" + site
 				srcURL = gridftp.URL(srcSite, lfn)
 			} else {
 				// Stage-in from an existing replica, read from the plan's
@@ -470,7 +495,7 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 				if replicaAt(replicas, site) {
 					continue // replica already local: genuinely nothing to move
 				}
-				txID = fmt.Sprintf("stagein_%s_to_%s", sanitize(lfn), site)
+				txID = "stagein_" + sanitize(lfn) + "_to_" + site
 				srcURL = pickSource(cfg, rng, replicas, site, lfn).URL
 			}
 			if _, exists := cw.Node(txID); !exists {
@@ -490,13 +515,12 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 		requested[lfn] = true
 	}
 	for _, id := range jobs {
-		n, _ := reduced.Node(id)
 		site := p.SiteOf[id]
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrOutputs)) {
+		for _, lfn := range wf.Outputs(id) {
 			finalSite, lastNode := site, id
 			if requested[lfn] && cfg.OutputSite != "" && cfg.OutputSite != site {
 				finalSite = cfg.OutputSite
-				lastNode = fmt.Sprintf("stageout_%s_to_%s", sanitize(lfn), finalSite)
+				lastNode = "stageout_" + sanitize(lfn) + "_to_" + finalSite
 				if err := transfer(lastNode, lfn, gridftp.URL(site, lfn), finalSite, id); err != nil {
 					return err
 				}
@@ -519,7 +543,7 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 				continue
 			}
 			src := pickSource(cfg, rng, replicas, cfg.OutputSite, lfn)
-			txID := fmt.Sprintf("stageout_%s_to_%s", sanitize(lfn), cfg.OutputSite)
+			txID := "stageout_" + sanitize(lfn) + "_to_" + cfg.OutputSite
 			if err := transfer(txID, lfn, src.URL, cfg.OutputSite, ""); err != nil {
 				return err
 			}

@@ -494,14 +494,19 @@ func BenchmarkPlan561(b *testing.B) {
 	}
 }
 
-func BenchmarkPlanReduce(b *testing.B) {
-	// Reduction benefit: plan with half the outputs already materialized.
-	wf, r, tc := buildGalaxyWorkflow(b, 200)
-	for i := 0; i < 100; i++ {
+// BenchmarkPlanReduction measures the reduction-and-concretization pass at the
+// paper's largest cluster size with half the per-galaxy products already
+// cached, and reports the catalog cost: one bulk RLS round trip per plan,
+// however many LFNs the workflow references.
+func BenchmarkPlanReduction(b *testing.B) {
+	const n = 561
+	wf, r, tc := buildGalaxyWorkflow(b, n)
+	for i := 0; i < n/2; i++ {
 		lfn := fmt.Sprintf("g%d.txt", i)
 		_ = r.Register(lfn, rls.PFN{Site: "usc", URL: gridftp.URL("usc", lfn)})
 	}
 	cfg := Config{RLS: r, TC: tc}
+	var roundTrips, jobs float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -510,10 +515,17 @@ func BenchmarkPlanReduce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// The 100 producers of cached results are pruned; their outputs
-		// stage in from the RLS instead.
-		if len(p.PrunedJobs) != 100 {
-			b.Fatalf("pruned = %d, want 100", len(p.PrunedJobs))
+		// The producers of cached results are pruned; their outputs stage in
+		// from the RLS instead.
+		if len(p.PrunedJobs) != n/2 {
+			b.Fatalf("pruned = %d, want %d", len(p.PrunedJobs), n/2)
 		}
+		if p.RLSRoundTrips != 1 {
+			b.Fatalf("plan cost %d RLS round trips, want 1", p.RLSRoundTrips)
+		}
+		roundTrips += float64(p.RLSRoundTrips)
+		jobs += float64(p.Stats().ComputeJobs)
 	}
+	b.ReportMetric(roundTrips/float64(b.N), "rls_round_trips")
+	b.ReportMetric(jobs/float64(b.N), "jobs_after_reduction")
 }

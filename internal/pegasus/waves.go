@@ -149,16 +149,15 @@ func (p *WavePlanner) Plan(wave int) (*Plan, error) {
 // mapJobs assembles one wave's abstract sub-workflow, every output requested,
 // and maps it.
 func mapJobs(jobs []WaveJob, cfg Config, pin map[string]string) (*Plan, error) {
-	g := dag.New()
+	wf := &chimera.Workflow{Graph: dag.New()}
 	producerOf := map[string]string{}
-	var requested []string
 	for _, j := range jobs {
-		if err := g.AddNode(chimera.JobNode(j.ID, j.Transformation, j.Inputs, j.Outputs)); err != nil {
+		if err := wf.AddJob(j.ID, j.Transformation, j.Inputs, j.Outputs); err != nil {
 			return nil, err
 		}
 		for _, out := range j.Outputs {
 			producerOf[out] = j.ID
-			requested = append(requested, out)
+			wf.RequestedLFNs = append(wf.RequestedLFNs, out)
 		}
 	}
 	// Intra-wave dependencies (leaf jobs are typically independent, but the
@@ -166,11 +165,11 @@ func mapJobs(jobs []WaveJob, cfg Config, pin map[string]string) (*Plan, error) {
 	for _, j := range jobs {
 		for _, in := range j.Inputs {
 			if prod, ok := producerOf[in]; ok && prod != j.ID {
-				if err := g.AddEdge(prod, j.ID); err != nil {
+				if err := wf.Graph.AddEdge(prod, j.ID); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	return mapPinned(&chimera.Workflow{Graph: g, RequestedLFNs: requested}, cfg, pin)
+	return mapPinned(wf, cfg, pin)
 }

@@ -2,8 +2,10 @@ package vdl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse reads a VDL document (a sequence of TR and DV statements, with
@@ -66,19 +68,13 @@ func (l *lexer) next() (token, error) {
 	return token{kind: tokEOF, line: l.line}, nil
 
 scan:
+	if n := identLen(l.src[l.pos:]); n > 0 {
+		start := l.pos
+		l.pos += n
+		return token{kind: tokIdent, text: l.src[start:l.pos], line: l.line}, nil
+	}
 	ch := l.src[l.pos]
 	switch {
-	case isIdentStart(rune(ch)):
-		start := l.pos
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-			// '-' is legal inside identifiers (NGP9-01) but "->" is the
-			// derivation arrow, never part of a name.
-			if l.src[l.pos] == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>' {
-				break
-			}
-			l.pos++
-		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: l.line}, nil
 	case ch == '"':
 		return l.scanString()
 	case ch == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
@@ -107,6 +103,9 @@ func (l *lexer) scanString() (token, error) {
 		switch ch {
 		case '"':
 			l.pos++
+			if !ValidString(b.String()) {
+				return token{}, l.errf("string literal %q holds a character VDL text cannot carry", b.String())
+			}
 			return token{kind: tokString, text: b.String(), line: line}, nil
 		case '\\':
 			if l.pos+1 >= len(l.src) {
@@ -158,6 +157,53 @@ func (l *lexer) scanBody() (string, error) {
 		l.pos++
 	}
 	return "", l.errf("unterminated transformation body")
+}
+
+// ValidName reports whether s is exactly one identifier to the lexer, so that
+// a statement written with s as a transformation, derivation or argument name
+// reads back with that name and nothing else. The lexer scans identifiers with
+// the same identLen, so the two cannot disagree.
+func ValidName(s string) bool { return s != "" && identLen(s) == len(s) }
+
+// ValidString reports whether s can be the value of a string literal. VDL
+// text is written with strconv.Quote and read by a lexer that knows the
+// escapes \n \t \" \\ only, so a value survives the round trip exactly when
+// every other character may stand for itself: valid UTF-8 that Quote prints
+// as is. The lexer refuses a literal holding anything else.
+func ValidString(s string) bool {
+	for i := 0; i < len(s); {
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && w == 1 {
+			return false
+		}
+		if r != '\n' && r != '\t' && !strconv.IsPrint(r) {
+			return false
+		}
+		i += w
+	}
+	return true
+}
+
+// identLen returns the length in bytes of the identifier s starts with, 0 when
+// it starts with none.
+func identLen(s string) int {
+	n := 0
+	for n < len(s) {
+		r, w := rune(s[n]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[n:])
+		}
+		if n == 0 && !isIdentStart(r) {
+			return 0
+		}
+		// '-' is legal inside identifiers (NGP9-01) but "->" is the
+		// derivation arrow, never part of a name.
+		if !isIdentPart(r) || strings.HasPrefix(s[n:], "->") {
+			break
+		}
+		n += w
+	}
+	return n
 }
 
 func isIdentStart(r rune) bool {

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -54,10 +55,20 @@ type Transformation struct {
 	Name string
 	Args []Arg
 	Body string // opaque text between the braces
+
+	// argIndex maps a formal's name to its position in Args. The catalog
+	// builds it when the transformation is added, so validating a derivation
+	// costs one lookup per binding — the collector binds one formal per
+	// galaxy, and a scan per binding made that quadratic.
+	argIndex map[string]int
 }
 
 // Arg returns the formal argument with the given name.
 func (t *Transformation) Arg(name string) (Arg, bool) {
+	if i, ok := t.argIndex[name]; ok && i < len(t.Args) && t.Args[i].Name == name {
+		return t.Args[i], true
+	}
+	// Never added to a catalog, or Args changed since: scan.
 	for _, a := range t.Args {
 		if a.Name == name {
 			return a, true
@@ -81,6 +92,14 @@ func ScalarBinding(v string) Binding { return Binding{Value: v} }
 // FileBinding returns a logical-file actual parameter.
 func FileBinding(dir Direction, lfn string) Binding {
 	return Binding{IsFile: true, Dir: dir, LFN: lfn}
+}
+
+// String renders the actual as VDL text writes it: "value" or @{dir:"lfn"}.
+func (b Binding) String() string {
+	if b.IsFile {
+		return "@{" + b.Dir.String() + ":" + strconv.Quote(b.LFN) + "}"
+	}
+	return strconv.Quote(b.Value)
 }
 
 // Derivation is a VDL DV statement: a transformation applied to actuals.
@@ -142,16 +161,17 @@ func (c *Catalog) AddTransformation(t *Transformation) error {
 	if _, dup := c.trs[t.Name]; dup {
 		return fmt.Errorf("%w: TR %q", ErrDuplicate, t.Name)
 	}
-	seen := map[string]bool{}
-	for _, a := range t.Args {
+	index := make(map[string]int, len(t.Args))
+	for i, a := range t.Args {
 		if a.Name == "" {
 			return fmt.Errorf("%w: TR %q has unnamed argument", ErrParse, t.Name)
 		}
-		if seen[a.Name] {
+		if _, dup := index[a.Name]; dup {
 			return fmt.Errorf("%w: TR %q repeats argument %q", ErrDuplicate, t.Name, a.Name)
 		}
-		seen[a.Name] = true
+		index[a.Name] = i
 	}
+	t.argIndex = index
 	c.trs[t.Name] = t
 	return nil
 }
@@ -287,8 +307,8 @@ func FormatTransformation(t *Transformation) string {
 	return b.String()
 }
 
-// FormatDerivation renders one DV statement with arguments in the
-// transformation's declaration order when known (sorted otherwise).
+// FormatDerivation renders one DV statement with its arguments sorted by
+// name.
 func FormatDerivation(d *Derivation) string {
 	var b strings.Builder
 	b.WriteString("DV ")
@@ -305,14 +325,9 @@ func FormatDerivation(d *Derivation) string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		bind := d.Bindings[n]
 		b.WriteString(n)
 		b.WriteString("=")
-		if bind.IsFile {
-			fmt.Fprintf(&b, "@{%s:%q}", bind.Dir, bind.LFN)
-		} else {
-			fmt.Fprintf(&b, "%q", bind.Value)
-		}
+		b.WriteString(d.Bindings[n].String())
 	}
 	b.WriteString(" );")
 	return b.String()

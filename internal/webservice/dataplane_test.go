@@ -23,7 +23,7 @@ func TestStagedReplicasShareBytes(t *testing.T) {
 	if _, _, err := h.svc.Compute(tab, "COMA"); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range imageRefsFromTable(tab) {
+	for _, m := range requestRefs(t, tab) {
 		lfn := m.id + ".fit"
 		cached, err := h.ftp.Store("isi").Get(lfn)
 		if err != nil {
@@ -58,7 +58,7 @@ func TestStagedReplicasShareBytes(t *testing.T) {
 func TestMemoKeysOnImageContent(t *testing.T) {
 	h := newHarness(t, 6, nil) // one worker: the twin's lookup follows the original's Put
 	tab := h.inputTable(t)
-	refs := imageRefsFromTable(tab)
+	refs := requestRefs(t, tab)
 	if err := h.svc.newLeg(DefaultTenant, "COMA", 0, nil).cacheImageRefs(refs[:1]); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestMemoKeysOnImageContent(t *testing.T) {
 func TestVerifiedGetRepairedDigest(t *testing.T) {
 	h := newHarness(t, 1, nil)
 	l := h.svc.newLeg(DefaultTenant, "COMA", 0, nil)
-	refs := imageRefsFromTable(h.inputTable(t))
+	refs := requestRefs(t, h.inputTable(t))
 	if err := l.cacheImageRefs(refs); err != nil {
 		t.Fatal(err)
 	}

@@ -112,11 +112,12 @@ func sscanfConfig(dv *vdl.Derivation) morphology.Config {
 	return cfg
 }
 
-// TestMorphConfigMatchesSscanf: every value buildVDL can render — its own
+// TestMorphConfigMatchesSscanf: every value the derivation file can carry — its own
 // literals, and a catalog redshift in any float rendering (shortest
 // round-trip, fixed, e/E exponents, padded, signed, non-finite, out of
 // range, empty, not a number) — parses to the bit-identical Config and the
-// identical fingerprint under both parsers, through buildVDL and vdl.Parse.
+// identical fingerprint under both parsers, through the rendered text and
+// vdl.Parse.
 func TestMorphConfigMatchesSscanf(t *testing.T) {
 	zs := []string{"0.02", "0", "", " ", "0.0279", "2.831933107035062E-4", "2.831933107035062e-4",
 		"1e-320", "4.9e-324", "1.7976931348623157e308", "1e999", "-1e999", "-0.0", "+0.5", ".5", "5.",
@@ -149,11 +150,11 @@ func TestMorphConfigMatchesSscanf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	text, err := buildVDL(tab, "TEST")
+	dvs, err := newDerivations(tab, "TEST")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := vdl.Parse(text)
+	cat, err := vdl.Parse(dvs.text())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/pegasus"
 	"repro/internal/vdl"
-	"repro/internal/votable"
 )
 
 // A workflow leg is one execution of a request under one fabric lease: the
@@ -251,25 +250,21 @@ func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef) func(int) (*d
 // freshSource plans a new request and, when journaling, persists the plan
 // and the VDL it came from so a resumed leg reloads the exact plan without
 // replanning — site selection is seeded, and replanning against a healthier
-// RLS would prune differently. The VDL is rendered to text and re-parsed
-// whole in both modes (the analog of the XSLT stylesheet producing a
-// derivation file), which keeps the .vdl artifact identical across modes.
-func (l *leg) freshSource(tab *votable.Table) (*planSource, error) {
+// RLS would prune differently. The catalog is built from the request's
+// derivations directly, in both modes; the derivation file is written from
+// the same derivations only where a resume will need to parse it.
+func (l *leg) freshSource(dvs *derivations) (*planSource, error) {
 	s := l.s
-	vdlText, err := buildVDL(tab, l.cluster)
+	cat, err := dvs.catalog()
 	if err != nil {
-		return nil, err
-	}
-	cat, err := vdl.Parse(vdlText)
-	if err != nil {
-		return nil, fmt.Errorf("webservice: generated VDL invalid: %w", err)
+		return nil, fmt.Errorf("webservice: request table: %w", err)
 	}
 	l.cat = cat
 	src := &planSource{}
 	// The per-request seed derives from the cluster name (not a shared
 	// stream), so concurrent requests stay individually deterministic.
 	seed := s.requestSeed(l.cluster)
-	refs := imageRefsFromTable(tab)
+	refs := dvs.refs
 	var persistPlan func() error
 	if s.cfg.WaveSize > 0 {
 		// The manifest replaces the .dag artifact, which would be unbounded
@@ -304,7 +299,7 @@ func (l *leg) freshSource(tab *votable.Table) (*planSource, error) {
 		if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile(l.path(".vdl"), []byte(vdlText), 0o644); err != nil {
+		if err := os.WriteFile(l.path(".vdl"), []byte(dvs.text()), 0o644); err != nil {
 			return nil, err
 		}
 		if err := persistPlan(); err != nil {
@@ -349,16 +344,16 @@ func (l *leg) savedSource() (*planSource, error) {
 }
 
 // runLeg executes one workflow leg under a granted fabric lease: the full
-// §4.3 pipeline when tab is set, the resumption of the journaled run when
-// it is nil (entry points validate a fresh request's table before it gets
-// here). A resumed leg reloads the persisted plan (never replans), restores
-// every node the journal's intact prefix records as completed, and runs
-// only the unfinished remainder, so its output VOTable is byte-identical to
-// the uninterrupted run's. However the leg exits, the lease is released and
+// §4.3 pipeline when dvs is set, the resumption of the journaled run when
+// it is nil (admission turned a fresh request's table into its derivations
+// before it got here). A resumed leg reloads the persisted plan (never
+// replans), restores every node the journal's intact prefix records as
+// completed, and runs only the unfinished remainder, so its output VOTable
+// is byte-identical to the uninterrupted run's. However the leg exits, the lease is released and
 // the model-time makespan charged to the tenant's fair-share account —
 // except when preempted: the caller answers the revocation with
 // lease.Preempted, which requeues the workflow.
-func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.Table) (_ string, retErr error) {
+func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations) (_ string, retErr error) {
 	s, tenant, cluster := l.s, l.tenant, l.cluster
 	defer func() {
 		if !errors.Is(retErr, ErrPreempted) {
@@ -370,13 +365,13 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.Tabl
 	lease.SetPreemptible(s.cfg.JournalDir != "")
 	outLFN := outputLFN(cluster)
 
-	fresh := tab != nil
+	fresh := dvs != nil
 	var src *planSource
 	var err error
 	if !fresh {
 		if src, err = l.savedSource(); err == nil {
-			// buildVDL wrote one galMorph derivation per galaxy plus the
-			// collector.
+			// The saved VDL holds one galMorph derivation per galaxy plus
+			// the collector.
 			l.account(RunStats{Galaxies: len(l.cat.Derivations()) - 1})
 		}
 	} else {
@@ -389,14 +384,14 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, tab *votable.Tabl
 				return "", errors.New("webservice: Grid proxy expired; delegate a fresh credential")
 			}
 		}
-		l.account(RunStats{Galaxies: tab.NumRows()})
+		l.account(RunStats{Galaxies: len(dvs.refs)})
 		// Output already materialized? Serve it straight from the RLS
 		// (Figure 6 step 2).
 		if s.cfg.RLS.Exists(outLFN) {
 			l.account(RunStats{ReusedOutput: true})
 			return outLFN, nil
 		}
-		src, err = l.freshSource(tab)
+		src, err = l.freshSource(dvs)
 	}
 	if err != nil {
 		return "", err
@@ -577,7 +572,7 @@ func wfBase(tenant, cluster string) string {
 	return safe + "__" + cluster
 }
 
-// waveSourceFor mirrors buildVDL's derivation structure — one galMorph job
+// waveSourceFor mirrors the request's derivations — one galMorph job
 // per galaxy plus the concatVOT collector — as a lazy pegasus.WaveSource, so
 // the survey-scale path never materializes a per-galaxy job list beyond the
 // (id, acref) staging refs it already holds.

@@ -308,7 +308,7 @@ func TestFailoverCountAcrossSchedulerAndWorkers(t *testing.T) {
 			}
 		})
 		tab := h.inputTable(t)
-		refs := imageRefsFromTable(tab)
+		refs := requestRefs(t, tab)
 		if err := h.svc.newLeg(DefaultTenant, "COMA", 0, nil).cacheImageRefs(refs); err != nil {
 			t.Fatal(err)
 		}

@@ -12,40 +12,6 @@ import (
 	"repro/internal/votable"
 )
 
-// buildVDL renders the derivation file for one request: the galMorph and
-// concatVOT transformations, one galMorph derivation per galaxy with the
-// paper's parameter set, and a concatenating derivation producing the output
-// VOTable.
-func buildVDL(tab *votable.Table, cluster string) (string, error) {
-	var b strings.Builder
-	b.WriteString("TR galMorph( in redshift, in pixScale, in zeroPoint, in Ho, in om, in flat, in image, out galMorph ) { compute CAS parameters }\n")
-
-	n := tab.NumRows()
-	b.WriteString("TR concatVOT( ")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "in p%d, ", i)
-	}
-	b.WriteString("out table ) { concatenate per-galaxy results }\n")
-
-	for i := 0; i < n; i++ {
-		id := tab.Cell(i, "id")
-		z := tab.Cell(i, "z")
-		if strings.TrimSpace(z) == "" {
-			z = "0"
-		}
-		fmt.Fprintf(&b,
-			"DV m-%s->galMorph( redshift=%q, image=@{in:%q}, pixScale=\"2.831933107035062E-4\", zeroPoint=\"27.8\", Ho=\"100\", om=\"0.3\", flat=\"1\", galMorph=@{out:%q} );\n",
-			id, z, id+".fit", id+".txt")
-	}
-
-	fmt.Fprintf(&b, "DV collect-%s->concatVOT( ", cluster)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "p%d=@{in:%q}, ", i, tab.Cell(i, "id")+".txt")
-	}
-	fmt.Fprintf(&b, "table=@{out:%q} );\n", outputLFN(cluster))
-	return b.String(), nil
-}
-
 // --- per-galaxy result encoding ---------------------------------------------
 
 // GalMorphResult is the payload of one <galaxy>.txt file.

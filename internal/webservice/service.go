@@ -349,20 +349,24 @@ func (o RequestOptions) tenant() string {
 }
 
 // admit is the one admission prologue behind every entry point. A fresh
-// request (resumeOp "") must carry a valid input table; a resumption
-// (resumeOp names the operation, tab is nil) needs a journal to resume from.
-// Then the fabric decides: a ticket to wait on, or a fabric.ShedError.
-func (s *Service) admit(tab *votable.Table, resumeOp string, opt RequestOptions) (*fabric.Ticket, error) {
+// request (resumeOp "") must carry a valid input table, which leaves here as
+// the request's derivations; a resumption (resumeOp names the operation, tab
+// is nil, and so are the derivations returned) needs a journal to resume
+// from. Then the fabric decides: a ticket to wait on, or a fabric.ShedError.
+func (s *Service) admit(tab *votable.Table, cluster, resumeOp string, opt RequestOptions) (*derivations, *fabric.Ticket, error) {
+	var dvs *derivations
 	if resumeOp != "" {
 		if s.cfg.JournalDir == "" {
-			return nil, fmt.Errorf("webservice: %s requires JournalDir", resumeOp)
+			return nil, nil, fmt.Errorf("webservice: %s requires JournalDir", resumeOp)
 		}
-	} else if tab == nil || tab.ColumnIndex("id") < 0 || tab.ColumnIndex("acref") < 0 {
-		return nil, ErrBadTable
-	} else if tab.NumRows() == 0 {
-		return nil, ErrNoGalaxies
+	} else {
+		var err error
+		if dvs, err = newDerivations(tab, cluster); err != nil {
+			return nil, nil, err
+		}
 	}
-	return s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
+	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
+	return dvs, ticket, err
 }
 
 // SubmitFor registers a new request on behalf of a tenant and starts the
@@ -375,7 +379,7 @@ func (s *Service) admit(tab *votable.Table, resumeOp string, opt RequestOptions)
 // step and journals a clean abort record; canceling a queued request
 // dequeues it before it ever runs.
 func (s *Service) SubmitFor(tab *votable.Table, cluster string, opt RequestOptions) (string, error) {
-	ticket, err := s.admit(tab, "", opt)
+	dvs, ticket, err := s.admit(tab, cluster, "", opt)
 	if err != nil {
 		return "", err
 	}
@@ -390,15 +394,15 @@ func (s *Service) SubmitFor(tab *votable.Table, cluster string, opt RequestOptio
 		st.apply(evQueued, "")
 	}
 	s.requests[id] = st
-	s.launch(st, ticket, tab)
+	s.launch(st, ticket, dvs)
 	return id, nil
 }
 
 // launch drives an admitted request to its terminal state in the
 // background, mirroring grants, preemption cycles, progress and the final
-// outcome onto its polled status. tab == nil resumes the request from its
+// outcome onto its polled status. dvs == nil resumes the request from its
 // journal. The caller holds s.mu.
-func (s *Service) launch(st *Status, ticket *fabric.Ticket, tab *votable.Table) {
+func (s *Service) launch(st *Status, ticket *fabric.Ticket, dvs *derivations) {
 	ctx, cancel := context.WithCancel(context.Background())
 	id, cluster := st.ID, st.Cluster
 	opt := RequestOptions{Tenant: st.Tenant, Priority: st.Priority}
@@ -415,7 +419,7 @@ func (s *Service) launch(st *Status, ticket *fabric.Ticket, tab *votable.Table) 
 		st.apply(ev, "")
 	}
 	go func() {
-		out, stats, err := s.await(ctx, ticket, tab, cluster, opt, onProgress, onEvent)
+		out, stats, err := s.await(ctx, ticket, dvs, cluster, opt, onProgress, onEvent)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		delete(s.cancels, id)
@@ -438,10 +442,10 @@ func (s *Service) launch(st *Status, ticket *fabric.Ticket, tab *votable.Table) 
 // original priority class — waits for a fresh grant, and resumes from the
 // scoped journal. It repeats until the workflow finishes, fails for a real
 // reason, or is canceled while waiting (which dequeues it before it runs).
-// tab == nil makes the first leg a resume too. onEvent (optional) observes
+// dvs == nil makes the first leg a resume too. onEvent (optional) observes
 // every grant (evGranted to a fresh leg, evResumed to a resuming one) and
 // revocation (evPreempted). The RunStats returned are the last leg's.
-func (s *Service) await(ctx context.Context, ticket *fabric.Ticket, tab *votable.Table, cluster string,
+func (s *Service) await(ctx context.Context, ticket *fabric.Ticket, dvs *derivations, cluster string,
 	opt RequestOptions, onProgress func(done, total int), onEvent func(event)) (string, RunStats, error) {
 	if onEvent == nil {
 		onEvent = func(event) {}
@@ -453,13 +457,13 @@ func (s *Service) await(ctx context.Context, ticket *fabric.Ticket, tab *votable
 		if err != nil {
 			return "", stats, fmt.Errorf("webservice: canceled while %s: %w", waiting, err)
 		}
-		if tab != nil {
+		if dvs != nil {
 			onEvent(evGranted)
 		} else {
 			onEvent(evResumed)
 		}
 		l := s.newLeg(opt.tenant(), cluster, preemptions, onProgress)
-		out, err := l.runLeg(ctx, lease, tab)
+		out, err := l.runLeg(ctx, lease, dvs)
 		if !errors.Is(err, ErrPreempted) {
 			return out, l.snapshot(), err
 		}
@@ -469,7 +473,7 @@ func (s *Service) await(ctx context.Context, ticket *fabric.Ticket, tab *votable
 		onEvent(evPreempted)
 		l.account(RunStats{Preemptions: 1})
 		stats = l.snapshot()
-		tab, waiting = nil, "requeued after preemption"
+		dvs, waiting = nil, "requeued after preemption"
 	}
 }
 
@@ -517,7 +521,7 @@ func (s *Service) Requeue(id string) error {
 	if st.State != StateFailed {
 		return fmt.Errorf("webservice: request %q is %s; only failed requests requeue", id, st.State)
 	}
-	ticket, err := s.admit(nil, "requeue", RequestOptions{Tenant: st.Tenant, Priority: st.Priority})
+	_, ticket, err := s.admit(nil, st.Cluster, "requeue", RequestOptions{Tenant: st.Tenant, Priority: st.Priority})
 	if err != nil {
 		return err
 	}
@@ -598,11 +602,11 @@ func (s *Service) ComputeWithContext(ctx context.Context, tab *votable.Table, cl
 // dequeues the workflow before it runs.
 func (s *Service) ComputeFor(ctx context.Context, tab *votable.Table, cluster string,
 	opt RequestOptions, onProgress func(done, total int)) (string, RunStats, error) {
-	ticket, err := s.admit(tab, "", opt)
+	dvs, ticket, err := s.admit(tab, cluster, "", opt)
 	if err != nil {
 		return "", RunStats{}, err
 	}
-	return s.await(ctx, ticket, tab, cluster, opt, onProgress, nil)
+	return s.await(ctx, ticket, dvs, cluster, opt, onProgress, nil)
 }
 
 // ResumeFor reopens, on behalf of a tenant, a journaled run that died
@@ -618,7 +622,7 @@ func (s *Service) ComputeFor(ctx context.Context, tab *votable.Table, cluster st
 // workflows.
 func (s *Service) ResumeFor(ctx context.Context, cluster string, opt RequestOptions,
 	onProgress func(done, total int)) (string, RunStats, error) {
-	ticket, err := s.admit(nil, "resume", opt)
+	_, ticket, err := s.admit(nil, cluster, "resume", opt)
 	if err != nil {
 		return "", RunStats{}, err
 	}

@@ -131,6 +131,16 @@ func (h *harness) inputTable(t testing.TB) *votable.Table {
 	return tab
 }
 
+// requestRefs is the (id, acref) staging list admission reads from a table.
+func requestRefs(t testing.TB, tab *votable.Table) []imageRef {
+	t.Helper()
+	dvs, err := newDerivations(tab, "COMA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dvs.refs
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config must fail")
@@ -555,13 +565,13 @@ func TestBuildVDLParses(t *testing.T) {
 	_ = tab.AppendRow("G1", "http://x/1", "0.02")
 	_ = tab.AppendRow("G2", "http://x/2", "")
 
-	text, err := buildVDL(tab, "TEST")
+	dvs, err := newDerivations(tab, "TEST")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := vdl.Parse(text)
+	cat, err := vdl.Parse(dvs.text())
 	if err != nil {
-		t.Fatalf("%v\n%s", err, text)
+		t.Fatalf("%v\n%s", err, dvs.text())
 	}
 	if len(cat.Derivations()) != 3 {
 		t.Errorf("derivations = %v", cat.Derivations())

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fits"
 	"repro/internal/gridftp"
 	"repro/internal/rls"
-	"repro/internal/votable"
 	"repro/internal/workpool"
 )
 
@@ -29,15 +28,6 @@ const batchFetchSize = 64
 
 // imageRef names one galaxy image to stage: its ID and the access URL.
 type imageRef struct{ id, acref string }
-
-// imageRefsFromTable extracts the (id, acref) staging list of a request.
-func imageRefsFromTable(tab *votable.Table) []imageRef {
-	refs := make([]imageRef, tab.NumRows())
-	for i := range refs {
-		refs[i] = imageRef{id: tab.Cell(i, "id"), acref: tab.Cell(i, "acref")}
-	}
-	return refs
-}
 
 // cacheImageRefs downloads every listed galaxy image not yet present in the
 // cache and registers it in the RLS — the whole table for a monolithic plan,
