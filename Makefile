@@ -66,8 +66,9 @@ recovery:
 # Fuzz smoke over every parser that reads bytes from disk or the network —
 # the RLS text codec, the one FITS reader (Decode accepts exactly what
 # ParseView accepts, same error text, same pixel bits), the streaming
-# VOTable codec and the VDL parser (no panic, and what it accepts it writes
-# and reads back unchanged) — over the request's two forms (the catalog built
+# VOTable codec, the VDL parser and the typed .dag/rescue parser (no panic,
+# and what it accepts it writes and reads back unchanged) — over the
+# request's two forms (the catalog built
 # from a table and the parse of its rendered .vdl agree, or the table is
 # refused), and over the measurement kernel's radial bucket pass (any cutout
 # shape and centre: no panic, and the order of the reference sort).
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz FuzzVDLParse -fuzztime $(FUZZTIME) ./internal/vdl/
 	$(GO) test -fuzz FuzzCatalogMatchesVDLText -fuzztime $(FUZZTIME) ./internal/webservice/
 	$(GO) test -fuzz FuzzRadialOrder -fuzztime $(FUZZTIME) ./internal/morphology/
+	$(GO) test -fuzz FuzzReadDAG -fuzztime $(FUZZTIME) ./internal/dagman/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants byte-identical to their solo runs, shared-

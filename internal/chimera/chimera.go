@@ -19,25 +19,24 @@ import (
 	"repro/internal/vdl"
 )
 
-// Node attribute keys used on abstract workflow nodes. Downstream packages
-// (pegasus, dagman) read these.
+// Attribute keys of abstract job nodes in a plan's text form (see dag.Node.Attr).
 const (
-	// AttrTransformation is the logical transformation name of a job node.
-	AttrTransformation = "transformation"
-	// AttrInputs / AttrOutputs are comma-joined logical file lists.
-	AttrInputs  = "inputs"
-	AttrOutputs = "outputs"
-	// AttrDerivation is the originating DV name.
-	AttrDerivation = "derivation"
+	AttrTransformation = dag.AttrTransformation
+	AttrInputs         = dag.AttrInputs
+	AttrOutputs        = dag.AttrOutputs
+	AttrDerivation     = dag.AttrDerivation
 )
 
 // NodeType is the Type of every abstract-workflow job node.
-const NodeType = "job"
+const NodeType = dag.TypeJob
 
 // Errors returned by composition.
 var (
 	ErrNoProducer = errors.New("chimera: no derivation produces the requested file")
 	ErrAmbiguous  = errors.New("chimera: multiple derivations produce the same file")
+	// ErrBadLFN refuses a logical file name a plan cannot carry: an empty one,
+	// or one holding the comma that separates a list in the .dag text form.
+	ErrBadLFN = errors.New("chimera: logical file name is empty or contains ','")
 )
 
 // Request asks for one or more logical files to be materialized.
@@ -56,15 +55,7 @@ type Workflow struct {
 	RawInputs []string
 	// Intermediate are files both produced and consumed inside the workflow.
 	Intermediate []string
-
-	// files keeps, per job, the slices AddJob joined into the node's
-	// AttrInputs/AttrOutputs, so the planner reads a job's files without
-	// splitting a comma-joined string back (the collector's lists one entry
-	// per galaxy) at every use.
-	files map[string]jobFiles
 }
-
-type jobFiles struct{ inputs, outputs []string }
 
 // Compose builds the abstract workflow that materializes every requested
 // LFN, walking the catalog backward from the requested files through their
@@ -143,70 +134,19 @@ func Compose(cat *vdl.Catalog, req Request) (*Workflow, error) {
 
 // AddJob adds the abstract job node of one derivation; the id doubles as the
 // derivation name. Every composer of abstract workflows — Compose here, the
-// wave planner in internal/pegasus — adds its jobs through this, so the
-// attribute set Pegasus and the runners read is spelled once. The workflow
-// keeps the two slices; the caller must not change them afterwards.
+// wave planner in internal/pegasus — adds its jobs through this, so it is
+// where an LFN that the .dag text form could not carry is refused (ErrBadLFN).
+// The node keeps the two slices; the caller must not change them afterwards.
 func (wf *Workflow) AddJob(id, transformation string, inputs, outputs []string) error {
-	n := &dag.Node{ID: id, Type: NodeType, Attrs: map[string]string{
-		AttrTransformation: transformation,
-		AttrDerivation:     id,
-		AttrInputs:         strings.Join(inputs, ","),
-		AttrOutputs:        strings.Join(outputs, ","),
-	}}
-	if err := wf.Graph.AddNode(n); err != nil {
-		return err
-	}
-	if wf.files == nil {
-		wf.files = map[string]jobFiles{}
-	}
-	wf.files[id] = jobFiles{inputs: inputs, outputs: outputs}
-	return nil
-}
-
-// Inputs returns the input logical files of job id, in AttrInputs order. The
-// slice is shared; treat it as read-only.
-func (wf *Workflow) Inputs(id string) []string {
-	if f, ok := wf.files[id]; ok {
-		return f.inputs
-	}
-	return wf.attrLFNs(id, AttrInputs)
-}
-
-// Outputs returns the output logical files of job id, in AttrOutputs order.
-// The slice is shared; treat it as read-only.
-func (wf *Workflow) Outputs(id string) []string {
-	if f, ok := wf.files[id]; ok {
-		return f.outputs
-	}
-	return wf.attrLFNs(id, AttrOutputs)
-}
-
-// attrLFNs reads a file list from the node's attribute: the job was put into
-// Graph directly, not through AddJob.
-func (wf *Workflow) attrLFNs(id, key string) []string {
-	n, ok := wf.Graph.Node(id)
-	if !ok {
-		return nil
-	}
-	return SplitLFNs(n.Attr(key))
-}
-
-// SplitLFNs reverses AddJob's comma join for node-attribute consumers.
-func SplitLFNs(s string) []string {
-	if s == "" {
-		return nil
-	}
-	out := make([]string, 0, strings.Count(s, ",")+1)
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
+	for _, lfns := range [][]string{inputs, outputs} {
+		for _, lfn := range lfns {
+			if lfn == "" || strings.Contains(lfn, ",") {
+				return fmt.Errorf("%w: derivation %q, file %q", ErrBadLFN, id, lfn)
 			}
-			start = i + 1
 		}
 	}
-	return out
+	return wf.Graph.AddNode(&dag.Node{ID: id, Type: NodeType, Transformation: transformation,
+		Derivation: id, Inputs: inputs, Outputs: outputs})
 }
 
 func sortedSet(m map[string]bool) []string {

@@ -3,6 +3,7 @@ package chimera
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,8 +52,9 @@ func TestFigure1AbstractWorkflow(t *testing.T) {
 		t.Errorf("intermediate = %v", wf.Intermediate)
 	}
 	n, _ := g.Node("d2")
-	if n.Attr(AttrTransformation) != "step" || n.Attr(AttrInputs) != "b" || n.Attr(AttrOutputs) != "c" {
-		t.Errorf("node attrs = %v", n.Attrs)
+	if n.Type != NodeType || n.Transformation != "step" || n.Derivation != "d2" ||
+		!slices.Equal(n.Inputs, []string{"b"}) || !slices.Equal(n.Outputs, []string{"c"}) {
+		t.Errorf("node = %+v", n)
 	}
 }
 
@@ -200,25 +202,23 @@ func TestComposeGalaxyMorphologyShape(t *testing.T) {
 	}
 }
 
-func TestSplitLFNs(t *testing.T) {
-	cases := map[string][]string{
-		"":       nil,
-		"a":      {"a"},
-		"a,b,c":  {"a", "b", "c"},
-		"a,,b":   {"a", "b"},
-		"trail,": {"trail"},
-		",lead":  {"lead"},
-	}
-	for in, want := range cases {
-		got := SplitLFNs(in)
-		if len(got) != len(want) {
-			t.Errorf("SplitLFNs(%q) = %v, want %v", in, got, want)
-			continue
+// TestComposeRefusesBadLFN: a file name the .dag list form cannot carry — one
+// holding a comma, or an empty one — parses as VDL but is refused where the
+// job node is made, naming the derivation and the file, instead of turning
+// into two inputs (or a missing replica) later.
+func TestComposeRefusesBadLFN(t *testing.T) {
+	for _, c := range []struct{ in, out, bad string }{
+		{in: "x,y.fit", out: "o.txt", bad: "x,y.fit"},
+		{in: "", out: "o.txt", bad: ""},
+		{in: "x.fit", out: "o,p.txt", bad: "o,p.txt"},
+	} {
+		cat, err := vdl.Parse(fmt.Sprintf("TR t( in a, out b ) {}\nDV d->t( a=@{in:%q}, b=@{out:%q} );\n", c.in, c.out))
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("SplitLFNs(%q) = %v, want %v", in, got, want)
-			}
+		_, err = Compose(cat, Request{LFNs: []string{c.out}})
+		if !errors.Is(err, ErrBadLFN) || !strings.Contains(err.Error(), fmt.Sprintf(`derivation "d", file %q`, c.bad)) {
+			t.Errorf("%+v: err = %v, want ErrBadLFN naming derivation d and file %q", c, err, c.bad)
 		}
 	}
 }

@@ -3,8 +3,12 @@
 // Pegasus reduces and concretizes them, and DAGMan executes them (Figures 1,
 // 3 and 4 of the paper are all instances of this type).
 //
-// Nodes carry a free-form Type ("compute", "transfer", "register", ...) and
-// string attributes; edges run from a node to the nodes that depend on it.
+// Nodes carry a free-form Type and, for the four types the planners emit
+// ("job", "compute", "transfer", "register"), a typed job payload that every
+// layer reads directly; edges run from a node to the nodes that depend on it.
+// Text exists only where a plan leaves the process: attrKeys below is the one
+// table of the attribute keys each type carries in a .dag file, which Attr,
+// internal/dagman's writer and its parser all go through.
 package dag
 
 import (
@@ -16,22 +20,101 @@ import (
 	"sync/atomic"
 )
 
-// Node is one vertex of a workflow graph.
+// Node is one vertex of a workflow graph. Its payload is set once, by the
+// node's emitter, and read-only after: graphs derived from another (a reduced
+// workflow, a rescue DAG, a clone) share nodes or copy them by value, so they
+// share the LFN slices too.
 type Node struct {
-	ID    string
-	Type  string
-	Attrs map[string]string
+	ID   string
+	Type string
+
+	// Job payload of "job" nodes and of the "compute" nodes made from them.
+	Transformation string
+	Derivation     string
+	Inputs         []string // logical files read, in derivation order
+	Outputs        []string // logical files written
+
+	Site       string // compute: execution site; register: replica site
+	Executable string // compute: executable path from the Transformation Catalog
+	LFN        string // transfer, register: the logical file
+	SrcURL     string // transfer: source physical URL
+	DstURL     string // transfer: destination physical URL
+	PFN        string // register: physical URL to publish
 }
 
-// Attr returns an attribute value or "".
-func (n *Node) Attr(key string) string { return n.Attrs[key] }
+// Node types that carry a payload.
+const (
+	TypeJob      = "job"
+	TypeCompute  = "compute"
+	TypeTransfer = "transfer"
+	TypeRegister = "register"
+)
 
-// SetAttr sets an attribute, allocating the map on first use.
-func (n *Node) SetAttr(key, value string) {
-	if n.Attrs == nil {
-		n.Attrs = map[string]string{}
+// Attribute keys: the name of each payload field in a plan's text form.
+const (
+	AttrTransformation = "transformation"
+	AttrDerivation     = "derivation"
+	AttrInputs         = "inputs"
+	AttrOutputs        = "outputs"
+	AttrSite           = "site"
+	AttrExecutable     = "executable"
+	AttrSrcURL         = "src"
+	AttrDstURL         = "dst"
+	AttrLFN            = "lfn"
+	AttrPFN            = "pfn"
+)
+
+// attrKeys maps each payload type to its attribute keys, sorted: the fixed
+// set its emitter fills and the order a .dag file lists them in.
+var attrKeys = map[string][]string{
+	TypeJob:      {AttrDerivation, AttrInputs, AttrOutputs, AttrTransformation},
+	TypeCompute:  {AttrDerivation, AttrExecutable, AttrInputs, AttrOutputs, AttrSite, AttrTransformation},
+	TypeTransfer: {AttrDstURL, AttrLFN, AttrSrcURL},
+	TypeRegister: {AttrLFN, AttrPFN, AttrSite},
+}
+
+// AttrKeys returns the attribute keys of a node type, sorted; none for a type
+// without a payload. The slice is shared; do not change it.
+func AttrKeys(typ string) []string { return attrKeys[typ] }
+
+// fields maps each attribute key to its payload field: a string, or an LFN
+// list.
+var fields = map[string]func(*Node) (*string, *[]string){
+	AttrTransformation: func(n *Node) (*string, *[]string) { return &n.Transformation, nil },
+	AttrDerivation:     func(n *Node) (*string, *[]string) { return &n.Derivation, nil },
+	AttrInputs:         func(n *Node) (*string, *[]string) { return nil, &n.Inputs },
+	AttrOutputs:        func(n *Node) (*string, *[]string) { return nil, &n.Outputs },
+	AttrSite:           func(n *Node) (*string, *[]string) { return &n.Site, nil },
+	AttrExecutable:     func(n *Node) (*string, *[]string) { return &n.Executable, nil },
+	AttrSrcURL:         func(n *Node) (*string, *[]string) { return &n.SrcURL, nil },
+	AttrDstURL:         func(n *Node) (*string, *[]string) { return &n.DstURL, nil },
+	AttrLFN:            func(n *Node) (*string, *[]string) { return &n.LFN, nil },
+	AttrPFN:            func(n *Node) (*string, *[]string) { return &n.PFN, nil },
+}
+
+// Field returns the payload field behind an attribute key — a string, or an
+// LFN list — and nil for both when key is not an attribute of n's type. Attr
+// reads through it and the .dag parser writes through it, so the key-to-field
+// mapping is spelled once.
+func (n *Node) Field(key string) (*string, *[]string) {
+	if !slices.Contains(attrKeys[n.Type], key) {
+		return nil, nil
 	}
-	n.Attrs[key] = value
+	return fields[key](n)
+}
+
+// Attr returns an attribute's text: a string field as it is, an LFN list
+// comma-joined (chimera refuses an LFN that is empty or holds a comma, so the
+// join is reversible); "" when key is not an attribute of n's type.
+func (n *Node) Attr(key string) string {
+	s, list := n.Field(key)
+	switch {
+	case s != nil:
+		return *s
+	case list != nil:
+		return strings.Join(*list, ",")
+	}
+	return ""
 }
 
 // Graph is a mutable DAG. The zero value is not usable; call New.
@@ -476,7 +559,9 @@ func (g *Graph) closure(id string, next func(*vertex) []int32) []string {
 	return g.ids(found)
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a copy of the graph whose nodes are copies by value: a clone's
+// node can be changed without touching the original's, and the read-only LFN
+// slices are shared.
 func (g *Graph) Clone() *Graph {
 	out := &Graph{
 		index: make(map[string]int32, len(g.index)),
@@ -491,13 +576,10 @@ func (g *Graph) Clone() *Graph {
 		if n == nil {
 			continue
 		}
-		attrs := make(map[string]string, len(n.Attrs))
-		for k, val := range n.Attrs {
-			attrs[k] = val
-		}
+		c := *n
 		slot[v] = int32(len(out.verts))
 		out.index[n.ID] = slot[v]
-		out.verts = append(out.verts, vertex{node: &Node{ID: n.ID, Type: n.Type, Attrs: attrs}})
+		out.verts = append(out.verts, vertex{node: &c})
 	}
 	renumber := func(a adjacency) adjacency {
 		if len(a.slots) == 0 {

@@ -213,12 +213,15 @@ func TestRemoveNode(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	g := chain(t, "a", "b")
 	n, _ := g.Node("a")
-	n.SetAttr("site", "isi")
+	n.Site = "isi"
 	c := g.Clone()
 	cn, _ := c.Node("a")
-	cn.SetAttr("site", "fnal")
-	if n.Attr("site") != "isi" {
-		t.Error("clone shares attr maps")
+	if cn.Site != "isi" {
+		t.Error("clone lost the payload")
+	}
+	cn.Site = "fnal"
+	if n.Site != "isi" {
+		t.Error("clone shares nodes")
 	}
 	_ = c.RemoveNode("b")
 	if g.Len() != 2 {
@@ -229,14 +232,30 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestNodeAttrs: Attr renders exactly the keys of the node's type, lists
+// comma-joined, and every key of the table names a field.
 func TestNodeAttrs(t *testing.T) {
-	n := &Node{ID: "x"}
-	if n.Attr("k") != "" {
-		t.Error("missing attr must be empty")
+	n := &Node{ID: "x", Type: TypeCompute, Site: "isi", Inputs: []string{"a.fit", "b.fit"}, LFN: "stray"}
+	for key, want := range map[string]string{
+		AttrSite: "isi", AttrInputs: "a.fit,b.fit", AttrOutputs: "", AttrLFN: "", "nosuch": "",
+	} {
+		if got := n.Attr(key); got != want {
+			t.Errorf("compute Attr(%q) = %q, want %q", key, got, want)
+		}
 	}
-	n.SetAttr("k", "v")
-	if n.Attr("k") != "v" {
-		t.Error("attr lost")
+	if (&Node{ID: "y", Type: "custom", Site: "isi"}).Attr(AttrSite) != "" {
+		t.Error("a type outside the table has no attributes")
+	}
+	for _, typ := range []string{TypeJob, TypeCompute, TypeTransfer, TypeRegister} {
+		keys := AttrKeys(typ)
+		if len(keys) == 0 || !slices.IsSorted(keys) {
+			t.Errorf("AttrKeys(%q) = %v, want sorted and non-empty", typ, keys)
+		}
+		for _, k := range keys {
+			if s, list := (&Node{Type: typ}).Field(k); (s == nil) == (list == nil) {
+				t.Errorf("%s key %q maps to no field", typ, k)
+			}
+		}
 	}
 }
 

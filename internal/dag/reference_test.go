@@ -310,15 +310,12 @@ func (g *refGraph) Descendants(id string) []string {
 	return refSortedKeys(seen)
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a copy of the graph with its nodes copied by value.
 func (g *refGraph) Clone() *refGraph {
 	out := newRef()
 	for id, n := range g.nodes {
-		attrs := make(map[string]string, len(n.Attrs))
-		for k, v := range n.Attrs {
-			attrs[k] = v
-		}
-		out.nodes[id] = &Node{ID: n.ID, Type: n.Type, Attrs: attrs}
+		c := *n
+		out.nodes[id] = &c
 		out.children[id] = map[string]bool{}
 		out.parents[id] = map[string]bool{}
 	}

@@ -15,16 +15,21 @@
 //	DONE <id>
 //	EDGE <parent> <child>
 //
-// DONE lines mark nodes a rescue file records as already completed; a plain
-// plan-time snapshot has none.
+// A node has one ATTR line per key of its type in dag.AttrKeys — every key,
+// even an empty one — and a type outside that table has none. An LFN list is
+// one comma-joined value. DONE lines mark nodes a rescue file records as
+// already completed; a plain plan-time snapshot has none. Lines have no
+// length limit: a collector's inputs line grows with the request, and the
+// request's own caps are what bound it.
 package dagman
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,9 +47,9 @@ func WriteDAG(w io.Writer, g *dag.Graph, done map[string]bool) error {
 	for _, id := range g.Nodes() {
 		n, _ := g.Node(id)
 		fmt.Fprintf(bw, "NODE %s %s\n", strconv.Quote(n.ID), strconv.Quote(n.Type))
-		for _, k := range sortedAttrKeys(n.Attrs) {
+		for _, k := range dag.AttrKeys(n.Type) {
 			fmt.Fprintf(bw, "ATTR %s %s %s\n",
-				strconv.Quote(n.ID), strconv.Quote(k), strconv.Quote(n.Attrs[k]))
+				strconv.Quote(n.ID), strconv.Quote(k), strconv.Quote(n.Attr(k)))
 		}
 	}
 	for _, id := range g.Nodes() {
@@ -78,10 +83,12 @@ func WriteDAGFile(path string, g *dag.Graph, done map[string]bool) error {
 	return f.Close()
 }
 
-// ReadDAG parses the text format back into a graph and the set of DONE nodes.
+// ReadDAG parses the text format back into a graph and the set of DONE
+// nodes. It is the one reader of the format, and it is typed: an ATTR key
+// outside its node type's set is refused, and a list is split here, once.
 func ReadDAG(r io.Reader) (*dag.Graph, map[string]bool, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), math.MaxInt)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, nil, err
@@ -93,58 +100,53 @@ func ReadDAG(r io.Reader) (*dag.Graph, map[string]bool, error) {
 	}
 	g := dag.New()
 	done := map[string]bool{}
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
+	for lineNo := 2; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		op, rest, _ := strings.Cut(line, " ")
-		fields, err := splitQuoted(rest)
-		if err != nil {
+		if err := readLine(g, done, line); err != nil {
 			return nil, nil, fmt.Errorf("dagman: DAG file line %d: %w", lineNo, err)
-		}
-		switch op {
-		case "NODE":
-			if len(fields) != 2 {
-				return nil, nil, fmt.Errorf("dagman: DAG file line %d: NODE wants 2 fields, got %d", lineNo, len(fields))
-			}
-			if err := g.AddNode(&dag.Node{ID: fields[0], Type: fields[1]}); err != nil {
-				return nil, nil, fmt.Errorf("dagman: DAG file line %d: %w", lineNo, err)
-			}
-		case "ATTR":
-			if len(fields) != 3 {
-				return nil, nil, fmt.Errorf("dagman: DAG file line %d: ATTR wants 3 fields, got %d", lineNo, len(fields))
-			}
-			n, ok := g.Node(fields[0])
-			if !ok {
-				return nil, nil, fmt.Errorf("dagman: DAG file line %d: ATTR for unknown node %q", lineNo, fields[0])
-			}
-			n.SetAttr(fields[1], fields[2])
-		case "DONE":
-			if len(fields) != 1 {
-				return nil, nil, fmt.Errorf("dagman: DAG file line %d: DONE wants 1 field, got %d", lineNo, len(fields))
-			}
-			if _, ok := g.Node(fields[0]); !ok {
-				return nil, nil, fmt.Errorf("dagman: DAG file line %d: DONE for unknown node %q", lineNo, fields[0])
-			}
-			done[fields[0]] = true
-		case "EDGE":
-			if len(fields) != 2 {
-				return nil, nil, fmt.Errorf("dagman: DAG file line %d: EDGE wants 2 fields, got %d", lineNo, len(fields))
-			}
-			if err := g.AddEdge(fields[0], fields[1]); err != nil {
-				return nil, nil, fmt.Errorf("dagman: DAG file line %d: %w", lineNo, err)
-			}
-		default:
-			return nil, nil, fmt.Errorf("dagman: DAG file line %d: unknown directive %q", lineNo, op)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
 	return g, done, nil
+}
+
+// directives maps each line directive to its field count.
+var directives = map[string]int{"NODE": 2, "ATTR": 3, "DONE": 1, "EDGE": 2}
+
+// readLine applies one directive line to the graph being read.
+func readLine(g *dag.Graph, done map[string]bool, line string) error {
+	op, rest, _ := strings.Cut(line, " ")
+	want, ok := directives[op]
+	if !ok {
+		return fmt.Errorf("unknown directive %q", op)
+	}
+	fields, err := splitQuoted(rest)
+	if err != nil {
+		return err
+	}
+	if len(fields) != want {
+		return fmt.Errorf("%s wants %d fields, got %d", op, want, len(fields))
+	}
+	switch op {
+	case "NODE":
+		return g.AddNode(&dag.Node{ID: fields[0], Type: fields[1]})
+	case "EDGE":
+		return g.AddEdge(fields[0], fields[1])
+	}
+	n, ok := g.Node(fields[0])
+	if !ok {
+		return fmt.Errorf("%s for unknown node %q", op, fields[0])
+	}
+	if op == "DONE" {
+		done[n.ID] = true
+		return nil
+	}
+	return setAttr(n, fields[1], fields[2])
 }
 
 // ReadDAGFile is ReadDAG over the file at path.
@@ -165,44 +167,51 @@ func WriteRescueFile(path string, g *dag.Graph, report *Report) error {
 	return WriteDAGFile(path, report.RescueDAG(g), nil)
 }
 
-// sortedAttrKeys returns the attribute keys in deterministic order.
-func sortedAttrKeys(attrs map[string]string) []string {
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
+// setAttr stores one ATTR value in the payload field its key names.
+func setAttr(n *dag.Node, key, val string) error {
+	s, list := n.Field(key)
+	switch {
+	case s != nil:
+		*s = val
+	case list != nil:
+		lfns, err := splitLFNs(val)
+		if err != nil {
+			return fmt.Errorf("node %q: %w", n.ID, err)
+		}
+		*list = lfns
+	default:
+		return fmt.Errorf("node %q: %q is not an attribute of a %q node", n.ID, key, n.Type)
 	}
-	sort.Strings(keys)
-	return keys
+	return nil
 }
 
-// splitQuoted splits a run of space-separated Go-quoted tokens.
+// splitLFNs reverses the comma join of an LFN list. "" is the empty list; an
+// empty element cannot come from a plan, since no LFN is empty.
+func splitLFNs(s string) ([]string, error) {
+	if s == "" {
+		return nil, nil
+	}
+	lfns := strings.Split(s, ",")
+	if slices.Contains(lfns, "") {
+		return nil, fmt.Errorf("empty LFN in list %q", s)
+	}
+	return lfns, nil
+}
+
+// splitQuoted splits a run of space-separated Go double-quoted tokens.
 func splitQuoted(s string) ([]string, error) {
 	var out []string
 	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
 		if s[0] != '"' {
 			return nil, fmt.Errorf("unquoted token at %q", s)
 		}
-		// Find the closing quote, honouring backslash escapes.
-		end := -1
-		for i := 1; i < len(s); i++ {
-			if s[i] == '\\' {
-				i++
-				continue
-			}
-			if s[i] == '"' {
-				end = i
-				break
-			}
-		}
-		if end < 0 {
-			return nil, fmt.Errorf("unterminated quote at %q", s)
-		}
-		tok, err := strconv.Unquote(s[:end+1])
+		q, err := strconv.QuotedPrefix(s)
 		if err != nil {
-			return nil, fmt.Errorf("bad token %q: %w", s[:end+1], err)
+			return nil, fmt.Errorf("bad token at %q: %w", s, err)
 		}
+		tok, _ := strconv.Unquote(q) // QuotedPrefix has checked the syntax
 		out = append(out, tok)
-		s = s[end+1:]
+		s = s[len(q):]
 	}
 	return out, nil
 }

@@ -210,12 +210,9 @@ func (r *Report) RescueDAG(g *dag.Graph) *dag.Graph {
 	}
 	for id := range include {
 		n, _ := g.Node(id)
-		attrs := make(map[string]string, len(n.Attrs))
-		for k, v := range n.Attrs {
-			attrs[k] = v
-		}
+		c := *n
 		// Error impossible: ids are unique by construction.
-		_ = out.AddNode(&dag.Node{ID: id, Type: n.Type, Attrs: attrs})
+		_ = out.AddNode(&c)
 	}
 	for id := range include {
 		for _, c := range g.Children(id) {

@@ -2,7 +2,10 @@ package dagman
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,23 +15,45 @@ import (
 	"repro/internal/journal"
 )
 
-func TestDAGFileRoundTripAttrs(t *testing.T) {
+// hostileGraph holds hostile IDs and values on real keys of real node types:
+// spaces, quotes, newlines, tabs, unicode.
+func hostileGraph(t testing.TB) *dag.Graph {
+	t.Helper()
 	g := dag.New()
-	// Hostile IDs and values: spaces, quotes, newlines, unicode.
-	a := &dag.Node{ID: `tx a "quoted"`, Type: "transfer",
-		Attrs: map[string]string{"src": "gsiftp://x/ y", "multi": "line\nbreak"}}
-	b := &dag.Node{ID: "b", Type: "galmorph", Attrs: map[string]string{"lfn": "ngc–4321.fit"}}
-	for _, n := range []*dag.Node{a, b} {
+	a := &dag.Node{ID: `tx a "quoted"`, Type: dag.TypeTransfer,
+		SrcURL: "gsiftp://x/ y", DstURL: "gsiftp://z/line\nbreak", LFN: `say "hi".fit`}
+	b := &dag.Node{ID: "b", Type: dag.TypeCompute, Transformation: "galMorph", Derivation: "b",
+		Site: "isi", Executable: "/bin/galMorph", Inputs: []string{"ngc–4321.fit", "tab\there.fit"},
+		Outputs: []string{"ngc–4321.txt"}}
+	// A compute job with no inputs still writes its empty inputs line.
+	c := &dag.Node{ID: "c", Type: dag.TypeCompute, Transformation: "seed", Derivation: "c",
+		Site: "isi", Executable: "/bin/seed", Outputs: []string{"s.txt"}}
+	r := &dag.Node{ID: "reg", Type: dag.TypeRegister, LFN: "ngc–4321.txt", Site: "isi", PFN: "gsiftp://isi/ngc–4321.txt"}
+	for _, n := range []*dag.Node{a, b, c, r} {
 		if err := g.AddNode(n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := g.AddEdge(a.ID, "b"); err != nil {
-		t.Fatal(err)
+	for _, e := range [][2]string{{a.ID, "b"}, {"b", "reg"}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return g
+}
+
+func TestDAGFileRoundTripAttrs(t *testing.T) {
+	g := hostileGraph(t)
 	path := filepath.Join(t.TempDir(), "wf.dag")
 	if err := WriteDAGFile(path, g, map[string]bool{"b": true}); err != nil {
 		t.Fatal(err)
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(text), "ATTR \"c\" \"inputs\" \"\"\n") {
+		t.Errorf("no empty inputs line for c:\n%s", text)
 	}
 	loaded, done, err := ReadDAGFile(path)
 	if err != nil {
@@ -37,6 +62,54 @@ func TestDAGFileRoundTripAttrs(t *testing.T) {
 	sameGraph(t, loaded, g)
 	if !done["b"] || len(done) != 1 {
 		t.Errorf("done = %v, want {b}", done)
+	}
+}
+
+// TestDAGFileLongLine: the reader takes any line the writer writes. A
+// 350,000-input collector of 12-byte LFNs is a 4.55 MB inputs line, past the
+// 4 MiB a bufio.Scanner line used to be capped at.
+func TestDAGFileLongLine(t *testing.T) {
+	const n = 350000
+	inputs := make([]string, n)
+	for i := range inputs {
+		inputs[i] = fmt.Sprintf("g%06d.txt", i)
+	}
+	g := dag.New()
+	collect := &dag.Node{ID: "collect", Type: dag.TypeCompute, Transformation: "concatVOT", Derivation: "collect",
+		Site: "isi", Executable: "/bin/concat", Inputs: inputs, Outputs: []string{"out.vot"}}
+	if err := g.AddNode(collect); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wf.dag")
+	if err := WriteDAGFile(path, g, nil); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() <= 4<<20 {
+		t.Fatalf("file of %v bytes (%v) does not hold a line over 4 MiB", fi.Size(), err)
+	}
+	loaded, _, err := ReadDAGFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGraph(t, loaded, g)
+}
+
+// TestSplitLFNs: the parser's split is the exact inverse of the comma join of
+// LFNs that are never empty; anything else is refused.
+func TestSplitLFNs(t *testing.T) {
+	for in, want := range map[string][]string{
+		"":      nil,
+		"a":     {"a"},
+		"a,b,c": {"a", "b", "c"},
+	} {
+		if got, err := splitLFNs(in); err != nil || !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Errorf("splitLFNs(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"a,,b", "trail,", ",lead", ","} {
+		if got, err := splitLFNs(in); err == nil {
+			t.Errorf("splitLFNs(%q) = %q, want an error", in, got)
+		}
 	}
 }
 
@@ -56,15 +129,19 @@ func TestDAGFileDeterministic(t *testing.T) {
 
 func TestDAGFileRejectsGarbage(t *testing.T) {
 	for name, text := range map[string]string{
-		"empty":        "",
-		"bad header":   "DAGFILE v9\n",
-		"unknown op":   "DAGFILE v1\nBLURB \"x\"\n",
-		"edge no node": "DAGFILE v1\nEDGE \"a\" \"b\"\n",
-		"attr no node": "DAGFILE v1\nATTR \"a\" \"k\" \"v\"\n",
-		"done no node": "DAGFILE v1\nDONE \"a\"\n",
-		"unquoted":     "DAGFILE v1\nNODE a compute\n",
-		"torn quote":   "DAGFILE v1\nNODE \"a\n",
-		"dup node":     "DAGFILE v1\nNODE \"a\" \"x\"\nNODE \"a\" \"x\"\n",
+		"empty":             "",
+		"bad header":        "DAGFILE v9\n",
+		"unknown op":        "DAGFILE v1\nBLURB \"x\"\n",
+		"edge no node":      "DAGFILE v1\nEDGE \"a\" \"b\"\n",
+		"attr no node":      "DAGFILE v1\nATTR \"a\" \"k\" \"v\"\n",
+		"done no node":      "DAGFILE v1\nDONE \"a\"\n",
+		"unquoted":          "DAGFILE v1\nNODE a compute\n",
+		"torn quote":        "DAGFILE v1\nNODE \"a\n",
+		"dup node":          "DAGFILE v1\nNODE \"a\" \"x\"\nNODE \"a\" \"x\"\n",
+		"key of other type": "DAGFILE v1\nNODE \"a\" \"transfer\"\nATTR \"a\" \"site\" \"isi\"\n",
+		"attr of no type":   "DAGFILE v1\nNODE \"a\" \"galmorph\"\nATTR \"a\" \"lfn\" \"x\"\n",
+		"empty LFN":         "DAGFILE v1\nNODE \"a\" \"compute\"\nATTR \"a\" \"inputs\" \"x,,y\"\n",
+		"trailing comma":    "DAGFILE v1\nNODE \"a\" \"job\"\nATTR \"a\" \"outputs\" \"x,\"\n",
 	} {
 		if _, _, err := ReadDAG(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: parsed without error", name)

@@ -38,19 +38,20 @@ import (
 
 // Node types in concrete workflows.
 const (
-	NodeCompute  = "compute"
-	NodeTransfer = "transfer"
-	NodeRegister = "register"
+	NodeCompute  = dag.TypeCompute
+	NodeTransfer = dag.TypeTransfer
+	NodeRegister = dag.TypeRegister
 )
 
-// Node attribute keys on concrete-workflow nodes.
+// Attribute keys of concrete-workflow nodes in a plan's text form (see
+// dag.Node.Attr).
 const (
-	AttrSite       = "site"       // compute: execution site
-	AttrExecutable = "executable" // compute: executable path from the TC
-	AttrSrcURL     = "src"        // transfer: source physical URL
-	AttrDstURL     = "dst"        // transfer: destination physical URL
-	AttrLFN        = "lfn"        // transfer/register: logical file
-	AttrPFN        = "pfn"        // register: physical URL to publish
+	AttrSite       = dag.AttrSite
+	AttrExecutable = dag.AttrExecutable
+	AttrSrcURL     = dag.AttrSrcURL
+	AttrDstURL     = dag.AttrDstURL
+	AttrLFN        = dag.AttrLFN
+	AttrPFN        = dag.AttrPFN
 )
 
 // SiteSelection is the policy for mapping jobs to sites.
@@ -225,13 +226,13 @@ func mapPinned(wf *chimera.Workflow, cfg Config, pin map[string]string) (*Plan, 
 	jobs := reduced.Nodes()
 	producerOf := make(map[string]string, len(jobs))
 	for _, id := range jobs {
-		for _, lfn := range wf.Outputs(id) {
+		for _, lfn := range job(reduced, id).Outputs {
 			producerOf[lfn] = id
 		}
 	}
 	var missing []string
 	for _, id := range jobs {
-		for _, lfn := range wf.Inputs(id) {
+		for _, lfn := range job(reduced, id).Inputs {
 			if producerOf[lfn] == "" && len(snap[lfn]) == 0 {
 				missing = append(missing, lfn)
 			}
@@ -250,6 +251,12 @@ func mapPinned(wf *chimera.Workflow, cfg Config, pin map[string]string) (*Plan, 
 	return p, nil
 }
 
+// job returns the node of a job id known to be in g.
+func job(g *dag.Graph, id string) *dag.Node {
+	n, _ := g.Node(id)
+	return n
+}
+
 // workflowLFNs collects every logical file the plan can touch — requested
 // outputs plus all job inputs and outputs — sorted and deduplicated, so one
 // BulkLookup covers the planner's entire replica working set.
@@ -259,10 +266,11 @@ func workflowLFNs(wf *chimera.Workflow) []string {
 		seen[lfn] = true
 	}
 	for _, id := range wf.Graph.Nodes() {
-		for _, lfn := range wf.Inputs(id) {
+		n := job(wf.Graph, id)
+		for _, lfn := range n.Inputs {
 			seen[lfn] = true
 		}
-		for _, lfn := range wf.Outputs(id) {
+		for _, lfn := range n.Outputs {
 			seen[lfn] = true
 		}
 	}
@@ -299,8 +307,9 @@ func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN) (g *dag
 	drop := map[string]bool{}
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
+		n := job(wf.Graph, id)
 		needed := false
-		for _, lfn := range wf.Outputs(id) {
+		for _, lfn := range n.Outputs {
 			if required[lfn] {
 				needed = true
 				break
@@ -310,7 +319,7 @@ func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN) (g *dag
 			drop[id] = true
 			continue
 		}
-		for _, lfn := range wf.Inputs(id) {
+		for _, lfn := range n.Inputs {
 			if len(snap[lfn]) > 0 {
 				reusedSet[lfn] = true
 			} else {
@@ -348,9 +357,6 @@ func subgraph(src *dag.Graph, drop map[string]bool) *dag.Graph {
 	return g
 }
 
-// jobAttrs are the abstract job attributes a compute node carries over.
-var jobAttrs = []string{chimera.AttrTransformation, chimera.AttrDerivation, chimera.AttrInputs, chimera.AttrOutputs}
-
 // concretize performs site selection and inserts transfer and registration
 // nodes around the reduced workflow's compute jobs. Its three emitters are the
 // only code that creates concrete-workflow nodes.
@@ -359,22 +365,17 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 	cw := dag.New()
 	reduced := p.Reduced
 
-	compute := func(job *dag.Node, site, exe string) error {
-		cn := &dag.Node{ID: job.ID, Type: NodeCompute}
-		cn.SetAttr(AttrSite, site)
-		cn.SetAttr(AttrExecutable, exe)
-		for _, k := range jobAttrs {
-			cn.SetAttr(k, job.Attr(k))
-		}
-		return cw.AddNode(cn)
+	// compute is the abstract job by value, sharing its LFN slices, with the
+	// site and executable the mapping chose.
+	compute := func(abstract *dag.Node, site, exe string) error {
+		cn := *abstract
+		cn.Type, cn.Site, cn.Executable = NodeCompute, site, exe
+		return cw.AddNode(&cn)
 	}
 	// transfer moves lfn from srcURL to dstSite, after the job that makes the
 	// file when this workflow does ("" when the source is an existing replica).
 	transfer := func(id, lfn, srcURL, dstSite, after string) error {
-		tn := &dag.Node{ID: id, Type: NodeTransfer}
-		tn.SetAttr(AttrLFN, lfn)
-		tn.SetAttr(AttrSrcURL, srcURL)
-		tn.SetAttr(AttrDstURL, gridftp.URL(dstSite, lfn))
+		tn := &dag.Node{ID: id, Type: NodeTransfer, LFN: lfn, SrcURL: srcURL, DstURL: gridftp.URL(dstSite, lfn)}
 		if err := cw.AddNode(tn); err != nil {
 			return err
 		}
@@ -386,10 +387,7 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 	}
 	// register publishes lfn's replica at site once the node after has run.
 	register := func(lfn, site, after string) error {
-		rn := &dag.Node{ID: "reg_" + sanitize(lfn), Type: NodeRegister}
-		rn.SetAttr(AttrLFN, lfn)
-		rn.SetAttr(AttrSite, site)
-		rn.SetAttr(AttrPFN, gridftp.URL(site, lfn))
+		rn := &dag.Node{ID: "reg_" + sanitize(lfn), Type: NodeRegister, LFN: lfn, Site: site, PFN: gridftp.URL(site, lfn)}
 		if err := cw.AddNode(rn); err != nil {
 			return err
 		}
@@ -419,8 +417,8 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 		return entries, err
 	}
 	for _, id := range jobs {
-		n, _ := reduced.Node(id)
-		tr := n.Attr(chimera.AttrTransformation)
+		n := job(reduced, id)
+		tr := n.Transformation
 		site := pin[id]
 		if site == "" {
 			entries, err := candidates(tr)
@@ -443,7 +441,7 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 				// Planner-side load accounting so successive picks spread out.
 				_ = cfg.MDS.AddLoad(site, 1)
 			case SelectLocality:
-				site = pickByLocality(cfg, entries, wf.Inputs(id), snap, producerOf, p.SiteOf, assigned)
+				site = pickByLocality(cfg, entries, n.Inputs, snap, producerOf, p.SiteOf, assigned)
 				assigned[site]++
 			default: // SelectRandom — the paper's behaviour
 				site = entries[rng.Intn(len(entries))].Site
@@ -472,7 +470,7 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 	// every job there that consumes the file.
 	for _, id := range jobs {
 		site := p.SiteOf[id]
-		for _, lfn := range wf.Inputs(id) {
+		for _, lfn := range job(reduced, id).Inputs {
 			var txID, srcURL string
 			prod := producerOf[lfn]
 			if prod != "" {
@@ -516,7 +514,7 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 	}
 	for _, id := range jobs {
 		site := p.SiteOf[id]
-		for _, lfn := range wf.Outputs(id) {
+		for _, lfn := range job(reduced, id).Outputs {
 			finalSite, lastNode := site, id
 			if requested[lfn] && cfg.OutputSite != "" && cfg.OutputSite != site {
 				finalSite = cfg.OutputSite

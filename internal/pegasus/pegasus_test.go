@@ -78,8 +78,8 @@ func TestFigure2FullPlan(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing compute node %s", id)
 		}
-		if n.Attr(AttrSite) == "" || n.Attr(AttrExecutable) == "" {
-			t.Errorf("%s attrs incomplete: %v", id, n.Attrs)
+		if n.Site == "" || n.Executable == "" {
+			t.Errorf("%s payload incomplete: %+v", id, n)
 		}
 	}
 	// d1 must precede d2 (directly or via a transfer node).
@@ -165,15 +165,15 @@ func TestFigure4ConcreteWorkflow(t *testing.T) {
 	if stagein == nil {
 		t.Fatalf("missing stage-in node; nodes = %v", p.Concrete.Nodes())
 	}
-	if stagein.Attr(AttrSrcURL) != gridftp.URL("A", "b") || stagein.Attr(AttrDstURL) != gridftp.URL("B", "b") {
-		t.Errorf("stage-in urls = %v", stagein.Attrs)
+	if stagein.SrcURL != gridftp.URL("A", "b") || stagein.DstURL != gridftp.URL("B", "b") {
+		t.Errorf("stage-in urls = %+v", stagein)
 	}
 	stageout, _ := p.Concrete.Node("stageout_c_to_U")
 	if stageout == nil {
 		t.Fatal("missing stage-out node")
 	}
 	reg, _ := p.Concrete.Node("reg_c")
-	if reg == nil || reg.Attr(AttrPFN) != gridftp.URL("U", "c") {
+	if reg == nil || reg.PFN != gridftp.URL("U", "c") {
 		t.Fatalf("register node wrong: %+v", reg)
 	}
 	for _, e := range [][2]string{

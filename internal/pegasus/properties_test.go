@@ -81,12 +81,12 @@ func checkPlanSound(t *testing.T, trial int, p *Plan, r *rls.RLS) {
 		avail := map[key]bool{}
 		switch n.Type {
 		case NodeCompute:
-			for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrOutputs)) {
-				avail[key{lfn, n.Attr(AttrSite)}] = true
+			for _, lfn := range n.Outputs {
+				avail[key{lfn, n.Site}] = true
 			}
 		case NodeTransfer:
-			_, dstSite := mustURL(t, n.Attr(AttrDstURL))
-			avail[key{n.Attr(AttrLFN), dstSite}] = true
+			_, dstSite := mustURL(t, n.DstURL)
+			avail[key{n.LFN, dstSite}] = true
 		}
 		availableVia[id] = avail
 	}
@@ -96,8 +96,8 @@ func checkPlanSound(t *testing.T, trial int, p *Plan, r *rls.RLS) {
 		if n.Type != NodeCompute {
 			continue
 		}
-		site := n.Attr(AttrSite)
-		for _, lfn := range chimera.SplitLFNs(n.Attr(chimera.AttrInputs)) {
+		site := n.Site
+		for _, lfn := range n.Inputs {
 			// (a) replica already at the site?
 			at := false
 			for _, rep := range r.Lookup(lfn) {

@@ -2,10 +2,8 @@ package pegasus
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"repro/internal/chimera"
 	"repro/internal/dag"
 )
 
@@ -34,16 +32,16 @@ func submitText(n *dag.Node) string {
 	b.WriteString("universe = globus\n")
 	switch n.Type {
 	case NodeCompute:
-		fmt.Fprintf(&b, "globusscheduler = %s/jobmanager-condor\n", n.Attr(AttrSite))
-		fmt.Fprintf(&b, "executable = %s\n", n.Attr(AttrExecutable))
-		fmt.Fprintf(&b, "arguments = %s\n", n.Attr(chimera.AttrInputs))
-		fmt.Fprintf(&b, "transfer_output = %s\n", n.Attr(chimera.AttrOutputs))
+		fmt.Fprintf(&b, "globusscheduler = %s/jobmanager-condor\n", n.Site)
+		fmt.Fprintf(&b, "executable = %s\n", n.Executable)
+		fmt.Fprintf(&b, "arguments = %s\n", strings.Join(n.Inputs, ","))
+		fmt.Fprintf(&b, "transfer_output = %s\n", strings.Join(n.Outputs, ","))
 	case NodeTransfer:
 		b.WriteString("executable = /usr/bin/globus-url-copy\n")
-		fmt.Fprintf(&b, "arguments = %s %s\n", n.Attr(AttrSrcURL), n.Attr(AttrDstURL))
+		fmt.Fprintf(&b, "arguments = %s %s\n", n.SrcURL, n.DstURL)
 	case NodeRegister:
 		b.WriteString("executable = /usr/bin/globus-rls-cli\n")
-		fmt.Fprintf(&b, "arguments = create %s %s\n", n.Attr(AttrLFN), n.Attr(AttrPFN))
+		fmt.Fprintf(&b, "arguments = create %s %s\n", n.LFN, n.PFN)
 	}
 	fmt.Fprintf(&b, "log = %s.log\n", n.ID)
 	b.WriteString("notification = never\n")
@@ -61,11 +59,10 @@ func (p *Plan) DAGFile(name string) string {
 		fmt.Fprintf(&b, "JOB %s %s.submit\n", id, id)
 	}
 	for _, id := range nodes {
-		children := p.Concrete.Children(id)
+		children := p.Concrete.Children(id) // sorted
 		if len(children) == 0 {
 			continue
 		}
-		sort.Strings(children)
 		fmt.Fprintf(&b, "PARENT %s CHILD %s\n", id, strings.Join(children, " "))
 	}
 	return b.String()

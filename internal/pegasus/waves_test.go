@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chimera"
 	"repro/internal/condor"
 	"repro/internal/dag"
 	"repro/internal/dagman"
@@ -119,6 +120,38 @@ func TestWaveMathAndCollectorSite(t *testing.T) {
 	}
 }
 
+// TestWavePlannerRefusesBadLFN: a wave job is an abstract job like any
+// other, so an LFN the .dag list form cannot carry is refused when its wave is
+// planned (chimera.ErrBadLFN), in a leaf wave and in the collector wave.
+func TestWavePlannerRefusesBadLFN(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*WaveSource)
+		wave int
+	}{
+		{"leaf comma", func(s *WaveSource) {
+			job := s.Job
+			s.Job = func(i int) WaveJob {
+				j := job(i)
+				j.Inputs = []string{"x,y.fit"}
+				return j
+			}
+		}, 0},
+		{"collector empty", func(s *WaveSource) { s.Collector.Inputs = append(s.Collector.Inputs, "") }, 1},
+	} {
+		r, tc := surveyServices(t, 2)
+		src := surveySource(2)
+		c.edit(&src)
+		p, err := NewWavePlanner(src, Config{RLS: r, TC: tc, OutputSite: "B"}, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Plan(c.wave); !errors.Is(err, chimera.ErrBadLFN) {
+			t.Errorf("%s: wave %d = %v, want chimera.ErrBadLFN", c.name, c.wave, err)
+		}
+	}
+}
+
 // TestLeafWavesBoundedAndCovering verifies the two load-bearing properties
 // of leaf planning: every wave's concrete graph is bounded by a constant
 // multiple of the wave size regardless of the request size, and the union of
@@ -150,9 +183,9 @@ func TestLeafWavesBoundedAndCovering(t *testing.T) {
 					t.Errorf("wave %d: %s has no site", w, id)
 				}
 			}
-			if node.Type == NodeRegister && node.Attr(AttrSite) != p.CollectorSite() {
+			if node.Type == NodeRegister && node.Site != p.CollectorSite() {
 				t.Errorf("wave %d: %s registers at %q, want collector site %q",
-					w, id, node.Attr(AttrSite), p.CollectorSite())
+					w, id, node.Site, p.CollectorSite())
 			}
 		}
 	}
@@ -265,7 +298,7 @@ func waveRun(t *testing.T, n, waveSize int) (maxWaveNodes int, heapBytes uint64)
 			if n.Type != NodeRegister {
 				return nil
 			}
-			return r.Register(n.Attr(AttrLFN), rls.PFN{Site: n.Attr(AttrSite), URL: n.Attr(AttrPFN)})
+			return r.Register(n.LFN, rls.PFN{Site: n.Site, URL: n.PFN})
 		}}, nil
 	}
 	newSim := func() (*condor.Simulator, error) {

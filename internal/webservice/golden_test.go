@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/pegasus"
 )
 
 // handlerTransport answers every request from an http.Handler in process, so
@@ -90,5 +91,44 @@ func TestPlanArtifactsGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSubmitFilesGolden pins the plan's two other text renderings — the
+// Condor-G submit files and the DAGMan JOB/PARENT file (Figure 2, steps 9–11)
+// — for the monolithic request TestPlanArtifactsGolden journals. The hashes
+// were taken at 9b4d104, when nodes still carried their payload as a string
+// map.
+func TestSubmitFilesGolden(t *testing.T) {
+	const (
+		wantSubmit = "3e3b3aca29b96a4011b0d95176642a524ca7c2943a7659376ab9c6d063cd6605"
+		wantDAG    = "71d3743196fe1c446593616ab372279970a22169c790e67a210c657fa50c24df"
+	)
+	h := newHarness(t, 48, nil)
+	h.svc.cfg.HTTPClient = &http.Client{Transport: handlerTransport{h.archive.Handler()}}
+	h.archSrv.URL = "http://archive.test"
+	dvs, err := newDerivations(h.inputTable(t), "COMA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := h.svc.newLeg(DefaultTenant, "COMA", 0, nil).freshSource(dvs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := src.next(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &pegasus.Plan{Concrete: g}
+	submit := sha256.New()
+	for _, f := range plan.SubmitFiles() {
+		fmt.Fprintf(submit, "%s\n%s", f.Node, f.Text)
+	}
+	dagText := sha256.Sum256([]byte(plan.DAGFile("COMA")))
+	if got := hex.EncodeToString(submit.Sum(nil)); got != wantSubmit {
+		t.Errorf("submit files: sha256 %s, want %s", got, wantSubmit)
+	}
+	if got := hex.EncodeToString(dagText[:]); got != wantDAG {
+		t.Errorf("DAGMan file: sha256 %s, want %s", got, wantDAG)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/chimera"
 	"repro/internal/dagman"
 	"repro/internal/fits"
 	"repro/internal/gridftp"
@@ -140,7 +140,7 @@ func TestRederiveStrictFaultsErrorsLikeLiveJob(t *testing.T) {
 	ran := false
 	for _, id := range g.Nodes() {
 		n, _ := g.Node(id)
-		if n.Attr(chimera.AttrTransformation) != "galMorph" || n.Attr(chimera.AttrInputs) != bad+".fit" {
+		if n.Transformation != "galMorph" || !slices.Equal(n.Inputs, []string{bad + ".fit"}) {
 			continue
 		}
 		spec, err := l.runner()(n, 1)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/arena"
-	"repro/internal/chimera"
 	"repro/internal/condor"
 	"repro/internal/dag"
 	"repro/internal/dagman"
@@ -52,14 +51,13 @@ func (l *leg) runner() dagman.Runner {
 		case pegasus.NodeRegister:
 			spec = l.s.registerSpec(n)
 		case pegasus.NodeCompute:
-			switch n.Attr(chimera.AttrTransformation) {
+			switch n.Transformation {
 			case "galMorph":
 				spec = l.galMorphSpec(n)
 			case "concatVOT":
 				spec = l.concatSpec(n)
 			default:
-				return dagman.Spec{}, fmt.Errorf("webservice: unknown transformation %q",
-					n.Attr(chimera.AttrTransformation))
+				return dagman.Spec{}, fmt.Errorf("webservice: unknown transformation %q", n.Transformation)
 			}
 		default:
 			return dagman.Spec{}, fmt.Errorf("webservice: unknown node type %q", n.Type)
@@ -71,9 +69,8 @@ func (l *leg) runner() dagman.Runner {
 
 func (l *leg) transferSpec(n *dag.Node, attempt int) dagman.Spec {
 	s := l.s
-	lfn := n.Attr(pegasus.AttrLFN)
-	src := l.pickTransferSource(lfn, n.Attr(pegasus.AttrSrcURL), attempt)
-	dst := n.Attr(pegasus.AttrDstURL)
+	lfn, dst := n.LFN, n.DstURL
+	src := l.pickTransferSource(lfn, n.SrcURL, attempt)
 	srcSite, _, _ := gridftp.ParseURL(src)
 	return dagman.Spec{
 		Cost: s.cfg.GridFTP.Estimate(src, dst),
@@ -151,16 +148,13 @@ func (l *leg) pickTransferSource(lfn, planned string, attempt int) string {
 }
 
 func (s *Service) registerSpec(n *dag.Node) dagman.Spec {
-	lfn := n.Attr(pegasus.AttrLFN)
-	site := n.Attr(pegasus.AttrSite)
-	pfn := n.Attr(pegasus.AttrPFN)
 	return dagman.Spec{
 		Cost: registerCost,
 		// Registrations are catalog writes with no data dependency on each
 		// other: batch them per target site.
-		ClusterKey: "register@" + site,
+		ClusterKey: "register@" + n.Site,
 		Run: func() error {
-			return s.registerReplica(lfn, rls.PFN{Site: site, URL: pfn})
+			return s.registerReplica(n.LFN, rls.PFN{Site: n.Site, URL: n.PFN})
 		},
 	}
 }
@@ -218,10 +212,7 @@ func morphFingerprint(cfg morphology.Config) string {
 // product through the RLS as a replica of the derivation's output LFN.
 func (l *leg) galMorphSpec(n *dag.Node) dagman.Spec {
 	s := l.s
-	site := n.Attr(pegasus.AttrSite)
-	inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
-	outputs := chimera.SplitLFNs(n.Attr(chimera.AttrOutputs))
-	dvName := n.Attr(chimera.AttrDerivation)
+	site, inputs, outputs, dvName := n.Site, n.Inputs, n.Outputs, n.Derivation
 
 	// Cost scales with the staged image size.
 	var cost = galMorphBaseCost
@@ -324,9 +315,7 @@ func (s *Service) galMorph(dst []byte, imageLFN string, p morphology.Params, err
 // input is integrity-verified before it is trusted; a corrupted result file
 // is quarantined and re-derived from its galaxy image via provenance.
 func (l *leg) concatSpec(n *dag.Node) dagman.Spec {
-	site := n.Attr(pegasus.AttrSite)
-	inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
-	outputs := chimera.SplitLFNs(n.Attr(chimera.AttrOutputs))
+	site, inputs, outputs := n.Site, n.Inputs, n.Outputs
 
 	return dagman.Spec{
 		Cost: concatBaseCost + time.Duration(len(inputs))*concatPerRow,
