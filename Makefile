@@ -67,8 +67,10 @@ recovery:
 # the RLS text codec, the one FITS reader (Decode accepts exactly what
 # ParseView accepts, same error text, same pixel bits), the streaming
 # VOTable codec, the VDL parser and the typed .dag/rescue parser (no panic,
-# and what it accepts it writes and reads back unchanged) — over the
-# request's two forms (the catalog built
+# and what it accepts it writes and reads back unchanged), journal replay
+# (a truncated or bit-flipped journal replays to a prefix of what was
+# appended) and the .waves manifest (what is written reads back unchanged)
+# — over the request's two forms (the catalog built
 # from a table and the parse of its rendered .vdl agree, or the table is
 # refused), and over the measurement kernel's radial bucket pass (any cutout
 # shape and centre: no panic, and the order of the reference sort).
@@ -83,6 +85,8 @@ fuzz:
 	$(GO) test -fuzz FuzzCatalogMatchesVDLText -fuzztime $(FUZZTIME) ./internal/webservice/
 	$(GO) test -fuzz FuzzRadialOrder -fuzztime $(FUZZTIME) ./internal/morphology/
 	$(GO) test -fuzz FuzzReadDAG -fuzztime $(FUZZTIME) ./internal/dagman/
+	$(GO) test -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal/
+	$(GO) test -fuzz FuzzWaveManifest -fuzztime $(FUZZTIME) ./internal/webservice/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants byte-identical to their solo runs, shared-

@@ -1,5 +1,5 @@
-// Grid execution: the workflow machinery under the hood — DAGMan monitoring
-// events, retries, rescue-DAG recovery, and the makespan scaling that made
+// Grid execution: the workflow machinery under the hood — DAGMan's journal
+// stream of node transitions, retries, rescue-DAG recovery, and the makespan scaling that made
 // three Condor pools worthwhile for the paper's campaign.
 //
 //	go run ./examples/grid-execution
@@ -15,6 +15,7 @@ import (
 	"repro/internal/condor"
 	"repro/internal/dag"
 	"repro/internal/dagman"
+	"repro/internal/journal"
 )
 
 func main() {
@@ -59,22 +60,26 @@ func demoMonitoringAndRetries() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	events := 0
-	rep, err := dagman.Execute(g, runner, sim, dagman.Options{
-		MaxRetries: 3,
-		Monitor: func(e dagman.Event) {
-			events++
-			if e.Kind == dagman.EventRetried {
-				fmt.Printf("  t=%-6v %-14s attempt %d failed (%v), resubmitting\n",
-					e.At, e.Node, e.Attempt, e.Err)
-			}
-		},
-	})
+	mon := &monitor{}
+	rep, err := dagman.Execute(g, runner, sim, dagman.Options{MaxRetries: 3, Journal: mon})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %d jobs done, %d monitoring events, makespan %v\n\n",
-		rep.Done, events, rep.Makespan)
+		rep.Done, mon.events, rep.Makespan)
+}
+
+// monitor reads DAGMan's journal stream — every node transition, once — and
+// prints the retries as they happen.
+type monitor struct{ events int }
+
+func (m *monitor) Append(rec journal.Record) error {
+	m.events++
+	if rec.Kind == journal.KindRetried {
+		fmt.Printf("  t=%-6v %-14s attempt %d failed (%v), resubmitting\n",
+			rec.At, rec.Node, rec.Attempt, rec.Err)
+	}
+	return nil
 }
 
 func demoRescueDAG() {

@@ -22,7 +22,7 @@ func TestKnobBudget(t *testing.T) {
 	}{
 		{webservice.Config{}, 26},
 		{Config{}, 23},
-		{dagman.Options{}, 7},
+		{dagman.Options{}, 6},
 		{portal.Config{}, 16},
 		{pegasus.Config{}, 10},
 		{fabric.Config{}, 7},

@@ -63,8 +63,8 @@ type Spec struct {
 	// node horizontally clusterable: ready nodes sharing (Site, ClusterKey)
 	// are batched into a single Condor task of up to ClusterSize inner
 	// jobs, amortizing the per-task scheduling overhead. Journal records,
-	// monitoring events, retries and child release all remain per inner
-	// node, so crash recovery and rescue DAGs are unaffected.
+	// retries and child release all remain per inner node, so crash
+	// recovery and rescue DAGs are unaffected.
 	ClusterKey string
 }
 
@@ -72,58 +72,12 @@ type Spec struct {
 // attempt, so a retry can pick a different site.
 type Runner func(n *dag.Node, attempt int) (Spec, error)
 
-// EventKind classifies monitoring events (the "Monitoring" and "Log Files"
-// arrows of the paper's Figure 2).
-type EventKind int
-
-// Event kinds.
-const (
-	EventSubmitted EventKind = iota
-	EventCompleted
-	EventRetried
-	EventFailed // retries exhausted
-	// EventRestored marks a node recovered as already-done from a journal
-	// (Options.Completed); it never executed in this run.
-	EventRestored
-)
-
-// String labels the kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventSubmitted:
-		return "submitted"
-	case EventCompleted:
-		return "completed"
-	case EventRetried:
-		return "retried"
-	case EventFailed:
-		return "failed"
-	case EventRestored:
-		return "restored"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one monitoring record.
-type Event struct {
-	Kind    EventKind
-	Node    string
-	Site    string        // set on completion events
-	Attempt int           // 1-based
-	At      time.Duration // model time
-	Err     error         // set on retried/failed
-}
-
 // Options tunes the executor.
 type Options struct {
 	// MaxRetries is the number of re-submissions after a failure (so a node
 	// runs at most MaxRetries+1 times). DAGMan's default of retrying is the
 	// prototype's primary infrastructure fault tolerance.
 	MaxRetries int
-	// Monitor, when set, receives every lifecycle event — the job-status
-	// stream a portal's progress display consumes.
-	Monitor func(Event)
 	// MaxInFlight caps the number of simultaneously submitted nodes, like
 	// DAGMan's -maxjobs throttle; ready nodes beyond the cap wait in
 	// submission order. It is consulted at every submit and drain decision
@@ -133,11 +87,13 @@ type Options struct {
 	// next poll.
 	MaxInFlight func() int
 	// Journal, when set, receives a write-ahead record at every node state
-	// transition, BEFORE the executor acts on the transition. A failed
-	// append aborts the run (ErrAborted): a transition that cannot be made
-	// durable must not happen, or replay-to-resume would re-run completed
-	// side effects' descendants against a lying history. Nil journals
-	// nothing at zero cost.
+	// transition, BEFORE the executor acts on the transition. It is the
+	// executor's one report — the "Monitoring" and "Log Files" arrows of the
+	// paper's Figure 2 are both this stream: each transition reaches it
+	// exactly once. A failed append aborts the run (ErrAborted): a
+	// transition that cannot be made durable must not happen, or
+	// replay-to-resume would re-run completed side effects' descendants
+	// against a lying history. Nil journals nothing at zero cost.
 	Journal journal.Sink
 	// Check, when set, is polled between scheduler events; a non-nil error
 	// aborts the run cleanly (an abort record is journaled, ErrAborted is
@@ -146,7 +102,7 @@ type Options struct {
 	Check func() error
 	// Completed restores nodes a previous (crashed) run already finished:
 	// they are marked done without executing, their children unlock, and
-	// they surface as EventRestored. IDs not present in the graph are
+	// they are journaled as KindRestored. IDs not present in the graph are
 	// ignored, so a journal replayed against a reduced or rescue DAG is
 	// harmless.
 	Completed map[string]bool
@@ -155,13 +111,6 @@ type Options struct {
 	// task whose inner jobs run back to back on one slot. <= 1 disables
 	// clustering (every node is its own task, the legacy behaviour).
 	ClusterSize int
-}
-
-// emit delivers a monitoring event if a monitor is installed.
-func (o Options) emit(e Event) {
-	if o.Monitor != nil {
-		o.Monitor(e)
-	}
 }
 
 // Result describes one node's execution.
@@ -301,7 +250,6 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 		if err := journalRec(journal.Record{Kind: journal.KindRestored, Node: id, At: sim.Now()}); err != nil {
 			return nil, err
 		}
-		opt.emit(Event{Kind: EventRestored, Node: id, At: sim.Now()})
 		for _, child := range g.Children(id) {
 			pendingParents[child]--
 		}
@@ -322,8 +270,8 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 	}
 
 	// Horizontal clustering state: ready clusterable nodes wait in clusterBuf
-	// (journaled and monitored as submitted) until flushClusters groups them
-	// into batched Condor tasks before the next scheduler step.
+	// (journaled as submitted) until flushClusters groups them into batched
+	// Condor tasks before the next scheduler step.
 	type pendingInner struct {
 		id   string
 		spec Spec
@@ -352,7 +300,6 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 		}
 		res.State = StateRunning
 		inFlight++
-		opt.emit(Event{Kind: EventSubmitted, Node: id, Attempt: res.Attempts, At: sim.Now()})
 		if opt.ClusterSize > 1 && spec.ClusterKey != "" {
 			clusterBuf = append(clusterBuf, pendingInner{id: id, spec: spec})
 			return nil
@@ -501,8 +448,6 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 					At: endAt, Err: nodeErr.Error()}); err != nil {
 					return err
 				}
-				opt.emit(Event{Kind: EventRetried, Node: id, Site: site,
-					Attempt: res.Attempts, At: endAt, Err: nodeErr})
 				return submit(id)
 			}
 			if err := journalRec(journal.Record{Kind: journal.KindFailed,
@@ -511,8 +456,6 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 				return err
 			}
 			res.State = StateFailed
-			opt.emit(Event{Kind: EventFailed, Node: id, Site: site,
-				Attempt: res.Attempts, At: endAt, Err: nodeErr})
 			markUnrunDescendants(id)
 			return nil
 		}
@@ -521,8 +464,6 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 			return err
 		}
 		res.State = StateDone
-		opt.emit(Event{Kind: EventCompleted, Node: id, Site: site,
-			Attempt: res.Attempts, At: endAt})
 		// Release children whose parents are now all done.
 		for _, child := range g.Children(id) {
 			pendingParents[child]--

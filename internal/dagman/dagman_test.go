@@ -3,11 +3,13 @@ package dagman
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/condor"
 	"repro/internal/dag"
+	"repro/internal/journal"
 )
 
 func newSim(t testing.TB, pools ...condor.Pool) *condor.Simulator {
@@ -320,24 +322,24 @@ func TestMaxInFlightThrottle(t *testing.T) {
 		_ = g.AddNode(&dag.Node{ID: fmt.Sprintf("j%02d", i), Type: "compute"})
 	}
 	sim := newSim(t) // 8 slots total
-	maxSeen := 0
-	inFlight := 0
+	sink := &countSink{}
 	rep, err := Execute(g, unitRunner(nil), sim, Options{
 		MaxInFlight: func() int { return 3 },
-		Monitor: func(e Event) {
-			switch e.Kind {
-			case EventSubmitted:
-				inFlight++
-				if inFlight > maxSeen {
-					maxSeen = inFlight
-				}
-			case EventCompleted, EventFailed:
-				inFlight--
-			}
-		},
+		Journal:     sink,
 	})
 	if err != nil || !rep.Succeeded() {
 		t.Fatalf("rep=%+v err=%v", rep, err)
+	}
+	maxSeen := 0
+	inFlight := 0
+	for _, r := range sink.recs {
+		switch r.Kind {
+		case journal.KindSubmitted:
+			inFlight++
+			maxSeen = max(maxSeen, inFlight)
+		case journal.KindCompleted, journal.KindFailed:
+			inFlight--
+		}
 	}
 	if maxSeen > 3 {
 		t.Errorf("in-flight peaked at %d, cap was 3", maxSeen)
@@ -380,41 +382,30 @@ func TestEventRetriedStream(t *testing.T) {
 			return nil
 		}}, nil
 	}
-	var events []Event
-	rep, err := Execute(g, runner, newSim(t), Options{
-		MaxRetries: 3,
-		Monitor:    func(e Event) { events = append(events, e) },
-	})
+	sink := &countSink{}
+	rep, err := Execute(g, runner, newSim(t), Options{MaxRetries: 3, Journal: sink})
 	if err != nil || !rep.Succeeded() {
 		t.Fatalf("rep = %+v, err = %v", rep, err)
 	}
-	var kinds []EventKind
-	var retried []Event
-	for _, e := range events {
-		kinds = append(kinds, e.Kind)
-		if e.Kind == EventRetried {
-			retried = append(retried, e)
+	var kinds []string
+	var retried []journal.Record
+	for _, r := range sink.recs {
+		kinds = append(kinds, r.Kind)
+		if r.Kind == journal.KindRetried {
+			retried = append(retried, r)
 		}
 	}
-	want := []EventKind{EventSubmitted, EventRetried, EventSubmitted,
-		EventRetried, EventSubmitted, EventCompleted}
-	if len(kinds) != len(want) {
-		t.Fatalf("events = %v, want %v", kinds, want)
+	want := []string{journal.KindSubmitted, journal.KindRetried, journal.KindSubmitted,
+		journal.KindRetried, journal.KindSubmitted, journal.KindCompleted}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("records = %v, want %v", kinds, want)
 	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v (stream %v)", i, kinds[i], want[i], kinds)
+	// Retried records carry the failing attempt's number, error and site —
+	// enough for a reader to distinguish a retry from a fresh submission.
+	for i, r := range retried {
+		if r.Attempt != i+1 || r.Err == "" || r.Node != "n1" || r.Site == "" {
+			t.Errorf("retried record %d incomplete: %+v", i, r)
 		}
-	}
-	// Retried events carry the failing attempt's number, error and site —
-	// enough for a monitor to distinguish a retry from a fresh submission.
-	for i, e := range retried {
-		if e.Attempt != i+1 || e.Err == nil || e.Node != "n1" || e.Site == "" {
-			t.Errorf("retried event %d incomplete: %+v", i, e)
-		}
-	}
-	if EventRetried.String() != "retried" {
-		t.Errorf("EventRetried.String() = %q", EventRetried.String())
 	}
 }
 

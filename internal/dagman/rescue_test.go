@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/condor"
 	"repro/internal/dag"
+	"repro/internal/journal"
 )
 
 func freshSim(t testing.TB) func() (*condor.Simulator, error) {
@@ -114,34 +115,31 @@ func TestMonitorEvents(t *testing.T) {
 			return nil
 		}}, nil
 	}
-	var events []Event
+	sink := &countSink{}
 	sim, err := condor.NewSimulator(condor.Pool{Name: "p", Slots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Execute(g, runner, sim, Options{
-		MaxRetries: 2,
-		Monitor:    func(e Event) { events = append(events, e) },
-	})
+	rep, err := Execute(g, runner, sim, Options{MaxRetries: 2, Journal: sink})
 	if err != nil || !rep.Succeeded() {
 		t.Fatalf("rep=%+v err=%v", rep, err)
 	}
 	// n1 submitted, retried, submitted, completed; n2 submitted, completed.
-	kinds := map[EventKind]int{}
-	for _, e := range events {
-		kinds[e.Kind]++
+	kinds := map[string]int{}
+	for _, r := range sink.recs {
+		kinds[r.Kind]++
 	}
-	if kinds[EventSubmitted] != 3 || kinds[EventRetried] != 1 || kinds[EventCompleted] != 2 {
-		t.Errorf("event counts = %v (events: %+v)", kinds, events)
+	if kinds[journal.KindSubmitted] != 3 || kinds[journal.KindRetried] != 1 || kinds[journal.KindCompleted] != 2 {
+		t.Errorf("record counts = %v (records: %+v)", kinds, sink.recs)
 	}
-	// Events carry monotone model times.
+	// Records carry monotone model times.
 	last := time.Duration(-1)
-	for _, e := range events {
-		if e.At < last {
-			t.Errorf("event times not monotone: %+v", events)
+	for _, r := range sink.recs {
+		if r.At < last {
+			t.Errorf("record times not monotone: %+v", sink.recs)
 			break
 		}
-		last = e.At
+		last = r.At
 	}
 }
 
@@ -150,35 +148,22 @@ func TestMonitorFailedEvent(t *testing.T) {
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
 		return Spec{Cost: time.Second, Run: func() error { return errors.New("x") }}, nil
 	}
-	var failed int
+	sink := &countSink{}
 	sim, _ := condor.NewSimulator(condor.Pool{Name: "p", Slots: 1})
-	_, err := Execute(g, runner, sim, Options{
-		Monitor: func(e Event) {
-			if e.Kind == EventFailed {
-				failed++
-				if e.Err == nil {
-					t.Error("failed event must carry the error")
-				}
-			}
-		},
-	})
-	if err != nil {
+	if _, err := Execute(g, runner, sim, Options{Journal: sink}); err != nil {
 		t.Fatal(err)
 	}
-	if failed != 1 {
-		t.Errorf("failed events = %d", failed)
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	for k, want := range map[EventKind]string{
-		EventSubmitted: "submitted", EventCompleted: "completed",
-		EventRetried: "retried", EventFailed: "failed",
-		EventRestored: "restored", EventKind(9): "EventKind(9)",
-	} {
-		if k.String() != want {
-			t.Errorf("%d -> %q", int(k), k.String())
+	var failed int
+	for _, r := range sink.recs {
+		if r.Kind == journal.KindFailed {
+			failed++
+			if r.Err == "" {
+				t.Error("failed record must carry the error")
+			}
 		}
+	}
+	if failed != 1 {
+		t.Errorf("failed records = %d", failed)
 	}
 }
 

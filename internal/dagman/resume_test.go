@@ -234,17 +234,19 @@ func TestExecuteRestoresCompleted(t *testing.T) {
 	g := chainGraph(t, 3)
 	var order []string
 	sim, _ := condor.NewSimulator(condor.Pool{Name: "p", Slots: 2})
-	var restored []string
+	sink := &countSink{}
 	rep, err := Execute(g, unitRunner(&order), sim, Options{
 		Completed: map[string]bool{"n1": true, "ghost": true},
-		Monitor: func(e Event) {
-			if e.Kind == EventRestored {
-				restored = append(restored, e.Node)
-			}
-		},
+		Journal:   sink,
 	})
 	if err != nil || !rep.Succeeded() {
 		t.Fatalf("rep=%+v err=%v", rep, err)
+	}
+	var restored []string
+	for _, r := range sink.recs {
+		if r.Kind == journal.KindRestored {
+			restored = append(restored, r.Node)
+		}
 	}
 	if rep.Restored != 1 || rep.Done != 3 {
 		t.Errorf("restored=%d done=%d, want 1 and 3", rep.Restored, rep.Done)

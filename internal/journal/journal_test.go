@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -290,6 +291,74 @@ func TestOpenAppendScopedRejectsForeignScope(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "scope mismatch") {
 		t.Fatalf("foreign scope reopen = %v, want ErrScope", err)
 	}
+}
+
+// FuzzJournalReplay: any truncation of a journal a Writer wrote, and any
+// single-bit flip of it (alone or then truncated), replays to a prefix of the
+// records appended — never a record that was not appended, never a panic.
+// The journal is a short scoped run: begin, submissions, a retry, a
+// completion, a restore, an abort and the end marker.
+func FuzzJournalReplay(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "wf.journal")
+	w, err := CreateScoped(path, "alice/COMA")
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.NoSync = true
+	for _, r := range []Record{
+		{Kind: KindBegin, Detail: "cluster=COMA seed=5 nodes=6"},
+		{Kind: KindRestored, Node: "m-G0"},
+		{Kind: KindSubmitted, Node: "m-G1", Attempt: 1},
+		{Kind: KindRetried, Node: "m-G1", Site: "usc", Attempt: 1, At: 4 * time.Second, Err: "transient \"fault\"\n≈"},
+		{Kind: KindSubmitted, Node: "m-G1", Attempt: 2, At: 4 * time.Second},
+		{Kind: KindCompleted, Node: "m-G1", Site: "wisc", Attempt: 2, At: 8 * time.Second},
+		{Kind: KindAborted, At: 8 * time.Second, Err: "context canceled"},
+		{Kind: KindEnd, Detail: "output=COMA.vot"},
+	} {
+		if err := w.Append(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	want, truncated, err := Replay(path)
+	if err != nil || truncated || len(want) != 8 {
+		f.Fatalf("clean replay: %d records, truncated=%t, err=%v", len(want), truncated, err)
+	}
+	isPrefix := func(t *testing.T, what string, b []byte) {
+		t.Helper()
+		got, _, err := ReplayFrom(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: replay error %v", what, err)
+		}
+		if len(got) > len(want) {
+			t.Fatalf("%s: replayed %d records, only %d were appended", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d = %+v, appended %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	f.Add(uint(0), uint(0))
+	f.Add(uint(len(data)/2), uint(8*len(data)/3))
+	f.Add(uint(len(data)-1), uint(8*len(data)-1))
+	f.Add(uint(len(data)), uint(8*3+5)) // a bit of the first CRC's hex
+	f.Fuzz(func(t *testing.T, cut, bit uint) {
+		cut %= uint(len(data)) + 1
+		isPrefix(t, "truncated", data[:cut])
+		flipped := bytes.Clone(data)
+		bit %= uint(8 * len(data))
+		flipped[bit/8] ^= 1 << (bit % 8)
+		isPrefix(t, "bit-flipped", flipped)
+		isPrefix(t, "bit-flipped, truncated", flipped[:cut])
+	})
 }
 
 func TestOpenAppendScopedAcceptsLegacyUnscoped(t *testing.T) {

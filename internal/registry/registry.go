@@ -148,12 +148,15 @@ func ToVOTable(entries []Entry) *votable.Table {
 	return t
 }
 
+// maxEntryBody caps a /register body: one entry of six short strings.
+const maxEntryBody = 64 << 10
+
 // Handler exposes the registry over HTTP:
 //
 //	GET  /query?type=sia&keyword=dss          -> JSON array of entries
 //	GET  /query.vot?type=...                  -> VOTable
 //	GET  /resource?id=ivo://...               -> JSON entry
-//	POST /register    (JSON entry body)
+//	POST /register    (JSON entry body; over maxEntryBody answers 413)
 //	POST /unregister?id=...
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
@@ -186,7 +189,12 @@ func Handler(r *Registry) http.Handler {
 			return
 		}
 		var e Entry
-		if err := json.NewDecoder(req.Body).Decode(&e); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxEntryBody)).Decode(&e); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -163,6 +165,46 @@ func TestHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET unregister = %d", resp.StatusCode)
+	}
+}
+
+// TestRegisterBodyCap: a well-formed /register entry over maxEntryBody
+// answers 413 and registers nothing; the same entry just under the cap is
+// admitted.
+func TestRegisterBodyCap(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		size        int // encoded body bytes
+		want        int
+		wantEntries int
+	}{
+		{"over cap", maxEntryBody + 1, http.StatusRequestEntityTooLarge, 4},
+		{"at cap", maxEntryBody, http.StatusCreated, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := sample()
+			srv := httptest.NewServer(Handler(r))
+			defer srv.Close()
+			e := Entry{ID: "ivo://new/svc", Type: TypeTableOps, BaseURL: "http://ops"}
+			empty, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Title = strings.Repeat("x", tc.size-len(empty))
+			body, err := json.Marshal(e)
+			if err != nil || len(body) != tc.size {
+				t.Fatalf("body of %d bytes (%v), want %d", len(body), err, tc.size)
+			}
+			resp, err := http.Post(srv.URL+"/register", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want || r.Len() != tc.wantEntries {
+				t.Errorf("POST /register of %d bytes = %d with %d entries, want %d with %d",
+					tc.size, resp.StatusCode, r.Len(), tc.want, tc.wantEntries)
+			}
+		})
 	}
 }
 

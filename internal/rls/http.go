@@ -3,6 +3,7 @@ package rls
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -23,7 +24,8 @@ import (
 //	POST /bulkregister (body: "lfn site url [checksum]" lines)
 //
 // Malformed bulk bodies — bad JSON, wrong element types, over-long or
-// short-field lines — are client errors and answer 400, never 500.
+// short-field lines — are client errors and answer 400, never 500. A
+// /register or /unregister form over maxFormBody answers 413.
 func Handler(r *RLS) http.Handler {
 	mux := http.NewServeMux()
 
@@ -113,9 +115,9 @@ func Handler(r *RLS) http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		lfn, pfn, err := formPFN(req)
+		lfn, pfn, err := formPFN(w, req)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), formStatus(err))
 			return
 		}
 		if err := r.Register(lfn, pfn); err != nil {
@@ -130,9 +132,9 @@ func Handler(r *RLS) http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		lfn, pfn, err := formPFN(req)
+		lfn, pfn, err := formPFN(w, req)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), formStatus(err))
 			return
 		}
 		if err := r.Unregister(lfn, pfn); err != nil {
@@ -144,7 +146,13 @@ func Handler(r *RLS) http.Handler {
 	return mux
 }
 
-func formPFN(req *http.Request) (string, PFN, error) {
+// maxFormBody caps a /register or /unregister form: one lfn, site and url.
+const maxFormBody = 64 << 10
+
+// formPFN reads the lfn, site and url of a /register or /unregister form,
+// its body capped at maxFormBody.
+func formPFN(w http.ResponseWriter, req *http.Request) (string, PFN, error) {
+	req.Body = http.MaxBytesReader(w, req.Body, maxFormBody)
 	if err := req.ParseForm(); err != nil {
 		return "", PFN{}, err
 	}
@@ -155,6 +163,16 @@ func formPFN(req *http.Request) (string, PFN, error) {
 		return "", PFN{}, fmt.Errorf("%w: need lfn, site and url", ErrBadInput)
 	}
 	return lfn, PFN{Site: site, URL: u}, nil
+}
+
+// formStatus answers a formPFN error: 413 for a body over maxFormBody, 400
+// for a malformed or incomplete form.
+func formStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -206,6 +206,46 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestFormBodyCap: a /register or /unregister form over maxFormBody —
+// well-formed, so only its size can refuse it — answers 413 and leaves the
+// catalog as it was.
+func TestFormBodyCap(t *testing.T) {
+	long := PFN{Site: "isi", URL: "gridftp://isi/" + strings.Repeat("x", maxFormBody)}
+	for _, tc := range []struct{ path, lfn string }{
+		{"/register", "new.fit"},
+		{"/unregister", "kept.fit"},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			r := New()
+			if err := r.Register("kept.fit", long); err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(Handler(r))
+			defer srv.Close()
+			dump := func() string {
+				var b strings.Builder
+				if err := WriteReplicas(r, &b); err != nil {
+					t.Fatal(err)
+				}
+				return b.String()
+			}
+			before := dump()
+			resp, err := http.PostForm(srv.URL+tc.path,
+				url.Values{"lfn": {tc.lfn}, "site": {long.Site}, "url": {long.URL}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("over-cap POST %s = %d, want 413", tc.path, resp.StatusCode)
+			}
+			if dump() != before {
+				t.Errorf("over-cap POST %s changed the catalog", tc.path)
+			}
+		})
+	}
+}
+
 func TestHTTPLFNsEndpoint(t *testing.T) {
 	r := New()
 	_ = r.Register("a", PFN{Site: "s", URL: "u"})

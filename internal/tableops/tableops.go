@@ -125,7 +125,12 @@ func Select(doc *votable.Document, cols []string) (*votable.Table, error) {
 	return out, nil
 }
 
-// Handler exposes the operations over HTTP.
+// maxBody caps a request document, as the compute service caps its uploads:
+// the 1,000-galaxy survey catalog is about 0.5 MB as a VOTable.
+const maxBody = 8 << 20
+
+// Handler exposes the operations over HTTP. A document over maxBody answers
+// 413; one that does not parse, 400.
 func Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -135,8 +140,13 @@ func Handler() http.Handler {
 				http.Error(w, "POST required", http.StatusMethodNotAllowed)
 				return
 			}
-			doc, err := votable.Read(req.Body)
+			doc, err := votable.Read(http.MaxBytesReader(w, req.Body, maxBody))
 			if err != nil {
+				var tooLarge *http.MaxBytesError
+				if errors.As(err, &tooLarge) {
+					http.Error(w, fmt.Sprintf("VOTable exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+					return
+				}
 				http.Error(w, "bad VOTable: "+err.Error(), http.StatusBadRequest)
 				return
 			}

@@ -176,6 +176,49 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestBodyCap: a document over maxBody — well-formed, so only its size can
+// refuse it — answers 413 on every operation, and the same request under
+// the cap answers 200.
+func TestBodyCap(t *testing.T) {
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+	encode := func(pad bool, tabs ...*votable.Table) string {
+		t.Helper()
+		if pad {
+			if err := tabs[0].SetCell(0, "id", strings.Repeat("x", maxBody)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b strings.Builder
+		if err := votable.Write(&b, docOf(tabs...)); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, pad := range []bool{true, false} {
+		one, two := encode(pad, galaxies()), encode(pad, galaxies(), morphs())
+		for _, tc := range []struct{ url, body string }{
+			{"/join?key_a=id&key_b=id", two},
+			{"/sort?by=mag", one},
+			{"/filter?col=mag&min=14&max=18", one},
+			{"/select?cols=id,mag", one},
+		} {
+			resp, err := http.Post(srv.URL+tc.url, "text/xml", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := http.StatusOK
+			if pad {
+				want = http.StatusRequestEntityTooLarge
+			}
+			if resp.StatusCode != want {
+				t.Errorf("POST %s with %d bytes = %d, want %d", tc.url, len(tc.body), resp.StatusCode, want)
+			}
+		}
+	}
+}
+
 func BenchmarkServiceJoin(b *testing.B) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

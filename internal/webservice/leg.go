@@ -61,7 +61,10 @@ type leg struct {
 	// body executes under, so profiles taken against a busy fabric attribute
 	// samples to the request that caused them. It is rebuilt only when the
 	// wave changes, keeping the per-job overhead to one atomic load.
-	labels     atomic.Value // pprof.LabelSet
+	labels atomic.Value // pprof.LabelSet
+	// sink is the durable journal the leg forwards DAGMan's records to (the
+	// scoped writer, wrapped by Config.WrapJournal); nil without JournalDir.
+	sink       journal.Sink
 	onProgress func(done, total int)
 	// done/total are the progress counters: a one-graph source knows its
 	// total up front, a wave source grows it as waves are planned (the
@@ -151,6 +154,28 @@ func (l *leg) progress() {
 	if l.onProgress != nil {
 		l.onProgress(l.done, l.total)
 	}
+}
+
+// Append makes the leg the journal.Sink DAGMan reports through, so the
+// records it makes durable are the only report of the leg's transitions:
+// each is forwarded to the durable sink first, and only a record that sink
+// accepted is folded into the retry count and the progress counter. A
+// refused record (a CrashSink kill) is a transition that never happened, so
+// it is neither counted nor reported.
+func (l *leg) Append(rec journal.Record) error {
+	if l.sink != nil {
+		if err := l.sink.Append(rec); err != nil {
+			return err
+		}
+	}
+	switch rec.Kind {
+	case journal.KindRetried:
+		l.account(RunStats{Retries: 1})
+	case journal.KindCompleted, journal.KindRestored:
+		l.done++
+		l.progress()
+	}
+	return nil
 }
 
 func (l *leg) path(ext string) string {
@@ -439,14 +464,21 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations)
 			l.account(RunStats{ReusedOutput: true})
 			return outLFN, nil
 		}
+		l.sink = jw
+		if s.cfg.WrapJournal != nil {
+			l.sink = s.cfg.WrapJournal(tenant, cluster, jw)
+		}
 	}
 
-	// A dead context aborts the workflow (cancellation); a revoked lease
-	// checkpoint-stops it at the next journal event boundary (preemption).
+	// DAGMan journals through the leg, which folds what the durable sink
+	// accepted. A dead context aborts the workflow (cancellation); a revoked
+	// lease checkpoint-stops it at the next journal event boundary
+	// (preemption).
 	opts := dagman.Options{
 		MaxRetries:  s.cfg.MaxRetries,
 		ClusterSize: s.cfg.ClusterSize,
 		MaxInFlight: lease.JobAllowance,
+		Journal:     l,
 		Completed:   journal.CompletedNodes(recs),
 		Check: func() error {
 			if err := ctx.Err(); err != nil {
@@ -457,21 +489,6 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations)
 			}
 			return nil
 		},
-		Monitor: func(e dagman.Event) {
-			switch e.Kind {
-			case dagman.EventRetried:
-				l.account(RunStats{Retries: 1})
-			case dagman.EventCompleted, dagman.EventRestored:
-				l.done++
-				l.progress()
-			}
-		},
-	}
-	if jw != nil {
-		opts.Journal = jw
-		if s.cfg.WrapJournal != nil {
-			opts.Journal = s.cfg.WrapJournal(tenant, cluster, opts.Journal)
-		}
 	}
 
 	// DAGMan executes on the Condor pools, resubmitting the rescue DAG when
@@ -601,14 +618,24 @@ func waveSourceFor(refs []imageRef, cluster string) pegasus.WaveSource {
 	}
 }
 
+// maxManifestLine is the longest manifest line, newline included, that
+// readWaveManifest accepts.
+const maxManifestLine = 1 << 20
+
 // writeWaveManifest persists the wave decomposition of one request: the wave
 // size and the ordered (id, acref) galaxy list — everything a resume needs to
-// rebuild the exact wave sequence.
+// rebuild the exact wave sequence. It refuses what readWaveManifest would not
+// read back unchanged: a '\r' (the line scanner drops one before '\n'), a tab
+// or newline, an empty id, a line over maxManifestLine, a wave size <= 0.
 func writeWaveManifest(path string, waveSize int, refs []imageRef) error {
+	if waveSize <= 0 {
+		return fmt.Errorf("webservice: wave size %d not manifest-safe", waveSize)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "wave_size %d\n", waveSize)
 	for _, r := range refs {
-		if strings.ContainsAny(r.id, "\t\n") || strings.ContainsAny(r.acref, "\t\n") {
+		if r.id == "" || strings.ContainsAny(r.id, "\t\r\n") || strings.ContainsAny(r.acref, "\t\r\n") ||
+			len(r.id)+len(r.acref)+2 > maxManifestLine {
 			return fmt.Errorf("webservice: galaxy %q/%q not manifest-safe", r.id, r.acref)
 		}
 		fmt.Fprintf(&b, "%s\t%s\n", r.id, r.acref)
@@ -624,7 +651,7 @@ func readWaveManifest(path string) (int, []imageRef, error) {
 	}
 	defer f.Close() //nvolint:ignore errclose read-only manifest; decode errors surface via the scanner
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 64*1024), maxManifestLine)
 	if !sc.Scan() {
 		return 0, nil, fmt.Errorf("webservice: wave manifest %s: empty", path)
 	}

@@ -580,7 +580,7 @@ func (s *Service) Compute(tab *votable.Table, cluster string) (string, RunStats,
 }
 
 // ComputeWithProgress is Compute with a workflow-progress callback
-// (done/total concrete nodes), fed from DAGMan's monitoring events.
+// (done/total concrete nodes), folded from DAGMan's journal records.
 func (s *Service) ComputeWithProgress(tab *votable.Table, cluster string,
 	onProgress func(done, total int)) (string, RunStats, error) {
 	return s.ComputeWithContext(context.Background(), tab, cluster, onProgress)

@@ -2,8 +2,10 @@ package webservice
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dagman"
@@ -78,9 +80,53 @@ func TestWaveManifestRoundTrip(t *testing.T) {
 	if err := writeWaveManifest(path, 1, []imageRef{{id: "a\tb"}}); err == nil {
 		t.Error("tab in id must be rejected")
 	}
+	// A line of maxManifestLine bytes, newline included, is the longest the
+	// reader takes back; one byte more must be refused at write time, not
+	// discovered by a resume.
+	long := []imageRef{{id: "g", acref: strings.Repeat("x", maxManifestLine-3)}}
+	if err := writeWaveManifest(path, 1, long); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := readWaveManifest(path); err != nil || !reflect.DeepEqual(got, long) {
+		t.Errorf("longest line did not round-trip: %v", err)
+	}
+	long[0].acref += "x"
+	if err := writeWaveManifest(path, 1, long); err == nil {
+		t.Error("a line over maxManifestLine must be rejected")
+	}
 	if _, _, err := readWaveManifest(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing manifest must fail")
 	}
+}
+
+// FuzzWaveManifest: writeWaveManifest either refuses a galaxy list or
+// readWaveManifest returns its exact wave size and refs, and arbitrary bytes
+// on disk never panic the reader. The first seed is an acref ending in '\r'
+// (a VOTable "&#xD;"), which the line scanner would read back one byte short.
+func FuzzWaveManifest(f *testing.F) {
+	f.Add(50, "g1", "http://x/a\r", []byte("wave_size 2\ng1\thttp://x/a\r\n"))
+	f.Add(2, "NGP9_F323-0927589", "http://archive/cutout?ra=194.9&dec=27.9", []byte("wave_size 0\n"))
+	f.Add(1, "a\tb", "", []byte("\n\t\n"))
+	f.Add(0, "g", "u", []byte("wave_size 3\n\tx\nx\t\r"))
+	f.Add(7, "g\r", "\x00\xff", []byte{})
+	dir := f.TempDir()
+	path, rawPath := filepath.Join(dir, "x.waves"), filepath.Join(dir, "raw.waves")
+	f.Fuzz(func(t *testing.T, waveSize int, id, acref string, raw []byte) {
+		refs := []imageRef{{id: "g0", acref: "http://a/0"}, {id: id, acref: acref}}
+		if err := writeWaveManifest(path, waveSize, refs); err == nil {
+			gotSize, got, err := readWaveManifest(path)
+			if err != nil {
+				t.Fatalf("written manifest unreadable: %v", err)
+			}
+			if gotSize != waveSize || !reflect.DeepEqual(got, refs) {
+				t.Fatalf("round trip = %d %q, want %d %q", gotSize, got, waveSize, refs)
+			}
+		}
+		if err := os.WriteFile(rawPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _ = readWaveManifest(rawPath)
+	})
 }
 
 // wavedJournaledRun computes with journaling + waves on and returns the
