@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak dataplane graphreaders hotbench loc knobs verify
+.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak explore dataplane graphreaders hotbench loc knobs verify
 
 build:
 	$(GO) build ./...
@@ -57,10 +57,12 @@ BENCH ?= .
 bench:
 	$(GO) test -run XXX -bench '$(BENCH)' -benchmem .
 
-# Journal-replay idempotence: the kill-and-resume sweep and corruption
-# recovery, race-enabled, plus the cmd-level sweep through the full testbed.
+# Journal-replay idempotence: the kill-and-resume sweeps (schedule-explorer
+# rows) and corruption recovery, race-enabled, plus the cmd-level sweep
+# through the full testbed.
 recovery:
-	$(GO) test -race -run 'TestKillAndResume|TestResume|TestJournalBrackets|TestTransferCorruption|TestCorruptIntermediate|TestCancel' -v ./internal/webservice/
+	$(GO) test -race -run 'TestResume|TestJournalBrackets|TestTransferCorruption|TestCorruptIntermediate|TestCancel' -v ./internal/webservice/
+	$(GO) test -race -run 'TestExplore/^(KillAndResume|CorruptResultAfterWaveEviction)' -v ./internal/webservice/
 	$(GO) run ./cmd/nvo-resume -cluster COMA -scale 0.1
 
 # Fuzz smoke over every parser that reads bytes from disk or the network —
@@ -69,7 +71,9 @@ recovery:
 # VOTable codec, the VDL parser and the typed .dag/rescue parser (no panic,
 # and what it accepts it writes and reads back unchanged), journal replay
 # (a truncated or bit-flipped journal replays to a prefix of what was
-# appended) and the .waves manifest (what is written reads back unchanged)
+# appended), the .waves manifest (what is written reads back unchanged) and
+# spool run files (what writeRun wrote reads back unchanged; arbitrary bytes
+# never panic or allocate beyond a fixed multiple of their length)
 # — over the request's two forms (the catalog built
 # from a table and the parse of its rendered .vdl agree, or the table is
 # refused), and over the measurement kernel's radial bucket pass (any cutout
@@ -87,6 +91,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadDAG -fuzztime $(FUZZTIME) ./internal/dagman/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz FuzzWaveManifest -fuzztime $(FUZZTIME) ./internal/webservice/
+	$(GO) test -fuzz FuzzSpoolRun -fuzztime $(FUZZTIME) ./internal/tableops/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants byte-identical to their solo runs, shared-
@@ -94,7 +99,8 @@ fuzz:
 # isolation. Bounded: a few minutes of simulated workflows, not a soak.
 tenants:
 	$(GO) test -race -run 'TestChaosConcurrentTenants' -v .
-	$(GO) test -race -run 'TestDeterministicSheddingUnderOverload|TestFabricKillResumeNoJournalBleed|TestCancelIsolationAcrossWorkflows|TestQueuedStatusAndCancelWhileQueued' -v ./internal/webservice/
+	$(GO) test -race -run 'TestDeterministicSheddingUnderOverload|TestCancelIsolationAcrossWorkflows|TestQueuedStatusAndCancelWhileQueued' -v ./internal/webservice/
+	$(GO) test -race -run 'TestExplore/^FabricKillResumeNoJournalBleed' -v ./internal/webservice/
 	$(GO) test -race ./internal/fabric/
 
 # The survey-scale smoke, race-enabled: a 1000-galaxy request in wave mode
@@ -102,7 +108,8 @@ tenants:
 # graph bounded by the wave size, plus the wave-mode kill/resume sweep.
 survey:
 	$(GO) test -race -run 'TestSurveyWave' -v .
-	$(GO) test -race -run 'TestWaveComputeByteIdentical|TestWaveKillAndResume' -v ./internal/webservice/
+	$(GO) test -race -run 'TestWaveComputeByteIdentical' -v ./internal/webservice/
+	$(GO) test -race -run 'TestExplore/^WaveKillAndResume' -v ./internal/webservice/
 
 # The preemption soak campaign, race-enabled: SOAK_WORKFLOWS checkpointable
 # workflows across priority classes on one shared fabric with runtime
@@ -114,6 +121,17 @@ SOAK_WORKFLOWS ?= 2500
 soak:
 	SOAK_WORKFLOWS=$(SOAK_WORKFLOWS) $(GO) test -race -run 'TestSoak' -v .
 	$(GO) test -race -run 'TestPreempt' -v ./internal/webservice/
+	$(GO) test -race -run 'TestExplore/^Preempt' -v ./internal/webservice/
+
+# The seeded schedule explorer, race-enabled: SEEDS schedules, each one to
+# three workflows on one shared fabric with crashes, preemptions, cancels and
+# requeues, quota and weight changes and stored-file corruption mixed, held
+# to the invariants of internal/webservice/explore_test.go. A failing
+# schedule is shrunk and printed with the EXPLORE_REPLAY line that re-runs
+# it. Plain go test runs four seeds.
+SEEDS ?= 200
+explore:
+	EXPLORE_SEEDS=$(SEEDS) $(GO) test -race -run 'TestExplore/^seed=' -v ./internal/webservice/
 
 # The shared-blob data plane, race-enabled: readers, transfers, Corrupt and
 # Put on one path at once (a stored file's bytes are never written, so none
@@ -181,7 +199,8 @@ knobs:
 # Every concurrency-bearing campaign under the race detector in one
 # invocation: the chaos byte-identity campaign, the multi-tenant fabric
 # campaign, the preemption soak (gate scale), the survey-wave smoke, the
-# shared-blob data plane, and the workflow graph's concurrent readers.
+# seeded schedule explorer, the shared-blob data plane, and the workflow
+# graph's concurrent readers.
 # This is the dynamic closure of the static concurrency analyzers
 # (lockpath/goleak/selectrevoke): nvolint proves lock/goroutine hygiene
 # shapes, racecheck proves the running interleavings.
@@ -190,6 +209,7 @@ racecheck:
 	$(MAKE) tenants
 	$(MAKE) soak SOAK_WORKFLOWS=600
 	$(MAKE) survey
+	$(MAKE) explore
 	$(MAKE) dataplane
 	$(MAKE) graphreaders
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/mds"
 	"repro/internal/myproxy"
-	"repro/internal/pegasus"
 	"repro/internal/portal"
 	"repro/internal/registry"
 	"repro/internal/resilience"
@@ -96,10 +95,6 @@ type Config struct {
 	// CrashAfterEvents, when > 0, kills the workflow after that many journal
 	// appends (the kill-and-resume campaign's deterministic crash switch).
 	CrashAfterEvents int
-	// LocalityPlanning switches Pegasus to replica-cost site selection:
-	// jobs run where their input replicas already live, and stage-in nodes
-	// are only planned for genuinely remote inputs.
-	LocalityPlanning bool
 	// ClusterSize batches up to this many ready leaf jobs per site into one
 	// Condor task (Pegasus horizontal clustering). <= 1 keeps one task per
 	// node.
@@ -257,9 +252,6 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	}
 	if cfg.FaultsFor == nil && cfg.Faults != nil {
 		wsCfg.FaultsFor = func(_, _ string) *faults.Injector { return cfg.Faults }
-	}
-	if cfg.LocalityPlanning {
-		wsCfg.Selection = pegasus.SelectLocality
 	}
 	if cfg.RequireProxy {
 		if err := tb.MyProxy.Delegate(MyProxyUser, MyProxyPass,

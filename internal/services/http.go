@@ -235,9 +235,19 @@ func ConeSearch(hc *http.Client, base string, pos wcs.SkyCoord, sr float64, page
 	return getPaged(hc, base+"?"+query, pageSize)
 }
 
+// maxPagedRows caps the rows getPaged merges from one paged answer. The
+// largest request this system is sized for is the 200,000-galaxy survey of
+// EXPERIMENTS §P3, whose cone or SIA answer holds one row per galaxy; 2^18 =
+// 262,144 rows leaves a third of headroom above it. An archive that ignores
+// OFFSET answers every page in full, and without the cap the loop would ask
+// for pages, and grow the merged table, forever.
+const maxPagedRows = 1 << 18
+
 // getPaged fetches the VOTable at u in pages of pageSize rows, stopping
 // after the first page that comes up short, and returns the pages merged
-// into one table. pageSize <= 0 fetches u as it stands, in one request.
+// into one table. pageSize <= 0 fetches u as it stands, in one request. A
+// page holding more than pageSize rows, or a merged table past maxPagedRows,
+// is an archive that does not honour MAXREC/OFFSET, and fails the query.
 func getPaged(hc *http.Client, u string, pageSize int) (*votable.Table, error) {
 	var merged *votable.Table
 	for offset := 0; ; offset += pageSize {
@@ -249,12 +259,22 @@ func getPaged(hc *http.Client, u string, pageSize int) (*votable.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		if pageSize <= 0 {
+			return page, nil
+		}
+		if page.NumRows() > pageSize {
+			return nil, fmt.Errorf("services: %s returned %d rows for MAXREC=%d", pageURL, page.NumRows(), pageSize)
+		}
 		if merged == nil {
 			merged = page
 		} else {
 			merged.Rows = append(merged.Rows, page.Rows...)
 		}
-		if pageSize <= 0 || page.NumRows() < pageSize {
+		if merged.NumRows() > maxPagedRows {
+			return nil, fmt.Errorf("services: %s: more than %d rows after %d pages; the archive ignores OFFSET",
+				u, maxPagedRows, offset/pageSize+1)
+		}
+		if page.NumRows() < pageSize {
 			return merged, nil
 		}
 	}

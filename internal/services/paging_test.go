@@ -5,7 +5,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/votable"
@@ -148,6 +150,48 @@ func TestSIAQueryCutoutsPageReassembles(t *testing.T) {
 	}
 	if n := a.SIAQueryCutoutsPage(pos, 2, want.NumRows()+10, 5).NumRows(); n != 0 {
 		t.Errorf("past-the-end page returned %d rows", n)
+	}
+}
+
+// TestPagedClientRefusesArchiveIgnoringPaging serves the same full page
+// whatever the OFFSET: the client must stop with an error once the merged
+// rows pass maxPagedRows, not page forever. A page longer than MAXREC is
+// refused at once.
+func TestPagedClientRefusesArchiveIgnoringPaging(t *testing.T) {
+	page := func(rows int) []byte {
+		tab := votable.NewTable("stuck", votable.Field{Name: "id", Datatype: votable.TypeChar})
+		for i := 0; i < rows; i++ {
+			if err := tab.AppendRow(strconv.Itoa(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tableBytes(t, tab)
+	}
+	for _, c := range []struct {
+		name          string
+		pageSize      int
+		body          []byte
+		wantRequests  int64
+		wantErrSubstr string
+	}{
+		{"ignores OFFSET", 4096, page(4096), maxPagedRows/4096 + 1, "ignores OFFSET"},
+		{"ignores MAXREC", 2, page(3), 1, "3 rows for MAXREC=2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var requests atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				requests.Add(1)
+				_, _ = w.Write(c.body)
+			}))
+			defer srv.Close()
+			_, err := ConeSearch(srv.Client(), srv.URL+"/cone", wcs.New(195, 28), 1, c.pageSize)
+			if err == nil || !strings.Contains(err.Error(), c.wantErrSubstr) {
+				t.Fatalf("err = %v, want one naming %q", err, c.wantErrSubstr)
+			}
+			if got := requests.Load(); got != c.wantRequests {
+				t.Errorf("client made %d requests, want %d", got, c.wantRequests)
+			}
+		})
 	}
 }
 

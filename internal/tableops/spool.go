@@ -32,7 +32,7 @@ type Spool struct {
 	keyCol  int
 	memRows int
 	mem     [][]string
-	runs    []*os.File
+	runs    []spoolRun
 	rows    int
 	closed  bool
 
@@ -41,6 +41,13 @@ type Spool struct {
 	// bounded by memRows rows no matter how many rows pass through.
 	arena *arena.Arena
 	free  [][]string
+}
+
+// spoolRun is one spilled run file and the number of bytes spill wrote to
+// it: the most any count decoded from the file may claim.
+type spoolRun struct {
+	f    *os.File
+	size int64
 }
 
 // NewSpoolIn returns a spool sorting on the keyCol-th cell of every row,
@@ -110,12 +117,16 @@ func (s *Spool) spill() error {
 		os.Remove(f.Name())
 		return err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	size, err := f.Seek(0, io.SeekCurrent)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return err
 	}
-	s.runs = append(s.runs, f)
+	s.runs = append(s.runs, spoolRun{f: f, size: size})
 	// The spilled rows now live in the run file; recycle their arena slots
 	// so the next batch reuses them instead of growing the arena.
 	s.free = append(s.free, s.mem...)
@@ -157,9 +168,9 @@ func (s *Spool) Merge(fn func(cells []string) error) error {
 	s.sortMem()
 
 	cursors := make([]*runCursor, 0, len(s.runs)+1)
-	for i, f := range s.runs {
-		br := bufio.NewReader(f)
-		cursors = append(cursors, &runCursor{seq: i, next: func() ([]string, error) { return readRun(br) }})
+	for i, run := range s.runs {
+		rr := &runReader{br: bufio.NewReader(run.f), left: run.size}
+		cursors = append(cursors, &runCursor{seq: i, next: func() ([]string, error) { return readRun(rr, s.keyCol) }})
 	}
 	memIdx := 0
 	cursors = append(cursors, &runCursor{seq: len(s.runs), next: func() ([]string, error) {
@@ -211,7 +222,8 @@ func (s *Spool) Close() error {
 	s.mem = nil
 	s.free = nil
 	var firstErr error
-	for _, f := range s.runs {
+	for _, run := range s.runs {
+		f := run.f
 		name := f.Name()
 		if err := f.Close(); err != nil && firstErr == nil {
 			firstErr = err
@@ -244,25 +256,58 @@ func writeRun(bw *bufio.Writer, row []string) error {
 	return nil
 }
 
-// readRun reads one row from a run file, returning (nil, nil) at EOF.
-func readRun(br *bufio.Reader) ([]string, error) {
-	ncells, err := binary.ReadUvarint(br)
+// runReader reads back one run, counting down the bytes spill wrote to it.
+type runReader struct {
+	br   *bufio.Reader
+	left int64
+}
+
+// ReadByte lets binary.ReadUvarint decode from the run, never past its end.
+func (r *runReader) ReadByte() (byte, error) {
+	if r.left <= 0 {
+		return 0, io.EOF
+	}
+	b, err := r.br.ReadByte()
+	if err == nil {
+		r.left--
+	}
+	return b, err
+}
+
+// readRun reads one row from a run, returning (nil, nil) at its end. A row
+// must hold the key column. Every count is bounded by the bytes left in the
+// run before anything is allocated for it — a cell takes at least its
+// one-byte length prefix — so a damaged run file is a corrupt-run error,
+// never a huge allocation.
+func readRun(r *runReader, keyCol int) ([]string, error) {
+	ncells, err := binary.ReadUvarint(r)
 	if err == io.EOF {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tableops: corrupt spool run: %w", err)
 	}
+	if ncells > uint64(r.left) || ncells <= uint64(keyCol) {
+		return nil, fmt.Errorf("tableops: corrupt spool run: %d cells with %d bytes left, key column %d",
+			ncells, r.left, keyCol)
+	}
 	row := make([]string, ncells)
 	for i := range row {
-		sz, err := binary.ReadUvarint(br)
+		sz, err := binary.ReadUvarint(r)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		if err != nil {
 			return nil, fmt.Errorf("tableops: corrupt spool run: %w", err)
 		}
+		if sz > uint64(r.left) {
+			return nil, fmt.Errorf("tableops: corrupt spool run: %d-byte cell with %d bytes left", sz, r.left)
+		}
 		buf := make([]byte, sz)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if _, err := io.ReadFull(r.br, buf); err != nil {
 			return nil, fmt.Errorf("tableops: corrupt spool run: %w", err)
 		}
+		r.left -= int64(sz)
 		row[i] = string(buf)
 	}
 	return row, nil

@@ -4,24 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/condor"
 	"repro/internal/fabric"
-	"repro/internal/gridftp"
 	"repro/internal/journal"
-	"repro/internal/rls"
-	"repro/internal/services"
 	"repro/internal/skysim"
-	"repro/internal/tcat"
 	"repro/internal/votable"
 )
 
@@ -35,93 +28,12 @@ func multiSpecs(n int) []skysim.Spec {
 	return specs
 }
 
-// multiHarness is the multi-cluster analog of harness: one archive serving
-// several clusters, one Grid substrate, one compute service.
-type multiHarness struct {
-	archive  *services.Archive
-	archSrv  *httptest.Server
-	svc      *Service
-	ftp      *gridftp.Service
-	clusters []*skysim.Cluster
-}
-
-func newMultiHarness(t testing.TB, n int, cfgMut func(*Config)) *multiHarness {
-	t.Helper()
-	var cls []*skysim.Cluster
-	for _, spec := range multiSpecs(n) {
-		cls = append(cls, skysim.Generate(spec))
-	}
-	arch := services.NewArchive("mast", cls...)
-	srv := httptest.NewServer(arch.Handler())
-	t.Cleanup(srv.Close)
-
-	r := rls.New()
-	ftp := gridftp.NewService(gridftp.Network{})
-	tc := tcat.New()
-	for _, site := range []string{"usc", "wisc", "fnal"} {
-		_ = tc.Add(tcat.Entry{Transformation: "galMorph", Site: site, Path: "/nvo/bin/galMorph"})
-		_ = tc.Add(tcat.Entry{Transformation: "concatVOT", Site: site, Path: "/nvo/bin/concatVOT"})
-	}
-	cfg := Config{
-		RLS: r, TC: tc, GridFTP: ftp,
-		Pools: []condor.Pool{
-			{Name: "usc", Slots: 8}, {Name: "wisc", Slots: 16}, {Name: "fnal", Slots: 8},
-		},
-		CacheSite:  "isi",
-		HTTPClient: srv.Client(),
-		Seed:       5,
-	}
-	if cfgMut != nil {
-		cfgMut(&cfg)
-	}
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &multiHarness{archive: arch, archSrv: srv, svc: svc, ftp: ftp, clusters: cls}
-}
-
-// inputTableFor builds the catalog VOTable for the i-th cluster.
-func (h *multiHarness) inputTableFor(t testing.TB, i int) *votable.Table {
-	t.Helper()
-	cl := h.clusters[i]
-	tab := h.archive.SIAQueryCutouts(cl.Center, 2)
-	if tab.NumRows() == 0 {
-		t.Fatalf("no galaxies from cutout service for %s", cl.Name)
-	}
-	zCol := votable.Field{Name: "z", Datatype: votable.TypeDouble}
-	tab.AddColumn(zCol, func(i int) string {
-		g, _ := h.archive.Galaxy(tab.Cell(i, "id"))
-		return votable.FormatFloat(g.Redshift)
-	})
-	for i := range tab.Fields {
-		if tab.Fields[i].Name == "title" {
-			tab.Fields[i].Name = "id"
-		}
-	}
-	for r := 0; r < tab.NumRows(); r++ {
-		if err := tab.SetCell(r, "acref", h.archSrv.URL+tab.Cell(r, "acref")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tab
-}
-
-func (h *multiHarness) outputBytes(t *testing.T, lfn string) []byte {
-	t.Helper()
-	data, err := h.ftp.Store("isi").Get(lfn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // soloBytes computes cluster i alone on a fresh single-tenant substrate
 // with the same seeds — the byte-identity baseline every fabric run is
 // held to.
 func soloBytes(t *testing.T, n, i int, cfgMut func(*Config)) []byte {
 	t.Helper()
-	h := newMultiHarness(t, n, cfgMut)
+	h := newGrid(t, multiSpecs(n), cfgMut)
 	name := h.clusters[i].Name
 	if _, _, err := h.svc.Compute(h.inputTableFor(t, i), name); err != nil {
 		t.Fatalf("solo %s: %v", name, err)
@@ -132,20 +44,11 @@ func soloBytes(t *testing.T, n, i int, cfgMut func(*Config)) []byte {
 // awaitTerminal polls a submitted request to its terminal state.
 func awaitTerminal(t *testing.T, svc *Service, id string) Status {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err := svc.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != StateRunning && st.State != StateQueued {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("request %s stuck in %s", id, st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
+	st, err := pollTerminal(svc, id)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return st
 }
 
 // stressFabric is the overload configuration of the acceptance stress
@@ -181,7 +84,7 @@ var stressSubmissions = []struct {
 // submitBurst posts the fixed burst through the HTTP handler against a
 // held fabric and returns the HTTP status per submission plus the request
 // IDs of the admitted ones (in submission order).
-func submitBurst(t *testing.T, h *multiHarness, srv *httptest.Server) (statuses []int, ids []string, shedRetryAfter []string) {
+func submitBurst(t *testing.T, h *harness, srv *httptest.Server) (statuses []int, ids []string, shedRetryAfter []string) {
 	t.Helper()
 	for _, sub := range stressSubmissions {
 		tab := h.inputTableFor(t, sub.cluster)
@@ -219,8 +122,8 @@ func TestDeterministicSheddingUnderOverload(t *testing.T) {
 	// carol hits the fleet-wide bound (503).
 	wantStatuses := []int{202, 429, 429, 202, 429, 503}
 
-	runBurst := func(killAfter int, dir string) ([]int, []string, *multiHarness) {
-		h := newMultiHarness(t, n, func(c *Config) {
+	runBurst := func(killAfter int, dir string) ([]int, []string, *harness) {
+		h := newGrid(t, multiSpecs(n), func(c *Config) {
 			c.Fabric = stressFabric(t)
 			c.JournalDir = dir
 			c.WrapJournal = crashAfter(killAfter)
@@ -306,129 +209,8 @@ func TestDeterministicSheddingUnderOverload(t *testing.T) {
 	}
 }
 
-// TestFabricKillResumeNoJournalBleed kills the shared fabric with several
-// journaled workflows in flight, then resumes all of them: every journal
-// holds only its own workflow's scoped records, resuming one workflow
-// never touches another's journal, and every output is byte-identical to
-// its solo run.
-func TestFabricKillResumeNoJournalBleed(t *testing.T) {
-	const n = 3
-	dir := t.TempDir()
-	h := newMultiHarness(t, n, func(c *Config) {
-		c.JournalDir = dir
-		c.WrapJournal = crashAfter(8)
-	})
-	tenants := []string{"alice", "bob", "carol"}
-
-	// All three workflows in flight simultaneously on the shared fabric
-	// when the crash switch fires in each.
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		tab := h.inputTableFor(t, i)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = h.svc.ComputeFor(context.Background(), tab,
-				h.clusters[i].Name, RequestOptions{Tenant: tenants[i]}, nil)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, journal.ErrCrash) {
-			t.Fatalf("workflow %d: err = %v, want simulated crash", i, err)
-		}
-	}
-
-	// Each journal is namespaced per workflow and carries only its own
-	// scoped records — no cross-workflow bleed under interleaving.
-	for i, tenant := range tenants {
-		cluster := h.clusters[i].Name
-		path := filepath.Join(dir, tenant+"__"+cluster+".journal")
-		recs, _, err := journal.Replay(path)
-		if err != nil {
-			t.Fatalf("replay %s: %v", path, err)
-		}
-		if len(recs) == 0 {
-			t.Fatalf("%s: empty journal after crash", path)
-		}
-		for _, r := range recs {
-			if r.Scope != tenant+"/"+cluster {
-				t.Fatalf("%s: record %d has scope %q, want %q",
-					path, r.Seq, r.Scope, tenant+"/"+cluster)
-			}
-		}
-	}
-
-	// Resume them one at a time on a reopened service. While resuming one
-	// workflow, the other workflows' journals must not change by a byte.
-	svc2, err := h.svc.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	journalBytes := func(i int) []byte {
-		data, err := os.ReadFile(filepath.Join(dir, tenants[i]+"__"+h.clusters[i].Name+".journal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	for i, tenant := range tenants {
-		var others [][]byte
-		for j := range tenants {
-			if j != i {
-				others = append(others, journalBytes(j))
-			}
-		}
-		if _, _, err := svc2.ResumeFor(context.Background(), h.clusters[i].Name,
-			RequestOptions{Tenant: tenant}, nil); err != nil {
-			t.Fatalf("resume %s: %v", h.clusters[i].Name, err)
-		}
-		k := 0
-		for j := range tenants {
-			if j != i {
-				if !bytes.Equal(journalBytes(j), others[k]) {
-					t.Fatalf("resuming %s's workflow modified %s's journal",
-						tenant, tenants[j])
-				}
-				k++
-			}
-		}
-		want := soloBytes(t, n, i, nil)
-		if !bytes.Equal(h.outputBytes(t, h.clusters[i].Name+".vot"), want) {
-			t.Fatalf("%s: resumed output differs from solo run", h.clusters[i].Name)
-		}
-	}
-
-	// A resume under the wrong identity must fail with the scope error,
-	// not silently adopt another workflow's history: point a service at a
-	// journal whose records belong to alice and resume it as the default
-	// tenant (same on-disk path, different scope).
-	src := filepath.Join(dir, "alice__"+h.clusters[0].Name+".journal")
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, h.clusters[0].Name+".journal"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, ext := range []string{".dag", ".vdl"} {
-		artifact, err := os.ReadFile(filepath.Join(dir, "alice__"+h.clusters[0].Name+ext))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, h.clusters[0].Name+ext), artifact, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := resume(svc2, h.clusters[0].Name); !errors.Is(err, journal.ErrScope) {
-		t.Fatalf("resume under foreign identity = %v, want journal.ErrScope", err)
-	}
-}
-
 // clusterGate blocks the first archive fetch of each cluster until
-// released, so a test can hold several workflows provably mid-flight at
-// once.
+// released, so a test can hold workflows provably mid-flight.
 type clusterGate struct {
 	base    http.RoundTripper
 	release chan struct{}
@@ -456,6 +238,21 @@ func (g *clusterGate) RoundTrip(req *http.Request) (*http.Response, error) {
 	return g.base.RoundTrip(req)
 }
 
+// gateClusters routes c's archive fetches through a clusterGate on the named
+// clusters.
+func gateClusters(c *Config, names ...string) *clusterGate {
+	g := &clusterGate{base: c.HTTPClient.Transport, release: make(chan struct{}),
+		started: map[string]chan struct{}{}, seen: map[string]bool{}}
+	if g.base == nil {
+		g.base = http.DefaultTransport
+	}
+	for _, name := range names {
+		g.started[name] = make(chan struct{})
+	}
+	c.HTTPClient = &http.Client{Transport: g}
+	return g
+}
+
 // TestCancelIsolationAcrossWorkflows is the regression for POST /cancel on
 // a shared fabric: canceling one tenant's workflow must abort exactly that
 // workflow — the other in-flight workflow keeps its side effects, runs to
@@ -463,21 +260,11 @@ func (g *clusterGate) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestCancelIsolationAcrossWorkflows(t *testing.T) {
 	const n = 2
 	dir := t.TempDir()
-	gate := &clusterGate{
-		release: make(chan struct{}),
-		started: map[string]chan struct{}{},
-		seen:    map[string]bool{},
-	}
-	h := newMultiHarness(t, n, func(c *Config) {
+	var gate *clusterGate
+	h := newGrid(t, multiSpecs(n), func(c *Config) {
 		c.JournalDir = dir
-		gate.base = c.HTTPClient.Transport
-		if gate.base == nil {
-			gate.base = http.DefaultTransport
-		}
-		c.HTTPClient = &http.Client{Transport: gate}
-		for _, cl := range multiSpecs(n) {
-			gate.started[cl.Name] = make(chan struct{})
-		}
+		specs := multiSpecs(n)
+		gate = gateClusters(c, specs[0].Name, specs[1].Name)
 	})
 	srv := httptest.NewServer(h.svc.Handler())
 	defer srv.Close()
@@ -554,7 +341,7 @@ func TestCancelIsolationAcrossWorkflows(t *testing.T) {
 // canceling it dequeues it without ever running it.
 func TestQueuedStatusAndCancelWhileQueued(t *testing.T) {
 	const n = 2
-	h := newMultiHarness(t, n, func(c *Config) {
+	h := newGrid(t, multiSpecs(n), func(c *Config) {
 		f, err := fabric.New(fabric.Config{
 			Pools:               c.Pools,
 			MaxRunningWorkflows: 1,
@@ -606,7 +393,7 @@ func TestQueuedStatusAndCancelWhileQueued(t *testing.T) {
 // TestStatsEndpointReportsFleet checks the /stats payload carries the
 // fabric's per-tenant admission and fair-share counters.
 func TestStatsEndpointReportsFleet(t *testing.T) {
-	h := newMultiHarness(t, 1, nil)
+	h := newGrid(t, multiSpecs(1), nil)
 	if _, _, err := h.svc.ComputeFor(context.Background(), h.inputTableFor(t, 0),
 		h.clusters[0].Name, RequestOptions{Tenant: "alice"}, nil); err != nil {
 		t.Fatal(err)

@@ -99,10 +99,24 @@ func (l *leg) rederive(lfn string) ([]byte, error) {
 }
 
 // inputBytes fetches one input LFN for a re-derivation, itself going through
-// replica verification and (recursively) re-derivation.
+// replica verification and (recursively) re-derivation. A cutout with no
+// healthy replica left — wave eviction deletes a finished wave's images, and
+// a damaged result of that wave still needs its image to be re-derived — is
+// staged again from its archive.
 func (l *leg) inputBytes(lfn string) ([]byte, error) {
 	if data, ok := l.healthyReplica(lfn, ""); ok {
 		return data, nil
+	}
+	for _, r := range l.refs {
+		if r.id+".fit" != lfn {
+			continue
+		}
+		if err := l.cacheImageRefs([]imageRef{r}); err != nil {
+			return nil, err
+		}
+		if data, ok := l.healthyReplica(lfn, ""); ok {
+			return data, nil
+		}
 	}
 	return l.rederive(lfn)
 }

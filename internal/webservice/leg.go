@@ -37,7 +37,8 @@ import (
 //	             fresh request                       resumed request
 //	monolithic   stage all, Chimera, pegasus.Map,    ReadDAGFile(.dag)
 //	             persist .vdl + .dag
-//	wave         WavePlanner, persist .vdl + .waves  WavePlanner from .waves
+//	wave         WavePlanner, persist .vdl + .waves  WavePlanner from .waves;
+//	             and each wave's .wave<w>.dag        a saved wave's .dag
 //
 // A monolithic source yields its one graph; a wave source stages, plans and
 // yields one bounded wave at a time. Both are the closure type
@@ -54,6 +55,9 @@ type leg struct {
 	// runner reconstructs measurement configs from its derivations and the
 	// integrity layer re-derives damaged files from its provenance.
 	cat *vdl.Catalog
+	// refs are a wave leg's galaxy images and their archive URLs: the
+	// integrity layer stages an evicted image again to re-derive its result.
+	refs []imageRef
 	// mu guards stats, which only account writes and only snapshot reads.
 	mu    sync.Mutex
 	stats RunStats
@@ -226,8 +230,16 @@ func (l *leg) oneGraph(g *dag.Graph) func(int) (*dag.Graph, error) {
 // collector site the leaf waves delivered their results to. On a resumed
 // leg RLS reduction prunes whole jobs whose outputs were already
 // registered, so each replanned wave shrinks to its unfinished remainder.
-func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef) func(int) (*dag.Graph, error) {
+//
+// A journaled leg persists each wave's concrete plan until the wave has
+// finished, and a resumed leg runs the saved plan of the wave it died in
+// instead of replanning it: the journal restores that wave's nodes by ID,
+// and a replan could place a restored job at a site its output never
+// reached — pruning a finished sibling job shifts the seeded site draws.
+func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef, resumed bool) func(int) (*dag.Graph, error) {
 	s := l.s
+	l.refs = refs
+	wavePlan := func(w int) string { return l.path(".wave" + strconv.Itoa(w) + ".dag") }
 	// evict reclaims a completed leaf wave's staged cutouts: once a wave's
 	// derived outputs are registered in the RLS its input images are dead
 	// weight, so the store's peak footprint stays bounded by one wave
@@ -250,6 +262,11 @@ func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef) func(int) (*d
 		// bodies execute while the wave label is rebuilt here.
 		l.setWave(strconv.Itoa(w))
 		evict(w - 1)
+		if s.cfg.JournalDir != "" && w > 0 {
+			if err := os.Remove(wavePlan(w - 1)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return nil, err
+			}
+		}
 		if w >= planner.Waves() {
 			return nil, nil
 		}
@@ -260,15 +277,31 @@ func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef) func(int) (*d
 			}
 			l.account(RunStats{PeakStagedImages: s.countStagedImages()})
 		}
-		plan, err := planner.Plan(w)
-		if err != nil {
-			return nil, err
+		var g *dag.Graph
+		if resumed {
+			saved, _, err := dagman.ReadDAGFile(wavePlan(w))
+			if err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return nil, fmt.Errorf("webservice: resume %s wave %d: %w", l.cluster, w, err)
+			}
+			g = saved
 		}
-		l.planned(plan)
-		l.account(RunStats{Waves: 1, MaxWaveNodes: plan.Concrete.Len()})
-		l.total += plan.Concrete.Len()
+		if g == nil {
+			plan, err := planner.Plan(w)
+			if err != nil {
+				return nil, err
+			}
+			l.planned(plan)
+			g = plan.Concrete
+			if s.cfg.JournalDir != "" {
+				if err := dagman.WriteDAGFile(wavePlan(w), g, nil); err != nil {
+					return nil, err
+				}
+			}
+		}
+		l.account(RunStats{Waves: 1, MaxWaveNodes: g.Len()})
+		l.total += g.Len()
 		l.progress()
-		return plan.Concrete, nil
+		return g, nil
 	}
 }
 
@@ -299,7 +332,7 @@ func (l *leg) freshSource(dvs *derivations) (*planSource, error) {
 			return nil, err
 		}
 		src.begin = fmt.Sprintf("cluster=%s seed=%d waves=%d jobs=%d", l.cluster, seed, planner.Waves(), len(refs))
-		src.next = l.waves(planner, refs)
+		src.next = l.waves(planner, refs, false)
 		persistPlan = func() error { return writeWaveManifest(l.path(".waves"), s.cfg.WaveSize, refs) }
 	} else {
 		if err := l.cacheImageRefs(refs); err != nil {
@@ -348,7 +381,7 @@ func (l *leg) savedSource() (*planSource, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		src.next = l.waves(planner, refs)
+		src.next = l.waves(planner, refs, true)
 	case errors.Is(err, fs.ErrNotExist):
 		g, _, derr := dagman.ReadDAGFile(l.path(".dag"))
 		if derr != nil {
@@ -570,10 +603,11 @@ func (s *Service) planConfig() pegasus.Config {
 func wfScope(tenant, cluster string) string { return tenant + "/" + cluster }
 
 // wfBase is the basename of one workflow's recovery artifacts under
-// JournalDir (.journal, .vdl, .dag or .waves, .rescue.dag). The default
-// tenant keeps the historic bare-cluster names, so journals written before
-// multi-tenancy resume unchanged; other tenants get namespaced files so
-// two tenants computing the same cluster name cannot collide on disk.
+// JournalDir (.journal, .vdl, .dag or .waves and .wave<w>.dag,
+// .rescue.dag). The default tenant keeps the historic bare-cluster names, so
+// journals written before multi-tenancy resume unchanged; other tenants get
+// namespaced files so two tenants computing the same cluster name cannot
+// collide on disk.
 func wfBase(tenant, cluster string) string {
 	if tenant == DefaultTenant {
 		return cluster

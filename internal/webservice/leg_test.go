@@ -1,7 +1,6 @@
 package webservice
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -9,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dagman"
@@ -17,16 +15,12 @@ import (
 	"repro/internal/vdl"
 )
 
-// crashFirstLeg arms the kill switch on a workflow's first leg only, so the
+// crashFirstLeg kills a workflow after its k-th journal record, once: the
 // leg that resumes it in the same process (a Requeue) runs to completion.
 func crashFirstLeg(k int) func(tenant, cluster string, sink journal.Sink) journal.Sink {
-	var legs atomic.Int32
-	return func(_, _ string, sink journal.Sink) journal.Sink {
-		if legs.Add(1) > 1 {
-			return sink
-		}
-		return &journal.CrashSink{Sink: sink, After: k}
-	}
+	st := &sweepTrigger{}
+	st.cuts = []*cut{{after: k, fire: st.kill}}
+	return st.wrap
 }
 
 // TestRequeueResumesCrashedSubmit is the operator recovery path end to end,
@@ -196,82 +190,6 @@ func TestProgressContract(t *testing.T) {
 	}
 	if first == nil || *first != (call{0, 0}) {
 		t.Errorf("first wave progress call = %+v, want (0, 0)", first)
-	}
-}
-
-// TestStatsAndProgressFoldTheStream pins that a leg's retry count and its
-// progress are folds of the journal records it made durable. A faulted,
-// clustered, journaled request is killed after k records and resumed. Each
-// leg's Retries must equal the KindRetried records it appended and its last
-// progress count the KindCompleted + KindRestored records it appended — for
-// the killed leg, not counting the record the kill refused — and the resumed
-// leg's last progress call must read (total, total).
-func TestStatsAndProgressFoldTheStream(t *testing.T) {
-	type call struct{ done, total int }
-	// fold checks one leg against the records it appended.
-	fold := func(t *testing.T, leg string, recs []journal.Record, stats RunStats, calls []call) (retried, done int) {
-		t.Helper()
-		for _, r := range recs {
-			switch r.Kind {
-			case journal.KindRetried:
-				retried++
-			case journal.KindCompleted, journal.KindRestored:
-				done++
-			}
-		}
-		if stats.Retries != retried {
-			t.Errorf("%s leg: Retries = %d, appended %d retried records", leg, stats.Retries, retried)
-		}
-		if len(calls) == 0 || calls[len(calls)-1].done != done {
-			t.Errorf("%s leg: progress calls end %v, want done = %d appended records", leg, calls[max(len(calls)-1, 0):], done)
-		}
-		return retried, done
-	}
-	retriesSeen := 0
-	for _, k := range []int{3, 11, 17, 23} {
-		t.Run("k="+strconv.Itoa(k), func(t *testing.T) {
-			dir := t.TempDir()
-			h := newHarness(t, 6, func(c *Config) {
-				c.JournalDir = dir
-				c.ClusterSize = 3
-				c.MaxRetries = 20
-				c.FaultsFor = execFaults(0.3)
-				c.WrapJournal = crashAfter(k)
-			})
-			var calls []call
-			onProgress := func(done, total int) { calls = append(calls, call{done, total}) }
-			_, stats, err := h.svc.ComputeWithProgress(h.inputTable(t), "COMA", onProgress)
-			if !errors.Is(err, journal.ErrCrash) {
-				t.Fatalf("crash did not fire: %v", err)
-			}
-			path := filepath.Join(dir, "COMA.journal")
-			atCrash, _, err := journal.Replay(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fold(t, "killed", atCrash, stats, calls)
-
-			svc2, err := h.svc.Reopen()
-			if err != nil {
-				t.Fatal(err)
-			}
-			calls = nil
-			if _, stats, err = svc2.ResumeFor(context.Background(), "COMA", RequestOptions{}, onProgress); err != nil {
-				t.Fatalf("resume: %v", err)
-			}
-			after, _, err := journal.Replay(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			retried, done := fold(t, "resumed", after[len(atCrash):], stats, calls)
-			retriesSeen += retried
-			if last := calls[len(calls)-1]; last != (call{done, done}) {
-				t.Errorf("resumed leg: last progress call %+v, want (%d, %d)", last, done, done)
-			}
-		})
-	}
-	if retriesSeen == 0 {
-		t.Fatal("no resumed leg retried: the faults never exercised the retry fold")
 	}
 }
 

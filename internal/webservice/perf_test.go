@@ -3,15 +3,12 @@ package webservice
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/condor"
-	"repro/internal/journal"
 	"repro/internal/pegasus"
 	"repro/internal/tcat"
 	"repro/internal/votable"
@@ -226,68 +223,5 @@ func TestStatsEndpointAndPprof(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Error("pprof mounted without EnablePprof")
-	}
-}
-
-// TestClusteredKillAndResumeByteIdentity re-runs the crash-recovery sweep
-// with clustering and the throughput knobs on: per-inner-node journaling
-// must keep every kill point resumable to the exact same bytes.
-func TestClusteredKillAndResumeByteIdentity(t *testing.T) {
-	const nGalaxies = 4
-
-	// Uninterrupted clustered run gives the reference bytes (equal to the
-	// serial ones by TestThroughputOutputByteIdentical).
-	baseDir := t.TempDir()
-	base := newHarness(t, nGalaxies, func(c *Config) {
-		throughputConfig(c)
-		c.JournalDir = baseDir
-	})
-	if _, _, err := base.svc.Compute(base.inputTable(t), "COMA"); err != nil {
-		t.Fatal(err)
-	}
-	want := base.outputBytes(t, "COMA.vot")
-	recs, _, err := journal.Replay(filepath.Join(baseDir, "COMA.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := len(recs) - 2
-	if events < 10 {
-		t.Fatalf("workflow too small for a sweep: %d events", events)
-	}
-
-	for k := 1; k < events; k++ {
-		dir := t.TempDir()
-		h := newHarness(t, nGalaxies, func(c *Config) {
-			throughputConfig(c)
-			c.JournalDir = dir
-			c.WrapJournal = crashAfter(k)
-		})
-		if _, _, err := h.svc.Compute(h.inputTable(t), "COMA"); !errors.Is(err, journal.ErrCrash) {
-			t.Fatalf("kill point %d: crash did not fire: %v", k, err)
-		}
-		svc2, err := h.svc.Reopen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := resume(svc2, "COMA"); err != nil {
-			t.Fatalf("kill point %d: resume: %v", k, err)
-		}
-		if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {
-			t.Fatalf("kill point %d: clustered resume changed the output bytes", k)
-		}
-		// No node the journal recorded as completed may re-run.
-		after, _, err := journal.Replay(filepath.Join(dir, "COMA.journal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		doneAt := map[string]bool{}
-		for i, r := range after {
-			if r.Kind == journal.KindSubmitted && doneAt[r.Node] {
-				t.Fatalf("kill point %d: completed node %s re-submitted (record %d)", k, r.Node, i)
-			}
-			if r.Kind == journal.KindCompleted || r.Kind == journal.KindRestored {
-				doneAt[r.Node] = true
-			}
-		}
 	}
 }

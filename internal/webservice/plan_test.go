@@ -21,7 +21,7 @@ func stagedRequest(tb testing.TB, galaxies int) (*harness, *votable.Table) {
 		votable.Field{Name: "acref", Datatype: votable.TypeChar},
 		votable.Field{Name: "z", Datatype: votable.TypeDouble},
 	)
-	for _, g := range h.cluster.Galaxies {
+	for _, g := range h.clusters[0].Galaxies {
 		if err := tab.AppendRow(g.ID, "http://archive.test/cutout?id="+g.ID, votable.FormatFloat(g.Redshift)); err != nil {
 			tb.Fatal(err)
 		}

@@ -1,82 +1,32 @@
 package webservice
 
 import (
-	"bytes"
 	"context"
 	"path/filepath"
-	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/condor"
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/journal"
 )
 
-// preemptFabric builds a preemption-enabled fabric with a single workflow
-// slot: any higher-class admission while a lower class runs forces a
-// checkpoint-preempt.
-func preemptFabric(t *testing.T) *fabric.Fabric {
+// preemptFabric builds a preemption-enabled fabric with slots workflow slots
+// (0 = unlimited): a higher-class admission while every slot runs a lower
+// class forces a checkpoint-preempt.
+func preemptFabric(t testing.TB, slots int) *fabric.Fabric {
 	t.Helper()
 	f, err := fabric.New(fabric.Config{
 		Pools: []condor.Pool{
 			{Name: "usc", Slots: 8}, {Name: "wisc", Slots: 16}, {Name: "fnal", Slots: 8},
 		},
-		MaxRunningWorkflows: 1,
+		MaxRunningWorkflows: slots,
 		Preemption:          true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
-}
-
-// sweepTrigger counts journal appends across every leg of one workflow
-// (preempt/resume legs each get a fresh wrapped sink, so the count must live
-// outside the sink) and fires a one-shot trigger after exactly `after`
-// appends — the deterministic "a higher class arrives now" switch of the
-// preemption sweep.
-type sweepTrigger struct {
-	mu    sync.Mutex
-	after int
-	n     int
-	fire  func()
-	fired bool
-}
-
-func (st *sweepTrigger) wrap(sink journal.Sink) journal.Sink {
-	return &triggerSink{t: st, sink: sink}
-}
-
-// Fired reports whether the trigger ever went off.
-func (st *sweepTrigger) Fired() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.fired
-}
-
-type triggerSink struct {
-	t    *sweepTrigger
-	sink journal.Sink
-}
-
-func (ts *triggerSink) Append(rec journal.Record) error {
-	if err := ts.sink.Append(rec); err != nil {
-		return err
-	}
-	ts.t.mu.Lock()
-	ts.t.n++
-	fire := !ts.t.fired && ts.t.n >= ts.t.after
-	if fire {
-		ts.t.fired = true
-	}
-	ts.t.mu.Unlock()
-	if fire {
-		ts.t.fire()
-	}
-	return nil
 }
 
 // intrude admits a high-priority one-shot workflow on f and releases its
@@ -105,148 +55,6 @@ func intrude(t *testing.T, f *fabric.Fabric, priority int) (fire func(), done ch
 	return fire, done
 }
 
-// TestPreemptionSweepByteIdentity is the tentpole acceptance campaign: with
-// clustering and wave execution on, a high-priority intruder arrives after
-// every possible journal-event boundary k of a low-priority workflow; the
-// victim checkpoint-stops, requeues, resumes when the intruder finishes, and
-// its final output VOTable must be byte-identical to a solo never-preempted
-// run at every single preemption point.
-func TestPreemptionSweepByteIdentity(t *testing.T) {
-	const n, idx = 2, 0
-	base := func(c *Config) {
-		c.ClusterSize = 2
-		c.WaveSize = 3
-	}
-
-	// Solo never-preempted baseline: output bytes + journal-event count.
-	soloDir := t.TempDir()
-	solo := newMultiHarness(t, n, func(c *Config) { base(c); c.JournalDir = soloDir })
-	name := solo.clusters[idx].Name
-	if _, _, err := solo.svc.Compute(solo.inputTableFor(t, idx), name); err != nil {
-		t.Fatalf("solo run: %v", err)
-	}
-	want := solo.outputBytes(t, name+".vot")
-	recs, _, err := journal.Replay(filepath.Join(soloDir, name+".journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := len(recs)
-	if events < 4 {
-		t.Fatalf("baseline journal has only %d events; sweep tests nothing", events)
-	}
-
-	totalPreemptions := 0
-	for k := 1; k < events; k++ {
-		f := preemptFabric(t)
-		fire, intruderDone := intrude(t, f, 5)
-		trig := &sweepTrigger{after: k, fire: fire}
-		h := newMultiHarness(t, n, func(c *Config) {
-			base(c)
-			c.JournalDir = t.TempDir()
-			c.Fabric = f
-			c.WrapJournal = func(tenant, cluster string, sink journal.Sink) journal.Sink {
-				return trig.wrap(sink)
-			}
-		})
-		_, stats, err := h.svc.ComputeFor(context.Background(), h.inputTableFor(t, idx), name,
-			RequestOptions{Tenant: "victim"}, nil)
-		if err != nil {
-			t.Fatalf("k=%d: preempted workflow failed: %v", k, err)
-		}
-		if trig.Fired() {
-			<-intruderDone
-		}
-		totalPreemptions += stats.Preemptions
-		if got := h.outputBytes(t, name+".vot"); !bytes.Equal(got, want) {
-			t.Errorf("k=%d: output differs from solo never-preempted run (preemptions=%d)",
-				k, stats.Preemptions)
-		}
-		snap := f.Snapshot()
-		if stats.Preemptions > 0 && (snap.Preempted == 0 || snap.Requeued == 0) {
-			t.Errorf("k=%d: stats report %d preemptions but fleet counters are %+v",
-				k, stats.Preemptions, snap)
-		}
-	}
-	if totalPreemptions == 0 {
-		t.Fatal("no preemption fired at any event boundary; the sweep tested nothing")
-	}
-	t.Logf("sweep: %d event boundaries, %d preemptions, output byte-identical at every point",
-		events-1, totalPreemptions)
-}
-
-// TestPreemptedVictimMatchesSoloUnderFaults runs the victim under a
-// deterministic per-workflow fault schedule and preempts it mid-run: the
-// resumed victim's output bytes AND its injected fault history must match
-// the solo never-preempted run — chaos isolation across a checkpoint.
-func TestPreemptedVictimMatchesSoloUnderFaults(t *testing.T) {
-	const n, idx = 2, 1
-	// One injector per service instance, shared across the preempt/resume
-	// legs of a workflow (FaultsFor is consulted per leg; the occurrence
-	// window keeps the schedule independent of draw order).
-	plan := func() func(tenant, cluster string) *faults.Injector {
-		var mu sync.Mutex
-		cache := map[string]*faults.Injector{}
-		return func(tenant, cluster string) *faults.Injector {
-			mu.Lock()
-			defer mu.Unlock()
-			inj, ok := cache[cluster]
-			if !ok {
-				inj = faults.New(31, faults.Rule{
-					Name: condor.OpExec, Kind: faults.KindTransient, From: 1, Until: 3,
-				})
-				cache[cluster] = inj
-			}
-			return inj
-		}
-	}
-
-	// Solo baseline.
-	soloPlan := plan()
-	solo := newMultiHarness(t, n, func(c *Config) {
-		c.JournalDir = t.TempDir()
-		c.FaultsFor = soloPlan
-	})
-	name := solo.clusters[idx].Name
-	if _, _, err := solo.svc.Compute(solo.inputTableFor(t, idx), name); err != nil {
-		t.Fatalf("solo run: %v", err)
-	}
-	want := solo.outputBytes(t, name+".vot")
-	wantHist := soloPlan("", name).History()
-	if len(wantHist) == 0 {
-		t.Fatal("fault plan injected nothing; the test exercises no chaos")
-	}
-
-	// Preempted run: intruder fires mid-journal.
-	f := preemptFabric(t)
-	fire, intruderDone := intrude(t, f, 5)
-	trig := &sweepTrigger{after: 6, fire: fire}
-	victimPlan := plan()
-	h := newMultiHarness(t, n, func(c *Config) {
-		c.JournalDir = t.TempDir()
-		c.FaultsFor = victimPlan
-		c.Fabric = f
-		c.WrapJournal = func(tenant, cluster string, sink journal.Sink) journal.Sink {
-			return trig.wrap(sink)
-		}
-	})
-	_, stats, err := h.svc.ComputeFor(context.Background(), h.inputTableFor(t, idx), name,
-		RequestOptions{Tenant: "victim"}, nil)
-	if err != nil {
-		t.Fatalf("preempted run: %v", err)
-	}
-	<-intruderDone
-	if stats.Preemptions == 0 {
-		t.Fatal("intruder never preempted the victim; the test exercised nothing")
-	}
-	if got := h.outputBytes(t, name+".vot"); !bytes.Equal(got, want) {
-		t.Error("preempted victim's output differs from solo never-preempted run")
-	}
-	if gotHist := victimPlan("", name).History(); !reflect.DeepEqual(gotHist, wantHist) {
-		t.Errorf("fault history diverged across the checkpoint:\n  solo: %v\n  prem: %v",
-			wantHist, gotHist)
-	}
-}
-
 // TestPreemptedStateAndJournalMarker submits through the public API and
 // checks the visible preemption surface: the status passes through
 // StatePreempted, /stats counts the preemption, and the victim's journal
@@ -254,7 +62,7 @@ func TestPreemptedVictimMatchesSoloUnderFaults(t *testing.T) {
 func TestPreemptedStateAndJournalMarker(t *testing.T) {
 	const n, idx = 2, 0
 	dir := t.TempDir()
-	f := preemptFabric(t)
+	f := preemptFabric(t, 1)
 	// The intruder holds its granted slot until the test has observed the
 	// victim in StatePreempted, so the checkpoint-stopped state is visible
 	// for as long as the higher class actually runs — no polling race.
@@ -275,13 +83,11 @@ func TestPreemptedStateAndJournalMarker(t *testing.T) {
 		}()
 	}
 	saw := map[State]bool{}
-	trig := &sweepTrigger{after: 4, fire: fire}
-	h := newMultiHarness(t, n, func(c *Config) {
+	trig := &sweepTrigger{cuts: []*cut{{after: 4, fire: fire}}}
+	h := newGrid(t, multiSpecs(n), func(c *Config) {
 		c.JournalDir = dir
 		c.Fabric = f
-		c.WrapJournal = func(tenant, cluster string, sink journal.Sink) journal.Sink {
-			return trig.wrap(sink)
-		}
+		c.WrapJournal = trig.wrap
 	})
 	name := h.clusters[idx].Name
 	id, err := h.svc.SubmitFor(h.inputTableFor(t, idx), name, RequestOptions{Tenant: "victim"})

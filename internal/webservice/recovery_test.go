@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -32,14 +31,14 @@ func (h *harness) outputBytes(t *testing.T, lfn string) []byte {
 	return data
 }
 
-// journaledRun computes the cluster with journaling on and returns the
-// output bytes plus the replayed journal.
-func journaledRun(t *testing.T, nGalaxies int, workers int) ([]byte, []journal.Record, *harness) {
+// journaledRun computes the cluster with journaling on (in waves of waveSize
+// galaxies, when > 0) and returns the output bytes plus the replayed journal.
+func journaledRun(t *testing.T, nGalaxies, waveSize int) ([]byte, []journal.Record, *harness) {
 	t.Helper()
 	dir := t.TempDir()
 	h := newHarness(t, nGalaxies, func(c *Config) {
 		c.JournalDir = dir
-		c.Workers = workers
+		c.WaveSize = waveSize
 	})
 	tab := h.inputTable(t)
 	if _, _, err := h.svc.Compute(tab, "COMA"); err != nil {
@@ -56,7 +55,7 @@ func journaledRun(t *testing.T, nGalaxies int, workers int) ([]byte, []journal.R
 }
 
 func TestJournalBracketsCleanRun(t *testing.T) {
-	_, recs, h := journaledRun(t, 4, 1)
+	_, recs, h := journaledRun(t, 4, 0)
 	if len(recs) < 4 {
 		t.Fatalf("journal too short: %d records", len(recs))
 	}
@@ -89,120 +88,8 @@ func TestJournalBracketsCleanRun(t *testing.T) {
 	}
 }
 
-// TestKillAndResumeByteIdentity is the tentpole acceptance: kill the service
-// at EVERY journal-event boundary, restart, resume — the resumed run must
-// re-execute only unfinished nodes and the output VOTable must be
-// byte-identical to the uninterrupted run's.
-func TestKillAndResumeByteIdentity(t *testing.T) {
-	const nGalaxies = 4
-	want, baseRecs, _ := journaledRun(t, nGalaxies, 1)
-	events := len(baseRecs) - 2 // minus begin and end markers
-	if events < 10 {
-		t.Fatalf("workflow too small for a sweep: %d events", events)
-	}
-
-	// A budget of `events` is never exhausted (the end marker bypasses the
-	// crash sink), so the last genuine kill point is events-1.
-	for k := 1; k < events; k++ {
-		dir := t.TempDir()
-		h := newHarness(t, nGalaxies, func(c *Config) {
-			c.JournalDir = dir
-			c.WrapJournal = crashAfter(k)
-		})
-		tab := h.inputTable(t)
-		_, _, err := h.svc.Compute(tab, "COMA")
-		if !errors.Is(err, journal.ErrCrash) {
-			t.Fatalf("kill point %d: crash did not fire: %v", k, err)
-		}
-		if !errors.Is(err, dagman.ErrAborted) {
-			t.Errorf("kill point %d: crash not surfaced as abort: %v", k, err)
-		}
-
-		// What the dead process left behind.
-		recs, _, err := journal.Replay(filepath.Join(dir, "COMA.journal"))
-		if err != nil {
-			t.Fatalf("kill point %d: replay: %v", k, err)
-		}
-		doneAtCrash := journal.CompletedNodes(recs)
-		prefix := len(recs)
-
-		// Restart and resume.
-		svc2, err := h.svc.Reopen()
-		if err != nil {
-			t.Fatalf("kill point %d: reopen: %v", k, err)
-		}
-		out, stats, err := resume(svc2, "COMA")
-		if err != nil {
-			t.Fatalf("kill point %d: resume: %v", k, err)
-		}
-		if out != "COMA.vot" {
-			t.Fatalf("kill point %d: resume output %q", k, out)
-		}
-		if stats.RestoredNodes != len(doneAtCrash) {
-			t.Errorf("kill point %d: restored %d nodes, journal recorded %d done",
-				k, stats.RestoredNodes, len(doneAtCrash))
-		}
-		if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {
-			t.Fatalf("kill point %d: resumed output differs from uninterrupted run", k)
-		}
-
-		// Only unfinished nodes were re-executed: no node the journal already
-		// recorded as completed is submitted again after the crash point.
-		after, _, err := journal.Replay(filepath.Join(dir, "COMA.journal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range after[prefix:] {
-			if r.Kind == journal.KindSubmitted && doneAtCrash[r.Node] {
-				t.Fatalf("kill point %d: completed node %s re-submitted on resume", k, r.Node)
-			}
-		}
-		if _, ended := journal.Ended(after); !ended {
-			t.Errorf("kill point %d: resumed journal lacks end marker", k)
-		}
-	}
-}
-
-// TestKillAndResumeAtWorkerWidth repeats kill-and-resume with concurrent leaf
-// execution: the byte identity must hold at any worker width.
-func TestKillAndResumeAtWorkerWidth(t *testing.T) {
-	const nGalaxies = 5
-	want, baseRecs, _ := journaledRun(t, nGalaxies, 4)
-	events := len(baseRecs) - 2
-
-	for _, k := range []int{1, events / 3, events / 2, events - 1} {
-		if k < 1 {
-			k = 1
-		}
-		dir := t.TempDir()
-		h := newHarness(t, nGalaxies, func(c *Config) {
-			c.JournalDir = dir
-			c.WrapJournal = crashAfter(k)
-			c.Workers = 4
-		})
-		tab := h.inputTable(t)
-		if _, _, err := h.svc.Compute(tab, "COMA"); !errors.Is(err, journal.ErrCrash) {
-			t.Fatalf("kill point %d: crash did not fire", k)
-		}
-		svc2, err := h.svc.Reopen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, stats, err := resume(svc2, "COMA")
-		if err != nil {
-			t.Fatalf("kill point %d: resume: %v", k, err)
-		}
-		if stats.Galaxies != nGalaxies {
-			t.Errorf("kill point %d: resumed leg reports %d galaxies, want %d", k, stats.Galaxies, nGalaxies)
-		}
-		if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {
-			t.Fatalf("kill point %d: output differs at worker width 4", k)
-		}
-	}
-}
-
 func TestResumeOfFinishedRunShortCircuits(t *testing.T) {
-	want, _, h := journaledRun(t, 3, 1)
+	want, _, h := journaledRun(t, 3, 0)
 	svc2, err := h.svc.Reopen()
 	if err != nil {
 		t.Fatal(err)
@@ -412,36 +299,12 @@ func TestComputeWithContextCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// gateTransport blocks the first archive fetch until released, giving the
-// cancel test a deterministic window while the request is provably running.
-type gateTransport struct {
-	base    http.RoundTripper
-	started chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (g *gateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	g.once.Do(func() {
-		close(g.started)
-		<-g.release
-	})
-	return g.base.RoundTrip(req)
-}
-
 func TestCancelEndpointAbortsRunningRequest(t *testing.T) {
 	dir := t.TempDir()
-	gate := &gateTransport{
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-	}
+	var gate *clusterGate
 	h := newHarness(t, 3, func(c *Config) {
 		c.JournalDir = dir
-		gate.base = c.HTTPClient.Transport
-		if gate.base == nil {
-			gate.base = http.DefaultTransport
-		}
-		c.HTTPClient = &http.Client{Transport: gate}
+		gate = gateClusters(c, "COMA")
 	})
 	tab := h.inputTable(t)
 
@@ -458,7 +321,7 @@ func TestCancelEndpointAbortsRunningRequest(t *testing.T) {
 	path := readAll(t, resp)
 	id := strings.TrimPrefix(path, "/status?id=")
 
-	<-gate.started // the request is now provably mid-flight
+	<-gate.started["COMA"] // the request is now provably mid-flight
 	cresp, err := http.Post(srv.URL+"/cancel?id="+id, "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -514,7 +377,7 @@ func TestCancelEndpointAbortsRunningRequest(t *testing.T) {
 // run's.
 func TestResumeWithWallClockExpiredProxy(t *testing.T) {
 	const nGalaxies = 4
-	want, baseRecs, _ := journaledRun(t, nGalaxies, 1)
+	want, baseRecs, _ := journaledRun(t, nGalaxies, 0)
 	events := len(baseRecs) - 2
 	k := events / 2
 

@@ -28,23 +28,31 @@ import (
 	"repro/internal/wcs"
 )
 
-// harness wires a full Grid: archive HTTP server, RLS, TC, GridFTP, pools.
+// harness wires a full Grid: an archive HTTP server serving its clusters,
+// RLS, TC, GridFTP, pools and the compute service.
 type harness struct {
-	archive *services.Archive
-	archSrv *httptest.Server
-	svc     *Service
-	r       *rls.RLS
-	ftp     *gridftp.Service
-	cluster *skysim.Cluster
+	archive  *services.Archive
+	archSrv  *httptest.Server
+	svc      *Service
+	r        *rls.RLS
+	ftp      *gridftp.Service
+	clusters []*skysim.Cluster
 }
 
+// newHarness is the one-cluster harness: COMA with nGalaxies galaxies.
 func newHarness(t testing.TB, nGalaxies int, cfgMut func(*Config)) *harness {
 	t.Helper()
-	cl := skysim.Generate(skysim.Spec{
-		Name: "COMA", Center: wcs.New(195, 28), Redshift: 0.023,
-		NumGalaxies: nGalaxies, Seed: 11,
-	})
-	arch := services.NewArchive("mast", cl)
+	return newGrid(t, []skysim.Spec{{Name: "COMA", Center: wcs.New(195, 28), Redshift: 0.023,
+		NumGalaxies: nGalaxies, Seed: 11}}, cfgMut)
+}
+
+func newGrid(t testing.TB, specs []skysim.Spec, cfgMut func(*Config)) *harness {
+	t.Helper()
+	var cls []*skysim.Cluster
+	for _, spec := range specs {
+		cls = append(cls, skysim.Generate(spec))
+	}
+	arch := services.NewArchive("mast", cls...)
 	srv := httptest.NewServer(arch.Handler())
 	t.Cleanup(srv.Close)
 
@@ -71,7 +79,7 @@ func newHarness(t testing.TB, nGalaxies int, cfgMut func(*Config)) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{archive: arch, archSrv: srv, svc: svc, r: r, ftp: ftp, cluster: cl}
+	return &harness{archive: arch, archSrv: srv, svc: svc, r: r, ftp: ftp, clusters: cls}
 }
 
 // crashAfter is the kill switch of the kill-and-resume campaigns as a
@@ -103,15 +111,21 @@ func resume(svc *Service, cluster string) (string, RunStats, error) {
 	return svc.ResumeFor(context.Background(), cluster, RequestOptions{}, nil)
 }
 
-// inputTable builds the catalog VOTable the portal would send: id, ra, dec,
-// z and absolute acref URLs.
+// inputTable builds the catalog VOTable the portal would send for the
+// first cluster: id, ra, dec, z and absolute acref URLs.
 func (h *harness) inputTable(t testing.TB) *votable.Table {
 	t.Helper()
-	tab := h.archive.SIAQueryCutouts(h.cluster.Center, 2)
+	return h.inputTableFor(t, 0)
+}
+
+// inputTableFor builds the catalog VOTable for the i-th cluster.
+func (h *harness) inputTableFor(t testing.TB, i int) *votable.Table {
+	t.Helper()
+	cl := h.clusters[i]
+	tab := h.archive.SIAQueryCutouts(cl.Center, 2)
 	if tab.NumRows() == 0 {
-		t.Fatal("no galaxies from cutout service")
+		t.Fatalf("no galaxies from cutout service for %s", cl.Name)
 	}
-	// Absolutize acrefs and attach redshifts.
 	zCol := votable.Field{Name: "z", Datatype: votable.TypeDouble}
 	tab.AddColumn(zCol, func(i int) string {
 		g, _ := h.archive.Galaxy(tab.Cell(i, "id"))
@@ -123,8 +137,8 @@ func (h *harness) inputTable(t testing.TB) *votable.Table {
 			tab.Fields[i].Name = "id"
 		}
 	}
-	for i := 0; i < tab.NumRows(); i++ {
-		if err := tab.SetCell(i, "acref", h.archSrv.URL+tab.Cell(i, "acref")); err != nil {
+	for r := 0; r < tab.NumRows(); r++ {
+		if err := tab.SetCell(r, "acref", h.archSrv.URL+tab.Cell(r, "acref")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dagman"
 	"repro/internal/journal"
 )
 
@@ -129,101 +128,10 @@ func FuzzWaveManifest(f *testing.F) {
 	})
 }
 
-// wavedJournaledRun computes with journaling + waves on and returns the
-// output bytes and journal.
-func wavedJournaledRun(t *testing.T, nGalaxies, waveSize int) ([]byte, []journal.Record, *harness) {
-	t.Helper()
-	dir := t.TempDir()
-	h := newHarness(t, nGalaxies, func(c *Config) {
-		c.JournalDir = dir
-		c.WaveSize = waveSize
-	})
-	if _, _, err := h.svc.Compute(h.inputTable(t), "COMA"); err != nil {
-		t.Fatal(err)
-	}
-	recs, truncated, err := journal.Replay(filepath.Join(dir, "COMA.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if truncated {
-		t.Fatal("uninterrupted wave run left a torn journal")
-	}
-	return h.outputBytes(t, "COMA.vot"), recs, h
-}
-
-// TestWaveKillAndResumeByteIdentity kills the wave pipeline at every journal
-// event boundary and resumes: the manifest restores the wave decomposition,
-// RLS reduction prunes finished jobs, the journal restores mid-wave nodes —
-// and the output must be byte-identical to the uninterrupted wave run (which
-// itself equals the monolithic run, by the test above).
-func TestWaveKillAndResumeByteIdentity(t *testing.T) {
-	const nGalaxies, waveSize = 6, 2
-	want, baseRecs, _ := wavedJournaledRun(t, nGalaxies, waveSize)
-	events := len(baseRecs) - 2 // minus begin and end markers
-	if events < 10 {
-		t.Fatalf("workflow too small for a sweep: %d events", events)
-	}
-
-	for k := 1; k < events; k++ {
-		dir := t.TempDir()
-		h := newHarness(t, nGalaxies, func(c *Config) {
-			c.JournalDir = dir
-			c.WaveSize = waveSize
-			c.WrapJournal = crashAfter(k)
-		})
-		tab := h.inputTable(t)
-		_, _, err := h.svc.Compute(tab, "COMA")
-		if !errors.Is(err, journal.ErrCrash) {
-			t.Fatalf("kill point %d: crash did not fire: %v", k, err)
-		}
-		if !errors.Is(err, dagman.ErrAborted) {
-			t.Errorf("kill point %d: crash not surfaced as abort: %v", k, err)
-		}
-
-		recs, _, err := journal.Replay(filepath.Join(dir, "COMA.journal"))
-		if err != nil {
-			t.Fatalf("kill point %d: replay: %v", k, err)
-		}
-		doneAtCrash := journal.CompletedNodes(recs)
-		prefix := len(recs)
-
-		svc2, err := h.svc.Reopen()
-		if err != nil {
-			t.Fatalf("kill point %d: reopen: %v", k, err)
-		}
-		out, _, err := resume(svc2, "COMA")
-		if err != nil {
-			t.Fatalf("kill point %d: resume: %v", k, err)
-		}
-		if out != "COMA.vot" {
-			t.Fatalf("kill point %d: resume output %q", k, out)
-		}
-		if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {
-			t.Fatalf("kill point %d: resumed output differs from uninterrupted wave run", k)
-		}
-
-		// No node the dead run completed is submitted again: between waves,
-		// RLS reduction prunes whole finished jobs; inside the crashed wave,
-		// the journal's completed-set restores them.
-		after, _, err := journal.Replay(filepath.Join(dir, "COMA.journal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range after[prefix:] {
-			if r.Kind == journal.KindSubmitted && doneAtCrash[r.Node] {
-				t.Fatalf("kill point %d: completed node %s re-submitted on resume", k, r.Node)
-			}
-		}
-		if _, ended := journal.Ended(after); !ended {
-			t.Errorf("kill point %d: resumed journal lacks end marker", k)
-		}
-	}
-}
-
 // TestWaveResumeOfFinishedRunShortCircuits mirrors the classic idempotence
 // guarantee in wave mode.
 func TestWaveResumeOfFinishedRunShortCircuits(t *testing.T) {
-	want, _, h := wavedJournaledRun(t, 4, 2)
+	want, _, h := journaledRun(t, 4, 2)
 	svc2, err := h.svc.Reopen()
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +154,7 @@ func TestWaveResumeOfFinishedRunShortCircuits(t *testing.T) {
 // WaveSize between the crash and the resume.
 func TestWaveResumeHonorsManifestWaveSize(t *testing.T) {
 	const nGalaxies = 6
-	want, baseRecs, _ := wavedJournaledRun(t, nGalaxies, 2)
+	want, baseRecs, _ := journaledRun(t, nGalaxies, 2)
 	k := (len(baseRecs) - 2) / 2
 
 	dir := t.TempDir()
