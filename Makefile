@@ -73,7 +73,9 @@ recovery:
 # (a truncated or bit-flipped journal replays to a prefix of what was
 # appended), the .waves manifest (what is written reads back unchanged) and
 # spool run files (what writeRun wrote reads back unchanged; arbitrary bytes
-# never panic or allocate beyond a fixed multiple of their length)
+# never panic or allocate beyond a fixed multiple of their length) and
+# per-galaxy result files (what decodeResult accepts re-encodes to the same
+# result, floats bit for bit)
 # — over the request's two forms (the catalog built
 # from a table and the parse of its rendered .vdl agree, or the table is
 # refused), and over the measurement kernel's radial bucket pass (any cutout
@@ -92,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz FuzzWaveManifest -fuzztime $(FUZZTIME) ./internal/webservice/
 	$(GO) test -fuzz FuzzSpoolRun -fuzztime $(FUZZTIME) ./internal/tableops/
+	$(GO) test -fuzz FuzzResultRoundTrip -fuzztime $(FUZZTIME) ./internal/webservice/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants byte-identical to their solo runs, shared-

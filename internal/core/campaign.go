@@ -4,35 +4,22 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/portal"
 	"repro/internal/votable"
+	"repro/internal/webservice"
 )
 
 // ClusterRun is the outcome of analyzing one cluster, in the quantities the
-// paper's §5 reports for its campaign.
+// paper's §5 reports for its campaign: the compute request's own accounting
+// (Retries and Failovers are zero on a fault-free run) plus the science.
 type ClusterRun struct {
-	Cluster       string
-	Galaxies      int
-	ComputeJobs   int
-	PrunedJobs    int
-	TransferNodes int
-	FilesStaged   int
-	BytesStaged   int64
-	ImagesFetched int
-	ImagesCached  int
-	InvalidRows   int
-	Makespan      time.Duration
+	Cluster string
+	webservice.RunStats
 	// AsymmetryRadiusRho is the Figure 7 correlation for this cluster.
 	AsymmetryRadiusRho float64
 	// Table is the merged catalog with morphology columns.
 	Table *votable.Table
-	// Retries counts DAG nodes the compute service resubmitted; Failovers
-	// counts transfers rerouted to an alternate RLS replica. Both are zero
-	// on a fault-free run.
-	Retries   int
-	Failovers int
 	// Degraded lists the archive services the portal proceeded without.
 	Degraded []portal.Degradation
 }
@@ -138,22 +125,7 @@ func RunCluster(tb *Testbed, name string) (*ClusterRun, error) {
 		return nil, err
 	}
 
-	run := &ClusterRun{
-		Cluster:       name,
-		Galaxies:      stats.Galaxies,
-		ComputeJobs:   stats.ComputeJobs,
-		PrunedJobs:    stats.PrunedJobs,
-		TransferNodes: stats.TransferNodes,
-		FilesStaged:   stats.FilesStaged,
-		BytesStaged:   stats.BytesStaged,
-		ImagesFetched: stats.ImagesFetched,
-		ImagesCached:  stats.ImagesCached,
-		InvalidRows:   stats.InvalidRows,
-		Makespan:      stats.Makespan,
-		Retries:       stats.Retries,
-		Failovers:     stats.Failovers,
-		Table:         cat,
-	}
+	run := &ClusterRun{Cluster: name, RunStats: stats, Table: cat}
 	run.Degraded = append(run.Degraded, imgDegraded...)
 	run.Degraded = append(run.Degraded, catDegraded...)
 	if cl, err := tb.Cluster(name); err == nil {

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/faults"
-	"repro/internal/fits"
 	"repro/internal/votable"
 	"repro/internal/wcs"
 )
@@ -336,22 +335,4 @@ func getVOTable(hc *http.Client, u string) (*votable.Table, error) {
 		return nil, fmt.Errorf("services: GET %s: status %d: %s", u, resp.StatusCode, body)
 	}
 	return votable.ReadTable(resp.Body)
-}
-
-// FetchFITS downloads and decodes a FITS image (an SIA acref dereference).
-func FetchFITS(hc *http.Client, u string) (*fits.Image, error) {
-	resp, err := hc.Get(u)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("services: GET %s: status %d: %s", u, resp.StatusCode, body)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return fits.Decode(bytes.NewReader(data))
 }

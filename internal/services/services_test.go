@@ -2,6 +2,7 @@ package services
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -23,6 +24,20 @@ func testArchive(t testing.TB) *Archive {
 		Name: "A1689", Center: wcs.New(197.8, -1.3), Redshift: 0.18, NumGalaxies: 40, Seed: 2,
 	})
 	return NewArchive("mast", c1, c2)
+}
+
+// fetchFITS dereferences an acref with the test client and decodes the
+// image; a non-200 answer is an error.
+func fetchFITS(hc *http.Client, u string) (*fits.Image, error) {
+	resp, err := hc.Get(u)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: status %d", u, resp.StatusCode)
+	}
+	return fits.Decode(resp.Body)
 }
 
 func TestArchiveBasics(t *testing.T) {
@@ -169,7 +184,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("sia records = %d", len(recs))
 	}
-	im, err := FetchFITS(hc, srv.URL+recs[0].AcRef)
+	im, err := fetchFITS(hc, srv.URL+recs[0].AcRef)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +200,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if len(cuts) == 0 {
 		t.Fatal("no cutouts")
 	}
-	cut, err := FetchFITS(hc, srv.URL+cuts[0].AcRef)
+	cut, err := fetchFITS(hc, srv.URL+cuts[0].AcRef)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +414,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 	}
 	// A corrupted cutout arrives as a 200 with a damaged FITS payload the
 	// client's decoder rejects.
-	if _, err := FetchFITS(hc, srv.URL+"/cutout?id="+id); err == nil {
+	if _, err := fetchFITS(hc, srv.URL+"/cutout?id="+id); err == nil {
 		t.Fatal("corrupted cutout must fail to decode")
 	}
 	// Both windows have passed: retries succeed.
@@ -407,7 +422,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 	if err != nil || tab.NumRows() == 0 {
 		t.Fatalf("recovered cone search = %v rows, %v", tab, err)
 	}
-	if _, err := FetchFITS(hc, srv.URL+"/cutout?id="+id); err != nil {
+	if _, err := fetchFITS(hc, srv.URL+"/cutout?id="+id); err != nil {
 		t.Fatalf("recovered cutout: %v", err)
 	}
 	// SIA fault points are independent of cone ones.

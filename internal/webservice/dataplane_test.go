@@ -59,7 +59,7 @@ func TestMemoKeysOnImageContent(t *testing.T) {
 	h := newHarness(t, 6, nil) // one worker: the twin's lookup follows the original's Put
 	tab := h.inputTable(t)
 	refs := requestRefs(t, tab)
-	if err := h.svc.newLeg(DefaultTenant, "COMA", 0, nil).cacheImageRefs(refs[:1]); err != nil {
+	if err := h.leg().cacheImageRefs(refs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	pixels, err := h.ftp.Store("isi").Get(refs[0].id + ".fit")
@@ -95,7 +95,7 @@ func TestMemoKeysOnImageContent(t *testing.T) {
 // file would have produced, never the damaged bytes'.
 func TestVerifiedGetRepairedDigest(t *testing.T) {
 	h := newHarness(t, 1, nil)
-	l := h.svc.newLeg(DefaultTenant, "COMA", 0, nil)
+	l := h.leg()
 	refs := requestRefs(t, h.inputTable(t))
 	if err := l.cacheImageRefs(refs); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestVerifiedGetRepairedDigest(t *testing.T) {
 	if vdcache.Key([]byte(digest), fp) != vdcache.Key([]byte(gridftp.Checksum(intact)), fp) {
 		t.Error("memo key of the repaired input differs from the intact input's")
 	}
-	if stats := l.snapshot(); stats.ChecksumFailures != 1 || stats.Quarantined != 0 || stats.Failovers != 1 {
+	if stats := l.r.status().Stats; stats.ChecksumFailures != 1 || stats.Quarantined != 0 || stats.Failovers != 1 {
 		t.Errorf("stats = %+v, want one checksum failure recovered by one failover", stats)
 	}
 	if err := usc.Verify(lfn); err != nil {

@@ -47,8 +47,8 @@ func newDerivations(tab *votable.Table, cluster string) (*derivations, error) {
 	if tab.NumRows() == 0 {
 		return nil, ErrNoGalaxies
 	}
-	if !vdl.ValidName("collect-" + cluster) {
-		return nil, fmt.Errorf("webservice: cluster %q cannot name a derivation: %w", cluster, vdl.ErrParse)
+	if err := checkCluster(cluster); err != nil {
+		return nil, err
 	}
 	d := &derivations{
 		cluster:  cluster,
@@ -73,6 +73,17 @@ func newDerivations(tab *votable.Table, cluster string) (*derivations, error) {
 		d.redshift[i] = z
 	}
 	return d, nil
+}
+
+// checkCluster admits a cluster name only if it can name the collector
+// derivation: one VDL identifier, so also no path separator — a resumption
+// joins the name into its artifact paths under JournalDir. Both fresh
+// requests and resumptions pass here; a refusal wraps vdl.ErrParse.
+func checkCluster(cluster string) error {
+	if !vdl.ValidName("collect-" + cluster) {
+		return fmt.Errorf("webservice: cluster %q cannot name a derivation: %w", cluster, vdl.ErrParse)
+	}
+	return nil
 }
 
 // actual is one name=value pair of a derivation, in the order the derivation

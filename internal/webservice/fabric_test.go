@@ -391,12 +391,16 @@ func TestQueuedStatusAndCancelWhileQueued(t *testing.T) {
 }
 
 // TestStatsEndpointReportsFleet checks the /stats payload carries the
-// fabric's per-tenant admission and fair-share counters.
+// fabric's per-tenant admission and fair-share counters, and the fold of
+// the submitted request's stats.
 func TestStatsEndpointReportsFleet(t *testing.T) {
 	h := newGrid(t, multiSpecs(1), nil)
-	if _, _, err := h.svc.ComputeFor(context.Background(), h.inputTableFor(t, 0),
-		h.clusters[0].Name, RequestOptions{Tenant: "alice"}, nil); err != nil {
+	id, err := h.svc.SubmitFor(h.inputTableFor(t, 0), h.clusters[0].Name, RequestOptions{Tenant: "alice"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if st := awaitTerminal(t, h.svc, id); st.State != StateCompleted {
+		t.Fatalf("request ended %s (%s)", st.State, st.Message)
 	}
 	srv := httptest.NewServer(h.svc.Handler())
 	defer srv.Close()
@@ -415,5 +419,8 @@ func TestStatsEndpointReportsFleet(t *testing.T) {
 	alice := got.Fleet.Tenants[0]
 	if alice.Tenant != "alice" || alice.Completed != 1 || alice.UsageModelTime <= 0 {
 		t.Fatalf("alice snapshot = %+v", alice)
+	}
+	if want := foldPublished(t, h.svc, 1); got.Totals != want || want.Galaxies == 0 {
+		t.Errorf("Totals = %+v, want the request's Stats %+v", got.Totals, want)
 	}
 }

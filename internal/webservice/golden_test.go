@@ -111,7 +111,7 @@ func TestSubmitFilesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := h.svc.newLeg(DefaultTenant, "COMA", 0, nil).freshSource(dvs)
+	src, err := h.leg().freshSource(dvs)
 	if err != nil {
 		t.Fatal(err)
 	}

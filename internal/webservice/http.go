@@ -1,6 +1,7 @@
 package webservice
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,8 +15,8 @@ import (
 )
 
 // ServiceStats is the observability snapshot /stats returns: cumulative
-// request-level accounting (for requests made through Submit) plus the live
-// catalog and cache counters the throughput work optimizes, plus the
+// request-level accounting (for requests made through SubmitFor) plus the
+// live catalog and cache counters the throughput work optimizes, plus the
 // fabric's fleet-wide admission/fair-share counters.
 type ServiceStats struct {
 	Requests  int
@@ -31,13 +32,9 @@ type ServiceStats struct {
 	ReplicaCacheHits   int64
 	ReplicaCacheMisses int64
 
-	BytesStaged       int64
-	PlannedBytesMoved int64
-	ScheduleEvents    int
-	ClusteredTasks    int
-	ClusteredNodes    int
-	MemoHits          int
-	MemoMisses        int
+	// Totals is the fold of every submitted request's Stats, each as its
+	// status shows it now: a running request counts what its leg has so far.
+	Totals RunStats
 }
 
 // Stats aggregates the service-level counters across all requests.
@@ -45,7 +42,8 @@ func (s *Service) Stats() ServiceStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out ServiceStats
-	for _, st := range s.requests {
+	for _, r := range s.requests {
+		st := r.status()
 		out.Requests++
 		switch st.State {
 		case StateCompleted:
@@ -53,13 +51,7 @@ func (s *Service) Stats() ServiceStats {
 		case StateFailed:
 			out.Failed++
 		}
-		out.BytesStaged += st.Stats.BytesStaged
-		out.PlannedBytesMoved += st.Stats.PlannedBytesMoved
-		out.ScheduleEvents += st.Stats.ScheduleEvents
-		out.ClusteredTasks += st.Stats.ClusteredTasks
-		out.ClusteredNodes += st.Stats.ClusteredNodes
-		out.MemoHits += st.Stats.MemoHits
-		out.MemoMisses += st.Stats.MemoMisses
+		out.Totals.add(st.Stats)
 	}
 	out.RLSRoundTrips = s.cfg.RLS.RoundTrips()
 	out.ReplicaCacheHits, out.ReplicaCacheMisses = s.replicas.Stats()
@@ -96,10 +88,12 @@ func writeShed(w http.ResponseWriter, err error) bool {
 //	POST /galmorph?cluster=NAME[&tenant=T&priority=N]  -> text: status URL path
 //	                              body: VOTable
 //	       202 Accepted: admitted (running or queued under fair share)
+//	       400: missing cluster, bad VOTable or priority, refused table
 //	       413: body larger than maxRequestBody
 //	       429 + Retry-After: tenant over its workflow-queue quota
 //	       503 + Retry-After: fabric queue full or shutting down
 //	GET  /status?id=req-000001                        -> JSON Status
+//	       Stats and JobsDone/JobsTotal are live while the request runs
 //	GET  /result?lfn=NAME.vot                          -> VOTable
 //	POST /cancel?id=req-000001                         -> 202 Accepted
 //	POST /requeue?id=req-000001                        -> 202 Accepted
@@ -107,7 +101,8 @@ func writeShed(w http.ResponseWriter, err error) bool {
 //	       and priority and resumes it from its journal; shed like a fresh
 //	       submission (429/503 + Retry-After) when over quota
 //	GET  /stats                                        -> JSON ServiceStats
-//	       includes the fabric's preemption counters (Preempted/Requeued)
+//	       Totals folds every submitted request's Stats; Fleet includes the
+//	       fabric's preemption counters (Preempted/Requeued)
 //
 // With Config.EnablePprof set, the standard net/http/pprof profiling
 // endpoints are also mounted under /debug/pprof/.
@@ -132,9 +127,15 @@ func (s *Service) Handler() http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		cluster := req.URL.Query().Get("cluster")
+		q := req.URL.Query()
+		cluster := q.Get("cluster")
 		if cluster == "" {
 			http.Error(w, "missing cluster", http.StatusBadRequest)
+			return
+		}
+		priority, err := strconv.Atoi(cmp.Or(q.Get("priority"), "0"))
+		if err != nil {
+			http.Error(w, "bad priority: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		tab, err := votable.ReadTable(http.MaxBytesReader(w, req.Body, maxRequestBody))
@@ -147,11 +148,7 @@ func (s *Service) Handler() http.Handler {
 			http.Error(w, "bad VOTable: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		priority, _ := strconv.Atoi(req.URL.Query().Get("priority"))
-		id, err := s.SubmitFor(tab, cluster, RequestOptions{
-			Tenant:   req.URL.Query().Get("tenant"),
-			Priority: priority,
-		})
+		id, err := s.SubmitFor(tab, cluster, RequestOptions{Tenant: q.Get("tenant"), Priority: priority})
 		if err != nil {
 			if !writeShed(w, err) {
 				http.Error(w, err.Error(), http.StatusBadRequest)

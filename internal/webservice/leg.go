@@ -12,7 +12,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/chimera"
@@ -47,10 +46,11 @@ import (
 // leg is the per-execution context: the receiver of everything one leg does
 // — its body and plan sources here, node behaviour in runner.go, recovery in
 // integrity.go, image staging in staging.go. It owns the request's virtual
-// data catalog, the leg's accounting and the profiler labels.
+// data catalog and the profiler labels, and reports its accounting, progress
+// and lifecycle into the request's record.
 type leg struct {
-	s               *Service
-	tenant, cluster string
+	s *Service
+	r *request
 	// cat is the request's virtual data catalog, set by the plan source: the
 	// runner reconstructs measurement configs from its derivations and the
 	// integrity layer re-derives damaged files from its provenance.
@@ -58,9 +58,6 @@ type leg struct {
 	// refs are a wave leg's galaxy images and their archive URLs: the
 	// integrity layer stages an evicted image again to re-derive its result.
 	refs []imageRef
-	// mu guards stats, which only account writes and only snapshot reads.
-	mu    sync.Mutex
-	stats RunStats
 	// labels is the pprof label set (tenant, cluster, wave) every node Run
 	// body executes under, so profiles taken against a busy fabric attribute
 	// samples to the request that caused them. It is rebuilt only when the
@@ -68,79 +65,51 @@ type leg struct {
 	labels atomic.Value // pprof.LabelSet
 	// sink is the durable journal the leg forwards DAGMan's records to (the
 	// scoped writer, wrapped by Config.WrapJournal); nil without JournalDir.
-	sink       journal.Sink
-	onProgress func(done, total int)
-	// done/total are the progress counters: a one-graph source knows its
-	// total up front, a wave source grows it as waves are planned (the
-	// concrete node count of a wave is unknown until its plan exists).
-	done, total int
+	sink journal.Sink
 }
 
-// newLeg builds the context of one leg of a request the fabric has preempted
-// preemptions times so far. Monolithic plans keep the wave label at "-".
-func (s *Service) newLeg(tenant, cluster string, preemptions int, onProgress func(done, total int)) *leg {
-	l := &leg{s: s, tenant: tenant, cluster: cluster, onProgress: onProgress,
-		stats: RunStats{Preemptions: preemptions}}
+// newLeg builds the context of one leg of request r, which the fabric has
+// preempted preemptions times so far. A request reports its running leg:
+// r's stats restart at the preemption count and its progress at zero.
+// Monolithic plans keep the wave label at "-".
+func (s *Service) newLeg(r *request, preemptions int) *leg {
+	r.mu.Lock()
+	r.Stats = RunStats{Preemptions: preemptions}
+	r.JobsDone, r.JobsTotal = 0, 0
+	r.mu.Unlock()
+	l := &leg{s: s, r: r}
 	l.setWave("-")
 	return l
 }
 
-// account is the one door to the leg's RunStats. Whatever a leg counts — on
-// the scheduler goroutine (plan folding, retries, failover rotation, wave
-// bookkeeping) or inside Run bodies on the worker pool — arrives here as a
-// delta and is folded in under the lock: counters add, the two high-water
-// marks take the maximum, ReusedOutput latches. A RunStats is therefore the
-// fold of its leg's deltas in any order, which is what keeps it identical at
-// every worker width.
+// account is the one door to the request's RunStats. Whatever a leg counts
+// — on the scheduler goroutine (plan folding, retries, failover rotation,
+// wave bookkeeping) or inside Run bodies on the worker pool — arrives here
+// as a delta and is folded in under the record's lock.
 func (l *leg) account(d RunStats) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.stats.Galaxies += d.Galaxies
-	l.stats.ComputeJobs += d.ComputeJobs
-	l.stats.PrunedJobs += d.PrunedJobs
-	l.stats.TransferNodes += d.TransferNodes
-	l.stats.RegisterNodes += d.RegisterNodes
-	l.stats.ImagesFetched += d.ImagesFetched
-	l.stats.ImagesCached += d.ImagesCached
-	l.stats.SIARequests += d.SIARequests
-	l.stats.SIABytes += d.SIABytes
-	l.stats.SIAModelTime += d.SIAModelTime
-	l.stats.FilesStaged += d.FilesStaged
-	l.stats.BytesStaged += d.BytesStaged
-	l.stats.InvalidRows += d.InvalidRows
-	l.stats.Retries += d.Retries
-	l.stats.Failovers += d.Failovers
-	l.stats.MemoHits += d.MemoHits
-	l.stats.MemoMisses += d.MemoMisses
-	l.stats.Makespan += d.Makespan
-	l.stats.ReusedOutput = l.stats.ReusedOutput || d.ReusedOutput
-	l.stats.ChecksumFailures += d.ChecksumFailures
-	l.stats.Quarantined += d.Quarantined
-	l.stats.Rederived += d.Rederived
-	l.stats.RestoredNodes += d.RestoredNodes
-	l.stats.RLSRoundTrips += d.RLSRoundTrips
-	l.stats.PlannedBytesMoved += d.PlannedBytesMoved
-	l.stats.ScheduleEvents += d.ScheduleEvents
-	l.stats.ClusteredTasks += d.ClusteredTasks
-	l.stats.ClusteredNodes += d.ClusteredNodes
-	l.stats.Waves += d.Waves
-	l.stats.MaxWaveNodes = max(l.stats.MaxWaveNodes, d.MaxWaveNodes)
-	l.stats.ImagesEvicted += d.ImagesEvicted
-	l.stats.PeakStagedImages = max(l.stats.PeakStagedImages, d.PeakStagedImages)
-	l.stats.Preemptions += d.Preemptions
+	l.r.mu.Lock()
+	defer l.r.mu.Unlock()
+	l.r.Stats.add(d)
 }
 
-// snapshot returns the leg's accounting so far.
-func (l *leg) snapshot() RunStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
+// progress advances the request's progress counters by done and total and
+// reports them to its observer. A one-graph source knows its total up
+// front; a wave source grows it as waves are planned (the concrete node
+// count of a wave is unknown until its plan exists).
+func (l *leg) progress(done, total int) {
+	l.r.mu.Lock()
+	done, total = l.r.JobsDone+done, l.r.JobsTotal+total
+	l.r.JobsDone, l.r.JobsTotal = done, total
+	l.r.mu.Unlock()
+	if l.r.observe != nil {
+		l.r.observe(done, total)
+	}
 }
 
 // setWave rebuilds the label set for a new wave. The wave driver calls it
 // between waves, when no Run bodies execute.
 func (l *leg) setWave(wave string) {
-	l.labels.Store(pprof.Labels("tenant", l.tenant, "cluster", l.cluster, "wave", wave))
+	l.labels.Store(pprof.Labels("tenant", l.r.Tenant, "cluster", l.r.Cluster, "wave", wave))
 }
 
 // labelled returns run executed under the current label set.
@@ -151,12 +120,6 @@ func (l *leg) labelled(run func() error) func() error {
 			err = run()
 		})
 		return err
-	}
-}
-
-func (l *leg) progress() {
-	if l.onProgress != nil {
-		l.onProgress(l.done, l.total)
 	}
 }
 
@@ -176,14 +139,13 @@ func (l *leg) Append(rec journal.Record) error {
 	case journal.KindRetried:
 		l.account(RunStats{Retries: 1})
 	case journal.KindCompleted, journal.KindRestored:
-		l.done++
-		l.progress()
+		l.progress(1, 0)
 	}
 	return nil
 }
 
 func (l *leg) path(ext string) string {
-	return filepath.Join(l.s.cfg.JournalDir, wfBase(l.tenant, l.cluster)+ext)
+	return filepath.Join(l.s.cfg.JournalDir, wfBase(l.r.Tenant, l.r.Cluster)+ext)
 }
 
 // planned folds one Pegasus plan into the leg's accounting. The plan's
@@ -208,11 +170,13 @@ type planSource struct {
 	begin string
 	// next yields the leg's concrete graphs in order, nil when exhausted.
 	next func(w int) (*dag.Graph, error)
+	// total is the node count known before the first graph: a one-graph
+	// source's whole plan, 0 for a wave source.
+	total int
 }
 
 // oneGraph is the monolithic plan source: the whole request as one graph.
-func (l *leg) oneGraph(g *dag.Graph) func(int) (*dag.Graph, error) {
-	l.total = g.Len()
+func oneGraph(g *dag.Graph) func(int) (*dag.Graph, error) {
 	return func(w int) (*dag.Graph, error) {
 		if w > 0 {
 			return nil, nil
@@ -281,7 +245,7 @@ func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef, resumed bool)
 		if resumed {
 			saved, _, err := dagman.ReadDAGFile(wavePlan(w))
 			if err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("webservice: resume %s wave %d: %w", l.cluster, w, err)
+				return nil, fmt.Errorf("webservice: resume %s wave %d: %w", l.r.Cluster, w, err)
 			}
 			g = saved
 		}
@@ -299,8 +263,7 @@ func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef, resumed bool)
 			}
 		}
 		l.account(RunStats{Waves: 1, MaxWaveNodes: g.Len()})
-		l.total += g.Len()
-		l.progress()
+		l.progress(0, g.Len())
 		return g, nil
 	}
 }
@@ -321,24 +284,24 @@ func (l *leg) freshSource(dvs *derivations) (*planSource, error) {
 	src := &planSource{}
 	// The per-request seed derives from the cluster name (not a shared
 	// stream), so concurrent requests stay individually deterministic.
-	seed := s.requestSeed(l.cluster)
+	seed := s.requestSeed(l.r.Cluster)
 	refs := dvs.refs
 	var persistPlan func() error
 	if s.cfg.WaveSize > 0 {
 		// The manifest replaces the .dag artifact, which would be unbounded
 		// at survey scale.
-		planner, err := pegasus.NewWavePlanner(waveSourceFor(refs, l.cluster), s.planConfig(), s.cfg.WaveSize, seed)
+		planner, err := pegasus.NewWavePlanner(waveSourceFor(refs, l.r.Cluster), s.planConfig(), s.cfg.WaveSize, seed)
 		if err != nil {
 			return nil, err
 		}
-		src.begin = fmt.Sprintf("cluster=%s seed=%d waves=%d jobs=%d", l.cluster, seed, planner.Waves(), len(refs))
+		src.begin = fmt.Sprintf("cluster=%s seed=%d waves=%d jobs=%d", l.r.Cluster, seed, planner.Waves(), len(refs))
 		src.next = l.waves(planner, refs, false)
 		persistPlan = func() error { return writeWaveManifest(l.path(".waves"), s.cfg.WaveSize, refs) }
 	} else {
 		if err := l.cacheImageRefs(refs); err != nil {
 			return nil, err
 		}
-		wf, err := chimera.Compose(cat, chimera.Request{LFNs: []string{outputLFN(l.cluster)}})
+		wf, err := chimera.Compose(cat, chimera.Request{LFNs: []string{outputLFN(l.r.Cluster)}})
 		if err != nil {
 			return nil, err
 		}
@@ -349,8 +312,8 @@ func (l *leg) freshSource(dvs *derivations) (*planSource, error) {
 			return nil, err
 		}
 		l.planned(plan)
-		src.begin = fmt.Sprintf("cluster=%s seed=%d nodes=%d", l.cluster, seed, plan.Concrete.Len())
-		src.next = l.oneGraph(plan.Concrete)
+		src.begin = fmt.Sprintf("cluster=%s seed=%d nodes=%d", l.r.Cluster, seed, plan.Concrete.Len())
+		src.next, src.total = oneGraph(plan.Concrete), plan.Concrete.Len()
 		persistPlan = func() error { return dagman.WriteDAGFile(l.path(".dag"), plan.Concrete, nil) }
 	}
 	if s.cfg.JournalDir != "" {
@@ -377,7 +340,7 @@ func (l *leg) savedSource() (*planSource, error) {
 	waveSize, refs, err := readWaveManifest(l.path(".waves"))
 	switch {
 	case err == nil:
-		planner, perr := pegasus.NewWavePlanner(waveSourceFor(refs, l.cluster), s.planConfig(), waveSize, s.requestSeed(l.cluster))
+		planner, perr := pegasus.NewWavePlanner(waveSourceFor(refs, l.r.Cluster), s.planConfig(), waveSize, s.requestSeed(l.r.Cluster))
 		if perr != nil {
 			return nil, perr
 		}
@@ -385,18 +348,18 @@ func (l *leg) savedSource() (*planSource, error) {
 	case errors.Is(err, fs.ErrNotExist):
 		g, _, derr := dagman.ReadDAGFile(l.path(".dag"))
 		if derr != nil {
-			return nil, fmt.Errorf("webservice: resume %s: %w", l.cluster, derr)
+			return nil, fmt.Errorf("webservice: resume %s: %w", l.r.Cluster, derr)
 		}
-		src.next = l.oneGraph(g)
+		src.next, src.total = oneGraph(g), g.Len()
 	default:
-		return nil, fmt.Errorf("webservice: resume %s: %w", l.cluster, err)
+		return nil, fmt.Errorf("webservice: resume %s: %w", l.r.Cluster, err)
 	}
 	vdlText, err := os.ReadFile(l.path(".vdl"))
 	if err != nil {
-		return nil, fmt.Errorf("webservice: resume %s: %w", l.cluster, err)
+		return nil, fmt.Errorf("webservice: resume %s: %w", l.r.Cluster, err)
 	}
 	if l.cat, err = vdl.Parse(string(vdlText)); err != nil {
-		return nil, fmt.Errorf("webservice: resume %s: saved VDL invalid: %w", l.cluster, err)
+		return nil, fmt.Errorf("webservice: resume %s: saved VDL invalid: %w", l.r.Cluster, err)
 	}
 	return src, nil
 }
@@ -412,10 +375,10 @@ func (l *leg) savedSource() (*planSource, error) {
 // except when preempted: the caller answers the revocation with
 // lease.Preempted, which requeues the workflow.
 func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations) (_ string, retErr error) {
-	s, tenant, cluster := l.s, l.tenant, l.cluster
+	s, tenant, cluster := l.s, l.r.Tenant, l.r.Cluster
 	defer func() {
 		if !errors.Is(retErr, ErrPreempted) {
-			lease.Done(l.snapshot().Makespan, retErr != nil)
+			lease.Done(l.r.status().Stats.Makespan, retErr != nil)
 		}
 	}()
 	// Only a journaled workflow can checkpoint-stop, so only those opt
@@ -526,7 +489,7 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations)
 
 	// DAGMan executes on the Condor pools, resubmitting the rescue DAG when
 	// configured.
-	l.progress()
+	l.progress(0, src.total)
 	ws, err := dagman.ExecuteWaves(src.next, l.runner(), l.simFactory(lease), opts, s.cfg.RescueRounds)
 	if ws != nil {
 		l.account(RunStats{
@@ -571,7 +534,7 @@ func (l *leg) simFactory(lease *fabric.Lease) func() (*condor.Simulator, error) 
 	s := l.s
 	var inj *faults.Injector
 	if s.cfg.FaultsFor != nil {
-		inj = s.cfg.FaultsFor(l.tenant, l.cluster)
+		inj = s.cfg.FaultsFor(l.r.Tenant, l.r.Cluster)
 	}
 	return func() (*condor.Simulator, error) {
 		return lease.NewSimulator(fabric.SimOptions{

@@ -1,6 +1,7 @@
 package webservice
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/dagman"
 	"repro/internal/journal"
@@ -193,9 +195,55 @@ func TestProgressContract(t *testing.T) {
 	}
 }
 
-// TestAccountFoldsEveryField guards the one accounting door against a
-// RunStats field added without its line in account: a delta with every field
-// set must survive the fold, twice over for the additive ones.
+// TestStatusStatsAreLive: /status shows where a running request stands. A
+// journaled request parked after its k-th journal record is running, and its
+// Stats already carry the galaxies admitted and the jobs planned.
+func TestStatusStatsAreLive(t *testing.T) {
+	const k = 5
+	parked, release := make(chan struct{}), make(chan struct{})
+	trig := &sweepTrigger{}
+	trig.cuts = []*cut{{after: k, fire: func() {
+		close(parked)
+		<-release
+	}}}
+	h := newHarness(t, 4, func(c *Config) {
+		c.JournalDir = t.TempDir()
+		c.WrapJournal = trig.wrap
+	})
+	srv := httptest.NewServer(h.svc.Handler())
+	defer srv.Close()
+	tab := h.inputTable(t)
+	id, err := submit(h.svc, tab, "COMA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(exploreDeadline):
+		t.Fatalf("request never appended %d journal records", k)
+	}
+	resp, err := http.Get(srv.URL + "/status?id=" + id)
+	var st Status
+	if err == nil {
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+	}
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateRunning || st.Stats.Galaxies != tab.NumRows() || st.Stats.ComputeJobs == 0 || st.JobsTotal == 0 {
+		t.Errorf("/status of a request parked at record %d = %s, %d/%d jobs, stats %+v; want running with %d galaxies and its plan counted",
+			k, st.State, st.JobsDone, st.JobsTotal, st.Stats, tab.NumRows())
+	}
+	if st := awaitTerminal(t, h.svc, id); st.State != StateCompleted {
+		t.Fatalf("released request ended %s (%s)", st.State, st.Message)
+	}
+}
+
+// TestAccountFoldsEveryField guards the one fold against a RunStats field
+// added without its line in RunStats.add: a delta with every field set must
+// survive the fold, twice over for the additive ones.
 func TestAccountFoldsEveryField(t *testing.T) {
 	var d RunStats
 	v := reflect.ValueOf(&d).Elem()
@@ -207,13 +255,13 @@ func TestAccountFoldsEveryField(t *testing.T) {
 			f.SetInt(int64(i + 1))
 		}
 	}
-	l := &leg{}
-	l.account(d)
-	if got := l.snapshot(); got != d {
-		t.Fatalf("account dropped a field:\ngot  %+v\nwant %+v", got, d)
+	var sum RunStats
+	sum.add(d)
+	if sum != d {
+		t.Fatalf("add dropped a field:\ngot  %+v\nwant %+v", sum, d)
 	}
-	l.account(d)
-	got := reflect.ValueOf(l.snapshot())
+	sum.add(d)
+	got := reflect.ValueOf(sum)
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
 		want := 2 * int64(i+1)

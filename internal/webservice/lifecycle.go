@@ -49,7 +49,7 @@ const (
 // state to and publishes msg ("" keeps the current message; evFailed
 // publishes its error text). The zero State is a record being created. A
 // pair without a row cannot happen. A slot that admission granted
-// synchronously is observed twice — by the entry point, then by await — so
+// synchronously is observed twice — by the entry point, then by run — so
 // a grant in StateRunning is legal and changes nothing.
 var lifecycle = []struct {
 	from State
@@ -75,7 +75,7 @@ var lifecycle = []struct {
 // apply moves the request through the lifecycle table; it is the only code
 // that writes State and Message. errText is evFailed's message. An event the
 // table has no row for in the current state is a bug and panics. The caller
-// holds the service lock.
+// holds the request record's lock.
 func (st *Status) apply(ev event, errText string) {
 	for _, row := range lifecycle {
 		if row.from != st.State || row.ev != ev {

@@ -3,6 +3,7 @@ package webservice
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -141,6 +142,20 @@ func TestLocalityReducesStagedBytes(t *testing.T) {
 	}
 }
 
+// foldPublished folds the Stats of the n requests SubmitFor published.
+func foldPublished(t *testing.T, svc *Service, n int) RunStats {
+	t.Helper()
+	var sum RunStats
+	for i := 1; i <= n; i++ {
+		st, err := svc.Status(fmt.Sprintf("req-%06d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.add(st.Stats)
+	}
+	return sum
+}
+
 // TestStatsEndpointAndPprof: /stats exposes the service-level throughput
 // counters, and the pprof endpoints mount only when configured.
 func TestStatsEndpointAndPprof(t *testing.T) {
@@ -196,11 +211,14 @@ func TestStatsEndpointAndPprof(t *testing.T) {
 	if stats.RLSRoundTrips < 1 {
 		t.Error("stats missing RLS round-trip accounting")
 	}
-	if stats.ScheduleEvents == 0 || stats.ClusteredTasks == 0 {
+	if stats.Totals.ScheduleEvents == 0 || stats.Totals.ClusteredTasks == 0 {
 		t.Errorf("stats missing scheduler accounting: %+v", stats)
 	}
-	if stats.MemoMisses == 0 {
+	if stats.Totals.MemoMisses == 0 {
 		t.Errorf("stats missing memo accounting: %+v", stats)
+	}
+	if want := foldPublished(t, h.svc, stats.Requests); stats.Totals != want {
+		t.Errorf("Totals = %+v, want the fold of every request's Stats %+v", stats.Totals, want)
 	}
 
 	resp, err = srv.Client().Get(srv.URL + "/debug/pprof/")

@@ -40,14 +40,15 @@ func planRequest(tb testing.TB, h *harness, tab *votable.Table) int {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	l := h.svc.newLeg(DefaultTenant, "COMA", 0, nil)
-	if _, err := l.freshSource(dvs); err != nil {
+	l := h.leg()
+	src, err := l.freshSource(dvs)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	if st := l.snapshot(); st.ImagesFetched != 0 || st.ComputeJobs != tab.NumRows()+1 {
+	if st := l.r.status().Stats; st.ImagesFetched != 0 || st.ComputeJobs != tab.NumRows()+1 {
 		tb.Fatalf("not a staged plan of the whole table: %+v", st)
 	}
-	return l.total
+	return src.total
 }
 
 // TestPlanAllocBudget gates planning the way TestHotPathAllocBudget gates the

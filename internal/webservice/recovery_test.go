@@ -17,6 +17,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/myproxy"
 	"repro/internal/rls"
+	"repro/internal/vdl"
 	"repro/internal/votable"
 )
 
@@ -119,6 +120,17 @@ func TestResumeErrors(t *testing.T) {
 	if _, _, err := resume(h2.svc, "NEVER-RAN"); err == nil {
 		t.Error("resume of an unknown cluster must fail")
 	}
+	// A cluster name is joined into the journal paths, so one that is not a
+	// VDL identifier is refused before the fabric admits anything.
+	for _, cluster := range []string{"../x", "a/b"} {
+		admitted := h2.svc.Fleet().Admitted
+		if _, _, err := resume(h2.svc, cluster); !errors.Is(err, vdl.ErrParse) {
+			t.Errorf("resume of cluster %q = %v, want a vdl.ErrParse refusal", cluster, err)
+		}
+		if got := h2.svc.Fleet().Admitted; got != admitted {
+			t.Errorf("resume of cluster %q: fleet admitted %d, want %d", cluster, got, admitted)
+		}
+	}
 }
 
 // TestTransferCorruptionFailsOverToMirror corrupts a cached image at the
@@ -196,7 +208,7 @@ func TestFailoverCountAcrossSchedulerAndWorkers(t *testing.T) {
 		})
 		tab := h.inputTable(t)
 		refs := requestRefs(t, tab)
-		if err := h.svc.newLeg(DefaultTenant, "COMA", 0, nil).cacheImageRefs(refs); err != nil {
+		if err := h.leg().cacheImageRefs(refs); err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range refs {

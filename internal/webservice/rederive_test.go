@@ -80,7 +80,7 @@ func TestRederiveEqualsLiveJob(t *testing.T) {
 				h.stageGarbageImage(t, bad)
 			}
 
-			l := h.svc.newLeg(DefaultTenant, "COMA", 0, nil)
+			l := h.leg()
 			l.cat = cat
 			for _, lfn := range []string{good + ".txt", bad + ".txt", "COMA.vot"} {
 				pfns := h.r.Lookup(lfn)
@@ -108,7 +108,7 @@ func TestRederiveEqualsLiveJob(t *testing.T) {
 					}
 				}
 			}
-			if stats := l.snapshot(); stats.Rederived != 3 || stats.InvalidRows != 1 {
+			if stats := l.r.status().Stats; stats.Rederived != 3 || stats.InvalidRows != 1 {
 				t.Errorf("stats after three re-derivations, one invalid: %+v", stats)
 			}
 		})
@@ -128,7 +128,7 @@ func TestRederiveStrictFaultsErrorsLikeLiveJob(t *testing.T) {
 	if _, _, err := h.svc.Compute(tab, "COMA"); err == nil {
 		t.Fatal("strict-faults run must fail on the corrupt image")
 	}
-	l := h.svc.newLeg(DefaultTenant, "COMA", 0, nil)
+	l := h.leg()
 	l.cat = savedCatalog(t, dir)
 
 	// The live body: the planned galMorph node of the bad galaxy, run again.
@@ -159,7 +159,7 @@ func TestRederiveStrictFaultsErrorsLikeLiveJob(t *testing.T) {
 			t.Errorf("%s error = %v, want the measurement's fits.ErrBadHeader", name, err)
 		}
 	}
-	if stats := l.snapshot(); stats.InvalidRows != 0 || stats.Rederived != 0 {
+	if stats := l.r.status().Stats; stats.InvalidRows != 0 || stats.Rederived != 0 {
 		t.Errorf("a strict failure is not an invalid row or a re-derivation: %+v", stats)
 	}
 	if len(h.r.Lookup(bad+".txt")) != 0 {

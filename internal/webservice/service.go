@@ -98,9 +98,51 @@ type RunStats struct {
 	Preemptions int
 }
 
+// add folds the delta d into s: counters add, the two high-water marks take
+// the maximum, ReusedOutput latches. It is the one fold of RunStats — a leg
+// accounts through it and Service.Stats totals requests with it — so a
+// RunStats is the fold of its deltas in any order, which is what keeps it
+// identical at every worker width.
+func (s *RunStats) add(d RunStats) {
+	s.Galaxies += d.Galaxies
+	s.ComputeJobs += d.ComputeJobs
+	s.PrunedJobs += d.PrunedJobs
+	s.TransferNodes += d.TransferNodes
+	s.RegisterNodes += d.RegisterNodes
+	s.ImagesFetched += d.ImagesFetched
+	s.ImagesCached += d.ImagesCached
+	s.SIARequests += d.SIARequests
+	s.SIABytes += d.SIABytes
+	s.SIAModelTime += d.SIAModelTime
+	s.FilesStaged += d.FilesStaged
+	s.BytesStaged += d.BytesStaged
+	s.InvalidRows += d.InvalidRows
+	s.Retries += d.Retries
+	s.Failovers += d.Failovers
+	s.MemoHits += d.MemoHits
+	s.MemoMisses += d.MemoMisses
+	s.Makespan += d.Makespan
+	s.ReusedOutput = s.ReusedOutput || d.ReusedOutput
+	s.ChecksumFailures += d.ChecksumFailures
+	s.Quarantined += d.Quarantined
+	s.Rederived += d.Rederived
+	s.RestoredNodes += d.RestoredNodes
+	s.RLSRoundTrips += d.RLSRoundTrips
+	s.PlannedBytesMoved += d.PlannedBytesMoved
+	s.ScheduleEvents += d.ScheduleEvents
+	s.ClusteredTasks += d.ClusteredTasks
+	s.ClusteredNodes += d.ClusteredNodes
+	s.Waves += d.Waves
+	s.MaxWaveNodes = max(s.MaxWaveNodes, d.MaxWaveNodes)
+	s.ImagesEvicted += d.ImagesEvicted
+	s.PeakStagedImages = max(s.PeakStagedImages, d.PeakStagedImages)
+	s.Preemptions += d.Preemptions
+}
+
 // Status is what the polling URL returns. JobsDone/JobsTotal stream the
 // workflow's progress (DAGMan monitoring, Figure 2 step 15) so the portal
-// can show intermediate status messages, as §4.3.1 item 2 intends.
+// can show intermediate status messages, as §4.3.1 item 2 intends; Stats is
+// the running leg's accounting so far, final once the request ends.
 type Status struct {
 	ID        string
 	Cluster   string
@@ -248,10 +290,65 @@ type Service struct {
 	// LFN so a stale entry can never resurrect a quarantined copy.
 	replicas *rls.Cache
 
+	// mu guards the table of published requests; each record guards its
+	// own facts.
 	mu       sync.Mutex
-	requests map[string]*Status
-	cancels  map[string]context.CancelFunc
+	requests map[string]*request
 	nextID   int
+}
+
+// request is the one record of a request's facts: its Status, guarded by mu,
+// which the running leg folds its accounting and progress into and moves
+// through the lifecycle table, and which /status and /stats read. cancel
+// stops a published request and is guarded by Service.mu (the synchronous
+// entry points leave it nil: their caller owns the context); observe, when
+// set, is told every progress change, outside the lock.
+type request struct {
+	mu sync.Mutex
+	Status
+	cancel  context.CancelFunc
+	observe func(done, total int)
+}
+
+// newRequest is the one constructor of a request record, for a request the
+// fabric admitted with ticket: queued, or running when admission granted a
+// slot synchronously.
+func newRequest(cluster string, opt RequestOptions, ticket *fabric.Ticket, observe func(done, total int)) *request {
+	r := &request{Status: Status{Cluster: cluster, Tenant: opt.tenant(), Priority: opt.Priority}, observe: observe}
+	if ticket.Granted() {
+		r.apply(evGranted, "")
+	} else {
+		r.apply(evQueued, "")
+	}
+	return r
+}
+
+// apply moves the request through the lifecycle table.
+func (r *request) apply(ev event, errText string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.Status.apply(ev, errText)
+}
+
+// status returns a snapshot of the record.
+func (r *request) status() Status {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.Status
+}
+
+// end applies the terminal event of the request's last leg and returns what
+// its entry point reports: the output LFN, that leg's stats and err.
+func (r *request) end(out string, err error) (string, RunStats, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err != nil {
+		r.Status.apply(evFailed, err.Error())
+	} else {
+		r.Status.apply(evCompleted, "")
+		r.ResultLFN = out
+	}
+	return out, r.Stats, err
 }
 
 // workers returns the configured side-effect concurrency bound (minimum 1).
@@ -319,8 +416,7 @@ func New(cfg Config) (*Service, error) {
 	svc := &Service{
 		cfg:      cfg,
 		replicas: rls.NewCache(cfg.RLS),
-		requests: map[string]*Status{},
-		cancels:  map[string]context.CancelFunc{},
+		requests: map[string]*request{},
 	}
 	if !cfg.StrictFaults {
 		svc.memo = vdcache.New[memoEntry]()
@@ -352,18 +448,21 @@ func (o RequestOptions) tenant() string {
 // request (resumeOp "") must carry a valid input table, which leaves here as
 // the request's derivations; a resumption (resumeOp names the operation, tab
 // is nil, and so are the derivations returned) needs a journal to resume
-// from. Then the fabric decides: a ticket to wait on, or a fabric.ShedError.
+// from, and a cluster name that can name it. Then the fabric decides: a
+// ticket to wait on, or a fabric.ShedError.
 func (s *Service) admit(tab *votable.Table, cluster, resumeOp string, opt RequestOptions) (*derivations, *fabric.Ticket, error) {
 	var dvs *derivations
-	if resumeOp != "" {
-		if s.cfg.JournalDir == "" {
-			return nil, nil, fmt.Errorf("webservice: %s requires JournalDir", resumeOp)
-		}
-	} else {
-		var err error
-		if dvs, err = newDerivations(tab, cluster); err != nil {
-			return nil, nil, err
-		}
+	var err error
+	switch {
+	case resumeOp == "":
+		dvs, err = newDerivations(tab, cluster)
+	case s.cfg.JournalDir == "":
+		err = fmt.Errorf("webservice: %s requires JournalDir", resumeOp)
+	default:
+		err = checkCluster(cluster)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
 	return dvs, ticket, err
@@ -383,96 +482,63 @@ func (s *Service) SubmitFor(tab *votable.Table, cluster string, opt RequestOptio
 	if err != nil {
 		return "", err
 	}
+	r := newRequest(cluster, opt, ticket, nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	id := fmt.Sprintf("req-%06d", s.nextID)
-	st := &Status{ID: id, Cluster: cluster, Tenant: opt.tenant(), Priority: opt.Priority}
-	if ticket.Granted() {
-		st.apply(evGranted, "")
-	} else {
-		st.apply(evQueued, "")
-	}
-	s.requests[id] = st
-	s.launch(st, ticket, dvs)
-	return id, nil
+	r.ID = fmt.Sprintf("req-%06d", s.nextID)
+	s.requests[r.ID] = r
+	s.launch(r, ticket, dvs)
+	return r.ID, nil
 }
 
-// launch drives an admitted request to its terminal state in the
-// background, mirroring grants, preemption cycles, progress and the final
-// outcome onto its polled status. dvs == nil resumes the request from its
-// journal. The caller holds s.mu.
-func (s *Service) launch(st *Status, ticket *fabric.Ticket, dvs *derivations) {
+// launch runs a published request in the background, under a context that
+// Cancel stops and that is released when run returns. dvs == nil resumes the
+// request from its journal. The caller holds s.mu.
+func (s *Service) launch(r *request, ticket *fabric.Ticket, dvs *derivations) {
 	ctx, cancel := context.WithCancel(context.Background())
-	id, cluster := st.ID, st.Cluster
-	opt := RequestOptions{Tenant: st.Tenant, Priority: st.Priority}
-	s.cancels[id] = cancel
-	onProgress := func(done, total int) {
-		s.mu.Lock()
-		st.JobsDone = done
-		st.JobsTotal = total
-		s.mu.Unlock()
-	}
-	onEvent := func(ev event) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		st.apply(ev, "")
-	}
+	r.cancel = cancel
 	go func() {
-		out, stats, err := s.await(ctx, ticket, dvs, cluster, opt, onProgress, onEvent)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		delete(s.cancels, id)
-		cancel()
-		st.Stats = stats
-		if err != nil {
-			st.apply(evFailed, err.Error())
-			return
-		}
-		st.apply(evCompleted, "")
-		st.ResultLFN = out
+		defer cancel()
+		s.run(ctx, r, ticket, dvs)
 	}()
 }
 
-// await blocks until the fabric grants the ticket, then runs the workflow
-// under the fabric's preemption protocol: when the scheduler revokes the
-// lease mid-run the leg checkpoint-stops at the next journal event boundary
-// (ErrPreempted); the loop answers with lease.Preempted — releasing the
-// slot, charging the partial model time, and re-entering the queue at the
-// original priority class — waits for a fresh grant, and resumes from the
-// scoped journal. It repeats until the workflow finishes, fails for a real
-// reason, or is canceled while waiting (which dequeues it before it runs).
-// dvs == nil makes the first leg a resume too. onEvent (optional) observes
-// every grant (evGranted to a fresh leg, evResumed to a resuming one) and
-// revocation (evPreempted). The RunStats returned are the last leg's.
-func (s *Service) await(ctx context.Context, ticket *fabric.Ticket, dvs *derivations, cluster string,
-	opt RequestOptions, onProgress func(done, total int), onEvent func(event)) (string, RunStats, error) {
-	if onEvent == nil {
-		onEvent = func(event) {}
-	}
-	var stats RunStats
+// run drives an admitted request to its terminal state. It blocks until the
+// fabric grants the ticket, then runs the workflow under the fabric's
+// preemption protocol: when the scheduler revokes the lease mid-run the leg
+// checkpoint-stops at the next journal event boundary (ErrPreempted); the
+// loop answers with lease.Preempted — releasing the slot, charging the
+// partial model time, and re-entering the queue at the original priority
+// class — waits for a fresh grant, and resumes from the scoped journal. It
+// repeats until the workflow finishes, fails for a real reason, or is
+// canceled while waiting (which dequeues it before it runs), and ends the
+// record completed or failed. Every grant (evGranted to a fresh leg,
+// evResumed to a resuming one) and revocation (evPreempted) goes through the
+// record; dvs == nil makes the first leg a resume too. The RunStats returned
+// are the last leg's.
+func (s *Service) run(ctx context.Context, r *request, ticket *fabric.Ticket, dvs *derivations) (string, RunStats, error) {
 	waiting := "queued"
 	for preemptions := 0; ; preemptions++ {
 		lease, err := ticket.Wait(ctx)
 		if err != nil {
-			return "", stats, fmt.Errorf("webservice: canceled while %s: %w", waiting, err)
+			return r.end("", fmt.Errorf("webservice: canceled while %s: %w", waiting, err))
 		}
 		if dvs != nil {
-			onEvent(evGranted)
+			r.apply(evGranted, "")
 		} else {
-			onEvent(evResumed)
+			r.apply(evResumed, "")
 		}
-		l := s.newLeg(opt.tenant(), cluster, preemptions, onProgress)
+		l := s.newLeg(r, preemptions)
 		out, err := l.runLeg(ctx, lease, dvs)
 		if !errors.Is(err, ErrPreempted) {
-			return out, l.snapshot(), err
+			return r.end(out, err)
 		}
-		if ticket = lease.Preempted(l.snapshot().Makespan); ticket == nil {
-			return out, l.snapshot(), err // lease already released: surface the leg's error
+		if ticket = lease.Preempted(r.status().Stats.Makespan); ticket == nil {
+			return r.end(out, err) // lease already released: surface the leg's error
 		}
-		onEvent(evPreempted)
+		r.apply(evPreempted, "")
 		l.account(RunStats{Preemptions: 1})
-		stats = l.snapshot()
 		dvs, waiting = nil, "requeued after preemption"
 	}
 }
@@ -495,12 +561,11 @@ func (s *Service) Reopen() (*Service, error) {
 func (s *Service) Cancel(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.requests[id]; !ok {
+	r, ok := s.requests[id]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	if cancel, ok := s.cancels[id]; ok {
-		cancel()
-	}
+	r.cancel()
 	return nil
 }
 
@@ -514,10 +579,11 @@ func (s *Service) Cancel(id string) error {
 func (s *Service) Requeue(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.requests[id]
+	r, ok := s.requests[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
+	st := r.status()
 	if st.State != StateFailed {
 		return fmt.Errorf("webservice: request %q is %s; only failed requests requeue", id, st.State)
 	}
@@ -525,11 +591,11 @@ func (s *Service) Requeue(id string) error {
 	if err != nil {
 		return err
 	}
-	st.apply(evRequeued, "")
+	r.apply(evRequeued, "")
 	if ticket.Granted() {
-		st.apply(evResumed, "")
+		r.apply(evResumed, "")
 	}
-	s.launch(st, ticket, nil)
+	s.launch(r, ticket, nil)
 	return nil
 }
 
@@ -555,11 +621,11 @@ func (s *Service) Fleet() fabric.FleetSnapshot { return s.cfg.Fabric.Snapshot() 
 func (s *Service) Status(id string) (Status, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.requests[id]
+	r, ok := s.requests[id]
 	if !ok {
 		return Status{}, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	return *st, nil
+	return r.status(), nil
 }
 
 // outputLFN names the result table after the cluster, as §4.3 describes.
@@ -606,7 +672,7 @@ func (s *Service) ComputeFor(ctx context.Context, tab *votable.Table, cluster st
 	if err != nil {
 		return "", RunStats{}, err
 	}
-	return s.await(ctx, ticket, dvs, cluster, opt, onProgress, nil)
+	return s.run(ctx, newRequest(cluster, opt, ticket, onProgress), ticket, dvs)
 }
 
 // ResumeFor reopens, on behalf of a tenant, a journaled run that died
@@ -626,5 +692,5 @@ func (s *Service) ResumeFor(ctx context.Context, cluster string, opt RequestOpti
 	if err != nil {
 		return "", RunStats{}, err
 	}
-	return s.await(ctx, ticket, nil, cluster, opt, onProgress, nil)
+	return s.run(ctx, newRequest(cluster, opt, ticket, onProgress), ticket, nil)
 }

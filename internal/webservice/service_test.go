@@ -82,6 +82,12 @@ func newGrid(t testing.TB, specs []skysim.Spec, cfgMut func(*Config)) *harness {
 	return &harness{archive: arch, archSrv: srv, svc: svc, r: r, ftp: ftp, clusters: cls}
 }
 
+// leg is a leg of an unpublished default-tenant COMA request, for tests that
+// drive leg methods directly.
+func (h *harness) leg() *leg {
+	return h.svc.newLeg(&request{Status: Status{Tenant: DefaultTenant, Cluster: "COMA"}}, 0)
+}
+
 // crashAfter is the kill switch of the kill-and-resume campaigns as a
 // Config.WrapJournal hook: every workflow leg gets a fresh sink that
 // simulates kill -9 after k journal appends (k <= 0 never crashes).
@@ -484,6 +490,33 @@ func TestGalmorphBodyCap(t *testing.T) {
 	}
 }
 
+// TestGalmorphBadPriority: a priority that is not an int — a word, or a
+// number that overflows one — answers 400 and admits nothing.
+func TestGalmorphBadPriority(t *testing.T) {
+	h := newHarness(t, 3, nil)
+	srv := httptest.NewServer(h.svc.Handler())
+	defer srv.Close()
+	var body bytes.Buffer
+	if err := votable.WriteTable(&body, h.inputTable(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"abc", "99999999999999999999"} {
+		resp, err := http.Post(srv.URL+"/galmorph?cluster=COMA&priority="+p, "text/xml", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /galmorph priority=%s = %d (%s), want 400", p, resp.StatusCode, msg)
+		}
+	}
+	if fleet := h.svc.Fleet(); fleet.Admitted != 0 {
+		t.Errorf("bad priorities admitted %d requests, want 0", fleet.Admitted)
+	}
+	if st := h.svc.Stats(); st.Requests != 0 {
+		t.Errorf("bad priorities published %d requests, want 0", st.Requests)
+	}
+}
+
 func TestHTTPErrors(t *testing.T) {
 	h := newHarness(t, 3, nil)
 	wsSrv := httptest.NewServer(h.svc.Handler())
@@ -568,6 +601,37 @@ func TestResultCodec(t *testing.T) {
 			t.Errorf("malformed %s: err = %v, want an error naming the key", key, err)
 		}
 	}
+}
+
+// FuzzResultRoundTrip: decodeResult never panics, and a result file it
+// accepts, written back by appendResult, decodes to the same result, floats
+// bit for bit.
+func FuzzResultRoundTrip(f *testing.F) {
+	for _, r := range []GalMorphResult{
+		{ID: "COMA-000001", SurfaceBrightness: 21.5, Concentration: 3.2, Asymmetry: 0.12, Valid: true},
+		{ID: "X", Reason: "no signal\nmultiline"},
+		{ID: "Y", SurfaceBrightness: math.Inf(1), Concentration: math.NaN(), Asymmetry: math.Copysign(0, -1), Valid: true},
+	} {
+		f.Add(appendResult(nil, r))
+	}
+	f.Add([]byte("id  X\r\nsurface_brightness 0x1p-2\nvalid false\nid Z\nextra key\n"))
+	f.Add([]byte("valid True\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeResult(data)
+		if err != nil {
+			return
+		}
+		got, err := decodeResult(appendResult(nil, r))
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", r, err)
+		}
+		if got.ID != r.ID || got.Valid != r.Valid || got.Reason != r.Reason ||
+			math.Float64bits(got.SurfaceBrightness) != math.Float64bits(r.SurfaceBrightness) ||
+			math.Float64bits(got.Concentration) != math.Float64bits(r.Concentration) ||
+			math.Float64bits(got.Asymmetry) != math.Float64bits(r.Asymmetry) {
+			t.Fatalf("round trip changed the result:\nwas %+v\nnow %+v", r, got)
+		}
+	})
 }
 
 func TestBuildVDLParses(t *testing.T) {
