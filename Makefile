@@ -58,12 +58,13 @@ bench:
 	$(GO) test -run XXX -bench '$(BENCH)' -benchmem .
 
 # Journal-replay idempotence: the kill-and-resume sweeps (schedule-explorer
-# rows) and corruption recovery, race-enabled, plus the cmd-level sweep
-# through the full testbed.
+# rows) and corruption recovery, race-enabled, plus one kill-and-resume
+# through the full testbed from the command line, monolithic and in waves.
 recovery:
 	$(GO) test -race -run 'TestResume|TestJournalBrackets|TestTransferCorruption|TestCorruptIntermediate|TestCancel' -v ./internal/webservice/
 	$(GO) test -race -run 'TestExplore/^(KillAndResume|CorruptResultAfterWaveEviction)' -v ./internal/webservice/
 	$(GO) run ./cmd/nvo-resume -cluster COMA -scale 0.1
+	$(GO) run ./cmd/nvo-resume -cluster COMA -scale 0.1 -wave-size 3
 
 # Fuzz smoke over every parser that reads bytes from disk or the network —
 # the RLS text codec, the one FITS reader (Decode accepts exactly what

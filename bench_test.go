@@ -31,6 +31,7 @@ import (
 	"repro/internal/tcat"
 	"repro/internal/vdl"
 	"repro/internal/wcs"
+	"repro/internal/webservice"
 )
 
 // --- E1: Table 1 — data services -------------------------------------------
@@ -470,7 +471,7 @@ func newBenchTestbedWorkers(b *testing.B, galaxies int, failureRate float64, wor
 		}},
 		Seed:    5,
 		Faults:  inj,
-		Workers: workers,
+		Compute: webservice.Config{Workers: workers},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -627,8 +628,8 @@ func BenchmarkAblationBatchSIA(b *testing.B) {
 						Name: "BENCH", Center: wcs.New(150, 2), Redshift: 0.04,
 						NumGalaxies: 60, Seed: 77,
 					}},
-					Seed:       5,
-					BatchFetch: mode.batch,
+					Seed:    5,
+					Compute: webservice.Config{BatchFetch: mode.batch},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -38,8 +38,8 @@ func chaosTestbed(t *testing.T, clusters int, inj *faults.Injector) *core.Testbe
 		ClusterSpecs: chaosSpecs(clusters),
 		Seed:         7,
 		Resilience:   true,
-		MirrorSite:   "mirror",
 		Faults:       inj,
+		Compute:      webservice.Config{MirrorSite: "mirror"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +202,13 @@ func TestChaosConcurrentTenants(t *testing.T) {
 			ClusterSpecs: chaosSpecs(n),
 			Seed:         7,
 			Resilience:   true,
-			MirrorSite:   "mirror",
-			FaultsFor: func(tenant, cluster string) *faults.Injector {
-				in := tenantFaultPlan(cluster)
-				inj = in
-				return in
+			Compute: webservice.Config{
+				MirrorSite: "mirror",
+				FaultsFor: func(tenant, cluster string) *faults.Injector {
+					in := tenantFaultPlan(cluster)
+					inj = in
+					return in
+				},
 			},
 		})
 		if err != nil {
@@ -236,17 +238,19 @@ func TestChaosConcurrentTenants(t *testing.T) {
 		ClusterSpecs: chaosSpecs(n),
 		Seed:         7,
 		Resilience:   true,
-		MirrorSite:   "mirror",
-		FaultsFor: func(tenant, cluster string) *faults.Injector {
-			inj := tenantFaultPlan(cluster)
-			mu.Lock()
-			for i := range tenants {
-				if tenant == tenants[i] {
-					injectors[i] = inj
+		Compute: webservice.Config{
+			MirrorSite: "mirror",
+			FaultsFor: func(tenant, cluster string) *faults.Injector {
+				inj := tenantFaultPlan(cluster)
+				mu.Lock()
+				for i := range tenants {
+					if tenant == tenants[i] {
+						injectors[i] = inj
+					}
 				}
-			}
-			mu.Unlock()
-			return inj
+				mu.Unlock()
+				return inj
+			},
 		},
 	})
 	if err != nil {

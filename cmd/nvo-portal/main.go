@@ -18,7 +18,9 @@ import (
 	"repro/internal/condor"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/portal"
 	"repro/internal/skysim"
+	"repro/internal/webservice"
 )
 
 func main() {
@@ -60,13 +62,9 @@ func main() {
 	tb, err := core.NewTestbed(core.Config{
 		ClusterSpecs:         specs,
 		Seed:                 *seed,
-		FaultsFor:            faultsFor,
-		CacheImageSearch:     true,
 		UseRegistryDiscovery: *discover,
-		BatchFetch:           *batch,
-		PageSize:             *pageSize,
-		WaveSize:             *waveSize,
-		Priority:             *priority,
+		Compute:              webservice.Config{FaultsFor: faultsFor, BatchFetch: *batch, WaveSize: *waveSize},
+		Portal:               portal.Config{CacheImageSearch: true, PageSize: *pageSize, Priority: *priority},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nvo-portal:", err)

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/portal"
 	"repro/internal/skysim"
 	"repro/internal/webservice"
 )
@@ -89,16 +90,21 @@ var (
 	priority int
 )
 
+// newTestbed builds the testbed of one run. With crashAfter > 0 every
+// workflow leg is killed after that many journal appends: a fresh crash sink
+// per leg, which Compute.Reopen disarms.
 func newTestbed(specs []skysim.Spec, seed int64, workers int, journalDir string, crashAfter int) (*core.Testbed, error) {
+	compute := webservice.Config{Workers: workers, JournalDir: journalDir, WaveSize: waveSize}
+	if crashAfter > 0 {
+		compute.WrapJournal = func(_, _ string, sink journal.Sink) journal.Sink {
+			return &journal.CrashSink{Sink: sink, After: crashAfter}
+		}
+	}
 	return core.NewTestbed(core.Config{
-		ClusterSpecs:     specs,
-		Seed:             seed,
-		Workers:          workers,
-		JournalDir:       journalDir,
-		CrashAfterEvents: crashAfter,
-		WaveSize:         waveSize,
-		PageSize:         pageSize,
-		Priority:         priority,
+		ClusterSpecs: specs,
+		Seed:         seed,
+		Compute:      compute,
+		Portal:       portal.Config{PageSize: pageSize, Priority: priority},
 	})
 }
 

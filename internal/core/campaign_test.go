@@ -88,7 +88,7 @@ func TestSection5Campaign(t *testing.T) {
 }
 
 func TestCampaignFailsOnBrokenCluster(t *testing.T) {
-	tb := smallTestbed(t, 5, func(c *Config) { c.StrictFaults = true })
+	tb := smallTestbed(t, 5, func(c *Config) { c.Compute.StrictFaults = true })
 	// Sabotage: corrupt one image in the compute cache so the strict-fault
 	// path fails the cluster.
 	cat, err := tb.Portal.BuildCatalog("COMA")

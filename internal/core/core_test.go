@@ -18,15 +18,17 @@ import (
 	"repro/internal/wcs"
 )
 
+// smallSpec is one COMA cluster of n galaxies.
+func smallSpec(n int) []skysim.Spec {
+	return []skysim.Spec{{
+		Name: "COMA", Center: wcs.New(195, 28), Redshift: 0.023,
+		NumGalaxies: n, Seed: 31,
+	}}
+}
+
 func smallTestbed(t testing.TB, n int, mut func(*Config)) *Testbed {
 	t.Helper()
-	cfg := Config{
-		ClusterSpecs: []skysim.Spec{{
-			Name: "COMA", Center: wcs.New(195, 28), Redshift: 0.023,
-			NumGalaxies: n, Seed: 31,
-		}},
-		Seed: 9,
-	}
+	cfg := Config{ClusterSpecs: smallSpec(n), Seed: 9}
 	if mut != nil {
 		mut(&cfg)
 	}

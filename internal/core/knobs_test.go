@@ -21,7 +21,7 @@ func TestKnobBudget(t *testing.T) {
 		budget int
 	}{
 		{webservice.Config{}, 26},
-		{Config{}, 22},
+		{Config{}, 12},
 		{dagman.Options{}, 6},
 		{portal.Config{}, 16},
 		{pegasus.Config{}, 10},

@@ -1,16 +1,17 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"net/http"
+	"reflect"
 	"time"
 
 	"repro/internal/condor"
-	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/gridftp"
 	"repro/internal/httpclient"
-	"repro/internal/journal"
 	"repro/internal/mds"
 	"repro/internal/myproxy"
 	"repro/internal/portal"
@@ -36,89 +37,54 @@ const (
 	HostTableOps = "tableops.nvo" // generic VOTable operations (§5 future work)
 )
 
-// Config parameterizes a testbed.
+// Config parameterizes a testbed. The compute service and the portal are
+// configured through their own Config types, carried as overlays: NewTestbed
+// starts from Compute and Portal and fills in only what the testbed owns —
+// the Grid substrate it builds (RLS, transformation catalog, GridFTP, the
+// paper's three pools, the image cache site, the in-process HTTP client),
+// the portal's service endpoints and cluster list, the seed, and the
+// breakers, retry policy and proxy that Resilience and RequireProxy select.
+// An overlay that sets one of those fields is refused with its name.
 type Config struct {
 	// ClusterSpecs generate the sky. Defaults to skysim.StandardClusters()
 	// truncated to the first two (keep the default light).
 	ClusterSpecs []skysim.Spec
-	// Pools are the Condor pools; default: the paper's three (USC,
-	// Wisconsin, Fermilab).
-	Pools []condor.Pool
 	// Seed drives all randomness.
 	Seed int64
-	// StrictFaults selects the rejected fault-tolerance design (A4).
-	StrictFaults bool
-	// CacheImageSearch enables the portal's image-search cache.
-	CacheImageSearch bool
-	// UseRegistryDiscovery makes the portal discover its services from the
-	// resource registry instead of hard-coded endpoints (§5 future work).
-	UseRegistryDiscovery bool
+	// Faults, when set, is installed on every fault point of the testbed:
+	// GridFTP transfers, both archives' HTTP endpoints, RLS lookups and
+	// registrations, and — unless Compute.FaultsFor supplies per-workflow
+	// injectors — Condor job execution inside the compute service. Nil runs
+	// fault-free at zero cost.
+	Faults *faults.Injector
+	// Resilience enables the retry/backoff/circuit-breaker stack: the
+	// portal retries archive calls and degrades gracefully, the compute
+	// service fails transfers over to other RLS replicas (set
+	// Compute.MirrorSite to give every cached image a second replica). The
+	// shared breaker registry is exposed as Testbed.Breakers.
+	Resilience bool
 	// RequireProxy gates the compute service behind a MyProxy credential
 	// (§4.3.1 item 5); the testbed delegates one for user "nvoportal".
 	RequireProxy bool
-	// BatchFetch makes the compute service collect galaxy images through
-	// the batched cutout interface instead of one request per galaxy.
-	BatchFetch bool
-	// Workers bounds how many leaf-job side effects the compute service's
-	// Condor simulator executes concurrently (and how many image fetches it
-	// issues at once). 0 or 1 runs serially; the simulated clock, schedule,
-	// and science output are identical either way.
-	Workers int
-	// Faults, when set, is installed on every fault point of the testbed:
-	// GridFTP transfers, both archives' HTTP endpoints, RLS lookups and
-	// registrations, and Condor job execution inside the compute service.
-	// Nil runs fault-free at zero cost.
-	Faults *faults.Injector
-	// FaultsFor, when set, supplies the compute service a per-workflow
-	// Condor fault injector (tenant, cluster) so concurrent workflows keep
-	// independent, deterministic fault schedules. Unlike Faults it is NOT
-	// installed on the shared substrate (GridFTP/RLS/archives). When nil,
-	// every workflow's Condor jobs draw from Faults.
-	FaultsFor func(tenant, cluster string) *faults.Injector
-	// Fabric, when set, is the shared multi-tenant execution fabric the
-	// compute service admits and schedules workflows on; nil gives the
-	// service a private permissive fabric over Pools.
-	Fabric *fabric.Fabric
-	// Resilience enables the retry/backoff/circuit-breaker stack: the
-	// portal retries archive calls and degrades gracefully, the compute
-	// service fails transfers over to other RLS replicas. The shared breaker
-	// registry is exposed as Testbed.Breakers.
-	Resilience bool
-	// MirrorSite, when non-empty, makes the compute service replicate every
-	// cached image to this second GridFTP site (and register both PFNs in
-	// the RLS) so transfer nodes have a replica to fail over to.
-	MirrorSite string
-	// JournalDir, when non-empty, makes the compute service crash-safe: the
-	// planned DAG, the generated VDL and a write-ahead journal are persisted
-	// there, and a killed run can be finished with Compute.Resume.
+	// UseRegistryDiscovery makes the portal discover its services from the
+	// resource registry instead of hard-coded endpoints (§5 future work).
+	UseRegistryDiscovery bool
+
+	// Compute overlays the compute service's configuration. MaxRetries
+	// defaults to 5 here.
+	Compute webservice.Config
+	// Portal overlays the portal's configuration.
+	Portal portal.Config
+
+	// Workers, WaveSize, JournalDir and PageSize are shorthands for
+	// Compute.Workers, Compute.WaveSize, Compute.JournalDir and
+	// Portal.PageSize; setting a shorthand and its overlay field both is an
+	// error. They remain because the benchmark harness sets them; once it
+	// moves onto the overlays (ROADMAP item 1) they can be deleted.
+	Workers    int
+	WaveSize   int
 	JournalDir string
-	// CrashAfterEvents, when > 0, kills the workflow after that many journal
-	// appends (the kill-and-resume campaign's deterministic crash switch).
-	CrashAfterEvents int
-	// ClusterSize batches up to this many ready leaf jobs per site into one
-	// Condor task (Pegasus horizontal clustering). <= 1 keeps one task per
-	// node.
-	ClusterSize int
-	// SchedOverhead models the serialized per-task Condor-G/GRAM submission
-	// cost; zero keeps the instant-start legacy model.
-	SchedOverhead time.Duration
-	// TransferSlots gives every pool that many dedicated data-movement
-	// slots so stage-ins overlap computation.
-	TransferSlots int
-	// WaveSize, when > 0, switches the compute service to survey-scale wave
-	// execution: images are staged, planned and executed in waves of at most
-	// this many galaxies, bounding peak memory by the wave rather than the
-	// request. Output bytes are identical to the monolithic path.
-	WaveSize int
-	// PageSize, when > 0, makes the portal consume the archives' cone-search
-	// and SIA endpoints in pages of this many rows instead of one unbounded
-	// response per archive.
-	PageSize int
-	// Priority is the default fabric scheduling class the portal stamps on
-	// its compute submissions. Meaningful on a shared Fabric with priority
-	// classes (and, when the fabric enables preemption, a higher class may
-	// checkpoint-preempt a lower one); zero is the default class.
-	Priority int
+	PageSize   int
 }
 
 // Testbed is the fully wired end-to-end system.
@@ -168,9 +134,6 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	if len(cfg.ClusterSpecs) == 0 {
 		cfg.ClusterSpecs = skysim.StandardClusters()[:2]
 	}
-	if len(cfg.Pools) == 0 {
-		cfg.Pools = DefaultPools()
-	}
 
 	tb := &Testbed{
 		RLS:      rls.New(),
@@ -200,7 +163,7 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	}
 
 	// Grid information services.
-	for _, p := range cfg.Pools {
+	for _, p := range DefaultPools() {
 		if err := tb.MDS.Register(mds.SiteInfo{
 			Name:        p.Name,
 			Slots:       p.Slots,
@@ -220,50 +183,36 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	router := hostRouter{}
 	tb.Client = httpclient.New(router)
 
-	wsCfg := webservice.Config{
-		RLS:          tb.RLS,
-		TC:           tb.TC,
-		GridFTP:      tb.FTP,
-		Pools:        cfg.Pools,
-		CacheSite:    "isi",
-		HTTPClient:   tb.Client,
-		Seed:         cfg.Seed,
-		StrictFaults: cfg.StrictFaults,
-		MaxRetries:   5,
-		BatchFetch:   cfg.BatchFetch,
-		MirrorSite:   cfg.MirrorSite,
-		FaultsFor:    cfg.FaultsFor,
-		Breakers:     tb.Breakers,
-		Fabric:       cfg.Fabric,
-		Workers:      cfg.Workers,
-
-		JournalDir: cfg.JournalDir,
-
-		ClusterSize:   cfg.ClusterSize,
-		SchedOverhead: cfg.SchedOverhead,
-		TransferSlots: cfg.TransferSlots,
-		WaveSize:      cfg.WaveSize,
-	}
-	if k := cfg.CrashAfterEvents; k > 0 {
-		// A fresh crash sink per workflow leg, disarmed by Compute.Reopen.
-		wsCfg.WrapJournal = func(_, _ string, sink journal.Sink) journal.Sink {
-			return &journal.CrashSink{Sink: sink, After: k}
-		}
-	}
-	if cfg.FaultsFor == nil && cfg.Faults != nil {
-		wsCfg.FaultsFor = func(_, _ string) *faults.Injector { return cfg.Faults }
-	}
+	var proxy func() (myproxy.Proxy, error)
 	if cfg.RequireProxy {
 		if err := tb.MyProxy.Delegate(MyProxyUser, MyProxyPass,
 			"/C=US/O=NVO/CN=Portal Service", 12*time.Hour, time.Hour); err != nil {
 			return nil, err
 		}
 		repo := tb.MyProxy
-		wsCfg.Proxy = func() (myproxy.Proxy, error) {
+		proxy = func() (myproxy.Proxy, error) {
 			return repo.Retrieve(MyProxyUser, MyProxyPass, time.Hour)
 		}
 	}
-	compute, err := webservice.New(wsCfg)
+	var bad error // overlay fields the caller set although the testbed owns them
+	ws := cfg.Compute
+	own(&bad, "Compute.RLS", &ws.RLS, tb.RLS)
+	own(&bad, "Compute.TC", &ws.TC, tb.TC)
+	own(&bad, "Compute.GridFTP", &ws.GridFTP, tb.FTP)
+	own(&bad, "Compute.Pools", &ws.Pools, DefaultPools())
+	own(&bad, "Compute.CacheSite", &ws.CacheSite, "isi")
+	own(&bad, "Compute.HTTPClient", &ws.HTTPClient, tb.Client)
+	own(&bad, "Compute.Seed", &ws.Seed, cfg.Seed)
+	own(&bad, "Compute.Breakers", &ws.Breakers, tb.Breakers)
+	own(&bad, "Compute.Proxy", &ws.Proxy, proxy)
+	shorthand(&bad, "Compute.Workers", &ws.Workers, cfg.Workers)
+	shorthand(&bad, "Compute.WaveSize", &ws.WaveSize, cfg.WaveSize)
+	shorthand(&bad, "Compute.JournalDir", &ws.JournalDir, cfg.JournalDir)
+	ws.MaxRetries = cmp.Or(ws.MaxRetries, 5)
+	if ws.FaultsFor == nil && cfg.Faults != nil {
+		ws.FaultsFor = func(_, _ string) *faults.Injector { return cfg.Faults }
+	}
+	compute, err := webservice.New(ws)
 	if err != nil {
 		return nil, err
 	}
@@ -310,40 +259,55 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	router[HostRegistry] = registry.Handler(tb.Registry)
 	router[HostTableOps] = tableops.Handler()
 
-	var pCfg portal.Config
+	endpoints := portal.Config{
+		ConeServices:   []string{"http://" + HostNED + "/cone", "http://" + HostMAST + "/cone"},
+		SIAServices:    []string{"http://" + HostMAST + "/sia", "http://" + HostHEASARC + "/sia"},
+		CutoutService:  "http://" + HostMAST + "/siacut",
+		ComputeService: "http://" + HostCompute,
+	}
 	if cfg.UseRegistryDiscovery {
 		regClient := &registry.Client{Base: "http://" + HostRegistry, HTTP: tb.Client}
-		if pCfg, err = portal.DiscoverConfig(regClient, entries, tb.Client); err != nil {
+		if endpoints, err = portal.DiscoverConfig(regClient, entries, tb.Client); err != nil {
 			return nil, err
 		}
-	} else {
-		pCfg = portal.Config{
-			Clusters: entries,
-			ConeServices: []string{
-				"http://" + HostNED + "/cone",
-				"http://" + HostMAST + "/cone",
-			},
-			SIAServices: []string{
-				"http://" + HostMAST + "/sia",
-				"http://" + HostHEASARC + "/sia",
-			},
-			CutoutService:  "http://" + HostMAST + "/siacut",
-			ComputeService: "http://" + HostCompute,
-			HTTPClient:     tb.Client,
-		}
 	}
-	pCfg.CacheImageSearch = cfg.CacheImageSearch
-	pCfg.PageSize = cfg.PageSize
-	pCfg.Priority = cfg.Priority
+	pc := cfg.Portal
+	own(&bad, "Portal.Clusters", &pc.Clusters, entries)
+	own(&bad, "Portal.ConeServices", &pc.ConeServices, endpoints.ConeServices)
+	own(&bad, "Portal.SIAServices", &pc.SIAServices, endpoints.SIAServices)
+	own(&bad, "Portal.CutoutService", &pc.CutoutService, endpoints.CutoutService)
+	own(&bad, "Portal.ComputeService", &pc.ComputeService, endpoints.ComputeService)
+	own(&bad, "Portal.HTTPClient", &pc.HTTPClient, tb.Client)
 	if cfg.Resilience {
-		pCfg.Retry = resilience.Policy{MaxAttempts: 4, Seed: cfg.Seed}
-		pCfg.Breakers = tb.Breakers
+		own(&bad, "Portal.Retry", &pc.Retry, resilience.Policy{MaxAttempts: 4, Seed: cfg.Seed})
+		own(&bad, "Portal.Breakers", &pc.Breakers, tb.Breakers)
 	}
-	if tb.Portal, err = portal.New(pCfg); err != nil {
+	shorthand(&bad, "Portal.PageSize", &pc.PageSize, cfg.PageSize)
+	if bad != nil {
+		return nil, bad
+	}
+	if tb.Portal, err = portal.New(pc); err != nil {
 		return nil, err
 	}
 
 	return tb, nil
+}
+
+// own fills an overlay field the testbed owns with v, and records an error
+// naming the field when the caller had set it. NewTestbed reports the errors
+// only once both overlays are filled, so one call names every conflict.
+func own[T any](bad *error, name string, field *T, v T) {
+	if !reflect.ValueOf(field).Elem().IsZero() {
+		*bad = errors.Join(*bad, fmt.Errorf("core: Config.%s is set by the testbed or its shorthand; leave it unset", name))
+	}
+	*field = v
+}
+
+// shorthand applies a Config shorthand v, when set, to its overlay field.
+func shorthand[T comparable](bad *error, name string, field *T, v T) {
+	if v != *new(T) {
+		own(bad, name, field, v)
+	}
 }
 
 // Cluster returns a generated cluster by name.

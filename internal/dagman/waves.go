@@ -22,10 +22,9 @@ type WaveStats struct {
 	// memory design caps.
 	MaxWaveNodes int
 
-	Done     int
-	Failed   int
-	Unrun    int
-	Restored int
+	Done   int
+	Failed int
+	Unrun  int
 
 	Makespan       time.Duration
 	ScheduleEvents int
@@ -58,8 +57,9 @@ func (e *WaveError) Error() string {
 // wave's records in order, and Options.Completed restores finished nodes in
 // whichever wave they reappear (IDs absent from a wave's graph are ignored,
 // which is what makes one flat completed-set from a crashed run's journal
-// safe to apply to every wave of the resumed run). Counters aggregate across
-// waves; per-node Results are discarded wave by wave.
+// safe to apply to every wave of the resumed run; each restoration is a
+// KindRestored record on the sink). Counters aggregate across waves; per-node
+// Results are discarded wave by wave.
 //
 // A permanent wave failure stops the sequence with a *WaveError wrapping the
 // failed wave's graph and report. Hard executor errors (an abort, a journal
@@ -93,7 +93,6 @@ func ExecuteWaves(next func(wave int) (*dag.Graph, error), runner Runner,
 		ws.Done += rep.Done
 		ws.Failed += rep.Failed
 		ws.Unrun += rep.Unrun
-		ws.Restored += rep.Restored
 		ws.Makespan += rep.Makespan
 		ws.ScheduleEvents += rep.ScheduleEvents
 		ws.ClusteredTasks += rep.ClusteredTasks

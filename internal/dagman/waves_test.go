@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/condor"
 	"repro/internal/dag"
+	"repro/internal/journal"
 )
 
 // prefixChain builds a linear workflow <p>1 -> <p>2 -> ... -> <p>k, giving
@@ -177,15 +178,22 @@ func TestExecuteWavesSharedCompleted(t *testing.T) {
 		return prefixChain(t, fmt.Sprintf("w%d_n", w), 3), nil
 	}
 	var order []string
-	opt := Options{Completed: map[string]bool{
+	sink := &countSink{}
+	opt := Options{Journal: sink, Completed: map[string]bool{
 		"w0_n1": true, "w1_n1": true, "w1_n2": true, "ghost": true,
 	}}
 	ws, err := ExecuteWaves(next, unitRunner(&order), waveSims(t), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.Restored != 3 || ws.Done != 6 {
-		t.Errorf("stats = %+v", ws)
+	restored := 0
+	for _, r := range sink.recs {
+		if r.Kind == journal.KindRestored {
+			restored++
+		}
+	}
+	if restored != 3 || ws.Done != 6 {
+		t.Errorf("restored records = %d, stats = %+v; want 3 restored of 6 done", restored, ws)
 	}
 	for _, id := range order {
 		if opt.Completed[id] {

@@ -1,6 +1,7 @@
 package portal
 
 import (
+	"cmp"
 	"html/template"
 	"net/http"
 	"strconv"
@@ -14,6 +15,9 @@ import (
 //	GET /cluster?name=X    large-scale image links + analyze button
 //	GET /analyze?name=X    runs the full analysis synchronously (as the
 //	                       paper's portal did) and renders the result table
+//	GET /start?name=X      starts it in the background; redirects to /job
+//	    both take &priority=N (default Config.Priority); a priority that is
+//	    not an int answers 400 and starts nothing
 var pageTmpl = template.Must(template.New("page").Parse(`<!DOCTYPE html>
 <html><head><title>NVO Galaxy Morphology Portal</title></head><body>
 <h1>NVO Galaxy Morphology Portal</h1>
@@ -96,37 +100,40 @@ func (p *Portal) Handler() http.Handler {
 			PageSize: p.cfg.PageSize, Priority: p.cfg.Priority})
 	})
 
-	// priorityOf resolves the fabric scheduling class for one UI request:
-	// the ?priority= query parameter when present, else the portal default.
-	priorityOf := func(req *http.Request) int {
-		if v := req.URL.Query().Get("priority"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil {
-				return n
+	// withPriority resolves the fabric scheduling class of one UI request —
+	// the ?priority= query parameter when present, else the portal default —
+	// and hands it to h; a value that is not an int answers 400 instead.
+	withPriority := func(h func(w http.ResponseWriter, req *http.Request, priority int)) http.HandlerFunc {
+		return func(w http.ResponseWriter, req *http.Request) {
+			priority, err := strconv.Atoi(cmp.Or(req.URL.Query().Get("priority"), strconv.Itoa(p.cfg.Priority)))
+			if err != nil {
+				http.Error(w, "bad priority: "+err.Error(), http.StatusBadRequest)
+				return
 			}
+			h(w, req, priority)
 		}
-		return p.cfg.Priority
 	}
 
-	mux.HandleFunc("/analyze", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("/analyze", withPriority(func(w http.ResponseWriter, req *http.Request, priority int) {
 		name := req.URL.Query().Get("name")
-		res, err := p.AnalyzeAt(name, priorityOf(req))
+		res, err := p.AnalyzeAt(name, priority)
 		if err != nil {
 			render(w, pageData{Cluster: name, Error: err.Error()})
 			return
 		}
 		cols, rows := tablePreview(res.Table, 25)
 		render(w, pageData{Cluster: name, Result: res, Columns: cols, Rows: rows})
-	})
+	}))
 
-	mux.HandleFunc("/start", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("/start", withPriority(func(w http.ResponseWriter, req *http.Request, priority int) {
 		name := req.URL.Query().Get("name")
-		id, err := p.StartAnalysisAt(name, priorityOf(req))
+		id, err := p.StartAnalysisAt(name, priority)
 		if err != nil {
 			render(w, pageData{Cluster: name, Error: err.Error()})
 			return
 		}
 		http.Redirect(w, req, "/job?id="+id, http.StatusSeeOther)
-	})
+	}))
 
 	mux.HandleFunc("/job", func(w http.ResponseWriter, req *http.Request) {
 		snap, err := p.JobStatus(req.URL.Query().Get("id"))

@@ -25,6 +25,7 @@ import (
 // builds a portal over them.
 type fixture struct {
 	portal  *Portal
+	svc     *webservice.Service // the compute service the portal submits to
 	cluster *skysim.Cluster
 }
 
@@ -80,7 +81,7 @@ func newFixture(t testing.TB, nGalaxies int, mut func(*Config)) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{portal: p, cluster: cl}
+	return &fixture{portal: p, svc: svc, cluster: cl}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -350,6 +351,48 @@ func TestAsyncHTMLFlow(t *testing.T) {
 	resp, _ = hc.Get(srv.URL + "/job?id=nope")
 	if body := readBody(t, resp); !strings.Contains(body, "unknown job") {
 		t.Errorf("unknown job page:\n%s", body)
+	}
+}
+
+// TestPriorityQueryParameter: a valid ?priority= on /analyze reaches the
+// compute request's Status.Priority; a value that is not an int answers 400
+// on /analyze and /start and starts nothing.
+func TestPriorityQueryParameter(t *testing.T) {
+	f := newFixture(t, 4, nil)
+	srv := httptest.NewServer(f.portal.Handler())
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, readBody(t, resp)
+	}
+
+	for _, bad := range []string{"abc", "1.5", "99999999999999999999"} {
+		for _, path := range []string{"/analyze", "/start"} {
+			if code, _ := get(path + "?name=COMA&priority=" + bad); code != http.StatusBadRequest {
+				t.Errorf("%s priority=%s = %d, want 400", path, bad, code)
+			}
+		}
+	}
+	if jobs := f.portal.Jobs(); len(jobs) != 0 {
+		t.Errorf("bad priorities started %d jobs", len(jobs))
+	}
+	if n := f.svc.Stats().Requests; n != 0 {
+		t.Errorf("bad priorities submitted %d compute requests", n)
+	}
+
+	if code, body := get("/analyze?name=COMA&priority=3"); code != http.StatusOK || !strings.Contains(body, "Analysis complete") {
+		t.Fatalf("/analyze priority=3 = %d:\n%s", code, body)
+	}
+	st, err := f.svc.Status("req-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Priority != 3 {
+		t.Errorf("?priority=3 submitted at priority %d", st.Priority)
 	}
 }
 

@@ -126,9 +126,9 @@ func (l *leg) labelled(run func() error) func() error {
 // Append makes the leg the journal.Sink DAGMan reports through, so the
 // records it makes durable are the only report of the leg's transitions:
 // each is forwarded to the durable sink first, and only a record that sink
-// accepted is folded into the retry count and the progress counter. A
-// refused record (a CrashSink kill) is a transition that never happened, so
-// it is neither counted nor reported.
+// accepted is folded into the retry and restored-node counts and the
+// progress counter. A refused record (a CrashSink kill) is a transition that
+// never happened, so it is neither counted nor reported.
 func (l *leg) Append(rec journal.Record) error {
 	if l.sink != nil {
 		if err := l.sink.Append(rec); err != nil {
@@ -138,7 +138,10 @@ func (l *leg) Append(rec journal.Record) error {
 	switch rec.Kind {
 	case journal.KindRetried:
 		l.account(RunStats{Retries: 1})
-	case journal.KindCompleted, journal.KindRestored:
+	case journal.KindRestored:
+		l.account(RunStats{RestoredNodes: 1})
+		fallthrough
+	case journal.KindCompleted:
 		l.progress(1, 0)
 	}
 	return nil
@@ -494,7 +497,6 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations)
 	if ws != nil {
 		l.account(RunStats{
 			Makespan:       ws.Makespan,
-			RestoredNodes:  ws.Restored,
 			ScheduleEvents: ws.ScheduleEvents,
 			ClusteredTasks: ws.ClusteredTasks,
 			ClusteredNodes: ws.ClusteredNodes,

@@ -77,6 +77,68 @@ func TestRequeueResumesCrashedSubmit(t *testing.T) {
 	}
 }
 
+// TestKilledResumeCountsRestoredNodes: a resume leg killed after its k-th
+// journal record, all of them restorations, reports k restored nodes. The
+// count is folded from the durable restored records as they are appended,
+// not taken from DAGMan's report, which a killed leg never gets.
+func TestKilledResumeCountsRestoredNodes(t *testing.T) {
+	const k = 2
+	for _, waveSize := range []int{0, 2} {
+		t.Run("WaveSize="+strconv.Itoa(waveSize), func(t *testing.T) {
+			trig := &sweepTrigger{}
+			trig.cuts = []*cut{{after: 9, fire: trig.kill}}
+			dir := t.TempDir()
+			h := newHarness(t, 6, func(c *Config) {
+				c.JournalDir = dir
+				c.WaveSize = waveSize
+				c.WrapJournal = trig.wrap
+			})
+			id, err := submit(h.svc, h.inputTable(t), "COMA")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := awaitTerminal(t, h.svc, id); st.State != StateFailed {
+				t.Fatalf("crash-armed request ended %s (%s), want failed", st.State, st.Message)
+			}
+			path := filepath.Join(dir, "COMA.journal")
+			recs, _, err := journal.Replay(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done := len(journal.CompletedNodes(recs)); done < k {
+				t.Fatalf("first leg completed %d nodes, want at least %d to restore", done, k)
+			}
+
+			trig.mu.Lock()
+			trig.cuts = append(trig.cuts, &cut{after: trig.n + k, fire: trig.kill})
+			trig.mu.Unlock()
+			if err := h.svc.Requeue(id); err != nil {
+				t.Fatal(err)
+			}
+			st := awaitTerminal(t, h.svc, id)
+			if st.State != StateFailed {
+				t.Fatalf("resume killed at record %d ended %s (%s), want failed", k, st.State, st.Message)
+			}
+			after, _, err := journal.Replay(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range after[len(recs):] {
+				if r.Kind != journal.KindRestored {
+					t.Fatalf("resume leg journaled %s before its kill, want only restorations", r.Kind)
+				}
+			}
+			if got := len(after) - len(recs); got != k {
+				t.Fatalf("resume leg journaled %d records, want %d", got, k)
+			}
+			if st.Stats.RestoredNodes != k || st.JobsDone != k {
+				t.Errorf("killed resume leg reports %d restored nodes, %d jobs done; want %d",
+					st.Stats.RestoredNodes, st.JobsDone, k)
+			}
+		})
+	}
+}
+
 // TestRequeueRefusalsAndHTTPMapping covers the requests Requeue must refuse
 // and the /requeue status codes: 202 for a failed request, 409 for one that
 // is not failed, 404 for an unknown id.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gridftp"
 	"repro/internal/skysim"
 	"repro/internal/wcs"
+	"repro/internal/webservice"
 )
 
 // parallelTestbed wires a resilient testbed with the given side-effect
@@ -20,9 +21,8 @@ func parallelTestbed(t *testing.T, clusters, workers int, inj *faults.Injector) 
 		ClusterSpecs: chaosSpecs(clusters),
 		Seed:         7,
 		Resilience:   true,
-		MirrorSite:   "mirror",
 		Faults:       inj,
-		Workers:      workers,
+		Compute:      webservice.Config{MirrorSite: "mirror", Workers: workers},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestWarmMemoRequestSkipsRecompute(t *testing.T) {
 			NumGalaxies: 20, Seed: 77,
 		}},
 		Seed:    5,
-		Workers: 4,
+		Compute: webservice.Config{Workers: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

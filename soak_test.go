@@ -296,7 +296,8 @@ func TestSoakServiceCampaign(t *testing.T) {
 	names := make([]string, n)
 	for i := 0; i < n; i++ {
 		tb, err := core.NewTestbed(core.Config{
-			ClusterSpecs: chaosSpecs(n), Seed: 7, Resilience: true, MirrorSite: "mirror",
+			ClusterSpecs: chaosSpecs(n), Seed: 7, Resilience: true,
+			Compute: webservice.Config{MirrorSite: "mirror"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -328,10 +329,12 @@ func TestSoakServiceCampaign(t *testing.T) {
 	}
 	dir := t.TempDir()
 	tb, err := core.NewTestbed(core.Config{
-		ClusterSpecs: chaosSpecs(n), Seed: 7, Resilience: true, MirrorSite: "mirror",
-		Fabric: f, JournalDir: dir,
-		FaultsFor: func(tenant, cluster string) *faults.Injector {
-			return soakFaultPlan(cluster)
+		ClusterSpecs: chaosSpecs(n), Seed: 7, Resilience: true,
+		Compute: webservice.Config{
+			MirrorSite: "mirror", Fabric: f, JournalDir: dir,
+			FaultsFor: func(tenant, cluster string) *faults.Injector {
+				return soakFaultPlan(cluster)
+			},
 		},
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/portal"
 	"repro/internal/skysim"
 	"repro/internal/wcs"
 	"repro/internal/webservice"
@@ -52,11 +53,13 @@ func TestSurveyWaveByteIdentity1k(t *testing.T) {
 	const galaxies, waveSize = 1000, 100
 
 	want, classic, _ := surveyRun(t, core.Config{
-		ClusterSpecs: surveySpec(galaxies), Seed: 5, Workers: 4,
+		ClusterSpecs: surveySpec(galaxies), Seed: 5,
+		Compute: webservice.Config{Workers: 4},
 	})
 	got, waved, tb := surveyRun(t, core.Config{
-		ClusterSpecs: surveySpec(galaxies), Seed: 5, Workers: 4,
-		WaveSize: waveSize, PageSize: 200,
+		ClusterSpecs: surveySpec(galaxies), Seed: 5,
+		Compute: webservice.Config{Workers: 4, WaveSize: waveSize},
+		Portal:  portal.Config{PageSize: 200},
 	})
 	if string(got) != string(want) {
 		t.Fatal("wave-mode survey output differs from the monolithic path")
