@@ -160,13 +160,16 @@ graphreaders:
 # The budget test lives next to the galMorph body it gates
 # (internal/webservice/hotpath_test.go). Planning has the same gate beside it
 # (TestPlanAllocBudget, plan_test.go: table -> concrete plan of a staged
-# 1,000-galaxy request, allocations per galaxy). Fails fast on any
-# AllocsPerRun regression. The last two lines are a smoke, not a gate: the
+# 1,000-galaxy request, allocations per galaxy), and so has execution
+# (TestExecuteAllocBudget and TestExecuteAllocsFlat, execute_test.go:
+# dagman.Execute over the same plan, allocations per node, serial and on four
+# workers, flat from 1k to 16k galaxies). Fails fast on any AllocsPerRun
+# regression. The last two lines are a smoke, not a gate: the
 # kernel's time per galaxy (measurement alone, and view + measure + encode as
 # galMorph runs it) and planning's time per request, each at one fixed
 # iteration count, uninstrumented, printed beside the allocation figures.
 hotbench:
-	$(GO) test -race -run 'TestHotPathAllocBudget|TestPlanAllocBudget' -v ./internal/webservice/
+	$(GO) test -race -run 'TestHotPathAllocBudget|TestPlanAllocBudget|TestExecuteAllocBudget|TestExecuteAllocsFlat' -v ./internal/webservice/
 	$(GO) test -race -run 'TestMeasureRaw|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/

@@ -1,7 +1,6 @@
 package condor
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,11 +21,11 @@ type scheduler interface {
 // scanOracle is the matchmaker this package shipped before the per-class
 // FIFOs: one global wait queue, rescanned in full on every Submit and Step.
 // It keeps its queue outside the Simulator it wraps, whose own class FIFOs
-// therefore stay empty (Simulator.dispatch is a no-op), and places tasks
-// with the old loop body verbatim rather than through Simulator.place.
+// therefore stay empty (Simulator.dispatch is a no-op), and hands each task
+// the scan finds a slot for to Simulator.place.
 type scanOracle struct {
 	sim   *Simulator
-	queue []Task
+	queue []queued
 }
 
 func (o *scanOracle) Submit(t Task) error {
@@ -36,7 +35,11 @@ func (o *scanOracle) Submit(t Task) error {
 	}
 	s.inFlight[t.ID] = true
 	s.stats.Submitted++
-	o.queue = append(o.queue, t)
+	q := queued{seq: s.stats.Submitted, pool: -1, task: t}
+	if t.Site != "" {
+		q.pool = s.index[t.Site]
+	}
+	o.queue = append(o.queue, q)
 	o.dispatch()
 	return nil
 }
@@ -52,40 +55,13 @@ func (o *scanOracle) Step() ([]Completion, bool) {
 func (o *scanOracle) dispatch() {
 	s := o.sim
 	remaining := o.queue[:0]
-	for _, t := range o.queue {
-		site := s.match(t)
-		if site == "" {
-			remaining = append(remaining, t)
+	for _, q := range o.queue {
+		pool := s.match(&q)
+		if pool < 0 {
+			remaining = append(remaining, q)
 			continue
 		}
-		p := s.pools[site]
-		if p.isTransferLane(t) {
-			p.txBusy++
-		} else {
-			p.busy++
-		}
-		start := s.now
-		if s.submitOverhead > 0 {
-			if s.submitGate > start {
-				start = s.submitGate
-			}
-			start += s.submitOverhead
-			s.submitGate = start
-		}
-		dur := time.Duration(float64(t.Cost) / p.Speed)
-		s.seq++
-		e := event{
-			at:    start + dur,
-			seq:   s.seq,
-			task:  t,
-			site:  site,
-			start: start,
-			fault: s.inj.Check(faults.Op{Name: OpExec, Site: site, Key: t.ID}),
-		}
-		if s.pool != nil {
-			e.async = s.launch(t, e.fault)
-		}
-		heap.Push(&s.running, e)
+		s.place(q, pool)
 	}
 	o.queue = remaining
 }

@@ -2,6 +2,7 @@ package condor
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,5 +199,100 @@ func TestSetWorkersClampsAndReports(t *testing.T) {
 	s.SetWorkers(1)
 	if s.pool != nil {
 		t.Error("serial mode must drop the pool")
+	}
+}
+
+// goroutinesSettle waits for the goroutine count to fall back to want: a
+// joined worker has signalled its WaitGroup but may not have exited yet.
+func goroutinesSettle(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestWorkerSetBoundsGoroutines: however many placed tasks wait for a worker,
+// one simulator runs their side effects on at most Workers goroutines (none
+// when serial), and none is left once it has drained.
+func TestWorkerSetBoundsGoroutines(t *testing.T) {
+	for workers := 1; workers <= 4; workers++ {
+		s := sim(t, Pool{Name: "big", Slots: 64})
+		s.SetWorkers(workers)
+		before := runtime.NumGoroutine()
+		var peak atomic.Int64
+		body := func() error {
+			n := int64(runtime.NumGoroutine() - before)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(50 * time.Microsecond)
+			return nil
+		}
+		for i := 0; i < 200; i++ {
+			if err := s.Submit(Task{ID: fmt.Sprintf("t%03d", i), Cost: time.Duration(1+i%5) * time.Second, Run: body}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(s.Drain()); n != 200 {
+			t.Fatalf("workers=%d: %d completions, want 200", workers, n)
+		}
+		want := int64(workers)
+		if workers == 1 {
+			want = 0
+		}
+		if got := peak.Load(); got > want {
+			t.Errorf("workers=%d: side effects ran beside %d extra goroutines, want at most %d", workers, got, want)
+		}
+		if after := goroutinesSettle(before); after != before {
+			t.Errorf("workers=%d: %d goroutines after the drain, %d before", workers, after, before)
+		}
+	}
+}
+
+// TestAbortWaitsForLaunchedBodies: Abort returns only after every side effect
+// handed to the worker set has finished — the two running and the two queued
+// behind them — so no body touches shared state after its run was aborted.
+func TestAbortWaitsForLaunchedBodies(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := sim(t, Pool{Name: "a", Slots: 4})
+	s.SetWorkers(2)
+	gate := make(chan struct{})
+	var started sync.WaitGroup
+	started.Add(2)
+	var finished atomic.Int64
+	for i := 0; i < 4; i++ {
+		if err := s.Submit(Task{ID: fmt.Sprintf("t%d", i), Cost: time.Second, Run: func() error {
+			if i < 2 {
+				started.Done()
+				<-gate
+			}
+			finished.Add(1)
+			return nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	started.Wait()
+	aborted := make(chan struct{})
+	go func() {
+		defer close(aborted)
+		s.Abort()
+	}()
+	select {
+	case <-aborted:
+		t.Fatal("Abort returned while launched bodies were still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	<-aborted
+	if n := finished.Load(); n != 4 {
+		t.Errorf("%d of 4 launched bodies finished when Abort returned", n)
+	}
+	if !s.Idle() {
+		t.Error("simulator not idle after Abort")
+	}
+	if after := goroutinesSettle(before); after != before {
+		t.Errorf("%d goroutines after Abort, %d before", after, before)
 	}
 }

@@ -196,16 +196,6 @@ func (g *Graph) Len() int { return len(g.index) }
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// InDegree returns the number of nodes id depends on, without building the
-// list Parents returns.
-func (g *Graph) InDegree(id string) int {
-	v, ok := g.index[id]
-	if !ok {
-		return 0
-	}
-	return len(g.verts[v].parents.slots)
-}
-
 // AddNode inserts a node; the ID must be unique.
 func (g *Graph) AddNode(n *Node) error {
 	if n == nil || n.ID == "" {
@@ -389,6 +379,44 @@ func (g *Graph) Parents(id string) []string {
 	}
 	return g.neighbours(&g.verts[v].parents)
 }
+
+// Positions is the graph read by position, for an executor that keeps its
+// per-node state in slices: position i is the i-th id Nodes returns, and the
+// children of every position are listed by position, in that same id order.
+type Positions struct {
+	Nodes []*Node
+	start []int32 // the children of i are kids[start[i]:start[i+1]]
+	kids  []int32
+}
+
+// Positions builds the graph's position view from the slot adjacency in one
+// pass: a fixed number of allocations, whatever the graph's size.
+func (g *Graph) Positions() *Positions {
+	o := g.sorted()
+	n := len(o.byRank)
+	p := &Positions{
+		Nodes: make([]*Node, n),
+		start: make([]int32, n+1),
+		kids:  make([]int32, 0, len(g.edges)),
+	}
+	for r, v := range o.byRank {
+		vx := &g.verts[v]
+		p.Nodes[r] = vx.node
+		p.start[r] = int32(len(p.kids))
+		for _, c := range vx.children.slots {
+			p.kids = append(p.kids, o.rank[c])
+		}
+		if vx.children.unsorted {
+			slices.Sort(p.kids[p.start[r]:]) // ranks ascend in id order
+		}
+	}
+	p.start[n] = int32(len(p.kids))
+	return p
+}
+
+// Children returns the positions depending on position i, in id order. The
+// slice is shared; do not change it.
+func (p *Positions) Children(i int) []int32 { return p.kids[p.start[i]:p.start[i+1]] }
 
 // Roots returns nodes with no parents, sorted.
 func (g *Graph) Roots() []string {

@@ -346,14 +346,14 @@ func randomDAG(rng *rand.Rand, n int, p float64) *Graph {
 // through the exported API only, so it judges Graph and refGraph alike.
 func mergeTopoSort(g interface {
 	Nodes() []string
-	InDegree(id string) int
+	Parents(id string) []string
 	Children(id string) []string
 }) ([]string, error) {
 	nodes := g.Nodes()
 	indeg := make(map[string]int, len(nodes))
 	var ready []string
 	for _, id := range nodes {
-		indeg[id] = g.InDegree(id)
+		indeg[id] = len(g.Parents(id))
 		if indeg[id] == 0 {
 			ready = append(ready, id)
 		}
@@ -435,11 +435,32 @@ func TestTopoSortAllocsIndependentOfWidth(t *testing.T) {
 	}
 }
 
-func TestInDegree(t *testing.T) {
-	g := fan(t, 3)
-	for id, want := range map[string]int{"src": 0, "mid00001": 1, "sink": 3, "absent": 0} {
-		if got := g.InDegree(id); got != want {
-			t.Errorf("InDegree(%s) = %d, want %d", id, got, want)
+// TestPositions: the position view lists the nodes in Nodes order and each
+// position's children as the positions of Children, in the same order, on
+// random DAGs (whose child lists are appended out of id order) and the fan.
+func TestPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	graphs := []*Graph{New(), fan(t, 3)}
+	for trial := 0; trial < 100; trial++ {
+		graphs = append(graphs, randomDAG(rng, 1+rng.Intn(60), rng.Float64()*rng.Float64()))
+	}
+	for gi, g := range graphs {
+		p := g.Positions()
+		ids := g.Nodes()
+		if len(p.Nodes) != len(ids) {
+			t.Fatalf("graph %d: %d positions for %d nodes", gi, len(p.Nodes), len(ids))
+		}
+		for i, n := range p.Nodes {
+			if n.ID != ids[i] {
+				t.Fatalf("graph %d: position %d is %s, Nodes()[%d] is %s", gi, i, n.ID, i, ids[i])
+			}
+			var kids []string
+			for _, c := range p.Children(i) {
+				kids = append(kids, ids[c])
+			}
+			if want := g.Children(n.ID); !slices.Equal(kids, want) {
+				t.Fatalf("graph %d: children of %s by position %v, Children %v", gi, n.ID, kids, want)
+			}
 		}
 	}
 }

@@ -50,7 +50,6 @@ func observe(g interface {
 	Levels() ([][]string, error)
 	Children(string) []string
 	Parents(string) []string
-	InDegree(string) int
 	Ancestors(string) []string
 	Descendants(string) []string
 	HasEdge(string, string) bool
@@ -67,7 +66,7 @@ func observe(g interface {
 		if ok {
 			typ = n.Type
 		}
-		o.PerNode[id] = []any{ok, typ, g.Children(id), g.Parents(id), g.InDegree(id), g.Ancestors(id), g.Descendants(id)}
+		o.PerNode[id] = []any{ok, typ, g.Children(id), g.Parents(id), g.Ancestors(id), g.Descendants(id)}
 		for _, to := range pool {
 			if g.HasEdge(id, to) {
 				o.Edges = append(o.Edges, id+">"+to)

@@ -189,351 +189,411 @@ func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*
 	if g == nil || runner == nil || sim == nil {
 		return nil, ErrNilInput
 	}
-	report := &Report{Results: map[string]*Result{}}
 	if g.Len() == 0 {
-		return report, nil
+		return &Report{Results: map[string]*Result{}}, nil
 	}
 	if _, err := g.TopoSort(); err != nil {
 		return nil, err
 	}
-
+	x := newExecution(g, runner, sim, opt)
 	start := sim.Now()
-	nodes := g.Nodes()
-	pendingParents := make(map[string]int, len(nodes))
-	report.Results = make(map[string]*Result, len(nodes))
-	results := make([]Result, len(nodes)) // one allocation for every node's Result
-	for i, id := range nodes {
-		pendingParents[id] = g.InDegree(id)
-		results[i] = Result{Node: id, State: StatePending}
-		report.Results[id] = &results[i]
-	}
-
-	// journalRec makes a state transition durable before it is acted on.
-	journalRec := func(rec journal.Record) error {
-		if opt.Journal == nil {
-			return nil
-		}
-		if err := opt.Journal.Append(rec); err != nil {
-			return errors.Join(ErrAborted, err)
-		}
-		return nil
-	}
-	// abort stops the run on a Check failure, journaling the clean abort
-	// record best-effort (a crashed journal refuses it, which is fine — the
-	// existing prefix is the truth).
-	abort := func(cause error) error {
-		if opt.Journal != nil {
-			_ = opt.Journal.Append(journal.Record{
-				Kind: journal.KindAborted, At: sim.Now(), Err: cause.Error()})
-		}
-		return errors.Join(ErrAborted, cause)
-	}
-	checkAbort := func() error {
-		if opt.Check == nil {
-			return nil
-		}
-		if err := opt.Check(); err != nil {
-			return abort(err)
-		}
-		return nil
-	}
 
 	// Restore journaled completions: the crashed run's finished nodes count
 	// as done without re-executing, and their children unlock.
-	for _, id := range nodes {
-		if !opt.Completed[id] {
+	for i, n := range x.pos.Nodes {
+		if !opt.Completed[n.ID] {
 			continue
 		}
-		res := report.Results[id]
-		res.State = StateDone
-		report.Restored++
-		if err := journalRec(journal.Record{Kind: journal.KindRestored, Node: id, At: sim.Now()}); err != nil {
+		x.results[i].State = StateDone
+		x.report.Restored++
+		if err := x.record(journal.Record{Kind: journal.KindRestored, Node: n.ID, At: sim.Now()}); err != nil {
 			return nil, err
 		}
-		for _, child := range g.Children(id) {
-			pendingParents[child]--
+		for _, c := range x.pos.Children(i) {
+			x.pending[c]--
 		}
-	}
-
-	// The throttle queue holds ready nodes waiting under MaxInFlight.
-	var waiting []string
-	inFlight := 0
-
-	// fail stops the run on an abort or journal error. The simulator may
-	// still hold launched side effects on its worker pool; wait them out so
-	// no goroutine touches shared state after Execute returns. (A resumed
-	// run re-executes those nodes anyway — their completions were never
-	// journaled — and completion side effects are idempotent.)
-	fail := func(err error) (*Report, error) {
-		sim.Abort()
-		return nil, err
-	}
-
-	// Horizontal clustering state: ready clusterable nodes wait in clusterBuf
-	// (journaled as submitted) until flushClusters groups them into batched
-	// Condor tasks before the next scheduler step.
-	type pendingInner struct {
-		id   string
-		spec Spec
-	}
-	// clusterBatch tracks one batched task's inner jobs; errs is filled by
-	// the batch Run in order, and settled per inner node at completion.
-	type clusterBatch struct {
-		ids  []string
-		errs []error
-	}
-	var clusterBuf []pendingInner
-	batches := map[string]*clusterBatch{}
-	clusterSeq := 0
-
-	doSubmit := func(id string) error {
-		n, _ := g.Node(id)
-		res := report.Results[id]
-		res.Attempts++
-		spec, err := runner(n, res.Attempts)
-		if err != nil {
-			return fmt.Errorf("dagman: runner for %s: %w", id, err)
-		}
-		if err := journalRec(journal.Record{
-			Kind: journal.KindSubmitted, Node: id, Attempt: res.Attempts, At: sim.Now()}); err != nil {
-			return err
-		}
-		res.State = StateRunning
-		inFlight++
-		if opt.ClusterSize > 1 && spec.ClusterKey != "" {
-			clusterBuf = append(clusterBuf, pendingInner{id: id, spec: spec})
-			return nil
-		}
-		report.ScheduleEvents++
-		return sim.Submit(condor.Task{ID: id, Site: spec.Site, Cost: spec.Cost, Lane: spec.Lane, Run: spec.Run})
-	}
-
-	// flushClusters drains the buffer into batched tasks: grouped by
-	// (Site, ClusterKey) in first-appearance order, split into chunks of at
-	// most ClusterSize. Inner Runs execute back to back inside one task —
-	// inner failures are recorded individually and never abort the batch,
-	// so one bad galaxy costs one retry, not fifteen re-runs.
-	flushClusters := func() error {
-		if len(clusterBuf) == 0 {
-			return nil
-		}
-		type groupKey struct{ site, key, lane string }
-		var order []groupKey
-		groups := map[groupKey][]pendingInner{}
-		for _, pi := range clusterBuf {
-			k := groupKey{site: pi.spec.Site, key: pi.spec.ClusterKey, lane: pi.spec.Lane}
-			if _, seen := groups[k]; !seen {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], pi)
-		}
-		clusterBuf = nil
-		for _, k := range order {
-			items := groups[k]
-			for lo := 0; lo < len(items); lo += opt.ClusterSize {
-				hi := lo + opt.ClusterSize
-				if hi > len(items) {
-					hi = len(items)
-				}
-				chunk := items[lo:hi]
-				var cost time.Duration
-				cb := &clusterBatch{errs: make([]error, len(chunk))}
-				runs := make([]func() error, len(chunk))
-				for i, pi := range chunk {
-					cb.ids = append(cb.ids, pi.id)
-					cost += pi.spec.Cost
-					runs[i] = pi.spec.Run
-				}
-				clusterSeq++
-				taskID := fmt.Sprintf("cluster-%04d_%s_%s", clusterSeq, k.key, k.site)
-				batches[taskID] = cb
-				report.ScheduleEvents++
-				if len(chunk) > 1 {
-					report.ClusteredTasks++
-					report.ClusteredNodes += len(chunk)
-				}
-				run := func() error {
-					for i, r := range runs {
-						if r != nil {
-							cb.errs[i] = r()
-						}
-					}
-					return nil // inner outcomes are settled individually
-				}
-				if err := sim.Submit(condor.Task{
-					ID: taskID, Site: k.site, Cost: cost, Lane: k.lane, Run: run,
-				}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	// maxInFlight resolves the throttle for this instant.
-	maxInFlight := func() int {
-		if opt.MaxInFlight == nil {
-			return 0
-		}
-		return opt.MaxInFlight()
-	}
-
-	// submit releases a node immediately or queues it under the throttle.
-	submit := func(id string) error {
-		if limit := maxInFlight(); limit > 0 && inFlight >= limit {
-			waiting = append(waiting, id)
-			return nil
-		}
-		return doSubmit(id)
-	}
-
-	// drainWaiting releases throttled nodes as capacity frees up.
-	drainWaiting := func() error {
-		for len(waiting) > 0 {
-			if limit := maxInFlight(); limit > 0 && inFlight >= limit {
-				return nil
-			}
-			id := waiting[0]
-			waiting = waiting[1:]
-			if err := doSubmit(id); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 
 	// Release every node whose parents are all satisfied. With no restored
 	// completions this is exactly g.Roots(); after a restore it also covers
 	// interior nodes whose ancestors finished in the crashed run.
-	if err := checkAbort(); err != nil {
+	if err := x.checkAbort(); err != nil {
 		return nil, err
 	}
-	for _, id := range nodes {
-		res := report.Results[id]
-		if res.State != StatePending || pendingParents[id] > 0 {
+	for i := range x.results {
+		if x.results[i].State != StatePending || x.pending[i] > 0 {
 			continue
 		}
-		if err := submit(id); err != nil {
-			return fail(err)
+		if err := x.release(int32(i)); err != nil {
+			return x.fail(err)
 		}
 	}
-	if err := flushClusters(); err != nil {
-		return fail(err)
-	}
-
-	markUnrunDescendants := func(id string) {
-		for _, d := range g.Descendants(id) {
-			res := report.Results[d]
-			if res.State == StatePending {
-				res.State = StateUnrun
-			}
-		}
-	}
-
-	// settle applies one node's outcome: journal, retry/fail/complete, child
-	// release. For a clustered batch it runs once per inner node with that
-	// node's own error, so recovery semantics match unclustered execution.
-	settle := func(id, site string, startAt, endAt time.Duration, nodeErr error) error {
-		res := report.Results[id]
-		res.Site = site
-		res.Start = startAt
-		res.End = endAt
-		res.Err = nodeErr
-		inFlight--
-
-		if nodeErr != nil {
-			if res.Attempts <= opt.MaxRetries {
-				if err := journalRec(journal.Record{Kind: journal.KindRetried,
-					Node: id, Site: site, Attempt: res.Attempts,
-					At: endAt, Err: nodeErr.Error()}); err != nil {
-					return err
-				}
-				return submit(id)
-			}
-			if err := journalRec(journal.Record{Kind: journal.KindFailed,
-				Node: id, Site: site, Attempt: res.Attempts,
-				At: endAt, Err: nodeErr.Error()}); err != nil {
-				return err
-			}
-			res.State = StateFailed
-			markUnrunDescendants(id)
-			return nil
-		}
-		if err := journalRec(journal.Record{Kind: journal.KindCompleted,
-			Node: id, Site: site, Attempt: res.Attempts, At: endAt}); err != nil {
-			return err
-		}
-		res.State = StateDone
-		// Release children whose parents are now all done.
-		for _, child := range g.Children(id) {
-			pendingParents[child]--
-			if pendingParents[child] > 0 {
-				continue
-			}
-			childRes := report.Results[child]
-			if childRes.State != StatePending {
-				continue // upstream failure already marked it unrun
-			}
-			if err := submit(child); err != nil {
-				return err
-			}
-		}
-		return nil
+	if err := x.flushClusters(); err != nil {
+		return x.fail(err)
 	}
 
 	for {
-		if err := checkAbort(); err != nil {
-			return fail(err)
+		if err := x.checkAbort(); err != nil {
+			return x.fail(err)
 		}
 		completions, ok := sim.Step()
 		if !ok {
 			break
 		}
 		for _, c := range completions {
-			if cb, clustered := batches[c.TaskID]; clustered {
-				delete(batches, c.TaskID)
-				for i, id := range cb.ids {
-					innerErr := cb.errs[i]
-					if c.Err != nil {
-						// A whole-task failure (e.g. an injected batch
-						// fault) fails every inner job it carried.
-						innerErr = c.Err
-					}
-					if err := settle(id, c.Site, c.Start, c.End, innerErr); err != nil {
-						return fail(err)
-					}
-				}
-				continue
-			}
-			if err := settle(c.TaskID, c.Site, c.Start, c.End, c.Err); err != nil {
-				return fail(err)
+			if err := x.complete(c); err != nil {
+				return x.fail(err)
 			}
 		}
-		if err := drainWaiting(); err != nil {
-			return fail(err)
+		if err := x.drainWaiting(); err != nil {
+			return x.fail(err)
 		}
-		if err := flushClusters(); err != nil {
-			return fail(err)
+		if err := x.flushClusters(); err != nil {
+			return x.fail(err)
 		}
 	}
 
 	if sim.QueueLen() > 0 {
 		return nil, ErrStarved
 	}
+	return x.finish(sim.Now() - start), nil
+}
 
-	for _, res := range report.Results {
+// execution is the state of one Execute call. A node is its position in the
+// graph's id order (dag.Positions) throughout: pending-parent counts, results
+// and child lists are slices indexed by it, and it rides on the node's Condor
+// task as the task's Tag. Releasing, submitting and settling a node therefore
+// allocate nothing in the executor; what a node costs is what its Runner and
+// its Run body cost.
+type execution struct {
+	pos    *dag.Positions
+	runner Runner
+	sim    *condor.Simulator
+	opt    Options
+	report *Report
+
+	results []Result // by position
+	pending []int32  // parents not yet done, by position
+	// waiting is the throttle queue of ready positions held back by
+	// MaxInFlight, oldest at whead.
+	waiting  []int32
+	whead    int
+	inFlight int
+
+	// Horizontal clustering: ready clusterable nodes wait in clusterBuf
+	// (journaled as submitted) until flushClusters groups them into batched
+	// Condor tasks before the next scheduler step. A batch's task carries
+	// the Tag len(results)+k for its index k in batches.
+	clusterBuf []pendingInner
+	batches    []*clusterBatch
+}
+
+// pendingInner is a clusterable node waiting for its batch.
+type pendingInner struct {
+	node int32
+	spec Spec
+}
+
+// clusterBatch tracks one batched task's inner nodes; errs is filled by the
+// batch Run in order, and settled per inner node at completion.
+type clusterBatch struct {
+	nodes []int32
+	errs  []error
+}
+
+func newExecution(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) *execution {
+	pos := g.Positions()
+	n := len(pos.Nodes)
+	x := &execution{
+		pos:     pos,
+		runner:  runner,
+		sim:     sim,
+		opt:     opt,
+		report:  &Report{},
+		results: make([]Result, n),
+		pending: make([]int32, n),
+	}
+	for i, node := range pos.Nodes {
+		x.results[i] = Result{Node: node.ID, State: StatePending}
+		for _, c := range pos.Children(i) {
+			x.pending[c]++
+		}
+	}
+	return x
+}
+
+// record makes a state transition durable before it is acted on.
+func (x *execution) record(rec journal.Record) error {
+	if x.opt.Journal == nil {
+		return nil
+	}
+	if err := x.opt.Journal.Append(rec); err != nil {
+		return errors.Join(ErrAborted, err)
+	}
+	return nil
+}
+
+// checkAbort stops the run on a Check failure, journaling the clean abort
+// record best-effort (a crashed journal refuses it, which is fine — the
+// existing prefix is the truth).
+func (x *execution) checkAbort() error {
+	if x.opt.Check == nil {
+		return nil
+	}
+	cause := x.opt.Check()
+	if cause == nil {
+		return nil
+	}
+	if x.opt.Journal != nil {
+		_ = x.opt.Journal.Append(journal.Record{
+			Kind: journal.KindAborted, At: x.sim.Now(), Err: cause.Error()})
+	}
+	return errors.Join(ErrAborted, cause)
+}
+
+// fail stops the run on an abort or journal error. The simulator may still
+// hold launched side effects on its worker set; wait them out so no
+// goroutine touches shared state after Execute returns. (A resumed run
+// re-executes those nodes anyway — their completions were never journaled —
+// and completion side effects are idempotent.)
+func (x *execution) fail(err error) (*Report, error) {
+	x.sim.Abort()
+	return nil, err
+}
+
+// maxInFlight resolves the throttle for this instant.
+func (x *execution) maxInFlight() int {
+	if x.opt.MaxInFlight == nil {
+		return 0
+	}
+	return x.opt.MaxInFlight()
+}
+
+// release hands a ready node to the scheduler, or queues it under the
+// throttle.
+//
+//nvo:hotpath
+func (x *execution) release(i int32) error {
+	if limit := x.maxInFlight(); limit > 0 && x.inFlight >= limit {
+		x.waiting = append(x.waiting, i)
+		return nil
+	}
+	return x.submit(i)
+}
+
+// drainWaiting releases throttled nodes as capacity frees up.
+func (x *execution) drainWaiting() error {
+	for x.whead < len(x.waiting) {
+		if limit := x.maxInFlight(); limit > 0 && x.inFlight >= limit {
+			return nil
+		}
+		i := x.waiting[x.whead]
+		x.whead++
+		if err := x.submit(i); err != nil {
+			return err
+		}
+	}
+	x.waiting, x.whead = x.waiting[:0], 0
+	return nil
+}
+
+// submit starts one attempt of node i: its Runner recipe, the journaled
+// submission, then its Condor task (or its place in the cluster buffer).
+//
+//nvo:hotpath
+func (x *execution) submit(i int32) error {
+	n := x.pos.Nodes[i]
+	res := &x.results[i]
+	res.Attempts++
+	spec, err := x.runner(n, res.Attempts)
+	if err != nil {
+		return fmt.Errorf("dagman: runner for %s: %w", n.ID, err)
+	}
+	if err := x.record(journal.Record{
+		Kind: journal.KindSubmitted, Node: n.ID, Attempt: res.Attempts, At: x.sim.Now()}); err != nil {
+		return err
+	}
+	res.State = StateRunning
+	x.inFlight++
+	if x.opt.ClusterSize > 1 && spec.ClusterKey != "" {
+		x.clusterBuf = append(x.clusterBuf, pendingInner{node: i, spec: spec})
+		return nil
+	}
+	x.report.ScheduleEvents++
+	return x.sim.Submit(condor.Task{
+		ID: n.ID, Tag: int(i), Site: spec.Site, Cost: spec.Cost, Lane: spec.Lane, Run: spec.Run})
+}
+
+// flushClusters drains the buffer into batched tasks: grouped by (Site,
+// ClusterKey) in first-appearance order, split into chunks of at most
+// ClusterSize. Inner Runs execute back to back inside one task — inner
+// failures are recorded individually and never abort the batch, so one bad
+// galaxy costs one retry, not fifteen re-runs.
+func (x *execution) flushClusters() error {
+	if len(x.clusterBuf) == 0 {
+		return nil
+	}
+	type groupKey struct{ site, key, lane string }
+	var order []groupKey
+	groups := map[groupKey][]pendingInner{}
+	for _, pi := range x.clusterBuf {
+		k := groupKey{site: pi.spec.Site, key: pi.spec.ClusterKey, lane: pi.spec.Lane}
+		if _, seen := groups[k]; !seen {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], pi)
+	}
+	clear(x.clusterBuf)
+	x.clusterBuf = x.clusterBuf[:0]
+	for _, k := range order {
+		items := groups[k]
+		for lo := 0; lo < len(items); lo += x.opt.ClusterSize {
+			chunk := items[lo:min(lo+x.opt.ClusterSize, len(items))]
+			var cost time.Duration
+			cb := &clusterBatch{nodes: make([]int32, len(chunk)), errs: make([]error, len(chunk))}
+			runs := make([]func() error, len(chunk))
+			for i, pi := range chunk {
+				cb.nodes[i] = pi.node
+				cost += pi.spec.Cost
+				runs[i] = pi.spec.Run
+			}
+			tag := len(x.results) + len(x.batches)
+			x.batches = append(x.batches, cb)
+			taskID := fmt.Sprintf("cluster-%04d_%s_%s", len(x.batches), k.key, k.site)
+			x.report.ScheduleEvents++
+			if len(chunk) > 1 {
+				x.report.ClusteredTasks++
+				x.report.ClusteredNodes += len(chunk)
+			}
+			run := func() error {
+				for i, r := range runs {
+					if r != nil {
+						cb.errs[i] = r()
+					}
+				}
+				return nil // inner outcomes are settled individually
+			}
+			if err := x.sim.Submit(condor.Task{
+				ID: taskID, Tag: tag, Site: k.site, Cost: cost, Lane: k.lane, Run: run,
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// complete settles one finished Condor task: a node's own task, or a batch,
+// whose inner nodes settle one by one with their own errors so recovery
+// semantics match unclustered execution.
+func (x *execution) complete(c condor.Completion) error {
+	if c.Tag < len(x.results) {
+		return x.settle(int32(c.Tag), c.Site, c.Start, c.End, c.Err)
+	}
+	k := c.Tag - len(x.results)
+	cb := x.batches[k]
+	x.batches[k] = nil
+	for i, node := range cb.nodes {
+		innerErr := cb.errs[i]
+		if c.Err != nil {
+			// A whole-task failure (e.g. an injected batch fault) fails
+			// every inner job it carried.
+			innerErr = c.Err
+		}
+		if err := x.settle(node, c.Site, c.Start, c.End, innerErr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settle applies one node's outcome: journal, retry/fail/complete, child
+// release.
+//
+//nvo:hotpath
+func (x *execution) settle(i int32, site string, startAt, endAt time.Duration, nodeErr error) error {
+	res := &x.results[i]
+	res.Site = site
+	res.Start = startAt
+	res.End = endAt
+	res.Err = nodeErr
+	x.inFlight--
+
+	if nodeErr != nil {
+		if res.Attempts <= x.opt.MaxRetries {
+			if err := x.record(journal.Record{Kind: journal.KindRetried,
+				Node: res.Node, Site: site, Attempt: res.Attempts,
+				At: endAt, Err: nodeErr.Error()}); err != nil {
+				return err
+			}
+			return x.release(i)
+		}
+		if err := x.record(journal.Record{Kind: journal.KindFailed,
+			Node: res.Node, Site: site, Attempt: res.Attempts,
+			At: endAt, Err: nodeErr.Error()}); err != nil {
+			return err
+		}
+		res.State = StateFailed
+		x.markUnrunDescendants(i)
+		return nil
+	}
+	if err := x.record(journal.Record{Kind: journal.KindCompleted,
+		Node: res.Node, Site: site, Attempt: res.Attempts, At: endAt}); err != nil {
+		return err
+	}
+	res.State = StateDone
+	// Release children whose parents are now all done.
+	for _, c := range x.pos.Children(int(i)) {
+		x.pending[c]--
+		if x.pending[c] > 0 || x.results[c].State != StatePending {
+			continue // an upstream failure may already have marked it unrun
+		}
+		if err := x.release(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// markUnrunDescendants marks every pending node reachable from i as unrun.
+func (x *execution) markUnrunDescendants(i int32) {
+	seen := make([]bool, len(x.results))
+	stack := []int32{i}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range x.pos.Children(int(cur)) {
+			if seen[c] {
+				continue
+			}
+			seen[c] = true
+			if x.results[c].State == StatePending {
+				x.results[c].State = StateUnrun
+			}
+			stack = append(stack, c)
+		}
+	}
+}
+
+// finish tallies the final states and builds the report's Results map.
+func (x *execution) finish(makespan time.Duration) *Report {
+	r := x.report
+	r.Results = make(map[string]*Result, len(x.results))
+	for i := range x.results {
+		res := &x.results[i]
 		switch res.State {
 		case StateDone:
-			report.Done++
+			r.Done++
 		case StateFailed:
-			report.Failed++
+			r.Failed++
 		case StateUnrun, StatePending, StateRunning:
 			// Pending/Running here would indicate a scheduler bug; count
 			// them as unrun rather than losing them silently.
 			res.State = StateUnrun
-			report.Unrun++
+			r.Unrun++
 		}
+		r.Results[res.Node] = res
 	}
-	report.Makespan = sim.Now() - start
-	return report, nil
+	r.Makespan = makespan
+	return r
 }

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -39,12 +40,21 @@ var (
 	ErrChecksum = errors.New("gridftp: checksum mismatch")
 )
 
+// Digest is a raw SHA-256 content digest: what a stored file keeps as its
+// checksum of record and what every verification compares. Its hex form
+// (String) is the checksum at the package's edges: Checksum, Store.Sum and
+// ChecksumError.
+type Digest [sha256.Size]byte
+
+// DigestOf hashes data.
+func DigestOf(data []byte) Digest { return sha256.Sum256(data) }
+
+// String returns the digest in hex, the form Checksum returns.
+func (d Digest) String() string { return hex.EncodeToString(d[:]) }
+
 // Checksum returns the content checksum (hex sha256) this package records at
 // file creation and verifies on every transfer.
-func Checksum(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
+func Checksum(data []byte) string { return DigestOf(data).String() }
 
 // ChecksumError reports a replica failing verification: the stored bytes
 // hash to Got but the checksum of record is Want. It unwraps to ErrChecksum
@@ -70,7 +80,9 @@ func URL(site, path string) string {
 
 // ParseURL splits a gridftp URL into site and path. The site and the path
 // must be non-empty, and the path may not contain empty components
-// (a "//" inside, or a trailing "/").
+// (a "//" inside, or a trailing "/"). It allocates nothing unless it fails.
+//
+//nvo:hotpath
 func ParseURL(u string) (site, path string, err error) {
 	const prefix = "gridftp://"
 	if !strings.HasPrefix(u, prefix) {
@@ -81,10 +93,17 @@ func ParseURL(u string) (site, path string, err error) {
 	if !ok || site == "" || path == "" {
 		return "", "", fmt.Errorf("%w: %q (need site and path)", ErrBadURL, u)
 	}
-	for _, seg := range strings.Split(path, "/") {
-		if seg == "" {
-			return "", "", fmt.Errorf("%w: %q (empty path component)", ErrBadURL, u)
+	// One scan for an empty component: a '/' that opens the path, follows
+	// another '/', or ends the path.
+	prev := byte('/')
+	for i := 0; i < len(path); i++ {
+		if path[i] == '/' && prev == '/' {
+			break
 		}
+		prev = path[i]
+	}
+	if prev == '/' {
+		return "", "", fmt.Errorf("%w: %q (empty path component)", ErrBadURL, u)
 	}
 	return site, path, nil
 }
@@ -95,16 +114,17 @@ func ParseURL(u string) (site, path string, err error) {
 // data; at-rest damage is modelled by installing a damaged copy (Corrupt).
 type blob struct {
 	data []byte
-	sum  string
+	sum  Digest
 }
 
 // Store is one site's file system. It is safe for concurrent use. Alongside
 // each file it keeps the checksum recorded when the file was created — the
 // integrity baseline transfers and consumers verify against.
 type Store struct {
-	site string
-	mu   sync.RWMutex
-	m    map[string]blob
+	site   string
+	mu     sync.RWMutex
+	m      map[string]blob
+	hashed atomic.Int64 // bytes hashed by Adopt (and Put) and Open
 }
 
 // NewStore returns an empty store for a site.
@@ -130,8 +150,14 @@ func (s *Store) Adopt(path string, content []byte) error {
 	if len(content) == 0 {
 		return ErrEmptyUpload
 	}
-	s.install(path, blob{data: content, sum: Checksum(content)})
+	s.install(path, blob{data: content, sum: s.digest(content)})
 	return nil
+}
+
+// digest hashes data for this store, counting the bytes.
+func (s *Store) digest(data []byte) Digest {
+	s.hashed.Add(int64(len(data)))
+	return DigestOf(data)
 }
 
 // install publishes b at path, replacing any previous file.
@@ -163,29 +189,33 @@ func (s *Store) noSuchFile(path string) error {
 // point).
 func (s *Store) Sum(path string) (string, bool) {
 	b, err := s.lookup(path)
-	return b.sum, err == nil
+	if err != nil {
+		return "", false
+	}
+	return b.sum.String(), true
 }
 
 // Open is the verified read: it hashes the file's bytes, compares the digest
 // with the checksum of record and returns the shared read-only bytes with
 // that digest. A mismatch returns a *ChecksumError (errors.Is ErrChecksum).
 // The blob is taken once, so no Corrupt or Put can slip between the check
-// and the read.
+// and the read. The digests are compared raw, so a verified read allocates
+// nothing.
 //
 //nvo:hotpath
-func (s *Store) Open(path string) ([]byte, string, error) {
+func (s *Store) Open(path string) ([]byte, Digest, error) {
 	b, err := s.lookup(path)
 	if err != nil {
-		return nil, "", err
+		return nil, Digest{}, err
 	}
-	if got := Checksum(b.data); got != b.sum {
-		return nil, "", s.mismatch(path, b.sum, got)
+	if got := s.digest(b.data); got != b.sum {
+		return nil, Digest{}, s.mismatch(path, b.sum, got)
 	}
 	return b.data, b.sum, nil
 }
 
-func (s *Store) mismatch(path, want, got string) error {
-	return &ChecksumError{Site: s.site, Path: path, Want: want, Got: got}
+func (s *Store) mismatch(path string, want, got Digest) error {
+	return &ChecksumError{Site: s.site, Path: path, Want: want.String(), Got: got.String()}
 }
 
 // Verify recomputes the file's checksum and compares it to the record. A
@@ -491,6 +521,19 @@ func (s *Service) Estimate(srcURL, dstURL string) time.Duration {
 		size = src.Size(srcPath)
 	}
 	return s.net.Cost(srcSite, dstSite, size)
+}
+
+// BytesHashed returns how many bytes the service's stores have hashed: every
+// file's checksum of record at creation and every verified read. It is the
+// exact cost of the integrity passes, which no change may skip or merge.
+func (s *Service) BytesHashed() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, st := range s.stores {
+		n += st.hashed.Load()
+	}
+	return n
 }
 
 // Stats returns the cumulative transfer counters.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +66,62 @@ func TestParseURL(t *testing.T) {
 				t.Errorf("ParseURL(%q) error %v must wrap ErrBadURL", tc.in, err)
 			}
 		})
+	}
+}
+
+// splitParseURL is ParseURL as it was written before the one-scan check:
+// split the path on "/" and refuse an empty component.
+func splitParseURL(u string) (site, path string, err error) {
+	const prefix = "gridftp://"
+	if !strings.HasPrefix(u, prefix) {
+		return "", "", fmt.Errorf("%w: %q", ErrBadURL, u)
+	}
+	site, path, ok := strings.Cut(u[len(prefix):], "/")
+	if !ok || site == "" || path == "" {
+		return "", "", fmt.Errorf("%w: %q (need site and path)", ErrBadURL, u)
+	}
+	for _, seg := range strings.Split(path, "/") {
+		if seg == "" {
+			return "", "", fmt.Errorf("%w: %q (empty path component)", ErrBadURL, u)
+		}
+	}
+	return site, path, nil
+}
+
+// TestParseURLMatchesSplit: the one-scan check accepts and refuses exactly
+// what splitting the path did, with the same error text, over every URL of
+// up to five characters from {a, /} after the scheme.
+func TestParseURLMatchesSplit(t *testing.T) {
+	tails := []string{""}
+	for n := 0; n < 5; n++ {
+		for _, s := range tails[len(tails)-1<<n:] {
+			tails = append(tails, s+"a", s+"/")
+		}
+	}
+	for _, tail := range tails {
+		u := "gridftp://" + tail
+		site, path, err := ParseURL(u)
+		wsite, wpath, werr := splitParseURL(u)
+		if site != wsite || path != wpath || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("ParseURL(%q) = %q, %q, %v; split gives %q, %q, %v", u, site, path, err, wsite, wpath, werr)
+		}
+	}
+}
+
+// TestVerifiedReadAllocatesNothing pins the per-node data-plane reads at zero
+// allocations: parsing a URL and the verified read of a stored file, whose
+// digests are compared raw.
+func TestVerifiedReadAllocatesNothing(t *testing.T) {
+	st := NewStore("isi")
+	if err := st.Put("data/g1.fit", bytes.Repeat([]byte("x"), 4096)); err != nil {
+		t.Fatal(err)
+	}
+	u := URL("isi", "data/g1.fit")
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = ParseURL(u) }); allocs != 0 {
+		t.Errorf("ParseURL allocates %.0f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = st.Open("data/g1.fit") }); allocs != 0 {
+		t.Errorf("Store.Open allocates %.0f times, want 0", allocs)
 	}
 }
 
@@ -165,7 +222,7 @@ func TestStoreBasics(t *testing.T) {
 	}
 	// Open is the verified read: same shared bytes plus their digest.
 	opened, digest, err := st.Open("a.fit")
-	if err != nil || &opened[0] != &data[0] || digest != Checksum([]byte("hello")) {
+	if err != nil || &opened[0] != &data[0] || digest.String() != Checksum([]byte("hello")) {
 		t.Errorf("Open = %q, %q, %v", opened, digest, err)
 	}
 	_ = st.Delete("c")

@@ -83,6 +83,9 @@ type Writer struct {
 	w      *bufio.Writer
 	next   int
 	closed bool
+	// appended and syncs count the records this writer appended and the
+	// fsyncs it issued (Appended, Syncs).
+	appended, syncs int
 	// Scope, when non-empty, is stamped onto every appended record (see
 	// Record.Scope). Set by CreateScoped/OpenAppendScoped.
 	Scope string
@@ -186,9 +189,29 @@ func (w *Writer) Append(rec Record) error {
 		if err := w.f.Sync(); err != nil {
 			return err
 		}
+		w.syncs++
 	}
 	w.next++
+	w.appended++
 	return nil
+}
+
+// Appended returns how many records this writer has appended itself; unlike
+// Count it leaves out records replayed by OpenAppend.
+func (w *Writer) Appended() int {
+	if w == nil {
+		return 0
+	}
+	return w.appended
+}
+
+// Syncs returns how many fsyncs this writer has issued: one per appended
+// record, unless NoSync.
+func (w *Writer) Syncs() int {
+	if w == nil {
+		return 0
+	}
+	return w.syncs
 }
 
 // Count returns how many records this writer has appended (plus any replayed

@@ -109,8 +109,8 @@ func TestVerifiedGetRepairedDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantDigest != gridftp.Checksum(intact) {
-		t.Fatalf("fast-path digest %q is not the content's checksum", wantDigest)
+	if wantDigest.String() != gridftp.Checksum(intact) {
+		t.Fatalf("fast-path digest %s is not the content's checksum", wantDigest)
 	}
 	if !usc.Corrupt(lfn) {
 		t.Fatal("could not corrupt the stage-in copy")
@@ -124,7 +124,7 @@ func TestVerifiedGetRepairedDigest(t *testing.T) {
 			digest, len(repaired), wantDigest)
 	}
 	fp := []byte("fingerprint")
-	if vdcache.Key([]byte(digest), fp) != vdcache.Key([]byte(gridftp.Checksum(intact)), fp) {
+	if vdcache.Key([]byte(digest.String()), fp) != vdcache.Key([]byte(gridftp.Checksum(intact)), fp) {
 		t.Error("memo key of the repaired input differs from the intact input's")
 	}
 	if stats := l.r.status().Stats; stats.ChecksumFailures != 1 || stats.Quarantined != 0 || stats.Failovers != 1 {

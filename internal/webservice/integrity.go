@@ -184,17 +184,17 @@ func (l *leg) repair(lfn, site, url string, cause error) ([]byte, error) {
 // in place, so the job proceeds with intact bytes (and their fresh digest).
 //
 //nvo:hotpath
-func (l *leg) verifiedGet(store *gridftp.Store, lfn string) ([]byte, string, error) {
+func (l *leg) verifiedGet(store *gridftp.Store, lfn string) ([]byte, gridftp.Digest, error) {
 	data, digest, verr := store.Open(lfn)
 	if verr == nil {
 		return data, digest, nil
 	}
 	if resilience.Classify(verr) != resilience.ClassAlternateReplica {
-		return nil, "", verr
+		return nil, gridftp.Digest{}, verr
 	}
 	data, err := l.repair(lfn, store.Site(), gridftp.URL(store.Site(), lfn), verr)
 	if err != nil {
-		return nil, "", err
+		return nil, gridftp.Digest{}, err
 	}
-	return data, gridftp.Checksum(data), nil
+	return data, gridftp.DigestOf(data), nil
 }

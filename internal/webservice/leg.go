@@ -58,11 +58,12 @@ type leg struct {
 	// refs are a wave leg's galaxy images and their archive URLs: the
 	// integrity layer stages an evicted image again to re-derive its result.
 	refs []imageRef
-	// labels is the pprof label set (tenant, cluster, wave) every node Run
-	// body executes under, so profiles taken against a busy fabric attribute
-	// samples to the request that caused them. It is rebuilt only when the
-	// wave changes, keeping the per-job overhead to one atomic load.
-	labels atomic.Value // pprof.LabelSet
+	// labels is the context carrying the pprof label set (tenant, cluster,
+	// wave) every node Run body executes under, so profiles taken against a
+	// busy fabric attribute samples to the request that caused them. It is
+	// built only when the wave changes, keeping the per-job overhead to one
+	// atomic load and two label switches.
+	labels atomic.Value // context.Context
 	// sink is the durable journal the leg forwards DAGMan's records to (the
 	// scoped writer, wrapped by Config.WrapJournal); nil without JournalDir.
 	sink journal.Sink
@@ -106,22 +107,23 @@ func (l *leg) progress(done, total int) {
 	}
 }
 
-// setWave rebuilds the label set for a new wave. The wave driver calls it
-// between waves, when no Run bodies execute.
+// setWave rebuilds the label context for a new wave. The wave driver calls
+// it between waves, when no Run bodies execute.
 func (l *leg) setWave(wave string) {
-	l.labels.Store(pprof.Labels("tenant", l.r.Tenant, "cluster", l.r.Cluster, "wave", wave))
+	l.labels.Store(pprof.WithLabels(context.Background(),
+		pprof.Labels("tenant", l.r.Tenant, "cluster", l.r.Cluster, "wave", wave)))
 }
 
-// labelled returns run executed under the current label set.
-func (l *leg) labelled(run func() error) func() error {
-	return func() error {
-		var err error
-		pprof.Do(context.Background(), l.labels.Load().(pprof.LabelSet), func(context.Context) {
-			err = run()
-		})
-		return err
-	}
+// label puts the calling goroutine under the leg's current labels and returns
+// the call that takes them off again; a Run body starts with
+// defer l.label()(). Like pprof.Do over a background context, but with the
+// label context built once per wave instead of once per body.
+func (l *leg) label() func() {
+	pprof.SetGoroutineLabels(l.labels.Load().(context.Context))
+	return unlabel
 }
+
+func unlabel() { pprof.SetGoroutineLabels(context.Background()) }
 
 // Append makes the leg the journal.Sink DAGMan reports through, so the
 // records it makes durable are the only report of the leg's transitions:

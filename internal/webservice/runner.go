@@ -2,6 +2,7 @@ package webservice
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -40,75 +41,85 @@ const (
 // runner builds the dagman Runner that gives concrete-workflow nodes their
 // behaviour: transfers move bytes through GridFTP, registrations publish
 // replicas, galMorph jobs measure morphology, and the concat job assembles
-// the output VOTable. Every Run body executes under the leg's profiler
-// labels.
+// the output VOTable. A node's Run closure holds the leg and the node (and a
+// transfer's chosen source), and reads everything else from the node when it
+// runs; every body executes under the leg's profiler labels.
 func (l *leg) runner() dagman.Runner {
 	return func(n *dag.Node, attempt int) (dagman.Spec, error) {
-		var spec dagman.Spec
 		switch n.Type {
 		case pegasus.NodeTransfer:
-			spec = l.transferSpec(n, attempt)
+			return l.transferSpec(n, attempt), nil
 		case pegasus.NodeRegister:
-			spec = l.s.registerSpec(n)
+			return l.registerSpec(n), nil
 		case pegasus.NodeCompute:
 			switch n.Transformation {
 			case "galMorph":
-				spec = l.galMorphSpec(n)
+				return l.galMorphSpec(n), nil
 			case "concatVOT":
-				spec = l.concatSpec(n)
-			default:
-				return dagman.Spec{}, fmt.Errorf("webservice: unknown transformation %q", n.Transformation)
+				return l.concatSpec(n), nil
 			}
-		default:
-			return dagman.Spec{}, fmt.Errorf("webservice: unknown node type %q", n.Type)
+			return dagman.Spec{}, fmt.Errorf("webservice: unknown transformation %q", n.Transformation)
 		}
-		spec.Run = l.labelled(spec.Run)
-		return spec, nil
+		return dagman.Spec{}, fmt.Errorf("webservice: unknown node type %q", n.Type)
 	}
 }
 
+// clusterKey is a node's horizontal-clustering key, prefix+site; it is only
+// built when clustering is on, since DAGMan reads it only then.
+func (l *leg) clusterKey(prefix, site string) string {
+	if l.s.cfg.ClusterSize <= 1 {
+		return ""
+	}
+	return prefix + site
+}
+
 func (l *leg) transferSpec(n *dag.Node, attempt int) dagman.Spec {
-	s := l.s
-	lfn, dst := n.LFN, n.DstURL
-	src := l.pickTransferSource(lfn, n.SrcURL, attempt)
+	src := l.pickTransferSource(n.LFN, n.SrcURL, attempt)
 	srcSite, _, _ := gridftp.ParseURL(src)
 	return dagman.Spec{
-		Cost: s.cfg.GridFTP.Estimate(src, dst),
+		Cost: l.s.cfg.GridFTP.Estimate(src, n.DstURL),
 		// Transfers ride the dedicated data-movement lane (when the pools
 		// have one) so stage-ins overlap computation, and cluster by source
 		// site to amortize submission overhead across a site's stage-ins.
 		Lane:       condor.LaneTransfer,
-		ClusterKey: "transfer@" + srcSite,
-		Run: func() error {
-			res, err := s.cfg.GridFTP.Transfer(src, dst)
-			s.cfg.Breakers.Record(srcSite, breakerOpTransfer, err)
-			staged := res.Bytes
-			if err != nil {
-				if resilience.Classify(err) != resilience.ClassAlternateReplica {
-					return err
-				}
-				// The source replica is damaged at rest: retrying this URL
-				// can never succeed. Deliver repaired content instead.
-				content, rerr := l.repair(lfn, srcSite, src, err)
-				if rerr != nil {
-					return rerr
-				}
-				dstSite, dstPath, perr := gridftp.ParseURL(dst)
-				if perr != nil {
-					return perr
-				}
-				if err := s.cfg.GridFTP.Store(dstSite).Put(dstPath, content); err != nil {
-					return err
-				}
-				staged = int64(len(content))
-			}
-			// Per-request accounting happens here rather than by diffing
-			// the global GridFTP counters, so concurrent requests do not
-			// pollute each other's numbers.
-			l.account(RunStats{FilesStaged: 1, BytesStaged: staged})
-			return nil
-		},
+		ClusterKey: l.clusterKey("transfer@", srcSite),
+		Run:        func() error { return l.transfer(n, src) },
 	}
+}
+
+// transfer is a transfer node's body: deliver src to the node's destination,
+// repairing a source damaged at rest.
+func (l *leg) transfer(n *dag.Node, src string) error {
+	defer l.label()()
+	s := l.s
+	srcSite, _, _ := gridftp.ParseURL(src)
+	res, err := s.cfg.GridFTP.Transfer(src, n.DstURL)
+	s.cfg.Breakers.Record(srcSite, breakerOpTransfer, err)
+	staged := res.Bytes
+	if err != nil {
+		if resilience.Classify(err) != resilience.ClassAlternateReplica {
+			return err
+		}
+		// The source replica is damaged at rest: retrying this URL can
+		// never succeed. Deliver repaired content instead.
+		content, rerr := l.repair(n.LFN, srcSite, src, err)
+		if rerr != nil {
+			return rerr
+		}
+		dstSite, dstPath, perr := gridftp.ParseURL(n.DstURL)
+		if perr != nil {
+			return perr
+		}
+		if err := s.cfg.GridFTP.Store(dstSite).Put(dstPath, content); err != nil {
+			return err
+		}
+		staged = int64(len(content))
+	}
+	// Per-request accounting happens here rather than by diffing the global
+	// GridFTP counters, so concurrent requests do not pollute each other's
+	// numbers.
+	l.account(RunStats{FilesStaged: 1, BytesStaged: staged})
+	return nil
 }
 
 // pickTransferSource chooses the physical source for one transfer attempt.
@@ -147,14 +158,15 @@ func (l *leg) pickTransferSource(lfn, planned string, attempt int) string {
 	return planned
 }
 
-func (s *Service) registerSpec(n *dag.Node) dagman.Spec {
+func (l *leg) registerSpec(n *dag.Node) dagman.Spec {
 	return dagman.Spec{
 		Cost: registerCost,
 		// Registrations are catalog writes with no data dependency on each
 		// other: batch them per target site.
-		ClusterKey: "register@" + n.Site,
+		ClusterKey: l.clusterKey("register@", n.Site),
 		Run: func() error {
-			return s.registerReplica(n.LFN, rls.PFN{Site: n.Site, URL: n.PFN})
+			defer l.label()()
+			return l.s.registerReplica(n.LFN, rls.PFN{Site: n.Site, URL: n.PFN})
 		},
 	}
 }
@@ -211,80 +223,83 @@ func morphFingerprint(cfg morphology.Config) string {
 // registered through the normal register nodes, publishing the cached
 // product through the RLS as a replica of the derivation's output LFN.
 func (l *leg) galMorphSpec(n *dag.Node) dagman.Spec {
-	s := l.s
-	site, inputs, outputs, dvName := n.Site, n.Inputs, n.Outputs, n.Derivation
-
 	// Cost scales with the staged image size.
 	var cost = galMorphBaseCost
-	if len(inputs) == 1 {
-		sz := s.cfg.GridFTP.Store(site).Size(inputs[0])
+	if len(n.Inputs) == 1 {
+		sz := l.s.cfg.GridFTP.Store(n.Site).Size(n.Inputs[0])
 		cost += time.Duration(float64(sz) / 1e6 * float64(galMorphPerMB))
 	}
-
 	return dagman.Spec{
 		Cost: cost,
 		// Leaf measurements are the small independent jobs horizontal
 		// clustering exists for; batch them per mapped site.
-		ClusterKey: "galmorph@" + site,
-		Run: func() error {
-			if len(inputs) != 1 || len(outputs) != 1 {
-				return fmt.Errorf("webservice: galMorph expects 1 input and 1 output, got %v -> %v", inputs, outputs)
-			}
-			dv, ok := l.cat.Derivation(dvName)
-			if !ok {
-				return fmt.Errorf("webservice: derivation %q vanished", dvName)
-			}
-			store := s.cfg.GridFTP.Store(site)
-			// Pre-consumption integrity gate: never measure damaged pixels.
-			raw, digest, err := l.verifiedGet(store, inputs[0])
-			if err != nil {
-				return err
-			}
-			mcfg := morphConfigFromDV(dv)
-
-			// One request-lifetime arena backs both the measurement scratch
-			// (pixel buffer, background samples) and the encoded result
-			// below; Put recycles its slabs for the next galaxy on this
-			// worker, so a warm fabric measures without per-galaxy heap
-			// traffic.
-			ar := arena.Get()
-			defer arena.Put(ar)
-
-			var p morphology.Params
-			// The digest verifiedGet just proved raw hashes to stands in for
-			// the content: the image is not hashed again for its key.
-			key := vdcache.Key([]byte(digest), []byte(morphFingerprint(mcfg)))
-			entry, hit := s.memo.Get(key)
-			if hit {
-				p = entry.params
-				if entry.errStr != "" {
-					err = errors.New(entry.errStr)
-				}
-			} else {
-				p, err = morphology.MeasureRaw(ar, raw, mcfg)
-				entry = memoEntry{params: p}
-				if err != nil {
-					entry.errStr = err.Error()
-				}
-				s.memo.Put(key, entry)
-			}
-			content, ferr := s.galMorph(ar.Bytes(192)[:0], inputs[0], p, err)
-			if hit {
-				l.account(RunStats{MemoHits: 1})
-			} else {
-				l.account(RunStats{MemoMisses: 1})
-			}
-			if err != nil && ferr == nil {
-				l.account(RunStats{InvalidRows: 1})
-			}
-			if ferr != nil {
-				return ferr
-			}
-			// Store.Put copies its argument, so handing it arena-backed
-			// bytes is safe.
-			return store.Put(outputs[0], content)
-		},
+		ClusterKey: l.clusterKey("galmorph@", n.Site),
+		Run:        func() error { return l.measure(n) },
 	}
+}
+
+// measure is a galMorph node's body.
+func (l *leg) measure(n *dag.Node) error {
+	defer l.label()()
+	s := l.s
+	inputs, outputs := n.Inputs, n.Outputs
+	if len(inputs) != 1 || len(outputs) != 1 {
+		return fmt.Errorf("webservice: galMorph expects 1 input and 1 output, got %v -> %v", inputs, outputs)
+	}
+	dv, ok := l.cat.Derivation(n.Derivation)
+	if !ok {
+		return fmt.Errorf("webservice: derivation %q vanished", n.Derivation)
+	}
+	store := s.cfg.GridFTP.Store(n.Site)
+	// Pre-consumption integrity gate: never measure damaged pixels.
+	raw, digest, err := l.verifiedGet(store, inputs[0])
+	if err != nil {
+		return err
+	}
+	mcfg := morphConfigFromDV(dv)
+
+	// One request-lifetime arena backs both the measurement scratch (pixel
+	// buffer, background samples) and the encoded result below; Put recycles
+	// its slabs for the next galaxy on this worker, so a warm fabric measures
+	// without per-galaxy heap traffic.
+	ar := arena.Get()
+	defer arena.Put(ar)
+
+	var p morphology.Params
+	// The digest verifiedGet just proved raw hashes to stands in for the
+	// content: the image is not hashed again for its key.
+	var hexDigest [2 * len(digest)]byte
+	hex.Encode(hexDigest[:], digest[:])
+	key := vdcache.Key(hexDigest[:], []byte(morphFingerprint(mcfg)))
+	entry, hit := s.memo.Get(key)
+	if hit {
+		p = entry.params
+		if entry.errStr != "" {
+			err = errors.New(entry.errStr)
+		}
+	} else {
+		p, err = morphology.MeasureRaw(ar, raw, mcfg)
+		entry = memoEntry{params: p}
+		if err != nil {
+			entry.errStr = err.Error()
+		}
+		s.memo.Put(key, entry)
+	}
+	content, ferr := s.galMorph(ar.Bytes(192)[:0], inputs[0], p, err)
+	if hit {
+		l.account(RunStats{MemoHits: 1})
+	} else {
+		l.account(RunStats{MemoMisses: 1})
+	}
+	if err != nil && ferr == nil {
+		l.account(RunStats{InvalidRows: 1})
+	}
+	if ferr != nil {
+		return ferr
+	}
+	// Store.Put copies its argument, so handing it arena-backed bytes is
+	// safe.
+	return store.Put(outputs[0], content)
 }
 
 // galMorph is the body of TR galMorph past the measurement itself: it maps
@@ -315,23 +330,22 @@ func (s *Service) galMorph(dst []byte, imageLFN string, p morphology.Params, err
 // input is integrity-verified before it is trusted; a corrupted result file
 // is quarantined and re-derived from its galaxy image via provenance.
 func (l *leg) concatSpec(n *dag.Node) dagman.Spec {
-	site, inputs, outputs := n.Site, n.Inputs, n.Outputs
-
 	return dagman.Spec{
-		Cost: concatBaseCost + time.Duration(len(inputs))*concatPerRow,
+		Cost: concatBaseCost + time.Duration(len(n.Inputs))*concatPerRow,
 		Run: func() error {
-			if len(outputs) != 1 {
-				return fmt.Errorf("webservice: concat expects 1 output, got %v", outputs)
+			defer l.label()()
+			if len(n.Outputs) != 1 {
+				return fmt.Errorf("webservice: concat expects 1 output, got %v", n.Outputs)
 			}
-			store := l.s.cfg.GridFTP.Store(site)
-			content, err := concatVOT(outputs[0], inputs, func(lfn string) ([]byte, error) {
+			store := l.s.cfg.GridFTP.Store(n.Site)
+			content, err := concatVOT(n.Outputs[0], n.Inputs, func(lfn string) ([]byte, error) {
 				data, _, err := l.verifiedGet(store, lfn)
 				return data, err
 			})
 			if err != nil {
 				return err
 			}
-			return store.Put(outputs[0], content)
+			return store.Put(n.Outputs[0], content)
 		},
 	}
 }
