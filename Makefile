@@ -163,14 +163,17 @@ graphreaders:
 # 1,000-galaxy request, allocations per galaxy), and so has execution
 # (TestExecuteAllocBudget and TestExecuteAllocsFlat, execute_test.go:
 # dagman.Execute over the same plan, allocations per node, serial and on four
-# workers, flat from 1k to 16k galaxies). Fails fast on any AllocsPerRun
-# regression. The last two lines are a smoke, not a gate: the
+# workers, flat from 1k to 16k galaxies), and so has VOTable decoding
+# (TestDecodeAllocsPerRow, internal/votable/scan_test.go: ReadTable and
+# DecodeRows of a 1,000-row, 8-column table, allocations per row). Fails
+# fast on any AllocsPerRun regression. The last two lines are a smoke, not a
+# gate: the
 # kernel's time per galaxy (measurement alone, and view + measure + encode as
 # galMorph runs it) and planning's time per request, each at one fixed
 # iteration count, uninstrumented, printed beside the allocation figures.
 hotbench:
 	$(GO) test -race -run 'TestHotPathAllocBudget|TestPlanAllocBudget|TestExecuteAllocBudget|TestExecuteAllocsFlat' -v ./internal/webservice/
-	$(GO) test -race -run 'TestMeasureRaw|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/
+	$(GO) test -race -run 'TestMeasureRaw|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/
 

@@ -168,5 +168,9 @@ func (p *Portal) fetchResult(resultURL string) (*votable.Table, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%w: result status %d", ErrComputeFailed, resp.StatusCode)
 	}
-	return votable.ReadTable(resp.Body)
+	tab, err := votable.ReadTable(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: result: %w", ErrComputeFailed, err)
+	}
+	return tab, nil
 }

@@ -1,9 +1,12 @@
 package portal
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -197,6 +200,32 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	}
 	if res.ComputeTime <= 0 {
 		t.Error("compute time not recorded")
+	}
+}
+
+// TestResultDecodeFailureIsComputeFailed: a result the portal cannot
+// decode fails the analysis as ErrComputeFailed, like a result that does
+// not arrive.
+func TestResultDecodeFailureIsComputeFailed(t *testing.T) {
+	f := newFixture(t, 4, func(c *Config) {
+		target, err := url.Parse(c.ComputeService)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proxy := httputil.NewSingleHostReverseProxy(target)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/result" {
+				_, _ = io.WriteString(w, "<VOTABLE><RESOURCE>truncated")
+				return
+			}
+			proxy.ServeHTTP(w, req)
+		}))
+		t.Cleanup(srv.Close)
+		c.ComputeService = srv.URL
+	})
+	_, err := f.portal.Analyze("COMA")
+	if !errors.Is(err, ErrComputeFailed) {
+		t.Fatalf("Analyze with an undecodable result = %v, want ErrComputeFailed", err)
 	}
 }
 

@@ -4,15 +4,13 @@
 // reproduces the struct-marshal output byte for byte (same indentation and
 // escaping rules as encoding/xml's indented Encode), so survey-scale
 // producers can stream hundreds of thousands of rows while every existing
-// byte-identity pin stays in force. The decoder walks xml.Decoder tokens for
-// the document skeleton and delegates the leaf subtrees it shares with the
-// old wire structs to DecodeElement, keeping malformed-input behavior
-// aligned with the historical whole-document unmarshal.
+// byte-identity pin stays in force. The decoder walks the document with the
+// byte scanner in scan.go, which keeps malformed-input behavior aligned with
+// the historical whole-document unmarshal through encoding/xml.
 package votable
 
 import (
 	"bufio"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -154,6 +152,10 @@ func (e *Encoder) str(s string) {
 
 const indentUnit = "  "
 
+// xmlHeader is the declaration every document starts with, encoding/xml's
+// Header.
+const xmlHeader = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
+
 // line starts a new output line at the given element depth.
 func (e *Encoder) line(depth int) {
 	e.str("\n")
@@ -188,7 +190,7 @@ func (e *Encoder) BeginDocument(description string) error {
 	if err := e.misuse("BeginDocument", encInit); err != nil {
 		return err
 	}
-	e.str(xml.Header)
+	e.str(xmlHeader)
 	e.str(`<VOTABLE version="1.1">`)
 	if description != "" {
 		e.inDoc = true
@@ -402,13 +404,12 @@ func call(err error) error {
 	return nil
 }
 
-// DecodeDocument streams a VOTable document through h. It consumes exactly
-// one top-level element (trailing bytes are left unread, matching the
-// in-memory Read), skips unknown elements, and mirrors the old
-// struct-unmarshal semantics for every subtree it does understand.
+// DecodeDocument streams a VOTable document through h. It parses exactly
+// one top-level element and examines nothing after it, skips unknown
+// elements, and accepts, rejects and delivers what the historical
+// struct unmarshal through encoding/xml did, with the same error texts.
 func DecodeDocument(r io.Reader, h *Handler) error {
-	dec := xml.NewDecoder(r)
-	err := decodeRoot(dec, h)
+	err := decodeRoot(newScanner(r), h)
 	if cb, ok := err.(callbackError); ok {
 		return cb.err
 	}
@@ -418,97 +419,77 @@ func DecodeDocument(r io.Reader, h *Handler) error {
 	return nil
 }
 
-func decodeRoot(dec *xml.Decoder, h *Handler) error {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		se, ok := tok.(xml.StartElement)
-		if !ok {
-			continue
-		}
-		if se.Name.Local != "VOTABLE" {
-			// Same error type and text the struct decoder produces.
-			return xml.UnmarshalError("expected element type <VOTABLE> but have <" + se.Name.Local + ">")
-		}
-		return decodeVOTable(dec, h)
+func decodeRoot(s *scanner, h *Handler) error {
+	// Before the root an end tag is a syntax error, so next returns the
+	// root's start tag or an error.
+	if _, err := s.next(false); err != nil {
+		return err
 	}
-}
-
-// lastAttr returns the value of the last attribute with the given local
-// name, matching the overwrite-on-repeat behavior of struct unmarshal.
-func lastAttr(se xml.StartElement, name string) string {
-	v := ""
-	for _, a := range se.Attr {
-		if a.Name.Local == name {
-			v = a.Value
-		}
+	if !s.is("VOTABLE") {
+		return s.unexpected("VOTABLE")
 	}
-	return v
+	return decodeVOTable(s, h)
 }
 
 // children is the one child-element loop every level of the document runs:
-// it hands each start element up to the enclosing end tag to each, which
+// it hands each start tag up to the enclosing end tag to each, which
 // consumes the element whole — decodes it, descends into it or skips it.
-func children(dec *xml.Decoder, each func(se xml.StartElement) error) error {
+func children(s *scanner, each func() error) error {
 	for {
-		tok, err := dec.Token()
+		ev, err := s.next(false)
 		if err != nil {
 			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if err := each(t); err != nil {
-				return err
-			}
-		case xml.EndElement:
+		if ev == endTag {
 			return nil
+		}
+		if err := each(); err != nil {
+			return err
 		}
 	}
 }
 
-func decodeVOTable(dec *xml.Decoder, h *Handler) error {
-	return children(dec, func(se xml.StartElement) error {
-		switch se.Name.Local {
+func decodeVOTable(s *scanner, h *Handler) error {
+	return children(s, func() error {
+		switch string(s.local()) {
 		case "DESCRIPTION":
-			var s string
-			if err := dec.DecodeElement(&s, &se); err != nil {
+			text, err := s.textElement()
+			if err != nil {
 				return err
 			}
 			if h.Description != nil {
-				return call(h.Description(s))
+				return call(h.Description(text))
 			}
 		case "RESOURCE":
 			if h.StartResource != nil {
-				if err := call(h.StartResource(lastAttr(se, "name"))); err != nil {
+				if err := call(h.StartResource(s.attr("name"))); err != nil {
 					return err
 				}
 			}
-			if err := decodeResource(dec, h); err != nil {
+			if err := decodeResource(s, h); err != nil {
 				return err
 			}
 			if h.EndResource != nil {
 				return call(h.EndResource())
 			}
 		default:
-			return dec.Skip()
+			return s.skip()
 		}
 		return nil
 	})
 }
 
-func decodeResource(dec *xml.Decoder, h *Handler) error {
-	return children(dec, func(se xml.StartElement) error {
-		if se.Name.Local != "TABLE" {
-			return dec.Skip()
+func decodeResource(s *scanner, h *Handler) error {
+	return children(s, func() error {
+		if !s.is("TABLE") {
+			return s.skip()
 		}
 		if h.StartTable != nil {
-			if err := call(h.StartTable(lastAttr(se, "name"))); err != nil {
+			if err := call(h.StartTable(s.attr("name"))); err != nil {
 				return err
 			}
 		}
-		if err := decodeTable(dec, h); err != nil {
+		if err := decodeTable(s, h); err != nil {
 			return err
 		}
 		if h.EndTable != nil {
@@ -518,57 +499,67 @@ func decodeResource(dec *xml.Decoder, h *Handler) error {
 	})
 }
 
-func decodeTable(dec *xml.Decoder, h *Handler) error {
-	return children(dec, func(se xml.StartElement) error {
-		switch se.Name.Local {
+func decodeTable(s *scanner, h *Handler) error {
+	return children(s, func() error {
+		switch string(s.local()) {
 		case "DESCRIPTION":
-			var s string
-			if err := dec.DecodeElement(&s, &se); err != nil {
+			text, err := s.textElement()
+			if err != nil {
 				return err
 			}
 			if h.TableDescription != nil {
-				return call(h.TableDescription(s))
+				return call(h.TableDescription(text))
 			}
 		case "PARAM":
-			var xp xmlParam
-			if err := dec.DecodeElement(&xp, &se); err != nil {
+			p := Param{Name: s.attr("name"), Datatype: s.attr("datatype"), Value: s.attr("value"),
+				Unit: s.attr("unit"), UCD: s.attr("ucd")}
+			if err := s.skip(); err != nil {
 				return err
 			}
 			if h.Param != nil {
-				return call(h.Param(Param(xp)))
+				return call(h.Param(p))
 			}
 		case "FIELD":
-			var xf xmlField
-			if err := dec.DecodeElement(&xf, &se); err != nil {
+			f := Field{ID: s.attr("ID"), Name: s.attr("name"), Datatype: s.attr("datatype"),
+				Unit: s.attr("unit"), UCD: s.attr("ucd")}
+			err := children(s, func() error {
+				if !s.is("DESCRIPTION") {
+					return s.skip()
+				}
+				var err error
+				f.Description, err = s.textElement()
+				return err
+			})
+			if err != nil {
 				return err
 			}
 			if h.Field != nil {
-				return call(h.Field(Field(xf)))
+				return call(h.Field(f))
 			}
 		case "DATA":
-			return decodeData(dec, h)
+			return decodeData(s, h)
 		default:
-			return dec.Skip()
+			return s.skip()
 		}
 		return nil
 	})
 }
 
-func decodeData(dec *xml.Decoder, h *Handler) error {
-	return children(dec, func(se xml.StartElement) error {
-		if se.Name.Local != "TABLEDATA" {
-			return dec.Skip()
+func decodeData(s *scanner, h *Handler) error {
+	return children(s, func() error {
+		if !s.is("TABLEDATA") {
+			return s.skip()
 		}
-		return decodeTableData(dec, h)
+		return decodeTableData(s, h)
 	})
 }
 
-func decodeTableData(dec *xml.Decoder, h *Handler) error {
-	return children(dec, func(se xml.StartElement) error {
-		if se.Name.Local != "TR" {
-			return dec.Skip()
+func decodeTableData(s *scanner, h *Handler) error {
+	return children(s, func() error {
+		if !s.is("TR") {
+			return s.skip()
 		}
-		cells, err := decodeTR(dec)
+		cells, err := decodeTR(s)
 		if err != nil {
 			return err
 		}
@@ -579,21 +570,30 @@ func decodeTableData(dec *xml.Decoder, h *Handler) error {
 	})
 }
 
-func decodeTR(dec *xml.Decoder) ([]string, error) {
-	var cells []string
-	err := children(dec, func(se xml.StartElement) error {
-		if se.Name.Local != "TD" {
-			return dec.Skip()
+// decodeTR reads one row. All its TDs' text is unescaped into s.text and
+// converted to one string, which the cells slice: a row costs that string
+// and its []string, and an empty cell costs nothing.
+func decodeTR(s *scanner) ([]string, error) {
+	s.text, s.cellEnds = s.text[:0], s.cellEnds[:0]
+	err := children(s, func() error {
+		if !s.is("TD") {
+			return s.skip()
 		}
-		var s string
-		if err := dec.DecodeElement(&s, &se); err != nil {
+		if err := s.ownText(); err != nil {
 			return err
 		}
-		cells = append(cells, s)
+		s.cellEnds = append(s.cellEnds, len(s.text))
 		return nil
 	})
-	if err != nil {
+	if err != nil || len(s.cellEnds) == 0 {
 		return nil, err
+	}
+	row := string(s.text)
+	cells := make([]string, len(s.cellEnds))
+	start := 0
+	for i, end := range s.cellEnds {
+		cells[i] = row[start:end]
+		start = end
 	}
 	return cells, nil
 }

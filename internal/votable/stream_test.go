@@ -55,6 +55,23 @@ type xmlTR struct {
 	Cells []string `xml:"TD"`
 }
 
+type xmlParam struct {
+	Name     string `xml:"name,attr"`
+	Datatype string `xml:"datatype,attr"`
+	Value    string `xml:"value,attr"`
+	Unit     string `xml:"unit,attr,omitempty"`
+	UCD      string `xml:"ucd,attr,omitempty"`
+}
+
+type xmlField struct {
+	ID          string `xml:"ID,attr,omitempty"`
+	Name        string `xml:"name,attr"`
+	Datatype    string `xml:"datatype,attr"`
+	Unit        string `xml:"unit,attr,omitempty"`
+	UCD         string `xml:"ucd,attr,omitempty"`
+	Description string `xml:"DESCRIPTION,omitempty"`
+}
+
 // legacyWrite is the struct-marshal Write as it existed before the
 // streaming encoder, kept verbatim as the byte-identity oracle.
 func legacyWrite(w io.Writer, doc *Document) error {
@@ -268,6 +285,25 @@ func FuzzStreamingParity(f *testing.F) {
 	f.Add([]byte(`<VOTABLE><RESOURCE><TABLE><DATA><TABLEDATA><TR></TR></TABLEDATA></DATA><DATA><TABLEDATA><TR><TD/></TR></TABLEDATA></DATA></TABLE></RESOURCE></VOTABLE>`))
 	f.Add([]byte("this is not xml"))
 	f.Add([]byte(""))
+	// The byte scanner's grammar, one construct per seed.
+	const tr = `<VOTABLE><RESOURCE><TABLE name="t"><FIELD name="a" datatype="char"/><FIELD name="b" datatype="char"/><DATA><TABLEDATA><TR>%s</TR></TABLEDATA></DATA></TABLE></RESOURCE></VOTABLE>`
+	for _, row := range []string{
+		`<TD>a<![CDATA[<b>&amp;]]>c<!-- note -->d</TD>`,
+		`<TD>&#x41;&#66;&amp;</TD><TD>&foo;</TD>`,
+		`<a:TD>x</a:TD><TD>y</TD>`,
+		"<TD>line\r\nbreak\rcr</TD>",
+		`<TD/><TD/>`,
+		"<TD>bad \xff\xfe utf-8</TD>",
+		`<TD>x</TR></TD>`,
+		`<unknown><TD>hidden</TD></unknown><TD>shown<b>skipped</b></TD>`,
+		`<TD>` + strings.Repeat("0123456789", 10_000) + `</TD>`,
+	} {
+		f.Add([]byte(fmt.Sprintf(tr, row)))
+	}
+	f.Add([]byte(`<VOTABLE><RESOURCE x:name="prefixed" name='single'><TABLE name='q&apos;s'><PARAM name="p" datatype="char" value="a` + "\r\nb\rc" + `"/></TABLE></RESOURCE></VOTABLE>`))
+	f.Add([]byte(`<!DOCTYPE VOTABLE [<!ENTITY gt ">"> <!-- a > b -->]><VOTABLE/>`))
+	f.Add([]byte(`<?xml version="1.1"?><VOTABLE/>`))
+	f.Add([]byte(`<?xml version="1.0" encoding="ISO-8859-1"?><VOTABLE/>`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		checkParity(t, raw)
 	})
@@ -284,6 +320,10 @@ func TestStreamingMalformedParity(t *testing.T) {
 		"<VOTABLE><RESOURCE><TABLE name=\"t\"><FIELD name=\"a\" datatype=\"char\"/><DATA><TABLEDATA><TR><TD>x</TD><TD>y</TD></TR></TABLEDATA></DATA></TABLE></RESOURCE></VOTABLE>",
 		"<VOTABLE><RESOURCE><TABLE><DATA><TABLEDATA><TR><TD>unclosed",
 		"<VOTABLE version=\"1.1\"",
+		"<VOTABLE><RESOURCE></TABLE></VOTABLE>",
+		"<VOTABLE><DESCRIPTION>&foo;</DESCRIPTION></VOTABLE>",
+		"<VOTABLE><!-- never closed",
+		"<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?><VOTABLE/>",
 	}
 	for _, raw := range cases {
 		_, oldErr := legacyRead(strings.NewReader(raw))

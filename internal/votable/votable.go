@@ -390,27 +390,6 @@ func MergeColumns(dst, src *Table, keyDst, keySrc string, cols ...string) error 
 	return nil
 }
 
-// --- XML wire format -------------------------------------------------------
-
-// xmlParam and xmlField are the element shapes the stream decoder unmarshals
-// PARAM and FIELD start tags into.
-type xmlParam struct {
-	Name     string `xml:"name,attr"`
-	Datatype string `xml:"datatype,attr"`
-	Value    string `xml:"value,attr"`
-	Unit     string `xml:"unit,attr,omitempty"`
-	UCD      string `xml:"ucd,attr,omitempty"`
-}
-
-type xmlField struct {
-	ID          string `xml:"ID,attr,omitempty"`
-	Name        string `xml:"name,attr"`
-	Datatype    string `xml:"datatype,attr"`
-	Unit        string `xml:"unit,attr,omitempty"`
-	UCD         string `xml:"ucd,attr,omitempty"`
-	Description string `xml:"DESCRIPTION,omitempty"`
-}
-
 // Write serializes the document as VOTable XML. It streams through Encoder,
 // producing bytes identical to the historical struct-marshal path.
 func Write(w io.Writer, doc *Document) error {

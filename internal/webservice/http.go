@@ -212,13 +212,15 @@ func (s *Service) Handler() http.Handler {
 			http.Error(w, "missing lfn", http.StatusBadRequest)
 			return
 		}
-		tab, err := s.ResultTable(lfn)
+		// The stored result is the VOTable concatVOT wrote: served as is,
+		// not decoded and encoded again.
+		doc, err := s.resultDoc(lfn)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "text/xml")
-		_ = votable.WriteTable(w, tab)
+		_, _ = w.Write(doc) // a failed write is the client's to see
 	})
 
 	return mux

@@ -174,9 +174,15 @@ func bindFloat(dv *vdl.Derivation, name string, dst *float64) {
 
 // ResultTable fetches a completed result table from the cache store.
 func (s *Service) ResultTable(lfn string) (*votable.Table, error) {
-	data, err := s.cfg.GridFTP.Store(s.cfg.CacheSite).Get(lfn)
+	doc, err := s.resultDoc(lfn)
 	if err != nil {
 		return nil, err
 	}
-	return votable.ReadTable(bytes.NewReader(data))
+	return votable.ReadTable(bytes.NewReader(doc))
+}
+
+// resultDoc returns a completed result's VOTable as the cache store holds
+// it: the store's own bytes, to be read and not written.
+func (s *Service) resultDoc(lfn string) ([]byte, error) {
+	return s.cfg.GridFTP.Store(s.cfg.CacheSite).Get(lfn)
 }

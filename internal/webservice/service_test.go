@@ -554,6 +554,49 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestResultEndpointServesStoredBytes: /result answers with the stored
+// result blob itself, which is also exactly what decoding and re-encoding it
+// gives, on the 48-galaxy request the golden artifacts pin.
+func TestResultEndpointServesStoredBytes(t *testing.T) {
+	h := newHarness(t, 48, nil)
+	lfn, _, err := h.svc.Compute(h.inputTable(t), "COMA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wsSrv := httptest.NewServer(h.svc.Handler())
+	defer wsSrv.Close()
+	resp, err := http.Get(wsSrv.URL + "/result?lfn=" + lfn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/result = %d: %s", resp.StatusCode, body.Bytes())
+	}
+	stored, err := h.svc.cfg.GridFTP.Store(h.svc.cfg.CacheSite).Get(lfn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body.Bytes(), stored) {
+		t.Errorf("/result body (%d bytes) differs from the stored blob (%d bytes)", body.Len(), len(stored))
+	}
+	tab, err := h.svc.ResultTable(lfn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reencoded bytes.Buffer
+	if err := votable.WriteTable(&reencoded, tab); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reencoded.Bytes(), stored) {
+		t.Errorf("WriteTable(ResultTable) (%d bytes) differs from the stored blob (%d bytes)", reencoded.Len(), len(stored))
+	}
+}
+
 func TestResultCodec(t *testing.T) {
 	r := GalMorphResult{
 		ID: "COMA-000001", SurfaceBrightness: 21.5, Concentration: 3.2,
