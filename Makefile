@@ -158,9 +158,13 @@ graphreaders:
 # the one FITS reader and the one measurement prologue; the pins hold them to
 # fixed oracles (FITS definition, frozen heap prologue, frozen fmt encoding).
 # The budget test lives next to the galMorph body it gates
-# (internal/webservice/hotpath_test.go). Planning has the same gate beside it
+# (internal/webservice/hotpath_test.go), with the memo key's one allocation
+# (TestMemoKeyMatchesFmt). Planning has the same gate beside it
 # (TestPlanAllocBudget, plan_test.go: table -> concrete plan of a staged
-# 1,000-galaxy request, allocations per galaxy), and so has execution
+# 1,000-galaxy request, allocations per galaxy; TestPlanPhaseAllocs: one
+# budget each for catalog, compose, Map and prime; TestWavePlanAllocBudget:
+# every wave of that request at WaveSize 100; TestPlanAllocsFlat: flat from
+# 1k to 16k galaxies, and 1k to 4k in wave mode), and so has execution
 # (TestExecuteAllocBudget and TestExecuteAllocsFlat, execute_test.go:
 # dagman.Execute over the same plan, allocations per node, serial and on four
 # workers, flat from 1k to 16k galaxies), and so has VOTable decoding
@@ -172,7 +176,7 @@ graphreaders:
 # galMorph runs it) and planning's time per request, each at one fixed
 # iteration count, uninstrumented, printed beside the allocation figures.
 hotbench:
-	$(GO) test -race -run 'TestHotPathAllocBudget|TestPlanAllocBudget|TestExecuteAllocBudget|TestExecuteAllocsFlat' -v ./internal/webservice/
+	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestExecuteAllocBudget|TestExecuteAllocsFlat' -v ./internal/webservice/
 	$(GO) test -race -run 'TestMeasureRaw|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/

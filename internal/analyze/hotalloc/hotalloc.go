@@ -10,7 +10,12 @@
 //   - append calls whose result is not assigned back to their own first
 //     argument (x = append(x, ...) reuses x's capacity after the arena
 //     or scratch pool pre-sized it; anything else grows a fresh backing
-//     array per call).
+//     array per call);
+//   - non-constant string concatenation (a + b, s += t), reported once per
+//     chain: each builds a new string;
+//   - fmt.Sprint, fmt.Sprintf and fmt.Sprintln calls, which box their
+//     operands and build a new string. fmt.Errorf stays allowed: an error
+//     path is not the hot path.
 //
 // The sanctioned pattern is to route allocation through an unannotated,
 // reviewed helper — an arena method, a scratch-pool grow function — so
@@ -21,6 +26,7 @@ package hotalloc
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -35,8 +41,9 @@ const Marker = "nvo:hotpath"
 var Analyzer = &analyze.Analyzer{
 	Name: "hotalloc",
 	Doc: "flag per-call heap allocations (make/new, &T{}, slice and map literals, append that cannot reuse " +
-		"capacity) inside functions annotated //nvo:hotpath: the measure hot path draws from request arenas " +
-		"and scratch pools, so an allocation here silently regresses the pinned allocs/galaxy budget",
+		"capacity, string concatenation, fmt.Sprint/Sprintf/Sprintln) inside functions annotated //nvo:hotpath: " +
+		"the hot paths draw from request arenas, scratch pools and per-request buffers, so an allocation here " +
+		"silently regresses a pinned allocs/galaxy budget",
 	Run: run,
 }
 
@@ -93,13 +100,34 @@ func checkBody(pass *analyze.Pass, fd *ast.FuncDecl) {
 		return true
 	})
 
+	// The operands of a reported concatenation that are concatenations
+	// themselves: a + b + c is one finding, not two.
+	chained := map[*ast.BinaryExpr]bool{}
+
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			// A closure's body runs on its own schedule; the annotation
 			// binds the annotated function's own statements.
 			return false
+		case *ast.BinaryExpr:
+			if chained[n] || !isStringConcat(pass, n) {
+				return true
+			}
+			for _, operand := range []ast.Expr{n.X, n.Y} {
+				if inner, ok := ast.Unparen(operand).(*ast.BinaryExpr); ok && isStringConcat(pass, inner) {
+					chained[inner] = true
+				}
+			}
+			pass.Reportf(n.Pos(), "string concatenation in hot-path function %s allocates per call; append into a reused buffer", name)
+		case *ast.AssignStmt:
+			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isString(pass, n.Lhs[0]) {
+				pass.Reportf(n.Pos(), "string concatenation in hot-path function %s allocates per call; append into a reused buffer", name)
+			}
 		case *ast.CallExpr:
+			if fn := fmtPrinter(pass, n); fn != "" {
+				pass.Reportf(n.Pos(), "fmt.%s in hot-path function %s boxes its operands and allocates per call; append with strconv into a reused buffer", fn, name)
+			}
 			switch {
 			case isBuiltin(pass, n, "make"):
 				pass.Reportf(n.Pos(), "make in hot-path function %s allocates per call; draw from the request arena or a reused scratch buffer", name)
@@ -127,6 +155,37 @@ func checkBody(pass *analyze.Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// isStringConcat reports whether b is a + of strings that the compiler does
+// not fold to a constant.
+func isStringConcat(pass *analyze.Pass, b *ast.BinaryExpr) bool {
+	if b.Op != token.ADD {
+		return false
+	}
+	tv, ok := pass.TypesInfo.Types[b]
+	return ok && tv.Value == nil && isStringType(tv.Type)
+}
+
+// isString reports whether e is of string type.
+func isString(pass *analyze.Pass, e ast.Expr) bool {
+	tv, ok := pass.TypesInfo.Types[e]
+	return ok && isStringType(tv.Type)
+}
+
+func isStringType(t types.Type) bool {
+	basic, ok := t.Underlying().(*types.Basic)
+	return ok && basic.Info()&types.IsString != 0
+}
+
+// fmtPrinter returns the name of the fmt function call invokes when it is
+// one that builds a string (Sprint, Sprintf, Sprintln), "" otherwise.
+func fmtPrinter(pass *analyze.Pass, call *ast.CallExpr) string {
+	switch name, _ := analyze.PkgFunc(pass.TypesInfo, call, "fmt"); name {
+	case "Sprint", "Sprintf", "Sprintln":
+		return name
+	}
+	return ""
 }
 
 // innerCompositeLit matches &T{...}, including the parenthesized form.

@@ -4,6 +4,8 @@
 // are not.
 package a
 
+import "fmt"
+
 type params struct {
 	a, b float64
 }
@@ -98,6 +100,59 @@ func hotClosure() func() []float64 {
 	return func() []float64 { return make([]float64, 4) }
 }
 
+// hotConcat builds a new string per call; the chain is one finding.
+//
+//nvo:hotpath
+func hotConcat(id string) string {
+	return "m-" + id + ".fit" // want `string concatenation in hot-path function hotConcat allocates per call`
+}
+
+// hotConcatParen reports a parenthesized chain once too.
+//
+//nvo:hotpath
+func hotConcatParen(a, b, c string) string {
+	return a + (b + c) // want `string concatenation in hot-path function hotConcatParen allocates per call`
+}
+
+// hotConcatAssign appends to a string in place, which is still a new string.
+//
+//nvo:hotpath
+func hotConcatAssign(s, t string) string {
+	s += t // want `string concatenation in hot-path function hotConcatAssign allocates per call`
+	return s
+}
+
+// hotSprintf formats through fmt.
+//
+//nvo:hotpath
+func hotSprintf(x float64) string {
+	return fmt.Sprintf("%g", x) // want `fmt.Sprintf in hot-path function hotSprintf boxes its operands`
+}
+
+// hotSprint and hotSprintln are the other two string-building printers.
+//
+//nvo:hotpath
+func hotSprint(x int) (string, string) {
+	return fmt.Sprint(x), fmt.Sprintln(x) // want `fmt.Sprint in hot-path function hotSprint` `fmt.Sprintln in hot-path function hotSprint`
+}
+
+const stem = "stage" + "in_"
+
+// hotConstConcat adds constants, which the compiler folds: exempt, and so
+// is numeric addition.
+//
+//nvo:hotpath
+func hotConstConcat(a, b int) (string, int) {
+	return stem + "x", a + b
+}
+
+// hotErrorf builds its error on the error path: fmt.Errorf stays allowed.
+//
+//nvo:hotpath
+func hotErrorf(id string) error {
+	return fmt.Errorf("bad id %q", id)
+}
+
 // cold is unannotated: every allocation below is fine.
 func cold(n int) []float64 {
 	m := map[string]int{"a": 1}
@@ -106,5 +161,6 @@ func cold(n int) []float64 {
 	_ = p
 	out := append([]float64{1}, 2)
 	_ = out
+	_ = "cold" + fmt.Sprint(n)
 	return make([]float64, n)
 }

@@ -12,7 +12,7 @@ package chimera
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dag"
@@ -65,37 +65,40 @@ func Compose(cat *vdl.Catalog, req Request) (*Workflow, error) {
 	if len(req.LFNs) == 0 {
 		return nil, errors.New("chimera: empty request")
 	}
-	g := dag.New()
+	// Sized for the catalog's every derivation: a request's catalog is the
+	// request, so that is the workflow.
+	n := cat.NumDerivations()
+	g := dag.NewSized(n, n)
 	wf := &Workflow{Graph: g, RequestedLFNs: append([]string(nil), req.LFNs...)}
 
 	// visit composes the producer chain for lfn; returns the derivation
 	// name producing it, or "" for raw inputs.
-	visited := map[string]string{} // lfn -> producing node id ("" = raw)
-	rawSet := map[string]bool{}
-	interSet := map[string]bool{}
+	visited := make(map[string]string, 3*n) // lfn -> producing node id ("" = raw); sized for 3 files a derivation
+	raw, inter := make([]string, 0, n), make([]string, 0, n)
 
 	var visit func(lfn string, needed bool) (string, error)
 	visit = func(lfn string, requested bool) (string, error) {
 		if prod, seen := visited[lfn]; seen {
 			return prod, nil
 		}
-		producers := cat.Producers(lfn)
+		dvName, producers := cat.ProducerOf(lfn)
 		switch {
-		case len(producers) == 0:
+		case producers == 0:
 			if requested {
 				return "", fmt.Errorf("%w: %q", ErrNoProducer, lfn)
 			}
 			visited[lfn] = ""
-			rawSet[lfn] = true
+			raw = append(raw, lfn)
 			return "", nil
-		case len(producers) > 1:
-			return "", fmt.Errorf("%w: %q produced by %v", ErrAmbiguous, lfn, producers)
+		case producers > 1:
+			return "", fmt.Errorf("%w: %q produced by %v", ErrAmbiguous, lfn, cat.Producers(lfn))
 		}
-		dvName := producers[0]
 		visited[lfn] = dvName
 		dv, _ := cat.Derivation(dvName)
 
 		if _, exists := g.Node(dvName); !exists {
+			// The catalog's own sorted lists: an added derivation never
+			// changes, so the node shares them.
 			inputs, outputs := dv.InputLFNs(), dv.OutputLFNs()
 			if err := wf.AddJob(dvName, dv.TR, inputs, outputs); err != nil {
 				return "", err
@@ -111,7 +114,7 @@ func Compose(cat *vdl.Catalog, req Request) (*Workflow, error) {
 					return "", err
 				}
 				if parent != "" {
-					interSet[in] = true
+					inter = append(inter, in)
 					if err := g.AddEdge(parent, dvName); err != nil {
 						return "", err
 					}
@@ -127,8 +130,12 @@ func Compose(cat *vdl.Catalog, req Request) (*Workflow, error) {
 		}
 	}
 
-	wf.RawInputs = sortedSet(rawSet)
-	wf.Intermediate = sortedSet(interSet)
+	// A raw file is recorded once, when first visited; an intermediate one
+	// once per consumer.
+	slices.Sort(raw)
+	slices.Sort(inter)
+	wf.RawInputs = raw
+	wf.Intermediate = slices.Compact(inter)
 	return wf, nil
 }
 
@@ -145,15 +152,8 @@ func (wf *Workflow) AddJob(id, transformation string, inputs, outputs []string) 
 			}
 		}
 	}
-	return wf.Graph.AddNode(&dag.Node{ID: id, Type: NodeType, Transformation: transformation,
-		Derivation: id, Inputs: inputs, Outputs: outputs})
-}
-
-func sortedSet(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	n := wf.Graph.NewNode()
+	*n = dag.Node{ID: id, Type: NodeType, Transformation: transformation,
+		Derivation: id, Inputs: inputs, Outputs: outputs}
+	return wf.Graph.AddNode(n)
 }

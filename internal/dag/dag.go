@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -120,7 +119,7 @@ func (n *Node) Attr(key string) string {
 // Graph is a mutable DAG. The zero value is not usable; call New.
 //
 // Vertices live in a dense slice and are referred to by slot; adjacency is a
-// pair of slot slices per vertex and one edge set for the whole graph. Every
+// pair of slot slices per vertex, and is the only record of the edges. Every
 // read returns ids in sorted order, as the planners' determinism requires:
 // the id order of the whole graph is built once after a change to the node set
 // and cached; a vertex's neighbours are kept in insertion order with a flag
@@ -132,13 +131,19 @@ func (n *Node) Attr(key string) string {
 type Graph struct {
 	index map[string]int32 // id -> slot in verts
 	verts []vertex         // a removed vertex keeps its slot, with node == nil
-	edges map[edge]struct{}
+	edges int
 
 	// Scratch of AddEdge's cycle check: mark[v] == gen means v was visited by
 	// the current search, so no search clears or allocates a visited set.
 	mark  []uint32
 	gen   uint32
 	stack []int32
+
+	// Slabs a planner that knows its graph's size draws from (NewSized): nodes
+	// for NewNode, and the windows adjacency lists grow in.
+	spareNodes []Node
+	spareSlots []int32
+	nodeHint   int
 
 	order atomic.Pointer[idOrder]
 }
@@ -149,17 +154,26 @@ type vertex struct {
 	parents  adjacency
 }
 
-type edge struct{ from, to int32 }
-
 // adjacency is one vertex's neighbours in one direction, in insertion order.
 type adjacency struct {
 	slots    []int32
 	unsorted bool // insertion order is not id order
 }
 
-func (a *adjacency) add(verts []vertex, v int32) {
-	if n := len(a.slots); n > 0 && verts[a.slots[n-1]].node.ID > verts[v].node.ID {
+func (a *adjacency) add(g *Graph, v int32) {
+	if n := len(a.slots); n > 0 && g.verts[a.slots[n-1]].node.ID > g.verts[v].node.ID {
 		a.unsorted = true
+	}
+	if len(a.slots) == cap(a.slots) {
+		// A full list moves to a window of the slab twice its size (one slot
+		// for a new list: most lists of a planned graph hold one vertex)
+		// while the slab has room. The window is capped, so an append past
+		// it moves again instead of writing into the next list's window.
+		if need := max(2*cap(a.slots), 1); len(g.spareSlots) >= need {
+			w := append(g.spareSlots[:0:need], a.slots...)
+			g.spareSlots = g.spareSlots[need:]
+			a.slots = w
+		}
 	}
 	a.slots = append(a.slots, v)
 }
@@ -187,14 +201,43 @@ var (
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{index: map[string]int32{}, edges: map[edge]struct{}{}}
+	return &Graph{index: map[string]int32{}}
+}
+
+// NewSized returns an empty graph with room for about nodes nodes and edges
+// edges: its index and vertex tables are sized for the nodes, NewNode hands
+// out nodes from one slab of that many, and adjacency lists grow in windows
+// of one slot slab sized for the edges. A planner that knows its graph's size builds it with a
+// fixed number of allocations; a wrong hint costs only growth.
+func NewSized(nodes, edges int) *Graph {
+	nodes, edges = max(nodes, 0), max(edges, 0)
+	return &Graph{
+		index:      make(map[string]int32, nodes),
+		verts:      make([]vertex, 0, nodes),
+		mark:       make([]uint32, 0, nodes),
+		spareSlots: make([]int32, 4*edges), // each edge is in two lists; doubling takes up to twice that
+		nodeHint:   nodes,
+	}
+}
+
+// NewNode returns a zero node for the caller to fill and add, carved from a
+// slab the graph allocates by the node hint of NewSized (by small chunks
+// without one). The node is the caller's like any other: it may be added to
+// this graph or another.
+func (g *Graph) NewNode() *Node {
+	if len(g.spareNodes) == 0 {
+		g.spareNodes = make([]Node, max(g.nodeHint-len(g.verts), 16))
+	}
+	n := &g.spareNodes[0]
+	g.spareNodes = g.spareNodes[1:]
+	return n
 }
 
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.index) }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.edges }
 
 // AddNode inserts a node; the ID must be unique.
 func (g *Graph) AddNode(n *Node) error {
@@ -234,16 +277,16 @@ func (g *Graph) AddEdge(from, to string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchNode, to)
 	}
-	if _, dup := g.edges[edge{f, t}]; dup {
+	if g.hasEdge(f, t) {
 		return nil // idempotent
 	}
 	// Reject cycles: "to" must not reach "from".
 	if g.reaches(t, f) {
 		return fmt.Errorf("%w: %s -> %s", ErrCycle, from, to)
 	}
-	g.edges[edge{f, t}] = struct{}{}
-	g.verts[f].children.add(g.verts, t)
-	g.verts[t].parents.add(g.verts, f)
+	g.edges++
+	g.verts[f].children.add(g, t)
+	g.verts[t].parents.add(g, f)
 	return nil
 }
 
@@ -293,8 +336,19 @@ func (g *Graph) HasEdge(from, to string) bool {
 	if !ok {
 		return false
 	}
-	_, has := g.edges[edge{f, t}]
-	return has
+	return g.hasEdge(f, t)
+}
+
+// hasEdge scans the shorter of f's children and t's parents. A planned graph's
+// lists are short on at least one end — the wide ones are a collector's
+// parents — so the scan is as cheap as an edge-set lookup, and the graph keeps
+// no edge set beside its adjacency.
+func (g *Graph) hasEdge(f, t int32) bool {
+	children, parents := g.verts[f].children.slots, g.verts[t].parents.slots
+	if len(children) <= len(parents) {
+		return slices.Contains(children, t)
+	}
+	return slices.Contains(parents, f)
 }
 
 // RemoveNode deletes a node and all its edges.
@@ -305,11 +359,11 @@ func (g *Graph) RemoveNode(id string) error {
 	}
 	for _, c := range g.verts[v].children.slots {
 		g.verts[c].parents.remove(v)
-		delete(g.edges, edge{v, c})
+		g.edges--
 	}
 	for _, p := range g.verts[v].parents.slots {
 		g.verts[p].children.remove(v)
-		delete(g.edges, edge{p, v})
+		g.edges--
 	}
 	g.verts[v] = vertex{}
 	delete(g.index, id)
@@ -352,11 +406,19 @@ func (g *Graph) ids(slots []int32) []string {
 
 // neighbours returns one adjacency list as sorted ids.
 func (g *Graph) neighbours(a *adjacency) []string {
-	out := g.ids(a.slots)
-	if a.unsorted {
-		sort.Strings(out)
+	return g.appendNeighbours(make([]string, 0, len(a.slots)), a)
+}
+
+// appendNeighbours appends one adjacency list to dst as sorted ids.
+func (g *Graph) appendNeighbours(dst []string, a *adjacency) []string {
+	start := len(dst)
+	for _, v := range a.slots {
+		dst = append(dst, g.verts[v].node.ID)
 	}
-	return out
+	if a.unsorted {
+		slices.Sort(dst[start:])
+	}
+	return dst
 }
 
 // Nodes returns all node IDs, sorted.
@@ -369,6 +431,17 @@ func (g *Graph) Children(id string) []string {
 		return []string{}
 	}
 	return g.neighbours(&g.verts[v].children)
+}
+
+// AppendChildren appends the IDs depending on id to dst, sorted, and returns
+// the extended slice: Children for a caller walking many vertices with one
+// reused buffer.
+func (g *Graph) AppendChildren(dst []string, id string) []string {
+	v, ok := g.index[id]
+	if !ok {
+		return dst
+	}
+	return g.appendNeighbours(dst, &g.verts[v].children)
 }
 
 // Parents returns the IDs id depends on, sorted.
@@ -397,7 +470,7 @@ func (g *Graph) Positions() *Positions {
 	p := &Positions{
 		Nodes: make([]*Node, n),
 		start: make([]int32, n+1),
-		kids:  make([]int32, 0, len(g.edges)),
+		kids:  make([]int32, 0, g.edges),
 	}
 	for r, v := range o.byRank {
 		vx := &g.verts[v]
@@ -594,7 +667,7 @@ func (g *Graph) Clone() *Graph {
 	out := &Graph{
 		index: make(map[string]int32, len(g.index)),
 		verts: make([]vertex, 0, len(g.index)),
-		edges: make(map[edge]struct{}, len(g.edges)),
+		edges: g.edges,
 		mark:  make([]uint32, len(g.index)),
 	}
 	// Removed slots are squeezed out, so slots are renumbered.
@@ -625,9 +698,6 @@ func (g *Graph) Clone() *Graph {
 		}
 		c := &out.verts[slot[v]]
 		c.children, c.parents = renumber(g.verts[v].children), renumber(g.verts[v].parents)
-		for _, to := range c.children.slots {
-			out.edges[edge{slot[v], to}] = struct{}{}
-		}
 	}
 	return out
 }

@@ -78,6 +78,15 @@ func URL(site, path string) string {
 	return "gridftp://" + site + "/" + strings.TrimPrefix(path, "/")
 }
 
+// AppendURL appends URL(site, path) to dst, for a caller building many URLs
+// in one buffer.
+func AppendURL(dst []byte, site, path string) []byte {
+	dst = append(dst, "gridftp://"...)
+	dst = append(dst, site...)
+	dst = append(dst, '/')
+	return append(dst, strings.TrimPrefix(path, "/")...)
+}
+
 // ParseURL splits a gridftp URL into site and path. The site and the path
 // must be non-empty, and the path may not contain empty components
 // (a "//" inside, or a trailing "/"). It allocates nothing unless it fails.
@@ -160,9 +169,15 @@ func (s *Store) digest(data []byte) Digest {
 	return DigestOf(data)
 }
 
-// install publishes b at path, replacing any previous file.
+// install publishes b at path, replacing any previous file. A path new to the
+// store is copied: a map keeps the key it was first given, and a transfer's
+// path is a slice of its plan's URL buffer, which the store would otherwise
+// pin for as long as the file lives.
 func (s *Store) install(path string, b blob) {
 	s.mu.Lock()
+	if _, ok := s.m[path]; !ok {
+		path = strings.Clone(path)
+	}
 	s.m[path] = b
 	s.mu.Unlock()
 }

@@ -24,9 +24,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
-	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/chimera"
 	"repro/internal/dag"
@@ -203,7 +204,7 @@ func mapPinned(wf *chimera.Workflow, cfg Config, pin map[string]string) (*Plan, 
 	}
 	rng := cfg.rng()
 
-	p := &Plan{Abstract: wf.Graph, SiteOf: map[string]string{}}
+	p := &Plan{Abstract: wf.Graph}
 
 	// --- 0. Replica snapshot: every planner decision below reads replica
 	// state from one BulkLookup over the workflow's whole file set — a
@@ -211,11 +212,12 @@ func mapPinned(wf *chimera.Workflow, cfg Config, pin map[string]string) (*Plan, 
 	// (previously reduction + feasibility + source selection each paid one
 	// round trip per LFN).
 	before := cfg.RLS.RoundTrips()
-	snap := cfg.RLS.BulkLookup(workflowLFNs(wf))
+	lfns := workflowLFNs(wf)
+	snap := cfg.RLS.BulkLookup(lfns)
 	p.Replicas = snap
 
 	// --- 1. Abstract DAG reduction (Figure 2 step "Abstract DAG reduction").
-	reduced, pruned, reused := reduce(wf, cfg, snap)
+	reduced, pruned, reused := reduce(wf, cfg, snap, len(lfns)-len(snap))
 	p.Reduced = reduced
 	p.PrunedJobs = pruned
 	p.ReusedLFNs = reused
@@ -244,7 +246,12 @@ func mapPinned(wf *chimera.Workflow, cfg Config, pin map[string]string) (*Plan, 
 	}
 
 	// --- 3 & 4. Site selection and concrete workflow construction.
-	if err := concretize(p, wf, cfg, rng, snap, pin, jobs, producerOf); err != nil {
+	p.SiteOf = make(map[string]string, len(jobs))
+	c := &concretizer{p: p, cfg: cfg, reduced: reduced, jobs: jobs}
+	if err := c.decide(wf, rng, snap, pin, producerOf); err != nil {
+		return nil, err
+	}
+	if err := c.build(); err != nil {
 		return nil, err
 	}
 	p.RLSRoundTrips = cfg.RLS.RoundTrips() - before
@@ -261,20 +268,22 @@ func job(g *dag.Graph, id string) *dag.Node {
 // outputs plus all job inputs and outputs — sorted and deduplicated, so one
 // BulkLookup covers the planner's entire replica working set.
 func workflowLFNs(wf *chimera.Workflow) []string {
-	seen := map[string]bool{}
-	for _, lfn := range wf.RequestedLFNs {
-		seen[lfn] = true
+	g := wf.Graph
+	ids := g.Nodes()
+	n := len(wf.RequestedLFNs)
+	for _, id := range ids {
+		nd := job(g, id)
+		n += len(nd.Inputs) + len(nd.Outputs)
 	}
-	for _, id := range wf.Graph.Nodes() {
-		n := job(wf.Graph, id)
-		for _, lfn := range n.Inputs {
-			seen[lfn] = true
-		}
-		for _, lfn := range n.Outputs {
-			seen[lfn] = true
-		}
+	all := make([]string, 0, n)
+	all = append(all, wf.RequestedLFNs...)
+	for _, id := range ids {
+		nd := job(g, id)
+		all = append(all, nd.Inputs...)
+		all = append(all, nd.Outputs...)
 	}
-	return sortedKeys(seen)
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 // reduce prunes jobs whose required outputs already exist in the RLS. A job
@@ -283,7 +292,9 @@ func workflowLFNs(wf *chimera.Workflow) []string {
 // (walked in reverse topological order). The reduced graph is assembled from
 // the survivors and shares their nodes with the abstract one; when every job
 // survives it is the abstract graph. Nothing downstream writes to either.
-func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN) (g *dag.Graph, pruned, reused []string) {
+// absent is how many of the workflow's files have no replica: the most the
+// requirement set can hold.
+func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN, absent int) (g *dag.Graph, pruned, reused []string) {
 	if cfg.NoReduce {
 		return wf.Graph, nil, nil
 	}
@@ -294,17 +305,17 @@ func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN) (g *dag
 		return wf.Graph, nil, nil
 	}
 
-	required := map[string]bool{}
-	reusedSet := map[string]bool{}
+	required := make(map[string]bool, absent)
+	reused = make([]string, 0, len(snap)) // files with replicas, most once
 	for _, lfn := range wf.RequestedLFNs {
 		if len(snap[lfn]) > 0 {
-			reusedSet[lfn] = true
+			reused = append(reused, lfn)
 		} else {
 			required[lfn] = true
 		}
 	}
 
-	drop := map[string]bool{}
+	var drop map[string]bool // made by the first pruned job
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		n := job(wf.Graph, id)
@@ -316,18 +327,22 @@ func reduce(wf *chimera.Workflow, cfg Config, snap map[string][]rls.PFN) (g *dag
 			}
 		}
 		if !needed {
+			if drop == nil {
+				drop = map[string]bool{}
+			}
 			drop[id] = true
 			continue
 		}
 		for _, lfn := range n.Inputs {
 			if len(snap[lfn]) > 0 {
-				reusedSet[lfn] = true
+				reused = append(reused, lfn)
 			} else {
 				required[lfn] = true
 			}
 		}
 	}
-	return subgraph(wf.Graph, drop), sortedKeys(drop), sortedKeys(reusedSet)
+	slices.Sort(reused)
+	return subgraph(wf.Graph, drop), sortedKeys(drop), slices.Compact(reused)
 }
 
 // subgraph returns the graph of src's nodes outside drop with the edges among
@@ -336,7 +351,7 @@ func subgraph(src *dag.Graph, drop map[string]bool) *dag.Graph {
 	if len(drop) == 0 {
 		return src
 	}
-	g := dag.New()
+	g := dag.NewSized(src.Len()-len(drop), src.NumEdges())
 	ids := src.Nodes()
 	for _, id := range ids {
 		if !drop[id] {
@@ -344,11 +359,13 @@ func subgraph(src *dag.Graph, drop map[string]bool) *dag.Graph {
 			_ = g.AddNode(n) // ids are unique in src
 		}
 	}
+	var kids []string
 	for _, id := range ids {
 		if drop[id] {
 			continue
 		}
-		for _, child := range src.Children(id) {
+		kids = src.AppendChildren(kids[:0], id)
+		for _, child := range kids {
 			if !drop[child] {
 				_ = g.AddEdge(id, child) // both ends were added; src is acyclic
 			}
@@ -357,51 +374,98 @@ func subgraph(src *dag.Graph, drop map[string]bool) *dag.Graph {
 	return g
 }
 
-// concretize performs site selection and inserts transfer and registration
-// nodes around the reduced workflow's compute jobs. Its three emitters are the
-// only code that creates concrete-workflow nodes.
-func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap map[string][]rls.PFN,
-	pin map[string]string, jobs []string, producerOf map[string]string) error {
-	cw := dag.New()
-	reduced := p.Reduced
+// concretizer performs site selection and inserts transfer and registration
+// nodes around the reduced workflow's compute jobs, in two passes. decide
+// walks the jobs in emission order: it draws every site and replica choice
+// from the plan's rng, spells every node id and URL the plan adds into one
+// text buffer, and records each transfer and registration as an emission.
+// build converts the buffer to a string once, sizes the graph by what decide
+// counted, and adds the nodes — from the graph's slab — and the edges in the
+// order decide recorded them. Its three emitters are the only code that
+// creates concrete-workflow nodes.
+type concretizer struct {
+	p       *Plan
+	cfg     Config
+	reduced *dag.Graph
+	jobs    []string // site-selection order
+	exe     []string // per job: the executable at its site
 
-	// compute is the abstract job by value, sharing its LFN slices, with the
-	// site and executable the mapping chose.
-	compute := func(abstract *dag.Node, site, exe string) error {
-		cn := *abstract
-		cn.Type, cn.Site, cn.Executable = NodeCompute, site, exe
-		return cw.AddNode(&cn)
-	}
-	// transfer moves lfn from srcURL to dstSite, after the job that makes the
-	// file when this workflow does ("" when the source is an existing replica).
-	transfer := func(id, lfn, srcURL, dstSite, after string) error {
-		tn := &dag.Node{ID: id, Type: NodeTransfer, LFN: lfn, SrcURL: srcURL, DstURL: gridftp.URL(dstSite, lfn)}
-		if err := cw.AddNode(tn); err != nil {
-			return err
-		}
-		p.EstBytesMoved += cfg.sizeOf(lfn)
-		if after == "" {
-			return nil
-		}
-		return cw.AddEdge(after, id)
-	}
-	// register publishes lfn's replica at site once the node after has run.
-	register := func(lfn, site, after string) error {
-		rn := &dag.Node{ID: "reg_" + sanitize(lfn), Type: NodeRegister, LFN: lfn, Site: site, PFN: gridftp.URL(site, lfn)}
-		if err := cw.AddNode(rn); err != nil {
-			return err
-		}
-		return cw.AddEdge(after, rn.ID)
-	}
+	text  []byte // every id and URL the plan spells, back to back
+	str   string // text, once decide is done
+	ems   []emission
+	edges int // edges build adds
+	cw    *dag.Graph
+}
 
-	// Site selection, in deterministic job order (jobs arrives sorted by id).
-	// SelectLocality assigns in topological order instead, so a consumer can
-	// see where its producers landed and follow the bytes.
+// span is a string of the concretizer's text by offsets.
+type span struct{ lo, hi int32 }
+
+// emission is one transfer or registration node, as decide recorded it.
+type emission struct {
+	typ    string // NodeTransfer or NodeRegister
+	lfn    string
+	site   string // register: the replica's site
+	id     span
+	src    span   // transfer: the source URL, when spelled here...
+	srcURL string // ...else the existing replica's
+	dst    span   // transfer: the destination URL; register: the PFN
+	// The node runs after the job after, or after the emission afterEm (-1:
+	// neither). A stage-in or inter-stage transfer also feeds the job feeds,
+	// and is shared by every consumer of the file at that site: build adds it
+	// only if no node has its id yet.
+	after   string
+	afterEm int32
+	feeds   string
+}
+
+// spell appends prefix, the id fragment of lfn and then rest to the text, and
+// returns the span written.
+func (c *concretizer) spell(prefix, lfn string, rest ...string) span {
+	lo := len(c.text)
+	c.text = append(c.text, prefix...)
+	c.text = appendFragment(c.text, lfn)
+	for _, r := range rest {
+		c.text = append(c.text, r...)
+	}
+	return span{int32(lo), int32(len(c.text))}
+}
+
+// url appends gridftp.URL(site, lfn) to the text and returns its span.
+func (c *concretizer) url(site, lfn string) span {
+	lo := len(c.text)
+	c.text = gridftp.AppendURL(c.text, site, lfn)
+	return span{int32(lo), int32(len(c.text))}
+}
+
+// at returns the string of a span; valid once decide is done.
+func (c *concretizer) at(s span) string { return c.str[s.lo:s.hi] }
+
+// emit records e and the edges build will give it, and returns its index.
+func (c *concretizer) emit(e emission) int32 {
+	if e.after != "" || e.afterEm >= 0 {
+		c.edges++
+	}
+	if e.feeds != "" {
+		c.edges++
+	}
+	c.ems = append(c.ems, e)
+	return int32(len(c.ems) - 1)
+}
+
+// decide is the first pass: site selection in deterministic job order (jobs
+// arrives sorted by id), then the transfers and registrations in the order the
+// plan has always emitted them, which is also the order the rng is drawn in.
+// SelectLocality assigns in topological order instead, so a consumer can see
+// where its producers landed and follow the bytes.
+func (c *concretizer) decide(wf *chimera.Workflow, rng *rand.Rand, snap map[string][]rls.PFN,
+	pin map[string]string, producerOf map[string]string) error {
+	p, cfg, reduced := c.p, c.cfg, c.reduced
 	if cfg.Selection == SelectLocality {
 		if order, err := reduced.TopoSort(); err == nil {
-			jobs = order
+			c.jobs = order
 		}
 	}
+	c.exe = make([]string, len(c.jobs))
 	rrIndex := 0
 	assigned := map[string]int{} // jobs per site, for locality tie-breaks
 	// candidates asks the TC once per transformation, not once per job.
@@ -416,8 +480,10 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 		}
 		return entries, err
 	}
-	for _, id := range jobs {
+	files := 0
+	for i, id := range c.jobs {
 		n := job(reduced, id)
+		files += len(n.Inputs) + len(n.Outputs)
 		tr := n.Transformation
 		site := pin[id]
 		if site == "" {
@@ -452,35 +518,29 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 			return fmt.Errorf("%w: %q at %q", ErrNoSite, tr, site)
 		}
 		p.SiteOf[id] = site
-		if err := compute(n, site, exe.Path); err != nil {
-			return err
-		}
+		c.exe[i] = exe.Path
 	}
-
-	// Dependency edges between surviving compute jobs.
-	for _, id := range jobs {
-		for _, child := range reduced.Children(id) {
-			if err := cw.AddEdge(id, child); err != nil {
-				return err
-			}
-		}
-	}
+	c.edges = reduced.NumEdges()
+	// A job's file emits at most two nodes (a transfer and a registration),
+	// each with a node id and at most two URLs of some 40 bytes.
+	c.ems = make([]emission, 0, files)
+	c.text = make([]byte, 0, 64*files)
 
 	// Transfer nodes for inputs: one per (file, destination site), shared by
 	// every job there that consumes the file.
-	for _, id := range jobs {
+	for _, id := range c.jobs {
 		site := p.SiteOf[id]
 		for _, lfn := range job(reduced, id).Inputs {
-			var txID, srcURL string
-			prod := producerOf[lfn]
-			if prod != "" {
+			e := emission{typ: NodeTransfer, lfn: lfn, afterEm: -1, feeds: id}
+			if prod := producerOf[lfn]; prod != "" {
 				// Inter-stage: producer runs in this workflow.
 				srcSite := p.SiteOf[prod]
 				if srcSite == site {
 					continue // same site: no staging needed
 				}
-				txID = "tx_" + sanitize(lfn) + "_" + srcSite + "_to_" + site
-				srcURL = gridftp.URL(srcSite, lfn)
+				e.id = c.spell("tx_", lfn, "_", srcSite, "_to_", site)
+				e.src = c.url(srcSite, lfn)
+				e.after = prod
 			} else {
 				// Stage-in from an existing replica, read from the plan's
 				// snapshot. The source replica is picked at random, as in the
@@ -493,40 +553,33 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 				if replicaAt(replicas, site) {
 					continue // replica already local: genuinely nothing to move
 				}
-				txID = "stagein_" + sanitize(lfn) + "_to_" + site
-				srcURL = pickSource(cfg, rng, replicas, site, lfn).URL
+				e.id = c.spell("stagein_", lfn, "_to_", site)
+				e.srcURL = pickSource(cfg, rng, replicas, site, lfn).URL
 			}
-			if _, exists := cw.Node(txID); !exists {
-				if err := transfer(txID, lfn, srcURL, site, prod); err != nil {
-					return err
-				}
-			}
-			if err := cw.AddEdge(txID, id); err != nil {
-				return err
-			}
+			e.dst = c.url(site, lfn)
+			c.emit(e)
 		}
 	}
 
 	// Output delivery and registration.
-	requested := map[string]bool{}
+	requested := make(map[string]bool, len(wf.RequestedLFNs))
 	for _, lfn := range wf.RequestedLFNs {
 		requested[lfn] = true
 	}
-	for _, id := range jobs {
+	for _, id := range c.jobs {
 		site := p.SiteOf[id]
 		for _, lfn := range job(reduced, id).Outputs {
-			finalSite, lastNode := site, id
+			finalSite, after, afterEm := site, id, int32(-1)
 			if requested[lfn] && cfg.OutputSite != "" && cfg.OutputSite != site {
 				finalSite = cfg.OutputSite
-				lastNode = "stageout_" + sanitize(lfn) + "_to_" + finalSite
-				if err := transfer(lastNode, lfn, gridftp.URL(site, lfn), finalSite, id); err != nil {
-					return err
-				}
+				afterEm = c.emit(emission{typ: NodeTransfer, lfn: lfn,
+					id: c.spell("stageout_", lfn, "_to_", finalSite), src: c.url(site, lfn),
+					dst: c.url(finalSite, lfn), after: id, afterEm: -1})
+				after = ""
 			}
 			if cfg.RegisterOutputs {
-				if err := register(lfn, finalSite, lastNode); err != nil {
-					return err
-				}
+				c.emit(emission{typ: NodeRegister, lfn: lfn, site: finalSite,
+					id: c.spell("reg_", lfn), dst: c.url(finalSite, lfn), after: after, afterEm: afterEm})
 			}
 		}
 	}
@@ -541,19 +594,114 @@ func concretize(p *Plan, wf *chimera.Workflow, cfg Config, rng *rand.Rand, snap 
 				continue
 			}
 			src := pickSource(cfg, rng, replicas, cfg.OutputSite, lfn)
-			txID := "stageout_" + sanitize(lfn) + "_to_" + cfg.OutputSite
-			if err := transfer(txID, lfn, src.URL, cfg.OutputSite, ""); err != nil {
-				return err
-			}
+			tx := c.emit(emission{typ: NodeTransfer, lfn: lfn,
+				id: c.spell("stageout_", lfn, "_to_", cfg.OutputSite), srcURL: src.URL,
+				dst: c.url(cfg.OutputSite, lfn), afterEm: -1})
 			if cfg.RegisterOutputs {
-				if err := register(lfn, cfg.OutputSite, txID); err != nil {
-					return err
-				}
+				c.emit(emission{typ: NodeRegister, lfn: lfn, site: cfg.OutputSite,
+					id: c.spell("reg_", lfn), dst: c.url(cfg.OutputSite, lfn), afterEm: tx})
+			}
+		}
+	}
+	return nil
+}
+
+// build is the second pass: the compute nodes and their edges, then every
+// emission in order.
+func (c *concretizer) build() error {
+	c.str = string(c.text)
+	c.text = nil
+	c.cw = dag.NewSized(len(c.jobs)+len(c.ems), c.edges)
+	for i, id := range c.jobs {
+		if err := c.compute(job(c.reduced, id), c.p.SiteOf[id], c.exe[i]); err != nil {
+			return err
+		}
+	}
+
+	// Dependency edges between surviving compute jobs.
+	var kids []string
+	for _, id := range c.jobs {
+		kids = c.reduced.AppendChildren(kids[:0], id)
+		for _, child := range kids {
+			if err := c.cw.AddEdge(id, child); err != nil {
+				return err
 			}
 		}
 	}
 
-	p.Concrete = cw
+	for i := range c.ems {
+		e := &c.ems[i]
+		var err error
+		switch {
+		case e.typ == NodeRegister:
+			err = c.register(e)
+		case e.feeds == "":
+			err = c.transfer(e)
+		default:
+			if _, exists := c.cw.Node(c.at(e.id)); !exists {
+				err = c.transfer(e)
+			}
+			if err == nil {
+				err = c.cw.AddEdge(c.at(e.id), e.feeds)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	c.p.Concrete = c.cw
+	return nil
+}
+
+// compute adds a compute node: the abstract job by value, sharing its LFN
+// slices, with the site and executable the mapping chose.
+//
+//nvo:hotpath
+func (c *concretizer) compute(abstract *dag.Node, site, exe string) error {
+	n := c.cw.NewNode()
+	*n = *abstract
+	n.Type, n.Site, n.Executable = NodeCompute, site, exe
+	return c.cw.AddNode(n)
+}
+
+// transfer adds the transfer node of e, after the node it runs after when
+// there is one.
+//
+//nvo:hotpath
+func (c *concretizer) transfer(e *emission) error {
+	n := c.cw.NewNode()
+	*n = dag.Node{ID: c.at(e.id), Type: NodeTransfer, LFN: e.lfn, SrcURL: e.srcURL, DstURL: c.at(e.dst)}
+	if n.SrcURL == "" {
+		n.SrcURL = c.at(e.src)
+	}
+	if err := c.cw.AddNode(n); err != nil {
+		return err
+	}
+	c.p.EstBytesMoved += c.cfg.sizeOf(e.lfn)
+	return c.edgeAfter(e, n.ID)
+}
+
+// register adds the registration node of e: it publishes the file's replica
+// at e.site once the node it runs after has run.
+//
+//nvo:hotpath
+func (c *concretizer) register(e *emission) error {
+	n := c.cw.NewNode()
+	*n = dag.Node{ID: c.at(e.id), Type: NodeRegister, LFN: e.lfn, Site: e.site, PFN: c.at(e.dst)}
+	if err := c.cw.AddNode(n); err != nil {
+		return err
+	}
+	return c.edgeAfter(e, n.ID)
+}
+
+// edgeAfter adds the edge from the node e runs after, if any, to id.
+func (c *concretizer) edgeAfter(e *emission, id string) error {
+	switch {
+	case e.after != "":
+		return c.cw.AddEdge(e.after, id)
+	case e.afterEm >= 0:
+		return c.cw.AddEdge(c.at(c.ems[e.afterEm].id), id)
+	}
 	return nil
 }
 
@@ -635,16 +783,50 @@ func pickSource(cfg Config, rng *rand.Rand, replicas []rls.PFN, dst, lfn string)
 	return best
 }
 
-// sanitize turns an LFN into a legal node-id fragment.
-func sanitize(lfn string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		default:
-			return '_'
+// appendFragment appends the node-id fragment of a logical file name to dst:
+// each ASCII letter and digit as it is, and every other character — a rune,
+// or one byte of invalid UTF-8 — as one '_'. A plan's transfer and
+// registration ids embed it ("reg_" + fragment), so two files with one
+// fragment would name one node; CompareFragments is the same rule for an
+// admission that refuses such names before anything is planned.
+func appendFragment(dst []byte, lfn string) []byte {
+	for _, r := range lfn {
+		dst = append(dst, fragmentByte(r))
+	}
+	return dst
+}
+
+// CompareFragments orders a and b by their fragments, as bytes.Compare would
+// order appendFragment of each, without building either.
+func CompareFragments(a, b string) int {
+	for len(a) > 0 && len(b) > 0 {
+		fa, wa := nextFragmentByte(a)
+		fb, wb := nextFragmentByte(b)
+		if fa != fb {
+			return int(fa) - int(fb)
 		}
-	}, lfn)
+		a, b = a[wa:], b[wb:]
+	}
+	return len(a) - len(b) // only the sign matters: the longer fragment is later
+}
+
+// nextFragmentByte is the fragment byte of the character s starts with, and
+// that character's width.
+func nextFragmentByte(s string) (byte, int) {
+	if c := s[0]; c < utf8.RuneSelf {
+		return fragmentByte(rune(c)), 1
+	}
+	_, w := utf8.DecodeRuneInString(s)
+	return '_', w
+}
+
+// fragmentByte is the fragment rule for one character.
+func fragmentByte(r rune) byte {
+	switch {
+	case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
+		return byte(r)
+	}
+	return '_'
 }
 
 func sortedKeys(m map[string]bool) []string {

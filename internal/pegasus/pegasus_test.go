@@ -1,6 +1,7 @@
 package pegasus
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -528,4 +529,32 @@ func BenchmarkPlanReduction(b *testing.B) {
 	}
 	b.ReportMetric(roundTrips/float64(b.N), "rls_round_trips")
 	b.ReportMetric(jobs/float64(b.N), "jobs_after_reduction")
+}
+
+// TestFragmentRule pins appendFragment to the strings.Map rule node ids were
+// spelled with, and CompareFragments to bytes.Compare of two fragments, over
+// ASCII, multi-byte runes and invalid UTF-8.
+func TestFragmentRule(t *testing.T) {
+	sanitize := func(lfn string) string {
+		return strings.Map(func(r rune) rune {
+			switch {
+			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
+				return r
+			}
+			return '_'
+		}, lfn)
+	}
+	names := []string{"", "G1", "G-1", "G_1", "G.1", "g1", "G10", "G1.txt", "galáxia", "gal_xia", "gal.xia",
+		"銀河-7", "__-7", "a\xffb", "a_b", "a\xc3", "Z", "~", "G1_", "G"}
+	for _, a := range names {
+		if got, want := string(appendFragment(nil, a)), sanitize(a); got != want {
+			t.Errorf("appendFragment(%q) = %q, strings.Map gives %q", a, got, want)
+		}
+		for _, b := range names {
+			got, want := CompareFragments(a, b), bytes.Compare([]byte(sanitize(a)), []byte(sanitize(b)))
+			if (got < 0) != (want < 0) || (got == 0) != (want == 0) {
+				t.Errorf("CompareFragments(%q, %q) = %d, want the sign of %d", a, b, got, want)
+			}
+		}
+	}
 }

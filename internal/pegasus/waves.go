@@ -149,8 +149,8 @@ func (p *WavePlanner) Plan(wave int) (*Plan, error) {
 // mapJobs assembles one wave's abstract sub-workflow, every output requested,
 // and maps it.
 func mapJobs(jobs []WaveJob, cfg Config, pin map[string]string) (*Plan, error) {
-	wf := &chimera.Workflow{Graph: dag.New()}
-	producerOf := map[string]string{}
+	wf := &chimera.Workflow{Graph: dag.NewSized(len(jobs), len(jobs)), RequestedLFNs: make([]string, 0, len(jobs))}
+	producerOf := make(map[string]string, len(jobs))
 	for _, j := range jobs {
 		if err := wf.AddJob(j.ID, j.Transformation, j.Inputs, j.Outputs); err != nil {
 			return nil, err

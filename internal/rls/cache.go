@@ -1,6 +1,9 @@
 package rls
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // Cache is a small read-through cache in front of an RLS. The planner and
 // runner resolve the same LFNs many times per request (reduction, source
@@ -42,19 +45,37 @@ func (c *Cache) Lookup(lfn string) []PFN {
 	fresh := c.rls.Lookup(lfn)
 	c.mu.Lock()
 	c.misses++
-	c.entries[lfn] = append([]PFN(nil), fresh...)
+	c.entries[c.key(lfn)] = append([]PFN(nil), fresh...)
 	c.mu.Unlock()
 	return fresh
 }
 
 // Prime installs a replica mapping without touching the RLS — used to seed
-// the cache from a BulkLookup snapshot so subsequent Lookups are free.
+// the cache from a BulkLookup snapshot so subsequent Lookups are free. It
+// adopts the snapshot's replica lists rather than copying them: the caller
+// must not change them afterwards (Lookup hands out copies, so the cache
+// never does). An adopted list is a window of the snapshot's one backing
+// slice, and that backing stays live while any entry still points into it;
+// every plan of a request re-primes the request's whole file set, so in
+// steady state that is the latest plan's backing per request, not one per
+// plan ever primed.
 func (c *Cache) Prime(snapshot map[string][]PFN) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for lfn, pfns := range snapshot {
-		c.entries[lfn] = append([]PFN(nil), pfns...)
+		c.entries[c.key(lfn)] = pfns
 	}
+}
+
+// key returns lfn as the cache may keep it: a name new to the cache is
+// copied, because a map keeps the key it was first given and a planner's
+// names are slices of a per-plan buffer the cache would otherwise pin. The
+// caller holds c.mu.
+func (c *Cache) key(lfn string) string {
+	if _, ok := c.entries[lfn]; ok {
+		return lfn
+	}
+	return strings.Clone(lfn)
 }
 
 // Invalidate drops the cached entry for lfn so the next Lookup re-reads the

@@ -15,7 +15,9 @@ package rls
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -50,17 +52,23 @@ func NewLRC(site string) *LRC {
 // Site returns the owning site.
 func (l *LRC) Site() string { return l.site }
 
-// Add records a replica of lfn at url.
+// Add records a replica of lfn at url. The catalog keeps its own copy of a
+// name it did not know: a planner's names are slices of a per-plan buffer,
+// and a catalog entry outlives the plan.
 func (l *LRC) Add(lfn, url string) error {
 	if lfn == "" || url == "" {
 		return fmt.Errorf("%w: empty lfn or url", ErrBadInput)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.m[lfn] == nil {
-		l.m[lfn] = map[string]bool{}
+	urls := l.m[lfn]
+	if urls == nil {
+		urls = map[string]bool{}
+		l.m[strings.Clone(lfn)] = urls
 	}
-	l.m[lfn][url] = true
+	if !urls[url] {
+		urls[strings.Clone(url)] = true
+	}
 	return nil
 }
 
@@ -80,17 +88,25 @@ func (l *LRC) Remove(lfn, url string) error {
 }
 
 // Lookup returns the site's replicas of lfn, sorted by URL.
-func (l *LRC) Lookup(lfn string) []PFN {
+func (l *LRC) Lookup(lfn string) []PFN { return l.appendTo([]PFN{}, lfn) }
+
+// appendTo appends the site's replicas of lfn to dst, sorted by URL. They are
+// collected as a run in dst's spare capacity, grown first to fit them, and
+// sorted there, so the copy onto dst moves nothing.
+func (l *LRC) appendTo(dst []PFN, lfn string) []PFN {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
 	urls := l.m[lfn]
-	out := make([]PFN, 0, len(urls))
+	dst = slices.Grow(dst, len(urls))
+	run := dst[len(dst):]
 	for u := range urls {
-		out = append(out, PFN{Site: l.site, URL: u})
+		run = append(run, PFN{Site: l.site, URL: u})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
+	l.mu.RUnlock()
+	slices.SortFunc(run, byURL)
+	return append(dst, run...)
 }
+
+func byURL(a, b PFN) int { return strings.Compare(a.URL, b.URL) }
 
 // LFNs returns every logical name the site knows, sorted.
 func (l *LRC) LFNs() []string {
@@ -201,10 +217,12 @@ func (r *RLS) Register(lfn string, pfn PFN) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.rli[lfn] == nil {
-		r.rli[lfn] = map[string]bool{}
+	sites := r.rli[lfn]
+	if sites == nil {
+		sites = map[string]bool{}
+		r.rli[strings.Clone(lfn)] = sites // the index outlives the caller's buffer
 	}
-	r.rli[lfn][pfn.Site] = true
+	sites[pfn.Site] = true
 	return nil
 }
 
@@ -240,41 +258,48 @@ func (r *RLS) Unregister(lfn string, pfn PFN) error {
 // while one of its catalogs is down.
 func (r *RLS) Lookup(lfn string) []PFN {
 	r.roundTrips.Add(1)
-	return r.lookup(lfn)
+	var sc lookupScratch
+	return r.appendLookup(nil, lfn, &sc)
 }
 
-// lookup is Lookup without the round-trip accounting, shared with BulkLookup
-// so a bulk query costs one round trip however many LFNs it resolves.
-func (r *RLS) lookup(lfn string) []PFN {
+// lookupScratch is the site and catalog lists of one lookup, reused by every
+// lookup of a bulk query.
+type lookupScratch struct {
+	sites []string
+	lrcs  []*LRC
+}
+
+// appendLookup appends every replica of lfn to dst, sorted by site then URL,
+// and returns the extended slice. It is the per-file body of Lookup and
+// BulkLookup: the sites are visited in sorted order (the deterministic
+// fault-point order) and each catalog appends its own replicas sorted by URL,
+// so the appended run comes out sorted with no sort of its own.
+//
+//nvo:hotpath
+func (r *RLS) appendLookup(dst []PFN, lfn string, sc *lookupScratch) []PFN {
 	r.mu.RLock()
 	inj := r.inj
-	sites := make([]string, 0, len(r.rli[lfn]))
+	sites := sc.sites[:0]
 	for s := range r.rli[lfn] {
 		sites = append(sites, s)
 	}
-	sort.Strings(sites) // deterministic fault-point order
-	lrcs := make([]*LRC, 0, len(sites))
+	slices.Sort(sites)
+	lrcs := sc.lrcs[:0]
 	for _, s := range sites {
 		if l, ok := r.lrcs[s]; ok {
 			lrcs = append(lrcs, l)
 		}
 	}
 	r.mu.RUnlock()
+	sc.sites, sc.lrcs = sites, lrcs
 
-	var out []PFN
 	for _, l := range lrcs {
 		if inj.Check(faults.Op{Name: OpLookup, Site: l.Site(), Key: lfn}) != nil {
 			continue
 		}
-		out = append(out, l.Lookup(lfn)...)
+		dst = l.appendTo(dst, lfn)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Site != out[j].Site {
-			return out[i].Site < out[j].Site
-		}
-		return out[i].URL < out[j].URL
-	})
-	return out
+	return dst
 }
 
 // SetChecksum records the content checksum attribute of a logical file —
@@ -344,12 +369,30 @@ func (r *RLS) Exists(lfn string) bool {
 // workflow's file set in one pass; Figure 2 steps 3–4). It costs a single
 // round trip no matter how many LFNs it carries — the point of Giggle's bulk
 // interface, and what lets the planner run in O(1) RLS exchanges per plan.
+//
+// Every file's replicas are a window of one backing slice shared by the
+// answer, capped at its length so an append to one never writes into the
+// next, and the map is sized for the files found: the answer costs a fixed
+// number of allocations, not some per file.
 func (r *RLS) BulkLookup(lfns []string) map[string][]PFN {
 	r.roundTrips.Add(1)
-	out := make(map[string][]PFN, len(lfns))
-	for _, lfn := range lfns {
-		if pfns := r.lookup(lfn); len(pfns) > 0 {
-			out[lfn] = pfns
+	all := make([]PFN, 0, len(lfns))
+	ends := make([]int32, len(lfns)) // all[ends[i-1]:ends[i]] are lfns[i]'s
+	found := 0
+	var sc lookupScratch
+	for i, lfn := range lfns {
+		start := len(all)
+		if all = r.appendLookup(all, lfn, &sc); len(all) > start {
+			found++
+		}
+		ends[i] = int32(len(all))
+	}
+	out := make(map[string][]PFN, found)
+	start := int32(0)
+	for i, lfn := range lfns {
+		if end := ends[i]; end > start {
+			out[lfn] = all[start:end:end]
+			start = end
 		}
 	}
 	return out

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,7 +76,7 @@ func (c *Catalog) Lookup(tr string) ([]Entry, error) {
 	for _, e := range sites {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
+	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.Site, b.Site) })
 	return out, nil
 }
 

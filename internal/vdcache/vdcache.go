@@ -24,17 +24,32 @@ import (
 // Key derives a cache key from the parts that determine a derived product:
 // typically the raw input bytes and a rendering of the transformation's
 // parameters. Parts are length-framed before hashing, so ("ab", "c") and
-// ("a", "bc") never collide.
+// ("a", "bc") never collide. The key is KeyLen lowercase hex digits.
 func Key(parts ...[]byte) string {
-	h := sha256.New()
-	var frame [8]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint64(frame[:], uint64(len(p)))
-		h.Write(frame[:])
-		h.Write(p)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	var key [KeyLen]byte
+	return string(AppendKey(key[:0], parts...))
 }
+
+// KeyLen is the length of a key.
+const KeyLen = 2 * sha256.Size
+
+// AppendKey appends Key(parts...) to dst. The framed parts go through a
+// stack buffer (the heap only past framedOnStack bytes) and a one-shot
+// digest, so with a dst of room KeyLen it allocates nothing.
+func AppendKey(dst []byte, parts ...[]byte) []byte {
+	var stack [framedOnStack]byte
+	framed := stack[:0]
+	for _, p := range parts {
+		framed = binary.BigEndian.AppendUint64(framed, uint64(len(p)))
+		framed = append(framed, p...)
+	}
+	sum := sha256.Sum256(framed)
+	return hex.AppendEncode(dst, sum[:])
+}
+
+// framedOnStack bounds the framed parts AppendKey hashes without a heap
+// buffer: a hex image digest and a parameter fingerprint take about 200.
+const framedOnStack = 512
 
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {

@@ -1,10 +1,38 @@
 package vdcache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"testing"
 )
+
+// TestKeyMatchesStreamingDigest pins Key to the hex SHA-256 of the
+// length-framed parts fed to a streaming digest, below and above the size
+// AppendKey frames on the stack.
+func TestKeyMatchesStreamingDigest(t *testing.T) {
+	for _, parts := range [][][]byte{
+		nil,
+		{{}},
+		{[]byte("ab"), []byte("c")},
+		{bytes.Repeat([]byte("x"), framedOnStack-16), []byte("y")},
+		{bytes.Repeat([]byte("x"), framedOnStack), bytes.Repeat([]byte("z"), 3*framedOnStack)},
+	} {
+		h := sha256.New()
+		var frame [8]byte
+		for _, p := range parts {
+			binary.BigEndian.PutUint64(frame[:], uint64(len(p)))
+			h.Write(frame[:])
+			h.Write(p)
+		}
+		if got, want := Key(parts...), hex.EncodeToString(h.Sum(nil)); got != want || len(got) != KeyLen {
+			t.Fatalf("Key of %d parts = %s, want %s", len(parts), got, want)
+		}
+	}
+}
 
 func TestKeyFraming(t *testing.T) {
 	if Key([]byte("ab"), []byte("c")) == Key([]byte("a"), []byte("bc")) {

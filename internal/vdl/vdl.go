@@ -22,6 +22,7 @@ package vdl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -103,27 +104,81 @@ func (b Binding) String() string {
 }
 
 // Derivation is a VDL DV statement: a transformation applied to actuals.
+//
+// A derivation is immutable once added to a catalog: AddDerivation computes
+// its sorted file lists then, and InputLFNs, OutputLFNs and every workflow
+// composed from it share them. Build it completely, then add it.
 type Derivation struct {
 	Name     string
 	TR       string
 	Bindings map[string]Binding
+
+	// inputs and outputs are the sorted file lists, set once by the first
+	// catalog the derivation is added to.
+	inputs, outputs []string
+	indexed         bool
 }
 
-// InputLFNs returns the derivation's input logical files, sorted.
-func (d *Derivation) InputLFNs() []string { return d.lfns(In) }
+// InputLFNs returns the derivation's input logical files, sorted. For a
+// derivation in a catalog the slice is shared; do not change it.
+func (d *Derivation) InputLFNs() []string {
+	if d.indexed {
+		return d.inputs
+	}
+	in, _ := d.lfns(nil)
+	return in
+}
 
-// OutputLFNs returns the derivation's output logical files, sorted.
-func (d *Derivation) OutputLFNs() []string { return d.lfns(Out) }
+// OutputLFNs returns the derivation's output logical files, sorted. For a
+// derivation in a catalog the slice is shared; do not change it.
+func (d *Derivation) OutputLFNs() []string {
+	if d.indexed {
+		return d.outputs
+	}
+	_, out := d.lfns(nil)
+	return out
+}
 
-func (d *Derivation) lfns(dir Direction) []string {
-	var out []string
+// lfns returns the sorted input and output lists, carved from slab when it
+// has room for both (so they cost no allocation of their own), else from one
+// new backing array. Each list is capped at its length, so an append to one
+// never writes into the other or the slab's next owner.
+func (d *Derivation) lfns(slab []string) (in, out []string) {
+	nIn, nOut := 0, 0
 	for _, b := range d.Bindings {
-		if b.IsFile && b.Dir == dir {
-			out = append(out, b.LFN)
+		if b.IsFile {
+			if b.Dir == In {
+				nIn++
+			} else {
+				nOut++
+			}
 		}
 	}
-	sort.Strings(out)
-	return out
+	if nIn+nOut == 0 {
+		return nil, nil
+	}
+	if len(slab) < nIn+nOut {
+		slab = make([]string, nIn+nOut)
+	}
+	in, out = slab[:0:nIn], slab[nIn:nIn:nIn+nOut]
+	for _, b := range d.Bindings {
+		if b.IsFile {
+			if b.Dir == In {
+				in = append(in, b.LFN)
+			} else {
+				out = append(out, b.LFN)
+			}
+		}
+	}
+	slices.Sort(in)
+	slices.Sort(out)
+	if nIn == 0 {
+		in = nil
+	}
+	if nOut == 0 {
+		out = nil
+	}
+	return in, out
 }
 
 // Errors reported by the catalog and parser.
@@ -138,18 +193,33 @@ var (
 // Catalog is a Virtual Data Catalog: the store of transformations and
 // derivations Chimera composes workflows from.
 type Catalog struct {
-	trs       map[string]*Transformation
-	dvs       map[string]*Derivation
-	dvOrder   []string
-	producers map[string][]string // LFN -> derivation names producing it
+	trs     map[string]*Transformation
+	dvs     map[string]*Derivation
+	dvOrder []string
+	// producer maps an LFN to the first derivation producing it; more holds
+	// the later ones, in definition order, for a file several produce.
+	producer map[string]string
+	more     map[string][]string
+	// spare is the slab derivations' file lists are carved from.
+	spare []string
 }
 
+// lfnChunk is the size of a file-list slab: a request's galMorph
+// derivations take two names each.
+const lfnChunk = 1024
+
 // NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
+func NewCatalog() *Catalog { return NewCatalogSized(0) }
+
+// NewCatalogSized returns an empty catalog sized for n derivations, so adding
+// them grows no table on the way: a request's catalog knows its size, its
+// table's.
+func NewCatalogSized(n int) *Catalog {
 	return &Catalog{
-		trs:       map[string]*Transformation{},
-		dvs:       map[string]*Derivation{},
-		producers: map[string][]string{},
+		trs:      map[string]*Transformation{},
+		dvs:      make(map[string]*Derivation, n),
+		dvOrder:  make([]string, 0, n),
+		producer: make(map[string]string, n),
 	}
 }
 
@@ -209,10 +279,27 @@ func (c *Catalog) AddDerivation(d *Derivation) error {
 			return fmt.Errorf("%w: DV %q leaves %q unbound", ErrUnboundArg, d.Name, a.Name)
 		}
 	}
+	if !d.indexed {
+		if len(c.spare) < len(d.Bindings) && len(d.Bindings) <= lfnChunk/4 {
+			c.spare = make([]string, lfnChunk)
+		}
+		d.inputs, d.outputs = d.lfns(c.spare)
+		if n := len(d.inputs) + len(d.outputs); n <= len(c.spare) {
+			c.spare = c.spare[n:]
+		}
+		d.indexed = true
+	}
 	c.dvs[d.Name] = d
 	c.dvOrder = append(c.dvOrder, d.Name)
-	for _, lfn := range d.OutputLFNs() {
-		c.producers[lfn] = append(c.producers[lfn], d.Name)
+	for _, lfn := range d.outputs {
+		if _, ok := c.producer[lfn]; !ok {
+			c.producer[lfn] = d.Name
+		} else {
+			if c.more == nil {
+				c.more = map[string][]string{}
+			}
+			c.more[lfn] = append(c.more[lfn], d.Name)
+		}
 	}
 	return nil
 }
@@ -239,6 +326,9 @@ func (c *Catalog) Transformations() []string {
 	return out
 }
 
+// NumDerivations returns how many derivations the catalog holds.
+func (c *Catalog) NumDerivations() int { return len(c.dvOrder) }
+
 // Derivations returns all DV names in definition order.
 func (c *Catalog) Derivations() []string {
 	return append([]string(nil), c.dvOrder...)
@@ -247,7 +337,22 @@ func (c *Catalog) Derivations() []string {
 // Producers returns the derivations whose outputs include lfn, in
 // definition order.
 func (c *Catalog) Producers(lfn string) []string {
-	return append([]string(nil), c.producers[lfn]...)
+	first, ok := c.producer[lfn]
+	if !ok {
+		return nil
+	}
+	return append([]string{first}, c.more[lfn]...)
+}
+
+// ProducerOf is Producers without the copy, for a composer asking about
+// every file: how many derivations produce lfn, and the first of them ("" for
+// none).
+func (c *Catalog) ProducerOf(lfn string) (name string, n int) {
+	first, ok := c.producer[lfn]
+	if !ok {
+		return "", 0
+	}
+	return first, 1 + len(c.more[lfn])
 }
 
 // Merge copies every definition of other into c. Duplicate transformations

@@ -2,9 +2,11 @@ package webservice
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/pegasus"
 	"repro/internal/vdl"
 	"repro/internal/votable"
 )
@@ -34,8 +36,11 @@ type derivations struct {
 // carries (the logical file names are an id or the cluster plus an extension,
 // so they are literals whenever the names are identifiers). The catalog never
 // sees text, but a journaled service writes it and a resume parses it, and
-// both services must accept the same tables. A table that fails is refused
-// with an error wrapping vdl.ErrParse before anything is admitted or fetched.
+// both services must accept the same tables. It also admits only ids that
+// name distinct plan nodes: no id twice, and no two ids with one Pegasus id
+// fragment (G-1, G_1 and G.1 would all register as reg_G_1_txt). A table
+// that fails is refused with an error wrapping vdl.ErrParse before anything
+// is admitted or fetched.
 func newDerivations(tab *votable.Table, cluster string) (*derivations, error) {
 	if tab == nil {
 		return nil, ErrBadTable
@@ -72,7 +77,39 @@ func newDerivations(tab *votable.Table, cluster string) (*derivations, error) {
 		d.refs[i] = imageRef{id: id, acref: row[acrefCol]}
 		d.redshift[i] = z
 	}
+	if err := checkDistinct(d.refs); err != nil {
+		return nil, err
+	}
 	return d, nil
+}
+
+// checkDistinct refuses two rows whose ids name the same plan nodes: equal
+// ids, or ids with one pegasus id fragment. It sorts row indices by fragment,
+// so equal fragments are neighbours, and allocates once for the whole table.
+func checkDistinct(refs []imageRef) error {
+	order := make([]int32, len(refs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	byFragment := func(a, b int32) int {
+		if c := pegasus.CompareFragments(refs[a].id, refs[b].id); c != 0 {
+			return c
+		}
+		return int(a - b)
+	}
+	slices.SortFunc(order, byFragment)
+	for k := 1; k < len(order); k++ {
+		i, j := order[k-1], order[k]
+		a, b := refs[i].id, refs[j].id
+		switch {
+		case a == b:
+			return fmt.Errorf("webservice: rows %d and %d: galaxy id %q repeats: %w", i, j, a, vdl.ErrParse)
+		case pegasus.CompareFragments(a, b) == 0:
+			return fmt.Errorf("webservice: rows %d and %d: galaxy ids %q and %q name the same plan nodes: %w",
+				i, j, a, b, vdl.ErrParse)
+		}
+	}
+	return nil
 }
 
 // checkCluster admits a cluster name only if it can name the collector
@@ -84,6 +121,62 @@ func checkCluster(cluster string) error {
 		return fmt.Errorf("webservice: cluster %q cannot name a derivation: %w", cluster, vdl.ErrParse)
 	}
 	return nil
+}
+
+// rowNames is every row's derivation name, file names and collector argument
+// spelled into one string, so a request's per-galaxy names cost one
+// allocation between them instead of four each. Row i is laid out as
+// "m-<id>.fit<id>.txtp<i>": "m-<id>" and "<id>.fit" overlap.
+type rowNames struct {
+	s    string
+	at   []int32 // row i starts at s[at[i]]; at[len(refs)] is len(s)
+	refs []imageRef
+}
+
+func newRowNames(refs []imageRef) rowNames {
+	size := 0
+	for i, r := range refs {
+		size += 2*len(r.id) + len("m-.fit.txtp") + digits(i)
+	}
+	b := make([]byte, 0, size)
+	at := make([]int32, len(refs)+1)
+	for i, r := range refs {
+		at[i] = int32(len(b))
+		b = append(b, "m-"...)
+		b = append(b, r.id...)
+		b = append(b, ".fit"...)
+		b = append(b, r.id...)
+		b = append(b, ".txtp"...)
+		b = strconv.AppendInt(b, int64(i), 10)
+	}
+	at[len(refs)] = int32(len(b))
+	return rowNames{s: string(b), at: at, refs: refs}
+}
+
+// digits is the length of i in decimal.
+func digits(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
+}
+
+// dv is row i's derivation name, "m-<id>".
+func (n *rowNames) dv(i int) string { o := int(n.at[i]); return n.s[o : o+2+len(n.refs[i].id)] }
+
+// image is row i's input file, "<id>.fit".
+func (n *rowNames) image(i int) string { o := int(n.at[i]) + 2; return n.s[o : o+len(n.refs[i].id)+4] }
+
+// result is row i's output file, "<id>.txt".
+func (n *rowNames) result(i int) string {
+	o := int(n.at[i]) + 6 + len(n.refs[i].id)
+	return n.s[o : o+len(n.refs[i].id)+4]
+}
+
+// arg is the collector's formal for row i's result, "p<i>".
+func (n *rowNames) arg(i int) string {
+	return n.s[int(n.at[i])+10+2*len(n.refs[i].id) : n.at[i+1]]
 }
 
 // actual is one name=value pair of a derivation, in the order the derivation
@@ -100,6 +193,7 @@ func (d *derivations) statements(tr func(*vdl.Transformation) error,
 	dv func(name, tr string, actuals []actual) error) error {
 
 	n := len(d.refs)
+	names := newRowNames(d.refs)
 	if err := tr(&vdl.Transformation{Name: "galMorph", Body: " compute CAS parameters ", Args: []vdl.Arg{
 		{Name: "redshift", Dir: vdl.In}, {Name: "pixScale", Dir: vdl.In}, {Name: "zeroPoint", Dir: vdl.In},
 		{Name: "Ho", Dir: vdl.In}, {Name: "om", Dir: vdl.In}, {Name: "flat", Dir: vdl.In},
@@ -110,7 +204,7 @@ func (d *derivations) statements(tr func(*vdl.Transformation) error,
 	concat := &vdl.Transformation{Name: "concatVOT", Body: " concatenate per-galaxy results ",
 		Args: make([]vdl.Arg, n+1)}
 	for i := range d.refs {
-		concat.Args[i] = vdl.Arg{Name: "p" + strconv.Itoa(i), Dir: vdl.In}
+		concat.Args[i] = vdl.Arg{Name: names.arg(i), Dir: vdl.In}
 	}
 	concat.Args[n] = vdl.Arg{Name: "table", Dir: vdl.Out}
 	if err := tr(concat); err != nil {
@@ -121,11 +215,11 @@ func (d *derivations) statements(tr func(*vdl.Transformation) error,
 	// file is both its derivation's output and the collector's i-th input.
 	collect := make([]actual, n+1)
 	var actuals [8]actual
-	for i, r := range d.refs {
-		result := vdl.FileBinding(vdl.Out, r.id+".txt")
+	for i := range d.refs {
+		result := vdl.FileBinding(vdl.Out, names.result(i))
 		actuals = [8]actual{
 			{"redshift", vdl.ScalarBinding(d.redshift[i])},
-			{"image", vdl.FileBinding(vdl.In, r.id+".fit")},
+			{"image", vdl.FileBinding(vdl.In, names.image(i))},
 			{"pixScale", vdl.ScalarBinding("2.831933107035062E-4")},
 			{"zeroPoint", vdl.ScalarBinding("27.8")},
 			{"Ho", vdl.ScalarBinding("100")},
@@ -133,7 +227,7 @@ func (d *derivations) statements(tr func(*vdl.Transformation) error,
 			{"flat", vdl.ScalarBinding("1")},
 			{"galMorph", result},
 		}
-		if err := dv("m-"+r.id, "galMorph", actuals[:]); err != nil {
+		if err := dv(names.dv(i), "galMorph", actuals[:]); err != nil {
 			return err
 		}
 		collect[i] = actual{concat.Args[i].Name, vdl.FileBinding(vdl.In, result.LFN)}
@@ -143,15 +237,20 @@ func (d *derivations) statements(tr func(*vdl.Transformation) error,
 }
 
 // catalog builds the request's virtual data catalog through the validators
-// vdl.Parse ends in, so the catalog is the one parsing text would give.
+// vdl.Parse ends in, so the catalog is the one parsing text would give. The
+// derivations come from one slab, a galMorph row and the collector each.
 func (d *derivations) catalog() (*vdl.Catalog, error) {
-	cat := vdl.NewCatalog()
+	cat := vdl.NewCatalogSized(len(d.refs) + 1)
+	slab := make([]vdl.Derivation, len(d.refs)+1)
 	err := d.statements(cat.AddTransformation, func(name, tr string, actuals []actual) error {
 		bindings := make(map[string]vdl.Binding, len(actuals))
 		for _, a := range actuals {
 			bindings[a.name] = a.Binding
 		}
-		return cat.AddDerivation(&vdl.Derivation{Name: name, TR: tr, Bindings: bindings})
+		dv := &slab[0]
+		slab = slab[1:]
+		*dv = vdl.Derivation{Name: name, TR: tr, Bindings: bindings}
+		return cat.AddDerivation(dv)
 	})
 	if err != nil {
 		return nil, err

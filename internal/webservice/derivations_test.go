@@ -118,16 +118,14 @@ func TestCatalogMatchesVDLText(t *testing.T) {
 		[2]string{"quoted_z", `0.3 "approx" \ two`}, [2]string{"multiline_z", "0.4\n\t0.5"}, [2]string{"z_é", "≈0.6"},
 	), "A1656.core-2")
 
-	// Duplicate ids are admitted (each name is valid) and fail identically
-	// when the catalog is built, whichever way it is built.
+	// Duplicate ids are refused at admission, as the text form would be
+	// refused by its parser (TestDerivationsRefuseCollidingIDs).
 	dup := requestTable(t, [2]string{"G1", "0.1"}, [2]string{"G2", "0.2"}, [2]string{"G1", "0.3"})
-	checkBothForms(t, dup, "DUP")
-	dvs, err := newDerivations(dup, "DUP")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := newDerivations(dup, "DUP"); !errors.Is(err, vdl.ErrParse) {
+		t.Fatalf("duplicate id: err = %v, want ErrParse", err)
 	}
-	if _, err := dvs.catalog(); !errors.Is(err, vdl.ErrDuplicate) {
-		t.Fatalf("duplicate id: err = %v, want ErrDuplicate", err)
+	if _, err := vdl.Parse(frozenBuildVDL(dup, "DUP")); !errors.Is(err, vdl.ErrDuplicate) {
+		t.Fatalf("duplicate id, parsed: err = %v, want ErrDuplicate", err)
 	}
 }
 
@@ -240,4 +238,52 @@ func FuzzCatalogMatchesVDLText(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDerivationsRefuseCollidingIDs: a table whose ids would name the same
+// plan nodes — an id twice, or ids that differ only where the planner's id
+// fragment writes '_' — is refused at admission with vdl.ErrParse: before any
+// image is fetched, with 400 from /galmorph, and without moving the fleet's
+// Admitted count. Ids that merely look alike are admitted.
+func TestDerivationsRefuseCollidingIDs(t *testing.T) {
+	colliding := map[string]*votable.Table{
+		"G-1, G_1 and G.1": requestTable(t, [2]string{"G-1", "0.1"}, [2]string{"G2", "0.2"},
+			[2]string{"G_1", "0.3"}, [2]string{"G.1", "0.4"}),
+		"G1 twice":             requestTable(t, [2]string{"G1", "0.1"}, [2]string{"G2", "0.2"}, [2]string{"G1", "0.1"}),
+		"one rune, one dot":    requestTable(t, [2]string{"galáxia", "0.1"}, [2]string{"gal.xia", "0.2"}),
+		"far apart in a table": requestTable(t, [2]string{"a-b", "0"}, [2]string{"c", "0"}, [2]string{"d", "0"}, [2]string{"a_b", "0"}),
+	}
+	for name, tab := range colliding {
+		if _, err := newDerivations(tab, "COMA"); !errors.Is(err, vdl.ErrParse) {
+			t.Errorf("%s: err = %v, want vdl.ErrParse", name, err)
+		}
+	}
+	distinct := requestTable(t, [2]string{"G1", "0"}, [2]string{"G-10", "0"}, [2]string{"G_1_", "0"},
+		[2]string{"g1", "0"}, [2]string{"G11", "0"}, [2]string{"銀河", "0"}, [2]string{"銀", "0"})
+	if _, err := newDerivations(distinct, "COMA"); err != nil {
+		t.Fatalf("ids with distinct fragments refused: %v", err)
+	}
+
+	h := newHarness(t, 3, nil)
+	srv := httptest.NewServer(h.svc.Handler())
+	defer srv.Close()
+	for name, tab := range colliding {
+		var body strings.Builder
+		if err := votable.WriteTable(&body, tab); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/galmorph?cluster=COMA", "text/xml", strings.NewReader(body.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST /galmorph status %d, body %q; want 400", name, resp.StatusCode, msg)
+		}
+	}
+	if got := h.svc.Fleet().Admitted; got != 0 {
+		t.Fatalf("refused uploads moved the fleet's Admitted count to %d", got)
+	}
+	if st := h.svc.Stats(); st.Requests != 0 || h.r.Len() != 0 {
+		t.Fatalf("refused uploads became requests: %+v, %d files registered", st, h.r.Len())
+	}
 }

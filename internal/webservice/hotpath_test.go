@@ -2,6 +2,9 @@ package webservice
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -301,4 +304,47 @@ func BenchmarkMeasureRawArena(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rawMeasure(b, raw, mcfg)
 	}
+}
+
+// fmtMemoKey is the memo key as measure built it at 8788e64: the fingerprint
+// through fmt.Sprintf, hashed by a streaming digest over the length-framed
+// parts and hex-encoded.
+func fmtMemoKey(hexDigest []byte, cfg morphology.Config) string {
+	fp := fmt.Sprintf("galMorph|z=%g|scale=%g|zp=%g|H0=%g|om=%g|flat=%t",
+		cfg.Redshift, cfg.PixScaleDeg, cfg.ZeroPoint,
+		cfg.Cosmology.H0, cfg.Cosmology.OmegaM, cfg.Cosmology.Flat)
+	h := sha256.New()
+	var frame [8]byte
+	for _, p := range [][]byte{hexDigest, []byte(fp)} {
+		binary.BigEndian.PutUint64(frame[:], uint64(len(p)))
+		h.Write(frame[:])
+		h.Write(p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestMemoKeyMatchesFmt pins memoKey to the key fmt and a streaming digest
+// gave, byte for byte, over parameters that include 0, −0, 1e21, 1e-7, NaN
+// and ±Inf in every position, and gates it at one allocation — the key
+// string — per key.
+func TestMemoKeyMatchesFmt(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, 1e21, 1e20, 1e-7, 1e-4, 1e-5, math.NaN(),
+		math.Inf(1), math.Inf(-1), 0.027886, 2.831933107035062e-4, 27.8, 100, 0.3, -2.5,
+		123456789.125, 5e-324, math.MaxFloat64, 1.0 / 3}
+	digest := []byte(strings.Repeat("0123456789abcdef", 4))
+	for i := range vals {
+		at := func(k int) float64 { return vals[(i+k)%len(vals)] }
+		cfg := morphology.Config{Redshift: at(0), PixScaleDeg: at(1), ZeroPoint: at(2),
+			Cosmology: morphology.Cosmology{H0: at(3), OmegaM: at(4), Flat: i%2 == 0}}
+		if got, want := memoKey(digest, cfg), fmtMemoKey(digest, cfg); got != want {
+			t.Fatalf("memoKey(%+v) = %s, fmt and a streaming digest give %s\nfingerprint %q",
+				cfg, got, want, morphFingerprint(cfg))
+		}
+	}
+	cfg := morphology.DefaultConfig(0.027886)
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() { sink = memoKey(digest, cfg) }); allocs > 1 {
+		t.Errorf("memoKey allocates %.1f times per key; want at most 1", allocs)
+	}
+	_ = sink
 }

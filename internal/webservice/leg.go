@@ -593,28 +593,34 @@ func wfBase(tenant, cluster string) string {
 // waveSourceFor mirrors the request's derivations — one galMorph job
 // per galaxy plus the concatVOT collector — as a lazy pegasus.WaveSource, so
 // the survey-scale path never materializes a per-galaxy job list beyond the
-// (id, acref) staging refs it already holds.
+// (id, acref) staging refs it already holds. The jobs' names are the
+// request's rowNames and their file lists windows of one slab, so a wave
+// costs no per-job allocation to describe.
 func waveSourceFor(refs []imageRef, cluster string) pegasus.WaveSource {
-	inputs := make([]string, len(refs))
-	for i, r := range refs {
-		inputs[i] = r.id + ".txt"
+	n := len(refs)
+	names := newRowNames(refs)
+	// Every job's images, then every job's results (the collector's
+	// inputs, in order), then the collector's output.
+	lfns := make([]string, 2*n+1)
+	for i := range refs {
+		lfns[i], lfns[n+i] = names.image(i), names.result(i)
 	}
+	lfns[2*n] = outputLFN(cluster)
 	return pegasus.WaveSource{
-		Jobs: len(refs),
+		Jobs: n,
 		Job: func(i int) pegasus.WaveJob {
-			id := refs[i].id
 			return pegasus.WaveJob{
-				ID:             "m-" + id,
+				ID:             names.dv(i),
 				Transformation: "galMorph",
-				Inputs:         []string{id + ".fit"},
-				Outputs:        []string{id + ".txt"},
+				Inputs:         lfns[i : i+1 : i+1],
+				Outputs:        lfns[n+i : n+i+1 : n+i+1],
 			}
 		},
 		Collector: pegasus.WaveJob{
 			ID:             "collect-" + cluster,
 			Transformation: "concatVOT",
-			Inputs:         inputs,
-			Outputs:        []string{outputLFN(cluster)},
+			Inputs:         lfns[n : 2*n : 2*n],
+			Outputs:        lfns[2*n:],
 		},
 	}
 }

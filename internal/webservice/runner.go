@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -210,9 +211,34 @@ func streamResultsTable(w io.Writer, cluster string, sp *tableops.Spool) error {
 // morphFingerprint renders the measurement parameters that, together with
 // the image content, determine a galMorph result.
 func morphFingerprint(cfg morphology.Config) string {
-	return fmt.Sprintf("galMorph|z=%g|scale=%g|zp=%g|H0=%g|om=%g|flat=%t",
-		cfg.Redshift, cfg.PixScaleDeg, cfg.ZeroPoint,
-		cfg.Cosmology.H0, cfg.Cosmology.OmegaM, cfg.Cosmology.Flat)
+	return string(appendMorphFingerprint(nil, cfg))
+}
+
+// appendMorphFingerprint appends morphFingerprint(cfg) to dst: the text
+// fmt.Sprintf("galMorph|z=%g|scale=%g|zp=%g|H0=%g|om=%g|flat=%t", ...) gives
+// (%g is strconv's 'g' at the shortest precision), without boxing six values.
+func appendMorphFingerprint(dst []byte, cfg morphology.Config) []byte {
+	for _, f := range [...]struct {
+		label string
+		v     float64
+	}{
+		{"galMorph|z=", cfg.Redshift}, {"|scale=", cfg.PixScaleDeg}, {"|zp=", cfg.ZeroPoint},
+		{"|H0=", cfg.Cosmology.H0}, {"|om=", cfg.Cosmology.OmegaM},
+	} {
+		dst = append(dst, f.label...)
+		dst = strconv.AppendFloat(dst, f.v, 'g', -1, 64)
+	}
+	dst = append(dst, "|flat="...)
+	return strconv.AppendBool(dst, cfg.Cosmology.Flat)
+}
+
+// memoKey is the virtual-data key of one measurement: vdcache.Key of the
+// image's hex digest and the measurement's fingerprint. Both are built in
+// stack buffers, so the key string is the one allocation.
+func memoKey(hexDigest []byte, cfg morphology.Config) string {
+	var fp [128]byte
+	var key [vdcache.KeyLen]byte
+	return string(vdcache.AppendKey(key[:0], hexDigest, appendMorphFingerprint(fp[:0], cfg)))
 }
 
 // galMorphSpec runs one galaxy's morphology measurement at its mapped site.
@@ -270,7 +296,7 @@ func (l *leg) measure(n *dag.Node) error {
 	// content: the image is not hashed again for its key.
 	var hexDigest [2 * len(digest)]byte
 	hex.Encode(hexDigest[:], digest[:])
-	key := vdcache.Key(hexDigest[:], []byte(morphFingerprint(mcfg)))
+	key := memoKey(hexDigest[:], mcfg)
 	entry, hit := s.memo.Get(key)
 	if hit {
 		p = entry.params
