@@ -79,18 +79,23 @@ recovery:
 # result, floats bit for bit)
 # — over the request's two forms (the catalog built
 # from a table and the parse of its rendered .vdl agree, or the table is
-# refused), and over the measurement kernel's radial bucket pass (any cutout
-# shape and centre: no panic, and the order of the reference sort).
+# refused), over the measurement kernel's radial bucket pass (any cutout
+# shape and centre: no panic, and the order of the reference sort) and its
+# row spans (any row, centre and radius: exactly the pixels the radius test
+# passes), and over the FITS header card scan (any 80-byte card: the same
+# value, Card and error text as the frozen pre-allocation-free scan).
 # Seeds always run under plain `go test`; this also spends FUZZTIME per
 # target on new inputs.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzReadReplicas -fuzztime $(FUZZTIME) ./internal/rls/
 	$(GO) test -fuzz FuzzView -fuzztime $(FUZZTIME) ./internal/fits/
+	$(GO) test -fuzz FuzzParseCardParity -fuzztime $(FUZZTIME) ./internal/fits/
 	$(GO) test -fuzz FuzzStreamingParity -fuzztime $(FUZZTIME) ./internal/votable/
 	$(GO) test -fuzz FuzzVDLParse -fuzztime $(FUZZTIME) ./internal/vdl/
 	$(GO) test -fuzz FuzzCatalogMatchesVDLText -fuzztime $(FUZZTIME) ./internal/webservice/
 	$(GO) test -fuzz FuzzRadialOrder -fuzztime $(FUZZTIME) ./internal/morphology/
+	$(GO) test -fuzz FuzzRowSpan -fuzztime $(FUZZTIME) ./internal/morphology/
 	$(GO) test -fuzz FuzzReadDAG -fuzztime $(FUZZTIME) ./internal/dagman/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz FuzzWaveManifest -fuzztime $(FUZZTIME) ./internal/webservice/
@@ -170,14 +175,17 @@ graphreaders:
 # workers, flat from 1k to 16k galaxies), and so has VOTable decoding
 # (TestDecodeAllocsPerRow, internal/votable/scan_test.go: ReadTable and
 # DecodeRows of a 1,000-row, 8-column table, allocations per row). Fails
-# fast on any AllocsPerRun regression. The last two lines are a smoke, not a
+# fast on any AllocsPerRun regression. Beside the measurement pins runs
+# TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts: every row-span loop
+# of the kernel bit-identical to its frozen per-pixel form on 1,000 survey
+# cutouts. The last two lines are a smoke, not a
 # gate: the
 # kernel's time per galaxy (measurement alone, and view + measure + encode as
 # galMorph runs it) and planning's time per request, each at one fixed
 # iteration count, uninstrumented, printed beside the allocation figures.
 hotbench:
 	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestExecuteAllocBudget|TestExecuteAllocsFlat' -v ./internal/webservice/
-	$(GO) test -race -run 'TestMeasureRaw|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/
+	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/
 

@@ -101,8 +101,8 @@ func (v scanVal) value() any {
 // ParseView validates raw as a single-HDU two-dimensional FITS image and
 // returns a zero-copy view over it. Trailing padding may be absent (lenient
 // writers drop it); a data array shorter than the header declares is
-// ErrShortData. The scan allocates only when parsing numeric card values
-// (strconv needs a string); it never builds a Header.
+// ErrShortData. The scan of a header that parses allocates nothing: it
+// never builds a Header, and numeric values parse off stack strings.
 func ParseView(raw []byte) (View, error) {
 	vals, blocks, err := scanHeader(func(n int) ([]byte, error) {
 		switch rest := len(raw) - n*BlockSize; {
@@ -215,8 +215,8 @@ func geometry(vals *[numKW]scanVal) (View, error) {
 // scanHeader walks header records — next(n) yields the n-th 2880-byte
 // record — until an END card, validating every card and extracting the
 // values the geometry check consults. With a non-nil h it also fills in the
-// full Header; without one it allocates nothing beyond parseCard's numeric
-// strings. It returns the number of records the header occupies.
+// full Header; without one it allocates nothing unless a card is refused.
+// It returns the number of records the header occupies.
 func scanHeader(next func(n int) ([]byte, error), h *Header) (vals [numKW]scanVal, blocks int, err error) {
 	var c *Card
 	if h != nil {
@@ -291,8 +291,8 @@ func kwIndex(kw []byte) int {
 // parseCard interprets the value-indicator syntax of one 80-byte card and
 // returns its typed value. With a non-nil c it also fills in the card's
 // Header form — string values and comment text, which a bare scan never
-// needs; without one it allocates only the string strconv needs for numeric
-// values (and the error paths).
+// needs; without one it allocates only on its error paths (and for a
+// 'D'-exponent or over-long numeric value).
 func parseCard(kw, card []byte, c *Card) (scanVal, error) {
 	if c != nil {
 		*c = Card{Keyword: string(kw)}
@@ -344,14 +344,9 @@ func parseCard(kw, card []byte, c *Card) (scanVal, error) {
 	case len(valStr) == 1 && valStr[0] == 'F':
 		sv = scanVal{kind: 'b', b: false}
 	default:
-		s := string(valStr)
-		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-			sv = scanVal{kind: 'i', i: i}
-		} else if f, err := strconv.ParseFloat(strings.ReplaceAll(s, "D", "E"), 64); err == nil {
-			// FITS permits 'D' exponents in double-precision values.
-			sv = scanVal{kind: 'f', f: f}
-		} else {
-			return scanVal{}, fmt.Errorf("%w: unparsable value %q in card %q", ErrBadHeader, s, kw)
+		var ok bool
+		if sv, ok = numericValue(valStr); !ok {
+			return scanVal{}, fmt.Errorf("%w: unparsable value %q in card %q", ErrBadHeader, string(valStr), kw)
 		}
 	}
 	if c != nil {
@@ -359,6 +354,48 @@ func parseCard(kw, card []byte, c *Card) (scanVal, error) {
 		c.Comment = cardComment(body)
 	}
 	return sv, nil
+}
+
+// numericValue parses a numeric card value: an int64 when it has integer
+// syntax and fits, else a float64. ParseInt runs only on integer syntax —
+// on anything else it fails, and its error is an allocation — and neither
+// parse lets its string escape (strconv copies the input into its errors),
+// so a value of up to 32 bytes that parses allocates nothing.
+//
+//nvo:hotpath
+func numericValue(valStr []byte) (scanVal, bool) {
+	if isIntSyntax(valStr) {
+		if i, err := strconv.ParseInt(string(valStr), 10, 64); err == nil {
+			return scanVal{kind: 'i', i: i}, true
+		}
+		// Out of int64 range: read as a float, as the value's text allows.
+	}
+	// FITS permits 'D' exponents in double-precision values. ReplaceAll
+	// returns a value without one as it is, so only a 'D' value allocates.
+	f, err := strconv.ParseFloat(strings.ReplaceAll(string(valStr), "D", "E"), 64)
+	if err != nil {
+		return scanVal{}, false
+	}
+	return scanVal{kind: 'f', f: f}, true
+}
+
+// isIntSyntax reports whether b is [+-]?[0-9]+, the syntax base-10 ParseInt
+// accepts.
+//
+//nvo:hotpath
+func isIntSyntax(b []byte) bool {
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return false
+	}
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // cardComment returns the text after the first '/' of a card's value field.

@@ -385,8 +385,8 @@ func TestHostileGeometryRejected(t *testing.T) {
 }
 
 // TestParseViewAllocBudget pins the header-scan cost: parsing a view of a
-// typical image must stay within a few small allocations (the numeric
-// string conversions), never scaling with pixel count.
+// typical image allocates nothing — numeric values parse off stack strings
+// and no Header is built — whatever the pixel count.
 func TestParseViewAllocBudget(t *testing.T) {
 	raw := encodeRaw(t, testImage(t, 64, 64, -64, true))
 	buf := make([]float64, 64*64)
@@ -397,7 +397,7 @@ func TestParseViewAllocBudget(t *testing.T) {
 		}
 		_ = v.ReadInto(buf)
 	})
-	if allocs > 24 {
-		t.Fatalf("ParseView+ReadInto allocates %.1f times per image; want <= 24", allocs)
+	if allocs > 0 {
+		t.Fatalf("ParseView+ReadInto allocates %.1f times per image; want 0", allocs)
 	}
 }

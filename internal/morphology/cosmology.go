@@ -106,16 +106,34 @@ func (c Cosmology) LuminosityDistance(z float64) float64 {
 
 // DistanceModulus returns m - M = 5 log10(D_L/10pc).
 func (c Cosmology) DistanceModulus(z float64) float64 {
-	dl := c.LuminosityDistance(z) // Mpc
+	return distanceModulus(c.LuminosityDistance(z))
+}
+
+// KpcPerArcsec returns the physical scale at redshift z in kpc/arcsec.
+func (c Cosmology) KpcPerArcsec(z float64) float64 {
+	return kpcPerArcsec(c.AngularDiameterDistance(z))
+}
+
+// scales returns DistanceModulus(z) and KpcPerArcsec(z), bit for bit, from
+// one integration: both derive from the transverse comoving distance.
+func (c Cosmology) scales(z float64) (mu, kpc float64) {
+	if z <= 0 {
+		return distanceModulus(0), kpcPerArcsec(0)
+	}
+	dm := c.transverseComovingDistance(z)
+	return distanceModulus(dm * (1 + z)), kpcPerArcsec(dm / (1 + z))
+}
+
+// distanceModulus converts a luminosity distance in Mpc to m - M.
+func distanceModulus(dl float64) float64 {
 	if dl <= 0 {
 		return 0
 	}
 	return 5 * math.Log10(dl*1e5) // Mpc -> 10pc units: 1 Mpc = 1e5 * 10pc
 }
 
-// KpcPerArcsec returns the physical scale at redshift z in kpc/arcsec.
-func (c Cosmology) KpcPerArcsec(z float64) float64 {
-	da := c.AngularDiameterDistance(z) // Mpc
+// kpcPerArcsec converts an angular diameter distance in Mpc to kpc/arcsec.
+func kpcPerArcsec(da float64) float64 {
 	// 1 arcsec in radians times D_A, converted Mpc -> kpc.
 	return da * 1000 * (math.Pi / 180 / 3600)
 }

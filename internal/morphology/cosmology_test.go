@@ -120,6 +120,24 @@ func TestKpcPerArcsec(t *testing.T) {
 	}
 }
 
+// TestScalesMatchSeparateIntegrations: the one-integration pair a
+// measurement uses is DistanceModulus and KpcPerArcsec bit for bit, over
+// flat, open and closed models and redshifts from none to high.
+func TestScalesMatchSeparateIntegrations(t *testing.T) {
+	for _, c := range []Cosmology{
+		paperCosmology(), {H0: 70, OmegaM: 0.3}, {H0: 70, OmegaM: 2.5}, {H0: 50, OmegaM: 1, Flat: true}, {H0: 100},
+	} {
+		for _, z := range []float64{-1, 0, 1e-6, 0.0279, 0.04, 0.5, 3} {
+			mu, kpc := c.scales(z)
+			if math.Float64bits(mu) != math.Float64bits(c.DistanceModulus(z)) ||
+				math.Float64bits(kpc) != math.Float64bits(c.KpcPerArcsec(z)) {
+				t.Errorf("%+v z=%v: scales = (%v, %v), separate integrations (%v, %v)",
+					c, z, mu, kpc, c.DistanceModulus(z), c.KpcPerArcsec(z))
+			}
+		}
+	}
+}
+
 func BenchmarkComovingDistance(b *testing.B) {
 	c := paperCosmology()
 	b.ReportAllocs()

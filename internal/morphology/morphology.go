@@ -260,9 +260,10 @@ func measureSub(sub []float64, nx, ny int, bg, sigma float64, cfg Config, sc *sc
 
 	// Physical quantities, when a redshift and sane cosmology are supplied.
 	if cfg.Redshift > 0 && cfg.Cosmology.Validate() == nil {
+		mu, kpcPerArcsec := cfg.Cosmology.scales(cfg.Redshift)
 		apparentMag := cfg.ZeroPoint - 2.5*math.Log10(total)
-		p.AbsoluteMag = apparentMag - cfg.Cosmology.DistanceModulus(cfg.Redshift)
-		p.PhysicalR80Kpc = r80 * pixArcsec * cfg.Cosmology.KpcPerArcsec(cfg.Redshift)
+		p.AbsoluteMag = apparentMag - mu
+		p.PhysicalR80Kpc = r80 * pixArcsec * kpcPerArcsec
 	}
 	return p, nil
 }
@@ -310,56 +311,84 @@ func borderSamples(nx, ny int) int {
 //
 //nvo:hotpath
 func estimateBackground(data []float64, nx, ny int, vals []float64) (level, sigma float64) {
+	return sigmaClip(borderPixels(data, nx, ny, vals), 3, 5)
+}
+
+// borderPixels appends the border pixels of the image to vals[:0] in raster
+// order and returns them: whole rows in the top and bottom borders, and the
+// left and right strips of every other row — a row with no interior (the
+// image narrower than two borders) is appended whole. Interior pixels are
+// never visited.
+//
+//nvo:hotpath
+func borderPixels(data []float64, nx, ny int, vals []float64) []float64 {
 	border := borderWidth(nx, ny)
 	vals = vals[:0]
 	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			if x >= border && x < nx-border && y >= border && y < ny-border {
-				continue
-			}
-			vals = append(vals, data[y*nx+x])
+		row := data[y*nx : (y+1)*nx]
+		if y < border || y >= ny-border || nx-border <= border {
+			vals = append(vals, row...)
+			continue
 		}
+		vals = append(vals, row[:border]...)
+		vals = append(vals, row[nx-border:]...)
 	}
-	return sigmaClip(vals, 3, 5)
+	return vals
 }
 
 // sigmaClip iteratively rejects outliers beyond k standard deviations and
 // returns the surviving mean and standard deviation. It reorders vals in
-// place (the caller's scratch buffer) instead of copying.
+// place (the caller's scratch buffer) instead of copying. The clipping pass
+// also sums the survivors, in order, so the next round's mean starts from
+// that sum instead of a pass of its own.
 //
 //nvo:hotpath
 func sigmaClip(vals []float64, k float64, iters int) (mean, sd float64) {
 	if len(vals) == 0 {
 		return 0, 0
 	}
-	work := vals
+	work, sum := vals, sumOf(vals)
 	for it := 0; it < iters; it++ {
-		mean, sd = meanStd(work)
+		mean, sd = meanStd(work, sum)
 		if sd == 0 {
 			return mean, sd
 		}
 		kept := work[:0]
+		var keptSum float64
 		for _, v := range work {
 			if math.Abs(v-mean) <= k*sd {
 				kept = append(kept, v)
+				keptSum += v
 			}
 		}
-		if len(kept) == len(work) || len(kept) < 8 {
-			break
+		switch {
+		case len(kept) == len(work):
+			return mean, sd // nothing clipped: work is as it was
+		case len(kept) < 8:
+			// Too few survivors: the statistics of work as the in-place
+			// filter left it.
+			return meanStd(work, sumOf(work))
 		}
-		work = kept
+		work, sum = kept, keptSum
 	}
-	return meanStd(work)
+	return meanStd(work, sum)
 }
 
 //nvo:hotpath
-func meanStd(vals []float64) (mean, sd float64) {
-	if len(vals) == 0 {
-		return 0, 0
-	}
-	var sum float64
+func sumOf(vals []float64) (sum float64) {
 	for _, v := range vals {
 		sum += v
+	}
+	return sum
+}
+
+// meanStd returns the mean and standard deviation of vals, given sum, the
+// sum of vals in order.
+//
+//nvo:hotpath
+func meanStd(vals []float64, sum float64) (mean, sd float64) {
+	if len(vals) == 0 {
+		return 0, 0
 	}
 	mean = sum / float64(len(vals))
 	var ss float64
@@ -375,7 +404,7 @@ func meanStd(vals []float64) (mean, sd float64) {
 //
 //nvo:hotpath
 func centroid(sub []float64, nx, ny int, threshold float64) (cx, cy float64, ok bool) {
-	cx, cy, ok = weightedCenter(sub, nx, ny, threshold, float64(nx+ny)) // whole image
+	cx, cy, ok = weightedCenter(sub, nx, ny, threshold) // whole image
 	if !ok {
 		return 0, 0, false
 	}
@@ -388,7 +417,7 @@ func centroid(sub []float64, nx, ny int, threshold float64) (cx, cy float64, ok 
 }
 
 //nvo:hotpath
-func weightedCenter(sub []float64, nx, ny int, threshold, _ float64) (float64, float64, bool) {
+func weightedCenter(sub []float64, nx, ny int, threshold float64) (float64, float64, bool) {
 	var sw, sx, sy float64
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
@@ -403,18 +432,19 @@ func weightedCenter(sub []float64, nx, ny int, threshold, _ float64) (float64, f
 	return fluxCenter(sw, sx, sy)
 }
 
+// weightedCenterAround is weightedCenter restricted to the pixels within r
+// of (cx, cy).
+//
 //nvo:hotpath
 func weightedCenterAround(sub []float64, nx, ny int, threshold, cx, cy, r float64) (float64, float64, bool) {
 	var sw, sx, sy float64
 	r2 := r * r
 	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			dx := float64(x) - cx
-			dy := float64(y) - cy
-			if dx*dx+dy*dy > r2 {
-				continue
-			}
-			v := sub[y*nx+x]
+		dy := float64(y) - cy
+		a, b := rowSpan(0, nx-1, cx, dy*dy, r2)
+		row := y * nx
+		for x := a; x < b; x++ {
+			v := sub[row+x]
 			if v > threshold {
 				sw += v
 				sx += v * float64(x)
@@ -460,23 +490,7 @@ type gcPixel struct {
 func growthCurve(sub []float64, nx, ny int, cx, cy float64, sc *scratch) (r20, r80, total, rap float64) {
 	maxR := maxUsableRadius(nx, ny, cx, cy)
 	maxR2 := maxR * maxR
-	xlo, xhi, ylo, yhi := boundingBox(nx, ny, cx, cy, maxR)
-	pixels := sc.pixels(nx * ny)
-	for y := ylo; y <= yhi; y++ {
-		dy := float64(y) - cy
-		dy2 := dy * dy
-		row := y * nx
-		for x := xlo; x <= xhi; x++ {
-			dx := float64(x) - cx
-			r2 := dx*dx + dy2
-			if r2 > maxR2 {
-				continue
-			}
-			pixels = append(pixels, gcPixel{r2: r2, v: sub[row+x]})
-		}
-	}
-	sc.px = pixels
-	pixels = radialOrder(pixels, maxR2, sc)
+	pixels := radialOrder(radialSamples(sub, nx, ny, cx, cy, maxR, sc), maxR2, sc)
 
 	// Signed sum: sky noise cancels instead of biasing the total upward,
 	// which is what lets the SNR detection test reject blank cutouts.
@@ -509,6 +523,28 @@ func growthCurve(sub []float64, nx, ny int, cx, cy float64, sc *scratch) (r20, r
 		rap = 3
 	}
 	return r20, r80, total, rap
+}
+
+// radialSamples collects the growth-curve samples — every pixel within maxR
+// of (cx, cy) — into sc.px in raster order and returns them.
+//
+//nvo:hotpath
+func radialSamples(sub []float64, nx, ny int, cx, cy, maxR float64, sc *scratch) []gcPixel {
+	maxR2 := maxR * maxR
+	xlo, xhi, ylo, yhi := boundingBox(nx, ny, cx, cy, maxR)
+	pixels := sc.pixels(nx * ny)
+	for y := ylo; y <= yhi; y++ {
+		dy := float64(y) - cy
+		dy2 := dy * dy
+		a, b := rowSpan(xlo, xhi, cx, dy2, maxR2)
+		row := y * nx
+		for x := a; x < b; x++ {
+			dx := float64(x) - cx
+			pixels = append(pixels, gcPixel{r2: dx*dx + dy2, v: sub[row+x]})
+		}
+	}
+	sc.px = pixels
+	return pixels
 }
 
 // radialOrder returns the samples of pixels in ascending (r2, idx) order —
@@ -592,8 +628,8 @@ func insertionByR2(pixels []gcPixel) {
 
 // boundingBox clips the axis-aligned box enclosing the circle (cx, cy, r)
 // to the image, so aperture loops skip rows and columns that cannot pass
-// the radius test. Pixels inside the box still run the exact test, so the
-// selected set — and the accumulation order — is unchanged.
+// the radius test. rowSpan then selects, within the box, exactly the pixels
+// that pass it.
 //
 //nvo:hotpath
 func boundingBox(nx, ny int, cx, cy, r float64) (xlo, xhi, ylo, yhi int) {
@@ -636,6 +672,58 @@ func maxUsableRadius(nx, ny int, cx, cy float64) float64 {
 	return r
 }
 
+// rowSpan returns the run [a, b) of x in [xlo, xhi] with
+//
+//	dx := float64(x) - cx; dx*dx+dy2 <= r2
+//
+// — the aperture loops' radius test, spelled as they spell it, so it rounds
+// as they do. That set is one run: the test's left side is rounded from
+// |dx|, which falls monotonically towards cx and rises after it. math.Sqrt
+// guesses the ends; each end is then moved by re-testing the predicate until
+// it is exact, so rounding in the guess can cost a step but never a pixel.
+// An empty run has a == b (DESIGN.md "Measurement kernel: exact row spans").
+//
+//nvo:hotpath
+func rowSpan(xlo, xhi int, cx, dy2, r2 float64) (a, b int) {
+	rem := r2 - dy2
+	if xlo > xhi || rem < 0 {
+		// dy2 > r2: every dx*dx+dy2 rounds to at least dy2, so no x passes.
+		return xlo, xlo
+	}
+	in := func(x int) bool {
+		dx := float64(x) - cx
+		return dx*dx+dy2 <= r2
+	}
+	// The guess [ceil(cx-h), floor(cx+h)+1) clamped to the row; a NaN
+	// (from a NaN or infinite input) leaves the whole row, which the walks
+	// below then narrow exactly.
+	a, b = xlo, xhi+1
+	h := math.Sqrt(rem)
+	if g := math.Ceil(cx - h); g > float64(xlo) {
+		a = int(min(g, float64(xhi+1)))
+	}
+	if g := math.Floor(cx+h) + 1; g < float64(xhi+1) {
+		b = int(max(g, float64(xlo)))
+	}
+	// The guess touches the run whenever the run is non-empty, so widening
+	// then narrowing each end lands on its exact boundary.
+	for a > xlo && in(a-1) {
+		a--
+	}
+	for a < b && !in(a) {
+		a++
+	}
+	for b <= xhi && in(b) {
+		b++
+	}
+	for b > a && !in(b-1) {
+		b--
+	}
+	return a, b
+}
+
+// pixelsWithin counts the pixels within r of (cx, cy).
+//
 //nvo:hotpath
 func pixelsWithin(nx, ny int, cx, cy, r float64) int {
 	n := 0
@@ -643,13 +731,8 @@ func pixelsWithin(nx, ny int, cx, cy, r float64) int {
 	xlo, xhi, ylo, yhi := boundingBox(nx, ny, cx, cy, r)
 	for y := ylo; y <= yhi; y++ {
 		dy := float64(y) - cy
-		dy2 := dy * dy
-		for x := xlo; x <= xhi; x++ {
-			dx := float64(x) - cx
-			if dx*dx+dy2 <= r2 {
-				n++
-			}
-		}
+		a, b := rowSpan(xlo, xhi, cx, dy*dy, r2)
+		n += b - a
 	}
 	return n
 }
@@ -679,22 +762,7 @@ func asymmetry(sub []float64, nx, ny int, cx, cy, rap, sigma float64) float64 {
 	// computing the same statistic on a sign-scrambled noise field is
 	// overkill here, so subtract the analytic expectation.
 	if sigma > 0 {
-		var sumAbs float64
-		n := 0
-		r2 := rap * rap
-		xlo, xhi, ylo, yhi := boundingBox(nx, ny, cx, cy, rap)
-		for y := ylo; y <= yhi; y++ {
-			dyp := float64(y) - cy
-			dyp2 := dyp * dyp
-			row := y * nx
-			for x := xlo; x <= xhi; x++ {
-				dxp := float64(x) - cx
-				if dxp*dxp+dyp2 <= r2 {
-					sumAbs += math.Abs(sub[row+x])
-					n++
-				}
-			}
-		}
+		sumAbs, n := apertureAbs(sub, nx, ny, cx, cy, rap)
 		if sumAbs > 0 {
 			noise := float64(n) * sigma * 2 / math.Sqrt(math.Pi) // E|N(0,σ)-N(0,σ)| = 2σ/√π
 			best -= noise / (2 * sumAbs)
@@ -704,6 +772,25 @@ func asymmetry(sub []float64, nx, ny int, cx, cy, rap, sigma float64) float64 {
 		best = 0
 	}
 	return best
+}
+
+// apertureAbs returns Σ|I| over the pixels within rap of (cx, cy), and
+// their number: the scale of asymmetry's noise term.
+//
+//nvo:hotpath
+func apertureAbs(sub []float64, nx, ny int, cx, cy, rap float64) (sumAbs float64, n int) {
+	r2 := rap * rap
+	xlo, xhi, ylo, yhi := boundingBox(nx, ny, cx, cy, rap)
+	for y := ylo; y <= yhi; y++ {
+		dy := float64(y) - cy
+		a, b := rowSpan(xlo, xhi, cx, dy*dy, r2)
+		row := y * nx
+		for x := a; x < b; x++ {
+			sumAbs += math.Abs(sub[row+x])
+		}
+		n += b - a
+	}
+	return sumAbs, n
 }
 
 // asymmetryAt evaluates the asymmetry statistic for one rotation center.
@@ -736,14 +823,14 @@ func asymmetryAt(sub []float64, nx, ny int, cx, cy, rap float64) float64 {
 	gx := 1 - fx
 	gy := 1 - fy
 
+	// Only pixels whose rotated sample lies in the image take part.
 	xlo, xhi, ylo, yhi := boundingBox(nx, ny, cx, cy, rap)
+	xlo, xhi = max(xlo, rxMin), min(xhi, rxMax)
+	ylo, yhi = max(ylo, ryMin), min(yhi, ryMax)
 	for y := ylo; y <= yhi; y++ {
 		dy := float64(y) - cy
-		dy2 := dy * dy
+		a, b := rowSpan(xlo, xhi, cx, dy*dy, r2)
 		row := y * nx
-		if y < ryMin || y > ryMax {
-			continue // rotated row falls outside the image
-		}
 		ry0 := ryMax - y // floor(ty − y), since y is an integer
 		ry1 := ry0 + 1
 		if ry1 >= ny {
@@ -751,14 +838,7 @@ func asymmetryAt(sub []float64, nx, ny int, cx, cy, rap float64) float64 {
 		}
 		rrow0 := ry0 * nx
 		rrow1 := ry1 * nx
-		for x := xlo; x <= xhi; x++ {
-			dx := float64(x) - cx
-			if dx*dx+dy2 > r2 {
-				continue
-			}
-			if x < rxMin || x > rxMax {
-				continue // rotated column falls outside the image
-			}
+		for x := a; x < b; x++ {
 			v := sub[row+x]
 			rx0 := rxMax - x
 			rx1 := rx0 + 1
@@ -775,35 +855,4 @@ func asymmetryAt(sub []float64, nx, ny int, cx, cy, rap float64) float64 {
 		return math.Inf(1)
 	}
 	return num / (2 * den)
-}
-
-// bilinear samples the image at fractional coordinates; ok is false outside.
-func bilinear(data []float64, nx, ny int, x, y float64) (float64, bool) {
-	if x < 0 || y < 0 || x > float64(nx-1) || y > float64(ny-1) {
-		return 0, false
-	}
-	x0 := int(x)
-	y0 := int(y)
-	x1 := x0 + 1
-	y1 := y0 + 1
-	if x1 >= nx {
-		x1 = nx - 1
-	}
-	if y1 >= ny {
-		y1 = ny - 1
-	}
-	fx := x - float64(x0)
-	fy := y - float64(y0)
-	v00 := data[y0*nx+x0]
-	v10 := data[y0*nx+x1]
-	v01 := data[y1*nx+x0]
-	v11 := data[y1*nx+x1]
-	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy, true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -398,22 +398,6 @@ func TestSigmaClipDegenerate(t *testing.T) {
 	}
 }
 
-func TestBilinear(t *testing.T) {
-	data := []float64{0, 1, 2, 3} // 2x2: (0,0)=0 (1,0)=1 (0,1)=2 (1,1)=3
-	if v, ok := bilinear(data, 2, 2, 0.5, 0.5); !ok || v != 1.5 {
-		t.Errorf("bilinear center = %v, %v", v, ok)
-	}
-	if v, ok := bilinear(data, 2, 2, 0, 0); !ok || v != 0 {
-		t.Errorf("bilinear corner = %v, %v", v, ok)
-	}
-	if _, ok := bilinear(data, 2, 2, -0.1, 0); ok {
-		t.Error("outside must not be sampled")
-	}
-	if _, ok := bilinear(data, 2, 2, 0, 1.1); ok {
-		t.Error("outside must not be sampled")
-	}
-}
-
 func BenchmarkMorphologyGalaxy(b *testing.B) {
 	im := renderSersic(64, 64, 32, 32, 2000, 3, 2, 0.9, 0.3, 100, 2, 20)
 	c := cfg()

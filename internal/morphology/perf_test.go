@@ -126,6 +126,47 @@ func asymmetryAtReference(sub []float64, nx, ny int, cx, cy, rap float64) float6
 	return num / (2 * den)
 }
 
+// bilinear samples the image at fractional coordinates; ok is false outside.
+// It is the general sampler asymmetryAt's fixed-weight indexing replaces.
+func bilinear(data []float64, nx, ny int, x, y float64) (float64, bool) {
+	if x < 0 || y < 0 || x > float64(nx-1) || y > float64(ny-1) {
+		return 0, false
+	}
+	x0 := int(x)
+	y0 := int(y)
+	x1 := x0 + 1
+	y1 := y0 + 1
+	if x1 >= nx {
+		x1 = nx - 1
+	}
+	if y1 >= ny {
+		y1 = ny - 1
+	}
+	fx := x - float64(x0)
+	fy := y - float64(y0)
+	v00 := data[y0*nx+x0]
+	v10 := data[y0*nx+x1]
+	v01 := data[y1*nx+x0]
+	v11 := data[y1*nx+x1]
+	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy, true
+}
+
+func TestBilinear(t *testing.T) {
+	data := []float64{0, 1, 2, 3} // 2x2: (0,0)=0 (1,0)=1 (0,1)=2 (1,1)=3
+	if v, ok := bilinear(data, 2, 2, 0.5, 0.5); !ok || v != 1.5 {
+		t.Errorf("bilinear center = %v, %v", v, ok)
+	}
+	if v, ok := bilinear(data, 2, 2, 0, 0); !ok || v != 0 {
+		t.Errorf("bilinear corner = %v, %v", v, ok)
+	}
+	if _, ok := bilinear(data, 2, 2, -0.1, 0); ok {
+		t.Error("outside must not be sampled")
+	}
+	if _, ok := bilinear(data, 2, 2, 0, 1.1); ok {
+		t.Error("outside must not be sampled")
+	}
+}
+
 // TestBoundingBoxCoversCircle checks the loop-narrowing helper never
 // excludes a pixel that passes the radius test.
 func TestBoundingBoxCoversCircle(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -178,16 +179,24 @@ func FuzzSpoolRun(f *testing.F) {
 			t.Fatalf("past the last row: %q, %v", row, err)
 		}
 
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rr = &runReader{br: bufio.NewReaderSize(bytes.NewReader(raw), 16), left: int64(len(raw))}
-		for {
-			if row, err := readRun(rr, 0); row == nil || err != nil {
-				break
+		// TotalAlloc is process-wide: under -fuzz the engine's own goroutines
+		// allocate beside the read. The read allocates the same on every
+		// pass, so the least of three passes is its cost plus the least
+		// noise, and the limit still fails any read that exceeds it.
+		got := uint64(math.MaxUint64)
+		for pass := 0; pass < 3; pass++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rr = &runReader{br: bufio.NewReaderSize(bytes.NewReader(raw), 16), left: int64(len(raw))}
+			for {
+				if row, err := readRun(rr, 0); row == nil || err != nil {
+					break
+				}
 			}
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw)+4096); got > limit {
+		if limit := uint64(64*len(raw) + 4096); got > limit {
 			t.Fatalf("reading %d bytes allocated %d, limit %d", len(raw), got, limit)
 		}
 	})

@@ -263,18 +263,21 @@ func allocStats(runs int, fn func()) (float64, float64) {
 
 // TestHotPathAllocBudget is the regression gate `make hotbench` runs under
 // -race: the arena pipeline must stay within an absolute per-galaxy
-// allocation budget AND at least 2x below the legacy pipeline. The absolute
-// budget is deliberately generous (the real figure is far lower) so race-
-// mode and GC-timing noise cannot flake it, while still catching any
-// reintroduced per-pixel or per-card allocation immediately.
+// allocation budget AND at least 2x below the legacy pipeline. The raw path
+// allocates nothing per galaxy (the header scan parses numeric cards off
+// stack strings, the pixels land in the arena), so the budget is one, and
+// any reintroduced per-pixel or per-card allocation fails it at once. Under
+// -race, sync.Pool drops a quarter of what is put back on purpose; refilling
+// the arena and the measurement scratch then reads 2.0 per galaxy, which the
+// race budget allows on top.
 func TestHotPathAllocBudget(t *testing.T) {
 	raw, mcfg := hotPathGalaxy(t)
 	legacyAllocs, legacyBytes := allocStats(200, func() { legacyMeasure(t, raw, mcfg) })
 	rawAllocs, rawBytes := allocStats(200, func() { rawMeasure(t, raw, mcfg) })
 	t.Logf("allocs/galaxy: legacy %.1f, raw %.1f; bytes/galaxy: legacy %.0f, raw %.0f",
 		legacyAllocs, rawAllocs, legacyBytes, rawBytes)
-	const absBudget = 48
-	if rawAllocs > absBudget {
+	const absBudget = 1 + racePoolRefills
+	if rawAllocs > float64(absBudget) {
 		t.Errorf("raw measure path allocates %.1f times per galaxy; budget is %d", rawAllocs, absBudget)
 	}
 	if legacyAllocs < 2*rawAllocs {
