@@ -75,15 +75,22 @@ recovery:
 # appended), the .waves manifest (what is written reads back unchanged) and
 # spool run files (what writeRun wrote reads back unchanged; arbitrary bytes
 # never panic or allocate beyond a fixed multiple of their length) and
-# per-galaxy result files (what decodeResult accepts re-encodes to the same
+# per-galaxy result files (what the frozen decodeResult accepts re-encodes to the same
 # result, floats bit for bit)
 # — over the request's two forms (the catalog built
 # from a table and the parse of its rendered .vdl agree, or the table is
 # refused), over the measurement kernel's radial bucket pass (any cutout
 # shape and centre: no panic, and the order of the reference sort) and its
 # row spans (any row, centre and radius: exactly the pixels the radius test
-# passes), and over the FITS header card scan (any 80-byte card: the same
-# value, Card and error text as the frozen pre-allocation-free scan).
+# passes), over the FITS header card scan (any 80-byte card: the same
+# value, Card and error text as the frozen pre-allocation-free scan), over
+# the collector (any two result files: the cells or the error text of the
+# frozen line-splitting decoder), over the archive's cone and SIA query
+# parsers (no panic; what they accept is a finite RA, |Dec| <= 90 and a
+# finite extent >= 0), over sexagesimal coordinates (what parses is finite;
+# format then parse round-trips within the printed precision, no field
+# printed as 60) and over gridftp URLs (the site, path and error text of the
+# frozen splitting parser).
 # Seeds always run under plain `go test`; this also spends FUZZTIME per
 # target on new inputs.
 FUZZTIME ?= 10s
@@ -101,6 +108,10 @@ fuzz:
 	$(GO) test -fuzz FuzzWaveManifest -fuzztime $(FUZZTIME) ./internal/webservice/
 	$(GO) test -fuzz FuzzSpoolRun -fuzztime $(FUZZTIME) ./internal/tableops/
 	$(GO) test -fuzz FuzzResultRoundTrip -fuzztime $(FUZZTIME) ./internal/webservice/
+	$(GO) test -fuzz FuzzCollectParity -fuzztime $(FUZZTIME) ./internal/webservice/
+	$(GO) test -fuzz FuzzArchiveQuery -fuzztime $(FUZZTIME) ./internal/services/
+	$(GO) test -fuzz FuzzSexagesimal -fuzztime $(FUZZTIME) ./internal/wcs/
+	$(GO) test -fuzz FuzzParseURL -fuzztime $(FUZZTIME) ./internal/gridftp/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants byte-identical to their solo runs, shared-
@@ -168,8 +179,11 @@ graphreaders:
 # (TestPlanAllocBudget, plan_test.go: table -> concrete plan of a staged
 # 1,000-galaxy request, allocations per galaxy; TestPlanPhaseAllocs: one
 # budget each for catalog, compose, Map and prime; TestWavePlanAllocBudget:
-# every wave of that request at WaveSize 100; TestPlanAllocsFlat: flat from
-# 1k to 16k galaxies, and 1k to 4k in wave mode), and so has execution
+# every wave of that request at WaveSize 100; TestPlanAllocsFlat: the
+# marginal count per galaxy flat from 1k to 16k galaxies, and 1k to 4k in
+# wave mode), and so has the collector (TestCollectAllocBudget,
+# collect_test.go: concatVOT over 1,000 result files, allocations per
+# galaxy), and so has execution
 # (TestExecuteAllocBudget and TestExecuteAllocsFlat, execute_test.go:
 # dagman.Execute over the same plan, allocations per node, serial and on four
 # workers, flat from 1k to 16k galaxies), and so has VOTable decoding
@@ -184,7 +198,7 @@ graphreaders:
 # galMorph runs it) and planning's time per request, each at one fixed
 # iteration count, uninstrumented, printed beside the allocation figures.
 hotbench:
-	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestExecuteAllocBudget|TestExecuteAllocsFlat' -v ./internal/webservice/
+	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestExecuteAllocBudget|TestExecuteAllocsFlat' -v ./internal/webservice/
 	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/

@@ -108,6 +108,34 @@ func TestParseURLMatchesSplit(t *testing.T) {
 	}
 }
 
+// FuzzParseURL: ParseURL and the splitting oracle agree on every URL after
+// the scheme — the same site and path, or the same error text — and refuse
+// together any string without the scheme (where only the wording of the
+// refusal differs: the one-scan check says which part is missing).
+func FuzzParseURL(f *testing.F) {
+	f.Add("isi/data/g1.fit")
+	f.Add("isi//g1.fit")
+	f.Add("/g1.fit")
+	f.Add("isi/a/")
+	f.Add("gridftp://isi/x")
+	f.Add("s\xff/\x00/\u00e9")
+	f.Fuzz(func(t *testing.T, tail string) {
+		for _, u := range []string{"gridftp://" + tail, tail} {
+			site, path, err := ParseURL(u)
+			wsite, wpath, werr := splitParseURL(u)
+			if !strings.HasPrefix(u, "gridftp://") {
+				if err == nil || werr == nil {
+					t.Fatalf("%q without the scheme: ParseURL %v, split %v", u, err, werr)
+				}
+				continue
+			}
+			if site != wsite || path != wpath || fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("ParseURL(%q) = %q, %q, %v; split gives %q, %q, %v", u, site, path, err, wsite, wpath, werr)
+			}
+		}
+	})
+}
+
 // TestVerifiedReadAllocatesNothing pins the per-node data-plane reads at zero
 // allocations: parsing a URL and the verified read of a stored file, whose
 // digests are compared raw.

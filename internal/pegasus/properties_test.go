@@ -145,25 +145,21 @@ func randomGalaxyCatalog(t *testing.T, n int) *vdl.Catalog {
 		t.Fatal(err)
 	}
 	concat := &vdl.Transformation{Name: "concat"}
-	collect := &vdl.Derivation{Name: "collect", TR: "concat", Bindings: map[string]vdl.Binding{}}
+	var collected []vdl.Actual
 	for i := 0; i < n; i++ {
 		concat.Args = append(concat.Args, vdl.Arg{Name: fmt.Sprintf("p%d", i), Dir: vdl.In})
-		collect.Bindings[fmt.Sprintf("p%d", i)] = vdl.FileBinding(vdl.In, fmt.Sprintf("g%d.txt", i))
+		collected = append(collected, vdl.Actual{Name: fmt.Sprintf("p%d", i), Binding: vdl.FileBinding(vdl.In, fmt.Sprintf("g%d.txt", i))})
 	}
 	concat.Args = append(concat.Args, vdl.Arg{Name: "table", Dir: vdl.Out})
-	collect.Bindings["table"] = vdl.FileBinding(vdl.Out, "out.vot")
+	collect := vdl.NewDerivation("collect", "concat", append(collected, vdl.Actual{Name: "table", Binding: vdl.FileBinding(vdl.Out, "out.vot")}))
 	if err := cat.AddTransformation(concat); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		dv := &vdl.Derivation{
-			Name: fmt.Sprintf("m%d", i),
-			TR:   "galMorph",
-			Bindings: map[string]vdl.Binding{
-				"image": vdl.FileBinding(vdl.In, fmt.Sprintf("g%d.fit", i)),
-				"res":   vdl.FileBinding(vdl.Out, fmt.Sprintf("g%d.txt", i)),
-			},
-		}
+		dv := vdl.NewDerivation(fmt.Sprintf("m%d", i), "galMorph", []vdl.Actual{
+			{Name: "image", Binding: vdl.FileBinding(vdl.In, fmt.Sprintf("g%d.fit", i))},
+			{Name: "res", Binding: vdl.FileBinding(vdl.Out, fmt.Sprintf("g%d.txt", i))},
+		})
 		if err := cat.AddDerivation(dv); err != nil {
 			t.Fatal(err)
 		}

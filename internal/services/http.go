@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -147,7 +148,7 @@ func parseRADecSR(req *http.Request) (wcs.SkyCoord, float64, error) {
 	if err1 != nil || err2 != nil || err3 != nil {
 		return wcs.SkyCoord{}, 0, fmt.Errorf("%w: need numeric RA, DEC, SR", ErrBadQuery)
 	}
-	if sr < 0 || dec < -90 || dec > 90 {
+	if !inRange(ra, dec, sr) {
 		return wcs.SkyCoord{}, 0, fmt.Errorf("%w: out-of-range RA/DEC/SR", ErrBadQuery)
 	}
 	return wcs.New(ra, dec), sr, nil
@@ -165,10 +166,18 @@ func parsePosSize(req *http.Request) (wcs.SkyCoord, float64, error) {
 	if err1 != nil || err2 != nil || err3 != nil {
 		return wcs.SkyCoord{}, 0, fmt.Errorf("%w: need numeric POS and SIZE", ErrBadQuery)
 	}
-	if size < 0 || dec < -90 || dec > 90 {
+	if !inRange(ra, dec, size) {
 		return wcs.SkyCoord{}, 0, fmt.Errorf("%w: out-of-range POS/SIZE", ErrBadQuery)
 	}
 	return wcs.New(ra, dec), size, nil
+}
+
+// inRange admits a query position and extent: a finite RA, a Dec in
+// [-90, 90] and a finite extent of at least zero. NaN fails every comparison,
+// so each bound is written as the test a NaN must fail.
+func inRange(ra, dec, extent float64) bool {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	return finite(ra) && dec >= -90 && dec <= 90 && finite(extent) && extent >= 0
 }
 
 // parsePage reads the optional MAXREC/OFFSET paging window of a request.

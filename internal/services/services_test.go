@@ -225,6 +225,14 @@ func TestHTTPBadRequests(t *testing.T) {
 		"/sia?POS=1&SIZE=1",
 		"/sia?POS=a,b&SIZE=1",
 		"/sia?POS=1,2&SIZE=-1",
+		"/cone?RA=0&DEC=NaN&SR=1",
+		"/cone?RA=0&DEC=0&SR=NaN",
+		"/cone?RA=Inf&DEC=0&SR=1",
+		"/cone?RA=0&DEC=0&SR=%2BInf",
+		"/sia?POS=1,2&SIZE=%2BInf",
+		"/sia?POS=NaN,2&SIZE=1",
+		"/sia?POS=1,nan&SIZE=1",
+		"/siacut?POS=-Inf,2&SIZE=1",
 		"/siacut?POS=1&SIZE=1",
 		"/cutout",
 		"/image?cluster=COMA",

@@ -151,8 +151,6 @@ func (l *lexer) scanBody() (string, error) {
 				l.line += strings.Count(body, "\n")
 				return body, nil
 			}
-		case '\n':
-			// counted at the end via strings.Count; nothing here
 		}
 		l.pos++
 	}
@@ -218,210 +216,147 @@ func isIdentPart(r rune) bool {
 
 // --- parser ----------------------------------------------------------------
 
+// parser reads statements token by token. Its first error sticks: every step
+// after it does nothing, so a statement reads as straight-line code and Parse
+// reports the error the first failing step met.
 type parser struct {
-	lex    *lexer
-	cat    *Catalog
-	tok    token
-	peeked bool
+	lex *lexer
+	cat *Catalog
+	tok token
+	err error
 }
 
-func (p *parser) advance() error {
-	t, err := p.lex.next()
-	if err != nil {
-		return err
+// advance reads the next token.
+func (p *parser) advance() {
+	if p.err == nil {
+		p.tok, p.err = p.lex.next()
 	}
-	p.tok = t
-	return nil
 }
 
-func (p *parser) expectPunct(s string) error {
-	if p.tok.kind != tokPunct || p.tok.text != s {
-		return fmt.Errorf("%w: line %d: expected %q, got %q", ErrParse, p.tok.line, s, p.tok.text)
+// fail records a parse error at the current token's line.
+func (p *parser) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf("%w: line %d: %s", ErrParse, p.tok.line, fmt.Sprintf(format, args...))
 	}
-	return p.advance()
 }
 
-func (p *parser) expectIdent() (string, error) {
-	if p.tok.kind != tokIdent {
-		return "", fmt.Errorf("%w: line %d: expected identifier, got %q", ErrParse, p.tok.line, p.tok.text)
+// at reports whether the current token is the punctuation s.
+func (p *parser) at(s string) bool { return p.tok.kind == tokPunct && p.tok.text == s }
+
+func (p *parser) punct(s string) {
+	if !p.at(s) {
+		p.fail("expected %q, got %q", s, p.tok.text)
 	}
-	name := p.tok.text
-	return name, p.advance()
+	p.advance()
 }
 
-func (p *parser) expectString() (string, error) {
-	if p.tok.kind != tokString {
-		return "", fmt.Errorf("%w: line %d: expected string, got %q", ErrParse, p.tok.line, p.tok.text)
+// word reads a token of kind, naming what was expected otherwise.
+func (p *parser) word(kind tokenKind, what string) string {
+	if p.tok.kind != kind {
+		p.fail("expected %s, got %q", what, p.tok.text)
 	}
-	s := p.tok.text
-	return s, p.advance()
+	text := p.tok.text
+	p.advance()
+	return text
+}
+
+// dir reads "in" or "out", refusing any other word with msg.
+func (p *parser) dir(msg string) Direction {
+	switch w := p.word(tokIdent, "identifier"); w {
+	case "in":
+		return In
+	case "out":
+		return Out
+	default:
+		p.fail(msg, w)
+		return In
+	}
 }
 
 func (p *parser) run() error {
-	if err := p.advance(); err != nil {
-		return err
-	}
-	for p.tok.kind != tokEOF {
-		kw, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		switch kw {
+	p.advance()
+	for p.err == nil && p.tok.kind != tokEOF {
+		switch kw := p.word(tokIdent, "identifier"); kw {
 		case "TR":
-			if err := p.parseTR(); err != nil {
-				return err
-			}
+			p.parseTR()
 		case "DV":
-			if err := p.parseDV(); err != nil {
-				return err
-			}
+			p.parseDV()
 		default:
-			return fmt.Errorf("%w: line %d: expected TR or DV, got %q", ErrParse, p.tok.line, kw)
+			p.fail("expected TR or DV, got %q", kw)
 		}
 	}
-	return nil
+	return p.err
 }
 
 // parseTR parses: name ( [in|out ident {, in|out ident}] ) { body }
-func (p *parser) parseTR() error {
-	name, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.expectPunct("("); err != nil {
-		return err
-	}
-	t := &Transformation{Name: name}
-	for !(p.tok.kind == tokPunct && p.tok.text == ")") {
-		dirWord, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		var dir Direction
-		switch dirWord {
-		case "in":
-			dir = In
-		case "out":
-			dir = Out
-		default:
-			return fmt.Errorf("%w: line %d: expected in/out, got %q", ErrParse, p.tok.line, dirWord)
-		}
-		argName, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		t.Args = append(t.Args, Arg{Name: argName, Dir: dir})
-		if p.tok.kind == tokPunct && p.tok.text == "," {
-			if err := p.advance(); err != nil {
-				return err
-			}
+func (p *parser) parseTR() {
+	t := &Transformation{Name: p.word(tokIdent, "identifier")}
+	p.punct("(")
+	for p.err == nil && !p.at(")") {
+		dir := p.dir("expected in/out, got %q")
+		t.Args = append(t.Args, Arg{Name: p.word(tokIdent, "identifier"), Dir: dir})
+		if p.at(",") {
+			p.advance()
 		}
 	}
-	if err := p.advance(); err != nil { // consume ')'
-		return err
-	}
+	p.advance() // consume ')'
 	// '{' then raw body captured directly from the lexer.
-	if p.tok.kind != tokPunct || p.tok.text != "{" {
-		return fmt.Errorf("%w: line %d: expected '{', got %q", ErrParse, p.tok.line, p.tok.text)
+	if !p.at("{") {
+		p.fail("expected '{', got %q", p.tok.text)
 	}
-	body, err := p.lex.scanBody()
-	if err != nil {
-		return err
+	if p.err == nil {
+		t.Body, p.err = p.lex.scanBody()
 	}
-	t.Body = body
-	if err := p.advance(); err != nil {
-		return err
+	p.advance()
+	if p.err == nil {
+		p.err = p.cat.AddTransformation(t)
 	}
-	return p.cat.AddTransformation(t)
 }
 
 // parseDV parses: name -> trName ( arg=value {, arg=value} ) ;
 // where value is "scalar" or @{in|out:"lfn"}.
-func (p *parser) parseDV() error {
-	name, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.expectPunct("->"); err != nil {
-		return err
-	}
-	trName, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
-	if err := p.expectPunct("("); err != nil {
-		return err
-	}
-	d := &Derivation{Name: name, TR: trName, Bindings: map[string]Binding{}}
-	for !(p.tok.kind == tokPunct && p.tok.text == ")") {
-		argName, err := p.expectIdent()
-		if err != nil {
-			return err
+func (p *parser) parseDV() {
+	name := p.word(tokIdent, "identifier")
+	p.punct("->")
+	trName := p.word(tokIdent, "identifier")
+	p.punct("(")
+	var actuals []Actual
+	bindings := map[string]Binding{}
+	for p.err == nil && !p.at(")") {
+		argName := p.word(tokIdent, "identifier")
+		p.punct("=")
+		b := p.binding()
+		if _, dup := bindings[argName]; dup {
+			p.fail("DV %q binds %q twice", name, argName)
 		}
-		if err := p.expectPunct("="); err != nil {
-			return err
-		}
-		b, err := p.parseBinding()
-		if err != nil {
-			return err
-		}
-		if _, dup := d.Bindings[argName]; dup {
-			return fmt.Errorf("%w: line %d: DV %q binds %q twice", ErrParse, p.tok.line, name, argName)
-		}
-		d.Bindings[argName] = b
-		if p.tok.kind == tokPunct && p.tok.text == "," {
-			if err := p.advance(); err != nil {
-				return err
-			}
+		bindings[argName] = b
+		actuals = append(actuals, Actual{Name: argName, Binding: b})
+		if p.at(",") {
+			p.advance()
 		}
 	}
-	if err := p.advance(); err != nil { // consume ')'
-		return err
+	p.advance() // consume ')'
+	p.punct(";")
+	if p.err == nil {
+		d := NewDerivation(name, trName, actuals)
+		d.Bindings = bindings
+		p.err = p.cat.AddDerivation(d)
 	}
-	if err := p.expectPunct(";"); err != nil {
-		return err
-	}
-	return p.cat.AddDerivation(d)
 }
 
-func (p *parser) parseBinding() (Binding, error) {
-	if p.tok.kind == tokString {
-		v := p.tok.text
-		return ScalarBinding(v), p.advance()
+func (p *parser) binding() Binding {
+	switch {
+	case p.tok.kind == tokString:
+		return ScalarBinding(p.word(tokString, "string"))
+	case p.at("@"):
+		p.advance()
+		p.punct("{")
+		dir := p.dir("expected in/out in file binding, got %q")
+		p.punct(":")
+		lfn := p.word(tokString, "string")
+		p.punct("}")
+		return FileBinding(dir, lfn)
 	}
-	if p.tok.kind == tokPunct && p.tok.text == "@" {
-		if err := p.advance(); err != nil {
-			return Binding{}, err
-		}
-		if err := p.expectPunct("{"); err != nil {
-			return Binding{}, err
-		}
-		dirWord, err := p.expectIdent()
-		if err != nil {
-			return Binding{}, err
-		}
-		var dir Direction
-		switch dirWord {
-		case "in":
-			dir = In
-		case "out":
-			dir = Out
-		default:
-			return Binding{}, fmt.Errorf("%w: line %d: expected in/out in file binding, got %q",
-				ErrParse, p.tok.line, dirWord)
-		}
-		if err := p.expectPunct(":"); err != nil {
-			return Binding{}, err
-		}
-		lfn, err := p.expectString()
-		if err != nil {
-			return Binding{}, err
-		}
-		if err := p.expectPunct("}"); err != nil {
-			return Binding{}, err
-		}
-		return FileBinding(dir, lfn), nil
-	}
-	return Binding{}, fmt.Errorf("%w: line %d: expected string or @{...} binding, got %q",
-		ErrParse, p.tok.line, p.tok.text)
+	p.fail("expected string or @{...} binding, got %q", p.tok.text)
+	return Binding{}
 }

@@ -12,15 +12,15 @@ import (
 // n input formals and one output, and the derivation binding all of them.
 func collector(n int) (*Transformation, *Derivation) {
 	tr := &Transformation{Name: "concatVOT", Args: make([]Arg, 0, n+1)}
-	dv := &Derivation{Name: "collect", TR: "concatVOT", Bindings: make(map[string]Binding, n+1)}
+	actuals := make([]Actual, 0, n+1)
 	for i := 0; i < n; i++ {
 		name := "p" + strconv.Itoa(i)
 		tr.Args = append(tr.Args, Arg{Name: name, Dir: In})
-		dv.Bindings[name] = FileBinding(In, "g"+strconv.Itoa(i)+".txt")
+		actuals = append(actuals, Actual{Name: name, Binding: FileBinding(In, "g"+strconv.Itoa(i)+".txt")})
 	}
 	tr.Args = append(tr.Args, Arg{Name: "table", Dir: Out})
-	dv.Bindings["table"] = FileBinding(Out, "out.vot")
-	return tr, dv
+	actuals = append(actuals, Actual{Name: "table", Binding: FileBinding(Out, "out.vot")})
+	return tr, NewDerivation("collect", "concatVOT", actuals)
 }
 
 // collectorSrc is the same request as VDL text.

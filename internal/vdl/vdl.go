@@ -66,16 +66,25 @@ type Transformation struct {
 
 // Arg returns the formal argument with the given name.
 func (t *Transformation) Arg(name string) (Arg, bool) {
-	if i, ok := t.argIndex[name]; ok && i < len(t.Args) && t.Args[i].Name == name {
+	if i := t.argPos(name); i >= 0 {
 		return t.Args[i], true
 	}
+	return Arg{}, false
+}
+
+// argPos is the position in Args of the formal with the given name, -1 for
+// none.
+func (t *Transformation) argPos(name string) int {
+	if i, ok := t.argIndex[name]; ok && i < len(t.Args) && t.Args[i].Name == name {
+		return i
+	}
 	// Never added to a catalog, or Args changed since: scan.
-	for _, a := range t.Args {
+	for i, a := range t.Args {
 		if a.Name == name {
-			return a, true
+			return i
 		}
 	}
-	return Arg{}, false
+	return -1
 }
 
 // Binding is an actual parameter of a derivation: either a scalar string or
@@ -103,40 +112,111 @@ func (b Binding) String() string {
 	return strconv.Quote(b.Value)
 }
 
+// Actual binds a derivation's formal Name to Binding. In a Table, an actual
+// with At set is a column whose rows differ: row i binds Binding with its
+// value — a scalar's Value, a file's LFN — replaced by At(i).
+type Actual struct {
+	Name string
+	Binding
+	At func(row int) string
+}
+
+// at is the actual's binding at row.
+func (a *Actual) at(row int) Binding {
+	b := a.Binding
+	if a.At != nil {
+		if b.IsFile {
+			b.LFN = a.At(row)
+		} else {
+			b.Value = a.At(row)
+		}
+	}
+	return b
+}
+
+// Table is Rows derivations of one transformation held by column: row i is
+// the derivation Name(i), binding each column's formal to the column's
+// actual at i. An actual every row shares is held once.
+type Table struct {
+	TR      string
+	Rows    int
+	Name    func(row int) string
+	Columns []Actual
+
+	// tr is the transformation the first catalog to check the table found
+	// its columns bind; the table then holds them in tr's formal order.
+	tr *Transformation
+}
+
+// Row appends row's actuals, resolved, to dst in column order.
+func (t *Table) Row(row int, dst []Actual) []Actual {
+	for j := range t.Columns {
+		dst = append(dst, Actual{Name: t.Columns[j].Name, Binding: t.Columns[j].at(row)})
+	}
+	return dst
+}
+
 // Derivation is a VDL DV statement: a transformation applied to actuals.
+//
+// A derivation's actuals are a row of a Table: of the table a request's
+// derivations share, or of a one-row table of its own (NewDerivation). The
+// catalog that first adds it holds the table's columns by formal position,
+// and every reader — file lists, formatting, Binding — reads the actuals
+// through that position.
 //
 // A derivation is immutable once added to a catalog: AddDerivation computes
 // its sorted file lists then, and InputLFNs, OutputLFNs and every workflow
 // composed from it share them. Build it completely, then add it.
 type Derivation struct {
-	Name     string
-	TR       string
+	Name string
+	TR   string
+	// Bindings is the actuals by formal name as Parse read them from VDL
+	// text, for readers of a parsed document. Only Parse fills it, and
+	// nothing in this package reads it: the actuals are read through Binding.
 	Bindings map[string]Binding
 
-	// inputs and outputs are the sorted file lists, set once by the first
-	// catalog the derivation is added to.
+	// tab and row place the derivation's actuals: a derivation is made by
+	// NewDerivation, Parse or a Table, never as a literal.
+	tab *Table
+	row int
+	// inputs and outputs are the sorted file lists, set when the derivation
+	// is first added to a catalog.
 	inputs, outputs []string
-	indexed         bool
+}
+
+// NewDerivation returns derivation name of transformation tr binding the
+// given actuals; the derivation keeps the slice, so do not change it. Adding
+// it to a catalog checks the actuals against the transformation.
+func NewDerivation(name, tr string, actuals []Actual) *Derivation {
+	return &Derivation{Name: name, TR: tr, tab: &Table{TR: tr, Rows: 1, Columns: actuals}}
+}
+
+// Binding returns the actual bound to the formal name.
+func (d *Derivation) Binding(name string) (Binding, bool) {
+	cols := d.tab.Columns
+	for j := range cols {
+		if cols[j].Name == name {
+			return cols[j].at(d.row), true
+		}
+	}
+	return Binding{}, false
 }
 
 // InputLFNs returns the derivation's input logical files, sorted. For a
 // derivation in a catalog the slice is shared; do not change it.
-func (d *Derivation) InputLFNs() []string {
-	if d.indexed {
-		return d.inputs
-	}
-	in, _ := d.lfns(nil)
-	return in
-}
+func (d *Derivation) InputLFNs() []string { in, _ := d.files(); return in }
 
 // OutputLFNs returns the derivation's output logical files, sorted. For a
 // derivation in a catalog the slice is shared; do not change it.
-func (d *Derivation) OutputLFNs() []string {
-	if d.indexed {
-		return d.outputs
+func (d *Derivation) OutputLFNs() []string { _, out := d.files(); return out }
+
+// files is the catalog's file lists once a catalog has added the
+// derivation, else lists of its own.
+func (d *Derivation) files() (in, out []string) {
+	if d.tab.tr != nil {
+		return d.inputs, d.outputs
 	}
-	_, out := d.lfns(nil)
-	return out
+	return d.lfns(nil)
 }
 
 // lfns returns the sorted input and output lists, carved from slab when it
@@ -144,14 +224,13 @@ func (d *Derivation) OutputLFNs() []string {
 // new backing array. Each list is capped at its length, so an append to one
 // never writes into the other or the slab's next owner.
 func (d *Derivation) lfns(slab []string) (in, out []string) {
+	cols := d.tab.Columns
 	nIn, nOut := 0, 0
-	for _, b := range d.Bindings {
-		if b.IsFile {
-			if b.Dir == In {
-				nIn++
-			} else {
-				nOut++
-			}
+	for j := range cols {
+		if b := &cols[j].Binding; b.IsFile && b.Dir == In {
+			nIn++
+		} else if b.IsFile {
+			nOut++
 		}
 	}
 	if nIn+nOut == 0 {
@@ -161,13 +240,11 @@ func (d *Derivation) lfns(slab []string) (in, out []string) {
 		slab = make([]string, nIn+nOut)
 	}
 	in, out = slab[:0:nIn], slab[nIn:nIn:nIn+nOut]
-	for _, b := range d.Bindings {
-		if b.IsFile {
-			if b.Dir == In {
-				in = append(in, b.LFN)
-			} else {
-				out = append(out, b.LFN)
-			}
+	for j := range cols {
+		if b := cols[j].at(d.row); b.IsFile && b.Dir == In {
+			in = append(in, b.LFN)
+		} else if b.IsFile {
+			out = append(out, b.LFN)
 		}
 	}
 	slices.Sort(in)
@@ -248,46 +325,108 @@ func (c *Catalog) AddTransformation(t *Transformation) error {
 
 // AddDerivation registers a DV definition, validating it against its
 // transformation: the TR must exist, every actual must name a formal, file
-// directions must match, and every formal must be bound.
+// directions must match, and every formal must be bound, once.
 func (c *Catalog) AddDerivation(d *Derivation) error {
-	if d == nil || d.Name == "" {
-		return fmt.Errorf("%w: nil or unnamed derivation", ErrParse)
+	if d == nil || d.Name == "" || d.tab == nil {
+		return fmt.Errorf("%w: nil, unnamed or literal derivation", ErrParse)
 	}
 	if _, dup := c.dvs[d.Name]; dup {
 		return fmt.Errorf("%w: DV %q", ErrDuplicate, d.Name)
 	}
-	tr, ok := c.trs[d.TR]
+	if err := c.bind(d.tab, d.Name); err != nil {
+		return err
+	}
+	c.index(d)
+	return nil
+}
+
+// AddTable registers every row of t as a derivation of t.TR: the catalog
+// AddDerivation would build from the rows one by one, checked once per
+// column — a refusal names the first row — and held in one slab.
+func (c *Catalog) AddTable(t *Table) error {
+	if t.Rows == 0 {
+		return nil
+	}
+	if err := c.bind(t, t.Name(0)); err != nil {
+		return err
+	}
+	slab := make([]Derivation, t.Rows)
+	for row := range slab {
+		d := &slab[row]
+		*d = Derivation{Name: t.Name(row), TR: t.TR, tab: t, row: row}
+		if d.Name == "" {
+			return fmt.Errorf("%w: nil or unnamed derivation", ErrParse)
+		}
+		if _, dup := c.dvs[d.Name]; dup {
+			return fmt.Errorf("%w: DV %q", ErrDuplicate, d.Name)
+		}
+		c.index(d)
+	}
+	return nil
+}
+
+// bind checks t's columns against the catalog's transformation t.TR, naming
+// the derivation dv in a refusal: each column names a formal, in its
+// direction, and every formal is bound once. The first catalog to check a
+// table positions its columns by that transformation's formals: given in
+// another order, the table gets a copy in formal order, so the caller's slice
+// is left as it was.
+func (c *Catalog) bind(t *Table, dv string) error {
+	tr, ok := c.trs[t.TR]
 	if !ok {
-		return fmt.Errorf("%w: DV %q -> %q", ErrUnknownTR, d.Name, d.TR)
+		return fmt.Errorf("%w: DV %q -> %q", ErrUnknownTR, dv, t.TR)
 	}
-	for name, b := range d.Bindings {
-		formal, ok := tr.Arg(name)
-		if !ok {
-			return fmt.Errorf("%w: DV %q binds unknown argument %q", ErrBadBinding, d.Name, name)
-		}
-		if b.IsFile && b.Dir != formal.Dir {
+	byFormal := make([]int, len(tr.Args)) // column j binds formal i: byFormal[i] = j+1
+	for j, a := range t.Columns {
+		i := tr.argPos(a.Name)
+		switch {
+		case i < 0:
+			return fmt.Errorf("%w: DV %q binds unknown argument %q", ErrBadBinding, dv, a.Name)
+		case a.IsFile && a.Dir != tr.Args[i].Dir:
 			return fmt.Errorf("%w: DV %q argument %q is %s but bound as %s",
-				ErrBadBinding, d.Name, name, formal.Dir, b.Dir)
-		}
-		if !b.IsFile && formal.Dir == Out {
+				ErrBadBinding, dv, a.Name, tr.Args[i].Dir, a.Dir)
+		case !a.IsFile && tr.Args[i].Dir == Out:
 			return fmt.Errorf("%w: DV %q binds output argument %q to a scalar",
-				ErrBadBinding, d.Name, name)
+				ErrBadBinding, dv, a.Name)
+		case byFormal[i] > 0:
+			return fmt.Errorf("%w: DV %q binds %q twice", ErrBadBinding, dv, a.Name)
+		}
+		byFormal[i] = j + 1
+	}
+	for i, a := range tr.Args {
+		if byFormal[i] == 0 {
+			return fmt.Errorf("%w: DV %q leaves %q unbound", ErrUnboundArg, dv, a.Name)
 		}
 	}
-	for _, a := range tr.Args {
-		if _, ok := d.Bindings[a.Name]; !ok {
-			return fmt.Errorf("%w: DV %q leaves %q unbound", ErrUnboundArg, d.Name, a.Name)
+	if t.tr != nil {
+		return nil
+	}
+	t.tr = tr
+	for i, j := range byFormal {
+		if j != i+1 {
+			cols := make([]Actual, len(byFormal))
+			for i, j := range byFormal {
+				cols[i] = t.Columns[j-1]
+			}
+			t.Columns = cols
+			break
 		}
 	}
-	if !d.indexed {
-		if len(c.spare) < len(d.Bindings) && len(d.Bindings) <= lfnChunk/4 {
+	return nil
+}
+
+// index files a checked derivation: its file lists, its name and the files it
+// produces.
+func (c *Catalog) index(d *Derivation) {
+	if d.inputs == nil && d.outputs == nil {
+		n := len(d.tab.Columns)
+		if len(c.spare) < n && n <= lfnChunk/4 {
 			c.spare = make([]string, lfnChunk)
 		}
 		d.inputs, d.outputs = d.lfns(c.spare)
-		if n := len(d.inputs) + len(d.outputs); n <= len(c.spare) {
-			c.spare = c.spare[n:]
+		if k := len(d.inputs) + len(d.outputs); k <= len(c.spare) {
+			c.spare = c.spare[k:]
 		}
-		d.indexed = true
 	}
 	c.dvs[d.Name] = d
 	c.dvOrder = append(c.dvOrder, d.Name)
@@ -301,7 +440,6 @@ func (c *Catalog) AddDerivation(d *Derivation) error {
 			c.more[lfn] = append(c.more[lfn], d.Name)
 		}
 	}
-	return nil
 }
 
 // Transformation returns a TR by name.
@@ -394,46 +532,21 @@ func (c *Catalog) Format() string {
 
 // FormatTransformation renders one TR statement.
 func FormatTransformation(t *Transformation) string {
-	var b strings.Builder
-	b.WriteString("TR ")
-	b.WriteString(t.Name)
-	b.WriteString("( ")
+	args := make([]string, len(t.Args))
 	for i, a := range t.Args {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(a.Dir.String())
-		b.WriteString(" ")
-		b.WriteString(a.Name)
+		args[i] = a.Dir.String() + " " + a.Name
 	}
-	b.WriteString(" ) {")
-	b.WriteString(t.Body)
-	b.WriteString("}")
-	return b.String()
+	return "TR " + t.Name + "( " + strings.Join(args, ", ") + " ) {" + t.Body + "}"
 }
 
 // FormatDerivation renders one DV statement with its arguments sorted by
 // name.
 func FormatDerivation(d *Derivation) string {
-	var b strings.Builder
-	b.WriteString("DV ")
-	b.WriteString(d.Name)
-	b.WriteString("->")
-	b.WriteString(d.TR)
-	b.WriteString("( ")
-	names := make([]string, 0, len(d.Bindings))
-	for n := range d.Bindings {
-		names = append(names, n)
+	actuals := d.tab.Row(d.row, nil)
+	slices.SortFunc(actuals, func(x, y Actual) int { return strings.Compare(x.Name, y.Name) })
+	args := make([]string, len(actuals))
+	for i, a := range actuals {
+		args[i] = a.Name + "=" + a.Binding.String()
 	}
-	sort.Strings(names)
-	for i, n := range names {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(n)
-		b.WriteString("=")
-		b.WriteString(d.Bindings[n].String())
-	}
-	b.WriteString(" );")
-	return b.String()
+	return "DV " + d.Name + "->" + d.TR + "( " + strings.Join(args, ", ") + " );"
 }

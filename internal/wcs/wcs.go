@@ -194,12 +194,13 @@ func (p TanProjection) PixelToSky(x, y float64) SkyCoord {
 }
 
 // FormatSexagesimal renders the coordinate as "HH:MM:SS.ss +DD:MM:SS.s",
-// the form astronomical catalogs conventionally publish.
+// the form astronomical catalogs conventionally publish. Each value is
+// rounded once, to its last printed digit, and split into fields after, so a
+// rounding carries into the next field and no field prints as 60; an RA that
+// rounds up to 24h prints as 00:00:00.00.
 func (c SkyCoord) FormatSexagesimal() string {
-	raH := c.RA / 15
-	h := int(raH)
-	m := int((raH - float64(h)) * 60)
-	s := (raH - float64(h) - float64(m)/60) * 3600
+	ra := int64(math.Round(c.RA/15*3600*100)) % (24 * 3600 * 100) // hundredths of a second of time
+	h, m, s := ra/360000, ra/6000%60, float64(ra%6000)/100
 
 	dec := c.Dec
 	sign := "+"
@@ -207,9 +208,8 @@ func (c SkyCoord) FormatSexagesimal() string {
 		sign = "-"
 		dec = -dec
 	}
-	dd := int(dec)
-	dm := int((dec - float64(dd)) * 60)
-	ds := (dec - float64(dd) - float64(dm)/60) * 3600
+	tenths := int64(math.Round(dec * 3600 * 10)) // tenths of an arcsecond
+	dd, dm, ds := tenths/36000, tenths/600%60, float64(tenths%600)/10
 
 	return fmt.Sprintf("%02d:%02d:%05.2f %s%02d:%02d:%04.1f", h, m, s, sign, dd, dm, ds)
 }
@@ -262,7 +262,14 @@ func parseHMS(s string, unit float64) (float64, error) {
 		if v < 0 {
 			return 0, fmt.Errorf("negative component %q", p)
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("non-finite component %q", p)
+		}
 		vals[i] = v
 	}
-	return sign * (vals[0] + vals[1]/60 + vals[2]/3600) * unit, nil
+	v := sign * (vals[0] + vals[1]/60 + vals[2]/3600) * unit
+	if math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q overflows", s)
+	}
+	return v, nil
 }

@@ -1,6 +1,7 @@
 package wcs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -225,5 +226,84 @@ func TestSkyCoordString(t *testing.T) {
 	s := New(10.5, -3.25).String()
 	if s != "RA=10.50000 Dec=-3.25000" {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestSexagesimalRefusesNonFinite: a component that parses as NaN or ±Inf, or
+// components whose sum overflows, are refused, not turned into a coordinate.
+func TestSexagesimalRefusesNonFinite(t *testing.T) {
+	for _, s := range []string{
+		"NaN:00:00 +00:00:00", "00:00:00 +NaN:00:00", "Inf:00:00 +00:00:00", "00:00:00 -00:Inf:00",
+		"00:00:+Infinity +00:00:00", "1e308:1e308:1e308 +00:00:00",
+	} {
+		if c, err := ParseSexagesimal(s); err == nil {
+			t.Errorf("ParseSexagesimal(%q) = %v, want an error", s, c)
+		}
+	}
+}
+
+// TestFormatSexagesimalCarries: a value a hair below a field's wrap rounds up
+// into the next field instead of printing 60.
+func TestFormatSexagesimalCarries(t *testing.T) {
+	for _, tc := range []struct {
+		c    SkyCoord
+		want string
+	}{
+		{New(15*(1-1e-7), 0), "01:00:00.00 +00:00:00.0"},
+		{New(360-1e-9, 0), "00:00:00.00 +00:00:00.0"},
+		{New(0, 1-1e-7), "00:00:00.00 +01:00:00.0"},
+		{New(0, -(30 - 1e-7)), "00:00:00.00 -30:00:00.0"},
+		{New(10.68471, 41.26875), "00:42:44.33 +41:16:07.5"},
+	} {
+		if got := tc.c.FormatSexagesimal(); got != tc.want {
+			t.Errorf("%v.FormatSexagesimal() = %q, want %q", tc.c, got, tc.want)
+		}
+	}
+}
+
+// FuzzSexagesimal: ParseSexagesimal never panics and accepts only finite
+// coordinates in range; formatting any coordinate prints no field as 60 or
+// more, and parses back to within the printed precision.
+func FuzzSexagesimal(f *testing.F) {
+	f.Add("12:30:45.5 -10:20:30.1", 15*(1-1e-7), 0.0)
+	f.Add("NaN:00:00 +00:00:00", 359.9999999999, -89.99999999)
+	f.Add("+Inf:0:0 +0:0:0", 0.0, 90.0)
+	f.Add("1e308:1e308:1e308 +0:0:0", -720.5, -0.0)
+	f.Fuzz(func(t *testing.T, s string, ra, dec float64) {
+		if c, err := ParseSexagesimal(s); err == nil {
+			if math.IsNaN(c.RA) || math.IsInf(c.RA, 0) || math.IsNaN(c.Dec) || c.Dec < -90 || c.Dec > 90 {
+				t.Fatalf("ParseSexagesimal(%q) accepted %v", s, c)
+			}
+			checkSexagesimalRoundTrip(t, c)
+		}
+		if !math.IsNaN(ra) && !math.IsInf(ra, 0) && !math.IsNaN(dec) {
+			checkSexagesimalRoundTrip(t, New(ra, dec))
+		}
+	})
+}
+
+// checkSexagesimalRoundTrip formats c and parses it back: minutes and seconds
+// below 60, RA within half a hundredth of a second of time (wrapping at 24h),
+// Dec within half a tenth of an arcsecond.
+func checkSexagesimalRoundTrip(t *testing.T, c SkyCoord) {
+	t.Helper()
+	s := c.FormatSexagesimal()
+	var h, m, dd, dm int
+	var sec, dsec float64
+	var sign byte
+	if _, err := fmt.Sscanf(s, "%d:%d:%f %c%d:%d:%f", &h, &m, &sec, &sign, &dd, &dm, &dsec); err != nil {
+		t.Fatalf("%v printed %q: %v", c, s, err)
+	}
+	if h >= 24 || m >= 60 || sec >= 60 || dm >= 60 || dsec >= 60 {
+		t.Fatalf("%v printed a field out of range: %q", c, s)
+	}
+	got, err := ParseSexagesimal(s)
+	if err != nil {
+		t.Fatalf("%v printed %q, which does not parse: %v", c, s, err)
+	}
+	dra := math.Abs(got.RA - c.RA)
+	dra = math.Min(dra, 360-dra)
+	if dra > 0.005*15/3600*(1+1e-9)+1e-12 || math.Abs(got.Dec-c.Dec) > 0.05/3600*(1+1e-9)+1e-12 {
+		t.Fatalf("%v printed %q, which parses to %v", c, s, got)
 	}
 }

@@ -179,81 +179,66 @@ func (n *rowNames) arg(i int) string {
 	return n.s[int(n.at[i])+10+2*len(n.refs[i].id) : n.at[i+1]]
 }
 
-// actual is one name=value pair of a derivation, in the order the derivation
-// file lists them.
-type actual struct {
-	name string
-	vdl.Binding
+// galMorphConstants are the actuals every galMorph derivation binds alike:
+// the paper's parameter set, in the order the derivation file lists them.
+var galMorphConstants = [...]vdl.Actual{
+	{Name: "pixScale", Binding: vdl.ScalarBinding("2.831933107035062E-4")},
+	{Name: "zeroPoint", Binding: vdl.ScalarBinding("27.8")},
+	{Name: "Ho", Binding: vdl.ScalarBinding("100")},
+	{Name: "om", Binding: vdl.ScalarBinding("0.3")},
+	{Name: "flat", Binding: vdl.ScalarBinding("1")},
 }
 
-// statements walks the derivation file in file order: the two TR statements,
-// one galMorph DV per row, then the collector DV. The actuals slice is reused
-// between calls.
-func (d *derivations) statements(tr func(*vdl.Transformation) error,
-	dv func(name, tr string, actuals []actual) error) error {
-
+// layout is the request's virtual data in derivation-file order: its two
+// transformations, then its derivations as two tables. The galMorph table
+// holds one row per galaxy — the constants once, the redshift, image and
+// result columns read from the request's own redshifts and names; the
+// collector's one row binds its formals in order, row i's result file being
+// both galMorph row i's output and the collector's i-th input.
+func (d *derivations) layout() (trs [2]*vdl.Transformation, tables [2]*vdl.Table) {
 	n := len(d.refs)
 	names := newRowNames(d.refs)
-	if err := tr(&vdl.Transformation{Name: "galMorph", Body: " compute CAS parameters ", Args: []vdl.Arg{
+	trs[0] = &vdl.Transformation{Name: "galMorph", Body: " compute CAS parameters ", Args: []vdl.Arg{
 		{Name: "redshift", Dir: vdl.In}, {Name: "pixScale", Dir: vdl.In}, {Name: "zeroPoint", Dir: vdl.In},
 		{Name: "Ho", Dir: vdl.In}, {Name: "om", Dir: vdl.In}, {Name: "flat", Dir: vdl.In},
 		{Name: "image", Dir: vdl.In}, {Name: "galMorph", Dir: vdl.Out},
-	}}); err != nil {
-		return err
-	}
-	concat := &vdl.Transformation{Name: "concatVOT", Body: " concatenate per-galaxy results ",
-		Args: make([]vdl.Arg, n+1)}
-	for i := range d.refs {
-		concat.Args[i] = vdl.Arg{Name: names.arg(i), Dir: vdl.In}
-	}
-	concat.Args[n] = vdl.Arg{Name: "table", Dir: vdl.Out}
-	if err := tr(concat); err != nil {
-		return err
-	}
+	}}
+	columns := append([]vdl.Actual{
+		{Name: "redshift", At: func(i int) string { return d.redshift[i] }},
+		{Name: "image", Binding: vdl.FileBinding(vdl.In, ""), At: names.image},
+	}, galMorphConstants[:]...)
+	columns = append(columns, vdl.Actual{Name: "galMorph", Binding: vdl.FileBinding(vdl.Out, ""), At: names.result})
+	tables[0] = &vdl.Table{TR: "galMorph", Rows: n, Name: names.dv, Columns: columns}
 
-	// The collector's actuals are built as the rows go by: row i's result
-	// file is both its derivation's output and the collector's i-th input.
-	collect := make([]actual, n+1)
-	var actuals [8]actual
+	trs[1] = &vdl.Transformation{Name: "concatVOT", Body: " concatenate per-galaxy results ", Args: make([]vdl.Arg, n+1)}
+	collect := make([]vdl.Actual, n+1)
 	for i := range d.refs {
-		result := vdl.FileBinding(vdl.Out, names.result(i))
-		actuals = [8]actual{
-			{"redshift", vdl.ScalarBinding(d.redshift[i])},
-			{"image", vdl.FileBinding(vdl.In, names.image(i))},
-			{"pixScale", vdl.ScalarBinding("2.831933107035062E-4")},
-			{"zeroPoint", vdl.ScalarBinding("27.8")},
-			{"Ho", vdl.ScalarBinding("100")},
-			{"om", vdl.ScalarBinding("0.3")},
-			{"flat", vdl.ScalarBinding("1")},
-			{"galMorph", result},
-		}
-		if err := dv(names.dv(i), "galMorph", actuals[:]); err != nil {
-			return err
-		}
-		collect[i] = actual{concat.Args[i].Name, vdl.FileBinding(vdl.In, result.LFN)}
+		trs[1].Args[i] = vdl.Arg{Name: names.arg(i), Dir: vdl.In}
+		collect[i] = vdl.Actual{Name: names.arg(i), Binding: vdl.FileBinding(vdl.In, names.result(i))}
 	}
-	collect[n] = actual{"table", vdl.FileBinding(vdl.Out, outputLFN(d.cluster))}
-	return dv("collect-"+d.cluster, "concatVOT", collect)
+	trs[1].Args[n] = vdl.Arg{Name: "table", Dir: vdl.Out}
+	collect[n] = vdl.Actual{Name: "table", Binding: vdl.FileBinding(vdl.Out, outputLFN(d.cluster))}
+	collector := "collect-" + d.cluster
+	tables[1] = &vdl.Table{TR: "concatVOT", Rows: 1, Name: func(int) string { return collector }, Columns: collect}
+	return trs, tables
 }
 
 // catalog builds the request's virtual data catalog through the validators
-// vdl.Parse ends in, so the catalog is the one parsing text would give. The
-// derivations come from one slab, a galMorph row and the collector each.
+// vdl.Parse ends in, so the catalog is the one parsing text would give: each
+// table's signature is checked once per column, and a galMorph derivation
+// binds no actuals of its own.
 func (d *derivations) catalog() (*vdl.Catalog, error) {
+	trs, tables := d.layout()
 	cat := vdl.NewCatalogSized(len(d.refs) + 1)
-	slab := make([]vdl.Derivation, len(d.refs)+1)
-	err := d.statements(cat.AddTransformation, func(name, tr string, actuals []actual) error {
-		bindings := make(map[string]vdl.Binding, len(actuals))
-		for _, a := range actuals {
-			bindings[a.name] = a.Binding
+	for _, tr := range trs {
+		if err := cat.AddTransformation(tr); err != nil {
+			return nil, err
 		}
-		dv := &slab[0]
-		slab = slab[1:]
-		*dv = vdl.Derivation{Name: name, TR: tr, Bindings: bindings}
-		return cat.AddDerivation(dv)
-	})
-	if err != nil {
-		return nil, err
+	}
+	for _, t := range tables {
+		if err := cat.AddTable(t); err != nil {
+			return nil, err
+		}
 	}
 	return cat, nil
 }
@@ -261,20 +246,24 @@ func (d *derivations) catalog() (*vdl.Catalog, error) {
 // text renders the derivation file — the analog of the XSLT stylesheet's
 // output, and the artifact a resumed leg parses.
 func (d *derivations) text() string {
+	trs, tables := d.layout()
 	var b strings.Builder
-	_ = d.statements(func(tr *vdl.Transformation) error {
+	for _, tr := range trs {
 		b.WriteString(vdl.FormatTransformation(tr) + "\n")
-		return nil
-	}, func(name, tr string, actuals []actual) error {
-		b.WriteString("DV " + name + "->" + tr + "( ")
-		for i, a := range actuals {
-			if i > 0 {
-				b.WriteString(", ")
+	}
+	var row []vdl.Actual
+	for _, t := range tables {
+		for i := 0; i < t.Rows; i++ {
+			b.WriteString("DV " + t.Name(i) + "->" + t.TR + "( ")
+			row = t.Row(i, row[:0])
+			for j, a := range row {
+				if j > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString(a.Name + "=" + a.Binding.String())
 			}
-			b.WriteString(a.name + "=" + a.Binding.String())
+			b.WriteString(" );\n")
 		}
-		b.WriteString(" );\n")
-		return nil
-	})
+	}
 	return b.String()
 }

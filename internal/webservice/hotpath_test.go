@@ -161,27 +161,52 @@ func TestMorphConfigMatchesSscanf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct, err := dvs.catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits := func(a, b morphology.Config) bool {
+		return math.Float64bits(a.Redshift) == math.Float64bits(b.Redshift) &&
+			math.Float64bits(a.PixScaleDeg) == math.Float64bits(b.PixScaleDeg) &&
+			math.Float64bits(a.ZeroPoint) == math.Float64bits(b.ZeroPoint) &&
+			a.Cosmology == b.Cosmology && morphFingerprint(a) == morphFingerprint(b)
+	}
 	for i, z := range zs {
 		dv, ok := cat.Derivation(fmt.Sprintf("m-G%d", i))
-		if !ok {
+		row, okRow := direct.Derivation(fmt.Sprintf("m-G%d", i))
+		if !ok || !okRow {
 			t.Fatalf("derivation %d missing", i)
 		}
-		got, want := morphConfigFromDV(dv), sscanfConfig(dv)
-		if math.Float64bits(got.Redshift) != math.Float64bits(want.Redshift) ||
-			math.Float64bits(got.PixScaleDeg) != math.Float64bits(want.PixScaleDeg) ||
-			math.Float64bits(got.ZeroPoint) != math.Float64bits(want.ZeroPoint) ||
-			got.Cosmology != want.Cosmology || morphFingerprint(got) != morphFingerprint(want) {
-			t.Errorf("z=%q: config %+v (%s), Sscanf oracle %+v (%s)",
-				z, got, morphFingerprint(got), want, morphFingerprint(want))
+		want := sscanfConfig(dv)
+		// The runner's config, which parses the shared constants once, from
+		// the parsed derivation (a resumed leg) and the table row (a fresh
+		// one), and the full parse it stands in for.
+		for name, got := range map[string]morphology.Config{
+			"morphConfigFromDV": morphConfigFromDV(dv), "morphConfigOf(parsed)": morphConfigOf(dv),
+			"morphConfigOf(table)": morphConfigOf(row),
+		} {
+			if !sameBits(got, want) {
+				t.Errorf("z=%q: %s %+v (%s), Sscanf oracle %+v (%s)",
+					z, name, got, morphFingerprint(got), want, morphFingerprint(want))
+			}
 		}
+	}
+	// A derivation binding other constants is parsed in full.
+	other := vdl.NewDerivation("m-y", "galMorph", []vdl.Actual{
+		{Name: "redshift", Binding: vdl.ScalarBinding("0.05")}, {Name: "pixScale", Binding: vdl.ScalarBinding("1e-4")},
+		{Name: "zeroPoint", Binding: vdl.ScalarBinding("25")}, {Name: "Ho", Binding: vdl.ScalarBinding("70")},
+		{Name: "om", Binding: vdl.ScalarBinding("0.27")}, {Name: "flat", Binding: vdl.ScalarBinding("0")},
+	})
+	if got := morphConfigOf(other); !sameBits(got, morphConfigFromDV(other)) || got.Cosmology.H0 != 70 || got.Cosmology.Flat {
+		t.Errorf("other constants: morphConfigOf %+v, morphConfigFromDV %+v", got, morphConfigFromDV(other))
 	}
 
 	// Where the two part, on purpose: Sscanf read the numeric prefix of a
 	// value with a trailing suffix; such a value is now "not a number" like
 	// any other and leaves the default.
-	dv := &vdl.Derivation{Bindings: map[string]vdl.Binding{
-		"redshift": vdl.ScalarBinding("0.02abc"), "Ho": vdl.ScalarBinding("70 km/s/Mpc"),
-	}}
+	dv := vdl.NewDerivation("m-x", "galMorph", []vdl.Actual{
+		{Name: "redshift", Binding: vdl.ScalarBinding("0.02abc")}, {Name: "Ho", Binding: vdl.ScalarBinding("70 km/s/Mpc")},
+	})
 	if got := morphConfigFromDV(dv); got != morphology.DefaultConfig(0) {
 		t.Errorf("values with a suffix must leave the defaults: %+v", got)
 	}

@@ -73,12 +73,9 @@ func (l *leg) healthyReplica(lfn, excludeSite string) ([]byte, bool) {
 // VOTable) is reproducible: the transformations are deterministic, so the
 // re-derived bytes equal the lost ones exactly.
 func (l *leg) rederive(lfn string) ([]byte, error) {
-	producers := l.cat.Producers(lfn)
-	if len(producers) == 0 {
-		return nil, fmt.Errorf("%w: %s", errNoRecovery, lfn)
-	}
-	dv, ok := l.cat.Derivation(producers[0])
-	if !ok {
+	name, producers := l.cat.ProducerOf(lfn)
+	dv, ok := l.cat.Derivation(name)
+	if producers == 0 || !ok {
 		return nil, fmt.Errorf("%w: %s", errNoRecovery, lfn)
 	}
 	var content []byte
@@ -136,7 +133,7 @@ func (l *leg) rederiveGalMorph(dv *vdl.Derivation) ([]byte, error) {
 	}
 	ar := arena.Get()
 	defer arena.Put(ar)
-	p, merr := morphology.MeasureRaw(ar, raw, morphConfigFromDV(dv))
+	p, merr := morphology.MeasureRaw(ar, raw, morphConfigOf(dv))
 	content, err := l.s.galMorph(nil, inputs[0], p, merr)
 	if err != nil {
 		return nil, fmt.Errorf("webservice: rederive %s: %w", dv.Name, err)

@@ -398,7 +398,7 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations)
 		if src, err = l.savedSource(); err == nil {
 			// The saved VDL holds one galMorph derivation per galaxy plus
 			// the collector.
-			l.account(RunStats{Galaxies: len(l.cat.Derivations()) - 1})
+			l.account(RunStats{Galaxies: l.cat.NumDerivations() - 1})
 		}
 	} else {
 		if s.cfg.Proxy != nil {

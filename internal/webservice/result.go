@@ -57,56 +57,6 @@ func appendResult(dst []byte, r GalMorphResult) []byte {
 	return dst
 }
 
-// decodeResult parses a result file. A number or flag that does not parse
-// is an error naming its key: a damaged file must never be published as a
-// valid all-zero measurement.
-func decodeResult(data []byte) (GalMorphResult, error) {
-	var r GalMorphResult
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		key, val, found := strings.Cut(line, " ")
-		if !found {
-			return r, fmt.Errorf("webservice: bad result line %q", line)
-		}
-		var err error
-		switch key {
-		case "id":
-			r.ID = val
-		case "surface_brightness":
-			r.SurfaceBrightness, err = strconv.ParseFloat(val, 64)
-		case "concentration":
-			r.Concentration, err = strconv.ParseFloat(val, 64)
-		case "asymmetry":
-			r.Asymmetry, err = strconv.ParseFloat(val, 64)
-		case "valid":
-			r.Valid, err = parseResultBool(val)
-		case "reason":
-			r.Reason = val
-		}
-		if err != nil {
-			return r, fmt.Errorf("webservice: result %s %q: %w", key, val, err)
-		}
-	}
-	if r.ID == "" {
-		return r, errors.New("webservice: result file missing id")
-	}
-	return r, nil
-}
-
-// parseResultBool accepts exactly the two spellings appendResult writes.
-func parseResultBool(val string) (bool, error) {
-	switch val {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, errors.New("want true or false")
-}
-
 // ResultFields is the column set of the computed VOTable.
 var ResultFields = []votable.Field{
 	{Name: "id", Datatype: votable.TypeChar, UCD: "meta.id;meta.main"},
@@ -129,26 +79,119 @@ func resultsMeta(cluster string, n int) votable.TableMeta {
 	}
 }
 
-// resultCellsInto fills a caller-owned row (len(ResultFields) cells) with
-// one result's output-table rendering, so the concat hot path reuses a
-// single buffer instead of allocating a row per galaxy.
+// resultCells is the collector's output cells, a batch at a time: the cells
+// of up to batch result files appended to one byte buffer and handed to emit
+// as substrings of one string per batch. concatVOT's batch is the spool's
+// in-memory run (tableops.DefaultSpoolMemRows rows), so a batch's string is
+// dropped when the spool spills the run, and memory stays bounded as the
+// spool bounds it.
+type resultCells struct {
+	emit  func(cells ...string) error // copies the row slice; may keep the cells
+	batch int
+	buf   []byte
+	ends  []int // the end in buf of each cell, len(ResultFields) a row
+	row   []string
+}
+
+// newline and space separate a result file's lines and a line's key and value.
+var newline, space = []byte("\n"), []byte(" ")
+
+// add decodes one result file and appends its row's cells: the id, the three
+// floats in strconv's shortest 'g' form, then "T" or "F". It accepts and
+// refuses exactly the files the line-splitting decoder it replaced did, with
+// the same error text: a number or flag that does not parse is an error
+// naming its key, so a damaged file is never published as a valid all-zero
+// measurement.
 //
 //nvo:hotpath
-func resultCellsInto(row []string, r GalMorphResult) {
-	valid := "F"
-	if r.Valid {
-		valid = "T"
+func (c *resultCells) add(data []byte) error {
+	var id []byte
+	var floats [3]float64 // surface_brightness, concentration, asymmetry
+	flag := byte('F')
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, newline)
+		key, val, ok := bytes.Cut(bytes.TrimSpace(line), space)
+		if len(key) == 0 {
+			continue
+		} else if !ok {
+			return fmt.Errorf("webservice: bad result line %q", string(key))
+		}
+		var err error
+		switch string(key) {
+		case "id":
+			id = val
+		case "surface_brightness":
+			floats[0], err = strconv.ParseFloat(string(val), 64)
+		case "concentration":
+			floats[1], err = strconv.ParseFloat(string(val), 64)
+		case "asymmetry":
+			floats[2], err = strconv.ParseFloat(string(val), 64)
+		case "valid":
+			if flag = 'F'; string(val) == "true" {
+				flag = 'T'
+			} else if string(val) != "false" {
+				err = errors.New("want true or false")
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("webservice: result %s %q: %w", string(key), string(val), err)
+		}
 	}
-	row[0] = r.ID
-	row[1] = votable.FormatFloat(r.SurfaceBrightness)
-	row[2] = votable.FormatFloat(r.Concentration)
-	row[3] = votable.FormatFloat(r.Asymmetry)
-	row[4] = valid
+	if len(id) == 0 {
+		return errors.New("webservice: result file missing id")
+	}
+	c.buf = append(c.buf, id...)
+	c.ends = append(c.ends, len(c.buf))
+	for _, f := range floats {
+		c.buf = strconv.AppendFloat(c.buf, f, 'g', -1, 64)
+		c.ends = append(c.ends, len(c.buf))
+	}
+	c.buf = append(c.buf, flag)
+	c.ends = append(c.ends, len(c.buf))
+	if len(c.ends) == c.batch*len(ResultFields) {
+		return c.flush()
+	}
+	return nil
+}
+
+// flush hands the batch's rows to emit in order and empties the batch.
+func (c *resultCells) flush() error {
+	s, start := string(c.buf), 0
+	for r := 0; r < len(c.ends); r += len(c.row) {
+		for k := range c.row {
+			c.row[k], start = s[start:c.ends[r+k]], c.ends[r+k]
+		}
+		if err := c.emit(c.row...); err != nil {
+			return err
+		}
+	}
+	c.buf, c.ends = c.buf[:0], c.ends[:0]
+	return nil
+}
+
+// galMorphBase is the configuration of the service's galMorph constants,
+// parsed once: what morphConfigFromDV gives a derivation binding them and no
+// redshift.
+var galMorphBase = morphConfigFromDV(vdl.NewDerivation("", "galMorph", galMorphConstants[:]))
+
+// morphConfigOf is morphConfigFromDV(dv), bit for bit. A derivation binding
+// the service's own constants — every one a fresh request builds or a resumed
+// leg parses back — starts from galMorphBase and parses only its redshift;
+// any other is parsed in full.
+func morphConfigOf(dv *vdl.Derivation) morphology.Config {
+	for _, c := range galMorphConstants {
+		if b, ok := dv.Binding(c.Name); !ok || b != c.Binding {
+			return morphConfigFromDV(dv)
+		}
+	}
+	cfg := galMorphBase
+	bindFloat(dv, "redshift", &cfg.Redshift)
+	return cfg
 }
 
 // morphConfigFromDV reconstructs the measurement configuration from a
-// derivation's scalar bindings. It runs once per galaxy per request, ahead
-// of the memo lookup.
+// derivation's scalar bindings.
 func morphConfigFromDV(dv *vdl.Derivation) morphology.Config {
 	cfg := morphology.DefaultConfig(0)
 	bindFloat(dv, "redshift", &cfg.Redshift)
@@ -156,7 +199,7 @@ func morphConfigFromDV(dv *vdl.Derivation) morphology.Config {
 	bindFloat(dv, "zeroPoint", &cfg.ZeroPoint)
 	bindFloat(dv, "Ho", &cfg.Cosmology.H0)
 	bindFloat(dv, "om", &cfg.Cosmology.OmegaM)
-	if b, ok := dv.Bindings["flat"]; ok && !b.IsFile {
+	if b, ok := dv.Binding("flat"); ok && !b.IsFile {
 		cfg.Cosmology.Flat = b.Value != "0"
 	}
 	return cfg
@@ -165,7 +208,7 @@ func morphConfigFromDV(dv *vdl.Derivation) morphology.Config {
 // bindFloat stores a scalar binding's value in dst. A binding that is
 // absent, a file, or not a number leaves the default in place.
 func bindFloat(dv *vdl.Derivation, name string, dst *float64) {
-	if b, ok := dv.Bindings[name]; ok && !b.IsFile {
+	if b, ok := dv.Binding(name); ok && !b.IsFile {
 		if f, err := strconv.ParseFloat(strings.TrimSpace(b.Value), 64); err == nil {
 			*dst = f
 		}

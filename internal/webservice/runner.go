@@ -282,7 +282,7 @@ func (l *leg) measure(n *dag.Node) error {
 	if err != nil {
 		return err
 	}
-	mcfg := morphConfigFromDV(dv)
+	mcfg := morphConfigOf(dv)
 
 	// One request-lifetime arena backs both the measurement scratch (pixel
 	// buffer, background samples) and the encoded result below; Put recycles
@@ -393,22 +393,23 @@ func concatVOT(outputLFN string, inputs []string, fetch func(lfn string) ([]byte
 			retErr = cerr
 		}
 	}()
-	// One reused cell buffer feeds every Add; the spool copies rows into
-	// arena-backed storage, recycling spilled rows' slots.
-	row := ar.Strings(len(ResultFields))
+	// The cells of a spool batch share one string; the spool copies each
+	// row's cell headers into arena-backed storage, recycling spilled rows'
+	// slots.
+	batch := min(len(inputs), tableops.DefaultSpoolMemRows)
+	cells := resultCells{emit: sp.Add, batch: batch, buf: ar.Bytes(64 * batch)[:0],
+		ends: make([]int, 0, len(ResultFields)*batch), row: ar.Strings(len(ResultFields))}
 	for _, lfn := range inputs {
 		data, err := fetch(lfn)
+		if err == nil {
+			err = cells.add(data)
+		}
 		if err != nil {
 			return nil, err
 		}
-		r, err := decodeResult(data)
-		if err != nil {
-			return nil, err
-		}
-		resultCellsInto(row, r)
-		if err := sp.Add(row...); err != nil {
-			return nil, err
-		}
+	}
+	if err := cells.flush(); err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
 	if err := streamResultsTable(&buf, strings.TrimSuffix(outputLFN, ".vot"), sp); err != nil {
