@@ -44,10 +44,18 @@ bench-e2e:
 test: bench-harness
 	$(GO) test ./...
 
-# The end-to-end chaos campaign: eight clusters under seeded fault
-# schedules, byte-identical science output required.
+# The chaos campaign, race-enabled: the root campaign drivers under seeded
+# fault schedules, the schedule explorer's row of three workflows at worker
+# widths 1, 2 and 8 under per-leg job faults and a cache-site transfer
+# outage (byte-identical science output, with retries, replica failover and
+# an opened circuit required), a campaign with a dead secondary archive
+# (completes, degradation recorded), and DAGMan's rescue rounds (the rescue
+# DAG is exactly the failed and unrun work).
 chaos:
-	$(GO) test -race -run 'TestChaos' -v .
+	$(GO) test -race -run 'TestChaos|TestParallelWorkersByteIdenticalUnderFaults' -v .
+	$(GO) test -race -run 'TestExplore/^RecoverableChaosByteIdentity$$' -v ./internal/webservice/
+	$(GO) test -race -run 'TestChaosCampaignDegradedArchive' -v ./internal/core/
+	$(GO) test -race -run 'TestExecuteWithRescue' -v ./internal/dagman/
 
 # Every Go micro-benchmark of the root package, including the
 # parallel-execution and warm-cache suites; BENCH=<regex> narrows the run
@@ -114,13 +122,15 @@ fuzz:
 	$(GO) test -fuzz FuzzParseURL -fuzztime $(FUZZTIME) ./internal/gridftp/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
-# shedding, concurrent tenants byte-identical to their solo runs, shared-
-# fabric kill/resume without cross-workflow journal bleed, and cancel
-# isolation. Bounded: a few minutes of simulated workflows, not a soak.
+# shedding, concurrent tenants under their own fault plans byte-identical
+# to their solo runs with their solo fault histories (the explorer's
+# urgent-arrival row), shared-fabric kill/resume without cross-workflow
+# journal bleed, and cancel isolation. Bounded: a few minutes of simulated
+# workflows, not a soak.
 tenants:
 	$(GO) test -race -run 'TestChaosConcurrentTenants' -v .
 	$(GO) test -race -run 'TestDeterministicSheddingUnderOverload|TestCancelIsolationAcrossWorkflows|TestQueuedStatusAndCancelWhileQueued' -v ./internal/webservice/
-	$(GO) test -race -run 'TestExplore/^FabricKillResumeNoJournalBleed' -v ./internal/webservice/
+	$(GO) test -race -run 'TestExplore/^(UrgentArrivalPreemptsUnderFaults|FabricKillResumeNoJournalBleed)$$' -v ./internal/webservice/
 	$(GO) test -race ./internal/fabric/
 
 # The survey-scale smoke, race-enabled: a 1000-galaxy request in wave mode
@@ -133,20 +143,24 @@ survey:
 
 # The preemption soak campaign, race-enabled: SOAK_WORKFLOWS checkpointable
 # workflows across priority classes on one shared fabric with runtime
-# quota/weight rebalancing, plus the end-to-end slice (preempted-and-resumed
-# workflows byte-identical under faults, zero journal bleed) and the
-# journal-event-boundary preemption sweep. Override the scale with
+# quota/weight rebalancing, plus the end-to-end slices (preempted-and-resumed
+# workflows byte-identical under faults, zero journal bleed; and the explorer
+# row in which an urgent compute workflow arrives at a journal record of a
+# faulted one and preempts) and the
+# journal-event-boundary preemption sweeps. Override the scale with
 # `make soak SOAK_WORKFLOWS=10000`.
 SOAK_WORKFLOWS ?= 2500
 soak:
 	SOAK_WORKFLOWS=$(SOAK_WORKFLOWS) $(GO) test -race -run 'TestSoak' -v .
 	$(GO) test -race -run 'TestPreempt' -v ./internal/webservice/
-	$(GO) test -race -run 'TestExplore/^Preempt' -v ./internal/webservice/
+	$(GO) test -race -run 'TestExplore/^(Preempt|UrgentArrival)' -v ./internal/webservice/
 
 # The seeded schedule explorer, race-enabled: SEEDS schedules, each one to
-# three workflows on one shared fabric with crashes, preemptions, cancels and
-# requeues, quota and weight changes and stored-file corruption mixed, held
-# to the invariants of internal/webservice/explore_test.go. A failing
+# three workflows (some urgent) on one shared fabric with crashes,
+# preemptions, cancels and requeues, quota and weight changes, stored-file
+# corruption, a cache-site transfer outage and held workflows arriving at a
+# journal record mixed, held to the invariants of
+# internal/webservice/explore_test.go. A failing
 # schedule is shrunk and printed with the EXPLORE_REPLAY line that re-runs
 # it. Plain go test runs four seeds.
 SEEDS ?= 200
@@ -233,7 +247,7 @@ knobs:
 	  on && /^\t[A-Z]/ { n++; for (i = 1; i < NF && $$i ~ /,$$/; i++) n++ }' "$${k%%:*}"; done
 
 # Every concurrency-bearing campaign under the race detector in one
-# invocation: the chaos byte-identity campaign, the multi-tenant fabric
+# invocation: the chaos byte-identity row, the multi-tenant fabric
 # campaign, the preemption soak (gate scale), the survey-wave smoke, the
 # seeded schedule explorer, the shared-blob data plane, and the workflow
 # graph's concurrent readers.

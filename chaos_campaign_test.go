@@ -14,7 +14,6 @@ import (
 	"repro/internal/dagman"
 	"repro/internal/faults"
 	"repro/internal/gridftp"
-	"repro/internal/services"
 	"repro/internal/skysim"
 	"repro/internal/votable"
 	"repro/internal/webservice"
@@ -316,34 +315,6 @@ func TestChaosConcurrentTenants(t *testing.T) {
 	fleet := tb.Compute.Fleet()
 	if fleet.Admitted != n || fleet.Completed != n {
 		t.Errorf("fleet = %+v, want %d admitted and completed", fleet, n)
-	}
-}
-
-// TestChaosCampaignDegradedArchive keeps a secondary catalog archive down
-// for the whole campaign: every cluster must still complete, with the outage
-// recorded in its degradation report.
-func TestChaosCampaignDegradedArchive(t *testing.T) {
-	inj := faults.New(9, faults.Rule{
-		Name: services.OpCone, Site: "mast", Kind: faults.KindSiteDown,
-	})
-	tb := chaosTestbed(t, 2, inj)
-	rep, err := core.RunCampaign(tb)
-	if err != nil {
-		t.Fatalf("a dead secondary archive must not fail the campaign: %v", err)
-	}
-	for _, c := range rep.Clusters {
-		found := false
-		for _, d := range c.Degraded {
-			if d.Op == "cone" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: missing cone degradation record, got %v", c.Cluster, c.Degraded)
-		}
-		if c.Table == nil || c.Table.NumRows() == 0 {
-			t.Errorf("%s: degraded run produced no catalog", c.Cluster)
-		}
 	}
 }
 

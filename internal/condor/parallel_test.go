@@ -213,6 +213,22 @@ func goroutinesSettle(want int) int {
 	return n
 }
 
+// goroutinesSteady returns the goroutine count once it has held still for
+// ten consecutive milliseconds, so a baseline taken right after an earlier
+// test does not count that test's workers still on their way out.
+func goroutinesSteady() int {
+	n := runtime.NumGoroutine()
+	for i, still := 0, 0; i < 1000 && still < 10; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // TestWorkerSetBoundsGoroutines: however many placed tasks wait for a worker,
 // one simulator runs their side effects on at most Workers goroutines (none
 // when serial), and none is left once it has drained.
@@ -220,7 +236,7 @@ func TestWorkerSetBoundsGoroutines(t *testing.T) {
 	for workers := 1; workers <= 4; workers++ {
 		s := sim(t, Pool{Name: "big", Slots: 64})
 		s.SetWorkers(workers)
-		before := runtime.NumGoroutine()
+		before := goroutinesSteady()
 		var peak atomic.Int64
 		body := func() error {
 			n := int64(runtime.NumGoroutine() - before)
@@ -254,7 +270,7 @@ func TestWorkerSetBoundsGoroutines(t *testing.T) {
 // handed to the worker set has finished — the two running and the two queued
 // behind them — so no body touches shared state after its run was aborted.
 func TestAbortWaitsForLaunchedBodies(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutinesSteady()
 	s := sim(t, Pool{Name: "a", Slots: 4})
 	s.SetWorkers(2)
 	gate := make(chan struct{})

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/gridftp"
+	"repro/internal/portal"
 	"repro/internal/rls"
+	"repro/internal/services"
 	"repro/internal/skysim"
 	"repro/internal/wcs"
 )
@@ -159,5 +163,29 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 	// workers<=1 falls back to the sequential driver.
 	if _, err := RunCampaignParallel(newTB(), 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosCampaignDegradedArchive keeps a secondary catalog archive down
+// for the whole campaign: the cluster must still complete, with the outage
+// recorded in RunCampaign's degradation report.
+func TestChaosCampaignDegradedArchive(t *testing.T) {
+	tb := smallTestbed(t, 10, func(c *Config) {
+		c.Faults = faults.New(9, faults.Rule{Name: services.OpCone, Site: "mast", Kind: faults.KindSiteDown})
+	})
+	rep, err := RunCampaign(tb)
+	if err != nil {
+		t.Fatalf("a dead secondary archive must not fail the campaign: %v", err)
+	}
+	if len(rep.Clusters) != 1 {
+		t.Fatalf("%d cluster reports, want 1", len(rep.Clusters))
+	}
+	for _, c := range rep.Clusters {
+		if !slices.ContainsFunc(c.Degraded, func(d portal.Degradation) bool { return d.Op == "cone" }) {
+			t.Errorf("%s: missing cone degradation record, got %v", c.Cluster, c.Degraded)
+		}
+		if c.Table == nil || c.Table.NumRows() == 0 {
+			t.Errorf("%s: degraded run produced no catalog", c.Cluster)
+		}
 	}
 }

@@ -51,7 +51,9 @@ func ExecuteWithRescue(g *dag.Graph, runner Runner, newSim func() (*condor.Simul
 	return report, nil
 }
 
-// mergeReports folds a rescue round's results into the cumulative report.
+// mergeReports folds a rescue round's results into the cumulative report:
+// per-node attempts accumulate, the counters fold by add, and the node
+// states are recounted from the merged results.
 func mergeReports(total, round *Report) {
 	for id, res := range round.Results {
 		prev := total.Results[id]
@@ -63,10 +65,7 @@ func mergeReports(total, round *Report) {
 		merged.Attempts = attempts
 		total.Results[id] = &merged
 	}
-	total.Makespan += round.Makespan
-	total.ScheduleEvents += round.ScheduleEvents
-	total.ClusteredTasks += round.ClusteredTasks
-	total.ClusteredNodes += round.ClusteredNodes
+	total.add(round)
 	total.Done, total.Failed, total.Unrun = 0, 0, 0
 	for _, res := range total.Results {
 		switch res.State {
@@ -78,4 +77,18 @@ func mergeReports(total, round *Report) {
 			total.Unrun++
 		}
 	}
+}
+
+// add sums o's counters into r: the one fold of reports, for rescue rounds
+// (which then recount node states from their results) and for waves (whose
+// node sets are disjoint, so their state counts simply add).
+func (r *Report) add(o *Report) {
+	r.Makespan += o.Makespan
+	r.Done += o.Done
+	r.Failed += o.Failed
+	r.Unrun += o.Unrun
+	r.Restored += o.Restored
+	r.ScheduleEvents += o.ScheduleEvents
+	r.ClusteredTasks += o.ClusteredTasks
+	r.ClusteredNodes += o.ClusteredNodes
 }

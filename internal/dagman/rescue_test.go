@@ -24,7 +24,11 @@ func TestExecuteWithRescueRecovers(t *testing.T) {
 	// b fails in round 1 (all attempts), succeeds in round 2.
 	g := chainGraph(t, 3) // n1 -> n2 -> n3
 	failuresLeft := 2     // MaxRetries=1 gives 2 attempts per round
+	round, rescued := 0, map[string]bool{}
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
+		if round == 2 {
+			rescued[n.ID] = true
+		}
 		return Spec{Cost: time.Second, Run: func() error {
 			if n.ID == "n2" && failuresLeft > 0 {
 				failuresLeft--
@@ -33,9 +37,18 @@ func TestExecuteWithRescueRecovers(t *testing.T) {
 			return nil
 		}}, nil
 	}
-	rep, err := ExecuteWithRescue(g, runner, freshSim(t), Options{MaxRetries: 1}, 2)
+	newSim := func() (*condor.Simulator, error) {
+		round++
+		return freshSim(t)()
+	}
+	rep, err := ExecuteWithRescue(g, runner, newSim, Options{MaxRetries: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Round 1's rescue DAG is exactly the failed node and its unrun
+	// descendant: round 2 runs n2 and n3, never the completed n1.
+	if want := map[string]bool{"n2": true, "n3": true}; round != 2 || !reflect.DeepEqual(rescued, want) {
+		t.Errorf("%d rounds; round 2 ran %v, want %v", round, rescued, want)
 	}
 	if !rep.Succeeded() {
 		t.Fatalf("report = done %d failed %d unrun %d", rep.Done, rep.Failed, rep.Unrun)

@@ -2,35 +2,10 @@ package dagman
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/condor"
 	"repro/internal/dag"
 )
-
-// WaveStats aggregates execution across sequentially released waves. Unlike
-// Report it carries no per-node results map — the whole point of wave
-// execution is that scheduler state stays bounded by the largest single wave,
-// not by the request.
-type WaveStats struct {
-	// Waves counts the graphs the source yielded (empty ones included).
-	Waves int
-	// Nodes counts concrete nodes across all waves.
-	Nodes int
-	// MaxWaveNodes is the largest single wave released to the scheduler —
-	// the executor's peak live-graph footprint, the quantity the bounded-
-	// memory design caps.
-	MaxWaveNodes int
-
-	Done   int
-	Failed int
-	Unrun  int
-
-	Makespan       time.Duration
-	ScheduleEvents int
-	ClusteredTasks int
-	ClusteredNodes int
-}
 
 // WaveError reports a wave whose workflow failed permanently (after retries
 // and rescue rounds), carrying the wave's graph and report so the caller can
@@ -58,47 +33,39 @@ func (e *WaveError) Error() string {
 // whichever wave they reappear (IDs absent from a wave's graph are ignored,
 // which is what makes one flat completed-set from a crashed run's journal
 // safe to apply to every wave of the resumed run; each restoration is a
-// KindRestored record on the sink). Counters aggregate across waves; per-node
-// Results are discarded wave by wave.
+// KindRestored record on the sink). The returned Report's counters are the
+// fold of every executed wave's report (the one rescue rounds use); its
+// Results are nil, since per-node results are discarded wave by wave. How
+// many waves and nodes were released is the source's to count: next sees
+// every graph.
 //
 // A permanent wave failure stops the sequence with a *WaveError wrapping the
 // failed wave's graph and report. Hard executor errors (an abort, a journal
 // crash) propagate wrapped with the wave index, preserving errors.Is.
 func ExecuteWaves(next func(wave int) (*dag.Graph, error), runner Runner,
-	newSim func() (*condor.Simulator, error), opt Options, maxRounds int) (*WaveStats, error) {
+	newSim func() (*condor.Simulator, error), opt Options, maxRounds int) (*Report, error) {
 	if next == nil || runner == nil || newSim == nil {
 		return nil, ErrNilInput
 	}
-	ws := &WaveStats{}
+	total := &Report{}
 	for w := 0; ; w++ {
 		g, err := next(w)
 		if err != nil {
-			return ws, fmt.Errorf("dagman: planning wave %d: %w", w, err)
+			return total, fmt.Errorf("dagman: planning wave %d: %w", w, err)
 		}
 		if g == nil {
-			return ws, nil
-		}
-		ws.Waves++
-		ws.Nodes += g.Len()
-		if g.Len() > ws.MaxWaveNodes {
-			ws.MaxWaveNodes = g.Len()
+			return total, nil
 		}
 		if g.Len() == 0 {
 			continue // fully reduced away (e.g. a resumed wave already done)
 		}
 		rep, err := ExecuteWithRescue(g, runner, newSim, opt, maxRounds)
 		if err != nil {
-			return ws, fmt.Errorf("dagman: wave %d: %w", w, err)
+			return total, fmt.Errorf("dagman: wave %d: %w", w, err)
 		}
-		ws.Done += rep.Done
-		ws.Failed += rep.Failed
-		ws.Unrun += rep.Unrun
-		ws.Makespan += rep.Makespan
-		ws.ScheduleEvents += rep.ScheduleEvents
-		ws.ClusteredTasks += rep.ClusteredTasks
-		ws.ClusteredNodes += rep.ClusteredNodes
+		total.add(rep)
 		if !rep.Succeeded() {
-			return ws, &WaveError{Wave: w, Graph: g, Report: rep}
+			return total, &WaveError{Wave: w, Graph: g, Report: rep}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dagman
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,22 +56,25 @@ func TestExecuteWavesValidation(t *testing.T) {
 func TestExecuteWavesSequentialAggregation(t *testing.T) {
 	sizes := []int{3, 5, 2}
 	var order []string
+	waves, nodes, maxWave := 0, 0, 0
 	next := func(w int) (*dag.Graph, error) {
 		if w >= len(sizes) {
 			return nil, nil
 		}
-		return prefixChain(t, fmt.Sprintf("w%d_n", w), sizes[w]), nil
+		g := prefixChain(t, fmt.Sprintf("w%d_n", w), sizes[w])
+		waves, nodes, maxWave = waves+1, nodes+g.Len(), max(maxWave, g.Len())
+		return g, nil
 	}
-	ws, err := ExecuteWaves(next, unitRunner(&order), waveSims(t), Options{}, 0)
+	rep, err := ExecuteWaves(next, unitRunner(&order), waveSims(t), Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.Waves != 3 || ws.Nodes != 10 || ws.MaxWaveNodes != 5 || ws.Done != 10 || ws.Failed != 0 {
-		t.Fatalf("stats = %+v", ws)
+	if waves != 3 || nodes != 10 || maxWave != 5 || rep.Done != 10 || rep.Failed != 0 || rep.Results != nil {
+		t.Fatalf("%d waves, %d nodes, largest %d; report %+v", waves, nodes, maxWave, rep)
 	}
 	// Chains of 3+5+2 unit jobs run back to back: makespan adds up.
-	if ws.Makespan != 10*time.Second {
-		t.Errorf("makespan = %v, want 10s", ws.Makespan)
+	if rep.Makespan != 10*time.Second {
+		t.Errorf("makespan = %v, want 10s", rep.Makespan)
 	}
 	if len(order) != 10 {
 		t.Fatalf("ran %d nodes: %v", len(order), order)
@@ -90,25 +94,23 @@ func TestExecuteWavesSequentialAggregation(t *testing.T) {
 }
 
 // TestExecuteWavesSkipsEmpty checks a fully-reduced wave (everything pruned
-// on resume) is counted but not executed.
+// on resume) is released but not executed, and the waves after it run.
 func TestExecuteWavesSkipsEmpty(t *testing.T) {
+	waves := []*dag.Graph{prefixChain(t, "a", 2), dag.New(), prefixChain(t, "b", 1)}
+	calls := 0
 	next := func(w int) (*dag.Graph, error) {
-		switch w {
-		case 0:
-			return prefixChain(t, "a", 2), nil
-		case 1:
-			return dag.New(), nil
-		case 2:
-			return prefixChain(t, "b", 1), nil
+		calls++
+		if w >= len(waves) {
+			return nil, nil
 		}
-		return nil, nil
+		return waves[w], nil
 	}
-	ws, err := ExecuteWaves(next, unitRunner(nil), waveSims(t), Options{}, 0)
+	rep, err := ExecuteWaves(next, unitRunner(nil), waveSims(t), Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.Waves != 3 || ws.Nodes != 3 || ws.Done != 3 {
-		t.Errorf("stats = %+v", ws)
+	if calls != 4 || rep.Done != 3 || rep.ScheduleEvents != 3 {
+		t.Errorf("next called %d times; report %+v", calls, rep)
 	}
 }
 
@@ -130,7 +132,7 @@ func TestExecuteWavesPermanentFailure(t *testing.T) {
 			return nil
 		}}, nil
 	}
-	ws, err := ExecuteWaves(next, runner, waveSims(t), Options{MaxRetries: 1}, 0)
+	rep, err := ExecuteWaves(next, runner, waveSims(t), Options{MaxRetries: 1}, 0)
 	var we *WaveError
 	if !errors.As(err, &we) {
 		t.Fatalf("err = %v, want WaveError", err)
@@ -142,8 +144,8 @@ func TestExecuteWavesPermanentFailure(t *testing.T) {
 		t.Error("wave error must carry the failed wave's graph")
 	}
 	// Wave 0 completed and is aggregated; wave 1's partial progress too.
-	if ws.Done != 4 || ws.Failed != 1 || ws.Unrun != 1 || ws.Waves != 2 {
-		t.Errorf("stats = %+v", ws)
+	if rep.Done != 4 || rep.Failed != 1 || rep.Unrun != 1 {
+		t.Errorf("report = %+v", rep)
 	}
 }
 
@@ -157,12 +159,12 @@ func TestExecuteWavesPlanningError(t *testing.T) {
 		}
 		return prefixChain(t, "a", 1), nil
 	}
-	ws, err := ExecuteWaves(next, unitRunner(nil), waveSims(t), Options{}, 0)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
+	rep, err := ExecuteWaves(next, unitRunner(nil), waveSims(t), Options{}, 0)
+	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "wave 1") {
+		t.Fatalf("err = %v, want wrapped sentinel of wave 1", err)
 	}
-	if ws.Waves != 1 || ws.Done != 1 {
-		t.Errorf("stats = %+v", ws)
+	if rep.Done != 1 {
+		t.Errorf("report = %+v", rep)
 	}
 }
 
@@ -182,7 +184,7 @@ func TestExecuteWavesSharedCompleted(t *testing.T) {
 	opt := Options{Journal: sink, Completed: map[string]bool{
 		"w0_n1": true, "w1_n1": true, "w1_n2": true, "ghost": true,
 	}}
-	ws, err := ExecuteWaves(next, unitRunner(&order), waveSims(t), opt, 0)
+	rep, err := ExecuteWaves(next, unitRunner(&order), waveSims(t), opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +194,8 @@ func TestExecuteWavesSharedCompleted(t *testing.T) {
 			restored++
 		}
 	}
-	if restored != 3 || ws.Done != 6 {
-		t.Errorf("restored records = %d, stats = %+v; want 3 restored of 6 done", restored, ws)
+	if restored != 3 || rep.Restored != 3 || rep.Done != 6 {
+		t.Errorf("restored records = %d, report = %+v; want 3 restored of 6 done", restored, rep)
 	}
 	for _, id := range order {
 		if opt.Completed[id] {

@@ -291,6 +291,7 @@ func waveRun(t *testing.T, n, waveSize int) (maxWaveNodes int, heapBytes uint64)
 		if h := liveHeap(); h > peak {
 			peak = h
 		}
+		maxWaveNodes = max(maxWaveNodes, plan.Concrete.Len())
 		return plan.Concrete, nil
 	}
 	runner := func(n *dag.Node, _ int) (dagman.Spec, error) {
@@ -304,14 +305,13 @@ func waveRun(t *testing.T, n, waveSize int) (maxWaveNodes int, heapBytes uint64)
 	newSim := func() (*condor.Simulator, error) {
 		return condor.NewSimulator(condor.Pool{Name: "grid", Slots: 32})
 	}
-	ws, err := dagman.ExecuteWaves(next, runner, newSim, dagman.Options{}, 0)
-	if err != nil {
+	if _, err := dagman.ExecuteWaves(next, runner, newSim, dagman.Options{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !r.Exists("final") {
 		t.Fatal("wave run did not register the collector output")
 	}
-	return ws.MaxWaveNodes, peak - base // peak starts at base
+	return maxWaveNodes, peak - base // peak starts at base
 }
 
 // TestWaveLiveSetConstantInSurveySize is the survey-scale claim of wave

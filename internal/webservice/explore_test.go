@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,18 +24,21 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gridftp"
 	"repro/internal/journal"
+	"repro/internal/resilience"
 	"repro/internal/votable"
 )
 
 // The schedule explorer is the one harness behind the service's kill,
-// preemption, cancel, rebalance and corruption campaigns. A schedule is a
-// pure function of a seed: one to three flows — workflows, each on its own
-// Service with its own configuration axes — on one shared fabric and Grid
-// substrate, plus a list of steps. A step fires right after the after-th
-// journal record its flow appends, counted across every leg of the flow.
-// After every schedule run checks the invariants; a failing seeded schedule
-// is shrunk to the fewest steps that still fail and printed as a replay
-// line. The rows of TestExplore are the sweeps that used to be hand-written
+// preemption, cancel, rebalance, corruption, transfer-outage, worker-width
+// and arrival campaigns. A schedule is a pure function of a seed: one to
+// three flows — workflows, each on its own Service with its own
+// configuration axes and priority — on one shared fabric and Grid
+// substrate, optionally under a cache-site transfer outage, plus a list of
+// steps. A step fires right after the after-th journal record its flow
+// appends, counted across every leg of the flow. After every schedule run
+// checks the invariants; a failing seeded schedule is shrunk to the fewest
+// steps that still fail and printed as a replay line. The rows of
+// TestExplore are the sweeps and campaigns that used to be hand-written
 // tests, enumerated as one schedule per cut point.
 
 // stepKind is what a step does when it fires.
@@ -48,7 +52,10 @@ const (
 	stepWeight                        // Fabric.SetWeight: arg%4+1
 	stepCorruptImage                  // Store.Corrupt galaxy arg's cached image
 	stepCorruptResult                 // Store.Corrupt every replica of galaxy arg's result
-	numStepKinds
+	numStepKinds                      // the disturbances generate draws from
+	// stepArrive starts held flow arg's fresh call. A flow some arrival
+	// names is held until then, or until every flow not held has ended.
+	stepArrive
 )
 
 type step struct {
@@ -72,11 +79,20 @@ type flow struct {
 	faults                         faultMode
 	throughput                     bool // throughputConfig's planner and scheduler axes
 	submit                         bool // SubmitFor and Status polling, not ComputeFor
+	priority                       int  // the request's fabric class
 }
 
 type schedule struct {
 	slots  int  // fabric MaxRunningWorkflows (0 = unlimited)
 	mirror bool // MirrorSite "mirror", so a damaged cached image has a healthy replica
+	// outage takes the cache site's GridFTP server down (outageInjector),
+	// with one breaker registry every flow shares and the
+	// resilient testbed's retry budget of 5 (core.NewTestbed's default). The
+	// flows stage only about six images from the cache site, so three
+	// outage failures are all an explorer schedule sees; concurrent workers
+	// may record a success between them, and the circuit opens on two in a
+	// row, not the default three.
+	outage bool
 	flows  []flow
 	steps  []step
 }
@@ -97,6 +113,19 @@ func generate(seed int64) schedule {
 	for n := 2 + rng.Intn(4); n > 0; n-- {
 		sc.steps = append(sc.steps, step{kind: stepKind(rng.Intn(int(numStepKinds))),
 			flow: rng.Intn(len(sc.flows)), after: 1 + rng.Intn(48), arg: rng.Intn(8)})
+	}
+	// The later axes draw after everything above, so a seed keeps the flows
+	// and steps it had before they existed.
+	sc.outage = rng.Intn(4) == 0
+	for i := range sc.flows {
+		if rng.Intn(4) == 0 {
+			sc.flows[i].priority = 5
+		}
+	}
+	if n := len(sc.flows); n > 1 && rng.Intn(3) == 0 {
+		held := rng.Intn(n)
+		sc.steps = append(sc.steps, step{kind: stepArrive, flow: (held + 1 + rng.Intn(n-1)) % n,
+			after: 1 + rng.Intn(48), arg: held})
 	}
 	return sc
 }
@@ -129,6 +158,13 @@ func windowInjector() *faults.Injector {
 	return faults.New(31, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, From: 1, Until: 3})
 }
 
+// outageInjector fails transfers from the cache site at occurrences 3-8
+// (0-based), long enough to open its circuit and force transfers over to
+// the mirror replicas.
+func outageInjector() *faults.Injector {
+	return faults.New(42, faults.Rule{Name: gridftp.OpTransfer, Site: "isi", Kind: faults.KindSiteDown, From: 3, Until: 9})
+}
+
 // sweepTrigger counts one workflow's journal appends across all its legs
 // (every leg gets a fresh wrapped sink, so the count lives outside it) and
 // fires each cut once, right after the append that brings the count to the
@@ -139,6 +175,9 @@ type sweepTrigger struct {
 	n     int
 	cuts  []*cut
 	crash *journal.CrashSink // the current leg's kill switch
+	// aborted, when set, is called after each aborted record: a cancel or a
+	// revoked lease stopped the flow, whoever's step caused it.
+	aborted func()
 }
 
 type cut struct {
@@ -182,48 +221,101 @@ func (ts *triggerSink) Append(rec journal.Record) error {
 		}
 	}
 	ts.t.mu.Unlock()
+	if rec.Kind == journal.KindAborted && ts.t.aborted != nil {
+		ts.t.aborted()
+	}
 	for _, c := range due {
 		c.fire()
 	}
 	return nil
 }
 
-// exploreRows are the kill and preemption sweeps that used to be tests of
-// their own, each named after the test it replaces. A row runs its flows
-// undisturbed once, then one schedule per cut point with one step of its
-// kind on every flow; parent is the cut points that test visited.
+// exploreRows are the sweeps and campaigns that used to be tests of their
+// own, each named after what it holds. A row runs its schedule once, as is;
+// a row with cut points then runs one schedule per cut point k, the row's
+// at(k) applied to a copy. parent is the cut points the replaced test
+// visited; want is what the row as a whole must have exercised, summed over
+// its cut points (over its one run when it has none).
 var exploreRows = []struct {
 	name   string
 	sc     schedule
-	kind   stepKind
-	cuts   func(records int) []int // given the undisturbed run's journal records
+	cuts   func(records int) []int // given the first run's journal records
+	at     func(sc *schedule, k int)
 	parent int
-	want   func(r *report) bool // what the row as a whole must have exercised
+	want   func(r *report) bool
 }{
 	{"KillAndResumeByteIdentity", schedule{flows: []flow{{cluster: 0, tenant: DefaultTenant}}},
-		stepCrash, upTo(-1), 37, everyCrash},
+		upTo(-1), every(stepCrash), 37, everyCrash},
 	{"KillAndResumeAtWorkerWidth", schedule{flows: []flow{{cluster: 1, tenant: DefaultTenant, workers: 4}}},
-		stepCrash, func(r int) []int { return []int{1, r / 3, r / 2, r - 1} }, 4, everyCrash},
+		func(r int) []int { return []int{1, r / 3, r / 2, r - 1} }, every(stepCrash), 4, everyCrash},
 	{"WaveKillAndResumeByteIdentity", schedule{flows: []flow{{cluster: 2, tenant: DefaultTenant, waveSize: 2}}},
-		stepCrash, upTo(-1), 51, everyCrash},
+		upTo(-1), every(stepCrash), 51, everyCrash},
 	{"ClusteredKillAndResumeByteIdentity", schedule{flows: []flow{{cluster: 0, tenant: DefaultTenant, throughput: true}}},
-		stepCrash, upTo(-1), 33, everyCrash},
+		upTo(-1), every(stepCrash), 33, everyCrash},
 	{"PreemptionSweepByteIdentity", schedule{slots: 1, flows: []flow{{cluster: 0, tenant: "victim", clusterSize: 2, waveSize: 3}}},
-		stepPreempt, upTo(1), 39, func(r *report) bool { return r.preemptions > 0 }},
+		upTo(1), every(stepPreempt), 39, func(r *report) bool { return r.preemptions > 0 }},
 	{"PreemptedVictimMatchesSoloUnderFaults", schedule{slots: 1, flows: []flow{{cluster: 1, tenant: "victim", faults: windowFaults}}},
-		stepPreempt, fixed(6), 1, func(r *report) bool { return r.preemptions > 0 && r.historyChecked }},
+		fixed(6), every(stepPreempt), 1, func(r *report) bool { return r.preemptions > 0 && len(r.histories) > 0 }},
 	{"FabricKillResumeNoJournalBleed", schedule{flows: []flow{{cluster: 0, tenant: "alice"}, {cluster: 1, tenant: "bob"}, {cluster: 2, tenant: "carol"}}},
-		stepCrash, fixed(8), 3, everyCrash},
+		fixed(8), every(stepCrash), 3, everyCrash},
 	{"StatsAndProgressFoldTheStream", schedule{flows: []flow{{cluster: 2, tenant: DefaultTenant, clusterSize: 3, faults: probFaults}}},
-		stepCrash, fixed(3, 11, 17, 23), 4, func(r *report) bool { return r.crashes == r.steps && r.resRetries > 0 }},
+		fixed(3, 11, 17, 23), every(stepCrash), 4, func(r *report) bool { return r.crashes == r.steps && r.resRetries > 0 }},
 	// Found by seeds 184, 190, 194 and 197: a result damaged on every replica
 	// after wave eviction deleted its image could not be re-derived.
 	{"CorruptResultAfterWaveEviction", schedule{flows: []flow{{cluster: 2, tenant: DefaultTenant, waveSize: 3}}},
-		stepCorruptResult, upTo(0), 0, func(*report) bool { return true }},
+		upTo(0), every(stepCorruptResult), 0, func(*report) bool { return true }},
 	// Found by seed 102: a wave resume replanned the wave it died in, and a
 	// job the journal restored could land at a site its output never reached.
 	{"PreemptedWaveRunsItsSavedPlan", schedule{slots: 1, flows: []flow{{cluster: 2, tenant: "victim", workers: 4, waveSize: 2, clusterSize: 3}}},
-		stepPreempt, upTo(1), 0, func(r *report) bool { return r.preemptions > 0 }},
+		upTo(1), every(stepPreempt), 0, func(r *report) bool { return r.preemptions > 0 }},
+	// Exec faults on every flow and the cache site's transfer outage at once,
+	// at three worker widths: retries, replica failover and an opened circuit
+	// must all take effect, and every output is its solo run's bytes.
+	{"RecoverableChaosByteIdentity", schedule{mirror: true, outage: true, flows: []flow{
+		{cluster: 0, tenant: "alice", workers: 1, faults: probFaults},
+		{cluster: 1, tenant: "bob", workers: 2, faults: probFaults},
+		{cluster: 2, tenant: "carol", workers: 8, faults: probFaults}}},
+		nil, nil, 0, func(r *report) bool { return r.retries > 0 && r.failovers > 0 && r.opens > 0 }},
+	// One undisturbed flow alone at each width: side effects fan out, the
+	// model does not move.
+	{"WorkerWidthsMatchSerial", schedule{flows: []flow{{cluster: 1, tenant: DefaultTenant}}},
+		fixed(1, 2, 8), width, 0, sameModel},
+	// carol, urgent, arrives at alice's k-th record on a full two-slot
+	// fabric, every flow under its own fault window: the arrival preempts,
+	// and each flow keeps its solo output and fault history.
+	{"UrgentArrivalPreemptsUnderFaults", schedule{slots: 2, mirror: true, flows: []flow{
+		{cluster: 0, tenant: "alice", faults: windowFaults},
+		{cluster: 1, tenant: "bob", faults: windowFaults},
+		{cluster: 2, tenant: "carol", faults: windowFaults, priority: 5}}},
+		fixed(6, 12, 18, 24), func(sc *schedule, k int) { sc.steps = []step{{kind: stepArrive, flow: 0, after: k, arg: 2}} },
+		4, func(r *report) bool { return r.preemptions > 0 && len(r.histories) == 3 }},
+}
+
+// every puts one step of kind at cut point k on every flow.
+func every(kind stepKind) func(*schedule, int) {
+	return func(sc *schedule, k int) {
+		sc.steps = nil
+		for i := range sc.flows {
+			sc.steps = append(sc.steps, step{kind: kind, flow: i, after: k})
+		}
+	}
+}
+
+// width runs the first flow on k workers.
+func width(sc *schedule, k int) {
+	sc.flows = slices.Clone(sc.flows)
+	sc.flows[0].workers = k
+}
+
+// sameModel holds every run to the first one's model: makespan and staging
+// accounting do not depend on the worker width.
+func sameModel(r *report) bool {
+	for _, s := range r.stats {
+		if s.Makespan != r.stats[0].Makespan || s.FilesStaged != r.stats[0].FilesStaged || s.BytesStaged != r.stats[0].BytesStaged {
+			return false
+		}
+	}
+	return len(r.stats) == 3
 }
 
 // upTo cuts at every record boundary from 1 to records+delta.
@@ -245,7 +337,7 @@ func everyCrash(r *report) bool { return r.crashes == r.steps }
 // (default 4), or the one schedule EXPLORE_REPLAY names as seed:steps (the
 // replay line a failing seed prints).
 func TestExplore(t *testing.T) {
-	x := &explorer{}
+	x := &explorer{solos: map[soloKey][]faults.Fault{}}
 	for c := range x.refs {
 		x.refs[c] = soloBytes(t, 3, c, nil)
 	}
@@ -268,12 +360,15 @@ func TestExplore(t *testing.T) {
 			probe := x.run(t, row.sc)
 			x.fail(t, probe.bad, "go test -run '^"+t.Name()+"$' ./internal/webservice/")
 			var total report
-			for _, k := range row.cuts(probe.records) {
+			var ks []int
+			if row.cuts == nil {
+				total.add(probe)
+			} else {
+				ks = row.cuts(probe.records)
+			}
+			for _, k := range ks {
 				sc := row.sc
-				sc.steps = nil
-				for i := range sc.flows {
-					sc.steps = append(sc.steps, step{kind: row.kind, flow: i, after: k})
-				}
+				row.at(&sc, k)
 				t.Run("k="+strconv.Itoa(k), func(t *testing.T) {
 					rep := x.run(t, sc)
 					x.fail(t, rep.bad, "go test -run '^"+t.Name()+"$' ./internal/webservice/")
@@ -281,11 +376,14 @@ func TestExplore(t *testing.T) {
 				})
 			}
 			if total.steps < row.parent || !row.want(&total) {
-				t.Errorf("the row exercised too little: %d cut points, %d crashes, %d preemptions, %d resumed retries, history checked %t",
-					total.steps, total.crashes, total.preemptions, total.resRetries, total.historyChecked)
+				var model []string
+				for _, s := range total.stats {
+					model = append(model, fmt.Sprintf("%v/%d/%d", s.Makespan, s.FilesStaged, s.BytesStaged))
+				}
+				t.Errorf("the row's want does not hold (%d steps, %d at the parent): %s; makespan/files/bytes staged %v",
+					total.steps, row.parent, total.summary(), model)
 			}
-			t.Logf("%d cut points visited (%d at the parent); %d crashes, %d preemptions took effect",
-				total.steps, row.parent, total.crashes, total.preemptions)
+			t.Logf("%d cut points, %d steps (%d at the parent); %s took effect", len(ks), total.steps, row.parent, total.summary())
 		})
 	}
 	seeds := 4
@@ -296,12 +394,14 @@ func TestExplore(t *testing.T) {
 		}
 	}
 	ran, mixed := 0, 0
+	var all report
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			sc := generate(seed)
 			t.Logf("schedule %+v", sc)
 			rep := x.run(t, sc)
 			ran++
+			all.add(rep)
 			if len(rep.kinds) >= 3 && len(rep.flowsHit) >= 2 {
 				mixed++
 			}
@@ -318,7 +418,8 @@ func TestExplore(t *testing.T) {
 				seed, strings.Join(steps, ",")))
 		})
 	}
-	t.Logf("%d seeded schedules, %d fired three or more step kinds across two or more workflows", ran, mixed)
+	t.Logf("%d seeded schedules, %d fired three or more step kinds across two or more workflows; %d steps, %s took effect",
+		ran, mixed, all.steps, all.summary())
 	if ran >= 4 && mixed == 0 {
 		t.Error("no seeded schedule fired three step kinds across two workflows")
 	}
@@ -362,7 +463,12 @@ type flowRun struct {
 	svc           *Service
 	trig          *sweepTrigger
 	inj           *faults.Injector // windowFaults: the flow's one injector
-	histAt        atomic.Int64     // faults injected when the flow's first step fired; -1 before
+	histAt        atomic.Int64     // faults injected when the flow was first disturbed; -1 before
+	// held, for a flow an arrival names, is closed by arrive (once) when its
+	// fresh call may start; freshDone is set when that call has returned.
+	held      chan struct{}
+	arrive    func()
+	freshDone atomic.Bool
 	// cancel stops the current call; it is set before the call starts.
 	cancel    func()
 	canceled  atomic.Bool // a cancel step fired during the current call
@@ -373,13 +479,24 @@ type flowRun struct {
 
 func (fr *flowRun) galaxy(i int) string { return fr.tab.Cell(i%fr.tab.NumRows(), "id") }
 
+// disturbed notes a disturbance of the flow — a step on it fired, or another
+// flow's step preempted it — for the fault-history invariant, which holds
+// only when the first one came after the flow's fault window closed.
+func (fr *flowRun) disturbed() {
+	if fr.inj != nil {
+		fr.histAt.CompareAndSwap(-1, int64(fr.inj.Injected()))
+	}
+}
+
 // report is what one schedule did and which invariants it broke.
 type report struct {
 	mu                                      sync.Mutex
 	bad                                     []string
-	records                                 int // journal records the first flow appended
-	steps, crashes, preemptions, resRetries int // resRetries: retried records of resumed legs
-	historyChecked                          bool
+	records                                 int          // journal records the first flow appended
+	steps, crashes, preemptions, resRetries int          // resRetries: retried records of resumed legs
+	retries, failovers, opens               int          // RunStats.Retries and Failovers of every call; circuits opened
+	histories                               map[int]bool // flows whose fault history was held to the solo run's
+	stats                                   []RunStats   // each flow's last successful call's, in flow order
 	kinds                                   map[stepKind]bool
 	flowsHit                                map[int]bool
 }
@@ -395,14 +512,44 @@ func (r *report) add(o *report) {
 	r.crashes += o.crashes
 	r.preemptions += o.preemptions
 	r.resRetries += o.resRetries
-	r.historyChecked = r.historyChecked || o.historyChecked
+	r.retries += o.retries
+	r.failovers += o.failovers
+	r.opens += o.opens
+	if r.histories == nil {
+		r.histories = map[int]bool{}
+	}
+	maps.Copy(r.histories, o.histories)
+	r.stats = append(r.stats, o.stats...)
 }
 
-// explorer runs schedules against each cluster's solo-run bytes.
-type explorer struct{ refs [3][]byte }
+// summary is what runs exercised, for a log or a failure.
+func (r *report) summary() string {
+	return fmt.Sprintf("%d crashes, %d preemptions, %d resumed retries, %d retries, %d failovers, %d circuits opened, fault histories checked by flow %v",
+		r.crashes, r.preemptions, r.resRetries, r.retries, r.failovers, r.opens, r.histories)
+}
 
-// soloHistory is the fault history of a windowFaults flow run alone.
-func soloHistory(t *testing.T, fl flow, mirror bool) []faults.Fault {
+// explorer runs schedules against each cluster's solo-run bytes and each
+// windowFaults flow's solo fault history.
+type explorer struct {
+	refs  [3][]byte
+	solos map[soloKey][]faults.Fault
+}
+
+// soloKey is what a solo fault history depends on: the flow's
+// configuration axes and the mirror.
+type soloKey struct {
+	fl     flow // tenant, priority and entry point cleared
+	mirror bool
+}
+
+// soloHistory is the fault history of a windowFaults flow run alone, run
+// once per set of axes it depends on.
+func (x *explorer) soloHistory(t *testing.T, fl flow, mirror bool) []faults.Fault {
+	key := soloKey{flow{cluster: fl.cluster, workers: fl.workers, waveSize: fl.waveSize, clusterSize: fl.clusterSize,
+		faults: fl.faults, throughput: fl.throughput}, mirror}
+	if h, ok := x.solos[key]; ok {
+		return h
+	}
 	inj := windowInjector()
 	soloBytes(t, 3, fl.cluster, func(c *Config) {
 		fl.configure(c, inj)
@@ -410,14 +557,16 @@ func soloHistory(t *testing.T, fl flow, mirror bool) []faults.Fault {
 			c.MirrorSite = "mirror"
 		}
 	})
-	return inj.History()
+	x.solos[key] = inj.History()
+	return x.solos[key]
 }
 
-// run executes one schedule: every flow's fresh request at once, then each
-// unfinished flow's recovery in turn (Reopen and resume after a crash,
-// Requeue or resume after a cancel) until it completes; then it checks.
+// run executes one schedule: every flow's fresh request at once (a held
+// flow's when it arrives), then each unfinished flow's recovery in turn
+// (Reopen and resume after a crash, Requeue or resume after a cancel) until
+// it completes; then it checks.
 func (x *explorer) run(t *testing.T, sc schedule) *report {
-	rep := &report{kinds: map[stepKind]bool{}, flowsHit: map[int]bool{}, steps: len(sc.steps)}
+	rep := &report{kinds: map[stepKind]bool{}, flowsHit: map[int]bool{}, histories: map[int]bool{}, steps: len(sc.steps)}
 	f := preemptFabric(t, sc.slots)
 	dir := t.TempDir()
 	h := newGrid(t, multiSpecs(3), func(c *Config) {
@@ -425,12 +574,25 @@ func (x *explorer) run(t *testing.T, sc schedule) *report {
 		if sc.mirror {
 			c.MirrorSite = "mirror"
 		}
+		if sc.outage {
+			c.Breakers, c.MaxRetries = resilience.NewRegistry(resilience.BreakerConfig{FailureThreshold: 2}), 5
+		}
 	})
+	if sc.outage {
+		h.ftp.SetInjector(outageInjector())
+	}
 	runs := make([]*flowRun, len(sc.flows))
 	for i, fl := range sc.flows {
 		fr := &flowRun{flow: fl, name: h.clusters[fl.cluster].Name, tab: h.inputTableFor(t, fl.cluster), trig: &sweepTrigger{}}
 		fr.journal = filepath.Join(dir, wfBase(fl.tenant, fr.name)+".journal")
 		fr.histAt.Store(-1)
+		fr.trig.aborted = func() {
+			// A leg stopped before its first job was placed has the flow's
+			// whole exec sequence still ahead of it.
+			if fr.inj.Checks() > 0 {
+				fr.disturbed()
+			}
+		}
 		if fl.faults == windowFaults {
 			fr.inj = windowInjector()
 		}
@@ -446,6 +608,12 @@ func (x *explorer) run(t *testing.T, sc schedule) *report {
 	var intruders []chan struct{} // guarded by rep.mu, like corrupted
 	corrupted := map[string]int{}
 	for _, s := range sc.steps {
+		if s.kind == stepArrive && runs[s.arg].held == nil {
+			ch := make(chan struct{})
+			runs[s.arg].held, runs[s.arg].arrive = ch, sync.OnceFunc(func() { close(ch) })
+		}
+	}
+	for _, s := range sc.steps {
 		s, fr := s, runs[s.flow]
 		corrupt := func(store *gridftp.Store, lfn, path string) {
 			store.Corrupt(path)
@@ -454,8 +622,8 @@ func (x *explorer) run(t *testing.T, sc schedule) *report {
 			rep.mu.Unlock()
 		}
 		fr.trig.cuts = append(fr.trig.cuts, &cut{after: s.after, fire: func() {
-			if fr.inj != nil {
-				fr.histAt.CompareAndSwap(-1, int64(fr.inj.Injected()))
+			if s.kind != stepArrive {
+				fr.disturbed()
 			}
 			rep.mu.Lock()
 			rep.kinds[s.kind], rep.flowsHit[s.flow] = true, true
@@ -486,17 +654,60 @@ func (x *explorer) run(t *testing.T, sc schedule) *report {
 						corrupt(h.ftp.Store(site), lfn, path)
 					}
 				}
+			case stepArrive:
+				// The arrival lands at this boundary: the trigger's leg waits
+				// here until the fabric has admitted the held flow (or its
+				// fresh call ended without), as an intruder is admitted
+				// before its step returns. A flow already started is left be.
+				hf := runs[s.arg]
+				select {
+				case <-hf.held:
+				default:
+					before := admissions(f, hf.tenant)
+					hf.arrive()
+					for admissions(f, hf.tenant) == before && !hf.freshDone.Load() {
+						time.Sleep(50 * time.Microsecond)
+					}
+				}
 			}
 		}})
 	}
 
+	// A held flow whose arrival never fires starts once every flow not held
+	// has ended, so no schedule waits forever.
+	var unheld atomic.Int32
+	for _, fr := range runs {
+		if fr.held == nil {
+			unheld.Add(1)
+		}
+	}
+	releaseAll := func() {
+		for _, fr := range runs {
+			if fr.arrive != nil {
+				fr.arrive()
+			}
+		}
+	}
+	if unheld.Load() == 0 {
+		releaseAll()
+	}
 	errs := make([]error, len(runs))
 	var wg sync.WaitGroup
 	for i, fr := range runs {
 		wg.Add(1)
 		go func(i int, fr *flowRun) {
 			defer wg.Done()
+			if fr.held != nil {
+				<-fr.held
+			} else {
+				defer func() {
+					if unheld.Add(-1) == 0 {
+						releaseAll()
+					}
+				}()
+			}
 			errs[i] = x.call(rep, fr, "fresh")
+			fr.freshDone.Store(true)
 		}(i, fr)
 	}
 	wg.Wait()
@@ -544,6 +755,7 @@ func (x *explorer) run(t *testing.T, sc schedule) *report {
 		<-done
 	}
 	rep.records = runs[0].trig.n // every leg has ended
+	rep.opens = h.svc.cfg.Breakers.TotalOpens()
 	x.check(t, rep, sc, h, f, runs, corrupted)
 	return rep
 }
@@ -564,7 +776,7 @@ func (x *explorer) call(rep *report, fr *flowRun, how string) error {
 	onProgress := func(done, total int) { calls = append(calls, progress{done, total}) }
 	fr.canceled.Store(false)
 	fr.submitted = how == "requeue" || (how == "fresh" && fr.submit)
-	opt := RequestOptions{Tenant: fr.tenant}
+	opt := RequestOptions{Tenant: fr.tenant, Priority: fr.priority}
 	var stats RunStats
 	var out string
 	var err error
@@ -606,6 +818,8 @@ func (x *explorer) call(rep *report, fr *flowRun, how string) error {
 	crashed := err != nil && strings.Contains(err.Error(), journal.ErrCrash.Error())
 	rep.mu.Lock()
 	rep.preemptions += stats.Preemptions
+	rep.retries += stats.Retries
+	rep.failovers += stats.Failovers
 	if crashed {
 		rep.crashes++
 	}
@@ -654,6 +868,16 @@ func (x *explorer) call(rep *report, fr *flowRun, how string) error {
 	return err
 }
 
+// admissions is how many requests the fabric has admitted for tenant.
+func admissions(f *fabric.Fabric, tenant string) int {
+	for _, ts := range f.Snapshot().Tenants {
+		if ts.Tenant == tenant {
+			return ts.Admitted
+		}
+	}
+	return 0
+}
+
 // pollTerminal polls a submitted request until it completes or fails.
 func pollTerminal(svc *Service, id string) (Status, error) {
 	for deadline := time.Now().Add(exploreDeadline); ; time.Sleep(time.Millisecond) {
@@ -670,12 +894,12 @@ func pollTerminal(svc *Service, id string) (Status, error) {
 // check holds a finished schedule to the invariants: each flow's output is
 // its solo run's bytes, its journal carries only its own scope, ends with
 // the end marker and never re-submits a completed node, Galaxies is right
-// and a windowFaults flow repeats its solo fault history; a foreign-scope
-// resume fails with journal.ErrScope; the fleet is idle and every tenant's
-// admissions are accounted for; and no quarantined replica is served
-// damaged or from a stale cache.
+// and, without the outage, a windowFaults flow repeats its solo fault
+// history; a foreign-scope resume fails with journal.ErrScope; the fleet is
+// idle and every tenant's admissions are accounted for; and no quarantined
+// replica is served damaged or from a stale cache.
 func (x *explorer) check(t *testing.T, rep *report, sc schedule, h *harness, f *fabric.Fabric, runs []*flowRun, corrupted map[string]int) {
-	for _, fr := range runs {
+	for i, fr := range runs {
 		if got, err := h.ftp.Store(h.svc.cfg.CacheSite).Get(fr.name + ".vot"); err != nil || !bytes.Equal(got, x.refs[fr.cluster]) {
 			rep.errorf("%s: output differs from the solo run (%v)", fr.name, err)
 		}
@@ -698,13 +922,16 @@ func (x *explorer) check(t *testing.T, rep *report, sc schedule, h *harness, f *
 		if fr.stats.Galaxies != fr.tab.NumRows() {
 			rep.errorf("%s: last call reports %d galaxies, want %d", fr.name, fr.stats.Galaxies, fr.tab.NumRows())
 		}
-		if fr.inj != nil {
-			solo := soloHistory(t, fr.flow, sc.mirror)
+		rep.stats = append(rep.stats, fr.stats)
+		// Which flow meets the outage depends on interleaving, and so does
+		// the exec schedule of a flow whose transfers it fails.
+		if fr.inj != nil && !sc.outage {
+			solo := x.soloHistory(t, fr.flow, sc.mirror)
 			if len(solo) == 0 {
 				rep.errorf("%s: the fault window injected nothing", fr.name)
 			}
 			if fr.histAt.Load() < 0 || fr.histAt.Load() == int64(len(solo)) {
-				rep.historyChecked = true
+				rep.histories[i] = true
 				if got := fr.inj.History(); !reflect.DeepEqual(got, solo) {
 					rep.errorf("%s: fault history diverged from the solo run:\n  solo: %v\n  got:  %v", fr.name, solo, got)
 				}

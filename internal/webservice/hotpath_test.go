@@ -178,12 +178,10 @@ func TestMorphConfigMatchesSscanf(t *testing.T) {
 			t.Fatalf("derivation %d missing", i)
 		}
 		want := sscanfConfig(dv)
-		// The runner's config, which parses the shared constants once, from
-		// the parsed derivation (a resumed leg) and the table row (a fresh
-		// one), and the full parse it stands in for.
+		// The runner's config from the parsed derivation (a resumed leg) and
+		// from the table row (a fresh one).
 		for name, got := range map[string]morphology.Config{
-			"morphConfigFromDV": morphConfigFromDV(dv), "morphConfigOf(parsed)": morphConfigOf(dv),
-			"morphConfigOf(table)": morphConfigOf(row),
+			"parsed": morphConfigFromDV(dv), "table": morphConfigFromDV(row),
 		} {
 			if !sameBits(got, want) {
 				t.Errorf("z=%q: %s %+v (%s), Sscanf oracle %+v (%s)",
@@ -191,16 +189,6 @@ func TestMorphConfigMatchesSscanf(t *testing.T) {
 			}
 		}
 	}
-	// A derivation binding other constants is parsed in full.
-	other := vdl.NewDerivation("m-y", "galMorph", []vdl.Actual{
-		{Name: "redshift", Binding: vdl.ScalarBinding("0.05")}, {Name: "pixScale", Binding: vdl.ScalarBinding("1e-4")},
-		{Name: "zeroPoint", Binding: vdl.ScalarBinding("25")}, {Name: "Ho", Binding: vdl.ScalarBinding("70")},
-		{Name: "om", Binding: vdl.ScalarBinding("0.27")}, {Name: "flat", Binding: vdl.ScalarBinding("0")},
-	})
-	if got := morphConfigOf(other); !sameBits(got, morphConfigFromDV(other)) || got.Cosmology.H0 != 70 || got.Cosmology.Flat {
-		t.Errorf("other constants: morphConfigOf %+v, morphConfigFromDV %+v", got, morphConfigFromDV(other))
-	}
-
 	// Where the two part, on purpose: Sscanf read the numeric prefix of a
 	// value with a trailing suffix; such a value is now "not a number" like
 	// any other and leaves the default.

@@ -133,7 +133,7 @@ func (l *leg) rederiveGalMorph(dv *vdl.Derivation) ([]byte, error) {
 	}
 	ar := arena.Get()
 	defer arena.Put(ar)
-	p, merr := morphology.MeasureRaw(ar, raw, morphConfigOf(dv))
+	p, merr := morphology.MeasureRaw(ar, raw, morphConfigFromDV(dv))
 	content, err := l.s.galMorph(nil, inputs[0], p, merr)
 	if err != nil {
 		return nil, fmt.Errorf("webservice: rederive %s: %w", dv.Name, err)

@@ -495,13 +495,13 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations)
 	// DAGMan executes on the Condor pools, resubmitting the rescue DAG when
 	// configured.
 	l.progress(0, src.total)
-	ws, err := dagman.ExecuteWaves(src.next, l.runner(), l.simFactory(lease), opts, s.cfg.RescueRounds)
-	if ws != nil {
+	rep, err := dagman.ExecuteWaves(src.next, l.runner(), l.simFactory(lease), opts, s.cfg.RescueRounds)
+	if rep != nil {
 		l.account(RunStats{
-			Makespan:       ws.Makespan,
-			ScheduleEvents: ws.ScheduleEvents,
-			ClusteredTasks: ws.ClusteredTasks,
-			ClusteredNodes: ws.ClusteredNodes,
+			Makespan:       rep.Makespan,
+			ScheduleEvents: rep.ScheduleEvents,
+			ClusteredTasks: rep.ClusteredTasks,
+			ClusteredNodes: rep.ClusteredNodes,
 		})
 	}
 	var we *dagman.WaveError

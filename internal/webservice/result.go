@@ -170,26 +170,6 @@ func (c *resultCells) flush() error {
 	return nil
 }
 
-// galMorphBase is the configuration of the service's galMorph constants,
-// parsed once: what morphConfigFromDV gives a derivation binding them and no
-// redshift.
-var galMorphBase = morphConfigFromDV(vdl.NewDerivation("", "galMorph", galMorphConstants[:]))
-
-// morphConfigOf is morphConfigFromDV(dv), bit for bit. A derivation binding
-// the service's own constants — every one a fresh request builds or a resumed
-// leg parses back — starts from galMorphBase and parses only its redshift;
-// any other is parsed in full.
-func morphConfigOf(dv *vdl.Derivation) morphology.Config {
-	for _, c := range galMorphConstants {
-		if b, ok := dv.Binding(c.Name); !ok || b != c.Binding {
-			return morphConfigFromDV(dv)
-		}
-	}
-	cfg := galMorphBase
-	bindFloat(dv, "redshift", &cfg.Redshift)
-	return cfg
-}
-
 // morphConfigFromDV reconstructs the measurement configuration from a
 // derivation's scalar bindings.
 func morphConfigFromDV(dv *vdl.Derivation) morphology.Config {

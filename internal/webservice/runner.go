@@ -282,7 +282,7 @@ func (l *leg) measure(n *dag.Node) error {
 	if err != nil {
 		return err
 	}
-	mcfg := morphConfigOf(dv)
+	mcfg := morphConfigFromDV(dv)
 
 	// One request-lifetime arena backs both the measurement scratch (pixel
 	// buffer, background samples) and the encoded result below; Put recycles

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -273,6 +274,56 @@ func TestComputeSecondRequestUsesCache(t *testing.T) {
 	}
 	if stats3.ComputeJobs != 1 { // only the new concat
 		t.Errorf("compute jobs = %d, want 1", stats3.ComputeJobs)
+	}
+}
+
+// TestWarmMemoRequestSkipsRecompute exercises the virtual-data memo on the
+// regeneration case: the derived .txt files are reclaimed from storage, so a
+// repeat request must re-run every galMorph node — but each measurement comes
+// out of the content-keyed cache instead of being recomputed, and the table
+// is identical.
+func TestWarmMemoRequestSkipsRecompute(t *testing.T) {
+	const n = 20
+	h := newHarness(t, n, func(c *Config) { c.Workers = 4 })
+	tab := h.inputTable(t)
+	coldLFN, cold, err := h.svc.Compute(tab, "COMA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.MemoHits != 0 || cold.MemoMisses == 0 {
+		t.Fatalf("cold run: MemoHits=%d MemoMisses=%d, want 0 hits and >0 misses", cold.MemoHits, cold.MemoMisses)
+	}
+	// Reclaim the derived result files, as a storage sweep would: unregister
+	// every replica and delete its bytes.
+	for i := 0; i < tab.NumRows(); i++ {
+		lfn := tab.Cell(i, "id") + ".txt"
+		for _, pfn := range h.r.Lookup(lfn) {
+			site, path, err := gridftp.ParseURL(pfn.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := errors.Join(h.r.Unregister(lfn, pfn), h.ftp.Store(site).Delete(path)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	warmLFN, warm, err := h.svc.Compute(tab, "COMA-AGAIN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.MemoMisses != 0 || warm.MemoHits != n {
+		t.Errorf("warm run: MemoHits=%d MemoMisses=%d, want %d hits (one per galaxy) and 0 misses", warm.MemoHits, warm.MemoMisses, n)
+	}
+	coldTab, err := h.svc.ResultTable(coldLFN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmTab, err := h.svc.ResultTable(warmLFN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coldTab.NumRows() != n || !reflect.DeepEqual(coldTab.Rows, warmTab.Rows) {
+		t.Errorf("warm table differs from the cold one (%d and %d rows)", coldTab.NumRows(), warmTab.NumRows())
 	}
 }
 
