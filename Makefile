@@ -81,8 +81,8 @@ recovery:
 # and what it accepts it writes and reads back unchanged), journal replay
 # (a truncated or bit-flipped journal replays to a prefix of what was
 # appended), the .waves manifest (what is written reads back unchanged) and
-# spool run files (what writeRun wrote reads back unchanged; arbitrary bytes
-# never panic or allocate beyond a fixed multiple of their length) and
+# the transformation catalog's text (no panic; what Read accepts, Write then
+# Read gives back unchanged, and a second Write gives the same bytes) and
 # per-galaxy result files (what the frozen decodeResult accepts re-encodes to the same
 # result, floats bit for bit)
 # — over the request's two forms (the catalog built
@@ -114,7 +114,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadDAG -fuzztime $(FUZZTIME) ./internal/dagman/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz FuzzWaveManifest -fuzztime $(FUZZTIME) ./internal/webservice/
-	$(GO) test -fuzz FuzzSpoolRun -fuzztime $(FUZZTIME) ./internal/tableops/
+	$(GO) test -fuzz FuzzTCatRead -fuzztime $(FUZZTIME) ./internal/tcat/
 	$(GO) test -fuzz FuzzResultRoundTrip -fuzztime $(FUZZTIME) ./internal/webservice/
 	$(GO) test -fuzz FuzzCollectParity -fuzztime $(FUZZTIME) ./internal/webservice/
 	$(GO) test -fuzz FuzzArchiveQuery -fuzztime $(FUZZTIME) ./internal/services/

@@ -67,26 +67,3 @@ func TestSpoolInReusedCallerBuffer(t *testing.T) {
 		}
 	}
 }
-
-// TestSpoolInArenaFootprintBounded: spilled rows recycle their arena slots,
-// so the arena's string footprint is bounded by memRows regardless of how
-// many rows pass through.
-func TestSpoolInArenaFootprintBounded(t *testing.T) {
-	a := arena.Get()
-	defer arena.Put(a)
-	const memRows = 32
-	sp := NewSpoolIn(a, 0, memRows)
-	defer sp.Close()
-	var afterWarm int
-	for i := 0; i < 50*memRows; i++ {
-		if err := sp.Add(fmt.Sprintf("k%06d", i), "value"); err != nil {
-			t.Fatal(err)
-		}
-		if i == 2*memRows {
-			afterWarm = a.Footprint()
-		}
-	}
-	if after := a.Footprint(); after > afterWarm {
-		t.Fatalf("arena footprint grew from %d to %d across 50 spills; free-list recycling is broken", afterWarm, after)
-	}
-}

@@ -1,17 +1,12 @@
 package tableops
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -138,68 +133,6 @@ func TestSpoolErrorsAndMisuse(t *testing.T) {
 	if err := sp.Merge(func([]string) error { return nil }); !errors.Is(err, ErrSpoolClosed) {
 		t.Errorf("Merge after Close = %v", err)
 	}
-}
-
-// FuzzSpoolRun: the rows writeRun wrote read back unchanged, and arbitrary
-// bytes read as a run never panic and allocate at most a fixed multiple of
-// their length. Three seeds claim 2^62, 2^22 and 2^40 (cells or bytes):
-// before runs were bounded by their length the first panicked in makeslice
-// and the second allocated 64 MB from a two-byte input.
-func FuzzSpoolRun(f *testing.F) {
-	f.Add([]byte("a\x00b\xffc"), []byte{})
-	f.Add([]byte{}, binary.AppendUvarint(nil, 1<<62))
-	f.Add([]byte("x"), binary.AppendUvarint(nil, 1<<22))
-	f.Add([]byte("k\x00\x00v\xff\xff"), binary.AppendUvarint([]byte{1}, 1<<40))
-	f.Fuzz(func(t *testing.T, cells, raw []byte) {
-		var rows [][]string
-		for _, r := range bytes.Split(cells, []byte{0xff}) {
-			var row []string
-			for _, c := range bytes.Split(r, []byte{0}) {
-				row = append(row, string(c))
-			}
-			rows = append(rows, row)
-		}
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		for _, row := range rows {
-			if err := writeRun(bw, row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		rr := &runReader{br: bufio.NewReader(&buf), left: int64(buf.Len())}
-		for i, want := range rows {
-			if got, err := readRun(rr, 0); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("row %d read back as %q, %v; wrote %q", i, got, err, want)
-			}
-		}
-		if row, err := readRun(rr, 0); row != nil || err != nil {
-			t.Fatalf("past the last row: %q, %v", row, err)
-		}
-
-		// TotalAlloc is process-wide: under -fuzz the engine's own goroutines
-		// allocate beside the read. The read allocates the same on every
-		// pass, so the least of three passes is its cost plus the least
-		// noise, and the limit still fails any read that exceeds it.
-		got := uint64(math.MaxUint64)
-		for pass := 0; pass < 3; pass++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			rr = &runReader{br: bufio.NewReaderSize(bytes.NewReader(raw), 16), left: int64(len(raw))}
-			for {
-				if row, err := readRun(rr, 0); row == nil || err != nil {
-					break
-				}
-			}
-			runtime.ReadMemStats(&after)
-			got = min(got, after.TotalAlloc-before.TotalAlloc)
-		}
-		if limit := uint64(64*len(raw) + 4096); got > limit {
-			t.Fatalf("reading %d bytes allocated %d, limit %d", len(raw), got, limit)
-		}
-	})
 }
 
 // TestSpoolPreservesCellContent round-trips awkward cell values through the

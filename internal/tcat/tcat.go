@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode"
 )
 
 // Entry binds a logical transformation to an executable at one site.
@@ -47,10 +48,27 @@ func New() *Catalog {
 	return &Catalog{entries: map[string]map[string]Entry{}}
 }
 
-// Add registers (or replaces) an entry.
+// Add registers (or replaces) an entry. Every field must be one token of the
+// text format, so that Write spells the entry as a line Read reads back the
+// same: no field holds whitespace, the transformation does not start with
+// '#' (Read would skip the line as a comment), and a profile key is
+// non-empty and holds no '='.
 func (c *Catalog) Add(e Entry) error {
 	if e.Transformation == "" || e.Site == "" || e.Path == "" {
 		return fmt.Errorf("%w: transformation, site and path are required", ErrBadEntry)
+	}
+	if strings.HasPrefix(e.Transformation, "#") {
+		return fmt.Errorf("%w: transformation %q starts with '#'", ErrBadEntry, e.Transformation)
+	}
+	for _, f := range [...]string{e.Transformation, e.Site, e.Path} {
+		if hasSpace(f) {
+			return fmt.Errorf("%w: %q holds whitespace", ErrBadEntry, f)
+		}
+	}
+	for k, v := range e.Profile {
+		if k == "" || strings.Contains(k, "=") || hasSpace(k) || hasSpace(v) {
+			return fmt.Errorf("%w: bad profile %q=%q", ErrBadEntry, k, v)
+		}
 	}
 	if e.Profile == nil {
 		e.Profile = map[string]string{}
@@ -63,6 +81,9 @@ func (c *Catalog) Add(e Entry) error {
 	c.entries[e.Transformation][e.Site] = e
 	return nil
 }
+
+// hasSpace reports whether s holds whitespace, which Read splits fields on.
+func hasSpace(s string) bool { return strings.IndexFunc(s, unicode.IsSpace) >= 0 }
 
 // Lookup returns every site binding for a transformation, sorted by site.
 func (c *Catalog) Lookup(tr string) ([]Entry, error) {

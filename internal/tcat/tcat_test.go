@@ -2,6 +2,8 @@ package tcat
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,10 +48,25 @@ func TestAddValidation(t *testing.T) {
 		{Transformation: "x", Site: "s"},
 		{Transformation: "x", Path: "p"},
 		{Site: "s", Path: "p"},
+		// Entries Write would spell as lines Read skips or misreads.
+		{Transformation: "#x", Site: "s", Path: "p"},
+		{Transformation: "galMorph", Site: "isi", Path: "/opt/my tools/galMorph"},
+		{Transformation: "gal\tMorph", Site: "s", Path: "p"},
+		{Transformation: "x", Site: "is\ni", Path: "p"},
+		{Transformation: "x", Site: "s", Path: "p\u00a0q"},
+		{Transformation: "x", Site: "s", Path: "p\u0085"},
+		{Transformation: "x", Site: "s", Path: "p", Profile: map[string]string{"": "v"}},
+		{Transformation: "x", Site: "s", Path: "p", Profile: map[string]string{"a=b": "v"}},
+		{Transformation: "x", Site: "s", Path: "p", Profile: map[string]string{"a b": "v"}},
+		{Transformation: "x", Site: "s", Path: "p", Profile: map[string]string{"runtime": "4 s"}},
+		{Transformation: "x", Site: "s", Path: "p", Profile: map[string]string{"env": "A\rB"}},
 	} {
-		if err := c.Add(e); err == nil {
-			t.Errorf("incomplete entry %+v must fail", e)
+		if err := c.Add(e); !errors.Is(err, ErrBadEntry) {
+			t.Errorf("entry %+v: error %v, want ErrBadEntry", e, err)
 		}
+	}
+	if trs := c.Transformations(); len(trs) != 0 {
+		t.Errorf("refused entries were added: %v", trs)
 	}
 }
 
@@ -93,6 +110,16 @@ func TestSitesTransformationsRemove(t *testing.T) {
 
 func TestTextRoundTrip(t *testing.T) {
 	c := sample()
+	// Tokens the text format must carry unchanged: '=' inside a value, an
+	// empty value, '#' past a transformation's first byte, non-space Unicode.
+	for _, e := range []Entry{
+		{Transformation: "gal#Morph", Site: "isi", Path: "/nvo/bin/gal#Morph", Profile: map[string]string{"env": "A=B", "note": ""}},
+		{Transformation: "concat", Site: "fnal", Path: "/grid/末/concat", Profile: map[string]string{"é": "ü"}},
+	} {
+		if err := c.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
 	if err := c.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -108,11 +135,8 @@ func TestTextRoundTrip(t *testing.T) {
 			t.Fatalf("round trip lost %q: %v", tr, err)
 		}
 		for i := range want {
-			if have[i].Path != want[i].Path || have[i].Site != want[i].Site {
+			if !reflect.DeepEqual(have[i], want[i]) {
 				t.Errorf("%q entry %d: %+v != %+v", tr, i, have[i], want[i])
-			}
-			if have[i].Profile["runtime"] != want[i].Profile["runtime"] {
-				t.Errorf("%q profile mismatch", tr)
 			}
 		}
 	}
@@ -141,6 +165,40 @@ concat fnal /bin/cc
 			t.Errorf("bad line %q must fail", bad)
 		}
 	}
+}
+
+// FuzzTCatRead: Read never panics on any text, and whatever it accepts is a
+// fixed point of the codec: Write then Read gives the same entries, and a
+// second Write gives the same bytes.
+func FuzzTCatRead(f *testing.F) {
+	f.Add("# transformation catalog\ngalMorph isi /bin/gm runtime=4s env=A=B\n\nconcat fnal /bin/cc\n")
+	f.Add("tr site path =v")
+	f.Add("  a\tb\u0085c k= k=v\r\na b d\n")
+	f.Add("a b c\n#a b c x=y\na b c y=\xff")
+	f.Fuzz(func(t *testing.T, text string) {
+		c, err := Read(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := c.Write(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Read refused what Write wrote: %v\n%s", err, first.Bytes())
+		}
+		if !reflect.DeepEqual(again.entries, c.entries) {
+			t.Fatalf("entries changed across Write and Read:\n%v\n%v", c.entries, again.entries)
+		}
+		var second bytes.Buffer
+		if err := again.Write(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(second.Bytes(), first.Bytes()) {
+			t.Fatalf("second Write differs:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func BenchmarkLookup(b *testing.B) {

@@ -12,7 +12,7 @@ import (
 )
 
 // decodeResult is the line-splitting result decoder the collector ran until
-// it decoded a batch at a time, frozen as the oracle of resultCells.add: the
+// it decoded into one cell buffer, frozen as the oracle of resultCells.add: the
 // collector must accept and refuse the same files with the same error text.
 func decodeResult(data []byte) (GalMorphResult, error) {
 	var r GalMorphResult
@@ -75,11 +75,11 @@ func resultCellsInto(row []string, r GalMorphResult) {
 	row[4] = valid
 }
 
-// collectFiles runs files through a resultCells batch of batchRows rows, as
-// concatVOT does, and returns the rows it emits, or the first file's error.
-func collectFiles(files [][]byte, batchRows int) ([][]string, error) {
+// collectFiles runs files through resultCells, as concatVOT does, and
+// returns the rows it emits, or the first file's error.
+func collectFiles(files [][]byte) ([][]string, error) {
 	var rows [][]string
-	cells := resultCells{batch: batchRows, row: make([]string, len(ResultFields)), emit: func(row ...string) error {
+	cells := resultCells{row: make([]string, len(ResultFields)), emit: func(row ...string) error {
 		rows = append(rows, slices.Clone(row))
 		return nil
 	}}
@@ -107,19 +107,16 @@ func oracleCells(files [][]byte) ([][]string, error) {
 }
 
 // checkCollectParity holds the collector to its oracle on files: the same
-// refusal with the same error text, or the same cells, at every batch size
-// from one row to all of them.
+// refusal with the same error text, or the same cells.
 func checkCollectParity(t *testing.T, files ...[]byte) {
 	t.Helper()
 	want, wantErr := oracleCells(files)
-	for batch := 1; batch <= len(files); batch++ {
-		got, err := collectFiles(files, batch)
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Fatalf("batch %d: files %q: error %v, oracle %v", batch, files, err, wantErr)
-		}
-		if err == nil && !slices.EqualFunc(got, want, slices.Equal[[]string]) {
-			t.Fatalf("batch %d: files %q: cells %q, oracle %q", batch, files, got, want)
-		}
+	got, err := collectFiles(files)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("files %q: error %v, oracle %v", files, err, wantErr)
+	}
+	if err == nil && !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+		t.Fatalf("files %q: cells %q, oracle %q", files, got, want)
 	}
 }
 
@@ -148,7 +145,7 @@ func TestCollectMatchesOracle(t *testing.T) {
 
 // FuzzCollectParity: on any two result files, the collector accepts and
 // refuses what decodeResult + resultCellsInto do, with the same error text,
-// and emits the same cells, batched one row at a time or both together.
+// and emits the same cells.
 func FuzzCollectParity(f *testing.F) {
 	f.Add(appendResult(nil, GalMorphResult{ID: "g1", SurfaceBrightness: 21.4, Concentration: 3.01, Asymmetry: 0.12, Valid: true}),
 		appendResult(nil, GalMorphResult{ID: "g2", Reason: "bad pixels"}))
@@ -162,9 +159,9 @@ func FuzzCollectParity(f *testing.F) {
 
 // TestCollectAllocBudget gates the collector the way TestPlanAllocBudget gates
 // planning: allocations per galaxy of concatVOT over 1,000 result files, the
-// table encoder and the spool included. Measured 0.03 per galaxy, the
-// request's fixed cost: the batch string, its cell offsets and the encoder's
-// buffer growth. It measured 8.0 when every file was split into a string per
+// table encoder and the spool included. Measured 0.021 per galaxy, the
+// request's fixed cost: the cell string, its cell offsets, the spool's row
+// slice and the encoder's buffer growth. It measured 8.0 when every file was split into a string per
 // line and every float cell formatted into a string of its own.
 func TestCollectAllocBudget(t *testing.T) {
 	const galaxies = 1000

@@ -41,56 +41,58 @@ func domResultsTable(t *testing.T, cluster string, results []GalMorphResult) []b
 }
 
 // TestStreamedConcatByteIdentical pins the concatVOT body — result files in,
-// spill-to-disk sort, streamed table out — against the in-memory oracle,
-// and the spool itself with batches small enough to force many run-file
-// spills.
+// in-memory sort, streamed table out — against the in-memory oracle, and the
+// spool itself fed the oracle's cells, at 300 rows and at 5,000: more rows
+// than the 4,096 at which the spool once spilled sorted runs to disk.
 func TestStreamedConcatByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var results []GalMorphResult
-	files := map[string][]byte{}
+	var files map[string][]byte
 	var inputs []string
-	for i := 0; i < 300; i++ {
-		r := GalMorphResult{
-			ID:                fmt.Sprintf("COMA-%03d-%03d", rng.Intn(1000), i),
-			SurfaceBrightness: rng.Float64() * 25,
-			Concentration:     rng.Float64() * 5,
-			Asymmetry:         rng.Float64(),
-			Valid:             rng.Intn(4) != 0,
+	for _, n := range []int{300, 5000} {
+		rng := rand.New(rand.NewSource(17))
+		var results []GalMorphResult
+		files, inputs = map[string][]byte{}, nil
+		for i := 0; i < n; i++ {
+			r := GalMorphResult{
+				ID:                fmt.Sprintf("COMA-%03d-%03d", rng.Intn(1000), i),
+				SurfaceBrightness: rng.Float64() * 25,
+				Concentration:     rng.Float64() * 5,
+				Asymmetry:         rng.Float64(),
+				Valid:             rng.Intn(4) != 0,
+			}
+			if !r.Valid {
+				r.Reason = "injected"
+			}
+			results = append(results, r)
+			inputs = append(inputs, r.ID+".txt")
+			files[r.ID+".txt"] = appendResult(nil, r)
 		}
-		if !r.Valid {
-			r.Reason = "injected"
-		}
-		results = append(results, r)
-		inputs = append(inputs, r.ID+".txt")
-		files[r.ID+".txt"] = appendResult(nil, r)
-	}
-	want := domResultsTable(t, "COMA", append([]GalMorphResult(nil), results...))
+		want := domResultsTable(t, "COMA", append([]GalMorphResult(nil), results...))
 
-	got, err := concatVOT("COMA.vot", inputs, func(lfn string) ([]byte, error) { return files[lfn], nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("concatVOT output diverges from the in-memory oracle")
-	}
-
-	a := arena.Get()
-	defer arena.Put(a)
-	sp := tableops.NewSpoolIn(a, 0, 16) // tiny batches: ~19 spilled runs
-	defer sp.Close()
-	row := make([]string, len(ResultFields))
-	for _, r := range results {
-		resultCellsInto(row, r)
-		if err := sp.Add(row...); err != nil {
+		got, err := concatVOT("COMA.vot", inputs, func(lfn string) ([]byte, error) { return files[lfn], nil })
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	var spilled bytes.Buffer
-	if err := streamResultsTable(&spilled, "COMA", sp); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(spilled.Bytes(), want) {
-		t.Fatal("streamed concat output diverges from the in-memory oracle")
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d rows: concatVOT output diverges from the in-memory oracle", n)
+		}
+
+		a := arena.Get()
+		sp := tableops.NewSpoolIn(a, 0, 16) // a row hint below n: the spool grows
+		row := make([]string, len(ResultFields))
+		for _, r := range results {
+			resultCellsInto(row, r)
+			if err := sp.Add(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var streamed bytes.Buffer
+		if err := streamResultsTable(&streamed, "COMA", sp); err != nil {
+			t.Fatal(err)
+		}
+		arena.Put(a)
+		if !bytes.Equal(streamed.Bytes(), want) {
+			t.Fatalf("%d rows: streamed concat output diverges from the in-memory oracle", n)
+		}
 	}
 
 	// A fetch failure or an undecodable input fails the body.

@@ -79,18 +79,14 @@ func resultsMeta(cluster string, n int) votable.TableMeta {
 	}
 }
 
-// resultCells is the collector's output cells, a batch at a time: the cells
-// of up to batch result files appended to one byte buffer and handed to emit
-// as substrings of one string per batch. concatVOT's batch is the spool's
-// in-memory run (tableops.DefaultSpoolMemRows rows), so a batch's string is
-// dropped when the spool spills the run, and memory stays bounded as the
-// spool bounds it.
+// resultCells is the collector's output cells: the cells of every result
+// file appended to one byte buffer and handed to emit, by flush, as
+// substrings of one string.
 type resultCells struct {
-	emit  func(cells ...string) error // copies the row slice; may keep the cells
-	batch int
-	buf   []byte
-	ends  []int // the end in buf of each cell, len(ResultFields) a row
-	row   []string
+	emit func(cells ...string) error // copies the row slice; may keep the cells
+	buf  []byte
+	ends []int // the end in buf of each cell, len(ResultFields) a row
+	row  []string
 }
 
 // newline and space separate a result file's lines and a line's key and value.
@@ -149,13 +145,10 @@ func (c *resultCells) add(data []byte) error {
 	}
 	c.buf = append(c.buf, flag)
 	c.ends = append(c.ends, len(c.buf))
-	if len(c.ends) == c.batch*len(ResultFields) {
-		return c.flush()
-	}
 	return nil
 }
 
-// flush hands the batch's rows to emit in order and empties the batch.
+// flush hands the rows to emit in order.
 func (c *resultCells) flush() error {
 	s, start := string(c.buf), 0
 	for r := 0; r < len(c.ends); r += len(c.row) {
@@ -166,7 +159,6 @@ func (c *resultCells) flush() error {
 			return err
 		}
 	}
-	c.buf, c.ends = c.buf[:0], c.ends[:0]
 	return nil
 }
 

@@ -371,7 +371,7 @@ func (l *leg) concatSpec(n *dag.Node) dagman.Spec {
 			if err != nil {
 				return err
 			}
-			return store.Put(n.Outputs[0], content)
+			return store.Adopt(n.Outputs[0], content)
 		},
 	}
 }
@@ -379,26 +379,17 @@ func (l *leg) concatSpec(n *dag.Node) dagman.Spec {
 // concatVOT is the body of TR concatVOT: it fetches every per-galaxy result
 // file and renders the output table named by outputLFN. The live job and
 // provenance re-derivation differ only in the fetch they hand it. The rows
-// are sorted through a spill-to-disk spool and streamed into the encoder,
-// so sorting memory stays bounded no matter how many galaxies the cluster
-// holds.
-func concatVOT(outputLFN string, inputs []string, fetch func(lfn string) ([]byte, error)) (content []byte, retErr error) {
-	// The arena must outlive the spool's rows: Put is deferred first so it
-	// runs after the spool Close below (deferred calls run in LIFO order).
+// are sorted in memory by galaxy ID and streamed into the encoder.
+func concatVOT(outputLFN string, inputs []string, fetch func(lfn string) ([]byte, error)) ([]byte, error) {
+	// The spool holds only memory, so an early return needs no Close; the
+	// arena its rows live in must outlive the Merge in streamResultsTable.
 	ar := arena.Get()
 	defer arena.Put(ar)
-	sp := tableops.NewSpoolIn(ar, 0, 0) // key on the galaxy ID cell
-	defer func() {
-		if cerr := sp.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	// The cells of a spool batch share one string; the spool copies each
-	// row's cell headers into arena-backed storage, recycling spilled rows'
-	// slots.
-	batch := min(len(inputs), tableops.DefaultSpoolMemRows)
-	cells := resultCells{emit: sp.Add, batch: batch, buf: ar.Bytes(64 * batch)[:0],
-		ends: make([]int, 0, len(ResultFields)*batch), row: ar.Strings(len(ResultFields))}
+	sp := tableops.NewSpoolIn(ar, 0, len(inputs)) // key on the galaxy ID cell
+	// Every row's cells share one string; the spool copies each row's cell
+	// headers into arena-backed storage.
+	cells := resultCells{emit: sp.Add, buf: ar.Bytes(64 * len(inputs))[:0],
+		ends: make([]int, 0, len(ResultFields)*len(inputs)), row: ar.Strings(len(ResultFields))}
 	for _, lfn := range inputs {
 		data, err := fetch(lfn)
 		if err == nil {
