@@ -97,8 +97,12 @@ recovery:
 # parsers (no panic; what they accept is a finite RA, |Dec| <= 90 and a
 # finite extent >= 0), over sexagesimal coordinates (what parses is finite;
 # format then parse round-trips within the printed precision, no field
-# printed as 60) and over gridftp URLs (the site, path and error text of the
-# frozen splitting parser).
+# printed as 60), over gridftp URLs (the site, path and error text of the
+# frozen splitting parser) and over the table operations on tables with NaN
+# cells, unparseable cells and repeated keys (sort is a stable permutation
+# with NaN and unparseable cells last, filter keeps exactly the in-range
+# rows, sort, filter and select keep the PARAMs, and both joins give the
+# rows of a nested-loop join).
 # Seeds always run under plain `go test`; this also spends FUZZTIME per
 # target on new inputs.
 FUZZTIME ?= 10s
@@ -120,6 +124,7 @@ fuzz:
 	$(GO) test -fuzz FuzzArchiveQuery -fuzztime $(FUZZTIME) ./internal/services/
 	$(GO) test -fuzz FuzzSexagesimal -fuzztime $(FUZZTIME) ./internal/wcs/
 	$(GO) test -fuzz FuzzParseURL -fuzztime $(FUZZTIME) ./internal/gridftp/
+	$(GO) test -fuzz FuzzTableOps -fuzztime $(FUZZTIME) ./internal/tableops/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants under their own fault plans byte-identical
@@ -192,7 +197,7 @@ graphreaders:
 # (TestMemoKeyMatchesFmt). Planning has the same gate beside it
 # (TestPlanAllocBudget, plan_test.go: table -> concrete plan of a staged
 # 1,000-galaxy request, allocations per galaxy; TestPlanPhaseAllocs: one
-# budget each for catalog, compose, Map and prime; TestWavePlanAllocBudget:
+# budget each for catalog, compose and Map; TestWavePlanAllocBudget:
 # every wave of that request at WaveSize 100; TestPlanAllocsFlat: the
 # marginal count per galaxy flat from 1k to 16k galaxies, and 1k to 4k in
 # wave mode), and so has the collector (TestCollectAllocBudget,

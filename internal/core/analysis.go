@@ -76,70 +76,104 @@ func extractPoints(t *votable.Table, center wcs.SkyCoord) ([]galaxyPoint, error)
 	return pts, nil
 }
 
+// radii returns the cluster-centric radius of every valid galaxy, and the
+// galaxies.
+func radii(t *votable.Table, center wcs.SkyCoord) ([]float64, []galaxyPoint, error) {
+	pts, err := extractPoints(t, center)
+	if err != nil {
+		return nil, nil, err
+	}
+	rs := make([]float64, len(pts))
+	for i, p := range pts {
+		rs[i] = p.radius
+	}
+	return rs, pts, nil
+}
+
+// binStats is what one equal-count bin knows: the mean of the axis value it
+// was cut along, its galaxy count, their mean asymmetry and concentration,
+// and the fraction of them classified E/S0 by asymmetry.
+type binStats struct {
+	mean  float64
+	n     int
+	asym  float64
+	conc  float64
+	early float64
+}
+
+// equalCountBins is the body of the Dressler binnings. It refuses nbins <=
+// 0, reads every valid galaxy's value on the axis, orders the galaxies by it
+// (an index permutation, the one sorting the galaxies themselves gives),
+// cuts them into nbins equal-count bins, the last taking the remainder, and
+// makes each bin from its statistics, summed in axis order.
+func equalCountBins[B any](nbins int, axis func() ([]float64, []galaxyPoint, error), bin func(binStats) B) ([]B, error) {
+	if nbins <= 0 {
+		return nil, errors.New("core: nbins must be positive")
+	}
+	vals, pts, err := axis()
+	if err != nil {
+		return nil, err
+	}
+	idx := make([]int, len(pts))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
+
+	nbins = min(nbins, len(pts))
+	per := len(pts) / nbins
+	bins := make([]B, nbins)
+	for b := range bins {
+		lo, hi := b*per, (b+1)*per
+		if b == nbins-1 {
+			hi = len(pts)
+		}
+		early := 0
+		var sumV, sumA, sumC float64
+		for _, i := range idx[lo:hi] {
+			sumV += vals[i]
+			sumA += pts[i].asym
+			sumC += pts[i].conc
+			if pts[i].asym < EarlyTypeAsymmetryMax {
+				early++
+			}
+		}
+		n := float64(hi - lo)
+		bins[b] = bin(binStats{mean: sumV / n, n: hi - lo, asym: sumA / n, conc: sumC / n, early: float64(early) / n})
+	}
+	return bins, nil
+}
+
+// asymmetryCorrelation returns the Spearman rank correlation of the axis
+// values against the galaxies' asymmetry, and the number of galaxies.
+func asymmetryCorrelation(vals []float64, pts []galaxyPoint, err error) (rho float64, n int, _ error) {
+	if err != nil {
+		return 0, 0, err
+	}
+	asym := make([]float64, len(pts))
+	for i, p := range pts {
+		asym[i] = p.asym
+	}
+	return Spearman(vals, asym), len(pts), nil
+}
+
 // DresslerBins bins the valid galaxies of a merged morphology table into
 // nbins equal-count radial bins about the cluster center and returns the
 // per-bin asymmetry, concentration and early-type fraction. Rising mean
 // asymmetry (falling early-type fraction) with radius is the
 // morphology–density relation the paper "rediscovers" in Figure 7.
 func DresslerBins(t *votable.Table, center wcs.SkyCoord, nbins int) ([]RadialBin, error) {
-	if nbins <= 0 {
-		return nil, errors.New("core: nbins must be positive")
-	}
-	pts, err := extractPoints(t, center)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].radius < pts[j].radius })
-
-	if nbins > len(pts) {
-		nbins = len(pts)
-	}
-	bins := make([]RadialBin, 0, nbins)
-	per := len(pts) / nbins
-	for b := 0; b < nbins; b++ {
-		lo := b * per
-		hi := lo + per
-		if b == nbins-1 {
-			hi = len(pts)
-		}
-		chunk := pts[lo:hi]
-		var bin RadialBin
-		bin.N = len(chunk)
-		early := 0
-		var sumR, sumA, sumC float64
-		for _, p := range chunk {
-			sumR += p.radius
-			sumA += p.asym
-			sumC += p.conc
-			if p.asym < EarlyTypeAsymmetryMax {
-				early++
-			}
-		}
-		n := float64(len(chunk))
-		bin.MidRadiusDeg = sumR / n
-		bin.MeanAsymmetry = sumA / n
-		bin.MeanConcentration = sumC / n
-		bin.EarlyFraction = float64(early) / n
-		bins = append(bins, bin)
-	}
-	return bins, nil
+	return equalCountBins(nbins, func() ([]float64, []galaxyPoint, error) { return radii(t, center) },
+		func(s binStats) RadialBin {
+			return RadialBin{MidRadiusDeg: s.mean, N: s.n, MeanAsymmetry: s.asym, MeanConcentration: s.conc, EarlyFraction: s.early}
+		})
 }
 
 // AsymmetryRadiusCorrelation returns the Spearman rank correlation between
 // measured asymmetry and cluster-centric radius over the valid galaxies —
 // the single-number summary of Figure 7 (positive: spirals live outside).
 func AsymmetryRadiusCorrelation(t *votable.Table, center wcs.SkyCoord) (rho float64, n int, err error) {
-	pts, err := extractPoints(t, center)
-	if err != nil {
-		return 0, 0, err
-	}
-	xs := make([]float64, len(pts))
-	ys := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = p.radius
-		ys[i] = p.asym
-	}
-	return Spearman(xs, ys), len(pts), nil
+	return asymmetryCorrelation(radii(t, center))
 }
 
 // SpectralMorphologicalCorrelation correlates the catalog's spectral

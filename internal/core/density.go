@@ -58,74 +58,31 @@ func localDensities(pts []galaxyPoint, k int) ([]float64, error) {
 	return out, nil
 }
 
+// densities returns the local density Σk of every valid galaxy, and the
+// galaxies.
+func densities(t *votable.Table, center wcs.SkyCoord) ([]float64, []galaxyPoint, error) {
+	pts, err := extractPoints(t, center)
+	if err != nil {
+		return nil, nil, err
+	}
+	dens, err := localDensities(pts, densityNeighbors)
+	return dens, pts, err
+}
+
 // DresslerDensityBins bins the valid galaxies by local projected density
 // (equal-count bins, ascending density) and reports per-bin asymmetry and
 // early-type fraction. Dressler's relation appears as the early-type
 // fraction rising — and mean asymmetry falling — toward high density.
 func DresslerDensityBins(t *votable.Table, center wcs.SkyCoord, nbins int) ([]DensityBin, error) {
-	if nbins <= 0 {
-		return nil, errors.New("core: nbins must be positive")
-	}
-	pts, err := extractPoints(t, center)
-	if err != nil {
-		return nil, err
-	}
-	dens, err := localDensities(pts, densityNeighbors)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return dens[idx[a]] < dens[idx[b]] })
-
-	if nbins > len(pts) {
-		nbins = len(pts)
-	}
-	per := len(pts) / nbins
-	bins := make([]DensityBin, 0, nbins)
-	for b := 0; b < nbins; b++ {
-		lo := b * per
-		hi := lo + per
-		if b == nbins-1 {
-			hi = len(pts)
-		}
-		var bin DensityBin
-		early := 0
-		var sumD, sumA float64
-		for _, i := range idx[lo:hi] {
-			sumD += dens[i]
-			sumA += pts[i].asym
-			if pts[i].asym < EarlyTypeAsymmetryMax {
-				early++
-			}
-		}
-		n := float64(hi - lo)
-		bin.N = hi - lo
-		bin.MeanDensity = sumD / n
-		bin.MeanAsymmetry = sumA / n
-		bin.EarlyFraction = float64(early) / n
-		bins = append(bins, bin)
-	}
-	return bins, nil
+	return equalCountBins(nbins, func() ([]float64, []galaxyPoint, error) { return densities(t, center) },
+		func(s binStats) DensityBin {
+			return DensityBin{MeanDensity: s.mean, N: s.n, MeanAsymmetry: s.asym, EarlyFraction: s.early}
+		})
 }
 
 // AsymmetryDensityCorrelation returns the Spearman correlation between
 // local density and measured asymmetry — Dressler's relation proper, which
 // comes out negative (dense regions host symmetric early types).
 func AsymmetryDensityCorrelation(t *votable.Table, center wcs.SkyCoord) (rho float64, n int, err error) {
-	pts, err := extractPoints(t, center)
-	if err != nil {
-		return 0, 0, err
-	}
-	dens, err := localDensities(pts, densityNeighbors)
-	if err != nil {
-		return 0, 0, err
-	}
-	asym := make([]float64, len(pts))
-	for i, p := range pts {
-		asym[i] = p.asym
-	}
-	return Spearman(dens, asym), len(pts), nil
+	return asymmetryCorrelation(densities(t, center))
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/fits"
 	"repro/internal/votable"
@@ -52,61 +51,15 @@ func XRayBrightnessAt(xray *fits.Image, t *votable.Table, center wcs.SkyCoord) (
 // and early-type fraction. Because the hot gas traces the cluster core, the
 // early-type fraction rises toward high brightness.
 func DresslerXRayBins(xray *fits.Image, t *votable.Table, center wcs.SkyCoord, nbins int) ([]XRayBin, error) {
-	if nbins <= 0 {
-		return nil, errors.New("core: nbins must be positive")
-	}
-	bright, pts, err := XRayBrightnessAt(xray, t, center)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return bright[idx[a]] < bright[idx[b]] })
-
-	if nbins > len(pts) {
-		nbins = len(pts)
-	}
-	per := len(pts) / nbins
-	bins := make([]XRayBin, 0, nbins)
-	for b := 0; b < nbins; b++ {
-		lo := b * per
-		hi := lo + per
-		if b == nbins-1 {
-			hi = len(pts)
-		}
-		var bin XRayBin
-		early := 0
-		var sumB, sumA float64
-		for _, i := range idx[lo:hi] {
-			sumB += bright[i]
-			sumA += pts[i].asym
-			if pts[i].asym < EarlyTypeAsymmetryMax {
-				early++
-			}
-		}
-		n := float64(hi - lo)
-		bin.N = hi - lo
-		bin.MeanBrightness = sumB / n
-		bin.MeanAsymmetry = sumA / n
-		bin.EarlyFraction = float64(early) / n
-		bins = append(bins, bin)
-	}
-	return bins, nil
+	return equalCountBins(nbins, func() ([]float64, []galaxyPoint, error) { return XRayBrightnessAt(xray, t, center) },
+		func(s binStats) XRayBin {
+			return XRayBin{MeanBrightness: s.mean, N: s.n, MeanAsymmetry: s.asym, EarlyFraction: s.early}
+		})
 }
 
 // AsymmetryXRayCorrelation returns the Spearman correlation between the
 // X-ray surface brightness at the galaxy positions and their measured
 // asymmetry (negative: bright X-ray cores host symmetric early types).
 func AsymmetryXRayCorrelation(xray *fits.Image, t *votable.Table, center wcs.SkyCoord) (rho float64, n int, err error) {
-	bright, pts, err := XRayBrightnessAt(xray, t, center)
-	if err != nil {
-		return 0, 0, err
-	}
-	asym := make([]float64, len(pts))
-	for i, p := range pts {
-		asym[i] = p.asym
-	}
-	return Spearman(bright, asym), len(pts), nil
+	return asymmetryCorrelation(XRayBrightnessAt(xray, t, center))
 }

@@ -149,8 +149,7 @@ type Plan struct {
 	SiteOf map[string]string
 
 	// Replicas is the replica snapshot the whole plan was computed from,
-	// fetched in a single RLS BulkLookup. Callers may prime a read-through
-	// rls.Cache with it so the runner's lookups are free.
+	// fetched in a single RLS BulkLookup.
 	Replicas map[string][]rls.PFN
 	// EstBytesMoved is the planner's estimate of bytes the transfer nodes
 	// will move (sum of input sizes over stage-in/inter-stage/stage-out

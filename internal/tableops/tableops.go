@@ -19,12 +19,12 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-
 	"net/url"
-	"repro/internal/httpclient"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/httpclient"
 	"repro/internal/votable"
 )
 
@@ -68,7 +68,8 @@ func Join(doc *votable.Document, keyA, keyB, mode string) (*votable.Table, error
 	}
 }
 
-// Sort sorts the document's table ascending by a numeric column.
+// Sort sorts the document's table stably, ascending by a numeric column, with
+// NaN and unparseable cells last.
 func Sort(doc *votable.Document, by string) (*votable.Table, error) {
 	t, err := doc.FirstTable()
 	if err != nil {
@@ -81,11 +82,16 @@ func Sort(doc *votable.Document, by string) (*votable.Table, error) {
 	return out, nil
 }
 
-// Filter keeps rows whose numeric column value lies in [min, max].
+// Filter keeps rows whose numeric column value lies in [min, max]. A NaN
+// bound is refused, since every comparison with it is false; the open bounds
+// are ±Inf.
 func Filter(doc *votable.Document, col string, min, max float64) (*votable.Table, error) {
 	t, err := doc.FirstTable()
 	if err != nil {
 		return nil, ErrNeedOneTable
+	}
+	if math.IsNaN(min) || math.IsNaN(max) {
+		return nil, fmt.Errorf("%w: NaN bound", ErrBadParams)
 	}
 	if t.ColumnIndex(col) < 0 {
 		return nil, fmt.Errorf("%w: no column %q", ErrBadParams, col)
@@ -96,7 +102,8 @@ func Filter(doc *votable.Document, col string, min, max float64) (*votable.Table
 	}), nil
 }
 
-// Select projects the table onto the named columns, in the given order.
+// Select projects the table onto the named columns, in the given order,
+// keeping its description and PARAMs.
 func Select(doc *votable.Document, cols []string) (*votable.Table, error) {
 	t, err := doc.FirstTable()
 	if err != nil {
@@ -106,7 +113,7 @@ func Select(doc *votable.Document, cols []string) (*votable.Table, error) {
 		return nil, fmt.Errorf("%w: cols required", ErrBadParams)
 	}
 	idx := make([]int, len(cols))
-	out := votable.NewTable(t.Name)
+	out := &votable.Table{Name: t.Name, Description: t.Description, Params: slices.Clone(t.Params)}
 	for i, c := range cols {
 		j := t.ColumnIndex(c)
 		if j < 0 {

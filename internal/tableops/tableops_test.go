@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,13 +67,33 @@ func TestJoinModes(t *testing.T) {
 	}
 }
 
+// withParams is galaxies() carrying the description and PARAMs the compute
+// service's result table has.
+func withParams() *votable.Table {
+	t := galaxies()
+	t.Description = "morphology of COMA"
+	t.SetParam(votable.Param{Name: "cluster", Datatype: votable.TypeChar, Value: "COMA"})
+	t.SetParam(votable.Param{Name: "n_galaxies", Datatype: votable.TypeInt, Value: "3"})
+	return t
+}
+
+// keepsParams reports whether out carries withParams()'s description and
+// PARAMs.
+func keepsParams(out *votable.Table) bool {
+	in := withParams()
+	return out.Description == in.Description && slices.Equal(out.Params, in.Params)
+}
+
 func TestSortFilterSelect(t *testing.T) {
-	sorted, err := Sort(docOf(galaxies()), "mag")
+	sorted, err := Sort(docOf(withParams()), "mag")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sorted.Cell(0, "id") != "G1" || sorted.Cell(2, "id") != "G2" {
 		t.Errorf("sort order: %v", sorted.Rows)
+	}
+	if !keepsParams(sorted) {
+		t.Errorf("sort dropped the table's PARAMs: %q %+v", sorted.Description, sorted.Params)
 	}
 	if _, err := Sort(docOf(galaxies()), "nope"); err == nil {
 		t.Error("unknown sort column must fail")
@@ -81,23 +102,29 @@ func TestSortFilterSelect(t *testing.T) {
 		t.Error("empty document must fail")
 	}
 
-	bright, err := Filter(docOf(galaxies()), "mag", math.Inf(-1), 16.5)
+	bright, err := Filter(docOf(withParams()), "mag", math.Inf(-1), 16.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bright.NumRows() != 2 {
 		t.Errorf("filter rows = %d", bright.NumRows())
 	}
+	if !keepsParams(bright) {
+		t.Errorf("filter dropped the table's PARAMs: %q %+v", bright.Description, bright.Params)
+	}
 	if _, err := Filter(docOf(galaxies()), "nope", 0, 1); err == nil {
 		t.Error("unknown filter column must fail")
 	}
 
-	proj, err := Select(docOf(galaxies()), []string{"mag", "id"})
+	proj, err := Select(docOf(withParams()), []string{"mag", "id"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if proj.NumCols() != 2 || proj.Fields[0].Name != "mag" {
 		t.Errorf("select fields: %+v", proj.Fields)
+	}
+	if !keepsParams(proj) {
+		t.Errorf("select dropped the table's PARAMs: %q %+v", proj.Description, proj.Params)
 	}
 	if proj.Cell(0, "id") != "G1" {
 		t.Errorf("select row: %v", proj.Rows[0])
@@ -137,6 +164,36 @@ func TestHTTPService(t *testing.T) {
 	}
 	if filtered.NumRows() != 2 {
 		t.Errorf("filtered rows = %d", filtered.NumRows())
+	}
+
+	// A NaN cell sorts last; a NaN bound is refused, while ±Inf, the open
+	// bounds, are accepted.
+	odd := galaxies()
+	_ = odd.SetCell(0, "mag", "NaN")
+	if sorted, err := c.Sort(odd, "mag"); err != nil || sorted.Cell(0, "id") != "G3" || sorted.Cell(2, "id") != "G1" {
+		t.Errorf("sort with a NaN cell = %v, %v", sorted, err)
+	}
+	var body strings.Builder
+	if err := votable.WriteTable(&body, galaxies()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"min=NaN", http.StatusBadRequest},
+		{"max=NaN", http.StatusBadRequest},
+		{"min=nan&max=18", http.StatusBadRequest},
+		{"min=-Inf&max=Inf", http.StatusOK},
+	} {
+		resp, err := http.Post(srv.URL+"/filter?col=mag&"+tc.query, "text/xml", strings.NewReader(body.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("/filter?%s = %d, want %d", tc.query, resp.StatusCode, tc.want)
+		}
 	}
 }
 

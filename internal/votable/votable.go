@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -208,7 +210,7 @@ func (t *Table) AddColumn(f Field, fill func(row int) string) {
 
 // Clone returns a deep copy of the table.
 func (t *Table) Clone() *Table {
-	out := &Table{Name: t.Name, Description: t.Description}
+	out := &Table{Name: t.Name, Description: t.Description, Params: slices.Clone(t.Params)}
 	out.Fields = append([]Field(nil), t.Fields...)
 	out.Rows = make([][]string, len(t.Rows))
 	for i, r := range t.Rows {
@@ -217,9 +219,10 @@ func (t *Table) Clone() *Table {
 	return out
 }
 
-// Filter returns a new table containing the rows for which keep returns true.
+// Filter returns a new table, with the same PARAMs, containing the rows for
+// which keep returns true.
 func (t *Table) Filter(keep func(row int) bool) *Table {
-	out := &Table{Name: t.Name, Description: t.Description, Fields: append([]Field(nil), t.Fields...)}
+	out := &Table{Name: t.Name, Description: t.Description, Params: slices.Clone(t.Params), Fields: append([]Field(nil), t.Fields...)}
 	for i := range t.Rows {
 		if keep(i) {
 			out.Rows = append(out.Rows, append([]string(nil), t.Rows[i]...))
@@ -228,21 +231,24 @@ func (t *Table) Filter(keep func(row int) bool) *Table {
 	return out
 }
 
-// SortByFloat sorts rows ascending by the named numeric column; rows whose
-// cell does not parse sort last.
+// SortByFloat sorts rows stably, ascending by the named numeric column; rows
+// whose cell does not parse or parses as NaN sort last, in their old order.
 func (t *Table) SortByFloat(col string) error {
 	c := t.ColumnIndex(col)
 	if c < 0 {
 		return fmt.Errorf("%w: %q", ErrNoSuchColumn, col)
 	}
+	key := func(row []string) (float64, bool) {
+		v, err := strconv.ParseFloat(strings.TrimSpace(row[c]), 64)
+		return v, err == nil && !math.IsNaN(v)
+	}
 	sort.SliceStable(t.Rows, func(i, j int) bool {
-		vi, erri := strconv.ParseFloat(strings.TrimSpace(t.Rows[i][c]), 64)
-		vj, errj := strconv.ParseFloat(strings.TrimSpace(t.Rows[j][c]), 64)
-		badI, badJ := erri != nil, errj != nil
-		if badI {
+		vi, okI := key(t.Rows[i])
+		vj, okJ := key(t.Rows[j])
+		if !okI {
 			return false
 		}
-		if badJ {
+		if !okJ {
 			return true
 		}
 		return vi < vj
@@ -255,6 +261,19 @@ func (t *Table) SortByFloat(col string) error {
 // of b's fields except its key. This is the "join two VOTables on an
 // arbitrary column" general service the paper calls for.
 func Join(a, b *Table, keyA, keyB string) (*Table, error) {
+	return join(a, b, keyA, keyB, false)
+}
+
+// LeftJoin is Join but rows of a without a match in b are kept with empty
+// cells for b's columns.
+func LeftJoin(a, b *Table, keyA, keyB string) (*Table, error) {
+	return join(a, b, keyA, keyB, true)
+}
+
+// join is Join, and LeftJoin when keepUnmatched is set: a hash join that
+// indexes b by key and emits, for each row of a in order, one row per match
+// in b's order.
+func join(a, b *Table, keyA, keyB string, keepUnmatched bool) (*Table, error) {
 	ka := a.ColumnIndex(keyA)
 	if ka < 0 {
 		return nil, fmt.Errorf("%w: %q in %q", ErrNoSuchColumn, keyA, a.Name)
@@ -277,75 +296,21 @@ func Join(a, b *Table, keyA, keyB string) (*Table, error) {
 		out.Fields = append(out.Fields, f)
 	}
 
-	// Hash join: index b by key.
 	idx := make(map[string][]int, len(b.Rows))
 	for i, r := range b.Rows {
 		idx[r[kb]] = append(idx[r[kb]], i)
 	}
-	for _, ra := range a.Rows {
-		for _, bi := range idx[ra[ka]] {
-			row := make([]string, 0, len(out.Fields))
-			row = append(row, ra...)
-			for j, cell := range b.Rows[bi] {
-				if j == kb {
-					continue
-				}
-				row = append(row, cell)
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
-}
-
-// LeftJoin is Join but rows of a without a match in b are kept with empty
-// cells for b's columns.
-func LeftJoin(a, b *Table, keyA, keyB string) (*Table, error) {
-	ka := a.ColumnIndex(keyA)
-	if ka < 0 {
-		return nil, fmt.Errorf("%w: %q in %q", ErrNoSuchColumn, keyA, a.Name)
-	}
-	kb := b.ColumnIndex(keyB)
-	if kb < 0 {
-		return nil, fmt.Errorf("%w: %q in %q", ErrNoSuchColumn, keyB, b.Name)
-	}
-	out := &Table{Name: a.Name + "_join_" + b.Name}
-	out.Fields = append(out.Fields, a.Fields...)
-	for i, f := range b.Fields {
-		if i == kb {
-			continue
-		}
-		if a.ColumnIndex(f.Name) >= 0 {
-			f.Name = b.Name + "_" + f.Name
-		}
-		out.Fields = append(out.Fields, f)
-	}
-	idx := make(map[string][]int, len(b.Rows))
-	for i, r := range b.Rows {
-		idx[r[kb]] = append(idx[r[kb]], i)
-	}
-	nbCols := len(b.Fields) - 1
+	width := len(out.Fields)
 	for _, ra := range a.Rows {
 		matches := idx[ra[ka]]
-		if len(matches) == 0 {
-			row := make([]string, 0, len(out.Fields))
-			row = append(row, ra...)
-			for j := 0; j < nbCols; j++ {
-				row = append(row, "")
-			}
-			out.Rows = append(out.Rows, row)
-			continue
+		if len(matches) == 0 && keepUnmatched {
+			row := append(make([]string, 0, width), ra...)
+			out.Rows = append(out.Rows, append(row, make([]string, len(b.Fields)-1)...))
 		}
 		for _, bi := range matches {
-			row := make([]string, 0, len(out.Fields))
-			row = append(row, ra...)
-			for j, cell := range b.Rows[bi] {
-				if j == kb {
-					continue
-				}
-				row = append(row, cell)
-			}
-			out.Rows = append(out.Rows, row)
+			rb := b.Rows[bi]
+			row := append(append(make([]string, 0, width), ra...), rb[:kb]...)
+			out.Rows = append(out.Rows, append(row, rb[kb+1:]...))
 		}
 	}
 	return out, nil

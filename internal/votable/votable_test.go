@@ -306,12 +306,16 @@ func TestMergeColumnsDuplicateKey(t *testing.T) {
 
 func TestFilterAndSort(t *testing.T) {
 	tab := galaxyTable()
+	tab.SetParam(Param{Name: "cluster", Datatype: TypeChar, Value: "COMA"})
 	bright := tab.Filter(func(i int) bool {
 		v, _ := tab.Float(i, "mag")
 		return v < 17
 	})
 	if bright.NumRows() != 2 {
 		t.Fatalf("filter rows = %d", bright.NumRows())
+	}
+	if p, ok := bright.Param("cluster"); !ok || p.Value != "COMA" {
+		t.Errorf("filter dropped the table's PARAMs: %+v", bright.Params)
 	}
 	if err := bright.SortByFloat("mag"); err != nil {
 		t.Fatal(err)
@@ -322,14 +326,39 @@ func TestFilterAndSort(t *testing.T) {
 	if err := bright.SortByFloat("zz"); err == nil {
 		t.Error("sorting unknown column must fail")
 	}
+
+	// NaN parses but compares false with everything: it sorts last with the
+	// unparseable cells, and those keep their order.
+	odd := NewTable("odd", Field{Name: "id"}, Field{Name: "v"})
+	for _, r := range [][2]string{{"a", "3"}, {"b", "NaN"}, {"c", "1"}, {"d", "x"}, {"e", "-Inf"}, {"f", " nan "}, {"g", "1"}} {
+		_ = odd.AppendRow(r[0], r[1])
+	}
+	if err := odd.SortByFloat("v"); err != nil {
+		t.Fatal(err)
+	}
+	var ids string
+	for i := range odd.Rows {
+		ids += odd.Cell(i, "id")
+	}
+	if ids != "ecgabdf" {
+		t.Errorf("sorted ids = %q, want %q", ids, "ecgabdf")
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
 	tab := galaxyTable()
+	tab.SetParam(Param{Name: "cluster", Datatype: TypeChar, Value: "COMA"})
 	c := tab.Clone()
 	c.Rows[0][0] = "mutated"
 	if tab.Rows[0][0] == "mutated" {
 		t.Error("Clone must deep-copy rows")
+	}
+	if p, ok := c.Param("cluster"); !ok || p.Value != "COMA" {
+		t.Fatalf("Clone dropped the table's PARAMs: %+v", c.Params)
+	}
+	c.Params[0].Value = "mutated"
+	if tab.Params[0].Value == "mutated" {
+		t.Error("Clone must deep-copy PARAMs")
 	}
 }
 

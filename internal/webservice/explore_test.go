@@ -978,11 +978,8 @@ func (x *explorer) check(t *testing.T, rep *report, sc schedule, h *harness, f *
 			lfns = append(lfns, fr.galaxy(i)+".fit", fr.galaxy(i)+".txt")
 		}
 		for _, lfn := range lfns {
-			served, cached := cat.Lookup(lfn), fr.svc.replicas.Lookup(lfn)
+			served := cat.Lookup(lfn)
 			for _, q := range cat.Quarantined(lfn) {
-				if slices.Contains(cached, q) && !slices.Contains(served, q) {
-					rep.errorf("%s: the replica cache still serves quarantined %s", lfn, q.URL)
-				}
 				// A heal writes intact bytes back and re-registers the same
 				// PFN; only a second corruption may leave it damaged again.
 				if site, path, err := gridftp.ParseURL(q.URL); err == nil && slices.Contains(served, q) &&

@@ -28,9 +28,7 @@ type ServiceStats struct {
 	// tenant's charged model time and fair-share debt.
 	Fleet fabric.FleetSnapshot
 
-	RLSRoundTrips      int64 // catalog read round trips since process start
-	ReplicaCacheHits   int64
-	ReplicaCacheMisses int64
+	RLSRoundTrips int64 // catalog read round trips since process start
 
 	// Totals is the fold of every submitted request's Stats, each as its
 	// status shows it now: a running request counts what its leg has so far.
@@ -54,7 +52,6 @@ func (s *Service) Stats() ServiceStats {
 		out.Totals.add(st.Stats)
 	}
 	out.RLSRoundTrips = s.cfg.RLS.RoundTrips()
-	out.ReplicaCacheHits, out.ReplicaCacheMisses = s.replicas.Stats()
 	out.Fleet = s.cfg.Fabric.Snapshot()
 	return out
 }

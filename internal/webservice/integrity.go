@@ -22,9 +22,6 @@ var errNoRecovery = errors.New("webservice: no healthy replica and no provenance
 // again.
 func (l *leg) quarantineReplica(lfn, site, url string) {
 	err := l.s.cfg.RLS.Quarantine(lfn, rls.PFN{Site: site, URL: url})
-	// Drop the cached replica set BEFORE anyone can re-read it: a stale
-	// cache entry must never offer the quarantined copy again.
-	l.s.replicas.Invalidate(lfn)
 	l.account(RunStats{ChecksumFailures: 1})
 	if err == nil {
 		l.account(RunStats{Quarantined: 1})
@@ -47,7 +44,7 @@ func (l *leg) recoverContent(lfn, excludeSite string) ([]byte, error) {
 // healthyReplica reads lfn from the first registered replica outside
 // excludeSite that verifies, quarantining the ones that do not.
 func (l *leg) healthyReplica(lfn, excludeSite string) ([]byte, bool) {
-	for _, p := range l.s.replicas.Lookup(lfn) { // sorted: deterministic order
+	for _, p := range l.s.cfg.RLS.Lookup(lfn) { // sorted: deterministic order
 		if p.Site == excludeSite {
 			continue
 		}
@@ -171,7 +168,7 @@ func (l *leg) repair(lfn, site, url string, cause error) ([]byte, error) {
 	if err := l.s.cfg.GridFTP.Store(site).Put(path, content); err != nil {
 		return nil, err
 	}
-	return content, l.s.registerReplica(lfn, rls.PFN{Site: site, URL: url})
+	return content, l.s.cfg.RLS.Register(lfn, rls.PFN{Site: site, URL: url})
 }
 
 // verifiedGet reads lfn from store for a consuming leaf job, verifying

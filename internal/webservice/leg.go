@@ -153,11 +153,8 @@ func (l *leg) path(ext string) string {
 	return filepath.Join(l.s.cfg.JournalDir, wfBase(l.r.Tenant, l.r.Cluster)+ext)
 }
 
-// planned folds one Pegasus plan into the leg's accounting. The plan's
-// replica snapshot seeds the read-through cache, so runner-side lookups
-// (retry rotation, recovery) cost no extra RLS round trips.
+// planned folds one Pegasus plan into the leg's accounting.
 func (l *leg) planned(plan *pegasus.Plan) {
-	l.s.replicas.Prime(plan.Replicas)
 	ps := plan.Stats()
 	l.account(RunStats{
 		ComputeJobs:       ps.ComputeJobs,

@@ -83,15 +83,12 @@ func TestPlanAllocBudget(t *testing.T) {
 // TestPlanPhaseAllocs gates each phase of planning a staged 1,000-galaxy
 // request on its own, in allocations per galaxy, so a regression names its
 // phase: the catalog (table -> derivations -> vdl.Catalog), chimera.Compose,
-// pegasus.Map (its RLS BulkLookup included) and the first Prime of a
-// service's replica cache with the plan's snapshot. Each budget is the
+// and pegasus.Map (its RLS BulkLookup included). Each budget is the
 // measured figure plus 20%, rounded up to a tenth (the catalog's to a
-// hundredth): catalog 0.053, compose 0.02, map 0.07, prime 1.02, with and
-// without -race (exact figures in the log). The catalog allocates by the
-// request — its galMorph derivations are one table and one slab; it read 2.05
-// while each held a bindings map. The first Prime copies each name new to the
-// cache (priming names the cache already holds, as every later plan of the
-// request does, copies none).
+// hundredth): catalog 0.053, compose 0.02, map 0.07, with and without -race
+// (exact figures in the log). The catalog allocates by the request — its
+// galMorph derivations are one table and one slab; it read 2.05 while each
+// held a bindings map.
 func TestPlanPhaseAllocs(t *testing.T) {
 	const galaxies = 1000
 	h, tab := stagedRequest(t, galaxies)
@@ -109,15 +106,12 @@ func TestPlanPhaseAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pcfg := h.svc.planConfig()
-	mapOnce := func() *pegasus.Plan {
+	mapOnce := func() {
 		pcfg.Rand = rand.New(rand.NewSource(1))
-		plan, err := pegasus.Map(wf, pcfg)
-		if err != nil {
+		if _, err := pegasus.Map(wf, pcfg); err != nil {
 			t.Fatal(err)
 		}
-		return plan
 	}
-	plan := mapOnce()
 	for _, phase := range []struct {
 		name   string
 		budget float64
@@ -133,8 +127,7 @@ func TestPlanPhaseAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"map", 0.1, func() { mapOnce() }},
-		{"prime", 1.3, func() { rls.NewCache(h.r).Prime(plan.Replicas) }},
+		{"map", 0.1, mapOnce},
 	} {
 		allocs := testing.AllocsPerRun(5, phase.run) / galaxies
 		t.Logf("%-7s %.3f allocs/galaxy (budget %g)", phase.name, allocs, phase.budget)

@@ -192,7 +192,7 @@ func TestTransferCorruptionFailsOverToMirror(t *testing.T) {
 // counted by recoverContent inside worker-pool Run bodies that the same round
 // launched. The two must count under one lock. The final count is exact; the
 // lost update itself is what -race reports, and only when no incidental lock
-// (GridFTP's, the replica cache's) happens to order the two increments —
+// (GridFTP's, the RLS's) happens to order the two increments —
 // about nine requests in ten before the fix — hence three fresh requests.
 func TestFailoverCountAcrossSchedulerAndWorkers(t *testing.T) {
 	const n = 40

@@ -136,7 +136,7 @@ func (l *leg) pickTransferSource(lfn, planned string, attempt int) string {
 		return planned
 	}
 	urls := []string{planned}
-	for _, p := range s.replicas.Lookup(lfn) { // sorted: deterministic rotation
+	for _, p := range s.cfg.RLS.Lookup(lfn) { // sorted: deterministic rotation
 		if p.URL != planned {
 			urls = append(urls, p.URL)
 		}
@@ -167,7 +167,7 @@ func (l *leg) registerSpec(n *dag.Node) dagman.Spec {
 		ClusterKey: l.clusterKey("register@", n.Site),
 		Run: func() error {
 			defer l.label()()
-			return l.s.registerReplica(n.LFN, rls.PFN{Site: n.Site, URL: n.PFN})
+			return l.s.cfg.RLS.Register(n.LFN, rls.PFN{Site: n.Site, URL: n.PFN})
 		},
 	}
 }

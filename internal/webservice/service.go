@@ -284,12 +284,6 @@ type Service struct {
 	// re-execution of failing measurements.
 	memo *vdcache.Cache[memoEntry]
 
-	// replicas is the read-through replica cache in front of the RLS: the
-	// runner's source rotation and recovery paths resolve LFNs through it,
-	// and every path that registers or quarantines a replica invalidates the
-	// LFN so a stale entry can never resurrect a quarantined copy.
-	replicas *rls.Cache
-
 	// mu guards the table of published requests; each record guards its
 	// own facts.
 	mu       sync.Mutex
@@ -359,16 +353,6 @@ func (s *Service) workers() int {
 	return s.cfg.Workers
 }
 
-// registerReplica publishes one replica and invalidates the read-through
-// cache so the next lookup sees the fresh catalog state.
-func (s *Service) registerReplica(lfn string, pfn rls.PFN) error {
-	if err := s.cfg.RLS.Register(lfn, pfn); err != nil {
-		return err
-	}
-	s.replicas.Invalidate(lfn)
-	return nil
-}
-
 // Errors returned by the service.
 var (
 	ErrBadTable   = errors.New("webservice: input table must have id, acref columns")
@@ -415,7 +399,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	svc := &Service{
 		cfg:      cfg,
-		replicas: rls.NewCache(cfg.RLS),
 		requests: map[string]*request{},
 	}
 	if !cfg.StrictFaults {

@@ -197,7 +197,7 @@ func (s *Service) storeImage(lfn string, data []byte) error {
 		if err := s.cfg.GridFTP.Store(site).Adopt(lfn, data); err != nil {
 			return err
 		}
-		if err := s.registerReplica(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)}); err != nil {
+		if err := s.cfg.RLS.Register(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)}); err != nil {
 			return err
 		}
 	}
@@ -225,7 +225,6 @@ func (s *Service) evictImage(lfn string) bool {
 		// Withdrawing a replica that was never registered is a no-op.
 		_ = s.cfg.RLS.Unregister(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)})
 	}
-	s.replicas.Invalidate(lfn)
 	return evicted
 }
 
