@@ -102,7 +102,9 @@ recovery:
 # cells, unparseable cells and repeated keys (sort is a stable permutation
 # with NaN and unparseable cells last, filter keeps exactly the in-range
 # rows, sort, filter and select keep the PARAMs, and both joins give the
-# rows of a nested-loop join).
+# rows of a nested-loop join), and over the compute service's handler (any
+# method, endpoint, query string and body: no panic, and no 5xx but a shed
+# 503 with Retry-After).
 # Seeds always run under plain `go test`; this also spends FUZZTIME per
 # target on new inputs.
 FUZZTIME ?= 10s
@@ -125,6 +127,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSexagesimal -fuzztime $(FUZZTIME) ./internal/wcs/
 	$(GO) test -fuzz FuzzParseURL -fuzztime $(FUZZTIME) ./internal/gridftp/
 	$(GO) test -fuzz FuzzTableOps -fuzztime $(FUZZTIME) ./internal/tableops/
+	$(GO) test -fuzz FuzzServiceHandler -fuzztime $(FUZZTIME) ./internal/webservice/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants under their own fault plans byte-identical
@@ -238,18 +241,11 @@ loc:
 	        printf "%-36s %6d %6d\n", "~total", tr, tc }' | sort | sed 's/^~total/total /' | \
 	  awk 'BEGIN { printf "%-36s %6s %6s\n", "package", "raw", "code" } { print }'
 
-# Exported fields per configuration struct: the knob counts that
-# TestKnobBudget (internal/core) pins. CHANGES.md's "Config field (n)" notes
-# come from here.
-KNOBS = internal/webservice/service.go:Config internal/core/testbed.go:Config \
-	internal/dagman/dagman.go:Options internal/portal/portal.go:Config \
-	internal/pegasus/pegasus.go:Config internal/fabric/fabric.go:Config \
-	internal/fabric/fabric.go:SimOptions
+# Exported fields per configuration struct: the table TestKnobBudget
+# (internal/core) pins and logs. CHANGES.md's "Config field (n)" notes come
+# from here.
 knobs:
-	@for k in $(KNOBS); do awk -v want="$${k#*:}" ' \
-	  $$0 ~ "^type " want " struct \\{" { on = 1; next } \
-	  on && /^}/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); printf "%-36s %3d\n", d "." want, n; exit } \
-	  on && /^\t[A-Z]/ { n++; for (i = 1; i < NF && $$i ~ /,$$/; i++) n++ }' "$${k%%:*}"; done
+	$(GO) test -run '^TestKnobBudget$$' -v ./internal/core/
 
 # Every concurrency-bearing campaign under the race detector in one
 # invocation: the chaos byte-identity row, the multi-tenant fabric

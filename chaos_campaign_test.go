@@ -312,7 +312,7 @@ func TestChaosConcurrentTenants(t *testing.T) {
 	}
 
 	// The fabric accounted one completed workflow per tenant.
-	fleet := tb.Compute.Fleet()
+	fleet := tb.Compute.Fabric().Snapshot()
 	if fleet.Admitted != n || fleet.Completed != n {
 		t.Errorf("fleet = %+v, want %d admitted and completed", fleet, n)
 	}

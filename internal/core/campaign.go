@@ -85,7 +85,10 @@ func RunCampaignParallel(tb *Testbed, workers int) (*CampaignReport, error) {
 // aggregate folds the per-cluster runs, in portal order, into the campaign
 // report; the first failed cluster fails the campaign.
 func aggregate(tb *Testbed, entries []portal.ClusterEntry, runs []*ClusterRun, errs []error) (*CampaignReport, error) {
-	report := &CampaignReport{Pools: tb.Compute.Pools()}
+	report := &CampaignReport{}
+	for _, p := range tb.Compute.Fabric().Pools() {
+		report.Pools = append(report.Pools, p.Name)
+	}
 	for i, run := range runs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("core: cluster %s: %w", entries[i].Name, errs[i])

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/condor"
+	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/gridftp"
 	"repro/internal/httpclient"
@@ -41,7 +42,7 @@ const (
 // configured through their own Config types, carried as overlays: NewTestbed
 // starts from Compute and Portal and fills in only what the testbed owns —
 // the Grid substrate it builds (RLS, transformation catalog, GridFTP, the
-// paper's three pools, the image cache site, the in-process HTTP client),
+// image cache site, the in-process HTTP client),
 // the portal's service endpoints and cluster list, the seed, and the
 // breakers, retry policy and proxy that Resilience and RequireProxy select.
 // An overlay that sets one of those fields is refused with its name.
@@ -71,7 +72,9 @@ type Config struct {
 	UseRegistryDiscovery bool
 
 	// Compute overlays the compute service's configuration. MaxRetries
-	// defaults to 5 here.
+	// defaults to 5 here, and Fabric to a permissive fabric over
+	// DefaultPools(); the testbed registers the fabric's pools as its MDS
+	// sites and transformation-catalog entries.
 	Compute webservice.Config
 	// Portal overlays the portal's configuration.
 	Portal portal.Config
@@ -162,8 +165,15 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		tb.Breakers = resilience.NewRegistry(resilience.BreakerConfig{})
 	}
 
-	// Grid information services.
-	for _, p := range DefaultPools() {
+	// Grid information services, one site per pool of the fabric.
+	if cfg.Compute.Fabric == nil {
+		f, err := fabric.New(fabric.Config{Pools: DefaultPools()})
+		if err != nil {
+			return nil, err
+		}
+		cfg.Compute.Fabric = f
+	}
+	for _, p := range cfg.Compute.Fabric.Pools() {
 		if err := tb.MDS.Register(mds.SiteInfo{
 			Name:        p.Name,
 			Slots:       p.Slots,
@@ -199,7 +209,6 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	own(&bad, "Compute.RLS", &ws.RLS, tb.RLS)
 	own(&bad, "Compute.TC", &ws.TC, tb.TC)
 	own(&bad, "Compute.GridFTP", &ws.GridFTP, tb.FTP)
-	own(&bad, "Compute.Pools", &ws.Pools, DefaultPools())
 	own(&bad, "Compute.CacheSite", &ws.CacheSite, "isi")
 	own(&bad, "Compute.HTTPClient", &ws.HTTPClient, tb.Client)
 	own(&bad, "Compute.Seed", &ws.Seed, cfg.Seed)

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/condor"
+	"repro/internal/fabric"
 	"repro/internal/gridftp"
 	"repro/internal/journal"
 	"repro/internal/myproxy"
@@ -17,6 +19,36 @@ import (
 	"repro/internal/tcat"
 	"repro/internal/webservice"
 )
+
+// TestTestbedSitesComeFromTheFabric: a testbed over a caller's fabric names
+// that fabric's pools, and only them, in its campaign report, its
+// transformation catalog and its MDS, and runs a cluster on them.
+func TestTestbedSitesComeFromTheFabric(t *testing.T) {
+	f, err := fabric.New(fabric.Config{Pools: []condor.Pool{{Name: "sdsc", Slots: 6}, {Name: "ncsa", Slots: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := smallTestbed(t, 8, func(c *Config) { c.Compute.Fabric = f })
+	report, err := RunCampaign(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Clusters) != 1 || report.TotalGalaxies != 8 {
+		t.Fatalf("campaign ran %d clusters, %d galaxies; want 1 and 8", len(report.Clusters), report.TotalGalaxies)
+	}
+	if want := []string{"sdsc", "ncsa"}; !slices.Equal(report.Pools, want) {
+		t.Errorf("CampaignReport.Pools = %v, want the fabric's %v", report.Pools, want)
+	}
+	sites := []string{"ncsa", "sdsc"}
+	for _, tr := range []string{"galMorph", "concatVOT"} {
+		if got := tb.TC.Sites(tr); !slices.Equal(got, sites) {
+			t.Errorf("TC sites of %s = %v, want %v", tr, got, sites)
+		}
+	}
+	if got := tb.MDS.Sites(); !slices.Equal(got, sites) {
+		t.Errorf("MDS sites = %v, want %v", got, sites)
+	}
+}
 
 // TestOverlayOwnedFieldsRefused: every overlay field the testbed fills, and
 // every overlay field a Config shorthand also sets, is refused by name
@@ -29,7 +61,6 @@ func TestOverlayOwnedFieldsRefused(t *testing.T) {
 		{"Compute.RLS", func(c *Config) { c.Compute.RLS = rls.New() }},
 		{"Compute.TC", func(c *Config) { c.Compute.TC = tcat.New() }},
 		{"Compute.GridFTP", func(c *Config) { c.Compute.GridFTP = gridftp.NewService(gridftp.Network{}) }},
-		{"Compute.Pools", func(c *Config) { c.Compute.Pools = []condor.Pool{{Name: "x", Slots: 1}} }},
 		{"Compute.CacheSite", func(c *Config) { c.Compute.CacheSite = "x" }},
 		{"Compute.HTTPClient", func(c *Config) { c.Compute.HTTPClient = &http.Client{} }},
 		{"Compute.Seed", func(c *Config) { c.Compute.Seed = 3 }},

@@ -24,12 +24,13 @@
 //
 //   - Simulator stamping. The fabric is the only package allowed to
 //     construct condor.Simulator values (enforced by the nvolint
-//     fabricpool analyzer): every workflow's scheduler is stamped from
-//     the one shared pool configuration, so no request can conjure
-//     private capacity. Each workflow still gets its own simulator
-//     instance — the per-workflow discrete-event clock is what keeps a
-//     workflow's schedule, journal and output bytes independent of how
-//     other tenants interleave on the fabric.
+//     fabricpool analyzer): every workflow's scheduler is stamped through
+//     its Lease from the one shared pool configuration, transfer lanes
+//     included, so no request can conjure private capacity. Each workflow
+//     still gets its own simulator instance — the per-workflow
+//     discrete-event clock is what keeps a workflow's schedule, journal
+//     and output bytes independent of how other tenants interleave on the
+//     fabric.
 //
 // Cancellation propagates end to end: a context canceled while queued
 // dequeues the ticket (counted per tenant); canceled while running it
@@ -40,6 +41,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -169,14 +171,13 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 2 * time.Second
 	}
+	cfg.Pools = slices.Clone(cfg.Pools)
 	return &Fabric{cfg: cfg, tenants: map[string]*tenantState{}}, nil
 }
 
 // Pools returns a copy of the shared pool configuration.
 func (f *Fabric) Pools() []condor.Pool {
-	out := make([]condor.Pool, len(f.cfg.Pools))
-	copy(out, f.cfg.Pools)
-	return out
+	return slices.Clone(f.cfg.Pools)
 }
 
 // tenant returns (creating on first use) a tenant's state. Caller holds mu.
@@ -566,37 +567,21 @@ type SimOptions struct {
 	Workers int
 	// SubmitOverhead models the serialized per-task submission cost.
 	SubmitOverhead time.Duration
-	// TransferSlots gives each pool that many dedicated data-movement
-	// slots (pools with an explicit setting keep it).
-	TransferSlots int
 	// Injector is the workflow's fault injector (nil = fault-free). A
 	// per-workflow injector keeps fault schedules deterministic however
 	// tenants interleave on the fabric.
 	Injector *faults.Injector
 }
 
-// NewSimulator stamps one workflow's scheduler from the shared pool set.
-// Each call returns a fresh simulator — a private discrete-event clock
-// over the shared capacity model — which is what keeps one workflow's
-// schedule and journal byte-stable regardless of co-tenants.
+// NewSimulator stamps one workflow's scheduler from the shared pool set,
+// transfer lanes included (condor.Pool.TransferSlots). Each call returns a
+// fresh simulator — a private discrete-event clock over the shared capacity
+// model — which is what keeps one workflow's schedule and journal
+// byte-stable regardless of co-tenants. It is the only sanctioned call site
+// of condor.NewSimulator outside tests — the invariant the nvolint
+// fabricpool analyzer enforces.
 func (l *Lease) NewSimulator(opt SimOptions) (*condor.Simulator, error) {
-	return l.f.NewSimulator(opt)
-}
-
-// NewSimulator is the package-level stamp (see Lease.NewSimulator). It is
-// the only sanctioned call site of condor.NewSimulator outside tests —
-// the invariant the nvolint fabricpool analyzer enforces.
-func (f *Fabric) NewSimulator(opt SimOptions) (*condor.Simulator, error) {
-	pools := make([]condor.Pool, len(f.cfg.Pools))
-	copy(pools, f.cfg.Pools)
-	if opt.TransferSlots > 0 {
-		for i := range pools {
-			if pools[i].TransferSlots == 0 {
-				pools[i].TransferSlots = opt.TransferSlots
-			}
-		}
-	}
-	sim, err := condor.NewSimulator(pools...)
+	sim, err := condor.NewSimulator(l.f.cfg.Pools...)
 	if err != nil {
 		return nil, err
 	}

@@ -311,11 +311,11 @@ func TestSnapshotCounters(t *testing.T) {
 
 func TestLeaseStampsSimulatorFromSharedPools(t *testing.T) {
 	f := newTestFabric(t, Config{Pools: []condor.Pool{
-		{Name: "usc", Slots: 2, Speed: 1},
-		{Name: "wisc", Slots: 4, Speed: 2},
+		{Name: "usc", Slots: 2, Speed: 1, TransferSlots: 1},
+		{Name: "wisc", Slots: 4, Speed: 2, TransferSlots: 1},
 	}})
 	l := mustGrant(t, f, "a", 0)
-	sim, err := l.NewSimulator(SimOptions{TransferSlots: 1})
+	sim, err := l.NewSimulator(SimOptions{})
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)
 	}

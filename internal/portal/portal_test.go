@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/condor"
+	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/gridftp"
 	"repro/internal/registry"
@@ -52,9 +53,12 @@ func newFixture(t testing.TB, nGalaxies int, mut func(*Config)) *fixture {
 		_ = tc.Add(tcat.Entry{Transformation: "galMorph", Site: site, Path: "/nvo/bin/galMorph"})
 		_ = tc.Add(tcat.Entry{Transformation: "concatVOT", Site: site, Path: "/nvo/bin/concatVOT"})
 	}
+	fab, err := fabric.New(fabric.Config{Pools: []condor.Pool{{Name: "usc", Slots: 8}, {Name: "wisc", Slots: 8}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc, err := webservice.New(webservice.Config{
-		RLS: r, TC: tc, GridFTP: ftp,
-		Pools:      []condor.Pool{{Name: "usc", Slots: 8}, {Name: "wisc", Slots: 8}},
+		RLS: r, TC: tc, GridFTP: ftp, Fabric: fab,
 		HTTPClient: mastSrv.Client(),
 		Seed:       3,
 	})

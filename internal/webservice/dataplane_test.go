@@ -2,8 +2,10 @@ package webservice
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -147,6 +149,28 @@ func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		StatusCode: http.StatusOK, Request: req,
 		Body: io.NopCloser(strings.NewReader(b.body)), ContentLength: b.declared,
 	}, nil
+}
+
+// TestFetchURLRefusesOversizedStream: a chunked response with no
+// Content-Length is read only up to maxPresizedBody; one byte more is an
+// error naming the URL, not an unbounded buffer.
+func TestFetchURLRefusesOversizedStream(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		chunk := make([]byte, 1<<20)
+		for left := maxPresizedBody + 1; left > 0; left -= len(chunk) {
+			if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+				return
+			}
+			w.(http.Flusher).Flush()
+		}
+	}))
+	t.Cleanup(srv.Close)
+	h := newHarness(t, 1, func(c *Config) { c.HTTPClient = srv.Client() })
+	u := srv.URL + "/cutout?id=g"
+	data, err := h.svc.fetchURL(u)
+	if !errors.Is(err, errBodyTooLarge) || !strings.Contains(err.Error(), u) {
+		t.Fatalf("fetch of %d streamed bytes = %d bytes, %v; want an error naming %s", maxPresizedBody+1, len(data), err, u)
+	}
 }
 
 // TestFetchURLSizesReadFromContentLength covers the ingest edge: a declared

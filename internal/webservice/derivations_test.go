@@ -323,7 +323,7 @@ func TestDerivationsRefuseCollidingIDs(t *testing.T) {
 			t.Errorf("%s: POST /galmorph status %d, body %q; want 400", name, resp.StatusCode, msg)
 		}
 	}
-	if got := h.svc.Fleet().Admitted; got != 0 {
+	if got := h.svc.Fabric().Snapshot().Admitted; got != 0 {
 		t.Fatalf("refused uploads moved the fleet's Admitted count to %d", got)
 	}
 	if st := h.svc.Stats(); st.Requests != 0 || h.r.Len() != 0 {

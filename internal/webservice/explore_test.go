@@ -77,7 +77,7 @@ type flow struct {
 	tenant                         string
 	workers, waveSize, clusterSize int
 	faults                         faultMode
-	throughput                     bool // throughputConfig's planner and scheduler axes
+	throughput                     bool // throughputKnobs' planner and scheduler axes
 	submit                         bool // SubmitFor and Status polling, not ComputeFor
 	priority                       int  // the request's fabric class
 }
@@ -144,7 +144,7 @@ func (sc schedule) only(keep []int) schedule {
 func (fl flow) configure(c *Config, window *faults.Injector) {
 	c.Workers, c.WaveSize, c.ClusterSize = fl.workers, fl.waveSize, fl.clusterSize
 	if fl.throughput {
-		throughputConfig(c)
+		throughputKnobs(c)
 	}
 	switch fl.faults {
 	case probFaults:

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/condor"
 	"repro/internal/fabric"
 	"repro/internal/journal"
 	"repro/internal/skysim"
@@ -57,9 +56,7 @@ func awaitTerminal(t *testing.T, svc *Service, id string) Status {
 func stressFabric(t *testing.T) *fabric.Fabric {
 	t.Helper()
 	f, err := fabric.New(fabric.Config{
-		Pools: []condor.Pool{
-			{Name: "usc", Slots: 8}, {Name: "wisc", Slots: 16}, {Name: "fnal", Slots: 8},
-		},
+		Pools:               gridPools(),
 		MaxRunningWorkflows: 2,
 		MaxQueuedWorkflows:  2,
 		DefaultQuota:        fabric.Quota{MaxRunningWorkflows: 1, MaxQueuedWorkflows: 1},
@@ -170,7 +167,7 @@ func TestDeterministicSheddingUnderOverload(t *testing.T) {
 	}
 
 	// Fleet counters reflect the burst.
-	fleet := h1.svc.Fleet()
+	fleet := h1.svc.Fabric().Snapshot()
 	if fleet.Admitted != 2 || fleet.Shed != 4 || fleet.Completed != 2 {
 		t.Fatalf("fleet = %+v, want 2 admitted, 4 shed, 2 completed", fleet)
 	}
@@ -343,7 +340,7 @@ func TestQueuedStatusAndCancelWhileQueued(t *testing.T) {
 	const n = 2
 	h := newGrid(t, multiSpecs(n), func(c *Config) {
 		f, err := fabric.New(fabric.Config{
-			Pools:               c.Pools,
+			Pools:               c.Fabric.Pools(),
 			MaxRunningWorkflows: 1,
 		})
 		if err != nil {
@@ -378,7 +375,7 @@ func TestQueuedStatusAndCancelWhileQueued(t *testing.T) {
 	if st0 := awaitTerminal(t, h.svc, id0); st0.State != StateCompleted {
 		t.Fatalf("alice's workflow: %s (%s)", st0.State, st0.Message)
 	}
-	snap := h.svc.Fleet()
+	snap := h.svc.Fabric().Snapshot()
 	var bob fabric.TenantSnapshot
 	for _, ts := range snap.Tenants {
 		if ts.Tenant == "bob" {

@@ -526,10 +526,10 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations)
 }
 
 // simFactory builds the leg's simulator factory: every scheduler is
-// stamped by the fabric from the shared pool set, under the service's
-// execution model (fault injection, side-effect fan-out, dedicated
-// transfer lanes, serialized submission overhead). Rescue rounds call the
-// factory again, reusing the same lease — a rescue is still the same
+// stamped through the lease from the fabric's pool set, transfer lanes
+// included, under the service's execution model (fault injection,
+// side-effect fan-out, serialized submission overhead). Rescue rounds call
+// the factory again, reusing the same lease — a rescue is still the same
 // workflow occupying the same fabric slot.
 func (l *leg) simFactory(lease *fabric.Lease) func() (*condor.Simulator, error) {
 	s := l.s
@@ -541,7 +541,6 @@ func (l *leg) simFactory(lease *fabric.Lease) func() (*condor.Simulator, error) 
 		return lease.NewSimulator(fabric.SimOptions{
 			Workers:        s.workers(),
 			SubmitOverhead: s.cfg.SchedOverhead,
-			TransferSlots:  s.cfg.TransferSlots,
 			Injector:       inj,
 		})
 	}

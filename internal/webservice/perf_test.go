@@ -15,12 +15,25 @@ import (
 	"repro/internal/votable"
 )
 
-// throughputConfig turns on every PR 4 planner/scheduler optimization.
+// throughputConfig turns on every planner and scheduler optimization:
+// throughputKnobs, and a fabric over the harness's pools with two transfer
+// slots each.
 func throughputConfig(c *Config) {
+	throughputKnobs(c)
+	pools := c.Fabric.Pools()
+	for i := range pools {
+		pools[i].TransferSlots = 2
+	}
+	c.Fabric = permissiveFabric(pools)
+}
+
+// throughputKnobs is the part of throughputConfig a service sets on its own:
+// locality selection, clustering and the submission overhead. Transfer lanes
+// belong to the fabric's pools, which services sharing a fabric share.
+func throughputKnobs(c *Config) {
 	c.Selection = pegasus.SelectLocality
 	c.ClusterSize = 16
 	c.SchedOverhead = 500 * time.Millisecond
-	c.TransferSlots = 2
 }
 
 // TestComputeIsSingleRLSRoundTripPerPlan: planning an end-to-end request
@@ -107,7 +120,7 @@ func withComputeAtCacheSite(c *Config) {
 	for _, tr := range []string{"galMorph", "concatVOT"} {
 		_ = c.TC.Add(tcat.Entry{Transformation: tr, Site: "isi", Path: "/nvo/bin/" + tr})
 	}
-	c.Pools = append(c.Pools, condor.Pool{Name: "isi", Slots: 8})
+	c.Fabric = permissiveFabric(append(c.Fabric.Pools(), condor.Pool{Name: "isi", Slots: 8}))
 }
 
 // TestLocalityReducesStagedBytes: when the cache site can compute, locality

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/condor"
 	"repro/internal/fabric"
 	"repro/internal/journal"
 )
@@ -17,9 +16,7 @@ import (
 func preemptFabric(t testing.TB, slots int) *fabric.Fabric {
 	t.Helper()
 	f, err := fabric.New(fabric.Config{
-		Pools: []condor.Pool{
-			{Name: "usc", Slots: 8}, {Name: "wisc", Slots: 16}, {Name: "fnal", Slots: 8},
-		},
+		Pools:               gridPools(),
 		MaxRunningWorkflows: slots,
 		Preemption:          true,
 	})
@@ -158,7 +155,7 @@ func TestPreemptedStateAndJournalMarker(t *testing.T) {
 	if _, ended := journal.Ended(recs); !ended {
 		t.Error("journal of the completed victim has no end record")
 	}
-	fleet := h.svc.Fleet()
+	fleet := h.svc.Fabric().Snapshot()
 	if fleet.Preempted == 0 || fleet.Requeued == 0 {
 		t.Errorf("fleet counters missed the preemption: %+v", fleet)
 	}

@@ -123,11 +123,11 @@ func TestResumeErrors(t *testing.T) {
 	// A cluster name is joined into the journal paths, so one that is not a
 	// VDL identifier is refused before the fabric admits anything.
 	for _, cluster := range []string{"../x", "a/b"} {
-		admitted := h2.svc.Fleet().Admitted
+		admitted := h2.svc.Fabric().Snapshot().Admitted
 		if _, _, err := resume(h2.svc, cluster); !errors.Is(err, vdl.ErrParse) {
 			t.Errorf("resume of cluster %q = %v, want a vdl.ErrParse refusal", cluster, err)
 		}
-		if got := h2.svc.Fleet().Admitted; got != admitted {
+		if got := h2.svc.Fabric().Snapshot().Admitted; got != admitted {
 			t.Errorf("resume of cluster %q: fleet admitted %d, want %d", cluster, got, admitted)
 		}
 	}

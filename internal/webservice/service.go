@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/condor"
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/gridftp"
@@ -161,15 +160,11 @@ type Config struct {
 	RLS     *rls.RLS
 	TC      *tcat.Catalog
 	GridFTP *gridftp.Service
-	// Pools is the Condor pool set. When Fabric is nil the service builds a
-	// private permissive fabric over these pools (the single-tenant
-	// prototype behaviour); when Fabric is set, Pools may be left empty and
-	// the fabric's shared pool set governs.
-	Pools []condor.Pool
-	// Fabric, when set, is the shared multi-tenant execution fabric every
-	// workflow is admitted to and scheduled on: many services (or many
-	// tenants of one service) multiplex over its pools under admission
-	// control, quotas and fair-share ordering.
+	// Fabric is the multi-tenant execution fabric every workflow is
+	// admitted to and scheduled on, and the one home of the Condor pool set
+	// and its transfer lanes: many services (or many tenants of one
+	// service) multiplex over its pools under admission control, quotas
+	// and fair-share ordering. Required.
 	Fabric *fabric.Fabric
 
 	// CacheSite is where downloaded images and the final tables live
@@ -265,10 +260,6 @@ type Config struct {
 	// 2003 Condor-G/GRAM stack on every simulator the service creates
 	// (zero = instant-start, the legacy model). Clustering amortizes it.
 	SchedOverhead time.Duration
-	// TransferSlots, when > 0, gives every pool that many dedicated
-	// data-movement slots, so stage-ins overlap computation instead of
-	// competing for CPU slots.
-	TransferSlots int
 	// EnablePprof mounts the net/http/pprof profiling endpoints under
 	// /debug/pprof/ on the service handler.
 	EnablePprof bool
@@ -366,23 +357,8 @@ var (
 
 // New validates the configuration and builds a service.
 func New(cfg Config) (*Service, error) {
-	if cfg.RLS == nil || cfg.TC == nil || cfg.GridFTP == nil {
-		return nil, errors.New("webservice: RLS, TC and GridFTP are required")
-	}
-	if cfg.Fabric == nil {
-		if len(cfg.Pools) == 0 {
-			return nil, errors.New("webservice: Pools (or a Fabric) are required")
-		}
-		// Private permissive fabric: no quotas, no queue bounds — exactly
-		// the single-tenant prototype, so every admission grants instantly.
-		f, err := fabric.New(fabric.Config{Pools: cfg.Pools})
-		if err != nil {
-			return nil, err
-		}
-		cfg.Fabric = f
-	}
-	if len(cfg.Pools) == 0 {
-		cfg.Pools = cfg.Fabric.Pools()
+	if cfg.RLS == nil || cfg.TC == nil || cfg.GridFTP == nil || cfg.Fabric == nil {
+		return nil, errors.New("webservice: RLS, TC, GridFTP and Fabric are required")
 	}
 	if cfg.CacheSite == "" {
 		cfg.CacheSite = "isi"
@@ -582,23 +558,9 @@ func (s *Service) Requeue(id string) error {
 	return nil
 }
 
-// Pools returns the names of the Condor pools the service submits to,
-// in configuration order.
-func (s *Service) Pools() []string {
-	out := make([]string, len(s.cfg.Pools))
-	for i, p := range s.cfg.Pools {
-		out[i] = p.Name
-	}
-	return out
-}
-
 // Fabric returns the execution fabric the service admits and schedules
 // workflows on.
 func (s *Service) Fabric() *fabric.Fabric { return s.cfg.Fabric }
-
-// Fleet returns the fabric's fleet-wide and per-tenant admission,
-// shedding and fair-share counters.
-func (s *Service) Fleet() fabric.FleetSnapshot { return s.cfg.Fabric.Snapshot() }
 
 // Status returns a snapshot of a request's state.
 func (s *Service) Status(id string) (Status, error) {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/condor"
+	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/gridftp"
 	"repro/internal/journal"
@@ -65,10 +66,7 @@ func newGrid(t testing.TB, specs []skysim.Spec, cfgMut func(*Config)) *harness {
 		_ = tc.Add(tcat.Entry{Transformation: "concatVOT", Site: site, Path: "/nvo/bin/concatVOT"})
 	}
 	cfg := Config{
-		RLS: r, TC: tc, GridFTP: ftp,
-		Pools: []condor.Pool{
-			{Name: "usc", Slots: 8}, {Name: "wisc", Slots: 16}, {Name: "fnal", Slots: 8},
-		},
+		RLS: r, TC: tc, GridFTP: ftp, Fabric: permissiveFabric(gridPools()),
 		CacheSite:  "isi",
 		HTTPClient: srv.Client(),
 		Seed:       5,
@@ -81,6 +79,21 @@ func newGrid(t testing.TB, specs []skysim.Spec, cfgMut func(*Config)) *harness {
 		t.Fatal(err)
 	}
 	return &harness{archive: arch, archSrv: srv, svc: svc, r: r, ftp: ftp, clusters: cls}
+}
+
+// gridPools is the harness's pool set: the paper's three Condor sites.
+func gridPools() []condor.Pool {
+	return []condor.Pool{{Name: "usc", Slots: 8}, {Name: "wisc", Slots: 16}, {Name: "fnal", Slots: 8}}
+}
+
+// permissiveFabric is a fabric over pools with no quotas and no queue
+// bounds, so every admission is granted at once.
+func permissiveFabric(pools []condor.Pool) *fabric.Fabric {
+	f, err := fabric.New(fabric.Config{Pools: pools})
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 // leg is a leg of an unpublished default-tenant COMA request, for tests that
@@ -165,6 +178,9 @@ func requestRefs(t testing.TB, tab *votable.Table) []imageRef {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config must fail")
+	}
+	if _, err := New(Config{RLS: rls.New(), TC: tcat.New(), GridFTP: gridftp.NewService(gridftp.Network{})}); err == nil {
+		t.Error("config without a Fabric must fail")
 	}
 }
 
@@ -523,7 +539,7 @@ func TestGalmorphBodyCap(t *testing.T) {
 	if err := votable.WriteTable(&body, tab); err != nil {
 		t.Fatal(err)
 	}
-	fleetBefore, statsBefore := h.svc.Fleet(), stats()
+	fleetBefore, statsBefore := h.svc.Fabric().Snapshot(), stats()
 
 	resp, err := http.Post(srv.URL+"/galmorph?cluster=COMA", "text/xml", &body)
 	if err != nil {
@@ -533,7 +549,7 @@ func TestGalmorphBodyCap(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-cap POST /galmorph = %d (%s), want 413", resp.StatusCode, msg)
 	}
-	if fleet := h.svc.Fleet(); !reflect.DeepEqual(fleet, fleetBefore) {
+	if fleet := h.svc.Fabric().Snapshot(); !reflect.DeepEqual(fleet, fleetBefore) {
 		t.Errorf("over-cap POST changed the fabric snapshot:\nbefore %+v\nafter  %+v", fleetBefore, fleet)
 	}
 	if got := stats(); got != statsBefore {
@@ -560,7 +576,7 @@ func TestGalmorphBadPriority(t *testing.T) {
 			t.Errorf("POST /galmorph priority=%s = %d (%s), want 400", p, resp.StatusCode, msg)
 		}
 	}
-	if fleet := h.svc.Fleet(); fleet.Admitted != 0 {
+	if fleet := h.svc.Fabric().Snapshot(); fleet.Admitted != 0 {
 		t.Errorf("bad priorities admitted %d requests, want 0", fleet.Admitted)
 	}
 	if st := h.svc.Stats(); st.Requests != 0 {

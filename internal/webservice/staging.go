@@ -149,9 +149,11 @@ func (l *leg) ingestBatch(base string, ids []string, data []byte) error {
 	return nil
 }
 
-// maxPresizedBody caps the buffer fetchURL sizes from a Content-Length header
-// it has not yet seen a byte of; a larger (or lying) response grows on demand.
+// maxPresizedBody bounds a fetched body: fetchURL refuses a response that
+// declares or streams more bytes than this.
 const maxPresizedBody = 64 << 20
+
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxPresizedBody)
 
 // fetchURL GETs u and returns the body in a buffer nobody else holds, so the
 // caller may hand it to a store by ownership. A response that declares its
@@ -162,14 +164,20 @@ func (s *Service) fetchURL(u string) ([]byte, error) {
 		return nil, fmt.Errorf("webservice: fetch %s: %w", u, err)
 	}
 	var data []byte
-	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
+	switch n := resp.ContentLength; {
+	case n > maxPresizedBody:
+		err = errBodyTooLarge
+	case n > 0:
 		data = make([]byte, n)
 		_, err = io.ReadFull(resp.Body, data)
-	} else {
-		data, err = io.ReadAll(resp.Body)
+	default:
+		// One byte past the bound tells a body at the bound from a longer one.
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxPresizedBody+1))
+		if err == nil && len(data) > maxPresizedBody {
+			err = errBodyTooLarge
+		}
 	}
-	// The body has been fully consumed; a close error cannot invalidate data
-	// already read.
+	// A close error cannot invalidate data already read.
 	_ = resp.Body.Close()
 	if err != nil {
 		return nil, fmt.Errorf("webservice: fetch %s: %w", u, err)

@@ -391,7 +391,7 @@ func TestSoakServiceCampaign(t *testing.T) {
 		}
 	}
 
-	fleet := tb.Compute.Fleet()
+	fleet := tb.Compute.Fabric().Snapshot()
 	if fleet.Completed != n*rounds || fleet.Failed != 0 {
 		t.Errorf("fleet completed=%d failed=%d, want %d/0", fleet.Completed, fleet.Failed, n*rounds)
 	}
