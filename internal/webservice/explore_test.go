@@ -77,7 +77,7 @@ type flow struct {
 	tenant                         string
 	workers, waveSize, clusterSize int
 	faults                         faultMode
-	throughput                     bool // throughputKnobs' planner and scheduler axes
+	throughput                     bool // throughputConfig's planner and scheduler axes, on lanes (schedule.lanes)
 	submit                         bool // SubmitFor and Status polling, not ComputeFor
 	priority                       int  // the request's fabric class
 }
@@ -95,6 +95,13 @@ type schedule struct {
 	outage bool
 	flows  []flow
 	steps  []step
+}
+
+// lanes reports whether the schedule's fabric is built over throughputPools.
+// Transfer lanes belong to the fabric, so one throughput flow puts every
+// flow of its schedule on them.
+func (sc schedule) lanes() bool {
+	return slices.ContainsFunc(sc.flows, func(fl flow) bool { return fl.throughput })
 }
 
 // generate draws the schedule of a seed.
@@ -144,7 +151,7 @@ func (sc schedule) only(keep []int) schedule {
 func (fl flow) configure(c *Config, window *faults.Injector) {
 	c.Workers, c.WaveSize, c.ClusterSize = fl.workers, fl.waveSize, fl.clusterSize
 	if fl.throughput {
-		throughputKnobs(c)
+		throughputConfig(c)
 	}
 	switch fl.faults {
 	case probFaults:
@@ -538,21 +545,24 @@ type explorer struct {
 // soloKey is what a solo fault history depends on: the flow's
 // configuration axes and the mirror.
 type soloKey struct {
-	fl     flow // tenant, priority and entry point cleared
-	mirror bool
+	fl            flow // tenant, priority and entry point cleared
+	mirror, lanes bool
 }
 
 // soloHistory is the fault history of a windowFaults flow run alone, run
 // once per set of axes it depends on.
-func (x *explorer) soloHistory(t *testing.T, fl flow, mirror bool) []faults.Fault {
+func (x *explorer) soloHistory(t *testing.T, fl flow, mirror, lanes bool) []faults.Fault {
 	key := soloKey{flow{cluster: fl.cluster, workers: fl.workers, waveSize: fl.waveSize, clusterSize: fl.clusterSize,
-		faults: fl.faults, throughput: fl.throughput}, mirror}
+		faults: fl.faults, throughput: fl.throughput}, mirror, lanes}
 	if h, ok := x.solos[key]; ok {
 		return h
 	}
 	inj := windowInjector()
 	soloBytes(t, 3, fl.cluster, func(c *Config) {
 		fl.configure(c, inj)
+		if lanes {
+			c.Fabric = permissiveFabric(throughputPools())
+		}
 		if mirror {
 			c.MirrorSite = "mirror"
 		}
@@ -567,7 +577,11 @@ func (x *explorer) soloHistory(t *testing.T, fl flow, mirror bool) []faults.Faul
 // it completes; then it checks.
 func (x *explorer) run(t *testing.T, sc schedule) *report {
 	rep := &report{kinds: map[stepKind]bool{}, flowsHit: map[int]bool{}, histories: map[int]bool{}, steps: len(sc.steps)}
-	f := preemptFabric(t, sc.slots)
+	pools := gridPools()
+	if sc.lanes() {
+		pools = throughputPools()
+	}
+	f := preemptFabric(t, sc.slots, pools)
 	dir := t.TempDir()
 	h := newGrid(t, multiSpecs(3), func(c *Config) {
 		c.Fabric, c.JournalDir = f, dir
@@ -926,7 +940,7 @@ func (x *explorer) check(t *testing.T, rep *report, sc schedule, h *harness, f *
 		// Which flow meets the outage depends on interleaving, and so does
 		// the exec schedule of a flow whose transfers it fails.
 		if fr.inj != nil && !sc.outage {
-			solo := x.soloHistory(t, fr.flow, sc.mirror)
+			solo := x.soloHistory(t, fr.flow, sc.mirror, sc.lanes())
 			if len(solo) == 0 {
 				rep.errorf("%s: the fault window injected nothing", fr.name)
 			}

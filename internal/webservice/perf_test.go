@@ -15,25 +15,24 @@ import (
 	"repro/internal/votable"
 )
 
-// throughputConfig turns on every planner and scheduler optimization:
-// throughputKnobs, and a fabric over the harness's pools with two transfer
-// slots each.
+// throughputConfig turns on every planner and scheduler optimization a
+// service sets itself: locality selection, clustering and the submission
+// overhead. Its transfer lanes belong to the fabric: the caller builds that
+// over throughputPools.
 func throughputConfig(c *Config) {
-	throughputKnobs(c)
-	pools := c.Fabric.Pools()
-	for i := range pools {
-		pools[i].TransferSlots = 2
-	}
-	c.Fabric = permissiveFabric(pools)
-}
-
-// throughputKnobs is the part of throughputConfig a service sets on its own:
-// locality selection, clustering and the submission overhead. Transfer lanes
-// belong to the fabric's pools, which services sharing a fabric share.
-func throughputKnobs(c *Config) {
 	c.Selection = pegasus.SelectLocality
 	c.ClusterSize = 16
 	c.SchedOverhead = 500 * time.Millisecond
+}
+
+// throughputPools is gridPools with two transfer slots on each pool, the
+// data-movement lanes throughputConfig's requests run with.
+func throughputPools() []condor.Pool {
+	pools := gridPools()
+	for i := range pools {
+		pools[i].TransferSlots = 2
+	}
+	return pools
 }
 
 // TestComputeIsSingleRLSRoundTripPerPlan: planning an end-to-end request
@@ -63,7 +62,10 @@ func TestThroughputOutputByteIdentical(t *testing.T) {
 	}
 	wantBytes := base.outputBytes(t, want)
 
-	opt := newHarness(t, n, throughputConfig)
+	opt := newHarness(t, n, func(c *Config) {
+		throughputConfig(c)
+		c.Fabric = permissiveFabric(throughputPools())
+	})
 	got, stats, err := opt.svc.Compute(opt.inputTable(t), "COMA")
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +176,7 @@ func foldPublished(t *testing.T, svc *Service, n int) RunStats {
 func TestStatsEndpointAndPprof(t *testing.T) {
 	h := newHarness(t, 6, func(c *Config) {
 		throughputConfig(c)
-		c.EnablePprof = true
+		c.Fabric, c.EnablePprof = permissiveFabric(throughputPools()), true
 	})
 	srv := httptest.NewServer(h.svc.Handler())
 	t.Cleanup(srv.Close)

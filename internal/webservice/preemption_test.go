@@ -6,17 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/condor"
 	"repro/internal/fabric"
 	"repro/internal/journal"
 )
 
-// preemptFabric builds a preemption-enabled fabric with slots workflow slots
-// (0 = unlimited): a higher-class admission while every slot runs a lower
-// class forces a checkpoint-preempt.
-func preemptFabric(t testing.TB, slots int) *fabric.Fabric {
+// preemptFabric builds a preemption-enabled fabric over pools with slots
+// workflow slots (0 = unlimited): a higher-class admission while every slot
+// runs a lower class forces a checkpoint-preempt.
+func preemptFabric(t testing.TB, slots int, pools []condor.Pool) *fabric.Fabric {
 	t.Helper()
 	f, err := fabric.New(fabric.Config{
-		Pools:               gridPools(),
+		Pools:               pools,
 		MaxRunningWorkflows: slots,
 		Preemption:          true,
 	})
@@ -59,7 +60,7 @@ func intrude(t *testing.T, f *fabric.Fabric, priority int) (fire func(), done ch
 func TestPreemptedStateAndJournalMarker(t *testing.T) {
 	const n, idx = 2, 0
 	dir := t.TempDir()
-	f := preemptFabric(t, 1)
+	f := preemptFabric(t, 1, gridPools())
 	// The intruder holds its granted slot until the test has observed the
 	// victim in StatePreempted, so the checkpoint-stopped state is visible
 	// for as long as the higher class actually runs — no polling race.

@@ -20,7 +20,7 @@ import (
 // with.
 func TestLegsLeaveNoGoroutines(t *testing.T) {
 	const requests = 200
-	f := preemptFabric(t, 1)
+	f := preemptFabric(t, 1, gridPools())
 	var trig *sweepTrigger
 	h := newHarness(t, 6, func(c *Config) {
 		c.JournalDir = t.TempDir()
