@@ -8,11 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/condor"
 	"repro/internal/dagman"
+	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/vdl"
 )
@@ -336,5 +339,59 @@ func TestAccountFoldsEveryField(t *testing.T) {
 		if got.Field(i).Int() != want {
 			t.Errorf("%s after two deltas of %d = %d, want %d", name, i+1, got.Field(i).Int(), want)
 		}
+	}
+}
+
+// TestFailedLegWritesRescueDAG: a journaled request whose galMorph node fails
+// through every retry and rescue round leaves <cluster>.rescue.dag holding
+// exactly that node and its never-run descendants, with no DONE markers. In
+// wave mode those are the failed wave's nodes only: later waves were never
+// planned, so a resubmission must plan them as well.
+func TestFailedLegWritesRescueDAG(t *testing.T) {
+	const broken = "m-COMA-000002"
+	for _, tc := range []struct {
+		waveSize int
+		plan     string
+	}{{0, "COMA.dag"}, {2, "COMA.wave*.dag"}} {
+		t.Run("WaveSize="+strconv.Itoa(tc.waveSize), func(t *testing.T) {
+			dir := t.TempDir()
+			h := newHarness(t, 6, func(c *Config) {
+				c.JournalDir = dir
+				c.WaveSize = tc.waveSize
+				c.RescueRounds = 1
+				c.FaultsFor = func(_, _ string) *faults.Injector {
+					return faults.New(5, faults.Rule{Name: condor.OpExec, Key: broken, Kind: faults.KindSiteDown})
+				}
+			})
+			if _, _, err := h.svc.Compute(h.inputTable(t), "COMA"); err == nil {
+				t.Fatal("a node failing every attempt must fail the request")
+			}
+			// The failed graph is the plan on disk: the whole request's, or
+			// in wave mode the one wave plan not yet removed, the failed
+			// wave's.
+			plans, err := filepath.Glob(filepath.Join(dir, tc.plan))
+			if err != nil || len(plans) != 1 {
+				t.Fatalf("plans %v (%v), want one", plans, err)
+			}
+			plan, _, err := dagman.ReadDAGFile(plans[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(plan.Descendants(broken), broken)
+			slices.Sort(want)
+			rescue, done, err := dagman.ReadDAGFile(filepath.Join(dir, "COMA.rescue.dag"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rescue.Nodes(); !slices.Equal(got, want) {
+				t.Errorf("rescue DAG nodes %v, want %v", got, want)
+			}
+			if len(done) != 0 {
+				t.Errorf("rescue DAG marks %v done", done)
+			}
+			if tc.waveSize > 0 && slices.Contains(rescue.Nodes(), "collect-COMA") {
+				t.Error("wave rescue DAG holds the collector of a wave that was never planned")
+			}
+		})
 	}
 }
