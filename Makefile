@@ -49,13 +49,14 @@ test: bench-harness
 # widths 1, 2 and 8 under per-leg job faults and a cache-site transfer
 # outage (byte-identical science output, with retries, replica failover and
 # an opened circuit required), a campaign with a dead secondary archive
-# (completes, degradation recorded), and DAGMan's rescue rounds (the rescue
-# DAG is exactly the failed and unrun work).
+# (completes, degradation recorded), and DAGMan's rescue rounds (each round
+# is another pass of one execution that reruns exactly the failed and unrun
+# work; TestRescueRoundJournal pins the journal of a two-round run).
 chaos:
 	$(GO) test -race -run 'TestChaos|TestParallelWorkersByteIdenticalUnderFaults' -v .
 	$(GO) test -race -run 'TestExplore/^RecoverableChaosByteIdentity$$' -v ./internal/webservice/
 	$(GO) test -race -run 'TestChaosCampaignDegradedArchive' -v ./internal/core/
-	$(GO) test -race -run 'TestExecuteWithRescue' -v ./internal/dagman/
+	$(GO) test -race -run 'TestExecuteWithRescue|TestRescueRoundJournal' -v ./internal/dagman/
 
 # Every Go micro-benchmark of the root package, including the
 # parallel-execution and warm-cache suites; BENCH=<regex> narrows the run

@@ -318,6 +318,18 @@ func TestChaosConcurrentTenants(t *testing.T) {
 	}
 }
 
+// nodeResult is the DAGMan report's result for node id.
+func nodeResult(t *testing.T, rep *dagman.Report, id string) dagman.Result {
+	t.Helper()
+	for _, res := range rep.Results {
+		if res.Node == id {
+			return res
+		}
+	}
+	t.Fatalf("no result for %s", id)
+	return dagman.Result{}
+}
+
 // TestChaosUnrecoverableRescue drives a workflow into permanent failure (a
 // node whose site stays down past the retry budget), verifies the rescue
 // DAG holds exactly the failed and unrun work, and completes it on
@@ -360,8 +372,8 @@ func TestChaosUnrecoverableRescue(t *testing.T) {
 	if rep1.Succeeded() {
 		t.Fatal("outage outlasting the retry budget must fail the workflow")
 	}
-	if rep1.Results["n3"].Attempts != 2 {
-		t.Errorf("n3 attempts = %d, want 2", rep1.Results["n3"].Attempts)
+	if n3 := nodeResult(t, rep1, "n3"); n3.Attempts != 2 {
+		t.Errorf("n3 attempts = %d, want 2", n3.Attempts)
 	}
 
 	rescue := rep1.RescueDAG(g)

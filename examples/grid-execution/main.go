@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/condor"
@@ -104,9 +105,12 @@ func demoRescueDAG() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	result := func(id string) dagman.Result {
+		return rep.Results[slices.IndexFunc(rep.Results, func(r dagman.Result) bool { return r.Node == id })]
+	}
 	fmt.Printf("  recovered: %t; galMorph-003 took %d attempts across rounds; "+
 		"concat state = %v\n\n",
-		rep.Succeeded(), rep.Results["galMorph-003"].Attempts, rep.Results["concat"].State)
+		rep.Succeeded(), result("galMorph-003").Attempts, result("concat").State)
 }
 
 func demoPoolScaling() {

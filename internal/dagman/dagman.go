@@ -103,8 +103,9 @@ type Options struct {
 	// Completed restores nodes a previous (crashed) run already finished:
 	// they are marked done without executing, their children unlock, and
 	// they are journaled as KindRestored. IDs not present in the graph are
-	// ignored, so a journal replayed against a reduced or rescue DAG is
-	// harmless.
+	// ignored, so one journal replayed against every wave of a resumed run
+	// is harmless. Only the first pass restores: a rescue round reruns what
+	// is not done and journals nothing for what an earlier round finished.
 	Completed map[string]bool
 	// ClusterSize enables Pegasus-style horizontal clustering: up to this
 	// many ready nodes with equal (Site, ClusterKey) submit as one Condor
@@ -122,19 +123,18 @@ type Result struct {
 	Start    time.Duration // model time of the last attempt's start
 	End      time.Duration // model time of the last attempt's end
 	Err      error         // last error, when State != StateDone
+	// attempt counts the current round's attempts (Attempts counts every
+	// round's); it is what the Runner, the retry limit and the journal see.
+	attempt int
 }
 
 // Report is the outcome of a workflow execution.
 type Report struct {
-	Results  map[string]*Result
+	Results  []Result // one per node, in id order
 	Makespan time.Duration
 	Done     int
 	Failed   int
 	Unrun    int
-	// Restored counts nodes recovered as done from Options.Completed —
-	// journaled work a resumed run did not re-execute. They are included
-	// in Done.
-	Restored int
 	// ScheduleEvents counts Condor tasks submitted to the scheduler — the
 	// quantity clustering amortizes (a clustered batch is one event).
 	ScheduleEvents int
@@ -152,9 +152,9 @@ func (r *Report) Succeeded() bool { return r.Failed == 0 && r.Unrun == 0 }
 func (r *Report) RescueDAG(g *dag.Graph) *dag.Graph {
 	out := dag.New()
 	include := map[string]bool{}
-	for id, res := range r.Results {
+	for _, res := range r.Results {
 		if res.State == StateFailed || res.State == StateUnrun {
-			include[id] = true
+			include[res.Node] = true
 		}
 	}
 	for id := range include {
@@ -184,87 +184,60 @@ var (
 )
 
 // Execute runs the workflow to completion (or permanent failure) on the
-// given simulator. It is deterministic for a deterministic Runner.
+// given simulator: ExecuteWithRescue with no rescue rounds. It is
+// deterministic for a deterministic Runner.
 func Execute(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) (*Report, error) {
-	if g == nil || runner == nil || sim == nil {
+	if sim == nil {
+		return nil, ErrNilInput
+	}
+	return ExecuteWithRescue(g, runner, func() (*condor.Simulator, error) { return sim, nil }, opt, 0)
+}
+
+// ExecuteWithRescue runs the workflow and then, while some node has failed
+// permanently, up to maxRounds rescue rounds, as DAGMan resubmits its
+// rescue DAG. A rescue round is another pass of the same execution on a
+// fresh simulator from newSim. Every node not done goes back to pending
+// with a fresh retry budget, so the attempts the Runner and the journal see
+// restart at 1 and the journal's times at the new simulator's clock;
+// completed nodes never re-run. The report holds each node's final state,
+// Result.Attempts summed over the rounds, and the passes' makespans summed.
+func ExecuteWithRescue(g *dag.Graph, runner Runner, newSim func() (*condor.Simulator, error),
+	opt Options, maxRounds int) (*Report, error) {
+	if g == nil || runner == nil || newSim == nil {
 		return nil, ErrNilInput
 	}
 	if g.Len() == 0 {
-		return &Report{Results: map[string]*Result{}}, nil
+		return &Report{}, nil
 	}
 	if _, err := g.TopoSort(); err != nil {
 		return nil, err
 	}
-	x := newExecution(g, runner, sim, opt)
-	start := sim.Now()
-
-	// Restore journaled completions: the crashed run's finished nodes count
-	// as done without re-executing, and their children unlock.
-	for i, n := range x.pos.Nodes {
-		if !opt.Completed[n.ID] {
-			continue
-		}
-		x.results[i].State = StateDone
-		x.report.Restored++
-		if err := x.record(journal.Record{Kind: journal.KindRestored, Node: n.ID, At: sim.Now()}); err != nil {
+	x := newExecution(g, runner, opt)
+	for round := 0; ; round++ {
+		sim, err := newSim()
+		if err != nil {
 			return nil, err
 		}
-		for _, c := range x.pos.Children(i) {
-			x.pending[c]--
-		}
-	}
-
-	// Release every node whose parents are all satisfied. With no restored
-	// completions this is exactly g.Roots(); after a restore it also covers
-	// interior nodes whose ancestors finished in the crashed run.
-	if err := x.checkAbort(); err != nil {
-		return nil, err
-	}
-	for i := range x.results {
-		if x.results[i].State != StatePending || x.pending[i] > 0 {
-			continue
-		}
-		if err := x.release(int32(i)); err != nil {
-			return x.fail(err)
-		}
-	}
-	if err := x.flushClusters(); err != nil {
-		return x.fail(err)
-	}
-
-	for {
-		if err := x.checkAbort(); err != nil {
-			return x.fail(err)
-		}
-		completions, ok := sim.Step()
-		if !ok {
-			break
-		}
-		for _, c := range completions {
-			if err := x.complete(c); err != nil {
-				return x.fail(err)
+		if err := x.pass(sim, round == 0); err != nil {
+			if round > 0 {
+				err = fmt.Errorf("dagman: rescue round %d: %w", round, err)
 			}
+			return nil, err
 		}
-		if err := x.drainWaiting(); err != nil {
-			return x.fail(err)
+		x.tally()
+		if round == maxRounds || x.report.Succeeded() {
+			return x.report, nil
 		}
-		if err := x.flushClusters(); err != nil {
-			return x.fail(err)
-		}
+		x.rearm()
 	}
-
-	if sim.QueueLen() > 0 {
-		return nil, ErrStarved
-	}
-	return x.finish(sim.Now() - start), nil
 }
 
-// execution is the state of one Execute call. A node is its position in the
-// graph's id order (dag.Positions) throughout: pending-parent counts, results
-// and child lists are slices indexed by it, and it rides on the node's Condor
-// task as the task's Tag. Releasing, submitting and settling a node therefore
-// allocate nothing in the executor; what a node costs is what its Runner and
-// its Run body cost.
+// execution is the state of one ExecuteWithRescue call, over all its
+// passes. A node is its position in the graph's id order (dag.Positions)
+// throughout: pending-parent counts, results and child lists are slices
+// indexed by it, and it rides on the node's Condor task as the task's Tag.
+// Releasing, submitting and settling a node therefore allocate nothing in
+// the executor; what a node costs is what its Runner and its Run body cost.
 type execution struct {
 	pos    *dag.Positions
 	runner Runner
@@ -301,13 +274,12 @@ type clusterBatch struct {
 	errs  []error
 }
 
-func newExecution(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Options) *execution {
+func newExecution(g *dag.Graph, runner Runner, opt Options) *execution {
 	pos := g.Positions()
 	n := len(pos.Nodes)
 	x := &execution{
 		pos:     pos,
 		runner:  runner,
-		sim:     sim,
 		opt:     opt,
 		report:  &Report{},
 		results: make([]Result, n),
@@ -315,11 +287,73 @@ func newExecution(g *dag.Graph, runner Runner, sim *condor.Simulator, opt Option
 	}
 	for i, node := range pos.Nodes {
 		x.results[i] = Result{Node: node.ID, State: StatePending}
-		for _, c := range pos.Children(i) {
+	}
+	return x
+}
+
+// pass runs the nodes not yet done on sim until it drains. The first pass
+// restores Options.Completed; every pass counts each node's parents not yet
+// done, releases the nodes with none, and settles completions.
+func (x *execution) pass(sim *condor.Simulator, restore bool) error {
+	x.sim = sim
+	start := sim.Now()
+	for i, n := range x.pos.Nodes {
+		if restore && x.opt.Completed[n.ID] {
+			x.results[i].State = StateDone
+			if err := x.record(journal.Record{Kind: journal.KindRestored, Node: n.ID, At: sim.Now()}); err != nil {
+				return err
+			}
+		}
+	}
+	clear(x.pending)
+	for i := range x.results {
+		if x.results[i].State == StateDone {
+			continue
+		}
+		for _, c := range x.pos.Children(i) {
 			x.pending[c]++
 		}
 	}
-	return x
+
+	if err := x.checkAbort(); err != nil {
+		return err
+	}
+	for i := range x.results {
+		if x.results[i].State != StatePending || x.pending[i] > 0 {
+			continue
+		}
+		if err := x.release(int32(i)); err != nil {
+			return x.fail(err)
+		}
+	}
+	if err := x.flushClusters(); err != nil {
+		return x.fail(err)
+	}
+	for {
+		if err := x.checkAbort(); err != nil {
+			return x.fail(err)
+		}
+		completions, ok := sim.Step()
+		if !ok {
+			break
+		}
+		for _, c := range completions {
+			if err := x.complete(c); err != nil {
+				return x.fail(err)
+			}
+		}
+		if err := x.drainWaiting(); err != nil {
+			return x.fail(err)
+		}
+		if err := x.flushClusters(); err != nil {
+			return x.fail(err)
+		}
+	}
+	if sim.QueueLen() > 0 {
+		return ErrStarved
+	}
+	x.report.Makespan += sim.Now() - start
+	return nil
 }
 
 // record makes a state transition durable before it is acted on.
@@ -353,12 +387,12 @@ func (x *execution) checkAbort() error {
 
 // fail stops the run on an abort or journal error. The simulator may still
 // hold launched side effects on its worker set; wait them out so no
-// goroutine touches shared state after Execute returns. (A resumed run
-// re-executes those nodes anyway — their completions were never journaled —
-// and completion side effects are idempotent.)
-func (x *execution) fail(err error) (*Report, error) {
+// goroutine touches shared state after the execution returns. (A resumed
+// run re-executes those nodes anyway — their completions were never
+// journaled — and completion side effects are idempotent.)
+func (x *execution) fail(err error) error {
 	x.sim.Abort()
-	return nil, err
+	return err
 }
 
 // maxInFlight resolves the throttle for this instant.
@@ -405,12 +439,13 @@ func (x *execution) submit(i int32) error {
 	n := x.pos.Nodes[i]
 	res := &x.results[i]
 	res.Attempts++
-	spec, err := x.runner(n, res.Attempts)
+	res.attempt++
+	spec, err := x.runner(n, res.attempt)
 	if err != nil {
 		return fmt.Errorf("dagman: runner for %s: %w", n.ID, err)
 	}
 	if err := x.record(journal.Record{
-		Kind: journal.KindSubmitted, Node: n.ID, Attempt: res.Attempts, At: x.sim.Now()}); err != nil {
+		Kind: journal.KindSubmitted, Node: n.ID, Attempt: res.attempt, At: x.sim.Now()}); err != nil {
 		return err
 	}
 	res.State = StateRunning
@@ -520,16 +555,16 @@ func (x *execution) settle(i int32, site string, startAt, endAt time.Duration, n
 	x.inFlight--
 
 	if nodeErr != nil {
-		if res.Attempts <= x.opt.MaxRetries {
+		if res.attempt <= x.opt.MaxRetries {
 			if err := x.record(journal.Record{Kind: journal.KindRetried,
-				Node: res.Node, Site: site, Attempt: res.Attempts,
+				Node: res.Node, Site: site, Attempt: res.attempt,
 				At: endAt, Err: nodeErr.Error()}); err != nil {
 				return err
 			}
 			return x.release(i)
 		}
 		if err := x.record(journal.Record{Kind: journal.KindFailed,
-			Node: res.Node, Site: site, Attempt: res.Attempts,
+			Node: res.Node, Site: site, Attempt: res.attempt,
 			At: endAt, Err: nodeErr.Error()}); err != nil {
 			return err
 		}
@@ -538,7 +573,7 @@ func (x *execution) settle(i int32, site string, startAt, endAt time.Duration, n
 		return nil
 	}
 	if err := x.record(journal.Record{Kind: journal.KindCompleted,
-		Node: res.Node, Site: site, Attempt: res.Attempts, At: endAt}); err != nil {
+		Node: res.Node, Site: site, Attempt: res.attempt, At: endAt}); err != nil {
 		return err
 	}
 	res.State = StateDone
@@ -575,25 +610,33 @@ func (x *execution) markUnrunDescendants(i int32) {
 	}
 }
 
-// finish tallies the final states and builds the report's Results map.
-func (x *execution) finish(makespan time.Duration) *Report {
+// tally counts the node states after a pass. A node still pending or
+// running would indicate a scheduler bug; it is counted unrun rather than
+// lost silently.
+func (x *execution) tally() {
 	r := x.report
-	r.Results = make(map[string]*Result, len(x.results))
+	r.Results = x.results
+	r.Done, r.Failed, r.Unrun = 0, 0, 0
 	for i := range x.results {
-		res := &x.results[i]
-		switch res.State {
+		switch res := &x.results[i]; res.State {
 		case StateDone:
 			r.Done++
 		case StateFailed:
 			r.Failed++
-		case StateUnrun, StatePending, StateRunning:
-			// Pending/Running here would indicate a scheduler bug; count
-			// them as unrun rather than losing them silently.
+		default:
 			res.State = StateUnrun
 			r.Unrun++
 		}
-		r.Results[res.Node] = res
 	}
-	r.Makespan = makespan
-	return r
+}
+
+// rearm returns every node not done to pending with a fresh retry budget
+// for the next rescue round; batch task ids restart with the round.
+func (x *execution) rearm() {
+	for i := range x.results {
+		if res := &x.results[i]; res.State != StateDone {
+			res.State, res.attempt = StatePending, 0
+		}
+	}
+	x.batches = x.batches[:0]
 }

@@ -41,6 +41,18 @@ func chainGraph(t testing.TB, k int) *dag.Graph {
 	return g
 }
 
+// result is the report's result for node id.
+func result(t testing.TB, rep *Report, id string) Result {
+	t.Helper()
+	for _, res := range rep.Results {
+		if res.Node == id {
+			return res
+		}
+	}
+	t.Fatalf("no result for %s", id)
+	return Result{}
+}
+
 func unitRunner(order *[]string) Runner {
 	return func(n *dag.Node, attempt int) (Spec, error) {
 		return Spec{Cost: time.Second, Run: func() error {
@@ -131,8 +143,8 @@ func TestRetrySucceedsOnSecondAttempt(t *testing.T) {
 	if !rep.Succeeded() {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.Results["n1"].Attempts != 2 {
-		t.Errorf("n1 attempts = %d", rep.Results["n1"].Attempts)
+	if result(t, rep, "n1").Attempts != 2 {
+		t.Errorf("n1 attempts = %d", result(t, rep, "n1").Attempts)
 	}
 	// Retry costs show in the makespan: n1 ran twice.
 	if rep.Makespan != 3*time.Second {
@@ -166,15 +178,15 @@ func TestPermanentFailureMarksDescendantsUnrun(t *testing.T) {
 	if rep.Succeeded() {
 		t.Fatal("must not succeed")
 	}
-	if rep.Results["b"].State != StateFailed || rep.Results["b"].Attempts != 2 {
-		t.Errorf("b = %+v", rep.Results["b"])
+	if result(t, rep, "b").State != StateFailed || result(t, rep, "b").Attempts != 2 {
+		t.Errorf("b = %+v", result(t, rep, "b"))
 	}
-	if rep.Results["d"].State != StateUnrun {
-		t.Errorf("d = %+v", rep.Results["d"])
+	if result(t, rep, "d").State != StateUnrun {
+		t.Errorf("d = %+v", result(t, rep, "d"))
 	}
 	// c is independent of b and must still complete.
-	if rep.Results["c"].State != StateDone {
-		t.Errorf("c = %+v", rep.Results["c"])
+	if result(t, rep, "c").State != StateDone {
+		t.Errorf("c = %+v", result(t, rep, "c"))
 	}
 	if rep.Done != 2 || rep.Failed != 1 || rep.Unrun != 1 {
 		t.Errorf("counts = %+v", rep)
@@ -208,9 +220,9 @@ func TestSitePinnedExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, res := range rep.Results {
+	for _, res := range rep.Results {
 		if res.Site != "wisc" {
-			t.Errorf("%s ran at %s", id, res.Site)
+			t.Errorf("%s ran at %s", res.Node, res.Site)
 		}
 	}
 }
@@ -238,13 +250,13 @@ func TestRetryOnDifferentSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Succeeded() {
-		t.Fatalf("report = %+v", rep.Results["job"])
+		t.Fatalf("report = %+v", result(t, rep, "job"))
 	}
 	if len(sites) != 2 || sites[1] != "wisc" {
 		t.Errorf("sites = %v", sites)
 	}
-	if rep.Results["job"].Site != "wisc" {
-		t.Errorf("final site = %s", rep.Results["job"].Site)
+	if result(t, rep, "job").Site != "wisc" {
+		t.Errorf("final site = %s", result(t, rep, "job").Site)
 	}
 }
 

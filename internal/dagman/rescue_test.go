@@ -54,16 +54,16 @@ func TestExecuteWithRescueRecovers(t *testing.T) {
 		t.Fatalf("report = done %d failed %d unrun %d", rep.Done, rep.Failed, rep.Unrun)
 	}
 	// n2 ran twice in round 1 and once in round 2.
-	if rep.Results["n2"].Attempts != 3 {
-		t.Errorf("n2 attempts = %d, want 3", rep.Results["n2"].Attempts)
+	if result(t, rep, "n2").Attempts != 3 {
+		t.Errorf("n2 attempts = %d, want 3", result(t, rep, "n2").Attempts)
 	}
 	// n1 completed in round 1 and must not have re-run.
-	if rep.Results["n1"].Attempts != 1 {
-		t.Errorf("n1 attempts = %d, want 1", rep.Results["n1"].Attempts)
+	if result(t, rep, "n1").Attempts != 1 {
+		t.Errorf("n1 attempts = %d, want 1", result(t, rep, "n1").Attempts)
 	}
 	// n3 was unrun in round 1 and completed in round 2.
-	if rep.Results["n3"].State != StateDone {
-		t.Errorf("n3 = %+v", rep.Results["n3"])
+	if result(t, rep, "n3").State != StateDone {
+		t.Errorf("n3 = %+v", result(t, rep, "n3"))
 	}
 	if rep.Makespan <= 0 {
 		t.Error("makespan must accumulate across rounds")
@@ -87,12 +87,12 @@ func TestExecuteWithRescueGivesUp(t *testing.T) {
 	if rep.Succeeded() {
 		t.Fatal("must not succeed")
 	}
-	if rep.Results["n1"].State != StateFailed || rep.Results["n2"].State != StateUnrun {
-		t.Errorf("states: n1=%v n2=%v", rep.Results["n1"].State, rep.Results["n2"].State)
+	if result(t, rep, "n1").State != StateFailed || result(t, rep, "n2").State != StateUnrun {
+		t.Errorf("states: n1=%v n2=%v", result(t, rep, "n1").State, result(t, rep, "n2").State)
 	}
 	// 1 initial + 3 rescue rounds = 4 attempts.
-	if rep.Results["n1"].Attempts != 4 {
-		t.Errorf("n1 attempts = %d, want 4", rep.Results["n1"].Attempts)
+	if result(t, rep, "n1").Attempts != 4 {
+		t.Errorf("n1 attempts = %d, want 4", result(t, rep, "n1").Attempts)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestExecuteWithRescueZeroRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Succeeded() || rep.Results["n1"].Attempts != 1 {
-		t.Errorf("zero rounds must behave like Execute: %+v", rep.Results["n1"])
+	if rep.Succeeded() || result(t, rep, "n1").Attempts != 1 {
+		t.Errorf("zero rounds must behave like Execute: %+v", result(t, rep, "n1"))
 	}
 }
 

@@ -248,14 +248,14 @@ func TestExecuteRestoresCompleted(t *testing.T) {
 			restored = append(restored, r.Node)
 		}
 	}
-	if rep.Restored != 1 || rep.Done != 3 {
-		t.Errorf("restored=%d done=%d, want 1 and 3", rep.Restored, rep.Done)
+	if len(restored) != 1 || rep.Done != 3 {
+		t.Errorf("restored=%d done=%d, want 1 and 3", len(restored), rep.Done)
 	}
 	if len(order) != 2 || order[0] != "n2" || order[1] != "n3" {
 		t.Errorf("executed %v, want only [n2 n3]", order)
 	}
-	if rep.Results["n1"].Attempts != 0 {
-		t.Errorf("restored node re-ran: %+v", rep.Results["n1"])
+	if result(t, rep, "n1").Attempts != 0 {
+		t.Errorf("restored node re-ran: %+v", result(t, rep, "n1"))
 	}
 	if len(restored) != 1 || restored[0] != "n1" {
 		t.Errorf("restored events = %v", restored)
@@ -323,8 +323,18 @@ func TestExecuteCrashThenResumeRunsOnlyUnfinished(t *testing.T) {
 			t.Fatalf("kill=%d: resume rep=%+v err=%v", kill, rep, err)
 		}
 		w2.Close()
-		if rep.Restored != len(done) {
-			t.Errorf("kill=%d: restored %d, journal said %d", kill, rep.Restored, len(done))
+		all, _, err := journal.Replay(path)
+		if err != nil {
+			t.Fatalf("kill=%d: %v", kill, err)
+		}
+		restored := 0
+		for _, r := range all {
+			if r.Kind == journal.KindRestored {
+				restored++
+			}
+		}
+		if restored != len(done) {
+			t.Errorf("kill=%d: restored %d, journal said %d", kill, restored, len(done))
 		}
 		// Only the non-done prefix re-executed.
 		if len(order)+len(done) != n {

