@@ -17,8 +17,9 @@ vet:
 # latency budget (-budget, so a slow new pass cannot silently degrade
 # verify), and reports — without failing — any //nvolint:ignore directive
 # whose until=PR<N> expiry has passed (-pr; the current PR number is the
-# count of completed entries in CHANGES.md).
-NVOLINT_PR ?= $(shell grep -c '^PR ' CHANGES.md)
+# highest N of the "PR N" entries in CHANGES.md — not their count, since
+# numbers are skipped and some entries are follow-ups).
+NVOLINT_PR ?= $(shell awk '/^PR [0-9]/ { n = $$2 + 0; if (n > m) m = n } END { print m }' CHANGES.md)
 LINT_BUDGET ?= 120s
 lint:
 	$(GO) build -o bin/nvolint ./cmd/nvolint
@@ -187,7 +188,8 @@ dataplane:
 
 # The workflow graph under concurrent readers, race-enabled: dag.Graph builds
 # its sorted id order lazily on the first read, and a finished graph is read
-# by DAGMan's scheduler and by status readers at once.
+# at once by DAGMan's scheduler (Positions) and by status readers (Nodes,
+# Children, TopoSort).
 graphreaders:
 	$(GO) test -race -count=10 -run 'TestGraphConcurrentReaders' ./internal/dag/
 

@@ -35,7 +35,7 @@ func TestFigure1AbstractWorkflow(t *testing.T) {
 	if g.Len() != 2 {
 		t.Fatalf("nodes = %v", g.Nodes())
 	}
-	if !g.HasEdge("d1", "d2") {
+	if !slices.Contains(g.Children("d1"), "d2") {
 		t.Error("edge d1 -> d2 missing")
 	}
 	order, err := g.TopoSort()
@@ -118,13 +118,12 @@ DV djoin->join( l=@{in:"c1"}, r=@{in:"c2"}, z=@{out:"d"} );
 		t.Fatalf("nodes = %v", g.Nodes())
 	}
 	for _, e := range [][2]string{{"dsplit", "dleft"}, {"dsplit", "dright"}, {"dleft", "djoin"}, {"dright", "djoin"}} {
-		if !g.HasEdge(e[0], e[1]) {
+		if !slices.Contains(g.Children(e[0]), e[1]) {
 			t.Errorf("edge %v missing", e)
 		}
 	}
-	levels, _ := g.Levels()
-	if len(levels) != 3 || len(levels[1]) != 2 {
-		t.Errorf("levels = %v", levels)
+	if g.NumEdges() != 4 {
+		t.Errorf("edges = %d, want the diamond's 4", g.NumEdges())
 	}
 }
 
@@ -193,12 +192,11 @@ func TestComposeGalaxyMorphologyShape(t *testing.T) {
 	if len(wf.RawInputs) != 37 {
 		t.Errorf("raw inputs = %d", len(wf.RawInputs))
 	}
-	if len(g.Parents("collect")) != 37 {
-		t.Errorf("collect parents = %d", len(g.Parents("collect")))
-	}
-	levels, _ := g.Levels()
-	if len(levels) != 2 || len(levels[0]) != 37 {
-		t.Errorf("levels = %d/%d", len(levels), len(levels[0]))
+	// Every job feeds the collector and nothing else: 37 roots, one sink.
+	for _, id := range g.Nodes() {
+		if got := g.Children(id); id != "collect" && !slices.Equal(got, []string{"collect"}) {
+			t.Errorf("%s children = %v, want [collect]", id, got)
+		}
 	}
 }
 

@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/portal"
 	"repro/internal/votable"
 	"repro/internal/webservice"
+	"repro/internal/workpool"
 )
 
 // ClusterRun is the outcome of analyzing one cluster, in the quantities the
@@ -66,19 +66,9 @@ func RunCampaignParallel(tb *Testbed, workers int) (*CampaignReport, error) {
 	entries := tb.Portal.Clusters()
 	runs := make([]*ClusterRun, len(entries))
 	errs := make([]error, len(entries))
-
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, entry := range entries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, name string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			runs[i], errs[i] = RunCluster(tb, name)
-		}(i, entry.Name)
-	}
-	wg.Wait()
+	workpool.Run(workers, len(entries), func(i int) {
+		runs[i], errs[i] = RunCluster(tb, entries[i].Name)
+	})
 	return aggregate(tb, entries, runs, errs)
 }
 

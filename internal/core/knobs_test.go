@@ -24,7 +24,7 @@ func TestKnobBudget(t *testing.T) {
 		{webservice.Config{}, 24},
 		{Config{}, 12},
 		{dagman.Options{}, 6},
-		{portal.Config{}, 16},
+		{portal.Config{}, 14},
 		{pegasus.Config{}, 10},
 		{fabric.Config{}, 7},
 		{fabric.SimOptions{}, 3},

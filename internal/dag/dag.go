@@ -21,8 +21,8 @@ import (
 
 // Node is one vertex of a workflow graph. Its payload is set once, by the
 // node's emitter, and read-only after: graphs derived from another (a reduced
-// workflow, a rescue DAG, a clone) share nodes or copy them by value, so they
-// share the LFN slices too.
+// workflow, a rescue DAG) share nodes or copy them by value, so they share the
+// LFN slices too.
 type Node struct {
 	ID   string
 	Type string
@@ -116,7 +116,9 @@ func (n *Node) Attr(key string) string {
 	return ""
 }
 
-// Graph is a mutable DAG. The zero value is not usable; call New.
+// Graph is an append-only DAG: nodes and edges are added, never removed, as a
+// workflow is built once by its planner and only read after. The zero value
+// is not usable; call New.
 //
 // Vertices live in a dense slice and are referred to by slot; adjacency is a
 // pair of slot slices per vertex, and is the only record of the edges. Every
@@ -130,7 +132,7 @@ func (n *Node) Attr(key string) string {
 // order is published atomically for that reason. Changes need exclusive access.
 type Graph struct {
 	index map[string]int32 // id -> slot in verts
-	verts []vertex         // a removed vertex keeps its slot, with node == nil
+	verts []vertex
 	edges int
 
 	// Scratch of AddEdge's cycle check: mark[v] == gen means v was visited by
@@ -178,17 +180,10 @@ func (a *adjacency) add(g *Graph, v int32) {
 	a.slots = append(a.slots, v)
 }
 
-// remove deletes v, keeping the order of the rest (so a sorted list stays one).
-func (a *adjacency) remove(v int32) {
-	if i := slices.Index(a.slots, v); i >= 0 {
-		a.slots = slices.Delete(a.slots, i, i+1)
-	}
-}
-
 // idOrder is the id-sorted view of the node set.
 type idOrder struct {
-	byRank []int32 // live slots in id order
-	rank   []int32 // slot -> position in byRank; meaningless for removed slots
+	byRank []int32 // slots in id order
+	rank   []int32 // slot -> position in byRank
 }
 
 // Errors returned by graph operations.
@@ -234,7 +229,7 @@ func (g *Graph) NewNode() *Node {
 }
 
 // Len returns the number of nodes.
-func (g *Graph) Len() int { return len(g.index) }
+func (g *Graph) Len() int { return len(g.verts) }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return g.edges }
@@ -326,19 +321,6 @@ search:
 	return found
 }
 
-// HasEdge reports whether the edge from -> to exists.
-func (g *Graph) HasEdge(from, to string) bool {
-	f, ok := g.index[from]
-	if !ok {
-		return false
-	}
-	t, ok := g.index[to]
-	if !ok {
-		return false
-	}
-	return g.hasEdge(f, t)
-}
-
 // hasEdge scans the shorter of f's children and t's parents. A planned graph's
 // lists are short on at least one end — the wide ones are a collector's
 // parents — so the scan is as cheap as an edge-set lookup, and the graph keeps
@@ -351,26 +333,6 @@ func (g *Graph) hasEdge(f, t int32) bool {
 	return slices.Contains(parents, f)
 }
 
-// RemoveNode deletes a node and all its edges.
-func (g *Graph) RemoveNode(id string) error {
-	v, ok := g.index[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchNode, id)
-	}
-	for _, c := range g.verts[v].children.slots {
-		g.verts[c].parents.remove(v)
-		g.edges--
-	}
-	for _, p := range g.verts[v].parents.slots {
-		g.verts[p].children.remove(v)
-		g.edges--
-	}
-	g.verts[v] = vertex{}
-	delete(g.index, id)
-	g.order.Store(nil)
-	return nil
-}
-
 // sorted returns the id order of the node set, building it on first use after
 // a change. Readers of an unchanging graph may race to build it; they build
 // equal values and publish them atomically.
@@ -378,11 +340,9 @@ func (g *Graph) sorted() *idOrder {
 	if o := g.order.Load(); o != nil {
 		return o
 	}
-	o := &idOrder{byRank: make([]int32, 0, len(g.index)), rank: make([]int32, len(g.verts))}
-	for v := range g.verts {
-		if g.verts[v].node != nil {
-			o.byRank = append(o.byRank, int32(v))
-		}
+	o := &idOrder{byRank: make([]int32, len(g.verts)), rank: make([]int32, len(g.verts))}
+	for v := range o.byRank {
+		o.byRank[v] = int32(v)
 	}
 	byID := func(a, b int32) int { return strings.Compare(g.verts[a].node.ID, g.verts[b].node.ID) }
 	if !slices.IsSortedFunc(o.byRank, byID) {
@@ -402,11 +362,6 @@ func (g *Graph) ids(slots []int32) []string {
 		out[i] = g.verts[v].node.ID
 	}
 	return out
-}
-
-// neighbours returns one adjacency list as sorted ids.
-func (g *Graph) neighbours(a *adjacency) []string {
-	return g.appendNeighbours(make([]string, 0, len(a.slots)), a)
 }
 
 // appendNeighbours appends one adjacency list to dst as sorted ids.
@@ -430,7 +385,8 @@ func (g *Graph) Children(id string) []string {
 	if !ok {
 		return []string{}
 	}
-	return g.neighbours(&g.verts[v].children)
+	a := &g.verts[v].children
+	return g.appendNeighbours(make([]string, 0, len(a.slots)), a)
 }
 
 // AppendChildren appends the IDs depending on id to dst, sorted, and returns
@@ -442,15 +398,6 @@ func (g *Graph) AppendChildren(dst []string, id string) []string {
 		return dst
 	}
 	return g.appendNeighbours(dst, &g.verts[v].children)
-}
-
-// Parents returns the IDs id depends on, sorted.
-func (g *Graph) Parents(id string) []string {
-	v, ok := g.index[id]
-	if !ok {
-		return []string{}
-	}
-	return g.neighbours(&g.verts[v].parents)
 }
 
 // Positions is the graph read by position, for an executor that keeps its
@@ -491,50 +438,11 @@ func (g *Graph) Positions() *Positions {
 // slice is shared; do not change it.
 func (p *Positions) Children(i int) []int32 { return p.kids[p.start[i]:p.start[i+1]] }
 
-// Roots returns nodes with no parents, sorted.
-func (g *Graph) Roots() []string {
-	return g.filter(func(v *vertex) bool { return len(v.parents.slots) == 0 })
-}
-
-// Leaves returns nodes with no children, sorted.
-func (g *Graph) Leaves() []string {
-	return g.filter(func(v *vertex) bool { return len(v.children.slots) == 0 })
-}
-
-// filter returns the ids of the vertices keep accepts, sorted; nil when none.
-func (g *Graph) filter(keep func(*vertex) bool) []string {
-	byRank := g.sorted().byRank
-	n := 0
-	for _, v := range byRank {
-		if keep(&g.verts[v]) {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for _, v := range byRank {
-		if keep(&g.verts[v]) {
-			out = append(out, g.verts[v].node.ID)
-		}
-	}
-	return out
-}
-
 // TopoSort returns the nodes in a deterministic topological order (Kahn's
-// algorithm, always emitting the lexicographically smallest ready node).
+// algorithm, always emitting the lexicographically smallest ready node). The
+// ready heap holds ranks in the cached id order, so picking the smallest ready
+// id compares integers, not strings.
 func (g *Graph) TopoSort() ([]string, error) {
-	order, err := g.topo()
-	if err != nil {
-		return nil, err
-	}
-	return g.ids(order), nil
-}
-
-// topo is TopoSort in slots. The ready heap holds ranks in the cached id
-// order, so picking the smallest ready id compares integers, not strings.
-func (g *Graph) topo() ([]int32, error) {
 	o := g.sorted()
 	indeg := make([]int32, len(g.verts))
 	ready := make(minHeap, 0, len(o.byRank))
@@ -558,7 +466,7 @@ func (g *Graph) topo() ([]int32, error) {
 	if len(order) != len(o.byRank) {
 		return nil, ErrCycle
 	}
-	return order, nil
+	return g.ids(order), nil
 }
 
 // minHeap is a binary min-heap of ranks. container/heap would box every
@@ -602,106 +510,6 @@ func (h *minHeap) pop() int32 {
 	return top
 }
 
-// Levels assigns each node its depth (longest path from any root) and
-// returns the nodes grouped by level. Level 0 holds the roots.
-func (g *Graph) Levels() ([][]string, error) {
-	order, err := g.topo()
-	if err != nil {
-		return nil, err
-	}
-	depth := make([]int, len(g.verts))
-	maxDepth := 0
-	for _, v := range order {
-		for _, p := range g.verts[v].parents.slots {
-			depth[v] = max(depth[v], depth[p]+1)
-		}
-		maxDepth = max(maxDepth, depth[v])
-	}
-	levels := make([][]string, maxDepth+1)
-	for _, v := range g.sorted().byRank { // id order, so each level comes out sorted
-		levels[depth[v]] = append(levels[depth[v]], g.verts[v].node.ID)
-	}
-	return levels, nil
-}
-
-// Ancestors returns every node from which id is reachable.
-func (g *Graph) Ancestors(id string) []string {
-	return g.closure(id, func(v *vertex) []int32 { return v.parents.slots })
-}
-
-// Descendants returns every node reachable from id.
-func (g *Graph) Descendants(id string) []string {
-	return g.closure(id, func(v *vertex) []int32 { return v.children.slots })
-}
-
-// closure returns, sorted, every node reachable from id along next. It is a
-// read, so its visited set is its own and not the cycle check's scratch.
-func (g *Graph) closure(id string, next func(*vertex) []int32) []string {
-	start, ok := g.index[id]
-	if !ok {
-		return []string{}
-	}
-	seen := make([]bool, len(g.verts))
-	seen[start] = true
-	var found []int32
-	for stack := []int32{start}; len(stack) > 0; {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range next(&g.verts[cur]) {
-			if !seen[v] {
-				seen[v] = true
-				found = append(found, v)
-				stack = append(stack, v)
-			}
-		}
-	}
-	rank := g.sorted().rank
-	slices.SortFunc(found, func(a, b int32) int { return int(rank[a] - rank[b]) })
-	return g.ids(found)
-}
-
-// Clone returns a copy of the graph whose nodes are copies by value: a clone's
-// node can be changed without touching the original's, and the read-only LFN
-// slices are shared.
-func (g *Graph) Clone() *Graph {
-	out := &Graph{
-		index: make(map[string]int32, len(g.index)),
-		verts: make([]vertex, 0, len(g.index)),
-		edges: g.edges,
-		mark:  make([]uint32, len(g.index)),
-	}
-	// Removed slots are squeezed out, so slots are renumbered.
-	slot := make([]int32, len(g.verts))
-	for v := range g.verts {
-		n := g.verts[v].node
-		if n == nil {
-			continue
-		}
-		c := *n
-		slot[v] = int32(len(out.verts))
-		out.index[n.ID] = slot[v]
-		out.verts = append(out.verts, vertex{node: &c})
-	}
-	renumber := func(a adjacency) adjacency {
-		if len(a.slots) == 0 {
-			return adjacency{}
-		}
-		b := adjacency{slots: make([]int32, len(a.slots)), unsorted: a.unsorted}
-		for i, v := range a.slots {
-			b.slots[i] = slot[v]
-		}
-		return b
-	}
-	for v := range g.verts {
-		if g.verts[v].node == nil {
-			continue
-		}
-		c := &out.verts[slot[v]]
-		c.children, c.parents = renumber(g.verts[v].children), renumber(g.verts[v].parents)
-	}
-	return out
-}
-
 // DOT renders the graph in Graphviz dot syntax, deterministically.
 func (g *Graph) DOT(name string) string {
 	var b strings.Builder
@@ -724,9 +532,7 @@ func (g *Graph) DOT(name string) string {
 func (g *Graph) CountByType() map[string]int {
 	out := map[string]int{}
 	for _, v := range g.verts {
-		if v.node != nil {
-			out[v.node.Type]++
-		}
+		out[v.node.Type]++
 	}
 	return out
 }

@@ -138,98 +138,6 @@ func TestTopoSortCycleViaInternalState(t *testing.T) {
 	if _, err := g.TopoSort(); err == nil {
 		t.Error("TopoSort must detect cycles")
 	}
-	if _, err := g.Levels(); err == nil {
-		t.Error("Levels must propagate cycle errors")
-	}
-}
-
-func TestRootsLeaves(t *testing.T) {
-	g := chain(t, "a", "b", "c")
-	_ = g.AddNode(&Node{ID: "x"})
-	roots := g.Roots()
-	if len(roots) != 2 || roots[0] != "a" || roots[1] != "x" {
-		t.Errorf("roots = %v", roots)
-	}
-	leaves := g.Leaves()
-	if len(leaves) != 2 || leaves[0] != "c" || leaves[1] != "x" {
-		t.Errorf("leaves = %v", leaves)
-	}
-}
-
-func TestLevels(t *testing.T) {
-	// diamond: a -> b, a -> c, b -> d, c -> d
-	g := New()
-	for _, id := range []string{"a", "b", "c", "d"} {
-		_ = g.AddNode(&Node{ID: id})
-	}
-	_ = g.AddEdge("a", "b")
-	_ = g.AddEdge("a", "c")
-	_ = g.AddEdge("b", "d")
-	_ = g.AddEdge("c", "d")
-	levels, err := g.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(levels) != 3 {
-		t.Fatalf("levels = %v", levels)
-	}
-	if levels[0][0] != "a" || len(levels[1]) != 2 || levels[2][0] != "d" {
-		t.Errorf("levels = %v", levels)
-	}
-}
-
-func TestAncestorsDescendants(t *testing.T) {
-	g := chain(t, "a", "b", "c", "d")
-	anc := g.Ancestors("c")
-	if len(anc) != 2 || anc[0] != "a" || anc[1] != "b" {
-		t.Errorf("ancestors = %v", anc)
-	}
-	desc := g.Descendants("b")
-	if len(desc) != 2 || desc[0] != "c" || desc[1] != "d" {
-		t.Errorf("descendants = %v", desc)
-	}
-	if len(g.Ancestors("a")) != 0 || len(g.Descendants("d")) != 0 {
-		t.Error("root/leaf must have empty ancestors/descendants")
-	}
-}
-
-func TestRemoveNode(t *testing.T) {
-	g := chain(t, "a", "b", "c")
-	if err := g.RemoveNode("b"); err != nil {
-		t.Fatal(err)
-	}
-	if g.Len() != 2 || g.NumEdges() != 0 {
-		t.Errorf("after removal: %d nodes %d edges", g.Len(), g.NumEdges())
-	}
-	if err := g.RemoveNode("b"); err == nil {
-		t.Error("double removal must fail")
-	}
-	// Remaining structure intact.
-	if _, ok := g.Node("a"); !ok {
-		t.Error("node a lost")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	g := chain(t, "a", "b")
-	n, _ := g.Node("a")
-	n.Site = "isi"
-	c := g.Clone()
-	cn, _ := c.Node("a")
-	if cn.Site != "isi" {
-		t.Error("clone lost the payload")
-	}
-	cn.Site = "fnal"
-	if n.Site != "isi" {
-		t.Error("clone shares nodes")
-	}
-	_ = c.RemoveNode("b")
-	if g.Len() != 2 {
-		t.Error("clone shares node maps")
-	}
-	if c.NumEdges() != 0 || g.NumEdges() != 1 {
-		t.Error("clone shares edges")
-	}
 }
 
 // TestNodeAttrs: Attr renders exactly the keys of the node's type, lists
@@ -343,17 +251,21 @@ func randomDAG(rng *rand.Rand, n int, p float64) *Graph {
 // mergeTopoSort is the TopoSort this package shipped before the ready heap:
 // Kahn's algorithm over a sorted ready list, re-merged (and re-allocated)
 // once per emitted node. Kept as the oracle for the order; it reads the graph
-// through the exported API only, so it judges Graph and refGraph alike.
+// through the exported API only, so it judges Graph and refGraph alike, and
+// counts in-degrees over the child lists.
 func mergeTopoSort(g interface {
 	Nodes() []string
-	Parents(id string) []string
 	Children(id string) []string
 }) ([]string, error) {
 	nodes := g.Nodes()
 	indeg := make(map[string]int, len(nodes))
+	for _, id := range nodes {
+		for _, c := range g.Children(id) {
+			indeg[c]++
+		}
+	}
 	var ready []string
 	for _, id := range nodes {
-		indeg[id] = len(g.Parents(id))
 		if indeg[id] == 0 {
 			ready = append(ready, id)
 		}
@@ -508,18 +420,5 @@ func BenchmarkAddEdgeWithCycleCheck(b *testing.B) {
 		for j := 1; j < n; j++ {
 			_ = g.AddEdge(fmt.Sprintf("n%03d", j-1), fmt.Sprintf("n%03d", j))
 		}
-	}
-}
-
-func TestHasEdgeAndParents(t *testing.T) {
-	g := chain(t, "a", "b", "c")
-	if !g.HasEdge("a", "b") || g.HasEdge("b", "a") || g.HasEdge("a", "c") {
-		t.Error("HasEdge wrong")
-	}
-	if p := g.Parents("b"); len(p) != 1 || p[0] != "a" {
-		t.Errorf("Parents(b) = %v", p)
-	}
-	if p := g.Parents("a"); len(p) != 0 {
-		t.Errorf("Parents(a) = %v", p)
 	}
 }

@@ -29,58 +29,76 @@ func errClass(err error) string {
 
 // observation is everything a caller can read from a graph.
 type observation struct {
-	Len, NumEdges       int
-	Nodes, Roots, Leafs []string
-	Topo                []string
-	TopoErr             string
-	Levels              [][]string
-	PerNode             map[string][]any
-	Edges               []string
+	Len, NumEdges int
+	Nodes         []string
+	Topo          []string
+	TopoErr       string
+	PerNode       map[string][]any
+	Rows          [][]string
 }
 
 // observe reads g through its exported API. pool is every id an operation may
-// have used, present or not.
+// have used, present or not. Rows is the graph by position: a Graph's from
+// Positions, the reference's from Nodes and Children, so every comparison of
+// the two also checks the view DAGMan executes from.
 func observe(g interface {
 	Len() int
 	NumEdges() int
 	Nodes() []string
-	Roots() []string
-	Leaves() []string
 	TopoSort() ([]string, error)
-	Levels() ([][]string, error)
 	Children(string) []string
-	Parents(string) []string
-	Ancestors(string) []string
-	Descendants(string) []string
-	HasEdge(string, string) bool
 	Node(string) (*Node, bool)
 }, pool []string) observation {
-	o := observation{Len: g.Len(), NumEdges: g.NumEdges(), Nodes: g.Nodes(), Roots: g.Roots(), Leafs: g.Leaves(),
-		PerNode: map[string][]any{}}
+	o := observation{Len: g.Len(), NumEdges: g.NumEdges(), Nodes: g.Nodes(), PerNode: map[string][]any{}}
 	topo, err := g.TopoSort()
 	o.Topo, o.TopoErr = topo, errClass(err)
-	o.Levels, _ = g.Levels()
 	for _, id := range pool {
 		n, ok := g.Node(id)
 		typ := ""
 		if ok {
 			typ = n.Type
 		}
-		o.PerNode[id] = []any{ok, typ, g.Children(id), g.Parents(id), g.Ancestors(id), g.Descendants(id)}
-		for _, to := range pool {
-			if g.HasEdge(id, to) {
-				o.Edges = append(o.Edges, id+">"+to)
-			}
-		}
+		o.PerNode[id] = []any{ok, typ, g.Children(id)}
+	}
+	if pg, ok := g.(*Graph); ok {
+		o.Rows = positionRows(pg.Positions())
+	} else {
+		o.Rows = idRows(g)
 	}
 	return o
 }
 
-// TestGraphMatchesReference drives random AddNode / AddEdge / RemoveNode /
-// Clone sequences through Graph and through the map-of-maps implementation it
-// replaced, and requires every read — element for element, nil for nil — and
-// every error decision to agree after each step, with mergeTopoSort as the
-// independent oracle for the topological order.
+// positionRows renders a position view as rows: row i is the id at position
+// i followed by the ids of its children, in position order.
+func positionRows(p *Positions) [][]string {
+	var rows [][]string
+	for i, n := range p.Nodes {
+		row := []string{n.ID}
+		for _, c := range p.Children(i) {
+			row = append(row, p.Nodes[c].ID)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// idRows renders the same rows from Nodes and Children.
+func idRows(g interface {
+	Nodes() []string
+	Children(string) []string
+}) [][]string {
+	var rows [][]string
+	for _, id := range g.Nodes() {
+		rows = append(rows, append([]string{id}, g.Children(id)...))
+	}
+	return rows
+}
+
+// TestGraphMatchesReference drives random AddNode / AddEdge sequences through
+// Graph and through the map-of-maps implementation it replaced, and requires
+// every read — element for element, nil for nil — and every error decision to
+// agree after each step, with mergeTopoSort as the independent oracle for the
+// topological order.
 func TestGraphMatchesReference(t *testing.T) {
 	pool := make([]string, 14)
 	for i := range pool {
@@ -94,35 +112,16 @@ func TestGraphMatchesReference(t *testing.T) {
 		for step := 0; step < 250; step++ {
 			var op string
 			var got, want error
-			switch r := rng.Intn(100); {
-			case r < 30:
+			if rng.Intn(100) < 30 {
 				id := pick()
 				op = "AddNode " + id
 				typ := []string{"compute", "transfer"}[rng.Intn(2)]
 				got = g.AddNode(&Node{ID: id, Type: typ})
 				want = ref.AddNode(&Node{ID: id, Type: typ})
-			case r < 85:
+			} else {
 				from, to := pick(), pick()
 				op = "AddEdge " + from + " " + to
 				got, want = g.AddEdge(from, to), ref.AddEdge(from, to)
-			case r < 95:
-				id := pick()
-				op = "RemoveNode " + id
-				got, want = g.RemoveNode(id), ref.RemoveNode(id)
-			default:
-				op = "Clone"
-				g.Nodes() // the source has a cached order when it is cloned
-				old, oldBefore := g, observe(g, pool)
-				g, ref = g.Clone(), ref.Clone()
-				if err := g.AddNode(&Node{ID: "clone-only"}); err != nil {
-					t.Fatal(err)
-				}
-				if after := observe(old, pool); !reflect.DeepEqual(after, oldBefore) {
-					t.Fatalf("seed %d step %d: changing a clone changed its source\n got %+v\nwant %+v", seed, step, after, oldBefore)
-				}
-				if err := g.RemoveNode("clone-only"); err != nil {
-					t.Fatal(err)
-				}
 			}
 			if errClass(got) != errClass(want) {
 				t.Fatalf("seed %d step %d %s: error %v, reference %v", seed, step, op, got, want)
@@ -138,34 +137,10 @@ func TestGraphMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCloneOwnsItsOrder: a clone taken from a graph whose id order is cached
-// builds its own; the two never share a backing array.
-func TestCloneOwnsItsOrder(t *testing.T) {
-	g := fan(t, 8)
-	src := g.sorted()
-	c := g.Clone()
-	if o := c.order.Load(); o != nil {
-		t.Fatal("a clone starts with a cached order it did not build")
-	}
-	own := c.sorted()
-	if &own.byRank[0] == &src.byRank[0] || &own.rank[0] == &src.rank[0] {
-		t.Fatal("clone shares its cached order with the source")
-	}
-	if err := c.AddNode(&Node{ID: "aaa"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Nodes(); len(got) != 10 || got[0] != "mid00000" {
-		t.Fatalf("source order changed with the clone: %v", got)
-	}
-	if got := c.Nodes(); len(got) != 11 || got[0] != "aaa" {
-		t.Fatalf("clone order stale: %v", got)
-	}
-}
-
 // TestGraphConcurrentReaders: the id order is built lazily by the first read,
 // and a finished graph is read by several goroutines at once — DAGMan's
-// scheduler and a status reader. Under -race this fails if that first build
-// is an unsynchronised write.
+// scheduler, through Positions, and a status reader. Under -race this fails
+// if that first build is an unsynchronised write.
 func TestGraphConcurrentReaders(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		g := fan(t, 200) // fresh graph: no order cached yet
@@ -176,20 +151,17 @@ func TestGraphConcurrentReaders(t *testing.T) {
 			go func(r int) {
 				defer wg.Done()
 				for i := 0; i < 3; i++ {
+					if got, want := positionRows(g.Positions()), idRows(g); !reflect.DeepEqual(got, want) {
+						t.Errorf("reader %d: Positions() differs from Nodes() and Children", r)
+					}
 					if got := g.Nodes(); !reflect.DeepEqual(got, want) {
 						t.Errorf("reader %d: Nodes() differs", r)
 					}
 					if got := g.Children("src"); len(got) != 200 {
 						t.Errorf("reader %d: Children(src) has %d ids", r, len(got))
 					}
-					if got := g.Roots(); len(got) != 1 {
-						t.Errorf("reader %d: Roots() = %v", r, got)
-					}
 					if _, err := g.TopoSort(); err != nil {
 						t.Errorf("reader %d: %v", r, err)
-					}
-					if got := g.Descendants("src"); len(got) != 201 {
-						t.Errorf("reader %d: Descendants(src) has %d ids", r, len(got))
 					}
 				}
 			}(r)

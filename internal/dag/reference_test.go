@@ -36,10 +36,6 @@ func (g *refGraph) NumEdges() int {
 	return n
 }
 
-// InDegree returns the number of nodes id depends on, without building the
-// list Parents returns.
-func (g *refGraph) InDegree(id string) int { return len(g.parents[id]) }
-
 // AddNode inserts a node; the ID must be unique.
 func (g *refGraph) AddNode(n *Node) error {
 	if n == nil || n.ID == "" {
@@ -107,26 +103,6 @@ func (g *refGraph) reaches(src, dst string) bool {
 	return false
 }
 
-// HasEdge reports whether the edge from -> to exists.
-func (g *refGraph) HasEdge(from, to string) bool { return g.children[from][to] }
-
-// RemoveNode deletes a node and all its edges.
-func (g *refGraph) RemoveNode(id string) error {
-	if _, ok := g.nodes[id]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchNode, id)
-	}
-	for c := range g.children[id] {
-		delete(g.parents[c], id)
-	}
-	for p := range g.parents[id] {
-		delete(g.children[p], id)
-	}
-	delete(g.nodes, id)
-	delete(g.children, id)
-	delete(g.parents, id)
-	return nil
-}
-
 // sortedKeys returns map keys in sorted order for deterministic iteration.
 func refSortedKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
@@ -149,33 +125,6 @@ func (g *refGraph) Nodes() []string {
 
 // Children returns the IDs depending on id, sorted.
 func (g *refGraph) Children(id string) []string { return refSortedKeys(g.children[id]) }
-
-// Parents returns the IDs id depends on, sorted.
-func (g *refGraph) Parents(id string) []string { return refSortedKeys(g.parents[id]) }
-
-// Roots returns nodes with no parents, sorted.
-func (g *refGraph) Roots() []string {
-	var out []string
-	for id := range g.nodes {
-		if len(g.parents[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Leaves returns nodes with no children, sorted.
-func (g *refGraph) Leaves() []string {
-	var out []string
-	for id := range g.nodes {
-		if len(g.children[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
 
 // TopoSort returns the nodes in a deterministic topological order (Kahn's
 // algorithm, always emitting the lexicographically smallest ready node).
@@ -245,85 +194,4 @@ func (h *refHeap) pop() string {
 	}
 	*h = s
 	return top
-}
-
-// Levels assigns each node its depth (longest path from any root) and
-// returns the nodes grouped by level. Level 0 holds the roots.
-func (g *refGraph) Levels() ([][]string, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	depth := map[string]int{}
-	maxDepth := 0
-	for _, id := range order {
-		d := 0
-		for p := range g.parents[id] {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[id] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	levels := make([][]string, maxDepth+1)
-	for _, id := range order {
-		levels[depth[id]] = append(levels[depth[id]], id)
-	}
-	for _, l := range levels {
-		sort.Strings(l)
-	}
-	return levels, nil
-}
-
-// Ancestors returns every node from which id is reachable.
-func (g *refGraph) Ancestors(id string) []string {
-	seen := map[string]bool{}
-	var walk func(string)
-	walk = func(cur string) {
-		for p := range g.parents[cur] {
-			if !seen[p] {
-				seen[p] = true
-				walk(p)
-			}
-		}
-	}
-	walk(id)
-	return refSortedKeys(seen)
-}
-
-// Descendants returns every node reachable from id.
-func (g *refGraph) Descendants(id string) []string {
-	seen := map[string]bool{}
-	var walk func(string)
-	walk = func(cur string) {
-		for c := range g.children[cur] {
-			if !seen[c] {
-				seen[c] = true
-				walk(c)
-			}
-		}
-	}
-	walk(id)
-	return refSortedKeys(seen)
-}
-
-// Clone returns a copy of the graph with its nodes copied by value.
-func (g *refGraph) Clone() *refGraph {
-	out := newRef()
-	for id, n := range g.nodes {
-		c := *n
-		out.nodes[id] = &c
-		out.children[id] = map[string]bool{}
-		out.parents[id] = map[string]bool{}
-	}
-	for from, cs := range g.children {
-		for to := range cs {
-			out.children[from][to] = true
-			out.parents[to][from] = true
-		}
-	}
-	return out
 }

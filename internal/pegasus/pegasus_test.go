@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -182,7 +183,7 @@ func TestFigure4ConcreteWorkflow(t *testing.T) {
 		{"d2", "stageout_c_to_U"},
 		{"stageout_c_to_U", "reg_c"},
 	} {
-		if !p.Concrete.HasEdge(e[0], e[1]) {
+		if !slices.Contains(p.Concrete.Children(e[0]), e[1]) {
 			t.Errorf("edge %v missing", e)
 		}
 	}

@@ -2,6 +2,7 @@ package pegasus
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -69,7 +70,8 @@ func TestPlanSoundnessProperty(t *testing.T) {
 func checkPlanSound(t *testing.T, trial int, p *Plan, r *rls.RLS) {
 	t.Helper()
 	cw := p.Concrete
-	if _, err := cw.TopoSort(); err != nil {
+	order, err := cw.TopoSort()
+	if err != nil {
 		t.Fatalf("trial %d: concrete workflow cyclic: %v", trial, err)
 	}
 
@@ -89,6 +91,18 @@ func checkPlanSound(t *testing.T, trial int, p *Plan, r *rls.RLS) {
 			avail[key{n.LFN, dstSite}] = true
 		}
 		availableVia[id] = avail
+	}
+	// upstream[id] is what the ancestors of id make available, gathered in
+	// topological order.
+	upstream := map[string]map[key]bool{}
+	for _, id := range order {
+		for _, c := range cw.Children(id) {
+			if upstream[c] == nil {
+				upstream[c] = map[key]bool{}
+			}
+			maps.Copy(upstream[c], upstream[id])
+			maps.Copy(upstream[c], availableVia[id])
+		}
 	}
 
 	for _, id := range cw.Nodes() {
@@ -110,14 +124,7 @@ func checkPlanSound(t *testing.T, trial int, p *Plan, r *rls.RLS) {
 				continue
 			}
 			// (b/c) some ancestor provides (lfn, site)?
-			ok := false
-			for _, anc := range cw.Ancestors(id) {
-				if availableVia[anc][key{lfn, site}] {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if !upstream[id][key{lfn, site}] {
 				t.Fatalf("trial %d: job %s at %s has no source for input %q\n%s",
 					trial, id, site, lfn, cw.DOT("plan"))
 			}

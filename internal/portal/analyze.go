@@ -131,7 +131,8 @@ func (p *Portal) compute(cat *votable.Table, cluster string, priority int, onPro
 		if p.cfg.Now().After(deadline) {
 			return nil, ErrTimeout
 		}
-		p.cfg.Sleep(p.cfg.PollInterval)
+		//nvolint:ignore noclock poll pacing of the live portal, the wall-clock boundary that waits on the compute service
+		time.Sleep(pollInterval)
 	}
 }
 

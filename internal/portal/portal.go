@@ -55,10 +55,6 @@ type Config struct {
 	ComputeService string
 
 	HTTPClient *http.Client
-	// PollInterval is the status-URL polling period (default 10ms; the
-	// real portal used seconds, but model time is decoupled from wall
-	// time here).
-	PollInterval time.Duration
 	// PollTimeout bounds how long Analyze waits (default 60s).
 	PollTimeout time.Duration
 	// CacheImageSearch enables the cached image-search results option.
@@ -99,10 +95,11 @@ type Config struct {
 	// replay harnesses inject a fake to make timing-dependent behaviour
 	// (poll timeouts) deterministic.
 	Now func() time.Time
-	// Sleep paces status polling; default time.Sleep, injectable for the
-	// same reason as Now.
-	Sleep func(time.Duration)
 }
+
+// pollInterval is the status-URL polling period. The real portal polled in
+// seconds, but model time is decoupled from wall time here.
+const pollInterval = 10 * time.Millisecond
 
 // Degradation records one archive the portal proceeded without: a secondary
 // catalog or image service that stayed down through the retry policy, whose
@@ -161,9 +158,6 @@ func New(cfg Config) (*Portal, error) {
 		// SIA and cutout calls to the same host reuse keep-alive connections.
 		cfg.HTTPClient = httpclient.Shared()
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 10 * time.Millisecond
-	}
 	if cfg.PollTimeout <= 0 {
 		cfg.PollTimeout = 60 * time.Second
 	}
@@ -173,10 +167,6 @@ func New(cfg Config) (*Portal, error) {
 	if cfg.Now == nil {
 		//nvolint:ignore noclock the portal is the wall-clock boundary: it reports real elapsed time to a human and is never replayed
 		cfg.Now = time.Now
-	}
-	if cfg.Sleep == nil {
-		//nvolint:ignore noclock default poll pacing for the live portal; tests inject a no-op Sleep
-		cfg.Sleep = time.Sleep
 	}
 	return &Portal{cfg: cfg, imageCache: map[string][]services.SIARecord{}}, nil
 }

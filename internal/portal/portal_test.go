@@ -61,6 +61,7 @@ func newFixture(t testing.TB, nGalaxies int, mut func(*Config)) *fixture {
 		RLS: r, TC: tc, GridFTP: ftp, Fabric: fab,
 		HTTPClient: mastSrv.Client(),
 		Seed:       3,
+		MaxRetries: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,6 @@ func newFixture(t testing.TB, nGalaxies int, mut func(*Config)) *fixture {
 		CutoutService:  mastSrv.URL + "/siacut",
 		ComputeService: wsSrv.URL,
 		HTTPClient:     mastSrv.Client(),
-		PollInterval:   2 * time.Millisecond,
 		PollTimeout:    30 * time.Second,
 	}
 	if mut != nil {

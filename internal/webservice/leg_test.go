@@ -343,10 +343,11 @@ func TestAccountFoldsEveryField(t *testing.T) {
 }
 
 // TestFailedLegWritesRescueDAG: a journaled request whose galMorph node fails
-// through every retry and rescue round leaves <cluster>.rescue.dag holding
-// exactly that node and its never-run descendants, with no DONE markers. In
-// wave mode those are the failed wave's nodes only: later waves were never
-// planned, so a resubmission must plan them as well.
+// its one attempt (MaxRetries 0) in the first pass and in the rescue round
+// leaves <cluster>.rescue.dag holding exactly that node and its never-run
+// descendants, with no DONE markers. In wave mode those are the failed wave's
+// nodes only: later waves were never planned, so a resubmission must plan them
+// as well.
 func TestFailedLegWritesRescueDAG(t *testing.T) {
 	const broken = "m-COMA-000002"
 	for _, tc := range []struct {
@@ -358,6 +359,7 @@ func TestFailedLegWritesRescueDAG(t *testing.T) {
 			h := newHarness(t, 6, func(c *Config) {
 				c.JournalDir = dir
 				c.WaveSize = tc.waveSize
+				c.MaxRetries = 0
 				c.RescueRounds = 1
 				c.FaultsFor = func(_, _ string) *faults.Injector {
 					return faults.New(5, faults.Rule{Name: condor.OpExec, Key: broken, Kind: faults.KindSiteDown})
@@ -377,7 +379,14 @@ func TestFailedLegWritesRescueDAG(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := append(plan.Descendants(broken), broken)
+			want := []string{broken} // and every node downstream of it
+			for i := 0; i < len(want); i++ {
+				for _, c := range plan.Children(want[i]) {
+					if !slices.Contains(want, c) {
+						want = append(want, c)
+					}
+				}
+			}
 			slices.Sort(want)
 			rescue, done, err := dagman.ReadDAGFile(filepath.Join(dir, "COMA.rescue.dag"))
 			if err != nil {
@@ -393,5 +402,39 @@ func TestFailedLegWritesRescueDAG(t *testing.T) {
 				t.Error("wave rescue DAG holds the collector of a wave that was never planned")
 			}
 		})
+	}
+}
+
+// TestZeroRetriesRunsOnce: MaxRetries 0 means no retries, as it does in
+// dagman.Options — a node that fails runs once, and the journal holds no
+// retried record.
+func TestZeroRetriesRunsOnce(t *testing.T) {
+	const broken = "m-COMA-000002"
+	dir := t.TempDir()
+	h := newHarness(t, 6, func(c *Config) {
+		c.JournalDir = dir
+		c.MaxRetries = 0
+		c.FaultsFor = func(_, _ string) *faults.Injector {
+			return faults.New(5, faults.Rule{Name: condor.OpExec, Key: broken, Kind: faults.KindSiteDown})
+		}
+	})
+	if _, _, err := h.svc.Compute(h.inputTable(t), "COMA"); err == nil {
+		t.Fatal("a failing node with no retries must fail the request")
+	}
+	recs, _, err := journal.Replay(filepath.Join(dir, "COMA.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := 0
+	for _, r := range recs {
+		if r.Kind == journal.KindRetried {
+			t.Errorf("journal holds %+v, want no retried record", r)
+		}
+		if r.Kind == journal.KindSubmitted && r.Node == broken {
+			submitted++
+		}
+	}
+	if submitted != 1 {
+		t.Errorf("%s submitted %d times, want once", broken, submitted)
 	}
 }

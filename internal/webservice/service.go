@@ -174,7 +174,8 @@ type Config struct {
 	HTTPClient *http.Client
 	// Seed drives site selection deterministically.
 	Seed int64
-	// MaxRetries is DAGMan's retry budget per job.
+	// MaxRetries is DAGMan's retry budget per job: a failed job is
+	// resubmitted up to MaxRetries times, and zero runs it once.
 	MaxRetries int
 	// RescueRounds resubmits the rescue DAG up to this many times after a
 	// permanent workflow failure (DAGMan's rescue-file recovery).
@@ -365,9 +366,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = httpclient.Shared()
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 2
 	}
 	if cfg.Now == nil {
 		//nvolint:ignore noclock credential admission is the service's one wall-clock boundary; replay harnesses inject Config.Now

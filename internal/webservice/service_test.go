@@ -70,6 +70,7 @@ func newGrid(t testing.TB, specs []skysim.Spec, cfgMut func(*Config)) *harness {
 		CacheSite:  "isi",
 		HTTPClient: srv.Client(),
 		Seed:       5,
+		MaxRetries: 2,
 	}
 	if cfgMut != nil {
 		cfgMut(&cfg)
