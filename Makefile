@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak explore dataplane graphreaders hotbench loc knobs verify
+.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak explore dataplane graphreaders hotbench loc knobs exports verify
 
 build:
 	$(GO) build ./...
@@ -249,6 +249,15 @@ loc:
 # from here.
 knobs:
 	$(GO) test -run '^TestKnobBudget$$' -v ./internal/core/
+
+# Exported API surface per package under internal/: the funcs, methods and
+# types `go doc -all` lists (column-0 func/type lines; consts, vars, struct
+# fields and interface methods are not counted), plus a total. CHANGES.md's
+# export counts come from here.
+exports:
+	@for p in $$($(GO) list ./internal/...); do \
+	  printf '%-36s %4d\n' "$${p#repro/}" "$$($(GO) doc -all $$p | grep -cE '^(func|type) ')"; \
+	done | awk '{ print; n += $$2 } END { printf "%-36s %4d\n", "total", n }'
 
 # Every concurrency-bearing campaign under the race detector in one
 # invocation: the chaos byte-identity row, the multi-tenant fabric

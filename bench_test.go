@@ -471,7 +471,7 @@ func newBenchTestbedWorkers(b *testing.B, galaxies int, failureRate float64, wor
 		}},
 		Seed:    5,
 		Faults:  inj,
-		Compute: webservice.Config{Workers: workers},
+		Compute: webservice.Config{Workers: workers, MaxRetries: 5},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -38,7 +38,7 @@ func chaosTestbed(t *testing.T, clusters int, inj *faults.Injector) *core.Testbe
 		Seed:         7,
 		Resilience:   true,
 		Faults:       inj,
-		Compute:      webservice.Config{MirrorSite: "mirror"},
+		Compute:      webservice.Config{MirrorSite: "mirror", MaxRetries: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +203,7 @@ func TestChaosConcurrentTenants(t *testing.T) {
 			Resilience:   true,
 			Compute: webservice.Config{
 				MirrorSite: "mirror",
+				MaxRetries: 5,
 				FaultsFor: func(tenant, cluster string) *faults.Injector {
 					in := tenantFaultPlan(cluster)
 					inj = in
@@ -239,6 +240,7 @@ func TestChaosConcurrentTenants(t *testing.T) {
 		Resilience:   true,
 		Compute: webservice.Config{
 			MirrorSite: "mirror",
+			MaxRetries: 5,
 			FaultsFor: func(tenant, cluster string) *faults.Injector {
 				inj := tenantFaultPlan(cluster)
 				mu.Lock()

@@ -63,7 +63,7 @@ func main() {
 		ClusterSpecs:         specs,
 		Seed:                 *seed,
 		UseRegistryDiscovery: *discover,
-		Compute:              webservice.Config{FaultsFor: faultsFor, BatchFetch: *batch, WaveSize: *waveSize},
+		Compute:              webservice.Config{FaultsFor: faultsFor, MaxRetries: 5, BatchFetch: *batch, WaveSize: *waveSize},
 		Portal:               portal.Config{CacheImageSearch: true, PageSize: *pageSize, Priority: *priority},
 	})
 	if err != nil {

@@ -67,11 +67,6 @@ func (c *Catalog) Name() string { return c.name }
 // Columns returns the exported property column names.
 func (c *Catalog) Columns() []string { return append([]string(nil), c.cols...) }
 
-// AppendColumns appends the exported property column names to dst and
-// returns the extended slice — the allocation-free variant of Columns for
-// hot paths that already hold a scratch slice.
-func (c *Catalog) AppendColumns(dst []string) []string { return append(dst, c.cols...) }
-
 // Len returns the number of records.
 func (c *Catalog) Len() int {
 	c.mu.RLock()

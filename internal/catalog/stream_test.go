@@ -138,16 +138,3 @@ func TestStreamingExportMatchesToVOTable(t *testing.T) {
 		t.Fatal("streamed catalog export diverges from in-memory ToVOTable path")
 	}
 }
-
-// TestAppendColumnsMatchesColumns pins the append-into variant.
-func TestAppendColumnsMatchesColumns(t *testing.T) {
-	c := New("t", "mag", "z")
-	scratch := make([]string, 0, 4)
-	got := c.AppendColumns(scratch)
-	if !reflect.DeepEqual(got, c.Columns()) {
-		t.Fatalf("AppendColumns = %v, Columns = %v", got, c.Columns())
-	}
-	if &got[0] != &scratch[:1][0] {
-		t.Error("AppendColumns must reuse the destination's backing array")
-	}
-}

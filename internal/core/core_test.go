@@ -234,6 +234,7 @@ func TestSpearman(t *testing.T) {
 func TestFaultInjectionThroughTestbed(t *testing.T) {
 	tb := smallTestbed(t, 10, func(c *Config) {
 		c.Faults = faults.New(5, faults.Rule{Name: condor.OpExec, Kind: faults.KindTransient, Probability: 0.15})
+		c.Compute.MaxRetries = 5
 	})
 	res, err := tb.Portal.Analyze("COMA")
 	if err != nil {

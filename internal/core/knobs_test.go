@@ -21,10 +21,10 @@ func TestKnobBudget(t *testing.T) {
 		cfg    any
 		budget int
 	}{
-		{webservice.Config{}, 24},
+		{webservice.Config{}, 23},
 		{Config{}, 12},
 		{dagman.Options{}, 6},
-		{portal.Config{}, 14},
+		{portal.Config{}, 13},
 		{pegasus.Config{}, 10},
 		{fabric.Config{}, 7},
 		{fabric.SimOptions{}, 3},

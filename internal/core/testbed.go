@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
@@ -71,10 +70,11 @@ type Config struct {
 	// resource registry instead of hard-coded endpoints (§5 future work).
 	UseRegistryDiscovery bool
 
-	// Compute overlays the compute service's configuration. MaxRetries
-	// defaults to 5 here, and Fabric to a permissive fabric over
-	// DefaultPools(); the testbed registers the fabric's pools as its MDS
-	// sites and transformation-catalog entries.
+	// Compute overlays the compute service's configuration. Fabric
+	// defaults to a permissive fabric over DefaultPools(); the testbed
+	// registers the fabric's pools as its MDS sites and
+	// transformation-catalog entries. MaxRetries is taken as given: zero
+	// runs every DAGMan job once.
 	Compute webservice.Config
 	// Portal overlays the portal's configuration.
 	Portal portal.Config
@@ -209,7 +209,6 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	own(&bad, "Compute.RLS", &ws.RLS, tb.RLS)
 	own(&bad, "Compute.TC", &ws.TC, tb.TC)
 	own(&bad, "Compute.GridFTP", &ws.GridFTP, tb.FTP)
-	own(&bad, "Compute.CacheSite", &ws.CacheSite, "isi")
 	own(&bad, "Compute.HTTPClient", &ws.HTTPClient, tb.Client)
 	own(&bad, "Compute.Seed", &ws.Seed, cfg.Seed)
 	own(&bad, "Compute.Breakers", &ws.Breakers, tb.Breakers)
@@ -217,7 +216,6 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	shorthand(&bad, "Compute.Workers", &ws.Workers, cfg.Workers)
 	shorthand(&bad, "Compute.WaveSize", &ws.WaveSize, cfg.WaveSize)
 	shorthand(&bad, "Compute.JournalDir", &ws.JournalDir, cfg.JournalDir)
-	ws.MaxRetries = cmp.Or(ws.MaxRetries, 5)
 	if ws.FaultsFor == nil && cfg.Faults != nil {
 		ws.FaultsFor = func(_, _ string) *faults.Injector { return cfg.Faults }
 	}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/condor"
 	"repro/internal/fabric"
+	"repro/internal/faults"
 	"repro/internal/gridftp"
 	"repro/internal/journal"
 	"repro/internal/myproxy"
@@ -61,7 +63,6 @@ func TestOverlayOwnedFieldsRefused(t *testing.T) {
 		{"Compute.RLS", func(c *Config) { c.Compute.RLS = rls.New() }},
 		{"Compute.TC", func(c *Config) { c.Compute.TC = tcat.New() }},
 		{"Compute.GridFTP", func(c *Config) { c.Compute.GridFTP = gridftp.NewService(gridftp.Network{}) }},
-		{"Compute.CacheSite", func(c *Config) { c.Compute.CacheSite = "x" }},
 		{"Compute.HTTPClient", func(c *Config) { c.Compute.HTTPClient = &http.Client{} }},
 		{"Compute.Seed", func(c *Config) { c.Compute.Seed = 3 }},
 		{"Compute.Breakers", func(c *Config) { c.Compute.Breakers = resilience.NewRegistry(resilience.BreakerConfig{}) }},
@@ -170,5 +171,37 @@ func TestOverlayCrashSinkResumes(t *testing.T) {
 	}
 	if output(tb) != output(ref) {
 		t.Error("resumed output differs from the uninterrupted run")
+	}
+}
+
+// TestTestbedZeroRetriesRunsOnce: a testbed takes Compute.MaxRetries as
+// given, so with it unset a galMorph node that fails once is submitted once
+// and fails the request; no retry budget is filled in behind the caller.
+func TestTestbedZeroRetriesRunsOnce(t *testing.T) {
+	const broken = "m-COMA-000002"
+	dir := t.TempDir()
+	tb := smallTestbed(t, 6, func(c *Config) {
+		c.JournalDir = dir
+		c.Faults = faults.New(5, faults.Rule{Name: condor.OpExec, Key: broken, Kind: faults.KindTransient, Until: 1})
+	})
+	cat, err := tb.Portal.BuildCatalog("COMA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tb.Compute.Compute(cat, "COMA"); err == nil {
+		t.Fatal("a node that fails once with no retries must fail the request")
+	}
+	recs, _, err := journal.Replay(filepath.Join(dir, "COMA.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := 0
+	for _, r := range recs {
+		if r.Kind == journal.KindSubmitted && r.Node == broken {
+			submitted++
+		}
+	}
+	if submitted != 1 {
+		t.Errorf("%s submitted %d times, want once", broken, submitted)
 	}
 }

@@ -86,13 +86,9 @@ type Writer struct {
 	// appended and syncs count the records this writer appended and the
 	// fsyncs it issued (Appended, Syncs).
 	appended, syncs int
-	// Scope, when non-empty, is stamped onto every appended record (see
+	// scope, when non-empty, is stamped onto every appended record (see
 	// Record.Scope). Set by CreateScoped/OpenAppendScoped.
-	Scope string
-	// NoSync skips the per-record fsync. The write ordering is still exact;
-	// only durability against machine crashes is weakened. Tests writing
-	// thousands of records use it; production paths keep the default.
-	NoSync bool
+	scope string
 }
 
 // Create truncates (or creates) the journal at path and returns a writer
@@ -113,7 +109,7 @@ func CreateScoped(path, scope string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.Scope = scope
+	w.scope = scope
 	return w, nil
 }
 
@@ -137,7 +133,7 @@ func OpenAppendScoped(path, scope string) (*Writer, []Record, error) {
 				ErrScope, path, r.Scope, scope)
 		}
 	}
-	w.Scope = scope
+	w.scope = scope
 	return w, recs, nil
 }
 
@@ -171,8 +167,8 @@ func (w *Writer) Append(rec Record) error {
 		return ErrClosed
 	}
 	rec.Seq = w.next
-	if w.Scope != "" {
-		rec.Scope = w.Scope
+	if w.scope != "" {
+		rec.Scope = w.scope
 	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -185,12 +181,10 @@ func (w *Writer) Append(rec Record) error {
 	if err := w.w.Flush(); err != nil {
 		return err
 	}
-	if !w.NoSync {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		w.syncs++
+	if err := w.f.Sync(); err != nil {
+		return err
 	}
+	w.syncs++
 	w.next++
 	w.appended++
 	return nil
@@ -206,7 +200,7 @@ func (w *Writer) Appended() int {
 }
 
 // Syncs returns how many fsyncs this writer has issued: one per appended
-// record, unless NoSync.
+// record.
 func (w *Writer) Syncs() int {
 	if w == nil {
 		return 0

@@ -304,7 +304,6 @@ func FuzzJournalReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.NoSync = true
 	for _, r := range []Record{
 		{Kind: KindBegin, Detail: "cluster=COMA seed=5 nodes=6"},
 		{Kind: KindRestored, Node: "m-G0"},

@@ -41,14 +41,9 @@ func (p *Portal) Analyze(cluster string) (*AnalysisResult, error) {
 	return p.analyzeWithProgress(cluster, p.cfg.Priority, nil)
 }
 
-// AnalyzeAt is Analyze with an explicit fabric scheduling class, overriding
-// the Config.Priority default for this one submission.
-func (p *Portal) AnalyzeAt(cluster string, priority int) (*AnalysisResult, error) {
-	return p.analyzeWithProgress(cluster, priority, nil)
-}
-
-// analyzeWithProgress is Analyze with a Grid-progress callback fed from the
-// compute service's status polling.
+// analyzeWithProgress is Analyze at an explicit fabric scheduling class,
+// with a Grid-progress callback fed from the compute service's status
+// polling.
 func (p *Portal) analyzeWithProgress(cluster string, priority int, onProgress func(done, total int)) (*AnalysisResult, error) {
 	res := &AnalysisResult{Cluster: cluster}
 
@@ -113,7 +108,7 @@ func (p *Portal) compute(cat *votable.Table, cluster string, priority int, onPro
 	}
 	statusURL := p.cfg.ComputeService + strings.TrimSpace(string(statusPath))
 
-	deadline := p.cfg.Now().Add(p.cfg.PollTimeout)
+	deadline := p.cfg.Now().Add(pollTimeout)
 	for {
 		st, err := p.pollOnce(statusURL)
 		if err != nil {

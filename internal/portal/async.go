@@ -1,9 +1,6 @@
 package portal
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The paper's portal "operates in real-time with the multiple NVO services,
 // waiting until all processing is done ... This synchronous behavior
@@ -47,11 +44,11 @@ type jobRecord struct {
 // job ID the caller polls with JobStatus. The submission carries
 // Config.Priority as its fabric scheduling class.
 func (p *Portal) StartAnalysis(cluster string) (string, error) {
-	return p.StartAnalysisAt(cluster, p.cfg.Priority)
+	return p.startAnalysis(cluster, p.cfg.Priority)
 }
 
-// StartAnalysisAt is StartAnalysis with an explicit fabric scheduling class.
-func (p *Portal) StartAnalysisAt(cluster string, priority int) (string, error) {
+// startAnalysis is StartAnalysis with an explicit fabric scheduling class.
+func (p *Portal) startAnalysis(cluster string, priority int) (string, error) {
 	if _, err := p.Cluster(cluster); err != nil {
 		return "", err
 	}
@@ -99,17 +96,4 @@ func (p *Portal) JobStatus(id string) (JobSnapshot, error) {
 		return JobSnapshot{}, fmt.Errorf("portal: unknown job %q", id)
 	}
 	return rec.snap, nil
-}
-
-// Jobs lists all known job IDs, newest first.
-func (p *Portal) Jobs() []JobSnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]JobSnapshot, 0, len(p.jobs))
-	for _, rec := range p.jobs {
-		out = append(out, rec.snap)
-	}
-	// Newest first by ID (ids are zero-padded and monotone).
-	sort.Slice(out, func(i, j int) bool { return out[i].ID > out[j].ID })
-	return out
 }

@@ -116,7 +116,7 @@ func (p *Portal) Handler() http.Handler {
 
 	mux.HandleFunc("/analyze", withPriority(func(w http.ResponseWriter, req *http.Request, priority int) {
 		name := req.URL.Query().Get("name")
-		res, err := p.AnalyzeAt(name, priority)
+		res, err := p.analyzeWithProgress(name, priority, nil)
 		if err != nil {
 			render(w, pageData{Cluster: name, Error: err.Error()})
 			return
@@ -127,7 +127,7 @@ func (p *Portal) Handler() http.Handler {
 
 	mux.HandleFunc("/start", withPriority(func(w http.ResponseWriter, req *http.Request, priority int) {
 		name := req.URL.Query().Get("name")
-		id, err := p.StartAnalysisAt(name, priority)
+		id, err := p.startAnalysis(name, priority)
 		if err != nil {
 			render(w, pageData{Cluster: name, Error: err.Error()})
 			return

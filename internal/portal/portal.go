@@ -55,8 +55,6 @@ type Config struct {
 	ComputeService string
 
 	HTTPClient *http.Client
-	// PollTimeout bounds how long Analyze waits (default 60s).
-	PollTimeout time.Duration
 	// CacheImageSearch enables the cached image-search results option.
 	CacheImageSearch bool
 	// Retry is applied to every archive call (cone, SIA, cutout). The zero
@@ -98,8 +96,12 @@ type Config struct {
 }
 
 // pollInterval is the status-URL polling period. The real portal polled in
-// seconds, but model time is decoupled from wall time here.
-const pollInterval = 10 * time.Millisecond
+// seconds, but model time is decoupled from wall time here. pollTimeout
+// bounds how long one analysis waits on the compute service, by Config.Now.
+const (
+	pollInterval = 10 * time.Millisecond
+	pollTimeout  = 60 * time.Second
+)
 
 // Degradation records one archive the portal proceeded without: a secondary
 // catalog or image service that stayed down through the retry policy, whose
@@ -157,9 +159,6 @@ func New(cfg Config) (*Portal, error) {
 		// All archive traffic shares one pooled client, so sequential cone,
 		// SIA and cutout calls to the same host reuse keep-alive connections.
 		cfg.HTTPClient = httpclient.Shared()
-	}
-	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = 60 * time.Second
 	}
 	if cfg.MaxParallelQueries <= 0 {
 		cfg.MaxParallelQueries = 4

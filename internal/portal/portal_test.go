@@ -79,7 +79,6 @@ func newFixture(t testing.TB, nGalaxies int, mut func(*Config)) *fixture {
 		CutoutService:  mastSrv.URL + "/siacut",
 		ComputeService: wsSrv.URL,
 		HTTPClient:     mastSrv.Client(),
-		PollTimeout:    30 * time.Second,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -334,10 +333,6 @@ func TestAsyncAnalysis(t *testing.T) {
 	if _, err := f.portal.JobStatus("job-999999"); err == nil {
 		t.Error("unknown job must fail")
 	}
-	jobs := f.portal.Jobs()
-	if len(jobs) != 1 || jobs[0].ID != id {
-		t.Errorf("Jobs = %+v", jobs)
-	}
 }
 
 func TestAsyncHTMLFlow(t *testing.T) {
@@ -410,8 +405,8 @@ func TestPriorityQueryParameter(t *testing.T) {
 			}
 		}
 	}
-	if jobs := f.portal.Jobs(); len(jobs) != 0 {
-		t.Errorf("bad priorities started %d jobs", len(jobs))
+	if _, err := f.portal.JobStatus("job-000001"); err == nil {
+		t.Error("a bad priority started a job")
 	}
 	if n := f.svc.Stats().Requests; n != 0 {
 		t.Errorf("bad priorities submitted %d compute requests", n)
@@ -488,38 +483,30 @@ func TestDiscoverConfigAndNewFromRegistry(t *testing.T) {
 	}
 }
 
-func TestJobsNewestFirst(t *testing.T) {
-	f := newFixture(t, 3, nil)
-	var ids []string
-	for i := 0; i < 3; i++ {
-		id, err := f.portal.StartAnalysis("COMA")
-		if err != nil {
-			t.Fatal(err)
+// TestAnalyzeTimesOut: a compute request that stays queued makes Analyze
+// give up with ErrTimeout once Config.Now passes the poll deadline. Every
+// call of the injected clock advances it past pollTimeout, so the first poll
+// that finds the request unfinished is the last.
+func TestAnalyzeTimesOut(t *testing.T) {
+	now := time.Date(2004, 1, 1, 0, 0, 0, 0, time.UTC)
+	f := newFixture(t, 3, func(c *Config) {
+		c.Now = func() time.Time {
+			now = now.Add(pollTimeout + time.Second)
+			return now
 		}
-		ids = append(ids, id)
+	})
+	f.svc.Fabric().Hold()
+	t.Cleanup(func() {
+		if err := f.svc.Cancel("req-000001"); err != nil {
+			t.Error(err)
+		}
+		f.svc.Fabric().Unhold()
+	})
+	if _, err := f.portal.Analyze("COMA"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Analyze on a held fabric = %v, want ErrTimeout", err)
 	}
-	jobs := f.portal.Jobs()
-	if len(jobs) != 3 {
-		t.Fatalf("jobs = %d", len(jobs))
-	}
-	for i := range jobs {
-		if jobs[i].ID != ids[len(ids)-1-i] {
-			t.Fatalf("order = %v (want newest first %v)", jobs, ids)
-		}
-	}
-	// Wait for completion so goroutines don't leak past test end.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		done := 0
-		for _, id := range ids {
-			if s, _ := f.portal.JobStatus(id); s.State != JobRunning {
-				done++
-			}
-		}
-		if done == 3 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st, err := f.svc.Status("req-000001"); err != nil || st.State != webservice.StateQueued {
+		t.Errorf("compute request = %+v, %v; want it still queued", st, err)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package visual stands in for the visualization tools the paper used on
 // the returned VOTables — Aladin (sky overlay of the morphology parameters,
 // Figure 7) and Mirage (scatter plots of parameter correlations). It renders
-// ASCII sky maps and scatter plots for terminal output and exports tables to
-// the CSV and tab-separated (Mirage-native) formats, the way the paper's
-// XSL stylesheet converted VOTables for Mirage.
+// an ASCII sky map for terminal output and exports tables to the
+// tab-separated Mirage-native format, the way the paper's XSL stylesheet
+// converted VOTables for Mirage.
 package visual
 
 import (
@@ -101,97 +101,6 @@ func SkyMap(t *votable.Table, center wcs.SkyCoord, radiusDeg float64, w, h int) 
 	fmt.Fprintf(&b, "legend: %c A<0.05  %c A<0.1  %c A<0.2  %c A>=0.2  %c invalid\n",
 		GlyphEarly, GlyphMid, GlyphLate, GlyphVeryAsy, GlyphInvalid)
 	return b.String(), nil
-}
-
-// ScatterPlot renders an ASCII scatter plot of y against x — the Mirage
-// analog the paper used "to look for correlations between our morphology
-// parameters and other galaxy characteristics".
-func ScatterPlot(xs, ys []float64, xlabel, ylabel string, w, h int) (string, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return "", errors.New("visual: need equal-length non-empty samples")
-	}
-	if w < 10 || h < 5 {
-		return "", errors.New("visual: plot too small")
-	}
-	xmin, xmax := minMax(xs)
-	ymin, ymax := minMax(ys)
-	if xmax == xmin {
-		xmax = xmin + 1
-	}
-	if ymax == ymin {
-		ymax = ymin + 1
-	}
-	grid := make([][]rune, h)
-	for y := range grid {
-		grid[y] = make([]rune, w)
-		for x := range grid[y] {
-			grid[y][x] = ' '
-		}
-	}
-	for i := range xs {
-		px := int((xs[i] - xmin) / (xmax - xmin) * float64(w-1))
-		py := int((1 - (ys[i]-ymin)/(ymax-ymin)) * float64(h-1))
-		switch grid[py][px] {
-		case ' ':
-			grid[py][px] = '.'
-		case '.':
-			grid[py][px] = 'o'
-		default:
-			grid[py][px] = '@'
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s vs %s  (x: %.4g..%.4g, y: %.4g..%.4g, n=%d)\n",
-		ylabel, xlabel, xmin, xmax, ymin, ymax, len(xs))
-	for _, row := range grid {
-		b.WriteString("|")
-		b.WriteString(string(row))
-		b.WriteString("\n")
-	}
-	b.WriteString("+" + strings.Repeat("-", w) + "> " + xlabel + "\n")
-	return b.String(), nil
-}
-
-func minMax(v []float64) (lo, hi float64) {
-	lo, hi = v[0], v[0]
-	for _, x := range v {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// ToCSV renders a table as RFC-4180-style CSV.
-func ToCSV(t *votable.Table) string {
-	var b strings.Builder
-	for i, f := range t.Fields {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(csvEscape(f.Name))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(csvEscape(cell))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
 }
 
 // ToMirage renders a table in the tab-separated format IBM Mirage ingests

@@ -76,58 +76,6 @@ func TestSkyMapRAWrap(t *testing.T) {
 	}
 }
 
-func TestScatterPlot(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{0, 1, 4, 9, 16}
-	p, err := ScatterPlot(xs, ys, "radius", "asymmetry", 30, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(p, "asymmetry vs radius") || !strings.Contains(p, "n=5") {
-		t.Errorf("plot header:\n%s", p)
-	}
-	if !strings.Contains(p, ".") {
-		t.Error("no points plotted")
-	}
-}
-
-func TestScatterPlotOverplotting(t *testing.T) {
-	xs := []float64{1, 1, 1, 1}
-	ys := []float64{2, 2, 2, 2}
-	p, err := ScatterPlot(xs, ys, "x", "y", 20, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(p, "@") {
-		t.Errorf("triple overplot should yield '@':\n%s", p)
-	}
-}
-
-func TestScatterPlotErrors(t *testing.T) {
-	if _, err := ScatterPlot(nil, nil, "x", "y", 30, 10); err == nil {
-		t.Error("empty samples must fail")
-	}
-	if _, err := ScatterPlot([]float64{1}, []float64{1, 2}, "x", "y", 30, 10); err == nil {
-		t.Error("length mismatch must fail")
-	}
-	if _, err := ScatterPlot([]float64{1}, []float64{1}, "x", "y", 2, 2); err == nil {
-		t.Error("tiny plot must fail")
-	}
-}
-
-func TestToCSV(t *testing.T) {
-	tab := votable.NewTable("t",
-		votable.Field{Name: "id", Datatype: votable.TypeChar},
-		votable.Field{Name: "note", Datatype: votable.TypeChar},
-	)
-	_ = tab.AppendRow("a", `has,comma and "quote"`)
-	csv := ToCSV(tab)
-	want := "id,note\na,\"has,comma and \"\"quote\"\"\"\n"
-	if csv != want {
-		t.Errorf("csv = %q, want %q", csv, want)
-	}
-}
-
 func TestToMirage(t *testing.T) {
 	tab := votable.NewTable("t",
 		votable.Field{Name: "id", Datatype: votable.TypeChar},

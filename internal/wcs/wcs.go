@@ -125,12 +125,6 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// InCone reports whether c lies within radiusDeg of center. Every cone-search
-// implementation in the repository delegates to this.
-func InCone(center, c SkyCoord, radiusDeg float64) bool {
-	return center.Separation(c) <= radiusDeg
-}
-
 // TanProjection is a gnomonic (TAN) projection tying pixel coordinates to the
 // sky, mirroring the FITS WCS keywords CRVAL1/2 (reference sky position),
 // CRPIX1/2 (reference pixel, 1-based per FITS convention) and CDELT1/2

@@ -90,19 +90,6 @@ func TestOffsetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInCone(t *testing.T) {
-	center := New(180, -45)
-	if !InCone(center, New(180.5, -45), 1) {
-		t.Error("point 0.35 deg away should be inside 1-deg cone")
-	}
-	if InCone(center, New(180, -42), 1) {
-		t.Error("point 3 deg away should be outside 1-deg cone")
-	}
-	if !InCone(center, center, 0) {
-		t.Error("center must be inside zero-radius cone")
-	}
-}
-
 func TestTanProjectionCenter(t *testing.T) {
 	p := NewTanProjection(New(200, 47), 512, 512, 1.0/3600)
 	x, y, ok := p.SkyToPixel(p.Center)

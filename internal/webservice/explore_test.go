@@ -86,8 +86,8 @@ type schedule struct {
 	slots  int  // fabric MaxRunningWorkflows (0 = unlimited)
 	mirror bool // MirrorSite "mirror", so a damaged cached image has a healthy replica
 	// outage takes the cache site's GridFTP server down (outageInjector),
-	// with one breaker registry every flow shares and the
-	// resilient testbed's retry budget of 5 (core.NewTestbed's default). The
+	// with one breaker registry every flow shares and the retry budget of 5
+	// the fault-injecting testbeds run with. The
 	// flows stage only about six images from the cache site, so three
 	// outage failures are all an explorer schedule sees; concurrent workers
 	// may record a success between them, and the circuit opens on two in a
@@ -660,7 +660,7 @@ func (x *explorer) run(t *testing.T, sc schedule) *report {
 				f.SetWeight(fr.tenant, float64(s.arg%4+1))
 			case stepCorruptImage:
 				lfn := fr.galaxy(s.arg) + ".fit"
-				corrupt(h.ftp.Store(h.svc.cfg.CacheSite), lfn, lfn)
+				corrupt(h.ftp.Store(cacheSite), lfn, lfn)
 			case stepCorruptResult:
 				lfn := fr.galaxy(s.arg) + ".txt"
 				for _, p := range h.r.Lookup(lfn) {
@@ -914,7 +914,7 @@ func pollTerminal(svc *Service, id string) (Status, error) {
 // replica is served damaged or from a stale cache.
 func (x *explorer) check(t *testing.T, rep *report, sc schedule, h *harness, f *fabric.Fabric, runs []*flowRun, corrupted map[string]int) {
 	for i, fr := range runs {
-		if got, err := h.ftp.Store(h.svc.cfg.CacheSite).Get(fr.name + ".vot"); err != nil || !bytes.Equal(got, x.refs[fr.cluster]) {
+		if got, err := h.ftp.Store(cacheSite).Get(fr.name + ".vot"); err != nil || !bytes.Equal(got, x.refs[fr.cluster]) {
 			rep.errorf("%s: output differs from the solo run (%v)", fr.name, err)
 		}
 		recs, _, err := journal.Replay(fr.journal)

@@ -555,11 +555,11 @@ func (s *Service) planConfig() pegasus.Config {
 	return pegasus.Config{
 		RLS:             s.cfg.RLS,
 		TC:              s.cfg.TC,
-		OutputSite:      s.cfg.CacheSite,
+		OutputSite:      cacheSite,
 		RegisterOutputs: true,
 		Selection:       s.cfg.Selection,
 		Net:             s.cfg.GridFTP.Network(),
-		SizeOf:          func(lfn string) int64 { return s.cfg.GridFTP.Store(s.cfg.CacheSite).Size(lfn) },
+		SizeOf:          func(lfn string) int64 { return s.cfg.GridFTP.Store(cacheSite).Size(lfn) },
 	}
 }
 

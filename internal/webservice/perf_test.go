@@ -116,9 +116,9 @@ func TestClusteringReducesScheduleEventsAndMakespan(t *testing.T) {
 	}
 }
 
-// withComputeAtCacheSite adds the cache site to the compute fabric, so the
+// withComputeAtCache adds the cache site to the compute fabric, so the
 // locality policy has a site where the input replicas already live.
-func withComputeAtCacheSite(c *Config) {
+func withComputeAtCache(c *Config) {
 	for _, tr := range []string{"galMorph", "concatVOT"} {
 		_ = c.TC.Add(tcat.Entry{Transformation: tr, Site: "isi", Path: "/nvo/bin/" + tr})
 	}
@@ -132,7 +132,7 @@ func TestLocalityReducesStagedBytes(t *testing.T) {
 	const n = 16
 	run := func(sel pegasus.SiteSelection) RunStats {
 		h := newHarness(t, n, func(c *Config) {
-			withComputeAtCacheSite(c)
+			withComputeAtCache(c)
 			c.Selection = sel
 		})
 		_, stats, err := h.svc.Compute(h.inputTable(t), "COMA")

@@ -199,5 +199,5 @@ func (s *Service) ResultTable(lfn string) (*votable.Table, error) {
 // resultDoc returns a completed result's VOTable as the cache store holds
 // it: the store's own bytes, to be read and not written.
 func (s *Service) resultDoc(lfn string) ([]byte, error) {
-	return s.cfg.GridFTP.Store(s.cfg.CacheSite).Get(lfn)
+	return s.cfg.GridFTP.Store(cacheSite).Get(lfn)
 }

@@ -155,6 +155,10 @@ type Status struct {
 	Stats     RunStats
 }
 
+// cacheSite is where downloaded images and the final tables live (the web
+// server's local storage, "isi" in the paper's deployment).
+const cacheSite = "isi"
+
 // Config wires the service to its Grid substrate.
 type Config struct {
 	RLS     *rls.RLS
@@ -167,9 +171,6 @@ type Config struct {
 	// and fair-share ordering. Required.
 	Fabric *fabric.Fabric
 
-	// CacheSite is where downloaded images and the final tables live
-	// (the web server's local storage; "isi" in the paper's deployment).
-	CacheSite string
 	// HTTPClient fetches galaxy images from their acref URLs.
 	HTTPClient *http.Client
 	// Seed drives site selection deterministically.
@@ -360,9 +361,6 @@ var (
 func New(cfg Config) (*Service, error) {
 	if cfg.RLS == nil || cfg.TC == nil || cfg.GridFTP == nil || cfg.Fabric == nil {
 		return nil, errors.New("webservice: RLS, TC, GridFTP and Fabric are required")
-	}
-	if cfg.CacheSite == "" {
-		cfg.CacheSite = "isi"
 	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = httpclient.Shared()

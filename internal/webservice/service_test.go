@@ -67,7 +67,6 @@ func newGrid(t testing.TB, specs []skysim.Spec, cfgMut func(*Config)) *harness {
 	}
 	cfg := Config{
 		RLS: r, TC: tc, GridFTP: ftp, Fabric: permissiveFabric(gridPools()),
-		CacheSite:  "isi",
 		HTTPClient: srv.Client(),
 		Seed:       5,
 		MaxRetries: 2,
@@ -645,7 +644,7 @@ func TestResultEndpointServesStoredBytes(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/result = %d: %s", resp.StatusCode, body.Bytes())
 	}
-	stored, err := h.svc.cfg.GridFTP.Store(h.svc.cfg.CacheSite).Get(lfn)
+	stored, err := h.svc.cfg.GridFTP.Store(cacheSite).Get(lfn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,10 +191,10 @@ func (s *Service) fetchURL(u string) ([]byte, error) {
 // imageSites lists where staged images live: the cache site, and the mirror
 // when one is configured.
 func (s *Service) imageSites() []string {
-	if m := s.cfg.MirrorSite; m != "" && m != s.cfg.CacheSite {
-		return []string{s.cfg.CacheSite, m}
+	if m := s.cfg.MirrorSite; m != "" && m != cacheSite {
+		return []string{cacheSite, m}
 	}
-	return []string{s.cfg.CacheSite}
+	return []string{cacheSite}
 }
 
 // storeImage publishes one fetched cutout at every image site. It takes
@@ -240,7 +240,7 @@ func (s *Service) evictImage(lfn string) bool {
 // store — the footprint wave eviction bounds.
 func (s *Service) countStagedImages() int {
 	n := 0
-	for _, name := range s.cfg.GridFTP.Store(s.cfg.CacheSite).List() {
+	for _, name := range s.cfg.GridFTP.Store(cacheSite).List() {
 		if strings.HasSuffix(name, ".fit") {
 			n++
 		}

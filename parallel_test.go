@@ -19,7 +19,7 @@ func parallelTestbed(t *testing.T, clusters, workers int, inj *faults.Injector) 
 		Seed:         7,
 		Resilience:   true,
 		Faults:       inj,
-		Compute:      webservice.Config{MirrorSite: "mirror", Workers: workers},
+		Compute:      webservice.Config{MirrorSite: "mirror", Workers: workers, MaxRetries: 5},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -331,7 +331,7 @@ func TestSoakServiceCampaign(t *testing.T) {
 	tb, err := core.NewTestbed(core.Config{
 		ClusterSpecs: chaosSpecs(n), Seed: 7, Resilience: true,
 		Compute: webservice.Config{
-			MirrorSite: "mirror", Fabric: f, JournalDir: dir,
+			MirrorSite: "mirror", Fabric: f, JournalDir: dir, MaxRetries: 5,
 			FaultsFor: func(tenant, cluster string) *faults.Injector {
 				return soakFaultPlan(cluster)
 			},
