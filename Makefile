@@ -106,7 +106,11 @@ recovery:
 # rows, sort, filter and select keep the PARAMs, and both joins give the
 # rows of a nested-loop join), and over the compute service's handler (any
 # method, endpoint, query string and body: no panic, and no 5xx but a shed
-# 503 with Retry-After).
+# 503 with Retry-After), and over the cutout path against its frozen copies:
+# the render kernel (any galaxy parameters, frame size and noise seed: the
+# pixel bits and header cards of the pre-hoisting kernel) and the card writer
+# (any keyword, comment and bool, int64, float64, string or nil value: the
+# bytes of the fmt-based formatCard).
 # Seeds always run under plain `go test`; this also spends FUZZTIME per
 # target on new inputs.
 FUZZTIME ?= 10s
@@ -130,6 +134,8 @@ fuzz:
 	$(GO) test -fuzz FuzzParseURL -fuzztime $(FUZZTIME) ./internal/gridftp/
 	$(GO) test -fuzz FuzzTableOps -fuzztime $(FUZZTIME) ./internal/tableops/
 	$(GO) test -fuzz FuzzServiceHandler -fuzztime $(FUZZTIME) ./internal/webservice/
+	$(GO) test -fuzz FuzzRenderGalaxyParity -fuzztime $(FUZZTIME) ./internal/skysim/
+	$(GO) test -fuzz FuzzAppendCardParity -fuzztime $(FUZZTIME) ./internal/fits/
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants under their own fault plans byte-identical
@@ -213,19 +219,25 @@ graphreaders:
 # dagman.Execute over the same plan, allocations per node, serial and on four
 # workers, flat from 1k to 16k galaxies), and so has VOTable decoding
 # (TestDecodeAllocsPerRow, internal/votable/scan_test.go: ReadTable and
-# DecodeRows of a 1,000-row, 8-column table, allocations per row). Fails
-# fast on any AllocsPerRun regression. Beside the measurement pins runs
+# DecodeRows of a 1,000-row, 8-column table, allocations per row), and so
+# has the archive's cutout (TestCutoutAllocBudget,
+# internal/services/cutout_test.go: render + encode, allocations per
+# CutoutFITS call). Fails fast on any AllocsPerRun regression. Beside the
+# measurement pins runs
 # TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts: every row-span loop
 # of the kernel bit-identical to its frozen per-pixel form on 1,000 survey
-# cutouts. The last two lines are a smoke, not a
+# cutouts. The last three lines are a smoke, not a
 # gate: the
 # kernel's time per galaxy (measurement alone, and view + measure + encode as
-# galMorph runs it) and planning's time per request, each at one fixed
-# iteration count, uninstrumented, printed beside the allocation figures.
+# galMorph runs it), planning's time per request, and the archive's render
+# and cutout time over the SURVEY galaxies at their own sizes, each at one
+# fixed iteration count, uninstrumented, printed beside the allocation
+# figures.
 hotbench:
 	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestExecuteAllocBudget|TestExecuteAllocsFlat' -v ./internal/webservice/
-	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/
+	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
+	$(GO) test -run '^$$' -bench 'BenchmarkRenderGalaxy$$|BenchmarkCutoutFITS$$' -benchtime 200x -benchmem ./internal/skysim/ ./internal/services/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/
 
 # Non-test Go lines per package: raw lines and code lines (blank and

@@ -61,7 +61,7 @@ func BenchmarkTable1SIAQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if t := arch.SIAQueryCutouts(cl.Center, 0.8); t.NumRows() == 0 {
+		if t := arch.SIAQueryCutoutsPage(cl.Center, 0.8, 0, -1); t.NumRows() == 0 {
 			b.Fatal("empty SIA response")
 		}
 	}

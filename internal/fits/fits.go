@@ -11,6 +11,7 @@
 package fits
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/wcs"
 )
@@ -32,10 +34,9 @@ const CardSize = 80
 // cardsPerBlock is the number of header cards per logical record.
 const cardsPerBlock = BlockSize / CardSize
 
-// blockPool recycles the 2880-byte record buffers Encode, Decode and the
-// header reader work through. Every galaxy measured and every cutout
-// written cycles at least two of these; pooling keeps the block traffic
-// off the per-request allocation budget.
+// blockPool recycles the 2880-byte record buffers Decode and the header
+// reader work through. Every galaxy decoded cycles at least one of these;
+// pooling keeps the block traffic off the per-request allocation budget.
 var blockPool = sync.Pool{New: func() any {
 	b := make([]byte, BlockSize)
 	return &b
@@ -62,15 +63,20 @@ type Card struct {
 
 // Header is an ordered collection of cards with keyword lookup. Keyword
 // comparisons are case-sensitive; FITS keywords are upper case by convention
-// and this package always writes them that way.
+// and this package always writes them that way. A header holds a few dozen
+// cards at most, so lookups scan the cards instead of keeping an index.
 type Header struct {
 	cards []Card
-	index map[string]int // keyword -> first occurrence in cards
 }
+
+// headerCards is the card capacity a header starts with: the five
+// mandatory cards, the eight WCS cards and a few more, so a typical header
+// (a cutout's holds 16) never regrows.
+const headerCards = 16
 
 // NewHeader returns an empty header.
 func NewHeader() *Header {
-	return &Header{index: make(map[string]int)}
+	return &Header{}
 }
 
 // Len returns the number of cards (excluding the END card, which is implicit).
@@ -85,18 +91,37 @@ func (h *Header) Set(keyword string, value any, comment string) {
 	keyword = strings.ToUpper(strings.TrimSpace(keyword))
 	c := Card{Keyword: keyword, Value: normalizeValue(value), Comment: comment}
 	if keyword != "COMMENT" && keyword != "HISTORY" && keyword != "" {
-		if i, ok := h.index[keyword]; ok {
+		if i := h.find(keyword); i >= 0 {
 			h.cards[i] = c
 			return
 		}
 	}
-	if h.index == nil {
-		h.index = make(map[string]int)
-	}
-	if _, ok := h.index[keyword]; !ok {
-		h.index[keyword] = len(h.cards)
+	if h.cards == nil {
+		h.cards = make([]Card, 0, headerCards)
 	}
 	h.cards = append(h.cards, c)
+}
+
+// find returns the index of keyword's first card, or -1.
+func (h *Header) find(keyword string) int {
+	for i := range h.cards {
+		if h.cards[i].Keyword == keyword {
+			return i
+		}
+	}
+	return -1
+}
+
+// setInt is Set for an integer card that leaves the card alone when it
+// already holds value and comment, so refreshing an unchanged card boxes
+// nothing.
+func (h *Header) setInt(keyword string, value int64, comment string) {
+	if i := h.find(keyword); i >= 0 {
+		if v, ok := h.cards[i].Value.(int64); ok && v == value && h.cards[i].Comment == comment {
+			return
+		}
+	}
+	h.Set(keyword, value, comment)
 }
 
 // normalizeValue widens native numeric types so lookups behave uniformly.
@@ -115,8 +140,8 @@ func normalizeValue(v any) any {
 
 // Get returns the value for keyword and whether it is present.
 func (h *Header) Get(keyword string) (any, bool) {
-	i, ok := h.index[strings.ToUpper(strings.TrimSpace(keyword))]
-	if !ok {
+	i := h.find(strings.ToUpper(strings.TrimSpace(keyword)))
+	if i < 0 {
 		return nil, false
 	}
 	return h.cards[i].Value, true
@@ -184,7 +209,7 @@ type Image struct {
 func NewImage(nx, ny, bitpix int) *Image {
 	h := NewHeader()
 	h.Set("SIMPLE", true, "conforms to FITS standard")
-	h.Set("BITPIX", bitpix, "bits per pixel")
+	h.Set("BITPIX", int64(bitpix), "bits per pixel") // one box, not an int re-boxed as int64
 	h.Set("NAXIS", 2, "number of axes")
 	h.Set("NAXIS1", nx, "axis 1 length")
 	h.Set("NAXIS2", ny, "axis 2 length")
@@ -297,36 +322,72 @@ func (im *Image) Stats() (min, max, mean, stddev float64) {
 	return min, max, mean, math.Sqrt(variance)
 }
 
-// Encode writes the image as a standards-conformant FITS file. Integer
-// BITPIX values are rounded; values outside the integer range saturate.
+// Encode writes the image as a standards-conformant FITS file: the bytes
+// AppendEncode gives, in one Write.
 func (im *Image) Encode(w io.Writer) error {
-	if len(im.Data) != im.Nx*im.Ny {
-		return fmt.Errorf("fits: data length %d != %d*%d", len(im.Data), im.Nx, im.Ny)
-	}
-	// Refresh the mandatory cards so they reflect the actual geometry.
-	im.Header.Set("SIMPLE", true, "conforms to FITS standard")
-	im.Header.Set("BITPIX", im.Bitpix, "bits per pixel")
-	im.Header.Set("NAXIS", 2, "number of axes")
-	im.Header.Set("NAXIS1", im.Nx, "axis 1 length")
-	im.Header.Set("NAXIS2", im.Ny, "axis 2 length")
-
-	if err := writeHeader(w, im.Header); err != nil {
+	buf, err := im.AppendEncode(nil)
+	if err != nil {
 		return err
 	}
-	return writeData(w, im)
+	_, err = w.Write(buf)
+	return err
 }
 
-// writeHeader emits the cards in canonical order (mandatory cards first) and
-// pads to a record boundary.
-func writeHeader(w io.Writer, h *Header) error {
-	var buf []byte
-	emit := func(c Card) {
-		buf = append(buf, formatCard(c)...)
+// mandatoryKeywords are the cards every header starts with, in the order
+// the standard requires.
+var mandatoryKeywords = [...]string{"SIMPLE", "BITPIX", "NAXIS", "NAXIS1", "NAXIS2"}
+
+// AppendEncode appends the image's FITS encoding to dst and returns the
+// extended slice: the header in canonical order (mandatory cards first,
+// refreshed from the geometry) padded with blanks to a record boundary,
+// then the big-endian data array with BSCALE/BZERO applied inversely
+// (physical = BZERO + BSCALE*stored, so stored = (physical-BZERO)/BSCALE)
+// padded with zero bytes. Integer BITPIX values are rounded; values outside
+// the integer range saturate. dst grows at most once, to exactly the
+// encoded length; on error it comes back unchanged.
+//
+//nvo:hotpath
+func (im *Image) AppendEncode(dst []byte) ([]byte, error) {
+	if len(im.Data) != im.Nx*im.Ny {
+		return dst, fmt.Errorf("fits: data length %d != %d*%d", len(im.Data), im.Nx, im.Ny)
 	}
-	// Mandatory cards in required order.
-	for _, k := range []string{"SIMPLE", "BITPIX", "NAXIS", "NAXIS1", "NAXIS2"} {
-		if i, ok := h.index[k]; ok {
-			emit(h.cards[i])
+	switch im.Bitpix {
+	case 8, 16, 32, -32, -64:
+	default:
+		return dst, fmt.Errorf("%w: BITPIX %d", ErrUnsupported, im.Bitpix)
+	}
+	h := im.Header
+	bscale := h.Float("BSCALE", 1)
+	bzero := h.Float("BZERO", 0)
+	if bscale == 0 {
+		return dst, fmt.Errorf("%w: BSCALE = 0", ErrBadHeader)
+	}
+	h.Set("SIMPLE", true, "conforms to FITS standard")
+	h.setInt("BITPIX", int64(im.Bitpix), "bits per pixel")
+	h.setInt("NAXIS", 2, "number of axes")
+	h.setInt("NAXIS1", int64(im.Nx), "axis 1 length")
+	h.setInt("NAXIS2", int64(im.Ny), "axis 2 length")
+
+	cards := 0
+	for _, c := range h.cards {
+		if c.Keyword != "END" {
+			cards++
+		}
+	}
+	dst = grow(dst, EncodedLen(cards, im.Nx, im.Ny, im.Bitpix))
+	return appendData(h.appendTo(dst), im, bscale, bzero), nil
+}
+
+// appendTo appends the header's cards in canonical order (the mandatory
+// cards present first, then the rest as set, END last) and pads them with
+// blank cards to a record boundary.
+//
+//nvo:hotpath
+func (h *Header) appendTo(dst []byte) []byte {
+	start := len(dst)
+	for _, k := range mandatoryKeywords {
+		if i := h.find(k); i >= 0 {
+			dst = appendCard(dst, h.cards[i])
 		}
 	}
 	for _, c := range h.cards {
@@ -334,125 +395,177 @@ func writeHeader(w io.Writer, h *Header) error {
 		case "SIMPLE", "BITPIX", "NAXIS", "NAXIS1", "NAXIS2", "END":
 			continue
 		}
-		emit(c)
+		dst = appendCard(dst, c)
 	}
-	buf = append(buf, formatCard(Card{Keyword: "END"})...)
-	for len(buf)%BlockSize != 0 {
-		buf = append(buf, ' ')
+	dst = appendCard(dst, Card{Keyword: "END"})
+	for (len(dst)-start)%BlockSize != 0 {
+		dst = append(dst, blankCard...)
 	}
-	_, err := w.Write(buf)
-	return err
+	return dst
 }
 
-// formatCard renders one 80-byte card.
-func formatCard(c Card) []byte {
-	card := make([]byte, CardSize)
-	for i := range card {
-		card[i] = ' '
+// EncodedLen returns the length in bytes of the FITS encoding of an
+// nx-by-ny image of the given BITPIX whose header holds cards cards (the
+// END card not counted): header and data each padded to whole records.
+func EncodedLen(cards, nx, ny, bitpix int) int {
+	return wholeBlocks((cards+1)*CardSize) + wholeBlocks(nx*ny*abs(bitpix)/8)
+}
+
+// wholeBlocks rounds n bytes up to whole logical records.
+func wholeBlocks(n int) int {
+	return (n + BlockSize - 1) / BlockSize * BlockSize
+}
+
+// grow returns dst with room for n more bytes, reallocating at most once
+// and then to exactly len(dst)+n.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
 	}
+	out := make([]byte, len(dst), len(dst)+n)
+	copy(out, dst)
+	return out
+}
+
+// blankCard is one card of blanks: the card template, and the padding that
+// fills the header's last record.
+const blankCard = "                                                                                "
+
+// appendCard appends one 80-byte card. The keyword, the "= " indicator, the
+// value and the "/ comment" are laid over a blank card in that order, each
+// cut at the card's end: a value of n bytes puts the comment at column
+// 13+n, and a value too long for the card leaves no room for one. Numbers
+// are right-justified in columns 11-30 (wider ones run on); a string is
+// quoted with its quotes doubled and padded to at least eight characters.
+//
+//nvo:hotpath
+func appendCard(dst []byte, c Card) []byte {
+	start := len(dst)
+	dst = append(dst, blankCard...)
+	card := dst[start : start+CardSize]
 	copy(card, c.Keyword)
-	if c.Keyword == "COMMENT" || c.Keyword == "HISTORY" || c.Keyword == "" {
+	switch c.Keyword {
+	case "COMMENT", "HISTORY", "":
 		copy(card[8:], c.Comment)
-		return card
-	}
-	if c.Keyword == "END" {
-		return card
+		return dst
+	case "END":
+		return dst
 	}
 	card[8] = '='
-	var val string
+	w := cardWriter{card: card, pos: 10}
+	var num [32]byte
 	switch v := c.Value.(type) {
 	case nil:
-		val = ""
 	case bool:
+		flag := byte('F')
 		if v {
-			val = "T"
-		} else {
-			val = "F"
+			flag = 'T'
 		}
-		val = fmt.Sprintf("%20s", val)
+		num[0] = flag
+		w.right(num[:1])
 	case int64:
-		val = fmt.Sprintf("%20d", v)
+		w.right(strconv.AppendInt(num[:0], v, 10))
 	case float64:
-		val = fmt.Sprintf("%20s", formatFloat(v))
+		w.right(appendFloat(num[:0], v))
 	case string:
-		s := strings.ReplaceAll(v, "'", "''")
-		val = fmt.Sprintf("'%-8s'", s)
+		w.quoted(v)
 	default:
-		val = fmt.Sprintf("%20v", v)
+		w.raw(appendOther(v))
 	}
-	pos := 10
-	copy(card[pos:], val)
-	pos += len(val)
-	if c.Comment != "" && pos+3 < CardSize {
+	if pos := w.pos; c.Comment != "" && pos+3 < CardSize {
 		copy(card[pos+1:], "/ ")
 		copy(card[pos+3:], c.Comment)
 	}
-	return card
+	return dst
 }
 
-// formatFloat renders a float in a FITS-legal form that always round-trips.
-func formatFloat(v float64) string {
-	s := strconv.FormatFloat(v, 'G', 17, 64)
-	if !strings.ContainsAny(s, ".E") {
-		s += "."
-	}
-	return s
+// cardWriter lays a value over a card from column pos on. Bytes past the
+// card's end are dropped but still advance pos, which is where the value
+// would have ended.
+type cardWriter struct {
+	card []byte
+	pos  int
 }
 
-// writeData emits the big-endian data array with BSCALE/BZERO applied
-// inversely (physical = BZERO + BSCALE*stored, so stored = (physical-BZERO)/BSCALE).
-// Pixels are encoded one 2880-byte logical record at a time — every legal
-// pixel width divides BlockSize, so no pixel straddles a record — keeping
-// the encoder's memory constant regardless of image size.
-func writeData(w io.Writer, im *Image) error {
-	bscale := im.Header.Float("BSCALE", 1)
-	bzero := im.Header.Float("BZERO", 0)
-	if bscale == 0 {
-		return fmt.Errorf("%w: BSCALE = 0", ErrBadHeader)
+func (w *cardWriter) put(b byte) {
+	if w.pos < CardSize {
+		w.card[w.pos] = b
 	}
-	switch im.Bitpix {
-	case 8, 16, 32, -32, -64:
-	default:
-		return fmt.Errorf("%w: BITPIX %d", ErrUnsupported, im.Bitpix)
-	}
+	w.pos++
+}
 
-	bytesPerPix := abs(im.Bitpix) / 8
-	blockBuf := getBlock()
-	defer putBlock(blockBuf)
-	block := *blockBuf
-	fill := 0
-	for _, phys := range im.Data {
+func (w *cardWriter) raw(s []byte) {
+	for _, b := range s {
+		w.put(b)
+	}
+}
+
+// right writes s (ASCII) right-justified in a 20-character field.
+func (w *cardWriter) right(s []byte) {
+	for pad := 20 - len(s); pad > 0; pad-- {
+		w.put(' ')
+	}
+	w.raw(s)
+}
+
+// quoted writes s as a FITS string: in quotes, each quote doubled, padded
+// with blanks to at least eight characters (runes, as fmt's %-8s counts).
+func (w *cardWriter) quoted(s string) {
+	w.put('\'')
+	for i := 0; i < len(s); i++ {
+		w.put(s[i])
+		if s[i] == '\'' {
+			w.put('\'')
+		}
+	}
+	for pad := 8 - utf8.RuneCountInString(s) - strings.Count(s, "'"); pad > 0; pad-- {
+		w.put(' ')
+	}
+	w.put('\'')
+}
+
+// appendFloat appends v in a FITS-legal form that always round-trips: 17
+// significant digits, with a '.' added when the digits hold neither a
+// point nor an exponent.
+func appendFloat(dst []byte, v float64) []byte {
+	start := len(dst)
+	dst = strconv.AppendFloat(dst, v, 'G', 17, 64)
+	if !bytes.ContainsAny(dst[start:], ".E") {
+		dst = append(dst, '.')
+	}
+	return dst
+}
+
+// appendOther formats a value of a type Header.Set does not normalize (a
+// Card built by hand) as fmt's %20v does.
+func appendOther(v any) []byte {
+	return fmt.Appendf(nil, "%20v", v)
+}
+
+// appendData appends the data array and its zero padding. The caller has
+// made room for both.
+func appendData(dst []byte, im *Image, bscale, bzero float64) []byte {
+	start := len(dst)
+	n := len(im.Data) * abs(im.Bitpix) / 8
+	dst = dst[:start+wholeBlocks(n)]
+	out := dst[start:]
+	for i, phys := range im.Data {
 		stored := (phys - bzero) / bscale
 		switch im.Bitpix {
 		case 8:
-			block[fill] = uint8(clampRound(stored, 0, 255))
+			out[i] = uint8(clampRound(stored, 0, 255))
 		case 16:
-			binary.BigEndian.PutUint16(block[fill:], uint16(int16(clampRound(stored, math.MinInt16, math.MaxInt16))))
+			binary.BigEndian.PutUint16(out[2*i:], uint16(int16(clampRound(stored, math.MinInt16, math.MaxInt16))))
 		case 32:
-			binary.BigEndian.PutUint32(block[fill:], uint32(int32(clampRound(stored, math.MinInt32, math.MaxInt32))))
+			binary.BigEndian.PutUint32(out[4*i:], uint32(int32(clampRound(stored, math.MinInt32, math.MaxInt32))))
 		case -32:
-			binary.BigEndian.PutUint32(block[fill:], math.Float32bits(float32(stored)))
+			binary.BigEndian.PutUint32(out[4*i:], math.Float32bits(float32(stored)))
 		case -64:
-			binary.BigEndian.PutUint64(block[fill:], math.Float64bits(stored))
-		}
-		fill += bytesPerPix
-		if fill == BlockSize {
-			if _, err := w.Write(block); err != nil {
-				return err
-			}
-			fill = 0
+			binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(stored))
 		}
 	}
-	if fill > 0 {
-		// Zero-pad the final partial record.
-		for i := fill; i < BlockSize; i++ {
-			block[i] = 0
-		}
-		if _, err := w.Write(block); err != nil {
-			return err
-		}
-	}
-	return nil
+	clear(out[n:])
+	return dst
 }
 
 func clampRound(v, lo, hi float64) int64 {

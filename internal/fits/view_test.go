@@ -348,12 +348,7 @@ func hostileGeometry(t testing.TB, n int64) []byte {
 	h.Set("NAXIS", 2, "")
 	h.Set("NAXIS1", n, "")
 	h.Set("NAXIS2", n, "")
-	var buf bytes.Buffer
-	if err := writeHeader(&buf, h); err != nil {
-		t.Fatal(err)
-	}
-	buf.Write(make([]byte, BlockSize))
-	return buf.Bytes()
+	return append(h.appendTo(nil), make([]byte, BlockSize)...)
 }
 
 // TestHostileGeometryRejected feeds every entry point a header whose axis

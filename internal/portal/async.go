@@ -8,7 +8,8 @@ import "fmt"
 // a few hours; clearly an asynchronous response would be helpful." This file
 // implements that asynchronous response: StartAnalysis returns a job ticket
 // immediately; JobStatus reports progress (streamed from the compute
-// service's DAGMan monitoring) until the result is ready.
+// service's DAGMan monitoring) until the result is ready, and the result
+// for as long as the job is among the last maxFinishedJobs to finish.
 
 // JobState is an asynchronous analysis job's lifecycle state.
 type JobState string
@@ -31,6 +32,13 @@ type JobSnapshot struct {
 	// Result is set once State == JobCompleted.
 	Result *AnalysisResult
 }
+
+// maxFinishedJobs bounds the finished jobs the portal keeps for JobStatus.
+// Each holds its whole merged result table, so a long-running portal keeps
+// only the most recent ones: when a job finishes past the bound, the job
+// that finished longest ago is dropped and its id becomes unknown. A
+// running job is never dropped.
+const maxFinishedJobs = 64
 
 type jobRecord struct {
 	snap JobSnapshot
@@ -73,18 +81,31 @@ func (p *Portal) startAnalysis(cluster string, priority int) (string, error) {
 			rec.snap.JobsTotal = total
 			p.mu.Unlock()
 		})
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if err != nil {
-			rec.snap.State = JobFailed
-			rec.snap.Message = err.Error()
-			return
-		}
+		p.finishJob(rec, res, err)
+	}()
+	return id, nil
+}
+
+// finishJob records a job's outcome and drops the oldest finished jobs past
+// maxFinishedJobs.
+func (p *Portal) finishJob(rec *jobRecord, res *AnalysisResult, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err != nil {
+		rec.snap.State = JobFailed
+		rec.snap.Message = err.Error()
+	} else {
 		rec.snap.State = JobCompleted
 		rec.snap.Message = "analysis complete"
 		rec.snap.Result = res
-	}()
-	return id, nil
+	}
+	p.finished = append(p.finished, rec.snap.ID)
+	if over := len(p.finished) - maxFinishedJobs; over > 0 {
+		for _, id := range p.finished[:over] {
+			delete(p.jobs, id)
+		}
+		p.finished = append(p.finished[:0], p.finished[over:]...)
+	}
 }
 
 // JobStatus returns a snapshot of an asynchronous analysis.

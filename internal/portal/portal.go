@@ -136,6 +136,7 @@ type Portal struct {
 	mu         sync.Mutex
 	imageCache map[string][]services.SIARecord
 	jobs       map[string]*jobRecord
+	finished   []string // ids of the finished jobs in jobs, oldest first
 	nextJob    int
 }
 

@@ -128,7 +128,7 @@ func TestSIAQueryPagedMatchesUnpaged(t *testing.T) {
 func TestSIAQueryCutoutsPageReassembles(t *testing.T) {
 	a := testArchive(t)
 	pos := wcs.New(195, 28)
-	want := a.SIAQueryCutouts(pos, 2)
+	want := a.SIAQueryCutoutsPage(pos, 2, 0, -1)
 	for _, pageSize := range []int{1, 4, want.NumRows(), want.NumRows() + 3} {
 		merged := votable.NewTable(want.Name, want.Fields...)
 		for offset := 0; ; offset += pageSize {

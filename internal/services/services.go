@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/faults"
+	"repro/internal/fits"
 	"repro/internal/skysim"
 	"repro/internal/votable"
 	"repro/internal/wcs"
@@ -170,44 +171,56 @@ func seedFor(id string) int64 {
 	return int64(h.Sum64())
 }
 
-// CutoutFITS renders the FITS cutout for one galaxy.
+// CutoutFITS renders the FITS cutout for one galaxy, encoded into one
+// buffer of exactly its length.
+//
+//nvo:hotpath
 func (a *Archive) CutoutFITS(galaxyID string) (*skysim.Galaxy, []byte, error) {
 	g, ok := a.Galaxy(galaxyID)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownGalaxy, galaxyID)
 	}
-	im := skysim.RenderGalaxy(g, 0, seedFor(g.ID))
-	bw := &byteWriter{}
-	if err := im.Encode(bw); err != nil {
+	data, err := skysim.RenderGalaxy(g, 0, seedFor(g.ID)).AppendEncode(nil)
+	if err != nil {
 		return nil, nil, err
 	}
-	return &g, bw.data, nil
-}
-
-// byteWriter is a minimal io.Writer accumulating bytes.
-type byteWriter struct{ data []byte }
-
-func (w *byteWriter) Write(p []byte) (int, error) {
-	w.data = append(w.data, p...)
-	return len(p), nil
+	return &g, data, nil
 }
 
 // CutoutBatchFITS renders many cutouts as one concatenated FITS stream —
 // the batched interface the paper says would "[speed] up tremendously" the
 // one-request-per-galaxy SIA bottleneck (§4.2). FITS files are
 // self-delimiting (2880-byte records), so clients decode the stream
-// sequentially.
+// sequentially. Every cutout is encoded straight into one output buffer,
+// sized before the first render: all cutouts carry the same header cards,
+// so the first one's card count gives every cutout's length.
 func (a *Archive) CutoutBatchFITS(ids []string) ([]byte, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("%w: empty id list", ErrBadQuery)
 	}
+	gals := make([]skysim.Galaxy, len(ids))
+	for i, id := range ids {
+		g, ok := a.Galaxy(id)
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownGalaxy, id)
+		}
+		gals[i] = g
+	}
 	var out []byte
-	for _, id := range ids {
-		_, data, err := a.CutoutFITS(id)
-		if err != nil {
+	for i, g := range gals {
+		im := skysim.RenderGalaxy(g, 0, seedFor(g.ID))
+		if i == 0 {
+			total := 0
+			for _, g := range gals {
+				size := skysim.CutoutSizePx(g)
+				total += fits.EncodedLen(im.Header.Len(), size, size, im.Bitpix)
+			}
+			out = make([]byte, 0, total)
+		}
+		var err error
+		if out, err = im.AppendEncode(out); err != nil {
 			return nil, err
 		}
-		out = append(out, data...)
 	}
 	return out, nil
 }
@@ -229,23 +242,23 @@ func (a *Archive) FieldFITS(cluster string, band Band) ([]byte, error) {
 
 	const npix = 512
 	scale := 2 * 8 * c.CoreRadiusDeg / npix
-	bw := &byteWriter{}
+	var im *fits.Image
 	switch band {
 	case BandOptical:
-		if err := skysim.RenderField(c, npix, npix, scale, seedFor(key)).Encode(bw); err != nil {
-			return nil, err
-		}
+		im = skysim.RenderField(c, npix, npix, scale, seedFor(key))
 	case BandXRay:
-		if err := skysim.RenderXRay(c, npix, npix, scale, seedFor(key)).Encode(bw); err != nil {
-			return nil, err
-		}
+		im = skysim.RenderXRay(c, npix, npix, scale, seedFor(key))
 	default:
 		return nil, fmt.Errorf("%w: band %q", ErrBadQuery, band)
 	}
+	data, err := im.AppendEncode(nil)
+	if err != nil {
+		return nil, err
+	}
 	a.mu.Lock()
-	a.fieldCache[key] = bw.data
+	a.fieldCache[key] = data
 	a.mu.Unlock()
-	return bw.data, nil
+	return data, nil
 }
 
 // SIAFields is the column set of SIA responses.
@@ -288,21 +301,16 @@ func (a *Archive) SIAQueryFields(pos wcs.SkyCoord, sizeDeg float64) *votable.Tab
 	return t
 }
 
-// SIAQueryCutouts queries the archive's cutout service: one row per galaxy
-// within the POS/SIZE region, each with an acref generating that galaxy's
-// cutout on demand. This is the interface whose one-request-per-galaxy cost
-// the paper identifies as the application's bottleneck (§4.2).
-func (a *Archive) SIAQueryCutouts(pos wcs.SkyCoord, sizeDeg float64) *votable.Table {
-	return a.SIAQueryCutoutsPage(pos, sizeDeg, 0, -1)
-}
-
-// SIAQueryCutoutsPage is SIAQueryCutouts restricted to the
-// [offset, offset+maxrec) window of the response rows. Paging is applied
-// after the unresolvable-galaxy filter, so consecutive pages concatenate
-// into exactly the unpaged table and only the final page comes up short.
-// The scan streams over the cone hits and stops as soon as the page is
-// full, so a page response never materializes the full survey. A negative
-// maxrec means "to the end".
+// SIAQueryCutoutsPage queries the archive's cutout service: one row per
+// galaxy within the POS/SIZE region, each with an acref generating that
+// galaxy's cutout on demand — the interface whose one-request-per-galaxy
+// cost the paper identifies as the application's bottleneck (§4.2). It
+// returns the [offset, offset+maxrec) window of the response rows. Paging
+// is applied after the unresolvable-galaxy filter, so consecutive pages
+// concatenate into exactly the unpaged table and only the final page comes
+// up short. The scan streams over the cone hits and stops as soon as the
+// page is full, so a page response never materializes the full survey. A
+// negative maxrec means "to the end".
 func (a *Archive) SIAQueryCutoutsPage(pos wcs.SkyCoord, sizeDeg float64, offset, maxrec int) *votable.Table {
 	t := votable.NewTable(a.name+"_cutouts", SIAFields...)
 	if maxrec == 0 {

@@ -152,7 +152,7 @@ func TestSIAQueryFields(t *testing.T) {
 
 func TestSIAQueryCutouts(t *testing.T) {
 	a := testArchive(t)
-	tab := a.SIAQueryCutouts(wcs.New(195, 28), 2)
+	tab := a.SIAQueryCutoutsPage(wcs.New(195, 28), 2, 0, -1)
 	if tab.NumRows() == 0 {
 		t.Fatal("no cutout rows")
 	}
@@ -300,7 +300,7 @@ func BenchmarkSIACutoutQuery(b *testing.B) {
 	pos := wcs.New(195, 28)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if tab := a.SIAQueryCutouts(pos, 2); tab.NumRows() == 0 {
+		if tab := a.SIAQueryCutoutsPage(pos, 2, 0, -1); tab.NumRows() == 0 {
 			b.Fatal("no rows")
 		}
 	}

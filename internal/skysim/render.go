@@ -3,6 +3,7 @@ package skysim
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/fits"
 	"repro/internal/wcs"
@@ -59,16 +60,50 @@ func TotalCounts(mag float64) float64 {
 	return math.Pow(10, -0.4*(mag-ZeroPointCounts))
 }
 
+// renderScratch is the per-render working memory RenderGalaxy draws from
+// a pool: the random stream (reseeded for each use, which restarts it
+// exactly as a fresh source would), the per-column subpixel offset
+// products, and the blur's kernel and line buffer.
+type renderScratch struct {
+	rng *rand.Rand
+	// xc and xs hold dx*cosp and -dx*sinp for every subpixel column
+	// (index x*os+sx) of the render in progress.
+	xc, xs []float64
+	kernel []float64
+	line   []float64
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &renderScratch{rng: rand.New(rand.NewSource(1))}
+}}
+
+// floats returns buf resized to n, reallocating only when it is too short.
+func floats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
 // RenderGalaxy synthesizes the cutout image of a single galaxy centered in a
 // size×size frame: a type-dependent Sérsic profile with the galaxy's axis
 // ratio and position angle, an m=1 "lopsidedness" perturbation and m=2
 // logarithmic spiral arms (both zero for ellipticals), convolved with the
 // seeing PSF, over sky background with Gaussian noise. noiseSeed makes the
 // realization deterministic.
+//
+// The pixels are bit-for-bit those of the straightforward loop (the frozen
+// copy in render_parity_test.go): the same float operations on the same
+// operands in the same order, with the products that depend only on a
+// subpixel's column or row computed once instead of per subpixel.
+//
+//nvo:hotpath
 func RenderGalaxy(g Galaxy, size int, noiseSeed int64) *fits.Image {
 	if size <= 0 {
 		size = CutoutSizePx(g)
 	}
+	sc := scratchPool.Get().(*renderScratch)
+	defer scratchPool.Put(sc)
 	im := fits.NewImage(size, size, -32)
 	cx := float64(size-1) / 2
 	cy := float64(size-1) / 2
@@ -76,32 +111,50 @@ func RenderGalaxy(g Galaxy, size int, noiseSeed int64) *fits.Image {
 	rePx := g.ReArcsec / PixScaleArcsec
 	n := sersicIndex(g.Type)
 	bn := 2*n - 1.0/3 + 4/(405*n)
+	invN := 1 / n
 	cosp, sinp := math.Cos(g.PA), math.Sin(g.PA)
 	rTrunc := 0.42 * float64(size)
+	rArms := 0.3 * rePx
 
 	// Paint the unit-amplitude profile with 3x3 subpixel integration (steep
 	// cores vary strongly within a pixel).
 	const os = 3
+	sc.xc = floats(sc.xc, size*os)
+	sc.xs = floats(sc.xs, size*os)
+	for x := 0; x < size; x++ {
+		for sx := 0; sx < os; sx++ {
+			dx := float64(x) + (float64(sx)+0.5)/os - 0.5 - cx
+			sc.xc[x*os+sx] = dx * cosp
+			sc.xs[x*os+sx] = -dx * sinp
+		}
+	}
 	var sum float64
 	for y := 0; y < size; y++ {
+		var ys, yc [os]float64
+		for sy := 0; sy < os; sy++ {
+			dy := float64(y) + (float64(sy)+0.5)/os - 0.5 - cy
+			ys[sy] = dy * sinp
+			yc[sy] = dy * cosp
+		}
 		for x := 0; x < size; x++ {
+			xc, xs := sc.xc[x*os:x*os+os], sc.xs[x*os:x*os+os]
 			var f float64
 			for sy := 0; sy < os; sy++ {
 				for sx := 0; sx < os; sx++ {
-					dx := float64(x) + (float64(sx)+0.5)/os - 0.5 - cx
-					dy := float64(y) + (float64(sy)+0.5)/os - 0.5 - cy
-					u := dx*cosp + dy*sinp
-					v := (-dx*sinp + dy*cosp) / g.AxisRatio
+					u := xc[sx] + ys[sy]
+					v := (xs[sx] + yc[sy]) / g.AxisRatio
 					r := math.Hypot(u, v)
 					theta := math.Atan2(v, u)
-					p := math.Exp(-bn * math.Pow(r/rePx, 1/n))
+					rr := r / rePx
+					s := sat(rr)
+					p := math.Exp(-bn * fracPow(rr, invN))
 					// m=1 lopsidedness grows with radius (tidal features
 					// live in the outskirts).
-					p *= 1 + g.Lopside*math.Cos(theta)*sat(r/rePx)
+					p *= 1 + g.Lopside*math.Cos(theta)*s
 					// m=2 logarithmic spiral arms outside the core.
-					if g.ArmAmp > 0 && r > 0.3*rePx {
-						phase := 2*theta - 2.2*math.Log(r/rePx+1)*2*math.Pi
-						p *= 1 + g.ArmAmp*math.Cos(phase)*sat(r/rePx)
+					if g.ArmAmp > 0 && r > rArms {
+						phase := 2*theta - 2.2*math.Log(rr+1)*2*math.Pi
+						p *= 1 + g.ArmAmp*math.Cos(phase)*s
 					}
 					if r > rTrunc {
 						p *= math.Exp(-(r - rTrunc))
@@ -130,7 +183,8 @@ func RenderGalaxy(g Galaxy, size int, noiseSeed int64) *fits.Image {
 	// late-type galaxies. Positions are drawn from the galaxy's own
 	// structure seed so its appearance is identical across re-renders.
 	if g.ClumpFrac > 0 {
-		srng := rand.New(rand.NewSource(g.StructSeed))
+		srng := sc.rng
+		srng.Seed(g.StructSeed)
 		nClumps := 3 + srng.Intn(6)
 		per := total * g.ClumpFrac / float64(nClumps)
 		for k := 0; k < nClumps; k++ {
@@ -154,9 +208,10 @@ func RenderGalaxy(g Galaxy, size int, noiseSeed int64) *fits.Image {
 		}
 	}
 
-	BlurGaussian(im, SeeingSigmaPx)
+	blurGaussian(im, SeeingSigmaPx, sc)
 
-	rng := rand.New(rand.NewSource(noiseSeed))
+	rng := sc.rng
+	rng.Seed(noiseSeed)
 	for i := range im.Data {
 		im.Data[i] += SkyLevel + rng.NormFloat64()*SkyNoise
 	}
@@ -168,19 +223,42 @@ func RenderGalaxy(g Galaxy, size int, noiseSeed int64) *fits.Image {
 	return im
 }
 
+// fracPow is math.Pow(x, y) for the Sérsic exponents 1/n: for finite x > 0
+// (x != 1) and 0 < y < 1 (y != 1/2) it runs the steps math.Pow takes for
+// those operands — Exp(yf*Log(x)) with yf folded to [-1/2, 1/2], times x's
+// Frexp mantissa and exponent when the fold borrowed 1 — without the
+// special-case tests and the Modf in front. Every other operand goes to
+// math.Pow itself.
+func fracPow(x, y float64) float64 {
+	if !(x > 0 && x <= math.MaxFloat64 && x != 1 && y > 0 && y < 1 && y != 0.5) {
+		return math.Pow(x, y)
+	}
+	if y <= 0.5 {
+		return math.Ldexp(math.Exp(y*math.Log(x)), 0)
+	}
+	x1, xe := math.Frexp(x)
+	return math.Ldexp(math.Exp((y-1)*math.Log(x))*x1, xe)
+}
+
 // sat is a smooth saturation x/(1+x) used to turn perturbations on with
 // radius.
 func sat(x float64) float64 { return x / (1 + x) }
 
-// BlurGaussian convolves the image in place with a separable Gaussian PSF of
-// the given sigma (pixels). Exposed because the X-ray renderer and tests
-// reuse it.
-func BlurGaussian(im *fits.Image, sigma float64) {
+// blurGaussian convolves the image in place with a separable Gaussian PSF
+// of the given sigma (pixels): rows first, then columns. Each row or column
+// is copied into sc.line with its edge pixels repeated radius times on both
+// sides, so the taps read the clamped neighbours without a bounds test; the
+// sums are the same products added in the same order as over a full-image
+// temporary.
+//
+//nvo:hotpath
+func blurGaussian(im *fits.Image, sigma float64, sc *renderScratch) {
 	radius := int(3 * sigma)
 	if radius < 1 {
 		return
 	}
-	kernel := make([]float64, 2*radius+1)
+	kernel := floats(sc.kernel, 2*radius+1)
+	sc.kernel = kernel
 	var ksum float64
 	for i := range kernel {
 		d := float64(i - radius)
@@ -190,26 +268,42 @@ func BlurGaussian(im *fits.Image, sigma float64) {
 	for i := range kernel {
 		kernel[i] /= ksum
 	}
-	tmp := make([]float64, len(im.Data))
-	for y := 0; y < im.Ny; y++ {
-		for x := 0; x < im.Nx; x++ {
+	nx, ny := im.Nx, im.Ny
+	line := floats(sc.line, max(nx, ny)+2*radius)
+	sc.line = line
+	for y := 0; y < ny; y++ {
+		row := im.Data[y*nx : (y+1)*nx]
+		padLine(line, row, nx, 1, radius)
+		for x := range row {
 			var s float64
 			for k, w := range kernel {
-				xx := clampInt(x+k-radius, 0, im.Nx-1)
-				s += w * im.Data[y*im.Nx+xx]
+				s += w * line[x+k]
 			}
-			tmp[y*im.Nx+x] = s
+			row[x] = s
 		}
 	}
-	for y := 0; y < im.Ny; y++ {
-		for x := 0; x < im.Nx; x++ {
+	for x := 0; x < nx; x++ {
+		padLine(line, im.Data[x:], ny, nx, radius)
+		for y := 0; y < ny; y++ {
 			var s float64
 			for k, w := range kernel {
-				yy := clampInt(y+k-radius, 0, im.Ny-1)
-				s += w * tmp[yy*im.Nx+x]
+				s += w * line[y+k]
 			}
-			im.Data[y*im.Nx+x] = s
+			im.Data[y*nx+x] = s
 		}
+	}
+}
+
+// padLine copies the n elements src[0], src[stride], ... of one image row
+// or column into line[radius:], with the first of them repeated radius
+// times before and the last radius times after.
+func padLine(line, src []float64, n, stride, radius int) {
+	for i := 0; i < n; i++ {
+		line[radius+i] = src[i*stride]
+	}
+	for i := 0; i < radius; i++ {
+		line[i] = src[0]
+		line[radius+n+i] = src[(n-1)*stride]
 	}
 }
 

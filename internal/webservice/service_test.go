@@ -142,7 +142,7 @@ func (h *harness) inputTable(t testing.TB) *votable.Table {
 func (h *harness) inputTableFor(t testing.TB, i int) *votable.Table {
 	t.Helper()
 	cl := h.clusters[i]
-	tab := h.archive.SIAQueryCutouts(cl.Center, 2)
+	tab := h.archive.SIAQueryCutoutsPage(cl.Center, 2, 0, -1)
 	if tab.NumRows() == 0 {
 		t.Fatalf("no galaxies from cutout service for %s", cl.Name)
 	}
