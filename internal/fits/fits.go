@@ -63,8 +63,8 @@ type Card struct {
 
 // Header is an ordered collection of cards with keyword lookup. Keyword
 // comparisons are case-sensitive; FITS keywords are upper case by convention
-// and this package always writes them that way. A header holds a few dozen
-// cards at most, so lookups scan the cards instead of keeping an index.
+// and this package always writes them that way. A header holds tens of
+// cards, so lookups scan them instead of keeping an index.
 type Header struct {
 	cards []Card
 }

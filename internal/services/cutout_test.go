@@ -16,25 +16,39 @@ import (
 // sources, a blur temporary and a header index map.
 const cutoutAllocBudget = 20
 
-// TestCutoutAllocBudget holds CutoutFITS to its allocation budget on a
-// spread of SURVEY galaxies (every type, several sizes).
+// TestCutoutAllocBudget holds CutoutFITS to its allocation budget on the
+// first SURVEY galaxy of each type and on the largest SURVEY cutout. Fifty
+// runs a galaxy keep the pool's dropped puts under -race from swinging the
+// mean by more than about half an allocation.
 func TestCutoutAllocBudget(t *testing.T) {
 	c := skysim.Generate(surveySpec())
 	a := NewArchive("budget", c)
+	picked := map[skysim.GalaxyType]bool{}
+	var ids []string
+	largest := c.Galaxies[0]
+	for _, g := range c.Galaxies {
+		if !picked[g.Type] {
+			picked[g.Type] = true
+			ids = append(ids, g.ID)
+		}
+		if skysim.CutoutSizePx(g) > skysim.CutoutSizePx(largest) {
+			largest = g
+		}
+	}
+	ids = append(ids, largest.ID)
 	var worst float64
-	for i := 0; i < 200; i += 13 {
-		id := c.Galaxies[i].ID
-		n := testing.AllocsPerRun(20, func() {
+	for _, id := range ids {
+		n := testing.AllocsPerRun(50, func() {
 			if _, _, err := a.CutoutFITS(id); err != nil {
 				t.Fatal(err)
 			}
 		})
 		worst = max(worst, n)
 		if n > cutoutAllocBudget {
-			t.Errorf("%s: %.1f allocations per CutoutFITS, budget %d", id, n, cutoutAllocBudget)
+			t.Errorf("%s: %.0f allocations per CutoutFITS, budget %d", id, n, cutoutAllocBudget)
 		}
 	}
-	t.Logf("CutoutFITS: at most %.1f allocations per call (budget %d)", worst, cutoutAllocBudget)
+	t.Logf("CutoutFITS: at most %.0f allocations per call (budget %d)", worst, cutoutAllocBudget)
 }
 
 // TestCutoutBatchIsConcatenation checks that a 64-id batch is byte-equal to

@@ -211,8 +211,8 @@ func (a *Archive) CutoutBatchFITS(ids []string) ([]byte, error) {
 		im := skysim.RenderGalaxy(g, 0, seedFor(g.ID))
 		if i == 0 {
 			total := 0
-			for _, g := range gals {
-				size := skysim.CutoutSizePx(g)
+			for _, other := range gals {
+				size := skysim.CutoutSizePx(other)
 				total += fits.EncodedLen(im.Header.Len(), size, size, im.Bitpix)
 			}
 			out = make([]byte, 0, total)
