@@ -13,14 +13,16 @@
 //     fleet-wide overload) and a deterministic Retry-After hint. The
 //     service never queues unboundedly.
 //
-//   - Scheduling. When a slot frees, the next workflow is chosen by
-//     priority class first, then weighted fair share (lowest charged
-//     model-time debt per weight unit), then arrival order. Tenants at
-//     their running-workflow quota are skipped, so a lower-priority
-//     tenant with spare quota backfills idle capacity instead of the
-//     slot going unused behind a quota-blocked head-of-line workflow.
-//     Usage is charged in model time (the deterministic discrete-event
-//     makespan), so fair-share debt is reproducible across runs.
+//   - Scheduling. Every workflow has one rank: priority class first,
+//     then weighted fair share (lowest charged model-time debt per weight
+//     unit), then arrival order. When a slot frees, waiters are granted
+//     in rank order; tenants at their running-workflow quota are
+//     skipped, so a lower-ranked tenant with spare quota backfills idle
+//     capacity instead of the slot going unused behind a quota-blocked
+//     head-of-line workflow. Preemption reads the same rank backwards:
+//     the victim is the eligible lease that ranks last. Usage is charged
+//     in model time (the deterministic discrete-event makespan), so
+//     fair-share debt is reproducible across runs.
 //
 //   - Simulator stamping. The fabric is the only package allowed to
 //     construct condor.Simulator values (enforced by the nvolint
@@ -42,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -62,13 +63,10 @@ type Quota struct {
 	// MaxRunningJobs caps the simultaneously submitted DAG nodes of each
 	// of the tenant's workflows (DAGMan's -maxjobs throttle).
 	MaxRunningJobs int
-	// Weight is the fair-share weight (default 1): a tenant with weight 2
-	// may consume twice the model time of a weight-1 tenant before its
-	// queued work yields.
+	// Weight is the fair-share weight: a tenant with weight 2 may consume
+	// twice the model time of a weight-1 tenant before its queued work
+	// yields. A non-positive weight reads as 1.
 	Weight float64
-	// Priority is the scheduling class; higher-priority queued workflows
-	// are granted slots first, regardless of fair-share debt.
-	Priority int
 }
 
 // Config parameterizes a fabric.
@@ -92,9 +90,10 @@ type Config struct {
 	RetryAfter time.Duration
 	// Preemption lets the scheduler reclaim capacity: when a
 	// higher-priority-class ticket waits and the fleet is saturated, the
-	// lowest-priority preemptible lease (ties: highest fair-share debt,
-	// then latest arrival) is revoked. The holder checkpoint-stops and
-	// requeues via Lease.Preempted. Off by default.
+	// preemptible lease of a lower class that ranks last (lowest class,
+	// then highest fair-share debt, then latest arrival) is revoked. The
+	// holder checkpoint-stops and requeues via Lease.Preempted. Off by
+	// default.
 	Preemption bool
 }
 
@@ -141,9 +140,34 @@ type tenantState struct {
 }
 
 // debt is the tenant's weighted fair-share position: charged model
-// seconds per weight unit. Lower debt wins the next slot.
+// seconds per weight unit, a non-positive weight read as 1. Lower debt
+// wins the next slot.
 func (ts *tenantState) debt() float64 {
-	return ts.usage.Seconds() / ts.quota.Weight
+	w := ts.quota.Weight
+	if w <= 0 {
+		w = 1
+	}
+	return ts.usage.Seconds() / w
+}
+
+// rank is a workflow's place in the fabric's one scheduling order.
+type rank struct {
+	ts       *tenantState
+	priority int
+	seq      int64 // arrival order
+}
+
+// before reports whether r is granted ahead of o: higher priority class
+// first, then lower fair-share debt, then earlier arrival. Seqs are
+// unique, so two ranks are never tied.
+func (r rank) before(o rank) bool {
+	if r.priority != o.priority {
+		return r.priority > o.priority
+	}
+	if dr, do := r.ts.debt(), o.ts.debt(); dr != do {
+		return dr < do
+	}
+	return r.seq < o.seq
 }
 
 // Fabric is the shared scheduler. Create with New; safe for concurrent
@@ -158,7 +182,7 @@ type Fabric struct {
 	running  int
 	queued   int
 	revoking int       // revoked leases not yet released (slots about to free)
-	queue    []*Ticket // waiting tickets, arrival order
+	queue    []*Ticket // waiting tickets
 	leases   []*Lease  // live leases, grant order
 	tenants  map[string]*tenantState
 }
@@ -188,9 +212,6 @@ func (f *Fabric) tenant(name string) *tenantState {
 		if o, ok := f.cfg.Quotas[name]; ok {
 			q = o
 		}
-		if q.Weight <= 0 {
-			q.Weight = 1
-		}
 		ts = &tenantState{name: name, quota: q}
 		f.tenants[name] = ts
 	}
@@ -200,10 +221,8 @@ func (f *Fabric) tenant(name string) *tenantState {
 // Ticket is one admitted workflow's place on the fabric: granted
 // immediately at admission or waiting for a slot.
 type Ticket struct {
-	f        *Fabric
-	ts       *tenantState
-	priority int
-	seq      int64
+	f *Fabric
+	rank
 
 	lease   *Lease // set under f.mu once granted
 	granted chan *Lease
@@ -237,15 +256,12 @@ func (f *Fabric) Admit(tenant string, priority int) (*Ticket, error) {
 		return nil, &ShedError{Tenant: tenant, HTTPStatus: 503,
 			RetryAfter: f.retryAfter(ts), Reason: "fabric shutting down"}
 	}
-	f.seq++
-	t := &Ticket{f: f, ts: ts, priority: priority, seq: f.seq, granted: make(chan *Lease, 1)}
+	t := f.newTicket(ts, priority)
 
 	// Immediate grant: capacity free, tenant under quota, scheduling not
 	// held. Queued waiters from other tenants cannot be preferable here —
 	// if they were grantable, a prior schedule() would have granted them.
-	if !f.held &&
-		(f.cfg.MaxRunningWorkflows == 0 || f.running < f.cfg.MaxRunningWorkflows) &&
-		(ts.quota.MaxRunningWorkflows == 0 || ts.running < ts.quota.MaxRunningWorkflows) {
+	if fleet, quota := f.full(ts); !f.held && !fleet && !quota {
 		ts.admitted++
 		f.grant(t)
 		return t, nil
@@ -264,104 +280,103 @@ func (f *Fabric) Admit(tenant string, priority int) (*Ticket, error) {
 			RetryAfter: f.retryAfter(ts), Reason: "fabric workflow queue full"}
 	}
 	ts.admitted++
-	ts.queued++
-	f.queued++
-	f.queue = append(f.queue, t)
+	f.enqueue(t)
 	f.preempt()
 	return t, nil
+}
+
+// full reports what keeps one more workflow of ts from starting now:
+// every fleet slot taken, or the tenant at its running-workflow quota.
+// Caller holds mu.
+func (f *Fabric) full(ts *tenantState) (fleet, quota bool) {
+	return f.cfg.MaxRunningWorkflows > 0 && f.running >= f.cfg.MaxRunningWorkflows,
+		ts.quota.MaxRunningWorkflows > 0 && ts.running >= ts.quota.MaxRunningWorkflows
+}
+
+// newTicket makes the ticket of the next arrival. Caller holds mu.
+func (f *Fabric) newTicket(ts *tenantState, priority int) *Ticket {
+	f.seq++
+	return &Ticket{f: f, rank: rank{ts, priority, f.seq}, granted: make(chan *Lease, 1)}
+}
+
+// enqueue puts t in the queue. Caller holds mu.
+func (f *Fabric) enqueue(t *Ticket) {
+	t.ts.queued++
+	f.queued++
+	f.queue = append(f.queue, t)
+}
+
+// dequeue takes t, which must be queued, out of the queue. Caller holds mu.
+func (f *Fabric) dequeue(t *Ticket) {
+	t.ts.queued--
+	f.queued--
+	i := slices.Index(f.queue, t)
+	f.queue = slices.Delete(f.queue, i, i+1)
+}
+
+// rankQueue sorts the queue into grant order. Caller holds mu.
+func (f *Fabric) rankQueue() {
+	slices.SortFunc(f.queue, func(a, b *Ticket) int {
+		switch {
+		case a == b:
+			return 0
+		case a.before(b.rank):
+			return -1
+		}
+		return 1
+	})
 }
 
 // grant hands t a slot. Caller holds mu; t must not be in the queue.
 func (f *Fabric) grant(t *Ticket) {
 	t.ts.running++
 	f.running++
-	t.lease = &Lease{f: f, ts: t.ts, priority: t.priority, seq: t.seq,
-		revoke: make(chan struct{})}
+	t.lease = &Lease{f: f, rank: t.rank, revoke: make(chan struct{})}
 	f.leases = append(f.leases, t.lease)
 	t.granted <- t.lease
 }
 
-// schedule grants slots to queued workflows while capacity lasts:
-// priority class first, then lowest fair-share debt per weight, then
-// arrival order; tenants at their running-workflow quota are skipped
-// (backfill). Caller holds mu.
+// schedule grants queued workflows in rank order while fleet slots last,
+// skipping tenants at their running-workflow quota (backfill). A grant
+// changes no debt, so one sort orders the whole pass. Caller holds mu.
 func (f *Fabric) schedule() {
-	for !f.held && (f.cfg.MaxRunningWorkflows == 0 || f.running < f.cfg.MaxRunningWorkflows) {
-		best := -1
-		for i, t := range f.queue {
-			if q := t.ts.quota.MaxRunningWorkflows; q > 0 && t.ts.running >= q {
-				continue // over quota: later tenants may backfill
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			b := f.queue[best]
-			if t.priority != b.priority {
-				if t.priority > b.priority {
-					best = i
-				}
-				continue
-			}
-			if t.ts != b.ts && t.ts.debt() != b.ts.debt() {
-				if t.ts.debt() < b.ts.debt() {
-					best = i
-				}
-				continue
-			}
-			// Same class, same debt (or same tenant): arrival order; the
-			// queue is already arrival-ordered, so keep the earlier one.
+	f.rankQueue()
+	for i := 0; i < len(f.queue) && !f.held; {
+		t := f.queue[i]
+		fleet, quota := f.full(t.ts)
+		if fleet {
+			break
 		}
-		if best < 0 {
-			return // every queued tenant is at quota
+		if quota {
+			i++ // over quota: later tenants may backfill
+			continue
 		}
-		t := f.queue[best]
-		f.queue = append(f.queue[:best], f.queue[best+1:]...)
-		t.ts.queued--
-		f.queued--
+		f.dequeue(t)
 		f.grant(t)
 	}
 	f.preempt()
 }
 
-// waitersInGrantOrder returns the queue sorted by the grant preference
-// (priority class desc, fair-share debt asc, arrival order). Caller
-// holds mu; the queue itself is left in arrival order.
-func (f *Fabric) waitersInGrantOrder() []*Ticket {
-	out := make([]*Ticket, len(f.queue))
-	copy(out, f.queue)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.priority != b.priority {
-			return a.priority > b.priority
-		}
-		if da, db := a.ts.debt(), b.ts.debt(); da != db {
-			return da < db
-		}
-		return a.seq < b.seq
-	})
-	return out
-}
-
 // preempt reclaims capacity for waiting higher-priority-class work: while
 // the fleet is saturated and a queued ticket outranks a live preemptible
-// lease, the victim — lowest priority class, then highest fair-share
-// debt, then latest arrival — is revoked. The holder observes the
-// revocation (Lease.Revoked) and checkpoint-stops into Lease.Preempted,
-// which frees the slot and requeues the workflow. Each pending revocation
-// already covers one waiter, so a saturated burst never revokes more
-// leases than it has uncovered waiters. Deterministic in the call
-// sequence: no clocks, no randomness. Caller holds mu.
+// lease, the victim is revoked, waiters taken in rank order. The holder
+// observes the revocation (Lease.Revoked) and checkpoint-stops into
+// Lease.Preempted, which frees the slot and requeues the workflow. Each
+// pending revocation already covers one waiter, so a saturated burst
+// never revokes more leases than it has uncovered waiters. Deterministic
+// in the call sequence: no clocks, no randomness. Caller holds mu.
 func (f *Fabric) preempt() {
 	if !f.cfg.Preemption || f.held || f.closed {
 		return
 	}
-	if f.cfg.MaxRunningWorkflows == 0 || f.running < f.cfg.MaxRunningWorkflows {
-		return // capacity free: schedule() grants without reclaiming
-	}
+	f.rankQueue()
 	covered := f.revoking
-	for _, t := range f.waitersInGrantOrder() {
-		if q := t.ts.quota.MaxRunningWorkflows; q > 0 && t.ts.running >= q {
+	for _, t := range f.queue {
+		fleet, quota := f.full(t.ts)
+		if !fleet {
+			return // capacity free: schedule() grants without reclaiming
+		}
+		if quota {
 			continue // a freed fleet slot would not make it runnable
 		}
 		if covered > 0 {
@@ -377,37 +392,20 @@ func (f *Fabric) preempt() {
 }
 
 // victimFor picks the preemption victim for a waiter of the given
-// priority class: among live preemptible leases of a strictly lower
-// class, the lowest class loses first, ties broken by highest fair-share
-// debt, then latest arrival. Returns nil when no lease is outranked.
-// Caller holds mu.
+// priority class: the live preemptible lease of a strictly lower class
+// that ranks last. Returns nil when no lease is outranked. Caller holds
+// mu.
 func (f *Fabric) victimFor(priority int) *Lease {
-	var best *Lease
+	var last *Lease
 	for _, l := range f.leases {
 		if l.revoked || !l.preemptible || l.priority >= priority {
 			continue
 		}
-		if best == nil {
-			best = l
-			continue
-		}
-		if l.priority != best.priority {
-			if l.priority < best.priority {
-				best = l
-			}
-			continue
-		}
-		if da, db := l.ts.debt(), best.ts.debt(); da != db {
-			if da > db {
-				best = l
-			}
-			continue
-		}
-		if l.seq > best.seq {
-			best = l
+		if last == nil || last.before(l.rank) {
+			last = l
 		}
 	}
-	return best
+	return last
 }
 
 // revoke marks a lease for preemption and signals its holder. The slot
@@ -427,16 +425,14 @@ func (f *Fabric) revoke(l *Lease) {
 // web handler into the scheduler.
 func (t *Ticket) Wait(ctx Context) (*Lease, error) {
 	t.f.mu.Lock()
-	if t.lease != nil {
-		l := t.lease
-		t.f.mu.Unlock()
+	l, dead := t.lease, t.dead
+	t.f.mu.Unlock()
+	if l != nil {
 		return l, nil
 	}
-	if t.dead {
-		t.f.mu.Unlock()
+	if dead {
 		return nil, errors.New("fabric: ticket canceled")
 	}
-	t.f.mu.Unlock()
 
 	select {
 	case l := <-t.granted:
@@ -451,16 +447,11 @@ func (t *Ticket) Wait(ctx Context) (*Lease, error) {
 		// context aborts the workflow immediately and releases the slot.
 		return t.lease, nil
 	}
-	for i, q := range t.f.queue {
-		if q == t {
-			t.f.queue = append(t.f.queue[:i], t.f.queue[i+1:]...)
-			break
-		}
+	if !t.dead { // a concurrent Wait may have dequeued it already
+		t.f.dequeue(t)
+		t.dead = true
+		t.ts.canceled++
 	}
-	t.dead = true
-	t.ts.queued--
-	t.f.queued--
-	t.ts.canceled++
 	return nil, ctx.Err()
 }
 
@@ -475,10 +466,8 @@ type Context interface {
 // Done when the workflow finishes (however it finishes), or with
 // Preempted after a checkpoint-stop answers a revocation.
 type Lease struct {
-	f        *Fabric
-	ts       *tenantState
-	priority int
-	seq      int64 // arrival order of the granting ticket
+	f    *Fabric
+	rank // the granting ticket's
 
 	preemptible bool
 	revoked     bool
@@ -602,12 +591,8 @@ func (l *Lease) release(usage time.Duration) {
 	if l.revoked {
 		l.f.revoking--
 	}
-	for i, x := range l.f.leases {
-		if x == l {
-			l.f.leases = append(l.f.leases[:i], l.f.leases[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(l.f.leases, l)
+	l.f.leases = slices.Delete(l.f.leases, i, i+1)
 	if usage > 0 {
 		l.ts.usage += usage
 	}
@@ -648,12 +633,8 @@ func (l *Lease) Preempted(usage time.Duration) *Ticket {
 	f := l.f
 	l.release(usage)
 	l.ts.requeued++
-	f.seq++
-	t := &Ticket{f: f, ts: l.ts, priority: l.priority, seq: f.seq,
-		granted: make(chan *Lease, 1)}
-	l.ts.queued++
-	f.queued++
-	f.queue = append(f.queue, t)
+	t := f.newTicket(l.ts, l.priority)
+	f.enqueue(t)
 	f.schedule()
 	return t
 }
@@ -661,17 +642,12 @@ func (l *Lease) Preempted(usage time.Duration) *Ticket {
 // SetQuota replaces a tenant's quota at runtime. The new bounds apply to
 // the next scheduling decision — workflows already running keep their
 // slots (rebalancing never yanks a compliant tenant; at most the tenant
-// stops receiving new grants until it drains below the new caps). A
-// non-positive Weight is normalized to 1. Deterministic in the call
-// sequence, like every other fabric mutation.
+// stops receiving new grants until it drains below the new caps).
+// Deterministic in the call sequence, like every other fabric mutation.
 func (f *Fabric) SetQuota(tenant string, q Quota) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if q.Weight <= 0 {
-		q.Weight = 1
-	}
-	ts := f.tenant(tenant)
-	ts.quota = q
+	f.tenant(tenant).quota = q
 	f.schedule()
 }
 
@@ -680,9 +656,6 @@ func (f *Fabric) SetQuota(tenant string, q Quota) {
 func (f *Fabric) SetWeight(tenant string, w float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if w <= 0 {
-		w = 1
-	}
 	f.tenant(tenant).quota.Weight = w
 	f.schedule()
 }
@@ -756,7 +729,7 @@ func (f *Fabric) Snapshot() FleetSnapshot {
 	for name := range f.tenants {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		ts := f.tenants[name]
 		snap := TenantSnapshot{
