@@ -114,11 +114,24 @@ func checkDistinct(refs []imageRef) error {
 
 // checkCluster admits a cluster name only if it can name the collector
 // derivation: one VDL identifier, so also no path separator — a resumption
-// joins the name into its artifact paths under JournalDir. Both fresh
+// joins the name into its artifact paths under JournalDir. It must not
+// hold "__" either, the separator wfBase puts after a tenant. Both fresh
 // requests and resumptions pass here; a refusal wraps vdl.ErrParse.
 func checkCluster(cluster string) error {
-	if !vdl.ValidName("collect-" + cluster) {
-		return fmt.Errorf("webservice: cluster %q cannot name a derivation: %w", cluster, vdl.ErrParse)
+	if !vdl.ValidName("collect-"+cluster) || strings.Contains(cluster, "__") {
+		return fmt.Errorf("webservice: cluster %q cannot name a derivation and its artifacts: %w", cluster, vdl.ErrParse)
+	}
+	return nil
+}
+
+// checkTenant admits a tenant name made of [A-Za-z0-9.-] only: wfBase
+// joins it into artifact basenames with "__", which must then read back
+// one way. A refusal wraps vdl.ErrParse, as checkCluster's does.
+func checkTenant(tenant string) error {
+	for _, r := range tenant {
+		if !('a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || r == '.' || r == '-') {
+			return fmt.Errorf("webservice: tenant %q may hold only letters, digits, '.' and '-': %w", tenant, vdl.ErrParse)
+		}
 	}
 	return nil
 }

@@ -570,22 +570,15 @@ func wfScope(tenant, cluster string) string { return tenant + "/" + cluster }
 // wfBase is the basename of one workflow's recovery artifacts under
 // JournalDir (.journal, .vdl, .dag or .waves and .wave<w>.dag,
 // .rescue.dag). The default tenant keeps the historic bare-cluster names, so
-// journals written before multi-tenancy resume unchanged; other tenants get
-// namespaced files so two tenants computing the same cluster name cannot
-// collide on disk.
+// journals written before multi-tenancy resume unchanged; another tenant's
+// files are "<tenant>__<cluster>". Admission refuses tenants outside
+// [A-Za-z0-9.-] and clusters holding "__" (checkTenant, checkCluster), so
+// distinct (tenant, cluster) pairs never share a basename.
 func wfBase(tenant, cluster string) string {
 	if tenant == DefaultTenant {
 		return cluster
 	}
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '.', r == '_':
-			return r
-		}
-		return '_'
-	}, tenant)
-	return safe + "__" + cluster
+	return tenant + "__" + cluster
 }
 
 // waveSourceFor mirrors the request's derivations — one galMorph job

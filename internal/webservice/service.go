@@ -407,8 +407,9 @@ func (o RequestOptions) tenant() string {
 // ticket to wait on, or a fabric.ShedError.
 func (s *Service) admit(tab *votable.Table, cluster, resumeOp string, opt RequestOptions) (*derivations, *fabric.Ticket, error) {
 	var dvs *derivations
-	var err error
+	err := checkTenant(opt.Tenant)
 	switch {
+	case err != nil:
 	case resumeOp == "":
 		dvs, err = newDerivations(tab, cluster)
 	case s.cfg.JournalDir == "":

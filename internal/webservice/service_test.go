@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -581,6 +583,63 @@ func TestGalmorphBadPriority(t *testing.T) {
 	}
 	if st := h.svc.Stats(); st.Requests != 0 {
 		t.Errorf("bad priorities published %d requests, want 0", st.Requests)
+	}
+}
+
+// TestWorkflowNamesCannotCollide submits pairs of workflows whose journal
+// artifacts once shared a basename under JournalDir: tenants that differ
+// only in characters a sanitizer folded to '_', and a default-tenant
+// cluster spelled like another tenant's namespaced one. Every accepted
+// workflow must own its own journal; the rest are refused with a 400
+// before admission.
+func TestWorkflowNamesCannotCollide(t *testing.T) {
+	type sub struct{ tenant, cluster string }
+	for _, pair := range [][2]sub{
+		{{"a/b", "COMA"}, {"a_b", "COMA"}},
+		{{"a b", "COMA"}, {"a_b", "COMA"}},
+		{{"alice", "COMA"}, {"", "alice__COMA"}},
+	} {
+		dir := t.TempDir()
+		h := newHarness(t, 3, func(c *Config) { c.JournalDir = dir })
+		srv := httptest.NewServer(h.svc.Handler())
+		var body bytes.Buffer
+		if err := votable.WriteTable(&body, h.inputTable(t)); err != nil {
+			t.Fatal(err)
+		}
+		accepted := 0
+		for _, s := range pair {
+			resp, err := http.Post(srv.URL+"/galmorph?cluster="+url.QueryEscape(s.cluster)+"&tenant="+url.QueryEscape(s.tenant),
+				"text/xml", bytes.NewReader(body.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := readAll(t, resp)
+			switch resp.StatusCode {
+			case http.StatusAccepted:
+				accepted++
+				awaitTerminal(t, h.svc, strings.TrimPrefix(msg, "/status?id="))
+			case http.StatusBadRequest:
+			default:
+				t.Errorf("tenant %q cluster %q: status %d (%s), want 202 or 400", s.tenant, s.cluster, resp.StatusCode, msg)
+			}
+		}
+		srv.Close()
+		journals, err := filepath.Glob(filepath.Join(dir, "*.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(journals) != accepted {
+			t.Errorf("%+v: %d accepted workflows wrote journals %v", pair, accepted, journals)
+		}
+		if fleet := h.svc.Fabric().Snapshot(); fleet.Admitted != accepted {
+			t.Errorf("%+v: fabric admitted %d, want the %d accepted", pair, fleet.Admitted, accepted)
+		}
+	}
+	if got := wfBase("alice", "COMA"); got != "alice__COMA" {
+		t.Errorf("wfBase(alice, COMA) = %q, want alice__COMA", got)
+	}
+	if got := wfBase(DefaultTenant, "COMA"); got != "COMA" {
+		t.Errorf("wfBase(default, COMA) = %q, want COMA", got)
 	}
 }
 
