@@ -98,7 +98,7 @@ var parityCards = []Card{
 func TestAppendCardMatchesLegacy(t *testing.T) {
 	prefix := []byte("prefix")
 	for _, c := range parityCards {
-		got := appendCard(append([]byte(nil), prefix...), c)
+		got, _ := appendCard(append([]byte(nil), prefix...), c)
 		want := append(append([]byte(nil), prefix...), legacyFormatCard(c)...)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%#v:\n got %q\nwant %q", c, got, want)
@@ -106,8 +106,91 @@ func TestAppendCardMatchesLegacy(t *testing.T) {
 	}
 }
 
+// decodeCard is what Decode's header scan (scanHeader) makes of one card:
+// nothing for a blank keyword or END, else the card Header.Set stores.
+func decodeCard(card []byte) (Card, bool, error) {
+	kw := bytes.TrimRight(card[:8], " ")
+	if len(kw) == 0 || bytes.Equal(kw, kwEND) {
+		return Card{}, false, nil
+	}
+	var c Card
+	if _, err := parseCard(kw, card, &c); err != nil {
+		return Card{}, false, err
+	}
+	h := NewHeader()
+	h.Set(c.Keyword, c.Value, c.Comment)
+	return h.cards[0], true, nil
+}
+
+// readsBack reports whether Decode gives the card c back as it is from the
+// bytes the frozen formatCard lays out for it.
+func readsBack(c Card) bool {
+	got, ok, err := decodeCard(legacyFormatCard(c))
+	return err == nil && ok && got == c
+}
+
+func TestAppendCardRefusesExactlyWhatDoesNotReadBack(t *testing.T) {
+	refused := 0
+	for _, c := range parityCards {
+		_, err := appendCard(nil, c)
+		if (err == nil) != readsBack(c) {
+			t.Errorf("%#v: appendCard error %v, reads back %v", c, err, readsBack(c))
+		}
+		if err != nil {
+			refused++
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", c.Keyword)) {
+				t.Errorf("%#v: error %q does not name the keyword", c, err)
+			}
+		}
+	}
+	if refused == 0 || refused == len(parityCards) {
+		t.Fatalf("%d of %d parity cards refused; the set should hold both kinds", refused, len(parityCards))
+	}
+}
+
+// TestEncodeRoundTripsOrRefuses encodes an image whose header holds each
+// parity card that Header.Set can store: Encode refuses, naming the
+// keyword, a card Decode would not give back as it is, and Decode returns
+// every other one unchanged.
+func TestEncodeRoundTripsOrRefuses(t *testing.T) {
+	for _, c := range append(parityCards,
+		Card{Keyword: "LONGKEYWORD", Value: int64(5)},
+		Card{Keyword: "TRAIL", Value: "x  "},
+		Card{Keyword: "PADDED", Value: int64(1), Comment: " c"},
+	) {
+		switch c.Keyword {
+		case "SIMPLE", "BITPIX", "END", "":
+			continue // the encoder writes these itself, or never
+		}
+		im := NewImage(2, 2, 16)
+		im.Header.Set(c.Keyword, c.Value, c.Comment)
+		set := im.Header.Cards()[im.Header.Len()-1]
+		var buf bytes.Buffer
+		err := im.Encode(&buf)
+		if want := readsBack(set); (err == nil) != want {
+			t.Errorf("%#v: Encode error %v, reads back %v", set, err, want)
+			continue
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", set.Keyword)) || buf.Len() != 0 {
+				t.Errorf("%#v: error %q must name the keyword and write nothing (%d bytes)", set, err, buf.Len())
+			}
+			continue
+		}
+		back, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("%#v: Decode: %v", set, err)
+		}
+		if got := back.Header.Cards(); len(got) != im.Header.Len() || got[len(got)-1] != set {
+			t.Errorf("%#v: decoded cards %#v", set, got)
+		}
+	}
+}
+
 // FuzzAppendCardParity holds appendCard to the frozen formatCard over any
-// keyword, comment and value of each kind a header stores.
+// keyword, comment and value of each kind a header stores: the bytes match
+// for every card, and appendCard refuses exactly the cards whose frozen
+// bytes Decode would not give back unchanged.
 func FuzzAppendCardParity(f *testing.F) {
 	for _, c := range parityCards {
 		var kind uint8
@@ -139,10 +222,13 @@ func FuzzAppendCardParity(f *testing.F) {
 		case 4:
 			c.Value = s
 		}
-		got := appendCard([]byte("p"), c)
+		got, err := appendCard([]byte("p"), c)
 		want := append([]byte("p"), legacyFormatCard(c)...)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%#v:\n got %q\nwant %q", c, got, want)
+		}
+		if (err == nil) != readsBack(c) {
+			t.Fatalf("%#v: appendCard error %v, reads back %v", c, err, readsBack(c))
 		}
 	})
 }

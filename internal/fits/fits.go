@@ -343,8 +343,10 @@ var mandatoryKeywords = [...]string{"SIMPLE", "BITPIX", "NAXIS", "NAXIS1", "NAXI
 // then the big-endian data array with BSCALE/BZERO applied inversely
 // (physical = BZERO + BSCALE*stored, so stored = (physical-BZERO)/BSCALE)
 // padded with zero bytes. Integer BITPIX values are rounded; values outside
-// the integer range saturate. dst grows at most once, to exactly the
-// encoded length; on error it comes back unchanged.
+// the integer range saturate. A card Decode would not give back as it is
+// is refused (cardError) with an error that names its keyword. dst grows
+// at most once, to exactly the encoded length; on error it comes back
+// unchanged.
 //
 //nvo:hotpath
 func (im *Image) AppendEncode(dst []byte) ([]byte, error) {
@@ -374,20 +376,27 @@ func (im *Image) AppendEncode(dst []byte) ([]byte, error) {
 			cards++
 		}
 	}
-	dst = grow(dst, EncodedLen(cards, im.Nx, im.Ny, im.Bitpix))
-	return appendData(h.appendTo(dst), im, bscale, bzero), nil
+	out, err := h.appendTo(grow(dst, EncodedLen(cards, im.Nx, im.Ny, im.Bitpix)))
+	if err != nil {
+		return dst, err
+	}
+	return appendData(out, im, bscale, bzero), nil
 }
 
 // appendTo appends the header's cards in canonical order (the mandatory
 // cards present first, then the rest as set, END last) and pads them with
-// blank cards to a record boundary.
+// blank cards to a record boundary. It stops at the first card appendCard
+// refuses.
 //
 //nvo:hotpath
-func (h *Header) appendTo(dst []byte) []byte {
+func (h *Header) appendTo(dst []byte) ([]byte, error) {
 	start := len(dst)
+	var err error
 	for _, k := range mandatoryKeywords {
 		if i := h.find(k); i >= 0 {
-			dst = appendCard(dst, h.cards[i])
+			if dst, err = appendCard(dst, h.cards[i]); err != nil {
+				return dst, err
+			}
 		}
 	}
 	for _, c := range h.cards {
@@ -395,13 +404,16 @@ func (h *Header) appendTo(dst []byte) []byte {
 		case "SIMPLE", "BITPIX", "NAXIS", "NAXIS1", "NAXIS2", "END":
 			continue
 		}
-		dst = appendCard(dst, c)
+		if dst, err = appendCard(dst, c); err != nil {
+			return dst, err
+		}
 	}
-	dst = appendCard(dst, Card{Keyword: "END"})
+	dst = append(dst, "END"...)
+	dst = append(dst, blankCard[3:]...)
 	for (len(dst)-start)%BlockSize != 0 {
 		dst = append(dst, blankCard...)
 	}
-	return dst
+	return dst, nil
 }
 
 // EncodedLen returns the length in bytes of the FITS encoding of an
@@ -437,9 +449,10 @@ const blankCard = "                                                             
 // 13+n, and a value too long for the card leaves no room for one. Numbers
 // are right-justified in columns 11-30 (wider ones run on); a string is
 // quoted with its quotes doubled and padded to at least eight characters.
+// The bytes are appended whatever the card; the error is cardError's.
 //
 //nvo:hotpath
-func appendCard(dst []byte, c Card) []byte {
+func appendCard(dst []byte, c Card) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, blankCard...)
 	card := dst[start : start+CardSize]
@@ -447,9 +460,9 @@ func appendCard(dst []byte, c Card) []byte {
 	switch c.Keyword {
 	case "COMMENT", "HISTORY", "":
 		copy(card[8:], c.Comment)
-		return dst
+		return dst, cardError(c, 8)
 	case "END":
-		return dst
+		return dst, cardError(c, 8)
 	}
 	card[8] = '='
 	w := cardWriter{card: card, pos: 10}
@@ -476,7 +489,53 @@ func appendCard(dst []byte, c Card) []byte {
 		copy(card[pos+1:], "/ ")
 		copy(card[pos+3:], c.Comment)
 	}
-	return dst
+	return dst, cardError(c, w.pos)
+}
+
+// cardError is why Decode would not give c back as it is, or nil. end is
+// the column the card's value ends at (8, where a commentary card's text
+// starts, for COMMENT and HISTORY). Decode skips blank keywords and stops
+// at END; it reads the 8-byte keyword field as Header.Set stores a
+// keyword; it returns no value for COMMENT and HISTORY and only the five
+// Card value kinds otherwise; it parses no non-finite float as written;
+// it needs a string's closing quote on the card; and it trims a string value's trailing blanks and a comment's
+// surrounding white space (a commentary card's trailing blanks), so
+// neither may have them, and a comment must not be cut at the card's end.
+func cardError(c Card, end int) error {
+	k, text := c.Keyword, c.Comment
+	commentary := k == "COMMENT" || k == "HISTORY"
+	from, trimmed := end+3, strings.TrimSpace(text) // where "/ " puts the comment
+	if commentary {
+		from, trimmed = end, strings.TrimRight(text, " ")
+	}
+	var why string
+	switch v := c.Value.(type) {
+	case nil, bool, int64:
+	case float64:
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			why = "value is not finite" // written NaN. or Inf., which no reader parses
+		}
+	case string:
+		if strings.TrimRight(v, " ") != v {
+			why = "string value ends in blanks"
+		}
+	default:
+		why = fmt.Sprintf("value of type %T", v)
+	}
+	switch {
+	case k == "" || k == "END" || len(k) > 8 || k != strings.ToUpper(strings.TrimSpace(k)):
+		why = "keyword is not one 8-byte upper-case field"
+	case commentary && c.Value != nil:
+		why = "commentary card with a value"
+	case why != "":
+	case end > CardSize:
+		why = "value runs past the card"
+	case text != "" && (from+len(text) > CardSize || trimmed != text):
+		why = "comment cut at the card's end or with surrounding blanks"
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: card %q does not read back: %s", ErrBadHeader, k, why)
 }
 
 // cardWriter lays a value over a card from column pos on. Bytes past the

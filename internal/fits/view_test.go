@@ -348,7 +348,11 @@ func hostileGeometry(t testing.TB, n int64) []byte {
 	h.Set("NAXIS", 2, "")
 	h.Set("NAXIS1", n, "")
 	h.Set("NAXIS2", n, "")
-	return append(h.appendTo(nil), make([]byte, BlockSize)...)
+	raw, err := h.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(raw, make([]byte, BlockSize)...)
 }
 
 // TestHostileGeometryRejected feeds every entry point a header whose axis
