@@ -1,7 +1,10 @@
-// Package repro's top-level benchmarks regenerate every table and figure of
-// the paper's evaluation, plus the ablations DESIGN.md calls out. Each
-// benchmark prints (or metrics-reports) the quantities the corresponding
-// paper artifact shows; EXPERIMENTS.md records paper-vs-measured.
+// Package repro's top-level benchmarks regenerate the tables and figures of
+// the paper's evaluation that span packages, plus the ablations DESIGN.md
+// calls out; a measurement of one package's layer (Chimera composition,
+// Pegasus planning, the SIA query, the portal flow, the cached web-service
+// request) is that package's own benchmark. Each benchmark prints (or
+// metrics-reports) the quantities the corresponding paper artifact shows;
+// EXPERIMENTS.md records paper-vs-measured.
 //
 // Run everything with:
 //
@@ -52,22 +55,7 @@ func BenchmarkTable1ConeSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1SIAQuery measures the SIA cutout query — the per-galaxy
-// image interface the paper identifies as the application bottleneck.
-func BenchmarkTable1SIAQuery(b *testing.B) {
-	cl := skysim.Generate(skysim.Spec{Name: "COMA", Center: wcs.New(195, 28),
-		Redshift: 0.023, NumGalaxies: 561, Seed: 1})
-	arch := services.NewArchive("mast", cl)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if t := arch.SIAQueryCutoutsPage(cl.Center, 0.8, 0, -1); t.NumRows() == 0 {
-			b.Fatal("empty SIA response")
-		}
-	}
-}
-
-// --- E2: Figures 1/3/4 — composition, reduction, concretization ------------
+// --- planning fixtures for E3 and A1 ------------------------------------------
 
 // galaxyVDL builds the N-galaxy derivation catalog the web service generates.
 func galaxyVDL(b *testing.B, n int) *vdl.Catalog {
@@ -116,45 +104,6 @@ func planningServices(b *testing.B, n, cachedResults int) (*rls.RLS, *tcat.Catal
 	return r, tc
 }
 
-// BenchmarkFigure1Compose measures Chimera's abstract-workflow composition
-// at the paper's largest cluster size.
-func BenchmarkFigure1Compose(b *testing.B) {
-	cat := galaxyVDL(b, 561)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wf, err := chimera.Compose(cat, chimera.Request{LFNs: []string{"out.vot"}})
-		if err != nil || wf.Graph.Len() != 562 {
-			b.Fatalf("wf=%v err=%v", wf, err)
-		}
-	}
-}
-
-// BenchmarkFigure4Plan measures the full Pegasus pipeline: reduction,
-// feasibility, site selection, transfer/register insertion.
-func BenchmarkFigure4Plan(b *testing.B) {
-	cat := galaxyVDL(b, 561)
-	wf, err := chimera.Compose(cat, chimera.Request{LFNs: []string{"out.vot"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, tc := planningServices(b, 561, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := pegasus.Map(wf, pegasus.Config{
-			RLS: r, TC: tc, Rand: rand.New(rand.NewSource(int64(i))),
-			OutputSite: "stsci", RegisterOutputs: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st := p.Stats(); st.ComputeJobs != 562 {
-			b.Fatalf("stats=%+v", st)
-		}
-	}
-}
-
 // --- E3: Figure 2 — end-to-end plan+execute pipeline ------------------------
 
 // BenchmarkFigure2PlanAndExecute runs compose -> plan -> DAGMan/Condor
@@ -187,43 +136,6 @@ func BenchmarkFigure2PlanAndExecute(b *testing.B) {
 		}, sim, dagman.Options{})
 		if err != nil || !rep.Succeeded() {
 			b.Fatalf("rep=%+v err=%v", rep, err)
-		}
-	}
-}
-
-// --- E4/E5: Figures 5 & 6 — portal flow and web service ---------------------
-
-// BenchmarkFigure5PortalAnalyze measures the complete user-visible analysis
-// of a small cluster, including image rendering and morphology measurement.
-func BenchmarkFigure5PortalAnalyze(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tb := newBenchTestbed(b, 25, 0)
-		b.StartTimer()
-		if _, err := tb.Portal.Analyze("BENCH"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure6CachedRequest measures the web service answering a repeat
-// request purely from the RLS (Figure 6 step 2) — the virtual-data payoff.
-func BenchmarkFigure6CachedRequest(b *testing.B) {
-	tb := newBenchTestbed(b, 25, 0)
-	cat, err := tb.Portal.BuildCatalog("BENCH")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := tb.Compute.Compute(cat, "BENCH"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, stats, err := tb.Compute.Compute(cat, "BENCH")
-		if err != nil || !stats.ReusedOutput {
-			b.Fatalf("stats=%+v err=%v", stats, err)
 		}
 	}
 }
