@@ -110,32 +110,21 @@ recovery:
 # the render kernel (any galaxy parameters, frame size and noise seed: the
 # pixel bits and header cards of the pre-hoisting kernel) and the card writer
 # (any keyword, comment and bool, int64, float64, string or nil value: the
-# bytes of the fmt-based formatCard).
+# bytes of the fmt-based formatCard, refused exactly when Decode would not
+# give the card back unchanged).
 # Seeds always run under plain `go test`; this also spends FUZZTIME per
-# target on new inputs.
+# target on new inputs. The targets are found, not listed: every Fuzz*
+# function `go test -list` prints for a package of `go list ./...`.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -fuzz FuzzReadReplicas -fuzztime $(FUZZTIME) ./internal/rls/
-	$(GO) test -fuzz FuzzView -fuzztime $(FUZZTIME) ./internal/fits/
-	$(GO) test -fuzz FuzzParseCardParity -fuzztime $(FUZZTIME) ./internal/fits/
-	$(GO) test -fuzz FuzzStreamingParity -fuzztime $(FUZZTIME) ./internal/votable/
-	$(GO) test -fuzz FuzzVDLParse -fuzztime $(FUZZTIME) ./internal/vdl/
-	$(GO) test -fuzz FuzzCatalogMatchesVDLText -fuzztime $(FUZZTIME) ./internal/webservice/
-	$(GO) test -fuzz FuzzRadialOrder -fuzztime $(FUZZTIME) ./internal/morphology/
-	$(GO) test -fuzz FuzzRowSpan -fuzztime $(FUZZTIME) ./internal/morphology/
-	$(GO) test -fuzz FuzzReadDAG -fuzztime $(FUZZTIME) ./internal/dagman/
-	$(GO) test -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal/
-	$(GO) test -fuzz FuzzWaveManifest -fuzztime $(FUZZTIME) ./internal/webservice/
-	$(GO) test -fuzz FuzzTCatRead -fuzztime $(FUZZTIME) ./internal/tcat/
-	$(GO) test -fuzz FuzzResultRoundTrip -fuzztime $(FUZZTIME) ./internal/webservice/
-	$(GO) test -fuzz FuzzCollectParity -fuzztime $(FUZZTIME) ./internal/webservice/
-	$(GO) test -fuzz FuzzArchiveQuery -fuzztime $(FUZZTIME) ./internal/services/
-	$(GO) test -fuzz FuzzSexagesimal -fuzztime $(FUZZTIME) ./internal/wcs/
-	$(GO) test -fuzz FuzzParseURL -fuzztime $(FUZZTIME) ./internal/gridftp/
-	$(GO) test -fuzz FuzzTableOps -fuzztime $(FUZZTIME) ./internal/tableops/
-	$(GO) test -fuzz FuzzServiceHandler -fuzztime $(FUZZTIME) ./internal/webservice/
-	$(GO) test -fuzz FuzzRenderGalaxyParity -fuzztime $(FUZZTIME) ./internal/skysim/
-	$(GO) test -fuzz FuzzAppendCardParity -fuzztime $(FUZZTIME) ./internal/fits/
+	@pkgs=$$($(GO) list ./...) || exit 1; n=0; for pkg in $$pkgs; do \
+	  list=$$($(GO) test -list '^Fuzz' $$pkg) || { echo "$$list"; exit 1; }; \
+	  for name in $$(echo "$$list" | grep '^Fuzz'); do \
+	    echo "$$pkg $$name"; \
+	    $(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	    n=$$((n + 1)); \
+	  done; \
+	done; echo "make fuzz: $$n fuzz targets ran"
 
 # The multi-tenant fabric campaign, race-enabled: deterministic overload
 # shedding, concurrent tenants under their own fault plans byte-identical
