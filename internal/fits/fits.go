@@ -492,15 +492,15 @@ func appendCard(dst []byte, c Card) ([]byte, error) {
 	return dst, cardError(c, w.pos)
 }
 
-// cardError is why Decode would not give c back as it is, or nil. end is
-// the column the card's value ends at (8, where a commentary card's text
-// starts, for COMMENT and HISTORY). Decode skips blank keywords and stops
-// at END; it reads the 8-byte keyword field as Header.Set stores a
-// keyword; it returns no value for COMMENT and HISTORY and only the five
-// Card value kinds otherwise; it parses no non-finite float as written;
-// it needs a string's closing quote on the card; and it trims a string value's trailing blanks and a comment's
-// surrounding white space (a commentary card's trailing blanks), so
-// neither may have them, and a comment must not be cut at the card's end.
+// cardError is why Decode would not give c back as it is, or nil; end is
+// the column c's value ends at (8, where the text of a COMMENT or HISTORY
+// card starts). Decode skips a blank keyword and stops at END, reads the
+// 8-byte keyword field as Header.Set stores keywords, gives no value for
+// COMMENT and HISTORY and only the Card value kinds otherwise, parses no
+// non-finite float as written, needs a string's closing quote on the card,
+// trims a string's trailing blanks and the white space around a comment (a
+// commentary card's trailing blanks), and reads a comment only as far as
+// the card goes.
 func cardError(c Card, end int) error {
 	k, text := c.Keyword, c.Comment
 	commentary := k == "COMMENT" || k == "HISTORY"

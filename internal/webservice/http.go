@@ -85,7 +85,8 @@ func writeShed(w http.ResponseWriter, err error) bool {
 //	POST /galmorph?cluster=NAME[&tenant=T&priority=N]  -> text: status URL path
 //	                              body: VOTable
 //	       202 Accepted: admitted (running or queued under fair share)
-//	       400: missing cluster, bad VOTable or priority, refused table
+//	       400: missing cluster, bad VOTable or priority, refused table,
+//	            tenant outside [A-Za-z0-9.-] or cluster holding "__"
 //	       413: body larger than maxRequestBody
 //	       429 + Retry-After: tenant over its workflow-queue quota
 //	       503 + Retry-After: fabric queue full or shutting down
