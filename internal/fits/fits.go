@@ -502,40 +502,45 @@ func appendCard(dst []byte, c Card) ([]byte, error) {
 // commentary card's trailing blanks), and reads a comment only as far as
 // the card goes.
 func cardError(c Card, end int) error {
+	if why := cardFault(c, end); why != "" {
+		return fmt.Errorf("%w: card %q does not read back: %s", ErrBadHeader, c.Keyword, why)
+	}
+	return nil
+}
+
+// cardFault is cardError's reason, or "".
+func cardFault(c Card, end int) string {
 	k, text := c.Keyword, c.Comment
-	commentary := k == "COMMENT" || k == "HISTORY"
-	from, trimmed := end+3, strings.TrimSpace(text) // where "/ " puts the comment
-	if commentary {
+	if k == "" || k == "END" || len(k) > 8 || k != strings.ToUpper(strings.TrimSpace(k)) {
+		return "keyword is not one 8-byte upper-case field"
+	}
+	from, trimmed := end+3, strings.TrimSpace(text) // "/ " precedes the comment
+	if k == "COMMENT" || k == "HISTORY" {
+		if c.Value != nil {
+			return "commentary card with a value"
+		}
 		from, trimmed = end, strings.TrimRight(text, " ")
 	}
-	var why string
 	switch v := c.Value.(type) {
 	case nil, bool, int64:
 	case float64:
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			why = "value is not finite" // written NaN. or Inf., which no reader parses
+			return "value is not finite" // written NaN. or Inf., which no reader parses
 		}
 	case string:
 		if strings.TrimRight(v, " ") != v {
-			why = "string value ends in blanks"
+			return "string value ends in blanks"
+		}
+		if end > CardSize {
+			return "string value runs past the card"
 		}
 	default:
-		why = fmt.Sprintf("value of type %T", v)
+		return fmt.Sprintf("value of type %T", v)
 	}
-	switch {
-	case k == "" || k == "END" || len(k) > 8 || k != strings.ToUpper(strings.TrimSpace(k)):
-		why = "keyword is not one 8-byte upper-case field"
-	case commentary && c.Value != nil:
-		why = "commentary card with a value"
-	case why != "":
-	case end > CardSize:
-		why = "value runs past the card"
-	case text != "" && (from+len(text) > CardSize || trimmed != text):
-		why = "comment cut at the card's end or with surrounding blanks"
-	default:
-		return nil
+	if text != "" && (from+len(text) > CardSize || trimmed != text) {
+		return "comment cut at the card's end or with surrounding blanks"
 	}
-	return fmt.Errorf("%w: card %q does not read back: %s", ErrBadHeader, k, why)
+	return ""
 }
 
 // cardWriter lays a value over a card from column pos on. Bytes past the
