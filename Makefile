@@ -211,7 +211,12 @@ graphreaders:
 # DecodeRows of a 1,000-row, 8-column table, allocations per row), and so
 # has the archive's cutout (TestCutoutAllocBudget,
 # internal/services/cutout_test.go: render + encode, allocations per
-# CutoutFITS call). Fails fast on any AllocsPerRun regression. Beside the
+# CutoutFITS call), and so has registration (TestRegisterAllocBudget,
+# internal/rls/onelock_test.go: a new replica at most two allocations, a
+# repeat none), and so has a whole request (TestRequestAllocBudget,
+# request_alloc_test.go: one warm-memo and one staged request over the
+# 1,000-galaxy plan, allocations per galaxy). Fails fast on any AllocsPerRun
+# regression. Beside the
 # measurement pins runs
 # TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts: every row-span loop
 # of the kernel bit-identical to its frozen per-pixel form on 1,000 survey
@@ -223,8 +228,8 @@ graphreaders:
 # fixed iteration count, uninstrumented, printed beside the allocation
 # figures.
 hotbench:
-	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestExecuteAllocBudget|TestExecuteAllocsFlat' -v ./internal/webservice/
-	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/
+	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestExecuteAllocBudget|TestExecuteAllocsFlat|TestRequestAllocBudget' -v ./internal/webservice/
+	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/rls/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkRenderGalaxy$$|BenchmarkCutoutFITS$$' -benchtime 200x -benchmem ./internal/skysim/ ./internal/services/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/

@@ -356,7 +356,7 @@ func TestChaosUnrecoverableRescue(t *testing.T) {
 		Name: condor.OpExec, Key: "n3", Kind: faults.KindSiteDown, Until: 2,
 	})
 	runner := func(n *dag.Node, attempt int) (dagman.Spec, error) {
-		return dagman.Spec{Cost: time.Second, Run: func() error { return nil }}, nil
+		return dagman.Spec{Cost: time.Second, Run: condor.BodyFunc(func() error { return nil })}, nil
 	}
 	newSim := func() *condor.Simulator {
 		sim, err := condor.NewSimulator(condor.Pool{Name: "p", Slots: 2})

@@ -49,12 +49,12 @@ func demoMonitoringAndRetries() {
 	g := buildFan(8)
 	rng := rand.New(rand.NewSource(3))
 	runner := func(n *dag.Node, attempt int) (dagman.Spec, error) {
-		return dagman.Spec{Cost: 4 * time.Second, Run: func() error {
+		return dagman.Spec{Cost: 4 * time.Second, Run: condor.BodyFunc(func() error {
 			if attempt == 1 && rng.Float64() < 0.3 {
 				return errors.New("transient Grid failure")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	//nvolint:ignore fabricpool standalone demo of raw DAGMan/Condor, no shared fabric to lease from
 	sim, err := condor.NewSimulator(condor.Pool{Name: "usc", Slots: 4})
@@ -89,13 +89,13 @@ func demoRescueDAG() {
 	// One stubborn job fails for an entire round, then heals.
 	failuresLeft := 2 // MaxRetries=1 -> 2 attempts in round one
 	runner := func(n *dag.Node, attempt int) (dagman.Spec, error) {
-		return dagman.Spec{Cost: 4 * time.Second, Run: func() error {
+		return dagman.Spec{Cost: 4 * time.Second, Run: condor.BodyFunc(func() error {
 			if n.ID == "galMorph-003" && failuresLeft > 0 {
 				failuresLeft--
 				return errors.New("pool outage")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	newSim := func() (*condor.Simulator, error) {
 		//nvolint:ignore fabricpool standalone demo of raw DAGMan/Condor, no shared fabric to lease from

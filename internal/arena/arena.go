@@ -83,15 +83,6 @@ func (s *span[T]) reset(clearValues bool) {
 	s.used = 0
 }
 
-// footprint is the total element capacity currently retained.
-func (s *span[T]) footprint() int {
-	total := 0
-	for _, slab := range s.slabs {
-		total += len(slab)
-	}
-	return total
-}
-
 // Arena is a request-lifetime allocator. The zero value is ready to use;
 // prefer Get/Put so slabs recycle across requests.
 type Arena struct {
@@ -140,9 +131,3 @@ func (a *Arena) Bytes(n int) []byte { return a.bytes.alloc(n) }
 // Strings returns a zeroed length-n string slice (string slots are cleared
 // on reset, so unlike Floats/Bytes the contents are always empty strings).
 func (a *Arena) Strings(n int) []string { return a.strings.alloc(n) }
-
-// Footprint reports the retained slab capacity in bytes — observability
-// for tests and soak instrumentation.
-func (a *Arena) Footprint() int {
-	return a.floats.footprint()*8 + a.bytes.footprint() + a.strings.footprint()*16
-}

@@ -151,17 +151,6 @@ func TestConcurrentGetPut(t *testing.T) {
 	wg.Wait()
 }
 
-func TestFootprintGrowsWithUse(t *testing.T) {
-	a := &Arena{}
-	if a.Footprint() != 0 {
-		t.Fatalf("zero-value footprint = %d", a.Footprint())
-	}
-	a.Floats(100)
-	if a.Footprint() < 100*8 {
-		t.Fatalf("footprint after alloc = %d", a.Footprint())
-	}
-}
-
 func TestAllocZeroAllocAfterWarmup(t *testing.T) {
 	a := Get()
 	defer Put(a)

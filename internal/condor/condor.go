@@ -7,7 +7,7 @@
 // while preserving queueing and contention behaviour.
 //
 // The caller (internal/dagman) submits Tasks and repeatedly calls Step to
-// advance the virtual clock to the next completion. A Task's Run closure
+// advance the virtual clock to the next completion. A Task's Run body
 // carries its real side effects (computing morphology, moving files,
 // registering replicas); by default it executes at completion time in model
 // order, and with SetWorkers(n > 1) side effects fan out to a bounded worker
@@ -46,13 +46,26 @@ type Pool struct {
 // transfer lane.
 const LaneTransfer = "transfer"
 
+// Body is a task's side effects. It is an interface rather than a function
+// so that a caller describing thousands of tasks can hand out pointers into
+// one slab of its own bodies instead of allocating a closure per task.
+type Body interface {
+	Run() error
+}
+
+// BodyFunc adapts a function to a Body.
+type BodyFunc func() error
+
+// Run calls f.
+func (f BodyFunc) Run() error { return f() }
+
 // Task is one schedulable job.
 type Task struct {
 	ID   string
 	Site string        // required pool; "" lets the matchmaker choose
 	Cost time.Duration // model execution time at Speed 1.0
 	Lane string        // "" = compute slots; LaneTransfer = transfer lane
-	Run  func() error  // side effects, executed at completion (may be nil)
+	Run  Body          // side effects, executed at completion (may be nil)
 	// Tag is an opaque integer the caller attaches to the task and gets back
 	// on its Completion (DAGMan's graph position of the node), so a
 	// completion is matched to its work without a lookup by ID.
@@ -122,7 +135,7 @@ func (f *fifo) front() *queued { return &f.items[f.head] }
 // proportional to what is waiting, at amortized O(1) per task.
 func (f *fifo) pop() queued {
 	q := f.items[f.head]
-	f.items[f.head] = queued{} // drop the Run closure
+	f.items[f.head] = queued{} // drop the Run body
 	f.head++
 	if f.head*2 >= len(f.items) {
 		n := copy(f.items, f.items[f.head:])
@@ -304,7 +317,7 @@ func (s *Simulator) SetInjector(in *faults.Injector) { s.inj = in }
 // instant. The discrete-event clock, matchmaking, completion order and
 // per-site accounting stay byte-identical to the serial schedule; only
 // wall-clock time and the interleaving of side effects change, so Run
-// closures must be safe to run concurrently with each other. Fault-injection
+// bodies must be safe to run concurrently with each other. Fault-injection
 // checks happen at placement time, in deterministic dispatch order, at every
 // width.
 //
@@ -595,7 +608,7 @@ func (s *Simulator) Step() (completions []Completion, ok bool) {
 			// join the result at its completion instant.
 			err = s.pool.Wait(&f.res)
 		case err == nil && f.task.Run != nil:
-			err = f.task.Run()
+			err = f.task.Run.Run()
 		}
 		if err != nil {
 			s.stats.Failed++
@@ -610,7 +623,7 @@ func (s *Simulator) Step() (completions []Completion, ok bool) {
 			End:    next,
 			Err:    err,
 		})
-		*f = flight{} // drop the Run closure
+		*f = flight{} // drop the Run body
 		s.free = append(s.free, i)
 	}
 	// Freed slots may admit queued work.

@@ -58,7 +58,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestSingleTaskLifecycle(t *testing.T) {
 	s := sim(t)
 	ran := false
-	if err := s.Submit(Task{ID: "j1", Cost: 4 * time.Second, Run: func() error { ran = true; return nil }}); err != nil {
+	if err := s.Submit(Task{ID: "j1", Cost: 4 * time.Second, Run: BodyFunc(func() error { ran = true; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Idle() {
@@ -144,7 +144,7 @@ func TestMakespanParallelism(t *testing.T) {
 func TestFailedRun(t *testing.T) {
 	s := sim(t)
 	boom := errors.New("boom")
-	_ = s.Submit(Task{ID: "bad", Cost: time.Second, Run: func() error { return boom }})
+	_ = s.Submit(Task{ID: "bad", Cost: time.Second, Run: BodyFunc(func() error { return boom })})
 	cs, _ := s.Step()
 	if cs[0].Err == nil {
 		t.Error("error lost")
@@ -262,7 +262,7 @@ func TestExecFaultInjection(t *testing.T) {
 		faults.Rule{Name: OpExec, Site: "usc", Key: "j1", Kind: faults.KindTransient, Until: 1},
 	))
 	if err := s.Submit(Task{ID: "j1", Site: "usc", Cost: time.Second,
-		Run: func() error { ran = true; return nil }}); err != nil {
+		Run: BodyFunc(func() error { ran = true; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	cs, ok := s.Step()
@@ -280,7 +280,7 @@ func TestExecFaultInjection(t *testing.T) {
 	}
 	// Resubmitting after the fault window succeeds (a DAGMan retry).
 	if err := s.Submit(Task{ID: "j1", Site: "usc", Cost: time.Second,
-		Run: func() error { ran = true; return nil }}); err != nil {
+		Run: BodyFunc(func() error { ran = true; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	cs, _ = s.Step()

@@ -120,9 +120,9 @@ func randomDispatchCase(rng *rand.Rand) dispatchCase {
 		}
 		switch rng.Intn(4) {
 		case 0:
-			t.Run = func() error { return errBoom }
+			t.Run = BodyFunc(func() error { return errBoom })
 		case 1:
-			t.Run = func() error { return nil }
+			t.Run = BodyFunc(func() error { return nil })
 		}
 		c.ops = append(c.ops, t)
 	}

@@ -34,13 +34,13 @@ func mixedTasks(n int, counter *int64, order *[]string, mu *sync.Mutex) []Task {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("t%02d", i)
 		cost := time.Duration(1+i%7) * time.Second
-		tasks[i] = Task{ID: id, Cost: cost, Run: func() error {
+		tasks[i] = Task{ID: id, Cost: cost, Run: BodyFunc(func() error {
 			atomic.AddInt64(counter, 1)
 			mu.Lock()
 			*order = append(*order, id)
 			mu.Unlock()
 			return nil
-		}}
+		})}
 	}
 	return tasks
 }
@@ -93,10 +93,10 @@ func TestParallelSideEffectsOverlap(t *testing.T) {
 		wg.Wait() // both bodies must be running at once to pass this point
 		return nil
 	}
-	if err := s.Submit(Task{ID: "a", Cost: time.Second, Run: meet}); err != nil {
+	if err := s.Submit(Task{ID: "a", Cost: time.Second, Run: BodyFunc(meet)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(Task{ID: "b", Cost: 2 * time.Second, Run: meet}); err != nil {
+	if err := s.Submit(Task{ID: "b", Cost: 2 * time.Second, Run: BodyFunc(meet)}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan []Completion, 1)
@@ -118,8 +118,8 @@ func TestParallelFaultInjectionSkipsRun(t *testing.T) {
 	inj := faults.New(1, faults.Rule{Name: OpExec, Key: "bad", Kind: faults.KindTransient})
 	var ran int64
 	tasks := []Task{
-		{ID: "good", Cost: time.Second, Run: func() error { atomic.AddInt64(&ran, 1); return nil }},
-		{ID: "bad", Cost: time.Second, Run: func() error { atomic.AddInt64(&ran, 1); return nil }},
+		{ID: "good", Cost: time.Second, Run: BodyFunc(func() error { atomic.AddInt64(&ran, 1); return nil })},
+		{ID: "bad", Cost: time.Second, Run: BodyFunc(func() error { atomic.AddInt64(&ran, 1); return nil })},
 	}
 	cs, stats := runSchedule(t, 4, inj, tasks)
 	if len(cs) != 2 {
@@ -246,7 +246,7 @@ func TestWorkerSetBoundsGoroutines(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < 200; i++ {
-			if err := s.Submit(Task{ID: fmt.Sprintf("t%03d", i), Cost: time.Duration(1+i%5) * time.Second, Run: body}); err != nil {
+			if err := s.Submit(Task{ID: fmt.Sprintf("t%03d", i), Cost: time.Duration(1+i%5) * time.Second, Run: BodyFunc(body)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -278,14 +278,14 @@ func TestAbortWaitsForLaunchedBodies(t *testing.T) {
 	started.Add(2)
 	var finished atomic.Int64
 	for i := 0; i < 4; i++ {
-		if err := s.Submit(Task{ID: fmt.Sprintf("t%d", i), Cost: time.Second, Run: func() error {
+		if err := s.Submit(Task{ID: fmt.Sprintf("t%d", i), Cost: time.Second, Run: BodyFunc(func() error {
 			if i < 2 {
 				started.Done()
 				<-gate
 			}
 			finished.Add(1)
 			return nil
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,13 +36,13 @@ func (c *countSink) Append(r journal.Record) error {
 func clusterRunner(runs map[string]int, failOnce map[string]bool) Runner {
 	return func(n *dag.Node, attempt int) (Spec, error) {
 		id := n.ID
-		return Spec{Site: "usc", Cost: time.Second, ClusterKey: "leaf", Run: func() error {
+		return Spec{Site: "usc", Cost: time.Second, ClusterKey: "leaf", Run: condor.BodyFunc(func() error {
 			runs[id]++
 			if failOnce[id] && runs[id] == 1 {
 				return errors.New("transient fault")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 }
 
@@ -178,10 +178,10 @@ func TestClusterRespectsDependencies(t *testing.T) {
 	var order []string
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
 		id := n.ID
-		return Spec{Site: "usc", Cost: time.Second, ClusterKey: "leaf", Run: func() error {
+		return Spec{Site: "usc", Cost: time.Second, ClusterKey: "leaf", Run: condor.BodyFunc(func() error {
 			order = append(order, id)
 			return nil
-		}}, nil
+		})}, nil
 	}
 	sim := newSim(t, condor.Pool{Name: "usc", Slots: 2})
 	rep, err := Execute(g, runner, sim, Options{ClusterSize: 4})

@@ -54,7 +54,7 @@ func (s NodeState) String() string {
 type Spec struct {
 	Site string        // pool to run on ("" = matchmake)
 	Cost time.Duration // model duration at unit speed
-	Run  func() error  // side effects, executed at completion time
+	Run  condor.Body   // side effects, executed at completion time
 	// Lane routes the task to a scheduler lane; condor.LaneTransfer puts it
 	// on the pool's dedicated transfer slots (when configured), so data
 	// movement overlaps computation instead of competing for CPU slots.
@@ -267,11 +267,24 @@ type pendingInner struct {
 	spec Spec
 }
 
-// clusterBatch tracks one batched task's inner nodes; errs is filled by the
-// batch Run in order, and settled per inner node at completion.
+// clusterBatch is one batched task's body: it runs its inner nodes' bodies
+// back to back and records each outcome in errs, which complete settles per
+// inner node.
 type clusterBatch struct {
 	nodes []int32
+	runs  []condor.Body
 	errs  []error
+}
+
+// Run runs every inner body. It never fails: inner outcomes are settled
+// individually.
+func (cb *clusterBatch) Run() error {
+	for i, r := range cb.runs {
+		if r != nil {
+			cb.errs[i] = r.Run()
+		}
+	}
+	return nil
 }
 
 func newExecution(g *dag.Graph, runner Runner, opt Options) *execution {
@@ -485,12 +498,12 @@ func (x *execution) flushClusters() error {
 		for lo := 0; lo < len(items); lo += x.opt.ClusterSize {
 			chunk := items[lo:min(lo+x.opt.ClusterSize, len(items))]
 			var cost time.Duration
-			cb := &clusterBatch{nodes: make([]int32, len(chunk)), errs: make([]error, len(chunk))}
-			runs := make([]func() error, len(chunk))
+			cb := &clusterBatch{nodes: make([]int32, len(chunk)),
+				runs: make([]condor.Body, len(chunk)), errs: make([]error, len(chunk))}
 			for i, pi := range chunk {
 				cb.nodes[i] = pi.node
 				cost += pi.spec.Cost
-				runs[i] = pi.spec.Run
+				cb.runs[i] = pi.spec.Run
 			}
 			tag := len(x.results) + len(x.batches)
 			x.batches = append(x.batches, cb)
@@ -500,16 +513,8 @@ func (x *execution) flushClusters() error {
 				x.report.ClusteredTasks++
 				x.report.ClusteredNodes += len(chunk)
 			}
-			run := func() error {
-				for i, r := range runs {
-					if r != nil {
-						cb.errs[i] = r()
-					}
-				}
-				return nil // inner outcomes are settled individually
-			}
 			if err := x.sim.Submit(condor.Task{
-				ID: taskID, Tag: tag, Site: k.site, Cost: cost, Lane: k.lane, Run: run,
+				ID: taskID, Tag: tag, Site: k.site, Cost: cost, Lane: k.lane, Run: cb,
 			}); err != nil {
 				return err
 			}

@@ -55,12 +55,12 @@ func result(t testing.TB, rep *Report, id string) Result {
 
 func unitRunner(order *[]string) Runner {
 	return func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if order != nil {
 				*order = append(*order, n.ID)
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 }
 
@@ -128,13 +128,13 @@ func TestRetrySucceedsOnSecondAttempt(t *testing.T) {
 	g := chainGraph(t, 2)
 	failures := map[string]int{"n1": 1} // n1 fails once then succeeds
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if failures[n.ID] > 0 {
 				failures[n.ID]--
 				return errors.New("transient")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	rep, err := Execute(g, runner, newSim(t), Options{MaxRetries: 2})
 	if err != nil {
@@ -164,12 +164,12 @@ func TestPermanentFailureMarksDescendantsUnrun(t *testing.T) {
 	_ = g.AddEdge("c", "d")
 
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if n.ID == "b" {
 				return errors.New("always broken")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	rep, err := Execute(g, runner, newSim(t), Options{MaxRetries: 1})
 	if err != nil {
@@ -214,7 +214,7 @@ func TestRunnerErrorAborts(t *testing.T) {
 func TestSitePinnedExecution(t *testing.T) {
 	g := chainGraph(t, 3)
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Site: "wisc", Cost: time.Second, Run: func() error { return nil }}, nil
+		return Spec{Site: "wisc", Cost: time.Second, Run: condor.BodyFunc(func() error { return nil })}, nil
 	}
 	rep, err := Execute(g, runner, newSim(t), Options{})
 	if err != nil {
@@ -237,13 +237,13 @@ func TestRetryOnDifferentSite(t *testing.T) {
 		if attempt > 1 {
 			site = "wisc"
 		}
-		return Spec{Site: site, Cost: time.Second, Run: func() error {
+		return Spec{Site: site, Cost: time.Second, Run: condor.BodyFunc(func() error {
 			sites = append(sites, site)
 			if site == "usc" {
 				return errors.New("usc broken")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	rep, err := Execute(g, runner, newSim(t), Options{MaxRetries: 1})
 	if err != nil {
@@ -365,13 +365,13 @@ func TestMaxInFlightWithRetries(t *testing.T) {
 	g := chainGraph(t, 4)
 	failuresLeft := map[string]int{"n2": 1, "n3": 1}
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if failuresLeft[n.ID] > 0 {
 				failuresLeft[n.ID]--
 				return errors.New("flaky")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	rep, err := Execute(g, runner, newSim(t), Options{MaxRetries: 2, MaxInFlight: func() int { return 1 }})
 	if err != nil || !rep.Succeeded() {
@@ -386,13 +386,13 @@ func TestEventRetriedStream(t *testing.T) {
 	g := chainGraph(t, 1)
 	attempts := 0
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			attempts++
 			if attempts < 3 {
 				return fmt.Errorf("flaky attempt %d", attempts)
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	sink := &countSink{}
 	rep, err := Execute(g, runner, newSim(t), Options{MaxRetries: 3, Journal: sink})
@@ -436,7 +436,7 @@ func TestRescueDAGEdgeCases(t *testing.T) {
 	// edges intact.
 	g := chainGraph(t, 3)
 	failing := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error { return errors.New("x") }}, nil
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error { return errors.New("x") })}, nil
 	}
 	rep, err = Execute(g, failing, newSim(t), Options{})
 	if err != nil {

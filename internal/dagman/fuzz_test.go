@@ -88,12 +88,12 @@ func rescueFile(tb testing.TB) []byte {
 	tb.Helper()
 	g := hostileGraph(tb)
 	sick := func(n *dag.Node, _ int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if n.Type == dag.TypeCompute {
 				return errors.New("sick")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	sim, err := condor.NewSimulator(condor.Pool{Name: "p", Slots: 2})
 	if err != nil {

@@ -52,7 +52,7 @@ func TestRescueRoundJournal(t *testing.T) {
 		if failing(n.ID, attempt) {
 			err = errors.New("down")
 		}
-		spec := Spec{Cost: time.Second, Run: func() error { return err }}
+		spec := Spec{Cost: time.Second, Run: condor.BodyFunc(func() error { return err })}
 		if n.ID[0] == 'b' {
 			spec.ClusterKey = "b"
 		}

@@ -29,13 +29,13 @@ func TestExecuteWithRescueRecovers(t *testing.T) {
 		if round == 2 {
 			rescued[n.ID] = true
 		}
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if n.ID == "n2" && failuresLeft > 0 {
 				failuresLeft--
 				return errors.New("flaky")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	newSim := func() (*condor.Simulator, error) {
 		round++
@@ -73,12 +73,12 @@ func TestExecuteWithRescueRecovers(t *testing.T) {
 func TestExecuteWithRescueGivesUp(t *testing.T) {
 	g := chainGraph(t, 2)
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if n.ID == "n1" {
 				return errors.New("permanently broken")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	rep, err := ExecuteWithRescue(g, runner, freshSim(t), Options{MaxRetries: 0}, 3)
 	if err != nil {
@@ -99,7 +99,7 @@ func TestExecuteWithRescueGivesUp(t *testing.T) {
 func TestExecuteWithRescueZeroRounds(t *testing.T) {
 	g := chainGraph(t, 1)
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error { return errors.New("x") }}, nil
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error { return errors.New("x") })}, nil
 	}
 	rep, err := ExecuteWithRescue(g, runner, freshSim(t), Options{}, 0)
 	if err != nil {
@@ -120,13 +120,13 @@ func TestMonitorEvents(t *testing.T) {
 	g := chainGraph(t, 2)
 	failuresLeft := 1
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if n.ID == "n1" && failuresLeft > 0 {
 				failuresLeft--
 				return errors.New("flaky")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	sink := &countSink{}
 	sim, err := condor.NewSimulator(condor.Pool{Name: "p", Slots: 2})
@@ -159,7 +159,7 @@ func TestMonitorEvents(t *testing.T) {
 func TestMonitorFailedEvent(t *testing.T) {
 	g := chainGraph(t, 1)
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error { return errors.New("x") }}, nil
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error { return errors.New("x") })}, nil
 	}
 	sink := &countSink{}
 	sim, _ := condor.NewSimulator(condor.Pool{Name: "p", Slots: 1})
@@ -253,7 +253,7 @@ func TestRescueRoundTripAllFailed(t *testing.T) {
 	// DAG is the whole graph — and resuming it with a healed runner finishes.
 	g := chainGraph(t, 4)
 	broken := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error { return errors.New("dead") }}, nil
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error { return errors.New("dead") })}, nil
 	}
 	sim, _ := condor.NewSimulator(condor.Pool{Name: "p", Slots: 2})
 	rep, err := Execute(g, broken, sim, Options{})
@@ -282,12 +282,12 @@ func TestRescueRoundTripPartial(t *testing.T) {
 	// reloaded file with a healed runner completes exactly those nodes.
 	g := chainGraph(t, 4)
 	sick := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if n.ID == "n2" {
 				return errors.New("sick")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	sim, _ := condor.NewSimulator(condor.Pool{Name: "p", Slots: 2})
 	rep, err := Execute(g, sick, sim, Options{})

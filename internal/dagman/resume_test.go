@@ -198,12 +198,12 @@ func TestExecuteJournalsRetryAndFailure(t *testing.T) {
 	w, _ := journal.Create(path)
 	g := chainGraph(t, 2)
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if n.ID == "n1" {
 				return errors.New("dead disk")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	sim, _ := condor.NewSimulator(condor.Pool{Name: "p", Slots: 1})
 	rep, err := Execute(g, runner, sim, Options{MaxRetries: 1, Journal: w})

@@ -125,12 +125,12 @@ func TestExecuteWavesPermanentFailure(t *testing.T) {
 		return prefixChain(t, fmt.Sprintf("w%d_n", w), 3), nil
 	}
 	runner := func(n *dag.Node, attempt int) (Spec, error) {
-		return Spec{Cost: time.Second, Run: func() error {
+		return Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if n.ID == "w1_n2" {
 				return errors.New("broken")
 			}
 			return nil
-		}}, nil
+		})}, nil
 	}
 	rep, err := ExecuteWaves(next, runner, waveSims(t), Options{MaxRetries: 1}, 0)
 	var we *WaveError

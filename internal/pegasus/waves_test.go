@@ -295,12 +295,12 @@ func waveRun(t *testing.T, n, waveSize int) (maxWaveNodes int, heapBytes uint64)
 		return plan.Concrete, nil
 	}
 	runner := func(n *dag.Node, _ int) (dagman.Spec, error) {
-		return dagman.Spec{Cost: time.Second, Run: func() error {
+		return dagman.Spec{Cost: time.Second, Run: condor.BodyFunc(func() error {
 			if n.Type != NodeRegister {
 				return nil
 			}
 			return r.Register(n.LFN, rls.PFN{Site: n.Site, URL: n.PFN})
-		}}, nil
+		})}, nil
 	}
 	newSim := func() (*condor.Simulator, error) {
 		return condor.NewSimulator(condor.Pool{Name: "grid", Slots: 32})

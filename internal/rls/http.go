@@ -244,19 +244,6 @@ func (c *Client) BulkLookup(lfns []string) (map[string][]PFN, error) {
 	return out, nil
 }
 
-// BulkRegister uploads replicas in the "lfn site url [checksum]" text format.
-func (c *Client) BulkRegister(body string) error {
-	resp, err := c.http().Post(c.Base+"/bulkregister", "text/plain", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("rls: bulkregister status %d", resp.StatusCode)
-	}
-	return nil
-}
-
 // Register records a replica.
 func (c *Client) Register(lfn string, pfn PFN) error {
 	form := url.Values{"lfn": {lfn}, "site": {pfn.Site}, "url": {pfn.URL}}

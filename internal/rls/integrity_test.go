@@ -150,11 +150,19 @@ func TestBulkRegisterHTTPRoundTrip(t *testing.T) {
 	r := New()
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
-	c := &Client{Base: srv.URL}
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/bulkregister", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
 
 	body := "a.fit isi gridftp://isi/a.fit deadbeef\nb.fit fnal gridftp://fnal/b.fit\n"
-	if err := c.BulkRegister(body); err != nil {
-		t.Fatal(err)
+	if code := post(body); code != http.StatusCreated {
+		t.Fatalf("bulkregister status %d, want 201", code)
 	}
 	if !r.Exists("a.fit") || !r.Exists("b.fit") {
 		t.Error("bulk registration lost replicas")
@@ -165,8 +173,8 @@ func TestBulkRegisterHTTPRoundTrip(t *testing.T) {
 	if _, ok := r.Checksum("b.fit"); ok {
 		t.Error("b.fit has no checksum attribute")
 	}
-	if err := c.BulkRegister("garbage"); err == nil {
-		t.Error("malformed bulk body must fail")
+	if code := post("garbage"); code != http.StatusBadRequest {
+		t.Errorf("malformed bulk body: status %d, want 400", code)
 	}
 }
 

@@ -8,8 +8,9 @@
 // aggregates which LRCs know each LFN. The RLS facade gives Pegasus the
 // queries it needs: existence checks for workflow reduction and feasibility,
 // replica lists for source selection, and registration for newly materialized
-// data products. An HTTP front-end (see http.go) exposes the same operations
-// as a service.
+// data products. Both layers are one map here, from each LFN to its
+// replicas, under one lock (see RLS). An HTTP front-end (see http.go)
+// exposes the same operations as a service.
 package rls
 
 import (
@@ -36,95 +37,111 @@ var (
 	ErrBadInput = errors.New("rls: bad input")
 )
 
-// LRC is a Local Replica Catalog: one site's LFN→PFN mappings. It is safe
-// for concurrent use.
+// LRC is one site's Local Replica Catalog: the LFN→PFN mappings the service
+// holds for that site, read through the service's one lock.
 type LRC struct {
+	r    *RLS
 	site string
-	mu   sync.RWMutex
-	m    map[string]map[string]bool // lfn -> set of URLs
-}
-
-// NewLRC returns an empty catalog for a site.
-func NewLRC(site string) *LRC {
-	return &LRC{site: site, m: map[string]map[string]bool{}}
 }
 
 // Site returns the owning site.
 func (l *LRC) Site() string { return l.site }
 
-// Add records a replica of lfn at url. The catalog keeps its own copy of a
-// name it did not know: a planner's names are slices of a per-plan buffer,
-// and a catalog entry outlives the plan.
-func (l *LRC) Add(lfn, url string) error {
-	if lfn == "" || url == "" {
-		return fmt.Errorf("%w: empty lfn or url", ErrBadInput)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	urls := l.m[lfn]
-	if urls == nil {
-		urls = map[string]bool{}
-		l.m[strings.Clone(lfn)] = urls
-	}
-	if !urls[url] {
-		urls[strings.Clone(url)] = true
-	}
-	return nil
-}
-
-// Remove deletes a replica mapping; removing the last replica forgets the LFN.
-func (l *LRC) Remove(lfn, url string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	urls, ok := l.m[lfn]
-	if !ok || !urls[url] {
-		return fmt.Errorf("%w: %s @ %s", ErrNotFound, lfn, url)
-	}
-	delete(urls, url)
-	if len(urls) == 0 {
-		delete(l.m, lfn)
-	}
-	return nil
-}
-
-// Lookup returns the site's replicas of lfn, sorted by URL.
-func (l *LRC) Lookup(lfn string) []PFN { return l.appendTo([]PFN{}, lfn) }
-
-// appendTo appends the site's replicas of lfn to dst, sorted by URL. They are
-// collected as a run in dst's spare capacity, grown first to fit them, and
-// sorted there, so the copy onto dst moves nothing.
-func (l *LRC) appendTo(dst []PFN, lfn string) []PFN {
-	l.mu.RLock()
-	urls := l.m[lfn]
-	dst = slices.Grow(dst, len(urls))
-	run := dst[len(dst):]
-	for u := range urls {
-		run = append(run, PFN{Site: l.site, URL: u})
-	}
-	l.mu.RUnlock()
-	slices.SortFunc(run, byURL)
-	return append(dst, run...)
-}
-
-func byURL(a, b PFN) int { return strings.Compare(a.URL, b.URL) }
-
-// LFNs returns every logical name the site knows, sorted.
+// LFNs returns every logical name the site holds a replica of, sorted.
 func (l *LRC) LFNs() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.m))
-	for lfn := range l.m {
-		out = append(out, lfn)
+	l.r.mu.RLock()
+	defer l.r.mu.RUnlock()
+	var out []string
+	for lfn, e := range l.r.files {
+		if e.holds(l.site) {
+			out = append(out, lfn)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Len returns the number of logical names known to the site.
+// Len returns the number of logical names the site holds a replica of.
 func (l *LRC) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.m)
+	l.r.mu.RLock()
+	defer l.r.mu.RUnlock()
+	n := 0
+	for _, e := range l.r.files {
+		if e.holds(l.site) {
+			n++
+		}
+	}
+	return n
+}
+
+// replicas is one logical file's entry in the service: its name and its
+// replicas sorted by site, then URL. The index's site set for the file is
+// the runs of equal sites in that list, and each run is that site's catalog
+// entry, so the two cannot disagree. Up to two replicas (a staged image at
+// the cache and the mirror) sit in the entry itself, which the map holds by
+// value; a third moves them all to a slice of their own.
+type replicas struct {
+	// lfn is the service's own copy of the name, the map key it is stored
+	// under: an entry is written back by it, never by the caller's string,
+	// which a map assignment would install as the key.
+	lfn    string
+	n      int // replicas in inline, while spill is nil
+	inline [2]PFN
+	spill  []PFN
+}
+
+func (e *replicas) list() []PFN {
+	if e.spill != nil {
+		return e.spill
+	}
+	return e.inline[:e.n]
+}
+
+// find returns where (site, url) is in the list, or where it would go.
+func (e *replicas) find(site, url string) (int, bool) {
+	return slices.BinarySearchFunc(e.list(), PFN{Site: site, URL: url}, comparePFN)
+}
+
+func comparePFN(a, b PFN) int {
+	if c := strings.Compare(a.Site, b.Site); c != 0 {
+		return c
+	}
+	return strings.Compare(a.URL, b.URL)
+}
+
+// holds reports whether site has a replica of the file.
+func (e *replicas) holds(site string) bool {
+	i, _ := e.find(site, "")
+	list := e.list()
+	return i < len(list) && list[i].Site == site
+}
+
+// insert puts p at position i of the list.
+func (e *replicas) insert(i int, p PFN) {
+	if e.spill == nil && e.n < len(e.inline) {
+		copy(e.inline[i+1:e.n+1], e.inline[i:e.n])
+		e.inline[i] = p
+		e.n++
+		return
+	}
+	if e.spill == nil {
+		e.spill = append(make([]PFN, 0, 2*len(e.inline)), e.inline[:e.n]...)
+		e.inline, e.n = [2]PFN{}, 0
+	}
+	e.spill = slices.Insert(e.spill, i, p)
+}
+
+// remove deletes position i of the list and returns how many replicas are
+// left.
+func (e *replicas) remove(i int) int {
+	if e.spill != nil {
+		e.spill = slices.Delete(e.spill, i, i+1)
+		return len(e.spill)
+	}
+	copy(e.inline[i:e.n], e.inline[i+1:e.n])
+	e.n--
+	e.inline[e.n] = PFN{}
+	return e.n
 }
 
 // Fault-point names. OpLookup is checked once per (LFN, site) pair during
@@ -136,12 +153,18 @@ const (
 	OpRegister = "rls.register"
 )
 
-// RLS is the full replica location service: an RLI over per-site LRCs.
+// RLS is the full replica location service: an RLI over per-site LRCs,
+// held as one map from each logical name to its replicas under one lock, so
+// a registration, a withdrawal and every query see the index and the
+// catalogs change together.
 type RLS struct {
-	mu   sync.RWMutex
-	lrcs map[string]*LRC
-	// rli maps lfn -> set of sites whose LRC holds it (the index layer).
-	rli map[string]map[string]bool
+	mu sync.RWMutex
+	// files maps each indexed lfn to its replicas; a name with none left is
+	// deleted, so a name in the map is a name the index knows.
+	files map[string]replicas
+	// sites is every site an LRC was opened for, sorted. Replicas hold these
+	// strings, so a caller's site name is copied once per site.
+	sites []string
 	// sums holds the per-LFN content checksum attribute (Giggle's RLS
 	// attaches user-defined attributes to mappings; all replicas of an LFN
 	// share content, so the attribute lives at the logical level).
@@ -160,8 +183,7 @@ type RLS struct {
 // New returns an empty service.
 func New() *RLS {
 	return &RLS{
-		lrcs:        map[string]*LRC{},
-		rli:         map[string]map[string]bool{},
+		files:       map[string]replicas{},
 		sums:        map[string]string{},
 		quarantined: map[string][]PFN{},
 	}
@@ -177,31 +199,36 @@ func (r *RLS) SetInjector(in *faults.Injector) {
 	r.inj = in
 }
 
-// Site returns (creating on demand) the LRC for a site.
+// Site returns (opening on demand) the LRC for a site.
 func (r *RLS) Site(site string) *LRC {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if l, ok := r.lrcs[site]; ok {
-		return l
+	return &LRC{r: r, site: r.openSite(site)}
+}
+
+// openSite returns the service's copy of a site name, opening the site's
+// LRC if it is new. The caller holds r.mu.
+func (r *RLS) openSite(site string) string {
+	i, ok := slices.BinarySearch(r.sites, site)
+	if !ok {
+		r.sites = slices.Insert(r.sites, i, strings.Clone(site))
 	}
-	l := NewLRC(site)
-	r.lrcs[site] = l
-	return l
+	return r.sites[i]
 }
 
 // Sites returns the registered site names, sorted.
 func (r *RLS) Sites() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.lrcs))
-	for s := range r.lrcs {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	return append(make([]string, 0, len(r.sites)), r.sites...)
 }
 
-// Register records a replica and updates the index.
+// Register records a replica and updates the index. A name the service did
+// not know is copied once, for the index and the catalog together, and a
+// URL once: a planner's names are slices of a per-plan buffer, and an entry
+// outlives the plan. A replica already registered costs nothing.
+//
+//nvo:hotpath
 func (r *RLS) Register(lfn string, pfn PFN) error {
 	if pfn.Site == "" {
 		return fmt.Errorf("%w: empty site", ErrBadInput)
@@ -212,43 +239,52 @@ func (r *RLS) Register(lfn string, pfn PFN) error {
 	if err := inj.Check(faults.Op{Name: OpRegister, Site: pfn.Site, Key: lfn}); err != nil {
 		return fmt.Errorf("rls: register %s @ %s: %w", lfn, pfn.Site, err)
 	}
-	if err := r.Site(pfn.Site).Add(lfn, pfn.URL); err != nil {
-		return err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sites := r.rli[lfn]
-	if sites == nil {
-		sites = map[string]bool{}
-		r.rli[strings.Clone(lfn)] = sites // the index outlives the caller's buffer
+	site := r.openSite(pfn.Site)
+	if lfn == "" || pfn.URL == "" {
+		return fmt.Errorf("%w: empty lfn or url", ErrBadInput)
 	}
-	sites[pfn.Site] = true
+	e, known := r.files[lfn]
+	i, found := e.find(site, pfn.URL)
+	if found {
+		return nil
+	}
+	if !known {
+		e.lfn = strings.Clone(lfn)
+	}
+	e.insert(i, PFN{Site: site, URL: strings.Clone(pfn.URL)})
+	r.files[e.lfn] = e
 	return nil
 }
 
-// Unregister removes a replica, updating the index when a site's last copy
-// disappears.
+// Unregister removes a replica; the index forgets a site with its last
+// copy, and the name with its last replica.
 func (r *RLS) Unregister(lfn string, pfn PFN) error {
-	r.mu.RLock()
-	lrc, ok := r.lrcs[pfn.Site]
-	r.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: site %q", ErrNotFound, pfn.Site)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, _, err := r.unregister(lfn, pfn)
+	return err
+}
+
+// unregister is Unregister under r.mu; it returns the service's own copy of
+// the name and of the withdrawn replica.
+func (r *RLS) unregister(lfn string, pfn PFN) (string, PFN, error) {
+	if _, ok := slices.BinarySearch(r.sites, pfn.Site); !ok {
+		return "", PFN{}, fmt.Errorf("%w: site %q", ErrNotFound, pfn.Site)
 	}
-	if err := lrc.Remove(lfn, pfn.URL); err != nil {
-		return err
+	e := r.files[lfn]
+	i, found := e.find(pfn.Site, pfn.URL)
+	if !found {
+		return "", PFN{}, fmt.Errorf("%w: %s @ %s", ErrNotFound, lfn, pfn.URL)
 	}
-	if len(lrc.Lookup(lfn)) == 0 {
-		r.mu.Lock()
-		if sites := r.rli[lfn]; sites != nil {
-			delete(sites, pfn.Site)
-			if len(sites) == 0 {
-				delete(r.rli, lfn)
-			}
-		}
-		r.mu.Unlock()
+	gone := e.list()[i]
+	if e.remove(i) == 0 {
+		delete(r.files, e.lfn)
+	} else {
+		r.files[e.lfn] = e
 	}
-	return nil
+	return e.lfn, gone, nil
 }
 
 // Lookup returns every replica of lfn across all sites, sorted by site then
@@ -258,48 +294,40 @@ func (r *RLS) Unregister(lfn string, pfn PFN) error {
 // while one of its catalogs is down.
 func (r *RLS) Lookup(lfn string) []PFN {
 	r.roundTrips.Add(1)
-	var sc lookupScratch
-	return r.appendLookup(nil, lfn, &sc)
-}
-
-// lookupScratch is the site and catalog lists of one lookup, reused by every
-// lookup of a bulk query.
-type lookupScratch struct {
-	sites []string
-	lrcs  []*LRC
+	if pfns := r.appendLookup(nil, lfn); len(pfns) > 0 {
+		return pfns
+	}
+	return nil
 }
 
 // appendLookup appends every replica of lfn to dst, sorted by site then URL,
 // and returns the extended slice. It is the per-file body of Lookup and
-// BulkLookup: the sites are visited in sorted order (the deterministic
-// fault-point order) and each catalog appends its own replicas sorted by URL,
-// so the appended run comes out sorted with no sort of its own.
+// BulkLookup. The replicas are copied under the lock; each site's run is
+// then checked against the injector outside it, in site order (the
+// deterministic fault-point order), and a faulted site's run is dropped.
 //
 //nvo:hotpath
-func (r *RLS) appendLookup(dst []PFN, lfn string, sc *lookupScratch) []PFN {
+func (r *RLS) appendLookup(dst []PFN, lfn string) []PFN {
+	start := len(dst)
 	r.mu.RLock()
 	inj := r.inj
-	sites := sc.sites[:0]
-	for s := range r.rli[lfn] {
-		sites = append(sites, s)
-	}
-	slices.Sort(sites)
-	lrcs := sc.lrcs[:0]
-	for _, s := range sites {
-		if l, ok := r.lrcs[s]; ok {
-			lrcs = append(lrcs, l)
-		}
-	}
+	e := r.files[lfn]
+	dst = append(dst, e.list()...)
 	r.mu.RUnlock()
-	sc.sites, sc.lrcs = sites, lrcs
 
-	for _, l := range lrcs {
-		if inj.Check(faults.Op{Name: OpLookup, Site: l.Site(), Key: lfn}) != nil {
-			continue
+	kept := start
+	for i := start; i < len(dst); {
+		j := i + 1
+		for j < len(dst) && dst[j].Site == dst[i].Site {
+			j++
 		}
-		dst = l.appendTo(dst, lfn)
+		if inj.Check(faults.Op{Name: OpLookup, Site: dst[i].Site, Key: lfn}) == nil {
+			kept += copy(dst[kept:], dst[i:j])
+		}
+		i = j
 	}
-	return dst
+	clear(dst[kept:])
+	return dst[:kept]
 }
 
 // SetChecksum records the content checksum attribute of a logical file —
@@ -328,12 +356,13 @@ func (r *RLS) Checksum(lfn string) (string, bool) {
 // but is retained on a quarantine list for audit. The LFN itself survives if
 // other replicas remain — and even with none, re-derivation re-registers it.
 func (r *RLS) Quarantine(lfn string, pfn PFN) error {
-	if err := r.Unregister(lfn, pfn); err != nil {
-		return err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.quarantined[lfn] = append(r.quarantined[lfn], pfn)
+	name, gone, err := r.unregister(lfn, pfn)
+	if err != nil {
+		return err
+	}
+	r.quarantined[name] = append(r.quarantined[name], gone)
 	return nil
 }
 
@@ -362,7 +391,8 @@ func (r *RLS) Exists(lfn string) bool {
 	r.roundTrips.Add(1)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.rli[lfn]) > 0
+	_, ok := r.files[lfn]
+	return ok
 }
 
 // BulkLookup resolves many LFNs at once (Pegasus queries the whole abstract
@@ -379,10 +409,9 @@ func (r *RLS) BulkLookup(lfns []string) map[string][]PFN {
 	all := make([]PFN, 0, len(lfns))
 	ends := make([]int32, len(lfns)) // all[ends[i-1]:ends[i]] are lfns[i]'s
 	found := 0
-	var sc lookupScratch
 	for i, lfn := range lfns {
 		start := len(all)
-		if all = r.appendLookup(all, lfn, &sc); len(all) > start {
+		if all = r.appendLookup(all, lfn); len(all) > start {
 			found++
 		}
 		ends[i] = int32(len(all))
@@ -410,8 +439,8 @@ func (r *RLS) ResetRoundTrips() int64 { return r.roundTrips.Swap(0) }
 func (r *RLS) LFNs() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.rli))
-	for lfn := range r.rli {
+	out := make([]string, 0, len(r.files))
+	for lfn := range r.files {
 		out = append(out, lfn)
 	}
 	sort.Strings(out)
@@ -422,5 +451,5 @@ func (r *RLS) LFNs() []string {
 func (r *RLS) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.rli)
+	return len(r.files)
 }

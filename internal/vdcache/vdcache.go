@@ -76,19 +76,39 @@ func New[V any]() *Cache[V] {
 
 // Get returns the value cached under key, counting a hit or miss.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
 	if c == nil {
+		var zero V
 		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.entries[key]
-	if ok {
-		c.hits++
-		return v, true
+	c.count(ok)
+	return v, ok
+}
+
+// GetBytes is Get for a key held in bytes, such as one AppendKey built in a
+// stack buffer: the map is searched with the bytes in place, so a hit
+// allocates nothing, and only a miss's Put needs the key as a string.
+func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
+	if c == nil {
+		var zero V
+		return zero, false
 	}
-	c.misses++
-	return zero, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.entries[string(key)]
+	c.count(ok)
+	return v, ok
+}
+
+// count records a lookup's outcome. The caller holds c.mu.
+func (c *Cache[V]) count(hit bool) {
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
 }
 
 // Put stores v under key, replacing any previous entry.

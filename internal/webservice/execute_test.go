@@ -37,7 +37,7 @@ func stagedPlan(tb testing.TB, galaxies int) *dag.Graph {
 // the worker set, not the jobs or their recipes.
 func executePlan(tb testing.TB, g *dag.Graph, workers int) {
 	var ran atomic.Int64
-	body := func() error { ran.Add(1); return nil }
+	body := condor.BodyFunc(func() error { ran.Add(1); return nil })
 	runner := func(n *dag.Node, _ int) (dagman.Spec, error) {
 		spec := dagman.Spec{Cost: galMorphBaseCost, Run: body}
 		switch n.Type {

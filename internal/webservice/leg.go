@@ -59,7 +59,7 @@ type leg struct {
 	// integrity layer stages an evicted image again to re-derive its result.
 	refs []imageRef
 	// labels is the context carrying the pprof label set (tenant, cluster,
-	// wave) every node Run body executes under, so profiles taken against a
+	// wave) every node body executes under, so profiles taken against a
 	// busy fabric attribute samples to the request that caused them. It is
 	// built only when the wave changes, keeping the per-job overhead to one
 	// atomic load and two label switches.
@@ -67,6 +67,9 @@ type leg struct {
 	// sink is the durable journal the leg forwards DAGMan's records to (the
 	// scoped writer, wrapped by Config.WrapJournal); nil without JournalDir.
 	sink journal.Sink
+	// bodies is the rest of the slab the runner hands node bodies out of
+	// (runner.go); only the scheduler goroutine touches it.
+	bodies []nodeBody
 }
 
 // newLeg builds the context of one leg of request r, which the fabric has
@@ -492,7 +495,14 @@ func (l *leg) runLeg(ctx context.Context, lease *fabric.Lease, dvs *derivations)
 	// DAGMan executes on the Condor pools, resubmitting the rescue DAG when
 	// configured.
 	l.progress(0, src.total)
-	rep, err := dagman.ExecuteWaves(src.next, l.runner(), l.simFactory(lease), opts, s.cfg.RescueRounds)
+	next := func(w int) (*dag.Graph, error) {
+		g, err := src.next(w)
+		if g != nil {
+			l.sizeBodies(g.Len())
+		}
+		return g, err
+	}
+	rep, err := dagman.ExecuteWaves(next, l.runner(), l.simFactory(lease), opts, s.cfg.RescueRounds)
 	if rep != nil {
 		l.account(RunStats{
 			Makespan:       rep.Makespan,

@@ -147,7 +147,7 @@ func TestRederiveStrictFaultsErrorsLikeLiveJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		liveErr, ran = spec.Run(), true
+		liveErr, ran = spec.Run.Run(), true
 	}
 	if !ran {
 		t.Fatalf("no galMorph node for %s in the saved plan", bad)

@@ -42,9 +42,8 @@ const (
 // runner builds the dagman Runner that gives concrete-workflow nodes their
 // behaviour: transfers move bytes through GridFTP, registrations publish
 // replicas, galMorph jobs measure morphology, and the concat job assembles
-// the output VOTable. A node's Run closure holds the leg and the node (and a
-// transfer's chosen source), and reads everything else from the node when it
-// runs; every body executes under the leg's profiler labels.
+// the output VOTable. A node's Run is a nodeBody from the leg's slab, which
+// reads everything but a transfer's chosen source from the node when it runs.
 func (l *leg) runner() dagman.Runner {
 	return func(n *dag.Node, attempt int) (dagman.Spec, error) {
 		switch n.Type {
@@ -63,6 +62,61 @@ func (l *leg) runner() dagman.Runner {
 		}
 		return dagman.Spec{}, fmt.Errorf("webservice: unknown node type %q", n.Type)
 	}
+}
+
+// bodyKind selects what a nodeBody runs.
+type bodyKind uint8
+
+const (
+	bodyTransfer bodyKind = iota
+	bodyRegister
+	bodyMeasure
+	bodyConcat
+)
+
+// nodeBody is one node attempt's side effect, the condor.Body of its task:
+// the node, what kind of job it is, and a transfer's chosen source. Bodies
+// are handed out of a slab the leg sizes to each graph it runs (sizeBodies),
+// so describing a node's work allocates nothing. Every body executes under
+// the leg's profiler labels.
+type nodeBody struct {
+	l    *leg
+	n    *dag.Node
+	src  string
+	kind bodyKind
+}
+
+// Run performs the node's side effect.
+func (b *nodeBody) Run() error {
+	defer b.l.label()()
+	switch b.kind {
+	case bodyTransfer:
+		return b.l.transfer(b.n, b.src)
+	case bodyRegister:
+		return b.l.register(b.n)
+	case bodyMeasure:
+		return b.l.measure(b.n)
+	default:
+		return b.l.concat(b.n)
+	}
+}
+
+// sizeBodies gives the leg a fresh slab of n bodies. runLeg sizes one to
+// each graph it is about to run, one body per node; the previous graph has
+// finished by then, and its bodies with it.
+func (l *leg) sizeBodies(n int) { l.bodies = make([]nodeBody, n) }
+
+// body hands out the next body of the slab. Retries and rescue rounds, which
+// ask for more bodies than the graph has nodes, get them from small slabs of
+// their own. It runs on the scheduler goroutine only.
+func (l *leg) body(kind bodyKind, n *dag.Node, src string) *nodeBody {
+	if len(l.bodies) == 0 {
+		l.sizeBodies(16)
+	}
+	b := &l.bodies[0]
+	l.bodies = l.bodies[1:]
+	*b = nodeBody{l: l, n: n, src: src, kind: kind}
+	return b
 }
 
 // clusterKey is a node's horizontal-clustering key, prefix+site; it is only
@@ -84,14 +138,13 @@ func (l *leg) transferSpec(n *dag.Node, attempt int) dagman.Spec {
 		// site to amortize submission overhead across a site's stage-ins.
 		Lane:       condor.LaneTransfer,
 		ClusterKey: l.clusterKey("transfer@", srcSite),
-		Run:        func() error { return l.transfer(n, src) },
+		Run:        l.body(bodyTransfer, n, src),
 	}
 }
 
 // transfer is a transfer node's body: deliver src to the node's destination,
 // repairing a source damaged at rest.
 func (l *leg) transfer(n *dag.Node, src string) error {
-	defer l.label()()
 	s := l.s
 	srcSite, _, _ := gridftp.ParseURL(src)
 	res, err := s.cfg.GridFTP.Transfer(src, n.DstURL)
@@ -165,11 +218,13 @@ func (l *leg) registerSpec(n *dag.Node) dagman.Spec {
 		// Registrations are catalog writes with no data dependency on each
 		// other: batch them per target site.
 		ClusterKey: l.clusterKey("register@", n.Site),
-		Run: func() error {
-			defer l.label()()
-			return l.s.cfg.RLS.Register(n.LFN, rls.PFN{Site: n.Site, URL: n.PFN})
-		},
+		Run:        l.body(bodyRegister, n, ""),
 	}
+}
+
+// register is a register node's body: publish the node's replica.
+func (l *leg) register(n *dag.Node) error {
+	return l.s.cfg.RLS.Register(n.LFN, rls.PFN{Site: n.Site, URL: n.PFN})
 }
 
 // memoEntry is one cached galMorph derivation: the measurement (or the
@@ -232,13 +287,20 @@ func appendMorphFingerprint(dst []byte, cfg morphology.Config) []byte {
 	return strconv.AppendBool(dst, cfg.Cosmology.Flat)
 }
 
-// memoKey is the virtual-data key of one measurement: vdcache.Key of the
-// image's hex digest and the measurement's fingerprint. Both are built in
-// stack buffers, so the key string is the one allocation.
+// memoKey is the virtual-data key of one measurement as the string the memo
+// stores it under: appendMemoKey's bytes, whose conversion is its one
+// allocation.
 func memoKey(hexDigest []byte, cfg morphology.Config) string {
-	var fp [128]byte
 	var key [vdcache.KeyLen]byte
-	return string(vdcache.AppendKey(key[:0], hexDigest, appendMorphFingerprint(fp[:0], cfg)))
+	return string(appendMemoKey(key[:0], hexDigest, cfg))
+}
+
+// appendMemoKey appends the virtual-data key of one measurement to dst:
+// vdcache.Key of the image's hex digest and the measurement's fingerprint,
+// the fingerprint built in a stack buffer.
+func appendMemoKey(dst, hexDigest []byte, cfg morphology.Config) []byte {
+	var fp [128]byte
+	return vdcache.AppendKey(dst, hexDigest, appendMorphFingerprint(fp[:0], cfg))
 }
 
 // galMorphSpec runs one galaxy's morphology measurement at its mapped site.
@@ -260,13 +322,12 @@ func (l *leg) galMorphSpec(n *dag.Node) dagman.Spec {
 		// Leaf measurements are the small independent jobs horizontal
 		// clustering exists for; batch them per mapped site.
 		ClusterKey: l.clusterKey("galmorph@", n.Site),
-		Run:        func() error { return l.measure(n) },
+		Run:        l.body(bodyMeasure, n, ""),
 	}
 }
 
 // measure is a galMorph node's body.
 func (l *leg) measure(n *dag.Node) error {
-	defer l.label()()
 	s := l.s
 	inputs, outputs := n.Inputs, n.Outputs
 	if len(inputs) != 1 || len(outputs) != 1 {
@@ -296,8 +357,10 @@ func (l *leg) measure(n *dag.Node) error {
 	// content: the image is not hashed again for its key.
 	var hexDigest [2 * len(digest)]byte
 	hex.Encode(hexDigest[:], digest[:])
-	key := memoKey(hexDigest[:], mcfg)
-	entry, hit := s.memo.Get(key)
+	// The key is looked up from a stack buffer: a hit allocates nothing.
+	var keyBuf [vdcache.KeyLen]byte
+	key := appendMemoKey(keyBuf[:0], hexDigest[:], mcfg)
+	entry, hit := s.memo.GetBytes(key)
 	if hit {
 		p = entry.params
 		if entry.errStr != "" {
@@ -309,7 +372,7 @@ func (l *leg) measure(n *dag.Node) error {
 		if err != nil {
 			entry.errStr = err.Error()
 		}
-		s.memo.Put(key, entry)
+		s.memo.Put(string(key), entry)
 	}
 	content, ferr := s.galMorph(ar.Bytes(192)[:0], inputs[0], p, err)
 	if hit {
@@ -358,22 +421,24 @@ func (s *Service) galMorph(dst []byte, imageLFN string, p morphology.Params, err
 func (l *leg) concatSpec(n *dag.Node) dagman.Spec {
 	return dagman.Spec{
 		Cost: concatBaseCost + time.Duration(len(n.Inputs))*concatPerRow,
-		Run: func() error {
-			defer l.label()()
-			if len(n.Outputs) != 1 {
-				return fmt.Errorf("webservice: concat expects 1 output, got %v", n.Outputs)
-			}
-			store := l.s.cfg.GridFTP.Store(n.Site)
-			content, err := concatVOT(n.Outputs[0], n.Inputs, func(lfn string) ([]byte, error) {
-				data, _, err := l.verifiedGet(store, lfn)
-				return data, err
-			})
-			if err != nil {
-				return err
-			}
-			return store.Adopt(n.Outputs[0], content)
-		},
+		Run:  l.body(bodyConcat, n, ""),
 	}
+}
+
+// concat is the concat node's body.
+func (l *leg) concat(n *dag.Node) error {
+	if len(n.Outputs) != 1 {
+		return fmt.Errorf("webservice: concat expects 1 output, got %v", n.Outputs)
+	}
+	store := l.s.cfg.GridFTP.Store(n.Site)
+	content, err := concatVOT(n.Outputs[0], n.Inputs, func(lfn string) ([]byte, error) {
+		data, _, err := l.verifiedGet(store, lfn)
+		return data, err
+	})
+	if err != nil {
+		return err
+	}
+	return store.Adopt(n.Outputs[0], content)
 }
 
 // concatVOT is the body of TR concatVOT: it fetches every per-galaxy result

@@ -65,7 +65,7 @@ type Slot struct {
 
 // job is one queued body: a Submit body with its Slot, or one index of a Run.
 type job struct {
-	run  func() error
+	body interface{ Run() error }
 	slot *Slot
 	each func(int)
 	i    int
@@ -76,7 +76,7 @@ func (j job) do() error {
 		j.each(j.i)
 		return nil
 	}
-	return j.run()
+	return j.body.Run()
 }
 
 // Pool is a bounded set of worker goroutines draining one FIFO of bodies in
@@ -118,17 +118,17 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Submit queues run, whose outcome lands in slot. On an inline pool (nil, or
-// Workers <= 1) run executes before Submit returns, so submission order equals
+// Submit queues body, whose Run's outcome lands in slot. On an inline pool
+// (nil, or Workers <= 1) body runs before Submit returns, so submission order equals
 // execution order — the property the simulator's serial mode relies on. On a
 // concurrent pool the oldest waiting body goes to the next free worker, and a
 // worker is started while fewer than Workers are live and none is idle. After
 // Close the slot resolves to ErrPoolClosed without running anything.
 //
 //nvo:hotpath
-func (p *Pool) Submit(slot *Slot, run func() error) {
+func (p *Pool) Submit(slot *Slot, body interface{ Run() error }) {
 	if p.inline() {
-		slot.err, slot.done = run(), true
+		slot.err, slot.done = body.Run(), true
 		return
 	}
 	p.mu.Lock()
@@ -138,7 +138,7 @@ func (p *Pool) Submit(slot *Slot, run func() error) {
 		return
 	}
 	slot.err, slot.done = nil, false
-	p.enqueue(job{run: run, slot: slot})
+	p.enqueue(job{body: body, slot: slot})
 }
 
 // enqueue appends j to the FIFO and hands it to an idle worker, or starts
@@ -239,7 +239,7 @@ func (p *Pool) settle(slot *Slot, err error) {
 // is waiting and its backing array is reused. The caller holds p.mu.
 func (p *Pool) pop() job {
 	j := p.queue[p.head]
-	p.queue[p.head] = job{} // drop the body's closure
+	p.queue[p.head] = job{} // drop the body
 	p.head++
 	if p.head*2 >= len(p.queue) {
 		n := copy(p.queue, p.queue[p.head:])

@@ -58,7 +58,7 @@ func TestPoolInlineRunsSynchronously(t *testing.T) {
 	p := NewPool(1)
 	ran := false
 	var slot Slot
-	p.Submit(&slot, func() error { ran = true; return nil })
+	p.Submit(&slot, bodyFunc(func() error { ran = true; return nil }))
 	if !ran {
 		t.Fatal("inline pool must run the body before Submit returns")
 	}
@@ -74,7 +74,7 @@ func TestNilPoolIsInline(t *testing.T) {
 	}
 	want := errors.New("x")
 	var slot Slot
-	p.Submit(&slot, func() error { return want })
+	p.Submit(&slot, bodyFunc(func() error { return want }))
 	if err := p.Wait(&slot); err != want {
 		t.Fatalf("err = %v", err)
 	}
@@ -89,12 +89,12 @@ func TestPoolConcurrentResolvesAllSlots(t *testing.T) {
 	slots := make([]Slot, n)
 	errWant := errors.New("boom")
 	for i := 0; i < n; i++ {
-		p.Submit(&slots[i], func() error {
+		p.Submit(&slots[i], bodyFunc(func() error {
 			if i%7 == 0 {
 				return errWant
 			}
 			return nil
-		})
+		}))
 	}
 	for i := range slots {
 		err := p.Wait(&slots[i])
@@ -111,7 +111,7 @@ func TestPoolWaitIsIdempotent(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	var slot Slot
-	p.Submit(&slot, func() error { return nil })
+	p.Submit(&slot, bodyFunc(func() error { return nil }))
 	for i := 0; i < 3; i++ {
 		if err := p.Wait(&slot); err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestPoolCloseJoinsAndRevokesParkedWaiters(t *testing.T) {
 	gate := make(chan struct{})
 	var running sync.WaitGroup
 	running.Add(2)
-	hold := func() error { running.Done(); <-gate; return nil }
+	hold := bodyFunc(func() error { running.Done(); <-gate; return nil })
 	var s1, s2, s3 Slot
 	p.Submit(&s1, hold)
 	p.Submit(&s2, hold)
@@ -132,10 +132,10 @@ func TestPoolCloseJoinsAndRevokesParkedWaiters(t *testing.T) {
 
 	// This body waits in the queue: both workers are busy and stay busy
 	// until gate closes, so Close's revocation must be what resolves it.
-	p.Submit(&s3, func() error {
+	p.Submit(&s3, bodyFunc(func() error {
 		t.Error("revoked task body must not run")
 		return nil
-	})
+	}))
 
 	closed := make(chan struct{})
 	go func() {
@@ -162,10 +162,10 @@ func TestPoolCloseAfterDrainReturnsImmediately(t *testing.T) {
 	var done int32
 	slots := make([]Slot, 16)
 	for i := range slots {
-		p.Submit(&slots[i], func() error {
+		p.Submit(&slots[i], bodyFunc(func() error {
 			atomic.AddInt32(&done, 1)
 			return nil
-		})
+		}))
 	}
 	for i := range slots {
 		if err := p.Wait(&slots[i]); err != nil {
@@ -182,10 +182,10 @@ func TestPoolSubmitAfterCloseIsRefused(t *testing.T) {
 	p := NewPool(2)
 	p.Close()
 	var slot Slot
-	p.Submit(&slot, func() error {
+	p.Submit(&slot, bodyFunc(func() error {
 		t.Error("body must not run after Close")
 		return nil
-	})
+	}))
 	if err := p.Wait(&slot); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
@@ -194,7 +194,7 @@ func TestPoolSubmitAfterCloseIsRefused(t *testing.T) {
 func TestPoolCloseIsIdempotent(t *testing.T) {
 	p := NewPool(3)
 	var slot Slot
-	p.Submit(&slot, func() error { return nil })
+	p.Submit(&slot, bodyFunc(func() error { return nil }))
 	p.Close()
 	p.Close()
 }
@@ -205,7 +205,7 @@ func TestInlinePoolCloseIsNoop(t *testing.T) {
 	p := NewPool(1)
 	p.Close()
 	var slot Slot
-	p.Submit(&slot, func() error { return nil })
+	p.Submit(&slot, bodyFunc(func() error { return nil }))
 	if err := p.Wait(&slot); err != nil {
 		t.Fatalf("inline pool must keep running after Close: %v", err)
 	}
@@ -231,11 +231,11 @@ func TestPoolStartsBodiesInSubmissionOrder(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			p.Submit(&slots[i], func() error {
+			p.Submit(&slots[i], bodyFunc(func() error {
 				started <- i
 				<-release[i]
 				return nil
-			})
+			}))
 		}
 		var running []int
 		for want := 0; want < n; want++ {
@@ -285,13 +285,13 @@ func TestPoolNeverExceedsWorkers(t *testing.T) {
 	started.Add(workers)
 	slots := make([]Slot, 40)
 	for i := range slots {
-		p.Submit(&slots[i], func() error {
+		p.Submit(&slots[i], bodyFunc(func() error {
 			if i < workers {
 				started.Done()
 			}
 			<-gate
 			return nil
-		})
+		}))
 	}
 	started.Wait()
 	if got := runtime.NumGoroutine() - before; got != workers {
@@ -315,7 +315,7 @@ func TestPoolSubmitAllocatesNothing(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	var slot Slot
-	body := func() error { return nil }
+	body := bodyFunc(func() error { return nil })
 	p.Submit(&slot, body) // start a worker and size the queue
 	_ = p.Wait(&slot)
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -325,3 +325,8 @@ func TestPoolSubmitAllocatesNothing(t *testing.T) {
 		t.Errorf("Submit+Wait allocates %.1f times, want 0", allocs)
 	}
 }
+
+// bodyFunc adapts a function literal to the body Submit takes.
+type bodyFunc func() error
+
+func (f bodyFunc) Run() error { return f() }
