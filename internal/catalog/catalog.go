@@ -245,15 +245,29 @@ func (c *Catalog) AppendRowCells(dst []string, r Record) []string {
 }
 
 // ToVOTable renders records as a VOTable with columns id, ra, dec followed by
-// the catalog's property columns.
+// the catalog's property columns, its rows made by one votable.RowBuilder.
 func (c *Catalog) ToVOTable(recs []Record) *votable.Table {
 	meta := c.TableMeta()
 	t := votable.NewTable(c.name, meta.Fields...)
+	b := votable.NewRowBuilder(len(meta.Fields), len(recs))
 	for _, r := range recs {
-		// Row width is fields by construction; ignore the impossible error.
-		_ = t.AppendRow(c.AppendRowCells(nil, r)...)
+		c.appendRow(b, r)
 	}
+	t.Rows = b.Rows()
 	return t
+}
+
+// appendRow appends rec's cells to b: the cells AppendRowCells gives, with
+// no string of their own.
+//
+//nvo:hotpath
+func (c *Catalog) appendRow(b *votable.RowBuilder, r Record) {
+	b.Text(r.ID)
+	b.Fixed(r.Pos.RA, degDecimals)
+	b.Fixed(r.Pos.Dec, degDecimals)
+	for _, col := range c.cols {
+		b.Text(r.Props[col])
+	}
 }
 
 // FromVOTable loads records from a table with id/ra/dec columns; every other
@@ -291,6 +305,9 @@ func FromVOTable(name string, t *votable.Table) (*Catalog, error) {
 	}
 	return c, nil
 }
+
+// degDecimals is the precision of an exported position, formatDeg's.
+const degDecimals = 7
 
 func formatDeg(v float64) string {
 	// 7 decimals ≈ 0.4 milliarcsec: far below any pixel scale in play.

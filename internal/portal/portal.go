@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/httpclient"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -334,26 +335,36 @@ func (p *Portal) BuildCatalogReport(cluster string) (*votable.Table, []Degradati
 	for _, c := range cuts {
 		acrefOf[c.Title] = c.AcRef
 	}
+	root := p.cutoutRoot()
+	urls := votable.NewRowBuilder(1, base.NumRows())
+	for i := range base.Rows {
+		appendCutoutURL(urls, root, acrefOf[base.Cell(i, "id")])
+	}
+	acrefs := urls.Rows()
 	base.AddColumn(votable.Field{Name: "acref", Datatype: votable.TypeChar,
 		UCD: "VOX:Image_AccessReference"}, func(i int) string {
-		return p.absoluteCutoutURL(acrefOf[base.Cell(i, "id")])
+		return acrefs[i][0]
 	})
 	return base, degraded, nil
 }
 
-// absoluteCutoutURL resolves a relative acref against the cutout service.
-func (p *Portal) absoluteCutoutURL(acref string) string {
-	if acref == "" {
-		return ""
+// cutoutRoot is the cutout service's URL up to its last '/': the root a
+// relative acref resolves against, or "" if it has none.
+func (p *Portal) cutoutRoot() string {
+	if i := strings.LastIndexByte(p.cfg.CutoutService, '/'); i >= 0 {
+		return p.cfg.CutoutService[:i]
 	}
-	if len(acref) > 0 && acref[0] == '/' {
-		// Strip the /siacut path to the service root.
-		base := p.cfg.CutoutService
-		for i := len(base) - 1; i >= 0; i-- {
-			if base[i] == '/' {
-				return base[:i] + acref
-			}
-		}
+	return ""
+}
+
+// appendCutoutURL appends an acref cell to b: acref resolved against root
+// when it is relative (starts with '/') and root is set, else as it is.
+//
+//nvo:hotpath
+func appendCutoutURL(b *votable.RowBuilder, root, acref string) {
+	if root != "" && strings.HasPrefix(acref, "/") {
+		b.Text(root, acref)
+		return
 	}
-	return acref
+	b.Text(acref)
 }

@@ -2,9 +2,11 @@ package services
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/skysim"
+	"repro/internal/votable"
 )
 
 // cutoutAllocBudget bounds the heap allocations of one CutoutFITS call: the
@@ -90,6 +92,42 @@ func BenchmarkCutoutFITS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := a.CutoutFITS(c.Galaxies[i%len(c.Galaxies)].ID); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// answerAllocBudget bounds the heap allocations per row of a Cone Search or
+// cutout SIA answer, from the archive's table to its bytes (the page's table
+// build plus votable.WriteTable). Both read about 0.03: the hit list, its
+// sort and the encoder are per answer, and the rows are one RowBuilder's.
+// They read 7.04 and 8.03 while every cell was a string of its own.
+const answerAllocBudget = 0.1
+
+// TestAnswerAllocsPerRow holds the unpaged SURVEY /cone and /siacut answers
+// to answerAllocBudget allocations per row.
+func TestAnswerAllocsPerRow(t *testing.T) {
+	c := skysim.Generate(surveySpec())
+	a := NewArchive("budget", c)
+	radius := 8*c.CoreRadiusDeg + 0.01
+	for _, q := range []struct {
+		name  string
+		table func() *votable.Table
+	}{
+		{"ConeSearchPage", func() *votable.Table { return a.ConeSearchPage(c.Center, radius, 0, -1) }},
+		{"SIAQueryCutoutsPage", func() *votable.Table { return a.SIAQueryCutoutsPage(c.Center, 2*radius, 0, -1) }},
+	} {
+		rows := q.table().NumRows()
+		if rows != len(c.Galaxies) {
+			t.Fatalf("%s: %d rows, want %d", q.name, rows, len(c.Galaxies))
+		}
+		perRow := testing.AllocsPerRun(10, func() {
+			if err := votable.WriteTable(io.Discard, q.table()); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(rows)
+		t.Logf("%s + WriteTable: %.3f allocations per row (budget %.1f)", q.name, perRow, answerAllocBudget)
+		if perRow > answerAllocBudget {
+			t.Errorf("%s + WriteTable: %.3f allocations per row, budget %.1f", q.name, perRow, answerAllocBudget)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package services
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -315,7 +316,7 @@ func SIAQuery(hc *http.Client, base string, pos wcs.SkyCoord, sizeDeg float64, p
 
 // siaRecords parses t's rows as SIA records.
 func siaRecords(t *votable.Table) []SIARecord {
-	var out []SIARecord
+	out := make([]SIARecord, 0, t.NumRows())
 	for i := 0; i < t.NumRows(); i++ {
 		ra, _ := t.Float(i, "ra")
 		dec, _ := t.Float(i, "dec")
@@ -343,5 +344,10 @@ func getVOTable(hc *http.Client, u string) (*votable.Table, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("services: GET %s: status %d: %s", u, resp.StatusCode, body)
 	}
-	return votable.ReadTable(resp.Body)
+	t, err := votable.ReadTable(http.MaxBytesReader(nil, resp.Body, votable.MaxAnswerBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return nil, fmt.Errorf("services: GET %s: answer larger than %d bytes", u, tooLarge.Limit)
+	}
+	return t, err
 }

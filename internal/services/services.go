@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -278,6 +277,7 @@ var SIAFields = []votable.Field{
 // values are relative URLs under the archive's HTTP root.
 func (a *Archive) SIAQueryFields(pos wcs.SkyCoord, sizeDeg float64) *votable.Table {
 	t := votable.NewTable(a.name+"_sia", SIAFields...)
+	b := votable.NewRowBuilder(len(SIAFields), 2*len(a.clusters))
 	for _, name := range a.Clusters() {
 		c := a.clusters[name]
 		reach := sizeDeg/2 + 8*c.CoreRadiusDeg
@@ -287,17 +287,17 @@ func (a *Archive) SIAQueryFields(pos wcs.SkyCoord, sizeDeg float64) *votable.Tab
 		const npix = 512
 		scale := 2 * 8 * c.CoreRadiusDeg / npix
 		for _, band := range []Band{BandOptical, BandXRay} {
-			_ = t.AppendRow(
-				fmt.Sprintf("%s %s image", name, band),
-				votable.FormatFloat(c.Center.RA),
-				votable.FormatFloat(c.Center.Dec),
-				strconv.Itoa(npix), strconv.Itoa(npix),
-				votable.FormatFloat(scale),
-				"image/fits",
-				fmt.Sprintf("/image?cluster=%s&band=%s", name, band),
-			)
+			b.Text(name, " ", string(band), " image")
+			b.Float(c.Center.RA)
+			b.Float(c.Center.Dec)
+			b.Int(npix)
+			b.Int(npix)
+			b.Float(scale)
+			b.Text("image/fits")
+			b.Text("/image?cluster=", name, "&band=", string(band))
 		}
 	}
+	t.Rows = b.Rows()
 	return t
 }
 
@@ -319,6 +319,12 @@ func (a *Archive) SIAQueryCutoutsPage(pos wcs.SkyCoord, sizeDeg float64, offset,
 	if offset < 0 {
 		offset = 0
 	}
+	rows := max(a.merged.Len()-offset, 0)
+	if maxrec > 0 {
+		rows = min(rows, maxrec)
+	}
+	b := votable.NewRowBuilder(len(SIAFields), rows)
+	scale := votable.FormatFloat(skysim.PixScaleArcsec / 3600)
 	matched := 0
 	a.merged.ConeSearchVisit(pos, sizeDeg/2, func(rec catalog.Record, _ float64) bool {
 		g, ok := a.Galaxy(rec.ID)
@@ -330,17 +336,25 @@ func (a *Archive) SIAQueryCutoutsPage(pos wcs.SkyCoord, sizeDeg float64, offset,
 		if idx < offset {
 			return true
 		}
-		size := skysim.CutoutSizePx(g)
-		_ = t.AppendRow(
-			g.ID,
-			votable.FormatFloat(g.Pos.RA),
-			votable.FormatFloat(g.Pos.Dec),
-			strconv.Itoa(size), strconv.Itoa(size),
-			votable.FormatFloat(skysim.PixScaleArcsec/3600),
-			"image/fits",
-			"/cutout?id="+g.ID,
-		)
-		return maxrec < 0 || t.NumRows() < maxrec
+		appendCutoutRow(b, &g, scale)
+		return maxrec < 0 || b.NumRows() < maxrec
 	})
+	t.Rows = b.Rows()
 	return t
+}
+
+// appendCutoutRow appends g's row of a cutout SIA answer to b; scale is the
+// pixel scale cell, the same on every row.
+//
+//nvo:hotpath
+func appendCutoutRow(b *votable.RowBuilder, g *skysim.Galaxy, scale string) {
+	size := skysim.CutoutSizePx(*g)
+	b.Text(g.ID)
+	b.Float(g.Pos.RA)
+	b.Float(g.Pos.Dec)
+	b.Int(size)
+	b.Int(size)
+	b.Text(scale)
+	b.Text("image/fits")
+	b.Text("/cutout?id=", g.ID)
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -20,8 +21,9 @@ import (
 // line; those types are all the package still imports encoding/xml for.
 // It keeps no token values: character data is unescaped straight into one
 // reused buffer, attributes into another, and the open elements' names
-// into a third, so a document of any length is read in memory bounded by
-// its largest row or tag.
+// into a third, so a document of any length is streamed in memory bounded
+// by its largest row or tag (Read keeps a table's rows until the table
+// ends, to cut them from one block).
 //
 // The grammar, as encoding/xml applies it:
 //   - "\r\n" and a lone "\r" in character data and attribute values read
@@ -45,7 +47,8 @@ type scanner struct {
 	lines int   // newlines in the windows already discarded
 
 	text     []byte     // character data kept by next(true)
-	cellEnds []int      // end offset in text of each cell of the current row
+	cellEnds []int      // end offset in text of each cell of the rows kept
+	rowEnds  []int      // end offset in cellEnds of each row kept
 	tmp      []byte     // the current tag's name or attribute names and values
 	attrs    []attrSpan // attributes of the last start tag, spans of tmp
 	open     []byte     // raw names of the open elements, concatenated
@@ -68,8 +71,29 @@ const (
 // each caller turns it into its own syntax error.
 var errNoName = errors.New("no name")
 
+// scanners holds scanners between decodes, so that their buffers, a kept
+// table's text and cell offsets above all, are reused, not grown again.
+var scanners = sync.Pool{New: func() any { return &scanner{br: bufio.NewReader(nil)} }}
+
+// maxPooledBytes is the most a scanner's kept-row buffers may hold for it
+// to go back to the pool; a survey-scale table's are left to the collector.
+const maxPooledBytes = 4 << 20
+
 func newScanner(r io.Reader) *scanner {
-	return &scanner{br: bufio.NewReader(r)}
+	s := scanners.Get().(*scanner)
+	s.br.Reset(r)
+	return s
+}
+
+// release empties s, drops its reader and puts it back in the pool.
+func (s *scanner) release() {
+	s.br.Reset(nil)
+	if cap(s.text)+8*(cap(s.cellEnds)+cap(s.rowEnds)) > maxPooledBytes {
+		s.text, s.cellEnds, s.rowEnds = nil, nil, nil
+	}
+	*s = scanner{br: s.br, text: s.text[:0], cellEnds: s.cellEnds[:0], rowEnds: s.rowEnds[:0],
+		tmp: s.tmp[:0], attrs: s.attrs[:0], open: s.open[:0], ends: s.ends[:0]}
+	scanners.Put(s)
 }
 
 // syntax builds a syntax error at the current line: one plus the newlines

@@ -63,13 +63,15 @@ func allocDoc(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestDecodeAllocsPerRow is the decoder's allocation gate: a row costs its
-// []string and the one string its cells share, so decoding a 1,000-row,
-// 8-column table stays within 3 allocations per row through ReadTable and
-// through DecodeRows with a callback that keeps nothing.
+// TestDecodeAllocsPerRow is the decoder's allocation gate on a 1,000-row,
+// 8-column table. ReadTable keeps a table's rows in one block and its cell
+// text in one string, so it stays within 0.1 allocations per row (it reads
+// 0.07, all of them per document; 2.07 while each row was its own string
+// and []string). DecodeRows hands each row to its callback as its own
+// string and []string and stays within 3.
 func TestDecodeAllocsPerRow(t *testing.T) {
 	raw := allocDoc(t)
-	const rows, budget = 1000, 3.0
+	const rows, readBudget, streamBudget = 1000, 0.1, 3.0
 	read := testing.AllocsPerRun(10, func() {
 		if _, err := ReadTable(bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
@@ -82,8 +84,9 @@ func TestDecodeAllocsPerRow(t *testing.T) {
 		}
 	}) / rows
 	t.Logf("allocations per row: ReadTable %.3f, DecodeRows %.3f", read, stream)
-	if read > budget || stream > budget {
-		t.Errorf("allocations per row: ReadTable %.3f, DecodeRows %.3f; budget %.0f", read, stream, budget)
+	if read > readBudget || stream > streamBudget {
+		t.Errorf("allocations per row: ReadTable %.3f (budget %.1f), DecodeRows %.3f (budget %.0f)",
+			read, readBudget, stream, streamBudget)
 	}
 }
 

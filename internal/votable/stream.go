@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -384,6 +385,11 @@ type Handler struct {
 	Field            func(f Field) error
 	Row              func(cells []string) error
 	EndTable         func() error
+
+	// rows, which Read sets, takes Row's place: the scanner keeps every row
+	// of a table in its buffers and hands them over at the table's end,
+	// before EndTable, so that the table can be cut from one block.
+	rows func(text []byte, cellEnds, rowEnds []int) error
 }
 
 func parseErr(err error) error {
@@ -409,7 +415,9 @@ func call(err error) error {
 // elements, and accepts, rejects and delivers what the historical
 // struct unmarshal through encoding/xml did, with the same error texts.
 func DecodeDocument(r io.Reader, h *Handler) error {
-	err := decodeRoot(newScanner(r), h)
+	s := newScanner(r)
+	err := decodeRoot(s, h)
+	s.release()
 	if cb, ok := err.(callbackError); ok {
 		return cb.err
 	}
@@ -489,8 +497,14 @@ func decodeResource(s *scanner, h *Handler) error {
 				return err
 			}
 		}
+		s.text, s.cellEnds, s.rowEnds = s.text[:0], s.cellEnds[:0], s.rowEnds[:0]
 		if err := decodeTable(s, h); err != nil {
 			return err
+		}
+		if h.rows != nil {
+			if err := call(h.rows(s.text, s.cellEnds, s.rowEnds)); err != nil {
+				return err
+			}
 		}
 		if h.EndTable != nil {
 			return call(h.EndTable())
@@ -554,48 +568,105 @@ func decodeData(s *scanner, h *Handler) error {
 	})
 }
 
+// decodeTableData reads the rows of a TABLEDATA. For Read it keeps them
+// all in the scanner's buffers; otherwise it hands each to h.Row and
+// forgets it.
+//
+//nvo:hotpath
 func decodeTableData(s *scanner, h *Handler) error {
-	return children(s, func() error {
-		if !s.is("TR") {
-			return s.skip()
+	for {
+		ok, err := s.nextChild("TR")
+		if !ok || err != nil {
+			return err
 		}
-		cells, err := decodeTR(s)
+		if h.rows != nil {
+			s.reserve()
+		}
+		if err := decodeTR(s); err != nil {
+			return err
+		}
+		if h.rows == nil {
+			if err := s.deliverRow(h); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// decodeTR reads one row: its TDs' text is unescaped onto s.text, the end
+// of each cell appended to s.cellEnds and the end of the row to s.rowEnds.
+// An empty cell costs no text.
+//
+//nvo:hotpath
+func decodeTR(s *scanner) error {
+	for {
+		ok, err := s.nextChild("TD")
 		if err != nil {
 			return err
 		}
-		if h.Row != nil {
-			return call(h.Row(cells))
-		}
-		return nil
-	})
-}
-
-// decodeTR reads one row. All its TDs' text is unescaped into s.text and
-// converted to one string, which the cells slice: a row costs that string
-// and its []string, and an empty cell costs nothing.
-func decodeTR(s *scanner) ([]string, error) {
-	s.text, s.cellEnds = s.text[:0], s.cellEnds[:0]
-	err := children(s, func() error {
-		if !s.is("TD") {
-			return s.skip()
+		if !ok {
+			s.rowEnds = append(s.rowEnds, len(s.cellEnds))
+			return nil
 		}
 		if err := s.ownText(); err != nil {
 			return err
 		}
 		s.cellEnds = append(s.cellEnds, len(s.text))
+	}
+}
+
+// nextChild advances to the next child named name of the element being
+// read, skipping any other child whole, and reports false at that
+// element's end tag. It is children without a callback, for the row loops.
+//
+//nvo:hotpath
+func (s *scanner) nextChild(name string) (bool, error) {
+	for {
+		ev, err := s.next(false)
+		if err != nil || ev == endTag {
+			return false, err
+		}
+		if s.is(name) {
+			return true, nil
+		}
+		if err := s.skip(); err != nil {
+			return false, err
+		}
+	}
+}
+
+// reserve makes room for one more kept row: a buffer half full doubles,
+// where append grows a long one by a quarter at a time, so that a table of
+// any length costs its buffers a few regrowths.
+func (s *scanner) reserve() {
+	s.text = growHalfFull(s.text, 4096)
+	s.cellEnds = growHalfFull(s.cellEnds, 512)
+	s.rowEnds = growHalfFull(s.rowEnds, 64)
+}
+
+// growHalfFull returns x with twice its capacity, and at least least, once
+// it is half full.
+func growHalfFull[T any](x []T, least int) []T {
+	if len(x) < cap(x)/2 {
+		return x
+	}
+	return slices.Grow(x, max(2*cap(x), least)-len(x))
+}
+
+// deliverRow hands the one row the scanner holds to h.Row, as one string
+// the cells slice and their []string (nil for a row without cells), and
+// empties the scanner's buffers.
+func (s *scanner) deliverRow(h *Handler) error {
+	var cells []string
+	if h.Row != nil && len(s.cellEnds) > 0 {
+		cells = make([]string, len(s.cellEnds))
+		cutCells(cells, string(s.text), 0, s.cellEnds)
+	}
+	s.text, s.cellEnds, s.rowEnds = s.text[:0], s.cellEnds[:0], s.rowEnds[:0]
+	if h.Row == nil {
 		return nil
-	})
-	if err != nil || len(s.cellEnds) == 0 {
-		return nil, err
 	}
-	row := string(s.text)
-	cells := make([]string, len(s.cellEnds))
-	start := 0
-	for i, end := range s.cellEnds {
-		cells[i] = row[start:end]
-		start = end
-	}
-	return cells, nil
+	return call(h.Row(cells))
 }
 
 // --- normalized row streaming ---------------------------------------------

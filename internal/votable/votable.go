@@ -95,6 +95,13 @@ type Resource struct {
 	Tables []Table
 }
 
+// MaxAnswerBytes bounds the VOTable document a client reads from a
+// service's answer. The largest answer this system is sized for is the
+// unpaged /siacut answer for the 200,000-galaxy survey of EXPERIMENTS §P3:
+// its rows run 315 bytes each on the 1,000-galaxy SURVEY answer, so about
+// 63 MB in all, and 128 MiB is twice that.
+const MaxAnswerBytes = 128 << 20
+
 // Errors returned by table operations.
 var (
 	ErrNoSuchColumn = errors.New("votable: no such column")
@@ -116,8 +123,10 @@ func (t *Table) NumCols() int { return len(t.Fields) }
 
 // ColumnIndex returns the index of the field whose Name or ID equals name
 // (case-insensitive), or -1.
-func (t *Table) ColumnIndex(name string) int {
-	for i, f := range t.Fields {
+func (t *Table) ColumnIndex(name string) int { return columnIndex(t.Fields, name) }
+
+func columnIndex(fields []Field, name string) int {
+	for i, f := range fields {
 		if strings.EqualFold(f.Name, name) || (f.ID != "" && strings.EqualFold(f.ID, name)) {
 			return i
 		}
@@ -196,25 +205,32 @@ func (t *Table) Bool(row int, col string) (bool, bool) {
 }
 
 // AddColumn appends a field and gives every existing row the value produced
-// by fill (which may be nil for empty cells).
+// by fill (which may be nil for empty cells). The rows move to one new
+// block, one cell wider each.
 func (t *Table) AddColumn(f Field, fill func(row int) string) {
-	t.Fields = append(t.Fields, f)
-	for i := range t.Rows {
-		v := ""
-		if fill != nil {
-			v = fill(i)
-		}
-		t.Rows[i] = append(t.Rows[i], v)
+	t.addColumns(f)
+	if fill == nil {
+		return
 	}
+	for i, row := range t.Rows {
+		row[len(row)-1] = fill(i)
+	}
+}
+
+// addColumns appends fields, and as many empty cells to every row, moving
+// the rows to one new block.
+func (t *Table) addColumns(fields ...Field) {
+	t.Fields = append(t.Fields, fields...)
+	blockRows(t.Rows, t.Rows, len(fields))
 }
 
 // Clone returns a deep copy of the table.
 func (t *Table) Clone() *Table {
 	out := &Table{Name: t.Name, Description: t.Description, Params: slices.Clone(t.Params)}
 	out.Fields = append([]Field(nil), t.Fields...)
-	out.Rows = make([][]string, len(t.Rows))
-	for i, r := range t.Rows {
-		out.Rows[i] = append([]string(nil), r...)
+	if len(t.Rows) > 0 {
+		out.Rows = make([][]string, len(t.Rows))
+		blockRows(out.Rows, t.Rows, 0)
 	}
 	return out
 }
@@ -223,11 +239,12 @@ func (t *Table) Clone() *Table {
 // which keep returns true.
 func (t *Table) Filter(keep func(row int) bool) *Table {
 	out := &Table{Name: t.Name, Description: t.Description, Params: slices.Clone(t.Params), Fields: append([]Field(nil), t.Fields...)}
-	for i := range t.Rows {
+	for i, row := range t.Rows {
 		if keep(i) {
-			out.Rows = append(out.Rows, append([]string(nil), t.Rows[i]...))
+			out.Rows = append(out.Rows, row)
 		}
 	}
+	blockRows(out.Rows, out.Rows, 0)
 	return out
 }
 
@@ -296,21 +313,43 @@ func join(a, b *Table, keyA, keyB string, keepUnmatched bool) (*Table, error) {
 		out.Fields = append(out.Fields, f)
 	}
 
-	idx := make(map[string][]int, len(b.Rows))
-	for i, r := range b.Rows {
-		idx[r[kb]] = append(idx[r[kb]], i)
-	}
-	width := len(out.Fields)
-	for _, ra := range a.Rows {
-		matches := idx[ra[ka]]
-		if len(matches) == 0 && keepUnmatched {
-			row := append(make([]string, 0, width), ra...)
-			out.Rows = append(out.Rows, append(row, make([]string, len(b.Fields)-1)...))
+	// first[key] is the first row of b with that key and next[i] the row
+	// after i with row i's key, or -1: b's matches in b's order, with no
+	// slice per key.
+	first := make(map[string]int, len(b.Rows))
+	next := make([]int, len(b.Rows))
+	for i := len(b.Rows) - 1; i >= 0; i-- {
+		key := b.Rows[i][kb]
+		next[i] = -1
+		if j, ok := first[key]; ok {
+			next[i] = j
 		}
-		for _, bi := range matches {
-			rb := b.Rows[bi]
-			row := append(append(make([]string, 0, width), ra...), rb[:kb]...)
-			out.Rows = append(out.Rows, append(row, rb[kb+1:]...))
+		first[key] = i
+	}
+	n := 0
+	for _, ra := range a.Rows {
+		bi, ok := first[ra[ka]]
+		if !ok && keepUnmatched {
+			n++
+		}
+		for ; ok && bi >= 0; bi = next[bi] {
+			n++
+		}
+	}
+	out.Rows, _ = newRows(n, len(out.Fields))
+	n = 0
+	for _, ra := range a.Rows {
+		bi, ok := first[ra[ka]]
+		if !ok && keepUnmatched {
+			copy(out.Rows[n], ra)
+			n++
+		}
+		for ; ok && bi >= 0; bi = next[bi] {
+			row, rb := out.Rows[n], b.Rows[bi]
+			copy(row, ra)
+			copy(row[len(ra):], rb[:kb])
+			copy(row[len(ra)+kb:], rb[kb+1:])
+			n++
 		}
 	}
 	return out, nil
@@ -336,16 +375,20 @@ func MergeColumns(dst, src *Table, keyDst, keySrc string, cols ...string) error 
 		}
 		srcIdx[r[ks]] = i
 	}
+	// Add the missing columns in one move of dst's rows.
+	var missing []Field
 	for _, col := range cols {
 		sc := src.ColumnIndex(col)
 		if sc < 0 {
 			return fmt.Errorf("%w: %q in %q", ErrNoSuchColumn, col, src.Name)
 		}
-		dc := dst.ColumnIndex(col)
-		if dc < 0 {
-			dst.AddColumn(src.Fields[sc], nil)
-			dc = len(dst.Fields) - 1
+		if dst.ColumnIndex(col) < 0 && columnIndex(missing, col) < 0 {
+			missing = append(missing, src.Fields[sc])
 		}
+	}
+	dst.addColumns(missing...)
+	for _, col := range cols {
+		sc, dc := src.ColumnIndex(col), dst.ColumnIndex(col)
 		for i := range dst.Rows {
 			if si, ok := srcIdx[dst.Rows[i][kd]]; ok {
 				dst.Rows[i][dc] = src.Rows[si][sc]
@@ -384,14 +427,16 @@ func WriteTable(w io.Writer, t *Table) error {
 	return Write(w, &Document{Resources: []Resource{{Name: t.Name, Tables: []Table{*t}}}})
 }
 
-// Read parses a VOTable document. It streams through DecodeDocument; row
-// normalization (short rows padded, over-wide rows rejected) happens after
-// the parse against each table's final field count, preserving the
-// historical struct-decode semantics even for documents that declare fields
-// after their data.
+// Read parses a VOTable document. It streams through DecodeDocument and
+// keeps each table's rows in one block (block.go): at the table's end they
+// are padded to its final field count, which keeps the historical
+// struct-decode semantics even for documents that declare fields after
+// their data. A row wider than its table fails the read, but only once
+// the whole document has parsed, so that a syntax error anywhere wins.
 func Read(r io.Reader) (*Document, error) {
 	doc := &Document{}
 	var cur *Table
+	var ragged error
 	h := &Handler{
 		Description: func(s string) error {
 			doc.Description = strings.TrimSpace(s)
@@ -419,25 +464,18 @@ func Read(r io.Reader) (*Document, error) {
 			cur.Fields = append(cur.Fields, f)
 			return nil
 		},
-		Row: func(cells []string) error {
-			cur.Rows = append(cur.Rows, cells)
+		rows: func(text []byte, cellEnds, rowEnds []int) error {
+			if ragged == nil {
+				ragged = cur.setRows(text, cellEnds, rowEnds)
+			}
 			return nil
 		},
 	}
 	if err := DecodeDocument(r, h); err != nil {
 		return nil, err
 	}
-	for ri := range doc.Resources {
-		for ti := range doc.Resources[ri].Tables {
-			t := &doc.Resources[ri].Tables[ti]
-			for i, row := range t.Rows {
-				row, err := normalizeRow(t.Name, row, len(t.Fields))
-				if err != nil {
-					return nil, err
-				}
-				t.Rows[i] = row
-			}
-		}
+	if ragged != nil {
+		return nil, ragged
 	}
 	return doc, nil
 }
