@@ -3,7 +3,6 @@ package portal
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -165,11 +164,7 @@ func (p *Portal) fetchResult(resultURL string) (*votable.Table, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%w: result status %d", ErrComputeFailed, resp.StatusCode)
 	}
-	tab, err := votable.ReadTable(http.MaxBytesReader(nil, resp.Body, votable.MaxAnswerBytes))
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return nil, fmt.Errorf("%w: result %s: answer larger than %d bytes", ErrComputeFailed, resultURL, tooLarge.Limit)
-	}
+	tab, err := votable.ReadAnswer(resp.Body, resultURL)
 	if err != nil {
 		return nil, fmt.Errorf("%w: result: %w", ErrComputeFailed, err)
 	}

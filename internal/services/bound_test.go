@@ -30,13 +30,18 @@ func writePaddedAnswer(w io.Writer, n int) {
 	_, _ = io.WriteString(w, tail)
 }
 
-// TestAnswerBound: a Cone Search answer one byte over
-// votable.MaxAnswerBytes fails with an error naming the URL and the bound.
+// TestAnswerBound: a Cone Search answer of votable.MaxAnswerBytes decodes,
+// and one a byte longer fails with an error naming the URL and the bound.
 func TestAnswerBound(t *testing.T) {
+	size := votable.MaxAnswerBytes
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writePaddedAnswer(w, votable.MaxAnswerBytes+1)
+		writePaddedAnswer(w, size)
 	}))
 	defer srv.Close()
+	if _, err := ConeSearch(srv.Client(), srv.URL+"/cone", wcs.New(150, 2), 0.1, 0); err != nil {
+		t.Fatalf("answer of exactly the bound: %v", err)
+	}
+	size++
 	_, err := ConeSearch(srv.Client(), srv.URL+"/cone", wcs.New(150, 2), 0.1, 0)
 	if err == nil || !strings.Contains(err.Error(), srv.URL+"/cone?") ||
 		!strings.Contains(err.Error(), strconv.Itoa(votable.MaxAnswerBytes)) {

@@ -3,6 +3,7 @@ package services
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/skysim"
@@ -98,8 +99,10 @@ func BenchmarkCutoutFITS(b *testing.B) {
 
 // answerAllocBudget bounds the heap allocations per row of a Cone Search or
 // cutout SIA answer, from the archive's table to its bytes (the page's table
-// build plus votable.WriteTable). Both read about 0.03: the hit list, its
-// sort and the encoder are per answer, and the rows are one RowBuilder's.
+// build plus votable.WriteTable). They read about 0.05 and 0.07: the hit
+// list, its sort and the encoder are per answer, and the rows are one
+// RowBuilder's, whose text (and, for the cutout answer, cell offsets) grow
+// as append grows them.
 // They read 7.04 and 8.03 while every cell was a string of its own.
 const answerAllocBudget = 0.1
 
@@ -128,6 +131,43 @@ func TestAnswerAllocsPerRow(t *testing.T) {
 		t.Logf("%s + WriteTable: %.3f allocations per row (budget %.1f)", q.name, perRow, answerAllocBudget)
 		if perRow > answerAllocBudget {
 			t.Errorf("%s + WriteTable: %.3f allocations per row, budget %.1f", q.name, perRow, answerAllocBudget)
+		}
+	}
+}
+
+// TestSmallConeAllocatesByHits: an answer allocates by the cone's hits, not
+// by the archive. A cone on a small cluster costs the same bytes whether
+// the archive holds that cluster alone or the 1,000-galaxy SURVEY beside
+// it.
+func TestSmallConeAllocatesByHits(t *testing.T) {
+	small := skysim.Generate(skysim.StandardClusters()[0])
+	radius := 8*small.CoreRadiusDeg + 0.01
+	bytesPerCall := func(a *Archive, query func(*Archive) *votable.Table) uint64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			query(a)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	alone := NewArchive("alone", small)
+	beside := NewArchive("beside", small, skysim.Generate(surveySpec()))
+	for _, q := range []struct {
+		name  string
+		query func(*Archive) *votable.Table
+	}{
+		{"ConeSearchPage", func(a *Archive) *votable.Table { return a.ConeSearchPage(small.Center, radius, 0, -1) }},
+		{"SIAQueryCutoutsPage", func(a *Archive) *votable.Table { return a.SIAQueryCutoutsPage(small.Center, 2*radius, 0, -1) }},
+	} {
+		if n, m := q.query(alone).NumRows(), q.query(beside).NumRows(); n != len(small.Galaxies) || m != n {
+			t.Fatalf("%s: %d and %d rows, want %d", q.name, n, m, len(small.Galaxies))
+		}
+		a, b := bytesPerCall(alone, q.query), bytesPerCall(beside, q.query)
+		t.Logf("%s: %d bytes a call on the cluster alone, %d beside the survey", q.name, a, b)
+		if b > a+1024 {
+			t.Errorf("%s: %d bytes a call beside the survey, %d on the cluster alone", q.name, b, a)
 		}
 	}
 }

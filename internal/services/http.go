@@ -2,7 +2,6 @@ package services
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -344,10 +343,5 @@ func getVOTable(hc *http.Client, u string) (*votable.Table, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("services: GET %s: status %d: %s", u, resp.StatusCode, body)
 	}
-	t, err := votable.ReadTable(http.MaxBytesReader(nil, resp.Body, votable.MaxAnswerBytes))
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return nil, fmt.Errorf("services: GET %s: answer larger than %d bytes", u, tooLarge.Limit)
-	}
-	return t, err
+	return votable.ReadAnswer(resp.Body, u)
 }

@@ -319,11 +319,9 @@ func (a *Archive) SIAQueryCutoutsPage(pos wcs.SkyCoord, sizeDeg float64, offset,
 	if offset < 0 {
 		offset = 0
 	}
-	rows := max(a.merged.Len()-offset, 0)
-	if maxrec > 0 {
-		rows = min(rows, maxrec)
-	}
-	b := votable.NewRowBuilder(len(SIAFields), rows)
+	// The cone's hits are not known before the scan, so the builder grows
+	// with the answer, not with the archive.
+	b := votable.NewRowBuilder(len(SIAFields), 0)
 	scale := votable.FormatFloat(skysim.PixScaleArcsec / 3600)
 	matched := 0
 	a.merged.ConeSearchVisit(pos, sizeDeg/2, func(rec catalog.Record, _ float64) bool {

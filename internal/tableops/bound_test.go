@@ -11,10 +11,8 @@ import (
 	"repro/internal/votable"
 )
 
-// writePaddedAnswer writes a well-formed one-row VOTable document of
-// exactly n bytes, padded by elements the decoder skips, so that it reads
-// every byte of it. The padding is long runs of text, which the decoder
-// copies a run at a time.
+// writePaddedAnswer is a copy of the one in internal/services/bound_test.go,
+// which says what it writes; keep the copies alike.
 func writePaddedAnswer(w io.Writer, n int) {
 	const head = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<VOTABLE>"
 	const tail = "<RESOURCE><TABLE><FIELD name=\"id\" datatype=\"char\"/>" +

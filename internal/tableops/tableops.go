@@ -257,10 +257,5 @@ func (c *Client) post(u string, doc *votable.Document) (*votable.Table, error) {
 		n, _ := resp.Body.Read(msg)
 		return nil, fmt.Errorf("tableops: status %d: %s", resp.StatusCode, msg[:n])
 	}
-	t, err := votable.ReadTable(http.MaxBytesReader(nil, resp.Body, votable.MaxAnswerBytes))
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return nil, fmt.Errorf("tableops: POST %s: answer larger than %d bytes", u, tooLarge.Limit)
-	}
-	return t, err
+	return votable.ReadAnswer(resp.Body, u)
 }

@@ -56,20 +56,20 @@ func blockRows(dst, rows [][]string, extra int) {
 // cell's end offset in it, and each row's end offset in cellEnds. Every
 // row is padded to the table's width; a row wider than that is the error
 // Read reports once the whole document has parsed.
-func (t *Table) setRows(text []byte, cellEnds, rowEnds []int) error {
+func (t *Table) setRows(text string, cellEnds, rowEnds []int) error {
 	width := len(t.Fields)
 	cell := 0
 	for _, end := range rowEnds {
 		if n := end - cell; n > width {
-			return fmt.Errorf("%w: table %q row has %d cells for %d fields", ErrRaggedRow, t.Name, n, width)
+			return overWide(t.Name, n, width)
 		}
 		cell = end
 	}
 	t.Rows, _ = newRows(len(rowEnds), width)
-	s, at := string(text), 0
+	at := 0
 	cell = 0
 	for i, end := range rowEnds {
-		cutCells(t.Rows[i], s, at, cellEnds[cell:end])
+		cutCells(t.Rows[i], text, at, cellEnds[cell:end])
 		if end > cell {
 			at = cellEnds[end-1]
 		}
@@ -100,14 +100,10 @@ type RowBuilder struct {
 }
 
 // NewRowBuilder returns a builder of rows of width cells (at least one),
-// with room for about rows of them.
+// with room for the cell offsets of rows of them; the text grows as it is
+// appended.
 func NewRowBuilder(width, rows int) *RowBuilder {
-	const bytesPerCell = 12 // a catalog or SIA cell, on average
-	return &RowBuilder{
-		width: width,
-		text:  make([]byte, 0, bytesPerCell*width*rows),
-		ends:  make([]int, 0, width*rows),
-	}
+	return &RowBuilder{width: width, ends: make([]int, 0, width*rows)}
 }
 
 // NumRows returns the number of whole rows appended so far.

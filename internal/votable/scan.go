@@ -85,10 +85,15 @@ func newScanner(r io.Reader) *scanner {
 	return s
 }
 
+// keptBytes is the capacity of s's kept-row buffers in bytes.
+func (s *scanner) keptBytes() int {
+	return cap(s.text) + 8*(cap(s.cellEnds)+cap(s.rowEnds))
+}
+
 // release empties s, drops its reader and puts it back in the pool.
 func (s *scanner) release() {
 	s.br.Reset(nil)
-	if cap(s.text)+8*(cap(s.cellEnds)+cap(s.rowEnds)) > maxPooledBytes {
+	if s.keptBytes() > maxPooledBytes {
 		s.text, s.cellEnds, s.rowEnds = nil, nil, nil
 	}
 	*s = scanner{br: s.br, text: s.text[:0], cellEnds: s.cellEnds[:0], rowEnds: s.rowEnds[:0],

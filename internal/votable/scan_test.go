@@ -66,7 +66,7 @@ func allocDoc(t *testing.T) []byte {
 // TestDecodeAllocsPerRow is the decoder's allocation gate on a 1,000-row,
 // 8-column table. ReadTable keeps a table's rows in one block and its cell
 // text in one string, so it stays within 0.1 allocations per row (it reads
-// 0.07, all of them per document; 2.07 while each row was its own string
+// 0.03, all of them per document; 2.07 while each row was its own string
 // and []string). DecodeRows hands each row to its callback as its own
 // string and []string and stays within 3.
 func TestDecodeAllocsPerRow(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -388,8 +387,9 @@ type Handler struct {
 
 	// rows, which Read sets, takes Row's place: the scanner keeps every row
 	// of a table in its buffers and hands them over at the table's end,
-	// before EndTable, so that the table can be cut from one block.
-	rows func(text []byte, cellEnds, rowEnds []int) error
+	// before EndTable, its text as one string, so that the table can be cut
+	// from one block.
+	rows func(text string, cellEnds, rowEnds []int) error
 }
 
 func parseErr(err error) error {
@@ -502,7 +502,7 @@ func decodeResource(s *scanner, h *Handler) error {
 			return err
 		}
 		if h.rows != nil {
-			if err := call(h.rows(s.text, s.cellEnds, s.rowEnds)); err != nil {
+			if err := call(h.rows(s.keptRows())); err != nil {
 				return err
 			}
 		}
@@ -579,9 +579,6 @@ func decodeTableData(s *scanner, h *Handler) error {
 		if !ok || err != nil {
 			return err
 		}
-		if h.rows != nil {
-			s.reserve()
-		}
 		if err := decodeTR(s); err != nil {
 			return err
 		}
@@ -635,22 +632,16 @@ func (s *scanner) nextChild(name string) (bool, error) {
 	}
 }
 
-// reserve makes room for one more kept row: a buffer half full doubles,
-// where append grows a long one by a quarter at a time, so that a table of
-// any length costs its buffers a few regrowths.
-func (s *scanner) reserve() {
-	s.text = growHalfFull(s.text, 4096)
-	s.cellEnds = growHalfFull(s.cellEnds, 512)
-	s.rowEnds = growHalfFull(s.rowEnds, 64)
-}
-
-// growHalfFull returns x with twice its capacity, and at least least, once
-// it is half full.
-func growHalfFull[T any](x []T, least int) []T {
-	if len(x) < cap(x)/2 {
-		return x
+// keptRows hands over the rows kept for a table: their text as one string,
+// and the cell and row ends. Buffers too large to go back to the pool are
+// given up here, so that the collector may take the text back while the
+// table's cells are cut.
+func (s *scanner) keptRows() (text string, cellEnds, rowEnds []int) {
+	text, cellEnds, rowEnds = string(s.text), s.cellEnds, s.rowEnds
+	if s.keptBytes() > maxPooledBytes {
+		s.text, s.cellEnds, s.rowEnds = nil, nil, nil
 	}
-	return slices.Grow(x, max(2*cap(x), least)-len(x))
+	return text, cellEnds, rowEnds
 }
 
 // deliverRow hands the one row the scanner holds to h.Row, as one string
@@ -734,8 +725,13 @@ func normalizeRow(table string, cells []string, width int) ([]string, error) {
 		cells = append(cells, "")
 	}
 	if len(cells) > width {
-		return nil, fmt.Errorf("%w: table %q row has %d cells for %d fields",
-			ErrRaggedRow, table, len(cells), width)
+		return nil, overWide(table, len(cells), width)
 	}
 	return cells, nil
+}
+
+// overWide is the error for a row of table with n cells, more than its
+// width fields.
+func overWide(table string, n, width int) error {
+	return fmt.Errorf("%w: table %q row has %d cells for %d fields", ErrRaggedRow, table, n, width)
 }

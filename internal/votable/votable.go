@@ -102,6 +102,37 @@ type Resource struct {
 // 63 MB in all, and 128 MiB is twice that.
 const MaxAnswerBytes = 128 << 20
 
+// ReadAnswer reads the first table of the answer body that a service at
+// url sent. It reads at most MaxAnswerBytes of it: a longer answer fails
+// with an error naming url and the bound.
+func ReadAnswer(body io.Reader, url string) (*Table, error) {
+	t, err := ReadTable(&answerReader{r: body})
+	if errors.Is(err, errAnswerTooLarge) {
+		return nil, fmt.Errorf("votable: answer from %s larger than %d bytes", url, MaxAnswerBytes)
+	}
+	return t, err
+}
+
+// errAnswerTooLarge is answerReader's report of a byte past MaxAnswerBytes.
+var errAnswerTooLarge = errors.New("answer too large")
+
+// answerReader reads r until a byte past MaxAnswerBytes, which fails.
+type answerReader struct {
+	r io.Reader
+	n int64 // bytes read so far
+}
+
+func (a *answerReader) Read(p []byte) (int, error) {
+	if left := MaxAnswerBytes + 1 - a.n; int64(len(p)) > left {
+		p = p[:left]
+	}
+	n, err := a.r.Read(p)
+	if a.n += int64(n); a.n > MaxAnswerBytes {
+		n, err = n-1, errAnswerTooLarge
+	}
+	return n, err
+}
+
 // Errors returned by table operations.
 var (
 	ErrNoSuchColumn = errors.New("votable: no such column")
@@ -464,7 +495,7 @@ func Read(r io.Reader) (*Document, error) {
 			cur.Fields = append(cur.Fields, f)
 			return nil
 		},
-		rows: func(text []byte, cellEnds, rowEnds []int) error {
+		rows: func(text string, cellEnds, rowEnds []int) error {
 			if ragged == nil {
 				ragged = cur.setRows(text, cellEnds, rowEnds)
 			}
