@@ -58,7 +58,7 @@ func BenchmarkTable1ConeSearch(b *testing.B) {
 // --- planning fixtures for E3 and A1 ------------------------------------------
 
 // galaxyVDL builds the N-galaxy derivation catalog the web service generates.
-func galaxyVDL(b *testing.B, n int) *vdl.Catalog {
+func galaxyVDL(b testing.TB, n int) *vdl.Catalog {
 	b.Helper()
 	var sb strings.Builder
 	sb.WriteString("TR galMorph( in image, out res ) {}\nTR concat( ")
@@ -300,23 +300,10 @@ func BenchmarkAblationSiteSelection(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				r := rls.New()
-				for j := 0; j < n; j++ {
-					lfn := fmt.Sprintf("g%d.fit", j)
-					_ = r.Register(lfn, rls.PFN{Site: "archive", URL: gridftp.URL("archive", lfn)})
-				}
-				tc := tcat.New()
-				m := mds.New()
-				for _, pl := range pools {
-					_ = tc.Add(tcat.Entry{Transformation: "galMorph", Site: pl.Name, Path: "/x"})
-					_ = tc.Add(tcat.Entry{Transformation: "concat", Site: pl.Name, Path: "/x"})
-					_ = m.Register(mds.SiteInfo{Name: pl.Name, Slots: pl.Slots})
-				}
+				cfg := siteSelectionConfig(n, pools)
 				b.StartTimer()
-				p, err := pegasus.Map(wf, pegasus.Config{
-					RLS: r, TC: tc, MDS: m, Selection: mode.sel,
-					Rand: rand.New(rand.NewSource(int64(i))),
-				})
+				cfg.Selection, cfg.Rand = mode.sel, rand.New(rand.NewSource(int64(i)))
+				p, err := pegasus.Map(wf, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -339,6 +326,25 @@ func BenchmarkAblationSiteSelection(b *testing.B) {
 			b.ReportMetric(makespan/float64(b.N), "model_makespan_s")
 		})
 	}
+}
+
+// siteSelectionConfig wires A3's planner: n archive images in the RLS, and
+// galMorph and concat installed on every pool, each pool's slot count
+// registered with the planner.
+func siteSelectionConfig(n int, pools []condor.Pool) pegasus.Config {
+	r := rls.New()
+	for j := 0; j < n; j++ {
+		lfn := fmt.Sprintf("g%d.fit", j)
+		_ = r.Register(lfn, rls.PFN{Site: "archive", URL: gridftp.URL("archive", lfn)})
+	}
+	tc := tcat.New()
+	m := mds.New()
+	for _, pl := range pools {
+		_ = tc.Add(tcat.Entry{Transformation: "galMorph", Site: pl.Name, Path: "/x"})
+		_ = tc.Add(tcat.Entry{Transformation: "concat", Site: pl.Name, Path: "/x"})
+		_ = m.Register(mds.SiteInfo{Name: pl.Name, Slots: pl.Slots})
+	}
+	return pegasus.Config{RLS: r, TC: tc, MDS: m}
 }
 
 // --- A4: fault-tolerance ablation ----------------------------------------------
