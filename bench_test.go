@@ -25,7 +25,6 @@ import (
 	"repro/internal/dagman"
 	"repro/internal/faults"
 	"repro/internal/gridftp"
-	"repro/internal/mds"
 	"repro/internal/morphology"
 	"repro/internal/pegasus"
 	"repro/internal/rls"
@@ -329,8 +328,8 @@ func BenchmarkAblationSiteSelection(b *testing.B) {
 }
 
 // siteSelectionConfig wires A3's planner: n archive images in the RLS, and
-// galMorph and concat installed on every pool, each pool's slot count
-// registered with the planner.
+// galMorph and concat installed on every pool, and the pools' slot counts
+// for least-loaded selection.
 func siteSelectionConfig(n int, pools []condor.Pool) pegasus.Config {
 	r := rls.New()
 	for j := 0; j < n; j++ {
@@ -338,13 +337,13 @@ func siteSelectionConfig(n int, pools []condor.Pool) pegasus.Config {
 		_ = r.Register(lfn, rls.PFN{Site: "archive", URL: gridftp.URL("archive", lfn)})
 	}
 	tc := tcat.New()
-	m := mds.New()
+	slots := map[string]int{}
 	for _, pl := range pools {
 		_ = tc.Add(tcat.Entry{Transformation: "galMorph", Site: pl.Name, Path: "/x"})
 		_ = tc.Add(tcat.Entry{Transformation: "concat", Site: pl.Name, Path: "/x"})
-		_ = m.Register(mds.SiteInfo{Name: pl.Name, Slots: pl.Slots})
+		slots[pl.Name] = pl.Slots
 	}
-	return pegasus.Config{RLS: r, TC: tc, MDS: m}
+	return pegasus.Config{RLS: r, TC: tc, Slots: slots}
 }
 
 // --- A4: fault-tolerance ablation ----------------------------------------------

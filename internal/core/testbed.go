@@ -12,7 +12,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gridftp"
 	"repro/internal/httpclient"
-	"repro/internal/mds"
 	"repro/internal/myproxy"
 	"repro/internal/portal"
 	"repro/internal/registry"
@@ -72,8 +71,7 @@ type Config struct {
 
 	// Compute overlays the compute service's configuration. Fabric
 	// defaults to a permissive fabric over DefaultPools(); the testbed
-	// registers the fabric's pools as its MDS sites and
-	// transformation-catalog entries. MaxRetries is taken as given: zero
+	// registers the fabric's pools as transformation-catalog sites. MaxRetries is taken as given: zero
 	// runs every DAGMan job once.
 	Compute webservice.Config
 	// Portal overlays the portal's configuration.
@@ -99,7 +97,6 @@ type Testbed struct {
 	RLS *rls.RLS
 	TC  *tcat.Catalog
 	FTP *gridftp.Service
-	MDS *mds.Service
 
 	Registry *registry.Registry
 	MyProxy  *myproxy.Repository
@@ -142,7 +139,6 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		RLS:      rls.New(),
 		TC:       tcat.New(),
 		FTP:      gridftp.NewService(gridftp.Network{}),
-		MDS:      mds.New(),
 		Registry: registry.New(),
 		MyProxy:  myproxy.New(),
 	}
@@ -165,7 +161,7 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		tb.Breakers = resilience.NewRegistry(resilience.BreakerConfig{})
 	}
 
-	// Grid information services, one site per pool of the fabric.
+	// The fabric, and one transformation-catalog site per pool of it.
 	if cfg.Compute.Fabric == nil {
 		f, err := fabric.New(fabric.Config{Pools: DefaultPools()})
 		if err != nil {
@@ -174,13 +170,6 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		cfg.Compute.Fabric = f
 	}
 	for _, p := range cfg.Compute.Fabric.Pools() {
-		if err := tb.MDS.Register(mds.SiteInfo{
-			Name:        p.Name,
-			Slots:       p.Slots,
-			GridFTPBase: "gridftp://" + p.Name,
-		}); err != nil {
-			return nil, err
-		}
 		if err := tb.TC.Add(tcat.Entry{Transformation: "galMorph", Site: p.Name, Path: "/nvo/bin/galMorph"}); err != nil {
 			return nil, err
 		}

@@ -24,7 +24,7 @@ import (
 
 // TestTestbedSitesComeFromTheFabric: a testbed over a caller's fabric names
 // that fabric's pools, and only them, in its campaign report, its
-// transformation catalog and its MDS, and runs a cluster on them.
+// transformation catalog, and runs a cluster on them.
 func TestTestbedSitesComeFromTheFabric(t *testing.T) {
 	f, err := fabric.New(fabric.Config{Pools: []condor.Pool{{Name: "sdsc", Slots: 6}, {Name: "ncsa", Slots: 4}}})
 	if err != nil {
@@ -46,9 +46,6 @@ func TestTestbedSitesComeFromTheFabric(t *testing.T) {
 		if got := tb.TC.Sites(tr); !slices.Equal(got, sites) {
 			t.Errorf("TC sites of %s = %v, want %v", tr, got, sites)
 		}
-	}
-	if got := tb.MDS.Sites(); !slices.Equal(got, sites) {
-		t.Errorf("MDS sites = %v, want %v", got, sites)
 	}
 }
 

@@ -10,8 +10,8 @@
 //  2. checking feasibility — the root jobs' input files must exist in the
 //     RLS and be reachable by a transport protocol;
 //  3. mapping each remaining job onto a site where the Transformation
-//     Catalog has its executable (random, round-robin, or MDS-driven
-//     least-loaded selection);
+//     Catalog has its executable (random, round-robin, least-loaded over
+//     the sites' slot counts, or replica locality);
 //  4. adding transfer nodes that stage inputs to the chosen sites (replica
 //     source picked at random, as in the paper), transfer nodes that
 //     deliver requested outputs to the user's storage location U, and
@@ -32,7 +32,6 @@ import (
 	"repro/internal/chimera"
 	"repro/internal/dag"
 	"repro/internal/gridftp"
-	"repro/internal/mds"
 	"repro/internal/rls"
 	"repro/internal/tcat"
 )
@@ -74,14 +73,16 @@ const (
 var (
 	ErrInfeasible = errors.New("pegasus: workflow infeasible: missing input replicas")
 	ErrNoSite     = errors.New("pegasus: no site can run transformation")
-	ErrNeedMDS    = errors.New("pegasus: least-loaded selection requires an MDS service")
 )
 
 // Config wires the planner to its information services.
 type Config struct {
 	RLS *rls.RLS
 	TC  *tcat.Catalog
-	MDS *mds.Service // required for SelectLeastLoaded
+	// Slots is each site's compute slot count. SelectLeastLoaded puts a job
+	// on the candidate with the fewest of this plan's jobs per slot; a site
+	// without a positive count is never its candidate.
+	Slots map[string]int
 
 	Selection SiteSelection
 	// Rand drives random site and replica selection; a fixed seed makes
@@ -197,9 +198,6 @@ func mapPinned(wf *chimera.Workflow, cfg Config, pin map[string]string) (*Plan, 
 	}
 	if cfg.RLS == nil || cfg.TC == nil {
 		return nil, errors.New("pegasus: RLS and TC are required")
-	}
-	if cfg.Selection == SelectLeastLoaded && cfg.MDS == nil {
-		return nil, ErrNeedMDS
 	}
 	rng := cfg.rng()
 
@@ -466,7 +464,7 @@ func (c *concretizer) decide(wf *chimera.Workflow, rng *rand.Rand, snap map[stri
 	}
 	c.exe = make([]string, len(c.jobs))
 	rrIndex := 0
-	assigned := map[string]int{} // jobs per site, for locality tie-breaks
+	assigned := map[string]int{} // jobs per site, for locality tie-breaks and least-loaded
 	// candidates asks the TC once per transformation, not once per job.
 	asked := map[string][]tcat.Entry{}
 	candidates := func(tr string) ([]tcat.Entry, error) {
@@ -495,16 +493,11 @@ func (c *concretizer) decide(wf *chimera.Workflow, rng *rand.Rand, snap map[stri
 				site = entries[rrIndex%len(entries)].Site
 				rrIndex++
 			case SelectLeastLoaded:
-				sites := make([]string, len(entries))
-				for i, e := range entries {
-					sites[i] = e.Site
+				site = leastLoaded(entries, cfg.Slots, assigned)
+				if site == "" {
+					return fmt.Errorf("%w: %q (no candidate site has slots)", ErrNoSite, tr)
 				}
-				site, err = cfg.MDS.LeastLoaded(sites...)
-				if err != nil {
-					return fmt.Errorf("%w: %q (%v)", ErrNoSite, tr, err)
-				}
-				// Planner-side load accounting so successive picks spread out.
-				_ = cfg.MDS.AddLoad(site, 1)
+				assigned[site]++
 			case SelectLocality:
 				site = pickByLocality(cfg, entries, n.Inputs, snap, producerOf, p.SiteOf, assigned)
 				assigned[site]++
@@ -712,6 +705,23 @@ func replicaAt(replicas []rls.PFN, site string) bool {
 		}
 	}
 	return false
+}
+
+// leastLoaded returns the candidate with the fewest jobs assigned per slot,
+// the first by name on a tie (entries arrive sorted by site), or "" when no
+// candidate has a positive slot count.
+func leastLoaded(entries []tcat.Entry, slots map[string]int, assigned map[string]int) string {
+	best, bestU := "", 0.0
+	for _, e := range entries {
+		n := slots[e.Site]
+		if n <= 0 {
+			continue
+		}
+		if u := float64(assigned[e.Site]) / float64(n); best == "" || u < bestU {
+			best, bestU = e.Site, u
+		}
+	}
+	return best
 }
 
 // pickByLocality scores each candidate site by the simulated cost of moving

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/chimera"
 	"repro/internal/gridftp"
-	"repro/internal/mds"
 	"repro/internal/rls"
 	"repro/internal/tcat"
 	"repro/internal/vdl"
@@ -58,8 +57,8 @@ func TestPlanValidation(t *testing.T) {
 	if _, err := Map(wf, Config{}); err == nil {
 		t.Error("missing services must fail")
 	}
-	if _, err := Map(wf, Config{RLS: r, TC: tc, Selection: SelectLeastLoaded}); !errors.Is(err, ErrNeedMDS) {
-		t.Error("least-loaded without MDS must fail")
+	if _, err := Map(wf, Config{RLS: r, TC: tc, Selection: SelectLeastLoaded}); !errors.Is(err, ErrNoSite) {
+		t.Error("least-loaded without slot counts must fail with ErrNoSite")
 	}
 }
 
@@ -326,11 +325,9 @@ DV j3->t( x=@{in:"a"}, y=@{out:"o3"} );
 	tc := tcat.New()
 	_ = tc.Add(tcat.Entry{Transformation: "t", Site: "big", Path: "/bin/t"})
 	_ = tc.Add(tcat.Entry{Transformation: "t", Site: "small", Path: "/bin/t"})
-	m := mds.New()
-	_ = m.Register(mds.SiteInfo{Name: "big", Slots: 100})
-	_ = m.Register(mds.SiteInfo{Name: "small", Slots: 1})
+	slots := map[string]int{"big": 100, "small": 1}
 
-	p, err := Map(wf, Config{RLS: r, TC: tc, MDS: m, Selection: SelectLeastLoaded})
+	p, err := Map(wf, Config{RLS: r, TC: tc, Slots: slots, Selection: SelectLeastLoaded})
 	if err != nil {
 		t.Fatal(err)
 	}

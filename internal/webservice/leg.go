@@ -568,6 +568,7 @@ func (s *Service) planConfig() pegasus.Config {
 		OutputSite:      cacheSite,
 		RegisterOutputs: true,
 		Selection:       s.cfg.Selection,
+		Slots:           s.slots,
 		Net:             s.cfg.GridFTP.Network(),
 		SizeOf:          func(lfn string) int64 { return s.cfg.GridFTP.Store(cacheSite).Size(lfn) },
 	}

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,6 +158,50 @@ func TestLocalityReducesStagedBytes(t *testing.T) {
 	if local.TransferNodes >= random.TransferNodes {
 		t.Errorf("locality plan has %d transfer nodes, random %d",
 			local.TransferNodes, random.TransferNodes)
+	}
+}
+
+// TestLeastLoadedPlansOverFabricPools: a least-loaded request completes,
+// its result table is byte-identical to random's and locality's, and its
+// plan spreads jobs by the Fabric's slot counts. On pools fnal/1, usc/1 and
+// wisc/64, the collector and the first two galaxies fill fnal, usc and wisc
+// in name order; every later job finds wisc least loaded.
+func TestLeastLoadedPlansOverFabricPools(t *testing.T) {
+	const n = 12
+	pools := []condor.Pool{{Name: "usc", Slots: 1}, {Name: "wisc", Slots: 64}, {Name: "fnal", Slots: 1}}
+	run := func(sel pegasus.SiteSelection) ([]byte, string) {
+		dir := t.TempDir()
+		h := newHarness(t, n, func(c *Config) {
+			c.Selection, c.JournalDir = sel, dir
+			c.Fabric = permissiveFabric(pools)
+		})
+		lfn, _, err := h.svc.Compute(h.inputTable(t), "COMA")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dagText, err := os.ReadFile(filepath.Join(dir, "COMA.dag"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.outputBytes(t, lfn), string(dagText)
+	}
+	got, dagText := run(pegasus.SelectLeastLoaded)
+	jobsAt, compute := map[string]int{}, map[string]bool{}
+	for _, line := range strings.Split(dagText, "\n") {
+		switch f := strings.Fields(line); {
+		case len(f) == 3 && f[0] == "NODE" && f[2] == `"compute"`:
+			compute[f[1]] = true
+		case len(f) == 4 && f[0] == "ATTR" && f[2] == `"site"` && compute[f[1]]:
+			jobsAt[strings.Trim(f[3], `"`)]++
+		}
+	}
+	if want := map[string]int{"fnal": 1, "usc": 1, "wisc": n - 1}; !maps.Equal(jobsAt, want) {
+		t.Errorf("least-loaded compute jobs per site = %v, want %v", jobsAt, want)
+	}
+	for _, sel := range []pegasus.SiteSelection{pegasus.SelectRandom, pegasus.SelectLocality} {
+		if want, _ := run(sel); !bytes.Equal(got, want) {
+			t.Errorf("least-loaded result table differs from selection %d's", sel)
+		}
 	}
 }
 

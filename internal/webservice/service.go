@@ -243,7 +243,9 @@ type Config struct {
 	// Selection overrides Pegasus's site-selection policy. The zero value is
 	// pegasus.SelectRandom (the paper's behaviour); pegasus.SelectLocality
 	// maps each job to the site whose replicas make its inputs cheapest to
-	// reach, so cutouts compute where their data already lives.
+	// reach, so cutouts compute where their data already lives;
+	// pegasus.SelectLeastLoaded spreads a plan's jobs over the Fabric's
+	// pools in proportion to their slot counts.
 	Selection pegasus.SiteSelection
 	// ClusterSize enables horizontal job clustering: up to this many ready
 	// nodes with the same cluster key submit as one Condor task, amortizing
@@ -276,6 +278,9 @@ type Service struct {
 	// requests. Nil (always-miss) under StrictFaults, which demands faithful
 	// re-execution of failing measurements.
 	memo *vdcache.Cache[memoEntry]
+	// slots is each Fabric pool's slot count, read once here: the counts
+	// least-loaded planning divides by.
+	slots map[string]int
 
 	// mu guards the table of published requests; each record guards its
 	// own facts.
@@ -371,7 +376,11 @@ func New(cfg Config) (*Service, error) {
 	}
 	svc := &Service{
 		cfg:      cfg,
+		slots:    map[string]int{},
 		requests: map[string]*request{},
+	}
+	for _, p := range cfg.Fabric.Pools() {
+		svc.slots[p.Name] = p.Slots
 	}
 	if !cfg.StrictFaults {
 		svc.memo = vdcache.New[memoEntry]()
