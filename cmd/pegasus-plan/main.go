@@ -42,6 +42,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	selection, err := parseSelection(*policy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pegasus-plan:", err)
+		os.Exit(2)
+	}
 
 	vdlText, err := os.ReadFile(*vdlPath)
 	check(err)
@@ -75,12 +80,7 @@ func main() {
 		NoReduce:        *noReduce,
 		OutputSite:      *outputSite,
 		RegisterOutputs: *register,
-	}
-	switch *policy {
-	case "roundrobin":
-		cfg.Selection = pegasus.SelectRoundRobin
-	case "locality":
-		cfg.Selection = pegasus.SelectLocality
+		Selection:       selection,
 	}
 	plan, err := pegasus.Map(wf, cfg)
 	check(err)
@@ -104,6 +104,21 @@ func main() {
 	check(os.WriteFile(filepath.Join(*out, "workflow.dot"),
 		[]byte(plan.Concrete.DOT("workflow")), 0o644))
 	fmt.Printf("wrote %s, %d submit files and workflow.dot\n", dagPath, plan.Concrete.Len())
+}
+
+// parseSelection maps a -site-selection name to its policy. Least-loaded is
+// not among them: it needs slot counts per site, which the tool's inputs do
+// not carry.
+func parseSelection(name string) (pegasus.SiteSelection, error) {
+	switch name {
+	case "random":
+		return pegasus.SelectRandom, nil
+	case "roundrobin":
+		return pegasus.SelectRoundRobin, nil
+	case "locality":
+		return pegasus.SelectLocality, nil
+	}
+	return 0, fmt.Errorf("unknown -site-selection %q (want random, roundrobin or locality)", name)
 }
 
 func check(err error) {
