@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/wcs"
@@ -250,14 +251,22 @@ func (c *Cluster) Catalog() *catalog.Catalog {
 	return cat
 }
 
-// Galaxy returns the member with the given ID.
+// Galaxy returns the member with the given ID. Generate names member i
+// "<cluster>-%06d", so the digits after the ID's last '-' are the index to
+// look at.
 func (c *Cluster) Galaxy(id string) (Galaxy, bool) {
-	for _, g := range c.Galaxies {
-		if g.ID == id {
-			return g, true
+	i := 0
+	digits := id[strings.LastIndexByte(id, '-')+1:]
+	for j := 0; j < len(digits) && i < len(c.Galaxies); j++ {
+		if digits[j] < '0' || digits[j] > '9' {
+			return Galaxy{}, false
 		}
+		i = i*10 + int(digits[j]-'0')
 	}
-	return Galaxy{}, false
+	if i >= len(c.Galaxies) || c.Galaxies[i].ID != id {
+		return Galaxy{}, false
+	}
+	return c.Galaxies[i], true
 }
 
 // EllipticalFractionByRadius bins members into nbins equal-width radial bins

@@ -353,3 +353,34 @@ func BenchmarkRenderField(b *testing.B) {
 		RenderField(c, 512, 512, 0.001, int64(i))
 	}
 }
+
+// TestGalaxyLookupMatchesScan: Cluster.Galaxy, which reads the member index
+// out of the ID, answers every SURVEY ID and every near miss as a scan of the
+// members does.
+func TestGalaxyLookupMatchesScan(t *testing.T) {
+	c := Generate(Spec{Name: "SURVEY", Center: wcs.New(150, 2), Redshift: 0.04, NumGalaxies: 1000, Seed: 77})
+	scan := func(id string) (Galaxy, bool) {
+		for _, g := range c.Galaxies {
+			if g.ID == id {
+				return g, true
+			}
+		}
+		return Galaxy{}, false
+	}
+	ids := []string{"", "-", "SURVEY", "SURVEY-", "SURVEY-1", "SURVEY-0000001", "SURVEY-001000",
+		"SURVEY-999999", "SURVEY-+00001", "SURVEY--00001", "SURVEY-00000x", "COMA-000001",
+		"XSURVEY-000001", "SURVEY-000001 ", "SURVEY-99999999999999999999999"}
+	for _, g := range c.Galaxies {
+		ids = append(ids, g.ID)
+	}
+	for _, id := range ids {
+		got, ok := c.Galaxy(id)
+		want, wantOK := scan(id)
+		if got != want || ok != wantOK {
+			t.Errorf("Galaxy(%q) = %v, %v; the scan finds %v, %v", id, got.ID, ok, want.ID, wantOK)
+		}
+	}
+	if _, ok := c.Galaxy("SURVEY-000999"); !ok {
+		t.Error("Galaxy misses the last member")
+	}
+}
