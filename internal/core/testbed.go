@@ -71,8 +71,8 @@ type Config struct {
 
 	// Compute overlays the compute service's configuration. Fabric
 	// defaults to a permissive fabric over DefaultPools(); the testbed
-	// registers the fabric's pools as transformation-catalog sites. MaxRetries is taken as given: zero
-	// runs every DAGMan job once.
+	// registers the fabric's pools as transformation-catalog sites.
+	// MaxRetries is taken as given: zero runs every DAGMan job once.
 	Compute webservice.Config
 	// Portal overlays the portal's configuration.
 	Portal portal.Config

@@ -710,7 +710,7 @@ func replicaAt(replicas []rls.PFN, site string) bool {
 // leastLoaded returns the candidate with the fewest jobs assigned per slot,
 // the first by name on a tie (entries arrive sorted by site), or "" when no
 // candidate has a positive slot count.
-func leastLoaded(entries []tcat.Entry, slots map[string]int, assigned map[string]int) string {
+func leastLoaded(entries []tcat.Entry, slots, assigned map[string]int) string {
 	best, bestU := "", 0.0
 	for _, e := range entries {
 		n := slots[e.Site]
