@@ -211,7 +211,9 @@ graphreaders:
 # DecodeRows of a 1,000-row, 8-column table, allocations per row), and so
 # has the archive's cutout (TestCutoutAllocBudget,
 # internal/services/cutout_test.go: render + encode, allocations per
-# CutoutFITS call), and so have its VOTable answers (TestAnswerAllocsPerRow,
+# CutoutFITS call) and one /cutout GET through the testbed's router
+# (TestCutoutRoundTripAllocs, internal/core/router_test.go: allocations per
+# GET; bytes per byte of the cutout without -race), and so have its VOTable answers (TestAnswerAllocsPerRow,
 # beside it: the SURVEY /cone and /siacut tables + WriteTable, allocations
 # per row), and so has registration (TestRegisterAllocBudget,
 # internal/rls/onelock_test.go: a new replica at most two allocations, a
@@ -231,7 +233,7 @@ graphreaders:
 # figures.
 hotbench:
 	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestExecuteAllocBudget|TestExecuteAllocsFlat|TestRequestAllocBudget' -v ./internal/webservice/
-	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestAnswerAllocsPerRow|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/rls/
+	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestCutoutRoundTripAllocs|TestAnswerAllocsPerRow|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/core/ ./internal/rls/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkRenderGalaxy$$|BenchmarkCutoutFITS$$' -benchtime 200x -benchmem ./internal/skysim/ ./internal/services/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/

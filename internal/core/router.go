@@ -6,10 +6,10 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // hostRouter routes HTTP requests to in-process handlers by virtual host
@@ -18,7 +18,8 @@ import (
 // STScI, compute at ISI, archives everywhere) inside one process.
 type hostRouter map[string]http.Handler
 
-// RoundTrip implements http.RoundTripper.
+// RoundTrip implements http.RoundTripper. The response body is the
+// memResponse the handler wrote into, read in place.
 func (r hostRouter) RoundTrip(req *http.Request) (*http.Response, error) {
 	h, ok := r[req.URL.Host]
 	if !ok {
@@ -36,18 +37,26 @@ func (r hostRouter) RoundTrip(req *http.Request) (*http.Response, error) {
 		ProtoMajor: 1,
 		ProtoMinor: 1,
 		Header:     rw.header,
-		Body:       io.NopCloser(bytes.NewReader(rw.buf.Bytes())),
+		Body:       rw,
 		// A real server declares the length of a fully buffered reply;
 		// clients size their read from it.
-		ContentLength: int64(rw.buf.Len()),
+		ContentLength: int64(len(rw.buf)),
 		Request:       req,
 	}, nil
 }
 
-// memResponse is the in-memory http.ResponseWriter behind hostRouter.
+// maxPresizedBody bounds the buffer a declared Content-Length sizes up
+// front, at the bound the compute service's fetchURL puts on a fetched
+// body: a handler that declares more gets a buffer grown by its writes, so
+// a wrong or hostile declaration cannot make the router allocate it.
+const maxPresizedBody = 64 << 20
+
+// memResponse is the in-memory http.ResponseWriter behind hostRouter, and
+// then the response's body: an io.ReadCloser over the bytes written.
 type memResponse struct {
 	header http.Header
-	buf    bytes.Buffer
+	buf    []byte
+	off    int // bytes of buf already read
 	code   int
 	wrote  bool
 }
@@ -61,7 +70,45 @@ func (m *memResponse) WriteHeader(code int) {
 	}
 }
 
+// Write appends p to the body. The first Write sizes the buffer from the
+// declared Content-Length, when there is one within maxPresizedBody, so a
+// body written as declared lands in one buffer of exactly its length;
+// later bytes, or an undeclared body, grow it as append does.
+//
+//nvo:hotpath
 func (m *memResponse) Write(p []byte) (int, error) {
 	m.wrote = true
-	return m.buf.Write(p)
+	if m.buf == nil {
+		m.buf = bodyBuffer(m.header.Get("Content-Length"))
+	}
+	m.buf = append(m.buf, p...)
+	return len(p), nil
 }
+
+// bodyBuffer is an empty buffer with room for the declared length, or nil
+// when none is declared or it is not a length from 1 to maxPresizedBody.
+func bodyBuffer(declared string) []byte {
+	if declared == "" {
+		return nil
+	}
+	n, err := strconv.ParseInt(declared, 10, 64)
+	if err != nil || n <= 0 || n > maxPresizedBody {
+		return nil
+	}
+	return make([]byte, 0, n)
+}
+
+// Read reads the body written, as a bytes.Reader over it would.
+//
+//nvo:hotpath
+func (m *memResponse) Read(p []byte) (int, error) {
+	if m.off >= len(m.buf) {
+		return 0, io.EOF
+	}
+	n := copy(p, m.buf[m.off:])
+	m.off += n
+	return n, nil
+}
+
+// Close implements io.Closer; the body holds nothing to release.
+func (m *memResponse) Close() error { return nil }

@@ -207,19 +207,39 @@ type Image struct {
 // NewImage allocates a zeroed nx-by-ny image with the given BITPIX and a
 // minimal mandatory header.
 func NewImage(nx, ny, bitpix int) *Image {
-	h := NewHeader()
-	h.Set("SIMPLE", true, "conforms to FITS standard")
-	h.Set("BITPIX", int64(bitpix), "bits per pixel") // one box, not an int re-boxed as int64
-	h.Set("NAXIS", 2, "number of axes")
-	h.Set("NAXIS1", nx, "axis 1 length")
-	h.Set("NAXIS2", ny, "axis 2 length")
-	return &Image{
-		Header: h,
-		Nx:     nx,
-		Ny:     ny,
-		Bitpix: bitpix,
-		Data:   make([]float64, nx*ny),
+	im := &Image{}
+	im.Reset(nx, ny, bitpix)
+	return im
+}
+
+// Reset makes im what NewImage(nx, ny, bitpix) gives: zeroed pixels and a
+// header of the five mandatory cards alone. It reuses im's pixel array and
+// card slice when they are large enough, and a mandatory card that already
+// holds its value keeps its boxed value, so resetting a frame to the
+// geometry it had allocates nothing.
+func (im *Image) Reset(nx, ny, bitpix int) {
+	if im.Header == nil {
+		im.Header = NewHeader()
 	}
+	h := im.Header
+	keep := 0
+	for keep < len(h.cards) && keep < len(mandatoryKeywords) && h.cards[keep].Keyword == mandatoryKeywords[keep] {
+		keep++
+	}
+	clear(h.cards[keep:])
+	h.cards = h.cards[:keep]
+	h.Set("SIMPLE", true, "conforms to FITS standard")
+	h.setInt("BITPIX", int64(bitpix), "bits per pixel")
+	h.setInt("NAXIS", 2, "number of axes")
+	h.setInt("NAXIS1", int64(nx), "axis 1 length")
+	h.setInt("NAXIS2", int64(ny), "axis 2 length")
+	im.Nx, im.Ny, im.Bitpix = nx, ny, bitpix
+	if cap(im.Data) < nx*ny {
+		im.Data = make([]float64, nx*ny)
+		return
+	}
+	im.Data = im.Data[:nx*ny]
+	clear(im.Data)
 }
 
 // At returns the pixel at 0-based (x, y); out-of-range coordinates return 0.

@@ -9,8 +9,10 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/faults"
+	"repro/internal/skysim"
 	"repro/internal/votable"
 	"repro/internal/wcs"
 )
@@ -31,14 +33,86 @@ func (a *Archive) faultGate(w http.ResponseWriter, op faults.Op) (corrupt, proce
 	return false, false
 }
 
-// writeBody sends a response payload, truncating it when a corruption fault
-// is in effect so the damage is detectable downstream.
+// writeBody sends a response payload in one Write, truncating it when a
+// corruption fault is in effect so the damage is detectable downstream. It
+// declares the length it sends, so a client (and the testbed's in-process
+// router) can size its copy of the body once.
 func writeBody(w http.ResponseWriter, ctype string, data []byte, corrupt bool) {
 	if corrupt && len(data) > 1 {
 		data = data[:len(data)/2]
 	}
-	w.Header().Set("Content-Type", ctype)
+	h := w.Header()
+	h.Set("Content-Type", ctype)
+	h.Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
+}
+
+// encodePool recycles the buffers /cutout encodes into. A buffer goes back
+// as soon as its one Write returns: an http.ResponseWriter does not keep
+// the slice it is given (a server copies it into its connection's buffer,
+// the testbed's router into the response's), so the next request may
+// overwrite it.
+var encodePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// serveCutout answers GET /cutout?id=<galaxy> with the galaxy's FITS
+// cutout, rendered into a pooled frame and encoded into a pooled buffer.
+func (a *Archive) serveCutout(w http.ResponseWriter, req *http.Request) {
+	id := queryValue(req.URL.RawQuery, "id")
+	if id == "" {
+		http.Error(w, "missing id", http.StatusBadRequest)
+		return
+	}
+	corrupt, proceed := a.faultGate(w, faults.Op{Name: OpCutout, Site: a.name, Key: id})
+	if !proceed {
+		return
+	}
+	g, ok := a.Galaxy(id)
+	if !ok {
+		http.Error(w, unknownGalaxy(id).Error(), http.StatusNotFound)
+		return
+	}
+	if err := writeCutout(w, &g, corrupt); err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+	}
+}
+
+// queryValue is url.ParseQuery(rawQuery).Get(key) without building the
+// map: the first value of key among the query's &-separated pairs,
+// unescaped. A pair ParseQuery refuses (one holding a semicolon, or a bad
+// escape) is skipped, as ParseQuery skips it.
+func queryValue(rawQuery, key string) string {
+	for q := rawQuery; q != ""; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// writeCutout encodes g's cutout into a pooled buffer, writes it as the
+// response body and returns the buffer, grown to the largest cutout it has
+// held, to the pool.
+//
+//nvo:hotpath
+func writeCutout(w http.ResponseWriter, g *skysim.Galaxy, corrupt bool) error {
+	buf := encodePool.Get().(*[]byte)
+	defer encodePool.Put(buf)
+	data, err := appendCutout((*buf)[:0], g)
+	if err != nil {
+		return err
+	}
+	*buf = data[:0]
+	writeBody(w, "application/fits", data, corrupt)
+	return nil
 }
 
 // Handler exposes the archive over HTTP with the NVO protocol endpoints:
@@ -58,23 +132,7 @@ func (a *Archive) Handler() http.Handler {
 		}))
 	mux.HandleFunc("/siacut", a.tableQuery(faults.Op{Name: OpSIA, Site: a.name, Key: "siacut"}, parsePosSize, a.SIAQueryCutoutsPage))
 
-	mux.HandleFunc("/cutout", func(w http.ResponseWriter, req *http.Request) {
-		id := req.URL.Query().Get("id")
-		if id == "" {
-			http.Error(w, "missing id", http.StatusBadRequest)
-			return
-		}
-		corrupt, proceed := a.faultGate(w, faults.Op{Name: OpCutout, Site: a.name, Key: id})
-		if !proceed {
-			return
-		}
-		_, data, err := a.CutoutFITS(id)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		writeBody(w, "application/fits", data, corrupt)
-	})
+	mux.HandleFunc("/cutout", a.serveCutout)
 
 	mux.HandleFunc("/cutoutbatch", func(w http.ResponseWriter, req *http.Request) {
 		idsParam := req.URL.Query().Get("ids")

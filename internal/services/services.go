@@ -170,29 +170,52 @@ func seedFor(id string) int64 {
 	return int64(h.Sum64())
 }
 
+// framePool recycles the float64 frames cutouts are rendered into. A frame
+// is taken for one render and encode (one cutout, or every cutout of a
+// batch in turn) and goes back once its bytes are encoded: nothing keeps a
+// reference to its pixels or cards past that.
+var framePool = sync.Pool{New: func() any { return &fits.Image{} }}
+
+// appendCutout renders g's cutout into a pooled frame and appends its FITS
+// encoding to dst.
+//
+//nvo:hotpath
+func appendCutout(dst []byte, g *skysim.Galaxy) ([]byte, error) {
+	im := framePool.Get().(*fits.Image)
+	defer framePool.Put(im)
+	skysim.RenderGalaxyInto(im, g, 0, seedFor(g.ID))
+	return im.AppendEncode(dst)
+}
+
 // CutoutFITS renders the FITS cutout for one galaxy, encoded into one
-// buffer of exactly its length.
+// buffer of exactly its length that the caller owns.
 //
 //nvo:hotpath
 func (a *Archive) CutoutFITS(galaxyID string) (*skysim.Galaxy, []byte, error) {
 	g, ok := a.Galaxy(galaxyID)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownGalaxy, galaxyID)
+		return nil, nil, unknownGalaxy(galaxyID)
 	}
-	data, err := skysim.RenderGalaxy(g, 0, seedFor(g.ID)).AppendEncode(nil)
+	data, err := appendCutout(nil, &g)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &g, data, nil
 }
 
+// unknownGalaxy is the error for a galaxy ID the archive does not hold.
+func unknownGalaxy(id string) error {
+	return fmt.Errorf("%w: %q", ErrUnknownGalaxy, id)
+}
+
 // CutoutBatchFITS renders many cutouts as one concatenated FITS stream —
 // the batched interface the paper says would "[speed] up tremendously" the
 // one-request-per-galaxy SIA bottleneck (§4.2). FITS files are
 // self-delimiting (2880-byte records), so clients decode the stream
-// sequentially. Every cutout is encoded straight into one output buffer,
-// sized before the first render: all cutouts carry the same header cards,
-// so the first one's card count gives every cutout's length.
+// sequentially. Every cutout is rendered into one pooled frame and encoded
+// straight into one output buffer, sized before the first encode: all
+// cutouts carry the same header cards, so the first one's card count gives
+// every cutout's length.
 func (a *Archive) CutoutBatchFITS(ids []string) ([]byte, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("%w: empty id list", ErrBadQuery)
@@ -201,13 +224,16 @@ func (a *Archive) CutoutBatchFITS(ids []string) ([]byte, error) {
 	for i, id := range ids {
 		g, ok := a.Galaxy(id)
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownGalaxy, id)
+			return nil, unknownGalaxy(id)
 		}
 		gals[i] = g
 	}
+	im := framePool.Get().(*fits.Image)
+	defer framePool.Put(im)
 	var out []byte
-	for i, g := range gals {
-		im := skysim.RenderGalaxy(g, 0, seedFor(g.ID))
+	for i := range gals {
+		g := &gals[i]
+		skysim.RenderGalaxyInto(im, g, 0, seedFor(g.ID))
 		if i == 0 {
 			total := 0
 			for _, other := range gals {

@@ -96,15 +96,25 @@ func floats(buf []float64, n int) []float64 {
 // copy in render_parity_test.go): the same float operations on the same
 // operands in the same order, with the products that depend only on a
 // subpixel's column or row computed once instead of per subpixel.
+func RenderGalaxy(g Galaxy, size int, noiseSeed int64) *fits.Image {
+	im := &fits.Image{}
+	RenderGalaxyInto(im, &g, size, noiseSeed)
+	return im
+}
+
+// RenderGalaxyInto is RenderGalaxy painting into im, which it first Resets
+// to the size×size frame: a frame kept from one cutout to the next lends
+// its pixels and header cards to the next render, and the result is the
+// same image RenderGalaxy gives, pixel bit for bit and card for card.
 //
 //nvo:hotpath
-func RenderGalaxy(g Galaxy, size int, noiseSeed int64) *fits.Image {
+func RenderGalaxyInto(im *fits.Image, g *Galaxy, size int, noiseSeed int64) {
 	if size <= 0 {
-		size = CutoutSizePx(g)
+		size = CutoutSizePx(*g)
 	}
 	sc := scratchPool.Get().(*renderScratch)
 	defer scratchPool.Put(sc)
-	im := fits.NewImage(size, size, -32)
+	im.Reset(size, size, -32)
 	cx := float64(size-1) / 2
 	cy := float64(size-1) / 2
 
@@ -220,7 +230,6 @@ func RenderGalaxy(g Galaxy, size int, noiseSeed int64) *fits.Image {
 	im.Header.Set("REDSHIFT", g.Redshift, "cluster redshift + peculiar velocity")
 	im.Header.Set("MAG", g.Mag, "apparent magnitude")
 	im.SetWCS(wcs.NewTanProjection(g.Pos, size, size, PixScaleArcsec/3600))
-	return im
 }
 
 // fracPow is math.Pow(x, y) for the Sérsic exponents 1/n: for finite x > 0
