@@ -252,6 +252,7 @@ func checkParity(t *testing.T, raw []byte) {
 	if (oldErr == nil) != (newErr == nil) {
 		t.Fatalf("accept/reject disagreement on %q:\nlegacy=%v\nstreaming=%v", raw, oldErr, newErr)
 	}
+	checkDecodeRows(t, raw, newDoc, newErr)
 	if oldErr != nil {
 		return
 	}
@@ -268,6 +269,87 @@ func checkParity(t *testing.T, raw []byte) {
 	if !bytes.Equal(oldBuf.Bytes(), newBuf.Bytes()) {
 		t.Fatalf("re-encode diverged on %q:\n--- legacy ---\n%s\n--- streaming ---\n%s",
 			raw, oldBuf.String(), newBuf.String())
+	}
+}
+
+// checkDecodeRows holds DecodeRows to what Read made of raw: it rejects
+// whatever Read rejects; where Read accepts, each table's meta ends up as
+// Read's table without its rows, and unless a FIELD follows the table's
+// DATA (DecodeRows pads a row to the fields declared before it, Read to
+// all of them), the rows are Read's padded rows.
+func checkDecodeRows(t *testing.T, raw []byte, doc *Document, readErr error) {
+	t.Helper()
+	var metas []*TableMeta
+	var rows [][][]string
+	err := DecodeRows(bytes.NewReader(raw), func(meta *TableMeta) error {
+		metas = append(metas, meta)
+		rows = append(rows, nil)
+		return nil
+	}, func(meta *TableMeta, cells []string) error {
+		if len(metas) == 0 || meta != metas[len(metas)-1] {
+			t.Fatalf("row of an unannounced table on %q", raw)
+		}
+		rows[len(rows)-1] = append(rows[len(rows)-1], cells)
+		return nil
+	})
+	late := readErr == nil && fieldAfterData(raw)
+	switch {
+	case readErr != nil && err == nil:
+		t.Fatalf("DecodeRows accepted %q, which Read rejects: %v", raw, readErr)
+	case readErr != nil, err != nil && late:
+		return
+	case err != nil:
+		t.Fatalf("DecodeRows rejected %q, which Read accepts: %v", raw, err)
+	}
+	var tables []Table
+	for _, res := range doc.Resources {
+		tables = append(tables, res.Tables...)
+	}
+	if len(metas) != len(tables) {
+		t.Fatalf("DecodeRows announced %d tables of %q, Read made %d", len(metas), raw, len(tables))
+	}
+	for i := range tables {
+		if want := tables[i].Meta(); !reflect.DeepEqual(*metas[i], want) {
+			t.Fatalf("table %d of %q: DecodeRows meta %#v, Read %#v", i, raw, *metas[i], want)
+		}
+		if !late && !reflect.DeepEqual(rows[i], tables[i].Rows) {
+			t.Fatalf("table %d of %q: DecodeRows rows %q, Read %q", i, raw, rows[i], tables[i].Rows)
+		}
+	}
+}
+
+// fieldAfterData reports whether, in the well-formed document raw, a FIELD
+// follows a DATA among the children of some TABLE of a RESOURCE.
+func fieldAfterData(raw []byte) bool {
+	dec := xml.NewDecoder(bytes.NewReader(raw))
+	var path []string
+	data := false
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		switch tok := tok.(type) {
+		case xml.StartElement:
+			path = append(path, tok.Name.Local)
+			if len(path) == 3 {
+				data = false
+			}
+			if len(path) == 4 && path[1] == "RESOURCE" && path[2] == "TABLE" {
+				switch tok.Name.Local {
+				case "DATA":
+					data = true
+				case "FIELD":
+					if data {
+						return true
+					}
+				}
+			}
+		case xml.EndElement:
+			if path = path[:len(path)-1]; len(path) == 0 {
+				return false
+			}
+		}
 	}
 }
 
