@@ -14,7 +14,7 @@ import (
 	"unicode/utf8"
 )
 
-// The byte scanner under DecodeDocument. It accepts and rejects exactly
+// The byte scanner under the one decoder (stream.go). It accepts and rejects exactly
 // what encoding/xml's strict Decoder does on the way to a struct unmarshal
 // (the frozen legacyRead oracle in stream_test.go is the specification)
 // and reports errors as encoding/xml's own types, with the same text and

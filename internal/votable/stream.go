@@ -1,12 +1,14 @@
-// Streaming VOTable codec: a row-callback decoder and an incremental
-// encoder that never hold a full Table in memory. The in-memory Read/Write
-// API in votable.go is reimplemented on top of these; the encoder's printer
-// reproduces the struct-marshal output byte for byte (same indentation and
-// escaping rules as encoding/xml's indented Encode), so survey-scale
-// producers can stream hundreds of thousands of rows while every existing
-// byte-identity pin stays in force. The decoder walks the document with the
-// byte scanner in scan.go, which keeps malformed-input behavior aligned with
-// the historical whole-document unmarshal through encoding/xml.
+// Streaming VOTable codec: an incremental encoder that never holds a full
+// Table in memory, and the one decoder under Read and DecodeRows. The
+// encoder's printer reproduces the struct-marshal output byte for byte (same
+// indentation and escaping rules as encoding/xml's indented Encode), so
+// survey-scale producers can stream hundreds of thousands of rows while
+// every existing byte-identity pin stays in force. The decoder walks the
+// document with the byte scanner in scan.go, which keeps malformed-input
+// behavior aligned with the historical whole-document unmarshal through
+// encoding/xml, and builds the Document as it goes: Read's tables keep
+// their rows, cut into one block at each table's end, while DecodeRows
+// hands each row over as it ends and keeps none.
 package votable
 
 import (
@@ -364,70 +366,61 @@ func (e *Encoder) End() error {
 	return nil
 }
 
-// --- streaming decoder -----------------------------------------------------
+// --- decoder ---------------------------------------------------------------
 
-// Handler receives decode events in document order. Any callback may be nil;
-// a non-nil callback returning an error aborts the decode and that error is
-// returned verbatim (decode errors from the XML layer are wrapped in
-// "votable: parse:" like Read always did).
+// decoder reads one VOTable document into doc through the byte scanner in
+// scan.go: the document's description and resources, and each table's
+// name, trimmed description, params and fields. It parses exactly one
+// top-level element and examines nothing after it, skips unknown elements,
+// and accepts and rejects what the historical struct unmarshal through
+// encoding/xml did, with the same error texts.
 //
-// Rows are delivered exactly as written — not padded or width-checked —
-// because field declarations may legally appear after the data in a document;
-// consumers that want normalized rows use DecodeRows or Read.
-type Handler struct {
-	Description      func(text string) error
-	StartResource    func(name string) error
-	EndResource      func() error
-	StartTable       func(name string) error
-	TableDescription func(text string) error
-	Param            func(p Param) error
-	Field            func(f Field) error
-	Row              func(cells []string) error
-	EndTable         func() error
+// A table's rows go one of two ways. Without a row hook (Read) the scanner
+// keeps them all, and at the table's end they are cut into one block,
+// padded to the table's final field count. With one (DecodeRows) each row
+// is padded to the fields declared so far and handed to the hook as it
+// ends, and the table keeps none.
+type decoder struct {
+	s   *scanner
+	doc *Document
 
-	// rows, which Read sets, takes Row's place: the scanner keeps every row
-	// of a table in its buffers and hands them over at the table's end,
-	// before EndTable, its text as one string, so that the table can be cut
-	// from one block.
-	rows func(text string, cellEnds, rowEnds []int) error
+	// start and row are DecodeRows' hooks: start, if set, announces each
+	// table once, before its first row or at its end. A hook's error ends
+	// the decode and is returned as it is.
+	start func(meta *TableMeta) error
+	row   func(meta *TableMeta, cells []string) error
+
+	meta       *TableMeta // the table being read
+	announced  bool       // start has been given meta
+	hookFailed bool       // the decode ended with an error that hook passed on
+	ragged     error      // Read's first over-wide row, reported once the document has parsed
 }
 
-func parseErr(err error) error {
+// decode reads the document r holds into d.doc.
+func (d *decoder) decode(r io.Reader) error {
+	d.s = newScanner(r)
+	err := d.document()
+	d.s.release()
+	switch {
+	case err == nil:
+		return d.ragged
+	case d.hookFailed:
+		return err
+	}
 	return fmt.Errorf("votable: parse: %w", err)
 }
 
-// callbackError marks an error raised by a handler callback so it can pass
-// through the decoder without the parse wrapping.
-type callbackError struct{ err error }
-
-func (c callbackError) Error() string { return c.err.Error() }
-
-// call invokes a handler callback, tagging its error for unwrapped return.
-func call(err error) error {
-	if err != nil {
-		return callbackError{err}
-	}
-	return nil
+// hook passes on an error that decode returns as it is, not as a parse
+// error: a hook's, or the over-wide row of DecodeRows.
+func (d *decoder) hook(err error) error {
+	d.hookFailed = err != nil
+	return err
 }
 
-// DecodeDocument streams a VOTable document through h. It parses exactly
-// one top-level element and examines nothing after it, skips unknown
-// elements, and accepts, rejects and delivers what the historical
-// struct unmarshal through encoding/xml did, with the same error texts.
-func DecodeDocument(r io.Reader, h *Handler) error {
-	s := newScanner(r)
-	err := decodeRoot(s, h)
-	s.release()
-	if cb, ok := err.(callbackError); ok {
-		return cb.err
-	}
-	if err != nil {
-		return parseErr(err)
-	}
-	return nil
-}
-
-func decodeRoot(s *scanner, h *Handler) error {
+// document reads the root, which must be a VOTABLE, and its DESCRIPTION
+// and RESOURCEs.
+func (d *decoder) document() error {
+	s := d.s
 	// Before the root an end tag is a syntax error, so next returns the
 	// root's start tag or an error.
 	if _, err := s.next(false); err != nil {
@@ -436,7 +429,23 @@ func decodeRoot(s *scanner, h *Handler) error {
 	if !s.is("VOTABLE") {
 		return s.unexpected("VOTABLE")
 	}
-	return decodeVOTable(s, h)
+	return children(s, func() error {
+		switch string(s.local()) {
+		case "DESCRIPTION":
+			text, err := s.textElement()
+			d.doc.Description = strings.TrimSpace(text)
+			return err
+		case "RESOURCE":
+			d.doc.Resources = append(d.doc.Resources, Resource{Name: s.attr("name")})
+			return children(s, func() error {
+				if !s.is("TABLE") {
+					return s.skip()
+				}
+				return d.table()
+			})
+		}
+		return s.skip()
+	})
 }
 
 // children is the one child-element loop every level of the document runs:
@@ -457,82 +466,22 @@ func children(s *scanner, each func() error) error {
 	}
 }
 
-func decodeVOTable(s *scanner, h *Handler) error {
-	return children(s, func() error {
+// table reads the TABLE whose start tag next returned and appends it to
+// the last resource.
+func (d *decoder) table() error {
+	s := d.s
+	m := &TableMeta{Name: s.attr("name")}
+	d.meta, d.announced = m, false
+	s.text, s.cellEnds, s.rowEnds = s.text[:0], s.cellEnds[:0], s.rowEnds[:0]
+	err := children(s, func() error {
 		switch string(s.local()) {
 		case "DESCRIPTION":
 			text, err := s.textElement()
-			if err != nil {
-				return err
-			}
-			if h.Description != nil {
-				return call(h.Description(text))
-			}
-		case "RESOURCE":
-			if h.StartResource != nil {
-				if err := call(h.StartResource(s.attr("name"))); err != nil {
-					return err
-				}
-			}
-			if err := decodeResource(s, h); err != nil {
-				return err
-			}
-			if h.EndResource != nil {
-				return call(h.EndResource())
-			}
-		default:
-			return s.skip()
-		}
-		return nil
-	})
-}
-
-func decodeResource(s *scanner, h *Handler) error {
-	return children(s, func() error {
-		if !s.is("TABLE") {
-			return s.skip()
-		}
-		if h.StartTable != nil {
-			if err := call(h.StartTable(s.attr("name"))); err != nil {
-				return err
-			}
-		}
-		s.text, s.cellEnds, s.rowEnds = s.text[:0], s.cellEnds[:0], s.rowEnds[:0]
-		if err := decodeTable(s, h); err != nil {
+			m.Description = strings.TrimSpace(text)
 			return err
-		}
-		if h.rows != nil {
-			if err := call(h.rows(s.keptRows())); err != nil {
-				return err
-			}
-		}
-		if h.EndTable != nil {
-			return call(h.EndTable())
-		}
-		return nil
-	})
-}
-
-func decodeTable(s *scanner, h *Handler) error {
-	return children(s, func() error {
-		switch string(s.local()) {
-		case "DESCRIPTION":
-			text, err := s.textElement()
-			if err != nil {
-				return err
-			}
-			if h.TableDescription != nil {
-				return call(h.TableDescription(text))
-			}
 		case "PARAM":
-			p := Param{Name: s.attr("name"), Datatype: s.attr("datatype"), Value: s.attr("value"),
-				Unit: s.attr("unit"), UCD: s.attr("ucd")}
-			if err := s.skip(); err != nil {
-				return err
-			}
-			if h.Param != nil {
-				return call(h.Param(p))
-			}
+			m.Params = append(m.Params, Param{Name: s.attr("name"), Datatype: s.attr("datatype"),
+				Value: s.attr("value"), Unit: s.attr("unit"), UCD: s.attr("ucd")})
 		case "FIELD":
 			f := Field{ID: s.attr("ID"), Name: s.attr("name"), Datatype: s.attr("datatype"),
 				Unit: s.attr("unit"), UCD: s.attr("ucd")}
@@ -544,46 +493,45 @@ func decodeTable(s *scanner, h *Handler) error {
 				f.Description, err = s.textElement()
 				return err
 			})
-			if err != nil {
-				return err
-			}
-			if h.Field != nil {
-				return call(h.Field(f))
-			}
+			m.Fields = append(m.Fields, f)
+			return err
 		case "DATA":
-			return decodeData(s, h)
-		default:
-			return s.skip()
+			return d.data()
 		}
-		return nil
+		return s.skip()
 	})
+	if err != nil {
+		return err
+	}
+	res := &d.doc.Resources[len(d.doc.Resources)-1]
+	res.Tables = append(res.Tables, Table{Name: m.Name, Description: m.Description, Params: m.Params, Fields: m.Fields})
+	if d.row != nil {
+		return d.announce()
+	}
+	if d.ragged == nil {
+		d.ragged = res.Tables[len(res.Tables)-1].setRows(s.keptRows())
+	}
+	return nil
 }
 
-func decodeData(s *scanner, h *Handler) error {
-	return children(s, func() error {
-		if !s.is("TABLEDATA") {
-			return s.skip()
-		}
-		return decodeTableData(s, h)
-	})
-}
-
-// decodeTableData reads the rows of a TABLEDATA. For Read it keeps them
-// all in the scanner's buffers; otherwise it hands each to h.Row and
-// forgets it.
+// data reads the rows of a DATA's TABLEDATAs: without a row hook the
+// scanner keeps them all, with one each is handed over as it ends.
 //
 //nvo:hotpath
-func decodeTableData(s *scanner, h *Handler) error {
+func (d *decoder) data() error {
+	s := d.s
 	for {
-		ok, err := s.nextChild("TR")
+		ok, err := s.nextChild("TABLEDATA")
 		if !ok || err != nil {
 			return err
 		}
-		if err := decodeTR(s); err != nil {
-			return err
-		}
-		if h.rows == nil {
-			if err := s.deliverRow(h); err != nil {
+		for ok {
+			if ok, err = s.nextChild("TR"); ok {
+				if err = decodeTR(s); err == nil && d.row != nil {
+					err = d.handOver()
+				}
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -644,90 +592,53 @@ func (s *scanner) keptRows() (text string, cellEnds, rowEnds []int) {
 	return text, cellEnds, rowEnds
 }
 
-// deliverRow hands the one row the scanner holds to h.Row, as one string
-// the cells slice and their []string (nil for a row without cells), and
-// empties the scanner's buffers.
-func (s *scanner) deliverRow(h *Handler) error {
+// handOver gives the one row the scanner holds to the row hook, after its
+// table's announcement, as its own []string of one string's cells padded
+// to the fields declared so far (nil if there are none), and empties the
+// scanner's buffers. A row wider than those fields fails the decode.
+func (d *decoder) handOver() error {
+	if err := d.announce(); err != nil {
+		return err
+	}
+	s := d.s
+	n, width := len(s.cellEnds), len(d.meta.Fields)
+	if n > width {
+		return d.hook(overWide(d.meta.Name, n, width))
+	}
 	var cells []string
-	if h.Row != nil && len(s.cellEnds) > 0 {
-		cells = make([]string, len(s.cellEnds))
+	if width > 0 {
+		cells = make([]string, width)
 		cutCells(cells, string(s.text), 0, s.cellEnds)
 	}
 	s.text, s.cellEnds, s.rowEnds = s.text[:0], s.cellEnds[:0], s.rowEnds[:0]
-	if h.Row == nil {
-		return nil
-	}
-	return call(h.Row(cells))
+	return d.hook(d.row(d.meta, cells))
 }
 
-// --- normalized row streaming ---------------------------------------------
+// announce gives the table being read to the start hook, once.
+func (d *decoder) announce() error {
+	if d.announced {
+		return nil
+	}
+	d.announced = true
+	if d.start == nil {
+		return nil
+	}
+	return d.hook(d.start(d.meta))
+}
 
 // DecodeRows streams the data rows of every table in a document. Rows are
 // normalized against the fields declared so far: short rows are padded with
 // empty cells and over-wide rows fail with ErrRaggedRow, exactly as Read
-// does. startTable fires once per table before its first row (and before
-// endTable for empty tables); meta accumulates params/fields as they are
-// declared. Either callback may be nil.
+// does. startTable fires once per table before its first row (and at the
+// table's end for empty tables); meta accumulates params/fields as they are
+// declared. Either callback may be nil; an error either returns ends the
+// decode and is returned as it is.
 func DecodeRows(r io.Reader, startTable func(meta *TableMeta) error, row func(meta *TableMeta, cells []string) error) error {
-	var meta *TableMeta
-	announced := false
-	announce := func() error {
-		if announced || meta == nil {
-			return nil
-		}
-		announced = true
-		if startTable == nil {
-			return nil
-		}
-		return startTable(meta)
+	if row == nil {
+		row = func(*TableMeta, []string) error { return nil }
 	}
-	h := &Handler{
-		StartTable: func(name string) error {
-			meta = &TableMeta{Name: name}
-			announced = false
-			return nil
-		},
-		TableDescription: func(s string) error {
-			meta.Description = strings.TrimSpace(s)
-			return nil
-		},
-		Param: func(p Param) error {
-			meta.Params = append(meta.Params, p)
-			return nil
-		},
-		Field: func(f Field) error {
-			meta.Fields = append(meta.Fields, f)
-			return nil
-		},
-		Row: func(cells []string) error {
-			if err := announce(); err != nil {
-				return err
-			}
-			cells, err := normalizeRow(meta.Name, cells, len(meta.Fields))
-			if err != nil {
-				return err
-			}
-			if row == nil {
-				return nil
-			}
-			return row(meta, cells)
-		},
-		EndTable: func() error {
-			return announce()
-		},
-	}
-	return DecodeDocument(r, h)
-}
-
-func normalizeRow(table string, cells []string, width int) ([]string, error) {
-	// Tolerate short rows (trailing empty TDs omitted).
-	for len(cells) < width {
-		cells = append(cells, "")
-	}
-	if len(cells) > width {
-		return nil, overWide(table, len(cells), width)
-	}
-	return cells, nil
+	d := decoder{doc: &Document{}, start: startTable, row: row}
+	return d.decode(r)
 }
 
 // overWide is the error for a row of table with n cells, more than its

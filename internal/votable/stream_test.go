@@ -474,8 +474,7 @@ func TestEncoderStreamsWithoutTableInMemory(t *testing.T) {
 }
 
 // streamPeakHeapMB pushes rows through the streaming encoder into a pipe and
-// back through the row-callback decoder, never holding the document or a
-// Table, and returns the peak growth of the GC'd live heap in MB.
+// back through DecodeRows, never holding the document or a Table's rows, and returns the peak growth of the GC'd live heap in MB.
 func streamPeakHeapMB(t *testing.T, rows int) float64 {
 	t.Helper()
 	liveHeap := func() uint64 {
@@ -515,14 +514,14 @@ func streamPeakHeapMB(t *testing.T, rows int) float64 {
 		pw.CloseWithError(err)
 	}()
 	got, peak := 0, base
-	err := DecodeDocument(pr, &Handler{Row: func([]string) error {
+	err := DecodeRows(pr, nil, func(*TableMeta, []string) error {
 		if got++; got%(rows/8) == 0 {
 			if h := liveHeap(); h > peak {
 				peak = h
 			}
 		}
 		return nil
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,14 +590,12 @@ func TestDecodeRowsNormalization(t *testing.T) {
 	}
 }
 
-// TestDecodeCallbackErrorsPassThrough ensures handler errors surface
+// TestDecodeCallbackErrorsPassThrough ensures callback errors surface
 // verbatim, without the parse wrapping.
 func TestDecodeCallbackErrorsPassThrough(t *testing.T) {
 	sentinel := errors.New("stop here")
-	raw := `<VOTABLE><RESOURCE><TABLE name="t"><DATA><TABLEDATA><TR><TD>x</TD></TR></TABLEDATA></DATA></TABLE></RESOURCE></VOTABLE>`
-	err := DecodeDocument(strings.NewReader(raw), &Handler{
-		Row: func([]string) error { return sentinel },
-	})
+	raw := `<VOTABLE><RESOURCE><TABLE name="t"><FIELD name="a" datatype="char"/><DATA><TABLEDATA><TR><TD>x</TD></TR></TABLEDATA></DATA></TABLE></RESOURCE></VOTABLE>`
+	err := DecodeRows(strings.NewReader(raw), nil, func(*TableMeta, []string) error { return sentinel })
 	if err != sentinel {
 		t.Fatalf("callback error = %v, want sentinel verbatim", err)
 	}

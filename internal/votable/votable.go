@@ -458,57 +458,18 @@ func WriteTable(w io.Writer, t *Table) error {
 	return Write(w, &Document{Resources: []Resource{{Name: t.Name, Tables: []Table{*t}}}})
 }
 
-// Read parses a VOTable document. It streams through DecodeDocument and
-// keeps each table's rows in one block (block.go): at the table's end they
-// are padded to its final field count, which keeps the historical
-// struct-decode semantics even for documents that declare fields after
-// their data. A row wider than its table fails the read, but only once
-// the whole document has parsed, so that a syntax error anywhere wins.
+// Read parses a VOTable document. Each table keeps its rows in one block
+// (block.go), padded at the table's end to its final field count, which
+// keeps the historical struct-decode semantics even for documents that
+// declare fields after their data. A row wider than its table fails the
+// read, but only once the whole document has parsed, so that a syntax
+// error anywhere wins.
 func Read(r io.Reader) (*Document, error) {
-	doc := &Document{}
-	var cur *Table
-	var ragged error
-	h := &Handler{
-		Description: func(s string) error {
-			doc.Description = strings.TrimSpace(s)
-			return nil
-		},
-		StartResource: func(name string) error {
-			doc.Resources = append(doc.Resources, Resource{Name: name})
-			return nil
-		},
-		StartTable: func(name string) error {
-			res := &doc.Resources[len(doc.Resources)-1]
-			res.Tables = append(res.Tables, Table{Name: name})
-			cur = &res.Tables[len(res.Tables)-1]
-			return nil
-		},
-		TableDescription: func(s string) error {
-			cur.Description = strings.TrimSpace(s)
-			return nil
-		},
-		Param: func(p Param) error {
-			cur.Params = append(cur.Params, p)
-			return nil
-		},
-		Field: func(f Field) error {
-			cur.Fields = append(cur.Fields, f)
-			return nil
-		},
-		rows: func(text string, cellEnds, rowEnds []int) error {
-			if ragged == nil {
-				ragged = cur.setRows(text, cellEnds, rowEnds)
-			}
-			return nil
-		},
-	}
-	if err := DecodeDocument(r, h); err != nil {
+	d := decoder{doc: &Document{}}
+	if err := d.decode(r); err != nil {
 		return nil, err
 	}
-	if ragged != nil {
-		return nil, ragged
-	}
-	return doc, nil
+	return d.doc, nil
 }
 
 // ReadTable parses a document and returns its first table.
