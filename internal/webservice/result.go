@@ -197,7 +197,12 @@ func (s *Service) ResultTable(lfn string) (*votable.Table, error) {
 }
 
 // resultDoc returns a completed result's VOTable as the cache store holds
-// it: the store's own bytes, to be read and not written.
+// it: the store's own bytes, to be read and not written. Only result
+// tables (*.vot) are answered, not the images and per-galaxy files the
+// store also caches.
 func (s *Service) resultDoc(lfn string) ([]byte, error) {
+	if !strings.HasSuffix(lfn, ".vot") {
+		return nil, fmt.Errorf("webservice: %q is not a result table", lfn)
+	}
 	return s.cfg.GridFTP.Store(cacheSite).Get(lfn)
 }

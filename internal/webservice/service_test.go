@@ -721,6 +721,24 @@ func TestResultEndpointServesStoredBytes(t *testing.T) {
 	if !bytes.Equal(reencoded.Bytes(), stored) {
 		t.Errorf("WriteTable(ResultTable) (%d bytes) differs from the stored blob (%d bytes)", reencoded.Len(), len(stored))
 	}
+
+	// The store also caches the cutouts; /result and ResultTable answer
+	// result tables only.
+	const image = "COMA-000003.fit"
+	if !h.svc.cfg.GridFTP.Store(cacheSite).Exists(image) {
+		t.Fatalf("%s is not in the cache store", image)
+	}
+	resp, err = http.Get(wsSrv.URL + "/result?lfn=" + image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/result?lfn=%s = %d, want 404", image, resp.StatusCode)
+	}
+	if _, err := h.svc.ResultTable(image); err == nil {
+		t.Errorf("ResultTable(%s) succeeded", image)
+	}
 }
 
 func TestResultCodec(t *testing.T) {
