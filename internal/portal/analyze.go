@@ -98,10 +98,10 @@ func (p *Portal) compute(cat *votable.Table, cluster string, priority int, onPro
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrComputeFailed, err)
 	}
-	statusPath, err := io.ReadAll(resp.Body)
+	statusPath, err := readStatusAnswer(resp.Body, submitURL)
 	resp.Body.Close()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: submit: %w", ErrComputeFailed, err)
 	}
 	if resp.StatusCode != http.StatusAccepted {
 		return nil, fmt.Errorf("%w: submit status %d: %s", ErrComputeFailed, resp.StatusCode, statusPath)
@@ -149,10 +149,31 @@ func (p *Portal) pollOnce(statusURL string) (statusPayload, error) {
 	if resp.StatusCode != http.StatusOK {
 		return st, fmt.Errorf("%w: poll status %d", ErrComputeFailed, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("%w: poll decode: %v", ErrComputeFailed, err)
+	b, err := readStatusAnswer(resp.Body, statusURL)
+	if err == nil {
+		err = json.Unmarshal(b, &st)
+	}
+	if err != nil {
+		return st, fmt.Errorf("%w: poll: %w", ErrComputeFailed, err)
 	}
 	return st, nil
+}
+
+// maxStatusBytes bounds each answer of the compute service that the portal
+// reads whole: the status path a submission returns and the JSON status
+// object of each poll. Both run to a few hundred bytes; a status may carry
+// a failure message too, and 1 MiB leaves that room to spare.
+const maxStatusBytes = 1 << 20
+
+// readStatusAnswer reads the answer body the compute service at url sent,
+// at most maxStatusBytes of it: a longer answer fails with an error naming
+// url and the bound.
+func readStatusAnswer(body io.Reader, url string) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(body, maxStatusBytes+1))
+	if err == nil && len(b) > maxStatusBytes {
+		err = fmt.Errorf("portal: answer from %s larger than %d bytes", url, maxStatusBytes)
+	}
+	return b, err
 }
 
 func (p *Portal) fetchResult(resultURL string) (*votable.Table, error) {

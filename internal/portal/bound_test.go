@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/votable"
 )
@@ -41,5 +42,47 @@ func TestResultAnswerBound(t *testing.T) {
 	if !errors.Is(err, ErrComputeFailed) || !strings.Contains(err.Error(), srv.URL+"/result?id=req-000001") ||
 		!strings.Contains(err.Error(), strconv.Itoa(votable.MaxAnswerBytes)) {
 		t.Fatalf("err = %v, want ErrComputeFailed naming the URL and %d", err, votable.MaxAnswerBytes)
+	}
+}
+
+// writeBoundPlusOne writes value after as many spaces as make the answer
+// one byte longer than maxStatusBytes: whole, it is a valid answer.
+func writeBoundPlusOne(w io.Writer, value string) {
+	_, _ = io.WriteString(w, strings.Repeat(" ", maxStatusBytes+1-len(value))+value)
+}
+
+// TestSubmitAnswerBound: a submission answer one byte over maxStatusBytes
+// fails the computation with an error naming the submit URL and the bound.
+func TestSubmitAnswerBound(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/status" {
+			_, _ = io.WriteString(w, `{"State":"failed","Message":"unbounded submit answer read"}`)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+		writeBoundPlusOne(w, "/status?id=req-000001")
+	}))
+	defer srv.Close()
+	p := &Portal{cfg: Config{HTTPClient: srv.Client(), ComputeService: srv.URL, Now: time.Now}}
+	tab := votable.NewTable("t", votable.Field{Name: "id", Datatype: votable.TypeChar})
+	_, err := p.compute(tab, "COMA", 0, nil)
+	if !errors.Is(err, ErrComputeFailed) || !strings.Contains(err.Error(), srv.URL+"/galmorph?cluster=COMA") ||
+		!strings.Contains(err.Error(), strconv.Itoa(maxStatusBytes)) {
+		t.Fatalf("err = %v, want ErrComputeFailed naming the URL and %d", err, maxStatusBytes)
+	}
+}
+
+// TestStatusAnswerBound: a status answer one byte over maxStatusBytes fails
+// the poll with an error naming the status URL and the bound.
+func TestStatusAnswerBound(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		writeBoundPlusOne(w, `{"State":"completed","ResultURL":"/result?lfn=COMA.vot"}`)
+	}))
+	defer srv.Close()
+	p := &Portal{cfg: Config{HTTPClient: srv.Client()}}
+	_, err := p.pollOnce(srv.URL + "/status?id=req-000001")
+	if !errors.Is(err, ErrComputeFailed) || !strings.Contains(err.Error(), srv.URL+"/status?id=req-000001") ||
+		!strings.Contains(err.Error(), strconv.Itoa(maxStatusBytes)) {
+		t.Fatalf("err = %v, want ErrComputeFailed naming the URL and %d", err, maxStatusBytes)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/httpclient"
@@ -243,12 +244,23 @@ func (c *Client) Query(t ServiceType, keyword string) ([]Entry, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("registry: query status %d", resp.StatusCode)
 	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxQueryBytes+1))
+	if err == nil && len(b) > maxQueryBytes {
+		err = fmt.Errorf("larger than %d bytes", maxQueryBytes)
+	}
 	var out []Entry
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
+	if err == nil {
+		err = json.Unmarshal(b, &out)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("registry: answer from %s: %w", u, err)
 	}
 	return out, nil
 }
+
+// maxQueryBytes bounds the query answer a Client reads: an entry is a few
+// hundred bytes of JSON, so 4 MiB holds over ten thousand of them.
+const maxQueryBytes = 4 << 20
 
 // Register publishes an entry to the remote registry.
 func (c *Client) Register(e Entry) error {

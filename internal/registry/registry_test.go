@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -230,5 +231,21 @@ func BenchmarkQuery(b *testing.B) {
 		if got := r.Query(TypeConeSearch, "dss"); len(got) != 1 {
 			b.Fatal("bad query")
 		}
+	}
+}
+
+// TestQueryAnswerBound: a query answer one byte over maxQueryBytes fails
+// with an error naming the URL and the bound.
+func TestQueryAnswerBound(t *testing.T) {
+	const value = "[]"
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte(strings.Repeat(" ", maxQueryBytes+1-len(value)) + value))
+	}))
+	defer srv.Close()
+	c := &Client{Base: srv.URL, HTTP: srv.Client()}
+	_, err := c.Query(TypeSIA, "dss")
+	if err == nil || !strings.Contains(err.Error(), srv.URL+"/query?type=sia&keyword=dss") ||
+		!strings.Contains(err.Error(), strconv.Itoa(maxQueryBytes)) {
+		t.Fatalf("err = %v, want one naming the URL and %d", err, maxQueryBytes)
 	}
 }
