@@ -14,11 +14,12 @@ import (
 	"unicode/utf8"
 )
 
-// The byte scanner under the one decoder (stream.go). It accepts and rejects exactly
-// what encoding/xml's strict Decoder does on the way to a struct unmarshal
-// (the frozen legacyRead oracle in stream_test.go is the specification)
-// and reports errors as encoding/xml's own types, with the same text and
-// line; those types are all the package still imports encoding/xml for.
+// The byte scanner under the decoder in stream.go. It accepts and rejects
+// exactly what encoding/xml's strict Decoder does on the way to a struct
+// unmarshal (the frozen legacyRead oracle in stream_test.go is the
+// specification) and reports errors as encoding/xml's own types, with the
+// same text and line; those types are all the package still imports
+// encoding/xml for.
 // It keeps no token values: character data is unescaped straight into one
 // reused buffer, attributes into another, and the open elements' names
 // into a third, so a document of any length is streamed in memory bounded

@@ -479,7 +479,7 @@ func (d *decoder) table() error {
 			text, err := s.textElement()
 			m.Description = strings.TrimSpace(text)
 			return err
-		case "PARAM":
+		case "PARAM": // its attributes only: the element is skipped below
 			m.Params = append(m.Params, Param{Name: s.attr("name"), Datatype: s.attr("datatype"),
 				Value: s.attr("value"), Unit: s.attr("unit"), UCD: s.attr("ucd")})
 		case "FIELD":
