@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 
 	"repro/internal/httpclient"
 	"sort"
@@ -235,7 +236,9 @@ func (c *Client) http() *http.Client {
 
 // Query fetches matching entries from the remote registry.
 func (c *Client) Query(t ServiceType, keyword string) ([]Entry, error) {
-	u := fmt.Sprintf("%s/query?type=%s&keyword=%s", c.Base, t, keyword)
+	// The values are escaped as url.Values escapes them; its Encode would
+	// also sort the keys, and type comes first.
+	u := c.Base + "/query?type=" + url.QueryEscape(string(t)) + "&keyword=" + url.QueryEscape(keyword)
 	resp, err := c.http().Get(u)
 	if err != nil {
 		return nil, err

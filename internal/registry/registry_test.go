@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -247,5 +248,33 @@ func TestQueryAnswerBound(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), srv.URL+"/query?type=sia&keyword=dss") ||
 		!strings.Contains(err.Error(), strconv.Itoa(maxQueryBytes)) {
 		t.Fatalf("err = %v, want one naming the URL and %d", err, maxQueryBytes)
+	}
+}
+
+// TestClientQueryMatchesLocal: a remote query gives the entries the local
+// one does, for keywords holding the characters a query string gives a
+// meaning to (a space, &, =, #, % and +) and for every service type.
+func TestClientQueryMatchesLocal(t *testing.T) {
+	r := sample()
+	if err := r.Register(Entry{ID: "ivo://lab/odd", Type: TypeSIA, Title: "R&D C++ survey a=b #1 at 100%",
+		DataCenter: "LAB", BaseURL: "http://lab.nvo/sia"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(r))
+	defer srv.Close()
+	c := &Client{Base: srv.URL, HTTP: srv.Client()}
+	for _, kw := range []string{"", "dss", "Digitized Sky", "DSS&x", "R&D", "a=b", "b=", "#1", "DSS#x",
+		"100%", "%41", "C++", "+", "c  "} {
+		for _, typ := range []ServiceType{"", TypeSIA, TypeConeSearch} {
+			want := r.Query(typ, kw)
+			got, err := c.Query(typ, kw)
+			if err != nil {
+				t.Errorf("Query(%q, %q): %v", typ, kw, err)
+				continue
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("Query(%q, %q) = %v remotely, %v locally", typ, kw, got, want)
+			}
+		}
 	}
 }
