@@ -203,7 +203,8 @@ graphreaders:
 # marginal count per galaxy flat from 1k to 16k galaxies, and 1k to 4k in
 # wave mode), and so has the collector (TestCollectAllocBudget,
 # collect_test.go: concatVOT over 1,000 result files, allocations per
-# galaxy), and so has execution
+# galaxy; TestResultTableBytes: the output table at most 1.1 bytes
+# allocated per byte of it), and so has execution
 # (TestExecuteAllocBudget and TestExecuteAllocsFlat, execute_test.go:
 # dagman.Execute over the same plan, allocations per node, serial and on four
 # workers, flat from 1k to 16k galaxies), and so has VOTable decoding
@@ -213,9 +214,14 @@ graphreaders:
 # internal/services/cutout_test.go: render + encode, allocations per
 # CutoutFITS call) and one /cutout GET through the testbed's router
 # (TestCutoutRoundTripAllocs, internal/core/router_test.go: allocations per
-# GET; bytes per byte of the cutout without -race), and so have its VOTable answers (TestAnswerAllocsPerRow,
-# beside it: the SURVEY /cone and /siacut tables + WriteTable, allocations
-# per row), and so has registration (TestRegisterAllocBudget,
+# GET; bytes per byte of the cutout without -race, for a client that copies
+# the body and for one that takes it by hand-over), and so have its VOTable
+# answers (TestAnswerAllocsPerRow, beside it: the SURVEY /cone and /siacut
+# tables + WriteTable, allocations per row; TestAnswerHandlerBytes: the same
+# answers through the handler, bytes over the table and its encoding;
+# TestAnswerPoolDropsOversizedBuffers and TestAnswersServedConcurrently: the
+# pooled answer buffer's size bound, and answers and cutouts served at once),
+# and so has registration (TestRegisterAllocBudget,
 # internal/rls/onelock_test.go: a new replica at most two allocations, a
 # repeat none), and so has a whole request (TestRequestAllocBudget,
 # request_alloc_test.go: one warm-memo and one staged request over the
@@ -232,8 +238,8 @@ graphreaders:
 # fixed iteration count, uninstrumented, printed beside the allocation
 # figures.
 hotbench:
-	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestExecuteAllocBudget|TestExecuteAllocsFlat|TestRequestAllocBudget' -v ./internal/webservice/
-	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestCutoutRoundTripAllocs|TestAnswerAllocsPerRow|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/core/ ./internal/rls/
+	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestResultTableBytes|TestExecuteAllocBudget|TestExecuteAllocsFlat|TestRequestAllocBudget' -v ./internal/webservice/
+	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestCutoutRoundTripAllocs|TestAnswerAllocsPerRow|TestAnswerHandlerBytes|TestAnswerPoolDropsOversizedBuffers|TestAnswersServedConcurrently|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/core/ ./internal/rls/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkRenderGalaxy$$|BenchmarkCutoutFITS$$' -benchtime 200x -benchmem ./internal/skysim/ ./internal/services/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/

@@ -19,7 +19,7 @@ import (
 type hostRouter map[string]http.Handler
 
 // RoundTrip implements http.RoundTripper. The response body is the
-// memResponse the handler wrote into, read in place.
+// memResponse the handler wrote into, read in place or handed over whole.
 func (r hostRouter) RoundTrip(req *http.Request) (*http.Response, error) {
 	h, ok := r[req.URL.Host]
 	if !ok {
@@ -52,7 +52,8 @@ func (r hostRouter) RoundTrip(req *http.Request) (*http.Response, error) {
 const maxPresizedBody = 64 << 20
 
 // memResponse is the in-memory http.ResponseWriter behind hostRouter, and
-// then the response's body: an io.ReadCloser over the bytes written.
+// then the response's body: an io.ReadCloser over the bytes written, whose
+// buffer a client may take instead of reading it (HandOver).
 type memResponse struct {
 	header http.Header
 	buf    []byte
@@ -108,6 +109,20 @@ func (m *memResponse) Read(p []byte) (int, error) {
 	n := copy(p, m.buf[m.off:])
 	m.off += n
 	return n, nil
+}
+
+// HandOver gives the caller the body's buffer and forgets it, so a client
+// that would copy the body into a buffer of its own takes this one
+// instead; Read then reports io.EOF. It hands over only a body of exactly n
+// bytes, none of them read yet, in a buffer of exactly their length, and
+// otherwise returns nil and leaves the body to be read as it was.
+func (m *memResponse) HandOver(n int64) []byte {
+	if m.off != 0 || int64(len(m.buf)) != n || cap(m.buf) != len(m.buf) {
+		return nil
+	}
+	b := m.buf
+	m.buf = nil
+	return b
 }
 
 // Close implements io.Closer; the body holds nothing to release.

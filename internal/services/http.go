@@ -1,6 +1,7 @@
 package services
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -278,10 +279,48 @@ func pageOf(t *votable.Table, offset, maxrec int) *votable.Table {
 	return &page
 }
 
+// answerPool recycles the buffers the VOTable answers are encoded into, as
+// encodePool does the cutouts' (the ResponseWriter copies what it is given),
+// so an answer is written once at its declared length and the next answer
+// may reuse its buffer.
+var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledAnswer is the largest buffer an answer may leave in answerPool:
+// a cone or SIA answer of a few thousand rows fits, while the buffer of a
+// survey-scale answer (about 63 MB for 200,000 rows) goes to the collector
+// rather than stay pinned in the pool.
+const maxPooledAnswer = 4 << 20
+
+// writeVOTable encodes t into a pooled buffer, writes it as the answer and
+// puts the buffer back unless it is larger than maxPooledAnswer. A first
+// pass through the encoder counts the answer's bytes, so a pooled buffer
+// too small for it, or a fresh one after a collection emptied the pool, is
+// replaced by one of exactly the answer's length, not grown by doubling.
 func writeVOTable(w http.ResponseWriter, t *votable.Table, corrupt bool) {
-	var buf bytes.Buffer
-	_ = votable.WriteTable(&buf, t)
+	var n byteCount
+	// Both passes write through bw: an encoder given a *bufio.Writer uses
+	// it as its own rather than wrap it in another.
+	bw := bufio.NewWriter(&n)
+	_ = votable.WriteTable(bw, t)
+	buf := answerPool.Get().(*bytes.Buffer)
+	if buf.Cap() < int(n) {
+		buf = bytes.NewBuffer(make([]byte, 0, n))
+	}
+	buf.Reset()
+	bw.Reset(buf)
+	_ = votable.WriteTable(bw, t)
 	writeBody(w, "text/xml", buf.Bytes(), corrupt)
+	if buf.Cap() <= maxPooledAnswer {
+		answerPool.Put(buf)
+	}
+}
+
+// byteCount is an io.Writer that only counts the bytes written to it.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
 }
 
 // --- protocol clients -------------------------------------------------------

@@ -173,10 +173,56 @@ func TestFetchURLRefusesOversizedStream(t *testing.T) {
 	}
 }
 
+// handOverTransport answers every request with a body over buf, declared
+// at the given length, that offers its buffer as the router's body does.
+type handOverTransport struct {
+	buf      []byte
+	declared int64
+	greedy   bool // hand buf over whatever length is asked for
+}
+
+func (b handOverTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK, Request: req,
+		Body: &handOverReader{buf: b.buf, greedy: b.greedy}, ContentLength: b.declared,
+	}, nil
+}
+
+// handOverReader is a test body with the hand-over of handOverBody: all of
+// buf, unread, when it is exactly n bytes long and exactly sized.
+type handOverReader struct {
+	buf    []byte
+	off    int
+	greedy bool
+}
+
+func (r *handOverReader) HandOver(n int64) []byte {
+	if !r.greedy && (r.off != 0 || int64(len(r.buf)) != n || cap(r.buf) != len(r.buf)) {
+		return nil
+	}
+	b := r.buf
+	r.buf = nil
+	return b
+}
+
+func (r *handOverReader) Read(p []byte) (int, error) {
+	if r.off >= len(r.buf) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.buf[r.off:])
+	r.off += n
+	return n, nil
+}
+
+func (r *handOverReader) Close() error { return nil }
+
 // TestFetchURLSizesReadFromContentLength covers the ingest edge: a declared
 // length yields one exactly-sized buffer, an unknown one falls back to
 // io.ReadAll, and a reply shorter than it declared is an error, not a
-// zero-padded image.
+// zero-padded image. A body that hands its buffer over gives that buffer
+// itself when it is exactly the declared length; any other is read as
+// before, so a short hand-over is an error too, and a declaration past
+// maxPresizedBody is refused before the body is asked.
 func TestFetchURLSizesReadFromContentLength(t *testing.T) {
 	body := strings.Repeat("x", 5000)
 	for _, tc := range []struct {
@@ -204,6 +250,43 @@ func TestFetchURLSizesReadFromContentLength(t *testing.T) {
 		}
 		if tc.exact && cap(data) != len(data) {
 			t.Errorf("%s: buffer cap %d for %d bytes, want exactly sized", tc.name, cap(data), len(data))
+		}
+	}
+
+	exact := func(s string) []byte { // []byte(s) may round its capacity up
+		b := make([]byte, len(s))
+		copy(b, s)
+		return b
+	}
+	for _, tc := range []struct {
+		name     string
+		buf      []byte
+		declared int64
+		greedy   bool
+		adopted  bool  // the fetch returns buf itself
+		fails    error // the fetch fails, with this error where non-nil
+	}{
+		{name: "handed over", buf: exact(body), declared: 5000, adopted: true},
+		{name: "spare capacity", buf: append(make([]byte, 0, 6000), body...), declared: 5000},
+		{name: "short hand-over", buf: exact(body[:4000]), declared: 5000, fails: io.ErrUnexpectedEOF},
+		{name: "greedy short hand-over", buf: exact(body[:4000]), declared: 5000, greedy: true, fails: io.EOF},
+		{name: "declared past the bound", buf: exact(body), declared: maxPresizedBody + 1, greedy: true, fails: errBodyTooLarge},
+	} {
+		h := newHarness(t, 1, func(c *Config) {
+			c.HTTPClient = &http.Client{Transport: handOverTransport{buf: tc.buf, declared: tc.declared, greedy: tc.greedy}}
+		})
+		data, err := h.svc.fetchURL("http://archive/cutout?id=g")
+		if tc.fails != nil {
+			if !errors.Is(err, tc.fails) {
+				t.Errorf("%s: fetch = %d bytes, %v; want %v", tc.name, len(data), err, tc.fails)
+			}
+			continue
+		}
+		if err != nil || string(data) != body || cap(data) != len(data) {
+			t.Fatalf("%s: fetch = %d bytes (cap %d), %v; want the %d bytes, exactly sized", tc.name, len(data), cap(data), err, len(body))
+		}
+		if aliased := &data[0] == &tc.buf[0]; aliased != tc.adopted {
+			t.Errorf("%s: fetched buffer is the body's own: %t, want %t", tc.name, aliased, tc.adopted)
 		}
 	}
 }

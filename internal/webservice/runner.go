@@ -1,6 +1,7 @@
 package webservice
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
@@ -236,12 +237,10 @@ type memoEntry struct {
 	errStr string
 }
 
-// streamResultsTable drains a spool of result rows (keyed on the galaxy ID
-// cell) into w as the cluster's output VOTable document, without ever
-// holding the rows in one table.
-func streamResultsTable(w io.Writer, cluster string, sp *tableops.Spool) error {
+// streamResultsTable writes rows, sorted on the galaxy ID, into w as the
+// output VOTable document with the table meta.
+func streamResultsTable(w io.Writer, meta votable.TableMeta, rows [][]string) error {
 	enc := votable.NewEncoder(w)
-	meta := resultsMeta(cluster, sp.Len())
 	if err := enc.BeginDocument(""); err != nil {
 		return err
 	}
@@ -251,8 +250,10 @@ func streamResultsTable(w io.Writer, cluster string, sp *tableops.Spool) error {
 	if err := enc.BeginTable(meta); err != nil {
 		return err
 	}
-	if err := sp.Merge(func(cells []string) error { return enc.Row(cells) }); err != nil {
-		return err
+	for _, row := range rows {
+		if err := enc.Row(row); err != nil {
+			return err
+		}
 	}
 	if err := enc.EndTable(); err != nil {
 		return err
@@ -261,6 +262,34 @@ func streamResultsTable(w io.Writer, cluster string, sp *tableops.Spool) error {
 		return err
 	}
 	return enc.End()
+}
+
+// resultsTable is the cluster's output VOTable document of rows, sorted on
+// the galaxy ID, in a buffer of exactly its length: the store adopts it, so
+// a first pass through the encoder counts the bytes the second writes.
+func resultsTable(cluster string, rows [][]string) ([]byte, error) {
+	meta := resultsMeta(cluster, len(rows))
+	var n byteCount
+	// Both passes write through bw: an encoder given a *bufio.Writer uses
+	// it as its own rather than wrap it in another.
+	bw := bufio.NewWriter(&n)
+	if err := streamResultsTable(bw, meta, rows); err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	bw.Reset(buf)
+	if err := streamResultsTable(bw, meta, rows); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// byteCount is an io.Writer that only counts the bytes written to it.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
 }
 
 // morphFingerprint renders the measurement parameters that, together with
@@ -444,10 +473,11 @@ func (l *leg) concat(n *dag.Node) error {
 // concatVOT is the body of TR concatVOT: it fetches every per-galaxy result
 // file and renders the output table named by outputLFN. The live job and
 // provenance re-derivation differ only in the fetch they hand it. The rows
-// are sorted in memory by galaxy ID and streamed into the encoder.
+// are sorted in memory by galaxy ID and encoded into one exactly sized
+// buffer.
 func concatVOT(outputLFN string, inputs []string, fetch func(lfn string) ([]byte, error)) ([]byte, error) {
 	// The spool holds only memory, so an early return needs no Close; the
-	// arena its rows live in must outlive the Merge in streamResultsTable.
+	// arena its rows live in must outlive the encoding of them.
 	ar := arena.Get()
 	defer arena.Put(ar)
 	sp := tableops.NewSpoolIn(ar, 0, len(inputs)) // key on the galaxy ID cell
@@ -467,9 +497,9 @@ func concatVOT(outputLFN string, inputs []string, fetch func(lfn string) ([]byte
 	if err := cells.flush(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := streamResultsTable(&buf, strings.TrimSuffix(outputLFN, ".vot"), sp); err != nil {
+	rows := make([][]string, 0, sp.Len())
+	if err := sp.Merge(func(row []string) error { rows = append(rows, row); return nil }); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return resultsTable(strings.TrimSuffix(outputLFN, ".vot"), rows)
 }

@@ -155,9 +155,19 @@ const maxPresizedBody = 64 << 20
 
 var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxPresizedBody)
 
+// handOverBody is a response body that can give up its buffer instead of
+// being read (the testbed's in-process router answers with one): HandOver
+// returns the whole unread body when it is exactly n bytes in a buffer of
+// exactly that length, which it then no longer holds, and otherwise nil,
+// leaving the body to be read as before.
+type handOverBody interface {
+	HandOver(n int64) []byte
+}
+
 // fetchURL GETs u and returns the body in a buffer nobody else holds, so the
 // caller may hand it to a store by ownership. A response that declares its
-// length is read into one exactly-sized buffer.
+// length is taken whole from a body that hands it over, or else read into
+// one exactly-sized buffer.
 func (s *Service) fetchURL(u string) ([]byte, error) {
 	resp, err := s.cfg.HTTPClient.Get(u)
 	if err != nil {
@@ -168,8 +178,13 @@ func (s *Service) fetchURL(u string) ([]byte, error) {
 	case n > maxPresizedBody:
 		err = errBodyTooLarge
 	case n > 0:
-		data = make([]byte, n)
-		_, err = io.ReadFull(resp.Body, data)
+		if b, ok := resp.Body.(handOverBody); ok {
+			data = b.HandOver(n)
+		}
+		if int64(len(data)) != n {
+			data = make([]byte, n)
+			_, err = io.ReadFull(resp.Body, data)
+		}
 	default:
 		// One byte past the bound tells a body at the bound from a longer one.
 		data, err = io.ReadAll(io.LimitReader(resp.Body, maxPresizedBody+1))
