@@ -218,9 +218,7 @@ graphreaders:
 # the body and for one that takes it by hand-over), and so have its VOTable
 # answers (TestAnswerAllocsPerRow, beside it: the SURVEY /cone and /siacut
 # tables + WriteTable, allocations per row; TestAnswerHandlerBytes: the same
-# answers through the handler, bytes over the table and its encoding;
-# TestAnswerPoolDropsOversizedBuffers and TestAnswersServedConcurrently: the
-# pooled answer buffer's size bound, and answers and cutouts served at once),
+# answers through the handler, bytes over the table and its encoding),
 # and so has registration (TestRegisterAllocBudget,
 # internal/rls/onelock_test.go: a new replica at most two allocations, a
 # repeat none), and so has a whole request (TestRequestAllocBudget,
@@ -239,7 +237,7 @@ graphreaders:
 # figures.
 hotbench:
 	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestResultTableBytes|TestExecuteAllocBudget|TestExecuteAllocsFlat|TestRequestAllocBudget' -v ./internal/webservice/
-	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestCutoutRoundTripAllocs|TestAnswerAllocsPerRow|TestAnswerHandlerBytes|TestAnswerPoolDropsOversizedBuffers|TestAnswersServedConcurrently|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/core/ ./internal/rls/
+	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestCutoutRoundTripAllocs|TestAnswerAllocsPerRow|TestAnswerHandlerBytes|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/core/ ./internal/rls/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkRenderGalaxy$$|BenchmarkCutoutFITS$$' -benchtime 200x -benchmem ./internal/skysim/ ./internal/services/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/

@@ -8,21 +8,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
-	"sync"
+	"strconv"
 	"testing"
 
 	"repro/internal/skysim"
 	"repro/internal/votable"
 )
 
-// discardWriter is an http.ResponseWriter that drops its body and keeps
-// only the length and capacity of the last slice it was given: the
-// capacity is the pooled buffer's the answer was encoded into.
+// discardWriter is an http.ResponseWriter that drops its body and counts
+// its bytes.
 type discardWriter struct {
-	header     http.Header
-	code       int
-	n, lastCap int
+	header http.Header
+	code   int
+	n      int
 }
 
 func (w *discardWriter) Header() http.Header { return w.header }
@@ -30,7 +28,7 @@ func (w *discardWriter) Header() http.Header { return w.header }
 func (w *discardWriter) WriteHeader(code int) { w.code = code }
 
 func (w *discardWriter) Write(p []byte) (int, error) {
-	w.n, w.lastCap = len(p), cap(p)
+	w.n += len(p)
 	return len(p), nil
 }
 
@@ -55,16 +53,13 @@ func surveyAnswers(a *Archive, c *skysim.Cluster) []struct {
 
 // TestAnswerHandlerBytes: serving an answer through Archive.Handler()
 // allocates what building its table and encoding it to io.Discard do, plus
-// at most 0.1 bytes per byte of the answer. The answer is encoded into a
-// pooled buffer and written once at its declared length; while it was
-// encoded into a bytes.Buffer grown from empty, the doubling cost 3.3–3.9
-// bytes per byte. The bytes are measured on one P, whose pool cache then
-// always serves the goroutine that put the buffer back, as the fewest of
-// five rounds of ten, so a round whose collection emptied the pool does
-// not count. They are not checked under -race, whose pools drop puts on
-// purpose.
+// at most 0.1 bytes per byte of the answer: the answer is counted, declared
+// and streamed into the ResponseWriter, and the handler keeps no copy of
+// it. While it was encoded into a bytes.Buffer grown from empty, the
+// doubling cost 3.3–3.9 bytes per byte. The bytes are the fewest of five
+// rounds of ten, and are not checked under -race, which allocates for its
+// own bookkeeping. A corrupt answer declares and sends the first half.
 func TestAnswerHandlerBytes(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := skysim.Generate(surveySpec())
 	a := NewArchive("budget", c)
 	h := a.Handler()
@@ -94,8 +89,21 @@ func TestAnswerHandlerBytes(t *testing.T) {
 			t.Fatalf("GET %s: status %d, %d bytes; want the %d bytes of WriteTable", q.path, rec.Code, rec.Body.Len(), want.Len())
 		}
 
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(want.Len()) {
+			t.Fatalf("GET %s: Content-Length %q, want %d", q.path, got, want.Len())
+		}
+		cut := httptest.NewRecorder()
+		writeVOTable(cut, q.table(), true)
+		if half := want.Bytes()[:want.Len()/2]; !bytes.Equal(cut.Body.Bytes(), half) ||
+			cut.Header().Get("Content-Length") != strconv.Itoa(len(half)) {
+			t.Fatalf("GET %s corrupt: %d bytes declared %q; want the first %d", q.path, cut.Body.Len(), cut.Header().Get("Content-Length"), len(half))
+		}
+
 		w := &discardWriter{header: http.Header{}}
-		served := bytesPerRun(func() { h.ServeHTTP(w, req) })
+		served := bytesPerRun(func() {
+			w.n = 0
+			h.ServeHTTP(w, req)
+		})
 		built := bytesPerRun(func() {
 			if err := votable.WriteTable(io.Discard, q.table()); err != nil {
 				t.Fatal(err)
@@ -111,70 +119,4 @@ func TestAnswerHandlerBytes(t *testing.T) {
 			t.Errorf("GET %s: %d bytes allocated for a %d-byte answer, allowed %d", q.path, served, want.Len(), allowed)
 		}
 	}
-}
-
-// TestAnswerPoolDropsOversizedBuffers: a buffer an answer grew past
-// maxPooledAnswer is not pooled, so the next small answer is not written
-// from it. It runs on one P, where a pooled buffer would be the next one
-// got.
-func TestAnswerPoolDropsOversizedBuffers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	big := votable.NewTable("big", votable.Field{Name: "x", Datatype: votable.TypeChar})
-	cell := strings.Repeat("x", 1<<16)
-	for range maxPooledAnswer>>16 + 1 {
-		if err := big.AppendRow(cell); err != nil {
-			t.Fatal(err)
-		}
-	}
-	small := votable.NewTable("small", votable.Field{Name: "x", Datatype: votable.TypeChar})
-	if err := small.AppendRow("y"); err != nil {
-		t.Fatal(err)
-	}
-	w := &discardWriter{header: http.Header{}}
-	writeVOTable(w, big, false)
-	if w.lastCap <= maxPooledAnswer {
-		t.Fatalf("the big answer was encoded into a buffer of cap %d, want past %d", w.lastCap, maxPooledAnswer)
-	}
-	for range 3 {
-		writeVOTable(w, small, false)
-		if w.lastCap > maxPooledAnswer {
-			t.Fatalf("a %d-byte answer was written from a pooled buffer of cap %d, past the bound %d",
-				w.n, w.lastCap, maxPooledAnswer)
-		}
-	}
-
-}
-
-// TestAnswersServedConcurrently: answers and cutouts served at once, each
-// from a pooled buffer, each get their own bytes (run it with -race).
-func TestAnswersServedConcurrently(t *testing.T) {
-	c := skysim.Generate(surveySpec())
-	a := NewArchive("shared", c)
-	h := a.Handler()
-	paths := []string{"/cutout?id=" + c.Galaxies[0].ID, "/cutout?id=" + c.Galaxies[1].ID}
-	for _, q := range surveyAnswers(a, c) {
-		paths = append(paths, q.path)
-	}
-	want := make([][]byte, len(paths))
-	for i, p := range paths {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
-		want[i] = rec.Body.Bytes()
-	}
-	var wg sync.WaitGroup
-	for g := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range 8 {
-				i := (g + k) % len(paths)
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, paths[i], nil))
-				if !bytes.Equal(rec.Body.Bytes(), want[i]) {
-					t.Errorf("concurrent GET %s: %d bytes differ from its %d", paths[i], rec.Body.Len(), len(want[i]))
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

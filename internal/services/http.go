@@ -2,7 +2,6 @@ package services
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -39,13 +38,20 @@ func (a *Archive) faultGate(w http.ResponseWriter, op faults.Op) (corrupt, proce
 // declares the length it sends, so a client (and the testbed's in-process
 // router) can size its copy of the body once.
 func writeBody(w http.ResponseWriter, ctype string, data []byte, corrupt bool) {
-	if corrupt && len(data) > 1 {
-		data = data[:len(data)/2]
-	}
+	data = data[:sentLen(len(data), corrupt)]
 	h := w.Header()
 	h.Set("Content-Type", ctype)
 	h.Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
+}
+
+// sentLen is how much of an n-byte body is sent: all of it, or the first
+// half when a corruption fault is in effect.
+func sentLen(n int, corrupt bool) int {
+	if corrupt && n > 1 {
+		return n / 2
+	}
+	return n
 }
 
 // encodePool recycles the buffers /cutout encodes into. A buffer goes back
@@ -279,43 +285,46 @@ func pageOf(t *votable.Table, offset, maxrec int) *votable.Table {
 	return &page
 }
 
-// answerPool recycles the buffers the VOTable answers are encoded into, as
-// encodePool does the cutouts' (the ResponseWriter copies what it is given),
-// so an answer is written once at its declared length and the next answer
-// may reuse its buffer.
-var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledAnswer is the largest buffer an answer may leave in answerPool:
-// a cone or SIA answer of a few thousand rows fits, while the buffer of a
-// survey-scale answer (about 63 MB for 200,000 rows) goes to the collector
-// rather than stay pinned in the pool.
-const maxPooledAnswer = 4 << 20
-
-// writeVOTable encodes t into a pooled buffer, writes it as the answer and
-// puts the buffer back unless it is larger than maxPooledAnswer. A first
-// pass through the encoder counts the answer's bytes, so a pooled buffer
-// too small for it, or a fresh one after a collection emptied the pool, is
-// replaced by one of exactly the answer's length, not grown by doubling.
+// writeVOTable writes t as the answer, declared at its length. A first pass
+// through the encoder counts the answer's bytes, so the header can declare
+// them before the second pass streams the answer into w: a client that
+// sizes its read from Content-Length, as the testbed's router does, holds
+// the answer's one copy, and the handler holds none. A corrupt answer
+// declares and sends the first half, as writeBody cuts it.
 func writeVOTable(w http.ResponseWriter, t *votable.Table, corrupt bool) {
 	var n byteCount
 	// Both passes write through bw: an encoder given a *bufio.Writer uses
 	// it as its own rather than wrap it in another.
 	bw := bufio.NewWriter(&n)
 	_ = votable.WriteTable(bw, t)
-	buf := answerPool.Get().(*bytes.Buffer)
-	if buf.Cap() < int(n) {
-		buf = bytes.NewBuffer(make([]byte, 0, n))
-	}
-	buf.Reset()
-	bw.Reset(buf)
+	size := sentLen(int(n), corrupt)
+	h := w.Header()
+	h.Set("Content-Type", "text/xml")
+	h.Set("Content-Length", strconv.Itoa(size))
+	bw.Reset(&cutWriter{w: w, left: size})
 	_ = votable.WriteTable(bw, t)
-	writeBody(w, "text/xml", buf.Bytes(), corrupt)
-	if buf.Cap() <= maxPooledAnswer {
-		answerPool.Put(buf)
-	}
 }
 
-// byteCount is an io.Writer that only counts the bytes written to it.
+// cutWriter passes the first left bytes written to it on to w and drops the
+// rest, so a body never runs past the length its header declared.
+type cutWriter struct {
+	w    io.Writer
+	left int
+}
+
+func (c *cutWriter) Write(p []byte) (int, error) {
+	if k := min(len(p), c.left); k > 0 {
+		if _, err := c.w.Write(p[:k]); err != nil {
+			return 0, err
+		}
+		c.left -= k
+	}
+	return len(p), nil
+}
+
+// byteCount is an io.Writer that only counts the bytes written to it. The
+// compute service's result table is counted by a copy of it
+// (internal/webservice/runner.go); change the two together.
 type byteCount int
 
 func (c *byteCount) Write(p []byte) (int, error) {

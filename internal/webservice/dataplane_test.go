@@ -178,26 +178,24 @@ func TestFetchURLRefusesOversizedStream(t *testing.T) {
 type handOverTransport struct {
 	buf      []byte
 	declared int64
-	greedy   bool // hand buf over whatever length is asked for
 }
 
 func (b handOverTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return &http.Response{
 		StatusCode: http.StatusOK, Request: req,
-		Body: &handOverReader{buf: b.buf, greedy: b.greedy}, ContentLength: b.declared,
+		Body: &handOverReader{buf: b.buf}, ContentLength: b.declared,
 	}, nil
 }
 
 // handOverReader is a test body with the hand-over of handOverBody: all of
 // buf, unread, when it is exactly n bytes long and exactly sized.
 type handOverReader struct {
-	buf    []byte
-	off    int
-	greedy bool
+	buf []byte
+	off int
 }
 
 func (r *handOverReader) HandOver(n int64) []byte {
-	if !r.greedy && (r.off != 0 || int64(len(r.buf)) != n || cap(r.buf) != len(r.buf)) {
+	if r.off != 0 || int64(len(r.buf)) != n || cap(r.buf) != len(r.buf) {
 		return nil
 	}
 	b := r.buf
@@ -262,18 +260,16 @@ func TestFetchURLSizesReadFromContentLength(t *testing.T) {
 		name     string
 		buf      []byte
 		declared int64
-		greedy   bool
 		adopted  bool  // the fetch returns buf itself
 		fails    error // the fetch fails, with this error where non-nil
 	}{
 		{name: "handed over", buf: exact(body), declared: 5000, adopted: true},
 		{name: "spare capacity", buf: append(make([]byte, 0, 6000), body...), declared: 5000},
 		{name: "short hand-over", buf: exact(body[:4000]), declared: 5000, fails: io.ErrUnexpectedEOF},
-		{name: "greedy short hand-over", buf: exact(body[:4000]), declared: 5000, greedy: true, fails: io.EOF},
-		{name: "declared past the bound", buf: exact(body), declared: maxPresizedBody + 1, greedy: true, fails: errBodyTooLarge},
+		{name: "declared past the bound", buf: exact(body), declared: maxPresizedBody + 1, fails: errBodyTooLarge},
 	} {
 		h := newHarness(t, 1, func(c *Config) {
-			c.HTTPClient = &http.Client{Transport: handOverTransport{buf: tc.buf, declared: tc.declared, greedy: tc.greedy}}
+			c.HTTPClient = &http.Client{Transport: handOverTransport{buf: tc.buf, declared: tc.declared}}
 		})
 		data, err := h.svc.fetchURL("http://archive/cutout?id=g")
 		if tc.fails != nil {

@@ -284,7 +284,9 @@ func resultsTable(cluster string, rows [][]string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// byteCount is an io.Writer that only counts the bytes written to it.
+// byteCount is an io.Writer that only counts the bytes written to it. The
+// archives' answers are counted by a copy of it (internal/services/http.go);
+// change the two together.
 type byteCount int
 
 func (c *byteCount) Write(p []byte) (int, error) {

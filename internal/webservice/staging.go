@@ -181,7 +181,7 @@ func (s *Service) fetchURL(u string) ([]byte, error) {
 		if b, ok := resp.Body.(handOverBody); ok {
 			data = b.HandOver(n)
 		}
-		if int64(len(data)) != n {
+		if data == nil {
 			data = make([]byte, n)
 			_, err = io.ReadFull(resp.Body, data)
 		}
