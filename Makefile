@@ -237,7 +237,7 @@ graphreaders:
 # figures.
 hotbench:
 	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestResultTableBytes|TestExecuteAllocBudget|TestExecuteAllocsFlat|TestRequestAllocBudget' -v ./internal/webservice/
-	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestCutoutRoundTripAllocs|TestAnswerAllocsPerRow|TestAnswerHandlerBytes|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/core/ ./internal/rls/
+	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestCutoutRoundTripAllocs|TestRoundTripResponseAllocs|TestWriteBodySharesContentType|TestSetAllocatesNothing|TestAnswerAllocsPerRow|TestAnswerHandlerBytes|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/core/ ./internal/rls/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkRenderGalaxy$$|BenchmarkCutoutFITS$$' -benchtime 200x -benchmem ./internal/skysim/ ./internal/services/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/

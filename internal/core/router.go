@@ -20,17 +20,19 @@ type hostRouter map[string]http.Handler
 
 // RoundTrip implements http.RoundTripper. The response body is the
 // memResponse the handler wrote into, read in place or handed over whole.
+// The response and its body are one allocation, and the header map another.
 func (r hostRouter) RoundTrip(req *http.Request) (*http.Response, error) {
 	h, ok := r[req.URL.Host]
 	if !ok {
 		return nil, fmt.Errorf("core: no service at host %q", req.URL.Host)
 	}
-	rw := &memResponse{header: http.Header{}, code: http.StatusOK}
+	x := &exchange{body: memResponse{header: http.Header{}, code: http.StatusOK}}
+	rw := &x.body
 	h.ServeHTTP(rw, req)
 	if req.Body != nil {
 		_ = req.Body.Close()
 	}
-	return &http.Response{
+	x.resp = http.Response{
 		Status:     http.StatusText(rw.code),
 		StatusCode: rw.code,
 		Proto:      "HTTP/1.1",
@@ -42,7 +44,15 @@ func (r hostRouter) RoundTrip(req *http.Request) (*http.Response, error) {
 		// clients size their read from it.
 		ContentLength: int64(len(rw.buf)),
 		Request:       req,
-	}, nil
+	}
+	return &x.resp, nil
+}
+
+// exchange is one round trip's response and the body it answers with,
+// allocated together.
+type exchange struct {
+	resp http.Response
+	body memResponse
 }
 
 // maxPresizedBody bounds the buffer a declared Content-Length sizes up

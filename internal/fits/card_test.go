@@ -14,7 +14,7 @@ import (
 // and a ParseInt attempt first. Frozen as the oracle parseCard must match on
 // every card — FuzzView cannot see a drift here, because ParseView and
 // Decode share one parseCard.
-func legacyParseCard(kw, card []byte, c *Card) (scanVal, error) {
+func legacyParseCard(kw, card []byte, c *Card) (value, error) {
 	if c != nil {
 		*c = Card{Keyword: string(kw)}
 	}
@@ -22,13 +22,13 @@ func legacyParseCard(kw, card []byte, c *Card) (scanVal, error) {
 		if c != nil {
 			c.Comment = strings.TrimRight(string(card[8:]), " ")
 		}
-		return scanVal{}, nil
+		return value{}, nil
 	}
 	if card[8] != '=' {
 		if c != nil {
 			c.Comment = strings.TrimSpace(string(card[8:]))
 		}
-		return scanVal{}, nil
+		return value{}, nil
 	}
 	body := card[10:]
 	if rest := bytes.TrimLeft(body, " "); len(rest) > 0 && rest[0] == '\'' {
@@ -42,36 +42,36 @@ func legacyParseCard(kw, card []byte, c *Card) (scanVal, error) {
 				continue
 			}
 			if c != nil {
-				c.Value = strings.TrimRight(strings.ReplaceAll(string(rest[:i]), "''", "'"), " ")
+				c.val = value{kind: 's', s: strings.TrimRight(strings.ReplaceAll(string(rest[:i]), "''", "'"), " ")}
 				c.Comment = cardComment(rest[i+1:])
 			}
-			return scanVal{kind: 's'}, nil
+			return value{kind: 's'}, nil
 		}
-		return scanVal{}, fmt.Errorf("%w: unterminated string in card %q", ErrBadHeader, kw)
+		return value{}, fmt.Errorf("%w: unterminated string in card %q", ErrBadHeader, kw)
 	}
 	valPart := body
 	if slash := bytes.IndexByte(body, '/'); slash >= 0 {
 		valPart = body[:slash]
 	}
-	var sv scanVal
+	var sv value
 	switch valStr := bytes.TrimSpace(valPart); {
 	case len(valStr) == 0:
 	case len(valStr) == 1 && valStr[0] == 'T':
-		sv = scanVal{kind: 'b', b: true}
+		sv = value{kind: 'b', b: true}
 	case len(valStr) == 1 && valStr[0] == 'F':
-		sv = scanVal{kind: 'b', b: false}
+		sv = value{kind: 'b', b: false}
 	default:
 		s := string(valStr)
 		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-			sv = scanVal{kind: 'i', i: i}
+			sv = value{kind: 'i', i: i}
 		} else if f, err := strconv.ParseFloat(strings.ReplaceAll(s, "D", "E"), 64); err == nil {
-			sv = scanVal{kind: 'f', f: f}
+			sv = value{kind: 'f', f: f}
 		} else {
-			return scanVal{}, fmt.Errorf("%w: unparsable value %q in card %q", ErrBadHeader, s, kw)
+			return value{}, fmt.Errorf("%w: unparsable value %q in card %q", ErrBadHeader, s, kw)
 		}
 	}
 	if c != nil {
-		c.Value = sv.value()
+		c.val = sv
 		c.Comment = cardComment(body)
 	}
 	return sv, nil

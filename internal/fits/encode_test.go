@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/wcs"
 )
 
 // legacyFormatCard is formatCard as it stood before cards were appended
@@ -28,7 +30,7 @@ func legacyFormatCard(c Card) []byte {
 	}
 	card[8] = '='
 	var val string
-	switch v := c.Value.(type) {
+	switch v := c.val.boxed().(type) {
 	case nil:
 		val = ""
 	case bool:
@@ -66,33 +68,39 @@ func legacyFormatFloat(v float64) string {
 	return s
 }
 
+// mkCard is the card a literal of the boxed-value Card type gave: keyword
+// and comment as they are, the value as Header.Set holds it.
+func mkCard(keyword string, v any, comment string) Card {
+	return Card{Keyword: keyword, val: valueOf(v), Comment: comment}
+}
+
 // parityCards covers every value kind and the edges of the card layout:
 // long keywords, values and comments that run past column 80, quotes,
 // multi-byte runes, and the float forms that need a '.' added.
 var parityCards = []Card{
-	{Keyword: "SIMPLE", Value: true, Comment: "conforms to FITS standard"},
-	{Keyword: "EXTEND", Value: false},
-	{Keyword: "BITPIX", Value: int64(-32), Comment: "bits per pixel"},
-	{Keyword: "BIG", Value: int64(math.MinInt64), Comment: "a comment that is long enough to be cut off at the end of the card"},
-	{Keyword: "CRVAL1", Value: 150.00012345678901, Comment: "reference RA (deg)"},
-	{Keyword: "CDELT1", Value: -2.831933107035062e-4},
-	{Keyword: "TINY", Value: -4.9406564584124654e-324, Comment: "x"},
-	{Keyword: "WHOLE", Value: 1e15},
-	{Keyword: "NAN", Value: math.NaN()},
-	{Keyword: "INF", Value: math.Inf(-1), Comment: "c"},
-	{Keyword: "OBJECT", Value: "SURVEY-000010", Comment: "galaxy identifier"},
-	{Keyword: "QUOTE", Value: "it's", Comment: "doubled"},
-	{Keyword: "RUNES", Value: "ÅÄÖ", Comment: "padded by runes"},
-	{Keyword: "BAD", Value: "\xe2'\xff"},
-	{Keyword: "LONGSTR", Value: strings.Repeat("x", 75), Comment: "no room"},
-	{Keyword: "EDGE", Value: strings.Repeat("y", 64), Comment: "just fits"},
-	{Keyword: "NOVALUE", Comment: "nil value"},
-	{Keyword: "KEYWORDLONGERTHANEIGHT", Value: int64(7), Comment: "overlaps"},
-	{Keyword: "COMMENT", Comment: "free text " + strings.Repeat("z", 80)},
-	{Keyword: "HISTORY", Value: int64(1), Comment: "value ignored"},
-	{Keyword: "", Comment: "blank keyword"},
-	{Keyword: "END", Value: int64(3), Comment: "ignored"},
-	{Keyword: "UINT8", Value: uint8(200), Comment: "not normalized"},
+	mkCard("SIMPLE", true, "conforms to FITS standard"),
+	mkCard("EXTEND", false, ""),
+	mkCard("BITPIX", int64(-32), "bits per pixel"),
+	mkCard("BIG", int64(math.MinInt64), "a comment that is long enough to be cut off at the end of the card"),
+	mkCard("CRVAL1", 150.00012345678901, "reference RA (deg)"),
+	mkCard("CDELT1", -2.831933107035062e-4, ""),
+	mkCard("TINY", -4.9406564584124654e-324, "x"),
+	mkCard("WHOLE", 1e15, ""),
+	mkCard("NAN", math.NaN(), ""),
+	mkCard("INF", math.Inf(-1), "c"),
+	mkCard("OBJECT", "SURVEY-000010", "galaxy identifier"),
+	mkCard("QUOTE", "it's", "doubled"),
+	mkCard("RUNES", "ÅÄÖ", "padded by runes"),
+	mkCard("BAD", "\xe2'\xff", ""),
+	mkCard("LONGSTR", strings.Repeat("x", 75), "no room"),
+	mkCard("EDGE", strings.Repeat("y", 64), "just fits"),
+	mkCard("NOVALUE", nil, "nil value"),
+	mkCard("KEYWORDLONGERTHANEIGHT", int64(7), "overlaps"),
+	mkCard("COMMENT", nil, "free text "+strings.Repeat("z", 80)),
+	mkCard("HISTORY", int64(1), "value ignored"),
+	mkCard("", nil, "blank keyword"),
+	mkCard("END", int64(3), "ignored"),
+	mkCard("NEGZERO", math.Copysign(0, -1), "signed zero"),
 }
 
 func TestAppendCardMatchesLegacy(t *testing.T) {
@@ -118,7 +126,7 @@ func decodeCard(card []byte) (Card, bool, error) {
 		return Card{}, false, err
 	}
 	h := NewHeader()
-	h.Set(c.Keyword, c.Value, c.Comment)
+	h.set(c)
 	return h.cards[0], true, nil
 }
 
@@ -154,16 +162,17 @@ func TestAppendCardRefusesExactlyWhatDoesNotReadBack(t *testing.T) {
 // every other one unchanged.
 func TestEncodeRoundTripsOrRefuses(t *testing.T) {
 	for _, c := range append(parityCards,
-		Card{Keyword: "LONGKEYWORD", Value: int64(5)},
-		Card{Keyword: "TRAIL", Value: "x  "},
-		Card{Keyword: "PADDED", Value: int64(1), Comment: " c"},
+		mkCard("LONGKEYWORD", int64(5), ""),
+		mkCard("TRAIL", "x  ", ""),
+		mkCard("PADDED", int64(1), " c"),
+		mkCard("UINT8", uint8(200), "no card holds it"),
 	) {
 		switch c.Keyword {
 		case "SIMPLE", "BITPIX", "END", "":
 			continue // the encoder writes these itself, or never
 		}
 		im := NewImage(2, 2, 16)
-		im.Header.Set(c.Keyword, c.Value, c.Comment)
+		im.Header.set(c)
 		set := im.Header.Cards()[im.Header.Len()-1]
 		var buf bytes.Buffer
 		err := im.Encode(&buf)
@@ -187,6 +196,115 @@ func TestEncodeRoundTripsOrRefuses(t *testing.T) {
 	}
 }
 
+// setCards are header values of every kind a card holds, set the way a
+// caller sets them: Go ints and float32s are widened, and the floats run
+// through the signed zeros, the largest and smallest magnitudes and the
+// whole numbers that need a '.' added; the strings through empty, quoted,
+// multi-byte and the longest that fit the card.
+var setCards = []struct {
+	keyword string
+	v       any
+}{
+	{"T", true}, {"F", false},
+	{"I0", int64(0)}, {"IMAX", int64(math.MaxInt64)}, {"IMIN", int64(math.MinInt64)}, {"INT", -7}, {"INT32", int32(math.MaxInt32)},
+	{"FZERO", 0.0}, {"FNEGZERO", math.Copysign(0, -1)}, {"FMAX", math.MaxFloat64}, {"FNEGMAX", -math.MaxFloat64},
+	{"FTINY", math.SmallestNonzeroFloat64}, {"FNORMMIN", 2.2250738585072014e-308}, {"FWHOLE", 1e15},
+	{"FBIG", 1e21}, {"FTHIRD", 1.0 / 3}, {"F32", float32(0.1)}, {"CRVAL1", 150.00012345678901},
+	{"S0", ""}, {"SQUOTE", "it's"}, {"SRUNES", "ÅÄÖ"}, {"SLONG", strings.Repeat("x", 68)},
+	{"SQUOTES", strings.Repeat("'", 34)}, {"SMIXED", strings.Repeat("a'", 22) + "z"},
+}
+
+// TestAppendEncodeCardsMatchLegacy encodes an image whose header holds one
+// card of each setCards value through AppendEncode, holds every card of
+// the encoded header to the frozen formatCard's bytes for the value as the
+// boxed header held it, and decodes each value back as it was set.
+func TestAppendEncodeCardsMatchLegacy(t *testing.T) {
+	im := NewImage(3, 2, -32)
+	for _, c := range setCards {
+		comment := "c " + c.keyword
+		if s, ok := c.v.(string); ok && len(s)+strings.Count(s, "'") > 40 {
+			comment = "" // no room left on the card
+		}
+		im.Header.Set(c.keyword, c.v, comment)
+	}
+	got, err := im.AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cards := im.Header.Cards()[len(mandatoryKeywords):]
+	for i, c := range setCards {
+		at := (len(mandatoryKeywords) + i) * CardSize
+		want := legacyFormatCard(mkCard(c.keyword, widened(c.v), cards[i].Comment))
+		if g := got[at : at+CardSize]; !bytes.Equal(g, want) {
+			t.Errorf("%s:\n got %q\nwant %q", c.keyword, g, want)
+		}
+	}
+	back, err := Decode(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range setCards {
+		v, _ := back.Header.Get(c.keyword)
+		if want := widened(c.v); fmt.Sprintf("%#v", v) != fmt.Sprintf("%#v", want) {
+			t.Errorf("%s decodes as %#v, set as %#v", c.keyword, v, want)
+		}
+	}
+}
+
+// widened is v as the boxed header stored it: Go ints and int32s as int64,
+// float32s as float64.
+func widened(v any) any {
+	switch x := v.(type) {
+	case int:
+		return int64(x)
+	case int32:
+		return int64(x)
+	case float32:
+		return float64(x)
+	}
+	return v
+}
+
+// TestSetHoldsOtherTypesByName: of a value of a type no card holds, the
+// card keeps only the type's name: Get gives nil, Int its default, and the
+// encoder refuses the card by keyword and type, as it refused the boxed
+// value.
+func TestSetHoldsOtherTypesByName(t *testing.T) {
+	im := NewImage(2, 2, 16)
+	im.Header.Set("UINT8", uint8(200), "")
+	if v, ok := im.Header.Get("UINT8"); !ok || v != nil {
+		t.Errorf("Get(UINT8) = %#v, %v; want nil, true", v, ok)
+	}
+	if got := im.Header.Int("UINT8", -1); got != -1 {
+		t.Errorf("Int(UINT8) = %d, want the default", got)
+	}
+	if _, err := im.AppendEncode(nil); err == nil || !strings.Contains(err.Error(), `"UINT8"`) ||
+		!strings.Contains(err.Error(), "value of type uint8") {
+		t.Errorf("AppendEncode error %v; want the card refused as a uint8", err)
+	}
+}
+
+// TestSetAllocatesNothing: a header with room for its cards stores a
+// number, a flag or a string without allocating — the value is held
+// unboxed, so the box Set's caller makes stays on its stack — and a cutout's
+// WCS cards cost nothing. While cards held their values boxed, SetWCS cost
+// three allocations.
+func TestSetAllocatesNothing(t *testing.T) {
+	im := NewImage(4, 4, -32)
+	p := wcs.NewTanProjection(wcs.New(150, 2), 4, 4, 1.0/3600)
+	id, z := "SURVEY-000010", 0.0412
+	allocs := testing.AllocsPerRun(100, func() {
+		im.Header.Set("OBJECT", id, "galaxy identifier")
+		im.Header.Set("REDSHIFT", z, "redshift")
+		im.Header.Set("NCOMBINE", len(id), "")
+		im.Header.Set("GOODWCS", z > 0, "")
+		im.SetWCS(p)
+	})
+	if allocs != 0 {
+		t.Errorf("setting cards allocates %.1f times, want 0", allocs)
+	}
+}
+
 // FuzzAppendCardParity holds appendCard to the frozen formatCard over any
 // keyword, comment and value of each kind a header stores: the bytes match
 // for every card, and appendCard refuses exactly the cards whose frozen
@@ -198,7 +316,7 @@ func FuzzAppendCardParity(f *testing.F) {
 		var i int64
 		var x float64
 		var s string
-		switch v := c.Value.(type) {
+		switch v := c.val.boxed().(type) {
 		case bool:
 			kind, b = 1, v
 		case int64:
@@ -211,17 +329,18 @@ func FuzzAppendCardParity(f *testing.F) {
 		f.Add(c.Keyword, c.Comment, kind, b, i, x, s)
 	}
 	f.Fuzz(func(t *testing.T, keyword, comment string, kind uint8, b bool, i int64, x float64, s string) {
-		c := Card{Keyword: keyword, Comment: comment}
+		var v any
 		switch kind % 5 {
 		case 1:
-			c.Value = b
+			v = b
 		case 2:
-			c.Value = i
+			v = i
 		case 3:
-			c.Value = x
+			v = x
 		case 4:
-			c.Value = s
+			v = s
 		}
+		c := mkCard(keyword, v, comment)
 		got, err := appendCard([]byte("p"), c)
 		want := append([]byte("p"), legacyFormatCard(c)...)
 		if !bytes.Equal(got, want) {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -53,12 +54,97 @@ var (
 	ErrShortData   = errors.New("fits: truncated data array")
 )
 
-// Card is one 80-character header record. Value holds one of: nil (comment
-// or valueless card), bool, int64, float64 or string.
+// Card is one 80-character header record: a keyword, a value and a
+// comment. The value is held unboxed, in the one form the header scan also
+// reads values in: none, or one bool, int64, float64 or string. A Header
+// gives it back (Get, Int, Float, Str, Bool).
 type Card struct {
 	Keyword string
-	Value   any
+	val     value
 	Comment string
+}
+
+// value is one header value, unboxed: what a Card holds, what the header
+// scan reads for the geometry check, and what Header.Int/Float/Str/Bool
+// read, with absence and type mismatches falling back to defaults.
+type value struct {
+	kind byte // 0 absent/valueless, 'b' bool, 'i' int, 'f' float, 's' string, '?' a type no card holds
+	b    bool
+	i    int64
+	f    float64
+	s    string // the string; for '?', the name of the value's type
+}
+
+// valueOf is Header.Set's value v unboxed. It keeps no reference to v.
+func valueOf(v any) value {
+	switch x := v.(type) {
+	case nil:
+		return value{}
+	case bool:
+		return value{kind: 'b', b: x}
+	case int:
+		return value{kind: 'i', i: int64(x)}
+	case int32:
+		return value{kind: 'i', i: int64(x)}
+	case int64:
+		return value{kind: 'i', i: x}
+	case float32:
+		return value{kind: 'f', f: float64(x)}
+	case float64:
+		return value{kind: 'f', f: x}
+	case string:
+		return value{kind: 's', s: x}
+	}
+	return value{kind: '?', s: reflect.TypeOf(v).String()}
+}
+
+func (v value) toBool(def bool) bool {
+	if v.kind == 'b' {
+		return v.b
+	}
+	return def
+}
+
+func (v value) toInt(def int64) int64 {
+	switch v.kind {
+	case 'i':
+		return v.i
+	case 'f':
+		return int64(v.f)
+	}
+	return def
+}
+
+func (v value) toFloat(def float64) float64 {
+	switch v.kind {
+	case 'f':
+		return v.f
+	case 'i':
+		return float64(v.i)
+	}
+	return def
+}
+
+func (v value) toStr(def string) string {
+	if v.kind == 's' {
+		return v.s
+	}
+	return def
+}
+
+// boxed is v as Header.Get gives it: nil, bool, int64, float64 or string.
+func (v value) boxed() any {
+	switch v.kind {
+	case 'b':
+		return v.b
+	case 'i':
+		return v.i
+	case 'f':
+		return v.f
+	case 's':
+		return v.s
+	}
+	return nil
 }
 
 // Header is an ordered collection of cards with keyword lookup. Keyword
@@ -86,12 +172,21 @@ func (h *Header) Len() int { return len(h.cards) }
 func (h *Header) Cards() []Card { return h.cards }
 
 // Set appends or replaces the card for keyword. COMMENT and HISTORY keywords
-// are always appended (FITS allows many of each).
-func (h *Header) Set(keyword string, value any, comment string) {
-	keyword = strings.ToUpper(strings.TrimSpace(keyword))
-	c := Card{Keyword: keyword, Value: normalizeValue(value), Comment: comment}
-	if keyword != "COMMENT" && keyword != "HISTORY" && keyword != "" {
-		if i := h.find(keyword); i >= 0 {
+// are always appended (FITS allows many of each). v is nil (no value), a
+// bool, an int, int32 or int64 (held as int64), a float32 or float64 (held
+// as float64) or a string; of a value of any other type the card keeps only
+// the type's name, and the encoder refuses it. Set keeps no reference to v,
+// so a number boxed for the call stays on the caller's stack.
+func (h *Header) Set(keyword string, v any, comment string) {
+	h.set(Card{Keyword: keyword, val: valueOf(v), Comment: comment})
+}
+
+// set is Set for a card already built: it normalizes the keyword and
+// appends or replaces the card.
+func (h *Header) set(c Card) {
+	c.Keyword = strings.ToUpper(strings.TrimSpace(c.Keyword))
+	if c.Keyword != "COMMENT" && c.Keyword != "HISTORY" && c.Keyword != "" {
+		if i := h.find(c.Keyword); i >= 0 {
 			h.cards[i] = c
 			return
 		}
@@ -112,85 +207,45 @@ func (h *Header) find(keyword string) int {
 	return -1
 }
 
-// setInt is Set for an integer card that leaves the card alone when it
-// already holds value and comment, so refreshing an unchanged card boxes
-// nothing.
-func (h *Header) setInt(keyword string, value int64, comment string) {
-	if i := h.find(keyword); i >= 0 {
-		if v, ok := h.cards[i].Value.(int64); ok && v == value && h.cards[i].Comment == comment {
-			return
-		}
-	}
-	h.Set(keyword, value, comment)
-}
-
-// normalizeValue widens native numeric types so lookups behave uniformly.
-func normalizeValue(v any) any {
-	switch x := v.(type) {
-	case int:
-		return int64(x)
-	case int32:
-		return int64(x)
-	case float32:
-		return float64(x)
-	default:
-		return v
-	}
-}
-
-// Get returns the value for keyword and whether it is present.
-func (h *Header) Get(keyword string) (any, bool) {
+// lookup returns keyword's value, or no value when it is absent.
+func (h *Header) lookup(keyword string) (value, bool) {
 	i := h.find(strings.ToUpper(strings.TrimSpace(keyword)))
 	if i < 0 {
-		return nil, false
+		return value{}, false
 	}
-	return h.cards[i].Value, true
+	return h.cards[i].val, true
+}
+
+// Get returns the value for keyword (nil, bool, int64, float64 or string)
+// and whether it is present. A card whose value was of a type no card holds
+// gives nil.
+func (h *Header) Get(keyword string) (any, bool) {
+	v, ok := h.lookup(keyword)
+	return v.boxed(), ok
 }
 
 // Int returns the integer value of keyword, or def if absent or non-integer.
 func (h *Header) Int(keyword string, def int64) int64 {
-	if v, ok := h.Get(keyword); ok {
-		switch x := v.(type) {
-		case int64:
-			return x
-		case float64:
-			return int64(x)
-		}
-	}
-	return def
+	v, _ := h.lookup(keyword)
+	return v.toInt(def)
 }
 
 // Float returns the float value of keyword, or def if absent or non-numeric.
 func (h *Header) Float(keyword string, def float64) float64 {
-	if v, ok := h.Get(keyword); ok {
-		switch x := v.(type) {
-		case float64:
-			return x
-		case int64:
-			return float64(x)
-		}
-	}
-	return def
+	v, _ := h.lookup(keyword)
+	return v.toFloat(def)
 }
 
 // Str returns the string value of keyword, or def if absent or non-string.
 func (h *Header) Str(keyword, def string) string {
-	if v, ok := h.Get(keyword); ok {
-		if s, ok := v.(string); ok {
-			return s
-		}
-	}
-	return def
+	v, _ := h.lookup(keyword)
+	return v.toStr(def)
 }
 
 // Bool returns the logical value of keyword, or def if absent or non-logical.
 func (h *Header) Bool(keyword string, def bool) bool {
-	if v, ok := h.Get(keyword); ok {
-		if b, ok := v.(bool); ok {
-			return b
-		}
-	}
-	return def
+	v, _ := h.lookup(keyword)
+	return v.toBool(def)
 }
 
 // Image is a two-dimensional FITS image. Pixels are stored as float64
@@ -214,25 +269,20 @@ func NewImage(nx, ny, bitpix int) *Image {
 
 // Reset makes im what NewImage(nx, ny, bitpix) gives: zeroed pixels and a
 // header of the five mandatory cards alone. It reuses im's pixel array and
-// card slice when they are large enough, and a mandatory card that already
-// holds its value keeps its boxed value, so resetting a frame to the
-// geometry it had allocates nothing.
+// card slice when they are large enough, so resetting a frame allocates
+// nothing.
 func (im *Image) Reset(nx, ny, bitpix int) {
 	if im.Header == nil {
 		im.Header = NewHeader()
 	}
 	h := im.Header
-	keep := 0
-	for keep < len(h.cards) && keep < len(mandatoryKeywords) && h.cards[keep].Keyword == mandatoryKeywords[keep] {
-		keep++
-	}
-	clear(h.cards[keep:])
-	h.cards = h.cards[:keep]
+	clear(h.cards)
+	h.cards = h.cards[:0]
 	h.Set("SIMPLE", true, "conforms to FITS standard")
-	h.setInt("BITPIX", int64(bitpix), "bits per pixel")
-	h.setInt("NAXIS", 2, "number of axes")
-	h.setInt("NAXIS1", int64(nx), "axis 1 length")
-	h.setInt("NAXIS2", int64(ny), "axis 2 length")
+	h.Set("BITPIX", bitpix, "bits per pixel")
+	h.Set("NAXIS", 2, "number of axes")
+	h.Set("NAXIS1", nx, "axis 1 length")
+	h.Set("NAXIS2", ny, "axis 2 length")
 	im.Nx, im.Ny, im.Bitpix = nx, ny, bitpix
 	if cap(im.Data) < nx*ny {
 		im.Data = make([]float64, nx*ny)
@@ -309,7 +359,7 @@ func (im *Image) Cutout(x0, y0, w, h int) (*Image, error) {
 		case "CRPIX2":
 			out.Header.Set("CRPIX2", im.Header.Float("CRPIX2", 1)-float64(y0), c.Comment)
 		default:
-			out.Header.Set(c.Keyword, c.Value, c.Comment)
+			out.Header.set(c)
 		}
 	}
 	return out, nil
@@ -385,10 +435,10 @@ func (im *Image) AppendEncode(dst []byte) ([]byte, error) {
 		return dst, fmt.Errorf("%w: BSCALE = 0", ErrBadHeader)
 	}
 	h.Set("SIMPLE", true, "conforms to FITS standard")
-	h.setInt("BITPIX", int64(im.Bitpix), "bits per pixel")
-	h.setInt("NAXIS", 2, "number of axes")
-	h.setInt("NAXIS1", int64(im.Nx), "axis 1 length")
-	h.setInt("NAXIS2", int64(im.Ny), "axis 2 length")
+	h.Set("BITPIX", im.Bitpix, "bits per pixel")
+	h.Set("NAXIS", 2, "number of axes")
+	h.Set("NAXIS1", im.Nx, "axis 1 length")
+	h.Set("NAXIS2", im.Ny, "axis 2 length")
 
 	cards := 0
 	for _, c := range h.cards {
@@ -468,7 +518,8 @@ const blankCard = "                                                             
 // cut at the card's end: a value of n bytes puts the comment at column
 // 13+n, and a value too long for the card leaves no room for one. Numbers
 // are right-justified in columns 11-30 (wider ones run on); a string is
-// quoted with its quotes doubled and padded to at least eight characters.
+// quoted with its quotes doubled and padded to at least eight characters; a
+// card with no value, or of a type no card holds, writes none.
 // The bytes are appended whatever the card; the error is cardError's.
 //
 //nvo:hotpath
@@ -487,23 +538,20 @@ func appendCard(dst []byte, c Card) ([]byte, error) {
 	card[8] = '='
 	w := cardWriter{card: card, pos: 10}
 	var num [32]byte
-	switch v := c.Value.(type) {
-	case nil:
-	case bool:
+	switch v := c.val; v.kind {
+	case 'b':
 		flag := byte('F')
-		if v {
+		if v.b {
 			flag = 'T'
 		}
 		num[0] = flag
 		w.right(num[:1])
-	case int64:
-		w.right(strconv.AppendInt(num[:0], v, 10))
-	case float64:
-		w.right(appendFloat(num[:0], v))
-	case string:
-		w.quoted(v)
-	default:
-		w.raw(appendOther(v))
+	case 'i':
+		w.right(strconv.AppendInt(num[:0], v.i, 10))
+	case 'f':
+		w.right(appendFloat(num[:0], v.f))
+	case 's':
+		w.quoted(v.s)
 	}
 	if pos := w.pos; c.Comment != "" && pos+3 < CardSize {
 		copy(card[pos+1:], "/ ")
@@ -536,26 +584,25 @@ func cardFault(c Card, end int) string {
 	}
 	from, trimmed := end+3, strings.TrimSpace(text) // "/ " precedes the comment
 	if k == "COMMENT" || k == "HISTORY" {
-		if c.Value != nil {
+		if c.val.kind != 0 {
 			return "commentary card with a value"
 		}
 		from, trimmed = end, strings.TrimRight(text, " ")
 	}
-	switch v := c.Value.(type) {
-	case nil, bool, int64:
-	case float64:
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+	switch v := c.val; v.kind {
+	case 'f':
+		if math.IsNaN(v.f) || math.IsInf(v.f, 0) {
 			return "value is not finite" // written NaN. or Inf., which no reader parses
 		}
-	case string:
-		if strings.TrimRight(v, " ") != v {
+	case 's':
+		if strings.TrimRight(v.s, " ") != v.s {
 			return "string value ends in blanks"
 		}
 		if end > CardSize {
 			return "string value runs past the card"
 		}
-	default:
-		return fmt.Sprintf("value of type %T", v)
+	case '?':
+		return "value of type " + v.s
 	}
 	if text != "" && (from+len(text) > CardSize || trimmed != text) {
 		return "comment cut at the card's end or with surrounding blanks"
@@ -618,12 +665,6 @@ func appendFloat(dst []byte, v float64) []byte {
 		dst = append(dst, '.')
 	}
 	return dst
-}
-
-// appendOther formats a value of a type Header.Set does not normalize (a
-// Card built by hand) as fmt's %20v does.
-func appendOther(v any) []byte {
-	return fmt.Appendf(nil, "%20v", v)
 }
 
 // appendData appends the data array and its zero padding. The caller has

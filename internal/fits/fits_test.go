@@ -334,10 +334,10 @@ func TestParseCardDExponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := c.Value.(float64); !ok || math.Abs(v-0.02788) > 1e-12 {
-		t.Errorf("D-exponent parsed as %v", c.Value)
+	if c.val.kind != 'f' || math.Abs(c.val.f-0.02788) > 1e-12 {
+		t.Errorf("D-exponent parsed as %+v", c.val)
 	}
-	if sv.toFloat(0) != c.Value || c.Keyword != "REDSHIFT" || c.Comment != "z" {
+	if sv != c.val || c.Keyword != "REDSHIFT" || c.Comment != "z" {
 		t.Errorf("scan value %+v / card %+v disagree", sv, c)
 	}
 }

@@ -49,55 +49,6 @@ const (
 	numKW
 )
 
-// scanVal is one header value in the shape Header.Int/Float/Bool see it:
-// typed, with absence and type mismatches falling back to defaults.
-type scanVal struct {
-	kind byte // 0 absent/valueless, 'b' bool, 'i' int, 'f' float, 's' string
-	b    bool
-	i    int64
-	f    float64
-}
-
-func (v scanVal) toBool(def bool) bool {
-	if v.kind == 'b' {
-		return v.b
-	}
-	return def
-}
-
-func (v scanVal) toInt(def int64) int64 {
-	switch v.kind {
-	case 'i':
-		return v.i
-	case 'f':
-		return int64(v.f)
-	}
-	return def
-}
-
-func (v scanVal) toFloat(def float64) float64 {
-	switch v.kind {
-	case 'f':
-		return v.f
-	case 'i':
-		return float64(v.i)
-	}
-	return def
-}
-
-// value is the Card.Value form of a non-string scanVal.
-func (v scanVal) value() any {
-	switch v.kind {
-	case 'b':
-		return v.b
-	case 'i':
-		return v.i
-	case 'f':
-		return v.f
-	}
-	return nil
-}
-
 // ParseView validates raw as a single-HDU two-dimensional FITS image and
 // returns a zero-copy view over it. Trailing padding may be absent (lenient
 // writers drop it); a data array shorter than the header declares is
@@ -186,7 +137,7 @@ const maxPixels = (math.MaxInt - BlockSize) / 8
 // bytes an external archive wrote, so their product is checked for overflow
 // here, before anything is sized from it. The returned View carries the
 // geometry and scaling only; ParseView adds the bytes.
-func geometry(vals *[numKW]scanVal) (View, error) {
+func geometry(vals *[numKW]value) (View, error) {
 	if !vals[kwSimple].toBool(false) {
 		return View{}, ErrNotFITS
 	}
@@ -217,7 +168,7 @@ func geometry(vals *[numKW]scanVal) (View, error) {
 // values the geometry check consults. With a non-nil h it also fills in the
 // full Header; without one it allocates nothing unless a card is refused.
 // It returns the number of records the header occupies.
-func scanHeader(next func(n int) ([]byte, error), h *Header) (vals [numKW]scanVal, blocks int, err error) {
+func scanHeader(next func(n int) ([]byte, error), h *Header) (vals [numKW]value, blocks int, err error) {
 	var c *Card
 	if h != nil {
 		c = new(Card)
@@ -251,7 +202,7 @@ func scanHeader(next func(n int) ([]byte, error), h *Header) (vals [numKW]scanVa
 				vals[idx] = sv
 			}
 			if h != nil {
-				h.Set(c.Keyword, c.Value, c.Comment)
+				h.set(*c)
 			}
 		}
 	}
@@ -293,7 +244,7 @@ func kwIndex(kw []byte) int {
 // Header form — string values and comment text, which a bare scan never
 // needs; without one it allocates only on its error paths (and for a
 // 'D'-exponent or over-long numeric value).
-func parseCard(kw, card []byte, c *Card) (scanVal, error) {
+func parseCard(kw, card []byte, c *Card) (value, error) {
 	if c != nil {
 		*c = Card{Keyword: string(kw)}
 	}
@@ -301,14 +252,14 @@ func parseCard(kw, card []byte, c *Card) (scanVal, error) {
 		if c != nil {
 			c.Comment = strings.TrimRight(string(card[8:]), " ")
 		}
-		return scanVal{}, nil
+		return value{}, nil
 	}
 	if card[8] != '=' {
 		// Valueless card; keep the text as a comment.
 		if c != nil {
 			c.Comment = strings.TrimSpace(string(card[8:]))
 		}
-		return scanVal{}, nil
+		return value{}, nil
 	}
 	body := card[10:]
 	if rest := bytes.TrimLeft(body, " "); len(rest) > 0 && rest[0] == '\'' {
@@ -323,12 +274,12 @@ func parseCard(kw, card []byte, c *Card) (scanVal, error) {
 				continue
 			}
 			if c != nil {
-				c.Value = strings.TrimRight(strings.ReplaceAll(string(rest[:i]), "''", "'"), " ")
+				c.val = value{kind: 's', s: strings.TrimRight(strings.ReplaceAll(string(rest[:i]), "''", "'"), " ")}
 				c.Comment = cardComment(rest[i+1:])
 			}
-			return scanVal{kind: 's'}, nil
+			return value{kind: 's'}, nil
 		}
-		return scanVal{}, fmt.Errorf("%w: unterminated string in card %q", ErrBadHeader, kw)
+		return value{}, fmt.Errorf("%w: unterminated string in card %q", ErrBadHeader, kw)
 	}
 
 	// Non-string: value runs to '/' or end.
@@ -336,21 +287,21 @@ func parseCard(kw, card []byte, c *Card) (scanVal, error) {
 	if slash := bytes.IndexByte(body, '/'); slash >= 0 {
 		valPart = body[:slash]
 	}
-	var sv scanVal
+	var sv value
 	switch valStr := bytes.TrimSpace(valPart); {
 	case len(valStr) == 0:
 	case len(valStr) == 1 && valStr[0] == 'T':
-		sv = scanVal{kind: 'b', b: true}
+		sv = value{kind: 'b', b: true}
 	case len(valStr) == 1 && valStr[0] == 'F':
-		sv = scanVal{kind: 'b', b: false}
+		sv = value{kind: 'b', b: false}
 	default:
 		var ok bool
 		if sv, ok = numericValue(valStr); !ok {
-			return scanVal{}, fmt.Errorf("%w: unparsable value %q in card %q", ErrBadHeader, string(valStr), kw)
+			return value{}, fmt.Errorf("%w: unparsable value %q in card %q", ErrBadHeader, string(valStr), kw)
 		}
 	}
 	if c != nil {
-		c.Value = sv.value()
+		c.val = sv
 		c.Comment = cardComment(body)
 	}
 	return sv, nil
@@ -363,10 +314,10 @@ func parseCard(kw, card []byte, c *Card) (scanVal, error) {
 // so a value of up to 32 bytes that parses allocates nothing.
 //
 //nvo:hotpath
-func numericValue(valStr []byte) (scanVal, bool) {
+func numericValue(valStr []byte) (value, bool) {
 	if isIntSyntax(valStr) {
 		if i, err := strconv.ParseInt(string(valStr), 10, 64); err == nil {
-			return scanVal{kind: 'i', i: i}, true
+			return value{kind: 'i', i: i}, true
 		}
 		// Out of int64 range: read as a float, as the value's text allows.
 	}
@@ -374,9 +325,9 @@ func numericValue(valStr []byte) (scanVal, bool) {
 	// returns a value without one as it is, so only a 'D' value allocates.
 	f, err := strconv.ParseFloat(strings.ReplaceAll(string(valStr), "D", "E"), 64)
 	if err != nil {
-		return scanVal{}, false
+		return value{}, false
 	}
-	return scanVal{kind: 'f', f: f}, true
+	return value{kind: 'f', f: f}, true
 }
 
 // isIntSyntax reports whether b is [+-]?[0-9]+, the syntax base-10 ParseInt

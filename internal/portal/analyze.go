@@ -86,15 +86,19 @@ func (p *Portal) analyzeWithProgress(cluster string, priority int, onProgress fu
 // VOTable, poll the returned status URL until "job completed", fetch the
 // result table. This is the two-line .NET snippet of §4.2, spelled out.
 func (p *Portal) compute(cat *votable.Table, cluster string, priority int, onProgress func(done, total int)) (*votable.Table, error) {
-	var body bytes.Buffer
-	if err := votable.WriteTable(&body, cat); err != nil {
+	// The catalog is encoded into a buffer of exactly its length.
+	var body *bytes.Buffer
+	if err := votable.WriteSized(func(w io.Writer) error { return votable.WriteTable(w, cat) }, func(n int) io.Writer {
+		body = bytes.NewBuffer(make([]byte, 0, n))
+		return body
+	}); err != nil {
 		return nil, err
 	}
 	submitURL := fmt.Sprintf("%s/galmorph?cluster=%s", p.cfg.ComputeService, cluster)
 	if priority != 0 {
 		submitURL += fmt.Sprintf("&priority=%d", priority)
 	}
-	resp, err := p.cfg.HTTPClient.Post(submitURL, "text/xml", &body)
+	resp, err := p.cfg.HTTPClient.Post(submitURL, "text/xml", body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrComputeFailed, err)
 	}

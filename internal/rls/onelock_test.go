@@ -2,10 +2,13 @@ package rls
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestIndexAgreesWithCatalogsUnderRacingWrites: a Register racing an
@@ -61,15 +64,17 @@ func TestIndexAgreesWithCatalogsUnderRacingWrites(t *testing.T) {
 // TestRegisterAllocBudget pins what registration costs: a replica of a name
 // the service did not know is two allocations, the copies of the name and
 // the URL (the entry is stored in the map by value, so map growth, amortised
-// over the runs, is all else); one more replica of a known name is one, its
-// URL; a replica already registered is none. Before the index and the
+// over the runs, is all else), and one, the URL's copy, when the URL ends in
+// "/" + the name; one more replica of a known name is one, its URL; a
+// replica already registered is none. Before the index and the
 // catalogs were one map, a new name cost seven: a set of sites in the index
 // and a set of URLs in the site's catalog, each a map, besides three copies.
 func TestRegisterAllocBudget(t *testing.T) {
 	const runs = 1000
-	names := make([]string, runs+1)
+	names, urls := make([]string, runs+1), make([]string, runs+1)
 	for i := range names {
 		names[i] = fmt.Sprintf("g%05d.txt", i)
+		urls[i] = "gridftp://isi/" + names[i]
 	}
 	url := "gridftp://isi/g.txt"
 	for _, c := range []struct {
@@ -79,6 +84,7 @@ func TestRegisterAllocBudget(t *testing.T) {
 		name   func(i int) string
 	}{
 		{"new name", 2, func(int) PFN { return PFN{Site: "isi", URL: url} }, func(i int) string { return names[i] }},
+		{"new name at its URL's tail", 1, func(i int) PFN { return PFN{Site: "isi", URL: urls[i]} }, func(i int) string { return names[i] }},
 		{"new replica of a known name", 1, func(i int) PFN { return PFN{Site: "isi", URL: names[i]} }, func(int) string { return "known.fit" }},
 		{"repeat", 0, func(int) PFN { return PFN{Site: "isi", URL: url} }, func(int) string { return "known.fit" }},
 	} {
@@ -96,6 +102,72 @@ func TestRegisterAllocBudget(t *testing.T) {
 		t.Logf("%s: %.0f allocs", c.what, allocs)
 		if allocs > c.budget {
 			t.Errorf("registering a %s allocates %.0f times; budget is %.0f", c.what, allocs, c.budget)
+		}
+	}
+}
+
+// TestNameKeptAsURLTail: a new name whose URL ends in "/" + the name is kept
+// as the tail of the service's copy of that URL, and any other name is
+// copied on its own; neither keeps the caller's string. Either way Exists,
+// Lookup, LFNs, the site's LRC and Unregister give the same answers, also
+// after the replica whose URL holds the name is withdrawn and another
+// replica keeps the name.
+func TestNameKeptAsURLTail(t *testing.T) {
+	for _, c := range []struct {
+		lfn, url string
+		tail     bool
+	}{
+		{"g.fit", "gridftp://isi/g.fit", true},
+		{"dir/g.fit", "gridftp://isi/dir/g.fit", true},
+		{"g.fit", "/g.fit", true},
+		{"g.fit", "gridftp://isi/xg.fit", false},
+		{"g.fit", "gridftp://isi/g.fit.bak", false},
+		{"g.fit", "g.fit", false},
+		{"g.fit", "gridftp://isi/G.FIT", false},
+	} {
+		// The caller's strings are fresh copies, so that a name or URL the
+		// service kept would show up as sharing their bytes.
+		lfn, url := strings.Clone(c.lfn), strings.Clone(c.url)
+		r := New()
+		if err := r.Register(lfn, PFN{Site: "isi", URL: url}); err != nil {
+			t.Fatal(err)
+		}
+		e := r.files[c.lfn]
+		kept, keptURL := unsafe.StringData(e.lfn), unsafe.StringData(e.list()[0].URL)
+		inURL := uintptr(unsafe.Pointer(kept)) >= uintptr(unsafe.Pointer(keptURL)) &&
+			uintptr(unsafe.Pointer(kept)) < uintptr(unsafe.Pointer(keptURL))+uintptr(len(c.url))
+		if inURL != c.tail || kept == unsafe.StringData(lfn) || keptURL == unsafe.StringData(url) {
+			t.Errorf("%q at %q: name kept in the URL's copy %t, want %t (the caller's own: name %t, URL %t)",
+				c.lfn, c.url, inURL, c.tail, kept == unsafe.StringData(lfn), keptURL == unsafe.StringData(url))
+		}
+		mirror := PFN{Site: "mirror", URL: "gridftp://mirror/" + c.lfn}
+		if err := r.Register(c.lfn, mirror); err != nil {
+			t.Fatal(err)
+		}
+		want := []PFN{{Site: "isi", URL: c.url}, mirror}
+		if got := r.Lookup(c.lfn); !slices.Equal(got, want) {
+			t.Errorf("%q at %q: Lookup %v, want %v", c.lfn, c.url, got, want)
+		}
+		if got := r.LFNs(); !slices.Equal(got, []string{c.lfn}) {
+			t.Errorf("%q at %q: LFNs %q", c.lfn, c.url, got)
+		}
+		if got := r.Site("isi").LFNs(); !slices.Equal(got, []string{c.lfn}) {
+			t.Errorf("%q at %q: isi's LRC holds %q", c.lfn, c.url, got)
+		}
+		if err := r.Unregister(c.lfn, PFN{Site: "isi", URL: c.url}); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Lookup(c.lfn); !r.Exists(c.lfn) || !slices.Equal(got, want[1:]) {
+			t.Errorf("%q at %q: after the first replica's withdrawal Lookup %v", c.lfn, c.url, got)
+		}
+		if got := r.LFNs(); !slices.Equal(got, []string{c.lfn}) || r.Site("isi").Len() != 0 {
+			t.Errorf("%q at %q: after the first replica's withdrawal LFNs %q, isi holds %d", c.lfn, c.url, got, r.Site("isi").Len())
+		}
+		if err := r.Unregister(c.lfn, mirror); err != nil {
+			t.Fatal(err)
+		}
+		if r.Exists(c.lfn) || r.Lookup(c.lfn) != nil || len(r.LFNs()) != 0 {
+			t.Errorf("%q at %q: still indexed after its last replica's withdrawal", c.lfn, c.url)
 		}
 	}
 }

@@ -83,7 +83,8 @@ func (l *LRC) Len() int {
 type replicas struct {
 	// lfn is the service's own copy of the name, the map key it is stored
 	// under: an entry is written back by it, never by the caller's string,
-	// which a map assignment would install as the key.
+	// which a map assignment would install as the key. It may be the tail
+	// of the first replica's URL (nameIn), which it then keeps alive.
 	lfn    string
 	n      int // replicas in inline, while spill is nil
 	inline [2]PFN
@@ -223,10 +224,11 @@ func (r *RLS) Sites() []string {
 	return append(make([]string, 0, len(r.sites)), r.sites...)
 }
 
-// Register records a replica and updates the index. A name the service did
-// not know is copied once, for the index and the catalog together, and a
-// URL once: a planner's names are slices of a per-plan buffer, and an entry
-// outlives the plan. A replica already registered costs nothing.
+// Register records a replica and updates the index. A new replica's URL is
+// copied once, and a name the service did not know is copied with it when
+// the URL ends in "/" + lfn (the name is kept as the copy's tail), or else
+// on its own: a planner's names are slices of a per-plan buffer, and an
+// entry outlives the plan. A replica already registered costs nothing.
 //
 //nvo:hotpath
 func (r *RLS) Register(lfn string, pfn PFN) error {
@@ -250,12 +252,23 @@ func (r *RLS) Register(lfn string, pfn PFN) error {
 	if found {
 		return nil
 	}
+	url := strings.Clone(pfn.URL)
 	if !known {
-		e.lfn = strings.Clone(lfn)
+		e.lfn = nameIn(url, lfn)
 	}
-	e.insert(i, PFN{Site: site, URL: strings.Clone(pfn.URL)})
+	e.insert(i, PFN{Site: site, URL: url})
 	r.files[e.lfn] = e
 	return nil
+}
+
+// nameIn is the service's copy of lfn: the tail of url, the service's copy
+// of a replica's URL, when url ends in "/" + lfn, and a copy of its own
+// otherwise.
+func nameIn(url, lfn string) string {
+	if tail := len(url) - len(lfn); tail > 0 && url[tail-1] == '/' && url[tail:] == lfn {
+		return url[tail:]
+	}
+	return strings.Clone(lfn)
 }
 
 // Unregister removes a replica; the index forgets a site with its last

@@ -18,16 +18,16 @@ import (
 )
 
 // cutoutAllocBudget bounds the heap allocations of one CutoutFITS call:
-// the boxed values of nine header cards, the returned galaxy and the one
-// output buffer come to 11, and the budget is that plus 2. Under -race
-// sync.Pool drops a quarter of its puts, and a dropped frame (5) or render
-// scratch (7) is rebuilt: it reads 14-15 there, and the budget gains
-// raceRefills. It read 16 while every render took a fresh frame, its
-// pixels, header and cards, and 109 while every card went through
+// the returned galaxy and the one output buffer come to 2, and the budget is
+// that plus 1. Under -race sync.Pool drops a quarter of its puts, and a
+// dropped frame (5) or render scratch (7) is rebuilt: it reads 5 there, and
+// the budget gains raceRefills. It read 11 while the header cards held their
+// values boxed (nine of them), 16 while every render took a fresh frame,
+// its pixels, header and cards, and 109 while every card went through
 // fmt.Sprintf and a fresh 80-byte slice, the output regrew, and each render
 // built two random sources, a blur temporary and a header index map.
 const (
-	cutoutAllocBudget = 13
+	cutoutAllocBudget = 3
 	raceRefills       = 4
 )
 
@@ -68,6 +68,22 @@ func TestCutoutAllocBudget(t *testing.T) {
 		}
 	}
 	t.Logf("CutoutFITS: at most %.0f allocations per call (budget %.0f)", worst, budget)
+}
+
+// TestWriteBodySharesContentType: a FITS answer's header costs two
+// allocations, the Content-Length text and its value slice; the
+// Content-Type value is the one shared slice. It was three while each
+// answer set a fresh Content-Type slice.
+func TestWriteBodySharesContentType(t *testing.T) {
+	data := make([]byte, 23040)
+	w := &discardWriter{header: http.Header{"Content-Type": nil, "Content-Length": nil}}
+	allocs := testing.AllocsPerRun(100, func() { writeBody(w, data, false) })
+	if allocs != 2 {
+		t.Errorf("writeBody allocates %.0f times, want 2", allocs)
+	}
+	if got := w.header.Get("Content-Type"); got != "application/fits" {
+		t.Errorf("Content-Type %q", got)
+	}
 }
 
 // TestCutoutHandlerServesGoldenBytes: the /cutout handler renders into a

@@ -1,7 +1,6 @@
 package services
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -33,14 +32,18 @@ func (a *Archive) faultGate(w http.ResponseWriter, op faults.Op) (corrupt, proce
 	return false, false
 }
 
-// writeBody sends a response payload in one Write, truncating it when a
+// fitsType is the Content-Type header value of every FITS answer. Every
+// answer's header shares it, so no handler or client may write to it.
+var fitsType = []string{"application/fits"}
+
+// writeBody sends a FITS payload in one Write, truncating it when a
 // corruption fault is in effect so the damage is detectable downstream. It
 // declares the length it sends, so a client (and the testbed's in-process
 // router) can size its copy of the body once.
-func writeBody(w http.ResponseWriter, ctype string, data []byte, corrupt bool) {
+func writeBody(w http.ResponseWriter, data []byte, corrupt bool) {
 	data = data[:sentLen(len(data), corrupt)]
 	h := w.Header()
-	h.Set("Content-Type", ctype)
+	h["Content-Type"] = fitsType
 	h.Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }
@@ -118,7 +121,7 @@ func writeCutout(w http.ResponseWriter, g *skysim.Galaxy, corrupt bool) error {
 		return err
 	}
 	*buf = data[:0]
-	writeBody(w, "application/fits", data, corrupt)
+	writeBody(w, data, corrupt)
 	return nil
 }
 
@@ -156,7 +159,7 @@ func (a *Archive) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		writeBody(w, "application/fits", data, corrupt)
+		writeBody(w, data, corrupt)
 	})
 
 	mux.HandleFunc("/image", func(w http.ResponseWriter, req *http.Request) {
@@ -175,7 +178,7 @@ func (a *Archive) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		writeBody(w, "application/fits", data, corrupt)
+		writeBody(w, data, corrupt)
 	})
 
 	return mux
@@ -292,17 +295,13 @@ func pageOf(t *votable.Table, offset, maxrec int) *votable.Table {
 // the answer's one copy, and the handler holds none. A corrupt answer
 // declares and sends the first half, as writeBody cuts it.
 func writeVOTable(w http.ResponseWriter, t *votable.Table, corrupt bool) {
-	var n byteCount
-	// Both passes write through bw: an encoder given a *bufio.Writer uses
-	// it as its own rather than wrap it in another.
-	bw := bufio.NewWriter(&n)
-	_ = votable.WriteTable(bw, t)
-	size := sentLen(int(n), corrupt)
-	h := w.Header()
-	h.Set("Content-Type", "text/xml")
-	h.Set("Content-Length", strconv.Itoa(size))
-	bw.Reset(&cutWriter{w: w, left: size})
-	_ = votable.WriteTable(bw, t)
+	_ = votable.WriteSized(func(bw io.Writer) error { return votable.WriteTable(bw, t) }, func(n int) io.Writer {
+		size := sentLen(n, corrupt)
+		h := w.Header()
+		h.Set("Content-Type", "text/xml")
+		h.Set("Content-Length", strconv.Itoa(size))
+		return &cutWriter{w: w, left: size}
+	})
 }
 
 // cutWriter passes the first left bytes written to it on to w and drops the
@@ -319,16 +318,6 @@ func (c *cutWriter) Write(p []byte) (int, error) {
 		}
 		c.left -= k
 	}
-	return len(p), nil
-}
-
-// byteCount is an io.Writer that only counts the bytes written to it. The
-// compute service's result table is counted by a copy of it
-// (internal/webservice/runner.go); change the two together.
-type byteCount int
-
-func (c *byteCount) Write(p []byte) (int, error) {
-	*c += byteCount(len(p))
 	return len(p), nil
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/arena"
 )
 
-// ErrSpoolClosed reports use of a spool after Close (or a second Merge).
+// ErrSpoolClosed reports use of a spool after Close, Sorted or Merge.
 var ErrSpoolClosed = errors.New("tableops: spool closed")
 
 // Spool accumulates string rows and replays them sorted by a key column.
@@ -17,8 +17,8 @@ var ErrSpoolClosed = errors.New("tableops: spool closed")
 // replaying a spool is deterministic. The rows are sorted in memory: a
 // spool's caller already holds every input file and the whole output
 // document, so the spool's row headers are never what bounds its memory. A
-// Spool is single-use: Add rows, Merge once, Close. It is not safe for
-// concurrent use.
+// Spool is single-use: Add rows, then take them (Sorted) or replay them
+// (Merge) once, or Close. It is not safe for concurrent use.
 type Spool struct {
 	keyCol int
 	rows   [][]string
@@ -35,9 +35,6 @@ type Spool struct {
 func NewSpoolIn(a *arena.Arena, keyCol, rows int) *Spool {
 	return &Spool{keyCol: keyCol, rows: make([][]string, 0, max(rows, 0)), arena: a}
 }
-
-// Len returns the number of rows added so far.
-func (s *Spool) Len() int { return len(s.rows) }
 
 // Add appends one row; the cells are copied into the arena. Rows must be
 // wide enough to hold the key column.
@@ -56,24 +53,36 @@ func (s *Spool) Add(cells ...string) error {
 	return nil
 }
 
+// Sorted closes the spool and hands its rows over in (key, insertion
+// order) order: the slice is the caller's, and the rows live in the
+// spool's arena.
+func (s *Spool) Sorted() ([][]string, error) {
+	if s.closed {
+		return nil, ErrSpoolClosed
+	}
+	rows, k := s.rows, s.keyCol
+	slices.SortStableFunc(rows, func(a, b []string) int { return strings.Compare(a[k], b[k]) })
+	_ = s.Close()
+	return rows, nil
+}
+
 // Merge replays every added row in (key, insertion order) order and closes
 // the spool. fn's error aborts the merge and is returned verbatim.
 func (s *Spool) Merge(fn func(cells []string) error) error {
-	if s.closed {
-		return ErrSpoolClosed
+	rows, err := s.Sorted()
+	if err != nil {
+		return err
 	}
-	k := s.keyCol
-	slices.SortStableFunc(s.rows, func(a, b []string) int { return strings.Compare(a[k], b[k]) })
-	for _, row := range s.rows {
+	for _, row := range rows {
 		if err := fn(row); err != nil {
 			return err
 		}
 	}
-	return s.Close()
+	return nil
 }
 
-// Close releases the spool's rows. It is safe to call more than once; Merge
-// calls it on success.
+// Close releases the spool's rows. It is safe to call more than once;
+// Sorted and Merge call it.
 func (s *Spool) Close() error {
 	s.closed = true
 	s.rows = nil

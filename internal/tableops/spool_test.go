@@ -52,6 +52,35 @@ func TestSpoolSortsWithoutSpill(t *testing.T) {
 	}
 }
 
+// TestSpoolSortedHandsRowsOver: Sorted gives the rows Merge replays, in one
+// slice the caller keeps, and closes the spool.
+func TestSpoolSortedHandsRowsOver(t *testing.T) {
+	add := func(sp *Spool) {
+		for _, id := range []string{"c", "a", "b", "a"} {
+			if err := sp.Add(id, "v-"+id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sp := newTestSpool(t, 0, 4)
+	add(sp)
+	got, err := sp.Sorted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := newTestSpool(t, 0, 4)
+	add(replayed)
+	if want := collectMerge(t, replayed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Sorted = %v, Merge replays %v", got, want)
+	}
+	if _, err := sp.Sorted(); !errors.Is(err, ErrSpoolClosed) {
+		t.Errorf("second Sorted: %v, want ErrSpoolClosed", err)
+	}
+	if err := sp.Add("d", "v-d"); !errors.Is(err, ErrSpoolClosed) {
+		t.Errorf("Add after Sorted: %v, want ErrSpoolClosed", err)
+	}
+}
+
 // TestSpoolSpillsAndMerges forces many tiny runs and checks the k-way merge
 // against an in-memory stable sort.
 func TestSpoolSpillsAndMerges(t *testing.T) {
@@ -70,9 +99,6 @@ func TestSpoolSpillsAndMerges(t *testing.T) {
 		if err := sp.Add(cells...); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if sp.Len() != 500 {
-		t.Fatalf("Len = %d", sp.Len())
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].cells[1] < rows[j].cells[1] })
 	want := make([][]string, len(rows))

@@ -12,6 +12,7 @@
 package votable
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -456,6 +457,37 @@ func Write(w io.Writer, doc *Document) error {
 // WriteTable serializes a single table as a one-resource document.
 func WriteTable(w io.Writer, t *Table) error {
 	return Write(w, &Document{Resources: []Resource{{Name: t.Name, Tables: []Table{*t}}}})
+}
+
+// WriteSized writes a document whose length its writer must know first:
+// write encodes it twice, the first pass into a counter of its bytes, the
+// second into the writer that to(n) returns for that count n. A caller
+// declares the length before it sends, or encodes into a buffer of exactly
+// that length, without holding the document twice. Both passes go through
+// one *bufio.Writer, which an Encoder uses as its own; the encoding must
+// not change between them.
+func WriteSized(write func(w io.Writer) error, to func(n int) io.Writer) error {
+	var n byteCount
+	bw := bufio.NewWriter(&n)
+	if err := write(bw); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	bw.Reset(to(int(n)))
+	if err := write(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// byteCount is an io.Writer that only counts the bytes written to it.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
 }
 
 // Read parses a VOTable document. Each table keeps its rows in one block

@@ -2,7 +2,9 @@ package votable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -502,5 +504,45 @@ func TestBoolParsing(t *testing.T) {
 	tab.Rows = [][]string{{"maybe"}}
 	if _, ok := tab.Bool(0, "v"); ok {
 		t.Error("unparsable logical must not be ok")
+	}
+}
+
+// TestWriteSized: the writer to returns is asked for once, with the
+// document's exact length, and gets the bytes WriteTable writes; a buffer
+// made to that length is never regrown. A first pass that fails asks for no
+// writer and returns its error.
+func TestWriteSized(t *testing.T) {
+	tab := galaxyTable()
+	for i := 0; i < 500; i++ { // past the bufio.Writer's 4 KB
+		if err := tab.AppendRow(fmt.Sprintf("G%03d", i), "150.1", "2.2", "17.5"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want bytes.Buffer
+	if err := WriteTable(&want, tab); err != nil {
+		t.Fatal(err)
+	}
+	var got *bytes.Buffer
+	asked := 0
+	err := WriteSized(func(w io.Writer) error { return WriteTable(w, tab) }, func(n int) io.Writer {
+		asked++
+		got = bytes.NewBuffer(make([]byte, 0, n))
+		return got
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asked != 1 || !bytes.Equal(got.Bytes(), want.Bytes()) || got.Cap() != got.Len() {
+		t.Fatalf("asked %d times for %d bytes in a buffer of %d; want once, %d bytes, exactly sized",
+			asked, got.Len(), got.Cap(), want.Len())
+	}
+
+	fail := errors.New("encode failed")
+	err = WriteSized(func(io.Writer) error { return fail }, func(int) io.Writer {
+		t.Fatal("a failed first pass asked for a writer")
+		return nil
+	})
+	if !errors.Is(err, fail) {
+		t.Fatalf("WriteSized = %v, want the first pass's error", err)
 	}
 }

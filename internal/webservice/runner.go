@@ -1,7 +1,6 @@
 package webservice
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
@@ -265,33 +264,17 @@ func streamResultsTable(w io.Writer, meta votable.TableMeta, rows [][]string) er
 }
 
 // resultsTable is the cluster's output VOTable document of rows, sorted on
-// the galaxy ID, in a buffer of exactly its length: the store adopts it, so
-// a first pass through the encoder counts the bytes the second writes.
+// the galaxy ID, in a buffer of exactly its length: the store adopts it.
 func resultsTable(cluster string, rows [][]string) ([]byte, error) {
 	meta := resultsMeta(cluster, len(rows))
-	var n byteCount
-	// Both passes write through bw: an encoder given a *bufio.Writer uses
-	// it as its own rather than wrap it in another.
-	bw := bufio.NewWriter(&n)
-	if err := streamResultsTable(bw, meta, rows); err != nil {
-		return nil, err
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, n))
-	bw.Reset(buf)
-	if err := streamResultsTable(bw, meta, rows); err != nil {
+	var buf *bytes.Buffer
+	if err := votable.WriteSized(func(w io.Writer) error { return streamResultsTable(w, meta, rows) }, func(n int) io.Writer {
+		buf = bytes.NewBuffer(make([]byte, 0, n))
+		return buf
+	}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// byteCount is an io.Writer that only counts the bytes written to it. The
-// archives' answers are counted by a copy of it (internal/services/http.go);
-// change the two together.
-type byteCount int
-
-func (c *byteCount) Write(p []byte) (int, error) {
-	*c += byteCount(len(p))
-	return len(p), nil
 }
 
 // morphFingerprint renders the measurement parameters that, together with
@@ -499,8 +482,8 @@ func concatVOT(outputLFN string, inputs []string, fetch func(lfn string) ([]byte
 	if err := cells.flush(); err != nil {
 		return nil, err
 	}
-	rows := make([][]string, 0, sp.Len())
-	if err := sp.Merge(func(row []string) error { rows = append(rows, row); return nil }); err != nil {
+	rows, err := sp.Sorted()
+	if err != nil {
 		return nil, err
 	}
 	return resultsTable(strings.TrimSuffix(outputLFN, ".vot"), rows)

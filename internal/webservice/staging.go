@@ -111,7 +111,7 @@ func (l *leg) cacheImageRefs(refs []imageRef) error {
 			return errs[i]
 		}
 		l.chargeSIA(len(datas[i]))
-		if err := s.storeImage(m.id+".fit", datas[i]); err != nil {
+		if err := s.storeImage(m.id, datas[i]); err != nil {
 			return err
 		}
 		l.account(RunStats{ImagesFetched: 1})
@@ -141,7 +141,7 @@ func (l *leg) ingestBatch(base string, ids []string, data []byte) error {
 			base, len(segments), len(ids))
 	}
 	for i, seg := range segments {
-		if err := l.s.storeImage(ids[i]+".fit", seg); err != nil {
+		if err := l.s.storeImage(ids[i], seg); err != nil {
 			return err
 		}
 		l.account(RunStats{ImagesFetched: 1})
@@ -212,15 +212,22 @@ func (s *Service) imageSites() []string {
 	return []string{cacheSite}
 }
 
-// storeImage publishes one fetched cutout at every image site. It takes
-// ownership of data (a fetchURL buffer, or a segment of one): the cache and
-// the mirror adopt the same bytes instead of copying them.
-func (s *Service) storeImage(lfn string, data []byte) error {
+// storeImage publishes galaxy id's fetched cutout, <id>.fit, at every image
+// site. It takes ownership of data (a fetchURL buffer, or a segment of one):
+// the cache and the mirror adopt the same bytes instead of copying them.
+// The name is built once, as the tail of the first site's URL; the stores
+// and the RLS copy what they keep of it.
+func (s *Service) storeImage(id string, data []byte) error {
+	var lfn string
 	for _, site := range s.imageSites() {
+		url := gridftp.URL(site, id+".fit")
+		if lfn == "" {
+			lfn = url[len(url)-len(id)-len(".fit"):]
+		}
 		if err := s.cfg.GridFTP.Store(site).Adopt(lfn, data); err != nil {
 			return err
 		}
-		if err := s.cfg.RLS.Register(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)}); err != nil {
+		if err := s.cfg.RLS.Register(lfn, rls.PFN{Site: site, URL: url}); err != nil {
 			return err
 		}
 	}
