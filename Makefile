@@ -223,7 +223,15 @@ graphreaders:
 # internal/rls/onelock_test.go: a new replica at most two allocations, a
 # repeat none), and so has a whole request (TestRequestAllocBudget,
 # request_alloc_test.go: one warm-memo and one staged request over the
-# 1,000-galaxy plan, allocations per galaxy). Fails fast on any AllocsPerRun
+# 1,000-galaxy plan, allocations per galaxy), and so has the eviction between
+# waves (TestWaveEvictionAllocBudget, waves_test.go: a wave of 100 staged
+# images evicted, at most 0.1 allocations per image, also under -race), and
+# so has the portal's status exchange, in polls rather than allocations
+# (TestPortalPollsDoNotGrowWithWallTime and
+# TestPortalLearnsCompletionFromTheWaitingPoll, internal/portal/wait_test.go:
+# no /status GET while a request is held, at most 12 a request, and the
+# completion carried by the GET that was waiting when the request was
+# released; the same bounds under -race). Fails fast on any AllocsPerRun
 # regression. Beside the
 # measurement pins runs
 # TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts: every row-span loop
@@ -236,7 +244,8 @@ graphreaders:
 # fixed iteration count, uninstrumented, printed beside the allocation
 # figures.
 hotbench:
-	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestResultTableBytes|TestExecuteAllocBudget|TestExecuteAllocsFlat|TestRequestAllocBudget' -v ./internal/webservice/
+	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestResultTableBytes|TestExecuteAllocBudget|TestExecuteAllocsFlat|TestRequestAllocBudget|TestWaveEvictionAllocBudget' -v ./internal/webservice/
+	$(GO) test -race -run 'TestPortalPollsDoNotGrowWithWallTime|TestPortalLearnsCompletionFromTheWaitingPoll' -v ./internal/portal/
 	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestCutoutRoundTripAllocs|TestRoundTripResponseAllocs|TestWriteBodySharesContentType|TestSetAllocatesNothing|TestAnswerAllocsPerRow|TestAnswerHandlerBytes|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/core/ ./internal/rls/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkRenderGalaxy$$|BenchmarkCutoutFITS$$' -benchtime 200x -benchmem ./internal/skysim/ ./internal/services/

@@ -124,6 +124,10 @@ func ParseURL(u string) (site, path string, err error) {
 type blob struct {
 	data []byte
 	sum  Digest
+	// path is the store's own copy of the file's path, the map key the blob
+	// is stored under: a file is written back by it, never by a caller's
+	// string, which a map assignment would install as the key.
+	path string
 }
 
 // Store is one site's file system. It is safe for concurrent use. Alongside
@@ -169,16 +173,18 @@ func (s *Store) digest(data []byte) Digest {
 	return DigestOf(data)
 }
 
-// install publishes b at path, replacing any previous file. A path new to the
-// store is copied: a map keeps the key it was first given, and a transfer's
-// path is a slice of its plan's URL buffer, which the store would otherwise
-// pin for as long as the file lives.
+// install publishes b at path, replacing any previous file. The store keys
+// a file by its own copy of the path, made when the path is new and kept on
+// every replace: a transfer's path is a slice of its plan's URL buffer,
+// which the store would otherwise pin for as long as the file lives.
 func (s *Store) install(path string, b blob) {
 	s.mu.Lock()
-	if _, ok := s.m[path]; !ok {
-		path = strings.Clone(path)
+	if old, ok := s.m[path]; ok {
+		b.path = old.path
+	} else {
+		b.path = strings.Clone(path)
 	}
-	s.m[path] = b
+	s.m[b.path] = b
 	s.mu.Unlock()
 }
 
@@ -255,7 +261,7 @@ func (s *Store) Corrupt(path string) bool {
 	}
 	b.data = append([]byte(nil), b.data...)
 	b.data[len(b.data)/2] ^= 0xFF
-	s.m[path] = b
+	s.m[b.path] = b
 	return true
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/faults"
 )
@@ -594,4 +595,45 @@ func TestCorruptRacesReaders(t *testing.T) {
 	readers.Wait()
 	close(done)
 	writers.Wait()
+}
+
+// TestStoreKeepsItsOwnKeys: a file's key is the store's own copy of its
+// path, on the first write and on every replace. A Go map assignment to a
+// key it holds installs the caller's string as the key, so re-writing a
+// path given as a slice of a larger string (a plan's URL buffer) must not
+// leave the map keyed inside that string.
+func TestStoreKeepsItsOwnKeys(t *testing.T) {
+	s := NewStore("isi")
+	inside := func(key, buf string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(key))), uintptr(unsafe.Pointer(unsafe.StringData(buf)))
+		return p >= lo && p < lo+uintptr(len(buf))
+	}
+	for i, write := range []func(path string) error{
+		func(path string) error { return s.Put(path, []byte("first")) },
+		func(path string) error { return s.Put(path, []byte("second")) },
+		func(path string) error { return s.Adopt(path, []byte("third")) },
+		func(path string) error {
+			if !s.Corrupt(path) {
+				return errors.New("corrupt missed the file")
+			}
+			return nil
+		},
+	} {
+		buf := strings.Repeat("x", 64) + "gridftp://isi/g1.fit" + strings.Repeat("y", 64)
+		path := buf[78:84]
+		if path != "g1.fit" {
+			t.Fatalf("path = %q", path)
+		}
+		if err := write(path); err != nil {
+			t.Fatal(err)
+		}
+		for key := range s.m {
+			if inside(key, buf) {
+				t.Fatalf("write %d: the store's key %q points into the caller's buffer", i, key)
+			}
+		}
+	}
+	if got, err := s.Get("g1.fit"); err != nil || string(got[:2]) != "th" {
+		t.Fatalf("Get = %q, %v; want the adopted bytes, corrupted in the middle", got, err)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -112,9 +113,14 @@ func (p *Portal) compute(cat *votable.Table, cluster string, priority int, onPro
 	}
 	statusURL := p.cfg.ComputeService + strings.TrimSpace(string(statusPath))
 
+	// The first poll answers at once; each later one names the state the
+	// last answer reported, and the compute service holds it until the
+	// request moves on (a state change or a progress step), so the loop
+	// needs no timer of its own.
 	deadline := p.cfg.Now().Add(pollTimeout)
+	pollURL, seen := statusURL, ""
 	for {
-		st, err := p.pollOnce(statusURL)
+		st, err := p.pollOnce(pollURL)
 		if err != nil {
 			return nil, err
 		}
@@ -130,8 +136,9 @@ func (p *Portal) compute(cat *votable.Table, cluster string, priority int, onPro
 		if p.cfg.Now().After(deadline) {
 			return nil, ErrTimeout
 		}
-		//nvolint:ignore noclock poll pacing of the live portal, the wall-clock boundary that waits on the compute service
-		time.Sleep(pollInterval)
+		if st.State != seen {
+			pollURL, seen = statusURL+"&wait="+url.QueryEscape(st.State), st.State
+		}
 	}
 }
 

@@ -96,13 +96,10 @@ type Config struct {
 	Now func() time.Time
 }
 
-// pollInterval is the status-URL polling period. The real portal polled in
-// seconds, but model time is decoupled from wall time here. pollTimeout
-// bounds how long one analysis waits on the compute service, by Config.Now.
-const (
-	pollInterval = 10 * time.Millisecond
-	pollTimeout  = 60 * time.Second
-)
+// pollTimeout bounds how long one analysis waits on the compute service, by
+// Config.Now. The compute service holds each poll until the request moves
+// on, so the portal polls without a period of its own.
+const pollTimeout = 60 * time.Second
 
 // Degradation records one archive the portal proceeded without: a secondary
 // catalog or image service that stayed down through the retry policy, whose

@@ -33,7 +33,9 @@ type fixture struct {
 	cluster *skysim.Cluster
 }
 
-func newFixture(t testing.TB, nGalaxies int, mut func(*Config)) *fixture {
+// newFixture builds the fixture over nGalaxies galaxies of COMA; mut, when
+// set, edits the portal's configuration and svcMut the compute service's.
+func newFixture(t testing.TB, nGalaxies int, mut func(*Config), svcMut ...func(*webservice.Config)) *fixture {
 	t.Helper()
 	cl := skysim.Generate(skysim.Spec{
 		Name: "COMA", Center: wcs.New(195, 28), Redshift: 0.023,
@@ -57,12 +59,16 @@ func newFixture(t testing.TB, nGalaxies int, mut func(*Config)) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := webservice.New(webservice.Config{
+	svcCfg := webservice.Config{
 		RLS: r, TC: tc, GridFTP: ftp, Fabric: fab,
 		HTTPClient: mastSrv.Client(),
 		Seed:       3,
 		MaxRetries: 2,
-	})
+	}
+	for _, m := range svcMut {
+		m(&svcCfg)
+	}
+	svc, err := webservice.New(svcCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,6 +300,26 @@ func (r *RLS) unregister(lfn string, pfn PFN) (string, PFN, error) {
 	return e.lfn, gone, nil
 }
 
+// UnregisterAt removes every replica of lfn at site, whatever its URL:
+// Unregister for a caller that knows where a file's replicas are but does
+// not hold their URLs. The name goes with its last replica; a site without
+// a replica of lfn is a no-op.
+func (r *RLS) UnregisterAt(lfn, site string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.files[lfn]
+	if !ok {
+		return
+	}
+	for i, _ := e.find(site, ""); i < len(e.list()) && e.list()[i].Site == site; {
+		if e.remove(i) == 0 {
+			delete(r.files, e.lfn)
+			return
+		}
+	}
+	r.files[e.lfn] = e
+}
+
 // Lookup returns every replica of lfn across all sites, sorted by site then
 // URL. A missing LFN yields an empty slice, not an error, matching how
 // Pegasus probes for reusable data products. Sites whose LRC is faulted by

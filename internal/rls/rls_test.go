@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +85,44 @@ func TestUnregister(t *testing.T) {
 	}
 	if err := r.Unregister("f", PFN{Site: "ghost", URL: "u"}); err == nil {
 		t.Error("unknown site must fail")
+	}
+}
+
+// TestUnregisterAt: every replica at the named site goes, spilled or
+// inline, the others stay, and the name goes with its last replica.
+func TestUnregisterAt(t *testing.T) {
+	r := New()
+	for _, p := range []PFN{{"a", "u1"}, {"b", "u2"}, {"b", "u3"}, {"c", "u4"}} {
+		if err := r.Register("f", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Register("g", PFN{"b", "u5"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		lfn, site string
+		left      []string // f's replica URLs after the call
+	}{
+		{"f", "b", []string{"u1", "u4"}},
+		{"f", "b", []string{"u1", "u4"}},
+		{"f", "ghost", []string{"u1", "u4"}},
+		{"nope", "a", []string{"u1", "u4"}},
+		{"f", "c", []string{"u1"}},
+		{"f", "a", nil},
+		{"g", "b", nil},
+	} {
+		r.UnregisterAt(c.lfn, c.site)
+		var left []string
+		for _, p := range r.Lookup("f") {
+			left = append(left, p.URL)
+		}
+		if !slices.Equal(left, c.left) {
+			t.Errorf("after UnregisterAt(%s, %s): f at %v, want %v", c.lfn, c.site, left, c.left)
+		}
+	}
+	if r.Exists("f") || r.Exists("g") || r.Len() != 0 {
+		t.Errorf("names left after their last replica: %v", r.LFNs())
 	}
 }
 

@@ -80,7 +80,8 @@ func writeShed(w http.ResponseWriter, err error) bool {
 // Handler exposes the compute service over HTTP, following the asynchronous
 // protocol of §4.3: the submission response carries the status URL; the
 // client polls it until a "job completed" message appears together with the
-// result URL.
+// result URL. A poll that names the state it last saw (wait=) is held until
+// the request moves on, so a client learns of each change without a timer.
 //
 //	POST /galmorph?cluster=NAME[&tenant=T&priority=N]  -> text: status URL path
 //	                              body: VOTable
@@ -90,8 +91,12 @@ func writeShed(w http.ResponseWriter, err error) bool {
 //	       413: body larger than maxRequestBody
 //	       429 + Retry-After: tenant over its workflow-queue quota
 //	       503 + Retry-After: fabric queue full or shutting down
-//	GET  /status?id=req-000001                        -> JSON Status
-//	       Stats and JobsDone/JobsTotal are live while the request runs
+//	GET  /status?id=req-000001[&wait=STATE]           -> JSON Status
+//	       Stats and JobsDone/JobsTotal are live while the request runs;
+//	       with wait, answered at once when the request is not in STATE or
+//	       has ended, else held until its state changes, JobsDone advances
+//	       by 1/8 of JobsTotal (at least one job), the client goes away or
+//	       maxStatusWait (1 s) passes
 //	GET  /result?lfn=NAME.vot                          -> VOTable
 //	POST /cancel?id=req-000001                         -> 202 Accepted
 //	POST /requeue?id=req-000001                        -> 202 Accepted
@@ -158,7 +163,14 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("/status", func(w http.ResponseWriter, req *http.Request) {
-		st, err := s.Status(req.URL.Query().Get("id"))
+		q := req.URL.Query()
+		var st Status
+		var err error
+		if state := q.Get("wait"); state != "" {
+			st, err = s.waitStatus(req.Context(), q.Get("id"), State(state))
+		} else {
+			st, err = s.Status(q.Get("id"))
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return

@@ -52,6 +52,7 @@ func FuzzServiceHandler(f *testing.F) {
 	f.Add("POST", "/galmorph", "cluster=COMA&priority=x", "<VOTABLE>")
 	f.Add("PUT", "/galmorph", "cluster=%zz", "")
 	f.Add("GET", "/status", "id=req-000001", "")
+	f.Add("GET", "/status", "id=req-000001&wait=running", "")
 	f.Add("POST", "/cancel", "id=req-000001", "")
 	f.Add("POST", "/requeue", "id=req-000001", "")
 	f.Add("GET", "/result", "lfn=COMA.vot", "")

@@ -96,14 +96,18 @@ func (l *leg) account(d RunStats) {
 	l.r.Stats.add(d)
 }
 
-// progress advances the request's progress counters by done and total and
-// reports them to its observer. A one-graph source knows its total up
+// progress advances the request's progress counters by done and total,
+// wakes the /status waiters once done reaches their step, and reports the
+// counters to the request's observer. A one-graph source knows its total up
 // front; a wave source grows it as waves are planned (the concrete node
 // count of a wave is unknown until its plan exists).
 func (l *leg) progress(done, total int) {
 	l.r.mu.Lock()
 	done, total = l.r.JobsDone+done, l.r.JobsTotal+total
 	l.r.JobsDone, l.r.JobsTotal = done, total
+	if done >= l.r.wakeAt {
+		l.r.signal()
+	}
 	l.r.mu.Unlock()
 	if l.r.observe != nil {
 		l.r.observe(done, total)
@@ -205,32 +209,22 @@ func oneGraph(g *dag.Graph) func(int) (*dag.Graph, error) {
 // instead of replanning it: the journal restores that wave's nodes by ID,
 // and a replan could place a restored job at a site its output never
 // reached — pruning a finished sibling job shifts the seeded site draws.
-func (l *leg) waves(planner *pegasus.WavePlanner, refs []imageRef, resumed bool) func(int) (*dag.Graph, error) {
+//
+// jobs is the wave source planner plans from: its jobs name each galaxy's
+// image and result, which eviction reads instead of building the names again.
+func (l *leg) waves(planner *pegasus.WavePlanner, jobs pegasus.WaveSource, refs []imageRef, resumed bool) func(int) (*dag.Graph, error) {
 	s := l.s
 	l.refs = refs
 	wavePlan := func(w int) string { return l.path(".wave" + strconv.Itoa(w) + ".dag") }
-	// evict reclaims a completed leaf wave's staged cutouts: once a wave's
-	// derived outputs are registered in the RLS its input images are dead
-	// weight, so the store's peak footprint stays bounded by one wave
-	// instead of accumulating the whole survey. Inputs whose output is not
-	// registered (a rescue re-run may need them) are kept.
-	evict := func(w int) {
-		if w < 0 || w >= planner.LeafWaves() {
-			return
-		}
-		lo, hi := planner.WaveBounds(w)
-		for _, r := range refs[lo:hi] {
-			if s.cfg.RLS.Exists(r.id+".txt") && s.evictImage(r.id+".fit") {
-				l.account(RunStats{ImagesEvicted: 1})
-			}
-		}
-	}
 	return func(w int) (*dag.Graph, error) {
 		// Waves release sequentially: wave w-1 has completed (and
 		// registered its outputs) by the time wave w is staged — no Run
 		// bodies execute while the wave label is rebuilt here.
 		l.setWave(strconv.Itoa(w))
-		evict(w - 1)
+		if w > 0 && w-1 < planner.LeafWaves() {
+			lo, hi := planner.WaveBounds(w - 1)
+			l.evictWave(jobs, lo, hi)
+		}
 		if s.cfg.JournalDir != "" && w > 0 {
 			if err := os.Remove(wavePlan(w - 1)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				return nil, err
@@ -295,12 +289,13 @@ func (l *leg) freshSource(dvs *derivations) (*planSource, error) {
 	if s.cfg.WaveSize > 0 {
 		// The manifest replaces the .dag artifact, which would be unbounded
 		// at survey scale.
-		planner, err := pegasus.NewWavePlanner(waveSourceFor(refs, l.r.Cluster), s.planConfig(), s.cfg.WaveSize, seed)
+		jobs := waveSourceFor(refs, l.r.Cluster)
+		planner, err := pegasus.NewWavePlanner(jobs, s.planConfig(), s.cfg.WaveSize, seed)
 		if err != nil {
 			return nil, err
 		}
 		src.begin = fmt.Sprintf("cluster=%s seed=%d waves=%d jobs=%d", l.r.Cluster, seed, planner.Waves(), len(refs))
-		src.next = l.waves(planner, refs, false)
+		src.next = l.waves(planner, jobs, refs, false)
 		persistPlan = func() error { return writeWaveManifest(l.path(".waves"), s.cfg.WaveSize, refs) }
 	} else {
 		if err := l.cacheImageRefs(refs); err != nil {
@@ -345,11 +340,12 @@ func (l *leg) savedSource() (*planSource, error) {
 	waveSize, refs, err := readWaveManifest(l.path(".waves"))
 	switch {
 	case err == nil:
-		planner, perr := pegasus.NewWavePlanner(waveSourceFor(refs, l.r.Cluster), s.planConfig(), waveSize, s.requestSeed(l.r.Cluster))
+		jobs := waveSourceFor(refs, l.r.Cluster)
+		planner, perr := pegasus.NewWavePlanner(jobs, s.planConfig(), waveSize, s.requestSeed(l.r.Cluster))
 		if perr != nil {
 			return nil, perr
 		}
-		src.next = l.waves(planner, refs, true)
+		src.next = l.waves(planner, jobs, refs, true)
 	case errors.Is(err, fs.ErrNotExist):
 		g, _, derr := dagman.ReadDAGFile(l.path(".dag"))
 		if derr != nil {

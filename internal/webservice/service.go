@@ -295,11 +295,17 @@ type Service struct {
 // stops a published request and is guarded by Service.mu (the synchronous
 // entry points leave it nil: their caller owns the context); observe, when
 // set, is told every progress change, outside the lock.
+//
+// wake is nil while no /status GET waits on the request. A waiter makes it
+// and sets wakeAt; a lifecycle event, or progress reaching wakeAt, closes it
+// and sets it back to nil, so the doors allocate nothing when no one waits.
 type request struct {
 	mu sync.Mutex
 	Status
 	cancel  context.CancelFunc
 	observe func(done, total int)
+	wake    chan struct{}
+	wakeAt  int
 }
 
 // newRequest is the one constructor of a request record, for a request the
@@ -319,7 +325,22 @@ func newRequest(cluster string, opt RequestOptions, ticket *fabric.Ticket, obser
 func (r *request) apply(ev event, errText string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.transition(ev, errText)
+}
+
+// transition applies ev to the record's Status and wakes every waiter. The
+// caller holds r.mu.
+func (r *request) transition(ev event, errText string) {
 	r.Status.apply(ev, errText)
+	r.signal()
+}
+
+// signal wakes every waiter. The caller holds r.mu.
+func (r *request) signal() {
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
+	}
 }
 
 // status returns a snapshot of the record.
@@ -335,12 +356,28 @@ func (r *request) end(out string, err error) (string, RunStats, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err != nil {
-		r.Status.apply(evFailed, err.Error())
+		r.transition(evFailed, err.Error())
 	} else {
-		r.Status.apply(evCompleted, "")
 		r.ResultLFN = out
+		r.transition(evCompleted, "")
 	}
 	return out, r.Stats, err
+}
+
+// waitOn returns the channel a waiter that has seen the request in state
+// blocks on until the record changes state or JobsDone reaches target, or
+// nil when either has happened or the request has ended. Several waiters
+// share one channel, closed at the lowest target; each asks again on
+// waking. The caller holds r.mu.
+func (r *request) waitOn(state State, target int) <-chan struct{} {
+	if r.State != state || state == StateCompleted || state == StateFailed || r.JobsDone >= target {
+		return nil
+	}
+	if r.wake == nil {
+		r.wake, r.wakeAt = make(chan struct{}), target
+	}
+	r.wakeAt = min(r.wakeAt, target)
+	return r.wake
 }
 
 // workers returns the configured side-effect concurrency bound (minimum 1).
@@ -570,11 +607,66 @@ func (s *Service) Fabric() *fabric.Fabric { return s.cfg.Fabric }
 
 // Status returns a snapshot of a request's state.
 func (s *Service) Status(id string) (Status, error) {
+	r, err := s.lookup(id)
+	if err != nil {
+		return Status{}, err
+	}
+	return r.status(), nil
+}
+
+// lookup returns the published request id.
+func (s *Service) lookup(id string) (*request, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.requests[id]
 	if !ok {
-		return Status{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	}
+	return r, nil
+}
+
+// Bounds of a waiting /status GET (waitStatus): it answers when JobsDone
+// has advanced by 1/statusWaitSteps of JobsTotal (at least one job), so a
+// client that loops on it sees about statusWaitSteps progress steps a
+// request, and at the latest after maxStatusWait. Each answer is a JSON
+// exchange of about 30 allocations; eight steps show a request's progress
+// at 1/8 without making the exchanges a measurable share of its cost.
+const (
+	statusWaitSteps = 8
+	maxStatusWait   = time.Second
+)
+
+// waitStatus is Status for a client that has seen the request in state: it
+// answers at once when the request is in another state or has ended, and
+// otherwise when the request changes state, when JobsDone advances by
+// 1/statusWaitSteps of JobsTotal, when ctx ends or when maxStatusWait
+// passes, whichever comes first. The wait decides only when the snapshot is
+// taken, never what the request computes.
+func (s *Service) waitStatus(ctx context.Context, id string, state State) (Status, error) {
+	r, err := s.lookup(id)
+	if err != nil {
+		return Status{}, err
+	}
+	r.mu.Lock()
+	target := r.JobsDone + max(1, r.JobsTotal/statusWaitSteps)
+	wake := r.waitOn(state, target)
+	r.mu.Unlock()
+	if wake != nil {
+		//nvolint:ignore noclock the cap on a waiting /status GET decides only when an answer is sent, never what it holds
+		timeout := time.NewTimer(maxStatusWait)
+		defer timeout.Stop()
+		for wake != nil {
+			select {
+			case <-wake:
+				r.mu.Lock()
+				wake = r.waitOn(state, target)
+				r.mu.Unlock()
+			case <-ctx.Done():
+				wake = nil
+			case <-timeout.C:
+				wake = nil
+			}
+		}
 	}
 	return r.status(), nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fits"
 	"repro/internal/gridftp"
+	"repro/internal/pegasus"
 	"repro/internal/rls"
 	"repro/internal/workpool"
 )
@@ -234,28 +235,44 @@ func (s *Service) storeImage(id string, data []byte) error {
 	return nil
 }
 
-// evictImage removes one staged cutout from every store that holds it — the
-// cache (and mirror) copy and the stage-in copies the transfers left at the
-// execution sites, which share the cached blob's bytes and would keep them
-// alive — and withdraws its RLS registrations (only the image sites' copies
-// are ever registered): the survey-scale reclamation path for images whose
-// derived outputs are already registered. Copies a previous process staged
-// and this one never saw are simply absent; eviction reports whether any
-// replica was actually removed here.
-func (s *Service) evictImage(lfn string) bool {
-	evicted := false
-	for _, site := range s.cfg.GridFTP.Sites() {
-		// Most sites never held this image; ask before deleting so a miss
-		// does not cost a formatted error.
-		if st := s.cfg.GridFTP.Store(site); st.Exists(lfn) && st.Delete(lfn) == nil {
-			evicted = true
+// evictWave reclaims the staged cutouts of jobs [lo, hi), a completed leaf
+// wave: once a wave's derived outputs are registered in the RLS its input
+// images are dead weight, so the store's peak footprint stays bounded by one
+// wave instead of accumulating the whole survey. An image whose output is
+// not registered (a rescue re-run may need it) is kept. An evicted image
+// leaves every store that holds it — the cache (and mirror) copy and the
+// stage-in copies the transfers left at the execution sites, which share the
+// cached blob's bytes and would keep them alive — and its RLS registrations
+// are withdrawn (only the image sites' copies are ever registered). Copies a
+// previous process staged and this one never saw are simply absent;
+// ImagesEvicted counts the images a store actually gave up here. The names
+// are the wave source's and the site list is read once, so a wave's
+// eviction allocates nothing per image.
+func (l *leg) evictWave(jobs pegasus.WaveSource, lo, hi int) {
+	s := l.s
+	sites := s.cfg.GridFTP.Sites()
+	evicted := 0
+	for i := lo; i < hi; i++ {
+		job := jobs.Job(i)
+		if !s.cfg.RLS.Exists(job.Outputs[0]) {
+			continue
+		}
+		lfn, removed := job.Inputs[0], false
+		for _, site := range sites {
+			// Most sites never held this image; ask before deleting so a
+			// miss does not cost a formatted error.
+			if st := s.cfg.GridFTP.Store(site); st.Exists(lfn) && st.Delete(lfn) == nil {
+				removed = true
+			}
+		}
+		for _, site := range s.imageSites() {
+			s.cfg.RLS.UnregisterAt(lfn, site)
+		}
+		if removed {
+			evicted++
 		}
 	}
-	for _, site := range s.imageSites() {
-		// Withdrawing a replica that was never registered is a no-op.
-		_ = s.cfg.RLS.Unregister(lfn, rls.PFN{Site: site, URL: gridftp.URL(site, lfn)})
-	}
-	return evicted
+	l.account(RunStats{ImagesEvicted: evicted})
 }
 
 // countStagedImages counts the cutout images currently held by the cache

@@ -5,10 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/gridftp"
 	"repro/internal/journal"
+	"repro/internal/rls"
 )
 
 // TestWaveComputeByteIdentical is the survey-scale acceptance: the wave-based
@@ -178,5 +181,62 @@ func TestWaveResumeHonorsManifestWaveSize(t *testing.T) {
 	}
 	if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {
 		t.Error("resume under a changed WaveSize config diverged from the recorded decomposition")
+	}
+}
+
+// TestWaveEvictionAllocBudget gates the eviction between waves: a wave of
+// 100 staged images, each at the cache site and the mirror (both
+// registered) and staged in at an execution site, all but one with a
+// registered result, evicted by one evictWave call as the wave source makes
+// it. The budget is 0.1 allocations per image; the site list is read once a
+// wave and nothing is allocated per image; it reads 0.01. The closure it
+// replaced built each image's name, its cache and mirror URLs and a copy of
+// the site list per image: the same wave read 3.96 allocations per image
+// (2.97 without a mirror).
+func TestWaveEvictionAllocBudget(t *testing.T) {
+	const images = 100
+	h := newHarness(t, images, func(c *Config) { c.MirrorSite = "mirror" })
+	refs := make([]imageRef, images)
+	for i, g := range h.clusters[0].Galaxies {
+		refs[i] = imageRef{id: g.ID}
+		lfn := g.ID + ".fit"
+		if err := h.svc.storeImage(g.ID, []byte("cutout of "+g.ID)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.ftp.Transfer(gridftp.URL(cacheSite, lfn), gridftp.URL("usc", lfn)); err != nil {
+			t.Fatal(err)
+		}
+		if i == images-1 {
+			continue // no result: a rescue re-run may need the image
+		}
+		if err := h.r.Register(g.ID+".txt", rls.PFN{Site: "usc", URL: gridftp.URL("usc", g.ID+".txt")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs := waveSourceFor(refs, "COMA")
+	l := h.leg()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l.evictWave(jobs, 0, images)
+	runtime.ReadMemStats(&after)
+	perImage := float64(after.Mallocs-before.Mallocs) / images
+	t.Logf("evicting a wave of %d images: %.2f allocs/image", images, perImage)
+	if n := l.r.status().Stats.ImagesEvicted; n != images-1 {
+		t.Errorf("ImagesEvicted = %d, want %d", n, images-1)
+	}
+	for i, r := range refs {
+		lfn, kept := r.id+".fit", i == images-1
+		for _, site := range []string{cacheSite, "mirror", "usc"} {
+			if h.ftp.Store(site).Exists(lfn) != kept {
+				t.Errorf("%s at %s: stored = %v, want %v", lfn, site, !kept, kept)
+			}
+		}
+		if n := len(h.r.Lookup(lfn)); n != map[bool]int{true: 2}[kept] {
+			t.Errorf("%s: %d replicas registered after eviction", lfn, n)
+		}
+	}
+	const budget = 0.1
+	if perImage > budget {
+		t.Errorf("evicting a wave allocates %.2f times per image; budget is %.2f", perImage, budget)
 	}
 }
