@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak explore dataplane graphreaders hotbench loc knobs exports verify
+.PHONY: build test bench-harness bench-e2e vet lint racecheck chaos bench recovery fuzz tenants survey soak explore dataplane graphreaders hotbench render-ab loc knobs exports verify
 
 build:
 	$(GO) build ./...
@@ -232,7 +232,12 @@ graphreaders:
 # no /status GET while a request is held, at most 12 a request, and the
 # completion carried by the GET that was waiting when the request was
 # released; the same bounds under -race). Fails fast on any AllocsPerRun
-# regression. Beside the
+# regression. The render kernel's row stages have their parity tests
+# here too (internal/skysim/render_stages_test.go: the copied cos against
+# math.Cos on ten million operands, one pooled scratch through large,
+# small and large renders against fresh ones, a row straddling the arm and
+# truncation radii against the frozen loop, Ldexp by 0 as the identity).
+# Beside the
 # measurement pins runs
 # TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts: every row-span loop
 # of the kernel bit-identical to its frozen per-pixel form on 1,000 survey
@@ -245,11 +250,38 @@ graphreaders:
 # figures.
 hotbench:
 	$(GO) test -race -run 'TestHotPathAllocBudget|TestMemoKeyMatchesFmt|TestPlanAllocBudget|TestPlanPhaseAllocs|TestWavePlanAllocBudget|TestPlanAllocsFlat|TestCollectAllocBudget|TestResultTableBytes|TestExecuteAllocBudget|TestExecuteAllocsFlat|TestRequestAllocBudget|TestWaveEvictionAllocBudget' -v ./internal/webservice/
-	$(GO) test -race -run 'TestPortalPollsDoNotGrowWithWallTime|TestPortalLearnsCompletionFromTheWaitingPoll' -v ./internal/portal/
+	$(GO) test -race -run 'TestPortalPollsDoNotGrowWithWallTime|TestPortalLearnsCompletionFromTheWaitingPoll|TestWavePollsMatchMonolithic' -v ./internal/portal/
+	$(GO) test -race -run 'TestCosMatchesMath|TestPooledScratchMatchesFresh|TestRenderStraddlesArmsAndTruncation|TestLdexpZeroIsIdentity' -v ./internal/skysim/
 	$(GO) test -race -run 'TestMeasureRaw|TestKernelStagesMatchPerPixelReferenceOnSurveyCutouts|TestParseViewAllocBudget|TestAppendResultMatchesFmt|TestSpoolIn|TestDecodeAllocsPerRow|TestCutoutAllocBudget|TestCutoutRoundTripAllocs|TestRoundTripResponseAllocs|TestWriteBodySharesContentType|TestSetAllocatesNothing|TestAnswerAllocsPerRow|TestAnswerHandlerBytes|TestRegisterAllocBudget' ./internal/morphology/ ./internal/fits/ ./internal/webservice/ ./internal/tableops/ ./internal/votable/ ./internal/services/ ./internal/core/ ./internal/rls/
 	$(GO) test -run '^$$' -bench 'BenchmarkMorphologyGalaxy$$|BenchmarkMeasureRawArena$$' -benchtime 2000x -benchmem ./internal/morphology/ ./internal/webservice/
 	$(GO) test -run '^$$' -bench 'BenchmarkRenderGalaxy$$|BenchmarkCutoutFITS$$' -benchtime 200x -benchmem ./internal/skysim/ ./internal/services/
 	$(GO) test -run '^$$' -bench 'BenchmarkPlanRequest$$' -benchtime 50x -benchmem ./internal/webservice/
+
+# The render A/B: builds the ./internal/skysim test binary at BASE (from
+# `git archive BASE` into a directory under $TMPDIR, removed afterwards)
+# and in the working tree, runs their BenchmarkRenderGalaxy (the SURVEY
+# mix, -cpu 1, 200 renders a run) alternately RENDER_AB_N times, and
+# prints each side's median and minimum ms per render and how many of the
+# alternating pairs the working tree won. EXPERIMENTS §P22's render
+# figures come from `make render-ab BASE=HEAD~1`.
+BASE ?= HEAD
+RENDER_AB_N ?= 10
+render-ab:
+	@set -e; tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/render-ab.XXXXXX"); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src"; git archive $(BASE) | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) test -c -o "$$tmp/base.test" ./internal/skysim); \
+	$(GO) test -c -o "$$tmp/work.test" ./internal/skysim; \
+	for i in $$(seq $(RENDER_AB_N)); do for side in base work; do \
+	  "$$tmp/$$side.test" -test.run '^$$' -test.bench '^BenchmarkRenderGalaxy$$' -test.cpu 1 -test.benchtime 200x | \
+	    awk -v s=$$side '/^BenchmarkRenderGalaxy/ { printf "%s %.4f\n", s, $$3 / 1e6 }' >> "$$tmp/runs"; \
+	done; done; \
+	for side in base work; do \
+	  awk -v s=$$side '$$1 == s { print $$2 }' "$$tmp/runs" | sort -n | \
+	    awk -v s=$$side '{ v[NR] = $$1 } END { m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2; \
+	      printf "%-4s median %.3f ms  min %.3f ms  (%d runs)\n", s, m, v[1], NR }'; \
+	done; \
+	awk '$$1 == "base" { b[++nb] = $$2 } $$1 == "work" { w[++nw] = $$2 } \
+	  END { for (i = 1; i <= nw; i++) if (w[i] < b[i]) k++; printf "work faster in %d of %d pairs\n", k + 0, nw }' "$$tmp/runs"
 
 # Non-test Go lines per package: raw lines and code lines (blank and
 # comment-only lines excluded). benchmark/ is a module of its own and is

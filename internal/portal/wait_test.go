@@ -141,3 +141,47 @@ func TestPortalPollsDoNotGrowWithWallTime(t *testing.T) {
 	}
 	t.Logf("/status GETs of a request held 300 ms in the queue: %d", gets.n.Load())
 }
+
+// paced is a journal sink that holds each job's completion record for a
+// millisecond, so a request's jobs finish no faster than the portal's
+// /status GETs answer and every progress step is a GET of its own.
+type paced struct{ journal.Sink }
+
+func (p paced) Append(rec journal.Record) error {
+	if rec.Kind == journal.KindCompleted {
+		time.Sleep(time.Millisecond)
+	}
+	return p.Sink.Append(rec)
+}
+
+// TestWavePollsMatchMonolithic: the same request in wave mode costs the
+// portal at most two /status GETs more than without waves. A waiting GET
+// steps by the jobs the first wave implies for the whole request, not by
+// JobsTotal, which grows as each wave is planned and would shrink the
+// step with it.
+func TestWavePollsMatchMonolithic(t *testing.T) {
+	count := func(waveSize int) int32 {
+		var gets *statusGETs
+		f := newFixture(t, 48, func(c *Config) { gets = countStatusGETs(c) }, func(c *webservice.Config) {
+			c.WaveSize = waveSize
+			c.JournalDir = t.TempDir()
+			c.WrapJournal = func(_, _ string, sink journal.Sink) journal.Sink { return paced{sink} }
+		})
+		if _, err := f.portal.Analyze("COMA"); err != nil {
+			t.Fatal(err)
+		}
+		st, err := f.svc.Status("req-000001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if waveSize > 0 && st.Stats.Waves < 3 {
+			t.Fatalf("wave request ran %d waves; want at least 3", st.Stats.Waves)
+		}
+		return gets.n.Load()
+	}
+	mono, waves := count(0), count(6)
+	if waves > mono+2 {
+		t.Errorf("/status GETs: %d in wave mode, %d without waves; want at most 2 more", waves, mono)
+	}
+	t.Logf("/status GETs: %d without waves, %d in waves of 6", mono, waves)
+}

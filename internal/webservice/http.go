@@ -95,7 +95,8 @@ func writeShed(w http.ResponseWriter, err error) bool {
 //	       Stats and JobsDone/JobsTotal are live while the request runs;
 //	       with wait, answered at once when the request is not in STATE or
 //	       has ended, else held until its state changes, JobsDone advances
-//	       by 1/8 of JobsTotal (at least one job), the client goes away or
+//	       by 1/8 of the jobs expected when the plan (or its first wave)
+//	       was known (at least one job), the client goes away or
 //	       maxStatusWait (1 s) passes
 //	GET  /result?lfn=NAME.vot                          -> VOTable
 //	POST /cancel?id=req-000001                         -> 202 Accepted

@@ -79,7 +79,7 @@ type leg struct {
 func (s *Service) newLeg(r *request, preemptions int) *leg {
 	r.mu.Lock()
 	r.Stats = RunStats{Preemptions: preemptions}
-	r.JobsDone, r.JobsTotal = 0, 0
+	r.JobsDone, r.JobsTotal, r.jobsExpected = 0, 0, 0
 	r.mu.Unlock()
 	l := &leg{s: s, r: r}
 	l.setWave("-")
@@ -112,6 +112,16 @@ func (l *leg) progress(done, total int) {
 	if l.r.observe != nil {
 		l.r.observe(done, total)
 	}
+}
+
+// expect sets the request's expected job count (request.jobsExpected)
+// the first time a wave leg learns one; later calls leave it.
+func (l *leg) expect(jobs int) {
+	l.r.mu.Lock()
+	if l.r.jobsExpected == 0 {
+		l.r.jobsExpected = jobs
+	}
+	l.r.mu.Unlock()
 }
 
 // setWave rebuilds the label context for a new wave. The wave driver calls
@@ -262,6 +272,11 @@ func (l *leg) waves(planner *pegasus.WavePlanner, jobs pegasus.WaveSource, refs 
 			}
 		}
 		l.account(RunStats{Waves: 1, MaxWaveNodes: g.Len()})
+		if w < planner.LeafWaves() {
+			// The first leaf wave's jobs per galaxy, over every galaxy.
+			lo, hi := planner.WaveBounds(w)
+			l.expect(g.Len() * len(refs) / max(1, hi-lo))
+		}
 		l.progress(0, g.Len())
 		return g, nil
 	}

@@ -24,6 +24,7 @@
 package webservice
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -306,6 +307,11 @@ type request struct {
 	observe func(done, total int)
 	wake    chan struct{}
 	wakeAt  int
+	// jobsExpected is a wave leg's job count as its first wave implies it
+	// (that wave's jobs per galaxy times the galaxies), the size a waiting
+	// /status GET steps by. JobsTotal grows as each wave is planned; a
+	// one-graph leg's never does, and it leaves jobsExpected 0.
+	jobsExpected int
 }
 
 // newRequest is the one constructor of a request record, for a request the
@@ -626,7 +632,8 @@ func (s *Service) lookup(id string) (*request, error) {
 }
 
 // Bounds of a waiting /status GET (waitStatus): it answers when JobsDone
-// has advanced by 1/statusWaitSteps of JobsTotal (at least one job), so a
+// has advanced by 1/statusWaitSteps of the request's jobs (at least one
+// job; for a wave leg, the jobs its first wave implies), so a
 // client that loops on it sees about statusWaitSteps progress steps a
 // request, and at the latest after maxStatusWait. Each answer is a JSON
 // exchange of about 30 allocations; eight steps show a request's progress
@@ -639,7 +646,7 @@ const (
 // waitStatus is Status for a client that has seen the request in state: it
 // answers at once when the request is in another state or has ended, and
 // otherwise when the request changes state, when JobsDone advances by
-// 1/statusWaitSteps of JobsTotal, when ctx ends or when maxStatusWait
+// 1/statusWaitSteps of its jobs, when ctx ends or when maxStatusWait
 // passes, whichever comes first. The wait decides only when the snapshot is
 // taken, never what the request computes.
 func (s *Service) waitStatus(ctx context.Context, id string, state State) (Status, error) {
@@ -648,7 +655,7 @@ func (s *Service) waitStatus(ctx context.Context, id string, state State) (Statu
 		return Status{}, err
 	}
 	r.mu.Lock()
-	target := r.JobsDone + max(1, r.JobsTotal/statusWaitSteps)
+	target := r.JobsDone + max(1, cmp.Or(r.jobsExpected, r.JobsTotal)/statusWaitSteps)
 	wake := r.waitOn(state, target)
 	r.mu.Unlock()
 	if wake != nil {
